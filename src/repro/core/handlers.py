@@ -3,22 +3,22 @@
 Each handler executes one *kind* of batched command against device memory
 and the transformer.  The handlers are pure with respect to scheduling —
 they are invoked by the device with a list of commands and return a list of
-per-command results — and they are the only code that touches tensors.
+per-command results — and, with the ``KvPageStore`` gather/scatter kernels
+they call, they are the only code that touches tensors.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
 from repro.errors import ResourceError, SchedulingError
 from repro.core.command_queue import Command
 from repro.gpu.kernels import ForwardRow, KernelCostModel
-from repro.gpu.memory import DeviceMemory, PhysicalKvPage
+from repro.gpu.memory import DeviceMemory
 from repro.model.registry import ModelEntry
 from repro.model.sampling import top_k_dist
-from repro.model.transformer import KvContext
 
 
 class ApiHandlers:
@@ -127,8 +127,8 @@ class ApiHandlers:
         this handler, both stateful through device memory rather than the
         payload: the gathered context includes every token *committed so
         far* into the input pages — so a later slice attends to the KV its
-        predecessors wrote — and the auto-offset in :meth:`_write_kv`
-        (``sum(num_valid)``) lands each slice's KV right after them.  A
+        predecessors wrote — and the auto-offset of ``KvPageStore.scatter``
+        (the count of valid slots) lands each slice's KV right after them.  A
         slice therefore needs no extra bookkeeping here; the scheduler only
         resolves the caller's future when the final slice completes.
         """
@@ -144,7 +144,7 @@ class ApiHandlers:
             raise ResourceError("forward: at least one input embedding is required")
         input_embeds = self.memory.embeds.read(iemb)
         positions = self.memory.embeds.positions(iemb)
-        context = self._gather_context(ikv)
+        context = self.memory.kv_pages.gather(ikv)
         adapter = (
             self.model_entry.adapters.get(adapter_name) if adapter_name is not None else None
         )
@@ -156,7 +156,9 @@ class ApiHandlers:
             adapter=adapter,
         )
         if okv:
-            self._write_kv(okv, result, okv_offset)
+            self.memory.kv_pages.scatter(
+                okv, okv_offset, result.new_keys, result.new_values, result.positions
+            )
         if oemb:
             n_out = len(oemb)
             if n_out > len(iemb):
@@ -165,57 +167,6 @@ class ApiHandlers:
             out_positions = positions[-n_out:]
             self.memory.embeds.write(oemb, hidden, out_positions)
         return len(iemb)
-
-    def _gather_context(self, page_ids: Sequence[int]) -> KvContext:
-        config = self.model_entry.config
-        context = KvContext.empty(config)
-        if not page_ids:
-            return context
-        keys = [[] for _ in range(config.n_layers)]
-        values = [[] for _ in range(config.n_layers)]
-        positions: List[int] = []
-        visible: List[bool] = []
-        for page_id in page_ids:
-            page = self.memory.kv_pages.page(page_id)
-            for slot in range(page.page_size):
-                if not page.valid[slot]:
-                    continue
-                for layer in range(config.n_layers):
-                    keys[layer].append(page.keys[layer][slot])
-                    values[layer].append(page.values[layer][slot])
-                positions.append(int(page.positions[slot]))
-                visible.append(bool(page.visible[slot]))
-        if not positions:
-            return context
-        return KvContext(
-            keys=[np.stack(layer_keys) for layer_keys in keys],
-            values=[np.stack(layer_values) for layer_values in values],
-            positions=np.asarray(positions, dtype=np.int64),
-            visible=np.asarray(visible, dtype=bool),
-        )
-
-    def _write_kv(self, page_ids: Sequence[int], result, okv_offset: Optional[int]) -> None:
-        pages: List[PhysicalKvPage] = [self.memory.kv_pages.page(pid) for pid in page_ids]
-        page_size = self.memory.model_config.kv_page_size
-        capacity = len(pages) * page_size
-        if okv_offset is None:
-            okv_offset = sum(page.num_valid for page in pages)
-        n_tokens = result.hidden.shape[0]
-        if okv_offset + n_tokens > capacity:
-            raise ResourceError(
-                f"forward: writing {n_tokens} tokens at offset {okv_offset} exceeds the "
-                f"{capacity}-token capacity of the provided KV pages"
-            )
-        for index in range(n_tokens):
-            global_slot = okv_offset + index
-            page = pages[global_slot // page_size]
-            slot = global_slot % page_size
-            page.write_token(
-                slot,
-                position=int(result.positions[index]),
-                keys_per_layer=[k[index] for k in result.new_keys],
-                values_per_layer=[v[index] for v in result.new_values],
-            )
 
     # -- sample handler ----------------------------------------------------------------
 
@@ -235,13 +186,12 @@ class ApiHandlers:
         src_slots = payload.get("src_slots")
         dst_slots = payload.get("dst_slots")
         if src_slots is None:
-            src_slots = [slot for slot in range(src.page_size) if src.valid[slot]]
+            src_slots = np.flatnonzero(src.valid)
         if dst_slots is None:
-            dst_slots = list(range(len(src_slots)))
+            dst_slots = np.arange(len(src_slots))
         if len(src_slots) != len(dst_slots):
             raise ResourceError("copy_kvpage: slot count mismatch")
-        for src_slot, dst_slot in zip(src_slots, dst_slots):
-            dst.copy_token_from(src, src_slot, dst_slot)
+        dst.copy_token_from(src, src_slots, dst_slots)
         return len(src_slots)
 
     def _run_copy_emb(self, payload: Dict[str, Any]) -> int:

@@ -52,27 +52,6 @@ class PcieCostModel:
         return milliseconds(self.base_ms + self.per_page_ms * n_pages)
 
 
-class _HostPageCopy:
-    """A point-in-time snapshot of one device KV page, resident in host DRAM."""
-
-    __slots__ = ("keys", "values", "positions", "valid", "visible")
-
-    def __init__(self, page: PhysicalKvPage) -> None:
-        self.keys = [layer.copy() for layer in page.keys]
-        self.values = [layer.copy() for layer in page.values]
-        self.positions = page.positions.copy()
-        self.valid = page.valid.copy()
-        self.visible = page.visible.copy()
-
-    def restore_into(self, page: PhysicalKvPage) -> None:
-        for layer in range(len(page.keys)):
-            page.keys[layer][:] = self.keys[layer]
-            page.values[layer][:] = self.values[layer]
-        page.positions[:] = self.positions
-        page.valid[:] = self.valid
-        page.visible[:] = self.visible
-
-
 class HostMemoryPool:
     """``host_kv_pages`` page-sized slots of host DRAM shared by the node.
 
@@ -87,7 +66,7 @@ class HostMemoryPool:
         self.pcie = PcieCostModel(gpu_config)
         self.page_bytes = kv_page_bytes(model_config)
         self._pool = _Pool(gpu_config.host_kv_pages, "host kv slot")
-        self._slots: Dict[int, _HostPageCopy] = {}
+        self._slots: Dict[int, PhysicalKvPage] = {}
 
     # -- capacity ----------------------------------------------------------
 
@@ -112,7 +91,7 @@ class HostMemoryPool:
     def store(self, page: PhysicalKvPage) -> int:
         """Snapshot a device page into a fresh host slot; returns the slot id."""
         slot = self._pool.allocate(1)[0]
-        self._slots[slot] = _HostPageCopy(page)
+        self._slots[slot] = page.snapshot()
         return slot
 
     def load(self, slot: int, dst_page: PhysicalKvPage) -> None:
@@ -120,7 +99,7 @@ class HostMemoryPool:
         copy = self._slots.pop(slot, None)
         if copy is None:
             raise ResourceError(f"host kv slot {slot} holds no page")
-        copy.restore_into(dst_page)
+        dst_page.copy_page_from(copy)
         self._pool.free([slot])
 
     def discard(self, slots: Iterable[int]) -> None:
@@ -132,12 +111,6 @@ class HostMemoryPool:
         self._pool.free(slots)  # validates double-free/unknown/dupes first
         for slot in slots:
             del self._slots[slot]
-
-    def peek(self, slot: int) -> _HostPageCopy:
-        try:
-            return self._slots[slot]
-        except KeyError:
-            raise ResourceError(f"host kv slot {slot} holds no page") from None
 
     # -- cost model --------------------------------------------------------
 

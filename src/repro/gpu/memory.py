@@ -12,38 +12,53 @@ capacity limits so resource-contention policies can be exercised.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import math
+import mmap
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import OutOfResourcesError, ResourceError
 from repro.gpu.config import GpuConfig
 from repro.model.config import ModelConfig
+from repro.model.transformer import KvContext
 
 
+@dataclass
 class PhysicalKvPage:
-    """One physical KV page: ``page_size`` token slots across all layers."""
+    """One physical KV page: ``page_size`` token slots across all layers.
 
-    __slots__ = ("page_id", "page_size", "keys", "values", "positions", "valid", "visible")
+    ``store.page(pid)`` builds one over *views* of row ``pid`` of the store's
+    slabs (``keys``/``values``: ``(n_layers, page_size, n_kv_heads, d_head)``,
+    so ``keys[layer]`` is that layer's slots; the rest ``(page_size,)``):
+    writes through it land in the slab.  A :meth:`snapshot` owns copies
+    instead, which is what the host tier holds.
+    """
 
-    def __init__(self, page_id: int, config: ModelConfig) -> None:
-        self.page_id = page_id
-        self.page_size = config.kv_page_size
-        shape = (config.kv_page_size, config.n_kv_heads, config.d_head)
-        self.keys = [np.zeros(shape, dtype=np.float32) for _ in range(config.n_layers)]
-        self.values = [np.zeros(shape, dtype=np.float32) for _ in range(config.n_layers)]
-        self.positions = np.zeros(config.kv_page_size, dtype=np.int64)
-        self.valid = np.zeros(config.kv_page_size, dtype=bool)
-        self.visible = np.ones(config.kv_page_size, dtype=bool)
+    page_id: int
+    keys: np.ndarray
+    values: np.ndarray
+    positions: np.ndarray
+    valid: np.ndarray
+    visible: np.ndarray
+
+    @property
+    def page_size(self) -> int:
+        return self.positions.shape[0]
+
+    def snapshot(self) -> "PhysicalKvPage":
+        """A detached point-in-time copy (restore it with :meth:`copy_page_from`)."""
+        arrays = (self.keys, self.values, self.positions, self.valid, self.visible)
+        return PhysicalKvPage(self.page_id, *(array.copy() for array in arrays))
 
     def clear(self) -> None:
         """Reset the page for reuse by a future allocation."""
+        self.keys[...] = 0.0
+        self.values[...] = 0.0
         self.positions[:] = 0
         self.valid[:] = False
         self.visible[:] = True
-        for layer in range(len(self.keys)):
-            self.keys[layer][:] = 0.0
-            self.values[layer][:] = 0.0
 
     def write_token(
         self,
@@ -55,36 +70,43 @@ class PhysicalKvPage:
         """Store K/V vectors for a token at ``slot``."""
         if not 0 <= slot < self.page_size:
             raise ResourceError(f"slot {slot} out of range for page of {self.page_size}")
-        for layer, (k, v) in enumerate(zip(keys_per_layer, values_per_layer)):
-            self.keys[layer][slot] = k
-            self.values[layer][slot] = v
+        self.keys[:, slot] = keys_per_layer
+        self.values[:, slot] = values_per_layer
         self.positions[slot] = position
         self.valid[slot] = True
         self.visible[slot] = True
 
     def copy_page_from(self, other: "PhysicalKvPage") -> None:
-        """Whole-page copy (used for device-to-device KV transfers)."""
+        """Whole-page copy: from another device's slab row, or a snapshot."""
         if other.page_size != self.page_size:
             raise ResourceError(
                 f"page size mismatch: {other.page_size} -> {self.page_size}"
             )
-        for layer in range(len(self.keys)):
-            self.keys[layer][:] = other.keys[layer]
-            self.values[layer][:] = other.values[layer]
+        self.keys[...] = other.keys
+        self.values[...] = other.values
         self.positions[:] = other.positions
         self.valid[:] = other.valid
         self.visible[:] = other.visible
 
-    def copy_token_from(self, other: "PhysicalKvPage", src_slot: int, dst_slot: int) -> None:
-        """Token-level copy (used by ``copy_kvpage``)."""
-        if not other.valid[src_slot]:
+    def copy_token_from(self, other: "PhysicalKvPage", src_slot, dst_slot) -> None:
+        """Token-level copy (``copy_kvpage``) of one slot or of equally long
+        slot sequences; all sources are read before any destination is written.
+        The slots come from the inferlet, so both are range-checked: numpy
+        would wrap a negative one to the end of the page."""
+        src = np.asarray(src_slot, dtype=np.intp)
+        dst = np.asarray(dst_slot, dtype=np.intp)
+        for slots, page in ((src, other), (dst, self)):
+            if ((slots < 0) | (slots >= page.page_size)).any():
+                raise ResourceError(
+                    f"slot {slots.tolist()} out of range for page of {page.page_size}"
+                )
+        if not other.valid[src].all():
             raise ResourceError("cannot copy from an unwritten KV slot")
-        for layer in range(len(self.keys)):
-            self.keys[layer][dst_slot] = other.keys[layer][src_slot]
-            self.values[layer][dst_slot] = other.values[layer][src_slot]
-        self.positions[dst_slot] = other.positions[src_slot]
-        self.valid[dst_slot] = True
-        self.visible[dst_slot] = other.visible[src_slot]
+        self.keys[:, dst] = other.keys[:, src]
+        self.values[:, dst] = other.values[:, src]
+        self.positions[dst] = other.positions[src]
+        self.valid[dst] = True
+        self.visible[dst] = other.visible[src]
 
     def mask_tokens(self, mask: Sequence[bool]) -> None:
         """Apply a token-level visibility mask (True = keep attending)."""
@@ -149,33 +171,118 @@ class _Pool:
     def is_allocated(self, item: int) -> bool:
         return item in self._allocated
 
+    def checked(self, ids: Sequence[int]) -> np.ndarray:
+        """``ids`` as an index array, after checking that all are allocated
+        (one set operation for the batch)."""
+        if not self._allocated.issuperset(ids):
+            missing = next(item for item in ids if item not in self._allocated)
+            raise ResourceError(f"{self.kind} {missing} is not allocated")
+        return np.asarray(ids, dtype=np.intp)
+
+
+def _lazy_zeros(shape: Sequence[int], dtype) -> np.ndarray:
+    """A zero array the OS commits 4 KB at a time, on first write.  ``np.zeros``
+    is lazy too, but above 4 MB numpy asks for transparent huge pages, and a
+    KV slab is written at scattered rows: each would commit 2 MB."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
+
 
 class KvPageStore:
-    """Physical KV pages plus their allocator."""
+    """Physical KV pages plus their allocator.
+
+    The bytes live in contiguous per-device slabs — ``keys``/``values``
+    shaped ``(n_layers, num_pages, page_size, n_kv_heads, d_head)``, the rest
+    ``(num_pages, page_size)`` — and :meth:`gather`/:meth:`scatter` are the
+    only code that moves them in bulk.  The slabs are committed lazily and a
+    page is reset when freed, not when allocated, so resident memory follows
+    the pages ever in use, not the pool's capacity.
+    """
 
     def __init__(self, model_config: ModelConfig, num_pages: int) -> None:
         self.model_config = model_config
         self.page_size = model_config.kv_page_size
         self._pool = _Pool(num_pages, "kv page")
-        self._pages: Dict[int, PhysicalKvPage] = {}
+        grid = (num_pages, self.page_size)
+        token = (model_config.n_kv_heads, model_config.d_head)
+        self.keys = _lazy_zeros((model_config.n_layers, *grid, *token), np.float32)
+        self.values = _lazy_zeros((model_config.n_layers, *grid, *token), np.float32)
+        self.positions = np.zeros(grid, dtype=np.int64)
+        self.valid = np.zeros(grid, dtype=bool)
+        self.visible = np.ones(grid, dtype=bool)
+        self._slot_range = np.arange(self.page_size)
+        # The same memory indexed by token (page * page_size + slot).
+        self._token_keys = self.keys.reshape(model_config.n_layers, -1, *token)
+        self._token_values = self.values.reshape(model_config.n_layers, -1, *token)
 
     def allocate(self, count: int) -> List[int]:
-        ids = self._pool.allocate(count)
-        for pid in ids:
-            page = self._pages.get(pid)
-            if page is None:
-                self._pages[pid] = PhysicalKvPage(pid, self.model_config)
-            else:
-                page.clear()
-        return ids
+        return self._pool.allocate(count)
 
     def free(self, ids: Iterable[int]) -> None:
+        """Release pages, reset for their next owner."""
+        ids = list(ids)
         self._pool.free(ids)
+        self.keys[:, ids] = 0.0
+        self.values[:, ids] = 0.0
+        self.positions[ids] = 0
+        self.valid[ids] = False
+        self.visible[ids] = True
 
     def page(self, page_id: int) -> PhysicalKvPage:
         if not self._pool.is_allocated(page_id):
             raise ResourceError(f"KV page {page_id} is not allocated")
-        return self._pages[page_id]
+        row = (array[page_id] for array in (self.positions, self.valid, self.visible))
+        return PhysicalKvPage(page_id, self.keys[:, page_id], self.values[:, page_id], *row)
+
+    def _token_grid(self, ids: np.ndarray) -> np.ndarray:
+        """Slab token index of every slot of pages ``ids``, page-then-slot order."""
+        return (ids[:, None] * self.page_size + self._slot_range).reshape(-1)
+
+    def gather(self, page_ids: Sequence[int]) -> KvContext:
+        """The written tokens of ``page_ids`` as one attention context: unwritten
+        slots (a partial last page, ``copy_kvpage`` holes) are skipped, the rest
+        keep page-then-slot order, ``visible`` carries their ``mask_kvpage``
+        state.  One ``take`` per tensor; the result owns its memory."""
+        ids = self._pool.checked(page_ids)
+        tokens = self._token_grid(ids)[self.valid[ids].reshape(-1)]
+        if not tokens.size:
+            return KvContext.empty(self.model_config)
+        return KvContext(
+            keys=list(self._token_keys.take(tokens, axis=1)),
+            values=list(self._token_values.take(tokens, axis=1)),
+            positions=self.positions.reshape(-1).take(tokens),
+            visible=self.visible.reshape(-1).take(tokens),
+        )
+
+    def scatter(
+        self,
+        page_ids: Sequence[int],
+        offset: Optional[int],
+        new_keys: Sequence[np.ndarray],
+        new_values: Sequence[np.ndarray],
+        positions: Sequence[int],
+    ) -> None:
+        """Write the first ``len(positions)`` tokens of per-layer ``new_keys``/
+        ``new_values`` into consecutive slots of ``page_ids``, from slot
+        ``offset`` of the first page; ``None`` appends after the tokens already
+        valid there (how chunked-prefill slices land behind one another)."""
+        ids = self._pool.checked(page_ids)
+        if offset is None:
+            offset = int(self.valid[ids].sum())
+        count = len(positions)
+        capacity = ids.size * self.page_size
+        if offset < 0 or offset + count > capacity:
+            raise ResourceError(
+                f"writing {count} tokens at offset {offset} exceeds the "
+                f"{capacity}-token capacity of the provided KV pages"
+            )
+        tokens = self._token_grid(ids)[offset : offset + count]
+        self._token_keys[:, tokens] = np.asarray(new_keys)[:, :count]
+        self._token_values[:, tokens] = np.asarray(new_values)[:, :count]
+        self.positions.reshape(-1)[tokens] = positions
+        self.valid.reshape(-1)[tokens] = True
+        self.visible.reshape(-1)[tokens] = True
 
     @property
     def num_free(self) -> int:
@@ -196,16 +303,15 @@ class EmbedStore:
     def __init__(self, model_config: ModelConfig, num_slots: int) -> None:
         self.model_config = model_config
         self._pool = _Pool(num_slots, "embedding slot")
-        self._data = np.zeros((num_slots, model_config.d_model), dtype=np.float32)
+        self._data = _lazy_zeros((num_slots, model_config.d_model), np.float32)
         self._positions = np.zeros(num_slots, dtype=np.int64)
         self._written = np.zeros(num_slots, dtype=bool)
 
     def allocate(self, count: int) -> List[int]:
         ids = self._pool.allocate(count)
-        for slot in ids:
-            self._data[slot] = 0.0
-            self._positions[slot] = 0
-            self._written[slot] = False
+        self._data[ids] = 0.0
+        self._positions[ids] = 0
+        self._written[ids] = False
         return ids
 
     def free(self, ids: Iterable[int]) -> None:
@@ -222,23 +328,18 @@ class EmbedStore:
             raise ResourceError("write: slot/vector count mismatch")
         if positions is not None and len(positions) != len(slot_ids):
             raise ResourceError("write: slot/position count mismatch")
-        for index, (slot, vector) in enumerate(zip(slot_ids, vectors)):
-            self._check(slot)
-            self._data[slot] = vector
-            if positions is not None:
-                self._positions[slot] = positions[index]
-            self._written[slot] = True
+        slots = self._pool.checked(slot_ids)
+        self._data[slots] = vectors
+        if positions is not None:
+            self._positions[slots] = positions
+        self._written[slots] = True
 
     def positions(self, slot_ids: Sequence[int]) -> List[int]:
         """Sequence positions associated with the given slots."""
-        for slot in slot_ids:
-            self._check(slot)
-        return [int(self._positions[slot]) for slot in slot_ids]
+        return self._positions[self._pool.checked(slot_ids)].tolist()
 
     def read(self, slot_ids: Sequence[int]) -> np.ndarray:
-        for slot in slot_ids:
-            self._check(slot)
-        return self._data[list(slot_ids)].copy()
+        return self._data[self._pool.checked(slot_ids)]
 
     def is_written(self, slot: int) -> bool:
         self._check(slot)

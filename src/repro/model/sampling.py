@@ -96,8 +96,8 @@ def top_k_dist(logits: np.ndarray, k: int, temperature: float = 1.0) -> TokenDis
     top_probs = probs[top_indices]
     total = top_probs.sum()
     return TokenDistribution(
-        token_ids=tuple(int(i) for i in top_indices),
-        probs=tuple(float(p / total) for p in top_probs),
+        token_ids=tuple(top_indices.tolist()),
+        probs=tuple((top_probs / total).tolist()),
         truncated=k < vocab,
     )
 

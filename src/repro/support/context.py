@@ -226,13 +226,8 @@ class Context:
         last_page = (max(start, end - 1)) // self.page_size
         for page_index in range(first_page, last_page + 1):
             page_start = page_index * self.page_size
-            mask = []
-            for slot in range(self.page_size):
-                token_index = page_start + slot
-                if token_index < len(self._visible):
-                    mask.append(self._visible[token_index])
-                else:
-                    mask.append(True)
+            mask = self._visible[page_start : page_start + self.page_size]
+            mask += [True] * (self.page_size - len(mask))
             self.api.mask_kvpage(self.queue, self._pages[page_index], mask)
         await self.api.synchronize(self.queue)
 

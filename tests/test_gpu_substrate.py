@@ -1,9 +1,12 @@
 """Tests for the simulated GPU: memory pools, cost model, serial device."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.handlers import ApiHandlers
 from repro.errors import OutOfResourcesError, ResourceError, SimulationError
 from repro.gpu import (
     DeviceMemory,
@@ -14,6 +17,7 @@ from repro.gpu import (
     SimDevice,
 )
 from repro.model import get_model_config
+from repro.model.registry import ModelEntry
 from repro.sim import Simulator
 
 
@@ -99,6 +103,25 @@ class TestKvPageStore:
         dst = memory.kv_pages.page(ids[1])
         with pytest.raises(ResourceError):
             dst.copy_token_from(src, 0, 0)
+
+    @pytest.mark.parametrize(
+        "src_slots, dst_slots",
+        [([-1], [0]), ([16], [0]), ([0], [-1]), ([0], [16]), ([0, 1], [1, 99])],
+    )
+    def test_copy_kvpage_slot_lists_are_range_checked(self, memory, config, src_slots, dst_slots):
+        """Inferlet-supplied slots: a negative one must not wrap to the end
+        of the page, one past the end must not surface as an IndexError."""
+        assert config.kv_page_size == 16
+        handlers = ApiHandlers(ModelEntry(config), memory, KernelCostModel(config))
+        src_id, dst_id = memory.kv_pages.allocate(2)
+        src, dst = memory.kv_pages.page(src_id), memory.kv_pages.page(dst_id)
+        k = np.ones((config.n_layers, config.n_kv_heads, config.d_head), np.float32)
+        for slot in range(config.kv_page_size):
+            src.write_token(slot, position=slot, keys_per_layer=k, values_per_layer=k)
+        payload = {"src": src_id, "dst": dst_id, "src_slots": src_slots, "dst_slots": dst_slots}
+        [result] = handlers.execute_batch("copy_kv", [SimpleNamespace(payload=payload)])
+        assert isinstance(result, ResourceError)
+        assert dst.num_valid == 0  # rejected before anything was copied
 
     def test_mask_tokens(self, memory, config):
         ids = memory.kv_pages.allocate(1)
