@@ -259,7 +259,7 @@ class MonolithicEngine:
         transformer = self.entry.transformer
         context = self._gather_context(sequence)
         embeds = transformer.embed_tokens(input_tokens, positions)
-        result = transformer.forward(embeds, positions, context)
+        result = transformer.forward_row(embeds, positions, context)
         sequence.steps += 1
 
         if not sequence.prefilled:

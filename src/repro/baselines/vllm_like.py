@@ -17,7 +17,6 @@ from repro.baselines.request import RequestOutput, SamplingConfig
 from repro.gpu.config import GpuConfig
 from repro.gpu.kernels import ForwardRow
 from repro.model.sampling import top_k_dist
-from repro.model.transformer import KvContext
 from repro.sim.simulator import Simulator
 
 
@@ -90,7 +89,7 @@ class VllmLikeServer:
         def full_forward(tokens: List[int]) -> np.ndarray:
             positions = list(range(len(tokens)))
             embeds = transformer.embed_tokens(tokens, positions)
-            return transformer.forward(embeds, positions, KvContext.empty(entry.config)).hidden[-1]
+            return transformer.forward_row(embeds, positions).hidden[-1]
 
         # Prefill once for the shared prompt.
         prefill_cost = self.engine.cost_model.forward_batch_cost(

@@ -614,7 +614,13 @@ class Controller:
 
     @property
     def concurrent_inferlets(self) -> int:
-        return sum(1 for inst in self._instances.values() if not inst.finished)
+        """Live inferlets: the size of the registry, which only
+        :meth:`register_inferlet` and :meth:`unregister_inferlet` change.
+        Every terminal status is written together with an unregistration
+        (:meth:`terminate_inferlet`, the lifecycle manager's ``_retire``), so
+        no finished instance is ever counted — and every API call reads
+        this (Figure 10's overhead term)."""
+        return len(self._instances)
 
     def instances(self) -> List[InferletInstance]:
         return list(self._instances.values())
@@ -782,11 +788,11 @@ class Controller:
     def _youngest_victim(
         self, service: ModelService, shard: DeviceShard
     ) -> Optional[InferletInstance]:
-        on_shard = set(service.router.instances_on(shard))
+        # Placement order is registration order, so ties resolve as they
+        # would walking the registry.
         candidates = [
-            inst
-            for inst in self._instances.values()
-            if not inst.finished and inst.instance_id in on_shard
+            self._instances[instance_id]
+            for instance_id in service.router.instances_on(shard)
         ]
         if not candidates:
             return None

@@ -5,11 +5,19 @@ and the transformer.  The handlers are pure with respect to scheduling —
 they are invoked by the device with a list of commands and return a list of
 per-command results — and, with the ``KvPageStore`` gather/scatter kernels
 they call, they are the only code that touches tensors.
+
+A ``forward`` batch runs in *waves*: every command of a wave is prepared
+(embeds read, KV context gathered), the transformer is called once for all
+of them, then each command's KV and output embeddings are written, in
+command order.  That equals running the commands one after the other as long
+as none reads what an earlier one writes, so such a command starts the next
+wave.  (A command that *writes* what an earlier one reads is safe: every read
+of a wave precedes every write, and reads copy.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -19,6 +27,7 @@ from repro.gpu.kernels import ForwardRow, KernelCostModel
 from repro.gpu.memory import DeviceMemory
 from repro.model.registry import ModelEntry
 from repro.model.sampling import top_k_dist
+from repro.model.transformer import ForwardInput
 
 
 class ApiHandlers:
@@ -35,10 +44,10 @@ class ApiHandlers:
         self.memory = memory
         self.cost_model = cost_model
         self.default_top_k = default_top_k
+        #: Per-command handlers; ``forward`` is batched (``_run_forward_batch``).
         self._dispatch = {
             "embed_text": self._run_embed_text,
             "embed_image": self._run_embed_image,
-            "forward": self._run_forward,
             "sample": self._run_sample,
             "copy_kv": self._run_copy_kv,
             "copy_emb": self._run_copy_emb,
@@ -50,9 +59,6 @@ class ApiHandlers:
 
     # -- public interface -----------------------------------------------------
 
-    def supported_kinds(self) -> List[str]:
-        return sorted(self._dispatch)
-
     def execute_batch(self, kind: str, commands: Sequence[Command]) -> List[Any]:
         """Execute a batch; returns per-command results in command order.
 
@@ -61,6 +67,8 @@ class ApiHandlers:
         inferlets share batches, so one inferlet's invalid resource use must
         not take down its batch-mates.
         """
+        if kind == "forward":
+            return self._run_forward_batch(commands)
         try:
             handler = self._dispatch[kind]
         except KeyError:
@@ -120,8 +128,8 @@ class ApiHandlers:
 
     # -- forward handler -------------------------------------------------------------
 
-    def _run_forward(self, payload: Dict[str, Any]) -> int:
-        """Execute one forward row (whole command or chunked-prefill slice).
+    def _run_forward_batch(self, commands: Sequence[Command]) -> List[Any]:
+        """Execute forward rows (whole commands or chunked-prefill slices).
 
         Chunked prefill (repro.core.batching) relies on two properties of
         this handler, both stateful through device memory rather than the
@@ -132,41 +140,81 @@ class ApiHandlers:
         slice therefore needs no extra bookkeeping here; the scheduler only
         resolves the caller's future when the final slice completes.
         """
-        ikv: List[int] = payload.get("ikv", [])
+        results: List[Any] = [None] * len(commands)
+        wave: List[Tuple[int, Dict[str, Any], ForwardInput]] = []
+        kv_written: Set[int] = set()
+        emb_written: Set[int] = set()
+        for index, command in enumerate(commands):
+            payload = command.payload
+            if not (
+                kv_written.isdisjoint(payload.get("ikv", ()))
+                and emb_written.isdisjoint(payload.get("iemb", ()))
+            ):
+                self._run_wave(wave, results)
+                wave = []
+                kv_written.clear()
+                emb_written.clear()
+            try:
+                wave.append((index, payload, self._forward_input(payload)))
+            except Exception as exc:  # noqa: BLE001 - delivered via the command future
+                results[index] = exc
+                continue
+            kv_written.update(payload.get("okv", ()))
+            emb_written.update(payload.get("oemb", ()))
+        self._run_wave(wave, results)
+        return results
+
+    def _forward_input(self, payload: Dict[str, Any]) -> ForwardInput:
+        """Read what one forward command needs from device memory (copies)."""
         iemb: List[int] = payload.get("iemb", [])
-        okv: List[int] = payload.get("okv", [])
-        oemb: List[int] = payload.get("oemb", [])
         mask = payload.get("mask")
         adapter_name = payload.get("adapter")
-        okv_offset = payload.get("okv_offset")
-
         if not iemb:
             raise ResourceError("forward: at least one input embedding is required")
-        input_embeds = self.memory.embeds.read(iemb)
-        positions = self.memory.embeds.positions(iemb)
-        context = self.memory.kv_pages.gather(ikv)
-        adapter = (
-            self.model_entry.adapters.get(adapter_name) if adapter_name is not None else None
-        )
-        result = self.model_entry.transformer.forward(
-            input_embeds,
-            positions,
-            context,
+        if len(payload.get("oemb", ())) > len(iemb):
+            raise ResourceError("forward: more output embeddings than input tokens")
+        return ForwardInput(
+            embeds=self.memory.embeds.read(iemb),
+            positions=self.memory.embeds.positions(iemb),
+            context=self.memory.kv_pages.gather(payload.get("ikv", [])),
             attn_mask=np.asarray(mask, dtype=bool) if mask is not None else None,
-            adapter=adapter,
+            adapter=(
+                self.model_entry.adapters.get(adapter_name)
+                if adapter_name is not None
+                else None
+            ),
         )
-        if okv:
-            self.memory.kv_pages.scatter(
-                okv, okv_offset, result.new_keys, result.new_values, result.positions
-            )
-        if oemb:
-            n_out = len(oemb)
-            if n_out > len(iemb):
-                raise ResourceError("forward: more output embeddings than input tokens")
-            hidden = result.hidden[-n_out:]
-            out_positions = positions[-n_out:]
-            self.memory.embeds.write(oemb, hidden, out_positions)
-        return len(iemb)
+
+    def _run_wave(
+        self, wave: List[Tuple[int, Dict[str, Any], ForwardInput]], results: List[Any]
+    ) -> None:
+        """One model call for the wave, then each command's writes in order."""
+        if not wave:
+            return
+        outputs = self.model_entry.transformer.forward([row for _, _, row in wave])
+        for (index, payload, _), output in zip(wave, outputs):
+            if isinstance(output, Exception):
+                results[index] = output
+                continue
+            try:
+                okv: List[int] = payload.get("okv", [])
+                oemb: List[int] = payload.get("oemb", [])
+                if okv:
+                    self.memory.kv_pages.scatter(
+                        okv,
+                        payload.get("okv_offset"),
+                        output.new_keys,
+                        output.new_values,
+                        output.positions,
+                    )
+                if oemb:
+                    n_out = len(oemb)
+                    self.memory.embeds.write(
+                        oemb, output.hidden[-n_out:], output.positions[-n_out:]
+                    )
+                results[index] = len(payload["iemb"])
+            except Exception as exc:  # noqa: BLE001 - delivered via the command future
+                results[index] = exc
 
     # -- sample handler ----------------------------------------------------------------
 

@@ -107,6 +107,10 @@ class InferletInstance:
     # -- termination -------------------------------------------------------------
 
     def mark_terminated(self, reason: str, cause: str = "") -> None:
+        """Record a forced termination.  For ``Controller.terminate_inferlet``,
+        which unregisters the instance in the same step: a terminal status
+        is only ever written together with an unregistration (the other
+        writer is the lifecycle manager's ``_retire``)."""
         self._terminated_reason = reason
         self._terminated_cause = cause
         self.metrics.status = "terminated"

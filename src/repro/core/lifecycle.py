@@ -143,7 +143,7 @@ class InferletLifecycleManager:
             decision = qos.request_admission(
                 instance,
                 proceed=lambda: self._enqueue_launch(instance, ready),
-                on_cancelled=lambda: self._fail_ready(instance, ready),
+                on_cancelled=lambda: self._abort_launch(instance, ready),
             )
             if decision == "queued":
                 return instance, ready
@@ -154,15 +154,43 @@ class InferletLifecycleManager:
         self._launch_queue.append((instance, ready))
         self._pump_launch_queue()
 
-    def _fail_ready(self, instance: InferletInstance, ready: SimFuture) -> None:
-        """Resolve a ready future whose launch was aborted before running."""
-        trace = self.controller.trace
-        if trace is not None:
-            trace.end(getattr(instance, "_trace_launch", None), args={"aborted": True})
-            trace.end(
+    def _retire(self, instance: InferletInstance, status: str) -> None:
+        """The one way out of the system, whatever the cause.
+
+        Writes the terminal status — ``Controller.terminate_inferlet`` is the
+        only other writer, and a termination it recorded sticks unless the
+        program then failed on its own — and unregisters the instance before
+        control returns to the event loop, so the controller's registry holds
+        exactly the live inferlets.  Then the planes that account per
+        inferlet are told, once.
+        """
+        controller = self.controller
+        if status == "failed" or not instance.finished:
+            instance.metrics.status = status
+            if status == "finished":
+                controller.metrics.inferlets_finished += 1
+            elif status == "failed":
+                controller.metrics.inferlets_failed += 1
+        controller.unregister_inferlet(instance)
+        if controller.qos is not None:
+            # Free the tenant's concurrency slot and pump its admission
+            # queue (a no-op for an instance that was never admitted).
+            controller.qos.note_finished(instance)
+        if controller.monitor is not None:
+            controller.monitor.note_finished(instance)
+        if controller.trace is not None:
+            # The admission span is still open only if the launch never ran.
+            outcome = "aborted" if status == "terminated" else "failed"
+            controller.trace.end(getattr(instance, "_trace_launch", None), args={outcome: True})
+            controller.trace.end(
                 getattr(instance, "_trace_lifecycle", None),
-                args={"status": "terminated"},
+                args={"status": instance.metrics.status},
             )
+
+    def _abort_launch(self, instance: InferletInstance, ready: SimFuture) -> None:
+        """Retire an instance terminated while parked (in the launch queue or
+        in QoS admission) and fail its ready future."""
+        self._retire(instance, "terminated")
         if not ready.done():
             ready.set_exception(
                 InferletTerminated(
@@ -185,51 +213,19 @@ class InferletLifecycleManager:
         self._launch_worker_busy = False
         self._pump_launch_queue()
         if instance.finished:
-            # Aborted while parked in the launch (or QoS admission) queue:
-            # the termination must stick — don't instantiate, and release
-            # any admission slot the instance was holding.
-            if self.controller.qos is not None:
-                self.controller.qos.note_finished(instance)
-            if self.controller.monitor is not None:
-                self.controller.monitor.note_finished(instance)
-            self._fail_ready(instance, ready)
+            # Aborted while parked in the launch queue: the termination must
+            # stick — don't instantiate, and release any admission slot the
+            # instance was holding.
+            self._abort_launch(instance, ready)
             return
         try:
             await self.runtime.instantiate(instance.program.name)
-        except InferletError as exc:
-            instance.metrics.status = "failed"
-            self.controller.metrics.inferlets_failed += 1
-            if self.controller.qos is not None:
-                self.controller.qos.note_finished(instance)
-            if self.controller.monitor is not None:
-                self.controller.monitor.note_finished(instance)
-            trace = self.controller.trace
-            if trace is not None:
-                trace.end(getattr(instance, "_trace_launch", None), args={"failed": True})
-                trace.end(
-                    getattr(instance, "_trace_lifecycle", None), args={"status": "failed"}
-                )
-            ready.set_exception(exc)
-            return
-        try:
             self.controller.register_inferlet(instance)
-        except ShardUnavailableError as exc:
-            # Chaos plane: no healthy shard can take the placement.  Fail
-            # the launch typed; the partial registration is rolled back so
-            # pools and placement maps stay conserved.
-            self.controller.unregister_inferlet(instance)
-            instance.metrics.status = "failed"
-            self.controller.metrics.inferlets_failed += 1
-            if self.controller.qos is not None:
-                self.controller.qos.note_finished(instance)
-            if self.controller.monitor is not None:
-                self.controller.monitor.note_finished(instance)
-            trace = self.controller.trace
-            if trace is not None:
-                trace.end(getattr(instance, "_trace_launch", None), args={"failed": True})
-                trace.end(
-                    getattr(instance, "_trace_lifecycle", None), args={"status": "failed"}
-                )
+        except (InferletError, ShardUnavailableError) as exc:
+            # No runtime instance, or (chaos plane) no healthy shard to place
+            # on.  Fail the launch typed; retiring rolls a partial
+            # registration back so pools and placement maps stay conserved.
+            self._retire(instance, "failed")
             ready.set_exception(exc)
             return
         instance.metrics.status = "running"
@@ -248,38 +244,21 @@ class InferletLifecycleManager:
         ready.set_result(instance)
 
     async def _run_program(self, instance: InferletInstance, ctx: InferletContext) -> Any:
+        # A coroutine closed before it finished retires as terminated.
+        status = "terminated"
         try:
-            result = await self._invoke(instance.program.main, ctx, instance.args)
-            instance.result = result
-            if instance.metrics.status == "running":
-                instance.metrics.status = "finished"
-                self.controller.metrics.inferlets_finished += 1
-            return result
+            instance.result = await self._invoke(instance.program.main, ctx, instance.args)
+            status = "finished"
+            return instance.result
         except (CancelledError, InferletTerminated):
-            if instance.metrics.status != "terminated":
-                instance.metrics.status = "terminated"
             raise
         except Exception:
-            instance.metrics.status = "failed"
-            self.controller.metrics.inferlets_failed += 1
+            status = "failed"
             raise
         finally:
             instance.metrics.finished_at = self.sim.now
             self.runtime.release_instance()
-            if instance.metrics.status != "terminated":
-                # Terminated instances were already cleaned up by the controller.
-                self.controller.unregister_inferlet(instance)
-            if self.controller.qos is not None:
-                # Free the tenant's concurrency slot and pump its admission
-                # queue (idempotent; covers finish, failure and termination).
-                self.controller.qos.note_finished(instance)
-            if self.controller.monitor is not None:
-                self.controller.monitor.note_finished(instance)
-            if self.controller.trace is not None:
-                self.controller.trace.end(
-                    getattr(instance, "_trace_lifecycle", None),
-                    args={"status": instance.metrics.status},
-                )
+            self._retire(instance, status)
 
     async def _invoke(self, main, ctx: InferletContext, args: List[str]) -> Any:
         coro_or_value = main(ctx)

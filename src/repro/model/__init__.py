@@ -16,7 +16,7 @@ reproduce the paper's performance shapes without a GPU.
 
 from repro.model.config import CostParams, ModelConfig, MODEL_CONFIGS, get_model_config
 from repro.model.tokenizer import ByteTokenizer
-from repro.model.transformer import ForwardResult, KvContext, TinyTransformer
+from repro.model.transformer import ForwardInput, ForwardResult, KvContext, TinyTransformer
 from repro.model.sampling import (
     greedy_sample,
     sample_from_dist,
@@ -33,6 +33,7 @@ __all__ = [
     "MODEL_CONFIGS",
     "get_model_config",
     "ByteTokenizer",
+    "ForwardInput",
     "ForwardResult",
     "KvContext",
     "TinyTransformer",

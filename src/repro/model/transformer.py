@@ -3,9 +3,10 @@
 The class implements the three stages the Pie API exposes:
 
 * :meth:`TinyTransformer.embed_tokens` — the ``embed_txt`` handler.
-* :meth:`TinyTransformer.forward` — the ``forward`` handler: given input
-  embeddings (with explicit positions) and a gathered KV context, compute
-  output hidden states and the new per-layer K/V for the input tokens.
+* :meth:`TinyTransformer.forward` — the ``forward`` handler: for every row
+  of a batch (input embeddings with explicit positions plus a gathered KV
+  context), compute output hidden states and the new per-layer K/V for the
+  input tokens.  :meth:`TinyTransformer.forward_row` is the batch of one.
 * :meth:`TinyTransformer.logits` / :meth:`next_token_dist` — the
   ``get_next_dist`` handler.
 
@@ -20,7 +21,7 @@ masks and token-level cache masking all behave as documented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,10 +93,64 @@ class _LayerWeights:
         )
 
 
+#: Score given to masked keys.  A float32 scalar: ``np.where`` promotes it to
+#: the scores' dtype.
+_MASKED_SCORE = np.finfo(np.float32).min / 2
+
+
 def _layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps)
+    """``(x - mean) / sqrt(var + eps)`` over the last axis: the sums
+    ``ndarray.mean`` / ``.var`` make, with ``x - mean`` computed once."""
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n
+    centered = x - mean
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var /= n
+    var += eps
+    return centered / np.sqrt(var, out=var)
+
+
+@dataclass
+class ForwardInput:
+    """One row of a forward batch: the arguments of one ``forward`` command.
+
+    ``attn_mask`` (if given) is a boolean matrix of shape
+    ``(n_inputs, n_context + n_inputs)``; True means the query may attend
+    to that key.  Without it, a causal mask is inferred from positions.
+    Tokens masked at the cache level (``context.visible == False``) are
+    never attended to, regardless of the explicit mask.
+    """
+
+    embeds: np.ndarray
+    positions: Sequence[int]
+    context: Optional[KvContext] = None
+    attn_mask: Optional[np.ndarray] = None
+    adapter: Optional[LoraAdapter] = None
+
+
+class _Row:
+    """A validated row: float32 inputs, positions, context and its mask.
+
+    ``mask`` is None when every query may attend to every key and
+    ``has_key`` is None when every query has at least one visible key — the
+    common decode row — so attention skips the two selects that would
+    return their input unchanged.
+    """
+
+    __slots__ = ("index", "x", "positions", "context", "mask", "has_key")
+
+    def __init__(self, index, x, positions, context, mask) -> None:
+        self.index = index
+        self.x = x
+        self.positions = positions
+        self.context = context if context is not None and context.length else None
+        self.mask = self.has_key = None
+        if not mask.all():
+            self.mask = mask
+            has_key = mask.any(axis=-1)
+            if not has_key.all():
+                self.has_key = has_key[None, :, None]
 
 
 class TinyTransformer:
@@ -110,6 +165,9 @@ class TinyTransformer:
         )
         self.layers = [_LayerWeights(config, rng) for _ in range(config.n_layers)]
         self.output_norm_gain = np.ones(d, dtype=np.float32)
+        # An ``np.float64`` scalar, on purpose: see :meth:`forward`.
+        self._score_scale = np.sqrt(config.d_head)
+        self._gqa_repeat = config.gqa_group_size
 
     # -- embed stage -------------------------------------------------------
 
@@ -144,6 +202,44 @@ class TinyTransformer:
     # -- forward stage -------------------------------------------------------
 
     def forward(
+        self, rows: Sequence[ForwardInput]
+    ) -> List[Union[ForwardResult, ReproError]]:
+        """Run the transformer over every row of a batch, in one call.
+
+        Returns one entry per row, in row order: a :class:`ForwardResult`, or
+        the :class:`ReproError` the row failed validation with — rows of
+        unrelated inferlets share a batch, so a bad row never fails another.
+
+        A row's result is bit-identical whatever its batch-mates are.  Rows
+        with the same input length and adapter go through the layer norms and
+        the dense projections *stacked*, ``(rows, n_in, d) @ W``: numpy's
+        matmul runs that as one ``(n_in, d) @ W`` BLAS call per row, the call
+        a lone row makes.  (Flattening the rows into one ``(rows * n_in, d)``
+        gemm would not be: it rounds differently from the per-row gemv.)
+        Masks and attention are per row.
+
+        Dtypes: the score scale ``sqrt(d_head)`` is an ``np.float64`` scalar
+        and the division by it is out of place, so under NumPy 2 promotion
+        the scores — and everything downstream of the first attention: the
+        returned ``hidden`` and the K/V of every layer but the first — are
+        float64, narrowed to float32 only when stored in a KV page or embed
+        slot.  Every generated token depends on this; an in-place division
+        (float32 scores) changes all of them.
+        """
+        results: List[Union[ForwardResult, ReproError, None]] = [None] * len(rows)
+        groups: Dict[Tuple[int, Optional[LoraAdapter]], List[_Row]] = {}
+        for index, row in enumerate(rows):
+            try:
+                checked = self._check_row(index, row)
+            except ReproError as exc:
+                results[index] = exc
+                continue
+            groups.setdefault((checked.x.shape[0], row.adapter), []).append(checked)
+        for (n_in, adapter), members in groups.items():
+            self._forward_group(n_in, adapter, members, results)
+        return results
+
+    def forward_row(
         self,
         input_embeds: np.ndarray,
         positions: Sequence[int],
@@ -151,61 +247,63 @@ class TinyTransformer:
         attn_mask: Optional[np.ndarray] = None,
         adapter: Optional[LoraAdapter] = None,
     ) -> ForwardResult:
-        """Run the transformer over the input tokens.
+        """:meth:`forward` for a single row; raises what the row failed with."""
+        (result,) = self.forward(
+            [ForwardInput(input_embeds, positions, context, attn_mask, adapter)]
+        )
+        if isinstance(result, ReproError):
+            raise result
+        return result
 
-        ``attn_mask`` (if given) is a boolean matrix of shape
-        ``(n_inputs, n_context + n_inputs)``; True means the query may attend
-        to that key.  Without it, a causal mask is inferred from positions.
-        Tokens masked at the cache level (``context.visible == False``) are
-        never attended to, regardless of the explicit mask.
-        """
-        config = self.config
-        x = np.asarray(input_embeds, dtype=np.float32)
-        if x.ndim != 2 or x.shape[1] != config.d_model:
+    def _check_row(self, index: int, row: ForwardInput) -> _Row:
+        x = np.asarray(row.embeds, dtype=np.float32)
+        if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ReproError(f"forward: bad input embedding shape {x.shape}")
-        n_in = x.shape[0]
-        pos_in = np.asarray(list(positions), dtype=np.int64)
-        if pos_in.shape[0] != n_in:
+        positions = np.asarray(list(row.positions), dtype=np.int64)
+        if positions.shape[0] != x.shape[0]:
             raise ReproError("forward: positions length must match input embeddings")
-        if context is None:
-            context = KvContext.empty(config)
-        n_ctx = context.length
+        mask = self._build_mask(positions, row.context, row.attn_mask)
+        return _Row(index, x, positions, row.context, mask)
 
-        mask = self._build_mask(pos_in, context, attn_mask)
-
+    def _forward_group(
+        self,
+        n_in: int,
+        adapter: Optional[LoraAdapter],
+        members: List[_Row],
+        results: List,
+    ) -> None:
+        """The rows of one ``(n_in, adapter)`` group, stacked on axis 0."""
+        config = self.config
+        count = len(members)
+        q_shape = (count, n_in, config.n_heads, config.d_head)
+        kv_shape = (count, n_in, config.n_kv_heads, config.d_head)
         new_keys: List[np.ndarray] = []
         new_values: List[np.ndarray] = []
-        hidden = x
+        hidden = np.stack([member.x for member in members])
         for layer_index, layer in enumerate(self.layers):
             normed = _layer_norm(hidden)
-            q = normed @ self._wq(layer, adapter, layer_index)
-            k_new = normed @ layer.wk
-            v_new = normed @ layer.wv
-            q = q.reshape(n_in, config.n_heads, config.d_head)
-            k_new = k_new.reshape(n_in, config.n_kv_heads, config.d_head)
-            v_new = v_new.reshape(n_in, config.n_kv_heads, config.d_head)
+            q = (normed @ self._wq(layer, adapter, layer_index)).reshape(q_shape)
+            k_new = (normed @ layer.wk).reshape(kv_shape)
+            v_new = (normed @ layer.wv).reshape(kv_shape)
             new_keys.append(k_new)
             new_values.append(v_new)
-
-            k_ctx = context.keys[layer_index] if n_ctx else np.zeros(
-                (0, config.n_kv_heads, config.d_head), dtype=np.float32
+            attn_out = np.stack(
+                [
+                    self._attention(member, layer_index, q[at], k_new[at], v_new[at])
+                    for at, member in enumerate(members)
+                ]
             )
-            v_ctx = context.values[layer_index] if n_ctx else np.zeros(
-                (0, config.n_kv_heads, config.d_head), dtype=np.float32
-            )
-            keys = np.concatenate([k_ctx, k_new], axis=0)
-            values = np.concatenate([v_ctx, v_new], axis=0)
-
-            attn_out = self._attention(q, keys, values, mask)
             hidden = hidden + attn_out @ layer.wo
             normed = _layer_norm(hidden)
-            mlp = np.maximum(normed @ layer.w1, 0.0) @ layer.w2
-            hidden = hidden + mlp
-
+            hidden = hidden + np.maximum(normed @ layer.w1, 0.0) @ layer.w2
         hidden = _layer_norm(hidden) * self.output_norm_gain
-        return ForwardResult(
-            hidden=hidden, new_keys=new_keys, new_values=new_values, positions=pos_in
-        )
+        for at, member in enumerate(members):
+            results[member.index] = ForwardResult(
+                hidden=hidden[at],
+                new_keys=[keys[at] for keys in new_keys],
+                new_values=[values[at] for values in new_values],
+                positions=member.positions,
+            )
 
     def _wq(
         self, layer: _LayerWeights, adapter: Optional[LoraAdapter], layer_index: int
@@ -217,11 +315,11 @@ class TinyTransformer:
     def _build_mask(
         self,
         pos_in: np.ndarray,
-        context: KvContext,
+        context: Optional[KvContext],
         attn_mask: Optional[np.ndarray],
     ) -> np.ndarray:
         n_in = pos_in.shape[0]
-        n_ctx = context.length
+        n_ctx = context.length if context is not None else 0
         total = n_ctx + n_in
         if attn_mask is not None:
             mask = np.asarray(attn_mask, dtype=bool)
@@ -230,8 +328,16 @@ class TinyTransformer:
                     f"forward: explicit mask shape {mask.shape} != ({n_in}, {total})"
                 )
             mask = mask.copy()
+        elif n_in == 1:
+            # A decode row: the one query comes last in key order, so ties
+            # need no breaking and it always sees itself.
+            mask = np.ones((1, total), dtype=bool)
+            if n_ctx:
+                np.less_equal(context.positions, pos_in[0], out=mask[0, :n_ctx])
         else:
-            key_positions = np.concatenate([context.positions, pos_in])
+            key_positions = (
+                np.concatenate([context.positions, pos_in]) if n_ctx else pos_in
+            )
             mask = key_positions[None, :] <= pos_in[:, None]
             # Within the same call, later inputs may not attend to earlier
             # inputs that share a position (ties broken by input order).
@@ -245,29 +351,33 @@ class TinyTransformer:
 
     def _attention(
         self,
+        row: _Row,
+        layer_index: int,
         q: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        mask: np.ndarray,
+        k_new: np.ndarray,
+        v_new: np.ndarray,
     ) -> np.ndarray:
-        config = self.config
-        n_in = q.shape[0]
+        """One row's attention over its context plus its own new tokens."""
+        context = row.context
+        if context is not None:
+            k_new = np.concatenate([context.keys[layer_index], k_new], axis=0)
+            v_new = np.concatenate([context.values[layer_index], v_new], axis=0)
         # Expand grouped KV heads to full head count.
-        repeat = config.gqa_group_size
-        k_full = np.repeat(keys, repeat, axis=1)  # (n_keys, n_heads, d_head)
-        v_full = np.repeat(values, repeat, axis=1)
-        # scores: (n_heads, n_in, n_keys)
-        scores = np.einsum("ihd,jhd->hij", q, k_full) / np.sqrt(config.d_head)
-        neg = np.finfo(np.float32).min / 2
-        scores = np.where(mask[None, :, :], scores, neg)
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        # Rows with no visible key at all produce a zero attention output.
+        k_full = np.repeat(k_new, self._gqa_repeat, axis=1)  # (n_keys, n_heads, d_head)
+        v_full = np.repeat(v_new, self._gqa_repeat, axis=1)
+        # scores: (n_heads, n_in, n_keys); out of place, see ``forward``.
+        scores = np.einsum("ihd,jhd->hij", q, k_full) / self._score_scale
+        if row.mask is not None:
+            scores = np.where(row.mask[None, :, :], scores, _MASKED_SCORE)
+        scores -= scores.max(axis=-1, keepdims=True)
+        weights = np.exp(scores, out=scores)
         denom = weights.sum(axis=-1, keepdims=True)
-        row_has_key = mask.any(axis=-1)[None, :, None]
-        weights = np.where(row_has_key, weights / np.maximum(denom, 1e-9), 0.0)
+        weights /= np.maximum(denom, 1e-9, out=denom)
+        if row.has_key is not None:
+            # Rows with no visible key at all produce a zero attention output.
+            weights = np.where(row.has_key, weights, 0.0)
         attn = np.einsum("hij,jhd->ihd", weights, v_full)
-        return attn.reshape(n_in, config.d_model)
+        return attn.reshape(q.shape[0], self.config.d_model)
 
     # -- sample stage --------------------------------------------------------
 

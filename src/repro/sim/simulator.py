@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Coroutine, Iterable, List, Optional
+from typing import Any, Callable, Coroutine, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -14,19 +14,17 @@ from repro.sim.tasks import Task
 
 
 class _Event:
-    """A scheduled callback.  Ordered by (time, sequence number)."""
+    """A scheduled callback.  The heap holds ``(time, seq, event)`` tuples, so
+    ordering by (time, sequence number) is compared in C; ``seq`` is unique,
+    so the event itself is never compared."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callable, args: tuple) -> None:
+    def __init__(self, time: float, callback: Callable, args: tuple) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class EventHandle:
@@ -67,7 +65,7 @@ class Simulator:
 
     def __init__(self, *, seed: int = 0) -> None:
         self._now = 0.0
-        self._heap: List[_Event] = []
+        self._heap: List[Tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self._rng = np.random.default_rng(seed)
         self._processed_events = 0
@@ -117,12 +115,12 @@ class Simulator:
             self._compact_heap()
 
     def _compact_heap(self) -> None:
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self._heap_compactions += 1
 
-    def _discard_cancelled(self, event: _Event) -> None:
+    def _discard_cancelled(self) -> None:
         """Bookkeeping for a cancelled event that was popped normally."""
         if self._cancelled_in_heap > 0:
             self._cancelled_in_heap -= 1
@@ -140,8 +138,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        event = _Event(when, next(self._seq), callback, args)
-        heapq.heappush(self._heap, event)
+        event = _Event(when, callback, args)
+        heapq.heappush(self._heap, (when, next(self._seq), event))
         return EventHandle(self, event)
 
     def call_soon(self, callback: Callable, *args: Any) -> EventHandle:
@@ -233,11 +231,11 @@ class Simulator:
     def step(self) -> bool:
         """Process a single event; return False if the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            when, _, event = heapq.heappop(self._heap)
             if event.cancelled:
-                self._discard_cancelled(event)
+                self._discard_cancelled()
                 continue
-            self._now = event.time
+            self._now = when
             self._processed_events += 1
             event.callback(*event.args)
             # A late ``cancel()`` on an already-executed event must be a
@@ -256,12 +254,12 @@ class Simulator:
         """
         processed = 0
         while self._heap:
-            next_event = self._heap[0]
+            when, _, next_event = self._heap[0]
             if next_event.cancelled:
                 heapq.heappop(self._heap)
-                self._discard_cancelled(next_event)
+                self._discard_cancelled()
                 continue
-            if until is not None and next_event.time > until:
+            if until is not None and when > until:
                 self._now = until
                 return
             self.step()

@@ -22,8 +22,8 @@ Usage::
     python -m repro.tools.perf_gate baseline.json fresh.json
     python -m repro.tools.perf_gate \
         /tmp/sweep_base.json BENCH_load_sweep.json \
-        /tmp/slo_base.json BENCH_slo_monitor.json \
-        --metric events_per_request_10k --tolerance 0.10
+        /tmp/chaos_base.json BENCH_chaos.json \
+        --metric events_per_request_10k --metric goodput_lost --tolerance 0.10
 """
 
 from __future__ import annotations

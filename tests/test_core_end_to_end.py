@@ -58,7 +58,7 @@ def reference_greedy_completion(prompt, max_tokens, model_name="llama-sim-1b"):
             visible=np.ones(len(positions), dtype=bool),
         )
         emb = model.embed_tokens(token_ids, pos_list)
-        res = model.forward(emb, pos_list, ctx)
+        res = model.forward_row(emb, pos_list, ctx)
         keys = [np.concatenate([keys[l], res.new_keys[l]]) for l in range(config.n_layers)]
         values = [np.concatenate([values[l], res.new_values[l]]) for l in range(config.n_layers)]
         positions = np.concatenate([positions, np.asarray(pos_list, dtype=np.int64)])

@@ -96,8 +96,8 @@ def assert_same_context(got: KvContext, want: KvContext) -> None:
 def assert_same_forward(got: KvContext, want: KvContext, rng) -> None:
     embeds = rng.normal(size=(3, CONFIG.d_model)).astype(np.float32)
     positions = [1000, 1001, 1002]  # after every context token: all attended
-    a = TRANSFORMER.forward(embeds, positions, got)
-    b = TRANSFORMER.forward(embeds, positions, want)
+    a = TRANSFORMER.forward_row(embeds, positions, got)
+    b = TRANSFORMER.forward_row(embeds, positions, want)
     np.testing.assert_array_equal(a.hidden, b.hidden)
     for x, y in zip(a.new_keys + a.new_values, b.new_keys + b.new_values):
         np.testing.assert_array_equal(x, y)

@@ -32,7 +32,7 @@ def run_full(model, token_ids):
     """Single-call forward over all tokens with no KV cache."""
     positions = list(range(len(token_ids)))
     embeds = model.embed_tokens(token_ids, positions)
-    return model.forward(embeds, positions)
+    return model.forward_row(embeds, positions)
 
 
 def context_from_result(config, result, upto=None):
@@ -107,11 +107,11 @@ class TestForwardBasics:
 
     def test_bad_input_shape_rejected(self, model):
         with pytest.raises(ReproError):
-            model.forward(np.zeros((2, 3), dtype=np.float32), [0, 1])
+            model.forward_row(np.zeros((2, 3), dtype=np.float32), [0, 1])
 
     def test_positions_mismatch_rejected(self, model, config):
         with pytest.raises(ReproError):
-            model.forward(np.zeros((2, config.d_model), dtype=np.float32), [0])
+            model.forward_row(np.zeros((2, config.d_model), dtype=np.float32), [0])
 
 
 class TestKvCacheExactness:
@@ -126,7 +126,7 @@ class TestKvCacheExactness:
         ctx = context_from_result(config, first)
         rest_pos = list(range(split_point, len(tokens)))
         rest_emb = model.embed_tokens(tokens[split_point:], rest_pos)
-        second = model.forward(rest_emb, rest_pos, ctx)
+        second = model.forward_row(rest_emb, rest_pos, ctx)
 
         np.testing.assert_allclose(
             fused.hidden[split_point:], second.hidden, atol=1e-4
@@ -152,7 +152,7 @@ class TestKvCacheExactness:
                 visible=np.ones(len(positions), dtype=bool),
             )
             emb = model.embed_tokens([tok], [i])
-            res = model.forward(emb, [i], ctx)
+            res = model.forward_row(emb, [i], ctx)
             last_hidden = res.hidden[0]
             keys = [np.concatenate([keys[l], res.new_keys[l]]) for l in range(config.n_layers)]
             values = [np.concatenate([values[l], res.new_values[l]]) for l in range(config.n_layers)]
@@ -168,8 +168,8 @@ class TestKvCacheExactness:
         ctx_masked.visible[1] = False  # hide the second cached token
 
         emb = model.embed_tokens([tokens[4]], [4])
-        out_visible = model.forward(emb, [4], ctx_visible)
-        out_masked = model.forward(emb, [4], ctx_masked)
+        out_visible = model.forward_row(emb, [4], ctx_visible)
+        out_masked = model.forward_row(emb, [4], ctx_masked)
         assert not np.allclose(out_visible.hidden, out_masked.hidden)
 
     def test_masked_context_equivalent_to_never_seeing_token(self, model, config):
@@ -182,7 +182,7 @@ class TestKvCacheExactness:
         values = [[] for _ in range(config.n_layers)]
         for i, tok in enumerate(tokens):
             emb = model.embed_tokens([tok], [i])
-            res = model.forward(emb, [i])
+            res = model.forward_row(emb, [i])
             for l in range(config.n_layers):
                 keys[l].append(res.new_keys[l][0])
                 values[l].append(res.new_values[l][0])
@@ -198,28 +198,28 @@ class TestKvCacheExactness:
         query_emb = model.embed_tokens([13], [len(tokens)])
         ctx_masked = build_ctx([0, 1, 2, 3], [True, False, True, True])
         ctx_dropped = build_ctx([0, 2, 3], [True, True, True])
-        out_masked = model.forward(query_emb, [len(tokens)], ctx_masked)
-        out_dropped = model.forward(query_emb, [len(tokens)], ctx_dropped)
+        out_masked = model.forward_row(query_emb, [len(tokens)], ctx_masked)
+        out_dropped = model.forward_row(query_emb, [len(tokens)], ctx_dropped)
         np.testing.assert_allclose(out_masked.hidden, out_dropped.hidden, atol=1e-5)
 
     def test_explicit_mask_overrides_causality(self, model, config):
         tokens = [1, 2, 3]
         embeds = model.embed_tokens(tokens, [0, 1, 2])
-        causal = model.forward(embeds, [0, 1, 2])
+        causal = model.forward_row(embeds, [0, 1, 2])
         # An explicit mask identical to the inferred causal mask gives the
         # same result; a full bidirectional mask changes it (tokens now see
         # the future).
         causal_mask = np.tril(np.ones((3, 3), dtype=bool))
-        explicit = model.forward(embeds, [0, 1, 2], attn_mask=causal_mask)
+        explicit = model.forward_row(embeds, [0, 1, 2], attn_mask=causal_mask)
         np.testing.assert_allclose(causal.hidden, explicit.hidden, atol=1e-6)
         full_mask = np.ones((3, 3), dtype=bool)
-        bidirectional = model.forward(embeds, [0, 1, 2], attn_mask=full_mask)
+        bidirectional = model.forward_row(embeds, [0, 1, 2], attn_mask=full_mask)
         assert not np.allclose(causal.hidden[0], bidirectional.hidden[0])
 
     def test_explicit_mask_wrong_shape_rejected(self, model):
         embeds = model.embed_tokens([1, 2], [0, 1])
         with pytest.raises(ReproError):
-            model.forward(embeds, [0, 1], attn_mask=np.ones((2, 5), dtype=bool))
+            model.forward_row(embeds, [0, 1], attn_mask=np.ones((2, 5), dtype=bool))
 
 
 class TestLora:
@@ -227,16 +227,16 @@ class TestLora:
         adapter = LoraAdapter("test", config, rank=2, alpha=8.0, seed=3)
         tokens = [50, 60, 70]
         embeds = model.embed_tokens(tokens, [0, 1, 2])
-        base = model.forward(embeds, [0, 1, 2])
-        adapted = model.forward(embeds, [0, 1, 2], adapter=adapter)
+        base = model.forward_row(embeds, [0, 1, 2])
+        adapted = model.forward_row(embeds, [0, 1, 2], adapter=adapter)
         assert not np.allclose(base.hidden, adapted.hidden)
 
     def test_zero_alpha_is_identity(self, model, config):
         adapter = LoraAdapter("zero", config, rank=2, alpha=0.0, seed=3)
         tokens = [50, 60, 70]
         embeds = model.embed_tokens(tokens, [0, 1, 2])
-        base = model.forward(embeds, [0, 1, 2])
-        adapted = model.forward(embeds, [0, 1, 2], adapter=adapter)
+        base = model.forward_row(embeds, [0, 1, 2])
+        adapted = model.forward_row(embeds, [0, 1, 2], adapter=adapter)
         np.testing.assert_allclose(base.hidden, adapted.hidden, atol=1e-6)
 
     def test_invalid_rank_rejected(self, config):
