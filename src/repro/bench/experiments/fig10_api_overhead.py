@@ -15,6 +15,7 @@ from repro.bench.reporting import ExperimentResult
 from repro.bench.runners import make_pie_setup
 from repro.core.config import PieConfig, SchedulerConfig
 from repro.core.inferlet import InferletInstance, InferletProgram
+from repro.core.scheduler import BATCH_SCHEDULING_OVERHEAD_MS, IPC_CROSSING_MS
 from repro.inferlets import make_text_completion
 
 
@@ -57,10 +58,7 @@ def _measure(n_concurrent: int):
         elapsed = ctx.now() - start
         service = controller.service(queue.model)
         handling = service.cost_model.embed_batch_cost(1)
-        scheduling = (
-            server.config.control.batch_scheduling_overhead_ms
-            + server.config.control.ipc_crossing_ms
-        ) / 1e3
+        scheduling = (BATCH_SCHEDULING_OVERHEAD_MS + IPC_CROSSING_MS) / 1e3
         measured["inference_us"] = max(0.0, elapsed - handling - scheduling) * 1e6
         return measured
 

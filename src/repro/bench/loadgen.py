@@ -375,7 +375,6 @@ def run_open_loop(
             "prometheus": monitor.to_prometheus(),
         }
     if server.controller.faults is not None:
-        health = server.controller.health
         row["chaos"] = {
             "faults_injected": metrics.faults_injected,
             "shard_crashes": metrics.shard_crashes,
@@ -390,9 +389,7 @@ def run_open_loop(
             "brownout_activations": metrics.brownout_activations,
             "brownout_clears": metrics.brownout_clears,
             "brownout_shed": metrics.brownout_shed,
-            "shard_states": (
-                {} if health is None else dict(sorted(health.states.items()))
-            ),
+            "shard_states": dict(sorted(server.controller.health.states.items())),
         }
     if collect_outputs:
         row["arrival_times"] = [arrival.time for arrival in arrivals]

@@ -15,83 +15,16 @@ def make_pie_setup(
     config: Optional[PieConfig] = None,
     seed: int = 0,
     with_tools: bool = True,
-    num_devices: Optional[int] = None,
-    placement_policy: Optional[str] = None,
-    host_kv_pages: Optional[int] = None,
-    swap_policy: Optional[str] = None,
-    qos: Optional[bool] = None,
-    tenants: Optional[Sequence] = None,
-    chunked_prefill: Optional[bool] = None,
-    prefill_chunk_tokens: Optional[int] = None,
-    max_batch_tokens: Optional[int] = None,
-    disaggregation: Optional[bool] = None,
-    prefill_shards: Optional[int] = None,
-    tracing: Optional[bool] = None,
-    trace_path: Optional[str] = None,
-    trace_sample_ms: Optional[float] = None,
-    monitoring: Optional[bool] = None,
-    scrape_interval_ms: Optional[float] = None,
-    slo_target: Optional[float] = None,
-    slo_burn_windows: Optional[Sequence[Sequence[float]]] = None,
-    faults: Optional[bool] = None,
-    fault_seed: Optional[int] = None,
-    fault_plan: Optional[Sequence[Sequence]] = None,
-    heartbeat_interval_ms: Optional[float] = None,
-    brownout: Optional[bool] = None,
-    brownout_chunk_scale: Optional[float] = None,
+    **overrides,
 ) -> Tuple[Simulator, PieServer]:
     """Create a simulator + Pie server + standard tool environment.
 
-    ``num_devices`` / ``placement_policy`` scale the deployment out to a
-    simulated multi-GPU cluster (they override the corresponding fields of
-    ``config``; see :mod:`repro.core.router`).  ``host_kv_pages`` /
-    ``swap_policy`` configure the tiered KV memory subsystem
-    (:mod:`repro.core.swap`).  ``qos`` / ``tenants`` enable the
-    multi-tenant QoS service (:mod:`repro.core.qos`).  ``chunked_prefill``
-    / ``prefill_chunk_tokens`` / ``max_batch_tokens`` configure stall-free
-    token-budget batching (:mod:`repro.core.batching`).
-    ``disaggregation`` / ``prefill_shards`` split the cluster into prefill
-    and decode shard roles with overlapped KV-page streaming between them
-    (:mod:`repro.core.transfer`).  ``tracing`` / ``trace_path`` /
-    ``trace_sample_ms`` enable the control-plane flight recorder
-    (:mod:`repro.core.trace`).  ``monitoring`` / ``scrape_interval_ms`` /
-    ``slo_target`` / ``slo_burn_windows`` enable the live SLO monitoring
-    plane (:mod:`repro.core.monitor`).  ``faults`` / ``fault_seed`` /
-    ``fault_plan`` / ``heartbeat_interval_ms`` enable the chaos plane's
-    deterministic fault injection and shard health service
-    (:mod:`repro.sim.faults`, :mod:`repro.core.health`); ``brownout`` /
-    ``brownout_chunk_scale`` enable SLO-driven graceful degradation.
+    ``overrides`` are :class:`~repro.core.server.PieServer`'s configuration
+    shorthands, forwarded as they are (``num_devices=4``,
+    ``prefix_cache=True``, ``tenants=[...]``, ``fault_plan=[...]``, ...).
     """
     sim = Simulator(seed=seed)
-    server = PieServer(
-        sim,
-        models=list(models),
-        config=config,
-        num_devices=num_devices,
-        placement_policy=placement_policy,
-        host_kv_pages=host_kv_pages,
-        swap_policy=swap_policy,
-        qos=qos,
-        tenants=tenants,
-        chunked_prefill=chunked_prefill,
-        prefill_chunk_tokens=prefill_chunk_tokens,
-        max_batch_tokens=max_batch_tokens,
-        disaggregation=disaggregation,
-        prefill_shards=prefill_shards,
-        tracing=tracing,
-        trace_path=trace_path,
-        trace_sample_ms=trace_sample_ms,
-        monitoring=monitoring,
-        scrape_interval_ms=scrape_interval_ms,
-        slo_target=slo_target,
-        slo_burn_windows=slo_burn_windows,
-        faults=faults,
-        fault_seed=fault_seed,
-        fault_plan=fault_plan,
-        heartbeat_interval_ms=heartbeat_interval_ms,
-        brownout=brownout,
-        brownout_chunk_scale=brownout_chunk_scale,
-    )
+    server = PieServer(sim, models=list(models), config=config, **overrides)
     if with_tools:
         ToolEnvironment(sim, server.external)
     return sim, server

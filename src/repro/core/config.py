@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, Tuple
 
 from repro.errors import ReproError
-from repro.core.qos import QOS_CLASSES, TenantSpec
+from repro.core.qos import TenantSpec
 from repro.gpu.config import GpuConfig
 
 #: Valid cluster placement policies (see :mod:`repro.core.router`, which
@@ -42,35 +42,19 @@ class WasmRuntimeConfig:
 
 @dataclass(frozen=True)
 class ControlLayerConfig:
-    """Control layer overheads and policies.
+    """Control layer policies and the knobs of its optional planes.
 
-    The per-call overheads reproduce Figure 10 (API call latency as a
-    function of the number of concurrent inferlets) and the boundary
-    crossing rows of Table 3.
+    The calibrated overheads of Figure 10 and Table 3 are not knobs: they
+    are module constants next to the code that charges them (see the
+    "model constants" table in the README).
+
+    Resource contention is always FCFS — terminate the most recently
+    created inferlets until enough resources are free.  With a host KV
+    tier configured (``GpuConfig.host_kv_pages > 0``) reclamation becomes
+    swap-first / terminate-last: blocked inferlets are staged to host
+    memory before anyone is killed.
     """
 
-    # Per-call overhead for calls handled directly by the control layer.
-    control_call_overhead_base_us: float = 5.0
-    control_call_overhead_per_inferlet_us: float = 0.025
-    # Per-call overhead for calls forwarded to the inference layer (IPC
-    # crossing plus Python-side deserialisation that grows with concurrency).
-    inference_call_overhead_base_us: float = 10.0
-    inference_call_overhead_per_inferlet_us: float = 0.30
-    # Fixed costs listed in Table 3.
-    batch_scheduling_overhead_ms: float = 0.050
-    ipc_crossing_ms: float = 0.006
-    app_control_crossing_ms: float = 0.001
-    # Device-to-device KV page migration (cross-shard import): a fixed
-    # transfer setup cost plus a per-page term, approximating a PCIe/NVLink
-    # copy orchestrated by the control layer.
-    cross_device_transfer_base_ms: float = 0.2
-    cross_device_transfer_ms_per_page: float = 0.05
-    # Resource-contention policy: "fcfs" terminates the most recently
-    # created inferlets until enough resources are free.  With a host KV
-    # tier configured (GpuConfig.host_kv_pages > 0) reclamation becomes
-    # swap-first / terminate-last: blocked inferlets are staged to host
-    # memory before anyone is killed.
-    contention_policy: str = "fcfs"
     # Tiered-KV swap policy ("proactive" | "on_demand", see SWAP_POLICIES).
     swap_policy: str = "proactive"
     # Minimum number of swappable pages that makes a proactive swap-out
@@ -122,16 +106,6 @@ class ControlLayerConfig:
     # num_devices - prefill_shards devices decode).  Needs at least one
     # device in each role.
     prefill_shards: int = 1
-    # Minimum number of newly committed (provably full) pages before a
-    # streaming event fires during prefill; larger values trade overlap for
-    # fewer, bigger link transfers.
-    disagg_stream_min_pages: int = 1
-    # Modeled device-to-device interconnect for KV streaming: one-way
-    # latency plus a bandwidth term (bytes/s).  The defaults approximate a
-    # PCIe-class link; the per-page landing cost on the destination device
-    # comes from KernelCostModel.kv_transfer_cost.
-    disagg_link_latency_ms: float = 0.05
-    disagg_link_gbytes_per_s: float = 16.0
     # Flight recorder (repro.core.trace): when True the controller builds
     # a TraceRecorder, every control-plane hot point emits structured
     # spans/instants on the virtual clock, and a sim-timer sampler records
@@ -147,10 +121,6 @@ class ControlLayerConfig:
     # Telemetry sampling period in virtual milliseconds; 0 disables the
     # periodic sampler (spans and instants are still recorded).
     trace_sample_ms: float = 5.0
-    # Ring-buffer bound on completed trace events; the oldest are evicted
-    # first.  Open spans are held outside the ring until closed, so
-    # eviction never orphans a begin/close pair.
-    trace_max_events: int = 200_000
     # Multi-tenant QoS (repro.core.qos): when True, launches pass tenant
     # admission control (token-bucket rate + concurrency caps), candidate
     # batches are scored by class-weighted slack-to-deadline instead of
@@ -160,10 +130,8 @@ class ControlLayerConfig:
     qos: bool = False
     # Registered tenants (TenantSpec records); launches naming an
     # unregistered tenant get an implicit unlimited spec of
-    # ``qos_default_class``.
+    # ``qos.DEFAULT_CLASS``.
     tenants: Tuple[TenantSpec, ...] = ()
-    # Priority class assumed for unregistered tenants / untagged traffic.
-    qos_default_class: str = "standard"
     # Starvation bound for SLO-aware dispatch: a candidate batch whose
     # oldest command has waited this long is served FCFS regardless of
     # class (aging).
@@ -284,12 +252,6 @@ class PieConfig:
             raise ReproError("max_batch_tokens must be non-negative (0 = gpu default)")
         if self.control.prefill_shards < 1:
             raise ReproError("prefill_shards must be at least 1")
-        if self.control.disagg_stream_min_pages < 1:
-            raise ReproError("disagg_stream_min_pages must be at least 1")
-        if self.control.disagg_link_latency_ms < 0:
-            raise ReproError("disagg_link_latency_ms must be non-negative")
-        if self.control.disagg_link_gbytes_per_s <= 0:
-            raise ReproError("disagg_link_gbytes_per_s must be positive")
         if self.control.disaggregation:
             if self.control.placement_policy != "disaggregated":
                 raise ReproError(
@@ -310,15 +272,8 @@ class PieConfig:
             )
         if self.control.trace_sample_ms < 0:
             raise ReproError("trace_sample_ms must be non-negative (0 = no sampler)")
-        if self.control.trace_max_events < 1:
-            raise ReproError("trace_max_events must be at least 1")
         if self.control.trace_path and not self.control.tracing:
             raise ReproError("trace_path requires tracing=True")
-        if self.control.qos_default_class not in QOS_CLASSES:
-            raise ReproError(
-                f"unknown qos_default_class {self.control.qos_default_class!r}; "
-                f"have {QOS_CLASSES}"
-            )
         if self.control.qos_aging_ms <= 0:
             raise ReproError("qos_aging_ms must be positive")
         for spec in self.control.tenants:
@@ -376,3 +331,55 @@ class PieConfig:
                 )
         if self.control.brownout_chunk_scale < 1.0:
             raise ReproError("brownout_chunk_scale must be at least 1.0")
+
+
+#: Shorthand implications, applied in order (so they chain): a key given a
+#: value other than ``False`` switches on the knobs it is useless without —
+#: unless the caller set those knobs explicitly.
+SHORTHAND_IMPLICATIONS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
+    ("tenants", {"qos": True}),
+    ("trace_path", {"tracing": True}),
+    ("disaggregation", {"placement_policy": "disaggregated"}),
+    ("scrape_interval_ms", {"monitoring": True}),
+    ("slo_target", {"monitoring": True}),
+    ("slo_burn_windows", {"monitoring": True}),
+    ("fault_seed", {"faults": True}),
+    ("fault_plan", {"faults": True}),
+    ("heartbeat_interval_ms", {"faults": True}),
+    ("brownout_chunk_scale", {"brownout": True}),
+    ("brownout", {"qos": True, "monitoring": True}),
+)
+
+
+def _frozen(value: Any) -> Any:
+    """Lists (of lists) become tuples: the config dataclasses are hashable."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
+def with_overrides(config: PieConfig, overrides: Dict[str, Any]) -> PieConfig:
+    """``config`` with each override routed to the sub-config field it names.
+
+    A key is a :class:`ControlLayerConfig` field or, failing that, a
+    :class:`GpuConfig` field (``max_batch_tokens`` is both: control wins);
+    anything else is a ``TypeError``.  ``None`` means "not given".  The
+    result is validated once, with every override in place.
+    """
+    control_names = {f.name for f in fields(ControlLayerConfig)}
+    gpu_names = {f.name for f in fields(GpuConfig)}
+    unknown = sorted(set(overrides) - control_names - gpu_names)
+    if unknown:
+        raise TypeError(f"unknown configuration shorthand(s): {', '.join(unknown)}")
+    values = {key: _frozen(value) for key, value in overrides.items() if value is not None}
+    for key, implied in SHORTHAND_IMPLICATIONS:
+        if values.get(key, False) is not False:
+            for name, value in implied.items():
+                values.setdefault(name, value)
+    control = {key: value for key, value in values.items() if key in control_names}
+    gpu = {key: value for key, value in values.items() if key not in control_names}
+    return replace(
+        config,
+        control=replace(config.control, **control),
+        gpu=replace(config.gpu, **gpu),
+    )

@@ -16,130 +16,55 @@ The controller sits between inferlets and the inference layer.  It
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Sequence
-
-from repro.errors import (
-    FaultInjectedError,
-    OutOfResourcesError,
-    ReproError,
-    ResourceError,
-    RetriesExhaustedError,
-    ShardUnavailableError,
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
 )
+
+from repro.errors import OutOfResourcesError, ReproError, ResourceError
 from repro.core.command_queue import Command
 from repro.core.config import PieConfig
 from repro.core.handles import Embed, KvPage, Queue
-from repro.core.handlers import ApiHandlers
 from repro.core.health import BrownoutController, ShardHealthService
-from repro.core.inferlet import InferletInstance
+from repro.core.inferlet import InferletInstance, LifecycleObserver
 from repro.core.messaging import ExternalServices, MessageBus
-from repro.core.metrics import SystemMetrics, TenantMetrics
+from repro.core.metrics import SystemMetrics
 from repro.core.monitor import MonitorService
 from repro.core.prefix_cache import PrefixCacheService
 from repro.core.qos import QosService
-from repro.core.resources import ResourceManager
-from repro.core.retry import RetryPolicy
-from repro.core.router import ClusterSchedulerStats, DeviceShard, Router
-from repro.core.scheduler import BatchScheduler, SchedulerStats
-from repro.core.swap import SwapManager
-from repro.core.trace import TraceRecorder
-from repro.core.transfer import KvTransferScheduler
-from repro.gpu.host_pool import HostMemoryPool
-from repro.gpu.kernels import KernelCostModel
-from repro.gpu.pool import DevicePool
-from repro.sim.faults import FaultInjector
+from repro.core.retry import RetryPolicy, faulty_request
+from repro.core.router import DeviceShard
+from repro.core.service import ModelService
+from repro.core.trace import LifecycleTracer, TraceRecorder, telemetry_sampler
 from repro.core.traits import api_layer
 from repro.model.registry import ModelEntry, ModelRegistry
+from repro.sim.faults import FaultInjector
 from repro.sim.futures import SimFuture
 from repro.sim.latency import microseconds, milliseconds
+from repro.sim.periodic import PeriodicService
 from repro.sim.simulator import Simulator
 
-if TYPE_CHECKING:  # imported only for the ModelService property annotations
-    from repro.gpu.device import SimDevice
-    from repro.gpu.memory import DeviceMemory
-
-
-class ModelService:
-    """Everything needed to serve one model: a cluster of device shards.
-
-    Each shard pairs one simulated device with its own memory, API handlers,
-    resource manager and adaptive batch scheduler; the :class:`Router`
-    assigns every inferlet to exactly one shard.  The ``memory`` / ``device``
-    / ``handlers`` / ``scheduler`` / ``resources`` attributes address shard
-    0 so existing single-device code (and ``num_devices=1`` deployments,
-    where shard 0 is the whole cluster) keeps working unchanged.
-    """
-
-    def __init__(
-        self,
-        entry: ModelEntry,
-        cost_model: KernelCostModel,
-        pool: DevicePool,
-        shards: List[DeviceShard],
-        router: Router,
-        host_pool: HostMemoryPool,
-        swap: SwapManager,
-        transfer: Optional[KvTransferScheduler] = None,
-    ) -> None:
-        self.entry = entry
-        self.cost_model = cost_model
-        self.pool = pool
-        self.shards = shards
-        self.router = router
-        self.host_pool = host_pool
-        self.swap = swap
-        # Prefill/decode disaggregation's KV transfer scheduler
-        # (repro.core.transfer); None whenever the knob is off, and every
-        # hook that would reach it is then skipped entirely.
-        self.transfer = transfer
-
-    # -- shard-0 compatibility accessors ---------------------------------------
-
-    @property
-    def memory(self) -> "DeviceMemory":
-        return self.shards[0].memory
-
-    @property
-    def device(self) -> "SimDevice":
-        return self.shards[0].device
-
-    @property
-    def handlers(self) -> ApiHandlers:
-        return self.shards[0].handlers
-
-    @property
-    def scheduler(self) -> BatchScheduler:
-        return self.shards[0].scheduler
-
-    @property
-    def resources(self) -> ResourceManager:
-        return self.shards[0].resources
-
-    # -- cluster views ----------------------------------------------------------
-
-    @property
-    def num_devices(self) -> int:
-        return len(self.shards)
-
-    def shard_for(self, owner: str) -> DeviceShard:
-        """The shard the inferlet ``owner`` was placed on."""
-        return self.router.shard_for(owner)
-
-    def cluster_stats(self) -> ClusterSchedulerStats:
-        """Scheduler statistics merged across every device of the cluster."""
-        return ClusterSchedulerStats.from_shards(self.shards)
-
-    def find_export_shard(self, name: str) -> Optional[DeviceShard]:
-        for shard in self.shards:
-            if shard.resources.has_export(name):
-                return shard
-        return None
-
-    def list_exports(self) -> List[str]:
-        names: List[str] = []
-        for shard in self.shards:
-            names.extend(shard.resources.list_exports())
-        return sorted(names)
+# Model constants, calibrated once against the paper and not configurable.
+#: Figure 10: per-call overhead (µs) of a call the control layer answers
+#: itself, as base + slope * concurrent inferlets ...
+CONTROL_CALL_OVERHEAD_BASE_US = 5.0
+CONTROL_CALL_OVERHEAD_PER_INFERLET_US = 0.025
+#: ... and of a call forwarded to the inference layer (IPC crossing plus
+#: Python-side deserialisation that grows with concurrency).
+INFERENCE_CALL_OVERHEAD_BASE_US = 10.0
+INFERENCE_CALL_OVERHEAD_PER_INFERLET_US = 0.30
+#: Device-to-device KV page migration (cross-shard import): a fixed setup
+#: cost plus a per-page term (ms), approximating a PCIe/NVLink copy
+#: orchestrated by the control layer.
+CROSS_DEVICE_TRANSFER_BASE_MS = 0.2
+CROSS_DEVICE_TRANSFER_MS_PER_PAGE = 0.05
 
 
 class Controller:
@@ -158,384 +83,110 @@ class Controller:
         self.external = external or ExternalServices(sim)
         self.bus = MessageBus(sim)
         self.metrics = SystemMetrics()
-        # The flight recorder (repro.core.trace): None when the knob is
-        # off — no recorder exists, no subsystem carries a hook, and the
-        # serving path is byte-identical to the pre-tracing system.  When
-        # on, every emission is read-only, so the simulation itself is
-        # still bit-identical (tokens and virtual timestamps).
-        self.trace: Optional[TraceRecorder] = None
-        if config.control.tracing:
-            self.trace = TraceRecorder(
-                sim,
-                max_events=config.control.trace_max_events,
-                sample_seconds=milliseconds(config.control.trace_sample_ms),
-            )
-        # The QoS control plane (repro.core.qos): admission, SLO-aware
-        # dispatch, priority-aware preemption and fair share.  None when the
-        # knob is off — every hook below is then skipped and the serving
-        # path is bit-identical to the pre-QoS system.
-        self.qos: Optional[QosService] = None
-        if config.control.qos:
-            self.qos = QosService(
-                sim,
-                self.metrics,
-                tenants=config.control.tenants,
-                default_class=config.control.qos_default_class,
-                aging_ms=config.control.qos_aging_ms,
-                trace=self.trace,
-            )
-        # The live monitoring plane (repro.core.monitor): labeled metric
-        # registry, SLO burn-rate alerting, and a virtual-clock scraper.
-        # None when the knob is off — same structural-inertness contract
-        # as the trace/qos hooks above.
-        self.monitor: Optional[MonitorService] = None
-        if config.control.monitoring:
-            self.monitor = MonitorService(
-                sim, config.control, self.metrics, trace=self.trace
-            )
-            for spec in config.control.tenants:
-                self.monitor.register_slo(spec)
-        # The chaos plane (repro.sim.faults / repro.core.retry /
-        # repro.core.health): all None when ControlLayerConfig.faults is
-        # off — the deterministic fault schedule, the retry policy for tool
-        # calls and refused handoffs, and the heartbeat-driven health /
-        # failover service.  Each draws randomness only from its own seeded
-        # stream, so faults=on perturbs the workload solely through the
-        # faults themselves.
-        self.faults: Optional[FaultInjector] = None
-        self.retry: Optional[RetryPolicy] = None
-        self.health: Optional[ShardHealthService] = None
-        self.brownout: Optional[BrownoutController] = None
-        if config.control.faults:
-            self.retry = RetryPolicy.from_config(
-                config.control, seed=config.control.fault_seed
-            )
-            self.faults = FaultInjector(
-                sim,
-                config.control.fault_plan,
-                seed=config.control.fault_seed,
-                trace=self.trace,
-                metrics=self.metrics,
-            )
+        control = config.control
         self._services: Dict[str, ModelService] = {}
         self._instances: Dict[str, InferletInstance] = {}
         self._queue_ids = itertools.count(1)
         self._terminate_hook: Optional[Callable[[InferletInstance, str], None]] = None
+        # The optional planes.  Each is None when its knob is off: nothing
+        # is constructed, ``observers`` and ``timers`` do not hold it, and
+        # the serving path is bit-identical to a system without the plane.
+        # When on, everything a plane does on the serving path is read-only,
+        # so tokens and virtual timestamps are still bit-identical.
+        observers: List[LifecycleObserver] = []
+        timers: List[PeriodicService] = []
+        # The flight recorder (repro.core.trace).
+        self.trace: Optional[TraceRecorder] = None
+        if control.tracing:
+            self.trace = TraceRecorder(sim)
+            timers.append(telemetry_sampler(self.trace, self))
+        # The QoS control plane (repro.core.qos): admission, SLO-aware
+        # dispatch, priority-aware preemption and fair share.
+        self.qos: Optional[QosService] = None
+        if control.qos:
+            self.qos = QosService(
+                sim,
+                self.metrics,
+                tenants=control.tenants,
+                aging_ms=control.qos_aging_ms,
+                trace=self.trace,
+            )
+            observers.append(self.qos)
+        # The chaos plane (repro.sim.faults / repro.core.retry /
+        # repro.core.health): the deterministic fault schedule, the retry
+        # policy for tool calls and refused handoffs, and — below, once the
+        # shards exist — the heartbeat-driven health / failover service.
+        # Each draws randomness only from its own seeded stream, so
+        # faults=on perturbs the workload solely through the faults.
+        self.faults: Optional[FaultInjector] = None
+        self.retry: Optional[RetryPolicy] = None
+        self.health: Optional[ShardHealthService] = None
+        if control.faults:
+            self.retry = RetryPolicy.from_config(control, seed=control.fault_seed)
+            self.faults = FaultInjector(
+                sim,
+                control.fault_plan,
+                seed=control.fault_seed,
+                trace=self.trace,
+                metrics=self.metrics,
+            )
+        # The live monitoring plane (repro.core.monitor): labeled metric
+        # registry, SLO burn-rate alerting, and a virtual-clock scraper.
+        self.monitor: Optional[MonitorService] = None
+        if control.monitoring:
+            self.monitor = MonitorService(self)
+            observers.append(self.monitor)
+            timers.append(self.monitor.scraper)
         for name in registry.names():
             self._services[name] = self._build_service(registry.get(name))
-        if config.control.faults:
-            self.health = ShardHealthService(self, config.control)
+        if control.faults:
+            self.health = ShardHealthService(self, control)
+            timers.append(self.health.heartbeat)
             for service in self._services.values():
                 service.router.health_probe = self.health.placeable
-            self.faults.bind(health=self.health, links_fn=self._live_links)
+            self.faults.bind(self.health)
             self.faults.arm()
-        if config.control.brownout:
+        self.brownout: Optional[BrownoutController] = None
+        if control.brownout:
             # Validated by PieConfig: brownout requires qos + monitoring.
-            self.brownout = BrownoutController(self, config.control)
+            self.brownout = BrownoutController(self, control)
             self.monitor.add_alert_listener(self.brownout.on_alert)
-        if self.trace is not None:
-            self._install_telemetry_sampler()
-        if self.monitor is not None:
-            self._install_monitor_collector()
+        if control.tracing:
+            # Told last, so an inferlet's spans close after the other
+            # planes' accounting of the same fact has been recorded.
+            observers.append(LifecycleTracer(self.trace))
+        #: Who is told the lifecycle facts (launch requested / running,
+        #: output tokens, reclaimed, finished), each published at one site.
+        #: Empty when every knob is off.
+        self.observers: Tuple[LifecycleObserver, ...] = tuple(observers)
+        #: The planes' periodic timers; every registration pokes them awake.
+        self.timers: Tuple[PeriodicService, ...] = tuple(timers)
 
     def _build_service(self, entry: ModelEntry) -> ModelService:
-        cost_model = KernelCostModel(entry.config)
-        pool = DevicePool(
-            self.sim, entry.config, self.config.gpu, name_prefix=f"gpu:{entry.name}:"
-        )
-        # The host KV tier is per-node: one pool shared by every device
-        # shard of this model (capacity 0 disables swapping entirely).
-        host_pool = HostMemoryPool(entry.config, self.config.gpu)
-        swap = SwapManager(
+        service = ModelService.build(
             self.sim,
-            host_pool,
-            cost_model,
-            self.config.control,
+            self.config,
+            entry,
             self.metrics,
             qos=self.qos,
             trace=self.trace,
+            retry=self.retry,
         )
-        shards: List[DeviceShard] = []
-        for index, (device, memory) in enumerate(zip(pool.devices, pool.memories)):
-            if self.config.gpu.num_devices == 1:
-                # Exact single-device compatibility, device name included.
-                device.name = f"gpu:{entry.name}"
-            handlers = ApiHandlers(entry, memory, cost_model, self.config.default_top_k)
-            scheduler = BatchScheduler(
-                self.sim,
-                device,
-                handlers,
-                self.config.scheduler,
-                self.config.gpu,
-                self.config.control,
-                metrics=self.metrics,
-                trace=self.trace,
-                shard_index=index,
-            )
-            resources = ResourceManager(
-                memory, model_name=entry.name, host_pool=host_pool
-            )
-            if self.trace is not None:
-                resources.set_trace(self.trace, index)
-            if swap.enabled:
-                # Admission: never dispatch commands of a suspended owner.
-                scheduler.set_dispatch_guard(swap.is_swapped)
-            if self.qos is not None:
-                scheduler.set_qos(self.qos)
-            shard = DeviceShard(
-                index=index,
-                device=device,
-                memory=memory,
-                handlers=handlers,
-                scheduler=scheduler,
-                resources=resources,
-            )
-            if self.config.control.prefix_cache:
-                shard.prefix_cache = PrefixCacheService(
-                    resources=resources,
-                    memory=memory,
-                    host_pool=host_pool,
-                    device=device,
-                    metrics=self.metrics,
-                    config=self.config.control,
-                )
-                resources.set_kv_free_listener(shard.prefix_cache.on_physical_freed)
-            shards.append(shard)
-        control = self.config.control
-        if control.disaggregation:
-            # Role split: the first prefill_shards shards admit and prefill,
-            # the rest only ever receive inferlets through the handoff.
-            for shard in shards:
-                shard.role = (
-                    "prefill" if shard.index < control.prefill_shards else "decode"
-                )
-        router = Router(
-            shards,
-            policy=control.placement_policy,
-            is_swapped=swap.is_swapped if swap.enabled else None,
-            placement_weight=self.qos.placement_weight if self.qos is not None else None,
-            prefill_shards=control.prefill_shards if control.disaggregation else 0,
-            trace=self.trace,
-        )
-        transfer: Optional[KvTransferScheduler] = None
-        if control.disaggregation:
-            transfer = KvTransferScheduler(
-                self.sim,
-                shards,
-                router,
-                cost_model,
-                control,
-                self.metrics,
-                swap,
-                qos=self.qos,
-                trace=self.trace,
-            )
-            for shard in shards:
-                if shard.role == "prefill":
-                    # Stream each head slice's committed pages while the
-                    # residual prefill is still queued.
-                    shard.scheduler.set_chunk_listener(transfer.on_chunk_complete)
-        service = ModelService(
-            entry=entry,
-            cost_model=cost_model,
-            pool=pool,
-            shards=shards,
-            router=router,
-            host_pool=host_pool,
-            swap=swap,
-            transfer=transfer,
-        )
-        if transfer is not None:
-            if self.retry is not None:
-                # Refused handoffs back off and retry instead of waiting
-                # for a sample completion a quiescent owner never emits.
-                transfer.set_retry(self.retry)
-            # The handoff tail allocates on the decode shard through the
-            # same swap-first / terminate-last reclamation ladder.
-            transfer.bind_capacity_hook(
-                lambda shard, instance, kv_pages, embeds: self._ensure_capacity(
-                    service, shard, instance, kv_pages=kv_pages, embeds=embeds
-                )
-            )
-        # Swap-in may itself need reclamation; route it through the same
-        # swap-first / terminate-last capacity path allocations use.
-        swap.bind_capacity_hook(
+        # Swap-in and the disaggregation handoff tail may themselves need
+        # reclamation; route both through the same swap-first /
+        # terminate-last capacity path allocations use.
+        service.swap.bind_capacity_hook(
             lambda shard, instance, n_pages: self._ensure_capacity(
                 service, shard, instance, kv_pages=n_pages
             )
         )
+        if service.transfer is not None:
+            service.transfer.bind_capacity_hook(
+                lambda shard, instance, kv_pages, embeds: self._ensure_capacity(
+                    service, shard, instance, kv_pages=kv_pages, embeds=embeds
+                )
+            )
         return service
-
-    def _install_telemetry_sampler(self) -> None:
-        """Wire the flight recorder's periodic per-shard telemetry.
-
-        Every sample is a pure read of simulator state — queue depths,
-        busy-time deltas, pool occupancy, link busy fractions — so the
-        timer's presence changes no virtual timestamp anywhere.  The timer
-        only re-arms while inferlets are live (``active_fn``); inferlet
-        registration pokes it back awake, so the event queue stays
-        drainable between workload waves."""
-        trace = self.trace
-        period = trace.sample_seconds
-        gpu = self.config.gpu
-        previous: Dict[Any, Dict[str, float]] = {}
-
-        def sample(recorder: TraceRecorder) -> None:
-            budget = (
-                self.config.control.max_batch_tokens or gpu.max_batch_tokens
-                if self.config.control.chunked_prefill
-                else gpu.max_batch_tokens
-            )
-            for model, service in self._services.items():
-                for shard in service.shards:
-                    key = (model, shard.index)
-                    last = previous.setdefault(
-                        key, {"busy": 0.0, "tokens": 0.0, "batches": 0.0}
-                    )
-                    busy = shard.device.stats.busy_seconds
-                    stats = shard.scheduler.stats
-                    tokens = float(stats.forward_tokens_dispatched)
-                    batches = float(stats.batches_by_kind.get("forward", 0))
-                    d_batches = batches - last["batches"]
-                    mean_tokens = (
-                        (tokens - last["tokens"]) / d_batches if d_batches else 0.0
-                    )
-                    recorder.counter(
-                        "telemetry",
-                        {
-                            "queue_depth": shard.scheduler.total_pending,
-                            "busy_frac": min(
-                                1.0, (busy - last["busy"]) / period if period else 0.0
-                            ),
-                            "kv_occupancy": 1.0
-                            - shard.resources.kv_pages_free / gpu.num_kv_pages,
-                            "embed_occupancy": 1.0
-                            - shard.resources.embeds_free / gpu.num_embed_slots,
-                            "batch_tokens_mean": mean_tokens,
-                            "batch_token_util": (
-                                mean_tokens / budget if budget else 0.0
-                            ),
-                        },
-                        shard=shard.index,
-                    )
-                    last["busy"] = busy
-                    last["tokens"] = tokens
-                    last["batches"] = batches
-                if service.host_pool.enabled:
-                    recorder.counter(
-                        "host_kv",
-                        {
-                            "occupancy": service.host_pool.num_used
-                            / service.host_pool.capacity
-                        },
-                    )
-                if service.transfer is not None:
-                    for link in service.transfer.links():
-                        key = ("link", link.name)
-                        last = previous.setdefault(key, {"busy": 0.0})
-                        busy = link.busy_seconds
-                        recorder.counter(
-                            link.name,
-                            {
-                                "busy_frac": min(
-                                    1.0,
-                                    (busy - last["busy"]) / period if period else 0.0,
-                                )
-                            },
-                        )
-                        last["busy"] = busy
-
-        trace.install_sampler(sample, lambda: self.concurrent_inferlets > 0)
-
-    def _install_monitor_collector(self) -> None:
-        """Wire the monitor's per-scrape gauge collection.
-
-        Numeric fields are discovered once at install time from probe
-        instances (not per tick via ``asdict``, which would deep-copy the
-        histograms at every scrape).  Each tick publishes the current
-        SystemMetrics / per-tenant / per-shard counters plus live
-        occupancy readings into the registry as gauges; every read is a
-        pure inspection of simulator state, so the scrape timer changes
-        no virtual timestamp anywhere."""
-        monitor = self.monitor
-        gpu = self.config.gpu
-
-        def numeric_fields(probe) -> List[str]:
-            return [
-                name
-                for name in vars(probe)
-                if isinstance(getattr(probe, name), (int, float))
-                and not isinstance(getattr(probe, name), bool)
-            ]
-
-        system_fields = numeric_fields(self.metrics)
-        tenant_fields = numeric_fields(TenantMetrics(tenant="_probe"))
-        shard_fields = numeric_fields(SchedulerStats())
-        system_gauges = {
-            name: monitor.registry.gauge(
-                f"pie_system_{name}", f"SystemMetrics.{name}"
-            )
-            for name in system_fields
-        }
-        tenant_gauges = {
-            name: monitor.registry.gauge(
-                f"pie_tenant_{name}",
-                f"TenantMetrics.{name}",
-                labelnames=("tenant",),
-            )
-            for name in tenant_fields
-        }
-        shard_gauges = {
-            name: monitor.registry.gauge(
-                f"pie_shard_{name}",
-                f"SchedulerStats.{name}",
-                labelnames=("model", "shard"),
-            )
-            for name in shard_fields
-        }
-        occupancy = {
-            name: monitor.registry.gauge(
-                f"pie_shard_{name}",
-                help_,
-                labelnames=("model", "shard"),
-            )
-            for name, help_ in (
-                ("queue_depth", "Pending commands in the shard scheduler"),
-                ("kv_occupancy", "Fraction of GPU KV pages in use"),
-                ("embed_occupancy", "Fraction of embed slots in use"),
-                ("busy_seconds", "Cumulative device busy time"),
-            )
-        }
-
-        def collect() -> None:
-            for name in system_fields:
-                system_gauges[name].labels().set(getattr(self.metrics, name))
-            for tenant, record in self.metrics.tenants.items():
-                for name in tenant_fields:
-                    tenant_gauges[name].labels(tenant=tenant).set(
-                        getattr(record, name)
-                    )
-            for model, service in self._services.items():
-                for shard in service.shards:
-                    labels = {"model": model, "shard": str(shard.index)}
-                    for name in shard_fields:
-                        shard_gauges[name].labels(**labels).set(
-                            getattr(shard.scheduler.stats, name)
-                        )
-                    occupancy["queue_depth"].labels(**labels).set(
-                        shard.scheduler.total_pending
-                    )
-                    occupancy["kv_occupancy"].labels(**labels).set(
-                        1.0 - shard.resources.kv_pages_free / gpu.num_kv_pages
-                    )
-                    occupancy["embed_occupancy"].labels(**labels).set(
-                        1.0 - shard.resources.embeds_free / gpu.num_embed_slots
-                    )
-                    occupancy["busy_seconds"].labels(**labels).set(
-                        shard.device.stats.busy_seconds
-                    )
-
-        monitor.install_collector(collect, lambda: self.concurrent_inferlets > 0)
 
     # -- services & models ----------------------------------------------------
 
@@ -544,6 +195,10 @@ class Controller:
             return self._services[model]
         except KeyError:
             raise ReproError(f"model {model!r} is not served; have {sorted(self._services)}") from None
+
+    def services(self) -> Iterable[ModelService]:
+        """Every served model's cluster."""
+        return self._services.values()
 
     def available_models(self) -> List[str]:
         return sorted(self._services)
@@ -562,12 +217,8 @@ class Controller:
     def register_inferlet(self, instance: InferletInstance) -> None:
         self._instances[instance.instance_id] = instance
         self.metrics.register(instance.metrics)
-        if self.trace is not None:
-            self.trace.poke_sampler()
-        if self.monitor is not None:
-            self.monitor.poke()
-        if self.health is not None:
-            self.health.poke()
+        for timer in self.timers:
+            timer.poke()
         for service in self._services.values():
             prefix_hint = instance.program.prefix_hint
             prefix_tokens = None
@@ -622,25 +273,25 @@ class Controller:
         this (Figure 10's overhead term)."""
         return len(self._instances)
 
+    def has_live_inferlets(self) -> bool:
+        """The planes' timers keep ticking only while this holds."""
+        return bool(self._instances)
+
     def instances(self) -> List[InferletInstance]:
         return list(self._instances.values())
 
     # -- per-call overhead model (Figure 10) --------------------------------------------
 
     def control_call_overhead(self) -> float:
-        control = self.config.control
         n = max(1, self.concurrent_inferlets)
         return microseconds(
-            control.control_call_overhead_base_us
-            + control.control_call_overhead_per_inferlet_us * n
+            CONTROL_CALL_OVERHEAD_BASE_US + CONTROL_CALL_OVERHEAD_PER_INFERLET_US * n
         )
 
     def inference_call_overhead(self) -> float:
-        control = self.config.control
         n = max(1, self.concurrent_inferlets)
         return microseconds(
-            control.inference_call_overhead_base_us
-            + control.inference_call_overhead_per_inferlet_us * n
+            INFERENCE_CALL_OVERHEAD_BASE_US + INFERENCE_CALL_OVERHEAD_PER_INFERLET_US * n
         )
 
     def charge_call(self, instance: InferletInstance, api_name: str) -> float:
@@ -652,19 +303,14 @@ class Controller:
         return self.inference_call_overhead()
 
     def record_output_tokens(self, instance: InferletInstance, count: int = 1) -> None:
-        """Count emitted output tokens, stamping TTFT/TPOT timestamps and
-        feeding the per-tenant SLO samples when QoS is enabled."""
+        """Count emitted output tokens, stamping TTFT/TPOT timestamps."""
         if count <= 0:
             return
         now = self.sim.now
         first = instance.metrics.note_output(now, count)
         self.metrics.total_output_tokens += count
-        if self.qos is not None:
-            self.qos.note_output(instance, now, count, first)
-        if self.monitor is not None and first:
-            self.monitor.note_first_token(
-                instance, now - instance.metrics.launched_at
-            )
+        for observer in self.observers:
+            observer.note_output(instance, now, count, first)
 
     # -- command queues -------------------------------------------------------------------
 
@@ -747,8 +393,6 @@ class Controller:
         come, first served).  Only inferlets placed on the contended shard
         are eligible victims — killing one on another device would free
         nothing here."""
-        if self.config.control.contention_policy != "fcfs":
-            return
         while (
             shard.resources.kv_pages_free < kv_pages
             or shard.resources.embeds_free < embeds
@@ -771,16 +415,8 @@ class Controller:
                 )
             self.metrics.reclamation_terminations += 1
             shard.scheduler.stats.reclamation_terminations += 1
-            if self.trace is not None:
-                self.trace.instant(
-                    "reclaim_terminate",
-                    "sched",
-                    shard=shard.index,
-                    inferlet=victim.instance_id,
-                    args={"requester": requester.instance_id},
-                )
-            if self.qos is not None:
-                self.qos.note_preempted_termination(victim)
+            for observer in self.observers:
+                observer.note_reclaimed(victim, requester, shard)
             self.terminate_inferlet(victim, reason="resource reclamation (FCFS)")
             if victim.instance_id == requester.instance_id:
                 requester.check_alive()  # raises InferletTerminated
@@ -819,112 +455,6 @@ class Controller:
         if self._terminate_hook is not None:
             self._terminate_hook(instance, reason)
         self.unregister_inferlet(instance)
-
-    # -- chaos plane: failover -------------------------------------------------
-
-    def _live_links(self) -> List:
-        """Every live disaggregation KV link (the injector's fault target)."""
-        links: List = []
-        for service in self._services.values():
-            if service.transfer is not None:
-                links.extend(service.transfer.links())
-        return links
-
-    def _failover_shard(self, index: int) -> None:
-        """Shard ``index`` went down: evacuate or terminate its residents.
-
-        Streams targeting the dead shard re-plan first (their staged pages
-        free), then every inferlet placed there is re-materialized on a
-        healthy shard when its committed KV lives wholly in the host tier
-        (quiescent + fully swapped: the per-node host pool survives a
-        device crash) or terminated with ``cause="shard_down"``.
-        """
-        for service in self._services.values():
-            if index >= len(service.shards):
-                continue
-            dead = service.shards[index]
-            if service.transfer is not None:
-                service.transfer.on_shard_down(index)
-            for instance_id in sorted(service.router.instances_on(dead)):
-                instance = self._instances.get(instance_id)
-                if instance is None or instance.finished:
-                    continue
-                if self._try_relaunch(service, dead, instance):
-                    self.metrics.failover_relaunches += 1
-                    continue
-                self.metrics.failover_terminations += 1
-                self.terminate_inferlet(
-                    instance,
-                    reason=f"shard {dead.name} is down (injected crash)",
-                    cause="shard_down",
-                )
-
-    def _try_relaunch(
-        self, service: ModelService, dead: DeviceShard, instance: InferletInstance
-    ) -> bool:
-        """Re-materialize a fully host-tier-resident inferlet elsewhere.
-
-        Only safe when the owner's *committed* state survives the crash:
-        every KV page staged to the host tier (fully swapped), no in-air
-        or queued commands.  Embed slots are per-step scratch — their
-        device-resident contents died with the device, so fresh zeroed
-        slots are provisioned on the destination under the same virtual
-        ids; the next forward rewrites them before any sample reads them
-        (the Context idiom), exactly as after a cold resume.  The swapped
-        host slots and the address-space counters move via the same
-        detach/adopt path live migration uses; the next fault-in restores
-        the pages onto the new shard's device.
-        """
-        owner = instance.instance_id
-        swap = service.swap
-        if not swap.enabled or not swap.is_swapped(owner):
-            return False
-        if instance.in_air_commands > 0:
-            return False
-        if not dead.resources.has_space(owner):
-            return False
-        if dead.resources.kv_mapping(owner):
-            return False
-        for queue in dead.scheduler.queues_for_owner(owner):
-            if queue.pending_count or queue.inflight_count:
-                return False
-        try:
-            dst = service.shards[service.router._place_least_loaded()]
-        except ShardUnavailableError:
-            return False
-        emb_vids = sorted(dead.resources.emb_mapping(owner))
-        if dst.resources.memory.embeds.num_free < len(emb_vids):
-            return False
-        if service.transfer is not None:
-            # Any half-streamed KV of the owner is rooted on the dead
-            # device; drop the staging (the host tier holds the truth).
-            service.transfer.forget(owner)
-        _, _, swapped_kv, next_kv_vid, next_emb_vid = (
-            dead.resources.detach_space_for_migration(owner)
-        )
-        emb_map = dict(
-            zip(emb_vids, dst.resources.memory.embeds.allocate(len(emb_vids)))
-        )
-        dst.resources.adopt_migrated_space(
-            owner, {}, emb_map, swapped_kv, next_kv_vid, next_emb_vid
-        )
-        for queue in list(dead.scheduler.queues_for_owner(owner)):
-            dead.scheduler.detach_queue(queue.key)
-            dst.scheduler.adopt_queue(queue)
-        service.router.migrate(owner, dst.index)
-        swap.note_migrated(owner, dst)
-        if self.trace is not None:
-            start = dead.device.down_since
-            self.trace.complete(
-                "relaunch",
-                "fault",
-                start if start is not None else self.sim.now,
-                end=self.sim.now,
-                shard=dst.index,
-                inferlet=owner,
-                args={"src": dead.index, "dst": dst.index, "embeds": len(emb_vids)},
-            )
-        return True
 
     # -- deferred deallocation (ordering preserved through the command queue) --------------------
 
@@ -1017,10 +547,9 @@ class Controller:
         for src_pid, dst_pid in zip(entry.physical_ids, physical_ids):
             src_page = src_shard.memory.kv_pages.page(src_pid)
             dst_shard.memory.kv_pages.page(dst_pid).copy_page_from(src_page)
-        control = self.config.control
         transfer_seconds = milliseconds(
-            control.cross_device_transfer_base_ms
-            + control.cross_device_transfer_ms_per_page * len(physical_ids)
+            CROSS_DEVICE_TRANSFER_BASE_MS
+            + CROSS_DEVICE_TRANSFER_MS_PER_PAGE * len(physical_ids)
         )
         dst_shard.device.submit(
             kind="kv_transfer",
@@ -1254,75 +783,15 @@ class Controller:
     def http_request(
         self, url: str, payload: Any = None, instance: Optional[InferletInstance] = None
     ) -> SimFuture:
-        if self.faults is not None:
-            future = self.sim.create_task(
-                self._faulty_request(url, payload, instance), name=f"http:{url}"
-            )
-        else:
-            future = self.sim.create_task(
-                self.external.request(url, payload), name=f"http:{url}"
-            )
+        request = (
+            self.external.request(url, payload)
+            if self.faults is None
+            else faulty_request(self, url, payload, instance)
+        )
+        future = self.sim.create_task(request, name=f"http:{url}")
         if instance is None:
             return future
         return self._wrap_external_call(instance, future)
-
-    async def _faulty_request(
-        self,
-        url: str,
-        payload: Any,
-        instance: Optional[InferletInstance] = None,
-    ) -> Any:
-        """Tool call under the chaos plane: fault windows, backoff, retry.
-
-        Each attempt consults the injector's open tool-fault windows; a hit
-        burns the timeout wait (``tool_timeout`` flavour), then the retry
-        policy decides between a jittered backoff and giving up with
-        :class:`RetriesExhaustedError` chained onto the injected fault.
-        """
-        attempts = 0
-        while True:
-            kind = self.faults.tool_fault(url, self.sim.now)
-            if kind is None:
-                return await self.external.request(url, payload)
-            self.metrics.tool_faults += 1
-            if self.trace is not None:
-                self.trace.instant(
-                    f"fault_{kind}_hit",
-                    "fault",
-                    args={"url": url, "attempt": attempts + 1},
-                )
-            if kind == "tool_timeout":
-                await self.sim.sleep(FaultInjector.TOOL_TIMEOUT_S)
-            delay = (
-                self.retry.backoff(attempts, "tool")
-                if self.retry is not None
-                else None
-            )
-            if delay is None:
-                self.metrics.retries_exhausted += 1
-                error = FaultInjectedError(
-                    f"tool call to {url} failed (injected {kind})", kind=kind
-                )
-                if self.retry is not None:
-                    raise RetriesExhaustedError(
-                        f"tool call to {url} failed after {attempts + 1} attempts "
-                        f"(injected {kind})",
-                        attempts=attempts + 1,
-                    ) from error
-                raise error
-            attempts += 1
-            self.metrics.tool_retries += 1
-            self.metrics.retry_backoff_seconds += delay
-            if self.trace is not None:
-                self.trace.complete(
-                    "retry_backoff",
-                    "fault",
-                    self.sim.now,
-                    end=self.sim.now + delay,
-                    inferlet=None if instance is None else instance.instance_id,
-                    args={"op": "tool", "url": url, "attempt": attempts, "delay": delay},
-                )
-            await self.sim.sleep(delay)
 
     def _wrap_external_call(
         self, instance: InferletInstance, inner: SimFuture

@@ -5,7 +5,7 @@ following the optional-hook contract (off = not constructed, no call site
 reaches them, serving path bit-identical):
 
 :class:`ShardHealthService` (``ControlLayerConfig.faults``)
-    A virtual-clock heartbeat — the monitor's poke/re-arm timer pattern —
+    A virtual-clock heartbeat (a :class:`~repro.sim.periodic.PeriodicService`)
     probes every shard index each ``heartbeat_interval_ms`` and keeps a
     per-index state machine: ``healthy`` → ``degraded`` (a slowdown fault
     window is open) → back, or ``healthy`` → ``down`` (fail-stop crash).
@@ -13,7 +13,7 @@ reaches them, serving path bit-identical):
     device of every served model at that index (the colocated-node
     interpretation), and the router's ``health_probe`` immediately stops
     placing new inferlets there.  The transition *to* ``down`` triggers
-    the controller's failover sweep: in-flight KV streams targeting the
+    the failover sweep: in-flight KV streams targeting the
     dead shard re-plan, and every resident inferlet is either
     re-materialized on a healthy shard (when its committed KV sits wholly
     in the host tier) or terminated with ``cause="shard_down"``.
@@ -38,6 +38,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+from repro.errors import ShardUnavailableError
+from repro.sim.periodic import PeriodicService
+
 __all__ = ["SHARD_STATES", "ShardHealthService", "BrownoutController"]
 
 #: Health states a shard index can be in.  ``draining`` is reserved for
@@ -51,11 +54,14 @@ class ShardHealthService:
     def __init__(self, controller, control) -> None:
         self.controller = controller
         self.sim = controller.sim
-        self.heartbeat_s = control.heartbeat_interval_ms / 1e3
         num = controller.config.gpu.num_devices
         self.states: Dict[int, str] = {index: "healthy" for index in range(num)}
-        self.probes_taken = 0
-        self._armed = False
+        self.heartbeat = PeriodicService(
+            self.sim,
+            control.heartbeat_interval_ms / 1e3,
+            self._probe_all,
+            controller.has_live_inferlets,
+        )
 
     # -- placement probe (installed on every router) -------------------------
 
@@ -71,10 +77,18 @@ class ShardHealthService:
     def _devices_at(self, index: int) -> List:
         """The device of every served model at shard ``index`` (one node)."""
         devices = []
-        for service in self.controller._services.values():
+        for service in self.controller.services():
             if index < len(service.shards):
                 devices.append(service.shards[index].device)
         return devices
+
+    def live_links(self) -> List:
+        """Every live disaggregation KV link (the injector's fault target)."""
+        links: List = []
+        for service in self.controller.services():
+            if service.transfer is not None:
+                links.extend(service.transfer.links())
+        return links
 
     # -- fault entry points (called by the FaultInjector) ---------------------
 
@@ -84,32 +98,23 @@ class ShardHealthService:
             device.mark_down()
         # Detection happens at the next heartbeat, not here: the wound is
         # instant, the diagnosis pays the probe interval.
-        self.poke()
+        self.heartbeat.poke()
 
     def inject_shard_slowdown(self, index: int, multiplier: float, duration_s: float) -> None:
         """Open a straggler window on shard ``index``; auto-restores."""
         for device in self._devices_at(index):
             device.set_fault_multiplier(multiplier)
         self.sim.schedule(duration_s, self._restore_speed, index)
-        self.poke()
+        self.heartbeat.poke()
 
     def _restore_speed(self, index: int) -> None:
         for device in self._devices_at(index):
             if not device.down:
                 device.set_fault_multiplier(1.0)
 
-    # -- heartbeat (poke/re-arm, the monitor's timer pattern) ------------------
+    # -- heartbeat ---------------------------------------------------------------
 
-    def poke(self) -> None:
-        """(Re)arm the heartbeat; no-op if already armed or disabled."""
-        if self.heartbeat_s <= 0 or self._armed:
-            return
-        self._armed = True
-        self.sim.schedule(self.heartbeat_s, self._tick)
-
-    def _tick(self) -> None:
-        self._armed = False
-        self.probes_taken += 1
+    def _probe_all(self) -> None:
         # One probe round records every transition *before* any failover
         # sweep runs, so a sweep never rescues onto a shard this same
         # round has already found dead.
@@ -133,9 +138,7 @@ class ShardHealthService:
             if observed == "down":
                 went_down.append(index)
         for index in went_down:
-            self.controller._failover_shard(index)
-        if self.controller.concurrent_inferlets > 0:
-            self.poke()
+            self._failover_shard(index)
 
     def _probe(self, index: int) -> str:
         """One health probe: reads device state, mutates nothing."""
@@ -145,6 +148,105 @@ class ShardHealthService:
         if any(device.fault_multiplier > 1.0 for device in devices):
             return "degraded"
         return "healthy"
+
+    # -- failover -----------------------------------------------------------------
+
+    def _failover_shard(self, index: int) -> None:
+        """Shard ``index`` went down: evacuate or terminate its residents.
+
+        Streams targeting the dead shard re-plan first (their staged pages
+        free), then every inferlet placed there is re-materialized on a
+        healthy shard when its committed KV lives wholly in the host tier
+        (quiescent + fully swapped: the per-node host pool survives a
+        device crash) or terminated with ``cause="shard_down"``.
+        """
+        controller = self.controller
+        live = {instance.instance_id: instance for instance in controller.instances()}
+        for service in controller.services():
+            if index >= len(service.shards):
+                continue
+            dead = service.shards[index]
+            if service.transfer is not None:
+                service.transfer.on_shard_down(index)
+            for instance_id in sorted(service.router.instances_on(dead)):
+                instance = live.get(instance_id)
+                if instance is None or instance.finished:
+                    continue
+                if self._try_relaunch(service, dead, instance):
+                    controller.metrics.failover_relaunches += 1
+                    continue
+                controller.metrics.failover_terminations += 1
+                controller.terminate_inferlet(
+                    instance,
+                    reason=f"shard {dead.name} is down (injected crash)",
+                    cause="shard_down",
+                )
+
+    def _try_relaunch(self, service, dead, instance) -> bool:
+        """Re-materialize a fully host-tier-resident inferlet elsewhere.
+
+        Only safe when the owner's *committed* state survives the crash:
+        every KV page staged to the host tier (fully swapped), no in-air
+        or queued commands.  Embed slots are per-step scratch — their
+        device-resident contents died with the device, so fresh zeroed
+        slots are provisioned on the destination under the same virtual
+        ids; the next forward rewrites them before any sample reads them
+        (the Context idiom), exactly as after a cold resume.  The swapped
+        host slots and the address-space counters move via the same
+        detach/adopt path live migration uses; the next fault-in restores
+        the pages onto the new shard's device.
+        """
+        owner = instance.instance_id
+        swap = service.swap
+        if not swap.enabled or not swap.is_swapped(owner):
+            return False
+        if instance.in_air_commands > 0:
+            return False
+        if not dead.resources.has_space(owner):
+            return False
+        if dead.resources.kv_mapping(owner):
+            return False
+        for queue in dead.scheduler.queues_for_owner(owner):
+            if queue.pending_count or queue.inflight_count:
+                return False
+        try:
+            dst = service.router.least_loaded_shard()
+        except ShardUnavailableError:
+            return False
+        emb_vids = sorted(dead.resources.emb_mapping(owner))
+        if dst.resources.memory.embeds.num_free < len(emb_vids):
+            return False
+        if service.transfer is not None:
+            # Any half-streamed KV of the owner is rooted on the dead
+            # device; drop the staging (the host tier holds the truth).
+            service.transfer.forget(owner)
+        _, _, swapped_kv, next_kv_vid, next_emb_vid = (
+            dead.resources.detach_space_for_migration(owner)
+        )
+        emb_map = dict(
+            zip(emb_vids, dst.resources.memory.embeds.allocate(len(emb_vids)))
+        )
+        dst.resources.adopt_migrated_space(
+            owner, {}, emb_map, swapped_kv, next_kv_vid, next_emb_vid
+        )
+        for queue in list(dead.scheduler.queues_for_owner(owner)):
+            dead.scheduler.detach_queue(queue.key)
+            dst.scheduler.adopt_queue(queue)
+        service.router.migrate(owner, dst.index)
+        swap.note_migrated(owner, dst)
+        trace = self.controller.trace
+        if trace is not None:
+            start = dead.device.down_since
+            trace.complete(
+                "relaunch",
+                "fault",
+                start if start is not None else self.sim.now,
+                end=self.sim.now,
+                shard=dst.index,
+                inferlet=owner,
+                args={"src": dead.index, "dst": dst.index, "embeds": len(emb_vids)},
+            )
+        return True
 
 
 class BrownoutController:
@@ -166,42 +268,26 @@ class BrownoutController:
         key = (event.tenant, event.signal, event.window)
         if event.kind == "fire":
             self._firing.add(key)
-            if not self.active:
-                self._activate(event)
         else:
             self._firing.discard(key)
-            if self.active and not self._firing:
-                self._deactivate(event)
+        if self.active != bool(self._firing):
+            self._switch(bool(self._firing), event)
 
-    def _set_chunk_scale(self, scale: float) -> None:
-        for service in self.controller._services.values():
+    def _switch(self, active: bool, event) -> None:
+        """Brown out (or restore): shed batch admission, scale chunk budgets."""
+        self.active = active
+        controller = self.controller
+        controller.qos.set_brownout(active)
+        for service in controller.services():
             for shard in service.shards:
-                shard.scheduler.set_chunk_scale(scale)
-
-    def _activate(self, event) -> None:
-        self.active = True
-        controller = self.controller
-        if controller.qos is not None:
-            controller.qos.set_brownout(True)
-        self._set_chunk_scale(self.chunk_scale)
-        controller.metrics.brownout_activations += 1
+                shard.scheduler.set_chunk_scale(self.chunk_scale if active else 1.0)
+        if active:
+            controller.metrics.brownout_activations += 1
+        else:
+            controller.metrics.brownout_clears += 1
         if controller.trace is not None:
             controller.trace.instant(
-                "brownout_on",
-                "fault",
-                args={"tenant": event.tenant, "signal": event.signal},
-            )
-
-    def _deactivate(self, event) -> None:
-        self.active = False
-        controller = self.controller
-        if controller.qos is not None:
-            controller.qos.set_brownout(False)
-        self._set_chunk_scale(1.0)
-        controller.metrics.brownout_clears += 1
-        if controller.trace is not None:
-            controller.trace.instant(
-                "brownout_off",
+                "brownout_on" if active else "brownout_off",
                 "fault",
                 args={"tenant": event.tenant, "signal": event.signal},
             )

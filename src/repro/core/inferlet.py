@@ -125,3 +125,29 @@ class InferletInstance:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<InferletInstance {self.instance_id} status={self.status}>"
+
+
+class LifecycleObserver:
+    """What an optional plane may be told about an inferlet's life.
+
+    Each fact is published once, at one site, to ``Controller.observers``;
+    a plane subclasses this and overrides the notifications it accounts
+    for.  Every notification is read-only with respect to serving state.
+    """
+
+    def note_launch_requested(self, instance: InferletInstance) -> None:
+        """``launch`` accepted the request (before any admission control)."""
+
+    def note_running(self, instance: InferletInstance) -> None:
+        """Instantiated, placed and about to run its program."""
+
+    def note_output(
+        self, instance: InferletInstance, now: float, count: int, first: bool
+    ) -> None:
+        """``count`` output tokens emitted at ``now``; ``first`` marks TTFT."""
+
+    def note_reclaimed(self, victim: InferletInstance, requester: InferletInstance, shard) -> None:
+        """``victim`` is about to be terminated to fit ``requester`` on ``shard``."""
+
+    def note_finished(self, instance: InferletInstance) -> None:
+        """Left the system for good; ``instance.status`` is terminal."""

@@ -47,6 +47,8 @@ class InferletLifecycleManager:
         self._launch_queue: Deque[Tuple[InferletInstance, SimFuture]] = deque()
         self._launch_worker_busy = False
         self._seed_counter = 0
+        # wait_for_completion futures of instances that have no task yet.
+        self._taskless_waiters: Dict[str, List[SimFuture]] = {}
         controller.set_terminate_hook(self._on_forced_termination)
 
     # -- program registry ------------------------------------------------------
@@ -122,20 +124,8 @@ class InferletLifecycleManager:
         instance.metrics.launched_at = self.sim.now
         instance.channel = ClientChannel(self.sim, instance.instance_id)
         ready = self.sim.create_future(name=f"launch:{instance.instance_id}")
-        trace = self.controller.trace
-        if trace is not None:
-            # Lifecycle span covers launch -> final release; the admission
-            # span covers launch -> running (or abort/failure) so the
-            # trace_report tool can attribute pre-run wait separately.
-            instance._trace_lifecycle = trace.begin(
-                "inferlet",
-                "lifecycle",
-                inferlet=instance.instance_id,
-                args={"program": name, "tenant": instance.tenant},
-            )
-            instance._trace_launch = trace.begin(
-                "launch", "admission", inferlet=instance.instance_id
-            )
+        for observer in self.controller.observers:
+            observer.note_launch_requested(instance)
         qos = self.controller.qos
         if qos is not None:
             # May raise AdmissionRejectedError; "queued" parks the launch
@@ -172,20 +162,11 @@ class InferletLifecycleManager:
             elif status == "failed":
                 controller.metrics.inferlets_failed += 1
         controller.unregister_inferlet(instance)
-        if controller.qos is not None:
-            # Free the tenant's concurrency slot and pump its admission
-            # queue (a no-op for an instance that was never admitted).
-            controller.qos.note_finished(instance)
-        if controller.monitor is not None:
-            controller.monitor.note_finished(instance)
-        if controller.trace is not None:
-            # The admission span is still open only if the launch never ran.
-            outcome = "aborted" if status == "terminated" else "failed"
-            controller.trace.end(getattr(instance, "_trace_launch", None), args={outcome: True})
-            controller.trace.end(
-                getattr(instance, "_trace_lifecycle", None),
-                args={"status": instance.metrics.status},
-            )
+        for observer in controller.observers:
+            observer.note_finished(instance)
+        # Waiters still parked here belong to an instance that never ran.
+        for done in self._taskless_waiters.pop(instance.instance_id, ()):
+            done.set_result(instance)
 
     def _abort_launch(self, instance: InferletInstance, ready: SimFuture) -> None:
         """Retire an instance terminated while parked (in the launch queue or
@@ -231,8 +212,8 @@ class InferletLifecycleManager:
         instance.metrics.status = "running"
         instance.metrics.started_at = self.sim.now
         self.controller.metrics.launch_latency.observe(self.sim.now - instance.created_at)
-        if self.controller.trace is not None:
-            self.controller.trace.end(getattr(instance, "_trace_launch", None))
+        for observer in self.controller.observers:
+            observer.note_running(instance)
         ctx = InferletContext(
             instance,
             self.controller,
@@ -241,6 +222,8 @@ class InferletLifecycleManager:
         instance.task = self.sim.create_task(
             self._run_program(instance, ctx), name=f"inferlet:{instance.instance_id}"
         )
+        for done in self._taskless_waiters.pop(instance.instance_id, ()):
+            self._resolve_with_task(instance, done)
         ready.set_result(instance)
 
     async def _run_program(self, instance: InferletInstance, ctx: InferletContext) -> Any:
@@ -285,14 +268,23 @@ class InferletLifecycleManager:
     # -- client communication -----------------------------------------------------------------
 
     def wait_for_completion(self, instance: InferletInstance) -> SimFuture:
-        """Future resolving when the inferlet's task finishes (result or error)."""
+        """Future resolving with the instance once it is over: when its task
+        finishes (result or error), or — for an instance that never got a
+        task (aborted while parked, failed to instantiate) — when it is
+        retired.  Nothing polls: a launch still in progress parks the future
+        until ``_launch_one`` creates the task or ``_retire`` gives up on it.
+        """
         done = self.sim.create_future(name=f"wait:{instance.instance_id}")
-
-        def check(_=None):
-            if instance.task is None:
-                self.sim.schedule(0.001, check)
-                return
-            instance.task.add_done_callback(lambda fut: done.set_result(instance) if not done.done() else None)
-
-        check()
+        if instance.task is not None:
+            self._resolve_with_task(instance, done)
+        elif instance.finished:
+            done.set_result(instance)
+        else:
+            self._taskless_waiters.setdefault(instance.instance_id, []).append(done)
         return done
+
+    @staticmethod
+    def _resolve_with_task(instance: InferletInstance, done: SimFuture) -> None:
+        instance.task.add_done_callback(
+            lambda fut: done.set_result(instance) if not done.done() else None
+        )

@@ -9,17 +9,17 @@ observability surfaces this repo grew elsewhere:
 * an :class:`~repro.core.slo.SloEngine` judging per-tenant TTFT/TPOT
   against :class:`~repro.core.qos.TenantSpec` targets and firing
   multi-window burn-rate alerts;
-* a periodic *scraper* on the virtual clock that advances the alert
-  windows and appends bounded registry snapshots, built on the exact
-  poke/re-arm timer pattern of the trace recorder's telemetry sampler —
-  the timer only re-arms while ``active_fn()`` reports in-flight work, so
-  the event queue stays drainable and the simulation never runs longer
-  because monitoring is on.
+* a periodic *scraper* on the virtual clock — a
+  :class:`~repro.sim.periodic.PeriodicService`, so it only re-arms while
+  inferlets are live, the event queue stays drainable and the simulation
+  never runs longer because monitoring is on — that publishes the serving
+  state as gauges, advances the alert windows and appends bounded registry
+  snapshots.
 
 The whole plane is off by default (``ControlLayerConfig.monitoring``);
-when off, no ``MonitorService`` is constructed and every call site guards
-with ``if monitor is not None`` — the structural-inertness contract shared
-with the QoS/tracing/chunking knobs.  When on, every hook only *reads*
+when off, no ``MonitorService`` is constructed and
+``Controller.observers`` does not hold one — the structural-inertness
+contract shared with the QoS/tracing/chunking knobs.  When on, every hook only *reads*
 serving state and writes to monitor-private buffers, so tokens, metrics
 and virtual timestamps stay bit-identical to a monitor-off run (asserted
 in ``tests/test_determinism.py``).
@@ -28,16 +28,21 @@ in ``tests/test_determinism.py``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from dataclasses import asdict
+from typing import Callable, Deque, Dict, List
 
+from repro.core.inferlet import LifecycleObserver
+from repro.core.metrics import TenantMetrics
 from repro.core.registry import (
     CounterFamily,
     GaugeFamily,
     HistogramFamily,
     MetricRegistry,
 )
+from repro.core.scheduler import SchedulerStats
 from repro.core.slo import BurnWindow, SloEngine
 from repro.core.qos import TenantSpec
+from repro.sim.periodic import PeriodicService
 
 __all__ = ["MonitorService"]
 
@@ -45,14 +50,15 @@ __all__ = ["MonitorService"]
 MAX_SNAPSHOTS = 20_000
 
 
-class MonitorService:
+class MonitorService(LifecycleObserver):
     """Owns the metric registry, the SLO engine, and the scrape timer."""
 
-    def __init__(self, sim, control, metrics, trace=None) -> None:
-        self.sim = sim
-        self.control = control
-        self.metrics = metrics
-        self.trace = trace
+    def __init__(self, controller) -> None:
+        self.controller = controller
+        self.sim = controller.sim
+        self.control = control = controller.config.control
+        self.metrics = controller.metrics
+        self.trace = controller.trace
         self.registry = MetricRegistry()
         windows = tuple(
             BurnWindow(long_ms / 1e3, short_ms / 1e3, threshold)
@@ -61,15 +67,16 @@ class MonitorService:
         self.slo = SloEngine(
             windows,
             default_target=control.slo_target,
-            trace=trace,
+            trace=self.trace,
         )
+        for spec in control.tenants:
+            self.slo.register(spec)
         self.scrape_seconds = control.scrape_interval_ms / 1e3
-        self.scrapes_taken = 0
+        self.scraper = PeriodicService(
+            self.sim, self.scrape_seconds, self._scrape, controller.has_live_inferlets
+        )
         #: Bounded time-series: one scalar snapshot of the registry per tick.
         self.snapshots: Deque[dict] = deque(maxlen=MAX_SNAPSHOTS)
-        self._collect_fn: Optional[Callable[[], None]] = None
-        self._active_fn: Optional[Callable[[], bool]] = None
-        self._armed = False
         # Alert subscribers (e.g. the chaos plane's BrownoutController),
         # invoked with each AlertEvent as the scrape tick surfaces it.
         self._alert_listeners: List[Callable] = []
@@ -111,6 +118,38 @@ class MonitorService:
             "Fraction of the cumulative error budget left",
             labelnames=("tenant", "signal"),
         )
+        # Serving-state gauges published at every scrape: one per numeric
+        # field, discovered once from a probe instance (not per tick via
+        # ``asdict``, which would deep-copy the histograms at every scrape).
+        def gauges_for(prefix: str, probe, labelnames=()) -> Dict[str, GaugeFamily]:
+            return {
+                name: self.registry.gauge(
+                    f"pie_{prefix}_{name}",
+                    f"{type(probe).__name__}.{name}",
+                    labelnames=labelnames,
+                )
+                for name, value in vars(probe).items()
+                if isinstance(value, (int, float)) and not isinstance(value, bool)
+            }
+
+        self._system_gauges = gauges_for("system", self.metrics)
+        self._tenant_gauges = gauges_for(
+            "tenant", TenantMetrics(tenant="_probe"), labelnames=("tenant",)
+        )
+        self._shard_gauges = gauges_for(
+            "shard", SchedulerStats(), labelnames=("model", "shard")
+        )
+        self._reading_gauges: Dict[str, GaugeFamily] = {
+            name: self.registry.gauge(
+                f"pie_shard_{name}", help_, labelnames=("model", "shard")
+            )
+            for name, help_ in (
+                ("queue_depth", "Pending commands in the shard scheduler"),
+                ("kv_occupancy", "Fraction of GPU KV pages in use"),
+                ("embed_occupancy", "Fraction of embed slots in use"),
+                ("busy_seconds", "Cumulative device busy time"),
+            )
+        }
 
     # -- SLO spec registry --------------------------------------------------
 
@@ -118,10 +157,13 @@ class MonitorService:
         """Register the spec the SLO engine judges this tenant against."""
         self.slo.register(spec)
 
-    # -- serving-path hooks (all read-only w.r.t. simulation state) ---------
+    # -- lifecycle notifications (all read-only w.r.t. simulation state) -----
 
-    def note_first_token(self, instance, ttft_seconds: float) -> None:
+    def note_output(self, instance, now: float, count: int, first: bool) -> None:
+        if not first:
+            return
         tenant = instance.tenant
+        ttft_seconds = now - instance.metrics.launched_at
         self._ttft.labels(tenant=tenant).observe(ttft_seconds)
         met = self.slo.observe_ttft(tenant, ttft_seconds)
         outcome = "met" if met else "missed"
@@ -165,41 +207,33 @@ class MonitorService:
 
     # -- virtual-clock scraper ----------------------------------------------
 
-    def install_collector(
-        self,
-        collect_fn: Callable[[], None],
-        active_fn: Callable[[], bool],
-    ) -> None:
-        """Install the per-tick gauge collector and the re-arm gate.
-
-        ``collect_fn()`` publishes current serving-state gauges into the
-        registry; it must be read-only with respect to simulation state.
-        ``active_fn()`` gates re-arming exactly like the trace sampler:
-        once it reports False the timer stops (keeping the event queue
-        drainable) and :meth:`poke` restarts it when activity resumes.
-        """
-        self._collect_fn = collect_fn
-        self._active_fn = active_fn
-
     def add_alert_listener(self, listener: Callable) -> None:
         """Subscribe to burn-rate AlertEvents surfaced by the scrape tick."""
         self._alert_listeners.append(listener)
 
-    def poke(self) -> None:
-        """(Re)arm the scrape timer; no-op if already armed or disabled."""
-        if self.scrape_seconds <= 0:
-            return
-        if self._armed:
-            return
-        self._armed = True
-        self.sim.schedule(self.scrape_seconds, self._tick)
+    @property
+    def scrapes_taken(self) -> int:
+        return self.scraper.ticks
 
-    def _tick(self) -> None:
-        self._armed = False
-        self.scrapes_taken += 1
+    def _collect(self) -> None:
+        """Publish the current SystemMetrics / per-tenant / per-shard
+        counters plus live load readings as gauges (pure inspection)."""
+        for name, gauge in self._system_gauges.items():
+            gauge.labels().set(getattr(self.metrics, name))
+        for tenant, record in self.metrics.tenants.items():
+            for name, gauge in self._tenant_gauges.items():
+                gauge.labels(tenant=tenant).set(getattr(record, name))
+        for service in self.controller.services():
+            for shard in service.shards:
+                labels = {"model": service.entry.name, "shard": str(shard.index)}
+                for name, gauge in self._shard_gauges.items():
+                    gauge.labels(**labels).set(getattr(shard.scheduler.stats, name))
+                for name, value in shard.readings().items():
+                    self._reading_gauges[name].labels(**labels).set(value)
+
+    def _scrape(self) -> None:
         now = self.sim.now
-        if self._collect_fn is not None:
-            self._collect_fn()
+        self._collect()
         for event in self.slo.tick(now):
             self._alerts_total.labels(
                 tenant=event.tenant, signal=event.signal, kind=event.kind
@@ -217,25 +251,17 @@ class MonitorService:
                     budget["budget_remaining"]
                 )
         self.snapshots.append({"t": now, "values": self.registry.scalar_snapshot()})
-        if self._active_fn is not None and self._active_fn():
-            self.poke()
 
     # -- exporters ----------------------------------------------------------
-
-    def merge_registry(self, other: MetricRegistry) -> None:
-        """Fold another shard's registry into this one (counters/histograms
-        add, gauges take the other's value)."""
-        self.registry.merge(other)
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition of the full registry."""
         return self.registry.to_prometheus()
 
     def snapshot_document(self) -> dict:
-        """JSON-ready document: registry, SLO state, and the time series."""
-        from dataclasses import asdict
-
-        return {
+        """JSON-ready document: registry, SLO state, the time series and —
+        with the chaos plane on — every fault injected so far."""
+        document = {
             "clock": "virtual_seconds",
             "now": self.sim.now,
             "scrape_interval_ms": self.control.scrape_interval_ms,
@@ -254,3 +280,8 @@ class MonitorService:
             "series": list(self.snapshots),
             "metrics": self.registry.to_dict(),
         }
+        faults = self.controller.faults
+        if faults is not None:
+            # So reports can line alerts up with the faults that caused them.
+            document["faults"] = [dict(record) for record in faults.injected]
+        return document

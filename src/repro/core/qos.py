@@ -36,16 +36,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import AdmissionRejectedError, ReproError
 from repro.core.batching import CandidateBatch
 from repro.core.command_queue import CommandQueue
+from repro.core.inferlet import InferletInstance, LifecycleObserver
 from repro.core.metrics import SystemMetrics, TenantMetrics
 from repro.sim.simulator import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.inferlet import InferletInstance
 
 #: The three priority classes, best-served first.  Rank orders preemption
 #: (higher rank = preempted first); weight scales slack in dispatch scoring
@@ -53,6 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 QOS_CLASSES = ("interactive", "standard", "batch")
 CLASS_RANK = {"interactive": 0, "standard": 1, "batch": 2}
 CLASS_WEIGHT = {"interactive": 4.0, "standard": 2.0, "batch": 1.0}
+
+#: Priority class assumed for unregistered tenants / untagged traffic.
+DEFAULT_CLASS = "standard"
 
 #: Per-class SLO target defaults (overridable per tenant): time-to-first-
 #: token and time-per-output-token, in milliseconds.
@@ -193,7 +194,7 @@ class _TenantState:
         return cap <= 0 or len(self.running) < cap
 
 
-class QosService:
+class QosService(LifecycleObserver):
     """Per-cluster QoS control plane: admission, dispatch, preemption, shares."""
 
     def __init__(
@@ -201,17 +202,11 @@ class QosService:
         sim: Simulator,
         metrics: SystemMetrics,
         tenants: Tuple[TenantSpec, ...] = (),
-        default_class: str = "standard",
         aging_ms: float = 200.0,
         trace=None,
     ) -> None:
-        if default_class not in QOS_CLASSES:
-            raise ReproError(
-                f"unknown default QoS class {default_class!r}; have {QOS_CLASSES}"
-            )
         self.sim = sim
         self.metrics = metrics
-        self.default_class = default_class
         self.aging_s = aging_ms / 1e3
         # Flight recorder (repro.core.trace): parked launches carry an
         # "admission_queued" span from park to admit/cancel.  None = off.
@@ -257,7 +252,7 @@ class QosService:
         state = self._tenants.get(name)
         if state is None:
             self.register_tenant(
-                TenantSpec(name=name, priority_class=self.default_class)
+                TenantSpec(name=name, priority_class=DEFAULT_CLASS)
             )
             state = self._tenants[name]
         return state
@@ -436,7 +431,7 @@ class QosService:
             spec = (
                 registered.spec
                 if registered is not None
-                else TenantSpec(name=instance.tenant, priority_class=self.default_class)
+                else TenantSpec(name=instance.tenant, priority_class=DEFAULT_CLASS)
             )
         metrics = instance.metrics
         if metrics.first_token_at is None:
@@ -454,7 +449,7 @@ class QosService:
         weight = (
             state.spec.share_weight
             if state is not None
-            else CLASS_WEIGHT[self.default_class]
+            else CLASS_WEIGHT[DEFAULT_CLASS]
         )
         slack = self._slack(instance, now)
         return slack / weight if slack >= 0 else slack * weight
@@ -520,7 +515,7 @@ class QosService:
         a better class.
         """
         state = self._state_of(queue.owner)
-        rank = state.spec.rank if state is not None else CLASS_RANK[self.default_class]
+        rank = state.spec.rank if state is not None else CLASS_RANK[DEFAULT_CLASS]
         bias = max(-(_CLASS_PRIORITY_STRIDE - 1), min(_CLASS_PRIORITY_STRIDE - 1, queue.priority))
         return (len(QOS_CLASSES) - 1 - rank) * 2 * _CLASS_PRIORITY_STRIDE + bias
 
@@ -560,7 +555,7 @@ class QosService:
         final tie-break."""
         now = self.sim.now
         state = self._state_of(instance.instance_id)
-        rank = state.spec.rank if state is not None else CLASS_RANK[self.default_class]
+        rank = state.spec.rank if state is not None else CLASS_RANK[DEFAULT_CLASS]
         return (
             -rank,
             -self._slack(instance, now),
@@ -586,8 +581,8 @@ class QosService:
         if state is not None:
             state.metrics.preempted_swaps += 1
 
-    def note_preempted_termination(self, instance: "InferletInstance") -> None:
-        state = self._state_of(instance.instance_id)
+    def note_reclaimed(self, victim: "InferletInstance", requester, shard) -> None:
+        state = self._state_of(victim.instance_id)
         self.metrics.qos_preemption_terminations += 1
         if state is not None:
             state.metrics.preempted_terminations += 1

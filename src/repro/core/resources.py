@@ -90,6 +90,8 @@ class ResourceManager:
         memory: DeviceMemory,
         model_name: str = "",
         host_pool: Optional[HostMemoryPool] = None,
+        trace=None,
+        shard_index: int = 0,
     ) -> None:
         self.memory = memory
         self.model_name = model_name
@@ -105,11 +107,6 @@ class ResourceManager:
         self._kv_free_listener: Optional[Callable[[int], None]] = None
         # Flight recorder (repro.core.trace): marks KV-page commits and
         # releases on this shard's timeline.  None when tracing is off.
-        self._trace = None
-        self._trace_shard = 0
-
-    def set_trace(self, trace, shard_index: int) -> None:
-        """Install the flight recorder for this shard's KV accounting."""
         self._trace = trace
         self._trace_shard = shard_index
 

@@ -18,11 +18,14 @@ Two guards bound the damage a persistent fault can do:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-__all__ = ["RetryPolicy"]
+from repro.errors import FaultInjectedError, RetriesExhaustedError
+from repro.sim.faults import FaultInjector
+
+__all__ = ["RetryPolicy", "faulty_request"]
 
 
 class RetryPolicy:
@@ -85,3 +88,51 @@ class RetryPolicy:
         if self.jitter > 0.0:
             delay *= 1.0 + self.jitter * float(self.rng.uniform(-1.0, 1.0))
         return delay
+
+
+async def faulty_request(controller, url: str, payload: Any, instance=None) -> Any:
+    """Tool call under the chaos plane: fault windows, backoff, retry.
+
+    Each attempt consults the injector's open tool-fault windows; a hit
+    burns the timeout wait (``tool_timeout`` flavour), then the retry
+    policy decides between a jittered backoff and giving up with
+    :class:`RetriesExhaustedError` chained onto the injected fault.
+    """
+    sim, metrics, trace = controller.sim, controller.metrics, controller.trace
+    attempts = 0
+    while True:
+        kind = controller.faults.tool_fault(url, sim.now)
+        if kind is None:
+            return await controller.external.request(url, payload)
+        metrics.tool_faults += 1
+        if trace is not None:
+            trace.instant(
+                f"fault_{kind}_hit",
+                "fault",
+                args={"url": url, "attempt": attempts + 1},
+            )
+        if kind == "tool_timeout":
+            await sim.sleep(FaultInjector.TOOL_TIMEOUT_S)
+        delay = controller.retry.backoff(attempts, "tool")
+        if delay is None:
+            metrics.retries_exhausted += 1
+            raise RetriesExhaustedError(
+                f"tool call to {url} failed after {attempts + 1} attempts "
+                f"(injected {kind})",
+                attempts=attempts + 1,
+            ) from FaultInjectedError(
+                f"tool call to {url} failed (injected {kind})", kind=kind
+            )
+        attempts += 1
+        metrics.tool_retries += 1
+        metrics.retry_backoff_seconds += delay
+        if trace is not None:
+            trace.complete(
+                "retry_backoff",
+                "fault",
+                sim.now,
+                end=sim.now + delay,
+                inferlet=None if instance is None else instance.instance_id,
+                args={"op": "tool", "url": url, "attempt": attempts, "delay": delay},
+            )
+        await sim.sleep(delay)

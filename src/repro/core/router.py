@@ -89,6 +89,17 @@ class DeviceShard:
             1 if self.device.busy else 0
         )
 
+    def readings(self) -> Dict[str, float]:
+        """Live load readings (pure reads), shared by the trace telemetry
+        sampler and the monitor scraper."""
+        kv, embeds = self.memory.kv_pages, self.memory.embeds
+        return {
+            "queue_depth": self.scheduler.total_pending,
+            "kv_occupancy": 1.0 - kv.num_free / kv.capacity,
+            "embed_occupancy": 1.0 - embeds.num_free / embeds.capacity,
+            "busy_seconds": self.device.stats.busy_seconds,
+        }
+
 
 class Router:
     """Places inferlet instances onto the shards of one model service.
@@ -268,6 +279,10 @@ class Router:
             if self._placeable(index):
                 return index
         raise ShardUnavailableError("no healthy shard available for placement")
+
+    def least_loaded_shard(self) -> DeviceShard:
+        """The least-loaded placeable shard (``ShardUnavailableError`` if none)."""
+        return self.shards[self._place_least_loaded()]
 
     def _place_least_loaded(
         self,

@@ -31,6 +31,11 @@ from repro.gpu.device import SimDevice
 from repro.sim.latency import milliseconds
 from repro.sim.simulator import Simulator
 
+# Table 3 model constants (ms), calibrated and not configurable: the cost of
+# forming one batch, and of one control<->inference layer IPC crossing.
+BATCH_SCHEDULING_OVERHEAD_MS = 0.050
+IPC_CROSSING_MS = 0.006
+
 
 @dataclass
 class SchedulerStats:
@@ -96,6 +101,7 @@ class BatchScheduler:
         metrics=None,
         trace=None,
         shard_index: int = 0,
+        qos=None,
     ) -> None:
         self.sim = sim
         self.device = device
@@ -137,11 +143,11 @@ class BatchScheduler:
         # out to the host tier must not have commands dispatched until their
         # pages are resident again.  None = admit everyone.
         self._dispatch_guard: Optional[Callable[[str], bool]] = None
-        # QoS service (repro.core.qos): when installed, candidate-batch
+        # QoS service (repro.core.qos): when given, candidate-batch
         # selection scores by class-weighted slack-to-deadline, merge
         # priority gains a per-class stride, and dispatched work feeds the
         # tenant fair-share counters.  None = stock longest-waiting policy.
-        self._qos = None
+        self._qos = qos
         # Called with each successfully completed prefill head slice
         # (disaggregation streams the slice's committed KV pages while the
         # residual is still queued).  None = no observer, zero overhead.
@@ -165,10 +171,6 @@ class BatchScheduler:
     def set_dispatch_guard(self, is_suspended: Optional[Callable[[str], bool]]) -> None:
         """Install a predicate barring suspended owners from dispatch."""
         self._dispatch_guard = is_suspended
-
-    def set_qos(self, qos) -> None:
-        """Install the QoS service's dispatch hooks (SLO-aware selection)."""
-        self._qos = qos
 
     def set_chunk_listener(self, listener: Optional[Callable[[Command], None]]) -> None:
         """Observe completed prefill head slices (KV streaming hook)."""
@@ -343,9 +345,7 @@ class BatchScheduler:
         batch.  Modelling the delay is what makes the adaptive policy
         actually work-conserving instead of dispatching fragments.
         """
-        return milliseconds(
-            self.control_config.ipc_crossing_ms + self.control_config.batch_scheduling_overhead_ms
-        )
+        return milliseconds(IPC_CROSSING_MS + BATCH_SCHEDULING_OVERHEAD_MS)
 
     def _schedule_adaptive_dispatch(self) -> None:
         if self._adaptive_dispatch_pending:
@@ -518,8 +518,8 @@ class BatchScheduler:
         if self._qos is not None:
             self._qos.note_dispatched(batch.commands)
         cost = self.handlers.batch_cost_seconds(batch.kind, batch.commands)
-        cost += milliseconds(self.control_config.batch_scheduling_overhead_ms)
-        cost += milliseconds(self.control_config.ipc_crossing_ms)
+        cost += milliseconds(BATCH_SCHEDULING_OVERHEAD_MS)
+        cost += milliseconds(IPC_CROSSING_MS)
         future = self.device.submit(
             kind=batch.kind,
             run=lambda batch=batch: self.handlers.execute_batch(batch.kind, batch.commands),

@@ -11,11 +11,11 @@ client, exactly as the paper does.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ClientError
-from repro.core.config import PieConfig
+from repro.core.config import PieConfig, with_overrides
 from repro.core.controller import Controller, ModelService
 from repro.core.inferlet import InferletInstance, InferletProgram
 from repro.core.lifecycle import InferletLifecycleManager
@@ -48,167 +48,16 @@ class PieServer:
         models: Optional[Sequence[str]] = None,
         config: Optional[PieConfig] = None,
         external: Optional[ExternalServices] = None,
-        num_devices: Optional[int] = None,
-        placement_policy: Optional[str] = None,
-        host_kv_pages: Optional[int] = None,
-        swap_policy: Optional[str] = None,
-        prefix_cache: Optional[bool] = None,
-        qos: Optional[bool] = None,
-        tenants: Optional[Sequence] = None,
-        chunked_prefill: Optional[bool] = None,
-        prefill_chunk_tokens: Optional[int] = None,
-        max_batch_tokens: Optional[int] = None,
-        disaggregation: Optional[bool] = None,
-        prefill_shards: Optional[int] = None,
-        tracing: Optional[bool] = None,
-        trace_path: Optional[str] = None,
-        trace_sample_ms: Optional[float] = None,
-        monitoring: Optional[bool] = None,
-        scrape_interval_ms: Optional[float] = None,
-        slo_target: Optional[float] = None,
-        slo_burn_windows: Optional[Sequence[Sequence[float]]] = None,
-        faults: Optional[bool] = None,
-        fault_seed: Optional[int] = None,
-        fault_plan: Optional[Sequence[Sequence]] = None,
-        heartbeat_interval_ms: Optional[float] = None,
-        brownout: Optional[bool] = None,
-        brownout_chunk_scale: Optional[float] = None,
+        **overrides: Any,
     ) -> None:
+        """``overrides`` are configuration shorthands: each key names a
+        ``ControlLayerConfig`` or ``GpuConfig`` field (``num_devices=4``,
+        ``prefix_cache=True``, ``tenants=[...]``, ...) and replaces it in
+        ``config``, so callers need not rebuild the nested frozen config;
+        see :func:`repro.core.config.with_overrides` for what a shorthand
+        switches on by implication."""
         self.sim = sim
-        config = config or PieConfig()
-        # Cluster / memory-tier knobs: shorthand overrides so callers don't
-        # have to rebuild the nested frozen config just to scale out or
-        # enable host-memory KV swapping.
-        if num_devices is not None:
-            config = replace(config, gpu=replace(config.gpu, num_devices=num_devices))
-        if placement_policy is not None:
-            config = replace(
-                config, control=replace(config.control, placement_policy=placement_policy)
-            )
-        if host_kv_pages is not None:
-            config = replace(
-                config, gpu=replace(config.gpu, host_kv_pages=host_kv_pages)
-            )
-        if swap_policy is not None:
-            config = replace(
-                config, control=replace(config.control, swap_policy=swap_policy)
-            )
-        if prefix_cache is not None:
-            config = replace(
-                config, control=replace(config.control, prefix_cache=prefix_cache)
-            )
-        if tenants is not None:
-            config = replace(
-                config, control=replace(config.control, tenants=tuple(tenants))
-            )
-            if qos is None:
-                qos = True  # registering tenants implies the QoS service
-        if qos is not None:
-            config = replace(config, control=replace(config.control, qos=qos))
-        if chunked_prefill is not None:
-            config = replace(
-                config, control=replace(config.control, chunked_prefill=chunked_prefill)
-            )
-        if prefill_chunk_tokens is not None:
-            config = replace(
-                config,
-                control=replace(config.control, prefill_chunk_tokens=prefill_chunk_tokens),
-            )
-        if max_batch_tokens is not None:
-            config = replace(
-                config, control=replace(config.control, max_batch_tokens=max_batch_tokens)
-            )
-        if disaggregation is not None or prefill_shards is not None:
-            # One combined replace: PieConfig validates on construction, and
-            # disaggregation=True is only consistent together with its
-            # implied placement policy (and shard split).
-            overrides = {}
-            if disaggregation is not None:
-                overrides["disaggregation"] = disaggregation
-                if disaggregation and placement_policy is None:
-                    overrides["placement_policy"] = "disaggregated"
-            if prefill_shards is not None:
-                overrides["prefill_shards"] = prefill_shards
-            config = replace(config, control=replace(config.control, **overrides))
-        if tracing is not None or trace_path is not None or trace_sample_ms is not None:
-            # Combined replace: trace_path implies tracing (config validation
-            # rejects trace_path without tracing=True).
-            overrides = {}
-            if trace_path is not None:
-                overrides["trace_path"] = trace_path
-                if tracing is None:
-                    tracing = True
-            if tracing is not None:
-                overrides["tracing"] = tracing
-            if trace_sample_ms is not None:
-                overrides["trace_sample_ms"] = trace_sample_ms
-            config = replace(config, control=replace(config.control, **overrides))
-        if (
-            monitoring is not None
-            or scrape_interval_ms is not None
-            or slo_target is not None
-            or slo_burn_windows is not None
-        ):
-            # Combined replace: tuning any monitor knob implies monitoring.
-            overrides = {}
-            if scrape_interval_ms is not None:
-                overrides["scrape_interval_ms"] = scrape_interval_ms
-                if monitoring is None:
-                    monitoring = True
-            if slo_target is not None:
-                overrides["slo_target"] = slo_target
-                if monitoring is None:
-                    monitoring = True
-            if slo_burn_windows is not None:
-                overrides["slo_burn_windows"] = tuple(
-                    tuple(window) for window in slo_burn_windows
-                )
-                if monitoring is None:
-                    monitoring = True
-            if monitoring is not None:
-                overrides["monitoring"] = monitoring
-            config = replace(config, control=replace(config.control, **overrides))
-        if (
-            faults is not None
-            or fault_seed is not None
-            or fault_plan is not None
-            or heartbeat_interval_ms is not None
-        ):
-            # Combined replace: tuning any chaos knob implies faults=True
-            # (config validation rejects fault_plan without faults).
-            overrides = {}
-            if fault_seed is not None:
-                overrides["fault_seed"] = fault_seed
-                if faults is None:
-                    faults = True
-            if fault_plan is not None:
-                overrides["fault_plan"] = tuple(tuple(entry) for entry in fault_plan)
-                if faults is None:
-                    faults = True
-            if heartbeat_interval_ms is not None:
-                overrides["heartbeat_interval_ms"] = heartbeat_interval_ms
-                if faults is None:
-                    faults = True
-            if faults is not None:
-                overrides["faults"] = faults
-            config = replace(config, control=replace(config.control, **overrides))
-        if brownout is not None or brownout_chunk_scale is not None:
-            # Combined replace: brownout subscribes to the monitor's burn-rate
-            # alerts and sheds through the QoS gate, so it implies both
-            # services (config validation rejects brownout without them).
-            overrides = {}
-            if brownout_chunk_scale is not None:
-                overrides["brownout_chunk_scale"] = brownout_chunk_scale
-                if brownout is None:
-                    brownout = True
-            if brownout is not None:
-                overrides["brownout"] = brownout
-                if brownout and not config.control.monitoring:
-                    overrides["monitoring"] = True
-                if brownout and not config.control.qos:
-                    overrides["qos"] = True
-            config = replace(config, control=replace(config.control, **overrides))
-        self.config = config
+        self.config = with_overrides(config or PieConfig(), overrides)
         registry = ModelRegistry(models or ["llama-sim-1b"])
         self.registry = registry
         self.external = external or ExternalServices(sim)
@@ -230,6 +79,12 @@ class PieServer:
         """The flight recorder, or None when ``tracing`` is off."""
         return self.controller.trace
 
+    @staticmethod
+    def _require(plane, knob: str):
+        if plane is None:
+            raise ClientError(f"{knob} is off: construct the server with {knob}=True")
+        return plane
+
     def export_trace(self, path: Optional[str] = None) -> int:
         """Write the recorded trace; returns the number of events exported.
 
@@ -237,12 +92,11 @@ class PieServer:
         suffix selects the line-delimited event log, anything else the
         Chrome/Perfetto ``trace_event`` JSON document.
         """
-        if self.controller.trace is None:
-            raise ClientError("tracing is off: construct the server with tracing=True")
+        trace = self._require(self.controller.trace, "tracing")
         target = path or self.config.control.trace_path
         if not target:
             raise ClientError("no trace path: pass export_trace(path=...) or set trace_path")
-        return self.controller.trace.export(target)
+        return trace.export(target)
 
     @property
     def monitor(self):
@@ -251,11 +105,7 @@ class PieServer:
 
     def prometheus_metrics(self) -> str:
         """Prometheus text exposition of the monitor's metric registry."""
-        if self.controller.monitor is None:
-            raise ClientError(
-                "monitoring is off: construct the server with monitoring=True"
-            )
-        return self.controller.monitor.to_prometheus()
+        return self._require(self.controller.monitor, "monitoring").to_prometheus()
 
     def export_metrics(self, path: Optional[str] = None):
         """Snapshot the monitor's registry and SLO state.
@@ -264,16 +114,8 @@ class PieServer:
         format; anything else (or no path) produces the JSON snapshot
         document, which is also returned.
         """
-        if self.controller.monitor is None:
-            raise ClientError(
-                "monitoring is off: construct the server with monitoring=True"
-            )
-        monitor = self.controller.monitor
+        monitor = self._require(self.controller.monitor, "monitoring")
         document = monitor.snapshot_document()
-        if self.controller.faults is not None:
-            document["faults"] = [
-                dict(record) for record in self.controller.faults.injected
-            ]
         if path is not None:
             target = str(path)
             if target.endswith((".prom", ".txt")):

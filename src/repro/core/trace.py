@@ -12,9 +12,10 @@ KV-pool occupancy, link busy fraction).
 Design constraints, in order:
 
 1. **Inert when off.**  ``ControlLayerConfig.tracing`` defaults to False
-   and no :class:`TraceRecorder` is constructed; every subsystem takes
-   ``trace=None`` and guards each emission with a single ``if``, the same
-   zero-overhead optional-hook pattern as the QoS/chunking/transfer knobs.
+   and no :class:`TraceRecorder` is constructed: the controller's
+   ``observers`` / ``timers`` hold no :class:`LifecycleTracer` and no
+   sampler, and every subsystem that emits per-site spans takes
+   ``trace=None`` and guards each emission with a single ``if``.
 2. **Non-perturbing when on.**  Emission only *reads* simulator state
    (``sim.now``) and appends to Python-side buffers: no RNG draws, no
    future resolution, no state mutation the serving path can observe.  The
@@ -24,7 +25,7 @@ Design constraints, in order:
    tokens and every virtual timestamp stay bit-identical to a run with
    tracing off (asserted in ``tests/test_determinism.py``).
 3. **Bounded.**  Completed events live in a ring buffer of
-   ``trace_max_events``; the oldest are evicted first.  *Open* spans are
+   :data:`TRACE_MAX_EVENTS`; the oldest are evicted first.  *Open* spans are
    held out of the ring (in a side table keyed by span id) until they are
    ended, so eviction can never orphan a begin/close pair: a span is
    either still open, fully present, or fully evicted.
@@ -41,7 +42,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from itertools import count
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+
+from repro.core.inferlet import LifecycleObserver
+from repro.sim.periodic import PeriodicService
+
+#: Ring-buffer bound on completed trace events (oldest evicted first).
+TRACE_MAX_EVENTS = 200_000
 
 #: Span/event categories emitted by the instrumented subsystems.  The
 #: stall-attribution sweep in ``repro.tools.trace_report`` keys off these.
@@ -68,10 +75,9 @@ class TraceRecorder:
     expects.  Instances are cheap; everything is plain dicts and a deque.
     """
 
-    def __init__(self, sim, max_events: int = 200_000, sample_seconds: float = 0.0):
+    def __init__(self, sim, max_events: int = TRACE_MAX_EVENTS):
         self.sim = sim
         self.max_events = int(max_events)
-        self.sample_seconds = float(sample_seconds)
         # Completed events only (ph X / i / C), in completion order.
         self._events: Deque[dict] = deque(maxlen=self.max_events)
         # Open spans by id: never evicted, so begin/close pairs stay
@@ -80,10 +86,7 @@ class TraceRecorder:
         self._span_ids = count(1)
         #: Total events ever emitted (evicted ones included).
         self.total_emitted = 0
-        #: Sampler bookkeeping (installed by the controller when tracing).
-        self._sample_fn: Optional[Callable[["TraceRecorder"], None]] = None
-        self._active_fn: Optional[Callable[[], bool]] = None
-        self._sampler_armed = False
+        #: Telemetry ticks recorded by :func:`telemetry_sampler`.
         self.samples_taken = 0
 
     # -- span / event emission --------------------------------------------
@@ -209,40 +212,6 @@ class TraceRecorder:
         """Spans begun but not yet ended (never subject to eviction)."""
         return list(self._open.values())
 
-    # -- periodic telemetry sampler ----------------------------------------
-
-    def install_sampler(
-        self,
-        sample_fn: Callable[["TraceRecorder"], None],
-        active_fn: Callable[[], bool],
-    ) -> None:
-        """Install the periodic sampler.
-
-        ``sample_fn(recorder)`` records one tick of counter events; it must
-        be read-only with respect to simulation state.  ``active_fn()``
-        gates re-arming: once it reports False the timer stops, keeping the
-        event queue drainable, and :meth:`poke_sampler` (called on inferlet
-        registration) restarts it when activity resumes.
-        """
-        self._sample_fn = sample_fn
-        self._active_fn = active_fn
-
-    def poke_sampler(self) -> None:
-        """(Re)arm the sampling timer; no-op if already armed or disabled."""
-        if self._sample_fn is None or self.sample_seconds <= 0:
-            return
-        if self._sampler_armed:
-            return
-        self._sampler_armed = True
-        self.sim.schedule(self.sample_seconds, self._sampler_tick)
-
-    def _sampler_tick(self) -> None:
-        self._sampler_armed = False
-        self.samples_taken += 1
-        self._sample_fn(self)
-        if self._active_fn is not None and self._active_fn():
-            self.poke_sampler()
-
     # -- exporters ---------------------------------------------------------
 
     def _export_events(self) -> Iterable[dict]:
@@ -361,6 +330,112 @@ class TraceRecorder:
         if str(path).endswith(".jsonl"):
             return self.export_jsonl(path)
         return self.export_perfetto(path)
+
+
+class LifecycleTracer(LifecycleObserver):
+    """The trace's view of an inferlet's life: two spans per inferlet.
+
+    The lifecycle span covers launch -> final release; the admission span
+    covers launch -> running (or abort/failure), so ``trace_report`` can
+    attribute pre-run wait separately.
+    """
+
+    def __init__(self, recorder: TraceRecorder) -> None:
+        self.recorder = recorder
+        # instance id -> (lifecycle span, admission span)
+        self._spans: Dict[str, Tuple[int, int]] = {}
+
+    def note_launch_requested(self, instance) -> None:
+        self._spans[instance.instance_id] = (
+            self.recorder.begin(
+                "inferlet",
+                "lifecycle",
+                inferlet=instance.instance_id,
+                args={"program": instance.program.name, "tenant": instance.tenant},
+            ),
+            self.recorder.begin("launch", "admission", inferlet=instance.instance_id),
+        )
+
+    def note_running(self, instance) -> None:
+        self.recorder.end(self._spans[instance.instance_id][1])
+
+    def note_reclaimed(self, victim, requester, shard) -> None:
+        self.recorder.instant(
+            "reclaim_terminate",
+            "sched",
+            shard=shard.index,
+            inferlet=victim.instance_id,
+            args={"requester": requester.instance_id},
+        )
+
+    def note_finished(self, instance) -> None:
+        lifecycle, admission = self._spans.pop(instance.instance_id, (None, None))
+        # The admission span is still open only if the launch never ran.
+        outcome = "aborted" if instance.status == "terminated" else "failed"
+        self.recorder.end(admission, args={outcome: True})
+        self.recorder.end(lifecycle, args={"status": instance.status})
+
+
+def telemetry_sampler(recorder: TraceRecorder, controller) -> PeriodicService:
+    """The flight recorder's periodic per-shard telemetry.
+
+    Every sample is a pure read of simulator state — queue depths,
+    busy-time deltas, pool occupancy, link busy fractions — so the timer's
+    presence changes no virtual timestamp anywhere.
+    """
+    control, gpu = controller.config.control, controller.config.gpu
+    period = control.trace_sample_ms / 1e3
+    budget = (
+        control.max_batch_tokens or gpu.max_batch_tokens
+        if control.chunked_prefill
+        else gpu.max_batch_tokens
+    )
+    last_busy: Dict[Any, float] = {}
+    last_forward: Dict[Any, Tuple[float, float]] = {}
+
+    def busy_frac(key: Any, busy: float) -> float:
+        frac = min(1.0, (busy - last_busy.get(key, 0.0)) / period)
+        last_busy[key] = busy
+        return frac
+
+    def sample() -> None:
+        recorder.samples_taken += 1
+        for service in controller.services():
+            for shard in service.shards:
+                key = (service.entry.name, shard.index)
+                readings = shard.readings()
+                stats = shard.scheduler.stats
+                tokens = float(stats.forward_tokens_dispatched)
+                batches = float(stats.batches_by_kind.get("forward", 0))
+                last_tokens, last_batches = last_forward.get(key, (0.0, 0.0))
+                d_batches = batches - last_batches
+                mean_tokens = (tokens - last_tokens) / d_batches if d_batches else 0.0
+                last_forward[key] = (tokens, batches)
+                recorder.counter(
+                    "telemetry",
+                    {
+                        "queue_depth": readings["queue_depth"],
+                        "busy_frac": busy_frac(key, readings["busy_seconds"]),
+                        "kv_occupancy": readings["kv_occupancy"],
+                        "embed_occupancy": readings["embed_occupancy"],
+                        "batch_tokens_mean": mean_tokens,
+                        "batch_token_util": mean_tokens / budget if budget else 0.0,
+                    },
+                    shard=shard.index,
+                )
+            if service.host_pool.enabled:
+                recorder.counter(
+                    "host_kv",
+                    {"occupancy": service.host_pool.num_used / service.host_pool.capacity},
+                )
+            if service.transfer is not None:
+                for link in service.transfer.links():
+                    recorder.counter(
+                        link.name,
+                        {"busy_frac": busy_frac(("link", link.name), link.busy_seconds)},
+                    )
+
+    return PeriodicService(controller.sim, period, sample, controller.has_live_inferlets)
 
 
 def _jsonable(value):

@@ -51,12 +51,22 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import OutOfResourcesError, SchedulingError
 from repro.core.command_queue import Command
-from repro.core.config import ControlLayerConfig
 from repro.core.metrics import SystemMetrics
 from repro.gpu.host_pool import kv_page_bytes
 from repro.sim.latency import ConstantLatency, milliseconds
 from repro.sim.network import NetworkLink
 from repro.sim.simulator import Simulator
+
+# Model constants, not configurable.
+#: Newly committed (provably full) pages that trigger a streaming event
+#: during prefill; larger would trade overlap for fewer, bigger transfers.
+STREAM_MIN_PAGES = 1
+#: The modeled device-to-device interconnect for KV streaming: one-way
+#: latency plus a bandwidth term, approximating a PCIe-class link (the
+#: per-page landing cost on the destination device comes from
+#: ``KernelCostModel.kv_transfer_cost``).
+LINK_LATENCY_MS = 0.05
+LINK_GBYTES_PER_S = 16.0
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.inferlet import InferletInstance
@@ -108,17 +118,16 @@ class KvTransferScheduler:
         shards: List["DeviceShard"],
         router: "Router",
         cost_model: "KernelCostModel",
-        control_config: ControlLayerConfig,
         metrics: SystemMetrics,
         swap: "SwapManager",
         qos: Optional["QosService"] = None,
         trace=None,
+        retry=None,
     ) -> None:
         self.sim = sim
         self.shards = shards
         self.router = router
         self.cost_model = cost_model
-        self.control = control_config
         self.metrics = metrics
         self.swap = swap
         self.qos = qos
@@ -128,7 +137,6 @@ class KvTransferScheduler:
         self._trace = trace
         self.page_size = cost_model.config.kv_page_size
         self.page_bytes = kv_page_bytes(cost_model.config)
-        self.min_stream_pages = max(1, control_config.disagg_stream_min_pages)
         self._streams: Dict[str, _Stream] = {}
         self._forwards: Dict[int, _ForwardTrack] = {}  # parent command_id ->
         self._links: Dict[Tuple[int, int], NetworkLink] = {}
@@ -136,20 +144,16 @@ class KvTransferScheduler:
         # reclamation path, so the handoff tail competes for destination
         # capacity under exactly the same policy as any allocation.
         self._capacity_hook = None
-        # Chaos plane (repro.core.retry): when installed, refused handoffs
-        # (no destination capacity / no healthy decode shard) are retried
-        # on a backoff timer instead of waiting for the next sample
+        # Chaos plane (repro.core.retry): given its RetryPolicy, refused
+        # handoffs (no destination capacity / no healthy decode shard) are
+        # retried on a backoff timer instead of waiting for the next sample
         # completion that will never come on a quiescent owner.
-        self._retry = None
+        self._retry = retry
         self._retry_attempts: Dict[str, int] = {}
 
     def bind_capacity_hook(self, hook) -> None:
         """``hook(dst_shard, instance, kv_pages, embeds)`` ensures room."""
         self._capacity_hook = hook
-
-    def set_retry(self, policy) -> None:
-        """Install the chaos plane's RetryPolicy for refused handoffs."""
-        self._retry = policy
 
     # -- controller-facing hooks (submit path) -----------------------------
 
@@ -237,7 +241,7 @@ class KvTransferScheduler:
         for pid in want:
             if pid not in stream.staged and pid not in stream.queued:
                 stream.queued.append(pid)
-        if len(stream.queued) >= self.min_stream_pages:
+        if len(stream.queued) >= STREAM_MIN_PAGES:
             self._flush_queued(track.owner, stream)
 
     def _flush_queued(self, owner: str, stream: _Stream) -> None:
@@ -307,9 +311,9 @@ class KvTransferScheduler:
         if link is None:
             link = NetworkLink(
                 self.sim,
-                latency=ConstantLatency(milliseconds(self.control.disagg_link_latency_ms)),
+                latency=ConstantLatency(milliseconds(LINK_LATENCY_MS)),
                 name=f"kvlink:{src_index}->{dst_index}",
-                bytes_per_second=self.control.disagg_link_gbytes_per_s * 1e9,
+                bytes_per_second=LINK_GBYTES_PER_S * 1e9,
             )
             if self._trace is not None:
                 link.set_tracer(self._trace_wire)

@@ -19,6 +19,7 @@ from repro.sim.tasks import Task
 from repro.sim.simulator import Simulator
 from repro.sim.latency import LatencyModel, ConstantLatency, UniformLatency, NormalLatency
 from repro.sim.network import NetworkLink
+from repro.sim.periodic import PeriodicService
 from repro.sim.faults import FAULT_KINDS, FaultInjector, FaultPlan
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "UniformLatency",
     "NormalLatency",
     "NetworkLink",
+    "PeriodicService",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",

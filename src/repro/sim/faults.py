@@ -215,21 +215,15 @@ class FaultInjector:
         #: monitor snapshot so SLO reports can line alerts up with causes.
         self.injected: List[dict] = []
         self._tool_windows: List[_ToolWindow] = []
-        # Shard faults route to the health service; link faults to a
-        # callable yielding the live KV links.  Installed via bind().
+        # Shard faults route to the health service, which also knows the
+        # live KV links (the target of link faults).  Installed via bind().
         self._health = None
-        self._links_fn: Optional[Callable[[], list]] = None
-        self._armed = False
 
-    def bind(self, health=None, links_fn: Optional[Callable[[], list]] = None) -> None:
+    def bind(self, health) -> None:
         self._health = health
-        self._links_fn = links_fn
 
     def arm(self) -> None:
-        """Schedule every plan entry on the virtual clock (idempotent)."""
-        if self._armed:
-            return
-        self._armed = True
+        """Schedule every plan entry on the virtual clock (call once)."""
         now = self.sim.now
         for entry in self.plan:
             self.sim.schedule(max(0.0, entry[1] - now), self._fire, entry)
@@ -282,7 +276,7 @@ class FaultInjector:
         before any stream exists is a recorded no-op — the trace instant
         still lands, carrying ``links=0``.
         """
-        links = list(self._links_fn()) if self._links_fn is not None else []
+        links = self._health.live_links() if self._health is not None else []
         for link in links:
             apply(link)
         if self.metrics is not None:

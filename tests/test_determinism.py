@@ -452,3 +452,33 @@ def test_disagg_composed_with_qos_and_chunked_is_bit_identical():
     assert first["metrics"]["qos_admitted"] > 0
     off = run_stack(qos=True, chunked=True, disagg=False)
     assert first["results"] == off["results"]
+
+
+def test_three_observers_together_do_not_perturb_the_run():
+    """Tracing + monitoring + QoS on together: every lifecycle fact is then
+    published to three observers at once.  Tokens and each inferlet's
+    first-token / finish timestamps match the all-planes-off run, and with
+    every knob off there is nobody to tell."""
+    sim = Simulator(seed=1)
+    assert PieServer(sim, num_devices=2).controller.observers == ()
+    assert PieServer(sim, num_devices=2).controller.timers == ()
+    together = PieServer(sim, num_devices=2, qos=True, monitoring=True, tracing=True)
+    assert [type(o).__name__ for o in together.controller.observers] == [
+        "QosService",
+        "MonitorService",
+        "LifecycleTracer",
+    ]
+    on = run_stack(qos=True, tracing=True, monitoring=True)
+    off = run_stack()
+    assert on["now"] == off["now"]
+    assert on["results"] == off["results"]
+    assert set(on["metrics"]["per_inferlet"]) == set(off["metrics"]["per_inferlet"])
+    for name, record in on["metrics"]["per_inferlet"].items():
+        baseline = off["metrics"]["per_inferlet"][name]
+        for stamp in ("first_token_at", "last_token_at", "started_at", "finished_at"):
+            assert record[stamp] == baseline[stamp], (name, stamp)
+        assert record["output_tokens"] == baseline["output_tokens"]
+    # All three planes saw the fleet.
+    assert on["trace_categories"].get("lifecycle", 0) == len(on["results"])
+    assert on["monitor_scrapes"] > 0
+    assert on["metrics"]["qos_admitted"] == len(on["results"])

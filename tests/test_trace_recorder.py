@@ -3,7 +3,8 @@
 The serving-path integration (bit-identity, off-knob inertness) lives in
 tests/test_determinism.py; here the recorder's own guarantees are pinned:
 bounded ring eviction that never orphans a begin/close pair, idempotent
-span closing, sampler re-arm gating, and exporter round-trips.
+span closing, and exporter round-trips.  The telemetry sampler's timer is a
+``PeriodicService`` (tests/test_periodic_service.py).
 """
 
 import json
@@ -12,9 +13,9 @@ from repro.core.trace import TraceRecorder
 from repro.sim import Simulator
 
 
-def make_recorder(max_events=10, sample_seconds=0.0):
+def make_recorder(max_events=10):
     sim = Simulator(seed=1)
-    return sim, TraceRecorder(sim, max_events=max_events, sample_seconds=sample_seconds)
+    return sim, TraceRecorder(sim, max_events=max_events)
 
 
 # -- spans & ring buffer ------------------------------------------------------
@@ -77,37 +78,6 @@ def test_events_filter_by_category():
     trace.counter("telemetry", {"queue_depth": 2}, shard=0)
     assert [e["name"] for e in trace.events("swap")] == ["a"]
     assert [e["name"] for e in trace.events("counter")] == ["telemetry"]
-
-
-# -- sampler ------------------------------------------------------------------
-
-
-def test_sampler_rearms_while_active_then_stops():
-    sim, trace = make_recorder(sample_seconds=0.1)
-    active = {"value": True}
-    trace.install_sampler(
-        lambda recorder: recorder.counter("telemetry", {"tick": 1}),
-        lambda: active["value"],
-    )
-    trace.poke_sampler()
-    trace.poke_sampler()  # double poke must not double-arm
-    sim.run_until_complete(sim.sleep(0.35))
-    assert trace.samples_taken == 3
-    active["value"] = False
-    sim.run_until_complete(sim.sleep(0.5))
-    # One final tick fires from the already-armed timer, then the chain stops.
-    assert trace.samples_taken == 4
-
-
-def test_sampler_disabled_without_period_or_fn():
-    sim, trace = make_recorder(sample_seconds=0.0)
-    trace.install_sampler(lambda r: r.counter("t", {}), lambda: True)
-    trace.poke_sampler()  # period 0: stays disarmed
-    sim.run_until_complete(sim.sleep(1.0))
-    assert trace.samples_taken == 0
-    _, bare = make_recorder(sample_seconds=0.1)
-    bare.poke_sampler()  # no sample_fn installed: no-op
-    assert not bare._sampler_armed
 
 
 # -- exporters ----------------------------------------------------------------
