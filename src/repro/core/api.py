@@ -74,8 +74,6 @@ class InferletContext:
         self._instance.check_alive()
         overhead = self._controller.charge_call(self._instance, api_name)
         overhead += self._wasm_overhead
-        if trait_of_api(api_name) == "Core":
-            overhead += 0.0  # control-layer calls already include the crossing
         self._instance.pending_overhead += overhead
         return overhead
 

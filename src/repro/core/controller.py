@@ -641,9 +641,9 @@ class Controller:
             # the cache never rebinds a page a command could still observe.
             kv_pids = [rid for tag, rid in (reads | writes) if tag == "kv"]
             if kv_pids:
-                cache.note_busy(kv_pids)
+                ticket = cache.note_busy(kv_pids)
                 future.add_done_callback(
-                    lambda _f, c=cache, p=kv_pids: c.release_busy(p)
+                    lambda _f, c=cache, t=ticket: c.release_busy(t)
                 )
         if service.transfer is not None and service.router.on_prefill_shard(
             instance.instance_id

@@ -43,7 +43,7 @@ Safety rules (mirroring the swap manager's):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ResourceError
 from repro.core.config import ControlLayerConfig
@@ -80,6 +80,25 @@ class PrefixNode:
         return not self.children
 
 
+@dataclass(eq=False)
+class _ChainCursor:
+    """What the last forward over a run of pages verified, so that the next
+    one does not re-read every page.
+
+    ``pids`` are the written pages of one context, in order; ``chain`` is
+    their tracked tokens, concatenated; ``node`` is the deepest radix node
+    the chain's registration walk has reached, ``depth`` pages down.  While a
+    cursor is remembered, ``_page_tokens`` holds ``chain`` cut into pages for
+    exactly these pids and none of them is tainted: whatever breaks that
+    forgets the cursor (see :meth:`PrefixCacheService._forget_cursors`).
+    """
+
+    pids: List[int]
+    chain: List[int]
+    node: PrefixNode
+    depth: int
+
+
 class PrefixCacheService:
     """Per-shard automatic prefix cache over committed KV pages."""
 
@@ -106,8 +125,13 @@ class PrefixCacheService:
         self._page_tokens: Dict[int, List[int]] = {}
         # token identity of written embedding slots: slot -> (token, position)
         self._emb_tokens: Dict[int, Tuple[int, int]] = {}
-        # physical KV pages referenced by issued-but-unretired commands.
-        self._busy_pids: Dict[int, int] = {}
+        # physical KV pages referenced by issued-but-unretired commands: one
+        # page set per command, keyed by the ticket note_busy hands out.
+        self._busy: Dict[int, FrozenSet[int]] = {}
+        self._busy_tickets = 0
+        # chain cursors by the last page of their run, and by every page.
+        self._cursors: Dict[int, _ChainCursor] = {}
+        self._cursors_by_pid: Dict[int, Set[_ChainCursor]] = {}
         # pages mutated by mask/clear/copy since allocation: never (re)
         # registered, since their contents no longer follow token
         # addressing.  Cleared when the physical page returns to the pool.
@@ -164,24 +188,25 @@ class PrefixCacheService:
 
     # -- busy-page tracking (driven by the controller's command path) ------
 
-    def note_busy(self, pids: Sequence[int]) -> None:
-        for pid in pids:
-            self._busy_pids[pid] = self._busy_pids.get(pid, 0) + 1
+    def note_busy(self, pids: Sequence[int]) -> int:
+        """A command referencing these pages was issued; returns the ticket
+        :meth:`release_busy` takes when the command retires."""
+        self._busy_tickets += 1
+        self._busy[self._busy_tickets] = frozenset(pids)
+        return self._busy_tickets
 
     def busy_pins(self, pids: Sequence[int]) -> int:
         """Total busy pins currently held against the given physical pages
         (observability for tests and debugging; busy pins from *other*
         owners' cache-shared reads are deliberately not a handoff blocker —
         migration copies pages without mutating them)."""
-        return sum(self._busy_pids.get(pid, 0) for pid in pids)
+        return sum(pid in pages for pages in self._busy.values() for pid in pids)
 
-    def release_busy(self, pids: Sequence[int]) -> None:
-        for pid in pids:
-            count = self._busy_pids.get(pid, 0) - 1
-            if count <= 0:
-                self._busy_pids.pop(pid, None)
-            else:
-                self._busy_pids[pid] = count
+    def release_busy(self, ticket: int) -> None:
+        del self._busy[ticket]
+
+    def _is_busy(self, pid: int) -> bool:
+        return any(pid in pages for pages in self._busy.values())
 
     # -- invalidation ------------------------------------------------------
 
@@ -194,6 +219,7 @@ class PrefixCacheService:
         hook must then refuse to register the page.
         """
         self._page_tokens.pop(pid, None)
+        self._forget_cursors(pid)
         self._tainted.add(pid)
         node = self._by_pid.get(pid)
         if node is not None:
@@ -202,6 +228,7 @@ class PrefixCacheService:
     def on_physical_freed(self, pid: int) -> None:
         """Resource-manager callback: a physical page returned to the pool."""
         self._page_tokens.pop(pid, None)
+        self._forget_cursors(pid)
         self._tainted.discard(pid)
         self._cache_shared.discard(pid)
 
@@ -289,16 +316,17 @@ class PrefixCacheService:
                 return iemb, None
             new_tokens.append(record[0])
 
-        existing = self._existing_chain(ikv_pids)
-        if existing is None:
+        cursor = self._existing_chain(ikv_pids)
+        if cursor is None:
             return iemb, None
+        existing = cursor.chain
         # The new tokens must extend the chain contiguously.
         for index, slot in enumerate(iemb_ids):
             if self._emb_tokens[slot][1] != len(existing) + index:
                 return iemb, None
 
         chain = existing + new_tokens
-        finish = self._make_finish(owner, list(ikv), chain)
+        finish = self._make_finish(owner, list(ikv), ikv_pids, cursor, chain)
 
         size = self.page_size
         full_existing, remainder = divmod(len(existing), size)
@@ -319,31 +347,76 @@ class PrefixCacheService:
         self.metrics.prefix_cache_saved_tokens += saved
         return iemb[saved:], finish
 
-    def _existing_chain(self, ikv_pids: Sequence[int]) -> Optional[List[int]]:
-        """Token chain already committed across the context pages, in order.
+    def _existing_chain(self, ikv_pids: List[int]) -> Optional[_ChainCursor]:
+        """Token chain already committed across the context pages, in order,
+        as the cursor that remembers it (an unremembered one when no page is
+        written yet).
 
         Requires the conventional layout — full pages, then at most one
         partial page, then empty pages; any page holding tokens the tracker
         cannot account for makes the chain unknown (returns None).
         """
+        size = self.page_size
+        counts = self.memory.kv_pages.valid_counts(ikv_pids)
+        used = len(counts) - counts.count(0)
+        if used and (counts[used - 1] == 0 or counts[: used - 1].count(size) != used - 1):
+            return None
+        if not self._tainted.isdisjoint(ikv_pids):
+            return None
+        if not self._page_tokens.keys().isdisjoint(ikv_pids[used:]):
+            return None  # tokens tracked on a page nothing is written to
+        if not used:
+            return _ChainCursor([], [], self._root, 0)
+        written = ikv_pids[:used]
+        cursor = self._cursors.get(written[-1])
+        if (
+            cursor is not None
+            and cursor.pids == written
+            and len(cursor.chain) == (used - 1) * size + counts[used - 1]
+        ):
+            return cursor
         chain: List[int] = []
-        saw_partial = False
-        for pid in ikv_pids:
-            if pid in self._tainted:
-                return None
+        for pid, count in zip(written, counts):
             tokens = self._page_tokens.get(pid)
-            count = len(tokens) if tokens else 0
-            if count != self.memory.kv_pages.page(pid).num_valid:
+            if tokens is None or len(tokens) != count:
                 return None
-            if count == 0:
-                saw_partial = True  # only empties may follow
-                continue
-            if saw_partial:
-                return None
-            if count < self.page_size:
-                saw_partial = True
             chain.extend(tokens)
-        return chain
+        return self._remember(written, chain, self._root, 0)
+
+    # -- chain cursors -------------------------------------------------------
+
+    def _remember(
+        self, pids: List[int], chain: List[int], node: PrefixNode, depth: int
+    ) -> _ChainCursor:
+        """Remember a verified run of written pages under its last page."""
+        stale = self._cursors.get(pids[-1])
+        if stale is not None:
+            self._forget(stale)
+        cursor = _ChainCursor(pids, chain, node, depth)
+        self._cursors[pids[-1]] = cursor
+        for pid in pids:
+            self._cursors_by_pid.setdefault(pid, set()).add(cursor)
+        return cursor
+
+    def _remembered(self, cursor: _ChainCursor) -> bool:
+        return bool(cursor.pids) and self._cursors.get(cursor.pids[-1]) is cursor
+
+    def _forget(self, cursor: _ChainCursor) -> None:
+        if self._remembered(cursor):
+            del self._cursors[cursor.pids[-1]]
+        for pid in cursor.pids:
+            holders = self._cursors_by_pid.get(pid)
+            if holders is not None:
+                holders.discard(cursor)
+                if not holders:
+                    del self._cursors_by_pid[pid]
+
+    def _forget_cursors(self, pid: int, keep: Optional[_ChainCursor] = None) -> None:
+        """The tracked tokens of ``pid`` are changing under every cursor that
+        holds it (except ``keep``, which its caller updates itself)."""
+        for cursor in list(self._cursors_by_pid.get(pid, ())):
+            if cursor is not keep:
+                self._forget(cursor)
 
     def _adopt(
         self,
@@ -357,6 +430,9 @@ class PrefixCacheService:
         """Rebind the caller's fresh pages to the cached path; returns pages."""
         used = 0
         faulted = 0
+        num_valid = self.memory.kv_pages.valid_counts(
+            ikv_pids[full_existing : full_existing + len(usable)]
+        )
         for offset, node in enumerate(usable):
             index = full_existing + offset
             if index >= len(ikv):
@@ -372,7 +448,7 @@ class PrefixCacheService:
                 self._touch(node)
                 used += 1
                 continue
-            if not self._fresh(old_pid):
+            if not self._fresh(old_pid, num_valid[offset]):
                 break
             if node.pid is not None:
                 self.resources.rebind_kv(owner, handle, node.pid)
@@ -400,21 +476,28 @@ class PrefixCacheService:
             )
         return used
 
-    def _fresh(self, pid: int) -> bool:
+    def _fresh(self, pid: int, num_valid: int) -> bool:
         """A page safe to rebind away from: untouched and unobserved."""
         return (
-            self.resources.kv_refcount(pid) == 1
+            num_valid == 0
+            and self.resources.kv_refcount(pid) == 1
             and pid not in self._by_pid
-            and pid not in self._busy_pids
             and pid not in self._tainted
-            and self.memory.kv_pages.page(pid).num_valid == 0
+            and not self._is_busy(pid)
         )
 
     # -- registration (runs when the producing forward completes) ----------
 
     def _make_finish(
-        self, owner: str, ikv: List["KvPage"], chain: List[int]
+        self,
+        owner: str,
+        ikv: List["KvPage"],
+        ikv_pids: List[int],
+        cursor: _ChainCursor,
+        chain: List[int],
     ) -> Callable[["SimFuture"], None]:
+        existing = len(cursor.chain)
+
         def finish(future: "SimFuture") -> None:
             if future.exception() is not None:
                 return
@@ -424,7 +507,18 @@ class PrefixCacheService:
                 pids = self.resources.resolve_kv_many(owner, ikv)
             except ResourceError:
                 return
-            self._commit_chain(pids, chain)
+            if (
+                pids == ikv_pids
+                and self._remembered(cursor)
+                and len(cursor.chain) == existing
+                and self._page_tokens.keys().isdisjoint(pids[len(cursor.pids) :])
+            ):
+                # Pages and cursor are as begin_forward left them, so what is
+                # tracked is the chain this forward extended: only the pages
+                # its tokens landed in are left to look at.
+                self._commit_pages(pids, chain, existing // self.page_size, cursor)
+            else:
+                self._commit_chain(pids, chain)
 
         return finish
 
@@ -448,43 +542,88 @@ class PrefixCacheService:
             recorded.extend(tokens)
         if recorded != chain[: len(recorded)]:
             return
-        for index, pid in enumerate(pids):
+        # Pages tracked as full already hold their part of the chain; they
+        # must still be untainted and fully written.
+        full = pids[: len(recorded) // size]
+        if not self._tainted.isdisjoint(full):
+            return
+        if self.memory.kv_pages.valid_counts(full).count(size) != len(full):
+            return
+        self._commit_pages(pids, chain, len(full), None)
+
+    def _commit_pages(
+        self, pids: List[int], chain: List[int], start: int, cursor: Optional[_ChainCursor]
+    ) -> None:
+        """Track ``chain``'s tokens on the pages from index ``start`` on (the
+        ones before hold theirs already), register the full pages not yet in
+        the index, and leave a cursor on the run for the next forward."""
+        size = self.page_size
+        written = pids[: (len(chain) - 1) // size + 1]
+        landed = written[start:]
+        num_valid = self.memory.kv_pages.valid_counts(landed)
+        for offset, pid in enumerate(landed):
+            index = start + offset
             chunk = chain[index * size : (index + 1) * size]
-            if not chunk:
-                break
-            if pid in self._tainted:
-                return
             # A pipelined later forward may have committed further tokens
             # already; fewer than expected means the write never landed.
-            if self.memory.kv_pages.page(pid).num_valid < len(chunk):
+            if pid in self._tainted or num_valid[offset] < len(chunk):
+                if cursor is not None:
+                    self._forget(cursor)
                 return
-            self._page_tokens[pid] = list(chunk)
-        node = self._root
-        for index in range(len(chain) // size):
+            if self._page_tokens.get(pid) != chunk:
+                self._forget_cursors(pid, keep=cursor)
+                self._page_tokens[pid] = chunk
+        node, depth = self._root, 0
+        if cursor is not None and (cursor.node is self._root or cursor.node.parent is not None):
+            # The walk below would descend to the same node: a node is only
+            # unlinked together with everything under it.
+            node, depth = cursor.node, cursor.depth
+        node, depth = self._register(node, depth, pids, chain)
+        if len(chain) > len(written) * size:
+            chain = chain[: len(written) * size]  # more tokens than pages given
+        if cursor is None:
+            if written:
+                self._remember(written, chain, node, depth)
+        else:
+            fresh = written[len(cursor.pids) :]
+            if fresh:
+                del self._cursors[cursor.pids[-1]]
+                cursor.pids.extend(fresh)
+                for pid in fresh:
+                    self._cursors_by_pid.setdefault(pid, set()).add(cursor)
+                self._cursors[fresh[-1]] = cursor
+            cursor.chain, cursor.node, cursor.depth = chain, node, depth
+        self._enforce_capacity()
+
+    def _register(
+        self, node: PrefixNode, depth: int, pids: List[int], chain: List[int]
+    ) -> Tuple[PrefixNode, int]:
+        """Continue the registration walk of ``chain`` below ``node`` (which
+        covers its first ``depth`` pages); returns where it stopped."""
+        size = self.page_size
+        for index in range(depth, len(chain) // size):
             chunk = tuple(chain[index * size : (index + 1) * size])
             child = node.children.get(chunk[0])
-            if child is not None and child.tokens == chunk:
-                node = child
-                continue
-            if child is not None or index >= len(pids):
-                break
-            pid = pids[index]
-            if pid in self._by_pid or self._page_tokens.get(pid) != list(chunk):
-                break
-            self._seq += 1
-            child = PrefixNode(
-                tokens=chunk,
-                pid=pid,
-                parent=node,
-                last_used=self._tick(),
-                seq=self._seq,
-            )
-            node.children[chunk[0]] = child
-            self._by_pid[pid] = child
-            self.resources.pin_kv(pid)
-            self.metrics.prefix_cache_inserted_pages += 1
-            node = child
-        self._enforce_capacity()
+            if child is None or child.tokens != chunk:
+                if child is not None or index >= len(pids):
+                    break
+                pid = pids[index]
+                if pid in self._by_pid or self._page_tokens.get(pid) != list(chunk):
+                    break
+                self._seq += 1
+                child = PrefixNode(
+                    tokens=chunk,
+                    pid=pid,
+                    parent=node,
+                    last_used=self._tick(),
+                    seq=self._seq,
+                )
+                node.children[chunk[0]] = child
+                self._by_pid[pid] = child
+                self.resources.pin_kv(pid)
+                self.metrics.prefix_cache_inserted_pages += 1
+            node, depth = child, index + 1
+        return node, depth
 
     def _enforce_capacity(self) -> None:
         limit = self.config.prefix_cache_max_pages
@@ -530,7 +669,7 @@ class PrefixCacheService:
             shared = self.resources.kv_refcount(leaf.pid) > 1
             if shared and require_free:
                 continue  # importers keep the page resident; freeing helps nobody
-            if not shared and leaf.pid in self._busy_pids:
+            if not shared and self._is_busy(leaf.pid):
                 # Freeing the page would let it be reallocated under an
                 # issued-but-unretired command that still references it.
                 continue

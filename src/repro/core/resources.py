@@ -215,7 +215,21 @@ class ResourceManager:
             raise ResourceError(f"{handle!r} is not mapped in {owner!r}") from None
 
     def resolve_kv_many(self, owner: str, handles: Sequence[KvPage]) -> List[int]:
-        return [self.resolve_kv(owner, handle) for handle in handles]
+        physical_ids = self._resolve_many(self._space(owner).kv_map, owner, handles)
+        if physical_ids is None:
+            return [self.resolve_kv(owner, handle) for handle in handles]
+        return physical_ids
+
+    @staticmethod
+    def _resolve_many(mapping: Dict[int, int], owner: str, handles) -> Optional[List[int]]:
+        """The handles' physical ids in one pass over the space's map, or None
+        when one is foreign, unmapped or swapped out: the per-handle path then
+        raises for the first such handle, with its message."""
+        try:
+            physical_ids = [mapping[h.vid] for h in handles if h.owner == owner]
+        except KeyError:
+            return None
+        return physical_ids if len(physical_ids) == len(handles) else None
 
     def _release_kv(self, physical_id: int) -> None:
         if self._kv_refs.decref(physical_id):
@@ -233,7 +247,7 @@ class ResourceManager:
 
     def pin_kv(self, physical_id: int) -> None:
         """Take a reference on a physical page (it must be allocated)."""
-        self.memory.kv_pages.page(physical_id)  # raises ResourceError if unallocated
+        self.memory.kv_pages.check_allocated(physical_id)
         self._kv_refs.incref(physical_id)
 
     def unpin_kv(self, physical_id: int) -> None:
@@ -296,12 +310,20 @@ class ResourceManager:
 
     def dealloc_embeds(self, owner: str, handles: Sequence[Embed]) -> None:
         space = self._space(owner)
-        for handle in handles:
-            self._check_owner(handle.owner, owner, handle)
-            physical_id = space.emb_map.pop(handle.vid, None)
-            if physical_id is None:
-                raise ResourceError(f"{handle!r} is not mapped (double free?)")
-            self._release_emb(physical_id)
+        unreferenced: List[int] = []
+        try:
+            for handle in handles:
+                self._check_owner(handle.owner, owner, handle)
+                physical_id = space.emb_map.pop(handle.vid, None)
+                if physical_id is None:
+                    raise ResourceError(f"{handle!r} is not mapped (double free?)")
+                if self._emb_refs.decref(physical_id):
+                    unreferenced.append(physical_id)
+        finally:
+            # One batch for the store (it validates the batch before it
+            # releases any slot); a bad handle still leaves the ones before
+            # it freed.
+            self.memory.embeds.free(unreferenced)
 
     def resolve_emb(self, owner: str, handle: Embed) -> int:
         space = self._space(owner)
@@ -312,7 +334,10 @@ class ResourceManager:
             raise ResourceError(f"{handle!r} is not mapped in {owner!r}") from None
 
     def resolve_emb_many(self, owner: str, handles: Sequence[Embed]) -> List[int]:
-        return [self.resolve_emb(owner, handle) for handle in handles]
+        physical_ids = self._resolve_many(self._space(owner).emb_map, owner, handles)
+        if physical_ids is None:
+            return [self.resolve_emb(owner, handle) for handle in handles]
+        return physical_ids
 
     def _release_emb(self, physical_id: int) -> None:
         if self._emb_refs.decref(physical_id):

@@ -229,11 +229,19 @@ class KvPageStore:
         self.valid[ids] = False
         self.visible[ids] = True
 
-    def page(self, page_id: int) -> PhysicalKvPage:
+    def check_allocated(self, page_id: int) -> None:
         if not self._pool.is_allocated(page_id):
             raise ResourceError(f"KV page {page_id} is not allocated")
+
+    def page(self, page_id: int) -> PhysicalKvPage:
+        self.check_allocated(page_id)
         row = (array[page_id] for array in (self.positions, self.valid, self.visible))
         return PhysicalKvPage(page_id, self.keys[:, page_id], self.values[:, page_id], *row)
+
+    def valid_counts(self, page_ids: Sequence[int]) -> List[int]:
+        """Written slots of each of ``page_ids`` (``page(pid).num_valid`` for
+        the whole list in one array operation, no page object built)."""
+        return self.valid.take(self._pool.checked(page_ids), axis=0).sum(axis=1).tolist()
 
     def _token_grid(self, ids: np.ndarray) -> np.ndarray:
         """Slab token index of every slot of pages ``ids``, page-then-slot order."""

@@ -45,7 +45,11 @@ class Context:
         self.generated_ids: List[int] = []
         self._pages: List[KvPage] = []
         self._page_fill: List[int] = []
-        self._sealed: List[bool] = []
+        # Index of the first page that still takes tokens.  Pages before it
+        # are never written again: they are full, or sealed (a fork's view
+        # of its parent's pages, an imported prefix).  Pages from it on are
+        # this context's own, filled in order.
+        self._write_cursor = 0
         self._owned_pages: List[KvPage] = []
         self._visible: List[bool] = []
         self._gen_emb: Embed = api.alloc_emb(self.queue, 1)[0]
@@ -78,11 +82,10 @@ class Context:
     # -- page management ------------------------------------------------------
 
     def _writable_capacity(self) -> int:
-        capacity = 0
-        for fill, sealed in zip(self._page_fill, self._sealed):
-            if not sealed:
-                capacity += self.page_size - fill
-        return capacity
+        writable = len(self._pages) - self._write_cursor
+        if not writable:
+            return 0
+        return writable * self.page_size - self._page_fill[self._write_cursor]
 
     def _ensure_capacity(self, n_tokens: int) -> None:
         missing = n_tokens - self._writable_capacity()
@@ -93,29 +96,20 @@ class Context:
         for page in new_pages:
             self._pages.append(page)
             self._page_fill.append(0)
-            self._sealed.append(False)
             self._owned_pages.append(page)
 
     def _writable_pages(self) -> List[KvPage]:
-        return [
-            page
-            for page, fill, sealed in zip(self._pages, self._page_fill, self._sealed)
-            if not sealed and fill < self.page_size
-        ]
+        return self._pages[self._write_cursor :]
 
     def _record_written(self, n_tokens: int) -> None:
-        remaining = n_tokens
-        for index in range(len(self._pages)):
-            if self._sealed[index]:
-                continue
-            free = self.page_size - self._page_fill[index]
-            take = min(free, remaining)
-            self._page_fill[index] += take
-            remaining -= take
-            if remaining == 0:
-                break
-        if remaining:
+        if n_tokens > self._writable_capacity():
             raise ReproError("internal accounting error: wrote more tokens than capacity")
+        while n_tokens:
+            take = min(self.page_size - self._page_fill[self._write_cursor], n_tokens)
+            self._page_fill[self._write_cursor] += take
+            n_tokens -= take
+            if self._page_fill[self._write_cursor] == self.page_size:
+                self._write_cursor += 1
 
     # -- prefill -----------------------------------------------------------------
 
@@ -252,7 +246,7 @@ class Context:
         child.generated_ids = []
         child._pages = list(self._pages)
         child._page_fill = list(self._page_fill)
-        child._sealed = [True] * len(self._pages)
+        child._write_cursor = len(self._pages)
         child._owned_pages = []
         child._visible = list(self._visible)
         child._gen_emb = self.api.alloc_emb(child.queue, 1)[0]
@@ -312,7 +306,7 @@ class Context:
         imported = api.import_kvpage(name, model=context.model)
         prefix_tokens = list(prefix_tokens)
         context._pages = list(imported)
-        context._sealed = [True] * len(imported)
+        context._write_cursor = len(imported)
         fills = []
         remaining = len(prefix_tokens)
         for _ in imported:

@@ -24,6 +24,7 @@ destination shard dies mid-stream.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.handles import KvPage
@@ -323,3 +324,67 @@ def test_randomised_interleaving_preserves_invariants(seed):
         assert rm.memory.kv_pages.num_free == KV_CAPACITY
         assert rm.list_exports() == []
     assert harness.rm.host_pool.num_used == 0
+
+
+def test_valid_counts_follow_every_writer_of_the_valid_bits():
+    """``KvPageStore.valid_counts`` is what the prefix cache reads instead of
+    ``page(pid).num_valid``: after every operation that writes ``valid`` —
+    through the store's kernels, through a page view, or from another device
+    — it must equal ``valid.sum(axis=1)`` on every allocated page."""
+    src = build_manager()
+    dst = build_manager(host_pool=src.host_pool)
+    config = src.memory.model_config
+    size = config.kv_page_size
+
+    def check(*managers):
+        for rm in managers or (src, dst):
+            store = rm.memory.kv_pages
+            ids = sorted(pid for space in rm._spaces.values() for pid in space.kv_map.values())
+            assert store.valid_counts(ids) == [int(store.valid[pid].sum()) for pid in ids]
+            assert store.valid_counts(ids) == [store.page(pid).num_valid for pid in ids]
+
+    def kv(count):
+        shape = (config.n_layers, count, config.n_kv_heads, config.d_head)
+        return np.ones(shape, dtype=np.float32), np.ones(shape, dtype=np.float32)
+
+    src.create_space("a")
+    pages = src.alloc_kv_pages("a", 4)
+    pids = src.resolve_kv_many("a", pages)
+    store = src.memory.kv_pages
+    assert store.valid_counts(pids) == [0, 0, 0, 0]
+    store.scatter(pids, None, *kv(size + 3), list(range(size + 3)))  # append
+    check()
+    assert store.valid_counts(pids) == [size, 3, 0, 0]
+    store.scatter(pids, 1, *kv(4), [1, 2, 3, 4])  # explicit offset over written slots
+    check()
+    assert store.valid_counts(pids) == [size, 3, 0, 0]
+    store.scatter(pids[2:], 5, *kv(2), [40, 41])  # ... and leaving a hole
+    check()
+    store.page(pids[3]).copy_token_from(store.page(pids[0]), [0, 1], [2, 7])
+    check()
+    assert store.valid_counts(pids) == [size, 3, 2, 2]
+    store.page(pids[1]).clear()
+    check()
+    assert store.valid_counts(pids) == [size, 0, 2, 2]
+    src.dealloc_kv_pages("a", pages[2:3])  # free: the page is reset for its next owner
+    [again] = src.alloc_kv_pages("a", 1)
+    assert src.resolve_kv_many("a", [again]) == [pids[2]]
+    check()
+    assert store.valid_counts([pids[2]]) == [0]
+    assert src.swap_out_kv("a") == 4  # host tier and back (host load)
+    check()
+    assert src.swap_in_kv("a") == 4
+    check()
+    live = [pages[0], pages[1], pages[3], again]
+    assert sorted(store.valid_counts(src.resolve_kv_many("a", live))) == [0, 0, 2, size]
+    # Handoff import: pages copied onto another device's slabs.
+    dst.create_space("a")
+    staged = dst.alloc_kv_pages("a", len(live))
+    for src_pid, dst_pid in zip(src.resolve_kv_many("a", live), dst.resolve_kv_many("a", staged)):
+        dst.memory.kv_pages.page(dst_pid).copy_page_from(store.page(src_pid))
+    check()
+    assert dst.memory.kv_pages.valid_counts(
+        dst.resolve_kv_many("a", staged)
+    ) == store.valid_counts(src.resolve_kv_many("a", live))
+    with pytest.raises(ResourceError):
+        store.valid_counts([KV_CAPACITY - 1])  # not allocated
