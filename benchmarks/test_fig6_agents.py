@@ -8,8 +8,6 @@ def test_fig6_agents(run_experiment):
     # Shape checks mirroring the paper's claims: Pie's throughput is at
     # least competitive on every agent and its advantage is largest on the
     # I/O-heaviest workload (Swarm).
-    for workload in ("react", "codeact", "swarm"):
-        pie = result.row_for("system", "pie") if False else None
     swarm_rows = {r["system"]: r for r in result.rows if r["workload"] == "swarm"}
     assert swarm_rows["pie"]["throughput_agents_per_s"] >= swarm_rows["sglang"]["throughput_agents_per_s"]
     assert swarm_rows["pie"]["latency_s"] <= swarm_rows["vllm"]["latency_s"] * 1.05

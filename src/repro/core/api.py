@@ -23,6 +23,7 @@ from repro.errors import ReproError, TraitNotSupportedError
 from repro.core.controller import Controller
 from repro.core.handles import Embed, KvPage, Queue
 from repro.core.inferlet import InferletInstance
+from repro.core.router import DeviceShard
 from repro.core.traits import trait_of_api
 from repro.sim.futures import SimFuture
 
@@ -36,7 +37,7 @@ class Subscription:
 
     def next_message(self) -> SimFuture:
         """Future for the next message broadcast on this topic."""
-        return self._ctx._controller.next_broadcast(self._ctx._instance, self.topic)
+        return self._ctx._controller.bus.next_message(self.topic, self._ctx.instance_id)
 
 
 class InferletContext:
@@ -82,12 +83,27 @@ class InferletContext:
         pending, self._instance.pending_overhead = self._instance.pending_overhead, 0.0
         return self._sim.sleep(pending)
 
-    def _check_trait(self, handle: Queue, api_name: str) -> None:
+    def _enter(self, api_name: str, queue: Queue) -> DeviceShard:
+        """Charge an inference-layer call, check the queue's model implements
+        its trait, and read — once per call — the shard the inferlet lives
+        on in that model's cluster (it names its service)."""
+        self._charge(api_name)
+        home = self._instance.placements[queue.model]
         trait = trait_of_api(api_name)
-        if not self._controller.service(handle.model).entry.supports_trait(trait):
+        entry = home.service.entry
+        if not entry.supports_trait(trait):
             raise TraitNotSupportedError(
-                f"model {handle.model!r} does not support trait {trait!r} ({api_name})"
+                f"model {entry.name!r} does not support trait {trait!r} ({api_name})"
             )
+        return home
+
+    @staticmethod
+    def _pin_busy(cache, kv_pids: List[int], future: SimFuture) -> None:
+        """Until ``future``'s command retires, the prefix cache must not
+        rebind or free a physical page the command can still observe."""
+        if cache is not None and kv_pids:
+            ticket = cache.note_busy(kv_pids)
+            future.add_done_callback(lambda _f: cache.release_busy(ticket))
 
     async def _awaited(self, future: SimFuture) -> Any:
         await self._drain_overhead()
@@ -112,22 +128,22 @@ class InferletContext:
     def send(self, message: Any) -> None:
         """Send a message to the client that launched this inferlet."""
         self._charge("send")
-        self._controller.client_send(self._instance, message)
+        self._instance.channel.send_to_client(message)
 
     def receive(self) -> SimFuture:
         """Future for the next message from the client."""
         self._charge("receive")
-        return self._wrap(self._controller.client_receive(self._instance))
+        return self._wrap(self._instance.channel.receive_from_client())
 
     def http_get(self, url: str) -> SimFuture:
         """Perform an HTTP GET against a simulated external endpoint."""
         self._charge("http_get")
-        return self._wrap(self._controller.http_request(url, None, instance=self._instance))
+        return self._wrap(self._controller.http_request(self._instance, url))
 
     def http_post(self, url: str, payload: Any = None) -> SimFuture:
         """Perform an HTTP POST against a simulated external endpoint."""
         self._charge("http_post")
-        return self._wrap(self._controller.http_request(url, payload, instance=self._instance))
+        return self._wrap(self._controller.http_request(self._instance, url, payload))
 
     def available_models(self) -> List[str]:
         self._charge("available_models")
@@ -135,11 +151,11 @@ class InferletContext:
 
     def available_traits(self, model: str) -> List[str]:
         self._charge("available_traits")
-        return self._controller.available_traits(model)
+        return self._controller.service(model).entry.traits()
 
     def available_adapters(self, model: str) -> List[str]:
         self._charge("available_adapters")
-        return self._controller.available_adapters(model)
+        return self._controller.service(model).entry.adapters.names()
 
     def create_queue(self, model: Optional[str] = None) -> Queue:
         """Create a command queue bound to a model."""
@@ -149,11 +165,11 @@ class InferletContext:
     def synchronize(self, queue: Queue) -> SimFuture:
         """Future resolving once every command issued so far on the queue completes."""
         self._charge("synchronize")
-        return self._wrap(self._controller.synchronize(queue))
+        return self._wrap(self._controller.synchronize(self._instance, queue))
 
     def set_queue_priority(self, queue: Queue, priority: int) -> None:
         self._charge("set_queue_priority")
-        self._controller.set_queue_priority(queue, priority)
+        self._controller.set_queue_priority(self._instance, queue, priority)
 
     def destroy_queue(self, queue: Queue) -> None:
         self._charge("destroy_queue")
@@ -162,16 +178,16 @@ class InferletContext:
     def broadcast(self, topic: str, message: Any) -> int:
         """Broadcast a message to every inferlet subscribed to ``topic``."""
         self._charge("broadcast")
-        return self._controller.broadcast(self._instance, topic, message)
+        return self._controller.bus.broadcast(topic, message, sender_id=self.instance_id)
 
     def subscribe(self, topic: str) -> Subscription:
         self._charge("subscribe")
-        self._controller.subscribe(self._instance, topic)
+        self._controller.bus.subscribe(topic, self.instance_id)
         return Subscription(self, topic)
 
     def unsubscribe(self, topic: str) -> None:
         self._charge("unsubscribe")
-        self._controller.unsubscribe(self._instance, topic)
+        self._controller.bus.unsubscribe(topic, self.instance_id)
 
     def sleep(self, seconds: float) -> SimFuture:
         """Suspend the inferlet for ``seconds`` of virtual time."""
@@ -229,24 +245,22 @@ class InferletContext:
 
     def alloc_kvpage(self, queue: Queue, count: int) -> List[KvPage]:
         """Allocate ``count`` KV-cache pages (virtual handles returned immediately)."""
-        self._charge("alloc_kvpage")
-        self._check_trait(queue, "alloc_kvpage")
-        return self._controller.alloc_kv_pages(self._instance, queue, count)
+        home = self._enter("alloc_kvpage", queue)
+        return self._controller.alloc_kv_pages(self._instance, home, count)
 
     def dealloc_kvpage(self, queue: Queue, pages: Sequence[KvPage]) -> SimFuture:
         """Deallocate KV pages (ordered after earlier commands on the queue)."""
-        self._charge("dealloc_kvpage")
-        return self._controller.dealloc_kv_pages(self._instance, queue, list(pages))
+        home = self._enter("dealloc_kvpage", queue)
+        return self._controller.dealloc(self._instance, home, queue, "dealloc_kv", list(pages))
 
     def alloc_emb(self, queue: Queue, count: int) -> List[Embed]:
         """Allocate ``count`` embedding slots."""
-        self._charge("alloc_emb")
-        self._check_trait(queue, "alloc_emb")
-        return self._controller.alloc_embeds(self._instance, queue, count)
+        home = self._enter("alloc_emb", queue)
+        return self._controller.alloc_embeds(self._instance, home, count)
 
     def dealloc_emb(self, queue: Queue, embeds: Sequence[Embed]) -> SimFuture:
-        self._charge("dealloc_emb")
-        return self._controller.dealloc_embeds(self._instance, queue, list(embeds))
+        home = self._enter("dealloc_emb", queue)
+        return self._controller.dealloc(self._instance, home, queue, "dealloc_emb", list(embeds))
 
     def copy_kvpage(
         self,
@@ -257,52 +271,47 @@ class InferletContext:
         dst_slots: Optional[Sequence[int]] = None,
     ) -> SimFuture:
         """Token-level copy of KV-cache contents between pages."""
-        self._charge("copy_kvpage")
-        src_pid = self._controller.resolve_kv(self._instance, queue, [src])[0]
-        dst_pid = self._controller.prepare_kv_mutation(self._instance, queue, dst)
+        home = self._enter("copy_kvpage", queue)
+        src_pid = self._controller.resolve_kv(self._instance, home, [src])[0]
+        dst_pid = self._controller.prepare_kv_mutation(self._instance, home, dst)
         payload = {
             "src": src_pid,
             "dst": dst_pid,
             "src_slots": list(src_slots) if src_slots is not None else None,
             "dst_slots": list(dst_slots) if dst_slots is not None else None,
         }
-        return self._controller.submit_command(
+        future = self._controller.submit_command(
             self._instance,
+            home,
             queue,
             "copy_kv",
             payload,
-            reads=frozenset({("kv", src_pid)}),
             writes=frozenset({("kv", dst_pid)}),
         )
+        self._pin_busy(home.prefix_cache, [src_pid, dst_pid], future)
+        return future
 
     def copy_emb(self, queue: Queue, src: Sequence[Embed], dst: Sequence[Embed]) -> SimFuture:
         """Copy embedding slots (e.g. to snapshot hidden states)."""
-        self._charge("copy_emb")
-        src_ids = self._controller.resolve_emb(self._instance, queue, list(src))
-        dst_ids = self._controller.resolve_emb(self._instance, queue, list(dst))
-        cache = self._controller.prefix_cache_probe(self._instance, queue)
+        home = self._enter("copy_emb", queue)
+        src_ids = home.resources.resolve_emb_many(self.instance_id, list(src))
+        dst_ids = home.resources.resolve_emb_many(self.instance_id, list(dst))
+        cache = home.prefix_cache
         if cache is not None:
             cache.forget_embeds(dst_ids)  # copied hidden states, not a token
         return self._controller.submit_command(
             self._instance,
+            home,
             queue,
             "copy_emb",
             {"src": src_ids, "dst": dst_ids},
-            reads=frozenset(("emb", eid) for eid in src_ids),
             writes=frozenset(("emb", eid) for eid in dst_ids),
         )
 
     def clear_kvpage(self, queue: Queue, page: KvPage) -> SimFuture:
         """Reset a KV page to its unwritten state (keeps the allocation)."""
-        self._charge("clear_kvpage")
-        pid = self._controller.prepare_kv_mutation(self._instance, queue, page)
-        return self._controller.submit_command(
-            self._instance,
-            queue,
-            "clear_kv",
-            {"page": pid},
-            writes=frozenset({("kv", pid)}),
-        )
+        home = self._enter("clear_kvpage", queue)
+        return self._mutate_kvpage(home, queue, page, "clear_kv")
 
     # -- Forward trait -------------------------------------------------------
 
@@ -322,9 +331,8 @@ class InferletContext:
         ``okv_offset``); the final hidden states of the last ``len(oemb)``
         input tokens are written to ``oemb``.
         """
-        self._charge("forward")
-        self._check_trait(queue, "forward")
-        return self._submit_forward(queue, ikv, iemb, okv, oemb, mask, okv_offset, adapter=None)
+        home = self._enter("forward", queue)
+        return self._submit_forward(home, queue, ikv, iemb, okv, oemb, mask, okv_offset, None)
 
     def forward_with_adapter(
         self,
@@ -338,12 +346,12 @@ class InferletContext:
         okv_offset: Optional[int] = None,
     ) -> SimFuture:
         """Like :meth:`forward` but applying a named LoRA adapter."""
-        self._charge("forward_with_adapter")
-        self._check_trait(queue, "forward_with_adapter")
-        return self._submit_forward(queue, ikv, iemb, okv, oemb, mask, okv_offset, adapter=adapter)
+        home = self._enter("forward_with_adapter", queue)
+        return self._submit_forward(home, queue, ikv, iemb, okv, oemb, mask, okv_offset, adapter)
 
     def _submit_forward(
         self,
+        home: DeviceShard,
         queue: Queue,
         ikv: Sequence[KvPage],
         iemb: Sequence[Embed],
@@ -355,15 +363,19 @@ class InferletContext:
     ) -> SimFuture:
         if not iemb:
             raise ReproError("forward requires at least one input embedding")
+        controller, instance = self._controller, self._instance
         finish = None
-        cache = self._controller.prefix_cache_for_forward(self._instance, queue)
+        cache = home.prefix_cache
         if cache is not None:
-            # A cached page-aligned prompt prefix is adopted in place of the
-            # caller's fresh pages and the matching input embeddings are
-            # dropped — their prefill compute is skipped entirely.  The
-            # finish hook registers pages this forward fills completely.
+            # Swapped pages come home first, so the cache can resolve the
+            # owner's context.  A cached page-aligned prompt prefix is
+            # adopted in place of the caller's fresh pages and the matching
+            # input embeddings are dropped — their prefill compute is
+            # skipped entirely.  The finish hook registers pages this
+            # forward fills completely.
+            home.service.swap.fault_in(instance)
             iemb, finish = cache.begin_forward(
-                self._instance.instance_id,
+                instance.instance_id,
                 list(ikv),
                 list(iemb),
                 list(okv),
@@ -372,10 +384,10 @@ class InferletContext:
                 adapter,
                 okv_offset,
             )
-        ikv_ids = self._controller.resolve_kv(self._instance, queue, list(ikv))
-        iemb_ids = self._controller.resolve_emb(self._instance, queue, list(iemb))
-        okv_ids = self._controller.resolve_kv(self._instance, queue, list(okv))
-        oemb_ids = self._controller.resolve_emb(self._instance, queue, list(oemb))
+        ikv_ids = controller.resolve_kv(instance, home, list(ikv))
+        iemb_ids = home.resources.resolve_emb_many(instance.instance_id, list(iemb))
+        okv_ids = controller.resolve_kv(instance, home, list(okv))
+        oemb_ids = home.resources.resolve_emb_many(instance.instance_id, list(oemb))
         if cache is not None and oemb_ids:
             # Output slots now hold hidden states, not embedded tokens.
             cache.forget_embeds(oemb_ids)
@@ -388,40 +400,47 @@ class InferletContext:
             "okv_offset": okv_offset,
             "adapter": adapter,
         }
-        page_size = self._controller.service(queue.model).entry.config.kv_page_size
-        reads = frozenset(
-            [("kv", pid) for pid in ikv_ids] + [("emb", eid) for eid in iemb_ids]
-        )
+        page_size = home.service.entry.config.kv_page_size
         writes = frozenset(
             [("kv", pid) for pid in okv_ids] + [("emb", eid) for eid in oemb_ids]
         )
-        future = self._controller.submit_command(
-            self._instance,
+        future = controller.submit_command(
+            instance,
+            home,
             queue,
             "forward",
             payload,
             rows=1,
             input_tokens=len(iemb_ids),
             context_tokens=len(ikv_ids) * page_size,
-            reads=reads,
             writes=writes,
         )
+        # The pin is released before the finish hook registers the pages
+        # this forward filled (callbacks run in registration order).
+        self._pin_busy(cache, ikv_ids + okv_ids, future)
         if finish is not None:
             future.add_done_callback(finish)
         return future
 
     def mask_kvpage(self, queue: Queue, page: KvPage, mask: Sequence[bool]) -> SimFuture:
         """Token-level visibility mask over one KV page."""
-        self._charge("mask_kvpage")
-        self._check_trait(queue, "mask_kvpage")
-        pid = self._controller.prepare_kv_mutation(self._instance, queue, page)
-        return self._controller.submit_command(
+        home = self._enter("mask_kvpage", queue)
+        return self._mutate_kvpage(home, queue, page, "mask_kv", mask=list(mask))
+
+    def _mutate_kvpage(
+        self, home: DeviceShard, queue: Queue, page: KvPage, kind: str, **payload: Any
+    ) -> SimFuture:
+        pid = self._controller.prepare_kv_mutation(self._instance, home, page)
+        future = self._controller.submit_command(
             self._instance,
+            home,
             queue,
-            "mask_kv",
-            {"page": pid, "mask": list(mask)},
+            kind,
+            {"page": pid, **payload},
             writes=frozenset({("kv", pid)}),
         )
+        self._pin_busy(home.prefix_cache, [pid], future)
+        return future
 
     # -- InputText / InputImage traits ------------------------------------------
 
@@ -433,16 +452,16 @@ class InferletContext:
         embeds: Sequence[Embed],
     ) -> SimFuture:
         """Embed token ids at explicit positions into embedding slots."""
-        self._charge("embed_txt")
-        self._check_trait(queue, "embed_txt")
-        slot_ids = self._controller.resolve_emb(self._instance, queue, list(embeds))
+        home = self._enter("embed_txt", queue)
+        slot_ids = home.resources.resolve_emb_many(self.instance_id, list(embeds))
         if not (len(token_ids) == len(positions) == len(slot_ids)):
             raise ReproError("embed_txt: token/position/embed counts must match")
-        cache = self._controller.prefix_cache_probe(self._instance, queue)
+        cache = home.prefix_cache
         if cache is not None:
             cache.record_embeds(slot_ids, list(token_ids), list(positions))
         return self._controller.submit_command(
             self._instance,
+            home,
             queue,
             "embed_text",
             {"token_ids": list(token_ids), "positions": list(positions), "emb_slots": slot_ids},
@@ -465,16 +484,16 @@ class InferletContext:
         positions: Optional[Sequence[int]] = None,
     ) -> SimFuture:
         """Embed an image blob into embedding slots."""
-        self._charge("embed_img")
-        self._check_trait(queue, "embed_img")
-        slot_ids = self._controller.resolve_emb(self._instance, queue, list(embeds))
+        home = self._enter("embed_img", queue)
+        slot_ids = home.resources.resolve_emb_many(self.instance_id, list(embeds))
         if positions is None:
             positions = list(range(len(slot_ids)))
-        cache = self._controller.prefix_cache_probe(self._instance, queue)
+        cache = home.prefix_cache
         if cache is not None:
             cache.forget_embeds(slot_ids)  # image content has no token identity
         return self._controller.submit_command(
             self._instance,
+            home,
             queue,
             "embed_image",
             {"blob": blob, "positions": list(positions), "emb_slots": slot_ids},
@@ -486,21 +505,18 @@ class InferletContext:
 
     def tokenize(self, queue: Queue, text: str) -> List[int]:
         """Convert text into token ids."""
-        self._charge("tokenize")
-        self._check_trait(queue, "tokenize")
-        return self._controller.service(queue.model).entry.tokenizer.encode(text)
+        home = self._enter("tokenize", queue)
+        return home.service.entry.tokenizer.encode(text)
 
     def detokenize(self, queue: Queue, token_ids: Sequence[int]) -> str:
         """Convert token ids back into text."""
-        self._charge("detokenize")
-        self._check_trait(queue, "detokenize")
-        return self._controller.service(queue.model).entry.tokenizer.decode(list(token_ids))
+        home = self._enter("detokenize", queue)
+        return home.service.entry.tokenizer.decode(list(token_ids))
 
     def get_vocabs(self, queue: Queue) -> List[bytes]:
         """The model's vocabulary as raw byte strings."""
-        self._charge("get_vocabs")
-        self._check_trait(queue, "get_vocabs")
-        return self._controller.service(queue.model).entry.tokenizer.get_vocab()
+        home = self._enter("get_vocabs", queue)
+        return home.service.entry.tokenizer.get_vocab()
 
     # -- OutputText trait ----------------------------------------------------------------
 
@@ -512,18 +528,8 @@ class InferletContext:
         temperature: float = 1.0,
     ) -> SimFuture:
         """Future for the (top-K truncated) next-token distribution."""
-        self._charge("get_next_dist")
-        self._check_trait(queue, "get_next_dist")
-        slot_ids = self._controller.resolve_emb(self._instance, queue, [embed])
-        future = self._controller.submit_command(
-            self._instance,
-            queue,
-            "sample",
-            {"emb_slots": slot_ids, "top_k": top_k, "temperature": temperature},
-            rows=1,
-            reads=frozenset(("emb", eid) for eid in slot_ids),
-        )
-        return self._first_of(future)
+        home = self._enter("get_next_dist", queue)
+        return self._first_of(self._sample(home, queue, [embed], top_k, temperature))
 
     def get_dists(
         self,
@@ -533,16 +539,25 @@ class InferletContext:
         temperature: float = 1.0,
     ) -> SimFuture:
         """Future for the next-token distributions of several embeddings."""
-        self._charge("get_dists")
-        self._check_trait(queue, "get_dists")
-        slot_ids = self._controller.resolve_emb(self._instance, queue, list(embeds))
+        home = self._enter("get_dists", queue)
+        return self._sample(home, queue, list(embeds), top_k, temperature)
+
+    def _sample(
+        self,
+        home: DeviceShard,
+        queue: Queue,
+        embeds: List[Embed],
+        top_k: Optional[int],
+        temperature: float,
+    ) -> SimFuture:
+        slot_ids = home.resources.resolve_emb_many(self.instance_id, embeds)
         return self._controller.submit_command(
             self._instance,
+            home,
             queue,
             "sample",
             {"emb_slots": slot_ids, "top_k": top_k, "temperature": temperature},
             rows=len(slot_ids),
-            reads=frozenset(("emb", eid) for eid in slot_ids),
         )
 
     def _first_of(self, future: SimFuture) -> SimFuture:

@@ -48,7 +48,8 @@ class Command:
     rows: int = 1
     input_tokens: int = 0
     context_tokens: int = 0
-    reads: FrozenSet = frozenset()
+    # What the command writes, as ``("kv", pid)`` / ``("emb", eid)`` pairs:
+    # write-write conflicts are the only hazard batch formation checks.
     writes: FrozenSet = frozenset()
     # Chunked prefill (repro.core.batching): a head-slice command carries a
     # reference to the queue-resident original it was sliced from.  The
@@ -89,7 +90,7 @@ class Command:
         batch is actually dispatched (``take_chunk``), so candidate batches
         that lose the selection round leave no trace.  The slice inherits
         the residual's issue time (aging and longest-waiting selection see
-        the original command's wait), priority, and read/write sets (so
+        the original command's wait), priority, and write set (so
         conflict rules treat the slice exactly like the whole command).
 
         The slice's attention is charged against the context *accumulated
@@ -116,7 +117,6 @@ class Command:
             rows=1,
             input_tokens=n_tokens,
             context_tokens=max(0, self.context_tokens - self.input_tokens),
-            reads=self.reads,
             writes=self.writes,
             parent=self,
         )

@@ -85,12 +85,9 @@ class ControlLayerConfig:
     chunked_prefill: bool = False
     # Largest prefill slice a single batch may carry (tokens).  Smaller
     # chunks bound decode-latency interference more tightly but pay the
-    # per-batch floor and the re-read attention term more often.
+    # per-batch floor and the re-read attention term more often.  The
+    # token budget per formed batch is GpuConfig.max_batch_tokens.
     prefill_chunk_tokens: int = 128
-    # Token budget per formed batch (decode rows count 1 each, prefill
-    # rows their input tokens).  0 falls back to GpuConfig.max_batch_tokens.
-    # Only enforced while chunked_prefill is True.
-    max_batch_tokens: int = 0
     # Prefill/decode disaggregation (repro.core.transfer): when True, the
     # cluster's first ``prefill_shards`` devices serve only prompt work
     # (placement_policy must be "disaggregated") and the rest run
@@ -202,7 +199,7 @@ class ControlLayerConfig:
     # chunk budgets widen, restoring when the alert clears.  Requires
     # qos=True and monitoring=True.
     brownout: bool = False
-    # Multiplier applied to prefill_chunk_tokens / max_batch_tokens while
+    # Multiplier applied to prefill_chunk_tokens / gpu.max_batch_tokens while
     # a brownout is active (chunked_prefill only).
     brownout_chunk_scale: float = 2.0
 
@@ -228,8 +225,6 @@ class PieConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     # Top-K truncation of distributions returned by get_next_dist.
     default_top_k: int = 256
-    # Guard against runaway inferlets (fuel metering in the Wasm runtime).
-    max_api_calls_per_inferlet: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.default_top_k <= 0:
@@ -248,8 +243,6 @@ class PieConfig:
             raise ReproError("prefix_cache_max_pages must be non-negative")
         if self.control.prefill_chunk_tokens < 1:
             raise ReproError("prefill_chunk_tokens must be at least 1")
-        if self.control.max_batch_tokens < 0:
-            raise ReproError("max_batch_tokens must be non-negative (0 = gpu default)")
         if self.control.prefill_shards < 1:
             raise ReproError("prefill_shards must be at least 1")
         if self.control.disaggregation:
@@ -361,9 +354,8 @@ def _frozen(value: Any) -> Any:
 def with_overrides(config: PieConfig, overrides: Dict[str, Any]) -> PieConfig:
     """``config`` with each override routed to the sub-config field it names.
 
-    A key is a :class:`ControlLayerConfig` field or, failing that, a
-    :class:`GpuConfig` field (``max_batch_tokens`` is both: control wins);
-    anything else is a ``TypeError``.  ``None`` means "not given".  The
+    A key is a :class:`ControlLayerConfig` field or a :class:`GpuConfig`
+    field; anything else is a ``TypeError``.  ``None`` means "not given".  The
     result is validated once, with every override in place.
     """
     control_names = {f.name for f in fields(ControlLayerConfig)}

@@ -37,14 +37,13 @@ from repro.core.inferlet import InferletInstance, LifecycleObserver
 from repro.core.messaging import ExternalServices, MessageBus
 from repro.core.metrics import SystemMetrics
 from repro.core.monitor import MonitorService
-from repro.core.prefix_cache import PrefixCacheService
 from repro.core.qos import QosService
 from repro.core.retry import RetryPolicy, faulty_request
 from repro.core.router import DeviceShard
 from repro.core.service import ModelService
 from repro.core.trace import LifecycleTracer, TraceRecorder, telemetry_sampler
 from repro.core.traits import api_layer
-from repro.model.registry import ModelEntry, ModelRegistry
+from repro.model.registry import ModelRegistry
 from repro.sim.faults import FaultInjector
 from repro.sim.futures import SimFuture
 from repro.sim.latency import microseconds, milliseconds
@@ -87,7 +86,9 @@ class Controller:
         self._services: Dict[str, ModelService] = {}
         self._instances: Dict[str, InferletInstance] = {}
         self._queue_ids = itertools.count(1)
-        self._terminate_hook: Optional[Callable[[InferletInstance, str], None]] = None
+        #: Set by the lifecycle manager, so a forced termination (FCFS
+        #: reclamation, failover, abort) also cancels the inferlet's task.
+        self.terminate_hook: Callable[[InferletInstance, str], None] = lambda *_: None
         # The optional planes.  Each is None when its knob is off: nothing
         # is constructed, ``observers`` and ``timers`` do not hold it, and
         # the serving path is bit-identical to a system without the plane.
@@ -138,7 +139,16 @@ class Controller:
             observers.append(self.monitor)
             timers.append(self.monitor.scraper)
         for name in registry.names():
-            self._services[name] = self._build_service(registry.get(name))
+            self._services[name] = ModelService.build(
+                sim,
+                config,
+                registry.get(name),
+                self.metrics,
+                self._ensure_capacity,
+                qos=self.qos,
+                trace=self.trace,
+                retry=self.retry,
+            )
         if control.faults:
             self.health = ShardHealthService(self, control)
             timers.append(self.health.heartbeat)
@@ -162,32 +172,6 @@ class Controller:
         #: The planes' periodic timers; every registration pokes them awake.
         self.timers: Tuple[PeriodicService, ...] = tuple(timers)
 
-    def _build_service(self, entry: ModelEntry) -> ModelService:
-        service = ModelService.build(
-            self.sim,
-            self.config,
-            entry,
-            self.metrics,
-            qos=self.qos,
-            trace=self.trace,
-            retry=self.retry,
-        )
-        # Swap-in and the disaggregation handoff tail may themselves need
-        # reclamation; route both through the same swap-first /
-        # terminate-last capacity path allocations use.
-        service.swap.bind_capacity_hook(
-            lambda shard, instance, n_pages: self._ensure_capacity(
-                service, shard, instance, kv_pages=n_pages
-            )
-        )
-        if service.transfer is not None:
-            service.transfer.bind_capacity_hook(
-                lambda shard, instance, kv_pages, embeds: self._ensure_capacity(
-                    service, shard, instance, kv_pages=kv_pages, embeds=embeds
-                )
-            )
-        return service
-
     # -- services & models ----------------------------------------------------
 
     def service(self, model: str) -> ModelService:
@@ -203,12 +187,6 @@ class Controller:
     def available_models(self) -> List[str]:
         return sorted(self._services)
 
-    def available_traits(self, model: str) -> List[str]:
-        return self.service(model).entry.traits()
-
-    def available_adapters(self, model: str) -> List[str]:
-        return self.service(model).entry.adapters.names()
-
     def default_model(self) -> str:
         return self.available_models()[0]
 
@@ -220,33 +198,14 @@ class Controller:
         for timer in self.timers:
             timer.poke()
         for service in self._services.values():
-            prefix_hint = instance.program.prefix_hint
-            prefix_tokens = None
-            # Only cache_affinity and disaggregated placement read the
-            # hint; skip the tokenizer work under the other policies.
-            if prefix_hint is not None and service.router.policy in (
-                "cache_affinity",
-                "disaggregated",
-            ):
-                prefix_tokens = (
-                    service.entry.tokenizer.encode(prefix_hint)
-                    if isinstance(prefix_hint, str)
-                    else list(prefix_hint)
-                )
-            shard = service.router.place(
-                instance.instance_id,
-                hint=instance.program.placement_hint,
-                prefix_tokens=prefix_tokens,
-            )
+            shard = service.router.place(instance)
             shard.resources.create_space(instance.instance_id)
             self.metrics.record_placement(shard.name)
 
     def unregister_inferlet(self, instance: InferletInstance) -> None:
         self._instances.pop(instance.instance_id, None)
-        for service in self._services.values():
-            if not service.router.is_placed(instance.instance_id):
-                continue
-            shard = service.router.shard_for(instance.instance_id)
+        for shard in list(instance.placements.values()):
+            service = shard.service
             for queue in shard.scheduler.queues_for_owner(instance.instance_id):
                 shard.scheduler.remove_queue(queue.key)
             if shard.resources.has_space(instance.instance_id):
@@ -257,11 +216,7 @@ class Controller:
                 # Abort any half-streamed KV: staged destination pages are
                 # only pinned by the transfer, so this frees them all.
                 service.transfer.forget(instance.instance_id)
-            service.router.release(instance.instance_id)
-
-    def set_terminate_hook(self, hook: Callable[[InferletInstance, str], None]) -> None:
-        """Called by the lifecycle manager so FCFS reclamation can abort tasks."""
-        self._terminate_hook = hook
+            service.router.release(instance)
 
     @property
     def concurrent_inferlets(self) -> int:
@@ -316,8 +271,8 @@ class Controller:
 
     def create_queue(self, instance: InferletInstance, model: Optional[str] = None) -> Queue:
         model = model or self.default_model()
-        service = self.service(model)
-        shard = service.shard_for(instance.instance_id)
+        self.service(model)  # a model the caller names may not be served
+        shard = instance.placements[model]
         qid = next(self._queue_ids)
         # New queues inherit the launch-time priority, so inferlets need
         # not call set_queue_priority per queue after creation.
@@ -334,18 +289,18 @@ class Controller:
         return handle
 
     def destroy_queue(self, instance: InferletInstance, handle: Queue) -> None:
-        shard = self.service(handle.model).shard_for(handle.owner)
-        shard.scheduler.remove_queue((handle.owner, handle.qid))
-        handle.closed = True
+        scheduler = instance.placements[handle.model].scheduler
+        scheduler.remove_queue((handle.owner, handle.qid))
 
-    def set_queue_priority(self, handle: Queue, priority: int) -> None:
-        shard = self.service(handle.model).shard_for(handle.owner)
-        shard.scheduler.set_priority((handle.owner, handle.qid), priority)
+    def set_queue_priority(
+        self, instance: InferletInstance, handle: Queue, priority: int
+    ) -> None:
+        scheduler = instance.placements[handle.model].scheduler
+        scheduler.set_priority((handle.owner, handle.qid), priority)
         handle.priority = priority
 
-    def synchronize(self, handle: Queue) -> SimFuture:
-        shard = self.service(handle.model).shard_for(handle.owner)
-        queue = shard.scheduler.get_queue((handle.owner, handle.qid))
+    def synchronize(self, instance: InferletInstance, handle: Queue) -> SimFuture:
+        queue = instance.placements[handle.model].scheduler.get_queue((handle.owner, handle.qid))
         future = self.sim.create_future(name="synchronize")
         queue.synchronize(future)
         return future
@@ -353,28 +308,25 @@ class Controller:
     # -- resource allocation (with FCFS contention handling) -----------------------------------
 
     def alloc_kv_pages(
-        self, instance: InferletInstance, handle: Queue, count: int
+        self, instance: InferletInstance, home: DeviceShard, count: int
     ) -> List[KvPage]:
-        service = self.service(handle.model)
-        shard = service.shard_for(instance.instance_id)
-        self._ensure_capacity(service, shard, instance, kv_pages=count)
-        return shard.resources.alloc_kv_pages(instance.instance_id, count)
+        self._ensure_capacity(home, instance, kv_pages=count)
+        return home.resources.alloc_kv_pages(instance.instance_id, count)
 
-    def alloc_embeds(self, instance: InferletInstance, handle: Queue, count: int) -> List[Embed]:
-        service = self.service(handle.model)
-        shard = service.shard_for(instance.instance_id)
-        self._ensure_capacity(service, shard, instance, embeds=count)
-        handles = shard.resources.alloc_embeds(instance.instance_id, count)
-        if shard.prefix_cache is not None:
+    def alloc_embeds(
+        self, instance: InferletInstance, home: DeviceShard, count: int
+    ) -> List[Embed]:
+        self._ensure_capacity(home, instance, embeds=count)
+        handles = home.resources.alloc_embeds(instance.instance_id, count)
+        if home.prefix_cache is not None:
             # Reused slots may carry a previous owner's token identity.
-            shard.prefix_cache.forget_embeds(
-                shard.resources.resolve_emb_many(instance.instance_id, handles)
+            home.prefix_cache.forget_embeds(
+                home.resources.resolve_emb_many(instance.instance_id, handles)
             )
         return handles
 
     def _ensure_capacity(
         self,
-        service: ModelService,
         shard: DeviceShard,
         requester: InferletInstance,
         kv_pages: int = 0,
@@ -393,6 +345,7 @@ class Controller:
         come, first served).  Only inferlets placed on the contended shard
         are eligible victims — killing one on another device would free
         nothing here."""
+        service = shard.service
         while (
             shard.resources.kv_pages_free < kv_pages
             or shard.resources.embeds_free < embeds
@@ -407,7 +360,7 @@ class Controller:
                 shard
             ):
                 continue
-            victim = self._youngest_victim(service, shard)
+            victim = self._youngest_victim(shard)
             if victim is None:
                 raise OutOfResourcesError(
                     f"model {service.entry.name!r} ({shard.name}) cannot satisfy the "
@@ -421,11 +374,10 @@ class Controller:
             if victim.instance_id == requester.instance_id:
                 requester.check_alive()  # raises InferletTerminated
 
-    def _youngest_victim(
-        self, service: ModelService, shard: DeviceShard
-    ) -> Optional[InferletInstance]:
+    def _youngest_victim(self, shard: DeviceShard) -> Optional[InferletInstance]:
         # Placement order is registration order, so ties resolve as they
         # would walking the registry.
+        service = shard.service
         candidates = [
             self._instances[instance_id]
             for instance_id in service.router.instances_on(shard)
@@ -452,39 +404,23 @@ class Controller:
     ) -> None:
         instance.mark_terminated(reason, cause=cause)
         self.metrics.inferlets_terminated += 1
-        if self._terminate_hook is not None:
-            self._terminate_hook(instance, reason)
+        self.terminate_hook(instance, reason)
         self.unregister_inferlet(instance)
 
     # -- deferred deallocation (ordering preserved through the command queue) --------------------
 
-    def dealloc_kv_pages(
-        self, instance: InferletInstance, handle: Queue, pages: Sequence[KvPage]
+    def dealloc(
+        self, instance: InferletInstance, home: DeviceShard, handle: Queue, kind: str, handles: List
     ) -> SimFuture:
-        shard = self.service(handle.model).shard_for(instance.instance_id)
-        pages = list(pages)
+        """``kind`` is ``"dealloc_kv"`` (KvPage handles) or ``"dealloc_emb"``."""
+        resources = home.resources
+        free = resources.dealloc_kv_pages if kind == "dealloc_kv" else resources.dealloc_embeds
 
         def release() -> None:
-            if shard.resources.has_space(instance.instance_id):
-                shard.resources.dealloc_kv_pages(instance.instance_id, pages)
+            if resources.has_space(instance.instance_id):
+                free(instance.instance_id, handles)
 
-        return self.submit_command(
-            instance, handle, "dealloc_kv", {"release": release}, reads=frozenset(), writes=frozenset()
-        )
-
-    def dealloc_embeds(
-        self, instance: InferletInstance, handle: Queue, embeds: Sequence[Embed]
-    ) -> SimFuture:
-        shard = self.service(handle.model).shard_for(instance.instance_id)
-        embeds = list(embeds)
-
-        def release() -> None:
-            if shard.resources.has_space(instance.instance_id):
-                shard.resources.dealloc_embeds(instance.instance_id, embeds)
-
-        return self.submit_command(
-            instance, handle, "dealloc_emb", {"release": release}, reads=frozenset(), writes=frozenset()
-        )
+        return self.submit_command(instance, home, handle, kind, {"release": release})
 
     # -- export / import -----------------------------------------------------------------------------
 
@@ -493,29 +429,23 @@ class Controller:
     ) -> None:
         if not pages:
             raise ResourceError("export_kvpage requires at least one page")
-        service = self.service(pages[0].model)
-        shard = service.shard_for(instance.instance_id)
-        if service.find_export_shard(name) is not None:
+        shard = instance.placements[pages[0].model]
+        if shard.service.find_export_shard(name) is not None:
             raise ResourceError(f"export name {name!r} already in use")
-        self._fault_in_if_swapped(service, instance)
+        shard.service.swap.fault_in(instance)
         shard.resources.export_kv_pages(instance.instance_id, pages, name)
 
     def import_kv_pages(
         self, instance: InferletInstance, name: str, model: Optional[str] = None
     ) -> List[KvPage]:
-        model = model or self._find_export_model(name)
-        service = self.service(model)
-        src_shard = service.find_export_shard(name)
-        if src_shard is None:
-            raise ResourceError(f"no export named {name!r} in model {model!r}")
-        dst_shard = service.shard_for(instance.instance_id)
+        src_shard = self._export_shard(name, model)
+        dst_shard = instance.placements[src_shard.service.entry.name]
         if src_shard is dst_shard:
             return src_shard.resources.import_kv_pages(instance.instance_id, name)
-        return self._cross_device_import(service, instance, name, src_shard, dst_shard)
+        return self._cross_device_import(instance, name, src_shard, dst_shard)
 
     def _cross_device_import(
         self,
-        service: ModelService,
         instance: InferletInstance,
         name: str,
         src_shard: DeviceShard,
@@ -539,7 +469,7 @@ class Controller:
         mutates pages after publishing them gets device-dependent
         visibility."""
         entry = src_shard.resources.export_info(name)
-        self._ensure_capacity(service, dst_shard, instance, kv_pages=len(entry.physical_ids))
+        self._ensure_capacity(dst_shard, instance, kv_pages=len(entry.physical_ids))
         handles = dst_shard.resources.alloc_kv_pages(
             instance.instance_id, len(entry.physical_ids)
         )
@@ -562,46 +492,39 @@ class Controller:
         return handles
 
     def release_export(self, name: str, model: Optional[str] = None) -> None:
-        model = model or self._find_export_model(name)
-        shard = self.service(model).find_export_shard(name)
-        if shard is None:
-            raise ResourceError(f"no export named {name!r} in model {model!r}")
-        shard.resources.release_export(name)
+        self._export_shard(name, model).resources.release_export(name)
 
     def list_exports(self, model: Optional[str] = None) -> List[str]:
-        if model is not None:
-            return self.service(model).list_exports()
-        names: List[str] = []
-        for service in self._services.values():
-            names.extend(service.list_exports())
-        return sorted(names)
+        services = [self.service(model)] if model else self._services.values()
+        return sorted(name for service in services for name in service.list_exports())
 
-    def _find_export_model(self, name: str) -> str:
-        for model, service in self._services.items():
-            if service.find_export_shard(name) is not None:
-                return model
-        raise ResourceError(f"no export named {name!r} in any served model")
+    def _export_shard(self, name: str, model: Optional[str]) -> DeviceShard:
+        """The shard holding export ``name`` (in ``model``'s cluster if given)."""
+        for service in [self.service(model)] if model else self._services.values():
+            shard = service.find_export_shard(name)
+            if shard is not None:
+                return shard
+        where = f"model {model!r}" if model else "any served model"
+        raise ResourceError(f"no export named {name!r} in {where}")
 
     # -- command submission ----------------------------------------------------------------------------
 
     def submit_command(
         self,
         instance: InferletInstance,
+        home: DeviceShard,
         handle: Queue,
         kind: str,
         payload: Dict[str, Any],
         rows: int = 1,
         input_tokens: int = 0,
         context_tokens: int = 0,
-        reads: FrozenSet = frozenset(),
         writes: FrozenSet = frozenset(),
     ) -> SimFuture:
         """Create a command and deliver it to the scheduler of the
         inferlet's shard after the inference-layer call overhead has
         elapsed."""
         instance.check_alive()
-        service = self.service(handle.model)
-        shard = service.shard_for(instance.instance_id)
         future = self.sim.create_future(name=f"{kind}:{instance.instance_id}")
         command = Command(
             kind=kind,
@@ -612,7 +535,6 @@ class Controller:
             rows=rows,
             input_tokens=input_tokens,
             context_tokens=context_tokens,
-            reads=reads,
             writes=writes,
         )
         if self.trace is not None:
@@ -622,7 +544,7 @@ class Controller:
             command.trace_span = self.trace.begin(
                 f"queue:{kind}",
                 "queue",
-                shard=shard.index,
+                shard=home.index,
                 inferlet=instance.instance_id,
                 args={"tokens": input_tokens} if input_tokens else None,
             )
@@ -635,31 +557,19 @@ class Controller:
                     self.metrics.forward_input_tokens += tokens
 
             future.add_done_callback(count_forward)
-        cache = shard.prefix_cache
-        if cache is not None and cache.enabled:
-            # Track which physical pages in-flight commands reference, so
-            # the cache never rebinds a page a command could still observe.
-            kv_pids = [rid for tag, rid in (reads | writes) if tag == "kv"]
-            if kv_pids:
-                ticket = cache.note_busy(kv_pids)
-                future.add_done_callback(
-                    lambda _f, c=cache, t=ticket: c.release_busy(t)
-                )
-        if service.transfer is not None and service.router.on_prefill_shard(
-            instance.instance_id
-        ):
+        transfer = home.service.transfer
+        if transfer is not None and home.role == "prefill":
             # Disaggregation: dirty-track writes against staged pages, track
             # prefill commit progress, and arm the handoff on the sample's
-            # completion.  Registered *after* the cache hooks and *before*
-            # the caller can await the future, so under FIFO call_soon the
-            # handoff runs with busy pins released and the program still
-            # suspended.
-            service.transfer.on_command_submitted(instance, command)
+            # completion — registered *before* the caller can await the
+            # future, so under FIFO call_soon the handoff runs with the
+            # program still suspended.
+            transfer.on_command_submitted(instance, command)
         overhead = self.inference_call_overhead()
         queue_key = (handle.owner, handle.qid)
         instance.in_air_commands += 1
         self.sim.schedule(
-            overhead, self._deliver_command, instance, shard, queue_key, command
+            overhead, self._deliver_command, instance, home, queue_key, command
         )
         return future
 
@@ -686,20 +596,22 @@ class Controller:
             return
         shard.scheduler.submit(queue_key, command)
 
-    # -- automatic prefix cache accessors ------------------------------------------------------------------
+    # -- virtual -> physical resolution, used by the API bindings ------------------------------------------
 
-    def prefix_cache_probe(
-        self, instance: InferletInstance, handle: Queue
-    ) -> Optional[PrefixCacheService]:
-        """The shard's prefix cache, or None when the knob is off."""
-        shard = self.service(handle.model).shard_for(instance.instance_id)
-        cache = shard.prefix_cache
-        if cache is None or not cache.enabled:
-            return None
-        return cache
+    def resolve_kv(
+        self, instance: InferletInstance, home: DeviceShard, pages: Sequence[KvPage]
+    ) -> List[int]:
+        """Transparent paging: an inferlet that keeps running while its
+        pages sit in the host tier (fire-and-forget external calls, or a
+        reclamation that staged it out) faults its whole set back in the
+        moment it touches one.  The restore is immediate in state; the PCIe
+        cost lands on the device, so the commands issued next queue behind
+        the transfer."""
+        home.service.swap.fault_in(instance)
+        return home.resources.resolve_kv_many(instance.instance_id, pages)
 
     def prepare_kv_mutation(
-        self, instance: InferletInstance, handle: Queue, page: KvPage
+        self, instance: InferletInstance, home: DeviceShard, page: KvPage
     ) -> int:
         """Resolve a page about to be mutated by mask/clear/copy.
 
@@ -712,85 +624,31 @@ class Controller:
         export/import keep their stock in-place mutation semantics — the
         application opted into that aliasing.
         """
-        service = self.service(handle.model)
-        shard = service.shard_for(instance.instance_id)
-        pid = self.resolve_kv(instance, handle, [page])[0]
-        cache = shard.prefix_cache
-        if cache is None or not cache.enabled:
+        pid = self.resolve_kv(instance, home, [page])[0]
+        cache = home.prefix_cache
+        if cache is None:
             return pid
-        if shard.resources.kv_refcount(pid) > 1 and cache.is_cache_shared(pid):
-            self._ensure_capacity(service, shard, instance, kv_pages=1)
-            pid = shard.resources.materialize_private_kv(instance.instance_id, page)
-            shard.device.submit(
+        if home.resources.kv_refcount(pid) > 1 and cache.is_cache_shared(pid):
+            self._ensure_capacity(home, instance, kv_pages=1)
+            pid = home.resources.materialize_private_kv(instance.instance_id, page)
+            home.device.submit(
                 kind="cache_cow",
                 run=lambda: None,
-                cost_seconds=service.cost_model.copy_batch_cost(1),
+                cost_seconds=home.service.cost_model.copy_batch_cost(1),
                 size=1,
             )
         cache.invalidate_pid(pid)
         return pid
 
-    def prefix_cache_for_forward(
-        self, instance: InferletInstance, handle: Queue
-    ) -> Optional[PrefixCacheService]:
-        """Like :meth:`prefix_cache_probe`, but restores swapped pages first
-        so the cache can resolve the owner's context pages."""
-        service = self.service(handle.model)
-        shard = service.shard_for(instance.instance_id)
-        cache = shard.prefix_cache
-        if cache is None or not cache.enabled:
-            return None
-        self._fault_in_if_swapped(service, instance)
-        return cache
+    # -- external calls ---------------------------------------------------------------------------------------
 
-    # -- resolution helpers used by the API bindings -------------------------------------------------------
-
-    def _fault_in_if_swapped(
-        self, service: ModelService, instance: InferletInstance
-    ) -> None:
-        """Transparent paging: restore staged pages before they are used.
-
-        An inferlet that keeps running while its pages sit in the host tier
-        (fire-and-forget external calls, or a reclamation that staged it
-        out) faults its whole set back in the moment it touches one.  The
-        restore is immediate in state; the PCIe cost lands on the device, so
-        the commands issued next queue behind the transfer."""
-        if service.swap.is_swapped(instance.instance_id):
-            service.swap.fault_in(instance)
-
-    def resolve_kv(self, instance: InferletInstance, handle: Queue, pages: Sequence[KvPage]) -> List[int]:
-        service = self.service(handle.model)
-        shard = service.shard_for(instance.instance_id)
-        self._fault_in_if_swapped(service, instance)
-        return shard.resources.resolve_kv_many(instance.instance_id, pages)
-
-    def resolve_emb(self, instance: InferletInstance, handle: Queue, embeds: Sequence[Embed]) -> List[int]:
-        shard = self.service(handle.model).shard_for(instance.instance_id)
-        return shard.resources.resolve_emb_many(instance.instance_id, embeds)
-
-    # -- messaging and I/O --------------------------------------------------------------------------------------
-
-    def client_send(self, instance: InferletInstance, message: Any) -> None:
-        if instance.channel is None:
-            raise ReproError("inferlet has no client channel")
-        instance.channel.send_to_client(message)
-
-    def client_receive(self, instance: InferletInstance) -> SimFuture:
-        if instance.channel is None:
-            raise ReproError("inferlet has no client channel")
-        return instance.channel.receive_from_client()
-
-    def http_request(
-        self, url: str, payload: Any = None, instance: Optional[InferletInstance] = None
-    ) -> SimFuture:
+    def http_request(self, instance: InferletInstance, url: str, payload: Any = None) -> SimFuture:
         request = (
             self.external.request(url, payload)
             if self.faults is None
             else faulty_request(self, url, payload, instance)
         )
         future = self.sim.create_task(request, name=f"http:{url}")
-        if instance is None:
-            return future
         return self._wrap_external_call(instance, future)
 
     def _wrap_external_call(
@@ -805,36 +663,20 @@ class Controller:
         pages.  With no swap-capable service (``host_kv_pages=0``) the raw
         future is returned untouched and behaviour is bit-identical to the
         pre-swap system."""
-        managers = [
-            (service.swap, service.router.shard_for(instance.instance_id))
-            for service in self._services.values()
-            if service.swap.enabled and service.router.is_placed(instance.instance_id)
-        ]
-        if not managers:
+        shards = [s for s in instance.placements.values() if s.service.swap.enabled]
+        if not shards:
             return inner
 
         async def suspend_resume():
-            for swap, shard in managers:
-                swap.note_blocked(instance, shard)
+            for shard in shards:
+                shard.service.swap.note_blocked(instance, shard)
             try:
                 return await inner
             finally:
-                for swap, _ in managers:
-                    swap.note_unblocked(instance)
-                    await swap.ensure_resident(instance)
+                for shard in shards:
+                    shard.service.swap.note_unblocked(instance)
+                    await shard.service.swap.ensure_resident(instance)
 
         return self.sim.create_task(
             suspend_resume(), name=f"extcall:{instance.instance_id}"
         )
-
-    def broadcast(self, instance: InferletInstance, topic: str, message: Any) -> int:
-        return self.bus.broadcast(topic, message, sender_id=instance.instance_id)
-
-    def subscribe(self, instance: InferletInstance, topic: str) -> None:
-        self.bus.subscribe(topic, instance.instance_id)
-
-    def unsubscribe(self, instance: InferletInstance, topic: str) -> None:
-        self.bus.unsubscribe(topic, instance.instance_id)
-
-    def next_broadcast(self, instance: InferletInstance, topic: str) -> SimFuture:
-        return self.bus.next_message(topic, instance.instance_id)

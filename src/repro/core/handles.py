@@ -9,8 +9,7 @@ API calls, exactly as the paper's examples do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,6 @@ class Queue:
     owner: str
     model: str
     priority: int = 0
-    closed: bool = False
-    _debug_name: Optional[str] = field(default=None, repr=False)
 
     def __hash__(self) -> int:
         return hash((self.owner, self.qid))

@@ -172,7 +172,7 @@ class ShardHealthService:
                 instance = live.get(instance_id)
                 if instance is None or instance.finished:
                     continue
-                if self._try_relaunch(service, dead, instance):
+                if self._try_relaunch(dead, instance):
                     controller.metrics.failover_relaunches += 1
                     continue
                 controller.metrics.failover_terminations += 1
@@ -182,7 +182,7 @@ class ShardHealthService:
                     cause="shard_down",
                 )
 
-    def _try_relaunch(self, service, dead, instance) -> bool:
+    def _try_relaunch(self, dead, instance) -> bool:
         """Re-materialize a fully host-tier-resident inferlet elsewhere.
 
         Only safe when the owner's *committed* state survives the crash:
@@ -192,48 +192,30 @@ class ShardHealthService:
         slots are provisioned on the destination under the same virtual
         ids; the next forward rewrites them before any sample reads them
         (the Context idiom), exactly as after a cold resume.  The swapped
-        host slots and the address-space counters move via the same
-        detach/adopt path live migration uses; the next fault-in restores
-        the pages onto the new shard's device.
+        host slots, the queues and the placement record move the way a
+        live migration moves them (``ModelService.move``); the next
+        fault-in restores the pages onto the new shard's device.
         """
-        owner = instance.instance_id
-        swap = service.swap
-        if not swap.enabled or not swap.is_swapped(owner):
+        owner, service = instance.instance_id, dead.service
+        if (
+            not service.swap.is_swapped(owner)
+            or not dead.quiescent(instance)
+            or dead.resources.kv_mapping(owner)
+        ):
             return False
-        if instance.in_air_commands > 0:
-            return False
-        if not dead.resources.has_space(owner):
-            return False
-        if dead.resources.kv_mapping(owner):
-            return False
-        for queue in dead.scheduler.queues_for_owner(owner):
-            if queue.pending_count or queue.inflight_count:
-                return False
         try:
             dst = service.router.least_loaded_shard()
         except ShardUnavailableError:
             return False
         emb_vids = sorted(dead.resources.emb_mapping(owner))
-        if dst.resources.memory.embeds.num_free < len(emb_vids):
+        if dst.memory.embeds.num_free < len(emb_vids):
             return False
         if service.transfer is not None:
             # Any half-streamed KV of the owner is rooted on the dead
             # device; drop the staging (the host tier holds the truth).
             service.transfer.forget(owner)
-        _, _, swapped_kv, next_kv_vid, next_emb_vid = (
-            dead.resources.detach_space_for_migration(owner)
-        )
-        emb_map = dict(
-            zip(emb_vids, dst.resources.memory.embeds.allocate(len(emb_vids)))
-        )
-        dst.resources.adopt_migrated_space(
-            owner, {}, emb_map, swapped_kv, next_kv_vid, next_emb_vid
-        )
-        for queue in list(dead.scheduler.queues_for_owner(owner)):
-            dead.scheduler.detach_queue(queue.key)
-            dst.scheduler.adopt_queue(queue)
-        service.router.migrate(owner, dst.index)
-        swap.note_migrated(owner, dst)
+        emb_map = dict(zip(emb_vids, dst.memory.embeds.allocate(len(emb_vids))))
+        service.move(instance, dst, {}, emb_map)
         trace = self.controller.trace
         if trace is not None:
             start = dead.device.down_since

@@ -11,16 +11,24 @@ RNG and the accumulated (not yet charged) API-call overhead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import InferletTerminated
+from repro.errors import InferletTerminated, SchedulingError
 from repro.core.metrics import InferletMetrics
 from repro.core.messaging import ClientChannel
 
 _instance_ids = itertools.count(1)
+
+
+class _Placements(dict):
+    """Model name -> the ``DeviceShard`` the inferlet lives on; reading a
+    model it is not (or no longer) placed on is a typed error."""
+
+    def __missing__(self, model: str):
+        raise SchedulingError(f"inferlet is not placed on a cluster of model {model!r}")
 
 
 @dataclass
@@ -81,6 +89,10 @@ class InferletInstance:
         # inferlet's pages while this is non-zero: such commands carry
         # already-resolved physical page ids.
         self.in_air_commands: int = 0
+        # Where the inferlet lives, per served model: the shard (which
+        # names its service) every API call reads in one step.  Written
+        # only by Router.place / migrate / release.
+        self.placements: Dict[str, Any] = _Placements()
         self._terminated_reason: Optional[str] = None
         # Structured termination cause ("" for ordinary terminations;
         # e.g. "shard_down" when the chaos plane's failover killed us).

@@ -49,7 +49,7 @@ class InferletLifecycleManager:
         self._seed_counter = 0
         # wait_for_completion futures of instances that have no task yet.
         self._taskless_waiters: Dict[str, List[SimFuture]] = {}
-        controller.set_terminate_hook(self._on_forced_termination)
+        controller.terminate_hook = self._on_forced_termination
 
     # -- program registry ------------------------------------------------------
 

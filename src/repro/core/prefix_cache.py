@@ -147,10 +147,6 @@ class PrefixCacheService:
 
     # -- basic state -------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        return self.config.prefix_cache
-
     def cached_pages(self) -> int:
         """Device-resident pages currently owned by the index."""
         return len(self._by_pid)

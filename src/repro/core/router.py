@@ -48,8 +48,10 @@ from repro.core.scheduler import BatchScheduler, SchedulerStats
 from repro.gpu.device import SimDevice
 from repro.gpu.memory import DeviceMemory
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    from repro.core.inferlet import InferletInstance
     from repro.core.prefix_cache import PrefixCacheService
+    from repro.core.service import ModelService
 
 __all__ = [
     "PLACEMENT_POLICIES",
@@ -62,7 +64,12 @@ __all__ = [
 
 @dataclass
 class DeviceShard:
-    """One device-parallel replica of a model's inference layer."""
+    """One device-parallel replica of a model's inference layer.
+
+    It names its cluster (``service``), so the shard an inferlet lives on —
+    its *placement record*, ``instance.placements[model]``, written only by
+    :class:`Router`'s ``place`` / ``migrate`` / ``release`` — is all an API
+    call needs resolved."""
 
     index: int
     device: SimDevice
@@ -77,6 +84,8 @@ class DeviceShard:
     # by the controller when ControlLayerConfig.disaggregation is on;
     # purely observational outside the disaggregated placement policy.
     role: str = "mixed"
+    # The cluster this shard is part of; set by the owning ModelService.
+    service: Optional["ModelService"] = None
 
     @property
     def name(self) -> str:
@@ -99,6 +108,24 @@ class DeviceShard:
             "embed_occupancy": 1.0 - embeds.num_free / embeds.capacity,
             "busy_seconds": self.device.stats.busy_seconds,
         }
+
+    def quiescent(self, instance: "InferletInstance") -> bool:
+        """No command of ``instance`` is anywhere between issue and retire
+        here, so no resolved physical id of its space can still execute —
+        the precondition of moving its state (handoff, relaunch, swap-out).
+        Busy pins held by *other* owners (cache-shared prefix reads in
+        flight) do not count: a move copies pages without mutating them,
+        and every page an in-flight command can observe is kept alive by
+        the prefix cache's own pin or by the reader's space reference."""
+        owner = instance.instance_id
+        return (
+            instance.in_air_commands == 0
+            and self.resources.has_space(owner)
+            and not any(
+                queue.pending_count or queue.inflight_count
+                for queue in self.scheduler.queues_for_owner(owner)
+            )
+        )
 
 
 class Router:
@@ -128,6 +155,8 @@ class Router:
             )
         self.shards = list(shards)
         self.policy = policy
+        # The key of this cluster's placement record on every instance.
+        self.model = self.shards[0].resources.model_name
         self.is_swapped = is_swapped
         # Chaos plane (repro.core.health): shard-index predicate reporting
         # whether a shard may receive new placements.  None — the off-knob
@@ -164,24 +193,27 @@ class Router:
 
     # -- placement -------------------------------------------------------------
 
-    def place(
-        self,
-        instance_id: str,
-        hint: Optional[str] = None,
-        prefix_tokens: Optional[Sequence[int]] = None,
-    ) -> DeviceShard:
-        """Assign an inferlet to a shard; idempotent per instance."""
+    def place(self, instance: "InferletInstance") -> DeviceShard:
+        """Assign an inferlet to a shard; idempotent per instance.  Only
+        ``cache_affinity`` and ``disaggregated`` read the program's
+        ``placement_hint`` / ``prefix_hint``."""
+        instance_id = instance.instance_id
         if instance_id in self._placements:
             return self.shards[self._placements[instance_id]]
+        program = instance.program
         if self.policy == "round_robin":
             index = self._place_round_robin()
         elif self.policy == "least_loaded":
             index = self._place_least_loaded()
         elif self.policy == "disaggregated":
-            index = self._place_disaggregated(instance_id, hint, prefix_tokens)
+            index = self._place_disaggregated(
+                instance_id, program.placement_hint, self._prefix_tokens(program)
+            )
         else:
-            index = self._place_cache_affinity(hint, prefix_tokens)
-        self._placements[instance_id] = index
+            index = self._place_cache_affinity(
+                program.placement_hint, self._prefix_tokens(program)
+            )
+        self._record(instance, index)
         if self._trace is not None:
             self._trace.instant(
                 "place",
@@ -192,8 +224,20 @@ class Router:
             )
         return self.shards[index]
 
-    def release(self, instance_id: str) -> None:
+    def _prefix_tokens(self, program) -> Optional[List[int]]:
+        hint = program.prefix_hint
+        if isinstance(hint, str):
+            return self.shards[0].service.entry.tokenizer.encode(hint)
+        return None if hint is None else list(hint)
+
+    def _record(self, instance: "InferletInstance", index: int) -> None:
+        self._placements[instance.instance_id] = index
+        instance.placements[self.model] = self.shards[index]
+
+    def release(self, instance: "InferletInstance") -> None:
+        instance_id = instance.instance_id
         self._placements.pop(instance_id, None)
+        instance.placements.pop(self.model, None)
         # Retire the prompt-affinity memory with its last holder.  An
         # instance that migrated to a decode shard still retires the *hint*
         # entry (which points at its original prefill shard): without this,
@@ -204,15 +248,13 @@ class Router:
             self._hint_shard.pop(hint_key, None)
 
     def shard_for(self, instance_id: str) -> DeviceShard:
+        """Query by id (tests, tools); API calls read the record instead."""
         try:
             return self.shards[self._placements[instance_id]]
         except KeyError:
             raise SchedulingError(
                 f"inferlet {instance_id!r} was never placed on this model's cluster"
             ) from None
-
-    def is_placed(self, instance_id: str) -> bool:
-        return instance_id in self._placements
 
     def instances_on(self, shard: DeviceShard) -> List[str]:
         return [iid for iid, index in self._placements.items() if index == shard.index]
@@ -247,22 +289,23 @@ class Router:
             )
         ]
 
-    def migrate(self, instance_id: str, dst_index: int) -> None:
+    def migrate(self, instance: "InferletInstance", dst_index: int) -> None:
         """Re-point an already placed inferlet at another shard.
 
-        State migration (pages, queues, swap registration) is the KV
-        transfer scheduler's job (:mod:`repro.core.transfer`); the router
-        only records the new home so every later ``shard_for`` lookup —
-        command submission, capacity reclamation, swap fault-in — resolves
-        against the destination.
+        State migration (pages, queues, swap registration) is
+        :meth:`repro.core.service.ModelService.move`'s job; the router only
+        rewrites the placement record, so every later API call — command
+        submission, capacity reclamation, swap fault-in — resolves against
+        the destination.
         """
+        instance_id = instance.instance_id
         if instance_id not in self._placements:
             raise SchedulingError(
                 f"cannot migrate {instance_id!r}: it was never placed"
             )
         if not 0 <= dst_index < len(self.shards):
             raise SchedulingError(f"no shard with index {dst_index}")
-        self._placements[instance_id] = dst_index
+        self._record(instance, dst_index)
 
     # -- policy implementations -------------------------------------------------
 
@@ -314,39 +357,47 @@ class Router:
             key=lambda shard: (occupancy[shard.index], shard.pending_work, shard.index),
         ).index
 
-    def _place_cache_affinity(
-        self, hint: Optional[str], prefix_tokens: Optional[Sequence[int]]
-    ) -> int:
+    def _export_holder(self, indices: Sequence[int], hint: Optional[str]) -> Optional[int]:
         # Exact export-name match only: fuzzy (prefix) matching would let one
         # generic export name capture every hinted inferlet and create a
         # hotspot the least_loaded fallback is meant to prevent.
         if hint:
-            for shard in self.shards:
-                if shard.resources.has_export(hint) and self._placeable(shard.index):
-                    return shard.index
-        # With the automatic prefix cache on, a declared prompt prefix
-        # (InferletProgram.prefix_hint) is scored by longest page-aligned
-        # match against each shard's index; the winner gets the inferlet so
-        # its prefill reuses the cached pages locally.  Several shards tied
-        # at the best score are split least_loaded-style (replicated
-        # prompts must not pack one shard); no match at all falls through
-        # to the plain least_loaded policy.
-        if prefix_tokens:
-            scores = {}
-            for shard in self.shards:
-                cache = shard.prefix_cache
-                if cache is None or not cache.enabled or not self._placeable(shard.index):
-                    continue
-                matched = cache.match_len(prefix_tokens)
-                if matched > 0:
-                    scores[shard.index] = matched
-            if scores:
-                best = max(scores.values())
-                tied = [index for index, score in scores.items() if score == best]
-                if len(tied) == 1:
-                    return tied[0]
-                return self._place_least_loaded(restrict=tied)
-        return self._place_least_loaded()
+            for index in indices:
+                if self.shards[index].resources.has_export(hint) and self._placeable(index):
+                    return index
+        return None
+
+    def _best_prefix_match(
+        self, indices: Sequence[int], prefix_tokens: Sequence[int]
+    ) -> Optional[int]:
+        """With the automatic prefix cache on, a declared prompt prefix
+        (``InferletProgram.prefix_hint``) is scored by longest page-aligned
+        match against each shard's index; the winner gets the inferlet so
+        its prefill reuses the cached pages locally.  Several shards tied
+        at the best score are split least_loaded-style (replicated prompts
+        must not pack one shard); None when nothing matches."""
+        scores = {}
+        for index in indices:
+            cache = self.shards[index].prefix_cache
+            if cache is None or not self._placeable(index):
+                continue
+            matched = cache.match_len(prefix_tokens)
+            if matched > 0:
+                scores[index] = matched
+        if not scores:
+            return None
+        best = max(scores.values())
+        tied = [index for index, score in scores.items() if score == best]
+        return tied[0] if len(tied) == 1 else self._place_least_loaded(restrict=tied)
+
+    def _place_cache_affinity(
+        self, hint: Optional[str], prefix_tokens: Optional[Sequence[int]]
+    ) -> int:
+        everywhere = range(len(self.shards))
+        index = self._export_holder(everywhere, hint)
+        if index is None and prefix_tokens:
+            index = self._best_prefix_match(everywhere, prefix_tokens)
+        return self._place_least_loaded() if index is None else index
 
     def _place_disaggregated(
         self,
@@ -361,34 +412,22 @@ class Router:
         match scoring, then least_loaded) plus a prompt-affinity memory so
         repeated prompts keep hitting the shard that warmed up first.
         """
-        prefill = list(range(self.prefill_shards))
-        if hint:
-            for index in prefill:
-                if self.shards[index].resources.has_export(hint) and self._placeable(index):
-                    return index
-        if prefix_tokens:
-            hint_key = tuple(prefix_tokens)
-            self._instance_hints[instance_id] = hint_key
-            remembered = self._hint_shard.get(hint_key)
-            if remembered is not None and self._placeable(remembered):
-                return remembered
-            scores = {}
-            for index in prefill:
-                cache = self.shards[index].prefix_cache
-                if cache is None or not cache.enabled or not self._placeable(index):
-                    continue
-                matched = cache.match_len(prefix_tokens)
-                if matched > 0:
-                    scores[index] = matched
-            if scores:
-                best = max(scores.values())
-                tied = [index for index, score in scores.items() if score == best]
-                index = tied[0] if len(tied) == 1 else self._place_least_loaded(restrict=tied)
-            else:
-                index = self._place_least_loaded(restrict=prefill)
-            self._hint_shard[hint_key] = index
+        prefill = range(self.prefill_shards)
+        index = self._export_holder(prefill, hint)
+        if index is not None:
             return index
-        return self._place_least_loaded(restrict=prefill)
+        if not prefix_tokens:
+            return self._place_least_loaded(restrict=prefill)
+        hint_key = tuple(prefix_tokens)
+        self._instance_hints[instance_id] = hint_key
+        remembered = self._hint_shard.get(hint_key)
+        if remembered is not None and self._placeable(remembered):
+            return remembered
+        index = self._best_prefix_match(prefill, prefix_tokens)
+        if index is None:
+            index = self._place_least_loaded(restrict=prefill)
+        self._hint_shard[hint_key] = index
+        return index
 
 
 def aggregate_scheduler_stats(stats: Sequence[SchedulerStats]) -> SchedulerStats:

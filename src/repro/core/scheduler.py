@@ -368,9 +368,7 @@ class BatchScheduler:
         prefill_chunk_tokens = 0
         future_factory = None
         if self.control_config.chunked_prefill:
-            max_batch_tokens = (
-                self.control_config.max_batch_tokens or self.gpu_config.max_batch_tokens
-            )
+            max_batch_tokens = self.gpu_config.max_batch_tokens
             prefill_chunk_tokens = self.control_config.prefill_chunk_tokens
             if self.chunk_scale != 1.0:
                 max_batch_tokens = int(max_batch_tokens * self.chunk_scale)

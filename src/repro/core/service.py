@@ -10,7 +10,7 @@ them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import PieConfig
 from repro.core.handlers import ApiHandlers
@@ -27,7 +27,8 @@ from repro.gpu.pool import DevicePool
 from repro.model.registry import ModelEntry
 from repro.sim.simulator import Simulator
 
-if TYPE_CHECKING:  # imported only for the ModelService property annotations
+if TYPE_CHECKING:  # imported only for annotations
+    from repro.core.inferlet import InferletInstance
     from repro.gpu.device import SimDevice
     from repro.gpu.memory import DeviceMemory
 
@@ -59,6 +60,8 @@ class ModelService:
         self.pool = pool
         self.shards = shards
         self.router = router
+        for shard in shards:
+            shard.service = self
         self.host_pool = host_pool
         self.swap = swap
         # Prefill/decode disaggregation's KV transfer scheduler
@@ -94,6 +97,42 @@ class ModelService:
         """The shard the inferlet ``owner`` was placed on."""
         return self.router.shard_for(owner)
 
+    def move(
+        self,
+        instance: "InferletInstance",
+        dst: DeviceShard,
+        kv_map: Dict[int, int],
+        emb_map: Dict[int, int],
+    ) -> None:
+        """Re-home a quiescent inferlet (``shard.quiescent(instance)``) on
+        ``dst``: the one move behind the disaggregation handoff and the
+        failover relaunch.
+
+        ``kv_map`` / ``emb_map`` are the owner's vid -> *destination*
+        physical id maps; the caller has allocated those pages and slots
+        and put the contents there.  Host-tier slots ride along (the host
+        pool is per-node), live handles keep resolving, the queues keep
+        their counters and priority, and the placement record is rewritten
+        last but one, so the next API call lands on ``dst``.
+        """
+        owner = instance.instance_id
+        src = instance.placements[self.entry.name]
+        if dst.prefix_cache is not None:
+            # The destination cache must not inherit, for the adopted
+            # slots, token identities it recorded for a previous owner.
+            dst.prefix_cache.forget_embeds(list(emb_map.values()))
+        _, _, swapped_kv, next_kv_vid, next_emb_vid = (
+            src.resources.detach_space_for_migration(owner)
+        )
+        dst.resources.adopt_migrated_space(
+            owner, kv_map, emb_map, swapped_kv, next_kv_vid, next_emb_vid
+        )
+        for queue in src.scheduler.queues_for_owner(owner):
+            src.scheduler.detach_queue(queue.key)
+            dst.scheduler.adopt_queue(queue)
+        self.router.migrate(instance, dst.index)
+        self.swap.note_migrated(owner, dst)
+
     def cluster_stats(self) -> ClusterSchedulerStats:
         """Scheduler statistics merged across every device of the cluster."""
         return ClusterSchedulerStats.from_shards(self.shards)
@@ -117,13 +156,18 @@ class ModelService:
         config: PieConfig,
         entry: ModelEntry,
         metrics: SystemMetrics,
+        ensure_capacity,
         qos=None,
         trace=None,
         retry=None,
     ) -> "ModelService":
         """Assemble the cluster serving ``entry``.  ``qos`` / ``trace`` /
         ``retry`` are the optional planes' services (None = knob off): each
-        part that can use one is handed it here, once."""
+        part that can use one is handed it here, once.
+        ``ensure_capacity(shard, instance, kv_pages, embeds)`` is the
+        controller's swap-first / terminate-last reclamation: swap-in and
+        the handoff tail compete for room through the same path
+        allocations use."""
         cost_model = KernelCostModel(entry.config)
         pool = DevicePool(
             sim, entry.config, config.gpu, name_prefix=f"gpu:{entry.name}:"
@@ -137,6 +181,7 @@ class ModelService:
             cost_model,
             config.control,
             metrics,
+            ensure_capacity,
             qos=qos,
             trace=trace,
         )
@@ -207,11 +252,10 @@ class ModelService:
         if control.disaggregation:
             transfer = KvTransferScheduler(
                 sim,
-                shards,
                 router,
                 cost_model,
                 metrics,
-                swap,
+                ensure_capacity,
                 qos=qos,
                 trace=trace,
                 retry=retry,

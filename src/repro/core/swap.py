@@ -59,6 +59,7 @@ class SwapManager:
         cost_model: KernelCostModel,
         control_config: ControlLayerConfig,
         metrics: SystemMetrics,
+        ensure_capacity: Callable[["DeviceShard", "InferletInstance", int], None],
         qos=None,
         trace=None,
     ) -> None:
@@ -82,16 +83,9 @@ class SwapManager:
         # currently on host.
         self._blocked: Dict[str, List] = {}  # owner -> [instance, shard, depth]
         self._swapped: Dict[str, Tuple["InferletInstance", "DeviceShard"]] = {}
-        # Installed by the controller once the service exists: ensures device
-        # capacity for a swap-in, reclaiming (swap-first, then FCFS) if needed.
-        self._ensure_capacity: Optional[
-            Callable[["DeviceShard", "InferletInstance", int], None]
-        ] = None
-
-    def bind_capacity_hook(
-        self, hook: Callable[["DeviceShard", "InferletInstance", int], None]
-    ) -> None:
-        self._ensure_capacity = hook
+        # The controller's reclamation path: ensures device capacity for a
+        # swap-in, reclaiming (swap-first, then FCFS) if needed.
+        self._ensure_capacity = ensure_capacity
 
     # -- state queries -----------------------------------------------------
 
@@ -180,14 +174,15 @@ class SwapManager:
         self._swapped.pop(instance_id, None)
 
     def note_migrated(self, instance_id: str, dst_shard: "DeviceShard") -> None:
-        """Re-point registries at the destination shard after a handoff.
+        """Re-point registries at the destination shard after a move
+        (:meth:`repro.core.service.ModelService.move`).
 
-        A disaggregation handoff only migrates quiescent, device-resident
-        inferlets, so ``_swapped`` should never hold the owner — updated
-        defensively all the same.  A ``_blocked`` entry can legitimately
-        exist (the owner may be awaiting an external call); its shard
-        reference must follow the inferlet so a later wake-retry swaps
-        pages on the device that actually holds them.
+        A disaggregation handoff only moves device-resident inferlets, a
+        failover relaunch only fully swapped ones — so both registries
+        follow.  A ``_blocked`` entry can legitimately exist either way
+        (the owner may be awaiting an external call); its shard reference
+        must follow the inferlet so a later wake-retry swaps pages on the
+        device that actually holds them.
         """
         entry = self._blocked.get(instance_id)
         if entry is not None:
@@ -200,15 +195,10 @@ class SwapManager:
 
     def _safe_to_swap(self, instance: "InferletInstance", shard: "DeviceShard") -> bool:
         """No command anywhere in flight may reference the owner's pages."""
-        if instance.finished or self.is_swapped(instance.instance_id):
-            return False
-        if not shard.resources.has_space(instance.instance_id):
-            return False
-        if instance.in_air_commands > 0:
-            return False
-        return not any(
-            queue.pending_count or queue.inflight_count
-            for queue in shard.scheduler.queues_for_owner(instance.instance_id)
+        return (
+            not instance.finished
+            and not self.is_swapped(instance.instance_id)
+            and shard.quiescent(instance)
         )
 
     def swap_out(self, instance: "InferletInstance", shard: "DeviceShard") -> int:
@@ -268,10 +258,7 @@ class SwapManager:
         if n_pages == 0:
             self._swapped.pop(owner, None)
             return None
-        if (
-            shard.resources.kv_pages_free < n_pages
-            and self._ensure_capacity is not None
-        ):
+        if shard.resources.kv_pages_free < n_pages:
             # May reclaim (swap-first, terminate-last) or raise; the
             # instance stays marked swapped until the restore succeeds.
             self._ensure_capacity(shard, instance, n_pages)
@@ -368,11 +355,7 @@ class SwapManager:
                 eligible, key=lambda entry: self.qos.victim_key(entry[1], entry[0])
             )
         else:
-            best: Optional[Tuple[int, "InferletInstance"]] = None
-            for n_pages, instance in eligible:
-                if best is None or n_pages > best[0]:
-                    best = (n_pages, instance)
-            victim = best[1]
+            _, victim = max(eligible, key=lambda entry: entry[0])
         moved = self.swap_out(victim, shard)
         if moved:
             self.metrics.reclamation_swaps += 1
@@ -391,7 +374,7 @@ class SwapManager:
         the swap path, not the cache).  Returns device pages freed.
         """
         cache = shard.prefix_cache
-        if cache is None or not cache.enabled:
+        if cache is None:
             return 0
         freed = cache.reclaim_one()
         if freed:

@@ -385,11 +385,7 @@ def telemetry_sampler(recorder: TraceRecorder, controller) -> PeriodicService:
     """
     control, gpu = controller.config.control, controller.config.gpu
     period = control.trace_sample_ms / 1e3
-    budget = (
-        control.max_batch_tokens or gpu.max_batch_tokens
-        if control.chunked_prefill
-        else gpu.max_batch_tokens
-    )
+    budget = gpu.max_batch_tokens
     last_busy: Dict[Any, float] = {}
     last_forward: Dict[Any, Tuple[float, float]] = {}
 

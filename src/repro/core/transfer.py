@@ -5,7 +5,8 @@ into *prefill* and *decode* roles (``repro.core.router``): every new
 inferlet is admitted onto a prefill shard, chews its prompt there
 (optionally via chunked prefill), and migrates to a decode shard the
 moment its first sampled token retires.  This module owns everything
-between those two states:
+between those two states but the move itself
+(:meth:`repro.core.service.ModelService.move`, shared with failover):
 
 * **Overlapped streaming** — as prefill commits KV pages (each completed
   head slice of a chunked prefill, or a whole forward), the provably-full
@@ -72,7 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.inferlet import InferletInstance
     from repro.core.qos import QosService
     from repro.core.router import DeviceShard, Router
-    from repro.core.swap import SwapManager
     from repro.gpu.kernels import KernelCostModel
 
 
@@ -115,21 +115,19 @@ class KvTransferScheduler:
     def __init__(
         self,
         sim: Simulator,
-        shards: List["DeviceShard"],
         router: "Router",
         cost_model: "KernelCostModel",
         metrics: SystemMetrics,
-        swap: "SwapManager",
+        ensure_capacity,
         qos: Optional["QosService"] = None,
         trace=None,
         retry=None,
     ) -> None:
         self.sim = sim
-        self.shards = shards
+        self.shards = router.shards
         self.router = router
         self.cost_model = cost_model
         self.metrics = metrics
-        self.swap = swap
         self.qos = qos
         # Flight recorder (repro.core.trace): "kv_stream" spans per flush,
         # a "handoff" span covering stall+landing, and wire spans via the
@@ -140,20 +138,17 @@ class KvTransferScheduler:
         self._streams: Dict[str, _Stream] = {}
         self._forwards: Dict[int, _ForwardTrack] = {}  # parent command_id ->
         self._links: Dict[Tuple[int, int], NetworkLink] = {}
-        # Installed by the controller: its swap-first / terminate-last
-        # reclamation path, so the handoff tail competes for destination
-        # capacity under exactly the same policy as any allocation.
-        self._capacity_hook = None
+        # The controller's swap-first / terminate-last reclamation path
+        # (``(dst_shard, instance, kv_pages, embeds)``), so the handoff tail
+        # competes for destination capacity under exactly the same policy
+        # as any allocation.
+        self._ensure_capacity = ensure_capacity
         # Chaos plane (repro.core.retry): given its RetryPolicy, refused
         # handoffs (no destination capacity / no healthy decode shard) are
         # retried on a backoff timer instead of waiting for the next sample
         # completion that will never come on a quiescent owner.
         self._retry = retry
         self._retry_attempts: Dict[str, int] = {}
-
-    def bind_capacity_hook(self, hook) -> None:
-        """``hook(dst_shard, instance, kv_pages, embeds)`` ensures room."""
-        self._capacity_hook = hook
 
     # -- controller-facing hooks (submit path) -----------------------------
 
@@ -296,14 +291,15 @@ class KvTransferScheduler:
         first decode shard.
         """
         if stream.dst_index is None:
-            inflight: Dict[int, float] = {}
-            for other in self._streams.values():
-                if other.dst_index is not None:
-                    inflight[other.dst_index] = inflight.get(other.dst_index, 0.0) + 1.0
-            stream.dst_index = self.router.choose_decode_shard(
-                extra_occupancy=inflight
-            ).index
+            stream.dst_index = self._choose_decode_shard().index
         return self.shards[stream.dst_index]
+
+    def _choose_decode_shard(self) -> "DeviceShard":
+        inflight: Dict[int, float] = {}
+        for other in self._streams.values():
+            if other.dst_index is not None:
+                inflight[other.dst_index] = inflight.get(other.dst_index, 0.0) + 1.0
+        return self.router.choose_decode_shard(extra_occupancy=inflight)
 
     def _link(self, src_index: int, dst_index: int) -> NetworkLink:
         key = (src_index, dst_index)
@@ -335,13 +331,10 @@ class KvTransferScheduler:
         sample completion; the source state is left fully intact.
         """
         owner = instance.instance_id
-        if not self.router.on_prefill_shard(owner):
+        src = instance.placements.get(self.router.model)
+        if src is None or src.role != "prefill":
             return False
-        if instance.finished:
-            self.forget(owner)
-            return False
-        src = self.router.shard_for(owner)
-        if not self._quiescent(instance, src):
+        if src.service.swap.is_swapped(owner) or not src.quiescent(instance):
             self.metrics.disagg_handoff_failures += 1
             return False
         stream = self._streams.get(owner)
@@ -363,39 +356,24 @@ class KvTransferScheduler:
                 # in the tail.
                 tail.append((vid, src_pid))
 
-        if stream is not None and stream.dst_index is not None:
-            dst = self.shards[stream.dst_index]
-        else:
-            # Nothing was ever streamed (short prompt below the page/chunk
-            # granularity): pick a destination now, still counting the
-            # streams other owners have in flight.
-            inflight: Dict[int, float] = {}
-            for other in self._streams.values():
-                if other.dst_index is not None:
-                    inflight[other.dst_index] = inflight.get(other.dst_index, 0.0) + 1.0
-            try:
-                dst = self.router.choose_decode_shard(extra_occupancy=inflight)
-            except SchedulingError:
-                # Every decode shard is down (chaos plane): back off and
-                # retry — the owner is quiescent, so no further sample
-                # completion will re-trigger the handoff.
-                for entry in staged.values():
-                    entry.consumed = False
-                self.metrics.disagg_handoff_failures += 1
-                self._schedule_retry(instance)
-                return False
         try:
-            if self._capacity_hook is not None and (tail or emb_map):
-                self._capacity_hook(dst, instance, len(tail), len(emb_map))
+            if stream is not None and stream.dst_index is not None:
+                dst = self.shards[stream.dst_index]
+            else:
+                # Nothing was ever streamed (short prompt below the
+                # page/chunk granularity): pick a destination now, still
+                # counting the streams other owners have in flight.
+                dst = self._choose_decode_shard()
+        except SchedulingError:  # every decode shard is down (chaos plane)
+            return self._refuse(instance, staged)
+        try:
+            if tail or emb_map:
+                self._ensure_capacity(dst, instance, len(tail), len(emb_map))
         except OutOfResourcesError:
-            for entry in staged.values():
-                entry.consumed = False
-            self.metrics.disagg_handoff_failures += 1
-            self._schedule_retry(instance)
-            return False
+            return self._refuse(instance, staged)
 
-        # Tail KV pages: allocate, content-exact copy.  adopt_migrated_space
-        # takes the owning reference below.
+        # Tail KV pages: allocate, content-exact copy (the move below takes
+        # the owning reference).
         tail_pids = dst.memory.kv_pages.allocate(len(tail))
         for (vid, src_pid), dst_pid in zip(tail, tail_pids):
             dst.memory.kv_pages.page(dst_pid).copy_page_from(
@@ -403,35 +381,20 @@ class KvTransferScheduler:
             )
             new_kv[vid] = dst_pid
         # Embed slots: full-state clones (vector, position, written flag) so
-        # downstream sampling is bit-identical; the destination cache must
-        # not inherit token identities it never recorded.
+        # downstream sampling is bit-identical.
         emb_items = sorted(emb_map.items())
         dst_slots = dst.memory.embeds.allocate(len(emb_items))
         new_emb: Dict[int, int] = {}
         for (vid, src_slot), dst_slot in zip(emb_items, dst_slots):
             dst.memory.embeds.clone_slot_from(dst_slot, src.memory.embeds, src_slot)
             new_emb[vid] = dst_slot
-        if dst.prefix_cache is not None:
-            dst.prefix_cache.forget_embeds(dst_slots)
 
-        # The point of no return: detach from the source (host-tier slots
-        # ride along, the host pool is per-node), adopt on the destination,
-        # then drop the transfer's staging pins — consumed pages settle at
-        # one owning reference, stale ones free.
-        _, _, swapped_kv, next_kv_vid, next_emb_vid = (
-            src.resources.detach_space_for_migration(owner)
-        )
-        dst.resources.adopt_migrated_space(
-            owner, new_kv, new_emb, swapped_kv, next_kv_vid, next_emb_vid
-        )
+        # The point of no return: the space, the queues and the placement
+        # record move; then the transfer's staging pins drop — consumed
+        # pages settle at one owning reference, stale ones free.
+        src.service.move(instance, dst, new_kv, new_emb)
         for entry in staged.values():
             dst.resources.unpin_kv(entry.dst_pid)
-
-        for queue in list(src.scheduler.queues_for_owner(owner)):
-            src.scheduler.detach_queue(queue.key)
-            dst.scheduler.adopt_queue(queue)
-        self.router.migrate(owner, dst.index)
-        self.swap.note_migrated(owner, dst)
         if self.qos is not None:
             self.qos.note_handoff(instance)
 
@@ -485,6 +448,16 @@ class KvTransferScheduler:
         self._retry_attempts.pop(owner, None)
         self._drop_tracks(owner)
         return True
+
+    def _refuse(self, instance: "InferletInstance", staged: Dict[int, _StagedPage]) -> bool:
+        """No destination or no room there: the source stays intact; back
+        off and retry — the owner is quiescent, so no further sample
+        completion will re-trigger the handoff."""
+        for entry in staged.values():
+            entry.consumed = False
+        self.metrics.disagg_handoff_failures += 1
+        self._schedule_retry(instance)
+        return False
 
     # -- chaos plane ----------------------------------------------------------
 
@@ -549,26 +522,6 @@ class KvTransferScheduler:
                     inferlet=owner,
                     args={"dead_shard": index, "requeued_pages": len(requeue)},
                 )
-
-    def _quiescent(self, instance: "InferletInstance", src: "DeviceShard") -> bool:
-        """No command of the owner is anywhere between issue and retire."""
-        owner = instance.instance_id
-        if instance.in_air_commands > 0:
-            return False
-        for queue in src.scheduler.queues_for_owner(owner):
-            if queue.pending_count or queue.inflight_count:
-                return False
-        if self.swap.is_swapped(owner):
-            return False
-        if not src.resources.has_space(owner):
-            return False
-        # Busy pins held by *other* owners (cache-shared prefix reads in
-        # flight) do not block the handoff: migration copies the owner's
-        # pages without mutating them, and every page an in-flight command
-        # can observe is kept alive independently of the migrating owner —
-        # by the prefix cache's own pin or by the reader's space reference.
-        # The owner's own pins are excluded by the two checks above.
-        return True
 
     # -- teardown -------------------------------------------------------------
 

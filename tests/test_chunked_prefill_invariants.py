@@ -67,12 +67,8 @@ def _scheduler(sim, handlers):
         SimDevice(sim),
         handlers,
         SchedulerConfig(),
-        GpuConfig(max_batch_rows=64),
-        ControlLayerConfig(
-            chunked_prefill=True,
-            prefill_chunk_tokens=CHUNK,
-            max_batch_tokens=BUDGET,
-        ),
+        GpuConfig(max_batch_rows=64, max_batch_tokens=BUDGET),
+        ControlLayerConfig(chunked_prefill=True, prefill_chunk_tokens=CHUNK),
     )
 
 
@@ -257,11 +253,8 @@ def test_interleaved_fleet_generates_identical_tokens_on_and_off(policy):
     def run(chunked):
         config = PieConfig(
             scheduler=SchedulerConfig(policy=policy),
-            control=ControlLayerConfig(
-                chunked_prefill=chunked,
-                prefill_chunk_tokens=16,
-                max_batch_tokens=24,
-            ),
+            gpu=GpuConfig(max_batch_tokens=24),
+            control=ControlLayerConfig(chunked_prefill=chunked, prefill_chunk_tokens=16),
         )
         sim, server = make_pie_setup(seed=11, with_tools=False, config=config)
         programs = build_programs()

@@ -4,6 +4,7 @@ schedulers, cross-device KV import, and the num_devices=1 regression."""
 import pytest
 
 from repro.core import InferletProgram, PieServer, PLACEMENT_POLICIES
+from repro.core.inferlet import InferletInstance
 from repro.core.config import ControlLayerConfig, PieConfig
 from repro.core.router import Router, aggregate_scheduler_stats
 from repro.errors import ReproError
@@ -21,6 +22,13 @@ def make_completion_program(name, prompt, max_tokens=8):
         return text
 
     return InferletProgram(name=name, main=main)
+
+
+def inst(name, **hints):
+    """A bare instance for driving a Router directly; ``hints`` are the
+    program's ``placement_hint`` / ``prefix_hint``."""
+    program = InferletProgram(name=name, main=lambda ctx: None, **hints)
+    return InferletInstance(program, instance_id=name)
 
 
 def run_fleet(server, programs):
@@ -81,10 +89,11 @@ class TestPlacementPolicies:
         sim = Simulator(seed=0)
         server = PieServer(sim, num_devices=3)
         router = Router(server.service().shards, policy="least_loaded")
-        assert [router.place(i).index for i in ("a", "b", "c")] == [0, 1, 2]
-        router.release("b")
-        assert router.place("d").index == 1  # the freed shard is emptiest
-        assert router.place("e").index == 0  # ties broken by index
+        a, b, c = inst("a"), inst("b"), inst("c")
+        assert [router.place(i).index for i in (a, b, c)] == [0, 1, 2]
+        router.release(b)
+        assert router.place(inst("d")).index == 1  # the freed shard is emptiest
+        assert router.place(inst("e")).index == 0  # ties broken by index
 
     def test_cache_affinity_follows_export(self):
         sim = Simulator(seed=0)
@@ -123,7 +132,10 @@ class TestPlacementPolicies:
         router = Router(server.service().shards, policy="cache_affinity")
         # No export anywhere: hinted placement degrades to least_loaded,
         # spreading across shards instead of pinning to shard 0.
-        indices = [router.place(f"i{n}", hint="ghost-prefix").index for n in range(3)]
+        indices = [
+            router.place(inst(f"i{n}", placement_hint="ghost-prefix")).index
+            for n in range(3)
+        ]
         assert indices == [0, 1, 2]
 
     def test_unknown_policy_rejected_by_router(self):
@@ -154,7 +166,7 @@ class TestDisaggregatedRouter:
         assert router.is_prefill_index(0)
         assert not router.is_prefill_index(1)
         assert router.decode_indices() == [1, 2]
-        assert router.place("a").index == 0  # new arrivals land on prefill
+        assert router.place(inst("a")).index == 0  # new arrivals land on prefill
         assert router.on_prefill_shard("a")
         dst = router.choose_decode_shard()
         assert dst.index in (1, 2)
@@ -164,14 +176,21 @@ class TestDisaggregatedRouter:
 
     def test_migrate_repoints_and_validates(self):
         router = self._router()
-        router.place("a")
-        router.migrate("a", 2)
+        a = inst("a")
+        router.place(a)
+        assert a.placements[router.model] is router.shards[0]
+        router.migrate(a, 2)
         assert router.shard_for("a").index == 2
+        assert a.placements[router.model] is router.shards[2]
         assert not router.on_prefill_shard("a")
         with pytest.raises(ReproError):
-            router.migrate("ghost", 1)
+            router.migrate(inst("ghost"), 1)
         with pytest.raises(ReproError):
-            router.migrate("a", 99)
+            router.migrate(a, 99)
+        router.release(a)
+        assert not a.placements
+        with pytest.raises(ReproError):
+            a.placements[router.model]
 
     def test_release_retires_hint_of_migrated_instance(self):
         """Regression: the prompt-affinity hint is keyed by the instance
@@ -182,27 +201,29 @@ class TestDisaggregatedRouter:
         long gone."""
         router = self._router(devices=4, prefill_shards=2)
         tokens = (1, 2, 3, 4)
-        first = router.place("a", prefix_tokens=tokens).index
+        a = inst("a", prefix_hint=tokens)
+        first = router.place(a).index
         assert router.is_prefill_index(first)
         assert router._hint_shard[tokens] == first
-        router.migrate("a", router.decode_indices()[0])
-        router.release("a")
+        router.migrate(a, router.decode_indices()[0])
+        router.release(a)
         assert "a" not in router._instance_hints
         assert tokens not in router._hint_shard, "stale hint survived release"
 
     def test_hint_survives_while_another_holder_lives(self):
         router = self._router(devices=4, prefill_shards=2)
         tokens = (9, 8, 7)
-        first = router.place("a", prefix_tokens=tokens).index
+        a, b, c = (inst(name, prefix_hint=tokens) for name in "abc")
+        first = router.place(a).index
         # The second holder follows the remembered hint shard.
-        assert router.place("b", prefix_tokens=tokens).index == first
-        router.migrate("a", router.decode_indices()[0])
-        router.release("a")
+        assert router.place(b).index == first
+        router.migrate(a, router.decode_indices()[0])
+        router.release(a)
         # "b" still holds the hint: it must survive "a"'s release ...
         assert router._hint_shard[tokens] == first
-        assert router.place("c", prefix_tokens=tokens).index == first
-        router.release("b")
-        router.release("c")
+        assert router.place(c).index == first
+        router.release(b)
+        router.release(c)
         # ... and retire with its last holder.
         assert tokens not in router._hint_shard
 

@@ -3,6 +3,8 @@ keyword names a ControlLayerConfig or GpuConfig field, and one small
 implication table says which knobs a shorthand switches on.  The edge cases
 are pinned here."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.runners import make_pie_setup
@@ -82,14 +84,16 @@ def test_sequences_are_tupleised():
     hash(control)  # the frozen config stays hashable
 
 
-def test_a_name_on_both_sub_configs_goes_to_control():
+def test_gpu_field_names_route_to_the_gpu_config_and_no_name_is_on_both():
+    control_names = {f.name for f in dataclasses.fields(ControlLayerConfig)}
+    gpu_names = {f.name for f in dataclasses.fields(GpuConfig)}
+    assert not control_names & gpu_names
     base = PieConfig(gpu=GpuConfig(max_batch_tokens=4096))
     config = with_overrides(
         base, dict(max_batch_tokens=24, num_devices=2, host_kv_pages=8)
     )
-    assert config.control.max_batch_tokens == 24
-    assert config.gpu.max_batch_tokens == 4096
-    assert (config.gpu.num_devices, config.gpu.host_kv_pages) == (2, 8)
+    gpu = config.gpu
+    assert (gpu.max_batch_tokens, gpu.num_devices, gpu.host_kv_pages) == (24, 2, 8)
 
 
 def test_an_unknown_key_is_a_type_error_naming_it():

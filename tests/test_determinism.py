@@ -78,7 +78,13 @@ def run_stack(
         else ()
     )
     config = PieConfig(
-        gpu=GpuConfig(num_kv_pages=96, num_devices=2, host_kv_pages=64),
+        gpu=GpuConfig(
+            num_kv_pages=96,
+            num_devices=2,
+            host_kv_pages=64,
+            # Small enough that the ~40-token fleet prompts actually slice.
+            max_batch_tokens=24,
+        ),
         control=ControlLayerConfig(
             prefix_cache=True,
             placement_policy="disaggregated" if disagg else "cache_affinity",
@@ -87,9 +93,7 @@ def run_stack(
             qos=qos,
             tenants=tenants,
             chunked_prefill=chunked,
-            # Small enough that the ~40-token fleet prompts actually slice.
             prefill_chunk_tokens=16,
-            max_batch_tokens=24,
             tracing=tracing,
             monitoring=monitoring,
             faults=faults,

@@ -63,7 +63,10 @@ def build_server(
     prompts slice, a host tier so swap can interleave with migration."""
     config = PieConfig(
         gpu=GpuConfig(
-            num_kv_pages=kv_pages, num_devices=devices, host_kv_pages=host_kv_pages
+            num_kv_pages=kv_pages,
+            num_devices=devices,
+            host_kv_pages=host_kv_pages,
+            max_batch_tokens=batch_tokens,
         ),
         control=ControlLayerConfig(
             prefix_cache=prefix_cache,
@@ -72,7 +75,6 @@ def build_server(
             prefill_shards=prefill_shards,
             chunked_prefill=True,
             prefill_chunk_tokens=chunk_tokens,
-            max_batch_tokens=batch_tokens,
         ),
     )
     return PieServer(sim, config=config)
@@ -269,12 +271,11 @@ def _run_mid_chunk(disagg):
         server = build_server(sim, devices=2)
     else:
         config = PieConfig(
-            gpu=GpuConfig(num_kv_pages=72, num_devices=2, host_kv_pages=32),
+            gpu=GpuConfig(
+                num_kv_pages=72, num_devices=2, host_kv_pages=32, max_batch_tokens=16
+            ),
             control=ControlLayerConfig(
-                prefix_cache=True,
-                chunked_prefill=True,
-                prefill_chunk_tokens=8,
-                max_batch_tokens=16,
+                prefix_cache=True, chunked_prefill=True, prefill_chunk_tokens=8
             ),
         )
         server = PieServer(sim, config=config)

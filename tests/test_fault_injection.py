@@ -376,6 +376,75 @@ def test_swapped_inferlet_is_relaunched_with_identical_tokens():
     assert_pools_conserved(server)
 
 
+def _short_mover():
+    """Less than one KV page of context, so with the prefix cache on no page
+    of it is cache-registered (pinned) and it can be swapped out whole."""
+
+    async def main(ctx):
+        context = Context(ctx, sampling=SamplingParams())
+        await context.fill("Hi. ")
+        await context.generate_until(max_tokens=3)
+        observation = await ctx.http_get(TOOL_URL)
+        await context.fill(f"{observation} ")
+        out = await context.generate_until(max_tokens=3)
+        context.free()
+        return out
+
+    return InferletProgram(name="mover", main=main)
+
+
+def _run_short_mover_beside_a_warmer(crash):
+    async def warm(ctx):
+        context = Context(ctx, sampling=SamplingParams())
+        await context.fill("Warm the other shard's cache. ")
+        context.free()
+
+    sim = Simulator(seed=3)
+    server = PieServer(
+        sim,
+        num_kv_pages=64,
+        num_devices=2,
+        host_kv_pages=64,
+        prefix_cache=True,
+        faults=True,
+        fault_plan=(("shard_crash", 0.45, 0),) if crash else (),
+    )
+    server.register_external(TOOL_URL, lambda payload: "rows", ConstantLatency(0.5))
+    server.register_program(_short_mover())
+    server.register_program(InferletProgram(name="warmer", main=warm))
+    mover, _ = server.launch("mover")  # round robin: shard 0
+    server.launch("warmer")  # shard 1; embeds a prompt, frees its slots, exits
+    return sim, server, mover
+
+
+def test_relaunch_forgets_the_destination_caches_embed_identities():
+    """Regression: the relaunch took embed slots straight from the
+    destination's pool, so with the prefix cache on the adopted slots kept
+    the (token, position) identity the destination cache had recorded for
+    their previous owner — ``alloc_embeds`` and the disaggregation handoff
+    both forget those; the relaunch did not."""
+    sim, server, mover = _run_short_mover_beside_a_warmer(crash=False)
+    sim.run_until_complete(server.lifecycle.wait_for_completion(mover))
+    clean = mover.result
+
+    sim, server, mover = _run_short_mover_beside_a_warmer(crash=True)
+    survivor = server.service().shards[1]
+    sim.run(until=0.44)  # the warmer is gone; the mover is swapped out on shard 0
+    assert server.service().shard_for(mover.instance_id).index == 0
+    stale = set(survivor.prefix_cache._emb_tokens)
+    sim.run(until=0.5)  # crash at 0.45, detected and relaunched within a beat
+    assert server.metrics.failover_relaunches == 1
+    assert server.service().shard_for(mover.instance_id) is survivor
+    adopted = set(survivor.resources.emb_mapping(mover.instance_id).values())
+    assert adopted & stale, "the relaunch must reuse slots the cache knew"
+    assert not adopted & set(survivor.prefix_cache._emb_tokens)
+    sim.run_until_complete(server.lifecycle.wait_for_completion(mover))
+    assert mover.status == "finished"
+    assert mover.result == clean
+    sim.run()
+    assert_pools_conserved(server)
+
+
 def test_relaunch_requires_a_healthy_destination():
     """With every shard down the rescue is impossible: the mover is
     terminated with cause, and new launches fail typed."""
@@ -474,13 +543,14 @@ def run_brownout_scenario():
         TenantSpec(name="backfill", priority_class="batch"),
     )
     config = PieConfig(
-        gpu=GpuConfig(num_kv_pages=96, num_devices=2, host_kv_pages=64),
+        gpu=GpuConfig(
+            num_kv_pages=96, num_devices=2, host_kv_pages=64, max_batch_tokens=24
+        ),
         control=ControlLayerConfig(
             qos=True,
             tenants=tenants,
             chunked_prefill=True,
             prefill_chunk_tokens=16,
-            max_batch_tokens=24,
             monitoring=True,
             scrape_interval_ms=5.0,
             slo_burn_windows=((0.2, 0.05, 2.0),),

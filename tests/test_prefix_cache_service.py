@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import InferletProgram, PieServer
 from repro.core.config import ControlLayerConfig, PieConfig
+from repro.core.inferlet import InferletInstance
 from repro.errors import ReproError
 from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
@@ -389,6 +390,7 @@ class TestCacheAffinityPlacement:
                 page.valid[slot] = True
             cache._commit_chain([pid], chain)
         router = Router(shards, policy="cache_affinity")
-        first = router.place("tie-a", prefix_tokens=chain).index
-        second = router.place("tie-b", prefix_tokens=chain).index
+        program = InferletProgram(name="tie", main=lambda ctx: None, prefix_hint=chain)
+        first = router.place(InferletInstance(program, instance_id="tie-a")).index
+        second = router.place(InferletInstance(program, instance_id="tie-b")).index
         assert {first, second} == {0, 1}

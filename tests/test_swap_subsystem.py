@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import InferletProgram, PieServer
 from repro.core.config import ControlLayerConfig, PieConfig, SWAP_POLICIES
+from repro.core.inferlet import InferletInstance
 from repro.core.router import Router
 from repro.errors import ReproError, ResourceError
 from repro.gpu.config import GpuConfig
@@ -540,8 +541,10 @@ class TestRouterSwapAwareness:
             policy="least_loaded",
             is_swapped=lambda iid: iid in swapped,
         )
-        assert router.place("a").index == 0
+        program = InferletProgram(name="bare", main=lambda ctx: None)
+        a, b, c = (InferletInstance(program, instance_id=name) for name in "abc")
+        assert router.place(a).index == 0
         # "a" is suspended: shard 0 counts as empty again, so "b" and "c"
         # land on 0 and 1 rather than both avoiding 0.
-        assert router.place("b").index == 0
-        assert router.place("c").index == 1
+        assert router.place(b).index == 0
+        assert router.place(c).index == 1
