@@ -10,16 +10,10 @@ CI perf gate (``goodput_lost`` and the survivors' interactive p99 TTFT,
 both lower-is-better).
 """
 
-import json
-from pathlib import Path
-
 from repro.bench.experiments import chaos as experiment
 
-ROOT = Path(__file__).resolve().parents[1]
-ARTIFACT = ROOT / "BENCH_chaos.json"
 
-
-def test_chaos_shard_kill(run_experiment):
+def test_chaos_shard_kill(run_experiment, write_artifact):
     result = run_experiment(experiment)
     rows = {r["config"]: r for r in result.rows}
     assert set(rows) == {"baseline", "faults_inert", "shard_kill"}
@@ -72,4 +66,4 @@ def test_chaos_shard_kill(run_experiment):
         "inert_identical_tokens": raw["inert_identical_tokens"],
         "inert_identical_elapsed": raw["inert_identical_elapsed"],
     }
-    ARTIFACT.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
+    write_artifact("BENCH_chaos.json", head)

@@ -6,22 +6,17 @@ blocks the decode rows for the whole prompt; with ``chunked_prefill`` on,
 batch formation slices prompts under a token budget so decodes ride every
 batch.  The headline gate: >= 2x better decode-side p99 inter-token gap at
 >= 0.95x token throughput, with identical generated tokens (chunking may
-change timing, never results) and a bit-identical, counter-free
-``chunked_prefill=off`` path.
+change timing, never results); the bit-identical, counter-free
+``chunked_prefill=off`` path is a case of ``test_same_seed_same_run.py``.
 
 The headline numbers are also written to ``BENCH_chunked_prefill.json`` at
 the repo root so CI can archive the perf trajectory across commits.
 """
 
-import json
-from pathlib import Path
-
 from repro.bench.experiments import chunked_prefill as experiment
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_chunked_prefill.json"
 
-
-def test_chunked_prefill(run_experiment):
+def test_chunked_prefill(run_experiment, write_artifact):
     result = run_experiment(experiment)
     rows = {r["config"]: r for r in result.rows}
     assert set(rows) == {"chunked_off", "chunked_on"}
@@ -57,38 +52,4 @@ def test_chunked_prefill(run_experiment):
     assert on["sys_prefill_chunks_dispatched"] == on["prefill_chunks_dispatched"]
     assert on["sys_decode_rows_co_batched"] == on["decode_rows_co_batched"]
 
-    ARTIFACT.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
-
-
-def test_chunked_off_is_bit_identical_and_inert():
-    """The chunked_prefill=off default takes the exact pre-chunking path.
-
-    Two identical seeded runs agree bit-for-bit and no chunking machinery
-    leaves a trace — the structural half of the "off == pre-PR behaviour"
-    guarantee; tests/test_determinism.py holds the seeded end-to-end half.
-    A reduced fleet keeps this check cheap.
-    """
-    kwargs = dict(n_summarizers=2, n_chats=6, chat_tokens=16, prompt_tokens=1024)
-    first = experiment.run_fleet(False, **kwargs)
-    second = experiment.run_fleet(False, **kwargs)
-    for key in (
-        "finished",
-        "elapsed",
-        "total_output_tokens",
-        "decode_gap_p50",
-        "decode_gap_p99",
-        "chat_ttft_p99",
-        "summarizer_outputs",
-        "chat_outputs",
-        "forward_input_tokens",
-    ):
-        assert first[key] == second[key], key
-    for key in (
-        "prefill_chunks_dispatched",
-        "decode_rows_co_batched",
-        "chunk_stall_saved_seconds",
-        "sys_prefill_chunks_dispatched",
-        "sys_decode_rows_co_batched",
-        "sys_chunk_stall_saved_seconds",
-    ):
-        assert first[key] == 0, key
+    write_artifact("BENCH_chunked_prefill.json", head)

@@ -14,15 +14,10 @@ root; CI's perf gate fails any commit that regresses events-per-request by
 more than 10% against the committed baseline.
 """
 
-import json
-from pathlib import Path
-
 from repro.bench.experiments import load_sweep as experiment
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_load_sweep.json"
 
-
-def test_load_sweep(run_experiment):
+def test_load_sweep(run_experiment, write_artifact):
     result = run_experiment(experiment)
     head = result.raw["headline"]
     rows = result.raw["sweep"]
@@ -55,4 +50,4 @@ def test_load_sweep(run_experiment):
     # tombstone per resolved timeout across the whole run.
     assert head["heap_size_end_10k"] < 100, head
 
-    ARTIFACT.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
+    write_artifact("BENCH_load_sweep.json", head)

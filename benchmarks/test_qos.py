@@ -6,8 +6,9 @@ FCFS pool the chat turns queue behind the miner backlog and lose the
 reclamation lottery; with the QoS subsystem on, class-weighted slack
 dispatch, per-class merge priority and lowest-class-first preemption must
 deliver >= 2x better interactive p99 TTFT at <= 10% total token-throughput
-cost, with zero interactive-class reclamation terminations.  The
-``qos=off`` path must remain bit-identical to the pre-QoS system.
+cost, with zero interactive-class reclamation terminations.  That the
+``qos=off`` path stays bit-identical to the pre-QoS system is a case of
+``test_same_seed_same_run.py``.
 """
 
 from repro.bench.experiments import qos as qos_experiment
@@ -35,39 +36,9 @@ def test_qos(run_experiment):
     assert on["interactive_slo"] >= off["interactive_slo"]
 
 
-def test_qos_off_is_bit_identical_and_inert():
-    """The qos=off run takes the exact pre-QoS code path.
-
-    Two identical seeded runs must agree bit-for-bit, and none of the QoS
-    machinery may leave a trace (no admission decisions, no preemption
-    accounting, no tenant records) — the structural half of the
-    "off == pre-PR behaviour" guarantee; tests/test_determinism.py holds
-    the seeded end-to-end half.
-    """
-    first = qos_experiment.run_fleet(False)
-    second = qos_experiment.run_fleet(False)
-    for key in (
-        "finished",
-        "elapsed",
-        "total_output_tokens",
-        "interactive_ttft_p50",
-        "interactive_ttft_p99",
-        "interactive_terminated",
-        "batch_terminated",
-        "reclamation_terminations",
-    ):
-        assert first[key] == second[key], key
-    assert first["qos_admitted"] == 0
-    assert first["qos_queued"] == 0
-    assert first["qos_rejected"] == 0
-    assert first["qos_preemption_swaps"] == 0
-    assert first["qos_preemption_terminations"] == 0
-    assert first["tenant_metrics"] == {}
-
-
 def test_qos_tenant_accounting():
     """Per-tenant SystemMetrics counters add up for the qos=on run."""
-    row = qos_experiment.run_fleet(True)
+    row = qos_experiment.run_fleet(**qos_experiment.arms()["qos_on"])
     tenants = row["tenant_metrics"]
     assert set(tenants) == {
         qos_experiment.INTERACTIVE_TENANT,

@@ -15,12 +15,10 @@ from pathlib import Path
 
 from repro.bench.experiments import tracing as experiment
 
-ROOT = Path(__file__).resolve().parents[1]
-ARTIFACT = ROOT / "BENCH_tracing.json"
-TRACE_ARTIFACT = ROOT / "trace_disaggregation.json"
+TRACE_ARTIFACT = Path(__file__).resolve().parents[1] / "trace_disaggregation.json"
 
 
-def test_tracing(run_experiment):
+def test_tracing(run_experiment, write_artifact):
     result = run_experiment(experiment, trace_path=str(TRACE_ARTIFACT))
     rows = {r["config"]: r for r in result.rows}
     assert set(rows) == {"tracing_off", "tracing_on"}
@@ -69,4 +67,4 @@ def test_tracing(run_experiment):
         "latency_p50_ms": report["summary"]["latency"]["p50"] * 1e3,
         "latency_p99_ms": report["summary"]["latency"]["p99"] * 1e3,
     }
-    ARTIFACT.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
+    write_artifact("BENCH_tracing.json", head)

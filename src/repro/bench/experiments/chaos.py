@@ -27,10 +27,13 @@ identical to a crash-free run.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
+from repro.bench.compare import compare_arms
 from repro.bench.loadgen import run_open_loop
 from repro.bench.reporting import ExperimentResult
+from repro.bench.runners import make_pie_setup, run_pie_single
 
 #: Offered rate: the measured knee of the PR-8 reference sweep
 #: (BENCH_load_sweep.json: knee_offered_rate=900 on 4 devices); the
@@ -44,30 +47,18 @@ SEED = 11
 
 KILL_PLAN = (("shard_crash", CRASH_AT, CRASH_SHARD),)
 
-
-def run_kill_sweep(n_requests: int) -> Dict[str, Dict]:
-    """The three open-loop arms at the knee rate on eight devices."""
-    kwargs = dict(
-        n_requests=n_requests,
-        offered_rate=RATE,
-        seed=SEED,
-        num_devices=NUM_DEVICES,
-        collect_outputs=True,
-    )
-    return {
-        "baseline": run_open_loop(**kwargs),
-        "faults_inert": run_open_loop(faults=True, **kwargs),
-        "shard_kill": run_open_loop(faults=True, fault_plan=KILL_PLAN, **kwargs),
-    }
+#: Server overrides of the three arms (see the module docstring).
+ARMS = {
+    "baseline": {},
+    "faults_inert": dict(faults=True),
+    "shard_kill": dict(faults=True, fault_plan=KILL_PLAN),
+}
 
 
 def run_rescue_probe() -> Dict:
     """Crash the shard of a tool-blocked, fully swapped agent; it must be
     relaunched on the survivor and finish with identical tokens."""
-    from repro.core import InferletProgram, PieServer
-    from repro.core.config import ControlLayerConfig, PieConfig
-    from repro.gpu.config import GpuConfig
-    from repro.sim import Simulator
+    from repro.core import InferletProgram
     from repro.sim.latency import ConstantLatency
     from repro.support import Context, SamplingParams
 
@@ -87,20 +78,18 @@ def run_rescue_probe() -> Dict:
         return InferletProgram(name="mover", main=main)
 
     def run_once(crash: bool):
-        sim = Simulator(seed=3)
-        config = PieConfig(
-            gpu=GpuConfig(num_kv_pages=64, num_devices=2, host_kv_pages=64),
-            control=ControlLayerConfig(
-                swap_policy="proactive",
-                faults=True,
-                fault_plan=(("shard_crash", 0.45, 0),) if crash else (),
-            ),
+        _, server = make_pie_setup(
+            seed=3,
+            with_tools=False,
+            num_kv_pages=64,
+            num_devices=2,
+            host_kv_pages=64,
+            swap_policy="proactive",
+            faults=True,
+            fault_plan=(("shard_crash", 0.45, 0),) if crash else (),
         )
-        server = PieServer(sim, config=config)
         server.register_external(tool_url, lambda payload: "rows", ConstantLatency(0.5))
-        server.register_program(make_program())
-        result = sim.run_until_complete(server.run_inferlet("mover"))
-        return server, result
+        return server, run_pie_single(server, make_program())
 
     _, clean = run_once(crash=False)
     server, crashed = run_once(crash=True)
@@ -125,35 +114,37 @@ def run(quick: bool = True) -> ExperimentResult:
             "swap-then-relaunch rescue probe"
         ),
     )
-    arms = run_kill_sweep(n_requests)
-    baseline = arms["baseline"]
-    for label, row in arms.items():
+    # The three open-loop arms at the knee rate on eight devices.
+    arms = compare_arms(
+        partial(
+            run_open_loop,
+            n_requests=n_requests,
+            offered_rate=RATE,
+            seed=SEED,
+            num_devices=NUM_DEVICES,
+            collect_outputs=True,
+        ),
+        ARMS,
+    )
+    for label, row in arms.raw.items():
         chaos = row.get("chaos", {})
         result.add_row(
             config=label,
             virtual_duration_s=row["duration_s"],
             finished=row["finished"],
             goodput_count=row["goodput_count"],
-            goodput_retained=(
-                row["goodput_count"] / baseline["goodput_count"]
-                if baseline["goodput_count"]
-                else 0.0
-            ),
+            goodput_retained=arms.ratio("goodput_count", label, "baseline"),
             interactive_ttft_p99_ms=row["per_class"]["interactive"]["ttft"]["p99_ms"],
             terminations=chaos.get("failover_terminations", 0),
             relaunches=chaos.get("failover_relaunches", 0),
         )
     rescue = run_rescue_probe()
-    kill = arms["shard_kill"]
-    inert = arms["faults_inert"]
+    baseline = arms.raw["baseline"]
+    kill = arms.raw["shard_kill"]
     result.raw = {
-        "goodput_retained": (
-            kill["goodput_count"] / baseline["goodput_count"]
-            if baseline["goodput_count"]
-            else 0.0
-        ),
-        "inert_identical_tokens": inert["outputs"] == baseline["outputs"],
-        "inert_identical_elapsed": inert["duration_s"] == baseline["duration_s"],
+        "goodput_retained": arms.ratio("goodput_count", "shard_kill", "baseline"),
+        "inert_identical_tokens": arms.identical("baseline", "faults_inert", "outputs"),
+        "inert_identical_elapsed": arms.identical("baseline", "faults_inert", "duration_s"),
         "kill_chaos": kill["chaos"],
         "survivor_ttft_p99_ms": {
             name: kill["per_class"][name]["ttft"]["p99_ms"]

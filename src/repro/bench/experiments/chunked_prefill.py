@@ -35,13 +35,14 @@ counter at zero.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from dataclasses import replace
+from functools import partial
+from typing import Dict
 
+from repro.bench.compare import compare_arms
+from repro.bench.mixed_fleet import MixedFleet, run_mixed_fleet
 from repro.bench.reporting import ExperimentResult
-from repro.bench.runners import make_pie_setup
-from repro.core import InferletProgram
-from repro.core.metrics import percentile
-from repro.support import Context, SamplingParams
+from repro.bench.runners import ratio
 
 #: Interactive decode stream length (tokens per chat inferlet).
 CHAT_TURN_TOKENS = 72
@@ -51,147 +52,49 @@ SUMMARIZER_PROMPT_TOKENS = 3584
 PREFILL_CHUNK_TOKENS = 256
 MAX_BATCH_TOKENS = 320
 
-
-def _make_summarizer(index: int, prompt_tokens: int) -> InferletProgram:
-    """A long-prompt agent: prefill a document, emit a short summary.
-
-    The prompt is passed as raw token ids (documents this long would
-    otherwise dominate wall-clock tokenization time); the id pattern is
-    varied per agent so prefix caching could never collapse the work.
-    """
-
-    async def main(ctx):
-        context = Context(ctx, sampling=SamplingParams())
-        await context.fill([(index * 7 + i) % 250 for i in range(prompt_tokens)])
-        await context.generate_until(max_tokens=4)
-        summary = list(context.generated_ids)
-        context.free()
-        return summary
-
-    return InferletProgram(
-        name=f"summarizer_{index}",
-        main=main,
-        description="long-document summarizer (chunked-prefill experiment)",
-        requirements=("R1",),
-    )
+#: The quick-mode fleet.  Every generated token counts toward the gaps: on
+#: one device there is no handoff stall to keep out of them.
+FLEET = MixedFleet(
+    n_summarizers=4,
+    n_chats=12,
+    prompt_tokens=SUMMARIZER_PROMPT_TOKENS,
+    chat_tokens=CHAT_TURN_TOKENS,
+    summarizer_arrivals=(0.15, 0.5),
+    chat_arrivals=(0.01, 0.06),
+    id_stride=7,
+    skip_first_gap=False,
+)
+#: What both arms share: the seed and the budgets (inert while chunking is off).
+SETUP = dict(
+    seed=3, prefill_chunk_tokens=PREFILL_CHUNK_TOKENS, max_batch_tokens=MAX_BATCH_TOKENS
+)
+ARMS = {
+    "chunked_off": dict(chunked_prefill=False),
+    "chunked_on": dict(chunked_prefill=True),
+}
 
 
-def _make_chat(index: int, n_tokens: int) -> InferletProgram:
-    """An interactive chat turn that measures its own inter-token gaps."""
-
-    async def main(ctx):
-        context = Context(ctx, sampling=SamplingParams())
-        await context.fill(f"User: quick question number {index}? ")
-        gaps: List[float] = []
-        last = ctx.now()
-        for _ in range(n_tokens):
-            await context.generate_once()
-            now = ctx.now()
-            gaps.append(now - last)
-            last = now
-        tokens = list(context.generated_ids)
-        context.free()
-        return {"gaps": gaps, "tokens": tokens}
-
-    return InferletProgram(
-        name=f"chat_{index}",
-        main=main,
-        description="interactive chat stream (chunked-prefill experiment)",
-        requirements=("R1",),
-    )
-
-
-def run_fleet(
-    chunked: bool,
-    n_summarizers: int = 4,
-    n_chats: int = 12,
-    prompt_tokens: int = SUMMARIZER_PROMPT_TOKENS,
-    chat_tokens: int = CHAT_TURN_TOKENS,
-    chunk_tokens: int = PREFILL_CHUNK_TOKENS,
-    batch_tokens: int = MAX_BATCH_TOKENS,
-    summarizer_start_s: float = 0.15,
-    summarizer_stagger_s: float = 0.5,
-    chat_start_s: float = 0.01,
-    chat_stagger_s: float = 0.06,
-    seed: int = 3,
-    tracing: bool = False,
-    trace_path: str = "",
-) -> Dict:
+def run_fleet(fleet: MixedFleet = FLEET, **overrides) -> Dict:
     """Run the mixed prefill/decode workload; returns summary counters.
 
-    Summarizer arrivals are staggered so a long prefill is in flight for
-    most of the chats' steady state — with chunking off each arrival
-    stalls every decode stream for the whole prompt; with it on the
-    prompt drains one slice per mixed batch.  ``tracing=True`` records a
-    flight-recorder trace (non-perturbing); ``trace_path`` exports it
-    after the run.
+    With chunking off each summarizer arrival stalls every decode stream
+    for the whole prompt; with it on the prompt drains one slice per mixed
+    batch.  ``overrides`` are server configuration shorthands on top of
+    ``SETUP`` (an arm of ``ARMS``; ``tracing=True`` records a flight-recorder
+    trace, which is non-perturbing).
     """
-    sim, server = make_pie_setup(
-        seed=seed,
-        with_tools=False,
-        chunked_prefill=chunked,
-        prefill_chunk_tokens=chunk_tokens,
-        max_batch_tokens=batch_tokens,
-        tracing=tracing or None,
-    )
-    summarizers = [_make_summarizer(i, prompt_tokens) for i in range(n_summarizers)]
-    chats = [_make_chat(i, chat_tokens) for i in range(n_chats)]
-    for program in summarizers + chats:
-        server.register_program(program)
-
-    async def one(name: str, delay: float):
-        await sim.sleep(delay)
-        return await server.run_inferlet(name)
-
-    async def run_all():
-        tasks = [
-            sim.create_task(one(p.name, summarizer_start_s + i * summarizer_stagger_s))
-            for i, p in enumerate(summarizers)
-        ]
-        tasks += [
-            sim.create_task(one(p.name, chat_start_s + i * chat_stagger_s))
-            for i, p in enumerate(chats)
-        ]
-        return await sim.gather(tasks)
-
-    results = sim.run_until_complete(run_all())
-    elapsed = sim.now
-    metrics = server.metrics
-    if tracing and trace_path:
-        server.export_trace(trace_path)
+    row, server = run_mixed_fleet(fleet, **{**SETUP, **overrides})
     stats = server.cluster_stats().combined
-
-    chat_results = [r for r in results if isinstance(r.result, dict) and "gaps" in r.result]
-    summarizer_outputs = [
-        r.result for r in results if not (isinstance(r.result, dict) and "gaps" in r.result)
-    ]
-    decode_gaps = sorted(g for r in chat_results for g in r.result["gaps"])
-    chat_ttfts = sorted(
-        m.ttft
-        for iid, m in metrics.per_inferlet.items()
-        if iid.startswith("chat_") and m.ttft is not None
+    metrics = server.metrics
+    row.update(
+        prefill_chunks_dispatched=stats.prefill_chunks_dispatched,
+        decode_rows_co_batched=stats.decode_rows_co_batched,
+        chunk_stall_saved_seconds=stats.chunk_stall_saved_seconds,
+        sys_prefill_chunks_dispatched=metrics.prefill_chunks_dispatched,
+        sys_decode_rows_co_batched=metrics.decode_rows_co_batched,
+        sys_chunk_stall_saved_seconds=metrics.chunk_stall_saved_seconds,
     )
-    return {
-        "chunked": chunked,
-        "finished": sum(1 for r in results if r.status == "finished"),
-        "elapsed": elapsed,
-        "total_output_tokens": metrics.total_output_tokens,
-        "token_throughput": metrics.total_output_tokens / elapsed if elapsed else 0.0,
-        "decode_gap_p50": percentile(decode_gaps, 50),
-        "decode_gap_p99": percentile(decode_gaps, 99),
-        "chat_ttft_p50": percentile(chat_ttfts, 50),
-        "chat_ttft_p99": percentile(chat_ttfts, 99),
-        "prefill_chunks_dispatched": stats.prefill_chunks_dispatched,
-        "decode_rows_co_batched": stats.decode_rows_co_batched,
-        "chunk_stall_saved_seconds": stats.chunk_stall_saved_seconds,
-        "sys_prefill_chunks_dispatched": metrics.prefill_chunks_dispatched,
-        "sys_decode_rows_co_batched": metrics.decode_rows_co_batched,
-        "sys_chunk_stall_saved_seconds": metrics.chunk_stall_saved_seconds,
-        "forward_input_tokens": metrics.forward_input_tokens,
-        # Generated tokens, for the timing-only (bit-identical output) check.
-        "summarizer_outputs": summarizer_outputs,
-        "chat_outputs": [r.result["tokens"] for r in chat_results],
-    }
+    return row
 
 
 def headline(off: Dict, on: Dict) -> Dict:
@@ -199,21 +102,13 @@ def headline(off: Dict, on: Dict) -> Dict:
     return {
         "decode_p99_off_ms": off["decode_gap_p99"] * 1e3,
         "decode_p99_on_ms": on["decode_gap_p99"] * 1e3,
-        "decode_p99_speedup": (
-            off["decode_gap_p99"] / on["decode_gap_p99"] if on["decode_gap_p99"] else 0.0
-        ),
+        "decode_p99_speedup": ratio(off["decode_gap_p99"], on["decode_gap_p99"]),
         "ttft_p99_off_ms": off["chat_ttft_p99"] * 1e3,
         "ttft_p99_on_ms": on["chat_ttft_p99"] * 1e3,
-        "ttft_p99_speedup": (
-            off["chat_ttft_p99"] / on["chat_ttft_p99"] if on["chat_ttft_p99"] else 0.0
-        ),
+        "ttft_p99_speedup": ratio(off["chat_ttft_p99"], on["chat_ttft_p99"]),
         "throughput_off_tok_s": off["token_throughput"],
         "throughput_on_tok_s": on["token_throughput"],
-        "throughput_ratio": (
-            on["token_throughput"] / off["token_throughput"]
-            if off["token_throughput"]
-            else 0.0
-        ),
+        "throughput_ratio": ratio(on["token_throughput"], off["token_throughput"]),
         "prefill_chunks_dispatched": on["prefill_chunks_dispatched"],
         "decode_rows_co_batched": on["decode_rows_co_batched"],
         "chunk_stall_saved_seconds": on["chunk_stall_saved_seconds"],
@@ -221,43 +116,34 @@ def headline(off: Dict, on: Dict) -> Dict:
 
 
 def run(quick: bool = True) -> ExperimentResult:
-    n_summarizers = 4 if quick else 6
-    chat_tokens = CHAT_TURN_TOKENS if quick else 96
-    stagger = 0.5 if quick else 0.55
+    fleet = FLEET if quick else replace(
+        FLEET, n_summarizers=6, chat_tokens=96, summarizer_arrivals=(0.15, 0.55)
+    )
+    arms = compare_arms(partial(run_fleet, fleet), ARMS)
     result = ExperimentResult(
         name="Chunked prefill",
         description=(
-            f"{n_summarizers} summarizers ({SUMMARIZER_PROMPT_TOKENS}-token prompts) "
-            f"arriving over a fleet of 12 interactive chats ({chat_tokens} tokens "
-            f"each) on one device: monolithic prefill vs {PREFILL_CHUNK_TOKENS}-token "
-            f"slices under a {MAX_BATCH_TOKENS}-token batch budget"
+            f"{fleet.n_summarizers} summarizers ({fleet.prompt_tokens}-token prompts) "
+            f"arriving over a fleet of {fleet.n_chats} interactive chats "
+            f"({fleet.chat_tokens} tokens each) on one device: monolithic prefill vs "
+            f"{PREFILL_CHUNK_TOKENS}-token slices under a {MAX_BATCH_TOKENS}-token "
+            "batch budget"
         ),
+        rows=arms.rows(
+            lambda row: dict(
+                decode_gap_p50_ms=row["decode_gap_p50"] * 1e3,
+                decode_gap_p99_ms=row["decode_gap_p99"] * 1e3,
+                chat_ttft_p99_ms=row["chat_ttft_p99"] * 1e3,
+                token_throughput_per_s=row["token_throughput"],
+                chunks=row["prefill_chunks_dispatched"],
+                co_batched_decodes=row["decode_rows_co_batched"],
+                stall_saved_s=row["chunk_stall_saved_seconds"],
+                elapsed_s=row["elapsed"],
+            )
+        ),
+        raw=arms.raw,
     )
-    rows = {}
-    for label, chunked in (("chunked_off", False), ("chunked_on", True)):
-        row = run_fleet(
-            chunked,
-            n_summarizers=n_summarizers,
-            chat_tokens=chat_tokens,
-            summarizer_stagger_s=stagger,
-        )
-        rows[label] = row
-        result.add_row(
-            config=label,
-            decode_gap_p50_ms=row["decode_gap_p50"] * 1e3,
-            decode_gap_p99_ms=row["decode_gap_p99"] * 1e3,
-            chat_ttft_p99_ms=row["chat_ttft_p99"] * 1e3,
-            token_throughput_per_s=row["token_throughput"],
-            chunks=row["prefill_chunks_dispatched"],
-            co_batched_decodes=row["decode_rows_co_batched"],
-            stall_saved_s=row["chunk_stall_saved_seconds"],
-            elapsed_s=row["elapsed"],
-        )
-    # Raw per-config rows (token outputs, counters) for the benchmark's
-    # identity and inertness assertions — re-running the fleet just to
-    # re-derive them would double the benchmark's wall-clock cost.
-    result.raw = rows
-    head = headline(rows["chunked_off"], rows["chunked_on"])
+    head = headline(arms.raw["chunked_off"], arms.raw["chunked_on"])
     result.add_note(
         "Beyond the paper: token-budget batch formation slices long prefills "
         "so decode rows ride every batch instead of stalling behind whole "

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.bench.reporting import ExperimentResult
-from repro.bench.runners import make_pie_setup, run_pie_concurrent, throughput
+from repro.bench.runners import make_pie_setup, ratio, run_pie_concurrent
 from repro.inferlets import make_codeact_agent, make_react_agent
 from repro.workloads import AGENT_WORKLOADS, PromptGenerator
 
@@ -47,7 +47,7 @@ def _run_cluster(
     return {
         "finished": sum(1 for r in results if r.status == "finished"),
         "elapsed": elapsed,
-        "throughput": throughput(n_agents, elapsed),
+        "throughput": ratio(n_agents, elapsed),
         "batches": stats.combined.batches_dispatched,
         "mean_batch_size": stats.combined.mean_batch_size,
         "utilization": server.service().pool.utilization(),

@@ -32,13 +32,14 @@ The headline gate:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from dataclasses import replace
+from functools import partial
+from typing import Dict
 
+from repro.bench.compare import compare_arms
+from repro.bench.mixed_fleet import MixedFleet, run_mixed_fleet
 from repro.bench.reporting import ExperimentResult
-from repro.bench.runners import make_pie_setup
-from repro.core import InferletProgram
-from repro.core.metrics import percentile
-from repro.support import Context, SamplingParams
+from repro.bench.runners import ratio
 
 #: Cluster size and role split used by the disaggregated arm.
 NUM_DEVICES = 8
@@ -51,126 +52,45 @@ SUMMARIZER_PROMPT_TOKENS = 2048
 PREFILL_CHUNK_TOKENS = 256
 MAX_BATCH_TOKENS = 320
 
-
-def _make_summarizer(index: int, prompt_tokens: int) -> InferletProgram:
-    """A long-prompt agent: prefill a document, emit a short summary."""
-
-    async def main(ctx):
-        context = Context(ctx, sampling=SamplingParams())
-        await context.fill([(index * 11 + i) % 250 for i in range(prompt_tokens)])
-        await context.generate_until(max_tokens=4)
-        summary = list(context.generated_ids)
-        context.free()
-        return summary
-
-    return InferletProgram(
-        name=f"summarizer_{index}",
-        main=main,
-        description="long-document summarizer (disaggregation experiment)",
-        requirements=("R1",),
-    )
-
-
-def _make_chat(index: int, n_tokens: int) -> InferletProgram:
-    """An interactive chat turn measuring its steady-state decode cadence.
-
-    The first generated token is sampled *before* the clock starts: for a
-    disaggregated run it carries the one-off handoff stall (a TTFT
-    component), and the metric under test is the inter-token gap of the
-    established decode stream."""
-
-    async def main(ctx):
-        context = Context(ctx, sampling=SamplingParams())
-        await context.fill(f"User: quick question number {index}? ")
-        await context.generate_once()  # first token: excluded from gaps
-        gaps: List[float] = []
-        last = ctx.now()
-        for _ in range(n_tokens - 1):
-            await context.generate_once()
-            now = ctx.now()
-            gaps.append(now - last)
-            last = now
-        tokens = list(context.generated_ids)
-        context.free()
-        return {"gaps": gaps, "tokens": tokens}
-
-    return InferletProgram(
-        name=f"chat_{index}",
-        main=main,
-        description="interactive chat stream (disaggregation experiment)",
-        requirements=("R1",),
-    )
+#: The quick-mode fleet.  Each chat's first generated token is sampled
+#: before its gap clock starts (see ``MixedFleet.skip_first_gap``).
+FLEET = MixedFleet(
+    n_summarizers=8,
+    n_chats=16,
+    prompt_tokens=SUMMARIZER_PROMPT_TOKENS,
+    chat_tokens=CHAT_TURN_TOKENS,
+    summarizer_arrivals=(0.05, 0.25),
+    chat_arrivals=(0.01, 0.05),
+    id_stride=11,
+    skip_first_gap=True,
+)
+#: What both arms share: the seed, the cluster, chunked prefill and its budgets.
+SETUP = dict(
+    seed=3,
+    num_devices=NUM_DEVICES,
+    chunked_prefill=True,
+    prefill_chunk_tokens=PREFILL_CHUNK_TOKENS,
+    max_batch_tokens=MAX_BATCH_TOKENS,
+)
+#: The only difference: co-located ``least_loaded`` placement vs dedicated
+#: shard roles with KV-page streaming.
+ARMS = {
+    "colocated": dict(placement_policy="least_loaded"),
+    "disaggregated": dict(disaggregation=True, prefill_shards=PREFILL_SHARDS),
+}
 
 
-def run_fleet(
-    disaggregated: bool,
-    n_summarizers: int = 8,
-    n_chats: int = 16,
-    prompt_tokens: int = SUMMARIZER_PROMPT_TOKENS,
-    chat_tokens: int = CHAT_TURN_TOKENS,
-    num_devices: int = NUM_DEVICES,
-    prefill_shards: int = PREFILL_SHARDS,
-    summarizer_start_s: float = 0.05,
-    summarizer_stagger_s: float = 0.25,
-    chat_start_s: float = 0.01,
-    chat_stagger_s: float = 0.05,
-    seed: int = 3,
-    tracing: bool = False,
-    trace_path: str = "",
-) -> Dict:
+def run_fleet(fleet: MixedFleet = FLEET, **overrides) -> Dict:
     """Run the mixed cluster workload; returns summary counters.
 
-    Both arms run chunked prefill under the same budgets; the only
-    difference is co-located ``least_loaded`` placement vs dedicated
-    shard roles with KV-page streaming.  Summarizer arrivals are
-    staggered so prefill work is in flight for most of the chats' steady
-    state.  ``tracing=True`` turns the flight recorder on (guaranteed
-    non-perturbing); ``trace_path`` additionally exports the trace there
-    after the run (``.jsonl`` event log or Perfetto ``.json``).
+    ``overrides`` are server configuration shorthands on top of ``SETUP``:
+    an arm of ``ARMS``, plus ``tracing=True`` to turn the flight recorder
+    on (guaranteed non-perturbing) or ``trace_path=...`` to also export
+    the trace there after the run (``.jsonl`` event log or Perfetto
+    ``.json``).
     """
-    sim, server = make_pie_setup(
-        seed=seed,
-        with_tools=False,
-        num_devices=num_devices,
-        placement_policy=None if disaggregated else "least_loaded",
-        disaggregation=True if disaggregated else None,
-        prefill_shards=prefill_shards if disaggregated else None,
-        chunked_prefill=True,
-        prefill_chunk_tokens=PREFILL_CHUNK_TOKENS,
-        max_batch_tokens=MAX_BATCH_TOKENS,
-        tracing=tracing or None,
-    )
-    summarizers = [_make_summarizer(i, prompt_tokens) for i in range(n_summarizers)]
-    chats = [_make_chat(i, chat_tokens) for i in range(n_chats)]
-    for program in summarizers + chats:
-        server.register_program(program)
-
-    async def one(name: str, delay: float):
-        await sim.sleep(delay)
-        return await server.run_inferlet(name)
-
-    async def run_all():
-        tasks = [
-            sim.create_task(one(p.name, summarizer_start_s + i * summarizer_stagger_s))
-            for i, p in enumerate(summarizers)
-        ]
-        tasks += [
-            sim.create_task(one(p.name, chat_start_s + i * chat_stagger_s))
-            for i, p in enumerate(chats)
-        ]
-        return await sim.gather(tasks)
-
-    results = sim.run_until_complete(run_all())
-    elapsed = sim.now
+    row, server = run_mixed_fleet(fleet, **{**SETUP, **overrides})
     metrics = server.metrics
-    if tracing and trace_path:
-        server.export_trace(trace_path)
-
-    chat_results = [r for r in results if isinstance(r.result, dict) and "gaps" in r.result]
-    summarizer_outputs = [
-        r.result for r in results if not (isinstance(r.result, dict) and "gaps" in r.result)
-    ]
-    decode_gaps = sorted(g for r in chat_results for g in r.result["gaps"])
     prefill_decode_rows = 0
     decode_decode_rows = 0
     for shard in server.service().shards:
@@ -178,26 +98,17 @@ def run_fleet(
             prefill_decode_rows += shard.scheduler.stats.decode_rows_dispatched
         else:
             decode_decode_rows += shard.scheduler.stats.decode_rows_dispatched
-    return {
-        "disaggregated": disaggregated,
-        "finished": sum(1 for r in results if r.status == "finished"),
-        "elapsed": elapsed,
-        "total_output_tokens": metrics.total_output_tokens,
-        "token_throughput": metrics.total_output_tokens / elapsed if elapsed else 0.0,
-        "decode_gap_p50": percentile(decode_gaps, 50),
-        "decode_gap_p99": percentile(decode_gaps, 99),
-        "handoffs": metrics.disagg_handoffs,
-        "handoff_failures": metrics.disagg_handoff_failures,
-        "pages_streamed": metrics.disagg_pages_streamed,
-        "pages_tail": metrics.disagg_pages_tail,
-        "bytes_streamed": metrics.disagg_bytes_streamed,
-        "handoff_stall_seconds": metrics.disagg_handoff_stall_seconds,
-        "prefill_shard_decode_rows": prefill_decode_rows,
-        "decode_shard_decode_rows": decode_decode_rows,
-        "forward_input_tokens": metrics.forward_input_tokens,
-        "summarizer_outputs": summarizer_outputs,
-        "chat_outputs": [r.result["tokens"] for r in chat_results],
-    }
+    row.update(
+        handoffs=metrics.disagg_handoffs,
+        handoff_failures=metrics.disagg_handoff_failures,
+        pages_streamed=metrics.disagg_pages_streamed,
+        pages_tail=metrics.disagg_pages_tail,
+        bytes_streamed=metrics.disagg_bytes_streamed,
+        handoff_stall_seconds=metrics.disagg_handoff_stall_seconds,
+        prefill_shard_decode_rows=prefill_decode_rows,
+        decode_shard_decode_rows=decode_decode_rows,
+    )
+    return row
 
 
 def headline(baseline: Dict, disagg: Dict) -> Dict:
@@ -205,20 +116,12 @@ def headline(baseline: Dict, disagg: Dict) -> Dict:
     return {
         "decode_p99_baseline_ms": baseline["decode_gap_p99"] * 1e3,
         "decode_p99_disagg_ms": disagg["decode_gap_p99"] * 1e3,
-        "decode_p99_speedup": (
-            baseline["decode_gap_p99"] / disagg["decode_gap_p99"]
-            if disagg["decode_gap_p99"]
-            else 0.0
-        ),
+        "decode_p99_speedup": ratio(baseline["decode_gap_p99"], disagg["decode_gap_p99"]),
         "decode_p50_baseline_ms": baseline["decode_gap_p50"] * 1e3,
         "decode_p50_disagg_ms": disagg["decode_gap_p50"] * 1e3,
         "goodput_baseline_tok_s": baseline["token_throughput"],
         "goodput_disagg_tok_s": disagg["token_throughput"],
-        "goodput_ratio": (
-            disagg["token_throughput"] / baseline["token_throughput"]
-            if baseline["token_throughput"]
-            else 0.0
-        ),
+        "goodput_ratio": ratio(disagg["token_throughput"], baseline["token_throughput"]),
         "handoffs": disagg["handoffs"],
         "pages_streamed": disagg["pages_streamed"],
         "pages_tail": disagg["pages_tail"],
@@ -227,35 +130,32 @@ def headline(baseline: Dict, disagg: Dict) -> Dict:
 
 
 def run(quick: bool = True) -> ExperimentResult:
-    n_summarizers = 8 if quick else 12
-    n_chats = 16 if quick else 24
+    fleet = FLEET if quick else replace(FLEET, n_summarizers=12, n_chats=24)
+    arms = compare_arms(partial(run_fleet, fleet), ARMS)
     result = ExperimentResult(
         name="Prefill/decode disaggregation",
         description=(
-            f"{NUM_DEVICES} devices, {n_summarizers} summarizers "
-            f"({SUMMARIZER_PROMPT_TOKENS}-token prompts) over {n_chats} "
+            f"{NUM_DEVICES} devices, {fleet.n_summarizers} summarizers "
+            f"({fleet.prompt_tokens}-token prompts) over {fleet.n_chats} "
             f"interactive chats: least_loaded + chunked prefill everywhere vs "
             f"{PREFILL_SHARDS} prefill / {NUM_DEVICES - PREFILL_SHARDS} decode "
             f"shard roles with overlapped KV-page streaming"
         ),
+        rows=arms.rows(
+            lambda row: dict(
+                decode_gap_p50_ms=row["decode_gap_p50"] * 1e3,
+                decode_gap_p99_ms=row["decode_gap_p99"] * 1e3,
+                goodput_tok_s=row["token_throughput"],
+                handoffs=row["handoffs"],
+                pages_streamed=row["pages_streamed"],
+                pages_tail=row["pages_tail"],
+                stall_s=row["handoff_stall_seconds"],
+                elapsed_s=row["elapsed"],
+            )
+        ),
+        raw=arms.raw,
     )
-    rows = {}
-    for label, disaggregated in (("colocated", False), ("disaggregated", True)):
-        row = run_fleet(disaggregated, n_summarizers=n_summarizers, n_chats=n_chats)
-        rows[label] = row
-        result.add_row(
-            config=label,
-            decode_gap_p50_ms=row["decode_gap_p50"] * 1e3,
-            decode_gap_p99_ms=row["decode_gap_p99"] * 1e3,
-            goodput_tok_s=row["token_throughput"],
-            handoffs=row["handoffs"],
-            pages_streamed=row["pages_streamed"],
-            pages_tail=row["pages_tail"],
-            stall_s=row["handoff_stall_seconds"],
-            elapsed_s=row["elapsed"],
-        )
-    result.raw = rows
-    head = headline(rows["colocated"], rows["disaggregated"])
+    head = headline(arms.raw["colocated"], arms.raw["disaggregated"])
     result.add_note(
         "Beyond the paper: dedicated shard roles take prefill interference "
         "out of the decode path entirely — steady-state decode p99 gap "

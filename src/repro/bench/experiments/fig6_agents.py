@@ -13,10 +13,10 @@ from repro.bench.reporting import ExperimentResult
 from repro.bench.runners import (
     make_pie_setup,
     normalize,
+    ratio,
     run_concurrent_coros,
     run_pie_concurrent,
     run_pie_single,
-    throughput,
 )
 from repro.core.messaging import ExternalServices
 from repro.inferlets import make_codeact_agent, make_react_agent, make_swarm_agent
@@ -43,7 +43,7 @@ def _run_pie(agent: str, n_agents: int):
     single = run_pie_single(server, _pie_agent_program(agent, index=1000))
     programs = [_pie_agent_program(agent, index=i) for i in range(n_agents)]
     _, elapsed = run_pie_concurrent(server, programs)
-    return single.latency, throughput(n_agents, elapsed)
+    return single.latency, ratio(n_agents, elapsed)
 
 
 def _run_baseline(agent: str, n_agents: int, system: str):
@@ -75,7 +75,7 @@ def _run_baseline(agent: str, n_agents: int, system: str):
     latency = sim.now - start
     # Concurrent throughput.
     _, elapsed = run_concurrent_coros(sim, [agent_coro(i) for i in range(n_agents)])
-    return latency, throughput(n_agents, elapsed)
+    return latency, ratio(n_agents, elapsed)
 
 
 def run(quick: bool = True) -> ExperimentResult:

@@ -14,9 +14,9 @@ from repro.baselines import BaselineClient, SamplingConfig, VllmLikeServer
 from repro.bench.reporting import ExperimentResult
 from repro.bench.runners import (
     make_pie_setup,
+    ratio,
     run_concurrent_coros,
     run_pie_concurrent,
-    throughput,
 )
 from repro.core.messaging import ExternalServices
 from repro.inferlets import make_function_call_agent
@@ -48,7 +48,7 @@ def _pie_variant(n_agents: int, use_cache: bool, concurrent: bool, mask: bool) -
         for index in range(n_agents)
     ]
     _, elapsed = run_pie_concurrent(server, programs)
-    return throughput(n_agents, elapsed)
+    return ratio(n_agents, elapsed)
 
 
 def _vllm_baseline(n_agents: int) -> float:
@@ -69,7 +69,7 @@ def _vllm_baseline(n_agents: int) -> float:
         )
 
     _, elapsed = run_concurrent_coros(sim, [agent(i) for i in range(n_agents)])
-    return throughput(n_agents, elapsed)
+    return ratio(n_agents, elapsed)
 
 
 VARIANTS = (

@@ -21,10 +21,10 @@ from repro.bench.reporting import ExperimentResult
 from repro.bench.runners import (
     make_pie_setup,
     normalize,
+    ratio,
     run_concurrent_coros,
     run_pie_concurrent,
     run_pie_single,
-    throughput,
 )
 from repro.grammar import JsonMachine
 from repro.inferlets import (
@@ -58,7 +58,7 @@ def _pie_runner(program_factory: Callable[[int], object]) -> Runner:
         single = run_pie_single(server, program_factory(10_000))
         programs = [program_factory(index) for index in range(concurrency)]
         _, elapsed = run_pie_concurrent(server, programs)
-        return single.latency, throughput(concurrency, elapsed)
+        return single.latency, ratio(concurrency, elapsed)
 
     return runner
 
@@ -74,7 +74,7 @@ def _baseline_runner(make_server: Callable, coro_factory: Callable) -> Runner:
         _, elapsed = run_concurrent_coros(
             sim, [coro_factory(sim, server, index) for index in range(concurrency)]
         )
-        return latency, throughput(concurrency, elapsed)
+        return latency, ratio(concurrency, elapsed)
 
     return runner
 

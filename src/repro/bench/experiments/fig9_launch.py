@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.bench.reporting import ExperimentResult
 from repro.bench.runners import make_pie_setup
 from repro.core import InferletProgram, PieClient
+from repro.core.wasm import JIT_COMPILE_MS, JIT_COMPILE_MS_PER_MB, UPLOAD_MS
 
 
 def _make_ack_probe() -> InferletProgram:
@@ -43,9 +44,7 @@ def _launch_many(n_inferlets: int, cold: bool) -> float:
     mean_launch = server.metrics.launch_latency.mean
     if cold:
         upload_cost = (
-            server.config.wasm.upload_ms
-            + server.config.wasm.jit_compile_ms
-            + server.config.wasm.jit_compile_ms_per_mb * (program.binary_size / 2**20)
+            UPLOAD_MS + JIT_COMPILE_MS + JIT_COMPILE_MS_PER_MB * (program.binary_size / 2**20)
         ) / 1e3
         mean_launch += upload_cost
     return mean_launch

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.loadgen import run_open_loop
 from repro.bench.reporting import ExperimentResult
+from repro.bench.runners import ratio
 
 #: Offered rates swept in quick mode (req/s): spans keeping-up, the knee
 #: (~900 on the 4-device reference deployment) and deep overload.
@@ -155,7 +156,7 @@ def headline(
         "trace_slo_attainment": trace_row["slo_attainment"],
         "events_per_request_1k": epr_small,
         "events_per_request_10k": epr_large,
-        "events_per_request_ratio": epr_large / epr_small if epr_small else 0.0,
+        "events_per_request_ratio": ratio(epr_large, epr_small),
         "heap_size_end_10k": large["heap_size_end"],
         "heap_compactions_10k": large["heap_compactions"],
         "commands_dropped_10k": large["commands_dropped"],

@@ -28,11 +28,12 @@ of the baseline's forward tokens) and the exact compute account
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.bench.compare import compare_arms
 from repro.bench.reporting import ExperimentResult
-from repro.bench.runners import throughput
-from repro.core import PieServer
+from repro.bench.runners import Launch, launch_fleet, make_pie_setup, ratio
 from repro.core.inferlet import InferletProgram
-from repro.sim import Simulator
 from repro.support import Context, SamplingParams
 
 #: The shared system prompt: long enough to span several 16-token pages
@@ -63,44 +64,32 @@ def _make_fleet_agent(index: int, prefix_hint: bool) -> InferletProgram:
     )
 
 
-def run_fleet(
-    prefix_cache: bool,
-    n_agents: int = 12,
-    num_devices: int = 1,
-    placement_policy: str = "round_robin",
-    stagger_s: float = 0.2,
-    seed: int = 1,
-) -> dict:
-    """Run the shared-prompt fleet; returns summary counters."""
-    sim = Simulator(seed=seed)
-    server = PieServer(
-        sim,
-        num_devices=num_devices,
-        placement_policy=placement_policy,
-        prefix_cache=prefix_cache,
+#: Server overrides of the three arms.
+ARMS = {
+    "cache_off": dict(prefix_cache=False),
+    "cache_on": dict(prefix_cache=True),
+    "cache_cluster": dict(prefix_cache=True, num_devices=2, placement_policy="cache_affinity"),
+}
+
+
+def run_fleet(n_agents: int = 12, stagger_s: float = 0.2, **overrides) -> dict:
+    """Run the shared-prompt fleet; returns summary counters.
+
+    ``overrides`` are server configuration shorthands: an arm of ``ARMS``.
+    """
+    _, server = make_pie_setup(seed=1, with_tools=False, **overrides)
+    control = server.config.control
+    hinted = control.prefix_cache and control.placement_policy == "cache_affinity"
+    run = launch_fleet(
+        server,
+        [
+            Launch(_make_fleet_agent(i, prefix_hint=hinted), i * stagger_s)
+            for i in range(n_agents)
+        ],
     )
-    hinted = prefix_cache and placement_policy == "cache_affinity"
-    programs = [_make_fleet_agent(i, prefix_hint=hinted) for i in range(n_agents)]
-    for program in programs:
-        server.register_program(program)
-
-    async def launch_staggered(program, delay):
-        await sim.sleep(delay)
-        return await server.run_inferlet(program.name)
-
-    async def run_all():
-        tasks = [
-            sim.create_task(launch_staggered(program, i * stagger_s))
-            for i, program in enumerate(programs)
-        ]
-        return await sim.gather(tasks)
-
-    results = sim.run_until_complete(run_all())
     metrics = server.metrics
-    finished = sum(1 for r in results if r.status == "finished")
-    elapsed = sim.now
     return {
-        "finished": finished,
+        "finished": run.finished,
         "forward_tokens": metrics.forward_input_tokens,
         "saved_tokens": metrics.prefix_cache_saved_tokens,
         "hits": metrics.prefix_cache_hits,
@@ -109,14 +98,16 @@ def run_fleet(
         "output_tokens": metrics.total_output_tokens,
         "terminated": metrics.inferlets_terminated,
         "placements": dict(metrics.placements_by_device),
-        "results": tuple(r.result for r in results),
-        "elapsed": elapsed,
-        "throughput": throughput(finished, elapsed),
+        "results": tuple(r.result for r in run.results),
+        "elapsed": run.elapsed,
+        "throughput": ratio(run.finished, run.elapsed),
     }
 
 
 def run(quick: bool = True) -> ExperimentResult:
     n_agents = 12 if quick else 24
+    compared = compare_arms(partial(run_fleet, n_agents), ARMS)
+    baseline_tokens = compared.raw["cache_off"]["forward_tokens"]
     result = ExperimentResult(
         name="Automatic prefix cache",
         description=(
@@ -124,30 +115,22 @@ def run(quick: bool = True) -> ExperimentResult:
             f"{len(SYSTEM_PROMPT)}-token system prompt: prefill compute with "
             "the control layer's token-addressed prefix cache off vs on"
         ),
+        rows=compared.rows(
+            lambda row: dict(
+                finished=row["finished"],
+                forward_tokens=row["forward_tokens"],
+                saved_tokens=row["saved_tokens"],
+                saved_frac=round(row["saved_tokens"] / max(1, baseline_tokens), 3),
+                hits=row["hits"],
+                misses=row["misses"],
+                inserted_pages=row["inserted_pages"],
+                output_tokens=row["output_tokens"],
+                elapsed_s=row["elapsed"],
+                throughput_agents_per_s=row["throughput"],
+            )
+        ),
+        raw=compared.raw,
     )
-    configs = (
-        ("cache_off", False, 1, "round_robin"),
-        ("cache_on", True, 1, "round_robin"),
-        ("cache_cluster", True, 2, "cache_affinity"),
-    )
-    for label, enabled, num_devices, policy in configs:
-        row = run_fleet(
-            enabled, n_agents=n_agents, num_devices=num_devices, placement_policy=policy
-        )
-        baseline_tokens = result.rows[0]["forward_tokens"] if result.rows else row["forward_tokens"]
-        result.add_row(
-            config=label,
-            finished=row["finished"],
-            forward_tokens=row["forward_tokens"],
-            saved_tokens=row["saved_tokens"],
-            saved_frac=round(row["saved_tokens"] / max(1, baseline_tokens), 3),
-            hits=row["hits"],
-            misses=row["misses"],
-            inserted_pages=row["inserted_pages"],
-            output_tokens=row["output_tokens"],
-            elapsed_s=row["elapsed"],
-            throughput_agents_per_s=row["throughput"],
-        )
     result.add_note(
         "Beyond the paper: automatic (system-wide) prefix reuse inside the "
         "Pie control layer.  Saved tokens never reach a forward command; "

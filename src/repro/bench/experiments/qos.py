@@ -26,15 +26,15 @@ takes the exact pre-QoS code path).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
+from repro.bench.compare import compare_arms
 from repro.bench.reporting import ExperimentResult
-from repro.core import InferletProgram, PieServer, TenantSpec
-from repro.core.config import ControlLayerConfig, PieConfig
+from repro.bench.runners import Launch, launch_fleet, make_pie_setup
+from repro.core import InferletProgram, TenantSpec
 from repro.core.metrics import percentile
 from repro.core.qos import CLASS_TTFT_SLO_MS
-from repro.gpu.config import GpuConfig
-from repro.sim import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.support import Context, SamplingParams
 from repro.support.forkjoin import fork_join
@@ -53,6 +53,11 @@ MAX_BATCH_ROWS = 8
 
 INTERACTIVE_TENANT = "chat"
 BATCH_TENANT = "miner"
+#: Launch schedule (seconds): the miners ramp up from t=0, the chat turns
+#: keep arriving throughout the run.
+MINER_STAGGER_S = 0.03
+CHAT_START_S = 0.12
+CHAT_STAGGER_S = 0.09
 
 MINER_PROMPT = (
     "System: you are a data-mining agent; plan queries against the "
@@ -114,91 +119,66 @@ def _make_chat(index: int) -> InferletProgram:
     )
 
 
-def tenant_specs(n_miners: int, batch_max_concurrent: int = 0) -> List[TenantSpec]:
+def tenant_specs(n_miners: int) -> List[TenantSpec]:
     """The serving contracts for the two tenants of the experiment."""
-    if batch_max_concurrent <= 0:
-        # Mild admission backpressure by default: the last couple of miner
-        # launches park in the admission queue (deep enough that none are
-        # rejected) until a slot frees.  Tightening the cap trades miner
-        # completion time for even better interactive latency.
-        batch_max_concurrent = max(2, n_miners - 2)
+    # Mild admission backpressure: the last couple of miner launches park
+    # in the admission queue (deep enough that none are rejected) until a
+    # slot frees.  Tightening the cap trades miner completion time for even
+    # better interactive latency.
     return [
         TenantSpec(name=INTERACTIVE_TENANT, priority_class="interactive"),
         TenantSpec(
             name=BATCH_TENANT,
             priority_class="batch",
-            max_concurrent=batch_max_concurrent,
+            max_concurrent=max(2, n_miners - 2),
             max_queued=4 * n_miners,
         ),
     ]
 
 
+def arms(n_miners: int = 16) -> Dict[str, Dict]:
+    """Server overrides of the two arms (``tenants`` switches ``qos`` on)."""
+    return {"qos_off": {}, "qos_on": dict(tenants=tenant_specs(n_miners))}
+
+
 def run_fleet(
-    qos: bool,
     n_miners: int = 16,
     n_chats: int = 12,
-    n_interactions: int = 3,
     device_kv_pages: int = DEVICE_KV_PAGES,
-    host_kv_pages: int = HOST_KV_PAGES,
-    miner_stagger_s: float = 0.03,
-    chat_start_s: float = 0.12,
-    chat_stagger_s: float = 0.09,
-    batch_max_concurrent: int = 0,
-    seed: int = 1,
+    **overrides,
 ) -> Dict:
-    """Run the mixed-tenant workload; returns per-tenant summary counters."""
-    sim = Simulator(seed=seed)
-    control = ControlLayerConfig(
-        qos=qos,
-        tenants=tuple(tenant_specs(n_miners, batch_max_concurrent)) if qos else (),
+    """Run the mixed-tenant workload; returns per-tenant summary counters.
+
+    ``overrides`` are server configuration shorthands: an arm of :func:`arms`.
+    """
+    _, server = make_pie_setup(
+        seed=1,
+        with_tools=False,
+        num_kv_pages=device_kv_pages,
+        host_kv_pages=HOST_KV_PAGES,
+        max_batch_rows=MAX_BATCH_ROWS,
+        **overrides,
     )
-    config = PieConfig(
-        gpu=GpuConfig(
-            num_kv_pages=device_kv_pages,
-            host_kv_pages=host_kv_pages,
-            max_batch_rows=MAX_BATCH_ROWS,
-        ),
-        control=control,
-    )
-    server = PieServer(sim, config=config)
     server.register_external(
         SLOW_TOOL_URL, lambda payload: "rows", ConstantLatency(SLOW_TOOL_LATENCY_S)
     )
-
-    miners = [_make_miner(i, n_interactions) for i in range(n_miners)]
+    miners = [_make_miner(i, n_interactions=3) for i in range(n_miners)]
     chats = [_make_chat(i) for i in range(n_chats)]
-    for program in miners + chats:
-        server.register_program(program)
-
-    async def one(program, delay, tenant):
-        await sim.sleep(delay)
-        return await server.run_inferlet(program.name, tenant=tenant)
-
-    async def run_all():
-        tasks = [
-            sim.create_task(one(p, i * miner_stagger_s, BATCH_TENANT))
+    # Miners are listed — so launched and seeded — before chats.
+    run = launch_fleet(
+        server,
+        [
+            Launch(p, i * MINER_STAGGER_S, {"tenant": BATCH_TENANT})
             for i, p in enumerate(miners)
         ]
-        tasks += [
-            sim.create_task(
-                one(p, chat_start_s + i * chat_stagger_s, INTERACTIVE_TENANT)
-            )
+        + [
+            Launch(p, CHAT_START_S + i * CHAT_STAGGER_S, {"tenant": INTERACTIVE_TENANT})
             for i, p in enumerate(chats)
-        ]
-        return await sim.gather(tasks)
-
-    results = sim.run_until_complete(run_all())
+        ],
+    )
     metrics = server.metrics
-    elapsed = sim.now
 
-    def tenant_rows(prefix):
-        return [
-            m
-            for iid, m in metrics.per_inferlet.items()
-            if iid.startswith(prefix + "_")
-        ]
-
-    chat_rows = tenant_rows(INTERACTIVE_TENANT)
+    chat_rows = run.records_of(chats)
     chat_ttfts = [m.ttft for m in chat_rows if m.ttft is not None]
     chat_tpots = [m.tpot for m in chat_rows if m.tpot is not None]
     # SLO attainment against the interactive-class TTFT target, counting
@@ -211,11 +191,7 @@ def run_fleet(
         else 1.0
     )
     return {
-        "qos": qos,
-        "finished": sum(1 for r in results if r.status == "finished"),
-        "elapsed": elapsed,
-        "total_output_tokens": metrics.total_output_tokens,
-        "token_throughput": metrics.total_output_tokens / elapsed if elapsed else 0.0,
+        **run.readings(),
         "interactive_ttft_p50": percentile(chat_ttfts, 50),
         "interactive_ttft_p99": percentile(chat_ttfts, 99),
         "interactive_tpot_p99": percentile(chat_tpots, 99),
@@ -225,7 +201,7 @@ def run_fleet(
             1 for m in chat_rows if m.status == "terminated"
         ),
         "batch_terminated": sum(
-            1 for m in tenant_rows(BATCH_TENANT) if m.status == "terminated"
+            1 for m in run.records_of(miners) if m.status == "terminated"
         ),
         "reclamation_terminations": metrics.reclamation_terminations,
         "reclamation_swaps": metrics.reclamation_swaps,
@@ -244,6 +220,9 @@ def run(quick: bool = True) -> ExperimentResult:
     n_miners = 16 if quick else 24
     n_chats = 12 if quick else 18
     device_kv_pages = DEVICE_KV_PAGES if quick else DEVICE_KV_PAGES * 3 // 2
+    compared = compare_arms(
+        partial(run_fleet, n_miners, n_chats, device_kv_pages), arms(n_miners)
+    )
     result = ExperimentResult(
         name="Multi-tenant QoS",
         description=(
@@ -251,24 +230,22 @@ def run(quick: bool = True) -> ExperimentResult:
             f"chat turns on a {device_kv_pages}-page device ({MAX_BATCH_ROWS}-row "
             "batches): undifferentiated FCFS vs SLO-aware admission/dispatch/preemption"
         ),
+        rows=compared.rows(
+            lambda row: dict(
+                finished=row["finished"],
+                interactive_ttft_p50_ms=row["interactive_ttft_p50"] * 1e3,
+                interactive_ttft_p99_ms=row["interactive_ttft_p99"] * 1e3,
+                interactive_slo=row["interactive_slo_attainment"],
+                interactive_terminated=row["interactive_terminated"],
+                batch_terminated=row["batch_terminated"],
+                token_throughput_per_s=row["token_throughput"],
+                queued=row["qos_queued"],
+                preempt_terms=row["qos_preemption_terminations"],
+                elapsed_s=row["elapsed"],
+            )
+        ),
+        raw=compared.raw,
     )
-    for label, qos in (("qos_off", False), ("qos_on", True)):
-        row = run_fleet(
-            qos, n_miners=n_miners, n_chats=n_chats, device_kv_pages=device_kv_pages
-        )
-        result.add_row(
-            config=label,
-            finished=row["finished"],
-            interactive_ttft_p50_ms=row["interactive_ttft_p50"] * 1e3,
-            interactive_ttft_p99_ms=row["interactive_ttft_p99"] * 1e3,
-            interactive_slo=row["interactive_slo_attainment"],
-            interactive_terminated=row["interactive_terminated"],
-            batch_terminated=row["batch_terminated"],
-            token_throughput_per_s=row["token_throughput"],
-            queued=row["qos_queued"],
-            preempt_terms=row["qos_preemption_terminations"],
-            elapsed_s=row["elapsed"],
-        )
     result.add_note(
         "Beyond the paper: the QoS layer admits, schedules and preempts by "
         "tenant class.  TTFT is measured from the launch request, so "

@@ -1,4 +1,4 @@
-"""Live SLO monitor under overload: burn-rate alerts and overhead.
+"""Live SLO monitor under overload: burn-rate alerts without perturbation.
 
 Drives the open-loop load harness with a two-phase arrival trace — one
 bucket of 2x-knee overload followed by a trickle — twice: monitoring off,
@@ -11,19 +11,15 @@ Reports:
   class's TPOT error budget burns far above threshold, so its alert rules
   fire; once the load drops to the trickle the short window recovers and
   the alerts clear.  The full fire/clear timeline rides along.
-* **Monitoring overhead**: host CPU time of the simulation with
-  monitoring on vs off — host-side Python cost only (everything the
-  simulation measures is virtual time); the acceptance target is <5% and
-  CI gates the ratio.
 * **Exports**: the Prometheus text exposition and JSON snapshot document,
   both round-tripped through :mod:`repro.tools.slo_report`.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+from functools import partial
 
+from repro.bench.compare import compare_arms
 from repro.bench.loadgen import run_open_loop
 from repro.bench.reporting import ExperimentResult
 
@@ -34,83 +30,35 @@ OVERLOAD_SHAPE = (1.0,) + (0.02,) * 11
 PEAK_RATE = 1800.0
 SEED = 11
 
-
-def run_monitored_pair(
-    n_requests: int, trace_period_s: float, timing_rounds: int = 2
-) -> Dict:
-    """Run the overload scenario with monitoring off and on.
-
-    Timing is best-of-``timing_rounds`` per arm (after a small warm-up
-    run), with the within-round arm order alternated so slow host drift
-    cannot systematically bill one arm.  The gated overhead ratio is
-    computed from ``time.process_time`` — the simulation is pure CPU, and
-    CPU time is immune to the scheduler/co-tenancy noise that easily
-    exceeds the few-percent effect being measured on a ~10 s wall-clock
-    run (wall times ride along for reference).  Virtual-time results are
-    identical on every round by construction, so only one round's rows
-    are kept.
-    """
-    kwargs = dict(
-        n_requests=n_requests,
-        offered_rate=PEAK_RATE,
-        seed=SEED,
-        mode="trace",
-        trace_period_s=trace_period_s,
-        trace_shape=OVERLOAD_SHAPE,
-        collect_outputs=True,
-    )
-    # Warm-up: first simulation in a process pays import/alloc costs that
-    # would otherwise be billed entirely to the first-measured arm.
-    run_open_loop(
-        n_requests=min(120, n_requests), offered_rate=PEAK_RATE, seed=SEED
-    )
-
-    rows = {False: None, True: None}
-    cpu = {False: float("inf"), True: float("inf")}
-    wall = {False: float("inf"), True: float("inf")}
-    for round_index in range(max(1, timing_rounds)):
-        order = (False, True) if round_index % 2 == 0 else (True, False)
-        for monitoring in order:
-            wall_started = time.perf_counter()
-            cpu_started = time.process_time()
-            row = run_open_loop(monitoring=monitoring, **kwargs)
-            cpu[monitoring] = min(
-                cpu[monitoring], time.process_time() - cpu_started
-            )
-            wall[monitoring] = min(
-                wall[monitoring], time.perf_counter() - wall_started
-            )
-            if rows[monitoring] is None:
-                rows[monitoring] = row
-    off, on = rows[False], rows[True]
-
-    monitor = on["monitor"]
-    return {
-        "off": off,
-        "on": on,
-        "wall_off_s": wall[False],
-        "wall_on_s": wall[True],
-        "cpu_off_s": cpu[False],
-        "cpu_on_s": cpu[True],
-        "monitor_overhead_ratio": (
-            cpu[True] / cpu[False] if cpu[False] > 0 else 0.0
-        ),
-        "identical_tokens": off["outputs"] == on["outputs"],
-        "identical_elapsed": off["duration_s"] == on["duration_s"],
-        "alerts_fired": monitor["alerts_fired"],
-        "alerts_cleared": monitor["alerts_cleared"],
-        "active_alerts": monitor["active_alerts"],
-        "alert_timeline": monitor["snapshot"]["slo"]["alerts"],
-        "budgets": monitor["budgets"],
-        "scrapes": monitor["scrapes"],
-        "snapshot": monitor["snapshot"],
-        "prometheus": monitor["prometheus"],
-    }
+ARMS = {
+    "monitoring_off": dict(monitoring=False),
+    "monitoring_on": dict(monitoring=True),
+}
 
 
 def run(quick: bool = True) -> ExperimentResult:
     n_requests = 700 if quick else 1100
     trace_period_s = 4.2 if quick else 6.0
+    # One overload run per arm.  What the monitor costs the host is a
+    # host-time question and goes through ``perf/`` (ROADMAP item 6e); this
+    # harness reports virtual time only.
+    arms = compare_arms(
+        partial(
+            run_open_loop,
+            n_requests=n_requests,
+            offered_rate=PEAK_RATE,
+            seed=SEED,
+            mode="trace",
+            trace_period_s=trace_period_s,
+            trace_shape=OVERLOAD_SHAPE,
+            collect_outputs=True,
+        ),
+        ARMS,
+    )
+    monitor = arms.raw["monitoring_on"]["monitor"]
+    identical_tokens = arms.identical("monitoring_off", "monitoring_on", "outputs")
+    identical_elapsed = arms.identical("monitoring_off", "monitoring_on", "duration_s")
+    alert_timeline = monitor["snapshot"]["slo"]["alerts"]
     result = ExperimentResult(
         name="Live SLO monitor",
         description=(
@@ -118,56 +66,37 @@ def run(quick: bool = True) -> ExperimentResult:
             "monitor off vs on; burn-rate alerts must fire during overload "
             "and clear after the load drops, without perturbing the run"
         ),
+        rows=arms.rows(
+            lambda row: dict(
+                virtual_duration_s=row["duration_s"],
+                finished=row["finished"],
+                goodput_count=row["goodput_count"],
+                output_tokens=row["total_output_tokens"],
+            )
+        ),
+        # The monitor's own report (alert counts, budgets, scrapes, both
+        # exports) plus what the comparison found.
+        raw={
+            **monitor,
+            "identical_tokens": identical_tokens,
+            "identical_elapsed": identical_elapsed,
+            "alert_timeline": alert_timeline,
+        },
     )
-    pair = run_monitored_pair(n_requests, trace_period_s)
-    for label, row, wall in (
-        ("monitoring_off", pair["off"], pair["wall_off_s"]),
-        ("monitoring_on", pair["on"], pair["wall_on_s"]),
-    ):
-        result.add_row(
-            config=label,
-            wall_clock_s=wall,
-            virtual_duration_s=row["duration_s"],
-            finished=row["finished"],
-            goodput_count=row["goodput_count"],
-            output_tokens=row["total_output_tokens"],
-        )
-    result.raw = {
-        key: pair[key]
-        for key in (
-            "wall_off_s",
-            "wall_on_s",
-            "cpu_off_s",
-            "cpu_on_s",
-            "monitor_overhead_ratio",
-            "identical_tokens",
-            "identical_elapsed",
-            "alerts_fired",
-            "alerts_cleared",
-            "active_alerts",
-            "alert_timeline",
-            "budgets",
-            "scrapes",
-            "snapshot",
-            "prometheus",
-        )
-    }
     fired = {
         (event["tenant"], event["signal"])
-        for event in pair["alert_timeline"]
+        for event in alert_timeline
         if event["kind"] == "fire"
     }
     result.add_note(
-        f"monitoring on costs {pair['monitor_overhead_ratio']:.2f}x host CPU "
-        f"({pair['cpu_off_s']:.2f}s -> {pair['cpu_on_s']:.2f}s) and changes "
-        "nothing the simulation can observe: virtual duration "
-        f"{'identical' if pair['identical_elapsed'] else 'DIVERGED'}, tokens "
-        f"{'identical' if pair['identical_tokens'] else 'DIVERGED'}."
+        "monitoring on changes nothing the simulation can observe: virtual "
+        f"duration {'identical' if identical_elapsed else 'DIVERGED'}, tokens "
+        f"{'identical' if identical_tokens else 'DIVERGED'}."
     )
     result.add_note(
-        f"{pair['alerts_fired']} burn-rate alerts fired during the overload "
+        f"{monitor['alerts_fired']} burn-rate alerts fired during the overload "
         f"burst ({', '.join('/'.join(key) for key in sorted(fired))}), "
-        f"{pair['alerts_cleared']} cleared after the load dropped; "
-        f"{len(pair['active_alerts'])} still active at end of run."
+        f"{monitor['alerts_cleared']} cleared after the load dropped; "
+        f"{len(monitor['active_alerts'])} still active at end of run."
     )
     return result

@@ -13,6 +13,7 @@ from repro.baselines import SamplingConfig, VllmLikeServer
 from repro.bench.reporting import ExperimentResult
 from repro.bench.runners import make_pie_setup, run_concurrent_coros, run_pie_concurrent
 from repro.core.scheduler import BATCH_SCHEDULING_OVERHEAD_MS, IPC_CROSSING_MS
+from repro.core.wasm import PER_CALL_WASM_OVERHEAD_MS
 from repro.inferlets import make_text_completion
 from repro.model import get_model_config
 from repro.sim import Simulator
@@ -57,8 +58,6 @@ def run(quick: bool = True) -> ExperimentResult:
     vllm_concurrent_ms = _vllm_tpot(n_concurrent) * 1e3
     pie_concurrent_ms = _pie_tpot(n_concurrent) * 1e3
     cost = get_model_config(MODEL).cost
-    _, server = make_pie_setup(models=(MODEL,), seed=0, with_tools=False)
-    wasm = server.config.wasm
 
     result.add_row(component="Text completion TPOT (vLLM-like)", latency_ms=vllm_ms)
     result.add_row(
@@ -81,7 +80,7 @@ def run(quick: bool = True) -> ExperimentResult:
         component="Boundary crossing (application-control layer)",
         latency_ms=APP_CONTROL_CROSSING_MS,
     )
-    result.add_row(component="Wasm processing overhead", latency_ms=wasm.per_call_wasm_overhead_ms)
+    result.add_row(component="Wasm processing overhead", latency_ms=PER_CALL_WASM_OVERHEAD_MS)
     result.add_row(component="Text completion TPOT (Pie)", latency_ms=pie_ms)
     result.add_row(component="Measured overhead (Pie - vLLM-like)", latency_ms=pie_ms - vllm_ms)
     result.add_row(
@@ -99,6 +98,7 @@ def run(quick: bool = True) -> ExperimentResult:
     result.add_note(
         "Under concurrency Pie's gap widens in this reproduction because independently "
         "progressing inferlets can fall out of phase and split forward batches; the paper's "
-        "32-inferlet measurement does not show this (see EXPERIMENTS.md)."
+        "32-inferlet measurement does not show this (README \"Reproduce the paper "
+        "figures\" says how to re-run it)."
     )
     return result

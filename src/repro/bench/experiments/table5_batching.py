@@ -8,7 +8,7 @@ timeout batching (T-only), and the adaptive work-conserving policy.
 from __future__ import annotations
 
 from repro.bench.reporting import ExperimentResult
-from repro.bench.runners import make_pie_setup, run_pie_concurrent, throughput
+from repro.bench.runners import make_pie_setup, ratio, run_pie_concurrent
 from repro.core.config import PieConfig, SchedulerConfig
 from repro.inferlets import make_text_completion
 from repro.workloads import PromptGenerator
@@ -30,7 +30,7 @@ def _run_policy(policy: str, n_inferlets: int, max_tokens: int) -> float:
         for index, prompt in enumerate(prompts)
     ]
     _, elapsed = run_pie_concurrent(server, programs)
-    return throughput(n_inferlets, elapsed)
+    return ratio(n_inferlets, elapsed)
 
 
 def run(quick: bool = True) -> ExperimentResult:

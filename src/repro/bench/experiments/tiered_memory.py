@@ -24,18 +24,15 @@ at the price of PCIe traffic and swap-in stall time — both reported.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Dict
 
+from repro.bench.compare import compare_arms
 from repro.bench.reporting import ExperimentResult
-from repro.bench.runners import throughput
-from repro.core import PieServer
-from repro.core.config import ControlLayerConfig, PieConfig
+from repro.bench.runners import Launch, launch_fleet, make_pie_setup, ratio
 from repro.core.inferlet import InferletProgram
-from repro.gpu.config import GpuConfig
-from repro.sim import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.support import Context, SamplingParams
-from repro.workloads import ToolEnvironment
 
 #: The slow external dependency the agents block on (a CRM/database-style
 #: endpoint, far slower than the paper's 20-60 ms web tools).
@@ -49,6 +46,9 @@ DEVICE_KV_PAGES = 48
 HOST_KV_PAGES = 192
 
 SYSTEM_PROMPT = "You are a research agent. "
+#: Staggered arrivals (seconds between launches) and tool calls per agent.
+STAGGER_S = 0.06
+N_INTERACTIONS = 4
 
 
 def _make_io_agent(index: int, n_interactions: int) -> InferletProgram:
@@ -74,49 +74,32 @@ def _make_io_agent(index: int, n_interactions: int) -> InferletProgram:
     )
 
 
-def run_fleet(
-    host_kv_pages: int,
-    swap_policy: Optional[str] = None,
-    n_agents: int = 16,
-    n_interactions: int = 4,
-    device_kv_pages: int = DEVICE_KV_PAGES,
-    stagger_s: float = 0.06,
-    seed: int = 1,
-) -> dict:
-    """Run the agent fleet under KV pressure; returns summary counters."""
-    sim = Simulator(seed=seed)
-    control = ControlLayerConfig(swap_policy=swap_policy or "proactive")
-    config = PieConfig(
-        gpu=GpuConfig(num_kv_pages=device_kv_pages, host_kv_pages=host_kv_pages),
-        control=control,
-    )
-    server = PieServer(sim, config=config)
-    ToolEnvironment(sim, server.external)
+def arms(host_pages: int = HOST_KV_PAGES) -> Dict[str, Dict]:
+    """Server overrides of the three arms."""
+    return {
+        "fcfs_baseline": dict(host_kv_pages=0),
+        "swap_proactive": dict(host_kv_pages=host_pages, swap_policy="proactive"),
+        "swap_on_demand": dict(host_kv_pages=host_pages, swap_policy="on_demand"),
+    }
+
+
+def run_fleet(n_agents: int = 16, **overrides) -> dict:
+    """Run the agent fleet under KV pressure; returns summary counters.
+
+    ``overrides`` are server configuration shorthands: an arm of :func:`arms`.
+    """
+    _, server = make_pie_setup(seed=1, num_kv_pages=DEVICE_KV_PAGES, **overrides)
     server.register_external(
         SLOW_TOOL_URL, lambda payload: "rows", ConstantLatency(SLOW_TOOL_LATENCY_S)
     )
-
-    programs = [_make_io_agent(i, n_interactions) for i in range(n_agents)]
-    for program in programs:
-        server.register_program(program)
-
-    async def launch_staggered(program, delay):
-        await sim.sleep(delay)
-        return await server.run_inferlet(program.name)
-
-    async def run_all():
-        tasks = [
-            sim.create_task(launch_staggered(program, i * stagger_s))
-            for i, program in enumerate(programs)
-        ]
-        return await sim.gather(tasks)
-
-    results = sim.run_until_complete(run_all())
+    run = launch_fleet(
+        server,
+        [Launch(_make_io_agent(i, N_INTERACTIONS), i * STAGGER_S) for i in range(n_agents)],
+    )
     metrics = server.metrics
-    finished = sum(1 for r in results if r.status == "finished")
-    elapsed = sim.now
     return {
-        "finished": finished,
+        "host_kv_pages": server.config.gpu.host_kv_pages,
+        "finished": run.finished,
         "terminated": metrics.inferlets_terminated,
         "reclamation_terminations": metrics.reclamation_terminations,
         "reclamation_swaps": metrics.reclamation_swaps,
@@ -125,8 +108,8 @@ def run_fleet(
         "pages_swapped_out": metrics.kv_pages_swapped_out,
         "bytes_swapped_out": metrics.bytes_swapped_out,
         "swap_stall_s": metrics.swap_stall_seconds,
-        "elapsed": elapsed,
-        "throughput": throughput(finished, elapsed),
+        "elapsed": run.elapsed,
+        "throughput": ratio(run.finished, run.elapsed),
         "sched_reclamation_terminations": server.cluster_stats().combined.reclamation_terminations,
     }
 
@@ -134,6 +117,7 @@ def run_fleet(
 def run(quick: bool = True) -> ExperimentResult:
     n_agents = 16 if quick else 32
     host_pages = HOST_KV_PAGES if quick else 2 * HOST_KV_PAGES
+    compared = compare_arms(partial(run_fleet, n_agents), arms(host_pages))
     result = ExperimentResult(
         name="Tiered KV memory",
         description=(
@@ -141,27 +125,22 @@ def run(quick: bool = True) -> ExperimentResult:
             f"tool calls) on a {DEVICE_KV_PAGES}-page device: FCFS termination vs "
             f"host-memory suspend/resume swapping"
         ),
+        rows=compared.rows(
+            lambda row: dict(
+                host_kv_pages=row["host_kv_pages"],
+                finished=row["finished"],
+                terminated=row["terminated"],
+                reclamation_swaps=row["reclamation_swaps"],
+                swap_outs=row["swap_outs"],
+                swap_ins=row["swap_ins"],
+                pages_swapped=row["pages_swapped_out"],
+                swap_stall_s=row["swap_stall_s"],
+                throughput_agents_per_s=row["throughput"],
+                elapsed_s=row["elapsed"],
+            )
+        ),
+        raw=compared.raw,
     )
-    configs = (
-        ("fcfs_baseline", 0, None),
-        ("swap_proactive", host_pages, "proactive"),
-        ("swap_on_demand", host_pages, "on_demand"),
-    )
-    for label, host_kv_pages, policy in configs:
-        row = run_fleet(host_kv_pages, swap_policy=policy, n_agents=n_agents)
-        result.add_row(
-            config=label,
-            host_kv_pages=host_kv_pages,
-            finished=row["finished"],
-            terminated=row["terminated"],
-            reclamation_swaps=row["reclamation_swaps"],
-            swap_outs=row["swap_outs"],
-            swap_ins=row["swap_ins"],
-            pages_swapped=row["pages_swapped_out"],
-            swap_stall_s=row["swap_stall_s"],
-            throughput_agents_per_s=row["throughput"],
-            elapsed_s=row["elapsed"],
-        )
     result.add_note(
         "Beyond the paper: the host tier turns destructive FCFS reclamation "
         "into suspend/resume.  Proactive staging swaps every blocked agent; "

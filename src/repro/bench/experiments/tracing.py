@@ -21,57 +21,56 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from dataclasses import replace
+from functools import partial
 from typing import Dict, Optional
 
+from repro.bench.compare import compare_arms
 from repro.bench.experiments import disaggregation
+from repro.bench.mixed_fleet import MixedFleet, run_mixed_fleet
 from repro.bench.reporting import ExperimentResult
 
 
-def _tokens_of(row: Dict) -> tuple:
-    """The run's full token output, as a comparable value."""
-    return (
-        tuple(tuple(t) for t in row["summarizer_outputs"]),
-        tuple(tuple(t) for t in row["chat_outputs"]),
-    )
-
-
-def run_traced_pair(
-    trace_path: str, n_summarizers: int = 4, n_chats: int = 8
-) -> Dict:
-    """Run the disaggregated fleet with tracing off then on; returns both
-    rows plus wall-clock timings and the attribution report."""
-    kwargs = dict(
-        disaggregated=True, n_summarizers=n_summarizers, n_chats=n_chats
-    )
+def run_fleet(fleet: MixedFleet, **overrides) -> Dict:
+    """The disaggregated arm of the disaggregation experiment, with the
+    wall-clock time of the whole run (trace export included) under ``wall_s``."""
     started = time.perf_counter()
-    off = disaggregation.run_fleet(**kwargs)
-    wall_off = time.perf_counter() - started
-
-    started = time.perf_counter()
-    on = disaggregation.run_fleet(tracing=True, trace_path=trace_path, **kwargs)
-    wall_on = time.perf_counter() - started
-
-    from repro.tools.trace_report import build_report, load_events
-
-    report = build_report(load_events(trace_path))
-    return {
-        "off": off,
-        "on": on,
-        "wall_off_s": wall_off,
-        "wall_on_s": wall_on,
-        "overhead_ratio": (wall_on / wall_off) if wall_off > 0 else 0.0,
-        "identical_tokens": _tokens_of(off) == _tokens_of(on),
-        "identical_elapsed": off["elapsed"] == on["elapsed"],
-        "report": report,
-        "trace_path": trace_path,
-    }
+    row, _ = run_mixed_fleet(
+        fleet,
+        **{**disaggregation.SETUP, **disaggregation.ARMS["disaggregated"], **overrides},
+    )
+    row["wall_s"] = time.perf_counter() - started
+    return row
 
 
 def run(quick: bool = True, trace_path: Optional[str] = None) -> ExperimentResult:
-    n_summarizers = 4 if quick else 8
-    n_chats = 8 if quick else 16
+    fleet = replace(
+        disaggregation.FLEET,
+        n_summarizers=4 if quick else 8,
+        n_chats=8 if quick else 16,
+    )
     if trace_path is None:
         trace_path = os.path.join(tempfile.mkdtemp(prefix="repro-trace-"), "trace.json")
+    # ``trace_path`` switches the recorder on and is where the run exports to.
+    arms = compare_arms(
+        partial(run_fleet, fleet),
+        {"tracing_off": {}, "tracing_on": dict(trace_path=trace_path)},
+    )
+
+    from repro.tools.trace_report import build_report, load_events
+
+    summary = build_report(load_events(trace_path))["summary"]
+    raw = {
+        "overhead_ratio": arms.ratio("wall_s", "tracing_on", "tracing_off"),
+        "wall_off_s": arms.raw["tracing_off"]["wall_s"],
+        "wall_on_s": arms.raw["tracing_on"]["wall_s"],
+        "identical_tokens": arms.identical(
+            "tracing_off", "tracing_on", "summarizer_outputs", "chat_outputs"
+        ),
+        "identical_elapsed": arms.identical("tracing_off", "tracing_on", "elapsed"),
+        "attribution_summary": summary,
+        "trace_path": trace_path,
+    }
     result = ExperimentResult(
         name="Flight recorder overhead",
         description=(
@@ -79,40 +78,27 @@ def run(quick: bool = True, trace_path: Optional[str] = None) -> ExperimentResul
             "recorder off vs on (Perfetto export + stall attribution); "
             "tracing must not perturb the simulation"
         ),
+        rows=arms.rows(
+            lambda row: dict(
+                wall_clock_s=row["wall_s"],
+                virtual_elapsed_s=row["elapsed"],
+                output_tokens=row["total_output_tokens"],
+                goodput_tok_s=row["token_throughput"],
+            )
+        ),
+        raw=raw,
     )
-    pair = run_traced_pair(trace_path, n_summarizers=n_summarizers, n_chats=n_chats)
-    for label, row, wall in (
-        ("tracing_off", pair["off"], pair["wall_off_s"]),
-        ("tracing_on", pair["on"], pair["wall_on_s"]),
-    ):
-        result.add_row(
-            config=label,
-            wall_clock_s=wall,
-            virtual_elapsed_s=row["elapsed"],
-            output_tokens=row["total_output_tokens"],
-            goodput_tok_s=row["token_throughput"],
-        )
-    summary = pair["report"]["summary"]
     buckets_ms = {
         name: bucket["total"] * 1e3
         for name, bucket in summary["buckets"].items()
         if bucket["total"] > 0
     }
-    result.raw = {
-        "overhead_ratio": pair["overhead_ratio"],
-        "wall_off_s": pair["wall_off_s"],
-        "wall_on_s": pair["wall_on_s"],
-        "identical_tokens": pair["identical_tokens"],
-        "identical_elapsed": pair["identical_elapsed"],
-        "attribution_summary": summary,
-        "trace_path": pair["trace_path"],
-    }
     result.add_note(
-        f"tracing on costs {pair['overhead_ratio']:.2f}x wall clock "
-        f"({pair['wall_off_s']:.2f}s -> {pair['wall_on_s']:.2f}s) and changes "
+        f"tracing on costs {raw['overhead_ratio']:.2f}x wall clock "
+        f"({raw['wall_off_s']:.2f}s -> {raw['wall_on_s']:.2f}s) and changes "
         "nothing the simulation can observe: virtual elapsed "
-        f"{'identical' if pair['identical_elapsed'] else 'DIVERGED'}, tokens "
-        f"{'identical' if pair['identical_tokens'] else 'DIVERGED'}."
+        f"{'identical' if raw['identical_elapsed'] else 'DIVERGED'}, tokens "
+        f"{'identical' if raw['identical_tokens'] else 'DIVERGED'}."
     )
     result.add_note(
         "stall attribution totals (ms): "

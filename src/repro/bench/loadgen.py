@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.runners import make_pie_setup
+from repro.bench.runners import Launch, launch_fleet, make_pie_setup, ratio
 from repro.core import InferletProgram
 from repro.core.metrics import percentile
 from repro.support import Context, SamplingParams
@@ -254,9 +254,24 @@ def run_open_loop(
         seed=seed, with_tools=False, num_devices=num_devices, **setup_kwargs
     )
     classes = {cls.name: cls for cls in mix}
-    for cls in mix:
-        server.register_program(_class_program(cls))
+    programs = {cls.name: _class_program(cls) for cls in mix}
+    fleet = [
+        Launch(
+            programs[arrival.workload.name],
+            arrival.time,
+            {
+                "args": [
+                    str(arrival.index),
+                    str(arrival.workload.prompt_tokens),
+                    str(arrival.workload.decode_tokens),
+                ],
+                "tenant": arrival.workload.name,
+            },
+        )
+        for arrival in arrivals
+    ]
     monitor = server.monitor
+    note_offered = note_outcome = None
     if monitor is not None:
         # Teach the SLO engine the per-class latency targets so its
         # burn-rate verdicts match the harness's own goodput accounting.
@@ -271,21 +286,11 @@ def run_open_loop(
                 )
             )
 
-    async def one(arrival: Arrival):
-        await sim.sleep(arrival.time)
-        cls = arrival.workload
-        if monitor is not None:
-            monitor.note_offered(cls.name)
-        result = await server.run_inferlet(
-            f"load_{cls.name}",
-            args=[
-                str(arrival.index),
-                str(cls.prompt_tokens),
-                str(cls.decode_tokens),
-            ],
-            tenant=cls.name,
-        )
-        if monitor is not None:
+        def note_offered(launch: Launch) -> None:
+            monitor.note_offered(launch.kwargs["tenant"])
+
+        def note_outcome(launch: Launch, result) -> None:
+            cls = classes[launch.kwargs["tenant"]]
             record = server.metrics.per_inferlet.get(result.instance_id)
             good = result.status == "finished" and _is_good(
                 cls,
@@ -293,14 +298,10 @@ def run_open_loop(
                 record.tpot if record is not None else None,
             )
             monitor.note_request_outcome(cls.name, good)
-        return result
 
-    async def run_all():
-        tasks = [sim.create_task(one(arrival)) for arrival in arrivals]
-        return await sim.gather(tasks)
-
-    results = sim.run_until_complete(run_all())
-    duration = sim.now
+    run = launch_fleet(server, fleet, before_launch=note_offered, after_result=note_outcome)
+    results = run.results
+    duration = run.elapsed
     metrics = server.metrics
 
     goodput_count = 0
@@ -334,15 +335,15 @@ def run_open_loop(
         "duration_s": duration,
         "finished": finished,
         "goodput_count": goodput_count,
-        "goodput_rate": goodput_count / duration if duration else 0.0,
-        "slo_attainment": goodput_count / n_requests if n_requests else 0.0,
+        "goodput_rate": ratio(goodput_count, duration),
+        "slo_attainment": ratio(goodput_count, n_requests),
         "total_output_tokens": metrics.total_output_tokens,
         "commands_dropped": metrics.commands_dropped,
         # Control-plane scaling counters: the CI perf gate regresses on
         # events per request, and the heap counters prove lazy-cancel
         # hygiene holds (occupancy bounded, compaction engaged at scale).
         "processed_events": sim.processed_events,
-        "events_per_request": sim.processed_events / n_requests if n_requests else 0.0,
+        "events_per_request": ratio(sim.processed_events, n_requests),
         "heap_size_end": sim.heap_size,
         "heap_cancelled_end": sim.cancelled_in_heap,
         "heap_compactions": sim.heap_compactions,

@@ -14,6 +14,11 @@ class ExperimentResult:
     description: str
     rows: List[Dict[str, Any]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: What the rows were derived from (per-arm dicts: token outputs,
+    #: counters), for the benchmark wrappers' identity and inertness
+    #: assertions — re-running a fleet just to re-derive them would double
+    #: the benchmark's wall-clock cost.  Not part of ``to_dict``.
+    raw: Dict[str, Any] = field(default_factory=dict)
 
     def add_row(self, **values: Any) -> None:
         self.rows.append(values)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import InferletProgram, PieServer
 from repro.core.config import PieConfig
+from repro.core.metrics import InferletMetrics, SystemMetrics
+from repro.core.server import LaunchResult
 from repro.sim import Simulator
 from repro.workloads import ToolEnvironment
 
@@ -36,32 +39,125 @@ def run_pie_single(server: PieServer, program: InferletProgram, args=None):
     return server.sim.run_until_complete(server.run_inferlet(program.name, args))
 
 
+@dataclass(frozen=True)
+class Launch:
+    """One fleet entry: which program, when, and how it is launched."""
+
+    program: InferletProgram
+    #: Seconds after the run starts.  ``None`` launches directly; a zero
+    #: delay still takes the ``sim.sleep`` hop (one more event, a different
+    #: interleaving), so the two are not interchangeable.
+    delay: Optional[float] = None
+    #: Keyword arguments of ``PieServer.run_inferlet`` (``args``, ``tenant``).
+    kwargs: Mapping[str, Any] = field(default_factory=dict)
+
+
+@dataclass
+class FleetRun:
+    """What one fleet did: a result per entry, in fleet order, plus the
+    handful of readings every arm reports."""
+
+    fleet: Sequence[Launch]
+    results: List[LaunchResult]
+    elapsed: float
+    #: The server's own counters (cumulative over everything it has served).
+    metrics: SystemMetrics
+
+    @property
+    def finished(self) -> int:
+        return sum(1 for result in self.results if result.status == "finished")
+
+    def results_of(self, programs: Sequence[InferletProgram]) -> List[LaunchResult]:
+        """Results of the entries that launched one of ``programs``, in fleet
+        order.  Grouping is by program, never by what the result looks like:
+        a launch that failed or was reclaimed (``result is None``) is still
+        its program's."""
+        names = {program.name for program in programs}
+        return [
+            result
+            for launch, result in zip(self.fleet, self.results)
+            if launch.program.name in names
+        ]
+
+    def records_of(self, programs: Sequence[InferletProgram]) -> List[InferletMetrics]:
+        """Per-inferlet records (TTFT, TPOT, status) of those entries; one
+        that never got as far as running has none."""
+        records = (
+            self.metrics.per_inferlet.get(result.instance_id)
+            for result in self.results_of(programs)
+        )
+        return [record for record in records if record is not None]
+
+    def readings(self) -> Dict[str, Any]:
+        return {
+            "finished": self.finished,
+            "elapsed": self.elapsed,
+            "total_output_tokens": self.metrics.total_output_tokens,
+            "token_throughput": ratio(self.metrics.total_output_tokens, self.elapsed),
+            "forward_input_tokens": self.metrics.forward_input_tokens,
+        }
+
+
+def launch_fleet(
+    server: PieServer,
+    fleet: Sequence[Launch],
+    before_launch: Optional[Callable[[Launch], None]] = None,
+    after_result: Optional[Callable[[Launch, LaunchResult], None]] = None,
+) -> FleetRun:
+    """Run a fleet of programs with launch times to completion.
+
+    Registers the programs not yet on the server, creates one task per
+    entry **in list order**, and gathers.  List order is the contract:
+    the lifecycle manager hands out sampling seeds as launches arrive, so
+    two entries due at the same instant launch — and are seeded — in the
+    order the fleet lists them, and ``results[i]`` belongs to ``fleet[i]``.
+    ``before_launch`` / ``after_result`` run at the entry's launch and
+    completion instants on the virtual clock (the load harness feeds the
+    live monitor from them).
+    """
+    sim = server.sim
+    registered = set(server.lifecycle.program_names())
+    for launch in fleet:
+        if launch.program.name not in registered:
+            server.register_program(launch.program)
+            registered.add(launch.program.name)
+    start = sim.now
+
+    async def one(launch: Launch) -> LaunchResult:
+        if launch.delay is not None:
+            await sim.sleep(launch.delay)
+        if before_launch is not None:
+            before_launch(launch)
+        result = await server.run_inferlet(launch.program.name, **launch.kwargs)
+        if after_result is not None:
+            after_result(launch, result)
+        return result
+
+    async def run_all():
+        return await sim.gather([sim.create_task(one(launch)) for launch in fleet])
+
+    results = sim.run_until_complete(run_all())
+    return FleetRun(fleet, results, sim.now - start, server.metrics)
+
+
 def run_pie_concurrent(
     server: PieServer,
     programs: Sequence[InferletProgram],
     args_list: Optional[Sequence] = None,
 ) -> Tuple[List, float]:
     """Run several inferlets concurrently; returns (results, elapsed seconds)."""
-    sim = server.sim
-    for program in programs:
-        if program.name not in server.lifecycle.program_names():
-            server.register_program(program)
     args_list = args_list or [None] * len(programs)
-    start = sim.now
-
-    async def run_all():
-        tasks = [
-            sim.create_task(server.run_inferlet(program.name, args))
-            for program, args in zip(programs, args_list)
-        ]
-        return await sim.gather(tasks)
-
-    results = sim.run_until_complete(run_all())
-    return results, sim.now - start
+    run = launch_fleet(
+        server,
+        [Launch(program, kwargs={"args": args}) for program, args in zip(programs, args_list)],
+    )
+    return run.results, run.elapsed
 
 
 def run_concurrent_coros(sim: Simulator, coros: Sequence) -> Tuple[List, float]:
-    """Run arbitrary coroutines concurrently on a simulator; (results, elapsed)."""
+    """Run arbitrary coroutines concurrently on a simulator; (results, elapsed).
+
+    The launcher for the baseline engines, which are not inferlets."""
     start = sim.now
 
     async def run_all():
@@ -72,11 +168,13 @@ def run_concurrent_coros(sim: Simulator, coros: Sequence) -> Tuple[List, float]:
     return results, sim.now - start
 
 
-def throughput(count: int, elapsed_seconds: float) -> float:
-    """Items per second, guarding against zero elapsed time."""
-    if elapsed_seconds <= 0:
+def ratio(numerator: float, denominator: float) -> float:
+    """The harness's one guarded division: 0.0 when the denominator is not
+    positive (items per second of a run that took no time, a speedup over
+    an arm that measured nothing)."""
+    if denominator <= 0:
         return 0.0
-    return count / elapsed_seconds
+    return numerator / denominator
 
 
 def normalize(values: dict, mode: str) -> dict:

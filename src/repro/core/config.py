@@ -24,20 +24,13 @@ SWAP_POLICIES = ("proactive", "on_demand")
 class WasmRuntimeConfig:
     """Simulated WebAssembly runtime parameters (application layer).
 
-    Calibrated against Figure 9: a warm start costs ~10 ms for a single
-    launch and grows to ~50 ms when ~900 inferlets launch simultaneously
-    (the Inferlet Lifecycle Manager serialises a small per-launch handling
-    step); a cold start additionally pays binary upload and JIT
-    compilation.
+    The launch costs calibrated against Figure 9 and Table 3 are not
+    knobs: they are module constants in :mod:`repro.core.wasm`, next to
+    the code that charges them.
     """
 
+    # Pooled-allocation bound on live sandbox instances.
     pool_size: int = 1000
-    warm_instantiate_ms: float = 10.0
-    launch_handling_ms: float = 0.09
-    upload_ms: float = 10.0
-    jit_compile_ms: float = 15.0
-    jit_compile_ms_per_mb: float = 4.0
-    per_call_wasm_overhead_ms: float = 0.001
 
 
 @dataclass(frozen=True)
@@ -57,9 +50,6 @@ class ControlLayerConfig:
 
     # Tiered-KV swap policy ("proactive" | "on_demand", see SWAP_POLICIES).
     swap_policy: str = "proactive"
-    # Minimum number of swappable pages that makes a proactive swap-out
-    # worthwhile (tiny working sets are cheaper to leave resident).
-    swap_min_pages: int = 1
     # Cluster placement policy used by the router when num_devices > 1:
     # "round_robin" | "least_loaded" | "cache_affinity" (see
     # repro.core.router; irrelevant on a single device).
@@ -211,8 +201,6 @@ class SchedulerConfig:
     policy: str = "adaptive"  # adaptive | eager | k_only | t_only
     k_threshold: int = 64
     t_timeout_ms: float = 5.0
-    # Safety flush so the strawman policies cannot deadlock a test run.
-    max_wait_ms: float = 50.0
 
 
 @dataclass(frozen=True)
@@ -223,12 +211,8 @@ class PieConfig:
     wasm: WasmRuntimeConfig = field(default_factory=WasmRuntimeConfig)
     control: ControlLayerConfig = field(default_factory=ControlLayerConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    # Top-K truncation of distributions returned by get_next_dist.
-    default_top_k: int = 256
 
     def __post_init__(self) -> None:
-        if self.default_top_k <= 0:
-            raise ReproError("default_top_k must be positive")
         if self.scheduler.policy not in {"adaptive", "eager", "k_only", "t_only"}:
             raise ReproError(f"unknown scheduler policy {self.scheduler.policy!r}")
         if self.control.placement_policy not in PLACEMENT_POLICIES:
@@ -237,8 +221,6 @@ class PieConfig:
             )
         if self.control.swap_policy not in SWAP_POLICIES:
             raise ReproError(f"unknown swap policy {self.control.swap_policy!r}")
-        if self.control.swap_min_pages < 1:
-            raise ReproError("swap_min_pages must be at least 1")
         if self.control.prefix_cache_max_pages < 0:
             raise ReproError("prefix_cache_max_pages must be non-negative")
         if self.control.prefill_chunk_tokens < 1:

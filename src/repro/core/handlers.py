@@ -29,6 +29,10 @@ from repro.model.registry import ModelEntry
 from repro.model.sampling import top_k_dist
 from repro.model.transformer import ForwardInput
 
+#: Top-K truncation of the distributions ``get_next_dist`` returns when the
+#: call names no ``top_k`` of its own.
+DEFAULT_TOP_K = 256
+
 
 class ApiHandlers:
     """The set of handlers serving one model on one device."""
@@ -38,12 +42,10 @@ class ApiHandlers:
         model_entry: ModelEntry,
         memory: DeviceMemory,
         cost_model: KernelCostModel,
-        default_top_k: int = 256,
     ) -> None:
         self.model_entry = model_entry
         self.memory = memory
         self.cost_model = cost_model
-        self.default_top_k = default_top_k
         #: Per-command handlers; ``forward`` is batched (``_run_forward_batch``).
         self._dispatch = {
             "embed_text": self._run_embed_text,
@@ -220,7 +222,7 @@ class ApiHandlers:
 
     def _run_sample(self, payload: Dict[str, Any]) -> List:
         slots = payload["emb_slots"]
-        top_k = payload.get("top_k") or self.default_top_k
+        top_k = payload.get("top_k") or DEFAULT_TOP_K
         temperature = payload.get("temperature", 1.0)
         hidden = self.memory.embeds.read(slots)
         logits = self.model_entry.transformer.logits(hidden)

@@ -19,11 +19,10 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.core.api import InferletContext
-from repro.core.config import PieConfig
 from repro.core.controller import Controller
 from repro.core.inferlet import InferletInstance, InferletProgram
 from repro.core.messaging import ClientChannel
-from repro.core.wasm import WasmBinary, WasmRuntime
+from repro.core.wasm import LAUNCH_HANDLING_MS, WasmBinary, WasmRuntime
 from repro.sim.futures import SimFuture
 from repro.sim.latency import milliseconds
 from repro.sim.simulator import Simulator
@@ -35,12 +34,10 @@ class InferletLifecycleManager:
     def __init__(
         self,
         sim: Simulator,
-        config: PieConfig,
         controller: Controller,
         runtime: WasmRuntime,
     ) -> None:
         self.sim = sim
-        self.config = config
         self.controller = controller
         self.runtime = runtime
         self._programs: Dict[str, InferletProgram] = {}
@@ -190,7 +187,7 @@ class InferletLifecycleManager:
 
     async def _launch_one(self, instance: InferletInstance, ready: SimFuture) -> None:
         # Serialised per-launch handling at the ILM (queueing under bursts).
-        await self.sim.sleep(milliseconds(self.config.wasm.launch_handling_ms))
+        await self.sim.sleep(milliseconds(LAUNCH_HANDLING_MS))
         self._launch_worker_busy = False
         self._pump_launch_queue()
         if instance.finished:

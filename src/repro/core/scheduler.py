@@ -35,6 +35,9 @@ from repro.sim.simulator import Simulator
 # forming one batch, and of one control<->inference layer IPC crossing.
 BATCH_SCHEDULING_OVERHEAD_MS = 0.050
 IPC_CROSSING_MS = 0.006
+# Safety flush so the strawman policies (k_only, t_only) cannot deadlock a
+# run: whatever is still pending this long after a submit is dispatched.
+MAX_WAIT_MS = 50.0
 
 
 @dataclass
@@ -441,7 +444,7 @@ class BatchScheduler:
         if self._flush_scheduled:
             return
         self._flush_scheduled = True
-        self.sim.schedule(milliseconds(self.config.max_wait_ms), self._safety_flush)
+        self.sim.schedule(milliseconds(MAX_WAIT_MS), self._safety_flush)
 
     def _safety_flush(self) -> None:
         self._flush_scheduled = False

@@ -63,7 +63,7 @@ class PieServer:
         self.external = external or ExternalServices(sim)
         self.controller = Controller(sim, self.config, registry, self.external)
         self.runtime = WasmRuntime(sim, self.config.wasm)
-        self.lifecycle = InferletLifecycleManager(sim, self.config, self.controller, self.runtime)
+        self.lifecycle = InferletLifecycleManager(sim, self.controller, self.runtime)
 
     # -- convenience accessors -------------------------------------------------
 

@@ -190,7 +190,7 @@ class ModelService:
             if config.gpu.num_devices == 1:
                 # Exact single-device compatibility, device name included.
                 device.name = f"gpu:{entry.name}"
-            handlers = ApiHandlers(entry, memory, cost_model, config.default_top_k)
+            handlers = ApiHandlers(entry, memory, cost_model)
             scheduler = BatchScheduler(
                 sim,
                 device,

@@ -205,15 +205,13 @@ class SwapManager:
         """Stage an inferlet's exclusively owned pages to host memory.
 
         Returns the number of device pages freed (0 if the move was unsafe,
-        below ``swap_min_pages``, or the host pool lacks room).  The PCIe
+        nothing qualifies, or the host pool lacks room).  The PCIe
         transfer occupies the device like any other batch, so the copy's
         bandwidth cost is visible to co-located inferlets.
         """
         if not self.enabled or not self._safe_to_swap(instance, shard):
             return 0
         owner = instance.instance_id
-        if shard.resources.swappable_kv_count(owner) < self.config.swap_min_pages:
-            return 0
         moved = shard.resources.swap_out_kv(owner)
         if not moved:
             return 0

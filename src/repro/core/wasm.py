@@ -19,6 +19,19 @@ from repro.core.config import WasmRuntimeConfig
 from repro.sim.latency import milliseconds
 from repro.sim.simulator import Simulator
 
+#: Launch costs calibrated against Figure 9: a warm start costs ~10 ms for a
+#: single launch and grows to ~50 ms when ~900 inferlets launch at once (the
+#: Inferlet Lifecycle Manager serialises a small per-launch handling step,
+#: charged in :mod:`repro.core.lifecycle`); a cold start additionally pays
+#: binary upload and JIT compilation (a base plus a term per MB of binary).
+WARM_INSTANTIATE_MS = 10.0
+LAUNCH_HANDLING_MS = 0.09
+UPLOAD_MS = 10.0
+JIT_COMPILE_MS = 15.0
+JIT_COMPILE_MS_PER_MB = 4.0
+#: Table 3's "Wasm processing overhead": added to every API call.
+PER_CALL_WASM_OVERHEAD_MS = 0.001
+
 
 @dataclass
 class WasmBinary:
@@ -69,8 +82,8 @@ class WasmRuntime:
         if not force and self.is_cached(binary.name):
             return 0.0
         start = self.sim.now
-        await self.sim.sleep(milliseconds(self.config.upload_ms))
-        jit_ms = self.config.jit_compile_ms + self.config.jit_compile_ms_per_mb * binary.size_mb
+        await self.sim.sleep(milliseconds(UPLOAD_MS))
+        jit_ms = JIT_COMPILE_MS + JIT_COMPILE_MS_PER_MB * binary.size_mb
         await self.sim.sleep(milliseconds(jit_ms))
         binary.jit_compiled = True
         binary.uploads += 1
@@ -98,7 +111,7 @@ class WasmRuntime:
             raise InferletError(
                 f"Wasm instance pool exhausted ({self.config.pool_size} live instances)"
             )
-        await self.sim.sleep(milliseconds(self.config.warm_instantiate_ms))
+        await self.sim.sleep(milliseconds(WARM_INSTANTIATE_MS))
         self._live_instances += 1
         binary.launches += 1
         return binary
@@ -114,4 +127,4 @@ class WasmRuntime:
 
     def per_call_overhead_seconds(self) -> float:
         """Wasm boundary-crossing overhead added to every API call (Table 3)."""
-        return milliseconds(self.config.per_call_wasm_overhead_ms)
+        return milliseconds(PER_CALL_WASM_OVERHEAD_MS)

@@ -151,10 +151,6 @@ class TestConfigValidation:
         for policy in SWAP_POLICIES:
             PieConfig(control=ControlLayerConfig(swap_policy=policy))
 
-    def test_swap_min_pages_validated(self):
-        with pytest.raises(ReproError):
-            PieConfig(control=ControlLayerConfig(swap_min_pages=0))
-
     def test_server_shorthand_overrides(self):
         sim = Simulator(seed=0)
         server = PieServer(sim, host_kv_pages=32, swap_policy="on_demand")
