@@ -338,7 +338,7 @@ class MonolithicEngine:
 
     def _gather_context(self, sequence: _Sequence) -> KvContext:
         used_pages = -(-sequence.computed_tokens // self.page_size)
-        context = self.memory.kv_pages.gather(sequence.page_ids[:used_pages])
+        context = self.memory.kv_pages.gather_one(sequence.page_ids[:used_pages])
         if context.length != sequence.computed_tokens:
             raise BaselineError(
                 f"engine KV accounting error: {context.length} valid slots "
@@ -347,7 +347,7 @@ class MonolithicEngine:
         return context
 
     def _write_kv(self, sequence: _Sequence, result, count: int) -> None:
-        self.memory.kv_pages.scatter(
+        self.memory.kv_pages.scatter_one(
             sequence.page_ids,
             sequence.computed_tokens,
             result.new_keys,

@@ -25,6 +25,7 @@ from repro.core.handles import Embed, KvPage, Queue
 from repro.core.inferlet import InferletInstance
 from repro.core.router import DeviceShard
 from repro.core.traits import trait_of_api
+from repro.model.sampling import check_top_k
 from repro.sim.futures import SimFuture
 
 
@@ -550,6 +551,8 @@ class InferletContext:
         top_k: Optional[int],
         temperature: float,
     ) -> SimFuture:
+        if top_k is not None:
+            check_top_k(top_k)
         slot_ids = home.resources.resolve_emb_many(self.instance_id, embeds)
         return self._controller.submit_command(
             self._instance,

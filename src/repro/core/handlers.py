@@ -6,28 +6,35 @@ they are invoked by the device with a list of commands and return a list of
 per-command results — and, with the ``KvPageStore`` gather/scatter kernels
 they call, they are the only code that touches tensors.
 
-A ``forward`` batch runs in *waves*: every command of a wave is prepared
-(embeds read, KV context gathered), the transformer is called once for all
-of them, then each command's KV and output embeddings are written, in
-command order.  That equals running the commands one after the other as long
-as none reads what an earlier one writes, so such a command starts the next
-wave.  (A command that *writes* what an earlier one reads is safe: every read
-of a wave precedes every write, and reads copy.)
+The batch, not the command, is the unit of numpy work for the three kinds
+every output token pays (``forward``, ``sample``, ``embed_text``): per
+command there is only validation — a bad command gets its own exception
+object and its batch-mates complete — and then one read, one model or
+top-K pass and one write serve all of them, bit-identical to serving each
+alone (docs/ARCHITECTURE.md, "Batch-wide handlers").
+
+A ``forward`` batch runs in *waves*: everything the wave's commands read is
+read (one KV gather, one embed read), the transformer is called once for all
+of them, then everything they write is written (one KV scatter, one embed
+write).  That equals running the commands one after the other as long as none
+reads *or writes* what an earlier one writes, so such a command starts the
+next wave.  (A command that writes what an earlier one *reads* is safe: every
+read of a wave precedes every write, and reads copy.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ResourceError, SchedulingError
 from repro.core.command_queue import Command
 from repro.gpu.kernels import ForwardRow, KernelCostModel
-from repro.gpu.memory import DeviceMemory
+from repro.gpu.memory import DeviceMemory, KvWrite
 from repro.model.registry import ModelEntry
-from repro.model.sampling import top_k_dist
-from repro.model.transformer import ForwardInput
+from repro.model.sampling import check_temperature, check_top_k, top_k_dists
+from repro.model.transformer import ForwardInput, ForwardResult, KvContext
 
 #: Top-K truncation of the distributions ``get_next_dist`` returns when the
 #: call names no ``top_k`` of its own.
@@ -46,11 +53,15 @@ class ApiHandlers:
         self.model_entry = model_entry
         self.memory = memory
         self.cost_model = cost_model
-        #: Per-command handlers; ``forward`` is batched (``_run_forward_batch``).
+        #: The kinds every output token pays run once per *batch*.
+        self._batched = {
+            "forward": self._run_forward_batch,
+            "sample": self._run_sample_batch,
+            "embed_text": self._run_embed_text_batch,
+        }
+        #: The rare kinds run once per command.
         self._dispatch = {
-            "embed_text": self._run_embed_text,
             "embed_image": self._run_embed_image,
-            "sample": self._run_sample,
             "copy_kv": self._run_copy_kv,
             "copy_emb": self._run_copy_emb,
             "mask_kv": self._run_mask_kv,
@@ -69,8 +80,9 @@ class ApiHandlers:
         inferlets share batches, so one inferlet's invalid resource use must
         not take down its batch-mates.
         """
-        if kind == "forward":
-            return self._run_forward_batch(commands)
+        batched = self._batched.get(kind)
+        if batched is not None:
+            return batched(commands)
         try:
             handler = self._dispatch[kind]
         except KeyError:
@@ -110,15 +122,36 @@ class ApiHandlers:
 
     # -- embed handlers -----------------------------------------------------------
 
-    def _run_embed_text(self, payload: Dict[str, Any]) -> int:
-        token_ids = payload["token_ids"]
-        positions = payload["positions"]
-        slots = payload["emb_slots"]
-        if not (len(token_ids) == len(positions) == len(slots)):
-            raise ResourceError("embed_txt: token/position/slot counts must match")
-        vectors = self.model_entry.transformer.embed_tokens(token_ids, positions)
-        self.memory.embeds.write(slots, vectors, positions)
-        return len(slots)
+    def _run_embed_text_batch(self, commands: Sequence[Command]) -> List[Any]:
+        """One table lookup, one sinusoid and one slot write for the batch —
+        all elementwise, so every command gets the vectors it would compute
+        alone.  A bad command (count mismatch, token outside the vocabulary,
+        unallocated slot) gets its own exception and writes nothing."""
+        results: List[Any] = [None] * len(commands)
+        transformer = self.model_entry.transformer
+        token_ids: List[int] = []
+        positions: List[int] = []
+        slots: List[int] = []
+        for index, command in enumerate(commands):
+            payload = command.payload
+            try:
+                own_tokens = payload["token_ids"]
+                own_positions = payload["positions"]
+                own_slots = payload["emb_slots"]
+                if not (len(own_tokens) == len(own_positions) == len(own_slots)):
+                    raise ResourceError("embed_txt: token/position/slot counts must match")
+                transformer.check_token_ids(own_tokens)
+                self.memory.embeds.check(own_slots)
+            except Exception as exc:  # noqa: BLE001 - delivered via the command future
+                results[index] = exc
+                continue
+            token_ids.extend(own_tokens)
+            positions.extend(own_positions)
+            slots.extend(own_slots)
+            results[index] = len(own_slots)
+        # Command order is write order: a slot named twice keeps its last write.
+        self.memory.embeds.write(slots, transformer.embed_tokens(token_ids, positions), positions)
+        return results
 
     def _run_embed_image(self, payload: Dict[str, Any]) -> int:
         blob = payload["blob"]
@@ -143,31 +176,34 @@ class ApiHandlers:
         resolves the caller's future when the final slice completes.
         """
         results: List[Any] = [None] * len(commands)
-        wave: List[Tuple[int, Dict[str, Any], ForwardInput]] = []
+        wave: List[Tuple[int, Dict[str, Any]]] = []
         kv_written: Set[int] = set()
         emb_written: Set[int] = set()
         for index, command in enumerate(commands):
             payload = command.payload
+            okv, oemb = payload.get("okv", ()), payload.get("oemb", ())
             if not (
                 kv_written.isdisjoint(payload.get("ikv", ()))
                 and emb_written.isdisjoint(payload.get("iemb", ()))
+                and kv_written.isdisjoint(okv)
+                and emb_written.isdisjoint(oemb)
             ):
                 self._run_wave(wave, results)
                 wave = []
                 kv_written.clear()
                 emb_written.clear()
-            try:
-                wave.append((index, payload, self._forward_input(payload)))
-            except Exception as exc:  # noqa: BLE001 - delivered via the command future
-                results[index] = exc
-                continue
-            kv_written.update(payload.get("okv", ()))
-            emb_written.update(payload.get("oemb", ()))
+            wave.append((index, payload))
+            kv_written.update(okv)
+            emb_written.update(oemb)
         self._run_wave(wave, results)
         return results
 
-    def _forward_input(self, payload: Dict[str, Any]) -> ForwardInput:
-        """Read what one forward command needs from device memory (copies)."""
+    def _check_forward(
+        self, payload: Dict[str, Any], context: Union[KvContext, ResourceError]
+    ) -> Tuple[KvContext, Any, Any]:
+        """Validate one forward command against device memory; ``context`` is
+        its share of the wave's gather, or what that failed with.  Returns the
+        row's context, attention mask and adapter."""
         iemb: List[int] = payload.get("iemb", [])
         mask = payload.get("mask")
         adapter_name = payload.get("adapter")
@@ -175,58 +211,127 @@ class ApiHandlers:
             raise ResourceError("forward: at least one input embedding is required")
         if len(payload.get("oemb", ())) > len(iemb):
             raise ResourceError("forward: more output embeddings than input tokens")
-        return ForwardInput(
-            embeds=self.memory.embeds.read(iemb),
-            positions=self.memory.embeds.positions(iemb),
-            context=self.memory.kv_pages.gather(payload.get("ikv", [])),
-            attn_mask=np.asarray(mask, dtype=bool) if mask is not None else None,
-            adapter=(
-                self.model_entry.adapters.get(adapter_name)
-                if adapter_name is not None
-                else None
-            ),
+        self.memory.embeds.check(iemb)
+        if isinstance(context, ResourceError):
+            raise context
+        return (
+            context,
+            np.asarray(mask, dtype=bool) if mask is not None else None,
+            self.model_entry.adapters.get(adapter_name) if adapter_name is not None else None,
         )
 
-    def _run_wave(
-        self, wave: List[Tuple[int, Dict[str, Any], ForwardInput]], results: List[Any]
-    ) -> None:
-        """One model call for the wave, then each command's writes in order."""
+    def _run_wave(self, wave: List[Tuple[int, Dict[str, Any]]], results: List[Any]) -> None:
+        """One wave: every read (one gather, one embed read), one model call,
+        then every write (one scatter, one embed write).  A command that fails
+        at any step gets its own exception and writes nothing."""
         if not wave:
             return
-        outputs = self.model_entry.transformer.forward([row for _, _, row in wave])
-        for (index, payload, _), output in zip(wave, outputs):
-            if isinstance(output, Exception):
-                results[index] = output
-                continue
+        embeds, kv_pages = self.memory.embeds, self.memory.kv_pages
+        contexts = kv_pages.gather([payload.get("ikv", []) for _, payload in wave])
+        ready: List[tuple] = []  # (index, payload, context, mask, adapter)
+        for (index, payload), context in zip(wave, contexts):
             try:
-                okv: List[int] = payload.get("okv", [])
-                oemb: List[int] = payload.get("oemb", [])
-                if okv:
-                    self.memory.kv_pages.scatter(
-                        okv,
-                        payload.get("okv_offset"),
-                        output.new_keys,
-                        output.new_values,
-                        output.positions,
-                    )
-                if oemb:
-                    n_out = len(oemb)
-                    self.memory.embeds.write(
-                        oemb, output.hidden[-n_out:], output.positions[-n_out:]
-                    )
-                results[index] = len(payload["iemb"])
+                ready.append((index, payload, *self._check_forward(payload, context)))
             except Exception as exc:  # noqa: BLE001 - delivered via the command future
                 results[index] = exc
+        iemb = [slot for _, payload, *_ in ready for slot in payload["iemb"]]
+        vectors, positions = embeds.read(iemb), embeds.positions(iemb)
+        rows: List[ForwardInput] = []
+        start = 0
+        for _, payload, context, mask, adapter in ready:
+            stop = start + len(payload["iemb"])
+            rows.append(
+                ForwardInput(vectors[start:stop], positions[start:stop], context, mask, adapter)
+            )
+            start = stop
+        outputs = self.model_entry.transformer.forward(rows)
+
+        done: List[Tuple[int, Dict[str, Any], ForwardResult]] = []
+        for (index, payload, *_), output in zip(ready, outputs):
+            try:
+                if isinstance(output, Exception):
+                    raise output
+                embeds.check(payload.get("oemb", ()))
+            except Exception as exc:  # noqa: BLE001 - delivered via the command future
+                results[index] = exc
+                continue
+            done.append((index, payload, output))
+        writers = [entry for entry in done if entry[1].get("okv")]
+        errors = kv_pages.scatter(
+            [
+                KvWrite(
+                    payload["okv"],
+                    payload.get("okv_offset"),
+                    output.new_keys,
+                    output.new_values,
+                    output.positions,
+                )
+                for _, payload, output in writers
+            ]
+        )
+        for (index, _, _), error in zip(writers, errors):
+            results[index] = error  # ``None``, as before, unless the write failed
+        out_slots: List[int] = []
+        out_hidden: List[np.ndarray] = []
+        out_positions: List[np.ndarray] = []
+        for index, payload, output in done:
+            if results[index] is not None:
+                continue
+            oemb = payload.get("oemb", ())
+            if oemb:
+                out_slots.extend(oemb)
+                out_hidden.append(output.hidden[-len(oemb) :])
+                out_positions.append(output.positions[-len(oemb) :])
+            results[index] = len(payload["iemb"])
+        if out_slots:
+            embeds.write(out_slots, np.concatenate(out_hidden), np.concatenate(out_positions))
 
     # -- sample handler ----------------------------------------------------------------
 
-    def _run_sample(self, payload: Dict[str, Any]) -> List:
-        slots = payload["emb_slots"]
-        top_k = payload.get("top_k") or DEFAULT_TOP_K
-        temperature = payload.get("temperature", 1.0)
-        hidden = self.memory.embeds.read(slots)
-        logits = self.model_entry.transformer.logits(hidden)
-        return [top_k_dist(row, k=top_k, temperature=temperature) for row in logits]
+    def _run_sample_batch(self, commands: Sequence[Command]) -> List[Any]:
+        """One slot read for the batch; then, per group of commands with the
+        same slot count, ``top_k`` and temperature, one logits call and one
+        top-K pass.  The group's hidden states are stacked ``(commands, slots,
+        d_model)``, so numpy's matmul makes the BLAS call each command would
+        make alone (one folded ``(commands * slots, d_model)`` gemm rounds
+        differently), and the top-K works along the vocabulary axis only."""
+        results: List[Any] = [None] * len(commands)
+        embeds = self.memory.embeds
+        groups: Dict[Tuple[int, int, float], List[int]] = {}
+        for index, command in enumerate(commands):
+            payload = command.payload
+            try:
+                slots = payload["emb_slots"]
+                top_k = payload.get("top_k")
+                if top_k is None:
+                    top_k = DEFAULT_TOP_K
+                temperature = payload.get("temperature", 1.0)
+                embeds.check(slots)
+                check_temperature(temperature)
+                check_top_k(top_k)
+                groups.setdefault((len(slots), top_k, temperature), []).append(index)
+            except Exception as exc:  # noqa: BLE001 - delivered via the command future
+                results[index] = exc
+        # Read group by group, so that each group is one slice of the read.
+        hidden = embeds.read(
+            [
+                slot
+                for members in groups.values()
+                for index in members
+                for slot in commands[index].payload["emb_slots"]
+            ]
+        )
+        d_model = self.model_entry.config.d_model
+        start = 0
+        for (n_slots, top_k, temperature), members in groups.items():
+            stop = start + n_slots * len(members)
+            stacked = hidden[start:stop].reshape(len(members), n_slots, d_model)
+            logits = self.model_entry.transformer.logits(stacked)
+            dists = top_k_dists(logits.reshape(stop - start, logits.shape[-1]), top_k, temperature)
+            for at, index in enumerate(members):
+                results[index] = dists[at * n_slots : (at + 1) * n_slots]
+            start = stop
+        return results
 
     # -- cache manipulation handlers ------------------------------------------------------
 

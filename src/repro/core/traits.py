@@ -106,12 +106,18 @@ ALL_APIS: Tuple[str, ...] = tuple(
 INFERENCE_LAYER_APIS = frozenset(set(ALL_APIS) - CONTROL_LAYER_APIS)
 
 
+#: API function -> its trait; reversed, so the first trait listing a name wins.
+_TRAIT_OF_API: Dict[str, str] = {
+    name: trait for trait, (_, functions) in reversed(TRAITS.items()) for name in functions
+}
+
+
 def trait_of_api(api_name: str) -> str:
     """Return the trait an API function belongs to."""
-    for trait, (_, functions) in TRAITS.items():
-        if api_name in functions:
-            return trait
-    raise ReproError(f"unknown API function {api_name!r}")
+    try:
+        return _TRAIT_OF_API[api_name]
+    except KeyError:
+        raise ReproError(f"unknown API function {api_name!r}") from None
 
 
 def api_layer(api_name: str) -> str:

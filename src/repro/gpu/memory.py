@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -171,13 +171,29 @@ class _Pool:
     def is_allocated(self, item: int) -> bool:
         return item in self._allocated
 
-    def checked(self, ids: Sequence[int]) -> np.ndarray:
-        """``ids`` as an index array, after checking that all are allocated
-        (one set operation for the batch)."""
+    def check(self, ids: Sequence[int]) -> None:
+        """Raise unless all of ``ids`` are allocated (one set operation)."""
         if not self._allocated.issuperset(ids):
             missing = next(item for item in ids if item not in self._allocated)
             raise ResourceError(f"{self.kind} {missing} is not allocated")
+
+    def checked(self, ids: Sequence[int]) -> np.ndarray:
+        """``ids`` as an index array, after :meth:`check`."""
+        self.check(ids)
         return np.asarray(ids, dtype=np.intp)
+
+
+class KvWrite(NamedTuple):
+    """One command's KV output: the first ``len(positions)`` tokens of per-layer
+    ``new_keys``/``new_values`` go into consecutive slots of ``page_ids``, from
+    slot ``offset`` of the first page; ``None`` appends after the tokens already
+    valid there (how chunked-prefill slices land behind one another)."""
+
+    page_ids: Sequence[int]
+    offset: Optional[int]
+    new_keys: Sequence[np.ndarray]
+    new_values: Sequence[np.ndarray]
+    positions: Sequence[int]
 
 
 def _lazy_zeros(shape: Sequence[int], dtype) -> np.ndarray:
@@ -247,23 +263,119 @@ class KvPageStore:
         """Slab token index of every slot of pages ``ids``, page-then-slot order."""
         return (ids[:, None] * self.page_size + self._slot_range).reshape(-1)
 
-    def gather(self, page_ids: Sequence[int]) -> KvContext:
-        """The written tokens of ``page_ids`` as one attention context: unwritten
-        slots (a partial last page, ``copy_kvpage`` holes) are skipped, the rest
-        keep page-then-slot order, ``visible`` carries their ``mask_kvpage``
-        state.  One ``take`` per tensor; the result owns its memory."""
-        ids = self._pool.checked(page_ids)
-        tokens = self._token_grid(ids)[self.valid[ids].reshape(-1)]
-        if not tokens.size:
-            return KvContext.empty(self.model_config)
-        return KvContext(
-            keys=list(self._token_keys.take(tokens, axis=1)),
-            values=list(self._token_values.take(tokens, axis=1)),
-            positions=self.positions.reshape(-1).take(tokens),
-            visible=self.visible.reshape(-1).take(tokens),
-        )
+    def _wave_index(self, page_lists: Sequence[Sequence[int]]):
+        """The page lists of a forward wave as one index.  Per list: its own
+        :class:`ResourceError` if it names an unallocated page (one set
+        operation), else ``None``.  For the lists that passed, in order: their
+        pages as one array, the ``valid`` rows of those pages, and — one entry
+        per list plus an end mark — where each list's pages start in the array
+        and how many tokens are valid in the pages before them."""
+        errors: List[Optional[ResourceError]] = []
+        flat: List[int] = []
+        page_cuts = [0]
+        for page_ids in page_lists:
+            try:
+                self._pool.check(page_ids)
+            except ResourceError as exc:
+                errors.append(exc)
+                continue
+            errors.append(None)
+            flat.extend(page_ids)
+            page_cuts.append(len(flat))
+        ids = np.asarray(flat, dtype=np.intp)
+        valid = self.valid.take(ids, axis=0)
+        token_cuts = np.concatenate(([0], valid.sum(axis=1).cumsum()))[page_cuts].tolist()
+        return errors, ids, valid, page_cuts, token_cuts
 
-    def scatter(
+    def gather(
+        self, page_lists: Sequence[Sequence[int]]
+    ) -> List[Union[KvContext, ResourceError]]:
+        """The attention context of every page list of a forward wave, in one
+        pass: one index array, one ``take`` per tensor for the whole wave.
+
+        A list's context is its written tokens — unwritten slots (a partial
+        page, ``copy_kvpage`` holes) are skipped, the rest keep page-then-slot
+        order, ``visible`` carries their ``mask_kvpage`` state — as ``[a:b]``
+        slices of the wave-wide copies: per layer C-contiguous, and detached
+        from the slab.  A list naming an unallocated page gets its own
+        :class:`ResourceError` instead, and costs the other lists nothing.
+        """
+        results, ids, valid, _, cuts = self._wave_index(page_lists)
+        tokens = self._token_grid(ids)[valid.reshape(-1)]
+        keys = self._token_keys.take(tokens, axis=1)
+        values = self._token_values.take(tokens, axis=1)
+        positions = self.positions.reshape(-1).take(tokens)
+        visible = self.visible.reshape(-1).take(tokens)
+        spans = zip(cuts, cuts[1:])
+        for index, error in enumerate(results):
+            if error is None:
+                a, b = next(spans)
+                results[index] = KvContext(
+                    keys=[layer[a:b] for layer in keys],
+                    values=[layer[a:b] for layer in values],
+                    positions=positions[a:b],
+                    visible=visible[a:b],
+                )
+        return results
+
+    def gather_one(self, page_ids: Sequence[int]) -> KvContext:
+        """:meth:`gather` for a single list; raises what the list failed with."""
+        (context,) = self.gather([page_ids])
+        if isinstance(context, ResourceError):
+            raise context
+        return context
+
+    def scatter(self, writes: Sequence[KvWrite]) -> List[Optional[ResourceError]]:
+        """Every KV write of a forward wave in one pass: one token index for
+        the wave and one slab assignment per layer and tensor.
+
+        Offsets of ``None`` count the tokens valid *before* the call, so two
+        writes of one call must not share a page (the handlers' wave rule).  A
+        write naming an unallocated page, or not fitting its pages, gets its
+        own :class:`ResourceError` — ``None`` otherwise — and writes nothing.
+        """
+        errors, ids, _, page_cuts, valid_cuts = self._wave_index(
+            [write.page_ids for write in writes]
+        )
+        grid = self._token_grid(ids)
+        landed: List[KvWrite] = []
+        tokens: List[np.ndarray] = []
+        at = 0  # among the writes whose pages are all allocated
+        for index, write in enumerate(writes):
+            if errors[index] is not None:
+                continue
+            offset = write.offset
+            if offset is None:
+                offset = valid_cuts[at + 1] - valid_cuts[at]
+            count = len(write.positions)
+            capacity = len(write.page_ids) * self.page_size
+            if offset < 0 or offset + count > capacity:
+                errors[index] = ResourceError(
+                    f"writing {count} tokens at offset {offset} exceeds the "
+                    f"{capacity}-token capacity of the provided KV pages"
+                )
+            else:
+                first = page_cuts[at] * self.page_size + offset
+                landed.append(write)
+                tokens.append(grid[first : first + count])
+            at += 1
+        if not landed:
+            return errors
+        counts = [len(chunk) for chunk in tokens]
+        tokens = np.concatenate(tokens)
+        for layer in range(self.model_config.n_layers):
+            self._token_keys[layer, tokens] = np.concatenate(
+                [write.new_keys[layer][:count] for write, count in zip(landed, counts)]
+            )
+            self._token_values[layer, tokens] = np.concatenate(
+                [write.new_values[layer][:count] for write, count in zip(landed, counts)]
+            )
+        self.positions.reshape(-1)[tokens] = np.concatenate([write.positions for write in landed])
+        self.valid.reshape(-1)[tokens] = True
+        self.visible.reshape(-1)[tokens] = True
+        return errors
+
+    def scatter_one(
         self,
         page_ids: Sequence[int],
         offset: Optional[int],
@@ -271,26 +383,10 @@ class KvPageStore:
         new_values: Sequence[np.ndarray],
         positions: Sequence[int],
     ) -> None:
-        """Write the first ``len(positions)`` tokens of per-layer ``new_keys``/
-        ``new_values`` into consecutive slots of ``page_ids``, from slot
-        ``offset`` of the first page; ``None`` appends after the tokens already
-        valid there (how chunked-prefill slices land behind one another)."""
-        ids = self._pool.checked(page_ids)
-        if offset is None:
-            offset = int(self.valid[ids].sum())
-        count = len(positions)
-        capacity = ids.size * self.page_size
-        if offset < 0 or offset + count > capacity:
-            raise ResourceError(
-                f"writing {count} tokens at offset {offset} exceeds the "
-                f"{capacity}-token capacity of the provided KV pages"
-            )
-        tokens = self._token_grid(ids)[offset : offset + count]
-        self._token_keys[:, tokens] = np.asarray(new_keys)[:, :count]
-        self._token_values[:, tokens] = np.asarray(new_values)[:, :count]
-        self.positions.reshape(-1)[tokens] = positions
-        self.valid.reshape(-1)[tokens] = True
-        self.visible.reshape(-1)[tokens] = True
+        """:meth:`scatter` for a single write; raises what the write failed with."""
+        (error,) = self.scatter([KvWrite(page_ids, offset, new_keys, new_values, positions)])
+        if error is not None:
+            raise error
 
     @property
     def num_free(self) -> int:
@@ -341,6 +437,11 @@ class EmbedStore:
         if positions is not None:
             self._positions[slots] = positions
         self._written[slots] = True
+
+    def check(self, slot_ids: Sequence[int]) -> None:
+        """Raise unless every slot is allocated (one set operation): how a
+        batch-wide handler tells which command named a bad slot."""
+        self._pool.check(slot_ids)
 
     def positions(self, slot_ids: Sequence[int]) -> List[int]:
         """Sequence positions associated with the given slots."""

@@ -18,14 +18,19 @@ import numpy as np
 from repro.errors import ReproError
 
 
-def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Numerically stable softmax with a temperature knob."""
+def check_temperature(temperature: float) -> None:
+    """What :func:`softmax` requires, as a check a batch can run per command."""
     if temperature <= 0:
         raise ReproError("temperature must be positive; use greedy_sample for argmax")
+
+
+def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Numerically stable softmax over the last axis, with a temperature knob."""
+    check_temperature(temperature)
     scaled = np.asarray(logits, dtype=np.float64) / temperature
-    scaled = scaled - scaled.max()
+    scaled = scaled - scaled.max(axis=-1, keepdims=True)
     exp = np.exp(scaled)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class TokenDistribution:
         """Token id with the highest probability (greedy choice)."""
         if not self.token_ids:
             raise ReproError("empty distribution")
-        return self.token_ids[int(np.argmax(self.probs))]
+        return self.token_ids[self.probs.index(max(self.probs))]
 
     def prob_of(self, token_id: int) -> float:
         for tid, p in zip(self.token_ids, self.probs):
@@ -86,20 +91,40 @@ class TokenDistribution:
         return len(self.token_ids)
 
 
-def top_k_dist(logits: np.ndarray, k: int, temperature: float = 1.0) -> TokenDistribution:
-    """Build a top-K truncated :class:`TokenDistribution` from raw logits."""
+def check_top_k(k: int) -> None:
+    """``top_k`` comes from the inferlet and must be a positive integer:
+    ``min(k, vocab)`` would keep a negative one, and ``argpartition`` then
+    returns the *bottom* of the distribution."""
+    if not (isinstance(k, (int, np.integer)) and k > 0):
+        raise ReproError(f"top_k must be a positive integer, not {k!r}")
+
+
+def top_k_dists(
+    logits: np.ndarray, k: int, temperature: float = 1.0
+) -> List[TokenDistribution]:
+    """One top-K truncated :class:`TokenDistribution` per row of ``logits``
+    (``(rows, vocab)``).  Every step works along the last axis, so a row's
+    result does not depend on the rows it is batched with."""
+    check_top_k(k)
     probs = softmax(logits, temperature=temperature)
-    vocab = probs.shape[0]
+    vocab = probs.shape[-1]
     k = min(k, vocab)
-    top_indices = np.argpartition(probs, -k)[-k:]
-    top_indices = top_indices[np.argsort(probs[top_indices])[::-1]]
-    top_probs = probs[top_indices]
-    total = top_probs.sum()
-    return TokenDistribution(
-        token_ids=tuple(top_indices.tolist()),
-        probs=tuple((top_probs / total).tolist()),
-        truncated=k < vocab,
-    )
+    top = np.argpartition(probs, -k, axis=-1)[:, -k:]
+    order = np.argsort(np.take_along_axis(probs, top, axis=-1), axis=-1)[:, ::-1]
+    top = np.take_along_axis(top, order, axis=-1)
+    top_probs = np.take_along_axis(probs, top, axis=-1)
+    top_probs /= top_probs.sum(axis=-1, keepdims=True)
+    truncated = k < vocab
+    return [
+        TokenDistribution(tuple(token_ids), tuple(row), truncated)
+        for token_ids, row in zip(top.tolist(), top_probs.tolist())
+    ]
+
+
+def top_k_dist(logits: np.ndarray, k: int, temperature: float = 1.0) -> TokenDistribution:
+    """:func:`top_k_dists` for a single row of logits."""
+    (dist,) = top_k_dists(np.asarray(logits)[None, :], k, temperature)
+    return dist
 
 
 def greedy_sample(logits: np.ndarray) -> int:

@@ -184,6 +184,13 @@ class TinyTransformer:
         embeds = self.token_embedding[tokens]
         return embeds + sinusoidal_positions(pos, self.config.d_model)
 
+    def check_token_ids(self, token_ids: Sequence[int]) -> None:
+        """Raise unless every id is in the vocabulary.  Plain Python: it is
+        what a batch-wide ``embed_txt`` handler runs per command to find whose
+        ids are bad, before one :meth:`embed_tokens` for the batch."""
+        if token_ids and not (0 <= min(token_ids) and max(token_ids) < self.config.vocab_size):
+            raise ReproError("embed_tokens: token id outside the vocabulary")
+
     def embed_image(self, blob: bytes, n_slots: int, positions: Sequence[int]) -> np.ndarray:
         """Deterministic pseudo-embedding of an image blob (``embed_img``)."""
         digest = np.frombuffer(
@@ -382,7 +389,10 @@ class TinyTransformer:
     # -- sample stage --------------------------------------------------------
 
     def logits(self, hidden: np.ndarray) -> np.ndarray:
-        """Project hidden states onto the vocabulary (tied embeddings)."""
+        """Project hidden states onto the vocabulary (tied embeddings): one
+        vector, ``(n, d_model)`` rows, or a ``(commands, n, d_model)`` stack,
+        which numpy multiplies one ``(n, d_model)`` matrix at a time — each
+        command's logits are the bits it would get alone."""
         hidden = np.asarray(hidden, dtype=np.float32)
         if hidden.ndim == 1:
             hidden = hidden[None, :]

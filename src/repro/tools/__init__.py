@@ -1,4 +1,6 @@
-"""Offline analysis tools for flight-recorder traces.
+"""Offline analysis tools for flight-recorder traces, plus the CI perf gate
+(``perf_gate``), the SLO snapshot report (``slo_report``) and the untraced
+host-time sampling profiler (``host_profile``).
 
 ``python -m repro.tools.trace_report trace.jsonl`` reconstructs
 per-inferlet lifecycle timelines from a trace exported by

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import InferletProgram, PieClient, PieServer
 from repro.core.config import PieConfig
+from repro.errors import ReproError
 from repro.model import get_model_config
 from repro.model.transformer import TinyTransformer
 from repro.sim import Simulator
@@ -121,6 +122,36 @@ class TestTextCompletionEndToEnd:
         service = server.service()
         assert service.memory.kv_pages.num_allocated == 0
         assert service.memory.embeds.num_allocated == 0
+
+    def test_bad_top_k_is_rejected_at_the_call(self, sim, server):
+        """``top_k`` is the inferlet's: ``None`` or a positive integer.  Anything
+        else raises at the call, before a command is built (``0`` used to mean
+        "the default 256", ``-3`` the bottom of the distribution)."""
+
+        async def main(ctx):
+            queue = ctx.create_queue()
+            (emb,) = ctx.alloc_emb(queue, 1)
+            ctx.embed_txt(queue, [65], [0], [emb])
+            refused = []
+            for top_k in (0, -3, 2.5):
+                for call in (
+                    lambda: ctx.get_next_dist(queue, emb, top_k=top_k),
+                    lambda: ctx.get_dists(queue, [emb], top_k=top_k),
+                ):
+                    with pytest.raises(ReproError, match="top_k must be a positive integer"):
+                        call()
+                    refused.append(top_k)
+            dist = await ctx.get_next_dist(queue, emb, top_k=3)
+            default = await ctx.get_next_dist(queue, emb)
+            return refused, len(dist), len(default)
+
+        server.register_program(InferletProgram(name="bad_top_k", main=main))
+        result = sim.run_until_complete(server.run_inferlet("bad_top_k"))
+        assert result.status == "finished"
+        assert result.result == ([0, 0, -3, -3, 2.5, 2.5], 3, 256)
+        sim.run()
+        kinds = server.service().pool.aggregate_stats().batches_by_kind
+        assert kinds["sample"] == 2  # the six refused calls reached no device
 
     def test_client_launch_pays_network_rtt(self, sim, server):
         program = make_completion_program("Hello, ", 3)

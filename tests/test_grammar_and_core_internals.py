@@ -12,6 +12,7 @@ from repro.core.config import WasmRuntimeConfig
 from repro.core.resources import ResourceManager
 from repro.core.traits import (
     ALL_APIS,
+    TRAITS,
     CONTROL_LAYER_APIS,
     INFERENCE_LAYER_APIS,
     api_layer,
@@ -125,6 +126,16 @@ class TestTraits:
     def test_trait_lookup(self):
         assert trait_of_api("embed_txt") == "InputText"
         assert trait_of_api("tokenize") == "Tokenize"
+
+    def test_trait_table_equals_the_scan_it_replaced(self):
+        def scan(api_name):
+            for trait, (_, functions) in TRAITS.items():
+                if api_name in functions:
+                    return trait
+
+        assert [trait_of_api(name) for name in ALL_APIS] == [scan(name) for name in ALL_APIS]
+        with pytest.raises(ReproError, match="unknown API function 'not_an_api'"):
+            trait_of_api("not_an_api")
 
     def test_supertraits_transitive(self):
         parents = supertraits("Tokenize")

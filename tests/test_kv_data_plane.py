@@ -159,7 +159,7 @@ class _Twin:
             keys, values = fresh_kv(self.rng, count + 2)  # extra rows must be ignored
             positions = np.arange(self.next_position, self.next_position + count)
             self.next_position += count
-            fast = _outcome(lambda: self.fast.scatter(self.pages, offset, keys, values, positions))
+            fast = _outcome(lambda: self.fast.scatter_one(self.pages, offset, keys, values, positions))
             slow = _outcome(
                 lambda: reference_write(
                     self.slow,
@@ -192,10 +192,10 @@ class _Twin:
 
     def check(self) -> None:
         want = reference_gather(self.slow, self.pages)
-        assert_same_context(self.fast.gather(self.pages), want)
+        assert_same_context(self.fast.gather_one(self.pages), want)
         # The slab itself, read back through the page views by the old loop.
         assert_same_context(reference_gather(self.fast, self.pages), want)
-        assert_same_forward(self.fast.gather(self.pages), want, self.rng)
+        assert_same_forward(self.fast.gather_one(self.pages), want, self.rng)
 
 
 @given(st.integers(0, 2**16), st.lists(ops, min_size=1, max_size=14))
@@ -215,18 +215,18 @@ def filled_store(num_pages=6, tokens=2 * PAGE + 5, seed=0):
     store = KvPageStore(CONFIG, num_pages=num_pages)
     pages = store.allocate(3)
     keys, values = fresh_kv(np.random.default_rng(seed), tokens)
-    store.scatter(pages, None, keys, values, np.arange(tokens))
+    store.scatter_one(pages, None, keys, values, np.arange(tokens))
     return store, pages, keys, values
 
 
 def test_gather_compresses_partial_last_page_in_page_then_slot_order():
     store, pages, keys, _ = filled_store()
-    context = store.gather(pages)
+    context = store.gather_one(pages)
     assert context.length == 2 * PAGE + 5
     np.testing.assert_array_equal(context.positions, np.arange(2 * PAGE + 5))
     np.testing.assert_array_equal(context.keys[1], keys[1])
     # Page order is the caller's, not the allocator's.
-    reordered = store.gather(pages[::-1])
+    reordered = store.gather_one(pages[::-1])
     np.testing.assert_array_equal(
         reordered.positions,
         np.concatenate([np.arange(2 * PAGE, 2 * PAGE + 5), np.arange(PAGE, 2 * PAGE), np.arange(PAGE)]),
@@ -235,7 +235,7 @@ def test_gather_compresses_partial_last_page_in_page_then_slot_order():
 
 def test_gather_result_owns_its_memory():
     store, pages, _, _ = filled_store()
-    context = store.gather(pages)
+    context = store.gather_one(pages)
     before = context.keys[0].copy()
     store.page(pages[0]).clear()
     np.testing.assert_array_equal(context.keys[0], before)
@@ -244,51 +244,51 @@ def test_gather_result_owns_its_memory():
 def test_gather_of_nothing_is_the_empty_context():
     store = KvPageStore(CONFIG, num_pages=4)
     pages = store.allocate(2)
-    for context in (store.gather([]), store.gather(pages)):
+    for context in (store.gather_one([]), store.gather_one(pages)):
         assert_same_context(context, KvContext.empty(CONFIG))
 
 
 def test_kernels_reject_unallocated_pages_and_bad_offsets():
     store, pages, keys, values = filled_store()
     with pytest.raises(ResourceError):
-        store.gather(pages + [5])
+        store.gather_one(pages + [5])
     with pytest.raises(ResourceError):
-        store.scatter([5], 0, keys, values, [0])
+        store.scatter_one([5], 0, keys, values, [0])
     with pytest.raises(ResourceError):  # past the capacity of the pages given
-        store.scatter(pages, 3 * PAGE - 1, keys, values, [0, 1])
+        store.scatter_one(pages, 3 * PAGE - 1, keys, values, [0, 1])
     with pytest.raises(ResourceError):  # numpy would wrap a negative offset
-        store.scatter(pages, -1, keys, values, [0])
-    assert store.gather(pages).length == 2 * PAGE + 5  # nothing was written
+        store.scatter_one(pages, -1, keys, values, [0])
+    assert store.gather_one(pages).length == 2 * PAGE + 5  # nothing was written
 
 
 def test_freed_page_comes_back_empty_and_neighbours_are_untouched():
     store, pages, _, _ = filled_store()
-    kept = store.gather(pages[:1])
+    kept = store.gather_one(pages[:1])
     store.free(pages[1:])
     again = store.allocate(2)
     assert sorted(again) == sorted(pages[1:])
-    assert store.gather(again).length == 0
+    assert store.gather_one(again).length == 0
     for pid in again:
         page = store.page(pid)
         assert not page.keys.any() and not page.values.any() and page.visible.all()
-    assert_same_context(store.gather(pages[:1]), kept)
+    assert_same_context(store.gather_one(pages[:1]), kept)
 
 
 def test_host_pool_snapshot_clear_restore_round_trip():
     store, pages, _, _ = filled_store()
     store.page(pages[2]).mask_tokens([False] + [True] * (PAGE - 1))
     pool = HostMemoryPool(CONFIG, GpuConfig(host_kv_pages=4))
-    want = store.gather(pages)
+    want = store.gather_one(pages)
     host_slots = [pool.store(store.page(pid)) for pid in pages]
     store.free(pages)  # swap-out: the device rows are cleared and reused
     other = store.allocate(1)
-    store.scatter(other, 0, *fresh_kv(np.random.default_rng(9), 4), np.arange(4))
+    store.scatter_one(other, 0, *fresh_kv(np.random.default_rng(9), 4), np.arange(4))
     restored = store.allocate(3)
     for slot, pid in zip(host_slots, restored):
         pool.load(slot, store.page(pid))
     assert pool.num_used == 0
-    assert_same_context(store.gather(restored), want)
-    assert store.gather(other).length == 4
+    assert_same_context(store.gather_one(restored), want)
+    assert store.gather_one(other).length == 4
 
 
 def test_host_snapshot_is_detached_from_the_slab():
@@ -304,7 +304,7 @@ def test_cross_device_copy_page_from_copies_one_slab_row():
     remote = DeviceMemory(CONFIG, GpuConfig(num_kv_pages=5)).kv_pages
     dst = remote.allocate(3)
     remote.page(dst[1]).copy_page_from(store.page(pages[1]))
-    assert_same_context(remote.gather([dst[1]]), store.gather([pages[1]]))
-    assert remote.gather([dst[0], dst[2]]).length == 0  # neighbouring rows untouched
+    assert_same_context(remote.gather_one([dst[1]]), store.gather_one([pages[1]]))
+    assert remote.gather_one([dst[0], dst[2]]).length == 0  # neighbouring rows untouched
     store.page(pages[1]).clear()  # the copy is independent of its source
-    assert remote.gather([dst[1]]).length == PAGE
+    assert remote.gather_one([dst[1]]).length == PAGE

@@ -15,7 +15,7 @@ from repro.model import (
     softmax,
     top_k_dist,
 )
-from repro.model.sampling import TokenDistribution, apply_repetition_penalty
+from repro.model.sampling import TokenDistribution, apply_repetition_penalty, top_k_dists
 
 
 class TestTokenizer:
@@ -153,6 +153,48 @@ class TestSampling:
     def test_repetition_penalty_invalid(self):
         with pytest.raises(ReproError):
             apply_repetition_penalty(np.array([1.0]), [0], penalty=0.0)
+
+    @pytest.mark.parametrize("k", [0, -3, 2.5, None, "8"])
+    def test_top_k_must_be_a_positive_integer(self, k):
+        """``min(k, vocab)`` kept a negative ``k``, and ``argpartition(probs, 3)[3:]``
+        is the *bottom* seven of ten tokens; ``k=0`` was the whole vocabulary
+        flagged ``truncated``."""
+        with pytest.raises(ReproError, match="top_k must be a positive integer"):
+            top_k_dist(np.arange(10.0), k=k)
+        with pytest.raises(ReproError, match="top_k must be a positive integer"):
+            top_k_dists(np.arange(20.0).reshape(2, 10), k)
+
+    def test_top_k_dist_is_the_one_row_call_of_the_batched_top_k(self):
+        logits = np.random.default_rng(2).normal(size=(5, 40)).round(1)  # with ties
+        for k, temperature in [(1, 1.0), (7, 0.5), (40, 2.0), (99, 1.0), (np.int64(3), 1.0)]:
+            rows = top_k_dists(logits, k, temperature)
+            assert rows == [top_k_dist(row, k, temperature) for row in logits]
+            assert all(len(dist) == min(k, 40) and dist.truncated == (k < 40) for dist in rows)
+        assert top_k_dists(logits[:0], 5) == []
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_max_index_is_the_first_maximum(self, seed, size, tied):
+        """Plain-Python first maximum, the answer ``np.argmax`` gave — also
+        under ties, and for restricted (unsorted, renormalised) distributions."""
+        rng = np.random.default_rng(seed)
+        probs = rng.random(size).round(1) + 0.1 if tied else rng.random(size)
+        dist = TokenDistribution(tuple(rng.permutation(size).tolist()), tuple(probs.tolist()))
+        assert dist.max_index() == dist.token_ids[int(np.argmax(dist.probs))]
+        allowed = rng.permutation(size)[: rng.integers(0, size + 1)].tolist()
+        restricted = dist.restricted(allowed)
+        if len(restricted):
+            assert restricted.max_index() == restricted.token_ids[int(np.argmax(restricted.probs))]
+        else:
+            with pytest.raises(ReproError, match="empty distribution"):
+                restricted.max_index()
+
+    def test_max_index_builds_no_array(self, monkeypatch):
+        """Every greedy token pays it: no 256-element tuple -> array conversion."""
+        dist = top_k_dist(np.random.default_rng(0).normal(size=259), k=256)
+        want = dist.token_ids[0]
+        monkeypatch.setattr(np, "argmax", None)
+        assert dist.max_index() == want
 
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)

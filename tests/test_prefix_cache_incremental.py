@@ -316,7 +316,7 @@ class World:
         if count:
             shape = (CONFIG.n_layers, count, CONFIG.n_kv_heads, CONFIG.d_head)
             try:
-                self.store.scatter(
+                self.store.scatter_one(
                     entry["okv"], None, np.ones(shape), np.ones(shape), positions[:count]
                 )
             except ResourceError as raised:  # a page was freed under the command

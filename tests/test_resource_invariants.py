@@ -352,13 +352,13 @@ def test_valid_counts_follow_every_writer_of_the_valid_bits():
     pids = src.resolve_kv_many("a", pages)
     store = src.memory.kv_pages
     assert store.valid_counts(pids) == [0, 0, 0, 0]
-    store.scatter(pids, None, *kv(size + 3), list(range(size + 3)))  # append
+    store.scatter_one(pids, None, *kv(size + 3), list(range(size + 3)))  # append
     check()
     assert store.valid_counts(pids) == [size, 3, 0, 0]
-    store.scatter(pids, 1, *kv(4), [1, 2, 3, 4])  # explicit offset over written slots
+    store.scatter_one(pids, 1, *kv(4), [1, 2, 3, 4])  # explicit offset over written slots
     check()
     assert store.valid_counts(pids) == [size, 3, 0, 0]
-    store.scatter(pids[2:], 5, *kv(2), [40, 41])  # ... and leaving a hole
+    store.scatter_one(pids[2:], 5, *kv(2), [40, 41])  # ... and leaving a hole
     check()
     store.page(pids[3]).copy_token_from(store.page(pids[0]), [0, 1], [2, 7])
     check()
