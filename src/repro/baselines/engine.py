@@ -259,7 +259,10 @@ class MonolithicEngine:
         transformer = self.entry.transformer
         context = self._gather_context(sequence)
         embeds = transformer.embed_tokens(input_tokens, positions)
-        result = transformer.forward_row(embeds, positions, context)
+        # A prefill reads its last hidden state only; speculative verification
+        # reads every row.
+        n_outputs = None if sequence.prefilled else 1
+        result = transformer.forward_row(embeds, positions, context, n_outputs=n_outputs)
         sequence.steps += 1
 
         if not sequence.prefilled:

@@ -89,7 +89,7 @@ class VllmLikeServer:
         def full_forward(tokens: List[int]) -> np.ndarray:
             positions = list(range(len(tokens)))
             embeds = transformer.embed_tokens(tokens, positions)
-            return transformer.forward_row(embeds, positions).hidden[-1]
+            return transformer.forward_row(embeds, positions, n_outputs=1).hidden[-1]
 
         # Prefill once for the shared prompt.
         prefill_cost = self.engine.cost_model.forward_batch_cost(

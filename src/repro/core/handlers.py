@@ -240,8 +240,11 @@ class ApiHandlers:
         start = 0
         for _, payload, context, mask, adapter in ready:
             stop = start + len(payload["iemb"])
+            n_outputs = len(payload.get("oemb", ()))
             rows.append(
-                ForwardInput(vectors[start:stop], positions[start:stop], context, mask, adapter)
+                ForwardInput(
+                    vectors[start:stop], positions[start:stop], context, mask, adapter, n_outputs
+                )
             )
             start = stop
         outputs = self.model_entry.transformer.forward(rows)
@@ -280,7 +283,7 @@ class ApiHandlers:
             oemb = payload.get("oemb", ())
             if oemb:
                 out_slots.extend(oemb)
-                out_hidden.append(output.hidden[-len(oemb) :])
+                out_hidden.append(output.hidden)  # the ``len(oemb)`` rows it asked for
                 out_positions.append(output.positions[-len(oemb) :])
             results[index] = len(payload["iemb"])
         if out_slots:

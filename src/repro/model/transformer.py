@@ -5,10 +5,10 @@ The class implements the three stages the Pie API exposes:
 * :meth:`TinyTransformer.embed_tokens` — the ``embed_txt`` handler.
 * :meth:`TinyTransformer.forward` — the ``forward`` handler: for every row
   of a batch (input embeddings with explicit positions plus a gathered KV
-  context), compute output hidden states and the new per-layer K/V for the
-  input tokens.  :meth:`TinyTransformer.forward_row` is the batch of one.
-* :meth:`TinyTransformer.logits` / :meth:`next_token_dist` — the
-  ``get_next_dist`` handler.
+  context), compute the output hidden states the caller reads and the new
+  per-layer K/V for the input tokens.  :meth:`TinyTransformer.forward_row`
+  is the batch of one.
+* :meth:`TinyTransformer.logits` — the ``get_next_dist`` handler.
 
 The math is ordinary pre-norm multi-head attention with grouped-query KV
 heads and a two-layer MLP.  What matters for the reproduction is that K/V
@@ -65,9 +65,10 @@ class KvContext:
 class ForwardResult:
     """Output of a forward call.
 
-    ``hidden`` holds the final-layer hidden state of every *input* token (in
-    input order); ``new_keys``/``new_values`` hold the per-layer K/V of the
-    input tokens, ready to be written into KV pages.
+    ``hidden`` holds the final-layer hidden states that were asked for — of
+    the last ``n_outputs`` input tokens, in input order;
+    ``new_keys``/``new_values`` hold the per-layer K/V of *every* input
+    token, ready to be written into KV pages.
     """
 
     hidden: np.ndarray
@@ -120,6 +121,10 @@ class ForwardInput:
     to that key.  Without it, a causal mask is inferred from positions.
     Tokens masked at the cache level (``context.visible == False``) are
     never attended to, regardless of the explicit mask.
+
+    ``n_outputs`` is how many trailing hidden states the caller reads (the
+    ``oemb`` of the command): ``ForwardResult.hidden`` holds exactly those.
+    None means all of them.
     """
 
     embeds: np.ndarray
@@ -127,30 +132,46 @@ class ForwardInput:
     context: Optional[KvContext] = None
     attn_mask: Optional[np.ndarray] = None
     adapter: Optional[LoraAdapter] = None
+    n_outputs: Optional[int] = None
 
 
-class _Row:
-    """A validated row: float32 inputs, positions, context and its mask.
+class _Queries:
+    """The queries ``first:`` of a row and the keys they may see.
 
-    ``mask`` is None when every query may attend to every key and
-    ``has_key`` is None when every query has at least one visible key — the
-    common decode row — so attention skips the two selects that would
-    return their input unchanged.
+    ``mask`` is None when each of them may attend to every key and
+    ``has_key`` is None when each has at least one visible key — a decode
+    row, or the last query of a causal prompt — so attention skips the two
+    selects that would return their input unchanged.
     """
 
-    __slots__ = ("index", "x", "positions", "context", "mask", "has_key")
+    __slots__ = ("first", "mask", "has_key")
 
-    def __init__(self, index, x, positions, context, mask) -> None:
-        self.index = index
-        self.x = x
-        self.positions = positions
-        self.context = context if context is not None and context.length else None
+    def __init__(self, first: int, mask: np.ndarray) -> None:
+        self.first = first
         self.mask = self.has_key = None
+        mask = mask[first:]
         if not mask.all():
             self.mask = mask
             has_key = mask.any(axis=-1)
             if not has_key.all():
                 self.has_key = has_key[None, :, None]
+
+
+class _Row:
+    """A validated row: float32 inputs, positions, context, and its queries —
+    ``every`` one of them, which all layers but the last attend for, and the
+    ones whose hidden state is ``read``, which the last layer attends for."""
+
+    __slots__ = ("index", "x", "positions", "context", "every", "read")
+
+    def __init__(self, index, x, positions, context, mask, n_outputs) -> None:
+        self.index = index
+        self.x = x
+        self.positions = positions
+        self.context = context if context is not None and context.length else None
+        self.every = _Queries(0, mask)
+        n_in = x.shape[0]
+        self.read = self.every if n_outputs == n_in else _Queries(n_in - n_outputs, mask)
 
 
 class TinyTransformer:
@@ -223,7 +244,10 @@ class TinyTransformer:
         matmul runs that as one ``(n_in, d) @ W`` BLAS call per row, the call
         a lone row makes.  (Flattening the rows into one ``(rows * n_in, d)``
         gemm would not be: it rounds differently from the per-row gemv.)
-        Masks and attention are per row.
+        Masks and attention are per row, and the last layer attends only for
+        the queries whose hidden state the row reads (``n_outputs``): nothing
+        else depends on that layer's attention.  K/V are computed for every
+        token of every layer.
 
         Dtypes: the score scale ``sqrt(d_head)`` is an ``np.float64`` scalar
         and the division by it is out of place, so under NumPy 2 promotion
@@ -253,10 +277,11 @@ class TinyTransformer:
         context: Optional[KvContext] = None,
         attn_mask: Optional[np.ndarray] = None,
         adapter: Optional[LoraAdapter] = None,
+        n_outputs: Optional[int] = None,
     ) -> ForwardResult:
         """:meth:`forward` for a single row; raises what the row failed with."""
         (result,) = self.forward(
-            [ForwardInput(input_embeds, positions, context, attn_mask, adapter)]
+            [ForwardInput(input_embeds, positions, context, attn_mask, adapter, n_outputs)]
         )
         if isinstance(result, ReproError):
             raise result
@@ -269,8 +294,14 @@ class TinyTransformer:
         positions = np.asarray(list(row.positions), dtype=np.int64)
         if positions.shape[0] != x.shape[0]:
             raise ReproError("forward: positions length must match input embeddings")
+        n_in = x.shape[0]
+        n_outputs = n_in if row.n_outputs is None else row.n_outputs
+        if not (isinstance(n_outputs, (int, np.integer)) and 0 <= n_outputs <= n_in):
+            raise ReproError(
+                f"forward: n_outputs must be an integer in 0..{n_in}, not {row.n_outputs!r}"
+            )
         mask = self._build_mask(positions, row.context, row.attn_mask)
-        return _Row(index, x, positions, row.context, mask)
+        return _Row(index, x, positions, row.context, mask, n_outputs)
 
     def _forward_group(
         self,
@@ -279,7 +310,15 @@ class TinyTransformer:
         members: List[_Row],
         results: List,
     ) -> None:
-        """The rows of one ``(n_in, adapter)`` group, stacked on axis 0."""
+        """The rows of one ``(n_in, adapter)`` group, stacked on axis 0.
+
+        The last layer's attention feeds nothing but the final hidden states,
+        so it runs for the queries a row reads and leaves zeros for the rest:
+        ``attn_out`` keeps its shape, the dense products and norms after it
+        make the BLAS calls they always made — a gemm's output row depends on
+        its own input row only, so the read rows keep their bits — and the
+        unread rows, now meaningless, are not returned.
+        """
         config = self.config
         count = len(members)
         q_shape = (count, n_in, config.n_heads, config.d_head)
@@ -294,19 +333,22 @@ class TinyTransformer:
             v_new = (normed @ layer.wv).reshape(kv_shape)
             new_keys.append(k_new)
             new_values.append(v_new)
-            attn_out = np.stack(
-                [
-                    self._attention(member, layer_index, q[at], k_new[at], v_new[at])
-                    for at, member in enumerate(members)
-                ]
-            )
+            last = layer is self.layers[-1]
+            attn_out = np.zeros((count, n_in, config.d_model))
+            for at, member in enumerate(members):
+                queries = member.read if last else member.every
+                first = queries.first
+                if first < n_in:
+                    attn_out[at, first:] = self._attention(
+                        member.context, queries, layer_index, q[at, first:], k_new[at], v_new[at]
+                    )
             hidden = hidden + attn_out @ layer.wo
             normed = _layer_norm(hidden)
             hidden = hidden + np.maximum(normed @ layer.w1, 0.0) @ layer.w2
         hidden = _layer_norm(hidden) * self.output_norm_gain
         for at, member in enumerate(members):
             results[member.index] = ForwardResult(
-                hidden=hidden[at],
+                hidden=hidden[at, member.read.first :],
                 new_keys=[keys[at] for keys in new_keys],
                 new_values=[values[at] for values in new_values],
                 positions=member.positions,
@@ -358,31 +400,32 @@ class TinyTransformer:
 
     def _attention(
         self,
-        row: _Row,
+        context: Optional[KvContext],
+        queries: _Queries,
         layer_index: int,
         q: np.ndarray,
         k_new: np.ndarray,
         v_new: np.ndarray,
     ) -> np.ndarray:
-        """One row's attention over its context plus its own new tokens."""
-        context = row.context
+        """Attention of some of a row's queries (``q`` holds theirs) over its
+        context plus its own new tokens."""
         if context is not None:
             k_new = np.concatenate([context.keys[layer_index], k_new], axis=0)
             v_new = np.concatenate([context.values[layer_index], v_new], axis=0)
         # Expand grouped KV heads to full head count.
         k_full = np.repeat(k_new, self._gqa_repeat, axis=1)  # (n_keys, n_heads, d_head)
         v_full = np.repeat(v_new, self._gqa_repeat, axis=1)
-        # scores: (n_heads, n_in, n_keys); out of place, see ``forward``.
+        # scores: (n_heads, n_queries, n_keys); out of place, see ``forward``.
         scores = np.einsum("ihd,jhd->hij", q, k_full) / self._score_scale
-        if row.mask is not None:
-            scores = np.where(row.mask[None, :, :], scores, _MASKED_SCORE)
+        if queries.mask is not None:
+            scores = np.where(queries.mask[None, :, :], scores, _MASKED_SCORE)
         scores -= scores.max(axis=-1, keepdims=True)
         weights = np.exp(scores, out=scores)
         denom = weights.sum(axis=-1, keepdims=True)
         weights /= np.maximum(denom, 1e-9, out=denom)
-        if row.has_key is not None:
-            # Rows with no visible key at all produce a zero attention output.
-            weights = np.where(row.has_key, weights, 0.0)
+        if queries.has_key is not None:
+            # Queries with no visible key at all produce a zero attention output.
+            weights = np.where(queries.has_key, weights, 0.0)
         attn = np.einsum("hij,jhd->ihd", weights, v_full)
         return attn.reshape(q.shape[0], self.config.d_model)
 
@@ -397,6 +440,3 @@ class TinyTransformer:
         if hidden.ndim == 1:
             hidden = hidden[None, :]
         return hidden @ self.token_embedding.T
-
-    def next_token_logits(self, hidden_row: np.ndarray) -> np.ndarray:
-        return self.logits(hidden_row)[0]

@@ -18,6 +18,13 @@ the samples) and by layer.  A sample's layer is that of the nearest frame in
 a file one layer owns (``LAYER_OF``); shared files (``gpu/memory.py``,
 ``model/sampling.py``, ...) count for whoever called them, which is how the
 spans of ``perf/`` divide the time too.
+
+One function often does two jobs the profile should tell apart — a decode
+row's attention and a prompt's.  ``--split QUALNAME=EXPR`` (or
+``HostProfile(split={QUALNAME: EXPR})``) evaluates ``EXPR`` over the locals
+of a charged ``QUALNAME`` frame and appends the value to its label:
+
+    --split "TinyTransformer._attention=('decode' if q.shape[0] == 1 else 'multi-token', layer_index)"
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import signal
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 PACKAGE = str(Path(__file__).resolve().parents[1]) + os.sep
 
@@ -55,10 +62,21 @@ OUTSIDE = ("(outside src/repro)", "")
 
 
 class HostProfile:
-    """Samples the main thread every ``interval_s`` of process CPU time."""
+    """Samples the main thread every ``interval_s`` of process CPU time.
 
-    def __init__(self, interval_s: float = 0.0005) -> None:
+    ``split`` maps a function's qualified name to an expression over its
+    locals: a sample charged to that function is labelled ``name [value]`` —
+    ``name [?]`` if the expression raises there.
+    """
+
+    def __init__(
+        self, interval_s: float = 0.0005, split: Optional[Mapping[str, str]] = None
+    ) -> None:
         self.interval_s = interval_s
+        self.split = {
+            name: compile(expression, f"<split {name}>", "eval")
+            for name, expression in (split or {}).items()
+        }
         self.samples = 0
         #: (file under src/repro, function) -> samples with it innermost / on the stack
         self.self_samples: Counter = Counter()
@@ -81,7 +99,8 @@ class HostProfile:
             code = frame.f_code
             if code.co_filename.startswith(PACKAGE):
                 key = (code.co_filename[len(PACKAGE) :], code.co_qualname)
-                innermost = innermost or key
+                if innermost is None:
+                    innermost = key = self._labelled(key, frame)
                 layer = layer or next((la for pre, la in LAYER_OF if key[0].startswith(pre)), None)
                 seen.add(key)
             frame = frame.f_back
@@ -89,11 +108,26 @@ class HostProfile:
         self.cumulative.update(seen)
         self.layers[layer or "other"] += 1
 
+    def _labelled(self, key, frame):
+        expression = self.split.get(key[1])
+        if expression is None:
+            return key
+        try:
+            value = eval(expression, frame.f_globals, frame.f_locals)  # noqa: S307
+        except Exception:  # noqa: BLE001 - a sample without a label, not a dead run
+            value = "?"
+        return (key[0], f"{key[1]} [{value}]")
+
     def share(self, function: str, cumulative: bool = True) -> float:
-        """Share of the samples with ``function`` (its qualified name) on the
-        stack — or, with ``cumulative=False``, innermost."""
+        """Share of the samples with ``function`` (its qualified name, or one
+        ``name [value]`` label of a split function) on the stack — or, with
+        ``cumulative=False``, innermost."""
         counts = self.cumulative if cumulative else self.self_samples
-        hits = sum(n for (_, name), n in counts.items() if name == function)
+        hits = sum(
+            n
+            for (_, name), n in counts.items()
+            if name == function or name.startswith(function + " [")
+        )
         return hits / max(1, self.samples)
 
     def report(self, top: int = 25) -> str:
@@ -112,7 +146,12 @@ class HostProfile:
         return "\n".join(lines)
 
 
-def profile_workload(name: str, seed: int, requests: Optional[int] = None) -> HostProfile:
+def profile_workload(
+    name: str,
+    seed: int,
+    requests: Optional[int] = None,
+    split: Optional[Mapping[str, str]] = None,
+) -> HostProfile:
     """One ``perf/`` workload, set up as ``perf/worker.py`` sets it up, with
     the timed section under the sampler."""
     from perf import workloads
@@ -122,7 +161,7 @@ def profile_workload(name: str, seed: int, requests: Optional[int] = None) -> Ho
     workloads.run_warmup(workload, generated)
     sim, server = workloads.make_server(workload, seed)
     run_all, outcomes = workloads.drive(sim, server, workload, generated)
-    with HostProfile() as profile:
+    with HostProfile(split=split) as profile:
         sim.run_until_complete(run_all())
         sim.run()
     failed = [outcome for outcome in outcomes if outcome.state != "succeeded"]
@@ -131,19 +170,34 @@ def profile_workload(name: str, seed: int, requests: Optional[int] = None) -> Ho
     return profile
 
 
+def _split_argument(text: str):
+    name, _, expression = text.partition("=")
+    if not (name and expression):
+        raise argparse.ArgumentTypeError(f"expected QUALNAME=EXPR, not {text!r}")
+    return name, expression
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--requests", type=int, help="fewer than the workload's size (smoke)")
     parser.add_argument("--top", type=int, default=25, help="functions listed per table")
+    parser.add_argument(
+        "--split",
+        action="append",
+        default=[],
+        type=_split_argument,
+        metavar="QUALNAME=EXPR",
+        help="label samples charged to QUALNAME with EXPR, evaluated over its locals",
+    )
     options = parser.parse_args(argv)
     # As perf/worker.py, and before numpy loads: the timer counts the CPU
     # time of every thread, and an unpinned BLAS spins a second one.
     for pin in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[pin] = "1"
     sys.path.insert(0, str(Path(PACKAGE).parents[1]))  # the repo root, for ``perf``
-    profile = profile_workload(options.workload, options.seed, options.requests)
+    profile = profile_workload(options.workload, options.seed, options.requests, dict(options.split))
     print(f"{options.workload} seed {options.seed}: " + profile.report(options.top))
     return 0
 

@@ -36,6 +36,33 @@ def test_a_busy_function_gets_the_samples():
     assert "softmax  model/sampling.py" in report and "layer" in report
 
 
+def test_split_tells_two_jobs_of_one_function_apart():
+    """Two busy loops in ``softmax``, told apart by its ``temperature``."""
+    import numpy as np
+
+    def spin(temperature, seconds=0.25):
+        logits = np.zeros((64, 259), dtype=np.float32)
+        deadline = time.process_time() + seconds
+        while time.process_time() < deadline:
+            for _ in range(50):
+                softmax(logits, temperature)
+
+    with HostProfile(interval_s=0.001, split={"softmax": "temperature"}) as profile:
+        spin(1.0)
+        spin(2.0)
+    labels = {name for (_, name) in profile.self_samples}
+    assert {"softmax [1.0]", "softmax [2.0]"} <= labels and "softmax" not in labels
+    shares = [profile.share(label, cumulative=False) for label in ("softmax [1.0]", "softmax [2.0]")]
+    assert min(shares) > 0.2
+    # By the function's name: every label of it (the rest is ``check_temperature``).
+    assert abs(profile.share("softmax", cumulative=False) - sum(shares)) < 1e-9 and sum(shares) > 0.6
+    assert "softmax [2.0]  model/sampling.py" in profile.report(top=5)
+    # An expression that raises labels the sample; the run goes on.
+    with HostProfile(interval_s=0.001, split={"softmax": "no_such_local + 1"}) as profile:
+        spin(1.0, seconds=0.1)
+    assert profile.share("softmax [?]", cumulative=False) > 0.5
+
+
 def test_shared_files_count_for_the_layer_that_called_them():
     from types import SimpleNamespace
 
