@@ -126,14 +126,6 @@ class MonolithicEngine:
         request = GenerationRequest(prompt=prompt, sampling=sampling or SamplingConfig())
         return await self.submit(request)
 
-    @property
-    def num_running(self) -> int:
-        return len(self._running)
-
-    @property
-    def num_waiting(self) -> int:
-        return len(self._waiting)
-
     # -- engine loop ------------------------------------------------------------------
 
     def _ensure_loop(self) -> None:

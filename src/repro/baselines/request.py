@@ -74,9 +74,3 @@ class EngineStats:
         if not self.batch_sizes:
             return 0.0
         return sum(self.batch_sizes) / len(self.batch_sizes)
-
-    @property
-    def prefix_cache_hit_rate(self) -> float:
-        if self.total_prompt_tokens == 0:
-            return 0.0
-        return self.total_cached_prompt_tokens / self.total_prompt_tokens

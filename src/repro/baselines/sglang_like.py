@@ -75,7 +75,3 @@ class SglangLikeServer:
     @property
     def stats(self):
         return self.engine.stats
-
-    @property
-    def radix_cached_pages(self) -> int:
-        return self.engine.radix.cached_pages() if self.engine.radix else 0

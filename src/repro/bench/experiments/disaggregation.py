@@ -76,7 +76,9 @@ SETUP = dict(
 #: shard roles with KV-page streaming.
 ARMS = {
     "colocated": dict(placement_policy="least_loaded"),
-    "disaggregated": dict(disaggregation=True, prefill_shards=PREFILL_SHARDS),
+    "disaggregated": dict(
+        placement_policy="disaggregated", prefill_shards=PREFILL_SHARDS
+    ),
 }
 
 

@@ -305,10 +305,6 @@ class CommandQueue:
         return self._pending[0].issue_time if self._pending else None
 
     @property
-    def head_kind(self) -> Optional[str]:
-        return self._pending[0].kind if self._pending else None
-
-    @property
     def issued(self) -> int:
         return self._issued
 

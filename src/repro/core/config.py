@@ -35,11 +35,16 @@ class WasmRuntimeConfig:
 
 @dataclass(frozen=True)
 class ControlLayerConfig:
-    """Control layer policies and the knobs of its optional planes.
+    """Control layer policies and the switches of its optional planes.
 
-    The calibrated overheads of Figure 10 and Table 3 are not knobs: they
-    are module constants next to the code that charges them (see the
-    "model constants" table in the README).
+    A field is here because something outside ``tests/`` sets a second
+    value for it — an experiment arm, a ``perf/`` workload, an example — or
+    because it is a seed, a capacity or a path of the deployment
+    (``tests/test_config_ledger.py`` holds the evidence per field).
+    Everything else — the calibrated overheads of Figure 10 and Table 3,
+    and each plane's periods, thresholds and backoff terms — is a module
+    constant next to the code that reads it (see the "Model constants"
+    table in the README).
 
     Resource contention is always FCFS — terminate the most recently
     created inferlets until enough resources are free.  With a host KV
@@ -52,7 +57,15 @@ class ControlLayerConfig:
     swap_policy: str = "proactive"
     # Cluster placement policy used by the router when num_devices > 1:
     # "round_robin" | "least_loaded" | "cache_affinity" (see
-    # repro.core.router; irrelevant on a single device).
+    # repro.core.router; irrelevant on a single device) — or
+    # "disaggregated", which *is* the prefill/decode disaggregation plane
+    # (repro.core.transfer): the first ``prefill_shards`` devices serve only
+    # prompt work and the rest run pure-decode batches.  Committed KV pages
+    # stream to the chosen decode shard while the tail of the prefill is
+    # still running; once the first sampled token retires, the inferlet —
+    # queue state, swap registration, QoS accounting — migrates in one
+    # step.  Under any other policy no transfer scheduler is built and no
+    # hooks are installed (bit-identical to the pre-disaggregation system).
     placement_policy: str = "round_robin"
     # System-wide automatic prefix caching (repro.core.prefix_cache): when
     # True, each device shard keeps a token-addressed radix index over
@@ -61,10 +74,6 @@ class ControlLayerConfig:
     # default — the serving path is then bit-identical to the pre-cache
     # system.
     prefix_cache: bool = False
-    # Bound on device-resident pages the prefix cache may pin per shard
-    # (LRU leaves are evicted beyond it); 0 means unbounded, leaving
-    # eviction/demotion to the memory-pressure reclamation ladder.
-    prefix_cache_max_pages: int = 0
     # Chunked prefill / stall-free batching (repro.core.batching): when
     # True, batch formation enforces a token budget alongside the row
     # limit and a forward command whose prompt exceeds the remaining
@@ -78,20 +87,9 @@ class ControlLayerConfig:
     # per-batch floor and the re-read attention term more often.  The
     # token budget per formed batch is GpuConfig.max_batch_tokens.
     prefill_chunk_tokens: int = 128
-    # Prefill/decode disaggregation (repro.core.transfer): when True, the
-    # cluster's first ``prefill_shards`` devices serve only prompt work
-    # (placement_policy must be "disaggregated") and the rest run
-    # pure-decode batches.  Committed KV pages stream to the chosen decode
-    # shard over the device-to-device link while the tail of the prefill is
-    # still running; once the first sampled token retires, the inferlet —
-    # queue state, swap registration, QoS accounting — migrates in one
-    # step.  Off by default: the serving path is then bit-identical to the
-    # pre-disaggregation system (no transfer scheduler is built, no hooks
-    # installed).
-    disaggregation: bool = False
-    # Devices dedicated to prefill when disaggregation is on (the remaining
-    # num_devices - prefill_shards devices decode).  Needs at least one
-    # device in each role.
+    # Devices dedicated to prefill under placement_policy="disaggregated"
+    # (the remaining num_devices - prefill_shards devices decode).  Needs at
+    # least one device in each role.
     prefill_shards: int = 1
     # Flight recorder (repro.core.trace): when True the controller builds
     # a TraceRecorder, every control-plane hot point emits structured
@@ -119,10 +117,6 @@ class ControlLayerConfig:
     # unregistered tenant get an implicit unlimited spec of
     # ``qos.DEFAULT_CLASS``.
     tenants: Tuple[TenantSpec, ...] = ()
-    # Starvation bound for SLO-aware dispatch: a candidate batch whose
-    # oldest command has waited this long is served FCFS regardless of
-    # class (aging).
-    qos_aging_ms: float = 200.0
     # Live SLO monitoring plane (repro.core.monitor): when True the
     # controller builds a MonitorService — a labeled metric registry, a
     # per-tenant error-budget / burn-rate alerting engine, and a periodic
@@ -131,24 +125,6 @@ class ControlLayerConfig:
     # When on, every hook is read-only: tokens, metrics and virtual
     # timestamps are bit-identical to a monitoring=False run.
     monitoring: bool = False
-    # Scrape period in virtual milliseconds; each tick advances the alert
-    # windows and appends one registry snapshot.  0 disables the scraper
-    # (request-path counters and histograms still accumulate).
-    scrape_interval_ms: float = 50.0
-    # Default availability objective: the fraction of SLO-judged samples
-    # that must meet their latency target.  Tenants can override it via
-    # TenantSpec.slo_target.
-    slo_target: float = 0.95
-    # Multi-window burn-rate alert rules as (long_ms, short_ms, threshold)
-    # triples of virtual time.  An alert fires when the budget burn rate
-    # exceeds the threshold in BOTH windows and clears when the short
-    # window drops back below it.  Simulated runs compress hours of
-    # traffic into seconds, so the defaults are seconds-scale rather than
-    # the hour-scale windows of the SRE handbook.
-    slo_burn_windows: Tuple[Tuple[float, float, float], ...] = (
-        (2_000.0, 500.0, 6.0),
-        (10_000.0, 2_000.0, 3.0),
-    )
     # Chaos plane (repro.sim.faults / repro.core.health / repro.core.retry):
     # when True the controller builds a FaultInjector (replaying
     # ``fault_plan`` on the virtual clock), a per-shard health service with
@@ -167,21 +143,6 @@ class ControlLayerConfig:
     # grammar), e.g. ("shard_crash", 0.5, 1) or
     # ("tool_error", 1.0, 0.25, "http://tools/crm").
     fault_plan: Tuple[tuple, ...] = ()
-    # Health heartbeat period in virtual milliseconds: each beat probes
-    # every shard's device, advances the health state machine and runs the
-    # failover sweep for newly-down shards.  0 disables the prober (faults
-    # still inject; detection then never happens).
-    heartbeat_interval_ms: float = 5.0
-    # Retry policy for faulted tool calls and refused handoffs:
-    # deterministic exponential backoff (base * multiplier^attempt, capped
-    # at retry_max_backoff_ms) with seeded jitter, an attempt cap and a
-    # per-class total-retry budget.
-    retry_max_attempts: int = 3
-    retry_base_ms: float = 10.0
-    retry_multiplier: float = 2.0
-    retry_max_backoff_ms: float = 1_000.0
-    retry_jitter: float = 0.1
-    retry_budget: int = 1_000
     # SLO-driven brownout (graceful degradation): when True a controller
     # in repro.core.health subscribes to the SloEngine's burn-rate alerts;
     # while an interactive-class error budget burns, batch-class admission
@@ -189,9 +150,6 @@ class ControlLayerConfig:
     # chunk budgets widen, restoring when the alert clears.  Requires
     # qos=True and monitoring=True.
     brownout: bool = False
-    # Multiplier applied to prefill_chunk_tokens / gpu.max_batch_tokens while
-    # a brownout is active (chunked_prefill only).
-    brownout_chunk_scale: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -213,6 +171,9 @@ class PieConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
 
     def __post_init__(self) -> None:
+        """Only what spans two fields or arrives from outside is checked
+        here; a value with one reader is validated by that reader
+        (``Router``, ``BurnWindow``, ``SloEngine``, ``TenantSpec``)."""
         if self.scheduler.policy not in {"adaptive", "eager", "k_only", "t_only"}:
             raise ReproError(f"unknown scheduler policy {self.scheduler.policy!r}")
         if self.control.placement_policy not in PLACEMENT_POLICIES:
@@ -221,76 +182,22 @@ class PieConfig:
             )
         if self.control.swap_policy not in SWAP_POLICIES:
             raise ReproError(f"unknown swap policy {self.control.swap_policy!r}")
-        if self.control.prefix_cache_max_pages < 0:
-            raise ReproError("prefix_cache_max_pages must be non-negative")
         if self.control.prefill_chunk_tokens < 1:
             raise ReproError("prefill_chunk_tokens must be at least 1")
         if self.control.prefill_shards < 1:
             raise ReproError("prefill_shards must be at least 1")
-        if self.control.disaggregation:
-            if self.control.placement_policy != "disaggregated":
-                raise ReproError(
-                    "disaggregation=True requires placement_policy='disaggregated'"
-                )
-            if self.gpu.num_devices < 2:
-                raise ReproError(
-                    "disaggregation needs at least 2 devices (one per role)"
-                )
-            if self.control.prefill_shards >= self.gpu.num_devices:
-                raise ReproError(
-                    f"prefill_shards ({self.control.prefill_shards}) must leave at "
-                    f"least one decode shard (num_devices={self.gpu.num_devices})"
-                )
-        elif self.control.placement_policy == "disaggregated":
-            raise ReproError(
-                "placement_policy='disaggregated' requires disaggregation=True"
-            )
         if self.control.trace_sample_ms < 0:
             raise ReproError("trace_sample_ms must be non-negative (0 = no sampler)")
         if self.control.trace_path and not self.control.tracing:
             raise ReproError("trace_path requires tracing=True")
-        if self.control.qos_aging_ms <= 0:
-            raise ReproError("qos_aging_ms must be positive")
         for spec in self.control.tenants:
             if not isinstance(spec, TenantSpec):
                 raise ReproError(
                     f"ControlLayerConfig.tenants must hold TenantSpec records, got {spec!r}"
                 )
-        if self.control.scrape_interval_ms < 0:
-            raise ReproError("scrape_interval_ms must be non-negative (0 = no scraper)")
-        if not 0.0 < self.control.slo_target < 1.0:
-            raise ReproError("slo_target must be in (0, 1)")
-        if not self.control.slo_burn_windows:
-            raise ReproError("slo_burn_windows must not be empty")
-        for window in self.control.slo_burn_windows:
-            if len(window) != 3:
-                raise ReproError(
-                    f"each burn window is (long_ms, short_ms, threshold), got {window!r}"
-                )
-            long_ms, short_ms, threshold = window
-            if not long_ms > short_ms > 0:
-                raise ReproError(
-                    f"burn window needs long_ms > short_ms > 0, got {window!r}"
-                )
-            if threshold <= 0:
-                raise ReproError(f"burn threshold must be positive, got {window!r}")
         names = [spec.name for spec in self.control.tenants]
         if len(names) != len(set(names)):
             raise ReproError("tenant names must be unique")
-        if self.control.heartbeat_interval_ms < 0:
-            raise ReproError("heartbeat_interval_ms must be non-negative (0 = no prober)")
-        if self.control.retry_max_attempts < 1:
-            raise ReproError("retry_max_attempts must be at least 1")
-        if self.control.retry_base_ms < 0:
-            raise ReproError("retry_base_ms must be non-negative")
-        if self.control.retry_multiplier < 1.0:
-            raise ReproError("retry_multiplier must be at least 1.0")
-        if self.control.retry_max_backoff_ms < self.control.retry_base_ms:
-            raise ReproError("retry_max_backoff_ms must be >= retry_base_ms")
-        if not 0.0 <= self.control.retry_jitter < 1.0:
-            raise ReproError("retry_jitter must be in [0, 1)")
-        if self.control.retry_budget < 0:
-            raise ReproError("retry_budget must be non-negative")
         if self.control.fault_plan and not self.control.faults:
             raise ReproError("fault_plan requires faults=True")
         if self.control.faults:
@@ -304,24 +211,16 @@ class PieConfig:
                     "(it subscribes to the SLO engine's burn-rate alerts "
                     "and sheds batch-class admission)"
                 )
-        if self.control.brownout_chunk_scale < 1.0:
-            raise ReproError("brownout_chunk_scale must be at least 1.0")
 
 
-#: Shorthand implications, applied in order (so they chain): a key given a
-#: value other than ``False`` switches on the knobs it is useless without —
-#: unless the caller set those knobs explicitly.
+#: Shorthand implications: a key given a value other than ``False``
+#: switches on the knobs it is useless without — unless the caller set
+#: those knobs explicitly.
 SHORTHAND_IMPLICATIONS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("tenants", {"qos": True}),
     ("trace_path", {"tracing": True}),
-    ("disaggregation", {"placement_policy": "disaggregated"}),
-    ("scrape_interval_ms", {"monitoring": True}),
-    ("slo_target", {"monitoring": True}),
-    ("slo_burn_windows", {"monitoring": True}),
     ("fault_seed", {"faults": True}),
     ("fault_plan", {"faults": True}),
-    ("heartbeat_interval_ms", {"faults": True}),
-    ("brownout_chunk_scale", {"brownout": True}),
     ("brownout", {"qos": True, "monitoring": True}),
 )
 

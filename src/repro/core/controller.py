@@ -28,7 +28,12 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import OutOfResourcesError, ReproError, ResourceError
+from repro.errors import (
+    OutOfResourcesError,
+    ReproError,
+    ResourceError,
+    SchedulingError,
+)
 from repro.core.command_queue import Command
 from repro.core.config import PieConfig
 from repro.core.handles import Embed, KvPage, Queue
@@ -109,7 +114,6 @@ class Controller:
                 sim,
                 self.metrics,
                 tenants=control.tenants,
-                aging_ms=control.qos_aging_ms,
                 trace=self.trace,
             )
             observers.append(self.qos)
@@ -123,7 +127,7 @@ class Controller:
         self.retry: Optional[RetryPolicy] = None
         self.health: Optional[ShardHealthService] = None
         if control.faults:
-            self.retry = RetryPolicy.from_config(control, seed=control.fault_seed)
+            self.retry = RetryPolicy(seed=control.fault_seed)
             self.faults = FaultInjector(
                 sim,
                 control.fault_plan,
@@ -150,7 +154,7 @@ class Controller:
                 retry=self.retry,
             )
         if control.faults:
-            self.health = ShardHealthService(self, control)
+            self.health = ShardHealthService(self)
             timers.append(self.health.heartbeat)
             for service in self._services.values():
                 service.router.health_probe = self.health.placeable
@@ -159,7 +163,7 @@ class Controller:
         self.brownout: Optional[BrownoutController] = None
         if control.brownout:
             # Validated by PieConfig: brownout requires qos + monitoring.
-            self.brownout = BrownoutController(self, control)
+            self.brownout = BrownoutController(self)
             self.monitor.add_alert_listener(self.brownout.on_alert)
         if control.tracing:
             # Told last, so an inferlet's spans close after the other
@@ -587,7 +591,7 @@ class Controller:
         # from deadlocking.
         try:
             shard.scheduler.get_queue(queue_key)
-        except Exception:
+        except SchedulingError:
             if self.trace is not None:
                 self.trace.end(command.trace_span, args={"dropped": True})
                 command.trace_span = None

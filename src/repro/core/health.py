@@ -6,7 +6,7 @@ reaches them, serving path bit-identical):
 
 :class:`ShardHealthService` (``ControlLayerConfig.faults``)
     A virtual-clock heartbeat (a :class:`~repro.sim.periodic.PeriodicService`)
-    probes every shard index each ``heartbeat_interval_ms`` and keeps a
+    probes every shard index each :data:`HEARTBEAT_INTERVAL_MS` and keeps a
     per-index state machine: ``healthy`` → ``degraded`` (a slowdown fault
     window is open) → back, or ``healthy`` → ``down`` (fail-stop crash).
     Shard indexes are node-scoped: a crash at index *i* takes down the
@@ -23,7 +23,7 @@ reaches them, serving path bit-identical):
     stream.  While any *interactive*-class tenant's alert is firing, the
     cluster browns out: batch-class admission is shed
     (``AdmissionRejectedError(reason="brownout")``) and the chunked-prefill
-    token budgets widen by ``brownout_chunk_scale`` so queued interactive
+    token budgets widen by :data:`BROWNOUT_CHUNK_SCALE` so queued interactive
     prompts drain in fewer slices.  When the last interactive alert
     clears, both knobs restore.
 
@@ -47,18 +47,28 @@ __all__ = ["SHARD_STATES", "ShardHealthService", "BrownoutController"]
 #: operator-initiated removal (placeable() already refuses it).
 SHARD_STATES = ("healthy", "degraded", "draining", "down")
 
+#: Heartbeat period in virtual milliseconds: each beat probes every shard's
+#: device, advances the health state machine and runs the failover sweep
+#: for newly-down shards (0 = no prober: faults still inject, detection
+#: never happens).  Read when a :class:`ShardHealthService` is built.
+HEARTBEAT_INTERVAL_MS = 5.0
+#: Multiplier on ``prefill_chunk_tokens`` / ``GpuConfig.max_batch_tokens``
+#: while a brownout is active (chunked prefill only).  Read when a
+#: :class:`BrownoutController` is built.
+BROWNOUT_CHUNK_SCALE = 2.0
+
 
 class ShardHealthService:
     """Heartbeat-driven shard state machine and failover trigger."""
 
-    def __init__(self, controller, control) -> None:
+    def __init__(self, controller) -> None:
         self.controller = controller
         self.sim = controller.sim
         num = controller.config.gpu.num_devices
         self.states: Dict[int, str] = {index: "healthy" for index in range(num)}
         self.heartbeat = PeriodicService(
             self.sim,
-            control.heartbeat_interval_ms / 1e3,
+            HEARTBEAT_INTERVAL_MS / 1e3,
             self._probe_all,
             controller.has_live_inferlets,
         )
@@ -234,9 +244,9 @@ class ShardHealthService:
 class BrownoutController:
     """Sheds batch load and widens chunk budgets while interactive SLOs burn."""
 
-    def __init__(self, controller, control) -> None:
+    def __init__(self, controller) -> None:
         self.controller = controller
-        self.chunk_scale = control.brownout_chunk_scale
+        self.chunk_scale = BROWNOUT_CHUNK_SCALE
         self.active = False
         # The (tenant, signal, window) alerts currently firing for
         # interactive-class tenants; brownout holds while non-empty.

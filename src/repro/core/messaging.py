@@ -120,9 +120,6 @@ class MessageBus:
             ) from None
         return mailbox.get()
 
-    def subscriber_count(self, topic: str) -> int:
-        return len(self._subscribers.get(topic, {}))
-
 
 @dataclass
 class ExternalEndpoint:
@@ -171,6 +168,3 @@ class ExternalServices:
 
     def total_calls(self) -> int:
         return sum(endpoint.calls for endpoint in self._endpoints.values())
-
-    def urls(self) -> List[str]:
-        return sorted(self._endpoints)

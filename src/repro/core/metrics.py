@@ -159,9 +159,6 @@ class TenantMetrics:
     def ttft_percentile(self, p: float) -> float:
         return self.ttft.percentile(p)
 
-    def tpot_percentile(self, p: float) -> float:
-        return self.tpot.percentile(p)
-
 
 @dataclass
 class SystemMetrics:
@@ -293,6 +290,3 @@ class SystemMetrics:
         inference = sum(m.inference_layer_calls for m in self.per_inferlet.values())
         tokens = max(1, sum(m.output_tokens for m in self.per_inferlet.values()))
         return {"control": control / tokens, "inference": inference / tokens}
-
-    def mean_launch_latency(self) -> float:
-        return self.launch_latency.mean

@@ -8,8 +8,10 @@ observability surfaces this repo grew elsewhere:
   the load harness publish into;
 * an :class:`~repro.core.slo.SloEngine` judging per-tenant TTFT/TPOT
   against :class:`~repro.core.qos.TenantSpec` targets and firing
-  multi-window burn-rate alerts;
-* a periodic *scraper* on the virtual clock — a
+  multi-window burn-rate alerts (objective and windows are the constants
+  of :mod:`repro.core.slo`);
+* a periodic *scraper* on the virtual clock, every
+  :data:`SCRAPE_INTERVAL_MS` — a
   :class:`~repro.sim.periodic.PeriodicService`, so it only re-arms while
   inferlets are live, the event queue stays drainable and the simulation
   never runs longer because monitoring is on — that publishes the serving
@@ -19,7 +21,7 @@ observability surfaces this repo grew elsewhere:
 The whole plane is off by default (``ControlLayerConfig.monitoring``);
 when off, no ``MonitorService`` is constructed and
 ``Controller.observers`` does not hold one — the structural-inertness
-contract shared with the QoS/tracing/chunking knobs.  When on, every hook only *reads*
+contract shared with the QoS/tracing/chunking switches.  When on, every hook only *reads*
 serving state and writes to monitor-private buffers, so tokens, metrics
 and virtual timestamps stay bit-identical to a monitor-off run (asserted
 in ``tests/test_determinism.py``).
@@ -40,12 +42,16 @@ from repro.core.registry import (
     MetricRegistry,
 )
 from repro.core.scheduler import SchedulerStats
-from repro.core.slo import BurnWindow, SloEngine
+from repro.core.slo import SloEngine
 from repro.core.qos import TenantSpec
 from repro.sim.periodic import PeriodicService
 
 __all__ = ["MonitorService"]
 
+#: Scrape period in virtual milliseconds: each tick advances the alert
+#: windows and appends one registry snapshot (0 = no scraper; request-path
+#: counters and histograms still accumulate).  Read when a monitor is built.
+SCRAPE_INTERVAL_MS = 50.0
 #: Retention cap for time-series snapshots (one per scrape tick).
 MAX_SNAPSHOTS = 20_000
 
@@ -56,24 +62,18 @@ class MonitorService(LifecycleObserver):
     def __init__(self, controller) -> None:
         self.controller = controller
         self.sim = controller.sim
-        self.control = control = controller.config.control
         self.metrics = controller.metrics
         self.trace = controller.trace
         self.registry = MetricRegistry()
-        windows = tuple(
-            BurnWindow(long_ms / 1e3, short_ms / 1e3, threshold)
-            for long_ms, short_ms, threshold in control.slo_burn_windows
-        )
-        self.slo = SloEngine(
-            windows,
-            default_target=control.slo_target,
-            trace=self.trace,
-        )
-        for spec in control.tenants:
+        self.slo = SloEngine(trace=self.trace)
+        for spec in controller.config.control.tenants:
             self.slo.register(spec)
-        self.scrape_seconds = control.scrape_interval_ms / 1e3
+        self.scrape_interval_ms = SCRAPE_INTERVAL_MS
         self.scraper = PeriodicService(
-            self.sim, self.scrape_seconds, self._scrape, controller.has_live_inferlets
+            self.sim,
+            self.scrape_interval_ms / 1e3,
+            self._scrape,
+            controller.has_live_inferlets,
         )
         #: Bounded time-series: one scalar snapshot of the registry per tick.
         self.snapshots: Deque[dict] = deque(maxlen=MAX_SNAPSHOTS)
@@ -264,7 +264,7 @@ class MonitorService(LifecycleObserver):
         document = {
             "clock": "virtual_seconds",
             "now": self.sim.now,
-            "scrape_interval_ms": self.control.scrape_interval_ms,
+            "scrape_interval_ms": self.scrape_interval_ms,
             "scrapes": self.scrapes_taken,
             "slo": {
                 "default_target": self.slo.default_target,

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ResourceError
-from repro.core.config import ControlLayerConfig
 from repro.core.metrics import SystemMetrics
 from repro.gpu.host_pool import HostMemoryPool
 from repro.gpu.memory import DeviceMemory
@@ -74,10 +73,6 @@ class PrefixNode:
     children: Dict[int, "PrefixNode"] = field(default_factory=dict)
     last_used: float = 0.0
     seq: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass(eq=False)
@@ -109,14 +104,12 @@ class PrefixCacheService:
         host_pool: HostMemoryPool,
         device: "SimDevice",
         metrics: SystemMetrics,
-        config: ControlLayerConfig,
     ) -> None:
         self.resources = resources
         self.memory = memory
         self.host_pool = host_pool
         self.device = device
         self.metrics = metrics
-        self.config = config
         self.page_size = memory.model_config.kv_page_size
         self._root = PrefixNode()
         self._by_pid: Dict[int, PrefixNode] = {}
@@ -151,16 +144,6 @@ class PrefixCacheService:
         """Device-resident pages currently owned by the index."""
         return len(self._by_pid)
 
-    def demoted_pages(self) -> int:
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children.values())
-            if node.host_slot is not None:
-                count += 1
-        return count
-
     def _tick(self) -> float:
         self._clock += 1.0
         return self._clock
@@ -191,13 +174,6 @@ class PrefixCacheService:
         self._busy[self._busy_tickets] = frozenset(pids)
         return self._busy_tickets
 
-    def busy_pins(self, pids: Sequence[int]) -> int:
-        """Total busy pins currently held against the given physical pages
-        (observability for tests and debugging; busy pins from *other*
-        owners' cache-shared reads are deliberately not a handoff blocker —
-        migration copies pages without mutating them)."""
-        return sum(pid in pages for pages in self._busy.values() for pid in pids)
-
     def release_busy(self, ticket: int) -> None:
         del self._busy[ticket]
 
@@ -211,8 +187,10 @@ class PrefixCacheService:
 
         The taint matters because a mutation can be *issued* before the
         page's producing forward has completed (queue barriers resolve
-        early while commands are in their delivery window); the completion
-        hook must then refuse to register the page.
+        early while commands are in their delivery window — see
+        docs/ARCHITECTURE.md, "What ``synchronize`` waits for today", and
+        ``tests/test_synchronize_barrier.py``); the completion hook must
+        then refuse to register the page.
         """
         self._page_tokens.pop(pid, None)
         self._forget_cursors(pid)
@@ -589,7 +567,6 @@ class PrefixCacheService:
                     self._cursors_by_pid.setdefault(pid, set()).add(cursor)
                 self._cursors[fresh[-1]] = cursor
             cursor.chain, cursor.node, cursor.depth = chain, node, depth
-        self._enforce_capacity()
 
     def _register(
         self, node: PrefixNode, depth: int, pids: List[int], chain: List[int]
@@ -621,12 +598,6 @@ class PrefixCacheService:
             node, depth = child, index + 1
         return node, depth
 
-    def _enforce_capacity(self) -> None:
-        limit = self.config.prefix_cache_max_pages
-        while limit and len(self._by_pid) > limit:
-            if not self._evict_lru_leaf(demote=False, require_free=False):
-                break
-
     # -- eviction / demotion (the memory-pressure ladder) -------------------
 
     def _reclaim_candidates(self) -> List[PrefixNode]:
@@ -653,23 +624,21 @@ class PrefixCacheService:
         candidates.sort(key=lambda n: (n.last_used, n.seq))
         return candidates
 
-    def _evict_lru_leaf(self, demote: bool, require_free: bool = True) -> int:
-        """Drop (or demote) the coldest fringe node; returns pages freed.
+    def reclaim_one(self) -> int:
+        """Free one device page for the swap manager's reclamation ladder.
 
-        With ``require_free`` (the memory-pressure ladder) nodes whose
-        page is shared with live importers are skipped — dropping them
-        frees nothing; capacity enforcement passes False and sheds the
-        cache's claim regardless.
+        Demotes the coldest sole-reference fringe node to the host tier when
+        it has room (PCIe charged), dropping it outright otherwise.  Returns
+        the number of device pages freed (0 when the cache has nothing cold).
         """
         for leaf in self._reclaim_candidates():
-            shared = self.resources.kv_refcount(leaf.pid) > 1
-            if shared and require_free:
+            if self.resources.kv_refcount(leaf.pid) > 1:
                 continue  # importers keep the page resident; freeing helps nobody
-            if not shared and self._is_busy(leaf.pid):
+            if self._is_busy(leaf.pid):
                 # Freeing the page would let it be reallocated under an
                 # issued-but-unretired command that still references it.
                 continue
-            if not shared and demote and self.host_pool.enabled and self.host_pool.num_free > 0:
+            if self.host_pool.enabled and self.host_pool.num_free > 0:
                 pid = leaf.pid
                 slot = self.host_pool.store(self.memory.kv_pages.page(pid))
                 leaf.host_slot = slot
@@ -688,15 +657,6 @@ class PrefixCacheService:
             self._drop_subtree(leaf)
             return 1
         return 0
-
-    def reclaim_one(self) -> int:
-        """Free one device page for the swap manager's reclamation ladder.
-
-        Demotes the coldest sole-reference leaf to the host tier when it
-        has room (PCIe charged), evicting outright otherwise.  Returns the
-        number of device pages freed (0 when the cache has nothing cold).
-        """
-        return self._evict_lru_leaf(demote=True)
 
     def drop_all(self) -> None:
         """Release every cache entry (teardown / tests)."""

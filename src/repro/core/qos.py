@@ -60,6 +60,11 @@ DEFAULT_CLASS = "standard"
 CLASS_TTFT_SLO_MS = {"interactive": 250.0, "standard": 1000.0, "batch": 10_000.0}
 CLASS_TPOT_SLO_MS = {"interactive": 50.0, "standard": 150.0, "batch": 1000.0}
 
+#: Starvation bound of SLO-aware dispatch (virtual ms): a candidate batch
+#: whose oldest command has waited this long is served FCFS regardless of
+#: class.  Read when a :class:`QosService` is built.
+AGING_MS = 200.0
+
 #: Merge-priority stride separating the classes: within a candidate batch,
 #: commands of a better class are placed earlier (surviving tail truncation)
 #: regardless of the queue's own priority, which only breaks ties in-class.
@@ -87,7 +92,7 @@ class TenantSpec:
     tpot_slo_ms: Optional[float] = None
     weight: Optional[float] = None
     # Availability objective the live SLO engine (repro.core.slo) burns
-    # error budget against; None falls back to ControlLayerConfig.slo_target.
+    # error budget against; None falls back to slo.DEFAULT_SLO_TARGET.
     slo_target: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -202,12 +207,11 @@ class QosService(LifecycleObserver):
         sim: Simulator,
         metrics: SystemMetrics,
         tenants: Tuple[TenantSpec, ...] = (),
-        aging_ms: float = 200.0,
         trace=None,
     ) -> None:
         self.sim = sim
         self.metrics = metrics
-        self.aging_s = aging_ms / 1e3
+        self.aging_s = AGING_MS / 1e3
         # Flight recorder (repro.core.trace): parked launches carry an
         # "admission_queued" span from park to admit/cancel.  None = off.
         self._trace = trace

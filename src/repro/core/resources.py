@@ -139,14 +139,8 @@ class ResourceManager:
 
     # -- usage accounting -----------------------------------------------------
 
-    def kv_pages_used_by(self, owner: str) -> int:
-        return len(self._space(owner).kv_map)
-
     def kv_pages_swapped_by(self, owner: str) -> int:
         return len(self._space(owner).swapped_kv)
-
-    def embeds_used_by(self, owner: str) -> int:
-        return len(self._space(owner).emb_map)
 
     @property
     def kv_pages_free(self) -> int:

@@ -28,44 +28,42 @@ from repro.sim.faults import FaultInjector
 __all__ = ["RetryPolicy", "faulty_request"]
 
 
+#: What a :class:`RetryPolicy` built without an argument falls back to,
+#: looked up when the policy is built: the attempt cap, the backoff's base
+#: / growth / cap (seconds), the jitter band and the per-class budget.
+MAX_ATTEMPTS = 3
+BASE_S = 0.010
+MULTIPLIER = 2.0
+MAX_BACKOFF_S = 1.0
+JITTER = 0.1
+BUDGET = 1_000
+
+
 class RetryPolicy:
     """Deterministic exponential backoff with seeded jitter and budgets."""
 
     def __init__(
         self,
-        max_attempts: int = 3,
-        base_s: float = 0.010,
-        multiplier: float = 2.0,
-        max_backoff_s: float = 1.0,
-        jitter: float = 0.1,
-        budget: int = 1_000,
+        max_attempts: Optional[int] = None,
+        base_s: Optional[float] = None,
+        multiplier: Optional[float] = None,
+        max_backoff_s: Optional[float] = None,
+        jitter: Optional[float] = None,
+        budget: Optional[int] = None,
         seed: int = 0,
     ) -> None:
-        self.max_attempts = max_attempts
-        self.base_s = base_s
-        self.multiplier = multiplier
-        self.max_backoff_s = max_backoff_s
-        self.jitter = jitter
-        self.budget = budget
+        self.max_attempts = MAX_ATTEMPTS if max_attempts is None else max_attempts
+        self.base_s = BASE_S if base_s is None else base_s
+        self.multiplier = MULTIPLIER if multiplier is None else multiplier
+        self.max_backoff_s = MAX_BACKOFF_S if max_backoff_s is None else max_backoff_s
+        self.jitter = JITTER if jitter is None else jitter
+        self.budget = BUDGET if budget is None else budget
         # Private stream: backoff jitter must not perturb the workload rng.
         self.rng = np.random.default_rng(seed)
         self._spent: Dict[str, int] = {}
         # Run totals, readable by tests and the bench harness.
         self.retries_granted = 0
         self.retries_denied = 0
-
-    @classmethod
-    def from_config(cls, control, seed: int) -> "RetryPolicy":
-        """Build from the ``retry_*`` knobs of a ControlLayerConfig."""
-        return cls(
-            max_attempts=control.retry_max_attempts,
-            base_s=control.retry_base_ms / 1e3,
-            multiplier=control.retry_multiplier,
-            max_backoff_s=control.retry_max_backoff_ms / 1e3,
-            jitter=control.retry_jitter,
-            budget=control.retry_budget,
-            seed=seed,
-        )
 
     def spent(self, klass: str) -> int:
         """Retries already granted to ``klass`` this run."""

@@ -19,8 +19,8 @@ Placement is a pluggable policy (:data:`PLACEMENT_POLICIES`):
   ``InferletProgram.placement_hint``) and a shard holds an export of
   exactly that name, place it there so the import is a local remap instead
   of a device-to-device copy; otherwise fall back to ``least_loaded``.
-* ``disaggregated`` — prefill/decode disaggregation
-  (``ControlLayerConfig.disaggregation``): the first ``prefill_shards``
+* ``disaggregated`` — prefill/decode disaggregation (this policy is the
+  plane's one switch): the first ``prefill_shards``
   shards take every new inferlet (prompts are chewed there, optionally via
   chunked prefill), and once the first sampled token retires the KV
   transfer scheduler (:mod:`repro.core.transfer`) migrates the inferlet to
@@ -81,8 +81,8 @@ class DeviceShard:
     # ControlLayerConfig.prefix_cache is enabled.
     prefix_cache: Optional["PrefixCacheService"] = None
     # Disaggregation role: "mixed" (default), "prefill" or "decode".  Set
-    # by the controller when ControlLayerConfig.disaggregation is on;
-    # purely observational outside the disaggregated placement policy.
+    # by ModelService.build under placement_policy="disaggregated";
+    # purely observational outside it.
     role: str = "mixed"
     # The cluster this shard is part of; set by the owning ModelService.
     service: Optional["ModelService"] = None

@@ -228,12 +228,12 @@ class ModelService:
                     host_pool=host_pool,
                     device=device,
                     metrics=metrics,
-                    config=config.control,
                 )
                 resources.set_kv_free_listener(shard.prefix_cache.on_physical_freed)
             shards.append(shard)
         control = config.control
-        if control.disaggregation:
+        disaggregated = control.placement_policy == "disaggregated"
+        if disaggregated:
             # Role split: the first prefill_shards shards admit and prefill,
             # the rest only ever receive inferlets through the handoff.
             for shard in shards:
@@ -245,11 +245,11 @@ class ModelService:
             policy=control.placement_policy,
             is_swapped=swap.is_swapped if swap.enabled else None,
             placement_weight=qos.placement_weight if qos is not None else None,
-            prefill_shards=control.prefill_shards if control.disaggregation else 0,
+            prefill_shards=control.prefill_shards,
             trace=trace,
         )
         transfer: Optional[KvTransferScheduler] = None
-        if control.disaggregation:
+        if disaggregated:
             transfer = KvTransferScheduler(
                 sim,
                 router,

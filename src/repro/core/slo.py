@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.core.qos import QOS_CLASSES, TenantSpec
@@ -62,6 +62,16 @@ class BurnWindow:
             )
         if self.threshold <= 0:
             raise ReproError("burn threshold must be positive")
+
+
+#: Availability objective a tenant without ``TenantSpec.slo_target`` is
+#: judged against: the fraction of SLO-judged samples that must meet their
+#: latency target.
+DEFAULT_SLO_TARGET = 0.95
+#: The burn-rate rules of an engine built without its own.  Seconds-scale,
+#: not the SRE handbook's hours: simulated runs compress hours of traffic
+#: into seconds.  Both are read when an :class:`SloEngine` is built.
+BURN_WINDOWS = (BurnWindow(2.0, 0.5, 6.0), BurnWindow(10.0, 2.0, 3.0))
 
 
 @dataclass
@@ -160,11 +170,15 @@ class SloEngine:
 
     def __init__(
         self,
-        windows: Sequence[BurnWindow],
-        default_target: float = 0.95,
+        windows: Optional[Sequence[BurnWindow]] = None,
+        default_target: Optional[float] = None,
         default_class: str = "standard",
         trace=None,
     ) -> None:
+        if windows is None:
+            windows = BURN_WINDOWS
+        if default_target is None:
+            default_target = DEFAULT_SLO_TARGET
         if not windows:
             raise ReproError("SloEngine needs at least one burn window")
         if not 0.0 < default_target < 1.0:
@@ -311,6 +325,3 @@ class SloEngine:
         for tenant, signal in sorted(self._trackers):
             report.setdefault(tenant, {})[signal] = self.budget(tenant, signal)
         return report
-
-    def trackers(self) -> Dict[Tuple[str, str], _SignalTracker]:
-        return self._trackers

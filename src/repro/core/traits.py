@@ -143,12 +143,6 @@ def supertraits(trait: str) -> List[str]:
     return seen
 
 
-def trait_functions(trait: str) -> Tuple[str, ...]:
-    if trait not in TRAITS:
-        raise ReproError(f"unknown trait {trait!r}")
-    return TRAITS[trait][1]
-
-
 def validate_model_traits(traits: List[str]) -> None:
     """Check that a model's advertised traits include their supertraits."""
     for trait in traits:

@@ -1,6 +1,6 @@
 """Prefill/decode disaggregation: the KV transfer scheduler.
 
-With ``ControlLayerConfig.disaggregation`` on, the cluster's shards split
+Under ``placement_policy="disaggregated"`` the cluster's shards split
 into *prefill* and *decode* roles (``repro.core.router``): every new
 inferlet is admitted onto a prefill shard, chews its prompt there
 (optionally via chunked prefill), and migrates to a decode shard the

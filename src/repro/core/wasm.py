@@ -70,9 +70,6 @@ class WasmRuntime:
         except KeyError:
             raise InferletError(f"no uploaded inferlet binary named {name!r}") from None
 
-    def binaries(self) -> Dict[str, WasmBinary]:
-        return dict(self._binaries)
-
     async def upload(self, binary: WasmBinary, force: bool = False) -> float:
         """Upload (and JIT compile) a binary; returns the time spent.
 

@@ -13,7 +13,7 @@ device/memory pairs; the control layer's router places inferlets onto them.
 from repro.gpu.config import GpuConfig
 from repro.gpu.memory import DeviceMemory, EmbedStore, KvPageStore, PhysicalKvPage
 from repro.gpu.kernels import KernelCostModel, ForwardRow
-from repro.gpu.host_pool import HostMemoryPool, PcieCostModel, kv_page_bytes
+from repro.gpu.host_pool import HostMemoryPool, kv_page_bytes
 from repro.gpu.device import DeviceBatch, DeviceStats, SimDevice
 from repro.gpu.pool import DevicePool
 
@@ -26,7 +26,6 @@ __all__ = [
     "KernelCostModel",
     "ForwardRow",
     "HostMemoryPool",
-    "PcieCostModel",
     "kv_page_bytes",
     "DeviceBatch",
     "DeviceStats",

@@ -25,20 +25,14 @@ class GpuConfig:
     inferlets blocked on external calls can be staged there over PCIe and
     restored on wake-up, instead of being destroyed by FCFS reclamation.
     The default of 0 disables the tier entirely (exact pre-swap behaviour).
-    The ``pcie_*`` terms model the host<->device transfer cost the same way
-    :mod:`repro.gpu.kernels` models kernel costs: a fixed per-transfer setup
-    plus a per-page term.
     """
 
     num_kv_pages: int = 4096
     num_embed_slots: int = 16384
     max_batch_rows: int = 256
     max_batch_tokens: int = 8192
-    name: str = "sim-l4"
     num_devices: int = 1
     host_kv_pages: int = 0
-    pcie_transfer_base_ms: float = 0.05
-    pcie_transfer_ms_per_page: float = 0.02
 
     def __post_init__(self) -> None:
         if self.num_kv_pages <= 0:
@@ -53,5 +47,3 @@ class GpuConfig:
             raise ReproError("max_batch_tokens must be positive")
         if self.host_kv_pages < 0:
             raise ReproError("host_kv_pages must be non-negative")
-        if self.pcie_transfer_base_ms < 0 or self.pcie_transfer_ms_per_page < 0:
-            raise ReproError("PCIe transfer cost terms must be non-negative")

@@ -9,8 +9,9 @@ out to host memory and restore them on wake-up, instead of destroying them
 through FCFS termination.
 
 The pool is deliberately dumb hardware: it stores page snapshots and
-models the PCIe transfer cost (:class:`PcieCostModel`, the same
-fixed-plus-linear cost-term style as :class:`repro.gpu.kernels.KernelCostModel`).
+models the PCIe transfer cost (:meth:`HostMemoryPool.transfer_seconds`, the
+same fixed-plus-linear cost-term style as
+:class:`repro.gpu.kernels.KernelCostModel`).
 *Which* pages move, and when, is a control-layer policy decision
 (:mod:`repro.core.swap`).
 """
@@ -32,24 +33,11 @@ def kv_page_bytes(model_config: ModelConfig) -> int:
     return model_config.kv_page_size * per_slot * 4
 
 
-class PcieCostModel:
-    """Host<->device transfer cost: a per-transfer setup plus a per-page term.
-
-    Mirrors the :mod:`repro.gpu.kernels` style — fixed launch cost plus a
-    linear size term, all parameters in milliseconds — so experiments stay
-    interpretable.  One cost covers one direction; a full suspend/resume
-    cycle pays it twice (swap-out + swap-in).
-    """
-
-    def __init__(self, gpu_config: GpuConfig) -> None:
-        self.base_ms = gpu_config.pcie_transfer_base_ms
-        self.per_page_ms = gpu_config.pcie_transfer_ms_per_page
-
-    def transfer_cost(self, n_pages: int) -> float:
-        """Seconds to move ``n_pages`` across PCIe in one direction."""
-        if n_pages <= 0:
-            return 0.0
-        return milliseconds(self.base_ms + self.per_page_ms * n_pages)
+#: Host<->device PCIe transfer cost in milliseconds, one direction: a fixed
+#: per-transfer setup plus a per-page term (a full suspend/resume cycle pays
+#: it twice, swap-out + swap-in).
+PCIE_TRANSFER_BASE_MS = 0.05
+PCIE_TRANSFER_MS_PER_PAGE = 0.02
 
 
 class HostMemoryPool:
@@ -63,7 +51,6 @@ class HostMemoryPool:
     def __init__(self, model_config: ModelConfig, gpu_config: GpuConfig) -> None:
         self.model_config = model_config
         self.gpu_config = gpu_config
-        self.pcie = PcieCostModel(gpu_config)
         self.page_bytes = kv_page_bytes(model_config)
         self._pool = _Pool(gpu_config.host_kv_pages, "host kv slot")
         self._slots: Dict[int, PhysicalKvPage] = {}
@@ -115,8 +102,10 @@ class HostMemoryPool:
     # -- cost model --------------------------------------------------------
 
     def transfer_seconds(self, n_pages: int) -> float:
-        """One-directional PCIe cost for ``n_pages`` (see :class:`PcieCostModel`)."""
-        return self.pcie.transfer_cost(n_pages)
+        """Seconds to move ``n_pages`` across PCIe in one direction."""
+        if n_pages <= 0:
+            return 0.0
+        return milliseconds(PCIE_TRANSFER_BASE_MS + PCIE_TRANSFER_MS_PER_PAGE * n_pages)
 
     def transfer_bytes(self, n_pages: int) -> int:
         return n_pages * self.page_bytes

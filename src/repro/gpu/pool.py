@@ -52,18 +52,6 @@ class DevicePool:
 
     # -- cluster-level state ---------------------------------------------------
 
-    @property
-    def num_busy(self) -> int:
-        return sum(1 for device in self.devices if device.busy)
-
-    @property
-    def num_idle(self) -> int:
-        return len(self.devices) - self.num_busy
-
-    @property
-    def total_queue_depth(self) -> int:
-        return sum(device.queue_depth for device in self.devices)
-
     def aggregate_stats(self) -> DeviceStats:
         """Sum of every device's :class:`DeviceStats`."""
         total = DeviceStats()

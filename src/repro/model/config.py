@@ -55,15 +55,6 @@ class CostParams:
     mask_ms_per_page: float
     alloc_ms_per_call: float
 
-    def fused_decode_step_ms(self, batch_rows: int, avg_context: float) -> float:
-        """Time of one monolithic decode step for ``batch_rows`` sequences."""
-        rows = max(1, batch_rows)
-        return (
-            self.decode_ms_base
-            + self.decode_ms_per_extra_row * (rows - 1)
-            + self.attn_ms_per_kilotoken * (avg_context / 1024.0) * rows
-        )
-
 
 @dataclass(frozen=True)
 class ModelConfig:

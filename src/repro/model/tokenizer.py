@@ -69,8 +69,5 @@ class ByteTokenizer:
         vocab.extend(b"<extra_%d>" % i for i in range(self.vocab_size - 259))
         return vocab
 
-    def is_special(self, token_id: int) -> bool:
-        return token_id >= 256
-
     def __len__(self) -> int:
         return self.vocab_size

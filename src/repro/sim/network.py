@@ -14,7 +14,6 @@ from typing import Any, Awaitable, Callable, Optional
 
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.simulator import Simulator
-from repro.sim.futures import SimFuture
 
 
 class NetworkLink:
@@ -127,14 +126,6 @@ class NetworkLink:
         result = await handler(payload)
         await self.send(result)
         return result
-
-    def request_future(
-        self,
-        handler: Callable[[Any], Awaitable[Any]],
-        payload: Any = None,
-    ) -> SimFuture:
-        """Fire a round-trip request as a task and return its future."""
-        return self.sim.create_task(self.request(handler, payload), name=f"{self.name}.request")
 
     def reset_counters(self) -> None:
         self.messages_sent = 0

@@ -8,7 +8,7 @@ device batches — and join on all results.
 
 from __future__ import annotations
 
-from typing import Awaitable, Callable, List, Optional, Sequence, TypeVar
+from typing import Awaitable, Callable, List, Sequence, TypeVar
 
 from repro.core.api import InferletContext
 from repro.support.context import Context
@@ -48,16 +48,3 @@ async def run_parallel(api: InferletContext, coros: Sequence[Awaitable[T]]) -> L
     """Run independent coroutines concurrently on the inferlet's runtime."""
     tasks = [api._sim.create_task(coro) for coro in coros]
     return await api._sim.gather(tasks)
-
-
-async def map_reduce(
-    api: InferletContext,
-    items: Sequence,
-    map_fn: Callable[[object, int], Awaitable[T]],
-    reduce_fn: Optional[Callable[[List[T]], T]] = None,
-):
-    """Map ``map_fn`` over items concurrently, then reduce the results."""
-    results = await run_parallel(api, [map_fn(item, index) for index, item in enumerate(items)])
-    if reduce_fn is None:
-        return results
-    return reduce_fn(results)

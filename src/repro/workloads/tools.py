@@ -28,10 +28,6 @@ class AgentWorkload:
     tokens_per_turn: int
     system_prompt_tokens: int
 
-    @property
-    def total_new_tokens(self) -> int:
-        return self.tokens_per_turn * (self.n_interactions + 1)
-
 
 #: The three agents of Figure 6, with the paper's I/O counts.
 AGENT_WORKLOADS = {
@@ -95,6 +91,3 @@ class ToolEnvironment:
         self.external.register(
             "http://tools/search", search, ConstantLatency(milliseconds(50.0))
         )
-
-    def endpoint_calls(self, url: str) -> int:
-        return self.external.endpoint(url).calls

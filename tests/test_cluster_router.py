@@ -54,18 +54,20 @@ class TestConfig:
 
     def test_policy_sets_agree(self):
         # The literal set validated in config must match the router's.
-        # "disaggregated" is only valid alongside its knobs (it implies a
-        # role split, which needs the transfer scheduler and >= 2 devices).
         for policy in PLACEMENT_POLICIES:
-            if policy == "disaggregated":
-                PieConfig(
-                    control=ControlLayerConfig(
-                        placement_policy=policy, disaggregation=True
-                    ),
-                    gpu=GpuConfig(num_devices=2),
+            PieConfig(control=ControlLayerConfig(placement_policy=policy))
+
+    def test_disaggregated_needs_a_device_in_each_role(self):
+        # The (prefill_shards, num_devices) range is checked once, by the
+        # router the server builds.
+        for devices, prefill_shards in ((1, 1), (2, 2), (3, 5)):
+            with pytest.raises(ReproError, match="1 <= prefill_shards < num shards"):
+                PieServer(
+                    Simulator(seed=0),
+                    num_devices=devices,
+                    placement_policy="disaggregated",
+                    prefill_shards=prefill_shards,
                 )
-            else:
-                PieConfig(control=ControlLayerConfig(placement_policy=policy))
 
     def test_server_shorthand_overrides(self):
         sim = Simulator(seed=0)
@@ -153,7 +155,10 @@ class TestDisaggregatedRouter:
     def _router(self, devices=3, prefill_shards=1):
         sim = Simulator(seed=0)
         server = PieServer(
-            sim, num_devices=devices, disaggregation=True, prefill_shards=prefill_shards
+            sim,
+            num_devices=devices,
+            placement_policy="disaggregated",
+            prefill_shards=prefill_shards,
         )
         return Router(
             server.service().shards,

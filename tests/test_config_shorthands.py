@@ -26,14 +26,8 @@ TENANTS = [TenantSpec(name="acme", priority_class="interactive")]
 TRIGGERS = {
     "tenants": dict(tenants=TENANTS),
     "trace_path": dict(trace_path="t.json"),
-    "disaggregation": dict(disaggregation=True, num_devices=2),
-    "scrape_interval_ms": dict(scrape_interval_ms=25.0),
-    "slo_target": dict(slo_target=0.9),
-    "slo_burn_windows": dict(slo_burn_windows=[[1000.0, 100.0, 2.0]]),
     "fault_seed": dict(fault_seed=0),
     "fault_plan": dict(fault_plan=[["tool_error", 0.1, 0.2]]),
-    "heartbeat_interval_ms": dict(heartbeat_interval_ms=0.0),
-    "brownout_chunk_scale": dict(brownout_chunk_scale=3.0),
     "brownout": dict(brownout=True),
 }
 
@@ -53,33 +47,26 @@ def test_each_implication(key, implied):
         assert getattr(control, name) == value, (key, name)
 
 
-def test_implications_chain():
-    control = control_of(brownout_chunk_scale=3.0)
-    assert (control.brownout, control.qos, control.monitoring) == (True, True, True)
-
-
 def test_false_and_none_imply_nothing():
-    control = control_of(disaggregation=False, brownout=False, tenants=None)
+    control = control_of(brownout=False, tenants=None)
     assert control == ControlLayerConfig()
 
 
 def test_an_explicit_value_beats_an_implication():
     assert control_of(tenants=TENANTS, qos=False).qos is False
     assert control_of(fault_seed=3, faults=False).faults is False
-    # The explicit policy wins and the combination is then rejected, rather
-    # than being silently replaced by the implied "disaggregated".
-    with pytest.raises(ReproError, match="requires placement_policy='disaggregated'"):
-        control_of(disaggregation=True, placement_policy="least_loaded", num_devices=2)
+    # The explicit value wins and the combination is then rejected, rather
+    # than being silently replaced by the implied one.
+    with pytest.raises(ReproError, match="requires qos=True and monitoring=True"):
+        control_of(brownout=True, monitoring=False)
 
 
 def test_sequences_are_tupleised():
     control = control_of(
         tenants=TENANTS,
-        slo_burn_windows=[[1000.0, 100.0, 2.0]],
         fault_plan=[["tool_error", 0.1, 0.2, "http://tools/x"]],
     )
     assert control.tenants == tuple(TENANTS)
-    assert control.slo_burn_windows == ((1000.0, 100.0, 2.0),)
     assert control.fault_plan == (("tool_error", 0.1, 0.2, "http://tools/x"),)
     hash(control)  # the frozen config stays hashable
 

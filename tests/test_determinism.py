@@ -88,7 +88,6 @@ def run_stack(
         control=ControlLayerConfig(
             prefix_cache=True,
             placement_policy="disaggregated" if disagg else "cache_affinity",
-            disaggregation=disagg,
             prefill_shards=1,
             qos=qos,
             tenants=tenants,
@@ -234,7 +233,7 @@ def test_different_seeds_still_complete():
 
 
 def test_disagg_off_default_leaves_no_trace():
-    """disaggregation=False (the default) must never touch the transfer
+    """Any placement policy but "disaggregated" must never touch the transfer
     machinery: no KvTransferScheduler, no chunk listeners, zero counters."""
     run = run_stack(disagg=False)
     for counter in (

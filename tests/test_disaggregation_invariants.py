@@ -71,7 +71,6 @@ def build_server(
         control=ControlLayerConfig(
             prefix_cache=prefix_cache,
             placement_policy="disaggregated",
-            disaggregation=True,
             prefill_shards=prefill_shards,
             chunked_prefill=True,
             prefill_chunk_tokens=chunk_tokens,

@@ -21,9 +21,10 @@ Covers the robustness contract end to end:
 
 import pytest
 
-from repro.core import InferletProgram, PieServer, TenantSpec
+from repro.core import InferletProgram, PieServer, TenantSpec, monitor, retry, slo
 from repro.core.config import ControlLayerConfig, PieConfig
 from repro.core.retry import RetryPolicy
+from repro.core.slo import BurnWindow
 from repro.errors import (
     AdmissionRejectedError,
     FaultInjectedError,
@@ -86,50 +87,55 @@ class TestFaultPlan:
 # -- unit: deterministic exponential backoff --------------------------------
 
 
-def retry_control(**overrides):
-    fields = dict(
-        faults=True,
-        retry_max_attempts=4,
-        retry_base_ms=10.0,
-        retry_multiplier=2.0,
-        retry_max_backoff_ms=25.0,
-        retry_jitter=0.1,
-        retry_budget=1000,
+def retry_policy(seed, **overrides):
+    params = dict(
+        max_attempts=4,
+        base_s=0.010,
+        multiplier=2.0,
+        max_backoff_s=0.025,
+        jitter=0.1,
+        budget=1000,
     )
-    fields.update(overrides)
-    return ControlLayerConfig(**fields)
+    params.update(overrides)
+    return RetryPolicy(seed=seed, **params)
 
 
 class TestRetryPolicy:
     def test_same_seed_same_delays(self):
-        a = RetryPolicy.from_config(retry_control(), seed=11)
-        b = RetryPolicy.from_config(retry_control(), seed=11)
+        a = retry_policy(seed=11)
+        b = retry_policy(seed=11)
         assert [a.backoff(i, "tool") for i in range(3)] == [
             b.backoff(i, "tool") for i in range(3)
         ]
 
     def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy.from_config(retry_control(retry_jitter=0.0), seed=0)
+        policy = retry_policy(seed=0, jitter=0.0)
         delays = [policy.backoff(i, "tool") for i in range(3)]
         assert delays[0] == pytest.approx(0.010)
         assert delays[1] == pytest.approx(0.020)
-        assert delays[2] == pytest.approx(0.025)  # capped at retry_max_backoff_ms
+        assert delays[2] == pytest.approx(0.025)  # capped at max_backoff_s
 
     def test_attempt_cap_returns_none(self):
-        policy = RetryPolicy.from_config(retry_control(), seed=0)
+        policy = retry_policy(seed=0)
         assert policy.backoff(3, "tool") is None  # attempt 4 of max 4
 
     def test_per_class_budget_exhausts(self):
-        policy = RetryPolicy.from_config(retry_control(retry_budget=2), seed=0)
+        policy = retry_policy(seed=0, budget=2)
         assert policy.backoff(0, "tool") is not None
         assert policy.backoff(0, "tool") is not None
         assert policy.backoff(0, "tool") is None  # tool budget spent
         assert policy.backoff(0, "handoff") is not None  # separate class
 
+    def test_an_argument_not_given_falls_back_to_the_module_constant(self, monkeypatch):
+        # Looked up when the policy is built, so a patched constant takes.
+        monkeypatch.setattr(retry, "MAX_ATTEMPTS", 8)
+        policy = RetryPolicy(jitter=0.0, seed=0)
+        assert (policy.max_attempts, policy.jitter) == (8, 0.0)
+        assert (policy.base_s, policy.multiplier) == (retry.BASE_S, retry.MULTIPLIER)
+        assert (policy.max_backoff_s, policy.budget) == (retry.MAX_BACKOFF_S, retry.BUDGET)
+
     def test_jitter_stays_within_band(self):
-        policy = RetryPolicy.from_config(
-            retry_control(retry_jitter=0.1, retry_max_backoff_ms=1000.0), seed=3
-        )
+        policy = retry_policy(seed=3, jitter=0.1, max_backoff_s=1.0)
         for attempt in range(3):
             delay = policy.backoff(attempt, "tool")
             nominal = 0.010 * (2.0**attempt)
@@ -161,7 +167,6 @@ def run_fleet(
     num_devices=2,
     disagg=False,
     tracing=False,
-    retry_max_attempts=3,
 ):
     """Seeded staggered fleet on a small cluster with the chaos plane armed.
 
@@ -173,11 +178,9 @@ def run_fleet(
         gpu=GpuConfig(num_kv_pages=64, num_devices=num_devices, host_kv_pages=48),
         control=ControlLayerConfig(
             placement_policy="disaggregated" if disagg else "round_robin",
-            disaggregation=disagg,
             prefill_shards=1,
             faults=True,
             fault_plan=tuple(tuple(entry) for entry in fault_plan),
-            retry_max_attempts=retry_max_attempts,
             tracing=tracing,
         ),
     )
@@ -471,14 +474,14 @@ def test_relaunch_requires_a_healthy_destination():
 # -- system: tool faults, retry and backoff ----------------------------------
 
 
-def test_tool_fault_retries_then_succeeds_outside_the_window():
+def test_tool_fault_retries_then_succeeds_outside_the_window(monkeypatch):
     """A short tool_error window: the retry policy backs off past the end
     of the window and the call eventually succeeds."""
+    monkeypatch.setattr(retry, "MAX_ATTEMPTS", 8)
     server, statuses = run_fleet(
         seed=1,
         n_agents=1,
         fault_plan=(("tool_error", 0.0, 0.12, TOOL_URL),),
-        retry_max_attempts=8,
     )
     assert statuses == ["finished"]
     assert server.metrics.tool_faults >= 1
@@ -487,17 +490,17 @@ def test_tool_fault_retries_then_succeeds_outside_the_window():
     assert server.metrics.retry_backoff_seconds > 0
 
 
-def test_tool_fault_exhausts_retries_with_typed_error():
+def test_tool_fault_exhausts_retries_with_typed_error(monkeypatch):
     """A window outlasting every backoff: the inferlet fails with
     RetriesExhaustedError chained onto the injected fault."""
+    monkeypatch.setattr(retry, "MAX_ATTEMPTS", 3)
+    monkeypatch.setattr(retry, "JITTER", 0.0)
     sim = Simulator(seed=1)
     config = PieConfig(
         gpu=GpuConfig(num_kv_pages=64, num_devices=1),
         control=ControlLayerConfig(
             faults=True,
             fault_plan=(("tool_timeout", 0.0, 60.0, TOOL_URL),),
-            retry_max_attempts=3,
-            retry_jitter=0.0,
         ),
     )
     server = PieServer(sim, config=config)
@@ -531,7 +534,9 @@ def make_filler(name, tenant_prompt="", max_tokens=2):
     return InferletProgram(name=name, main=main)
 
 
-def run_brownout_scenario():
+def run_brownout_scenario(monkeypatch):
+    monkeypatch.setattr(monitor, "SCRAPE_INTERVAL_MS", 5.0)
+    monkeypatch.setattr(slo, "BURN_WINDOWS", (BurnWindow(0.2 / 1e3, 0.05 / 1e3, 2.0),))
     sim = Simulator(seed=9)
     tenants = (
         # Impossible TTFT target: every fleet first-token observation is
@@ -552,11 +557,8 @@ def run_brownout_scenario():
             chunked_prefill=True,
             prefill_chunk_tokens=16,
             monitoring=True,
-            scrape_interval_ms=5.0,
-            slo_burn_windows=((0.2, 0.05, 2.0),),
             faults=True,
             brownout=True,
-            brownout_chunk_scale=2.0,
         ),
     )
     server = PieServer(sim, config=config)
@@ -606,8 +608,8 @@ def run_brownout_scenario():
     return server, observed
 
 
-def test_brownout_fires_sheds_batch_widens_chunks_and_clears():
-    server, observed = run_brownout_scenario()
+def test_brownout_fires_sheds_batch_widens_chunks_and_clears(monkeypatch):
+    server, observed = run_brownout_scenario(monkeypatch)
     metrics = server.metrics
     assert metrics.brownout_activations >= 1
     assert metrics.brownout_clears >= 1
@@ -628,9 +630,10 @@ def test_brownout_fires_sheds_batch_widens_chunks_and_clears():
 # -- reports: fault instants and recovery stall buckets ----------------------
 
 
-def test_slo_report_interleaves_fault_instants():
+def test_slo_report_interleaves_fault_instants(monkeypatch):
     """``export_metrics`` carries the injected-fault record, and the SLO
     report renders FAULT lines on the alert timeline."""
+    monkeypatch.setattr(retry, "MAX_ATTEMPTS", 8)
     sim = Simulator(seed=2)
     config = PieConfig(
         gpu=GpuConfig(num_kv_pages=64, num_devices=1),
@@ -638,7 +641,6 @@ def test_slo_report_interleaves_fault_instants():
             monitoring=True,
             faults=True,
             fault_plan=(("tool_error", 0.0, 0.1, TOOL_URL),),
-            retry_max_attempts=8,
         ),
     )
     server = PieServer(sim, config=config)
@@ -658,7 +660,7 @@ def test_slo_report_interleaves_fault_instants():
     assert "FAULT tool_error" in rendered
 
 
-def test_trace_report_buckets_relaunch_and_retry_backoff():
+def test_trace_report_buckets_relaunch_and_retry_backoff(monkeypatch):
     """The rescue window and the backoff waits land in their own stall
     attribution buckets."""
     from repro.tools.trace_report import attribute_stalls
@@ -684,11 +686,11 @@ def test_trace_report_buckets_relaunch_and_retry_backoff():
     assert rows[result.instance_id]["buckets"]["relaunch"] > 0
 
     # Retry backoff: a tool-fault window with the flight recorder on.
+    monkeypatch.setattr(retry, "MAX_ATTEMPTS", 8)
     server, statuses = run_fleet(
         seed=1,
         n_agents=1,
         fault_plan=(("tool_error", 0.0, 0.12, TOOL_URL),),
-        retry_max_attempts=8,
         tracing=True,
     )
     assert statuses == ["finished"]

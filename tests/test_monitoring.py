@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import PieServer, TenantSpec
+from repro.core import PieServer, TenantSpec, monitor, slo
 from repro.core.slo import BurnWindow, SloEngine
 from repro.errors import ClientError, ReproError
 from repro.sim import Simulator
@@ -39,6 +39,8 @@ class TestBurnWindows:
             BurnWindow(2.0, 0.5, 0.0)  # threshold must be positive
         with pytest.raises(ReproError):
             SloEngine(())
+        with pytest.raises(ReproError):
+            SloEngine(default_target=1.5)  # the objective is a share in (0, 1)
 
     def test_golden_fire_and_clear_sequence(self):
         # Budget 5%; threshold 6x => fire needs >30% bad in BOTH windows.
@@ -137,11 +139,18 @@ class TestMonitorService:
         with pytest.raises(ClientError):
             server.prometheus_metrics()
 
-    def test_monitor_knobs_imply_monitoring(self):
-        _, server = self.make_server(scrape_interval_ms=25.0)
+    def test_monitor_knobs_imply_monitoring(self, monkeypatch):
+        # The plane's own values are constants read when it is built; the
+        # one shorthand left that needs the plane is ``brownout``.
+        monkeypatch.setattr(monitor, "SCRAPE_INTERVAL_MS", 25.0)
+        monkeypatch.setattr(slo, "DEFAULT_SLO_TARGET", 0.9)
+        monkeypatch.setattr(slo, "BURN_WINDOWS", (BurnWindow(1.0, 0.1, 2.0),))
+        _, server = self.make_server(brownout=True)
         assert server.monitor is not None
         assert server.config.control.monitoring is True
-        assert server.monitor.scrape_seconds == pytest.approx(0.025)
+        assert server.monitor.scraper.period_s == pytest.approx(0.025)
+        assert server.monitor.slo.default_target == 0.9
+        assert server.monitor.slo.windows == (BurnWindow(1.0, 0.1, 2.0),)
 
     def test_config_tenants_seed_slo_specs(self):
         _, server = self.make_server(
@@ -152,13 +161,16 @@ class TestMonitorService:
         # Registering tenants also switched QoS on (existing shorthand).
         assert server.config.control.qos is True
 
-    def test_burn_window_knob_validation(self):
+    def test_burn_window_knob_validation(self, monkeypatch):
+        # A bad value is refused when the monitor is built, by the engine
+        # that reads it (BurnWindow checks its own fields, see above).
+        monkeypatch.setattr(slo, "BURN_WINDOWS", ())
         with pytest.raises(ReproError):
-            self.make_server(monitoring=True, slo_burn_windows=())
+            self.make_server(monitoring=True)
+        monkeypatch.undo()
+        monkeypatch.setattr(slo, "DEFAULT_SLO_TARGET", 1.5)
         with pytest.raises(ReproError):
-            self.make_server(monitoring=True, slo_burn_windows=((1.0, 2.0, 6.0),))
-        with pytest.raises(ReproError):
-            self.make_server(monitoring=True, slo_target=1.5)
+            self.make_server(monitoring=True)
 
     def test_export_round_trip(self, tmp_path):
         from repro.core import InferletProgram

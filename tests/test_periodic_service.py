@@ -9,7 +9,7 @@ restarts it.  The last test checks the three instances on a live server.
 
 import pytest
 
-from repro.core import InferletProgram, PieServer
+from repro.core import InferletProgram, PieServer, health, monitor
 from repro.sim import PeriodicService, Simulator
 
 
@@ -69,16 +69,12 @@ def test_a_later_poke_restarts_it():
     assert state["ticks_at"] == pytest.approx([0.1, 1.2, 1.3])
 
 
-def test_the_three_plane_timers_tick_while_inferlets_live_then_drain():
+def test_the_three_plane_timers_tick_while_inferlets_live_then_drain(monkeypatch):
+    monkeypatch.setattr(monitor, "SCRAPE_INTERVAL_MS", 1.0)
+    monkeypatch.setattr(health, "HEARTBEAT_INTERVAL_MS", 1.0)
     sim = Simulator(seed=1)
     server = PieServer(
-        sim,
-        tracing=True,
-        trace_sample_ms=1.0,
-        monitoring=True,
-        scrape_interval_ms=1.0,
-        faults=True,
-        heartbeat_interval_ms=1.0,
+        sim, tracing=True, trace_sample_ms=1.0, monitoring=True, faults=True
     )
     controller = server.controller
     assert len(controller.timers) == 3

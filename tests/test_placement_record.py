@@ -224,7 +224,7 @@ class World:
             num_devices=devices,
             num_kv_pages=256,
             host_kv_pages=256,
-            disaggregation=True,
+            placement_policy="disaggregated",
             prefill_shards=1,
             faults=True,
         )

@@ -29,7 +29,6 @@ import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.core.config import ControlLayerConfig
 from repro.core.metrics import SystemMetrics
 from repro.core.prefix_cache import PrefixCacheService, PrefixNode, _ChainCursor
 from repro.core.resources import ResourceManager
@@ -144,7 +143,6 @@ class ScanningService(PrefixCacheService):
             self.resources.pin_kv(pid)
             self.metrics.prefix_cache_inserted_pages += 1
             node = child
-        self._enforce_capacity()
 
 
 class _Recording:
@@ -197,7 +195,7 @@ class Ctx:
 
 
 class World:
-    def __init__(self, service, kv_pages=24, host_pages=3, max_cached=6):
+    def __init__(self, service, kv_pages=24, host_pages=3):
         gpu = GpuConfig(num_kv_pages=kv_pages, num_embed_slots=256, host_kv_pages=host_pages)
         self.memory = DeviceMemory(CONFIG, gpu)
         self.store = self.memory.kv_pages
@@ -211,7 +209,6 @@ class World:
             host_pool=self.host,
             device=self.device,
             metrics=self.metrics,
-            config=ControlLayerConfig(prefix_cache=True, prefix_cache_max_pages=max_cached),
         )
         self.cache.answers = []
         self.resources.set_kv_free_listener(self.cache.on_physical_freed)
@@ -566,7 +563,7 @@ def test_mutations_taint_and_drop_the_cursor():
 
 
 def test_dealloc_and_page_reuse():
-    pair = Pair(max_cached=0)
+    pair = Pair()
     pair.new_context("a")
     run(pair, 0, [1, 2, 3, 4, 5])
     run(pair, 0, [6])
@@ -586,7 +583,7 @@ def test_dealloc_and_page_reuse():
 
 
 def test_demotion_fault_in_and_swap():
-    pair = Pair(max_cached=0)
+    pair = Pair()
     prompt = list(range(40, 40 + 2 * PAGE))
     pair.new_context("a")
     run(pair, 0, prompt + [1])
@@ -703,7 +700,7 @@ def _decode_cost(context_pages):
     the page store) of each of ``PAGE + 1`` one-token forwards — issue and
     completion hook — over a context of ``context_pages`` pages, one of which
     fills and is registered (so does the one after it)."""
-    world = World(RealService, kv_pages=context_pages + 8, max_cached=0)
+    world = World(RealService, kv_pages=context_pages + 8)
     world.new_context("a")
     world.forward(0, list(range(1000, 1000 + context_pages * PAGE - 2)))
     world.execute(0, None)
@@ -753,7 +750,7 @@ def test_a_decode_step_costs_the_same_at_page_4_and_page_64():
     assert short == long
     assert all(page_calls == 0 for page_calls, _ in long)
     # The scans it replaced do grow: the reference reads every page, twice.
-    reference = World(ReferenceService, kv_pages=72, max_cached=0)
+    reference = World(ReferenceService, kv_pages=72)
     reference.new_context("a")
     reference.forward(0, list(range(64 * PAGE - 2)))
     reference.execute(0, None)

@@ -7,12 +7,9 @@ fault-in, invalidation on page mutation, and the ``prefix_cache=off``
 regression (no service constructed, zero cache activity).
 """
 
-import pytest
-
 from repro.core import InferletProgram, PieServer
 from repro.core.config import ControlLayerConfig, PieConfig
 from repro.core.inferlet import InferletInstance
-from repro.errors import ReproError
 from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
@@ -24,12 +21,10 @@ SHARED_PROMPT = (
 )
 
 
-def make_server(sim, *, prefix_cache=True, kv_pages=256, host_pages=0, max_pages=0):
+def make_server(sim, *, prefix_cache=True, kv_pages=256, host_pages=0):
     config = PieConfig(
         gpu=GpuConfig(num_kv_pages=kv_pages, host_kv_pages=host_pages),
-        control=ControlLayerConfig(
-            prefix_cache=prefix_cache, prefix_cache_max_pages=max_pages
-        ),
+        control=ControlLayerConfig(prefix_cache=prefix_cache),
     )
     return PieServer(sim, config=config)
 
@@ -107,7 +102,7 @@ class TestRadixIndex:
         assert cache.cached_pages() == 3
         first = cache._reclaim_candidates()[0]
         assert first.tokens[0] == 100  # insertion order decides untouched ties
-        assert cache._evict_lru_leaf(demote=False) == 1
+        assert cache.reclaim_one() == 1
         assert cache.cached_pages() == 2
         # The freed branch was the coldest one; 101/102 remain.
         assert cache.match_len([100] * size) == 0
@@ -308,13 +303,6 @@ class TestDemotionLadder:
         assert server.metrics.prefix_cache_demotions == 0
         assert server.metrics.prefix_cache_evictions >= 1
 
-    def test_max_pages_bounds_the_index(self):
-        sim = Simulator(seed=8)
-        server = make_server(sim, max_pages=4)
-        service = server.service()
-        run_sequential(server, [make_agent("big", "a long unique task suffix. ")])
-        assert service.shards[0].prefix_cache.cached_pages() <= 4
-
 
 class TestDisabledKnob:
     def test_off_means_no_service_and_no_activity(self):
@@ -329,10 +317,6 @@ class TestDisabledKnob:
         assert m.prefix_cache_saved_tokens == m.prefix_cache_inserted_pages == 0
         # Every page went home when its owner exited.
         assert server.service().memory.kv_pages.num_allocated == 0
-
-    def test_negative_max_pages_rejected(self):
-        with pytest.raises(ReproError):
-            PieConfig(control=ControlLayerConfig(prefix_cache_max_pages=-1))
 
     def test_server_shorthand(self):
         sim = Simulator(seed=0)

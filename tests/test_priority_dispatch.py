@@ -8,7 +8,7 @@ creates), end-to-end dispatch ordering between contending queues on one
 device, and the aging bound on starvation under the QoS service.
 """
 
-from repro.core import InferletProgram, PieClient, PieServer, TenantSpec
+from repro.core import InferletProgram, PieClient, PieServer, TenantSpec, qos
 from repro.core.batching import form_candidate_batches
 from repro.core.command_queue import Command, CommandQueue
 from repro.core.config import ControlLayerConfig, PieConfig
@@ -131,18 +131,18 @@ class TestEndToEndPriorityDispatch:
 
 
 class TestAgingBoundsStarvation:
-    def run_stream(self, aging_ms: float) -> dict:
+    def run_stream(self, monkeypatch, aging_ms: float) -> dict:
         """One batch-class decoder under a continuous interactive stream.
 
         Returns the batch job's first-token time and the stream end time;
         slack scoring alone would starve the batch job until the device
         has idle gaps, the aging bound forces it through earlier."""
+        monkeypatch.setattr(qos, "AGING_MS", aging_ms)
         sim = Simulator(seed=0)
         config = PieConfig(
             gpu=GpuConfig(max_batch_rows=1),
             control=ControlLayerConfig(
                 qos=True,
-                qos_aging_ms=aging_ms,
                 tenants=(
                     TenantSpec(name="chat", priority_class="interactive"),
                     TenantSpec(name="jobs", priority_class="batch"),
@@ -189,9 +189,9 @@ class TestAgingBoundsStarvation:
         assert all(r.status == "finished" for r in results)
         return done
 
-    def test_aging_bounds_batch_class_starvation(self):
-        aged = self.run_stream(aging_ms=60.0)
-        starved = self.run_stream(aging_ms=60_000.0)
+    def test_aging_bounds_batch_class_starvation(self, monkeypatch):
+        aged = self.run_stream(monkeypatch, aging_ms=60.0)
+        starved = self.run_stream(monkeypatch, aging_ms=60_000.0)
         # With a tight aging bound the batch job's commands are forced
         # through the interactive stream; with an effectively infinite
         # bound pure slack scoring leaves it to the queue's mercy.

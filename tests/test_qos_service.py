@@ -34,10 +34,8 @@ def make_instance(name="prog", tenant="acme", seed=0):
     return InferletInstance(program, tenant=tenant, seed=seed)
 
 
-def make_service(sim, *specs, metrics=None, aging_ms=200.0):
-    return QosService(
-        sim, metrics or SystemMetrics(), tenants=tuple(specs), aging_ms=aging_ms
-    )
+def make_service(sim, *specs, metrics=None):
+    return QosService(sim, metrics or SystemMetrics(), tenants=tuple(specs))
 
 
 class TestTokenBucket:
@@ -263,9 +261,10 @@ class TestSlackDispatch:
         chosen = qos.select_batch(candidates)
         assert chosen.commands[0].inferlet_id == early.instance_id
 
-    def test_aging_bounds_starvation(self):
+    def test_aging_bounds_starvation(self, monkeypatch):
+        monkeypatch.setattr("repro.core.qos.AGING_MS", 100.0)
         sim = Simulator()
-        qos = make_service(sim, *self.specs(), aging_ms=100.0)
+        qos = make_service(sim, *self.specs())
         chat = _admit(qos, make_instance(name="c", tenant="chat"))
         jobs = _admit(qos, make_instance(name="j", tenant="jobs"))
 

@@ -8,6 +8,7 @@ from repro.core.config import ControlLayerConfig, PieConfig, SWAP_POLICIES
 from repro.core.inferlet import InferletInstance
 from repro.core.router import Router
 from repro.errors import ReproError, ResourceError
+from repro.gpu import host_pool
 from repro.gpu.config import GpuConfig
 from repro.gpu.host_pool import HostMemoryPool, kv_page_bytes
 from repro.gpu.memory import DeviceMemory
@@ -110,13 +111,10 @@ class TestHostMemoryPool:
         with pytest.raises(ResourceError):
             pool.discard([slot])
 
-    def test_pcie_cost_model_is_linear(self):
-        pool = HostMemoryPool(
-            model_config(),
-            GpuConfig(
-                host_kv_pages=8, pcie_transfer_base_ms=1.0, pcie_transfer_ms_per_page=0.5
-            ),
-        )
+    def test_pcie_cost_model_is_linear(self, monkeypatch):
+        monkeypatch.setattr(host_pool, "PCIE_TRANSFER_BASE_MS", 1.0)
+        monkeypatch.setattr(host_pool, "PCIE_TRANSFER_MS_PER_PAGE", 0.5)
+        pool = HostMemoryPool(model_config(), GpuConfig(host_kv_pages=8))
         assert pool.transfer_seconds(0) == 0.0
         assert pool.transfer_seconds(2) == pytest.approx(0.002)
         assert pool.transfer_seconds(4) == pytest.approx(0.003)
@@ -140,10 +138,6 @@ class TestConfigValidation:
     def test_negative_host_pages_rejected(self):
         with pytest.raises(ReproError):
             GpuConfig(host_kv_pages=-1)
-
-    def test_negative_pcie_terms_rejected(self):
-        with pytest.raises(ReproError):
-            GpuConfig(pcie_transfer_base_ms=-0.1)
 
     def test_swap_policy_validated(self):
         with pytest.raises(ReproError):
