@@ -45,11 +45,9 @@ def test_chunked_prefill(run_experiment, write_artifact):
     # or dropped by slicing).
     assert on["forward_input_tokens"] == off["forward_input_tokens"]
 
-    # The machinery actually engaged, and scheduler/system counters agree.
+    # The machinery actually engaged.
     assert on["prefill_chunks_dispatched"] > 0
     assert on["decode_rows_co_batched"] > 0
     assert on["chunk_stall_saved_seconds"] > 0
-    assert on["sys_prefill_chunks_dispatched"] == on["prefill_chunks_dispatched"]
-    assert on["sys_decode_rows_co_batched"] == on["decode_rows_co_batched"]
 
     write_artifact("BENCH_chunked_prefill.json", head)

@@ -32,9 +32,6 @@ CASES = {
             "prefill_chunks_dispatched",
             "decode_rows_co_batched",
             "chunk_stall_saved_seconds",
-            "sys_prefill_chunks_dispatched",
-            "sys_decode_rows_co_batched",
-            "sys_chunk_stall_saved_seconds",
         ),
         (),
     ),

@@ -50,8 +50,21 @@ def test_slo_monitor(run_experiment, write_artifact):
     assert raw["budgets"]["interactive"]["tpot"]["bad"] > 0
     assert raw["scrapes"] > 0
 
-    # Contract 3: both export formats round-trip through the report tool.
+    # Contract 3: the export is the live state, not a copy kept beside it —
+    # every finished request is in both of its counts, and no time series
+    # rides along (the document was 593 KB when one did).
+    metrics = raw["snapshot"]["metrics"]
+    assert len(metrics) == 88
+    assert metrics["pie_system_inferlets_finished"]["samples"][0]["value"] == sum(
+        sample["value"]
+        for sample in metrics["pie_requests_total"]["samples"]
+        if sample["labels"]["status"] == "finished"
+    )
+    assert "series" not in raw["snapshot"]
+
+    # Contract 4: both export formats round-trip through the report tool.
     snapshot_json = write_artifact("slo_snapshot.json", raw["snapshot"])
+    assert snapshot_json.stat().st_size < 100_000
     snapshot_prom = snapshot_json.with_suffix(".prom")
     snapshot_prom.write_text(raw["prometheus"])
 

@@ -84,15 +84,11 @@ def run_fleet(fleet: MixedFleet = FLEET, **overrides) -> Dict:
     trace, which is non-perturbing).
     """
     row, server = run_mixed_fleet(fleet, **{**SETUP, **overrides})
-    stats = server.cluster_stats().combined
     metrics = server.metrics
     row.update(
-        prefill_chunks_dispatched=stats.prefill_chunks_dispatched,
-        decode_rows_co_batched=stats.decode_rows_co_batched,
-        chunk_stall_saved_seconds=stats.chunk_stall_saved_seconds,
-        sys_prefill_chunks_dispatched=metrics.prefill_chunks_dispatched,
-        sys_decode_rows_co_batched=metrics.decode_rows_co_batched,
-        sys_chunk_stall_saved_seconds=metrics.chunk_stall_saved_seconds,
+        prefill_chunks_dispatched=metrics.prefill_chunks_dispatched,
+        decode_rows_co_batched=metrics.decode_rows_co_batched,
+        chunk_stall_saved_seconds=metrics.chunk_stall_saved_seconds,
     )
     return row
 

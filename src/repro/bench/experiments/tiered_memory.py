@@ -110,7 +110,6 @@ def run_fleet(n_agents: int = 16, **overrides) -> dict:
         "swap_stall_s": metrics.swap_stall_seconds,
         "elapsed": run.elapsed,
         "throughput": ratio(run.finished, run.elapsed),
-        "sched_reclamation_terminations": server.cluster_stats().combined.reclamation_terminations,
     }
 
 

@@ -62,7 +62,7 @@ class CandidateBatch:
         carries ``chunks_taken``."""
         if self.kind != "forward":
             return 0
-        return sum(1 for command in self.commands if _is_decode(command))
+        return sum(1 for command in self.commands if command.is_decode_row)
 
     @property
     def prefill_rows(self) -> int:
@@ -70,7 +70,7 @@ class CandidateBatch:
         prompt tokens."""
         if self.kind != "forward":
             return 0
-        return sum(1 for command in self.commands if not _is_decode(command))
+        return sum(1 for command in self.commands if not command.is_decode_row)
 
     def __len__(self) -> int:
         return len(self.commands)
@@ -121,11 +121,6 @@ def form_candidate_batches(
         if merged:
             candidates[kind] = CandidateBatch(kind=kind, commands=merged)
     return candidates
-
-
-def _is_decode(command: Command) -> bool:
-    """A single-token forward that is not a piece of a chunked prefill."""
-    return command.is_decode_row
 
 
 def _chunkable(command: Command) -> bool:

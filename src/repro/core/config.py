@@ -118,10 +118,10 @@ class ControlLayerConfig:
     # ``qos.DEFAULT_CLASS``.
     tenants: Tuple[TenantSpec, ...] = ()
     # Live SLO monitoring plane (repro.core.monitor): when True the
-    # controller builds a MonitorService — a labeled metric registry, a
-    # per-tenant error-budget / burn-rate alerting engine, and a periodic
-    # scraper on the virtual clock.  Off by default — no registry is
-    # constructed and the serving path carries no monitoring code at all.
+    # controller builds a MonitorService — a per-tenant error-budget /
+    # burn-rate alerting engine ticked on the virtual clock, and exports
+    # collected from the live counters when asked.  Off by default — none
+    # is constructed and the serving path carries no monitoring code at all.
     # When on, every hook is read-only: tokens, metrics and virtual
     # timestamps are bit-identical to a monitoring=False run.
     monitoring: bool = False

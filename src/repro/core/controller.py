@@ -135,8 +135,8 @@ class Controller:
                 trace=self.trace,
                 metrics=self.metrics,
             )
-        # The live monitoring plane (repro.core.monitor): labeled metric
-        # registry, SLO burn-rate alerting, and a virtual-clock scraper.
+        # The live monitoring plane (repro.core.monitor): SLO burn-rate
+        # alerting on a virtual-clock tick, exports collected on demand.
         self.monitor: Optional[MonitorService] = None
         if control.monitoring:
             self.monitor = MonitorService(self)
@@ -371,7 +371,6 @@ class Controller:
                     f"allocation (kv={kv_pages}, emb={embeds}) even after reclamation"
                 )
             self.metrics.reclamation_terminations += 1
-            shard.scheduler.stats.reclamation_terminations += 1
             for observer in self.observers:
                 observer.note_reclaimed(victim, requester, shard)
             self.terminate_inferlet(victim, reason="resource reclamation (FCFS)")

@@ -1,46 +1,40 @@
-"""Live monitoring plane: virtual-clock scraper, SLO engine, exporters.
+"""Live monitoring plane: an SLO engine on a virtual-clock tick, and exports
+collected when someone asks.
 
-:class:`MonitorService` is the glue between the serving loop and the
-observability surfaces this repo grew elsewhere:
+:class:`MonitorService` keeps no copy of a fact that has another owner:
 
-* a :class:`~repro.core.registry.MetricRegistry` of labeled counters,
-  gauges and log-bucketed histograms that the controller's collector and
-  the load harness publish into;
-* an :class:`~repro.core.slo.SloEngine` judging per-tenant TTFT/TPOT
-  against :class:`~repro.core.qos.TenantSpec` targets and firing
-  multi-window burn-rate alerts (objective and windows are the constants
-  of :mod:`repro.core.slo`);
-* a periodic *scraper* on the virtual clock, every
-  :data:`SCRAPE_INTERVAL_MS` — a
+* its :class:`~repro.core.registry.MetricRegistry` holds what nothing else
+  records — ``pie_ttft_seconds``, ``pie_tpot_seconds``,
+  ``pie_requests_total`` (lifecycle notifications) and the load harness's
+  three ``pie_loadgen_*`` counters;
+* an :class:`~repro.core.slo.SloEngine` judges per-tenant TTFT/TPOT against
+  :class:`~repro.core.qos.TenantSpec` targets and fires multi-window
+  burn-rate alerts;
+* the *scrape tick*, every :data:`SCRAPE_INTERVAL_MS` — a
   :class:`~repro.sim.periodic.PeriodicService`, so it only re-arms while
-  inferlets are live, the event queue stays drainable and the simulation
-  never runs longer because monitoring is on — that publishes the serving
-  state as gauges, advances the alert windows and appends bounded registry
-  snapshots.
+  inferlets are live and a run never lasts longer because monitoring is
+  on — advances the alert windows and calls the alert listeners, nothing
+  else;
+* :meth:`MonitorService.collect`, behind both exporters, reads
+  ``SystemMetrics``, ``TenantMetrics``, each shard's ``SchedulerStats`` and
+  ``readings()`` and the engine's budgets and alert history *at that
+  instant*, so an export cannot disagree with the live state it names.
 
-The whole plane is off by default (``ControlLayerConfig.monitoring``);
-when off, no ``MonitorService`` is constructed and
-``Controller.observers`` does not hold one — the structural-inertness
-contract shared with the QoS/tracing/chunking switches.  When on, every hook only *reads*
-serving state and writes to monitor-private buffers, so tokens, metrics
-and virtual timestamps stay bit-identical to a monitor-off run (asserted
-in ``tests/test_determinism.py``).
+Off by default (``ControlLayerConfig.monitoring``): no ``MonitorService``
+is built and ``Controller.observers`` holds none.  When on, every hook and
+every export only *reads* serving state, so tokens, metrics and virtual
+timestamps stay bit-identical to a monitor-off run (asserted in
+``tests/test_determinism.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict
-from typing import Callable, Deque, Dict, List
+from typing import Callable, Dict, List
 
 from repro.core.inferlet import LifecycleObserver
 from repro.core.metrics import TenantMetrics
-from repro.core.registry import (
-    CounterFamily,
-    GaugeFamily,
-    HistogramFamily,
-    MetricRegistry,
-)
+from repro.core.registry import CounterFamily, HistogramFamily, MetricRegistry
 from repro.core.scheduler import SchedulerStats
 from repro.core.slo import SloEngine
 from repro.core.qos import TenantSpec
@@ -48,24 +42,41 @@ from repro.sim.periodic import PeriodicService
 
 __all__ = ["MonitorService"]
 
-#: Scrape period in virtual milliseconds: each tick advances the alert
-#: windows and appends one registry snapshot (0 = no scraper; request-path
-#: counters and histograms still accumulate).  Read when a monitor is built.
+#: Tick period in virtual milliseconds: each tick advances the alert windows
+#: (0 = no ticks; request-path counters and histograms still accumulate).
+#: Read when a monitor is built.
 SCRAPE_INTERVAL_MS = 50.0
-#: Retention cap for time-series snapshots (one per scrape tick).
-MAX_SNAPSHOTS = 20_000
+#: ``DeviceShard.readings()`` keys, exported beside the shard's counters.
+SHARD_READINGS = {
+    "queue_depth": "Pending commands in the shard scheduler",
+    "kv_occupancy": "Fraction of GPU KV pages in use",
+    "embed_occupancy": "Fraction of embed slots in use",
+    "busy_seconds": "Cumulative device busy time",
+}
+
+
+def _scalars(record) -> Dict[str, float]:
+    """A counter record's plain-number fields (its histograms, dicts and
+    names are not scalar samples)."""
+    return {
+        name: value
+        for name, value in vars(record).items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }
+
+
+def _field_help(probe) -> Dict[str, str]:
+    return {name: f"{type(probe).__name__}.{name}" for name in _scalars(probe)}
 
 
 class MonitorService(LifecycleObserver):
-    """Owns the metric registry, the SLO engine, and the scrape timer."""
+    """Owns the request-path metrics, the SLO engine, and the scrape tick."""
 
     def __init__(self, controller) -> None:
         self.controller = controller
         self.sim = controller.sim
-        self.metrics = controller.metrics
-        self.trace = controller.trace
         self.registry = MetricRegistry()
-        self.slo = SloEngine(trace=self.trace)
+        self.slo = SloEngine(trace=controller.trace)
         for spec in controller.config.control.tenants:
             self.slo.register(spec)
         self.scrape_interval_ms = SCRAPE_INTERVAL_MS
@@ -75,8 +86,6 @@ class MonitorService(LifecycleObserver):
             self._scrape,
             controller.has_live_inferlets,
         )
-        #: Bounded time-series: one scalar snapshot of the registry per tick.
-        self.snapshots: Deque[dict] = deque(maxlen=MAX_SNAPSHOTS)
         # Alert subscribers (e.g. the chaos plane's BrownoutController),
         # invoked with each AlertEvent as the scrape tick surfaces it.
         self._alert_listeners: List[Callable] = []
@@ -98,58 +107,6 @@ class MonitorService(LifecycleObserver):
             "Finished inferlets by tenant and terminal status",
             labelnames=("tenant", "status"),
         )
-        self._slo_events: CounterFamily = self.registry.counter(
-            "pie_slo_events_total",
-            "SLO-judged latency samples by tenant, signal, and outcome",
-            labelnames=("tenant", "signal", "outcome"),
-        )
-        self._alerts_total: CounterFamily = self.registry.counter(
-            "pie_slo_alerts_total",
-            "Burn-rate alert transitions by tenant, signal, and kind",
-            labelnames=("tenant", "signal", "kind"),
-        )
-        self._alert_active: GaugeFamily = self.registry.gauge(
-            "pie_slo_alert_active",
-            "1 while a burn-rate alert window is firing",
-            labelnames=("tenant", "signal", "window"),
-        )
-        self._budget_remaining: GaugeFamily = self.registry.gauge(
-            "pie_slo_budget_remaining",
-            "Fraction of the cumulative error budget left",
-            labelnames=("tenant", "signal"),
-        )
-        # Serving-state gauges published at every scrape: one per numeric
-        # field, discovered once from a probe instance (not per tick via
-        # ``asdict``, which would deep-copy the histograms at every scrape).
-        def gauges_for(prefix: str, probe, labelnames=()) -> Dict[str, GaugeFamily]:
-            return {
-                name: self.registry.gauge(
-                    f"pie_{prefix}_{name}",
-                    f"{type(probe).__name__}.{name}",
-                    labelnames=labelnames,
-                )
-                for name, value in vars(probe).items()
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            }
-
-        self._system_gauges = gauges_for("system", self.metrics)
-        self._tenant_gauges = gauges_for(
-            "tenant", TenantMetrics(tenant="_probe"), labelnames=("tenant",)
-        )
-        self._shard_gauges = gauges_for(
-            "shard", SchedulerStats(), labelnames=("model", "shard")
-        )
-        self._reading_gauges: Dict[str, GaugeFamily] = {
-            name: self.registry.gauge(
-                f"pie_shard_{name}", help_, labelnames=("model", "shard")
-            )
-            for name, help_ in (
-                ("queue_depth", "Pending commands in the shard scheduler"),
-                ("kv_occupancy", "Fraction of GPU KV pages in use"),
-                ("embed_occupancy", "Fraction of embed slots in use"),
-                ("busy_seconds", "Cumulative device busy time"),
-            )
-        }
 
     # -- SLO spec registry --------------------------------------------------
 
@@ -162,12 +119,9 @@ class MonitorService(LifecycleObserver):
     def note_output(self, instance, now: float, count: int, first: bool) -> None:
         if not first:
             return
-        tenant = instance.tenant
-        ttft_seconds = now - instance.metrics.launched_at
-        self._ttft.labels(tenant=tenant).observe(ttft_seconds)
-        met = self.slo.observe_ttft(tenant, ttft_seconds)
-        outcome = "met" if met else "missed"
-        self._slo_events.labels(tenant=tenant, signal="ttft", outcome=outcome).inc()
+        ttft_seconds = instance.metrics.ttft
+        self._ttft.labels(tenant=instance.tenant).observe(ttft_seconds)
+        self.slo.observe_ttft(instance.tenant, ttft_seconds)
 
     def note_finished(self, instance) -> None:
         tenant = instance.tenant
@@ -179,9 +133,7 @@ class MonitorService(LifecycleObserver):
         if tpot is None:
             return
         self._tpot.labels(tenant=tenant).observe(tpot)
-        met = self.slo.observe_tpot(tenant, tpot)
-        outcome = "met" if met else "missed"
-        self._slo_events.labels(tenant=tenant, signal="tpot", outcome=outcome).inc()
+        self.slo.observe_tpot(tenant, tpot)
 
     # -- load-harness hooks -------------------------------------------------
 
@@ -205,7 +157,7 @@ class MonitorService(LifecycleObserver):
                 labelnames=("workload",),
             ).labels(workload=workload).inc()
 
-    # -- virtual-clock scraper ----------------------------------------------
+    # -- virtual-clock tick -------------------------------------------------
 
     def add_alert_listener(self, listener: Callable) -> None:
         """Subscribe to burn-rate AlertEvents surfaced by the scrape tick."""
@@ -215,52 +167,92 @@ class MonitorService(LifecycleObserver):
     def scrapes_taken(self) -> int:
         return self.scraper.ticks
 
-    def _collect(self) -> None:
-        """Publish the current SystemMetrics / per-tenant / per-shard
-        counters plus live load readings as gauges (pure inspection)."""
-        for name, gauge in self._system_gauges.items():
-            gauge.labels().set(getattr(self.metrics, name))
-        for tenant, record in self.metrics.tenants.items():
-            for name, gauge in self._tenant_gauges.items():
-                gauge.labels(tenant=tenant).set(getattr(record, name))
-        for service in self.controller.services():
-            for shard in service.shards:
-                labels = {"model": service.entry.name, "shard": str(shard.index)}
-                for name, gauge in self._shard_gauges.items():
-                    gauge.labels(**labels).set(getattr(shard.scheduler.stats, name))
-                for name, value in shard.readings().items():
-                    self._reading_gauges[name].labels(**labels).set(value)
-
     def _scrape(self) -> None:
-        now = self.sim.now
-        self._collect()
-        for event in self.slo.tick(now):
-            self._alerts_total.labels(
-                tenant=event.tenant, signal=event.signal, kind=event.kind
-            ).inc()
-            self._alert_active.labels(
-                tenant=event.tenant,
-                signal=event.signal,
-                window=str(event.window),
-            ).set(1.0 if event.kind == "fire" else 0.0)
+        for event in self.slo.tick(self.sim.now):
             for listener in self._alert_listeners:
                 listener(event)
-        for tenant, signals in self.slo.budgets().items():
-            for signal, budget in signals.items():
-                self._budget_remaining.labels(tenant=tenant, signal=signal).set(
-                    budget["budget_remaining"]
-                )
-        self.snapshots.append({"t": now, "values": self.registry.scalar_snapshot()})
 
     # -- exporters ----------------------------------------------------------
 
+    def collect(self) -> MetricRegistry:
+        """Everything exportable, read from its owner at this instant: the
+        registry's own families plus gauges over the live counter records
+        and the SLO engine's state (pure inspection; the result is the
+        caller's to discard)."""
+        export = MetricRegistry(self.registry.families())
+
+        def publish(prefix: str, helps: Dict[str, str], rows, labelnames=()) -> None:
+            # One gauge per name — so a family exists before its first
+            # row — and one sample per (labels, values) row.
+            for name, help_ in helps.items():
+                gauge = export.gauge(f"pie_{prefix}_{name}", help_, labelnames)
+                for labels, values in rows:
+                    gauge.labels(**labels).set(values[name])
+
+        system = self.controller.metrics
+        publish("system", _field_help(system), [({}, _scalars(system))])
+        publish(
+            "tenant",
+            _field_help(TenantMetrics(tenant="")),
+            [({"tenant": name}, _scalars(record)) for name, record in system.tenants.items()],
+            labelnames=("tenant",),
+        )
+        publish(
+            "shard",
+            {**_field_help(SchedulerStats()), **SHARD_READINGS},
+            [
+                (
+                    {"model": service.entry.name, "shard": str(shard.index)},
+                    {**_scalars(shard.scheduler.stats), **shard.readings()},
+                )
+                for service in self.controller.services()
+                for shard in service.shards
+            ],
+            labelnames=("model", "shard"),
+        )
+
+        events = export.counter(
+            "pie_slo_events_total",
+            "SLO-judged latency samples by tenant, signal, and outcome",
+            labelnames=("tenant", "signal", "outcome"),
+        )
+        remaining = export.gauge(
+            "pie_slo_budget_remaining",
+            "Fraction of the cumulative error budget left",
+            labelnames=("tenant", "signal"),
+        )
+        for tenant, signals in self.slo.budgets().items():
+            for signal, budget in signals.items():
+                stream = {"tenant": tenant, "signal": signal}
+                events.labels(**stream, outcome="met").inc(budget["events"] - budget["bad"])
+                events.labels(**stream, outcome="missed").inc(budget["bad"])
+                remaining.labels(**stream).set(budget["budget_remaining"])
+        transitions = export.counter(
+            "pie_slo_alerts_total",
+            "Burn-rate alert transitions by tenant, signal, and kind",
+            labelnames=("tenant", "signal", "kind"),
+        )
+        active = export.gauge(
+            "pie_slo_alert_active",
+            "1 while a burn-rate alert window is firing",
+            labelnames=("tenant", "signal", "window"),
+        )
+        for event in self.slo.alerts:
+            stream = {"tenant": event.tenant, "signal": event.signal}
+            transitions.labels(**stream, kind=event.kind).inc()
+            active.labels(**stream, window=str(event.window)).set(
+                1.0 if event.kind == "fire" else 0.0
+            )
+        return export
+
     def to_prometheus(self) -> str:
-        """Prometheus text exposition of the full registry."""
-        return self.registry.to_prometheus()
+        """Prometheus text exposition of :meth:`collect`."""
+        return self.collect().to_prometheus()
 
     def snapshot_document(self) -> dict:
-        """JSON-ready document: registry, SLO state, the time series and —
-        with the chaos plane on — every fault injected so far."""
+        """JSON-ready document: :meth:`collect`, the SLO state with its full
+        alert history and — with the chaos plane on — every fault injected
+        so far."""
         document = {
             "clock": "virtual_seconds",
             "now": self.sim.now,
@@ -277,8 +269,7 @@ class MonitorService(LifecycleObserver):
                 "active_alerts": self.slo.active_alerts(),
                 "budgets": self.slo.budgets(),
             },
-            "series": list(self.snapshots),
-            "metrics": self.registry.to_dict(),
+            "metrics": self.collect().to_dict(),
         }
         faults = self.controller.faults
         if faults is not None:

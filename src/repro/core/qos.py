@@ -619,7 +619,7 @@ class QosService(LifecycleObserver):
         state.metrics.output_tokens += count
         if first:
             state.metrics.observe_ttft(
-                now - instance.metrics.launched_at, slo_s=state.spec.ttft_slo_s
+                instance.metrics.ttft, slo_s=state.spec.ttft_slo_s
             )
 
     # -- reporting -----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Typed metric registry: counters, gauges and log-bucketed histograms.
 
-``SystemMetrics`` and friends are ad-hoc dataclass counters read at the end
-of a run; the live monitoring plane (:mod:`repro.core.monitor`) needs the
-same numbers *during* a run, with label sets, in a form that merges across
-shards and exports to standard formats.  This module supplies that layer:
+``SystemMetrics`` and friends are plain dataclass counters, and they stay
+the store: the live monitoring plane (:mod:`repro.core.monitor`) keeps in a
+registry only the labelled request-path metrics nothing else records, and
+publishes the dataclass counters through a throw-away registry when an
+export is asked for.  This module supplies the pieces:
 
 * :class:`LogHistogram` — a deterministic log-bucketed histogram: bucket
   boundaries are a pure function of ``(lo, hi, growth)``, so the same
@@ -16,8 +17,6 @@ shards and exports to standard formats.  This module supplies that layer:
   — named metric families whose children are addressed by label values
   (``family.labels(tenant="acme").inc()``), Prometheus-style.
 * :class:`MetricRegistry` — the collection: get-or-create families,
-  scalar snapshots for time series, a ``merge`` that is associative
-  (counters and histograms add; gauges take the other side's last value),
   Prometheus text exposition and a JSON document.
 
 Everything here is plain-Python bookkeeping on the caller's thread: no
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -245,7 +244,7 @@ class _Family:
         self._children: Dict[Tuple[str, ...], object] = {}
 
     def _make_child(self):
-        raise NotImplementedError
+        return _Child()
 
     def labels(self, **labelvalues):
         if set(labelvalues) != set(self.labelnames):
@@ -269,14 +268,10 @@ class _Family:
 
 
 class CounterFamily(_Family):
-    """Monotone counters.  ``set`` exists for collector-style publication
-    of an already-monotone source (the scraper copies ``SystemMetrics``
-    fields in wholesale rather than tracking deltas)."""
+    """Monotone counters (``inc`` only, by convention: the child type is
+    shared with gauges)."""
 
     kind = "counter"
-
-    def _make_child(self) -> _Child:
-        return _Child()
 
 
 class GaugeFamily(_Family):
@@ -284,47 +279,32 @@ class GaugeFamily(_Family):
 
     kind = "gauge"
 
-    def _make_child(self) -> _Child:
-        return _Child()
-
 
 class HistogramFamily(_Family):
-    """Labelled log-bucketed distributions."""
+    """Labelled latency distributions (:func:`latency_histogram` children)."""
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        lo: float = DEFAULT_LATENCY_LO,
-        hi: float = DEFAULT_LATENCY_HI,
-        growth: float = DEFAULT_GROWTH,
-    ) -> None:
-        super().__init__(name, help=help, labelnames=labelnames)
-        self.lo = lo
-        self.hi = hi
-        self.growth = growth
-
     def _make_child(self) -> LogHistogram:
-        return LogHistogram(lo=self.lo, hi=self.hi, growth=self.growth)
+        return latency_histogram()
 
 
 class MetricRegistry:
-    """A collection of metric families, mergeable and exportable.
+    """A collection of metric families, exportable in two formats.
 
     ``counter``/``gauge``/``histogram`` are get-or-create: asking twice for
     the same name with the same schema returns the same family; asking with
     a different schema raises (one name, one meaning).
     """
 
-    def __init__(self) -> None:
-        self._families: Dict[str, _Family] = {}
+    def __init__(self, families: Sequence[_Family] = ()) -> None:
+        # ``families`` are shared, not copied: an export registry starts
+        # from the live families of the one it publishes beside.
+        self._families: Dict[str, _Family] = {f.name: f for f in families}
 
     # -- family construction ------------------------------------------------
 
-    def _get_or_create(self, cls, name: str, help: str, labelnames, **kwargs):
+    def _get_or_create(self, cls, name: str, help: str, labelnames):
         family = self._families.get(name)
         if family is not None:
             if not family.schema_matches(cls.kind, labelnames):
@@ -333,7 +313,7 @@ class MetricRegistry:
                     f"with labels {family.labelnames}"
                 )
             return family
-        family = cls(name, help=help, labelnames=labelnames, **kwargs)
+        family = cls(name, help=help, labelnames=labelnames)
         self._families[name] = family
         return family
 
@@ -348,80 +328,12 @@ class MetricRegistry:
         return self._get_or_create(GaugeFamily, name, help, labelnames)
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        lo: float = DEFAULT_LATENCY_LO,
-        hi: float = DEFAULT_LATENCY_HI,
-        growth: float = DEFAULT_GROWTH,
+        self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> HistogramFamily:
-        return self._get_or_create(
-            HistogramFamily, name, help, labelnames, lo=lo, hi=hi, growth=growth
-        )
+        return self._get_or_create(HistogramFamily, name, help, labelnames)
 
     def families(self) -> List[_Family]:
         return [self._families[name] for name in sorted(self._families)]
-
-    def get(self, name: str) -> Optional[_Family]:
-        return self._families.get(name)
-
-    # -- snapshots ----------------------------------------------------------
-
-    def scalar_snapshot(self) -> Dict[str, float]:
-        """Flat ``name{a=b,...} -> value`` map of every counter and gauge.
-
-        Histograms are omitted (a per-tick copy of every bucket would
-        dominate the snapshot series); their counts surface through the
-        companion ``*_count`` scalars the exporter emits.
-        """
-        snapshot: Dict[str, float] = {}
-        for family in self.families():
-            if family.kind == "histogram":
-                continue
-            for labelvalues, child in family.samples():
-                key = family.name + _format_labels(family.labelnames, labelvalues)
-                snapshot[key] = child.value
-        return snapshot
-
-    # -- merge --------------------------------------------------------------
-
-    def merge(self, other: "MetricRegistry") -> "MetricRegistry":
-        """Fold another registry in: counters and histograms add, gauges
-        take the other side's value (last writer wins).  Both rules are
-        associative, so shard registries can be merged in any grouping."""
-        for family in other.families():
-            if family.kind == "histogram":
-                mine = self.histogram(
-                    family.name,
-                    help=family.help,
-                    labelnames=family.labelnames,
-                    lo=family.lo,
-                    hi=family.hi,
-                    growth=family.growth,
-                )
-                for labelvalues, child in family.samples():
-                    target = mine.labels(
-                        **dict(zip(family.labelnames, labelvalues))
-                    )
-                    target.merge(child)
-            elif family.kind == "counter":
-                mine = self.counter(
-                    family.name, help=family.help, labelnames=family.labelnames
-                )
-                for labelvalues, child in family.samples():
-                    mine.labels(**dict(zip(family.labelnames, labelvalues))).inc(
-                        child.value
-                    )
-            else:
-                mine = self.gauge(
-                    family.name, help=family.help, labelnames=family.labelnames
-                )
-                for labelvalues, child in family.samples():
-                    mine.labels(**dict(zip(family.labelnames, labelvalues))).set(
-                        child.value
-                    )
-        return self
 
     # -- exporters ----------------------------------------------------------
 

@@ -87,6 +87,33 @@ class RetryPolicy:
             delay *= 1.0 + self.jitter * float(self.rng.uniform(-1.0, 1.0))
         return delay
 
+    def charge(
+        self, attempt: int, op: str, metrics, trace, now: float, inferlet=None, **span_args
+    ) -> Optional[float]:
+        """:meth:`backoff` for an ``op`` (``"tool"`` | ``"handoff"``), with
+        the answer accounted: ``retries_exhausted`` on a refusal; on a
+        grant ``<op>_retries``, ``retry_backoff_seconds`` and — traced —
+        the ``retry_backoff`` span covering the wait."""
+        delay = self.backoff(attempt, op)
+        if delay is None:
+            metrics.retries_exhausted += 1
+            return None
+        if op == "tool":
+            metrics.tool_retries += 1
+        else:
+            metrics.handoff_retries += 1
+        metrics.retry_backoff_seconds += delay
+        if trace is not None:
+            trace.complete(
+                "retry_backoff",
+                "fault",
+                now,
+                end=now + delay,
+                inferlet=inferlet,
+                args={"op": op, **span_args, "attempt": attempt + 1, "delay": delay},
+            )
+        return delay
+
 
 async def faulty_request(controller, url: str, payload: Any, instance=None) -> Any:
     """Tool call under the chaos plane: fault windows, backoff, retry.
@@ -97,6 +124,7 @@ async def faulty_request(controller, url: str, payload: Any, instance=None) -> A
     :class:`RetriesExhaustedError` chained onto the injected fault.
     """
     sim, metrics, trace = controller.sim, controller.metrics, controller.trace
+    owner = None if instance is None else instance.instance_id
     attempts = 0
     while True:
         kind = controller.faults.tool_fault(url, sim.now)
@@ -111,9 +139,10 @@ async def faulty_request(controller, url: str, payload: Any, instance=None) -> A
             )
         if kind == "tool_timeout":
             await sim.sleep(FaultInjector.TOOL_TIMEOUT_S)
-        delay = controller.retry.backoff(attempts, "tool")
+        delay = controller.retry.charge(
+            attempts, "tool", metrics, trace, sim.now, inferlet=owner, url=url
+        )
         if delay is None:
-            metrics.retries_exhausted += 1
             raise RetriesExhaustedError(
                 f"tool call to {url} failed after {attempts + 1} attempts "
                 f"(injected {kind})",
@@ -122,15 +151,4 @@ async def faulty_request(controller, url: str, payload: Any, instance=None) -> A
                 f"tool call to {url} failed (injected {kind})", kind=kind
             )
         attempts += 1
-        metrics.tool_retries += 1
-        metrics.retry_backoff_seconds += delay
-        if trace is not None:
-            trace.complete(
-                "retry_backoff",
-                "fault",
-                sim.now,
-                end=sim.now + delay,
-                inferlet=None if instance is None else instance.instance_id,
-                args={"op": "tool", "url": url, "attempt": attempts, "delay": delay},
-            )
         await sim.sleep(delay)

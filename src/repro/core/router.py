@@ -436,11 +436,6 @@ def aggregate_scheduler_stats(stats: Sequence[SchedulerStats]) -> SchedulerStats
     for record in stats:
         total.batches_dispatched += record.batches_dispatched
         total.commands_dispatched += record.commands_dispatched
-        total.reclamation_terminations += record.reclamation_terminations
-        total.commands_dropped += record.commands_dropped
-        total.prefill_chunks_dispatched += record.prefill_chunks_dispatched
-        total.decode_rows_co_batched += record.decode_rows_co_batched
-        total.chunk_stall_saved_seconds += record.chunk_stall_saved_seconds
         total.decode_rows_dispatched += record.decode_rows_dispatched
         total.prefill_rows_dispatched += record.prefill_rows_dispatched
         total.forward_tokens_dispatched += record.forward_tokens_dispatched

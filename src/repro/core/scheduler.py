@@ -25,6 +25,7 @@ from repro.core.batching import CandidateBatch, form_candidate_batches, select_l
 from repro.core.command_queue import Command, CommandQueue
 from repro.core.config import ControlLayerConfig, SchedulerConfig
 from repro.core.handlers import ApiHandlers
+from repro.core.metrics import SystemMetrics
 from repro.core.registry import LogHistogram, size_histogram
 from repro.gpu.config import GpuConfig
 from repro.gpu.device import SimDevice
@@ -50,20 +51,6 @@ class SchedulerStats:
     # Batch-size distribution in a bounded log-bucketed histogram (was an
     # O(batches) list); ``sum``/``total`` keep the mean exact.
     batch_sizes: LogHistogram = field(default_factory=size_histogram)
-    # Inferlets killed by FCFS reclamation on this shard (terminate-last
-    # under the tiered-KV policy; every kill destroys computed KV state).
-    reclamation_terminations: int = 0
-    # Pending commands abandoned when their queue was removed (owner exited
-    # or was terminated with work still queued).  Under open-loop overload
-    # this is the visible measure of work accepted but never served.
-    commands_dropped: int = 0
-    # Chunked prefill (token-budget batching): head slices dispatched,
-    # decode rows that shared a batch with at least one slice, and the
-    # modeled stall time those decode rows did not spend waiting for the
-    # sliced prompts' remaining tokens.  All zero with the knob off.
-    prefill_chunks_dispatched: int = 0
-    decode_rows_co_batched: int = 0
-    chunk_stall_saved_seconds: float = 0.0
     # Forward-batch role composition: decode rows (single-token steps) and
     # prefill rows (multi-token prompts / head slices) dispatched on this
     # shard.  The disaggregation invariant suite reads these to prove
@@ -101,7 +88,7 @@ class BatchScheduler:
         scheduler_config: SchedulerConfig,
         gpu_config: GpuConfig,
         control_config: ControlLayerConfig,
-        metrics=None,
+        metrics: Optional[SystemMetrics] = None,
         trace=None,
         shard_index: int = 0,
         qos=None,
@@ -112,10 +99,9 @@ class BatchScheduler:
         self.config = scheduler_config
         self.gpu_config = gpu_config
         self.control_config = control_config
-        # System-wide counters (repro.core.metrics.SystemMetrics); the
-        # scheduler mirrors its chunk counters there so experiments can
-        # read one aggregate without walking shards.  None in unit tests.
-        self.metrics = metrics
+        # System-wide counters: the one home of the chunk and dropped-
+        # command counts (a scheduler built alone gets a record of its own).
+        self.metrics = metrics if metrics is not None else SystemMetrics()
         self.stats = SchedulerStats()
         self._queues: Dict[Any, CommandQueue] = {}
         # Incrementally-maintained queue indexes.  With tens of thousands of
@@ -258,10 +244,7 @@ class BatchScheduler:
         # waiting on them — keeps awaiters and bookkeeping hooked on
         # completion from hanging forever.
         dropped = queue.drain_pending()
-        if dropped:
-            self.stats.commands_dropped += len(dropped)
-            if self.metrics is not None:
-                self.metrics.commands_dropped += len(dropped)
+        self.metrics.commands_dropped += len(dropped)
         for command in dropped:
             if self._trace is not None:
                 self._trace.end(command.trace_span, args={"dropped": True})
@@ -592,22 +575,14 @@ class BatchScheduler:
         would otherwise have spent waiting for the sliced prompts' *still
         remaining* tokens — the residual's ``input_tokens`` after the slice
         was taken, charged at the prefill rate."""
-        decode_rows = sum(
-            1
-            for command in batch.commands
-            if not command.is_chunk and command.input_tokens <= 1
-        )
+        decode_rows = batch.decode_rows
         remaining = sum(chunk.parent.input_tokens for chunk in chunks)
         saved = decode_rows * milliseconds(
             self.handlers.cost_model.cost.prefill_ms_per_token * remaining
         )
-        self.stats.prefill_chunks_dispatched += len(chunks)
-        self.stats.decode_rows_co_batched += decode_rows
-        self.stats.chunk_stall_saved_seconds += saved
-        if self.metrics is not None:
-            self.metrics.prefill_chunks_dispatched += len(chunks)
-            self.metrics.decode_rows_co_batched += decode_rows
-            self.metrics.chunk_stall_saved_seconds += saved
+        self.metrics.prefill_chunks_dispatched += len(chunks)
+        self.metrics.decode_rows_co_batched += decode_rows
+        self.metrics.chunk_stall_saved_seconds += saved
 
     @staticmethod
     def _group_by_queue(commands: List[Command]) -> Dict[Any, List[Command]]:

@@ -467,23 +467,13 @@ class KvTransferScheduler:
             return
         owner = instance.instance_id
         attempt = self._retry_attempts.get(owner, 0)
-        delay = self._retry.backoff(attempt, "handoff")
+        delay = self._retry.charge(
+            attempt, "handoff", self.metrics, self._trace, self.sim.now, inferlet=owner
+        )
         if delay is None:
-            self.metrics.retries_exhausted += 1
             self._retry_attempts.pop(owner, None)
             return
         self._retry_attempts[owner] = attempt + 1
-        self.metrics.handoff_retries += 1
-        self.metrics.retry_backoff_seconds += delay
-        if self._trace is not None:
-            self._trace.complete(
-                "retry_backoff",
-                "fault",
-                self.sim.now,
-                end=self.sim.now + delay,
-                inferlet=owner,
-                args={"op": "handoff", "attempt": attempt + 1, "delay": delay},
-            )
         self.sim.schedule(delay, self._retry_handoff, instance)
 
     def _retry_handoff(self, instance: "InferletInstance") -> None:

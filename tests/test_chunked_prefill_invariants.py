@@ -17,6 +17,7 @@ import pytest
 
 from repro.bench.runners import make_pie_setup
 from repro.core import InferletProgram
+from repro.core.batching import CandidateBatch
 from repro.core.command_queue import Command
 from repro.core.config import ControlLayerConfig, PieConfig, SchedulerConfig
 from repro.core.scheduler import BatchScheduler
@@ -90,6 +91,31 @@ def _forward(sim, owner, tokens, oemb=(), writes=frozenset()):
     )
 
 
+def test_final_residual_beside_a_head_slice_is_not_a_decode_row():
+    """One spelling of "decode row": a prompt worn down to its last token
+    is still prefill work, so a slice sharing its batch saved it no stall."""
+    sim = Simulator(seed=1)
+    scheduler = _scheduler(sim, StubHandlers())
+    worn = _forward(sim, "a", list(range(CHUNK + 1)), oemb=["h"])
+    worn.take_chunk(worn.plan_chunk(CHUNK, sim.create_future()), sim.now)
+    assert worn.input_tokens == 1 and not worn.is_decode_row
+    prompt = _forward(sim, "b", list(range(30)))
+    head = prompt.plan_chunk(CHUNK, sim.create_future())
+    prompt.take_chunk(head, sim.now)
+    decode = _forward(sim, "c", [7])
+    batch = CandidateBatch(kind="forward", commands=[worn, head, decode])
+
+    scheduler._record_chunks(batch, [head])
+
+    assert batch.decode_rows == 1
+    assert scheduler.metrics.prefill_chunks_dispatched == 1
+    assert scheduler.metrics.decode_rows_co_batched == 1
+    # One decode row spared the 22 tokens the sliced prompt still holds.
+    assert scheduler.metrics.chunk_stall_saved_seconds == pytest.approx(
+        22 * StubCost.prefill_ms_per_token / 1e3
+    )
+
+
 def test_residual_keeps_queue_head_order_across_interleaved_submits():
     sim = Simulator(seed=1)
     handlers = StubHandlers()
@@ -139,7 +165,7 @@ def test_residual_keeps_queue_head_order_across_interleaved_submits():
     # queued follow-up (which dispatched only after the residual drained).
     assert resolution_order[0] == "long"
     assert set(resolution_order) == {"long", "barrier", "follow_up"}
-    assert scheduler.stats.prefill_chunks_dispatched == len(slices) - 1
+    assert scheduler.metrics.prefill_chunks_dispatched == len(slices) - 1
     assert long_cmd.future.result() is not None
 
 
@@ -196,8 +222,7 @@ def test_abort_mid_chunk_releases_partially_committed_kv_exactly_once():
     sim.run()  # drain in-flight batches and deferred callbacks
 
     assert instance.status == "terminated"
-    stats = server.cluster_stats().combined
-    assert stats.prefill_chunks_dispatched > 0  # the abort really hit mid-stream
+    assert server.metrics.prefill_chunks_dispatched > 0  # the abort really hit mid-stream
     resources = server.service().resources
     assert resources.kv_pages_free == server.config.gpu.num_kv_pages
     assert resources.embeds_free == server.config.gpu.num_embed_slots
@@ -272,10 +297,9 @@ def test_interleaved_fleet_generates_identical_tokens_on_and_off(policy):
             return await sim.gather(tasks)
 
         results = sim.run_until_complete(run_all())
-        stats = server.cluster_stats().combined
         return (
             [(r.status, r.result) for r in results],
-            stats.prefill_chunks_dispatched,
+            server.metrics.prefill_chunks_dispatched,
         )
 
     off_results, off_chunks = run(False)

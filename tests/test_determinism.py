@@ -47,6 +47,7 @@ def run_stack(
     faults=False,
     fault_plan=(),
     fault_seed=0,
+    export_at=(),
 ):
     """Cluster of 2 devices + host KV tier + prefix cache, staggered fleet.
 
@@ -63,7 +64,8 @@ def run_stack(
     the flight recorder (repro.core.trace), which must observe without
     perturbing: tokens, metrics and virtual timestamps stay bit-identical
     to the tracing-off run.  ``monitoring=True`` turns on the live SLO
-    monitoring plane (repro.core.monitor) under the same contract.
+    monitoring plane (repro.core.monitor) under the same contract, and
+    ``export_at`` takes both of its exports at those virtual times, mid-run.
     ``faults=True`` arms the chaos plane (repro.sim.faults +
     repro.core.health): the seeded ``fault_plan`` replays bit-identically,
     and ``faults=False`` must construct none of the chaos machinery.
@@ -123,6 +125,12 @@ def run_stack(
         ]
         return await sim.gather(tasks)
 
+    def exports():
+        return server.export_metrics(), server.prometheus_metrics()
+
+    mid_run = []
+    for when in export_at:
+        sim.call_at(when, lambda: mid_run.append(exports()))
     results = sim.run_until_complete(run_all())
     metrics = asdict(server.metrics)
     # Instance ids embed a process-global launch counter (det0-1 vs det0-7
@@ -146,7 +154,8 @@ def run_stack(
         out["trace_categories"] = categories
     if server.monitor is not None:
         out["monitor_scrapes"] = server.monitor.scrapes_taken
-        out["monitor_snapshot"] = server.monitor.registry.scalar_snapshot()
+        out["monitor_exports"] = [exports(), exports()]
+        out["monitor_mid_run"] = mid_run
     return out
 
 
@@ -334,9 +343,8 @@ def test_monitoring_on_does_not_perturb_the_run():
     assert on["results"] == off["results"]
     assert on["metrics"] == off["metrics"]
     assert on["monitor_scrapes"] > 0
-    assert any(
-        key.startswith("pie_requests_total") for key in on["monitor_snapshot"]
-    )
+    document, _ = on["monitor_exports"][0]
+    assert document["metrics"]["pie_requests_total"]["samples"]
 
 
 def test_monitoring_on_is_bit_identical_run_to_run():
@@ -346,7 +354,30 @@ def test_monitoring_on_is_bit_identical_run_to_run():
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
     assert first["monitor_scrapes"] == second["monitor_scrapes"]
-    assert first["monitor_snapshot"] == second["monitor_snapshot"]
+    assert first["monitor_exports"] == second["monitor_exports"]
+
+
+def test_exporting_is_idempotent_and_invisible_to_the_run():
+    """An export is a pure read of live state: twice in a row it says the
+    same thing, and taken mid-run it changes neither tokens, metrics and
+    virtual time nor what a later export says."""
+    stack = dict(qos=True, chunked=True, disagg=True, monitoring=True)
+    plain = run_stack(**stack)
+    probed = run_stack(**stack, export_at=(0.4, 0.9))
+    assert plain["monitor_exports"][0] == plain["monitor_exports"][1]
+    assert probed["now"] == plain["now"]
+    assert probed["results"] == plain["results"]
+    assert probed["metrics"] == plain["metrics"]
+    assert probed["monitor_scrapes"] == plain["monitor_scrapes"]
+    assert probed["monitor_exports"] == plain["monitor_exports"]
+    early, late = probed["monitor_mid_run"]
+    assert early[0]["now"] == 0.4 and late[0]["now"] == 0.9
+    launched = "pie_system_inferlets_launched"
+    assert (
+        0
+        < early[0]["metrics"][launched]["samples"][0]["value"]
+        < late[0]["metrics"][launched]["samples"][0]["value"]
+    )
 
 
 CHAOS_PLAN = (

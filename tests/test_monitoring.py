@@ -233,3 +233,190 @@ class TestMonitorService:
         before = server.monitor.scrapes_taken
         sim.run_until_complete(server.run_inferlet("probe"))
         assert server.monitor.scrapes_taken >= before
+
+
+# What an export holds: family -> label names.  The registry owns the six
+# that have no other home; ``collect()`` reads the rest off the live records.
+OWNED = {
+    "pie_ttft_seconds": ("tenant",),
+    "pie_tpot_seconds": ("tenant",),
+    "pie_requests_total": ("tenant", "status"),
+    "pie_loadgen_offered_total": ("workload",),
+    "pie_loadgen_finished_total": ("workload",),
+    "pie_loadgen_good_total": ("workload",),
+}
+SLO_FAMILIES = {
+    "pie_slo_events_total": ("tenant", "signal", "outcome"),
+    "pie_slo_alerts_total": ("tenant", "signal", "kind"),
+    "pie_slo_alert_active": ("tenant", "signal", "window"),
+    "pie_slo_budget_remaining": ("tenant", "signal"),
+}
+SYSTEM_FIELDS = """
+    brownout_activations brownout_clears brownout_shed bytes_swapped_in
+    bytes_swapped_out chunk_stall_saved_seconds commands_dropped
+    cross_device_imports decode_rows_co_batched disagg_bytes_streamed
+    disagg_handoff_failures disagg_handoff_stall_seconds disagg_handoffs
+    disagg_pages_streamed disagg_pages_tail disagg_replans failover_relaunches
+    failover_terminations faults_injected forward_input_tokens handoff_retries
+    inferlets_failed inferlets_finished inferlets_launched inferlets_terminated
+    kv_pages_swapped_in kv_pages_swapped_out link_faults
+    prefill_chunks_dispatched prefix_cache_demotions prefix_cache_evictions
+    prefix_cache_faultins prefix_cache_hits prefix_cache_inserted_pages
+    prefix_cache_misses prefix_cache_reclaims prefix_cache_saved_tokens
+    qos_admitted qos_preemption_swaps qos_preemption_terminations qos_queued
+    qos_rejected reclamation_swaps reclamation_terminations retries_exhausted
+    retry_backoff_seconds shard_crashes shard_slowdowns swap_ins swap_outs
+    swap_stall_seconds tool_faults tool_retries total_output_tokens
+""".split()
+TENANT_FIELDS = """
+    admitted dispatched_commands finished handoffs output_tokens
+    preempted_swaps preempted_terminations queued rejected terminated tpot_met
+    tpot_missed ttft_met ttft_missed virtual_tokens
+""".split()
+SHARD_STATS_FIELDS = """
+    batches_dispatched commands_dispatched decode_rows_dispatched
+    forward_tokens_dispatched prefill_rows_dispatched
+""".split()
+SHARD_READINGS = "queue_depth kv_occupancy embed_occupancy busy_seconds".split()
+EXPORT_SCHEMA = {
+    **OWNED,
+    **SLO_FAMILIES,
+    **{f"pie_system_{name}": () for name in SYSTEM_FIELDS},
+    **{f"pie_tenant_{name}": ("tenant",) for name in TENANT_FIELDS},
+    **{
+        f"pie_shard_{name}": ("model", "shard")
+        for name in SHARD_STATS_FIELDS + SHARD_READINGS
+    },
+}
+
+
+class TestPullExport:
+    """The monitor exports; it keeps no copy of a fact with another owner."""
+
+    def fleet(self, n=4, max_tokens=3):
+        """Two tenants on two devices; returns (sim, server, launch-all task)."""
+        from repro.core import InferletProgram
+        from repro.support import Context, SamplingParams
+
+        sim = Simulator(seed=5)
+        server = PieServer(
+            sim,
+            monitoring=True,
+            num_devices=2,
+            tenants=(TenantSpec(name="acme"), TenantSpec(name="zeta")),
+        )
+
+        async def main(ctx):
+            context = Context(ctx, sampling=SamplingParams())
+            await context.fill("a monitored prompt ")
+            await context.generate_until(max_tokens=max_tokens)
+            context.free()
+            return "done"
+
+        server.register_program(InferletProgram(name="probe", main=main))
+
+        async def one(index):
+            await sim.sleep(0.03 * index)
+            return await server.run_inferlet(
+                "probe", tenant="acme" if index % 2 else "zeta"
+            )
+
+        return sim, server, sim.gather([sim.create_task(one(i)) for i in range(n)])
+
+    @staticmethod
+    def both_exports(server):
+        from repro.tools.slo_report import parse_prometheus
+
+        return (
+            server.export_metrics()["metrics"],
+            parse_prometheus(server.prometheus_metrics()),
+        )
+
+    def test_every_sample_equals_the_live_field_it_names(self):
+        sim, server, fleet = self.fleet()
+        sim.run_until_complete(fleet)  # not drained: the last tick is still armed
+        system = server.metrics
+        assert system.inferlets_finished == 4 and set(system.tenants) == {"acme", "zeta"}
+        for metrics in self.both_exports(server):
+            for name in SYSTEM_FIELDS:
+                [sample] = metrics[f"pie_system_{name}"]["samples"]
+                assert sample["value"] == getattr(system, name), name
+            for name in TENANT_FIELDS:
+                samples = metrics[f"pie_tenant_{name}"]["samples"]
+                assert {s["labels"]["tenant"]: s["value"] for s in samples} == {
+                    tenant: getattr(record, name)
+                    for tenant, record in system.tenants.items()
+                }, name
+            shards = server.service().shards
+            for name in SHARD_STATS_FIELDS:
+                samples = metrics[f"pie_shard_{name}"]["samples"]
+                assert [s["value"] for s in samples] == [
+                    getattr(shard.scheduler.stats, name) for shard in shards
+                ], name
+            # A per-tick mirror reads one short here, until the next tick.
+            finished = sum(
+                s["value"]
+                for s in metrics["pie_requests_total"]["samples"]
+                if s["labels"]["status"] == "finished"
+            )
+            assert finished == metrics["pie_system_inferlets_finished"]["samples"][0]["value"]
+            budgets = server.monitor.slo.budgets()
+            assert {
+                (s["labels"]["tenant"], s["labels"]["signal"]): s["value"]
+                for s in metrics["pie_slo_budget_remaining"]["samples"]
+            } == {
+                (tenant, signal): budget["budget_remaining"]
+                for tenant, signals in budgets.items()
+                for signal, budget in signals.items()
+            }
+
+    def test_export_schema(self):
+        sim, server, fleet = self.fleet()
+        server.monitor.note_offered("chat")
+        server.monitor.note_request_outcome("chat", good=True)
+        sim.run_until_complete(fleet)
+        exported = {f.name: f.labelnames for f in server.monitor.collect().families()}
+        assert exported == EXPORT_SCHEMA
+        assert len(exported) == 88
+        # What is left in the registry is what has no other owner.
+        assert {f.name for f in server.monitor.registry.families()} == set(OWNED)
+        document = server.export_metrics()
+        assert "series" not in document
+        for name, family in document["metrics"].items():
+            for sample in family["samples"]:
+                assert tuple(sample["labels"]) == EXPORT_SCHEMA[name], name
+
+    def test_a_tick_writes_no_metric(self, monkeypatch):
+        """Between two exports the plane does SloEngine.tick and listeners
+        only: no registry child is touched while no request starts its
+        output or leaves."""
+        from repro.core import registry
+
+        sim, server, fleet = self.fleet(n=1, max_tokens=64)
+        sim.run(until=0.1)
+        [instance] = server.controller.instances()
+        assert instance.metrics.first_token_at is not None
+        before = server.export_metrics()
+        ticks = server.monitor.scrapes_taken
+
+        touched = []
+        labels = registry._Family.labels
+        monkeypatch.setattr(
+            registry._Family,
+            "labels",
+            lambda family, **kw: touched.append(family.name) or labels(family, **kw),
+        )
+        heard = []
+        server.monitor.add_alert_listener(heard.append)
+        sim.run(until=0.4)
+        monkeypatch.undo()
+
+        assert server.monitor.scrapes_taken >= ticks + 5
+        assert not instance.finished
+        assert touched == []
+        assert heard == server.monitor.slo.alerts[len(before["slo"]["alerts"]):]
+        after = server.export_metrics()
+        assert after["metrics"]["pie_system_total_output_tokens"] != (
+            before["metrics"]["pie_system_total_output_tokens"]
+        )
+        sim.run_until_complete(fleet)

@@ -22,8 +22,7 @@ import pytest
 from repro.core.command_queue import Command, CommandQueue
 from repro.core.config import ControlLayerConfig, SchedulerConfig
 from repro.core.metrics import SystemMetrics
-from repro.core.router import aggregate_scheduler_stats
-from repro.core.scheduler import BatchScheduler, SchedulerStats
+from repro.core.scheduler import BatchScheduler
 from repro.gpu.config import GpuConfig
 from repro.gpu.device import SimDevice
 from repro.sim import Simulator
@@ -238,24 +237,28 @@ class TestNoFullIteration:
 class TestCommandsDropped:
     def test_remove_queue_counts_pending_drops(self):
         sim = Simulator()
-        metrics = SystemMetrics()
-        scheduler = _scheduler(sim, metrics=metrics)
+        scheduler = _scheduler(sim)
         scheduler.create_queue("q", model="m", owner="x")
         for _ in range(3):
             scheduler.submit("q", _command(sim, "x"))
         # Remove before the scheduled adaptive dispatch ever runs.
         scheduler.remove_queue("q")
-        assert scheduler.stats.commands_dropped == 3
-        assert metrics.commands_dropped == 3
+        assert scheduler.metrics.commands_dropped == 3
         # Dispatched work is not "dropped": an empty-queue removal adds 0.
         scheduler.create_queue("p", model="m", owner="x")
         scheduler.submit("p", _command(sim, "x"))
         sim.run()
         scheduler.remove_queue("p")
-        assert scheduler.stats.commands_dropped == 3
+        assert scheduler.metrics.commands_dropped == 3
 
     def test_cluster_aggregation_sums_drops(self):
-        shard_a = SchedulerStats(commands_dropped=2)
-        shard_b = SchedulerStats(commands_dropped=5)
-        total = aggregate_scheduler_stats([shard_a, shard_b])
-        assert total.commands_dropped == 7
+        # The shards of a cluster share one SystemMetrics: it is the sum.
+        sim = Simulator()
+        metrics = SystemMetrics()
+        for drops in (2, 5):
+            scheduler = _scheduler(sim, metrics=metrics)
+            scheduler.create_queue("q", model="m", owner="x")
+            for _ in range(drops):
+                scheduler.submit("q", _command(sim, "x"))
+            scheduler.remove_queue("q")
+        assert metrics.commands_dropped == 7

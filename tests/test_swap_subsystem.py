@@ -266,15 +266,6 @@ class TestSwapFirstReclamation:
         assert server2.metrics.reclamation_swaps > 0
         assert server2.metrics.swap_outs > 0
 
-    def test_reclamation_terminations_surface_in_cluster_stats(self):
-        server, _ = self._pressure_fleet(host_pages=0)
-        stats = server.cluster_stats()
-        assert (
-            stats.combined.reclamation_terminations
-            == server.metrics.reclamation_terminations
-            > 0
-        )
-
 
 class TestSwapSafety:
     def test_resolving_swapped_page_raises_without_fault_path(self):
