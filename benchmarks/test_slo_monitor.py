@@ -54,7 +54,7 @@ def test_slo_monitor(run_experiment, write_artifact):
     # every finished request is in both of its counts, and no time series
     # rides along (the document was 593 KB when one did).
     metrics = raw["snapshot"]["metrics"]
-    assert len(metrics) == 88
+    assert len(metrics) == 90
     assert metrics["pie_system_inferlets_finished"]["samples"][0]["value"] == sum(
         sample["value"]
         for sample in metrics["pie_requests_total"]["samples"]

@@ -19,13 +19,17 @@ command kind, the largest dispatchable batch:
   at most one partial prefill chunk per queue and a long prompt can no
   longer head-of-line-block the decodes behind it.
 
-The scheduler then picks, among the candidate batches of different kinds,
-the one whose oldest pending command has waited the longest.
+The scheduler then picks among the candidate batches of different kinds
+(:meth:`repro.core.scheduler.BatchScheduler._select`): a ``forward``
+candidate with no whole prompt in it — decode steps only, or prefill slices
+only — first yields its turn to the cheaper kinds ready beside it, for a
+bounded time; among what is left, the candidate whose oldest pending command
+has waited the longest goes (:func:`select_longest_waiting`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.command_queue import Command, CommandQueue
@@ -38,6 +42,20 @@ class CandidateBatch:
 
     kind: str
     commands: List[Command]
+    # Forward-batch role composition, counted in one pass when the batch is
+    # formed (selection reads it on every dispatch, the statistics once
+    # more): ``decode_rows`` are the forward commands advancing a single
+    # token, ``prefill_rows`` the ones — whole, head slices or residuals —
+    # carrying prompt tokens.  A chunked prefill's pieces stay prefill work
+    # even when only one token wide (``Command.is_decode_row``).  Both are
+    # 0 for every other kind.
+    decode_rows: int = field(init=False, default=0)
+    prefill_rows: int = field(init=False, default=0)
+
+    def __post_init__(self) -> None:
+        if self.kind == "forward":
+            self.decode_rows = sum(1 for command in self.commands if command.is_decode_row)
+            self.prefill_rows = len(self.commands) - self.decode_rows
 
     @property
     def oldest_issue_time(self) -> float:
@@ -51,26 +69,6 @@ class CandidateBatch:
     def total_input_tokens(self) -> int:
         """Input tokens carried by the batch (decode rows count one each)."""
         return sum(max(1, command.input_tokens) for command in self.commands)
-
-    @property
-    def decode_rows(self) -> int:
-        """Forward commands advancing a single token (decode steps).
-
-        A chunked prefill's pieces stay prefill work even when only one
-        token wide: a head slice carries ``parent``, and the final
-        residual — the original command, worn down to its last tokens —
-        carries ``chunks_taken``."""
-        if self.kind != "forward":
-            return 0
-        return sum(1 for command in self.commands if command.is_decode_row)
-
-    @property
-    def prefill_rows(self) -> int:
-        """Forward commands (whole, head slices or residuals) carrying
-        prompt tokens."""
-        if self.kind != "forward":
-            return 0
-        return sum(1 for command in self.commands if not command.is_decode_row)
 
     def __len__(self) -> int:
         return len(self.commands)

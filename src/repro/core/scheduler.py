@@ -5,7 +5,11 @@ Four policies are provided, matching the paper's Table 5 comparison:
 * ``adaptive`` — the paper's work-conserving policy: whenever the GPU is
   idle and any command is pending, immediately form and dispatch the best
   batch (the inference layer notifies the control layer the moment the
-  device becomes idle).
+  device becomes idle).  §6.1 does not say *which* ready batch is best:
+  here a ``forward`` candidate made only of decode steps first yields its
+  turn, for at most one weight-bound floor, to the cheaper kinds ready
+  beside it (``_forward_yields``); among what is left, the batch whose
+  oldest command has waited longest goes.
 * ``eager``    — no batching: every command is dispatched on its own.
 * ``k_only``   — fixed-size batching: dispatch once some kind has at least
   ``k_threshold`` pending commands (with a safety flush so the system
@@ -61,6 +65,11 @@ class SchedulerStats:
     # one each); the telemetry sampler divides deltas of this by the token
     # budget to report batch token utilization per shard.
     forward_tokens_dispatched: int = 0
+    # Selection rounds in which the forward candidate gave way to a cheaper
+    # kind (``BatchScheduler._forward_yields``), and rounds in which it
+    # would have but its hold had reached the bound.
+    forward_yields: int = 0
+    forward_holds_expired: int = 0
 
     def record(self, batch: CandidateBatch) -> None:
         self.batches_dispatched += 1
@@ -151,6 +160,10 @@ class BatchScheduler:
         # prompts drain in fewer, larger slices.  1.0 — the permanent value
         # with the chaos plane off — leaves batch formation untouched.
         self.chunk_scale = 1.0
+        # When the forward candidate first yielded its turn since the last
+        # forward dispatch (``_forward_yields`` bounds the hold); None while
+        # no forward is being held.
+        self._forward_held_since: Optional[float] = None
         self.device.on_idle(self._on_device_idle)
 
     def set_chunk_scale(self, scale: float) -> None:
@@ -370,32 +383,60 @@ class BatchScheduler:
         )
 
     def _select(self, candidates: Dict[str, CandidateBatch]) -> Optional[CandidateBatch]:
-        candidates = self._yield_lone_chunks(candidates)
+        if self._forward_yields(candidates):
+            candidates = {
+                kind: batch for kind, batch in candidates.items() if kind != "forward"
+            }
         if self._qos is not None:
             return self._qos.select_batch(candidates)
         return select_longest_waiting(candidates)
 
-    def _yield_lone_chunks(
-        self, candidates: Dict[str, CandidateBatch]
-    ) -> Dict[str, CandidateBatch]:
-        """A forward candidate made only of prefill slices yields its turn.
+    def _forward_yields(self, candidates: Dict[str, CandidateBatch]) -> bool:
+        """A forward candidate that waiting can improve yields its turn.
 
-        Sliced prefills exist to *share* batches with other work; a
-        chunk-only candidate dispatched between decode rounds would insert
-        an extra weight-bound floor per round — the head-of-line stall
-        chunking removes, re-created as throughput loss.  With other kinds
-        pending, the slices wait for the next mixed forward batch (or for
-        an idle device, where they dispatch alone and keep a newly arriving
-        inferlet's wait bounded by one chunk).  Starvation-free: every
-        mixed forward batch serves the residual a slice, and with nothing
-        else pending the slices dispatch immediately.
+        Every forward batch pays the weight-bound floor (``decode_ms_base``)
+        whatever it carries, so a candidate with no whole prompt in it gives
+        way while another kind has a candidate:
+
+        * **decode steps only** (``prefill_rows == 0``; adaptive policy,
+          longest-waiting selection): the cheaper batches beside it — a
+          0.1 ms ``embed_text``, a 2 ms ``sample`` — sit on other requests'
+          critical paths, and once they ran their owners' forwards land and
+          one larger forward follows instead of two small ones.  A forward
+          that carries a prompt keeps its place on purpose (first-token
+          time; see ARCHITECTURE "Which batch goes first").
+        * **prefill slices only**: sliced prefills exist to *share* batches
+          with decode rows; dispatched between decode rounds they would
+          insert an extra floor per round.  They wait for the next mixed
+          forward batch — or for an idle device, where they dispatch alone
+          and keep a newly arriving inferlet's wait bounded by one chunk.
+
+        Liveness: longest-waiting ages every command, this rule does not, so
+        a forward is held for at most ``decode_ms_base`` between two forward
+        dispatches — the floor is the most a merge can save, past it waiting
+        cannot pay — and then competes by age again like any other kind.
         """
-        if len(candidates) <= 1:
-            return candidates
         forward = candidates.get("forward")
-        if forward is None or not all(c.is_chunk for c in forward.commands):
-            return candidates
-        return {kind: batch for kind, batch in candidates.items() if kind != "forward"}
+        if forward is None:
+            self._forward_held_since = None
+            return False
+        if len(candidates) == 1:
+            return False
+        if forward.prefill_rows:
+            improvable = all(command.is_chunk for command in forward.commands)
+        else:
+            improvable = self.config.policy == "adaptive" and self._qos is None
+        if not improvable:
+            return False
+        now = self.sim.now
+        if self._forward_held_since is None:
+            self._forward_held_since = now
+        bound = milliseconds(self.handlers.cost_model.cost.decode_ms_base)
+        if now - self._forward_held_since >= bound:
+            self.stats.forward_holds_expired += 1
+            return False
+        self.stats.forward_yields += 1
+        return True
 
     def _dispatch_best(self) -> None:
         batch = self._select(self._form_candidates())
@@ -499,6 +540,8 @@ class BatchScheduler:
         if self._trace is not None:
             self._trace_dispatch(batch, whole, chunks)
         self.stats.record(batch)
+        if batch.kind == "forward":
+            self._forward_held_since = None
         if self._qos is not None:
             self._qos.note_dispatched(batch.commands)
         cost = self.handlers.batch_cost_seconds(batch.kind, batch.commands)

@@ -21,29 +21,33 @@ from repro.errors import ReproError
 class CostParams:
     """Kernel-level timing parameters (all times in milliseconds).
 
-    The forward-pass cost of a batched call is modelled as::
+    The cost of one batched ``forward`` is what
+    :meth:`repro.gpu.kernels.KernelCostModel.forward_batch_cost` charges::
 
-        kernel_launch_ms
-          + sum over rows of (prefill: prefill_ms_per_token * n_input
-                              decode:  decode_ms_base + attn_ms_per_kilotoken * ctx/1000)
-          capped below by decode_ms_base (a batch costs at least one step)
+        decode_ms_base                                      (once per batch)
+          + decode_ms_per_extra_row * (decode rows - 1)
+          + prefill_ms_per_token * (input tokens of the rows carrying > 1)
+          + attn_ms_per_kilotoken * (context tokens of all rows) / 1024
 
-    Rows in the same batch share the kernel launch, which is what makes
-    batching worthwhile; the per-row decode cost models the memory-bound
-    nature of decoding (roughly constant per token, slightly increasing with
-    context length).
+    ``decode_ms_base`` is the weight-bound floor — streaming the model
+    weights once — that every forward batch pays whatever it carries: rows
+    in the same batch share it, which is what makes batching worthwhile,
+    and merging two decode batches into one saves exactly one floor (the
+    bound on how long the scheduler holds a forward candidate back,
+    ``BatchScheduler._forward_yields``).  ``kernel_launch_ms`` is not part
+    of a forward: the copy / mask / KV-transfer batches charge it.
     """
 
     # Fused monolithic decode step (embed + forward + sample pipelined), the
     # quantity the paper reports as vLLM's TPOT for a single sequence.
     decode_ms_base: float
-    # Incremental per-row cost when more sequences join the same decode batch.
+    # Incremental cost of each decode row after the first in a forward batch.
     decode_ms_per_extra_row: float
     # Prefill throughput: cost per prompt token processed in parallel.
     prefill_ms_per_token: float
     # Attention cost growth with context length (per 1024 context tokens).
     attn_ms_per_kilotoken: float
-    # Fixed kernel launch overhead per dispatched batch.
+    # Fixed kernel launch overhead of a copy / mask / KV-transfer batch.
     kernel_launch_ms: float
     # De-fused handler costs (paid by Pie, pipelined away by monolithic loops).
     embed_ms_per_call: float

@@ -12,10 +12,12 @@ failing artifact cannot mask another.
 
 Watched metrics are *lower-is-better* counters (``--metric``, repeatable;
 default: ``events_per_request_10k``, the control-plane scaling headline —
-simulator events processed per simulated request at the 10k-request probe).
-A watched metric present in the baseline but missing from the fresh
-artifact also fails: silently dropping the number a gate regresses on is
-itself a regression.
+simulator events processed per simulated request at the 10k-request probe)
+and *higher-is-better* ones (``--higher-is-better``, repeatable; e.g.
+``max_goodput_rate``, the load sweep's knee), which fail when they *fall*
+by more than the allowed fraction.  A watched metric present in the
+baseline but missing from the fresh artifact also fails: silently dropping
+the number a gate regresses on is itself a regression.
 
 Usage::
 
@@ -23,7 +25,8 @@ Usage::
     python -m repro.tools.perf_gate \
         /tmp/sweep_base.json BENCH_load_sweep.json \
         /tmp/chaos_base.json BENCH_chaos.json \
-        --metric events_per_request_10k --metric goodput_lost --tolerance 0.10
+        --metric events_per_request_10k --metric goodput_lost \
+        --higher-is-better max_goodput_rate --tolerance 0.10
 """
 
 from __future__ import annotations
@@ -45,10 +48,13 @@ def compare(
     fresh: Dict,
     metrics: Sequence[str] = DEFAULT_METRICS,
     tolerance: float = 0.10,
+    higher_is_better: Sequence[str] = (),
 ) -> List[str]:
-    """Return a list of human-readable gate failures (empty = pass)."""
+    """Return a list of human-readable gate failures (empty = pass).
+
+    ``metrics`` regress by growing, ``higher_is_better`` by falling."""
     failures = []
-    for metric in metrics:
+    for metric in (*metrics, *higher_is_better):
         if metric not in baseline:
             # No baseline yet (first commit of a new artifact): nothing to
             # regress against, the fresh value becomes the next baseline.
@@ -60,11 +66,13 @@ def compare(
         new = float(fresh[metric])
         if base <= 0:
             continue
-        growth = (new - base) / base
-        if growth > tolerance:
+        falls = metric in higher_is_better
+        sign = "-" if falls else "+"
+        worse_by = (base - new if falls else new - base) / base
+        if worse_by > tolerance:
             failures.append(
                 f"{metric}: {base:.3f} -> {new:.3f} "
-                f"(+{growth * 100.0:.1f}%, allowed +{tolerance * 100.0:.0f}%)"
+                f"({sign}{worse_by * 100.0:.1f}%, allowed {sign}{tolerance * 100.0:.0f}%)"
             )
     return failures
 
@@ -85,10 +93,17 @@ def main(argv: Sequence[str] = None) -> int:
         help=f"lower-is-better metric to gate (default: {', '.join(DEFAULT_METRICS)})",
     )
     parser.add_argument(
+        "--higher-is-better",
+        action="append",
+        default=[],
+        metavar="METRIC",
+        help="higher-is-better metric to gate: fails when it falls (repeatable)",
+    )
+    parser.add_argument(
         "--tolerance",
         type=float,
         default=0.10,
-        help="allowed fractional growth before failing (default 0.10)",
+        help="allowed fractional growth (or fall) before failing (default 0.10)",
     )
     args = parser.parse_args(argv)
 
@@ -112,8 +127,14 @@ def main(argv: Sequence[str] = None) -> int:
             continue
         baseline = json.loads(baseline_path.read_text())
         fresh = json.loads(fresh_path.read_text())
-        failures = compare(baseline, fresh, metrics=metrics, tolerance=args.tolerance)
-        for metric in metrics:
+        failures = compare(
+            baseline,
+            fresh,
+            metrics=metrics,
+            tolerance=args.tolerance,
+            higher_is_better=args.higher_is_better,
+        )
+        for metric in (*metrics, *args.higher_is_better):
             if metric in baseline and metric in fresh:
                 print(
                     f"perf-gate: {prefix}{metric}: "

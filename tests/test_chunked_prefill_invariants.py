@@ -32,6 +32,7 @@ BUDGET = 10
 
 class StubCost:
     prefill_ms_per_token = 0.05
+    decode_ms_base = 16.83  # bounds how long a forward candidate yields
 
 
 class StubCostModel:

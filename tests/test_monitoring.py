@@ -275,7 +275,8 @@ TENANT_FIELDS = """
 """.split()
 SHARD_STATS_FIELDS = """
     batches_dispatched commands_dispatched decode_rows_dispatched
-    forward_tokens_dispatched prefill_rows_dispatched
+    forward_holds_expired forward_tokens_dispatched forward_yields
+    prefill_rows_dispatched
 """.split()
 SHARD_READINGS = "queue_depth kv_occupancy embed_occupancy busy_seconds".split()
 EXPORT_SCHEMA = {
@@ -377,7 +378,7 @@ class TestPullExport:
         sim.run_until_complete(fleet)
         exported = {f.name: f.labelnames for f in server.monitor.collect().families()}
         assert exported == EXPORT_SCHEMA
-        assert len(exported) == 88
+        assert len(exported) == 90
         # What is left in the registry is what has no other owner.
         assert {f.name for f in server.monitor.registry.families()} == set(OWNED)
         document = server.export_metrics()

@@ -40,6 +40,22 @@ class TestCompare:
         assert len(failures) == 1
         assert failures[0].startswith("b:")
 
+    def test_higher_is_better_fails_on_a_fall_not_on_a_rise(self):
+        baseline = {"max_goodput_rate": 600.0}
+        knee = ("max_goodput_rate",)
+        assert compare(baseline, {"max_goodput_rate": 700.0}, higher_is_better=knee) == []
+        assert compare(baseline, {"max_goodput_rate": 560.0}, higher_is_better=knee) == []
+        [failure] = compare(baseline, {"max_goodput_rate": 500.0}, higher_is_better=knee)
+        assert failure == "max_goodput_rate: 600.000 -> 500.000 (-16.7%, allowed -10%)"
+        # The same fall is an improvement for a lower-is-better metric.
+        assert compare(baseline, {"max_goodput_rate": 500.0}, metrics=knee) == []
+
+    def test_higher_is_better_dropped_from_fresh_fails(self):
+        [failure] = compare(
+            {"max_goodput_rate": 600.0}, {}, metrics=(), higher_is_better=("max_goodput_rate",)
+        )
+        assert "missing" in failure
+
 
 class TestCli:
     def test_pass_and_fail_exit_codes(self, tmp_path):
@@ -50,6 +66,24 @@ class TestCli:
         assert main([str(baseline), str(fresh)]) == 0
         fresh.write_text(json.dumps({"events_per_request_10k": 150.0}))
         assert main([str(baseline), str(fresh)]) == 1
+
+    def test_higher_is_better_flag(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        fresh = tmp_path / "fresh.json"
+        baseline.write_text(
+            json.dumps({"events_per_request_10k": 100.0, "max_goodput_rate": 600.0})
+        )
+        fresh.write_text(
+            json.dumps({"events_per_request_10k": 100.0, "max_goodput_rate": 650.0})
+        )
+        flags = ["--higher-is-better", "max_goodput_rate"]
+        assert main([str(baseline), str(fresh), *flags]) == 0
+        assert "max_goodput_rate: 600.0 -> 650.0" in capsys.readouterr().out
+        fresh.write_text(
+            json.dumps({"events_per_request_10k": 100.0, "max_goodput_rate": 500.0})
+        )
+        assert main([str(baseline), str(fresh), *flags]) == 1
+        assert "FAIL max_goodput_rate" in capsys.readouterr().out
 
     def test_missing_baseline_accepts_fresh(self, tmp_path):
         fresh = tmp_path / "fresh.json"

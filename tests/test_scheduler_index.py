@@ -30,6 +30,7 @@ from repro.sim import Simulator
 
 class StubCost:
     prefill_ms_per_token = 0.05
+    decode_ms_base = 16.83  # bounds how long a forward candidate yields
 
 
 class StubCostModel:
