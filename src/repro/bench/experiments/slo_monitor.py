@@ -69,6 +69,7 @@ def run(quick: bool = True) -> ExperimentResult:
         rows=arms.rows(
             lambda row: dict(
                 virtual_duration_s=row["duration_s"],
+                n_requests=row["n_requests"],
                 finished=row["finished"],
                 goodput_count=row["goodput_count"],
                 output_tokens=row["total_output_tokens"],

@@ -16,19 +16,22 @@ This module provides that harness for the simulated Pie deployment:
   against a 24-bucket day shape), both driven by a dedicated generator so
   the arrival schedule is independent of the simulator's own seed stream;
 * a per-tenant-class **workload mix** (interactive / agent / batch by
-  default) with per-class prompt and decode lengths and TTFT/TPOT SLOs;
-* **goodput** accounting: a request counts only if it finished and its
-  TTFT (and TPOT, when the stream carries a sample) met its class SLO;
+  default) with per-class prompt and decode lengths; each class is a
+  tenant, and one the caller did not configure is registered in the
+  controller's tenant table with the class's TTFT/TPOT SLOs;
+* **goodput** accounting, read off each request's own record
+  (``InferletMetrics.good``): it counts only if it finished and its TTFT
+  (and TPOT, when the stream carries a sample) met the SLO it was launched
+  under; a launch admission control refused is *shed* — reported, and
+  still in every denominator;
 * per-class p50/p99 TTFT and TPOT via the shared
   :func:`repro.core.metrics.percentile` helper;
 * control-plane scaling counters — simulator events processed per request,
   event-heap occupancy/compactions, and dropped commands — which is what
   the CI perf gate regresses against;
-* live-monitor integration (``monitoring=True``): each class is registered
-  as a :class:`~repro.core.qos.TenantSpec` with the SLO engine, requests
-  are tenant-tagged, offered/finished/goodput counters are published into
-  the metric registry, and the result row carries the alert timeline,
-  error budgets and both export formats.
+* live-monitor integration (``monitoring=True``): the monitor counts
+  offered launches and goodput per tenant by itself, and the result row
+  carries the alert timeline, error budgets and both export formats.
 
 The harness is how the scheduler/simulator index work is *kept* honest:
 tens of thousands of mostly-idle command queues must not make dispatch,
@@ -39,12 +42,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench.runners import Launch, launch_fleet, make_pie_setup, ratio
-from repro.core import InferletProgram
+from repro.core import InferletProgram, TenantSpec
 from repro.core.metrics import percentile
 from repro.support import Context, SamplingParams
 
@@ -69,7 +72,8 @@ class WorkloadClass:
     weight: float
     prompt_tokens: int
     decode_tokens: int
-    #: Latency SLOs a request must meet to count toward goodput.
+    #: Latency SLOs the class's tenant is registered with, unless the
+    #: caller configured a tenant of this name.
     ttft_slo_ms: float
     tpot_slo_ms: float
 
@@ -211,17 +215,6 @@ def _latency_summary(samples: List[float]) -> Dict[str, float]:
     }
 
 
-def _is_good(cls: WorkloadClass, ttft: Optional[float], tpot: Optional[float]) -> bool:
-    """The goodput verdict: finished with TTFT (and TPOT, when sampled)
-    inside the class SLO.  Shared by the final accounting and the live
-    monitor's per-request outcome hook so the two can never disagree."""
-    if ttft is None or ttft * 1e3 > cls.ttft_slo_ms:
-        return False
-    if tpot is not None and tpot * 1e3 > cls.tpot_slo_ms:
-        return False
-    return True
-
-
 def run_open_loop(
     n_requests: int,
     offered_rate: float,
@@ -244,7 +237,9 @@ def run_open_loop(
     returns every request's generated token ids in arrival order (the
     determinism suite compares them across seeds).  ``trace_shape``
     replaces the diurnal day shape in ``mode='trace'`` (e.g. a two-phase
-    overload-then-trickle shape for burn-rate alert scenarios).
+    overload-then-trickle shape for burn-rate alert scenarios).  A launch
+    refused by admission control is counted under ``shed`` (total and per
+    class) and stays in the goodput / attainment denominators.
     """
     arrivals = build_arrivals(
         n_requests, offered_rate, seed, mode=mode, mix=mix,
@@ -253,7 +248,14 @@ def run_open_loop(
     sim, server = make_pie_setup(
         seed=seed, with_tools=False, num_devices=num_devices, **setup_kwargs
     )
-    classes = {cls.name: cls for cls in mix}
+    # Each class is a tenant.  The caller's own contract for it stands; the
+    # mix only fills in the tenants nobody configured.
+    tenants = server.controller.tenants
+    for cls in mix:
+        if cls.name not in tenants:
+            tenants.register(
+                TenantSpec(name=cls.name, ttft_slo_ms=cls.ttft_slo_ms, tpot_slo_ms=cls.tpot_slo_ms)
+            )
     programs = {cls.name: _class_program(cls) for cls in mix}
     fleet = [
         Launch(
@@ -270,62 +272,30 @@ def run_open_loop(
         )
         for arrival in arrivals
     ]
-    monitor = server.monitor
-    note_offered = note_outcome = None
-    if monitor is not None:
-        # Teach the SLO engine the per-class latency targets so its
-        # burn-rate verdicts match the harness's own goodput accounting.
-        from repro.core import TenantSpec
-
-        for cls in mix:
-            monitor.register_slo(
-                TenantSpec(
-                    name=cls.name,
-                    ttft_slo_ms=cls.ttft_slo_ms,
-                    tpot_slo_ms=cls.tpot_slo_ms,
-                )
-            )
-
-        def note_offered(launch: Launch) -> None:
-            monitor.note_offered(launch.kwargs["tenant"])
-
-        def note_outcome(launch: Launch, result) -> None:
-            cls = classes[launch.kwargs["tenant"]]
-            record = server.metrics.per_inferlet.get(result.instance_id)
-            good = result.status == "finished" and _is_good(
-                cls,
-                record.ttft if record is not None else None,
-                record.tpot if record is not None else None,
-            )
-            monitor.note_request_outcome(cls.name, good)
-
-    run = launch_fleet(server, fleet, before_launch=note_offered, after_result=note_outcome)
+    run = launch_fleet(server, fleet)
     results = run.results
     duration = run.elapsed
     metrics = server.metrics
+    monitor = server.monitor
 
-    goodput_count = 0
-    finished = 0
-    per_class_ttft: Dict[str, List[float]] = {cls.name: [] for cls in mix}
-    per_class_tpot: Dict[str, List[float]] = {cls.name: [] for cls in mix}
-    per_class_good: Dict[str, int] = {cls.name: 0 for cls in mix}
-    per_class_total: Dict[str, int] = {cls.name: 0 for cls in mix}
+    per_class = {
+        cls.name: {"requests": 0, "good": 0, "shed": 0, "ttft": [], "tpot": []} for cls in mix
+    }
     for arrival, result in zip(arrivals, results):
-        cls = arrival.workload
-        per_class_total[cls.name] += 1
+        tally = per_class[arrival.workload.name]
+        tally["requests"] += 1
+        if result.status == "rejected":
+            tally["shed"] += 1
         if result.status != "finished":
             continue
-        finished += 1
-        record = metrics.per_inferlet.get(result.instance_id)
-        ttft = record.ttft if record is not None else None
-        tpot = record.tpot if record is not None else None
-        if ttft is not None:
-            per_class_ttft[cls.name].append(ttft)
-        if tpot is not None:
-            per_class_tpot[cls.name].append(tpot)
-        if _is_good(cls, ttft, tpot):
-            goodput_count += 1
-            per_class_good[cls.name] += 1
+        record = metrics.per_inferlet[result.instance_id]
+        if record.ttft is not None:
+            tally["ttft"].append(record.ttft)
+        if record.tpot is not None:
+            tally["tpot"].append(record.tpot)
+        if record.good:
+            tally["good"] += 1
+    goodput_count = sum(tally["good"] for tally in per_class.values())
 
     row = {
         "mode": mode,
@@ -333,7 +303,8 @@ def run_open_loop(
         "offered_rate": offered_rate,
         "num_devices": num_devices,
         "duration_s": duration,
-        "finished": finished,
+        "finished": run.finished,
+        "shed": sum(tally["shed"] for tally in per_class.values()),
         "goodput_count": goodput_count,
         "goodput_rate": ratio(goodput_count, duration),
         "slo_attainment": ratio(goodput_count, n_requests),
@@ -349,14 +320,13 @@ def run_open_loop(
         "heap_compactions": sim.heap_compactions,
         "per_class": {
             name: {
-                "requests": per_class_total[name],
-                "good": per_class_good[name],
-                "ttft": _latency_summary(per_class_ttft[name]),
-                "tpot": _latency_summary(per_class_tpot[name]),
-                "ttft_slo_ms": classes[name].ttft_slo_ms,
-                "tpot_slo_ms": classes[name].tpot_slo_ms,
+                **tally,
+                "ttft": _latency_summary(tally["ttft"]),
+                "tpot": _latency_summary(tally["tpot"]),
+                "ttft_slo_ms": tenants[name].ttft_slo_s * 1e3,
+                "tpot_slo_ms": tenants[name].tpot_slo_s * 1e3,
             }
-            for name in per_class_total
+            for name, tally in per_class.items()
         },
     }
     if monitor is not None:

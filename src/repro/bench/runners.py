@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import InferletProgram, PieServer
 from repro.core.config import PieConfig
 from repro.core.metrics import InferletMetrics, SystemMetrics
 from repro.core.server import LaunchResult
+from repro.errors import AdmissionRejectedError
 from repro.sim import Simulator
 from repro.workloads import ToolEnvironment
 
@@ -98,12 +99,7 @@ class FleetRun:
         }
 
 
-def launch_fleet(
-    server: PieServer,
-    fleet: Sequence[Launch],
-    before_launch: Optional[Callable[[Launch], None]] = None,
-    after_result: Optional[Callable[[Launch, LaunchResult], None]] = None,
-) -> FleetRun:
+def launch_fleet(server: PieServer, fleet: Sequence[Launch]) -> FleetRun:
     """Run a fleet of programs with launch times to completion.
 
     Registers the programs not yet on the server, creates one task per
@@ -111,9 +107,12 @@ def launch_fleet(
     the lifecycle manager hands out sampling seeds as launches arrive, so
     two entries due at the same instant launch — and are seeded — in the
     order the fleet lists them, and ``results[i]`` belongs to ``fleet[i]``.
-    ``before_launch`` / ``after_result`` run at the entry's launch and
-    completion instants on the virtual clock (the load harness feeds the
-    live monitor from them).
+
+    A launch that admission control refuses is *shed*, not failed: the
+    typed :class:`~repro.errors.AdmissionRejectedError` becomes that entry's
+    result (``status="rejected"``, the error's ``reason`` kept) and the rest
+    of the fleet runs on.  Any other exception is a bug and still fails the
+    run.
     """
     sim = server.sim
     registered = set(server.lifecycle.program_names())
@@ -126,12 +125,10 @@ def launch_fleet(
     async def one(launch: Launch) -> LaunchResult:
         if launch.delay is not None:
             await sim.sleep(launch.delay)
-        if before_launch is not None:
-            before_launch(launch)
-        result = await server.run_inferlet(launch.program.name, **launch.kwargs)
-        if after_result is not None:
-            after_result(launch, result)
-        return result
+        try:
+            return await server.run_inferlet(launch.program.name, **launch.kwargs)
+        except AdmissionRejectedError as exc:
+            return LaunchResult(instance_id="", status="rejected", result=None, reason=exc.reason)
 
     async def run_all():
         return await sim.gather([sim.create_task(one(launch)) for launch in fleet])

@@ -37,7 +37,7 @@ from repro.core.router import (
 )
 from repro.core.swap import SwapManager
 from repro.core.prefix_cache import PrefixCacheService
-from repro.core.qos import QOS_CLASSES, QosService, TenantSpec
+from repro.core.qos import QOS_CLASSES, QosService, TenantSpec, TenantTable
 from repro.core.registry import LogHistogram, MetricRegistry
 from repro.core.slo import AlertEvent, BurnWindow, SloEngine
 from repro.core.monitor import MonitorService
@@ -67,6 +67,7 @@ __all__ = [
     "QOS_CLASSES",
     "QosService",
     "TenantSpec",
+    "TenantTable",
     "LogHistogram",
     "MetricRegistry",
     "AlertEvent",

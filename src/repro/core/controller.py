@@ -42,7 +42,7 @@ from repro.core.inferlet import InferletInstance, LifecycleObserver
 from repro.core.messaging import ExternalServices, MessageBus
 from repro.core.metrics import SystemMetrics
 from repro.core.monitor import MonitorService
-from repro.core.qos import QosService
+from repro.core.qos import QosService, TenantTable
 from repro.core.retry import RetryPolicy, faulty_request
 from repro.core.router import DeviceShard
 from repro.core.service import ModelService
@@ -94,6 +94,10 @@ class Controller:
         #: Set by the lifecycle manager, so a forced termination (FCFS
         #: reclamation, failover, abort) also cancels the inferlet's task.
         self.terminate_hook: Callable[[InferletInstance, str], None] = lambda *_: None
+        #: What each tenant was promised: the only ``name -> TenantSpec``
+        #: table (``tenants.register(spec)`` extends it), there with every
+        #: plane off.
+        self.tenants = TenantTable(control.tenants)
         # The optional planes.  Each is None when its knob is off: nothing
         # is constructed, ``observers`` and ``timers`` do not hold it, and
         # the serving path is bit-identical to a system without the plane.
@@ -113,7 +117,7 @@ class Controller:
             self.qos = QosService(
                 sim,
                 self.metrics,
-                tenants=control.tenants,
+                tenants=self.tenants,
                 trace=self.trace,
             )
             observers.append(self.qos)

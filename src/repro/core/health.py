@@ -254,8 +254,7 @@ class BrownoutController:
 
     def on_alert(self, event) -> None:
         """Monitor alert listener: one burn-rate fire/clear transition."""
-        monitor = self.controller.monitor
-        if monitor.slo.spec_for(event.tenant).priority_class != "interactive":
+        if self.controller.tenants[event.tenant].priority_class != "interactive":
             return
         key = (event.tenant, event.signal, event.window)
         if event.kind == "fire":

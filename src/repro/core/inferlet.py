@@ -106,7 +106,7 @@ class InferletInstance:
 
     @property
     def finished(self) -> bool:
-        return self.metrics.status in ("finished", "failed", "terminated")
+        return self.metrics.status in ("finished", "failed", "terminated", "rejected")
 
     @property
     def terminated_reason(self) -> Optional[str]:
@@ -162,4 +162,5 @@ class LifecycleObserver:
         """``victim`` is about to be terminated to fit ``requester`` on ``shard``."""
 
     def note_finished(self, instance: InferletInstance) -> None:
-        """Left the system for good; ``instance.status`` is terminal."""
+        """Left the system for good — refused at admission included;
+        ``instance.status`` is terminal."""

@@ -13,6 +13,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
+    AdmissionRejectedError,
     CancelledError,
     InferletError,
     InferletTerminated,
@@ -119,19 +120,28 @@ class InferletLifecycleManager:
         )
         instance.created_at = self.sim.now
         instance.metrics.launched_at = self.sim.now
+        # The contract this inferlet is judged against, for its whole life.
+        spec = self.controller.tenants[instance.tenant]
+        instance.metrics.ttft_slo_s, instance.metrics.tpot_slo_s = spec.ttft_slo_s, spec.tpot_slo_s
         instance.channel = ClientChannel(self.sim, instance.instance_id)
         ready = self.sim.create_future(name=f"launch:{instance.instance_id}")
         for observer in self.controller.observers:
             observer.note_launch_requested(instance)
         qos = self.controller.qos
         if qos is not None:
-            # May raise AdmissionRejectedError; "queued" parks the launch
-            # inside the QoS service until admission, then re-enters here.
-            decision = qos.request_admission(
-                instance,
-                proceed=lambda: self._enqueue_launch(instance, ready),
-                on_cancelled=lambda: self._abort_launch(instance, ready),
-            )
+            # "queued" parks the launch inside the QoS service until
+            # admission, then re-enters here.
+            try:
+                decision = qos.request_admission(
+                    instance,
+                    proceed=lambda: self._enqueue_launch(instance, ready),
+                    on_cancelled=lambda: self._abort_launch(instance, ready),
+                )
+            except AdmissionRejectedError:
+                # Refused: the observers were told of the request, so they
+                # are told — once, like any other exit — how it ended.
+                self._retire(instance, "rejected")
+                raise
             if decision == "queued":
                 return instance, ready
         self._enqueue_launch(instance, ready)

@@ -23,7 +23,7 @@ class InferletMetrics:
     launched_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    status: str = "pending"  # pending | running | finished | failed | terminated
+    status: str = "pending"  # pending | running | finished | failed | terminated | rejected
     control_layer_calls: int = 0
     inference_layer_calls: int = 0
     output_tokens: int = 0
@@ -31,6 +31,10 @@ class InferletMetrics:
     # every inferlet so TTFT/TPOT can be computed with or without QoS.
     first_token_at: Optional[float] = None
     last_token_at: Optional[float] = None
+    # The tenant's latency SLOs (seconds) this inferlet was launched under,
+    # stamped by ``InferletLifecycleManager.launch``.
+    ttft_slo_s: Optional[float] = None
+    tpot_slo_s: Optional[float] = None
     calls_by_api: Dict[str, int] = field(default_factory=dict)
 
     def note_output(self, now: float, count: int = 1) -> bool:
@@ -89,6 +93,20 @@ class InferletMetrics:
             return None
         return (self.last_token_at - self.first_token_at) / (self.output_tokens - 1)
 
+    @property
+    def ttft_met(self) -> Optional[bool]:
+        return met(self.ttft, self.ttft_slo_s)
+
+    @property
+    def tpot_met(self) -> Optional[bool]:
+        return met(self.tpot, self.tpot_slo_s)
+
+    @property
+    def good(self) -> bool:
+        """Counts toward goodput: finished with TTFT — and TPOT, when the
+        stream carries a sample — inside the SLO."""
+        return self.status == "finished" and self.ttft_met is True and self.tpot_met is not False
+
     def calls_per_output_token(self) -> Dict[str, float]:
         """Figure 11: average API calls per generated output token."""
         tokens = max(1, self.output_tokens)
@@ -96,6 +114,16 @@ class InferletMetrics:
             "control": self.control_layer_calls / tokens,
             "inference": self.inference_layer_calls / tokens,
         }
+
+
+def met(sample: Optional[float], slo_s: Optional[float]) -> Optional[bool]:
+    """The SLO verdict, decided here and nowhere else: a latency sample
+    (seconds) on or under its target meets it; None without a sample or a
+    target.  Readers take it off ``InferletMetrics.ttft_met`` / ``tpot_met``
+    and only count."""
+    if sample is None or slo_s is None:
+        return None
+    return sample <= slo_s
 
 
 def percentile(samples: List[float], p: float) -> float:
@@ -127,7 +155,7 @@ class TenantMetrics:
     output_tokens: int = 0
     # Latency samples live in bounded log-bucketed histograms (memory was
     # O(requests) as lists at the 10k-request load-harness scale); the
-    # met/missed counters record the exact SLO verdict at sample time, so
+    # met/missed counters count the record's own SLO verdict (``met``), so
     # attainment needs no sample list either.
     ttft: LogHistogram = field(default_factory=latency_histogram)
     tpot: LogHistogram = field(default_factory=latency_histogram)
@@ -136,25 +164,14 @@ class TenantMetrics:
     tpot_met: int = 0
     tpot_missed: int = 0
 
-    def observe_ttft(self, seconds: float, slo_s: Optional[float] = None) -> None:
-        """Record one time-to-first-token sample, judging it against
-        ``slo_s`` (None = no SLO verdict, histogram only)."""
-        self.ttft.observe(seconds)
-        if slo_s is not None:
-            if seconds <= slo_s:
-                self.ttft_met += 1
-            else:
-                self.ttft_missed += 1
-
-    def observe_tpot(self, seconds: float, slo_s: Optional[float] = None) -> None:
-        """Record one time-per-output-token sample, judging it against
-        ``slo_s`` (None = no SLO verdict, histogram only)."""
-        self.tpot.observe(seconds)
-        if slo_s is not None:
-            if seconds <= slo_s:
-                self.tpot_met += 1
-            else:
-                self.tpot_missed += 1
+    def observe(self, signal: str, seconds: float, verdict: Optional[bool]) -> None:
+        """Record one ``"ttft"`` / ``"tpot"`` sample and count its verdict
+        (the inferlet record's ``ttft_met`` / ``tpot_met``; None = histogram
+        only)."""
+        getattr(self, signal).observe(seconds)
+        if verdict is not None:
+            counter = f"{signal}_{'met' if verdict else 'missed'}"
+            setattr(self, counter, getattr(self, counter) + 1)
 
     def ttft_percentile(self, p: float) -> float:
         return self.ttft.percentile(p)

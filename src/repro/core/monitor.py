@@ -4,12 +4,13 @@ collected when someone asks.
 :class:`MonitorService` keeps no copy of a fact that has another owner:
 
 * its :class:`~repro.core.registry.MetricRegistry` holds what nothing else
-  records — ``pie_ttft_seconds``, ``pie_tpot_seconds``,
-  ``pie_requests_total`` (lifecycle notifications) and the load harness's
-  three ``pie_loadgen_*`` counters;
-* an :class:`~repro.core.slo.SloEngine` judges per-tenant TTFT/TPOT against
-  :class:`~repro.core.qos.TenantSpec` targets and fires multi-window
-  burn-rate alerts;
+  records, all counted off lifecycle notifications — ``pie_ttft_seconds``,
+  ``pie_tpot_seconds``, ``pie_requests_total`` and per-tenant
+  ``pie_offered_total`` / ``pie_good_total`` (server-side goodput: launches
+  asked for, and those that finished inside their SLO);
+* an :class:`~repro.core.slo.SloEngine` counts each sample's verdict — read
+  off the inferlet's record, never re-judged here — into per-tenant error
+  budgets and fires multi-window burn-rate alerts;
 * the *scrape tick*, every :data:`SCRAPE_INTERVAL_MS` — a
   :class:`~repro.sim.periodic.PeriodicService`, so it only re-arms while
   inferlets are live and a run never lasts longer because monitoring is
@@ -37,7 +38,6 @@ from repro.core.metrics import TenantMetrics
 from repro.core.registry import CounterFamily, HistogramFamily, MetricRegistry
 from repro.core.scheduler import SchedulerStats
 from repro.core.slo import SloEngine
-from repro.core.qos import TenantSpec
 from repro.sim.periodic import PeriodicService
 
 __all__ = ["MonitorService"]
@@ -76,9 +76,7 @@ class MonitorService(LifecycleObserver):
         self.controller = controller
         self.sim = controller.sim
         self.registry = MetricRegistry()
-        self.slo = SloEngine(trace=controller.trace)
-        for spec in controller.config.control.tenants:
-            self.slo.register(spec)
+        self.slo = SloEngine(controller.tenants, trace=controller.trace)
         self.scrape_interval_ms = SCRAPE_INTERVAL_MS
         self.scraper = PeriodicService(
             self.sim,
@@ -104,58 +102,43 @@ class MonitorService(LifecycleObserver):
         )
         self._requests: CounterFamily = self.registry.counter(
             "pie_requests_total",
-            "Finished inferlets by tenant and terminal status",
+            "Inferlets that left, by tenant and terminal status (rejected = refused at admission)",
             labelnames=("tenant", "status"),
         )
-
-    # -- SLO spec registry --------------------------------------------------
-
-    def register_slo(self, spec: TenantSpec) -> None:
-        """Register the spec the SLO engine judges this tenant against."""
-        self.slo.register(spec)
+        self._offered: CounterFamily = self.registry.counter(
+            "pie_offered_total",
+            "Launches asked for per tenant (refused ones included)",
+            labelnames=("tenant",),
+        )
+        self._good: CounterFamily = self.registry.counter(
+            "pie_good_total",
+            "Inferlets that finished inside their TTFT and TPOT SLO (goodput)",
+            labelnames=("tenant",),
+        )
 
     # -- lifecycle notifications (all read-only w.r.t. simulation state) -----
+
+    def note_launch_requested(self, instance) -> None:
+        self._offered.labels(tenant=instance.tenant).inc()
 
     def note_output(self, instance, now: float, count: int, first: bool) -> None:
         if not first:
             return
-        ttft_seconds = instance.metrics.ttft
-        self._ttft.labels(tenant=instance.tenant).observe(ttft_seconds)
-        self.slo.observe_ttft(instance.tenant, ttft_seconds)
+        metrics = instance.metrics
+        self._ttft.labels(tenant=instance.tenant).observe(metrics.ttft)
+        self.slo.observe(instance.tenant, "ttft", metrics.ttft_met)
 
     def note_finished(self, instance) -> None:
         tenant = instance.tenant
-        status = instance.metrics.status
-        self._requests.labels(tenant=tenant, status=status).inc()
-        if status != "finished":
-            return
-        tpot = instance.metrics.tpot
-        if tpot is None:
-            return
-        self._tpot.labels(tenant=tenant).observe(tpot)
-        self.slo.observe_tpot(tenant, tpot)
-
-    # -- load-harness hooks -------------------------------------------------
-
-    def note_offered(self, workload: str) -> None:
-        self.registry.counter(
-            "pie_loadgen_offered_total",
-            "Requests injected by the open-loop load harness",
-            labelnames=("workload",),
-        ).labels(workload=workload).inc()
-
-    def note_request_outcome(self, workload: str, good: bool) -> None:
-        self.registry.counter(
-            "pie_loadgen_finished_total",
-            "Load-harness requests that completed",
-            labelnames=("workload",),
-        ).labels(workload=workload).inc()
-        if good:
-            self.registry.counter(
-                "pie_loadgen_good_total",
-                "Load-harness requests that met every SLO (goodput)",
-                labelnames=("workload",),
-            ).labels(workload=workload).inc()
+        metrics = instance.metrics
+        self._requests.labels(tenant=tenant, status=metrics.status).inc()
+        if metrics.good:
+            self._good.labels(tenant=tenant).inc()
+        # Only finished streams are judged here (QoS also counts a
+        # terminated stream's TPOT against its tenant).
+        if metrics.status == "finished" and metrics.tpot is not None:
+            self._tpot.labels(tenant=tenant).observe(metrics.tpot)
+            self.slo.observe(tenant, "tpot", metrics.tpot_met)
 
     # -- virtual-clock tick -------------------------------------------------
 
@@ -264,7 +247,7 @@ class MonitorService(LifecycleObserver):
                     {"long_s": w.long_s, "short_s": w.short_s, "threshold": w.threshold}
                     for w in self.slo.windows
                 ],
-                "targets": {t: self.slo.target_for(t) for t in self.slo.tenants()},
+                "targets": {name: self.slo.target_for(name) for name in self.controller.tenants},
                 "alerts": [asdict(event) for event in self.slo.alerts],
                 "active_alerts": self.slo.active_alerts(),
                 "budgets": self.slo.budgets(),

@@ -8,8 +8,9 @@ serving survey (Miao et al.) names SLO-aware scheduling/preemption as the
 core production gap; this module supplies that control-plane layer.
 
 A :class:`QosService` (one per controller, shared by every model cluster)
-provides four coordinated mechanisms, all driven by a tenant registry of
-:class:`TenantSpec` records:
+provides four coordinated mechanisms, all driven by the controller's
+:class:`TenantTable` of :class:`TenantSpec` records — the one place a
+tenant's contract is written, whether or not this service is built:
 
 * **Admission control** — each launch names a tenant; the tenant's token
   bucket (launch rate) and concurrency cap decide *admit*, *queue with
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import AdmissionRejectedError, ReproError
 from repro.core.batching import CandidateBatch
@@ -136,6 +137,31 @@ class TenantSpec:
         return ms / 1e3
 
 
+class TenantTable(dict):
+    """The one ``tenant name -> TenantSpec`` table, owned by the controller:
+    seeded from ``ControlLayerConfig.tenants``, extended by :meth:`register`,
+    read as ``tenants[name]`` by QoS, the SLO engine, brownout, the
+    launch-time SLO stamp and the load harness, none of which keeps its own.
+    A name's spec is never replaced, so a reference read here stays the
+    tenant's contract for the whole run."""
+
+    def __init__(self, specs: Iterable[TenantSpec] = ()) -> None:
+        super().__init__()
+        for spec in specs:
+            self.register(spec)
+
+    def register(self, spec: TenantSpec) -> None:
+        if spec.name in self:
+            raise ReproError(f"tenant {spec.name!r} already registered")
+        self[spec.name] = spec
+
+    def __missing__(self, name: str) -> TenantSpec:
+        """A name nobody registered gets — here, once — an unlimited spec of
+        :data:`DEFAULT_CLASS`: untagged traffic is served and judged too."""
+        spec = self[name] = TenantSpec(name=name, priority_class=DEFAULT_CLASS)
+        return spec
+
+
 class TokenBucket:
     """A deterministic lazy-refill token bucket (admission rate limiting)."""
 
@@ -206,11 +232,12 @@ class QosService(LifecycleObserver):
         self,
         sim: Simulator,
         metrics: SystemMetrics,
-        tenants: Tuple[TenantSpec, ...] = (),
+        tenants: TenantTable,
         trace=None,
     ) -> None:
         self.sim = sim
         self.metrics = metrics
+        self.tenants = tenants
         self.aging_s = AGING_MS / 1e3
         # Flight recorder (repro.core.trace): parked launches carry an
         # "admission_queued" span from park to admit/cancel.  None = off.
@@ -223,21 +250,23 @@ class QosService(LifecycleObserver):
         self._tenants: Dict[str, _TenantState] = {}
         # instance id -> (instance, tenant state); populated at admission.
         self._instances: Dict[str, Tuple["InferletInstance", _TenantState]] = {}
-        for spec in tenants:
-            self.register_tenant(spec)
+        for spec in tenants.values():
+            self._track(spec)
 
-    # -- tenant registry ----------------------------------------------------
+    # -- per-tenant runtime state ---------------------------------------------
 
-    def register_tenant(self, spec: TenantSpec) -> None:
-        if spec.name in self._tenants:
-            raise ReproError(f"tenant {spec.name!r} already registered")
+    def _track(self, spec: TenantSpec) -> _TenantState:
+        """Start accounting for a tenant of the table (its counters, bucket
+        and admission queue); the spec stays the table's."""
         record = TenantMetrics(tenant=spec.name, priority_class=spec.priority_class)
         self.metrics.tenants[spec.name] = record
-        self._tenants[spec.name] = _TenantState(spec, record, now=self.sim.now)
+        state = self._tenants[spec.name] = _TenantState(spec, record, now=self.sim.now)
+        return state
 
     def tenant_spec(self, name: str) -> TenantSpec:
-        """Read-only spec lookup; raises for unknown tenants (reporting
-        must never mutate the registry the way admission does)."""
+        """Read-only spec lookup; raises for tenants this service does not
+        account for (reporting must never start accounting the way
+        admission does)."""
         state = self._tenants.get(name)
         if state is None:
             raise ReproError(
@@ -249,16 +278,13 @@ class QosService(LifecycleObserver):
         return sorted(self._tenants)
 
     def _state(self, name: str) -> _TenantState:
-        """Admission-path lookup: unregistered tenants get an implicit
-        unlimited spec of the default class, so untagged traffic keeps
-        working under QoS.  Only admission may register implicitly —
+        """Admission-path lookup: a tenant first seen here — registered
+        after the service was built, or never (the table's default-class
+        spec) — starts being accounted for.  Only admission may do that;
         reporting reads use :meth:`tenant_spec`."""
         state = self._tenants.get(name)
         if state is None:
-            self.register_tenant(
-                TenantSpec(name=name, priority_class=DEFAULT_CLASS)
-            )
-            state = self._tenants[name]
+            state = self._track(self.tenants[name])
         return state
 
     def _state_of(self, instance_id: str) -> Optional[_TenantState]:
@@ -415,9 +441,11 @@ class QosService(LifecycleObserver):
             state.metrics.finished += 1
         elif metrics.status == "terminated":
             state.metrics.terminated += 1
+        # Terminated streams are judged too: a tenant whose decode was cut
+        # short still had its TPOT promise kept or broken up to that point.
         tpot = metrics.tpot
         if tpot is not None:
-            state.metrics.observe_tpot(tpot, slo_s=state.spec.tpot_slo_s)
+            state.metrics.observe("tpot", tpot, metrics.tpot_met)
         self._pump(state)
 
     # -- SLO deadlines and slack --------------------------------------------
@@ -426,17 +454,8 @@ class QosService(LifecycleObserver):
         """The next SLO deadline of an inferlet (TTFT before the first
         output token, TPOT afterwards)."""
         state = self._state_of(instance.instance_id)
-        if state is not None:
-            spec = state.spec
-        else:
-            # Never admitted here (unit-test instances): score with a
-            # transient default-class spec, without touching the registry.
-            registered = self._tenants.get(instance.tenant)
-            spec = (
-                registered.spec
-                if registered is not None
-                else TenantSpec(name=instance.tenant, priority_class=DEFAULT_CLASS)
-            )
+        # Never admitted here (unit-test instances): its tenant's contract.
+        spec = state.spec if state is not None else self.tenants[instance.tenant]
         metrics = instance.metrics
         if metrics.first_token_at is None:
             return metrics.launched_at + spec.ttft_slo_s
@@ -618,18 +637,16 @@ class QosService(LifecycleObserver):
             return
         state.metrics.output_tokens += count
         if first:
-            state.metrics.observe_ttft(
-                instance.metrics.ttft, slo_s=state.spec.ttft_slo_s
-            )
+            state.metrics.observe("ttft", instance.metrics.ttft, instance.metrics.ttft_met)
 
     # -- reporting -----------------------------------------------------------
 
     def slo_attainment(self, tenant: str) -> float:
         """Fraction of the tenant's first tokens that met the TTFT target
         and decode streams that met the TPOT target.  Read-only: raises
-        for unknown tenants.  Exact: each sample's verdict was recorded
-        against the spec at observation time, not re-derived from the
-        bucketed histograms."""
+        for unknown tenants.  Exact: each sample's verdict was counted off
+        its inferlet's record, not re-derived from the bucketed
+        histograms."""
         self.tenant_spec(tenant)
         record = self.metrics.tenants[tenant]
         met = record.ttft_met + record.tpot_met

@@ -45,7 +45,7 @@ from repro.core.config import PLACEMENT_POLICIES
 from repro.core.handlers import ApiHandlers
 from repro.core.resources import ResourceManager
 from repro.core.scheduler import BatchScheduler, SchedulerStats
-from repro.gpu.device import SimDevice
+from repro.gpu.device import SimDevice, sum_stats
 from repro.gpu.memory import DeviceMemory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -432,17 +432,7 @@ class Router:
 
 def aggregate_scheduler_stats(stats: Sequence[SchedulerStats]) -> SchedulerStats:
     """Merge per-shard dispatch statistics into one cluster-level record."""
-    total = SchedulerStats()
-    for record in stats:
-        total.batches_dispatched += record.batches_dispatched
-        total.commands_dispatched += record.commands_dispatched
-        total.decode_rows_dispatched += record.decode_rows_dispatched
-        total.prefill_rows_dispatched += record.prefill_rows_dispatched
-        total.forward_tokens_dispatched += record.forward_tokens_dispatched
-        for kind, count in record.batches_by_kind.items():
-            total.batches_by_kind[kind] = total.batches_by_kind.get(kind, 0) + count
-        total.batch_sizes.merge(record.batch_sizes)
-    return total
+    return sum_stats(SchedulerStats, stats)
 
 
 @dataclass

@@ -37,6 +37,8 @@ class LaunchResult:
     messages: List[Any] = field(default_factory=list)
     latency: float = 0.0
     launch_latency: float = 0.0
+    #: Why a launch that never ran was refused (``status="rejected"``).
+    reason: str = ""
 
 
 class PieServer:

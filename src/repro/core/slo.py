@@ -1,9 +1,10 @@
 """Per-tenant SLO error budgets and multi-window burn-rate alerting.
 
 The QoS subsystem *enforces* SLOs inside the scheduler; this module
-*observes* them the way a production on-call would: each tenant's TTFT and
-TPOT streams are judged good/bad against the :class:`~repro.core.qos.TenantSpec`
-targets, the good/bad counts accumulate into an error budget for an
+*observes* them the way a production on-call would: the good/bad verdict
+of each TTFT and TPOT sample — decided once, on the inferlet's record
+(:func:`repro.core.metrics.met`, against the tenant contract it was launched
+under) — is counted per tenant into an error budget for an
 availability objective (``slo_target``, e.g. 0.95 = 5% of requests may
 miss), and alerts fire on the *burn rate* — how many times faster than
 sustainable the budget is being consumed:
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.core.qos import QOS_CLASSES, TenantSpec
+from repro.core.qos import TenantTable
 
 __all__ = ["BurnWindow", "AlertEvent", "SloEngine", "SIGNALS"]
 
@@ -161,18 +162,17 @@ class _SignalTracker:
 class SloEngine:
     """Tracks per-tenant error budgets and drives burn-rate alerts.
 
-    Independent of the QoS *service*: the engine keeps its own spec table
-    (seeded from the config's tenants, extended via :meth:`register`), so
-    the monitor classifies SLOs even on deployments that run with QoS
-    enforcement off (the load harness does exactly that).  Unknown tenants
-    get an implicit default-class spec at first observation.
+    Independent of the QoS *service*: the availability objective of a
+    tenant is read from the controller's :class:`~repro.core.qos.TenantTable`
+    (``tenants``), which exists whether or not QoS enforcement is on (the
+    load harness runs with it off), and the verdicts arrive already decided.
     """
 
     def __init__(
         self,
+        tenants: TenantTable,
         windows: Optional[Sequence[BurnWindow]] = None,
         default_target: Optional[float] = None,
-        default_class: str = "standard",
         trace=None,
     ) -> None:
         if windows is None:
@@ -183,38 +183,17 @@ class SloEngine:
             raise ReproError("SloEngine needs at least one burn window")
         if not 0.0 < default_target < 1.0:
             raise ReproError("slo_target must be in (0, 1)")
-        if default_class not in QOS_CLASSES:
-            raise ReproError(
-                f"unknown default class {default_class!r}; have {QOS_CLASSES}"
-            )
+        self.tenants = tenants
         self.windows = tuple(windows)
         self.default_target = default_target
-        self.default_class = default_class
         self._trace = trace
-        self._specs: Dict[str, TenantSpec] = {}
         self._trackers: Dict[Tuple[str, str], _SignalTracker] = {}
         #: Every fire/clear transition, in virtual-time order.
         self.alerts: List[AlertEvent] = []
 
-    # -- registry -----------------------------------------------------------
-
-    def register(self, spec: TenantSpec) -> None:
-        """Register (or replace) the spec SLOs are judged against."""
-        self._specs[spec.name] = spec
-
-    def spec_for(self, tenant: str) -> TenantSpec:
-        spec = self._specs.get(tenant)
-        if spec is None:
-            spec = TenantSpec(name=tenant, priority_class=self.default_class)
-            self._specs[tenant] = spec
-        return spec
-
     def target_for(self, tenant: str) -> float:
-        spec = self.spec_for(tenant)
-        return spec.slo_target if spec.slo_target is not None else self.default_target
-
-    def tenants(self) -> List[str]:
-        return sorted(self._specs)
+        target = self.tenants[tenant].slo_target
+        return target if target is not None else self.default_target
 
     def _tracker(self, tenant: str, signal: str) -> _SignalTracker:
         key = (tenant, signal)
@@ -226,17 +205,10 @@ class SloEngine:
 
     # -- observation --------------------------------------------------------
 
-    def observe_ttft(self, tenant: str, seconds: float) -> bool:
-        """Judge one TTFT sample; returns True if it met the target."""
-        met = seconds <= self.spec_for(tenant).ttft_slo_s
-        self._tracker(tenant, "ttft").observe(met)
-        return met
-
-    def observe_tpot(self, tenant: str, seconds: float) -> bool:
-        """Judge one TPOT sample; returns True if it met the target."""
-        met = seconds <= self.spec_for(tenant).tpot_slo_s
-        self._tracker(tenant, "tpot").observe(met)
-        return met
+    def observe(self, tenant: str, signal: str, met: bool) -> None:
+        """Count one sample's verdict (``InferletMetrics.ttft_met`` /
+        ``tpot_met``) against the tenant's error budget."""
+        self._tracker(tenant, signal).observe(met)
 
     # -- scrape tick --------------------------------------------------------
 

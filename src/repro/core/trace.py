@@ -371,7 +371,7 @@ class LifecycleTracer(LifecycleObserver):
     def note_finished(self, instance) -> None:
         lifecycle, admission = self._spans.pop(instance.instance_id, (None, None))
         # The admission span is still open only if the launch never ran.
-        outcome = "aborted" if instance.status == "terminated" else "failed"
+        outcome = {"terminated": "aborted", "rejected": "rejected"}.get(instance.status, "failed")
         self.recorder.end(admission, args={outcome: True})
         self.recorder.end(lifecycle, args={"status": instance.status})
 

@@ -15,14 +15,34 @@ after the cost has elapsed, and it processes one batch at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Deque, Iterable, List, Optional
 
 from collections import deque
 
 from repro.errors import FaultInjectedError, SimulationError
 from repro.sim.futures import SimFuture
 from repro.sim.simulator import Simulator
+
+
+def sum_stats(cls: type, records: Iterable[Any]) -> Any:
+    """Field-wise sum of counter dataclasses (:class:`DeviceStats`, the
+    scheduler's ``SchedulerStats``) into a fresh ``cls()``: numbers add,
+    per-key dict counters add key by key, anything else (a histogram)
+    ``merge``s.  Walks ``dataclasses.fields``, so a counter added to the
+    class is aggregated without being named here."""
+    total = cls()
+    for record in records:
+        for spec in fields(cls):
+            mine, theirs = getattr(total, spec.name), getattr(record, spec.name)
+            if isinstance(theirs, dict):
+                for key, count in theirs.items():
+                    mine[key] = mine.get(key, 0) + count
+            elif isinstance(theirs, (int, float)):
+                setattr(total, spec.name, mine + theirs)
+            else:
+                mine.merge(theirs)
+    return total
 
 
 @dataclass

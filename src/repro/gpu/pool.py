@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.gpu.config import GpuConfig
-from repro.gpu.device import DeviceStats, SimDevice
+from repro.gpu.device import DeviceStats, SimDevice, sum_stats
 from repro.gpu.memory import DeviceMemory
 from repro.model.config import ModelConfig
 from repro.sim.simulator import Simulator
@@ -54,15 +54,7 @@ class DevicePool:
 
     def aggregate_stats(self) -> DeviceStats:
         """Sum of every device's :class:`DeviceStats`."""
-        total = DeviceStats()
-        for device in self.devices:
-            stats = device.stats
-            total.batches_executed += stats.batches_executed
-            total.busy_seconds += stats.busy_seconds
-            total.items_executed += stats.items_executed
-            for kind, count in stats.batches_by_kind.items():
-                total.batches_by_kind[kind] = total.batches_by_kind.get(kind, 0) + count
-        return total
+        return sum_stats(DeviceStats, (device.stats for device in self.devices))
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Mean fraction of virtual time the devices spent busy."""

@@ -12,7 +12,10 @@ along and the report interleaves each fault instant with the alerts it
 provoked.  The Prometheus exposition is a point-in-time scrape; from it
 the report reconstructs transition *totals* (``pie_slo_alerts_total``),
 currently-firing rules (``pie_slo_alert_active``) and the budget table
-(``pie_slo_events_total`` / ``pie_slo_budget_remaining``).
+(``pie_slo_events_total`` / ``pie_slo_budget_remaining``).  Either way the
+budget table carries each tenant's server-side goodput — launches
+``offered`` and those that finished ``good``, inside their SLO
+(``pie_offered_total`` / ``pie_good_total``).
 
 Usage::
 
@@ -243,13 +246,22 @@ def _active_alerts(document: dict) -> List[dict]:
 
 def build_report(document: dict) -> dict:
     """Distil a snapshot document into timeline + budget + active alerts."""
+    budgets = _budget_table(document)
+    # Server-side goodput per tenant; both formats carry the metrics block.
+    for column, family in (("offered", "pie_offered_total"), ("good", "pie_good_total")):
+        counts = {
+            sample["labels"].get("tenant", ""): int(sample["value"])
+            for sample in _scalar_samples(document, family)
+        }
+        for row in budgets:
+            row[column] = counts.get(row["tenant"], 0)
     return {
         "now": document.get("now"),
         "scrapes": document.get("scrapes"),
         "alert_timeline": _alert_timeline(document),
         "faults": list(document.get("faults", [])),
         "active_alerts": _active_alerts(document),
-        "budgets": _budget_table(document),
+        "budgets": budgets,
     }
 
 
@@ -319,7 +331,7 @@ def render_report(report: dict) -> str:
         lines.append(f"  {row['tenant']}/{row['signal']} window {row['window']}")
     lines.append("")
     lines.append("error budgets:")
-    header = ("tenant", "signal", "events", "bad", "attainment", "remaining")
+    header = ("tenant", "signal", "events", "bad", "attainment", "remaining", "offered", "good")
     lines.append("  " + "".join(h.rjust(12) for h in header))
     for row in report["budgets"]:
         lines.append(
@@ -330,6 +342,8 @@ def render_report(report: dict) -> str:
             + _fmt(row.get("bad"), 12)
             + _fmt(row.get("attainment"), 12)
             + _fmt(row.get("budget_remaining"), 12)
+            + _fmt(row.get("offered"), 12)
+            + _fmt(row.get("good"), 12)
         )
     return "\n".join(lines) + "\n"
 

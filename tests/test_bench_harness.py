@@ -114,22 +114,6 @@ def test_reordering_mutants_are_killed(mutant):
         check_list_order(run_tied_fleet(mutant))
 
 
-def test_before_and_after_hooks_run_at_launch_and_completion():
-    _, server = make_pie_setup(seed=5, with_tools=False)
-    launched, completed = [], []
-    run = launch_fleet(
-        server,
-        tied_fleet(),
-        before_launch=lambda launch: launched.append((launch.program.name, server.sim.now)),
-        after_result=lambda launch, result: completed.append((launch.program.name, result)),
-    )
-    assert launched == [("direct", 0.0), ("tie_b", 0.1), ("tie_a", 0.1), ("late", 0.2)]
-    assert sorted(completed, key=lambda pair: pair[0]) == sorted(
-        ((launch.program.name, result) for launch, result in zip(run.fleet, run.results)),
-        key=lambda pair: pair[0],
-    )
-
-
 # -- the mixed fleet: grouping by program, not by result shape ---------------------
 
 SMALL_FLEET = replace(

@@ -1,14 +1,18 @@
 """Tests for the cluster layer: router placement policies, per-device
 schedulers, cross-device KV import, and the num_devices=1 regression."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import InferletProgram, PieServer, PLACEMENT_POLICIES
 from repro.core.inferlet import InferletInstance
 from repro.core.config import ControlLayerConfig, PieConfig
 from repro.core.router import Router, aggregate_scheduler_stats
+from repro.core.scheduler import SchedulerStats
 from repro.errors import ReproError
 from repro.gpu.config import GpuConfig
+from repro.gpu.device import DeviceStats, sum_stats
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
 
@@ -427,6 +431,49 @@ class TestClusterStats:
         total = aggregate_scheduler_stats([])
         assert total.batches_dispatched == 0
         assert total.mean_batch_size == 0.0
+
+    @pytest.mark.parametrize("cls", [SchedulerStats, DeviceStats])
+    def test_no_field_can_be_forgotten(self, cls):
+        """The aggregate used to name its fields by hand and was never told
+        about ``forward_yields`` / ``forward_holds_expired``: two shards with
+        3 and 4 yields summed to 0.  Every field of the dataclass — one
+        added tomorrow included — must reach the sum."""
+
+        @dataclasses.dataclass
+        class Tomorrow(cls):
+            added_tomorrow: int = 0
+
+        def filled(base):
+            record = Tomorrow()
+            for n, spec in enumerate(dataclasses.fields(Tomorrow), start=base):
+                value = getattr(record, spec.name)
+                if isinstance(value, dict):
+                    value.update({"forward": n, f"only_{base}": 1})
+                elif isinstance(value, (int, float)):
+                    setattr(record, spec.name, type(value)(n))
+                else:
+                    value.observe(n)
+            return record
+
+        a, b = filled(3), filled(40)
+        total = sum_stats(Tomorrow, [a, b])
+        for spec in dataclasses.fields(Tomorrow):
+            mine, (x, y) = getattr(total, spec.name), (getattr(a, spec.name), getattr(b, spec.name))
+            if isinstance(mine, dict):
+                assert mine == {"forward": x["forward"] + y["forward"], "only_3": 1, "only_40": 1}
+            elif isinstance(mine, (int, float)):
+                assert mine == x + y != 0, spec.name
+            else:
+                assert (mine.total, mine.sum) == (2, x.sum + y.sum), spec.name
+        assert total.added_tomorrow == a.added_tomorrow + b.added_tomorrow > 0
+        # The inputs are read, never written.
+        assert a == filled(3) and b == filled(40)
+
+    def test_cluster_stats_carry_the_selection_counters(self):
+        a, b = SchedulerStats(forward_yields=3), SchedulerStats(forward_yields=4)
+        b.forward_holds_expired = 2
+        total = aggregate_scheduler_stats([a, b])
+        assert (total.forward_yields, total.forward_holds_expired) == (7, 2)
 
 
 class TestSingleDeviceRegression:

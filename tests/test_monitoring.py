@@ -4,15 +4,16 @@ import json
 
 import pytest
 
-from repro.core import PieServer, TenantSpec, monitor, slo
+from repro.core import PieServer, TenantSpec, TenantTable, monitor, slo
 from repro.core.slo import BurnWindow, SloEngine
 from repro.errors import ClientError, ReproError
 from repro.sim import Simulator
+from tests.test_slo_contract import stamped
 
 
-def engine(windows=None, target=0.95):
+def engine(windows=None, target=0.95, tenants=()):
     return SloEngine(
-        windows or (BurnWindow(2.0, 0.5, 6.0),), default_target=target
+        TenantTable(tenants), windows or (BurnWindow(2.0, 0.5, 6.0),), default_target=target
     )
 
 
@@ -38,9 +39,9 @@ class TestBurnWindows:
         with pytest.raises(ReproError):
             BurnWindow(2.0, 0.5, 0.0)  # threshold must be positive
         with pytest.raises(ReproError):
-            SloEngine(())
+            SloEngine(TenantTable(), ())
         with pytest.raises(ReproError):
-            SloEngine(default_target=1.5)  # the objective is a share in (0, 1)
+            SloEngine(TenantTable(), default_target=1.5)  # the objective is a share in (0, 1)
 
     def test_golden_fire_and_clear_sequence(self):
         # Budget 5%; threshold 6x => fire needs >30% bad in BOTH windows.
@@ -97,28 +98,31 @@ class TestBurnWindows:
         assert ("fire", 1) in kinds
 
     def test_per_tenant_targets(self):
-        eng = engine(target=0.95)
-        eng.register(TenantSpec(name="strict", slo_target=0.999))
+        eng = engine(target=0.95, tenants=[TenantSpec(name="strict", slo_target=0.999)])
         assert eng.target_for("strict") == 0.999
         assert eng.target_for("lax") == 0.95  # implicit default spec
 
     def test_observation_judges_against_spec(self):
-        eng = engine()
-        eng.register(TenantSpec(name="acme", ttft_slo_ms=100.0, tpot_slo_ms=10.0))
-        assert eng.observe_ttft("acme", 0.05) is True
-        assert eng.observe_ttft("acme", 0.2) is False
-        assert eng.observe_tpot("acme", 0.02) is False
+        # The engine counts the record's verdict; it judges nothing itself.
+        spec = TenantSpec(name="acme", ttft_slo_ms=100.0, tpot_slo_ms=10.0)
+        eng = engine(tenants=[spec])
+        hit, miss = stamped(spec, 0.05, 0.02), stamped(spec, 0.2, None)
+        assert (hit.ttft_met, miss.ttft_met, hit.tpot_met, miss.tpot_met) == (
+            True, False, False, None,
+        )
+        eng.observe("acme", "ttft", hit.ttft_met)
+        eng.observe("acme", "ttft", miss.ttft_met)
+        eng.observe("acme", "tpot", hit.tpot_met)
         budget = eng.budget("acme", "ttft")
         assert budget["events"] == 2 and budget["bad"] == 1
         assert budget["attainment"] == 0.5
 
     def test_budget_consumption_math(self):
         eng = engine(target=0.9)  # budget fraction 0.1
-        eng.register(TenantSpec(name="acme", ttft_slo_ms=100.0))
         for _ in range(95):
-            eng.observe_ttft("acme", 0.01)
+            eng.observe("acme", "ttft", True)
         for _ in range(5):
-            eng.observe_ttft("acme", 1.0)
+            eng.observe("acme", "ttft", False)
         budget = eng.budget("acme", "ttft")
         assert budget["budget_fraction"] == pytest.approx(0.1)
         assert budget["budget_consumed"] == pytest.approx(0.5)
@@ -204,6 +208,9 @@ class TestMonitorService:
             }
             assert budgets[("acme", "ttft")]["events"] == 1
             assert budgets[("acme", "ttft")]["bad"] == 0
+            # Server-side goodput rides along in both formats.
+            assert budgets[("acme", "ttft")]["offered"] == 1
+            assert budgets[("acme", "ttft")]["good"] == 1
         # Request counters survive the Prometheus round trip too.
         parsed = load_snapshot(str(prom_path))["metrics"]
         samples = parsed["pie_requests_total"]["samples"]
@@ -235,15 +242,17 @@ class TestMonitorService:
         assert server.monitor.scrapes_taken >= before
 
 
-# What an export holds: family -> label names.  The registry owns the six
-# that have no other home; ``collect()`` reads the rest off the live records.
+# What an export holds: family -> label names.  The registry owns the five
+# that have no other home, all counted off lifecycle notifications
+# (``pie_offered_total`` / ``pie_good_total`` replaced the three
+# ``pie_loadgen_*`` the harness used to feed: 90 families -> 89);
+# ``collect()`` reads the rest off the live records.
 OWNED = {
     "pie_ttft_seconds": ("tenant",),
     "pie_tpot_seconds": ("tenant",),
     "pie_requests_total": ("tenant", "status"),
-    "pie_loadgen_offered_total": ("workload",),
-    "pie_loadgen_finished_total": ("workload",),
-    "pie_loadgen_good_total": ("workload",),
+    "pie_offered_total": ("tenant",),
+    "pie_good_total": ("tenant",),
 }
 SLO_FAMILIES = {
     "pie_slo_events_total": ("tenant", "signal", "outcome"),
@@ -373,12 +382,10 @@ class TestPullExport:
 
     def test_export_schema(self):
         sim, server, fleet = self.fleet()
-        server.monitor.note_offered("chat")
-        server.monitor.note_request_outcome("chat", good=True)
         sim.run_until_complete(fleet)
         exported = {f.name: f.labelnames for f in server.monitor.collect().families()}
         assert exported == EXPORT_SCHEMA
-        assert len(exported) == 90
+        assert len(exported) == 89
         # What is left in the registry is what has no other owner.
         assert {f.name for f in server.monitor.registry.families()} == set(OWNED)
         document = server.export_metrics()

@@ -19,6 +19,7 @@ from repro.core.qos import (
     CLASS_WEIGHT,
     QOS_CLASSES,
     QosService,
+    TenantTable,
     TokenBucket,
 )
 from repro.errors import AdmissionRejectedError, InferletTerminated, ReproError
@@ -35,7 +36,7 @@ def make_instance(name="prog", tenant="acme", seed=0):
 
 
 def make_service(sim, *specs, metrics=None):
-    return QosService(sim, metrics or SystemMetrics(), tenants=tuple(specs))
+    return QosService(sim, metrics or SystemMetrics(), tenants=TenantTable(specs))
 
 
 class TestTokenBucket:
@@ -493,11 +494,14 @@ class TestSloAttainment:
             sim, TenantSpec(name="acme", ttft_slo_ms=100.0, tpot_slo_ms=50.0)
         )
         record = qos.metrics.tenants["acme"]
-        spec = qos.tenant_spec("acme")
-        record.observe_ttft(0.05, slo_s=spec.ttft_slo_s)  # hit
-        record.observe_ttft(0.2, slo_s=spec.ttft_slo_s)  # miss
-        record.observe_tpot(0.01, slo_s=spec.tpot_slo_s)  # hit
-        record.observe_tpot(0.04, slo_s=spec.tpot_slo_s)  # hit
+        # The verdicts are the inferlets' own (InferletMetrics.ttft_met /
+        # tpot_met); the tenant record only counts them.
+        record.observe("ttft", 0.05, True)
+        record.observe("ttft", 0.2, False)
+        record.observe("tpot", 0.01, True)
+        record.observe("tpot", 0.04, True)
+        record.observe("tpot", 0.04, None)  # unjudged: histogram only
+        assert record.tpot.total == 3
         assert qos.slo_attainment("acme") == 3 / 4
 
     def test_no_samples_counts_as_full_attainment(self):
