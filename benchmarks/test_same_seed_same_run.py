@@ -48,7 +48,8 @@ CASES = {
         ("handoffs",),
     ),
     # The qos=off run takes the exact pre-QoS code path: no admission
-    # decisions, no preemption accounting, no tenant records.
+    # decisions, no preemption accounting (the tenant records are the
+    # core's, kept with every plane off).
     "qos_off": (
         qos.run_fleet,
         qos.arms()["qos_off"],
@@ -58,7 +59,6 @@ CASES = {
             "qos_rejected",
             "qos_preemption_swaps",
             "qos_preemption_terminations",
-            "tenant_metrics",
         ),
         (),
     ),

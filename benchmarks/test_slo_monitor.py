@@ -53,12 +53,13 @@ def test_slo_monitor(run_experiment, write_artifact):
     # Contract 3: the export is the live state, not a copy kept beside it —
     # every finished request is in both of its counts, and no time series
     # rides along (the document was 593 KB when one did).
-    # 89 families: the three ``pie_loadgen_*`` the harness used to feed are
-    # gone, the two the monitor derives by itself (``pie_offered_total`` /
-    # ``pie_good_total``, per tenant) are in — server-side goodput that
-    # agrees with the harness's own row.
+    # 82 families: every per-tenant fact is read off the core's one record
+    # per tenant and exported under one name — ``pie_tenant_{finished,
+    # terminated, rejected}`` are ``pie_requests_total{status}`` and
+    # ``pie_tenant_{ttft, tpot}_{met, missed}`` are ``pie_slo_events_total``
+    # (89 -> 82).  Server-side goodput agrees with the harness's own row.
     metrics = raw["snapshot"]["metrics"]
-    assert len(metrics) == 89
+    assert len(metrics) == 82
     total = lambda name: sum(s["value"] for s in metrics[name]["samples"])  # noqa: E731
     assert total("pie_good_total") == rows["monitoring_on"]["goodput_count"]
     assert total("pie_offered_total") == rows["monitoring_on"]["n_requests"]

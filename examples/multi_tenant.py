@@ -94,7 +94,7 @@ def main() -> None:
             f"tenant {name:16s} [{record.priority_class:11s}] "
             f"admitted={record.admitted} queued={record.queued} "
             f"rejected={record.rejected} "
-            f"ttft_p99={record.ttft_percentile(99) * 1e3:6.1f} ms "
+            f"ttft_p99={record.ttft.percentile(99) * 1e3:6.1f} ms "
             f"(slo {spec.ttft_slo_s * 1e3:.0f} ms) "
             f"slo_attainment={qos.slo_attainment(name):.2f}"
         )

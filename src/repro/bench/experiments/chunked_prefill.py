@@ -43,13 +43,14 @@ from repro.bench.compare import compare_arms
 from repro.bench.mixed_fleet import MixedFleet, run_mixed_fleet
 from repro.bench.reporting import ExperimentResult
 from repro.bench.runners import ratio
+from repro.core.config import ControlLayerConfig
 
 #: Interactive decode stream length (tokens per chat inferlet).
 CHAT_TURN_TOKENS = 72
 #: Long-document prompt length (tokens per summarizer).
 SUMMARIZER_PROMPT_TOKENS = 3584
-#: Slice bound and per-batch token budget used by the chunked runs.
-PREFILL_CHUNK_TOKENS = 256
+#: Per-batch token budget of the chunked runs (slices are the default
+#: ``ControlLayerConfig.prefill_chunk_tokens``).
 MAX_BATCH_TOKENS = 320
 
 #: The quick-mode fleet.  Every generated token counts toward the gaps: on
@@ -64,10 +65,8 @@ FLEET = MixedFleet(
     id_stride=7,
     skip_first_gap=False,
 )
-#: What both arms share: the seed and the budgets (inert while chunking is off).
-SETUP = dict(
-    seed=3, prefill_chunk_tokens=PREFILL_CHUNK_TOKENS, max_batch_tokens=MAX_BATCH_TOKENS
-)
+#: What both arms share: the seed and the budget (inert while chunking is off).
+SETUP = dict(seed=3, max_batch_tokens=MAX_BATCH_TOKENS)
 ARMS = {
     "chunked_off": dict(chunked_prefill=False),
     "chunked_on": dict(chunked_prefill=True),
@@ -122,8 +121,8 @@ def run(quick: bool = True) -> ExperimentResult:
             f"{fleet.n_summarizers} summarizers ({fleet.prompt_tokens}-token prompts) "
             f"arriving over a fleet of {fleet.n_chats} interactive chats "
             f"({fleet.chat_tokens} tokens each) on one device: monolithic prefill vs "
-            f"{PREFILL_CHUNK_TOKENS}-token slices under a {MAX_BATCH_TOKENS}-token "
-            "batch budget"
+            f"{ControlLayerConfig.prefill_chunk_tokens}-token slices under a "
+            f"{MAX_BATCH_TOKENS}-token batch budget"
         ),
         rows=arms.rows(
             lambda row: dict(

@@ -48,8 +48,7 @@ PREFILL_SHARDS = 2
 CHAT_TURN_TOKENS = 48
 #: Long-document prompt length (tokens per summarizer).
 SUMMARIZER_PROMPT_TOKENS = 2048
-#: Chunked prefill is on in *both* arms: slice bound and batch budget.
-PREFILL_CHUNK_TOKENS = 256
+#: Chunked prefill is on in *both* arms (default slices) under this budget.
 MAX_BATCH_TOKENS = 320
 
 #: The quick-mode fleet.  Each chat's first generated token is sampled
@@ -69,7 +68,6 @@ SETUP = dict(
     seed=3,
     num_devices=NUM_DEVICES,
     chunked_prefill=True,
-    prefill_chunk_tokens=PREFILL_CHUNK_TOKENS,
     max_batch_tokens=MAX_BATCH_TOKENS,
 )
 #: The only difference: co-located ``least_loaded`` placement vs dedicated

@@ -17,11 +17,7 @@ POLICIES = ("eager", "k_only", "t_only", "adaptive")
 
 
 def _run_policy(policy: str, n_inferlets: int, max_tokens: int) -> float:
-    scheduler = SchedulerConfig(
-        policy=policy,
-        k_threshold=max(4, n_inferlets // 2),
-        t_timeout_ms=5.0,
-    )
+    scheduler = SchedulerConfig(policy=policy, k_threshold=max(4, n_inferlets // 2))
     config = PieConfig(scheduler=scheduler)
     _, server = make_pie_setup(config=config, seed=51, with_tools=False)
     prompts = PromptGenerator(seed=51).batch(n_inferlets, 16)

@@ -86,7 +86,7 @@ class ControlLayerConfig:
     # chunks bound decode-latency interference more tightly but pay the
     # per-batch floor and the re-read attention term more often.  The
     # token budget per formed batch is GpuConfig.max_batch_tokens.
-    prefill_chunk_tokens: int = 128
+    prefill_chunk_tokens: int = 256
     # Devices dedicated to prefill under placement_policy="disaggregated"
     # (the remaining num_devices - prefill_shards devices decode).  Needs at
     # least one device in each role.
@@ -158,7 +158,6 @@ class SchedulerConfig:
 
     policy: str = "adaptive"  # adaptive | eager | k_only | t_only
     k_threshold: int = 64
-    t_timeout_ms: float = 5.0
 
 
 @dataclass(frozen=True)

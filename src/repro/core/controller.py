@@ -98,6 +98,10 @@ class Controller:
         #: table (``tenants.register(spec)`` extends it), there with every
         #: plane off.
         self.tenants = TenantTable(control.tenants)
+        # ... and what it got: one TenantMetrics record per tenant, from here
+        # for the configured ones and from their first launch for the rest.
+        for spec in self.tenants.values():
+            self.metrics.tenant_record(spec)
         # The optional planes.  Each is None when its knob is off: nothing
         # is constructed, ``observers`` and ``timers`` do not hold it, and
         # the serving path is bit-identical to a system without the plane.
@@ -144,7 +148,6 @@ class Controller:
         self.monitor: Optional[MonitorService] = None
         if control.monitoring:
             self.monitor = MonitorService(self)
-            observers.append(self.monitor)
             timers.append(self.monitor.scraper)
         for name in registry.names():
             self._services[name] = ModelService.build(
@@ -174,8 +177,8 @@ class Controller:
             # planes' accounting of the same fact has been recorded.
             observers.append(LifecycleTracer(self.trace))
         #: Who is told the lifecycle facts (launch requested / running,
-        #: output tokens, reclaimed, finished), each published at one site.
-        #: Empty when every knob is off.
+        #: reclaimed, finished), each published at one site.  Empty when
+        #: every knob is off.
         self.observers: Tuple[LifecycleObserver, ...] = tuple(observers)
         #: The planes' periodic timers; every registration pokes them awake.
         self.timers: Tuple[PeriodicService, ...] = tuple(timers)
@@ -266,14 +269,13 @@ class Controller:
         return self.inference_call_overhead()
 
     def record_output_tokens(self, instance: InferletInstance, count: int = 1) -> None:
-        """Count emitted output tokens, stamping TTFT/TPOT timestamps."""
+        """Count emitted output tokens, stamping TTFT/TPOT timestamps; the
+        first token is the tenant's TTFT sample."""
         if count <= 0:
             return
-        now = self.sim.now
-        first = instance.metrics.note_output(now, count)
+        first = instance.metrics.note_output(self.sim.now, count)
         self.metrics.total_output_tokens += count
-        for observer in self.observers:
-            observer.note_output(instance, now, count, first)
+        self.metrics.tenants[instance.tenant].note_output(instance.metrics, count, first)
 
     # -- command queues -------------------------------------------------------------------
 

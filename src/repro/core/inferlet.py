@@ -153,11 +153,6 @@ class LifecycleObserver:
     def note_running(self, instance: InferletInstance) -> None:
         """Instantiated, placed and about to run its program."""
 
-    def note_output(
-        self, instance: InferletInstance, now: float, count: int, first: bool
-    ) -> None:
-        """``count`` output tokens emitted at ``now``; ``first`` marks TTFT."""
-
     def note_reclaimed(self, victim: InferletInstance, requester: InferletInstance, shard) -> None:
         """``victim`` is about to be terminated to fit ``requester`` on ``shard``."""
 

@@ -123,6 +123,7 @@ class InferletLifecycleManager:
         # The contract this inferlet is judged against, for its whole life.
         spec = self.controller.tenants[instance.tenant]
         instance.metrics.ttft_slo_s, instance.metrics.tpot_slo_s = spec.ttft_slo_s, spec.tpot_slo_s
+        self.controller.metrics.tenant_record(spec).offered += 1
         instance.channel = ClientChannel(self.sim, instance.instance_id)
         ready = self.sim.create_future(name=f"launch:{instance.instance_id}")
         for observer in self.controller.observers:
@@ -158,8 +159,8 @@ class InferletLifecycleManager:
         only other writer, and a termination it recorded sticks unless the
         program then failed on its own — and unregisters the instance before
         control returns to the event loop, so the controller's registry holds
-        exactly the live inferlets.  Then the planes that account per
-        inferlet are told, once.
+        exactly the live inferlets.  The tenant's record counts the exit, then
+        the planes that account per inferlet are told, once.
         """
         controller = self.controller
         if status == "failed" or not instance.finished:
@@ -168,6 +169,7 @@ class InferletLifecycleManager:
                 controller.metrics.inferlets_finished += 1
             elif status == "failed":
                 controller.metrics.inferlets_failed += 1
+        controller.metrics.tenants[instance.tenant].note_exit(instance.metrics)
         controller.unregister_inferlet(instance)
         for observer in controller.observers:
             observer.note_finished(instance)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.registry import LogHistogram, latency_histogram
 
@@ -135,23 +135,31 @@ def percentile(samples: List[float], p: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+#: The ways out of the system, each counted per tenant under its own name.
+EXIT_STATUSES = ("finished", "terminated", "failed", "rejected")
+
+
 @dataclass
 class TenantMetrics:
-    """Per-tenant QoS counters (admission, preemption, SLO samples)."""
+    """One tenant's record, kept by the core with every plane off.
+
+    The core counts each fact where it is known: ``offered`` at launch, the
+    TTFT sample at the first output token (:meth:`note_output`), the exit —
+    terminal status, ``good`` and a *finished* stream's TPOT sample — at
+    retirement (:meth:`note_exit`).  QoS adds what only it knows; the SLO
+    engine and the monitor read the record and count nothing themselves.
+    """
 
     tenant: str
     priority_class: str = "standard"
-    admitted: int = 0
-    queued: int = 0
-    rejected: int = 0
+    # Launches asked for, refused ones included.
+    offered: int = 0
     finished: int = 0
     terminated: int = 0
-    preempted_swaps: int = 0
-    preempted_terminations: int = 0
-    # Prefill->decode disaggregation handoffs of this tenant's inferlets.
-    handoffs: int = 0
-    dispatched_commands: int = 0
-    virtual_tokens: float = 0.0
+    failed: int = 0
+    rejected: int = 0
+    # Finished inside the TTFT and TPOT SLO (``InferletMetrics.good``).
+    good: int = 0
     output_tokens: int = 0
     # Latency samples live in bounded log-bucketed histograms (memory was
     # O(requests) as lists at the 10k-request load-harness scale); the
@@ -163,6 +171,15 @@ class TenantMetrics:
     ttft_missed: int = 0
     tpot_met: int = 0
     tpot_missed: int = 0
+    # Written by QoS (repro.core.qos): admission, preemption, handoffs of
+    # this tenant's inferlets, and its fair-share virtual token counter.
+    admitted: int = 0
+    queued: int = 0
+    preempted_swaps: int = 0
+    preempted_terminations: int = 0
+    handoffs: int = 0
+    dispatched_commands: int = 0
+    virtual_tokens: float = 0.0
 
     def observe(self, signal: str, seconds: float, verdict: Optional[bool]) -> None:
         """Record one ``"ttft"`` / ``"tpot"`` sample and count its verdict
@@ -173,8 +190,25 @@ class TenantMetrics:
             counter = f"{signal}_{'met' if verdict else 'missed'}"
             setattr(self, counter, getattr(self, counter) + 1)
 
-    def ttft_percentile(self, p: float) -> float:
-        return self.ttft.percentile(p)
+    def verdicts(self, signal: str) -> Tuple[int, int]:
+        """The ``(met, missed)`` counts of one signal so far."""
+        return getattr(self, f"{signal}_met"), getattr(self, f"{signal}_missed")
+
+    def note_output(self, record: InferletMetrics, count: int, first: bool) -> None:
+        """``count`` output tokens of one of the tenant's inferlets; the
+        first one is its TTFT sample."""
+        self.output_tokens += count
+        if first:
+            self.observe("ttft", record.ttft, record.ttft_met)
+
+    def note_exit(self, record: InferletMetrics) -> None:
+        """One of the tenant's inferlets left with ``record.status``.  Only
+        a finished stream's TPOT is judged — the rule goodput uses."""
+        setattr(self, record.status, getattr(self, record.status) + 1)
+        if record.good:
+            self.good += 1
+        if record.status == "finished" and record.tpot is not None:
+            self.observe("tpot", record.tpot, record.tpot_met)
 
 
 @dataclass
@@ -273,9 +307,18 @@ class SystemMetrics:
     brownout_activations: int = 0
     brownout_clears: int = 0
     brownout_shed: int = 0
-    # Per-tenant admission/SLO accounting, keyed by tenant name (populated
-    # only when the QoS service is enabled).
+    # One record per tenant, keyed by name: every configured tenant and
+    # every tenant that launched, with or without QoS.
     tenants: Dict[str, TenantMetrics] = field(default_factory=dict)
+
+    def tenant_record(self, spec) -> TenantMetrics:
+        """The record of ``spec``'s tenant (a ``TenantSpec``), started on
+        first use."""
+        record = self.tenants.get(spec.name)
+        if record is None:
+            record = TenantMetrics(tenant=spec.name, priority_class=spec.priority_class)
+            self.tenants[spec.name] = record
+        return record
 
     def register(self, metrics: InferletMetrics) -> None:
         self.per_inferlet[metrics.inferlet_id] = metrics

@@ -1,16 +1,13 @@
 """Live monitoring plane: an SLO engine on a virtual-clock tick, and exports
 collected when someone asks.
 
-:class:`MonitorService` keeps no copy of a fact that has another owner:
+:class:`MonitorService` keeps no copy of a fact, and counts none: every
+per-tenant fact — TTFT / TPOT samples and their verdicts, exits by status,
+launches offered, goodput — is counted once by the core into the tenant's
+:class:`~repro.core.metrics.TenantMetrics`, with or without this plane.
 
-* its :class:`~repro.core.registry.MetricRegistry` holds what nothing else
-  records, all counted off lifecycle notifications — ``pie_ttft_seconds``,
-  ``pie_tpot_seconds``, ``pie_requests_total`` and per-tenant
-  ``pie_offered_total`` / ``pie_good_total`` (server-side goodput: launches
-  asked for, and those that finished inside their SLO);
-* an :class:`~repro.core.slo.SloEngine` counts each sample's verdict — read
-  off the inferlet's record, never re-judged here — into per-tenant error
-  budgets and fires multi-window burn-rate alerts;
+* an :class:`~repro.core.slo.SloEngine` reads those records' verdict counts
+  into per-tenant error budgets and fires multi-window burn-rate alerts;
 * the *scrape tick*, every :data:`SCRAPE_INTERVAL_MS` — a
   :class:`~repro.sim.periodic.PeriodicService`, so it only re-arms while
   inferlets are live and a run never lasts longer because monitoring is
@@ -22,8 +19,8 @@ collected when someone asks.
   instant*, so an export cannot disagree with the live state it names.
 
 Off by default (``ControlLayerConfig.monitoring``): no ``MonitorService``
-is built and ``Controller.observers`` holds none.  When on, every hook and
-every export only *reads* serving state, so tokens, metrics and virtual
+is built and ``Controller.timers`` holds no scraper.  When on, the tick and
+every export only *read* serving state, so tokens, metrics and virtual
 timestamps stay bit-identical to a monitor-off run (asserted in
 ``tests/test_determinism.py``).
 """
@@ -33,9 +30,8 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Callable, Dict, List
 
-from repro.core.inferlet import LifecycleObserver
-from repro.core.metrics import TenantMetrics
-from repro.core.registry import CounterFamily, HistogramFamily, MetricRegistry
+from repro.core.metrics import EXIT_STATUSES, TenantMetrics
+from repro.core.registry import MetricRegistry
 from repro.core.scheduler import SchedulerStats
 from repro.core.slo import SloEngine
 from repro.sim.periodic import PeriodicService
@@ -43,8 +39,7 @@ from repro.sim.periodic import PeriodicService
 __all__ = ["MonitorService"]
 
 #: Tick period in virtual milliseconds: each tick advances the alert windows
-#: (0 = no ticks; request-path counters and histograms still accumulate).
-#: Read when a monitor is built.
+#: (0 = no ticks; the records still count).  Read when a monitor is built.
 SCRAPE_INTERVAL_MS = 50.0
 #: ``DeviceShard.readings()`` keys, exported beside the shard's counters.
 SHARD_READINGS = {
@@ -53,6 +48,12 @@ SHARD_READINGS = {
     "embed_occupancy": "Fraction of embed slots in use",
     "busy_seconds": "Cumulative device busy time",
 }
+#: ``TenantMetrics`` counts exported under a family of their own — the
+#: request families of :meth:`MonitorService.collect` and
+#: ``pie_slo_events_total`` — and so not again as ``pie_tenant_<field>``.
+_TENANT_FAMILIES = EXIT_STATUSES + (
+    "offered", "good", "ttft_met", "ttft_missed", "tpot_met", "tpot_missed",
+)
 
 
 def _scalars(record) -> Dict[str, float]:
@@ -69,14 +70,15 @@ def _field_help(probe) -> Dict[str, str]:
     return {name: f"{type(probe).__name__}.{name}" for name in _scalars(probe)}
 
 
-class MonitorService(LifecycleObserver):
-    """Owns the request-path metrics, the SLO engine, and the scrape tick."""
+class MonitorService:
+    """Owns the SLO engine and the scrape tick; exports on demand."""
 
     def __init__(self, controller) -> None:
         self.controller = controller
         self.sim = controller.sim
-        self.registry = MetricRegistry()
-        self.slo = SloEngine(controller.tenants, trace=controller.trace)
+        self.slo = SloEngine(
+            controller.tenants, controller.metrics.tenants, trace=controller.trace
+        )
         self.scrape_interval_ms = SCRAPE_INTERVAL_MS
         self.scraper = PeriodicService(
             self.sim,
@@ -87,58 +89,6 @@ class MonitorService(LifecycleObserver):
         # Alert subscribers (e.g. the chaos plane's BrownoutController),
         # invoked with each AlertEvent as the scrape tick surfaces it.
         self._alert_listeners: List[Callable] = []
-
-        # Request-path families, created eagerly so exports are stable even
-        # before the first observation.
-        self._ttft: HistogramFamily = self.registry.histogram(
-            "pie_ttft_seconds",
-            "Time to first token per tenant",
-            labelnames=("tenant",),
-        )
-        self._tpot: HistogramFamily = self.registry.histogram(
-            "pie_tpot_seconds",
-            "Time per output token per tenant",
-            labelnames=("tenant",),
-        )
-        self._requests: CounterFamily = self.registry.counter(
-            "pie_requests_total",
-            "Inferlets that left, by tenant and terminal status (rejected = refused at admission)",
-            labelnames=("tenant", "status"),
-        )
-        self._offered: CounterFamily = self.registry.counter(
-            "pie_offered_total",
-            "Launches asked for per tenant (refused ones included)",
-            labelnames=("tenant",),
-        )
-        self._good: CounterFamily = self.registry.counter(
-            "pie_good_total",
-            "Inferlets that finished inside their TTFT and TPOT SLO (goodput)",
-            labelnames=("tenant",),
-        )
-
-    # -- lifecycle notifications (all read-only w.r.t. simulation state) -----
-
-    def note_launch_requested(self, instance) -> None:
-        self._offered.labels(tenant=instance.tenant).inc()
-
-    def note_output(self, instance, now: float, count: int, first: bool) -> None:
-        if not first:
-            return
-        metrics = instance.metrics
-        self._ttft.labels(tenant=instance.tenant).observe(metrics.ttft)
-        self.slo.observe(instance.tenant, "ttft", metrics.ttft_met)
-
-    def note_finished(self, instance) -> None:
-        tenant = instance.tenant
-        metrics = instance.metrics
-        self._requests.labels(tenant=tenant, status=metrics.status).inc()
-        if metrics.good:
-            self._good.labels(tenant=tenant).inc()
-        # Only finished streams are judged here (QoS also counts a
-        # terminated stream's TPOT against its tenant).
-        if metrics.status == "finished" and metrics.tpot is not None:
-            self._tpot.labels(tenant=tenant).observe(metrics.tpot)
-            self.slo.observe(tenant, "tpot", metrics.tpot_met)
 
     # -- virtual-clock tick -------------------------------------------------
 
@@ -159,10 +109,9 @@ class MonitorService(LifecycleObserver):
 
     def collect(self) -> MetricRegistry:
         """Everything exportable, read from its owner at this instant: the
-        registry's own families plus gauges over the live counter records
-        and the SLO engine's state (pure inspection; the result is the
-        caller's to discard)."""
-        export = MetricRegistry(self.registry.families())
+        live counter records and the SLO engine's state (pure inspection;
+        the result is the caller's to discard)."""
+        export = MetricRegistry()
 
         def publish(prefix: str, helps: Dict[str, str], rows, labelnames=()) -> None:
             # One gauge per name — so a family exists before its first
@@ -174,12 +123,40 @@ class MonitorService(LifecycleObserver):
 
         system = self.controller.metrics
         publish("system", _field_help(system), [({}, _scalars(system))])
+        tenant_help = _field_help(TenantMetrics(tenant=""))
         publish(
             "tenant",
-            _field_help(TenantMetrics(tenant="")),
+            {name: help_ for name, help_ in tenant_help.items() if name not in _TENANT_FAMILIES},
             [({"tenant": name}, _scalars(record)) for name, record in system.tenants.items()],
             labelnames=("tenant",),
         )
+        # The request families, one sample per tenant (and status) that
+        # has something counted.
+        ttft = export.histogram("pie_ttft_seconds", "Time to first token per tenant", ("tenant",))
+        tpot = export.histogram("pie_tpot_seconds", "Time per output token per tenant", ("tenant",))
+        offered = export.counter(
+            "pie_offered_total", "Launches asked for per tenant (refused ones included)", ("tenant",)
+        )
+        good = export.counter(
+            "pie_good_total",
+            "Inferlets that finished inside their TTFT and TPOT SLO (goodput)",
+            ("tenant",),
+        )
+        requests = export.counter(
+            "pie_requests_total",
+            "Inferlets that left, by tenant and terminal status (rejected = refused at admission)",
+            ("tenant", "status"),
+        )
+        for name, record in system.tenants.items():
+            for family, histogram in ((ttft, record.ttft), (tpot, record.tpot)):
+                if histogram.total:
+                    family.labels(tenant=name).merge(histogram)
+            for family, count in ((offered, record.offered), (good, record.good)):
+                if count:
+                    family.labels(tenant=name).inc(count)
+            for status in EXIT_STATUSES:
+                if getattr(record, status):
+                    requests.labels(tenant=name, status=status).inc(getattr(record, status))
         publish(
             "shard",
             {**_field_help(SchedulerStats()), **SHARD_READINGS},

@@ -216,8 +216,6 @@ class _TenantState:
             Tuple["InferletInstance", Callable[[], None], Optional[Callable[[], None]]]
         ] = deque()
         self.refill_timer_armed = False
-        # Fair-share virtual token counter: dispatched work / class weight.
-        self.virtual_tokens = 0.0
 
     @property
     def has_slot(self) -> bool:
@@ -256,10 +254,9 @@ class QosService(LifecycleObserver):
     # -- per-tenant runtime state ---------------------------------------------
 
     def _track(self, spec: TenantSpec) -> _TenantState:
-        """Start accounting for a tenant of the table (its counters, bucket
-        and admission queue); the spec stays the table's."""
-        record = TenantMetrics(tenant=spec.name, priority_class=spec.priority_class)
-        self.metrics.tenants[spec.name] = record
+        """Start serving a tenant of the table (its bucket and admission
+        queue); the spec stays the table's and the record the core's."""
+        record = self.metrics.tenant_record(spec)
         state = self._tenants[spec.name] = _TenantState(spec, record, now=self.sim.now)
         return state
 
@@ -312,7 +309,6 @@ class QosService(LifecycleObserver):
         state = self._state(instance.tenant)
         now = self.sim.now
         if self._brownout and state.spec.priority_class == "batch":
-            state.metrics.rejected += 1
             self.metrics.qos_rejected += 1
             self.metrics.brownout_shed += 1
             if self._trace is not None:
@@ -332,7 +328,6 @@ class QosService(LifecycleObserver):
             self._admit(state, instance)
             return "admit"
         if len(state.wait_queue) >= max(0, state.spec.max_queued):
-            state.metrics.rejected += 1
             self.metrics.qos_rejected += 1
             if self._trace is not None:
                 self._trace.instant(
@@ -436,16 +431,6 @@ class QosService(LifecycleObserver):
         if state is None or instance.instance_id not in state.running:
             return
         state.running.discard(instance.instance_id)
-        metrics = instance.metrics
-        if metrics.status == "finished":
-            state.metrics.finished += 1
-        elif metrics.status == "terminated":
-            state.metrics.terminated += 1
-        # Terminated streams are judged too: a tenant whose decode was cut
-        # short still had its TPOT promise kept or broken up to that point.
-        tpot = metrics.tpot
-        if tpot is not None:
-            state.metrics.observe("tpot", tpot, metrics.tpot_met)
         self._pump(state)
 
     # -- SLO deadlines and slack --------------------------------------------
@@ -502,7 +487,7 @@ class QosService(LifecycleObserver):
         slack = self._min_weighted_slack(batch, now)
         vtime = min(
             (
-                state.virtual_tokens
+                state.metrics.virtual_tokens
                 for state in (
                     self._state_of(cmd.inferlet_id) for cmd in batch.commands
                 )
@@ -554,9 +539,8 @@ class QosService(LifecycleObserver):
             if state is None:
                 continue
             tokens = max(command.rows, command.input_tokens, 1)
-            state.virtual_tokens += tokens / state.spec.share_weight
+            state.metrics.virtual_tokens += tokens / state.spec.share_weight
             state.metrics.dispatched_commands += 1
-            state.metrics.virtual_tokens = state.virtual_tokens
 
     # -- urgency fallback for empty instance sets ---------------------------
 
@@ -591,8 +575,8 @@ class QosService(LifecycleObserver):
         """Attribute one prefill->decode disaggregation handoff.
 
         QoS accounting follows the inferlet across the migration: the
-        tenant's fair-share state and SLO samples are keyed by instance id,
-        not device, so only this counter needs to move.
+        tenant's fair-share state is keyed by instance id, not device, so
+        only this counter needs to move.
         """
         state = self._state_of(instance.instance_id)
         if state is not None:
@@ -626,18 +610,6 @@ class QosService(LifecycleObserver):
         if state is None:
             return 1.0
         return state.spec.share_weight
-
-    # -- output accounting ---------------------------------------------------
-
-    def note_output(
-        self, instance: "InferletInstance", now: float, count: int, first: bool
-    ) -> None:
-        state = self._state_of(instance.instance_id)
-        if state is None:
-            return
-        state.metrics.output_tokens += count
-        if first:
-            state.metrics.observe("ttft", instance.metrics.ttft, instance.metrics.ttft_met)
 
     # -- reporting -----------------------------------------------------------
 

@@ -1,10 +1,9 @@
 """Typed metric registry: counters, gauges and log-bucketed histograms.
 
 ``SystemMetrics`` and friends are plain dataclass counters, and they stay
-the store: the live monitoring plane (:mod:`repro.core.monitor`) keeps in a
-registry only the labelled request-path metrics nothing else records, and
-publishes the dataclass counters through a throw-away registry when an
-export is asked for.  This module supplies the pieces:
+the store: the live monitoring plane (:mod:`repro.core.monitor`) keeps no
+registry, and publishes the dataclass counters through a throw-away one
+when an export is asked for.  This module supplies the pieces:
 
 * :class:`LogHistogram` — a deterministic log-bucketed histogram: bucket
   boundaries are a pure function of ``(lo, hi, growth)``, so the same
@@ -297,10 +296,8 @@ class MetricRegistry:
     a different schema raises (one name, one meaning).
     """
 
-    def __init__(self, families: Sequence[_Family] = ()) -> None:
-        # ``families`` are shared, not copied: an export registry starts
-        # from the live families of the one it publishes beside.
-        self._families: Dict[str, _Family] = {f.name: f for f in families}
+    def __init__(self) -> None:
+        self._families: Dict[str, _Family] = {}
 
     # -- family construction ------------------------------------------------
 

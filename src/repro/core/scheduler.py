@@ -15,7 +15,7 @@ Four policies are provided, matching the paper's Table 5 comparison:
   ``k_threshold`` pending commands (with a safety flush so the system
   cannot stall below the threshold).
 * ``t_only``   — timeout batching: dispatch once the oldest pending command
-  has waited ``t_timeout_ms``.
+  has waited :data:`T_TIMEOUT_MS`.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ IPC_CROSSING_MS = 0.006
 # Safety flush so the strawman policies (k_only, t_only) cannot deadlock a
 # run: whatever is still pending this long after a submit is dispatched.
 MAX_WAIT_MS = 50.0
+# ``t_only``'s timeout: a batch dispatches once its oldest command waited this long.
+T_TIMEOUT_MS = 5.0
 
 
 @dataclass
@@ -488,13 +490,13 @@ class BatchScheduler:
         self._timeout_flush_armed = True
         self.timeout_timers_armed += 1
         if delay_seconds is None:
-            delay_seconds = milliseconds(self.config.t_timeout_ms)
+            delay_seconds = milliseconds(T_TIMEOUT_MS)
         self.sim.schedule(delay_seconds, self._timeout_flush)
 
     def _timeout_flush(self) -> None:
         self._timeout_flush_armed = False
         now = self.sim.now
-        deadline = milliseconds(self.config.t_timeout_ms)
+        deadline = milliseconds(T_TIMEOUT_MS)
         candidates = self._form_candidates()
         ripe = {
             kind: batch

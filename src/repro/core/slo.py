@@ -1,13 +1,13 @@
 """Per-tenant SLO error budgets and multi-window burn-rate alerting.
 
 The QoS subsystem *enforces* SLOs inside the scheduler; this module
-*observes* them the way a production on-call would: the good/bad verdict
-of each TTFT and TPOT sample — decided once, on the inferlet's record
-(:func:`repro.core.metrics.met`, against the tenant contract it was launched
-under) — is counted per tenant into an error budget for an
-availability objective (``slo_target``, e.g. 0.95 = 5% of requests may
-miss), and alerts fire on the *burn rate* — how many times faster than
-sustainable the budget is being consumed:
+*observes* them the way a production on-call would: the good/bad verdicts
+of each tenant's TTFT and TPOT samples — decided once, on the inferlet's
+record (:func:`repro.core.metrics.met`), and counted once, on the tenant's
+:class:`~repro.core.metrics.TenantMetrics` — are read against an error
+budget for an availability objective (``slo_target``, e.g. 0.95 = 5% of
+requests may miss), and alerts fire on the *burn rate* — how many times
+faster than sustainable the budget is being consumed:
 
     ``burn = (bad / total) / (1 - slo_target)``
 
@@ -21,8 +21,8 @@ neither fires (long window still clean) nor keeps a resolved incident
 alive (short window recovers quickly).
 
 Window state advances at scrape ticks (:meth:`SloEngine.tick`, driven by
-the monitor's virtual-clock scraper): observations land in the current
-bucket, ticks close the bucket into a deque pruned to the longest window.
+the monitor's virtual-clock scraper): each tick buckets what the records
+counted since the last one into a deque pruned to the longest window.
 All windows are virtual-time seconds — the simulated runs replay hours of
 traffic in seconds, so defaults are seconds-scale, not the SRE hours.
 
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.core.metrics import TenantMetrics
 from repro.core.qos import TenantTable
 
 __all__ = ["BurnWindow", "AlertEvent", "SloEngine", "SIGNALS"]
@@ -92,30 +93,19 @@ class AlertEvent:
 
 
 class _SignalTracker:
-    """Good/bad accounting for one (tenant, signal) stream."""
+    """Burn-rate windows over one (tenant, signal) stream of its record."""
 
     def __init__(self, windows: Sequence[BurnWindow]) -> None:
         self.windows = tuple(windows)
-        self.good = 0
-        self.bad = 0
-        self._cur_good = 0
-        self._cur_bad = 0
+        # The record's (met, missed) when the last bucket was closed.
+        self._seen = (0, 0)
         # Closed buckets: (tick_time, good, bad), pruned to the longest
         # window at each tick, so memory is O(longest_window / scrape).
         self._buckets: Deque[Tuple[float, int, int]] = deque()
         self.active: List[bool] = [False] * len(self.windows)
 
-    def observe(self, met: bool) -> None:
-        if met:
-            self.good += 1
-            self._cur_good += 1
-        else:
-            self.bad += 1
-            self._cur_bad += 1
-
     def _window_counts(self, now: float, window_s: float) -> Tuple[int, int]:
-        good = self._cur_good
-        bad = self._cur_bad
+        good = bad = 0
         floor = now - window_s
         for time, g, b in reversed(self._buckets):
             if time <= floor:
@@ -131,15 +121,18 @@ class _SignalTracker:
             return 0.0
         return (bad / total) / budget
 
-    def tick(self, now: float, budget: float) -> List[Tuple[int, str, float, float]]:
-        """Close the current bucket and evaluate every window rule.
+    def tick(
+        self, now: float, verdicts: Tuple[int, int], budget: float
+    ) -> List[Tuple[int, str, float, float]]:
+        """Bucket the verdicts counted since the last tick and evaluate
+        every window rule.
 
         Returns ``(window_index, kind, burn_long, burn_short)`` transitions.
         """
-        if self._cur_good or self._cur_bad:
-            self._buckets.append((now, self._cur_good, self._cur_bad))
-            self._cur_good = 0
-            self._cur_bad = 0
+        if verdicts != self._seen:
+            (good, bad), (seen_good, seen_bad) = verdicts, self._seen
+            self._buckets.append((now, good - seen_good, bad - seen_bad))
+            self._seen = verdicts
         longest = max(w.long_s for w in self.windows) if self.windows else 0.0
         floor = now - longest
         while self._buckets and self._buckets[0][0] <= floor:
@@ -164,13 +157,15 @@ class SloEngine:
 
     Independent of the QoS *service*: the availability objective of a
     tenant is read from the controller's :class:`~repro.core.qos.TenantTable`
-    (``tenants``), which exists whether or not QoS enforcement is on (the
-    load harness runs with it off), and the verdicts arrive already decided.
+    (``tenants``) and its verdicts from the core's per-tenant records
+    (``records``, ``SystemMetrics.tenants``); both exist whether or not QoS
+    enforcement is on (the load harness runs with it off).
     """
 
     def __init__(
         self,
         tenants: TenantTable,
+        records: Dict[str, TenantMetrics],
         windows: Optional[Sequence[BurnWindow]] = None,
         default_target: Optional[float] = None,
         trace=None,
@@ -184,6 +179,7 @@ class SloEngine:
         if not 0.0 < default_target < 1.0:
             raise ReproError("slo_target must be in (0, 1)")
         self.tenants = tenants
+        self.records = records
         self.windows = tuple(windows)
         self.default_target = default_target
         self._trace = trace
@@ -195,29 +191,22 @@ class SloEngine:
         target = self.tenants[tenant].slo_target
         return target if target is not None else self.default_target
 
-    def _tracker(self, tenant: str, signal: str) -> _SignalTracker:
-        key = (tenant, signal)
-        tracker = self._trackers.get(key)
-        if tracker is None:
-            tracker = _SignalTracker(self.windows)
-            self._trackers[key] = tracker
-        return tracker
-
-    # -- observation --------------------------------------------------------
-
-    def observe(self, tenant: str, signal: str, met: bool) -> None:
-        """Count one sample's verdict (``InferletMetrics.ttft_met`` /
-        ``tpot_met``) against the tenant's error budget."""
-        self._tracker(tenant, signal).observe(met)
-
     # -- scrape tick --------------------------------------------------------
 
     def tick(self, now: float) -> List[AlertEvent]:
-        """Advance every window; returns the fire/clear transitions."""
+        """Advance every window; returns the fire/clear transitions.
+
+        A stream is tracked from the first tick its record holds a verdict;
+        the streams tick in the order they started being tracked."""
+        for tenant, record in self.records.items():
+            for signal in SIGNALS:
+                if (tenant, signal) not in self._trackers and any(record.verdicts(signal)):
+                    self._trackers[(tenant, signal)] = _SignalTracker(self.windows)
         events: List[AlertEvent] = []
         for (tenant, signal), tracker in self._trackers.items():
             budget = 1.0 - self.target_for(tenant)
-            for index, kind, burn_long, burn_short in tracker.tick(now, budget):
+            verdicts = self.records[tenant].verdicts(signal)
+            for index, kind, burn_long, burn_short in tracker.tick(now, verdicts, budget):
                 window = self.windows[index]
                 event = AlertEvent(
                     time=now,
@@ -273,9 +262,8 @@ class SloEngine:
 
     def budget(self, tenant: str, signal: str) -> dict:
         """Cumulative error-budget consumption of one signal stream."""
-        tracker = self._trackers.get((tenant, signal))
-        good = tracker.good if tracker is not None else 0
-        bad = tracker.bad if tracker is not None else 0
+        record = self.records.get(tenant)
+        good, bad = record.verdicts(signal) if record is not None else (0, 0)
         total = good + bad
         target = self.target_for(tenant)
         budget_fraction = 1.0 - target
@@ -292,8 +280,9 @@ class SloEngine:
         }
 
     def budgets(self) -> Dict[str, Dict[str, dict]]:
-        """``tenant -> signal -> budget`` for every observed stream."""
+        """``tenant -> signal -> budget`` for every stream with a verdict."""
         report: Dict[str, Dict[str, dict]] = {}
-        for tenant, signal in sorted(self._trackers):
-            report.setdefault(tenant, {})[signal] = self.budget(tenant, signal)
+        for tenant, signal in sorted((t, s) for t in self.records for s in SIGNALS):
+            if any(self.records[tenant].verdicts(signal)):
+                report.setdefault(tenant, {})[signal] = self.budget(tenant, signal)
         return report

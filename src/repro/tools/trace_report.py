@@ -255,12 +255,18 @@ def _attribute_one(record: dict) -> dict:
 
 
 def build_report(events: List[dict]) -> dict:
-    """Attribution rows plus fleet-level percentile summaries."""
+    """Attribution rows plus fleet-level percentile summaries.
+
+    A launch refused at admission is a zero-length row: it is counted under
+    ``rejected`` and kept out of every percentile, which describe the
+    inferlets that were let in."""
     rows = attribute_stalls(events)
-    latencies = [row["latency"] for row in rows.values()]
+    admitted = [row for row in rows.values() if row["status"] != "rejected"]
+    latencies = [row["latency"] for row in admitted]
     summary = {
         "inferlets": len(rows),
         "aborted": sum(1 for row in rows.values() if row["aborted"]),
+        "rejected": len(rows) - len(admitted),
         "latency": {
             "p50": percentile(latencies, 50.0),
             "p99": percentile(latencies, 99.0),
@@ -268,7 +274,7 @@ def build_report(events: List[dict]) -> dict:
         "buckets": {},
     }
     for name in ATTRIBUTION_BUCKETS:
-        samples = [row["buckets"][name] for row in rows.values()]
+        samples = [row["buckets"][name] for row in admitted]
         summary["buckets"][name] = {
             "total": sum(samples),
             "p50": percentile(samples, 50.0),
@@ -295,7 +301,8 @@ def render_report(report: dict) -> str:
         )
     lines.append("")
     lines.append(
-        f"{summary['inferlets']} inferlets ({summary['aborted']} aborted), "
+        f"{summary['inferlets']} inferlets ({summary['aborted']} aborted, "
+        f"{summary['rejected']} rejected), "
         f"latency p50 {summary['latency']['p50'] * 1e3:.2f} ms / "
         f"p99 {summary['latency']['p99'] * 1e3:.2f} ms"
     )

@@ -114,7 +114,7 @@ def test_head_run_set_based_conflicts_match_pairwise():
 
 
 def _t_only_server(sim):
-    config = PieConfig(scheduler=SchedulerConfig(policy="t_only", t_timeout_ms=5.0))
+    config = PieConfig(scheduler=SchedulerConfig(policy="t_only"))
     return PieServer(sim, config=config)
 
 

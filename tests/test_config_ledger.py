@@ -37,7 +37,8 @@ LEDGER = {
     "ControlLayerConfig.prefix_cache": "prefix_cache arms; perf/ shared_prefix_fork",
     "ControlLayerConfig.chunked_prefill": "chunked_prefill arms; disaggregation setup",
     "ControlLayerConfig.prefill_chunk_tokens": (
-        "chunked_prefill / disaggregation set 256, examples/trace_flight_recorder.py 32"
+        "examples/trace_flight_recorder.py sets 32; chunked_prefill / disaggregation run the "
+        "default 256"
     ),
     "ControlLayerConfig.prefill_shards": "disaggregation arm (2 of its 8 devices)",
     "ControlLayerConfig.tracing": "tracing arms; perf/ traced run; the example",
@@ -60,9 +61,6 @@ LEDGER = {
     "GpuConfig.host_kv_pages": "capacity; tiered_memory arms (0 = no host tier)",
     "SchedulerConfig.policy": "table5_batching arms (eager / k_only / t_only); fig10",
     "SchedulerConfig.k_threshold": "table5_batching k_only arm",
-    "SchedulerConfig.t_timeout_ms": (
-        "table5_batching t_only arm passes it — 5.0, which is also the default"
-    ),
     "WasmRuntimeConfig.pool_size": "capacity; perf/test_perf.py sets 8",
 }
 
@@ -82,7 +80,7 @@ def test_every_field_has_a_ledger_row_and_every_row_a_field():
 
 def test_the_counters_the_north_star_tracks():
     assert len(dataclasses.fields(ControlLayerConfig)) == 16  # 30 before the audit
-    assert len(settable_scalars()) <= 26  # 43 before the audit
+    assert len(settable_scalars()) <= 25  # 43 before the audit
     assert len(SHORTHAND_IMPLICATIONS) <= 5  # 11 before the audit
     fields = set(settable_scalars())
     for key, implied in SHORTHAND_IMPLICATIONS:

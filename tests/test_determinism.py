@@ -54,7 +54,8 @@ def run_stack(
     ``qos=True`` layers the multi-tenant QoS service on top (tenant
     admission, slack dispatch, class-aware preemption): the determinism
     guarantee must hold for the full stack, and ``qos=False`` must take
-    the exact pre-QoS code path (no QoS counters, no tenant records).
+    the exact pre-QoS code path (no QoS counters; the core's tenant record
+    holds nothing QoS writes).
     ``chunked=True`` additionally slices prefills under a small token
     budget (chunked prefill), with the same off-knob guarantee.
     ``disagg=True`` splits the two devices into one prefill and one decode
@@ -185,7 +186,20 @@ def test_qos_off_is_bit_identical_and_leaves_no_qos_trace():
         "qos_preemption_terminations",
     ):
         assert first["metrics"][counter] == 0, counter
-    assert first["metrics"]["tenants"] == {}
+    # The core keeps a record per tenant with every plane off; what QoS
+    # writes into it stays zero.
+    [record] = first["metrics"]["tenants"].values()
+    assert (record["tenant"], record["offered"], record["finished"]) == ("default", 6, 6)
+    for field in (
+        "admitted",
+        "queued",
+        "preempted_swaps",
+        "preempted_terminations",
+        "handoffs",
+        "dispatched_commands",
+        "virtual_tokens",
+    ):
+        assert record[field] == 0, field
 
 
 def test_qos_on_stack_is_bit_identical():
@@ -490,7 +504,8 @@ def test_disagg_composed_with_qos_and_chunked_is_bit_identical():
 
 def test_three_observers_together_do_not_perturb_the_run():
     """Tracing + monitoring + QoS on together: every lifecycle fact is then
-    published to three observers at once.  Tokens and each inferlet's
+    published to both observers at once (the monitor is none: it reads the
+    tenant records the core counts).  Tokens and each inferlet's
     first-token / finish timestamps match the all-planes-off run, and with
     every knob off there is nobody to tell."""
     sim = Simulator(seed=1)
@@ -499,9 +514,9 @@ def test_three_observers_together_do_not_perturb_the_run():
     together = PieServer(sim, num_devices=2, qos=True, monitoring=True, tracing=True)
     assert [type(o).__name__ for o in together.controller.observers] == [
         "QosService",
-        "MonitorService",
         "LifecycleTracer",
     ]
+    assert together.monitor.scraper in together.controller.timers
     on = run_stack(qos=True, tracing=True, monitoring=True)
     off = run_stack()
     assert on["now"] == off["now"]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core import PieServer, TenantSpec, TenantTable, monitor, slo
+from repro.core.metrics import EXIT_STATUSES, TenantMetrics
 from repro.core.slo import BurnWindow, SloEngine
 from repro.errors import ClientError, ReproError
 from repro.sim import Simulator
@@ -13,21 +14,25 @@ from tests.test_slo_contract import stamped
 
 def engine(windows=None, target=0.95, tenants=()):
     return SloEngine(
-        TenantTable(tenants), windows or (BurnWindow(2.0, 0.5, 6.0),), default_target=target
+        TenantTable(tenants), {}, windows or (BurnWindow(2.0, 0.5, 6.0),), default_target=target
     )
 
 
+def record(eng, tenant):
+    """The tenant's record the engine reads (the test counts in it, as the
+    core would)."""
+    return eng.records.setdefault(tenant, TenantMetrics(tenant=tenant))
+
+
 def drive(eng, tenant, pattern, dt=0.1, start=0.0):
-    """Feed (n_good, n_bad) buckets, ticking after each; returns events."""
+    """Count (n_good, n_bad) TTFT verdicts, ticking after each; returns events."""
     events = []
     now = start
+    counts = record(eng, tenant)
     for n_good, n_bad in pattern:
         now += dt
-        tracker = eng._tracker(tenant, "ttft")
-        for _ in range(n_good):
-            tracker.observe(True)
-        for _ in range(n_bad):
-            tracker.observe(False)
+        counts.ttft_met += n_good
+        counts.ttft_missed += n_bad
         events.extend(eng.tick(now))
     return events
 
@@ -39,9 +44,9 @@ class TestBurnWindows:
         with pytest.raises(ReproError):
             BurnWindow(2.0, 0.5, 0.0)  # threshold must be positive
         with pytest.raises(ReproError):
-            SloEngine(TenantTable(), ())
+            SloEngine(TenantTable(), {}, ())
         with pytest.raises(ReproError):
-            SloEngine(TenantTable(), default_target=1.5)  # the objective is a share in (0, 1)
+            SloEngine(TenantTable(), {}, default_target=1.5)  # the objective is a share in (0, 1)
 
     def test_golden_fire_and_clear_sequence(self):
         # Budget 5%; threshold 6x => fire needs >30% bad in BOTH windows.
@@ -103,26 +108,26 @@ class TestBurnWindows:
         assert eng.target_for("lax") == 0.95  # implicit default spec
 
     def test_observation_judges_against_spec(self):
-        # The engine counts the record's verdict; it judges nothing itself.
+        # The engine reads the tenant record's count of the inferlets' own
+        # verdicts; it judges and counts nothing itself.
         spec = TenantSpec(name="acme", ttft_slo_ms=100.0, tpot_slo_ms=10.0)
         eng = engine(tenants=[spec])
         hit, miss = stamped(spec, 0.05, 0.02), stamped(spec, 0.2, None)
         assert (hit.ttft_met, miss.ttft_met, hit.tpot_met, miss.tpot_met) == (
             True, False, False, None,
         )
-        eng.observe("acme", "ttft", hit.ttft_met)
-        eng.observe("acme", "ttft", miss.ttft_met)
-        eng.observe("acme", "tpot", hit.tpot_met)
+        acme = record(eng, "acme")
+        acme.observe("ttft", hit.ttft, hit.ttft_met)
+        acme.observe("ttft", miss.ttft, miss.ttft_met)
+        acme.observe("tpot", hit.tpot, hit.tpot_met)
         budget = eng.budget("acme", "ttft")
         assert budget["events"] == 2 and budget["bad"] == 1
         assert budget["attainment"] == 0.5
 
     def test_budget_consumption_math(self):
         eng = engine(target=0.9)  # budget fraction 0.1
-        for _ in range(95):
-            eng.observe("acme", "ttft", True)
-        for _ in range(5):
-            eng.observe("acme", "ttft", False)
+        acme = record(eng, "acme")
+        acme.ttft_met, acme.ttft_missed = 95, 5
         budget = eng.budget("acme", "ttft")
         assert budget["budget_fraction"] == pytest.approx(0.1)
         assert budget["budget_consumed"] == pytest.approx(0.5)
@@ -242,12 +247,14 @@ class TestMonitorService:
         assert server.monitor.scrapes_taken >= before
 
 
-# What an export holds: family -> label names.  The registry owns the five
-# that have no other home, all counted off lifecycle notifications
-# (``pie_offered_total`` / ``pie_good_total`` replaced the three
-# ``pie_loadgen_*`` the harness used to feed: 90 families -> 89);
-# ``collect()`` reads the rest off the live records.
-OWNED = {
+# What an export holds: family -> label names, all read off the live
+# records by ``collect()``.  The monitor kept the five request families in a
+# registry of its own, counted off lifecycle notifications beside the tenant
+# records QoS kept; now the core counts one record per tenant and each of
+# its facts is exported under one name: ``pie_tenant_{finished, terminated,
+# rejected}`` are ``pie_requests_total{status}`` and ``pie_tenant_{ttft,
+# tpot}_{met, missed}`` are ``pie_slo_events_total`` (89 families -> 82).
+REQUEST_FAMILIES = {
     "pie_ttft_seconds": ("tenant",),
     "pie_tpot_seconds": ("tenant",),
     "pie_requests_total": ("tenant", "status"),
@@ -278,9 +285,8 @@ SYSTEM_FIELDS = """
     swap_stall_seconds tool_faults tool_retries total_output_tokens
 """.split()
 TENANT_FIELDS = """
-    admitted dispatched_commands finished handoffs output_tokens
-    preempted_swaps preempted_terminations queued rejected terminated tpot_met
-    tpot_missed ttft_met ttft_missed virtual_tokens
+    admitted dispatched_commands handoffs output_tokens preempted_swaps
+    preempted_terminations queued virtual_tokens
 """.split()
 SHARD_STATS_FIELDS = """
     batches_dispatched commands_dispatched decode_rows_dispatched
@@ -289,7 +295,7 @@ SHARD_STATS_FIELDS = """
 """.split()
 SHARD_READINGS = "queue_depth kv_occupancy embed_occupancy busy_seconds".split()
 EXPORT_SCHEMA = {
-    **OWNED,
+    **REQUEST_FAMILIES,
     **SLO_FAMILIES,
     **{f"pie_system_{name}": () for name in SYSTEM_FIELDS},
     **{f"pie_tenant_{name}": ("tenant",) for name in TENANT_FIELDS},
@@ -357,6 +363,36 @@ class TestPullExport:
                     tenant: getattr(record, name)
                     for tenant, record in system.tenants.items()
                 }, name
+            # The request families are the records' counts, sample for sample.
+            for family, field in (("pie_offered_total", "offered"), ("pie_good_total", "good")):
+                samples = metrics[family]["samples"]
+                assert {s["labels"]["tenant"]: s["value"] for s in samples} == {
+                    tenant: getattr(record, field)
+                    for tenant, record in system.tenants.items()
+                    if getattr(record, field)
+                }, family
+            samples = metrics["pie_requests_total"]["samples"]
+            assert {
+                (s["labels"]["tenant"], s["labels"]["status"]): s["value"] for s in samples
+            } == {
+                (tenant, status): getattr(record, status)
+                for tenant, record in system.tenants.items()
+                for status in EXIT_STATUSES
+                if getattr(record, status)
+            }
+            for family, field in (("pie_ttft_seconds", "ttft"), ("pie_tpot_seconds", "tpot")):
+                samples = metrics[family]["samples"]
+                assert {s["labels"]["tenant"]: (s["count"], s["sum"]) for s in samples} == {
+                    tenant: (getattr(record, field).total, getattr(record, field).sum)
+                    for tenant, record in system.tenants.items()
+                }, family
+        # Bucket for bucket: the export merges the record's own histogram.
+        document = server.export_metrics()["metrics"]
+        for family, field in (("pie_ttft_seconds", "ttft"), ("pie_tpot_seconds", "tpot")):
+            assert document[family]["samples"] == [
+                {"labels": {"tenant": tenant}, **getattr(record, field).to_dict()}
+                for tenant, record in system.tenants.items()
+            ], family
             shards = server.service().shards
             for name in SHARD_STATS_FIELDS:
                 samples = metrics[f"pie_shard_{name}"]["samples"]
@@ -385,9 +421,9 @@ class TestPullExport:
         sim.run_until_complete(fleet)
         exported = {f.name: f.labelnames for f in server.monitor.collect().families()}
         assert exported == EXPORT_SCHEMA
-        assert len(exported) == 89
-        # What is left in the registry is what has no other owner.
-        assert {f.name for f in server.monitor.registry.families()} == set(OWNED)
+        assert len(exported) == 82
+        # The monitor keeps no registry, and no fact is exported twice.
+        assert not hasattr(server.monitor, "registry")
         document = server.export_metrics()
         assert "series" not in document
         for name, family in document["metrics"].items():

@@ -26,7 +26,7 @@ from repro.errors import AdmissionRejectedError, InferletTerminated, ReproError
 from repro.sim import Simulator
 
 
-async def _noop(ctx):  # pragma: no cover - never run in these tests
+async def _noop(ctx):
     return None
 
 
@@ -124,19 +124,25 @@ class TestAdmission:
         first.metrics.status = "finished"
         qos.note_finished(first)
         assert resumed == [second]
+        # QoS writes what only it knows; the exit is the core's to count.
         record = qos.metrics.tenants["acme"]
         assert record.admitted == 2
-        assert record.finished == 1
+        assert record.finished == 0
 
     def test_note_finished_is_idempotent(self):
+        """A second notice of one exit frees no second slot."""
         sim = Simulator()
         qos = make_service(sim, TenantSpec(name="acme", max_concurrent=1))
         instance = make_instance(tenant="acme")
         qos.request_admission(instance, proceed=lambda: None)
+        resumed = []
+        for _ in range(2):
+            parked = make_instance(tenant="acme")
+            qos.request_admission(parked, proceed=lambda parked=parked: resumed.append(parked))
         instance.metrics.status = "finished"
         qos.note_finished(instance)
         qos.note_finished(instance)
-        assert qos.metrics.tenants["acme"].finished == 1
+        assert len(resumed) == 1
 
     def test_reject_when_queue_full(self):
         sim = Simulator()
@@ -149,7 +155,8 @@ class TestAdmission:
             qos.request_admission(make_instance(tenant="acme"), proceed=lambda: None)
         assert excinfo.value.tenant == "acme"
         assert qos.metrics.qos_rejected == 1
-        assert qos.metrics.tenants["acme"].rejected == 1
+        # The refusal is counted per tenant where the launch retires it.
+        assert qos.metrics.tenants["acme"].rejected == 0
 
     def test_rate_limit_queues_until_bucket_refills(self):
         sim = Simulator()
@@ -519,7 +526,12 @@ class TestQosOffInertness:
         assert service.swap.qos is None
         assert service.router.placement_weight is None
         assert service.scheduler._qos is None
-        assert server.metrics.tenants == {}
+        # The core's tenant records are there; nothing QoS writes is.
+        server.register_program(InferletProgram(name="noop", main=_noop))
+        sim.run_until_complete(server.run_inferlet("noop"))
+        [record] = server.metrics.tenants.values()
+        assert (record.tenant, record.offered, record.finished) == ("default", 1, 1)
+        assert (record.admitted, record.queued, record.dispatched_commands) == (0, 0, 0)
 
     def test_tenants_shorthand_enables_service(self):
         sim = Simulator()
@@ -558,11 +570,19 @@ class TestTpotSamples:
         assert streamed.tpot == pytest.approx(0.01)
 
     def test_note_finished_skips_bulk_streams(self):
-        sim = Simulator()
-        qos = make_service(sim, TenantSpec(name="acme"))
+        """The tenant record's exit count takes no TPOT sample from a bulk
+        stream (and, like goodput, none from an unfinished one)."""
+        from repro.core.metrics import TenantMetrics
+
+        record = TenantMetrics(tenant="acme")
         instance = make_instance(tenant="acme")
-        qos.request_admission(instance, proceed=lambda: None)
         instance.metrics.note_output(now=0.5, count=8)
         instance.metrics.status = "finished"
-        qos.note_finished(instance)
-        assert qos.metrics.tenants["acme"].tpot.total == 0
+        record.note_exit(instance.metrics)
+        assert (record.finished, record.tpot.total) == (1, 0)
+        streamed = make_instance(tenant="acme")
+        streamed.metrics.note_output(now=0.5)
+        streamed.metrics.note_output(now=0.6)
+        streamed.metrics.status = "terminated"
+        record.note_exit(streamed.metrics)
+        assert (record.terminated, record.tpot.total) == (1, 0)

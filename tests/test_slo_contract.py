@@ -24,7 +24,9 @@ The tests, in the repo's oracle pattern:
   0 activations at the parent on the very run below;
 * the mix never overwrites a tenant the caller configured;
 * a refused launch is *shed*, not a crash, and leaves no observer
-  half-told (no open span, one ``rejected`` count).
+  half-told (no open span, one ``rejected`` count);
+* an AST scan holds ``metrics.met`` the only ordering comparison of a
+  latency with an SLO under ``src/``.
 
 Two hand-made mutants and the test that kills each: *verdict compared with
 ``<``* → ``test_a_sample_on_the_target_meets_it``; *harness mix allowed to
@@ -32,6 +34,9 @@ overwrite a configured tenant* → ``test_brownout_reaches_the_harness``
 (both automated in ``test_mutants_are_killed``).
 """
 
+import ast
+import pathlib
+import re
 from typing import Optional
 
 import pytest
@@ -405,6 +410,63 @@ def test_a_refused_launch_leaves_no_observer_half_told():
     [refused] = [row for row in rows.values() if row["status"] == "rejected"]
     assert refused["latency"] == 0.0 and not refused["aborted"]
     assert sum(1 for row in rows.values() if row["aborted"]) == 0
+
+
+# -- one comparison ----------------------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+#: An operand naming a latency SLO: ``ttft_slo_s``, ``CLASS_TPOT_SLO_MS``,
+#: ``slo_s`` ... (``slo_target``, an availability objective, is not one).
+SLO_NAME = re.compile(r"(^|_)slo_(s|ms)$", re.IGNORECASE)
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def slo_comparisons(source: str, exempt: str = "") -> list:
+    """Line numbers of the ordering comparisons in ``source`` with an
+    operand that names a latency SLO, outside the function ``exempt``."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == exempt
+        for node in ast.walk(function)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or id(node) in allowed:
+            continue
+        if not any(isinstance(op, ORDERINGS) for op in node.ops):
+            continue
+        names = [
+            name.id if isinstance(name, ast.Name) else name.attr
+            for operand in (node.left, *node.comparators)
+            for name in ast.walk(operand)
+            if isinstance(name, (ast.Name, ast.Attribute))
+        ]
+        if any(SLO_NAME.search(name) for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_scan_sees_a_comparison_with_an_slo():
+    assert slo_comparisons("good = [t for t in ttfts if t <= ttft_slo_s]") == [1]
+    assert slo_comparisons("late = spec.tpot_slo_s < tpot") == [1]
+    assert slo_comparisons("x = CLASS_TTFT_SLO_MS['batch'] / 1e3 >= t") == [1]
+    assert slo_comparisons("ok = 0.0 < slo_target < 1.0 and slots <= 4") == []
+    source = "def met(sample, slo_s):\n    return sample <= slo_s\n"
+    assert slo_comparisons(source) == [2] and slo_comparisons(source, exempt="met") == []
+
+
+def test_met_is_the_only_latency_slo_comparison_under_src():
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in slo_comparisons(
+            path.read_text(encoding="utf-8"),
+            exempt="met" if path == SRC / "repro" / "core" / "metrics.py" else "",
+        )
+    ]
+    assert found == []
 
 
 # -- the mutants --------------------------------------------------------------------

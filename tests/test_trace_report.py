@@ -180,6 +180,25 @@ def test_report_summary_and_render():
         assert bucket in text
 
 
+def test_a_refused_launch_moves_no_percentile():
+    """A launch refused at admission leaves a zero-length lifecycle row
+    (status ``rejected``): the summary counts it beside the aborted ones and
+    the fleet percentiles stay those of the inferlets that were let in."""
+    served = [
+        lifecycle(0.0, 1.0, inferlet="a"),
+        span("decode", "exec", 0.0, 1.0, inferlet="a"),
+    ]
+    refused = lifecycle(0.5, 0.0, inferlet="b", status="rejected")
+    before = build_report(served)
+    after = build_report(served + [refused])
+    assert after["inferlets"]["b"]["latency"] == 0.0
+    summary = after["summary"]
+    assert (summary["inferlets"], summary["aborted"], summary["rejected"]) == (2, 0, 1)
+    assert summary["latency"] == before["summary"]["latency"] == {"p50": 1.0, "p99": 1.0}
+    assert summary["buckets"] == before["summary"]["buckets"]
+    assert "2 inferlets (0 aborted, 1 rejected), latency p50 1000.00 ms" in render_report(after)
+
+
 def test_real_trace_round_trips_through_both_exporters(tmp_path):
     """A traced cluster run exports to JSONL and Perfetto JSON; both load
     back into identical attribution reports, and every finished inferlet's
