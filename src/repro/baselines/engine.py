@@ -204,7 +204,7 @@ class MonolithicEngine:
                     n_input_tokens=len(input_tokens), context_tokens=sequence.computed_tokens
                 )
             )
-        cost = self.cost_model.fused_step_cost(rows) * self.kernel_penalty
+        cost = self.cost_model.forward_batch_cost(rows) * self.kernel_penalty
         cost += milliseconds(self.per_step_overhead_ms)
         self.stats.batch_sizes.append(len(plan))
         self.stats.decode_steps += 1

@@ -111,7 +111,7 @@ class VllmLikeServer:
                 ForwardRow(n_input_tokens=1, context_tokens=len(prompt_tokens) + len(b["tokens"]))
                 for b in beams
             ]
-            cost = self.engine.cost_model.fused_step_cost(rows)
+            cost = self.engine.cost_model.forward_batch_cost(rows)
             # KV fork bookkeeping for surviving beams.
             cost += self.engine.cost_model.copy_batch_cost(max(1, len(beams)))
             candidates: List[dict] = []
@@ -134,7 +134,7 @@ class VllmLikeServer:
                 ForwardRow(n_input_tokens=1, context_tokens=len(prompt_tokens) + len(c["tokens"]))
                 for c in survivors
             ]
-            recompute_cost = self.engine.cost_model.fused_step_cost(recompute_rows)
+            recompute_cost = self.engine.cost_model.forward_batch_cost(recompute_rows)
 
             def recompute():
                 for candidate in survivors:

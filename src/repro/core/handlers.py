@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import ResourceError, SchedulingError
 from repro.core.command_queue import Command
-from repro.gpu.kernels import ForwardRow, KernelCostModel
+from repro.gpu.kernels import KernelCostModel
 from repro.gpu.memory import DeviceMemory, KvWrite
 from repro.model.registry import ModelEntry
 from repro.model.sampling import check_temperature, check_top_k, top_k_dists
@@ -98,14 +98,13 @@ class ApiHandlers:
     def batch_cost_seconds(self, kind: str, commands: Sequence[Command]) -> float:
         """Virtual-time cost of executing the batch on the device."""
         if kind == "forward":
-            rows = [
-                ForwardRow(
-                    n_input_tokens=max(1, command.input_tokens),
-                    context_tokens=command.context_tokens,
-                )
-                for command in commands
-            ]
-            return self.cost_model.forward_batch_cost(rows)
+            return self.cost_model.forward_seconds(
+                decode_rows=sum(1 for command in commands if command.input_tokens <= 1),
+                prefill_tokens=sum(
+                    command.input_tokens for command in commands if command.input_tokens > 1
+                ),
+                context_tokens=sum(command.context_tokens for command in commands),
+            )
         if kind in ("embed_text", "embed_image"):
             total_tokens = sum(command.input_tokens for command in commands)
             return self.cost_model.embed_batch_cost(total_tokens)

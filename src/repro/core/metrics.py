@@ -102,6 +102,17 @@ class InferletMetrics:
         return met(self.tpot, self.tpot_slo_s)
 
     @property
+    def deadline(self) -> Optional[float]:
+        """When this inferlet is next due (virtual seconds), read off the
+        launch stamps: the TTFT deadline before the first output token, the
+        TPOT deadline of the next token after it; None while unstamped."""
+        if self.ttft_slo_s is None:
+            return None
+        if self.first_token_at is None:
+            return self.launched_at + self.ttft_slo_s
+        return self.last_token_at + self.tpot_slo_s
+
+    @property
     def good(self) -> bool:
         """Counts toward goodput: finished with TTFT — and TPOT, when the
         stream carries a sample — inside the SLO."""

@@ -137,6 +137,10 @@ class TenantSpec:
         return ms / 1e3
 
 
+#: The contract QoS reads for an instance it never admitted.
+_DEFAULT_SPEC = TenantSpec(name="default", priority_class=DEFAULT_CLASS)
+
+
 class TenantTable(dict):
     """The one ``tenant name -> TenantSpec`` table, owned by the controller:
     seeded from ``ControlLayerConfig.tenants``, extended by :meth:`register`,
@@ -288,6 +292,10 @@ class QosService(LifecycleObserver):
         entry = self._instances.get(instance_id)
         return entry[1] if entry is not None else None
 
+    def _spec_of(self, instance_id: str) -> TenantSpec:
+        state = self._state_of(instance_id)
+        return state.spec if state is not None else _DEFAULT_SPEC
+
     # -- admission control --------------------------------------------------
 
     def request_admission(
@@ -426,40 +434,24 @@ class QosService(LifecycleObserver):
         self.sim.schedule(delay, fire)
 
     def note_finished(self, instance: "InferletInstance") -> None:
-        """An admitted inferlet left the system; free its slot and pump."""
-        state = self._state_of(instance.instance_id)
-        if state is None or instance.instance_id not in state.running:
+        """An admitted inferlet left the system (its queues already went):
+        forget it, free its slot and pump."""
+        entry = self._instances.pop(instance.instance_id, None)
+        if entry is None:
             return
+        state = entry[1]
         state.running.discard(instance.instance_id)
         self._pump(state)
 
-    # -- SLO deadlines and slack --------------------------------------------
-
-    def deadline(self, instance: "InferletInstance") -> float:
-        """The next SLO deadline of an inferlet (TTFT before the first
-        output token, TPOT afterwards)."""
-        state = self._state_of(instance.instance_id)
-        # Never admitted here (unit-test instances): its tenant's contract.
-        spec = state.spec if state is not None else self.tenants[instance.tenant]
-        metrics = instance.metrics
-        if metrics.first_token_at is None:
-            return metrics.launched_at + spec.ttft_slo_s
-        return (metrics.last_token_at or metrics.first_token_at) + spec.tpot_slo_s
-
-    def _slack(self, instance: "InferletInstance", now: float) -> float:
-        return self.deadline(instance) - now
+    # -- SLO slack -----------------------------------------------------------
 
     def _weighted_slack(self, instance: "InferletInstance", now: float) -> float:
-        """Class-weighted slack: scaling by weight keeps EDF ordering within
-        a class while ranking a high class's deadline as more pressing than
-        an equally distant low-class one (and its lateness as worse)."""
-        state = self._state_of(instance.instance_id)
-        weight = (
-            state.spec.share_weight
-            if state is not None
-            else CLASS_WEIGHT[DEFAULT_CLASS]
-        )
-        slack = self._slack(instance, now)
+        """Class-weighted slack to ``InferletMetrics.deadline``: scaling by
+        weight keeps EDF ordering within a class while ranking a high class's
+        deadline as more pressing than an equally distant low-class one (and
+        its lateness as worse)."""
+        weight = self._spec_of(instance.instance_id).share_weight
+        slack = instance.metrics.deadline - now
         return slack / weight if slack >= 0 else slack * weight
 
     # -- SLO-aware dispatch --------------------------------------------------
@@ -522,8 +514,7 @@ class QosService(LifecycleObserver):
         clamped below the stride, so no user-supplied priority can outrank
         a better class.
         """
-        state = self._state_of(queue.owner)
-        rank = state.spec.rank if state is not None else CLASS_RANK[DEFAULT_CLASS]
+        rank = self._spec_of(queue.owner).rank
         bias = max(-(_CLASS_PRIORITY_STRIDE - 1), min(_CLASS_PRIORITY_STRIDE - 1, queue.priority))
         return (len(QOS_CLASSES) - 1 - rank) * 2 * _CLASS_PRIORITY_STRIDE + bias
 
@@ -560,12 +551,9 @@ class QosService(LifecycleObserver):
         deadline can best afford the stall), then most pages (swap yield),
         then youngest (FCFS), with the instance id as a deterministic
         final tie-break."""
-        now = self.sim.now
-        state = self._state_of(instance.instance_id)
-        rank = state.spec.rank if state is not None else CLASS_RANK[DEFAULT_CLASS]
         return (
-            -rank,
-            -self._slack(instance, now),
+            -self._spec_of(instance.instance_id).rank,
+            -(instance.metrics.deadline - self.sim.now),
             -n_pages,
             -instance.created_at,
             instance.instance_id,

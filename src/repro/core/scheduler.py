@@ -396,9 +396,10 @@ class BatchScheduler:
     def _forward_yields(self, candidates: Dict[str, CandidateBatch]) -> bool:
         """A forward candidate that waiting can improve yields its turn.
 
-        Every forward batch pays the weight-bound floor (``decode_ms_base``)
-        whatever it carries, so a candidate with no whole prompt in it gives
-        way while another kind has a candidate:
+        Every forward batch pays the weight-bound floor (the cost model's
+        ``forward_seconds(decode_rows=1)``) whatever it carries, so a
+        candidate with no whole prompt in it gives way while another kind
+        has a candidate:
 
         * **decode steps only** (``prefill_rows == 0``; adaptive policy,
           longest-waiting selection): the cheaper batches beside it — a
@@ -414,7 +415,7 @@ class BatchScheduler:
           and keep a newly arriving inferlet's wait bounded by one chunk.
 
         Liveness: longest-waiting ages every command, this rule does not, so
-        a forward is held for at most ``decode_ms_base`` between two forward
+        a forward is held for at most that floor between two forward
         dispatches — the floor is the most a merge can save, past it waiting
         cannot pay — and then competes by age again like any other kind.
         """
@@ -433,7 +434,7 @@ class BatchScheduler:
         now = self.sim.now
         if self._forward_held_since is None:
             self._forward_held_since = now
-        bound = milliseconds(self.handlers.cost_model.cost.decode_ms_base)
+        bound = self.handlers.cost_model.forward_seconds(decode_rows=1)
         if now - self._forward_held_since >= bound:
             self.stats.forward_holds_expired += 1
             return False
@@ -622,9 +623,7 @@ class BatchScheduler:
         was taken, charged at the prefill rate."""
         decode_rows = batch.decode_rows
         remaining = sum(chunk.parent.input_tokens for chunk in chunks)
-        saved = decode_rows * milliseconds(
-            self.handlers.cost_model.cost.prefill_ms_per_token * remaining
-        )
+        saved = decode_rows * self.handlers.cost_model.prefill_token_seconds(remaining)
         self.metrics.prefill_chunks_dispatched += len(chunks)
         self.metrics.decode_rows_co_batched += decode_rows
         self.metrics.chunk_stall_saved_seconds += saved

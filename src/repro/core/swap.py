@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set,
 from repro.core.config import ControlLayerConfig
 from repro.core.metrics import SystemMetrics
 from repro.gpu.host_pool import HostMemoryPool
-from repro.gpu.kernels import ForwardRow, KernelCostModel
+from repro.gpu.kernels import KernelCostModel
 from repro.sim.futures import SimFuture
 from repro.sim.simulator import Simulator
 
@@ -312,9 +312,7 @@ class SwapManager:
         """
         round_trip = 2.0 * self.host_pool.transfer_seconds(n_pages)
         tokens = n_pages * self.host_pool.model_config.kv_page_size
-        recompute = self.cost_model.forward_batch_cost(
-            [ForwardRow(n_input_tokens=tokens)]
-        )
+        recompute = self.cost_model.forward_seconds(prefill_tokens=tokens)
         return round_trip < recompute
 
     def reclaim_by_swap(

@@ -7,7 +7,10 @@ are interpretable:
   time of a single-sequence decode step — dominated by streaming the model
   weights), plus a small per-extra-row cost, plus a per-token prefill cost
   for rows carrying more than one input token, plus an attention term
-  growing with the gathered context length.
+  growing with the gathered context length.  That formula is written once,
+  :meth:`KernelCostModel.forward_seconds`: the device is charged with it,
+  and whatever predicts a forward (the scheduler's hold bound, the swap
+  manager's recompute side, chunk accounting) asks it, not the parameters.
 * **Embed** and **sample** batches cost a fixed per-call launch plus a
   per-token / per-row term.  In monolithic systems these are pipelined with
   the forward pass (the paper's Table 3 "opportunity cost"); the baselines
@@ -44,16 +47,14 @@ class KernelCostModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch_cost(self, rows: Sequence[ForwardRow]) -> float:
-        """Cost of one batched forward handler invocation."""
-        if not rows:
-            return 0.0
+    def forward_seconds(
+        self, decode_rows: int = 0, prefill_tokens: int = 0, context_tokens: int = 0
+    ) -> float:
+        """What one forward batch costs: ``decode_rows`` rows of at most one
+        input token, ``prefill_tokens`` input tokens of the rows carrying
+        more, ``context_tokens`` gathered by all rows (summed in ms, then
+        converted once)."""
         cost = self.cost
-        decode_rows = sum(1 for row in rows if row.n_input_tokens <= 1)
-        prefill_tokens = sum(
-            row.n_input_tokens for row in rows if row.n_input_tokens > 1
-        )
-        context_tokens = sum(row.context_tokens for row in rows)
         total_ms = cost.decode_ms_base
         if decode_rows > 1:
             total_ms += cost.decode_ms_per_extra_row * (decode_rows - 1)
@@ -61,15 +62,23 @@ class KernelCostModel:
         total_ms += cost.attn_ms_per_kilotoken * (context_tokens / 1024.0)
         return milliseconds(total_ms)
 
-    def fused_step_cost(self, rows: Sequence[ForwardRow]) -> float:
-        """Cost of a monolithic (embed+forward+sample fused) engine step.
+    def forward_batch_cost(self, rows: Sequence[ForwardRow]) -> float:
+        """:meth:`forward_seconds` of a batch of rows; an empty batch is free."""
+        if not rows:
+            return 0.0
+        return self.forward_seconds(
+            decode_rows=sum(1 for row in rows if row.n_input_tokens <= 1),
+            prefill_tokens=sum(
+                row.n_input_tokens for row in rows if row.n_input_tokens > 1
+            ),
+            context_tokens=sum(row.context_tokens for row in rows),
+        )
 
-        Identical to :meth:`forward_batch_cost`: the fused loop pipelines
-        embedding and sampling behind the forward pass, so they add no
-        latency.  Exposed separately so baseline code reads naturally and so
-        ablations can alter one without the other.
-        """
-        return self.forward_batch_cost(rows)
+    def prefill_token_seconds(self, n_tokens: int) -> float:
+        """The per-token prefill term of :meth:`forward_seconds` alone, for
+        ``n_tokens`` prompt tokens — without the weight-bound floor every
+        batch pays."""
+        return milliseconds(self.cost.prefill_ms_per_token * n_tokens)
 
     # -- embed ---------------------------------------------------------------
 
@@ -114,14 +123,6 @@ class KernelCostModel:
         return milliseconds(ms)
 
     # -- convenience for experiments -------------------------------------------
-
-    def single_decode_step_ms(self) -> float:
-        """The paper's single-sequence TPOT for a monolithic engine (ms)."""
-        return self.cost.decode_ms_base
-
-    def prefill_ms(self, n_tokens: int) -> float:
-        """Approximate prefill time for an ``n_tokens`` prompt (ms)."""
-        return self.forward_batch_cost([ForwardRow(n_input_tokens=n_tokens)]) * 1e3
 
     def chunked_prefill_ms(
         self, n_tokens: int, chunk_tokens: int, context_tokens: int = 0

@@ -21,8 +21,10 @@ from repro.errors import ReproError
 class CostParams:
     """Kernel-level timing parameters (all times in milliseconds).
 
-    The cost of one batched ``forward`` is what
-    :meth:`repro.gpu.kernels.KernelCostModel.forward_batch_cost` charges::
+    The cost of one batched ``forward`` is written once, in
+    :meth:`repro.gpu.kernels.KernelCostModel.forward_seconds`: the device
+    is charged with it and every prediction of a forward asks it (no
+    reader outside ``repro.gpu.kernels`` takes a field of this class)::
 
         decode_ms_base                                      (once per batch)
           + decode_ms_per_extra_row * (decode rows - 1)

@@ -25,24 +25,16 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.device import SimDevice
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
+from tests.test_scheduler_index import COST_MODEL
 
 CHUNK = 8
 BUDGET = 10
 
 
-class StubCost:
-    prefill_ms_per_token = 0.05
-    decode_ms_base = 16.83  # bounds how long a forward candidate yields
-
-
-class StubCostModel:
-    cost = StubCost()
-
-
 class StubHandlers:
     """Execution log standing in for ApiHandlers in scheduler-level tests."""
 
-    cost_model = StubCostModel()
+    cost_model = COST_MODEL
 
     def __init__(self, fail_on_slice=None):
         self.log = []  # (inferlet_id, iemb slice, had_oemb)
@@ -113,7 +105,7 @@ def test_final_residual_beside_a_head_slice_is_not_a_decode_row():
     assert scheduler.metrics.decode_rows_co_batched == 1
     # One decode row spared the 22 tokens the sliced prompt still holds.
     assert scheduler.metrics.chunk_stall_saved_seconds == pytest.approx(
-        22 * StubCost.prefill_ms_per_token / 1e3
+        22 * COST_MODEL.cost.prefill_ms_per_token / 1e3
     )
 
 
@@ -239,7 +231,8 @@ def test_chunked_cost_model_is_never_a_discount():
     config = ModelRegistry(["llama-sim-1b"]).get("llama-sim-1b").config
     model = KernelCostModel(config)
     for n_tokens, chunk in [(512, 64), (1000, 128), (300, 300), (97, 16)]:
-        assert model.chunked_prefill_ms(n_tokens, chunk) >= model.prefill_ms(n_tokens) - 1e-9
+        monolithic_ms = model.forward_seconds(prefill_tokens=n_tokens) * 1e3
+        assert model.chunked_prefill_ms(n_tokens, chunk) >= monolithic_ms - 1e-9
     sliced = sum(
         model.forward_batch_cost(
             [ForwardRow(n_input_tokens=min(64, 512 - done), context_tokens=done)]

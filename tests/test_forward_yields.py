@@ -42,9 +42,9 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.device import SimDevice
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
-from tests.test_scheduler_index import StubCost, StubHandlers
+from tests.test_scheduler_index import COST_MODEL, StubHandlers
 
-DECODE_MS_BASE = StubCost.decode_ms_base
+DECODE_MS_BASE = COST_MODEL.cost.decode_ms_base
 
 
 # -- the parent's selection, verbatim ---------------------------------------
@@ -308,7 +308,7 @@ class TestLiveness:
         scheduler = server.service().shards[0].scheduler
         forwards = _spy_on_forwards(sim, scheduler)
         _run_fleet(sim, server, self.LOOPERS + ["victim"])
-        bound_ms = scheduler.handlers.cost_model.cost.decode_ms_base
+        bound_ms = scheduler.handlers.cost_model.forward_seconds(decode_rows=1) * 1e3
         return scheduler.stats, forwards, bound_ms
 
     def test_loopers_cannot_hold_a_decoders_forward(self):

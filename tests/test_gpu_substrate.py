@@ -252,14 +252,20 @@ class TestKernelCostModel:
         assert model.sample_batch_cost(1) > 0
         assert model.sample_batch_cost(8) > model.sample_batch_cost(1)
 
-    def test_fused_equals_forward(self, config):
+    def test_forward_batch_cost_sums_its_rows(self, config):
+        """The baselines' fused engine step is charged ``forward_batch_cost``
+        (the ``fused_step_cost`` alias varied nothing), which is the one
+        formula, ``forward_seconds``, over its rows' sums."""
         model = KernelCostModel(config)
-        rows = [ForwardRow(1, 256)] * 4
-        assert model.fused_step_cost(rows) == model.forward_batch_cost(rows)
+        rows = [ForwardRow(1, 256)] * 4 + [ForwardRow(40, 8)]
+        assert model.forward_batch_cost(rows) == model.forward_seconds(
+            decode_rows=4, prefill_tokens=40, context_tokens=1032
+        )
 
     def test_costs_ordered_by_model_size(self):
+        # A single-sequence decode step, the paper's monolithic TPOT.
         costs = [
-            KernelCostModel(get_model_config(name)).single_decode_step_ms()
+            KernelCostModel(get_model_config(name)).forward_seconds(decode_rows=1)
             for name in ("llama-sim-1b", "llama-sim-3b", "llama-sim-8b")
         ]
         assert costs == sorted(costs)
@@ -269,7 +275,8 @@ class TestKernelCostModel:
         assert model.copy_batch_cost(4) > model.copy_batch_cost(1)
         assert model.mask_batch_cost(4) > 0
         assert model.alloc_batch_cost(10) > 0
-        assert model.prefill_ms(100) > model.single_decode_step_ms()
+        # A prompt pays the decode step's floor and then its tokens.
+        assert model.forward_seconds(prefill_tokens=100) > model.forward_seconds(decode_rows=1)
 
 
 class TestSimDevice:

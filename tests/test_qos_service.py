@@ -220,8 +220,17 @@ class TestAdmission:
         assert order == ["a"]  # one slot freed, head of the queue only
 
 
+def stamp(qos, instance):
+    """Stamp ``instance`` the way ``launch()`` does: its launch time and its
+    tenant's two SLOs, which its deadline is read off."""
+    spec = qos.tenants[instance.tenant]
+    instance.created_at = instance.metrics.launched_at = qos.sim.now
+    instance.metrics.ttft_slo_s, instance.metrics.tpot_slo_s = spec.ttft_slo_s, spec.tpot_slo_s
+    return instance
+
+
 def _admit(qos, instance):
-    qos.request_admission(instance, proceed=lambda: None)
+    qos.request_admission(stamp(qos, instance), proceed=lambda: None)
     return instance
 
 

@@ -25,20 +25,19 @@ from repro.core.metrics import SystemMetrics
 from repro.core.scheduler import BatchScheduler
 from repro.gpu.config import GpuConfig
 from repro.gpu.device import SimDevice
+from repro.gpu.kernels import KernelCostModel
+from repro.model import get_model_config
 from repro.sim import Simulator
 
 
-class StubCost:
-    prefill_ms_per_token = 0.05
-    decode_ms_base = 16.83  # bounds how long a forward candidate yields
-
-
-class StubCostModel:
-    cost = StubCost()
+#: What a scheduler on stub handlers asks of a cost model — the
+#: forward-hold bound and the per-token prefill term — answered by the 1B
+#: model's own, so no copy of the formula can drift from it.
+COST_MODEL = KernelCostModel(get_model_config("llama-sim-1b"))
 
 
 class StubHandlers:
-    cost_model = StubCostModel()
+    cost_model = COST_MODEL
 
     def batch_cost_seconds(self, kind, commands):
         return 0.001 * len(commands)

@@ -84,20 +84,29 @@ class _OldRecord:
 class _OldQosCounting(LifecycleObserver):
     """``QosService.note_output``, the counting half of ``note_finished``
     and the ``rejected += 1`` of ``request_admission`` at the parent.  Who
-    was admitted is asked of the live service (the parent kept it beside
-    the counts); a refusal is counted when it retires, in the same instant
-    the parent counted it."""
+    was admitted is recorded off the live service's ``_admit`` (the parent
+    kept every admitted instance for the whole run, the service forgets one
+    when it leaves); a refusal is counted when it retires, in the same
+    instant the parent counted it."""
 
     def __init__(self, qos) -> None:
-        self.qos = qos
         self.records: Dict[str, _OldRecord] = {}
         self._running_counted: set = set()
+        #: instance id -> tenant, for every instance the service admitted.
+        self.admitted: Dict[str, str] = {}
+        admit = qos._admit
+
+        def recorded(state, instance) -> None:
+            self.admitted[instance.instance_id] = state.spec.name
+            admit(state, instance)
+
+        qos._admit = recorded
 
     def _state_of(self, instance_id: str) -> Optional[_OldRecord]:
-        state = self.qos._state_of(instance_id)
-        if state is None:
+        tenant = self.admitted.get(instance_id)
+        if tenant is None:
             return None
-        return self.records.setdefault(state.spec.name, _OldRecord())
+        return self.records.setdefault(tenant, _OldRecord())
 
     def note_output(self, instance, now: float, count: int, first: bool) -> None:
         state = self._state_of(instance.instance_id)
@@ -434,7 +443,7 @@ class RecordAgainstOracle(RuleBasedStateMachine):
 
     @invariant()
     def the_record_is_what_qos_counted(self):
-        qos = self.server.controller.qos
+        admitted = self.qos_old.admitted
         for name, record in self.server.metrics.tenants.items():
             old = self.qos_old.records.get(name, _OldRecord())
             assert (record.ttft, record.ttft_met, record.ttft_missed) == (
@@ -449,7 +458,7 @@ class RecordAgainstOracle(RuleBasedStateMachine):
             judged = [
                 i for i in mine
                 if i.status == "terminated" and i.metrics.tpot is not None
-                and qos._state_of(i.instance_id) is not None
+                and i.instance_id in admitted
             ]
             assert old.tpot.total == record.tpot.total + len(judged), name
             assert old.tpot_met + old.tpot_missed == (
@@ -457,7 +466,7 @@ class RecordAgainstOracle(RuleBasedStateMachine):
             ), name
             never_admitted = [
                 i for i in mine
-                if i.status == "terminated" and qos._state_of(i.instance_id) is None
+                if i.status == "terminated" and i.instance_id not in admitted
             ]
             assert record.terminated == old.terminated + len(never_admitted), name
 
