@@ -53,13 +53,15 @@ def test_slo_monitor(run_experiment, write_artifact):
     # Contract 3: the export is the live state, not a copy kept beside it —
     # every finished request is in both of its counts, and no time series
     # rides along (the document was 593 KB when one did).
-    # 82 families: every per-tenant fact is read off the core's one record
+    # 79 families: every per-tenant fact is read off the core's one record
     # per tenant and exported under one name — ``pie_tenant_{finished,
     # terminated, rejected}`` are ``pie_requests_total{status}`` and
     # ``pie_tenant_{ttft, tpot}_{met, missed}`` are ``pie_slo_events_total``
-    # (89 -> 82).  Server-side goodput agrees with the harness's own row.
+    # (89 -> 82) — and the three ``pie_system_brownout_*`` counters went
+    # with their plane (82 -> 79).  Server-side goodput agrees with the
+    # harness's own row.
     metrics = raw["snapshot"]["metrics"]
-    assert len(metrics) == 82
+    assert len(metrics) == 79
     total = lambda name: sum(s["value"] for s in metrics[name]["samples"])  # noqa: E731
     assert total("pie_good_total") == rows["monitoring_on"]["goodput_count"]
     assert total("pie_offered_total") == rows["monitoring_on"]["n_requests"]

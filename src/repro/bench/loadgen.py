@@ -357,9 +357,6 @@ def run_open_loop(
             "tool_retries": metrics.tool_retries,
             "handoff_retries": metrics.handoff_retries,
             "retries_exhausted": metrics.retries_exhausted,
-            "brownout_activations": metrics.brownout_activations,
-            "brownout_clears": metrics.brownout_clears,
-            "brownout_shed": metrics.brownout_shed,
             "shard_states": dict(sorted(server.controller.health.states.items())),
         }
     if collect_outputs:

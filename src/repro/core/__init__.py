@@ -41,7 +41,7 @@ from repro.core.qos import QOS_CLASSES, QosService, TenantSpec, TenantTable
 from repro.core.registry import LogHistogram, MetricRegistry
 from repro.core.slo import AlertEvent, BurnWindow, SloEngine
 from repro.core.monitor import MonitorService
-from repro.core.health import SHARD_STATES, BrownoutController, ShardHealthService
+from repro.core.health import SHARD_STATES, ShardHealthService
 from repro.core.retry import RetryPolicy
 from repro.core.server import PieServer, PieClient, LaunchResult
 
@@ -75,7 +75,6 @@ __all__ = [
     "SloEngine",
     "MonitorService",
     "SHARD_STATES",
-    "BrownoutController",
     "ShardHealthService",
     "RetryPolicy",
     "PieServer",

@@ -262,9 +262,10 @@ class CommandQueue:
         self._barrier_futures = []
         return drained
 
-    def mark_completed(self, count: int = 1) -> None:
-        self._inflight -= count
-        self._completed += count
+    def mark_completed(self) -> None:
+        """One dispatched command retired (each barrier counts it once)."""
+        self._inflight -= 1
+        self._completed += 1
         if self._inflight < 0:
             raise SchedulingError("completed more commands than were dispatched")
         self._resolve_barriers()

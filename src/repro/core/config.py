@@ -143,13 +143,6 @@ class ControlLayerConfig:
     # grammar), e.g. ("shard_crash", 0.5, 1) or
     # ("tool_error", 1.0, 0.25, "http://tools/crm").
     fault_plan: Tuple[tuple, ...] = ()
-    # SLO-driven brownout (graceful degradation): when True a controller
-    # in repro.core.health subscribes to the SloEngine's burn-rate alerts;
-    # while an interactive-class error budget burns, batch-class admission
-    # is shed (AdmissionRejectedError(reason="brownout")) and prefill
-    # chunk budgets widen, restoring when the alert clears.  Requires
-    # qos=True and monitoring=True.
-    brownout: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,13 +196,6 @@ class PieConfig:
             from repro.sim.faults import FaultPlan
 
             FaultPlan.validate(self.control.fault_plan, self.gpu.num_devices)
-        if self.control.brownout:
-            if not self.control.qos or not self.control.monitoring:
-                raise ReproError(
-                    "brownout=True requires qos=True and monitoring=True "
-                    "(it subscribes to the SLO engine's burn-rate alerts "
-                    "and sheds batch-class admission)"
-                )
 
 
 #: Shorthand implications: a key given a value other than ``False``
@@ -220,7 +206,6 @@ SHORTHAND_IMPLICATIONS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("trace_path", {"tracing": True}),
     ("fault_seed", {"faults": True}),
     ("fault_plan", {"faults": True}),
-    ("brownout", {"qos": True, "monitoring": True}),
 )
 
 

@@ -37,7 +37,7 @@ from repro.errors import (
 from repro.core.command_queue import Command
 from repro.core.config import PieConfig
 from repro.core.handles import Embed, KvPage, Queue
-from repro.core.health import BrownoutController, ShardHealthService
+from repro.core.health import ShardHealthService
 from repro.core.inferlet import InferletInstance, LifecycleObserver
 from repro.core.messaging import ExternalServices, MessageBus
 from repro.core.metrics import SystemMetrics
@@ -167,11 +167,6 @@ class Controller:
                 service.router.health_probe = self.health.placeable
             self.faults.bind(self.health)
             self.faults.arm()
-        self.brownout: Optional[BrownoutController] = None
-        if control.brownout:
-            # Validated by PieConfig: brownout requires qos + monitoring.
-            self.brownout = BrownoutController(self)
-            self.monitor.add_alert_listener(self.brownout.on_alert)
         if control.tracing:
             # Told last, so an inferlet's spans close after the other
             # planes' accounting of the same fact has been recorded.

@@ -1,31 +1,19 @@
-"""Shard health, failover, and SLO-driven brownout (the chaos plane's cure).
+"""Shard health and failover (the chaos plane's cure).
 
-Two controllers live here, both built only when their knob is on and both
-following the optional-hook contract (off = not constructed, no call site
-reaches them, serving path bit-identical):
-
-:class:`ShardHealthService` (``ControlLayerConfig.faults``)
-    A virtual-clock heartbeat (a :class:`~repro.sim.periodic.PeriodicService`)
-    probes every shard index each :data:`HEARTBEAT_INTERVAL_MS` and keeps a
-    per-index state machine: ``healthy`` → ``degraded`` (a slowdown fault
-    window is open) → back, or ``healthy`` → ``down`` (fail-stop crash).
-    Shard indexes are node-scoped: a crash at index *i* takes down the
-    device of every served model at that index (the colocated-node
-    interpretation), and the router's ``health_probe`` immediately stops
-    placing new inferlets there.  The transition *to* ``down`` triggers
-    the failover sweep: in-flight KV streams targeting the
-    dead shard re-plan, and every resident inferlet is either
-    re-materialized on a healthy shard (when its committed KV sits wholly
-    in the host tier) or terminated with ``cause="shard_down"``.
-
-:class:`BrownoutController` (``ControlLayerConfig.brownout``)
-    Subscribes to the monitor's burn-rate :class:`~repro.core.slo.AlertEvent`
-    stream.  While any *interactive*-class tenant's alert is firing, the
-    cluster browns out: batch-class admission is shed
-    (``AdmissionRejectedError(reason="brownout")``) and the chunked-prefill
-    token budgets widen by :data:`BROWNOUT_CHUNK_SCALE` so queued interactive
-    prompts drain in fewer slices.  When the last interactive alert
-    clears, both knobs restore.
+:class:`ShardHealthService` is built only with ``ControlLayerConfig.faults``
+on and follows the optional-hook contract (off = not constructed, no call
+site reaches it, serving path bit-identical).  A virtual-clock heartbeat (a
+:class:`~repro.sim.periodic.PeriodicService`) probes every shard index each
+:data:`HEARTBEAT_INTERVAL_MS` and keeps a per-index state machine:
+``healthy`` → ``degraded`` (a slowdown fault window is open) → back, or
+``healthy`` → ``down`` (fail-stop crash).  Shard indexes are node-scoped: a
+crash at index *i* takes down the device of every served model at that
+index (the colocated-node interpretation), and the router's
+``health_probe`` immediately stops placing new inferlets there.  The
+transition *to* ``down`` triggers the failover sweep: in-flight KV streams
+targeting the dead shard re-plan, and every resident inferlet is either
+re-materialized on a healthy shard (when its committed KV sits wholly in
+the host tier) or terminated with ``cause="shard_down"``.
 
 Detection is deliberately *not* instantaneous: a crashed shard keeps
 failing new submissions with :class:`~repro.errors.FaultInjectedError`
@@ -36,12 +24,12 @@ health checker pays — and every transition lands as an instant in the
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List
 
 from repro.errors import ShardUnavailableError
 from repro.sim.periodic import PeriodicService
 
-__all__ = ["SHARD_STATES", "ShardHealthService", "BrownoutController"]
+__all__ = ["SHARD_STATES", "ShardHealthService"]
 
 #: Health states a shard index can be in.  ``draining`` is reserved for
 #: operator-initiated removal (placeable() already refuses it).
@@ -52,10 +40,6 @@ SHARD_STATES = ("healthy", "degraded", "draining", "down")
 #: for newly-down shards (0 = no prober: faults still inject, detection
 #: never happens).  Read when a :class:`ShardHealthService` is built.
 HEARTBEAT_INTERVAL_MS = 5.0
-#: Multiplier on ``prefill_chunk_tokens`` / ``GpuConfig.max_batch_tokens``
-#: while a brownout is active (chunked prefill only).  Read when a
-#: :class:`BrownoutController` is built.
-BROWNOUT_CHUNK_SCALE = 2.0
 
 
 class ShardHealthService:
@@ -239,46 +223,3 @@ class ShardHealthService:
                 args={"src": dead.index, "dst": dst.index, "embeds": len(emb_vids)},
             )
         return True
-
-
-class BrownoutController:
-    """Sheds batch load and widens chunk budgets while interactive SLOs burn."""
-
-    def __init__(self, controller) -> None:
-        self.controller = controller
-        self.chunk_scale = BROWNOUT_CHUNK_SCALE
-        self.active = False
-        # The (tenant, signal, window) alerts currently firing for
-        # interactive-class tenants; brownout holds while non-empty.
-        self._firing: Set[Tuple[str, str, int]] = set()
-
-    def on_alert(self, event) -> None:
-        """Monitor alert listener: one burn-rate fire/clear transition."""
-        if self.controller.tenants[event.tenant].priority_class != "interactive":
-            return
-        key = (event.tenant, event.signal, event.window)
-        if event.kind == "fire":
-            self._firing.add(key)
-        else:
-            self._firing.discard(key)
-        if self.active != bool(self._firing):
-            self._switch(bool(self._firing), event)
-
-    def _switch(self, active: bool, event) -> None:
-        """Brown out (or restore): shed batch admission, scale chunk budgets."""
-        self.active = active
-        controller = self.controller
-        controller.qos.set_brownout(active)
-        for service in controller.services():
-            for shard in service.shards:
-                shard.scheduler.set_chunk_scale(self.chunk_scale if active else 1.0)
-        if active:
-            controller.metrics.brownout_activations += 1
-        else:
-            controller.metrics.brownout_clears += 1
-        if controller.trace is not None:
-            controller.trace.instant(
-                "brownout_on" if active else "brownout_off",
-                "fault",
-                args={"tenant": event.tenant, "signal": event.signal},
-            )

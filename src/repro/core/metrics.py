@@ -300,9 +300,8 @@ class SystemMetrics:
     # injected faults by family, failover outcomes (inferlets terminated
     # with cause vs re-materialized from the host tier onto a healthy
     # shard), mid-stream KV transfers re-planned off a dead decode shard,
-    # retry traffic with its total simulated backoff wait, and SLO-driven
-    # brownout transitions with the batch-class launches they shed.  All
-    # zero with ``faults``/``brownout`` off.
+    # and retry traffic with its total simulated backoff wait.  All zero
+    # with ``faults`` off.
     faults_injected: int = 0
     shard_crashes: int = 0
     shard_slowdowns: int = 0
@@ -315,9 +314,6 @@ class SystemMetrics:
     handoff_retries: int = 0
     retries_exhausted: int = 0
     retry_backoff_seconds: float = 0.0
-    brownout_activations: int = 0
-    brownout_clears: int = 0
-    brownout_shed: int = 0
     # One record per tenant, keyed by name: every configured tenant and
     # every tenant that launched, with or without QoS.
     tenants: Dict[str, TenantMetrics] = field(default_factory=dict)

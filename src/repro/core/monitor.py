@@ -11,8 +11,8 @@ launches offered, goodput — is counted once by the core into the tenant's
 * the *scrape tick*, every :data:`SCRAPE_INTERVAL_MS` — a
   :class:`~repro.sim.periodic.PeriodicService`, so it only re-arms while
   inferlets are live and a run never lasts longer because monitoring is
-  on — advances the alert windows and calls the alert listeners, nothing
-  else;
+  on — advances the alert windows (each transition lands in
+  ``SloEngine.alerts``), nothing else;
 * :meth:`MonitorService.collect`, behind both exporters, reads
   ``SystemMetrics``, ``TenantMetrics``, each shard's ``SchedulerStats`` and
   ``readings()`` and the engine's budgets and alert history *at that
@@ -28,7 +28,7 @@ timestamps stay bit-identical to a monitor-off run (asserted in
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Callable, Dict, List
+from typing import Dict
 
 from repro.core.metrics import EXIT_STATUSES, TenantMetrics
 from repro.core.registry import MetricRegistry
@@ -86,24 +86,15 @@ class MonitorService:
             self._scrape,
             controller.has_live_inferlets,
         )
-        # Alert subscribers (e.g. the chaos plane's BrownoutController),
-        # invoked with each AlertEvent as the scrape tick surfaces it.
-        self._alert_listeners: List[Callable] = []
 
     # -- virtual-clock tick -------------------------------------------------
-
-    def add_alert_listener(self, listener: Callable) -> None:
-        """Subscribe to burn-rate AlertEvents surfaced by the scrape tick."""
-        self._alert_listeners.append(listener)
 
     @property
     def scrapes_taken(self) -> int:
         return self.scraper.ticks
 
     def _scrape(self) -> None:
-        for event in self.slo.tick(self.sim.now):
-            for listener in self._alert_listeners:
-                listener(event)
+        self.slo.tick(self.sim.now)
 
     # -- exporters ----------------------------------------------------------
 

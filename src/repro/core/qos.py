@@ -144,8 +144,8 @@ _DEFAULT_SPEC = TenantSpec(name="default", priority_class=DEFAULT_CLASS)
 class TenantTable(dict):
     """The one ``tenant name -> TenantSpec`` table, owned by the controller:
     seeded from ``ControlLayerConfig.tenants``, extended by :meth:`register`,
-    read as ``tenants[name]`` by QoS, the SLO engine, brownout, the
-    launch-time SLO stamp and the load harness, none of which keeps its own.
+    read as ``tenants[name]`` by QoS, the SLO engine, the launch-time SLO
+    stamp and the load harness, none of which keeps its own.
     A name's spec is never replaced, so a reference read here stays the
     tenant's contract for the whole run."""
 
@@ -245,10 +245,6 @@ class QosService(LifecycleObserver):
         # "admission_queued" span from park to admit/cancel.  None = off.
         self._trace = trace
         self._trace_parked: Dict[str, int] = {}
-        # Chaos-plane brownout (repro.core.health): while True, batch-class
-        # launches are shed at admission so an interactive tenant's burning
-        # SLO budget recovers.  Only the BrownoutController flips this.
-        self._brownout = False
         self._tenants: Dict[str, _TenantState] = {}
         # instance id -> (instance, tenant state); populated at admission.
         self._instances: Dict[str, Tuple["InferletInstance", _TenantState]] = {}
@@ -316,22 +312,6 @@ class QosService(LifecycleObserver):
         """
         state = self._state(instance.tenant)
         now = self.sim.now
-        if self._brownout and state.spec.priority_class == "batch":
-            self.metrics.qos_rejected += 1
-            self.metrics.brownout_shed += 1
-            if self._trace is not None:
-                self._trace.instant(
-                    "admission_rejected",
-                    "admission",
-                    inferlet=instance.instance_id,
-                    args={"tenant": instance.tenant, "reason": "brownout"},
-                )
-            raise AdmissionRejectedError(
-                f"tenant {instance.tenant!r} launch shed: brownout active "
-                "(an interactive SLO budget is burning); retry after it clears",
-                tenant=instance.tenant,
-                reason="brownout",
-            )
         if state.has_slot and not state.wait_queue and state.bucket.try_take(now):
             self._admit(state, instance)
             return "admit"
@@ -581,12 +561,6 @@ class QosService(LifecycleObserver):
         self.metrics.qos_preemption_terminations += 1
         if state is not None:
             state.metrics.preempted_terminations += 1
-
-    # -- brownout ------------------------------------------------------------
-
-    def set_brownout(self, active: bool) -> None:
-        """Flip batch-class load shedding (driven by the BrownoutController)."""
-        self._brownout = active
 
     # -- fair-share placement ------------------------------------------------
 

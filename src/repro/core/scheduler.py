@@ -157,20 +157,11 @@ class BatchScheduler:
         # are emitted at batch completion, all read-only.
         self._trace = trace
         self._shard_index = shard_index
-        # Brownout widening (repro.core.health): multiplies the chunked-
-        # prefill token budgets while an interactive SLO budget burns, so
-        # prompts drain in fewer, larger slices.  1.0 — the permanent value
-        # with the chaos plane off — leaves batch formation untouched.
-        self.chunk_scale = 1.0
         # When the forward candidate first yielded its turn since the last
         # forward dispatch (``_forward_yields`` bounds the hold); None while
         # no forward is being held.
         self._forward_held_since: Optional[float] = None
         self.device.on_idle(self._on_device_idle)
-
-    def set_chunk_scale(self, scale: float) -> None:
-        """Scale the chunked-prefill token budgets (brownout widening)."""
-        self.chunk_scale = scale
 
     def set_dispatch_guard(self, is_suspended: Optional[Callable[[str], bool]]) -> None:
         """Install a predicate barring suspended owners from dispatch."""
@@ -345,6 +336,12 @@ class BatchScheduler:
         calls triggered by the just-completed batch arrive and join the next
         batch.  Modelling the delay is what makes the adaptive policy
         actually work-conserving instead of dispatching fragments.
+
+        The window is 56 µs and a call arrives
+        ``Controller.inference_call_overhead()`` = 10 + 0.3·n µs after it is
+        issued, so the promise holds only below 154 live inferlets; past
+        that a decode step misses the batch that forms after its sample
+        (``tests/test_formation_window.py``, a strict xfail).
         """
         return milliseconds(IPC_CROSSING_MS + BATCH_SCHEDULING_OVERHEAD_MS)
 
@@ -371,9 +368,6 @@ class BatchScheduler:
         if self.control_config.chunked_prefill:
             max_batch_tokens = self.gpu_config.max_batch_tokens
             prefill_chunk_tokens = self.control_config.prefill_chunk_tokens
-            if self.chunk_scale != 1.0:
-                max_batch_tokens = int(max_batch_tokens * self.chunk_scale)
-                prefill_chunk_tokens = int(prefill_chunk_tokens * self.chunk_scale)
             future_factory = lambda: self.sim.create_future(name="prefill-chunk")
         return form_candidate_batches(
             self._dispatchable_queues(),

@@ -48,8 +48,8 @@ class InferletTerminated(InferletError):
 
 class AdmissionRejectedError(ReproError):
     """Raised when QoS admission control rejects an inferlet launch
-    (tenant over its rate/concurrency budget with a full admission queue,
-    or load shed during an SLO brownout — see ``reason``).
+    (tenant over its rate/concurrency budget with a full admission queue;
+    ``reason`` names any other cause).
     Typed so clients can distinguish shed load from real failures."""
 
     def __init__(self, message: str, tenant: str = "", reason: str = "") -> None:

@@ -146,7 +146,7 @@ def _bucket_of(event: dict) -> Optional[str]:
         name = event.get("name")
         if name in ("relaunch", "retry_backoff"):
             return name
-        return None  # fault instants (crashes, brownout edges) have no span
+        return None  # fault instants (crashes, health transitions) have no span
     return None  # lifecycle / sched / net / counter: not inferlet stall time
 
 

@@ -8,11 +8,13 @@ fails the rule is a module constant beside the code that reads it (README,
 ``monkeypatch.setattr(repro.core.monitor, "SCRAPE_INTERVAL_MS", ...)``.
 
 The ledger below names the evidence per field, and the tests make it
-binding: a new knob cannot land without a row, the counts the north star
-tracks cannot grow unnoticed, and the documentation cannot name a field
-that does not exist.
+binding: a new knob cannot land without a row, a row that is not a seed, a
+capacity or a path fails unless something outside ``tests/`` names the
+field, the counts the north star tracks cannot grow unnoticed, and the
+documentation cannot name a field that does not exist.
 """
 
+import ast
 import dataclasses
 import pathlib
 import re
@@ -52,7 +54,6 @@ LEDGER = {
     "ControlLayerConfig.faults": "chaos arms",
     "ControlLayerConfig.fault_seed": "seed",
     "ControlLayerConfig.fault_plan": "chaos arms (the shard-kill schedule)",
-    "ControlLayerConfig.brownout": "unswept — tests only; kept for ROADMAP item 1",
     "GpuConfig.num_kv_pages": "capacity; tiered_memory / qos / chaos size it",
     "GpuConfig.num_embed_slots": "capacity",
     "GpuConfig.max_batch_rows": "capacity; the qos experiment sets it",
@@ -65,6 +66,11 @@ LEDGER = {
 }
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: Where a second value comes from: experiment arms and the load harness,
+#: ``perf/`` workloads, the examples.
+CALLERS = ("src/repro/bench", "perf", "examples")
+#: A row whose reason starts with one of these needs no second value.
+EXEMPT = ("seed", "capacity", "path")
 
 
 def settable_scalars():
@@ -78,10 +84,43 @@ def test_every_field_has_a_ledger_row_and_every_row_a_field():
     assert all(reason.strip() for reason in LEDGER.values())
 
 
+def named_outside_tests() -> set:
+    """Every name :data:`CALLERS` give a value — a keyword argument or a
+    string dict key (an arm's overrides) — plus what a shorthand among them
+    switches on."""
+    names = set()
+    for directory in CALLERS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.keyword) and node.arg:
+                    names.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    names.update(
+                        key.value
+                        for key in node.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    )
+    for key, implied in SHORTHAND_IMPLICATIONS:
+        if key in names:
+            names.update(implied)
+    return names
+
+
+def test_no_row_is_set_by_tests_alone():
+    named = named_outside_tests()
+    tests_only = [
+        row
+        for row, reason in LEDGER.items()
+        if not reason.startswith(EXEMPT) and row.split(".")[1] not in named
+    ]
+    assert tests_only == []
+
+
 def test_the_counters_the_north_star_tracks():
-    assert len(dataclasses.fields(ControlLayerConfig)) == 16  # 30 before the audit
-    assert len(settable_scalars()) <= 25  # 43 before the audit
-    assert len(SHORTHAND_IMPLICATIONS) <= 5  # 11 before the audit
+    # 30 / 43 / 11 before the audit; 16 / 25 / 5 before brownout went.
+    assert len(dataclasses.fields(ControlLayerConfig)) == 15
+    assert len(settable_scalars()) <= 24
+    assert len(SHORTHAND_IMPLICATIONS) <= 4
     fields = set(settable_scalars())
     for key, implied in SHORTHAND_IMPLICATIONS:
         assert f"ControlLayerConfig.{key}" in fields

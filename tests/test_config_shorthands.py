@@ -28,7 +28,6 @@ TRIGGERS = {
     "trace_path": dict(trace_path="t.json"),
     "fault_seed": dict(fault_seed=0),
     "fault_plan": dict(fault_plan=[["tool_error", 0.1, 0.2]]),
-    "brownout": dict(brownout=True),
 }
 
 
@@ -48,8 +47,9 @@ def test_each_implication(key, implied):
 
 
 def test_false_and_none_imply_nothing():
-    control = control_of(brownout=False, tenants=None)
-    assert control == ControlLayerConfig()
+    assert control_of(**{key: None for key in TRIGGERS}) == ControlLayerConfig()
+    # False is a value, not a trigger: ``fault_seed=False`` is seed 0.
+    assert control_of(fault_seed=False) == ControlLayerConfig()
 
 
 def test_an_explicit_value_beats_an_implication():
@@ -57,8 +57,8 @@ def test_an_explicit_value_beats_an_implication():
     assert control_of(fault_seed=3, faults=False).faults is False
     # The explicit value wins and the combination is then rejected, rather
     # than being silently replaced by the implied one.
-    with pytest.raises(ReproError, match="requires qos=True and monitoring=True"):
-        control_of(brownout=True, monitoring=False)
+    with pytest.raises(ReproError, match="trace_path requires tracing=True"):
+        control_of(trace_path="t.json", tracing=False)
 
 
 def test_sequences_are_tupleised():

@@ -414,7 +414,6 @@ def test_faults_off_default_is_inert():
     assert controller.faults is None
     assert controller.health is None
     assert controller.retry is None
-    assert controller.brownout is None
     for service in controller._services.values():
         assert service.router.health_probe is None
     run = run_stack(qos=True, chunked=True, disagg=True, monitoring=True)
@@ -429,8 +428,6 @@ def test_faults_off_default_is_inert():
         "tool_retries",
         "handoff_retries",
         "retries_exhausted",
-        "brownout_activations",
-        "brownout_shed",
     ):
         assert run["metrics"][counter] == 0, counter
 

@@ -1,4 +1,4 @@
-"""Chaos-plane regression: injection, failover, retry and brownout.
+"""Chaos-plane regression: injection, failover and retry.
 
 Covers the robustness contract end to end:
 
@@ -13,20 +13,15 @@ Covers the robustness contract end to end:
   shard and emits **exactly** the tokens of the crash-free run — no
   duplicate and no lost tokens;
 * chaos off is structurally inert (no injector, no health service, no
-  probe on the router);
-* the brownout controller fires on an interactive burn-rate alert,
-  sheds batch admission with ``reason="brownout"``, widens the chunked
-  prefill budgets, and restores both once the alert clears.
+  probe on the router).
 """
 
 import pytest
 
-from repro.core import InferletProgram, PieServer, TenantSpec, monitor, retry, slo
+from repro.core import InferletProgram, PieServer, retry
 from repro.core.config import ControlLayerConfig, PieConfig
 from repro.core.retry import RetryPolicy
-from repro.core.slo import BurnWindow
 from repro.errors import (
-    AdmissionRejectedError,
     FaultInjectedError,
     InferletTerminated,
     ReproError,
@@ -257,7 +252,6 @@ def test_chaos_off_is_structurally_inert():
     assert controller.faults is None
     assert controller.health is None
     assert controller.retry is None
-    assert controller.brownout is None
     for service in controller._services.values():
         assert service.router.health_probe is None
 
@@ -518,113 +512,6 @@ def test_tool_fault_exhausts_retries_with_typed_error(monkeypatch):
     # Each tool_timeout attempt burned the simulated client-side wait.
     assert sim.now >= 3 * 0.05
     assert_pools_conserved(server)
-
-
-# -- system: SLO-driven brownout ---------------------------------------------
-
-
-def make_filler(name, tenant_prompt="", max_tokens=2):
-    async def main(ctx):
-        context = Context(ctx, sampling=SamplingParams())
-        await context.fill(PROMPT + tenant_prompt)
-        await context.generate_until(max_tokens=max_tokens)
-        context.free()
-        return None
-
-    return InferletProgram(name=name, main=main)
-
-
-def run_brownout_scenario(monkeypatch):
-    monkeypatch.setattr(monitor, "SCRAPE_INTERVAL_MS", 5.0)
-    monkeypatch.setattr(slo, "BURN_WINDOWS", (BurnWindow(0.2 / 1e3, 0.05 / 1e3, 2.0),))
-    sim = Simulator(seed=9)
-    tenants = (
-        # Impossible TTFT target: every fleet first-token observation is
-        # an SLO miss, so the burn-rate alert must fire while it runs.
-        TenantSpec(name="fleet", priority_class="interactive", ttft_slo_ms=0.001),
-        # Lax target: keeps the monitor ticking after the fleet drains so
-        # the alert windows empty out and the brownout clears.
-        TenantSpec(name="calm", priority_class="interactive", ttft_slo_ms=60_000.0),
-        TenantSpec(name="backfill", priority_class="batch"),
-    )
-    config = PieConfig(
-        gpu=GpuConfig(
-            num_kv_pages=96, num_devices=2, host_kv_pages=64, max_batch_tokens=24
-        ),
-        control=ControlLayerConfig(
-            qos=True,
-            tenants=tenants,
-            chunked_prefill=True,
-            prefill_chunk_tokens=16,
-            monitoring=True,
-            faults=True,
-            brownout=True,
-        ),
-    )
-    server = PieServer(sim, config=config)
-    controller = server.controller
-    for index in range(4):
-        server.register_program(make_filler(f"burn{index}", f"Task {index}. "))
-    server.register_program(make_filler("longtail", "Keep going. ", max_tokens=160))
-    server.register_program(make_filler("batchjob", "Backfill. "))
-
-    observed = {"shed": None, "chunk_scale_during": None, "batch_ok_after": False}
-
-    async def burn_load():
-        for index in range(4):
-            await sim.sleep(0.05)
-            await server.run_inferlet(f"burn{index}", tenant="fleet")
-
-    async def keepalive():
-        await sim.sleep(0.02)
-        await server.run_inferlet("longtail", tenant="calm")
-
-    async def shed_probe():
-        # Poll for activation, then try one batch-class launch inside the
-        # brownout window and record the typed rejection.
-        while not controller.brownout.active:
-            await sim.sleep(0.005)
-        observed["chunk_scale_during"] = server.service().shards[0].scheduler.chunk_scale
-        try:
-            await server.run_inferlet("batchjob", tenant="backfill")
-        except AdmissionRejectedError as exc:
-            observed["shed"] = exc
-        # Wait for the clear, then batch admission must work again.
-        while controller.brownout.active:
-            await sim.sleep(0.005)
-        result = await server.run_inferlet("batchjob", tenant="backfill")
-        observed["batch_ok_after"] = result.status == "finished"
-
-    async def run_all():
-        await sim.gather(
-            [
-                sim.create_task(burn_load()),
-                sim.create_task(keepalive()),
-                sim.create_task(shed_probe()),
-            ]
-        )
-
-    sim.run_until_complete(run_all())
-    return server, observed
-
-
-def test_brownout_fires_sheds_batch_widens_chunks_and_clears(monkeypatch):
-    server, observed = run_brownout_scenario(monkeypatch)
-    metrics = server.metrics
-    assert metrics.brownout_activations >= 1
-    assert metrics.brownout_clears >= 1
-    assert metrics.brownout_shed >= 1
-    # The shed was typed and attributed.
-    assert isinstance(observed["shed"], AdmissionRejectedError)
-    assert observed["shed"].reason == "brownout"
-    assert observed["shed"].tenant == "backfill"
-    # Chunk budgets widened during the brownout and restored after it.
-    assert observed["chunk_scale_during"] == 2.0
-    for shard in server.service().shards:
-        assert shard.scheduler.chunk_scale == 1.0
-    assert observed["batch_ok_after"]
-    # Interactive admission was never shed.
-    assert metrics.qos_rejected == metrics.brownout_shed
 
 
 # -- reports: fault instants and recovery stall buckets ----------------------

@@ -1,6 +1,7 @@
 """The SLO engine (burn-rate alerting) and the live monitor plane."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -149,12 +150,12 @@ class TestMonitorService:
             server.prometheus_metrics()
 
     def test_monitor_knobs_imply_monitoring(self, monkeypatch):
-        # The plane's own values are constants read when it is built; the
-        # one shorthand left that needs the plane is ``brownout``.
+        # The plane's own values are constants read when it is built, and
+        # ``monitoring`` is the one switch that builds it.
         monkeypatch.setattr(monitor, "SCRAPE_INTERVAL_MS", 25.0)
         monkeypatch.setattr(slo, "DEFAULT_SLO_TARGET", 0.9)
         monkeypatch.setattr(slo, "BURN_WINDOWS", (BurnWindow(1.0, 0.1, 2.0),))
-        _, server = self.make_server(brownout=True)
+        _, server = self.make_server(monitoring=True)
         assert server.monitor is not None
         assert server.config.control.monitoring is True
         assert server.monitor.scraper.period_s == pytest.approx(0.025)
@@ -253,7 +254,8 @@ class TestMonitorService:
 # records QoS kept; now the core counts one record per tenant and each of
 # its facts is exported under one name: ``pie_tenant_{finished, terminated,
 # rejected}`` are ``pie_requests_total{status}`` and ``pie_tenant_{ttft,
-# tpot}_{met, missed}`` are ``pie_slo_events_total`` (89 families -> 82).
+# tpot}_{met, missed}`` are ``pie_slo_events_total`` (89 families -> 82), and
+# the three ``pie_system_brownout_*`` counters went with their plane (-> 79).
 REQUEST_FAMILIES = {
     "pie_ttft_seconds": ("tenant",),
     "pie_tpot_seconds": ("tenant",),
@@ -268,8 +270,7 @@ SLO_FAMILIES = {
     "pie_slo_budget_remaining": ("tenant", "signal"),
 }
 SYSTEM_FIELDS = """
-    brownout_activations brownout_clears brownout_shed bytes_swapped_in
-    bytes_swapped_out chunk_stall_saved_seconds commands_dropped
+    bytes_swapped_in bytes_swapped_out chunk_stall_saved_seconds commands_dropped
     cross_device_imports decode_rows_co_batched disagg_bytes_streamed
     disagg_handoff_failures disagg_handoff_stall_seconds disagg_handoffs
     disagg_pages_streamed disagg_pages_tail disagg_replans failover_relaunches
@@ -421,7 +422,7 @@ class TestPullExport:
         sim.run_until_complete(fleet)
         exported = {f.name: f.labelnames for f in server.monitor.collect().families()}
         assert exported == EXPORT_SCHEMA
-        assert len(exported) == 82
+        assert len(exported) == 79
         # The monitor keeps no registry, and no fact is exported twice.
         assert not hasattr(server.monitor, "registry")
         document = server.export_metrics()
@@ -431,9 +432,9 @@ class TestPullExport:
                 assert tuple(sample["labels"]) == EXPORT_SCHEMA[name], name
 
     def test_a_tick_writes_no_metric(self, monkeypatch):
-        """Between two exports the plane does SloEngine.tick and listeners
-        only: no registry child is touched while no request starts its
-        output or leaves."""
+        """Between two exports the plane does SloEngine.tick only: its
+        transitions are appended to ``slo.alerts`` and no registry child is
+        touched while no request starts its output or leaves."""
         from repro.core import registry
 
         sim, server, fleet = self.fleet(n=1, max_tokens=64)
@@ -450,16 +451,16 @@ class TestPullExport:
             "labels",
             lambda family, **kw: touched.append(family.name) or labels(family, **kw),
         )
-        heard = []
-        server.monitor.add_alert_listener(heard.append)
         sim.run(until=0.4)
         monkeypatch.undo()
 
         assert server.monitor.scrapes_taken >= ticks + 5
         assert not instance.finished
         assert touched == []
-        assert heard == server.monitor.slo.alerts[len(before["slo"]["alerts"]):]
         after = server.export_metrics()
+        # The alert history only grows, and the export reads it as it is.
+        assert after["slo"]["alerts"][: len(before["slo"]["alerts"])] == before["slo"]["alerts"]
+        assert after["slo"]["alerts"] == [asdict(event) for event in server.monitor.slo.alerts]
         assert after["metrics"]["pie_system_total_output_tokens"] != (
             before["metrics"]["pie_system_total_output_tokens"]
         )
