@@ -7,10 +7,12 @@ to the inference layer through command queues) and 24 control-layer
 functions for runtime management, inter-inferlet communication and I/O.
 
 Calls that involve a command queue return a :class:`SimFuture` which
-resolves when the command has been executed by the inference layer;
-commands on the same queue execute in issue order, so inferlets typically
-only await the calls whose results they need (``get_next_dist``,
-``synchronize``) — exactly as in the paper's code samples.
+resolves when the command has been executed by the inference layer.
+Commands on a queue take effect in issue order: two that touch the same page
+or slot run in that order, and independent ones may share a batch.  So
+inferlets typically only await the calls whose results they need
+(``get_next_dist``, ``synchronize``) — exactly as in the paper's code
+samples.
 """
 
 from __future__ import annotations
@@ -402,9 +404,6 @@ class InferletContext:
             "adapter": adapter,
         }
         page_size = home.service.entry.config.kv_page_size
-        writes = frozenset(
-            [("kv", pid) for pid in okv_ids] + [("emb", eid) for eid in oemb_ids]
-        )
         future = controller.submit_command(
             instance,
             home,
@@ -414,7 +413,12 @@ class InferletContext:
             rows=1,
             input_tokens=len(iemb_ids),
             context_tokens=len(ikv_ids) * page_size,
-            writes=writes,
+            reads=frozenset(
+                [("kv", pid) for pid in ikv_ids] + [("emb", eid) for eid in iemb_ids]
+            ),
+            writes=frozenset(
+                [("kv", pid) for pid in okv_ids] + [("emb", eid) for eid in oemb_ids]
+            ),
         )
         # The pin is released before the finish hook registers the pages
         # this forward filled (callbacks run in registration order).
@@ -561,6 +565,7 @@ class InferletContext:
             "sample",
             {"emb_slots": slot_ids, "top_k": top_k, "temperature": temperature},
             rows=len(slot_ids),
+            reads=frozenset([("emb", eid) for eid in slot_ids]),
         )
 
     def _first_of(self, future: SimFuture) -> SimFuture:

@@ -3,8 +3,11 @@
 Given the per-queue pending commands, the batcher computes, for every
 command kind, the largest dispatchable batch:
 
-* **Vertical batching** — the longest prefix of same-kind, non-conflicting
-  commands at the head of each queue (:meth:`CommandQueue.head_run`).
+* **Vertical batching** — per queue, one run per command kind: every
+  pending command of that kind with no hazard against an earlier command
+  left out of the run (:meth:`CommandQueue.ready_runs`).  Commands on a
+  queue take effect in issue order: two that touch the same page or slot
+  run in that order, and independent ones may share a batch.
 * **Horizontal batching** — merging those runs across queues, placing
   commands from higher-priority queues earlier, skipping commands that
   write-write conflict with already selected ones, and truncating from the
@@ -15,8 +18,8 @@ command kind, the largest dispatchable batch:
   A prefill whose prompt exceeds the remaining budget — or the per-slice
   bound ``prefill_chunk_tokens`` — is *split*: a head slice
   (:meth:`Command.plan_chunk`) fills the batch while the residual command
-  stays at the queue head, so each dispatched batch mixes decode rows with
-  at most one partial prefill chunk per queue and a long prompt can no
+  stays in its queue as a fence, so each dispatched batch mixes decode rows
+  with at most one partial prefill chunk per queue and a long prompt can no
   longer head-of-line-block the decodes behind it.
 
 The scheduler then picks among the candidate batches of different kinds
@@ -99,13 +102,12 @@ def form_candidate_batches(
     """
     runs_by_kind: Dict[str, List[List[Command]]] = {}
     for queue in queues:
-        run = queue.head_run(max_batch_rows)
-        if not run:
-            continue
+        runs = queue.ready_runs(max_batch_rows)
         priority = priority_of(queue) if priority_of is not None else queue.priority
-        for command in run:
-            command.priority = priority
-        runs_by_kind.setdefault(run[0].kind, []).append(run)
+        for run in runs:
+            for command in run:
+                command.priority = priority
+            runs_by_kind.setdefault(run[0].kind, []).append(run)
 
     candidates: Dict[str, CandidateBatch] = {}
     for kind, runs in runs_by_kind.items():
@@ -198,9 +200,9 @@ def _merge_runs(
                         and future_factory is not None
                     ):
                         # Slice off a head chunk that fills the budget; the
-                        # residual stays at the queue head and blocks the
-                        # rest of this run (at most one partial prefill
-                        # chunk per queue per batch).
+                        # residual stays in its queue and blocks the rest of
+                        # this run (at most one partial prefill chunk per
+                        # queue per batch).
                         chunk = command.plan_chunk(head, future_factory())
                         merged.append(chunk)
                         total_rows += chunk.rows

@@ -2,9 +2,11 @@
 
 A :class:`Command` is one inference-layer API call after virtual-to-physical
 resource translation.  A :class:`CommandQueue` is the logical sequence of
-commands issued by an inferlet on one ``Queue`` handle: commands on the same
-queue execute in issue order, which is what makes dependencies unambiguous
-for the batch scheduler.
+commands issued by an inferlet on one ``Queue`` handle: commands on a queue
+take effect in issue order: two that touch the same page or slot run in that
+order, and independent ones may share a batch.  Each command names what it
+reads and writes, which is what makes dependencies unambiguous for the batch
+scheduler.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set
 
 from repro.errors import SchedulingError
 from repro.sim.futures import SimFuture
@@ -33,6 +35,11 @@ COMMAND_KINDS = (
     "dealloc_emb",
 )
 
+#: The kinds whose read and write sets are complete, so a queue may batch one
+#: past an earlier command it does not touch.  Every other kind is a fence: it
+#: goes only with the queue's head and nothing passes it.
+HAZARD_CHECKED_KINDS = frozenset({"embed_text", "forward", "sample"})
+
 
 @dataclass
 class Command:
@@ -48,9 +55,14 @@ class Command:
     rows: int = 1
     input_tokens: int = 0
     context_tokens: int = 0
-    # What the command writes, as ``("kv", pid)`` / ``("emb", eid)`` pairs:
-    # write-write conflicts are the only hazard batch formation checks.
+    # What the command reads and writes, as ``("kv", pid)`` / ``("emb", eid)``
+    # pairs.  A queue orders two of its commands only when one writes what
+    # the other touches; across queues only write-write conflicts count.
+    reads: FrozenSet = frozenset()
     writes: FrozenSet = frozenset()
+    # Position in its queue's push order (``CommandQueue.push``); the
+    # synchronize barrier waits on it.
+    queue_seq: int = 0
     # Chunked prefill (repro.core.batching): a head-slice command carries a
     # reference to the queue-resident original it was sliced from.  The
     # original (the *residual*) keeps shrinking in place as chunks are
@@ -82,6 +94,13 @@ class Command:
     @property
     def is_chunk(self) -> bool:
         return self.parent is not None
+
+    @property
+    def is_fence(self) -> bool:
+        """A kind without complete read and write sets, or a chunked
+        prefill's residual: it batches only from its queue's head, and
+        nothing issued after it passes it."""
+        return self.kind not in HAZARD_CHECKED_KINDS or self.chunks_taken > 0
 
     def plan_chunk(self, n_tokens: int, future: SimFuture) -> "Command":
         """Create a head-slice command for the first ``n_tokens`` inputs.
@@ -117,6 +136,7 @@ class Command:
             rows=1,
             input_tokens=n_tokens,
             context_tokens=max(0, self.context_tokens - self.input_tokens),
+            reads=self.reads,
             writes=self.writes,
             parent=self,
         )
@@ -128,9 +148,10 @@ class Command:
         embeddings (and never the output-hidden slots or an explicit write
         offset — KV commits through the handler's auto-offset, which lands
         each chunk's tokens after the ones committed so far).  The residual
-        keeps everything else and *stays at the queue head*, preserving
-        vertical-batching order; its attention estimate grows by the tokens
-        the head will have committed by the time the residual runs.
+        keeps everything else and *stays in its queue* as a fence
+        (:attr:`is_fence`), so nothing issued after it passes it; its
+        attention estimate grows by the tokens the head will have committed
+        by the time the residual runs.
 
         The residual's wait clock restarts at ``now``: it just received a
         slice of service, so for longest-waiting selection, t_only ripeness
@@ -170,9 +191,15 @@ class CommandQueue:
         self.priority = priority
         self._pending: Deque[Command] = deque()
         self._inflight: int = 0
-        self._barrier_futures: List[tuple] = []  # (remaining_count, future)
+        # Synchronize barriers as ``(watermark, future)``, watermarks
+        # non-decreasing: a barrier resolves once every command pushed before
+        # it (``queue_seq < watermark``) has retired.
+        self._barriers: Deque[tuple] = deque()
         self._issued = 0
-        self._completed = 0
+        # Every command with a lower ``queue_seq`` has retired; the ones above
+        # it that retired early (a later, independent batch) wait in the set.
+        self._retired_below = 0
+        self._retired_early: Set[int] = set()
         # Scheduler readiness/pending index hook: called with the signed
         # pending-count delta after every mutation, so the scheduler can
         # maintain O(1) aggregates instead of scanning all queues.
@@ -195,59 +222,114 @@ class CommandQueue:
         # (repro.core.batching.form_candidate_batches), so set_queue_priority
         # after enqueue still affects already-queued commands.
         command.priority = self.priority
+        command.queue_seq = self._issued
         self._pending.append(command)
         self._issued += 1
         self._pending_changed(1)
 
-    def head_run(self, max_commands: int) -> List[Command]:
-        """Return the longest batchable prefix of pending commands.
+    def ready_runs(self, max_commands: int) -> List[List[Command]]:
+        """*Vertical batching*: one run per command kind this queue has ready.
 
-        This implements *vertical batching*: consecutive commands of the
-        same kind at the head of the queue that do not write-write conflict
-        with each other.
+        A kind's run is every pending command of that kind, in queue order,
+        with no read-after-write, write-after-read or write-after-write
+        hazard with an earlier pending command left out of the run, and no
+        write-write conflict with the run itself (a batch holds none), up to
+        ``max_commands``.  A fence (:attr:`Command.is_fence`) joins a run
+        only when every command before it is in that run, and from it on
+        only that run grows, by consecutive commands: nothing passes it.
+        On a chain — each command in a hazard with the one before it — this
+        is the longest same-kind conflict-free prefix of the queue.  Runs
+        come in the order their kinds first appear, the head's first.
         """
-        run: List[Command] = []
-        # Accumulated write set of the run so far: checking each candidate
-        # against it by intersection is equivalent to pairwise
-        # ``conflicts_with`` (write-write only) without the O(n^2) scan.
-        run_writes: set = set()
-        for command in self._pending:
-            if len(run) >= max_commands:
-                break
-            if run and command.kind != run[0].kind:
-                break
-            if command.writes & run_writes:
-                break
-            run.append(command)
-            run_writes |= command.writes
-        return run
+        pending = self._pending
+        if len(pending) < 2:
+            return [list(pending)] if pending else []
+        head = pending[0]
+        # kind -> [run, what its commands read, what they write]
+        runs: Dict[str, list] = {head.kind: [[head], head.reads, head.writes]}
+        # What the commands left out of their own kind's run read and write.
+        out_reads = out_writes = frozenset()
+        left_out = False
+        fenced = head.is_fence
+        for command in itertools.islice(pending, 1, None):
+            kind = command.kind
+            entry = runs.get(kind)
+            reads, writes = command.reads, command.writes
+            if fenced or command.is_fence:
+                fenced = True
+                if (
+                    left_out
+                    or entry is None
+                    or len(runs) > 1
+                    or len(entry[0]) >= max_commands
+                    or not writes.isdisjoint(entry[2])
+                ):
+                    break
+            else:
+                joins = not left_out or (
+                    reads.isdisjoint(out_writes)
+                    and writes.isdisjoint(out_writes)
+                    and writes.isdisjoint(out_reads)
+                )
+                if joins:
+                    for other, (run, run_reads, run_writes) in runs.items():
+                        if other == kind:
+                            joins = len(run) < max_commands and writes.isdisjoint(run_writes)
+                        else:
+                            joins = (
+                                reads.isdisjoint(run_writes)
+                                and writes.isdisjoint(run_writes)
+                                and writes.isdisjoint(run_reads)
+                            )
+                        if not joins:
+                            break
+                if not joins:
+                    if left_out:
+                        out_reads = out_reads | reads
+                        out_writes = out_writes | writes
+                    else:
+                        left_out = True
+                        out_reads, out_writes = reads, writes
+                    continue
+            if entry is None:
+                runs[kind] = [[command], reads, writes]
+            else:
+                entry[0].append(command)
+                entry[1] = entry[1] | reads
+                entry[2] = entry[2] | writes
+        return [entry[0] for entry in runs.values()]
 
     def pop_commands(self, commands: List[Command]) -> None:
-        """Remove dispatched commands (must be a prefix of the queue)."""
+        """Remove dispatched commands, wherever they sit in the queue."""
+        pending = self._pending
         popped = 0
         for command in commands:
-            if not self._pending or self._pending[0] is not command:
-                if popped:
-                    self._pending_changed(-popped)
-                raise SchedulingError("dispatched commands must form a queue prefix")
-            self._pending.popleft()
-            self._inflight += 1
+            if not pending or pending[0] is not command:
+                break
+            pending.popleft()
             popped += 1
+        if popped < len(commands):
+            taken = {id(command) for command in commands[popped:]}
+            kept = deque(command for command in pending if id(command) not in taken)
+            popped += len(pending) - len(kept)
+            self._pending = kept
+        self._inflight += popped
         self._pending_changed(-popped)
+        if popped != len(commands):
+            raise SchedulingError("dispatched commands must be pending on their queue")
 
-    def drop_head(self, command: Command) -> bool:
-        """Abandon a pending head command (a forward whose slice failed).
+    def drop(self, command: Command) -> None:
+        """Abandon a pending command (a forward whose slice failed).
 
-        Removes it without dispatching and credits any synchronize
-        barriers counting it, exactly as completion would — the caller has
-        already delivered the failure through the command's future."""
-        if not self._pending or self._pending[0] is not command:
-            return False
-        self._pending.popleft()
-        self._completed += 1
-        self._pending_changed(-1)
-        self._resolve_barriers()
-        return True
+        Removes it without dispatching and retires it for the synchronize
+        barriers, exactly as completion would — the caller has already
+        delivered the failure through the command's future."""
+        for index, queued in enumerate(self._pending):
+            if queued is command:
+                del self._pending[index]
+                self._pending_changed(-1)
+                self._retire(command)
+                return
 
     def drain_pending(self) -> List[Command]:
         """Remove and return every still-pending command (queue teardown)."""
@@ -258,38 +340,42 @@ class CommandQueue:
 
     def drain_barriers(self) -> List[SimFuture]:
         """Remove and return every synchronize barrier (queue teardown)."""
-        drained = [entry[1] for entry in self._barrier_futures]
-        self._barrier_futures = []
+        drained = [future for _, future in self._barriers]
+        self._barriers.clear()
         return drained
 
-    def mark_completed(self) -> None:
-        """One dispatched command retired (each barrier counts it once)."""
+    def mark_completed(self, command: Command) -> None:
+        """A dispatched command retired."""
         self._inflight -= 1
-        self._completed += 1
         if self._inflight < 0:
             raise SchedulingError("completed more commands than were dispatched")
-        self._resolve_barriers()
+        self._retire(command)
 
     # -- synchronization ---------------------------------------------------------
 
     def synchronize(self, future: SimFuture) -> None:
-        """Resolve ``future`` once all currently issued commands complete."""
-        outstanding = len(self._pending) + self._inflight
-        if outstanding == 0:
+        """Resolve ``future`` once every command pushed so far has retired."""
+        if self._retired_below == self._issued:
             future.set_result(None)
             return
-        self._barrier_futures.append([outstanding, future])
+        self._barriers.append((self._issued, future))
 
-    def _resolve_barriers(self) -> None:
-        still_waiting = []
-        for entry in self._barrier_futures:
-            entry[0] -= 1
-            if entry[0] <= 0:
-                if not entry[1].done():
-                    entry[1].set_result(None)
-            else:
-                still_waiting.append(entry)
-        self._barrier_futures = still_waiting
+    def _retire(self, command: Command) -> None:
+        seq = command.queue_seq
+        if seq != self._retired_below:
+            self._retired_early.add(seq)
+            return
+        early = self._retired_early
+        seq += 1
+        while seq in early:
+            early.remove(seq)
+            seq += 1
+        self._retired_below = seq
+        barriers = self._barriers
+        while barriers and barriers[0][0] <= seq:
+            future = barriers.popleft()[1]
+            if not future.done():
+                future.set_result(None)
 
     # -- inspection ---------------------------------------------------------------
 
@@ -304,14 +390,6 @@ class CommandQueue:
     @property
     def oldest_pending_time(self) -> Optional[float]:
         return self._pending[0].issue_time if self._pending else None
-
-    @property
-    def issued(self) -> int:
-        return self._issued
-
-    @property
-    def completed(self) -> int:
-        return self._completed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

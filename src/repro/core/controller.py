@@ -523,6 +523,7 @@ class Controller:
         rows: int = 1,
         input_tokens: int = 0,
         context_tokens: int = 0,
+        reads: FrozenSet = frozenset(),
         writes: FrozenSet = frozenset(),
     ) -> SimFuture:
         """Create a command and deliver it to the scheduler of the
@@ -539,6 +540,7 @@ class Controller:
             rows=rows,
             input_tokens=input_tokens,
             context_tokens=context_tokens,
+            reads=reads,
             writes=writes,
         )
         if self.trace is not None:

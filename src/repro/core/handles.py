@@ -41,9 +41,10 @@ class Embed:
 class Queue:
     """A command queue handle.
 
-    Commands issued on the same queue execute in issue order; the batch
-    scheduler may merge consecutive compatible commands (vertical batching)
-    and commands from different queues (horizontal batching).
+    Commands on a queue take effect in issue order: two that touch the same
+    page or slot run in that order, and independent ones may share a batch.
+    The batch scheduler merges same-kind commands of one queue (vertical
+    batching) and commands from different queues (horizontal batching).
     """
 
     qid: int

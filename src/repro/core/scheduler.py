@@ -183,8 +183,8 @@ class BatchScheduler:
             self._policy_on_submit()
 
     def _dispatchable_queues(self) -> List[CommandQueue]:
-        # Only queues with pending commands can contribute to a batch (every
-        # consumer skips empty head runs), so iterating the readiness index
+        # Only queues with pending commands can contribute to a batch (an
+        # empty queue has no ready run), so iterating the readiness index
         # is O(live work) no matter how many idle queues exist.  Sorting by
         # insertion sequence reproduces the old full-scan's ``self._queues``
         # iteration order exactly — candidate-kind ordering and the
@@ -266,7 +266,7 @@ class BatchScheduler:
 
         The disaggregation handoff only moves quiescent owners, so the
         detached queue carries no pending commands, in-flight work or
-        barriers — but its issued/completed counters and priority must
+        barriers — but its push and retire watermarks and priority must
         survive the move, which is why this is not remove_queue."""
         queue = self._queues.pop(key, None)
         if queue is None:
@@ -443,9 +443,7 @@ class BatchScheduler:
     def _dispatch_all_individually(self) -> None:
         for queue in self._dispatchable_queues():
             while queue.pending_count:
-                run = queue.head_run(1)
-                if not run:
-                    break
+                run = queue.ready_runs(1)[0]  # the queue's head
                 self._dispatch(CandidateBatch(kind=run[0].kind, commands=run))
 
     def _dispatch_if_threshold_met(self) -> None:
@@ -523,8 +521,8 @@ class BatchScheduler:
 
     def _dispatch(self, batch: CandidateBatch) -> None:
         # Head slices of chunked prefills are not queue residents: their
-        # residual stays at the queue head (so later commands keep their
-        # order and synchronize barriers keep counting one command), and
+        # residual stays in its queue as a fence (so later commands keep
+        # their order and synchronize barriers wait for one command), and
         # only the slice itself ships with this batch.
         chunks = [command for command in batch.commands if command.is_chunk]
         whole = [command for command in batch.commands if not command.is_chunk]
@@ -653,7 +651,7 @@ class BatchScheduler:
                     # corrupt context.
                     queue = self._queues.get(command.queue_key)
                     if queue is not None:
-                        queue.drop_head(command.parent)
+                        queue.drop(command.parent)
                     if self._trace is not None:
                         self._trace.end(
                             command.parent.trace_span, args={"dropped": True}
@@ -669,7 +667,7 @@ class BatchScheduler:
                 continue
             queue = self._queues.get(command.queue_key)
             if queue is not None:
-                queue.mark_completed()
+                queue.mark_completed(command)
             if command.future.done():
                 continue
             if error is not None:

@@ -2,10 +2,10 @@
 
 Two regressions guarded here:
 
-* ``_merge_runs`` (and ``CommandQueue.head_run``) replaced their O(n^2)
-  pairwise ``conflicts_with`` scans with accumulated write-set
-  intersections — the merge output must be *identical* to the reference
-  (pairwise) implementation on seeded random queue populations;
+* ``_merge_runs`` (and ``CommandQueue.ready_runs``) check hazards against
+  accumulated read and write sets instead of pairwise scans — the output
+  must be *identical* to the reference (pairwise) implementation on seeded
+  random queue populations;
 * ``_arm_timeout_flush`` used to schedule a fresh sim event on **every**
   submit (a timer storm under load); it now keeps at most one armed timer,
   re-armed after each flush for the oldest still-pending command.
@@ -79,38 +79,60 @@ def test_merge_runs_matches_reference_on_seeded_populations():
         assert fast == slow, f"trial {trial} diverged"
 
 
-def test_head_run_set_based_conflicts_match_pairwise():
+def _hazard(later, earlier):
+    return bool(
+        later.reads & earlier.writes
+        or later.writes & earlier.writes
+        or later.writes & earlier.reads
+    )
+
+
+def _reference_runs(commands, limit):
+    """Vertical batching spelled out pairwise: a command joins its kind's run
+    unless the run is full, it write-write conflicts with the run, or it has
+    a hazard with an earlier command outside the run; a fence joins only when
+    everything before it is in its run, and nothing passes it."""
+    runs = {}
+    for index, command in enumerate(commands):
+        run = runs.setdefault(command.kind, [])
+        fits = len(run) < limit and not any(command.conflicts_with(c) for c in run)
+        if command.is_fence or any(c.is_fence for c in commands[:index]):
+            if fits and len(run) == index:
+                run.append(command)
+                continue
+            break
+        outside = [c for c in commands[:index] if not any(c is r for r in run)]
+        if fits and not any(_hazard(command, c) for c in outside):
+            run.append(command)
+    return [run for run in runs.values() if run]
+
+
+def test_ready_runs_set_based_hazards_match_pairwise():
     rng = random.Random(99)
-    for trial in range(100):
+
+    def keys():
+        return frozenset(
+            (rng.choice(("kv", "emb")), rng.randint(0, 8)) for _ in range(rng.randint(0, 2))
+        )
+
+    for trial in range(300):
         queue = CommandQueue(key="q", model="m", owner="o")
         commands = []
         for i in range(rng.randint(1, 12)):
-            writes = frozenset(
-                ("kv", rng.randint(0, 8)) for _ in range(rng.randint(0, 2))
-            )
             command = Command(
                 kind=rng.choice(KINDS),
                 inferlet_id="o",
                 payload={},
                 future=None,
                 issue_time=float(i),
-                writes=writes,
+                reads=keys(),
+                writes=keys(),
+                chunks_taken=int(rng.random() < 0.1),
             )
             commands.append(command)
             queue.push(command)
         limit = rng.randint(1, 12)
-        run = queue.head_run(limit)
-        # Reference: longest same-kind prefix with pairwise write-write check.
-        expected = []
-        for command in commands:
-            if len(expected) >= limit:
-                break
-            if expected and command.kind != expected[0].kind:
-                break
-            if any(command.conflicts_with(existing) for existing in expected):
-                break
-            expected.append(command)
-        assert run == expected, f"trial {trial} diverged"
+        assert queue.ready_runs(limit) == _reference_runs(commands, limit), f"trial {trial}"
 
 
 def _t_only_server(sim):

@@ -147,13 +147,16 @@ class TestTraits:
             validate_model_traits(["Forward"])  # missing supertraits
 
 
-def _command(sim, kind, queue_key=None, writes=frozenset(), issue_time=0.0, priority=0):
+def _command(
+    sim, kind, queue_key=None, writes=frozenset(), issue_time=0.0, priority=0, reads=frozenset()
+):
     command = Command(
         kind=kind,
         inferlet_id="test",
         payload={},
         future=sim.create_future(),
         issue_time=issue_time,
+        reads=reads,
         writes=writes,
         priority=priority,
     )
@@ -166,17 +169,19 @@ class TestBatchFormation:
         queue = CommandQueue(key="q1", model="m", owner="a")
         queue.push(_command(sim, "forward"))
         queue.push(_command(sim, "forward"))
-        queue.push(_command(sim, "sample"))
-        run = queue.head_run(max_commands=10)
-        assert len(run) == 2
-        assert all(c.kind == "forward" for c in run)
+        queue.push(_command(sim, "sample", reads=frozenset({("emb", 1)})))
+        queue.push(_command(sim, "forward", writes=frozenset({("emb", 1)})))
+        runs = queue.ready_runs(max_commands=10)
+        # The last forward overwrites what the sample reads, so it may not
+        # pass the sample: the forward run stops there.
+        assert [[c.kind for c in run] for run in runs] == [["forward", "forward"], ["sample"]]
 
     def test_vertical_run_stops_at_write_conflict(self):
         sim = Simulator()
         queue = CommandQueue(key="q1", model="m", owner="a")
         queue.push(_command(sim, "forward", writes=frozenset({("kv", 1)})))
         queue.push(_command(sim, "forward", writes=frozenset({("kv", 1)})))
-        assert len(queue.head_run(10)) == 1
+        assert [len(run) for run in queue.ready_runs(10)] == [1]
 
     def test_horizontal_merge_and_priority_order(self):
         sim = Simulator()
@@ -218,7 +223,7 @@ class TestBatchFormation:
         queue.synchronize(barrier)
         assert not barrier.done()
         queue.pop_commands([command])
-        queue.mark_completed()
+        queue.mark_completed(command)
         assert barrier.done()
 
 

@@ -15,13 +15,53 @@ request (docs/ARCHITECTURE.md, "What ``synchronize`` waits for today").  The
 fix moves every virtual number, so it needs its own change with a
 re-baseline; until then this test must keep failing, and ``strict`` makes
 sure whoever fixes the barrier finds it.
+
+What a barrier waits for once a command *is* pushed is exact: every command
+pushed before it has retired (a push-sequence watermark).  Independent
+commands of one queue share batches, so they retire out of push order, and a
+count of retirements would resolve a barrier early.
 """
 
 import pytest
 
 from repro.core import InferletProgram, PieServer
+from repro.core.command_queue import Command, CommandQueue
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
+
+
+def test_a_later_independent_command_retiring_first_does_not_resolve_a_barrier():
+    sim = Simulator()
+    queue = CommandQueue(key="q", model="m", owner="a")
+
+    def push(kind, reads=(), writes=()):
+        command = Command(
+            kind=kind,
+            inferlet_id="a",
+            payload={},
+            future=sim.create_future(),
+            issue_time=0.0,
+            reads=frozenset(reads),
+            writes=frozenset(writes),
+        )
+        queue.push(command)
+        return command
+
+    e1 = push("embed_text", writes=[("emb", 1)])
+    f1 = push("forward", reads=[("emb", 1)], writes=[("kv", 1), ("emb", 2)])
+    barrier = sim.create_future()
+    queue.synchronize(barrier)
+    e2 = push("embed_text", writes=[("emb", 3)])
+    # e2 touches nothing of e1 f1's, so it joins e1's embed batch and retires
+    # while f1 is still pending: two retirements, the count the barrier saw.
+    assert queue.ready_runs(8) == [[e1, e2]]
+    queue.pop_commands([e1, e2])
+    queue.mark_completed(e1)
+    queue.mark_completed(e2)
+    assert not barrier.done()
+    queue.pop_commands([f1])
+    queue.mark_completed(f1)
+    assert barrier.done()
 
 
 @pytest.mark.xfail(
