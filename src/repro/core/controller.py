@@ -51,7 +51,7 @@ from repro.core.traits import api_layer
 from repro.model.registry import ModelRegistry
 from repro.sim.faults import FaultInjector
 from repro.sim.futures import SimFuture
-from repro.sim.latency import microseconds, milliseconds
+from repro.sim.latency import microseconds
 from repro.sim.periodic import PeriodicService
 from repro.sim.simulator import Simulator
 
@@ -64,11 +64,6 @@ CONTROL_CALL_OVERHEAD_PER_INFERLET_US = 0.025
 #: Python-side deserialisation that grows with concurrency).
 INFERENCE_CALL_OVERHEAD_BASE_US = 10.0
 INFERENCE_CALL_OVERHEAD_PER_INFERLET_US = 0.30
-#: Device-to-device KV page migration (cross-shard import): a fixed setup
-#: cost plus a per-page term (ms), approximating a PCIe/NVLink copy
-#: orchestrated by the control layer.
-CROSS_DEVICE_TRANSFER_BASE_MS = 0.2
-CROSS_DEVICE_TRANSFER_MS_PER_PAGE = 0.05
 
 
 class Controller:
@@ -455,42 +450,23 @@ class Controller:
         src_shard: DeviceShard,
         dst_shard: DeviceShard,
     ) -> List[KvPage]:
-        """Import pages exported on another device of the same cluster.
-
-        The exported pages stay where they are; the importer gets fresh
-        pages on *its* device with the KV contents copied over (the
-        simulated equivalent of an NVLink/PCIe transfer).  The transfer
-        occupies the destination device for the transfer time — it consumes
-        that device's memory bandwidth — so commands issued against the
-        migrated pages wait for the copy to land.  ``cache_affinity``
-        placement exists to avoid paying this path.
-
-        Note the semantics: a same-shard import *aliases* the exporter's
-        physical pages (refcounted sharing, as on a single device) while a
-        cross-shard import takes a point-in-time *snapshot*.  Exports are
-        therefore treated as immutable published prefixes — the support
-        library seals imported pages read-only, and an exporter that
-        mutates pages after publishing them gets device-dependent
-        visibility."""
+        """Import pages exported on another device of the same cluster: the
+        importer gets fresh pages on *its* device holding a point-in-time
+        *snapshot* of the export, carried by the shard pair's link and
+        landing like a handoff tail (``KvMover.land``), so commands against
+        them wait for the copy.  A same-shard import *aliases* the pages
+        instead, so exports are treated as immutable published prefixes
+        (the support library seals imported pages read-only; an exporter
+        that mutates published pages gets device-dependent visibility).
+        ``cache_affinity`` placement exists to avoid this path."""
         entry = src_shard.resources.export_info(name)
-        self._ensure_capacity(dst_shard, instance, kv_pages=len(entry.physical_ids))
-        handles = dst_shard.resources.alloc_kv_pages(
-            instance.instance_id, len(entry.physical_ids)
-        )
-        physical_ids = dst_shard.resources.resolve_kv_many(instance.instance_id, handles)
-        for src_pid, dst_pid in zip(entry.physical_ids, physical_ids):
-            src_page = src_shard.memory.kv_pages.page(src_pid)
-            dst_shard.memory.kv_pages.page(dst_pid).copy_page_from(src_page)
-        transfer_seconds = milliseconds(
-            CROSS_DEVICE_TRANSFER_BASE_MS
-            + CROSS_DEVICE_TRANSFER_MS_PER_PAGE * len(physical_ids)
-        )
-        dst_shard.device.submit(
-            kind="kv_transfer",
-            run=lambda: None,
-            cost_seconds=transfer_seconds,
-            size=len(physical_ids),
-        )
+        n_pages = len(entry.physical_ids)
+        self._ensure_capacity(dst_shard, instance, kv_pages=n_pages)
+        handles = dst_shard.resources.alloc_kv_pages(instance.instance_id, n_pages)
+        dst_pids = dst_shard.resources.resolve_kv_many(instance.instance_id, handles)
+        mover = dst_shard.service.mover
+        mover.copy(src_shard, dst_shard, entry.physical_ids, dst_pids)
+        mover.land(src_shard.index, dst_shard, "kv_transfer", n_pages)
         entry.imports += 1
         self.metrics.cross_device_imports += 1
         return handles
@@ -637,11 +613,9 @@ class Controller:
         if home.resources.kv_refcount(pid) > 1 and cache.is_cache_shared(pid):
             self._ensure_capacity(home, instance, kv_pages=1)
             pid = home.resources.materialize_private_kv(instance.instance_id, page)
-            home.device.submit(
-                kind="cache_cow",
-                run=lambda: None,
-                cost_seconds=home.service.cost_model.copy_batch_cost(1),
-                size=1,
+            service = home.service
+            service.mover.charge(
+                home.device, "cache_cow", service.cost_model.copy_batch_cost(1), size=1
             )
         cache.invalidate_pid(pid)
         return pid

@@ -77,12 +77,8 @@ class ShardHealthService:
         return devices
 
     def live_links(self) -> List:
-        """Every live disaggregation KV link (the injector's fault target)."""
-        links: List = []
-        for service in self.controller.services():
-            if service.transfer is not None:
-                links.extend(service.transfer.links())
-        return links
+        """Every live shard-pair KV link (the injector's fault target)."""
+        return [link for service in self.controller.services() for link in service.links()]
 
     # -- fault entry points (called by the FaultInjector) ---------------------
 

@@ -21,7 +21,8 @@ inside the control layer, per device shard:
 * under memory pressure the :class:`~repro.core.swap.SwapManager` asks the
   cache to **demote** its coldest leaf to the host tier (or evict it),
   before any live inferlet is terminated; a demoted entry faults back in
-  on its next hit, paying the PCIe cost.
+  on its next hit, paying the PCIe cost (both through the cluster's
+  :class:`~repro.core.mover.KvMover`).
 
 Everything here is inert unless ``ControlLayerConfig.prefix_cache`` is
 True: with the knob off the service is never constructed and the serving
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Seq
 
 from repro.errors import ResourceError
 from repro.core.metrics import SystemMetrics
-from repro.gpu.host_pool import HostMemoryPool
+from repro.core.mover import KvMover
 from repro.gpu.memory import DeviceMemory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -101,13 +102,13 @@ class PrefixCacheService:
         self,
         resources: "ResourceManager",
         memory: DeviceMemory,
-        host_pool: HostMemoryPool,
+        mover: KvMover,
         device: "SimDevice",
         metrics: SystemMetrics,
     ) -> None:
         self.resources = resources
         self.memory = memory
-        self.host_pool = host_pool
+        self.mover = mover
         self.device = device
         self.metrics = metrics
         self.page_size = memory.model_config.kv_page_size
@@ -224,7 +225,7 @@ class PrefixCacheService:
             self.resources.unpin_kv(node.pid)
             node.pid = None
         if node.host_slot is not None:
-            self.host_pool.discard([node.host_slot])
+            self.mover.host_pool.discard([node.host_slot])
             node.host_slot = None
         if node.parent is not None and node.tokens:
             current = node.parent.children.get(node.tokens[0])
@@ -403,7 +404,7 @@ class PrefixCacheService:
     ) -> int:
         """Rebind the caller's fresh pages to the cached path; returns pages."""
         used = 0
-        faulted = 0
+        faulted: List[Tuple[int, int]] = []  # (host slot, device page)
         num_valid = self.memory.kv_pages.valid_counts(
             ikv_pids[full_existing : full_existing + len(usable)]
         )
@@ -431,22 +432,21 @@ class PrefixCacheService:
             else:
                 # Demoted entry: fault the host copy into the caller's own
                 # fresh page and promote the node back to device residency.
-                self.host_pool.load(node.host_slot, self.memory.kv_pages.page(old_pid))
+                faulted.append((node.host_slot, old_pid))
                 node.host_slot = None
                 node.pid = old_pid
                 self.resources.pin_kv(old_pid)
                 self._by_pid[old_pid] = node
                 self._page_tokens[old_pid] = list(node.tokens)
-                faulted += 1
             self._touch(node)
             used += 1
         if faulted:
-            self.metrics.prefix_cache_faultins += faulted
-            self.device.submit(
-                kind="cache_fault_in",
-                run=lambda: None,
-                cost_seconds=self.host_pool.transfer_seconds(faulted),
-                size=faulted,
+            self.metrics.prefix_cache_faultins += len(faulted)
+            self.mover.from_host(
+                self.device,
+                "cache_fault_in",
+                [slot for slot, _ in faulted],
+                [self.memory.kv_pages.page(pid) for _, pid in faulted],
             )
         return used
 
@@ -638,20 +638,15 @@ class PrefixCacheService:
                 # Freeing the page would let it be reallocated under an
                 # issued-but-unretired command that still references it.
                 continue
-            if self.host_pool.enabled and self.host_pool.num_free > 0:
+            if self.mover.host_pool.enabled and self.mover.host_pool.num_free > 0:
                 pid = leaf.pid
-                slot = self.host_pool.store(self.memory.kv_pages.page(pid))
-                leaf.host_slot = slot
+                [leaf.host_slot] = self.mover.to_host(
+                    self.device, "cache_demote", [self.memory.kv_pages.page(pid)]
+                )
                 leaf.pid = None
                 self._by_pid.pop(pid, None)
                 self.resources.unpin_kv(pid)  # frees the device page
                 self.metrics.prefix_cache_demotions += 1
-                self.device.submit(
-                    kind="cache_demote",
-                    run=lambda: None,
-                    cost_seconds=self.host_pool.transfer_seconds(1),
-                    size=1,
-                )
                 return 1
             # Dropping the node takes its (all-demoted) subtree with it.
             self._drop_subtree(leaf)

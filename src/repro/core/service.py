@@ -2,10 +2,10 @@
 
 :class:`ModelService` is everything needed to serve one model — devices,
 memory, per-shard handlers / resource manager / batch scheduler, the
-router, the host KV tier and its swap manager, and (with disaggregation
-on) the KV transfer scheduler.  :meth:`ModelService.build` puts the parts
-together; the controller (:mod:`repro.core.controller`) then only *uses*
-them.
+router, the host KV tier and its swap manager, the KV page mover, and
+(with disaggregation on) the KV transfer scheduler.
+:meth:`ModelService.build` puts the parts together; the controller
+(:mod:`repro.core.controller`) then only *uses* them.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.core.config import PieConfig
 from repro.core.handlers import ApiHandlers
 from repro.core.metrics import SystemMetrics
+from repro.core.mover import KvMover
 from repro.core.prefix_cache import PrefixCacheService
 from repro.core.resources import ResourceManager
 from repro.core.router import ClusterSchedulerStats, DeviceShard, Router
@@ -31,6 +32,7 @@ if TYPE_CHECKING:  # imported only for annotations
     from repro.core.inferlet import InferletInstance
     from repro.gpu.device import SimDevice
     from repro.gpu.memory import DeviceMemory
+    from repro.sim.network import NetworkLink
 
 
 class ModelService:
@@ -52,6 +54,7 @@ class ModelService:
         shards: List[DeviceShard],
         router: Router,
         host_pool: HostMemoryPool,
+        mover: KvMover,
         swap: SwapManager,
         transfer: Optional[KvTransferScheduler] = None,
     ) -> None:
@@ -63,6 +66,8 @@ class ModelService:
         for shard in shards:
             shard.service = self
         self.host_pool = host_pool
+        # Every KV page crossing to the host tier or another shard.
+        self.mover = mover
         self.swap = swap
         # Prefill/decode disaggregation's KV transfer scheduler
         # (repro.core.transfer); None whenever the knob is off, and every
@@ -133,6 +138,10 @@ class ModelService:
         self.router.migrate(instance, dst.index)
         self.swap.note_migrated(owner, dst)
 
+    def links(self) -> List["NetworkLink"]:
+        """Every shard-pair KV link built so far (the mover's)."""
+        return self.mover.links()
+
     def cluster_stats(self) -> ClusterSchedulerStats:
         """Scheduler statistics merged across every device of the cluster."""
         return ClusterSchedulerStats.from_shards(self.shards)
@@ -175,10 +184,10 @@ class ModelService:
         # The host KV tier is per-node: one pool shared by every device
         # shard of this model (capacity 0 disables swapping entirely).
         host_pool = HostMemoryPool(entry.config, config.gpu)
+        mover = KvMover(sim, host_pool, cost_model, trace=trace)
         swap = SwapManager(
             sim,
-            host_pool,
-            cost_model,
+            mover,
             config.control,
             metrics,
             ensure_capacity,
@@ -225,7 +234,7 @@ class ModelService:
                 shard.prefix_cache = PrefixCacheService(
                     resources=resources,
                     memory=memory,
-                    host_pool=host_pool,
+                    mover=mover,
                     device=device,
                     metrics=metrics,
                 )
@@ -253,7 +262,7 @@ class ModelService:
             transfer = KvTransferScheduler(
                 sim,
                 router,
-                cost_model,
+                mover,
                 metrics,
                 ensure_capacity,
                 qos=qos,
@@ -272,6 +281,7 @@ class ModelService:
             shards=shards,
             router=router,
             host_pool=host_pool,
+            mover=mover,
             swap=swap,
             transfer=transfer,
         )

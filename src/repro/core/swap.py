@@ -1,36 +1,26 @@
 """The swap manager: suspend/resume of inferlet KV state over a host tier.
 
-Pie's motivating agent workloads hold KV pages while blocked on external
-tool calls — computing nothing, yet occupying the scarcest resource on the
-node.  The stock contention policy (FCFS termination,
-:meth:`repro.core.controller.Controller._ensure_capacity`) responds to the
-resulting pressure *destructively*: it kills the youngest inferlet and
-throws its computed state away.
+Agents blocked on tool calls hold KV pages while computing nothing.  FCFS
+termination (:meth:`repro.core.controller.Controller._ensure_capacity`)
+answers the pressure by killing the youngest inferlet; the
+:class:`SwapManager` adds a non-destructive tier
+(:class:`repro.gpu.host_pool.HostMemoryPool`; every transfer is charged,
+and move-vs-recompute answered, by the cluster's
+:class:`~repro.core.mover.KvMover`) and decides which owner moves, and when:
 
-The :class:`SwapManager` adds a second, non-destructive tier
-(:class:`repro.gpu.host_pool.HostMemoryPool`):
-
-* **Proactive suspend** — when an inferlet blocks on an external call
-  (``http_get`` / ``http_post``), its exclusively owned KV pages are staged
-  to host memory over PCIe, freeing device HBM for runnable inferlets
+* **Proactive suspend** — an inferlet blocking on ``http_get`` /
+  ``http_post`` has its exclusively owned pages staged to host
   (``swap_policy="proactive"``).
-* **Resume before reschedule** — when the external call resolves, the pages
-  are restored (and the PCIe transfer paid) *before* the inferlet's
-  coroutine resumes, so commands it issues afterwards always see resident
-  pages.  The wait is recorded as swap stall time.
-* **Swap-first / terminate-last reclamation** — when an allocation cannot
-  be satisfied, the controller first asks the swap manager to stage a
-  blocked inferlet's pages to host; only when no candidate remains (or the
-  recompute-vs-transfer model says killing is cheaper) does FCFS
-  termination run.
+* **Resume before reschedule** — they are restored, and the PCIe transfer
+  awaited (swap stall time), before its coroutine resumes.
+* **Swap-first / terminate-last reclamation** — an allocation that cannot
+  be met first stages a blocked inferlet out; FCFS termination runs only
+  when no candidate remains.
 
-Safety rule: pages may only leave the device while their owner has no
-pending, in-flight, or in-the-air commands — otherwise an already resolved
-physical page id could be executed against a freed (and reallocated) page.
-Inferlets that keep issuing work *during* an external call (fire-and-forget
-tool calls) are therefore never proactively swapped; if reclamation staged
-them out anyway, the first command that resolves one of their pages faults
-the whole set back in (:meth:`SwapManager.fault_in`).
+Safety rule: pages leave the device only while their owner has no pending,
+in-flight or in-the-air command (those carry resolved physical ids).  An
+owner staged out by reclamation that keeps issuing work faults its whole
+set back in on first touch (:meth:`SwapManager.fault_in`).
 """
 
 from __future__ import annotations
@@ -39,8 +29,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set,
 
 from repro.core.config import ControlLayerConfig
 from repro.core.metrics import SystemMetrics
-from repro.gpu.host_pool import HostMemoryPool
-from repro.gpu.kernels import KernelCostModel
+from repro.core.mover import KvMover
 from repro.sim.futures import SimFuture
 from repro.sim.simulator import Simulator
 
@@ -55,8 +44,7 @@ class SwapManager:
     def __init__(
         self,
         sim: Simulator,
-        host_pool: HostMemoryPool,
-        cost_model: KernelCostModel,
+        mover: KvMover,
         control_config: ControlLayerConfig,
         metrics: SystemMetrics,
         ensure_capacity: Callable[["DeviceShard", "InferletInstance", int], None],
@@ -64,8 +52,7 @@ class SwapManager:
         trace=None,
     ) -> None:
         self.sim = sim
-        self.host_pool = host_pool
-        self.cost_model = cost_model
+        self.mover = mover
         self.config = control_config
         self.metrics = metrics
         # Flight recorder (repro.core.trace): swap-out/in instants plus a
@@ -91,7 +78,7 @@ class SwapManager:
 
     @property
     def enabled(self) -> bool:
-        return self.host_pool.enabled
+        return self.mover.host_pool.enabled
 
     def is_swapped(self, instance_id: str) -> bool:
         return instance_id in self._swapped
@@ -202,13 +189,9 @@ class SwapManager:
         )
 
     def swap_out(self, instance: "InferletInstance", shard: "DeviceShard") -> int:
-        """Stage an inferlet's exclusively owned pages to host memory.
-
-        Returns the number of device pages freed (0 if the move was unsafe,
-        nothing qualifies, or the host pool lacks room).  The PCIe
-        transfer occupies the device like any other batch, so the copy's
-        bandwidth cost is visible to co-located inferlets.
-        """
+        """Stage an inferlet's exclusively owned pages to host memory; returns
+        the device pages freed (0 if unsafe, nothing qualifies, or the host
+        pool lacks room).  The transfer occupies the device like any batch."""
         if not self.enabled or not self._safe_to_swap(instance, shard):
             return 0
         owner = instance.instance_id
@@ -216,43 +199,32 @@ class SwapManager:
         if not moved:
             return 0
         self._swapped[owner] = (instance, shard)
-        self.metrics.record_swap_out(moved, self.host_pool.transfer_bytes(moved))
-        if self._trace is not None:
-            self._trace.instant(
-                "swap_out",
-                "swap",
-                shard=shard.index,
-                inferlet=owner,
-                args={"pages": moved},
-            )
-        shard.device.submit(
-            kind="swap_out",
-            run=lambda: None,
-            cost_seconds=self.host_pool.transfer_seconds(moved),
-            size=moved,
-        )
+        self.metrics.record_swap_out(moved, self.mover.host_pool.transfer_bytes(moved))
+        self._charge("swap_out", shard, owner, moved)
         return moved
+
+    def _charge(self, kind: str, shard: "DeviceShard", owner: str, pages: int) -> SimFuture:
+        """Mark one swap on the timeline and charge its PCIe transfer."""
+        if self._trace is not None:
+            args = {"pages": pages}
+            self._trace.instant(kind, "swap", shard=shard.index, inferlet=owner, args=args)
+        return self.mover.charge_pcie(shard.device, kind, pages)
 
     # -- swap-in -----------------------------------------------------------
 
     def fault_in(self, instance: "InferletInstance") -> Optional[SimFuture]:
-        """Restore a swapped inferlet's pages onto its device *now*.
-
-        State is restored synchronously (commands issued afterwards resolve
-        correctly); the PCIe cost is charged as a device batch, so work
-        queued behind it waits for the transfer.  Returns the transfer
-        future (awaited by the resume path to account stall time), or None
-        if the inferlet is not swapped.
-        """
+        """Restore a swapped inferlet's pages onto its device *now* (commands
+        issued afterwards resolve); work queued behind the transfer waits for
+        it.  Returns the transfer's future (the resume path awaits it as
+        stall time), or None if the inferlet is not swapped."""
         entry = self._swapped.get(instance.instance_id)
         if entry is None:
             return None
         _, shard = entry
         owner = instance.instance_id
-        if not shard.resources.has_space(owner):
-            self._swapped.pop(owner, None)
-            return None
-        n_pages = shard.resources.kv_pages_swapped_by(owner)
+        n_pages = (
+            shard.resources.kv_pages_swapped_by(owner) if shard.resources.has_space(owner) else 0
+        )
         if n_pages == 0:
             self._swapped.pop(owner, None)
             return None
@@ -262,21 +234,8 @@ class SwapManager:
             self._ensure_capacity(shard, instance, n_pages)
         restored = shard.resources.swap_in_kv(owner)
         self._swapped.pop(owner, None)
-        self.metrics.record_swap_in(restored, self.host_pool.transfer_bytes(restored))
-        if self._trace is not None:
-            self._trace.instant(
-                "swap_in",
-                "swap",
-                shard=shard.index,
-                inferlet=owner,
-                args={"pages": restored},
-            )
-        future = shard.device.submit(
-            kind="swap_in",
-            run=lambda: None,
-            cost_seconds=self.host_pool.transfer_seconds(restored),
-            size=restored,
-        )
+        self.metrics.record_swap_in(restored, self.mover.host_pool.transfer_bytes(restored))
+        future = self._charge("swap_in", shard, owner, restored)
         # Commands the owner issued while suspended were held back by the
         # dispatch guard; re-trigger the policy now that the pages are home.
         shard.scheduler.notify_resumed()
@@ -301,33 +260,21 @@ class SwapManager:
 
     # -- swap-first reclamation -------------------------------------------
 
-    def _swap_beats_recompute(self, n_pages: int) -> bool:
-        """Recompute-vs-transfer: is staging out+in cheaper than a re-prefill?
-
-        Termination throws the victim's KV away; recovering the same state
-        costs a prefill over every cached token.  Swapping costs one PCIe
-        round trip.  Pages are staged only when the transfer is the cheaper
-        side (for realistic page counts it virtually always is — the guard
-        matters when PCIe terms are configured adversarially).
-        """
-        round_trip = 2.0 * self.host_pool.transfer_seconds(n_pages)
-        tokens = n_pages * self.host_pool.model_config.kv_page_size
-        recompute = self.cost_model.forward_seconds(prefill_tokens=tokens)
-        return round_trip < recompute
-
     def reclaim_by_swap(
         self, shard: "DeviceShard", exclude: Iterable[str] = ()
     ) -> int:
         """Free device pages by staging one blocked inferlet out to host.
 
         Candidates are inferlets blocked on external calls *on this shard*
-        whose pages can move safely and pass the recompute-vs-transfer
-        test.  Without QoS the one freeing the most pages goes first; with
-        the QoS service installed victims are ordered lowest-class /
-        most-slack-first (batch tenants absorb pressure before interactive
-        ones), with page yield only breaking ties.  Returns the number of
-        pages freed (0 when reclamation must fall back to FCFS
-        termination).
+        whose pages can move safely and whose PCIe round trip beats the
+        re-prefill termination would cost (:meth:`KvMover.beats_recompute`;
+        for realistic page counts it virtually always does — the guard
+        matters when PCIe terms are adversarial).  Without QoS the one
+        freeing the most pages goes first; with the QoS service installed
+        victims are ordered lowest-class / most-slack-first (batch tenants
+        absorb pressure before interactive ones), with page yield only
+        breaking ties.  Returns the number of pages freed (0 when
+        reclamation must fall back to FCFS termination).
         """
         if not self.enabled:
             return 0
@@ -339,9 +286,9 @@ class SwapManager:
             if not self._safe_to_swap(instance, shard):
                 continue
             n_pages = shard.resources.swappable_kv_count(owner)
-            if n_pages == 0 or n_pages > self.host_pool.num_free:
+            if n_pages == 0 or n_pages > self.mover.host_pool.num_free:
                 continue
-            if not self._swap_beats_recompute(n_pages):
+            if not self.mover.beats_recompute(2.0 * self.mover.pcie_seconds(n_pages), n_pages):
                 continue
             eligible.append((n_pages, instance))
         if not eligible:

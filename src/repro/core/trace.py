@@ -424,12 +424,11 @@ def telemetry_sampler(recorder: TraceRecorder, controller) -> PeriodicService:
                     "host_kv",
                     {"occupancy": service.host_pool.num_used / service.host_pool.capacity},
                 )
-            if service.transfer is not None:
-                for link in service.transfer.links():
-                    recorder.counter(
-                        link.name,
-                        {"busy_frac": busy_frac(("link", link.name), link.busy_seconds)},
-                    )
+            for link in service.links():
+                recorder.counter(
+                    link.name,
+                    {"busy_frac": busy_frac(("link", link.name), link.busy_seconds)},
+                )
 
     return PeriodicService(controller.sim, period, sample, controller.has_live_inferlets)
 

@@ -99,18 +99,9 @@ class KernelCostModel:
     # -- cache manipulation ----------------------------------------------------
 
     def copy_batch_cost(self, n_pages: int) -> float:
-        ms = self.cost.kernel_launch_ms + self.cost.copy_ms_per_page * n_pages
-        return milliseconds(ms)
-
-    def kv_transfer_cost(self, n_pages: int) -> float:
-        """Landing cost of a device-to-device KV page stream.
-
-        Charged on the *destination* device when streamed or handed-off
-        pages arrive (disaggregation, cross-shard import): one kernel
-        launch to scatter the pages into the paged cache plus a per-page
-        copy term.  The wire time itself is modeled separately by the
-        :class:`repro.sim.network.NetworkLink` carrying the stream.
-        """
+        """One kernel launch plus a per-page copy term: a same-device page
+        copy, and the landing of pages that crossed from another device
+        (the wire time is the link's, :class:`repro.core.mover.KvMover`)."""
         ms = self.cost.kernel_launch_ms + self.cost.copy_ms_per_page * n_pages
         return milliseconds(ms)
 

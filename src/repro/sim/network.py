@@ -99,9 +99,9 @@ class NetworkLink:
         starts when the previous one has drained (or now, if the wire is
         idle) and occupies the wire for its bandwidth time; the payload
         lands one propagation delay after its slot ends.  Deterministic
-        arithmetic — the KV-page streaming path of
-        :mod:`repro.core.transfer` uses it to overlap transfers with the
-        tail of a prefill while keeping run-to-run bit-identical timing.
+        arithmetic — the KV page mover (:mod:`repro.core.mover`) uses it
+        to overlap transfers with the tail of a prefill while keeping
+        run-to-run bit-identical timing.
         """
         if now is None:
             now = self.sim.now

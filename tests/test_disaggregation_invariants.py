@@ -224,6 +224,55 @@ def test_abort_mid_stream_frees_staged_pages():
     check_invariants(server)
 
 
+def run_onto_full_decode_shard(kv_pages):
+    """One inferlet is handed off and keeps decoding on the only decode
+    shard; a second one's whole-prompt forward (no chunking) then commits
+    15 pages to stream there while only ``kv_pages - 16`` are free."""
+    sim = Simulator(seed=0)
+    server = PieServer(
+        sim,
+        num_devices=2,
+        placement_policy="disaggregated",
+        prefill_shards=1,
+        num_kv_pages=kv_pages,
+    )
+    server.register_program(make_agent("first", prompt_len=60, max_tokens=40))
+    server.register_program(make_agent("second", prompt_len=60, max_tokens=4))
+
+    async def scenario():
+        first, ready = server.lifecycle.launch("first")
+        await ready
+        while server.metrics.disagg_handoffs == 0:
+            await sim.sleep(0.001)
+        second, ready = server.lifecycle.launch("second")
+        await ready
+        for instance in (first, second):
+            await server.lifecycle.wait_for_completion(instance)
+        return first, second
+
+    instances = sim.run_until_complete(scenario())
+    sim.run()
+    return server, instances
+
+
+@pytest.mark.parametrize("kv_pages", [16, 20, 24])
+def test_streaming_onto_a_full_decode_shard_stages_only_free_pages(kv_pages):
+    """Staging takes free pages only; the pages that do not fit cross in
+    the handoff tail, which reclaims room like any allocation, so the run
+    ends with every inferlet finished or terminated for a stated reason
+    (it used to raise ``OutOfResourcesError`` out of the forward's
+    completion callback)."""
+    server, instances = run_onto_full_decode_shard(kv_pages)
+    for instance in instances:
+        assert instance.status == "finished" or (
+            instance.status == "terminated" and instance.terminated_reason
+        )
+    assert server.metrics.disagg_handoffs == 2
+    # What the second stream could not stage went through the tail.
+    assert 0 < server.metrics.disagg_pages_tail
+    check_invariants(server)
+
+
 def _two_queue_program(prompt_b_len):
     """Context A samples while context B's chunked prefill is still in
     flight — the raw-api fill on B is issued but deliberately not awaited

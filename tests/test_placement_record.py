@@ -38,7 +38,9 @@ STEP_SECONDS = 0.02  # > call overhead + a heartbeat: each step settles
 # -- the oracle: the parent commit's copies, verbatim but for the two call
 # -- signatures this PR changed (router.migrate takes the instance; the
 # -- transfer scheduler reaches the swap manager and the capacity path
-# -- through the service) ------------------------------------------------------
+# -- through the service), and the link, page size and landing cost the KV
+# -- mover now owns: ``service.mover.link`` / ``page_bytes``, and
+# -- ``copy_batch_cost``, the same formula as the deleted ``kv_transfer_cost``) --
 
 
 def oracle_handoff_quiescent(swap, instance, src) -> bool:
@@ -155,11 +157,13 @@ def oracle_maybe_handoff(self, service, instance) -> bool:
     if tail:
         ready = max(
             ready,
-            self._link(src.index, dst.index).reserve(len(tail) * self.page_bytes, now=now),
+            service.mover.link(src.index, dst.index).reserve(
+                len(tail) * service.mover.page_bytes, now=now
+            ),
         )
-        self.metrics.disagg_bytes_streamed += len(tail) * self.page_bytes
+        self.metrics.disagg_bytes_streamed += len(tail) * service.mover.page_bytes
     stall = max(0.0, ready - now)
-    landing = self.cost_model.kv_transfer_cost(len(tail)) if tail else 0.0
+    landing = service.cost_model.copy_batch_cost(len(tail)) if tail else 0.0
     if stall + landing > 0.0:
         dst.device.submit(
             kind="kv_handoff", run=lambda: None, cost_seconds=stall + landing, size=len(tail)

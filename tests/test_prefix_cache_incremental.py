@@ -30,12 +30,15 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.metrics import SystemMetrics
+from repro.core.mover import KvMover
 from repro.core.prefix_cache import PrefixCacheService, PrefixNode, _ChainCursor
 from repro.core.resources import ResourceManager
 from repro.errors import ResourceError
 from repro.gpu import DeviceMemory, GpuConfig, HostMemoryPool
+from repro.gpu.kernels import KernelCostModel
 from repro.gpu.memory import KvPageStore
 from repro.model import get_model_config
+from repro.sim import Simulator
 
 PAGE = 4
 CONFIG = dataclasses.replace(get_model_config("llama-sim-1b"), kv_page_size=PAGE)
@@ -206,7 +209,7 @@ class World:
         self.cache = service(
             resources=self.resources,
             memory=self.memory,
-            host_pool=self.host,
+            mover=KvMover(Simulator(), self.host, KernelCostModel(CONFIG)),
             device=self.device,
             metrics=self.metrics,
         )
