@@ -47,19 +47,14 @@ CASES = {
         (),
         ("handoffs",),
     ),
-    # The qos=off run takes the exact pre-QoS code path: no admission
-    # decisions, no preemption accounting (the tenant records are the
-    # core's, kept with every plane off).
+    # The qos=off run makes no admission decisions.  Preemption is not
+    # listed: the victim order and its counts are the core's (the
+    # qos_preemption_* twins of reclamation_* are gone), kept with every
+    # plane off like the tenant records.
     "qos_off": (
         qos.run_fleet,
         qos.arms()["qos_off"],
-        (
-            "qos_admitted",
-            "qos_queued",
-            "qos_rejected",
-            "qos_preemption_swaps",
-            "qos_preemption_terminations",
-        ),
+        ("qos_admitted", "qos_queued", "qos_rejected"),
         (),
     ),
     # prefix_cache=off reproduces the stock system run for run.

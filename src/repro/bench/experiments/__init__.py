@@ -14,7 +14,7 @@
 Beyond the paper:
 
 * ``cluster_scaling``      — agent throughput from 1 to 8 simulated devices.
-* ``tiered_memory``        — host-memory KV swapping vs FCFS termination
+* ``tiered_memory``        — host-memory KV swapping vs termination
   for I/O-heavy agents under device-memory pressure.
 * ``prefix_cache``         — automatic token-addressed KV reuse for a
   fleet sharing one system prompt (off vs on vs cache-affinity cluster).

@@ -14,8 +14,9 @@ shaped by the full control plane:
 * candidate batches are scored by class-weighted slack-to-deadline, so
   chat forwards dispatch ahead of miner backlog (and survive batch-row
   truncation via the per-class merge stride),
-* preemption victims are chosen lowest-class / most-slack-first, so the
-  miners absorb the memory pressure,
+* the tenants' classes order the core's preemption victims
+  (``Controller.victim_key``: lowest class, then most slack), so the miners
+  absorb the memory pressure,
 * an aging bound keeps the miners from starving outright.
 
 Expected outcome: interactive p99 TTFT improves >= 2x at <= 10% cost in
@@ -209,8 +210,6 @@ def run_fleet(
         "qos_admitted": metrics.qos_admitted,
         "qos_queued": metrics.qos_queued,
         "qos_rejected": metrics.qos_rejected,
-        "qos_preemption_swaps": metrics.qos_preemption_swaps,
-        "qos_preemption_terminations": metrics.qos_preemption_terminations,
         "tenant_metrics": {
             name: record for name, record in metrics.tenants.items()
         },
@@ -241,7 +240,9 @@ def run(quick: bool = True) -> ExperimentResult:
                 batch_terminated=row["batch_terminated"],
                 token_throughput_per_s=row["token_throughput"],
                 queued=row["qos_queued"],
-                preempt_terms=row["qos_preemption_terminations"],
+                # Every reclamation termination is a preemption the victim
+                # order picked, with QoS or without.
+                preempt_terms=row["reclamation_terminations"],
                 elapsed_s=row["elapsed"],
             )
         ),

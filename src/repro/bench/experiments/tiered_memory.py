@@ -1,18 +1,22 @@
-"""Tiered KV memory: host-memory swapping vs. FCFS termination (beyond the paper).
+"""Tiered KV memory: host-memory swapping vs. termination (beyond the paper).
 
 The paper's motivating agent workloads hold KV pages while blocked on
 external tool calls.  On a device whose HBM cannot hold every live
-context, the stock contention policy (FCFS termination) destroys computed
+context, the stock contention policy (termination) destroys computed
 state; the tiered memory subsystem (:mod:`repro.core.swap` over
 :class:`repro.gpu.host_pool.HostMemoryPool`) stages the KV of blocked
 inferlets to host DRAM over PCIe and restores it before they resume.
+Either way the victim is picked by ``Controller.victim_key``; every agent
+here is one tenant, so the one with the most slack to its deadline goes
+first.  The ``fcfs_baseline`` arm keeps the paper's name, but its victims
+are no longer the youngest.
 
 The experiment offers a fleet of I/O-heavy research agents — short
 reasoning bursts punctuated by slow (300 ms) tool calls, Poisson-like
 staggered arrivals — to a deployment whose device KV pool holds only a
 fraction of the fleet's total working set, and compares:
 
-* ``host_kv_pages = 0``      — the swap-disabled baseline (seed behaviour);
+* ``host_kv_pages = 0``      — the swap-disabled baseline;
 * ``host_kv_pages > 0``      — proactive suspend/resume swapping;
 * ``swap_policy=on_demand``  — swap-first *reclamation* only (pages move
   just when an allocation would otherwise terminate a victim).
@@ -121,7 +125,7 @@ def run(quick: bool = True) -> ExperimentResult:
         name="Tiered KV memory",
         description=(
             f"I/O-heavy agent fleet ({n_agents} agents, {SLOW_TOOL_LATENCY_S*1e3:.0f} ms "
-            f"tool calls) on a {DEVICE_KV_PAGES}-page device: FCFS termination vs "
+            f"tool calls) on a {DEVICE_KV_PAGES}-page device: termination vs "
             f"host-memory suspend/resume swapping"
         ),
         rows=compared.rows(
@@ -141,7 +145,7 @@ def run(quick: bool = True) -> ExperimentResult:
         raw=compared.raw,
     )
     result.add_note(
-        "Beyond the paper: the host tier turns destructive FCFS reclamation "
+        "Beyond the paper: the host tier turns destructive reclamation "
         "into suspend/resume.  Proactive staging swaps every blocked agent; "
         "on_demand moves pages only when an allocation would otherwise kill "
         "a victim.  Stall time is the virtual time agents waited on PCIe "

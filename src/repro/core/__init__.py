@@ -12,7 +12,7 @@ Three layers, as in the paper (§5):
   :mod:`repro.core.batching`), the tiered-KV swap manager
   (:mod:`repro.core.swap`) that suspends blocked inferlets to host
   memory, the multi-tenant QoS service (:mod:`repro.core.qos`:
-  admission control, SLO-aware dispatch, class-aware preemption), and
+  admission control, SLO-aware dispatch, fair share), and
   the event dispatcher.
 * **Inference layer** — the API handlers (:mod:`repro.core.handlers`)
   executing batched calls on the simulated device(s); with

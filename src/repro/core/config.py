@@ -15,7 +15,7 @@ PLACEMENT_POLICIES = ("round_robin", "least_loaded", "cache_affinity", "disaggre
 
 #: Valid tiered-KV swap policies (see :mod:`repro.core.swap`): "proactive"
 #: stages the KV of inferlets blocked on external calls eagerly; "on_demand"
-#: swaps only when FCFS reclamation would otherwise terminate someone.  Both
+#: swaps only when reclamation would otherwise terminate someone.  Both
 #: are inert unless ``GpuConfig.host_kv_pages > 0``.
 SWAP_POLICIES = ("proactive", "on_demand")
 
@@ -46,11 +46,12 @@ class ControlLayerConfig:
     constant next to the code that reads it (see the "Model constants"
     table in the README).
 
-    Resource contention is always FCFS — terminate the most recently
-    created inferlets until enough resources are free.  With a host KV
-    tier configured (``GpuConfig.host_kv_pages > 0``) reclamation becomes
-    swap-first / terminate-last: blocked inferlets are staged to host
-    memory before anyone is killed.
+    Resource contention terminates inferlets until enough resources are
+    free, in the one victim order ``Controller.victim_key`` (lowest class,
+    most slack to its deadline, youngest), with or without any plane.  With
+    a host KV tier configured (``GpuConfig.host_kv_pages > 0``) reclamation
+    becomes swap-first / terminate-last: blocked inferlets are staged to
+    host memory, in the same order, before anyone is killed.
     """
 
     # Tiered-KV swap policy ("proactive" | "on_demand", see SWAP_POLICIES).
@@ -109,9 +110,9 @@ class ControlLayerConfig:
     # Multi-tenant QoS (repro.core.qos): when True, launches pass tenant
     # admission control (token-bucket rate + concurrency caps), candidate
     # batches are scored by class-weighted slack-to-deadline instead of
-    # longest-waiting, and preemption victims are chosen lowest-class /
-    # most-slack-first.  Off by default — the serving path is then
-    # bit-identical to the pre-QoS system.
+    # longest-waiting, and placement and dispatch weigh fair share.  Off by
+    # default.  Reclamation victims are ordered by class and slack either
+    # way (the core's Controller.victim_key).
     qos: bool = False
     # Registered tenants (TenantSpec records); launches naming an
     # unregistered tenant get an implicit unlimited spec of

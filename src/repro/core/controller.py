@@ -4,8 +4,9 @@ The controller sits between inferlets and the inference layer.  It
 
 * handles non-GPU API calls directly (runtime queries, messaging, I/O);
 * manages allocation and the virtual address mappings of ``Embed`` and
-  ``KvPage`` resources, applying the FCFS termination policy when demand
-  exceeds capacity;
+  ``KvPage`` resources, reclaiming when demand exceeds capacity — swap,
+  then prefix cache, then termination, victims in one order
+  (:meth:`Controller.victim_key`);
 * places inferlets onto the devices of each model's cluster (the router,
   :mod:`repro.core.router`) when ``num_devices > 1``;
 * translates inference-layer API calls into :class:`Command` objects and
@@ -16,6 +17,7 @@ The controller sits between inferlets and the inference layer.  It
 from __future__ import annotations
 
 import itertools
+import math
 from typing import (
     Any,
     Callable,
@@ -86,8 +88,8 @@ class Controller:
         self._services: Dict[str, ModelService] = {}
         self._instances: Dict[str, InferletInstance] = {}
         self._queue_ids = itertools.count(1)
-        #: Set by the lifecycle manager, so a forced termination (FCFS
-        #: reclamation, failover, abort) also cancels the inferlet's task.
+        #: Set by the lifecycle manager, so a forced termination
+        #: (reclamation, failover, abort) also cancels the inferlet's task.
         self.terminate_hook: Callable[[InferletInstance, str], None] = lambda *_: None
         #: What each tenant was promised: the only ``name -> TenantSpec``
         #: table (``tenants.register(spec)`` extends it), there with every
@@ -110,7 +112,7 @@ class Controller:
             self.trace = TraceRecorder(sim)
             timers.append(telemetry_sampler(self.trace, self))
         # The QoS control plane (repro.core.qos): admission, SLO-aware
-        # dispatch, priority-aware preemption and fair share.
+        # dispatch and fair share.
         self.qos: Optional[QosService] = None
         if control.qos:
             self.qos = QosService(
@@ -305,7 +307,7 @@ class Controller:
         queue.synchronize(future)
         return future
 
-    # -- resource allocation (with FCFS contention handling) -----------------------------------
+    # -- resource allocation (with reclamation under contention) -----------------------------------
 
     def alloc_kv_pages(
         self, instance: InferletInstance, home: DeviceShard, count: int
@@ -335,23 +337,21 @@ class Controller:
         """Reclamation: swap-first, terminate-last.
 
         With a host KV tier configured, pressure is first absorbed
-        non-destructively: blocked inferlets' pages are staged out to host
-        memory (the recompute-vs-transfer model in
-        :meth:`repro.core.swap.SwapManager.reclaim_by_swap` decides whether
-        a candidate is worth staging).  Only when no swap candidate remains
-        does the stock FCFS policy run: terminate the most recently created
-        inferlets until the request fits.  If the requester itself is the
-        most recently created inferlet, it is the one terminated (first
-        come, first served).  Only inferlets placed on the contended shard
-        are eligible victims — killing one on another device would free
-        nothing here."""
+        non-destructively: a blocked inferlet's pages are staged out to host
+        memory (:meth:`repro.core.swap.SwapManager.swap_candidates` says who
+        may move).  Second, the prefix cache gives up its coldest entry.
+        Only then is an inferlet terminated, resident ones first.  Both
+        victims are picked by :meth:`victim_key`; the requester may be the
+        one terminated.  Only inferlets placed on the contended shard are
+        eligible victims — killing one on another device would free nothing
+        here."""
         service = shard.service
         while (
             shard.resources.kv_pages_free < kv_pages
             or shard.resources.embeds_free < embeds
         ):
-            if shard.resources.kv_pages_free < kv_pages and service.swap.reclaim_by_swap(
-                shard, exclude=(requester.instance_id,)
+            if shard.resources.kv_pages_free < kv_pages and self._reclaim_by_swap(
+                shard, requester
             ):
                 continue
             # Second rung: demote (or evict) the prefix cache's coldest
@@ -360,29 +360,57 @@ class Controller:
                 shard
             ):
                 continue
-            victim = self._youngest_victim(shard)
+            victim = self._termination_victim(shard)
             if victim is None:
                 raise OutOfResourcesError(
                     f"model {service.entry.name!r} ({shard.name}) cannot satisfy the "
                     f"allocation (kv={kv_pages}, emb={embeds}) even after reclamation"
                 )
             self.metrics.reclamation_terminations += 1
+            self._tenant_record(victim).preempted_terminations += 1
             for observer in self.observers:
                 observer.note_reclaimed(victim, requester, shard)
-            self.terminate_inferlet(victim, reason="resource reclamation (FCFS)")
+            self.terminate_inferlet(victim, reason="resource reclamation")
             if victim.instance_id == requester.instance_id:
                 requester.check_alive()  # raises InferletTerminated
 
-    def _youngest_victim(self, shard: DeviceShard) -> Optional[InferletInstance]:
-        # Placement order is registration order, so ties resolve as they
-        # would walking the registry.
+    def victim_key(self, instance: InferletInstance, n_pages: int = 0) -> Tuple:
+        """The one victim order under memory pressure; smaller gives up its
+        device first.  Lowest class first (batch absorbs pressure before
+        interactive), most slack to ``InferletMetrics.deadline`` within a
+        class (an unstamped inferlet has all the slack there is), then most
+        pages, then youngest, with the instance id as the final tie-break."""
+        deadline = instance.metrics.deadline
+        slack = math.inf if deadline is None else deadline - self.sim.now
+        return (
+            -self.tenants[instance.tenant].rank,
+            -slack,
+            -n_pages,
+            -instance.metrics.launched_at,
+            instance.instance_id,
+        )
+
+    def _reclaim_by_swap(self, shard: DeviceShard, requester: InferletInstance) -> int:
+        """The first rung: stage the first eligible blocked inferlet by
+        :meth:`victim_key` out to host; returns the device pages freed."""
+        swap = shard.service.swap
+        candidates = swap.swap_candidates(shard, exclude=requester.instance_id)
+        if not candidates:
+            return 0
+        victim, _ = min(candidates, key=lambda entry: self.victim_key(*entry))
+        moved = swap.swap_out(victim, shard)
+        if moved:
+            self.metrics.reclamation_swaps += 1
+            self._tenant_record(victim).preempted_swaps += 1
+        return moved
+
+    def _termination_victim(self, shard: DeviceShard) -> Optional[InferletInstance]:
+        """The last rung's pick among the inferlets placed on ``shard``."""
         service = shard.service
         candidates = [
             self._instances[instance_id]
             for instance_id in service.router.instances_on(shard)
         ]
-        if not candidates:
-            return None
         # Suspended inferlets occupy no device KV: terminating one frees
         # nearly nothing, so resident inferlets are killed first.
         resident = [
@@ -390,13 +418,10 @@ class Controller:
             for inst in candidates
             if not service.swap.is_swapped(inst.instance_id)
         ]
-        pool = resident or candidates
-        if self.qos is not None:
-            # Terminate-last becomes class-aware: lowest class and most
-            # slack first, youngest within a tier (FCFS), so interactive
-            # tenants are the last to lose computed state.
-            return min(pool, key=lambda inst: self.qos.victim_key(inst))
-        return max(pool, key=lambda inst: inst.created_at)
+        return min(resident or candidates, key=self.victim_key, default=None)
+
+    def _tenant_record(self, instance: InferletInstance):
+        return self.metrics.tenant_record(self.tenants[instance.tenant])
 
     def terminate_inferlet(
         self, instance: InferletInstance, reason: str, cause: str = ""

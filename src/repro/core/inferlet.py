@@ -83,7 +83,6 @@ class InferletInstance:
         self.rng = np.random.default_rng(seed)
         self.pending_overhead = 0.0
         self.result: Any = None
-        self.created_at: float = 0.0
         # Commands issued but not yet delivered to a shard scheduler (the
         # per-call overhead window).  The swap manager refuses to stage an
         # inferlet's pages while this is non-zero: such commands carry

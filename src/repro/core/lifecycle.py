@@ -118,7 +118,6 @@ class InferletLifecycleManager:
             tenant=tenant or "default",
             priority=priority or 0,
         )
-        instance.created_at = self.sim.now
         instance.metrics.launched_at = self.sim.now
         # The contract this inferlet is judged against, for its whole life.
         spec = self.controller.tenants[instance.tenant]
@@ -220,7 +219,7 @@ class InferletLifecycleManager:
             return
         instance.metrics.status = "running"
         instance.metrics.started_at = self.sim.now
-        self.controller.metrics.launch_latency.observe(self.sim.now - instance.created_at)
+        self.controller.metrics.launch_latency.observe(self.sim.now - instance.metrics.launched_at)
         for observer in self.controller.observers:
             observer.note_running(instance)
         ctx = InferletContext(

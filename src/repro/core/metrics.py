@@ -157,8 +157,9 @@ class TenantMetrics:
     The core counts each fact where it is known: ``offered`` at launch, the
     TTFT sample at the first output token (:meth:`note_output`), the exit —
     terminal status, ``good`` and a *finished* stream's TPOT sample — at
-    retirement (:meth:`note_exit`).  QoS adds what only it knows; the SLO
-    engine and the monitor read the record and count nothing themselves.
+    retirement (:meth:`note_exit`), a reclamation victim at its rung.  QoS
+    adds what only it knows; the SLO engine and the monitor read the record
+    and count nothing themselves.
     """
 
     tenant: str
@@ -182,8 +183,10 @@ class TenantMetrics:
     ttft_missed: int = 0
     tpot_met: int = 0
     tpot_missed: int = 0
-    # Written by QoS (repro.core.qos): admission, preemption, handoffs of
-    # this tenant's inferlets, and its fair-share virtual token counter.
+    # Written by QoS (repro.core.qos): admission and handoffs of this
+    # tenant's inferlets, and its fair-share virtual token counter.  The two
+    # ``preempted_*`` counts are the core's, written at the reclamation rung
+    # that picked the victim (``Controller._ensure_capacity``).
     admitted: int = 0
     queued: int = 0
     preempted_swaps: int = 0
@@ -237,7 +240,7 @@ class SystemMetrics:
     # Cluster-level accounting (router placements and KV-page migrations).
     placements_by_device: Dict[str, int] = field(default_factory=dict)
     cross_device_imports: int = 0
-    # FCFS reclamation outcomes: terminations destroy computed KV state,
+    # Reclamation outcomes: terminations destroy computed KV state,
     # reclamation swaps stage it to the host tier instead (terminate-last).
     reclamation_terminations: int = 0
     reclamation_swaps: int = 0
@@ -277,13 +280,11 @@ class SystemMetrics:
     # Device pages freed for allocations by demoting/evicting cache
     # entries (the swap manager's reclamation ladder, terminate-last).
     prefix_cache_reclaims: int = 0
-    # QoS subsystem (repro.core.qos): admission decisions and preemptions
-    # chosen by priority-aware victim selection.  All zero with qos off.
+    # QoS subsystem (repro.core.qos): admission decisions.  All zero with
+    # qos off.
     qos_admitted: int = 0
     qos_queued: int = 0
     qos_rejected: int = 0
-    qos_preemption_swaps: int = 0
-    qos_preemption_terminations: int = 0
     # Prefill/decode disaggregation (repro.core.transfer): completed
     # prefill->decode handoffs, handoffs that could not run (no decode
     # capacity / non-quiescent owner), KV pages streamed ahead of the

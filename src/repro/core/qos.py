@@ -8,7 +8,7 @@ serving survey (Miao et al.) names SLO-aware scheduling/preemption as the
 core production gap; this module supplies that control-plane layer.
 
 A :class:`QosService` (one per controller, shared by every model cluster)
-provides four coordinated mechanisms, all driven by the controller's
+provides three coordinated mechanisms, all driven by the controller's
 :class:`TenantTable` of :class:`TenantSpec` records — the one place a
 tenant's contract is written, whether or not this service is built:
 
@@ -21,16 +21,14 @@ tenant's contract is written, whether or not this service is built:
   class-weighted slack-to-deadline (earliest deadline first within a
   class) instead of pure longest-waiting; an aging bound keeps batch-class
   work from starving outright.
-* **Priority-aware preemption** — swap/termination victim ordering becomes
-  lowest-class / most-slack-first, so batch tenants absorb memory pressure
-  before interactive ones.
 * **Fair share** — per-tenant virtual token counters (dispatched work
   divided by class weight) feed router placement weights and dispatch
   tie-breaks, so a heavy tenant cannot monopolise a shard.
 
-The service is only constructed when ``ControlLayerConfig.qos`` is true;
-with the knob off (the default) none of its hooks are installed and the
-serving path is bit-identical to the pre-QoS system.
+Who absorbs memory pressure is the core's ``Controller.victim_key``, which
+reads the class rank and the deadline with every plane off.  The service
+is only constructed when ``ControlLayerConfig.qos`` is true; with the knob
+off (the default) none of its hooks are installed.
 """
 
 from __future__ import annotations
@@ -228,7 +226,7 @@ class _TenantState:
 
 
 class QosService(LifecycleObserver):
-    """Per-cluster QoS control plane: admission, dispatch, preemption, shares."""
+    """Per-cluster QoS control plane: admission, dispatch, shares."""
 
     def __init__(
         self,
@@ -521,24 +519,6 @@ class QosService(LifecycleObserver):
             return 0.0
         return min(self._weighted_slack(instance, now) for instance in instances)
 
-    # -- priority-aware preemption ------------------------------------------
-
-    def victim_key(self, instance: "InferletInstance", n_pages: int = 0) -> Tuple:
-        """Sort key for preemption victims; smaller = preempted first.
-
-        Lowest class first (batch absorbs pressure before interactive),
-        most slack first within a class (the request furthest from its
-        deadline can best afford the stall), then most pages (swap yield),
-        then youngest (FCFS), with the instance id as a deterministic
-        final tie-break."""
-        return (
-            -self._spec_of(instance.instance_id).rank,
-            -(instance.metrics.deadline - self.sim.now),
-            -n_pages,
-            -instance.created_at,
-            instance.instance_id,
-        )
-
     def note_handoff(self, instance: "InferletInstance") -> None:
         """Attribute one prefill->decode disaggregation handoff.
 
@@ -549,18 +529,6 @@ class QosService(LifecycleObserver):
         state = self._state_of(instance.instance_id)
         if state is not None:
             state.metrics.handoffs += 1
-
-    def note_preempted_swap(self, instance: "InferletInstance") -> None:
-        state = self._state_of(instance.instance_id)
-        self.metrics.qos_preemption_swaps += 1
-        if state is not None:
-            state.metrics.preempted_swaps += 1
-
-    def note_reclaimed(self, victim: "InferletInstance", requester, shard) -> None:
-        state = self._state_of(victim.instance_id)
-        self.metrics.qos_preemption_terminations += 1
-        if state is not None:
-            state.metrics.preempted_terminations += 1
 
     # -- fair-share placement ------------------------------------------------
 

@@ -185,15 +185,7 @@ class ModelService:
         # shard of this model (capacity 0 disables swapping entirely).
         host_pool = HostMemoryPool(entry.config, config.gpu)
         mover = KvMover(sim, host_pool, cost_model, trace=trace)
-        swap = SwapManager(
-            sim,
-            mover,
-            config.control,
-            metrics,
-            ensure_capacity,
-            qos=qos,
-            trace=trace,
-        )
+        swap = SwapManager(sim, mover, config.control, metrics, ensure_capacity, trace=trace)
         shards: List[DeviceShard] = []
         for index, (device, memory) in enumerate(zip(pool.devices, pool.memories)):
             if config.gpu.num_devices == 1:

@@ -1,12 +1,12 @@
 """The swap manager: suspend/resume of inferlet KV state over a host tier.
 
-Agents blocked on tool calls hold KV pages while computing nothing.  FCFS
-termination (:meth:`repro.core.controller.Controller._ensure_capacity`)
-answers the pressure by killing the youngest inferlet; the
-:class:`SwapManager` adds a non-destructive tier
-(:class:`repro.gpu.host_pool.HostMemoryPool`; every transfer is charged,
-and move-vs-recompute answered, by the cluster's
-:class:`~repro.core.mover.KvMover`) and decides which owner moves, and when:
+Agents blocked on tool calls hold KV pages while computing nothing.
+Without a host tier, reclamation
+(:meth:`repro.core.controller.Controller._ensure_capacity`) answers the
+pressure by terminating an inferlet; the :class:`SwapManager` adds a
+non-destructive tier (:class:`repro.gpu.host_pool.HostMemoryPool`; every
+transfer is charged, and move-vs-recompute answered, by the cluster's
+:class:`~repro.core.mover.KvMover`) and decides who may move, and when:
 
 * **Proactive suspend** — an inferlet blocking on ``http_get`` /
   ``http_post`` has its exclusively owned pages staged to host
@@ -14,8 +14,10 @@ and move-vs-recompute answered, by the cluster's
 * **Resume before reschedule** — they are restored, and the PCIe transfer
   awaited (swap stall time), before its coroutine resumes.
 * **Swap-first / terminate-last reclamation** — an allocation that cannot
-  be met first stages a blocked inferlet out; FCFS termination runs only
-  when no candidate remains.
+  be met first stages a blocked inferlet out; termination runs only when
+  no candidate remains.  Which candidate goes is the controller's
+  :meth:`~repro.core.controller.Controller.victim_key`; this module only
+  says who is eligible (:meth:`SwapManager.swap_candidates`).
 
 Safety rule: pages leave the device only while their owner has no pending,
 in-flight or in-the-air command (those carry resolved physical ids).  An
@@ -25,7 +27,7 @@ set back in on first touch (:meth:`SwapManager.fault_in`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import ControlLayerConfig
 from repro.core.metrics import SystemMetrics
@@ -48,7 +50,6 @@ class SwapManager:
         control_config: ControlLayerConfig,
         metrics: SystemMetrics,
         ensure_capacity: Callable[["DeviceShard", "InferletInstance", int], None],
-        qos=None,
         trace=None,
     ) -> None:
         self.sim = sim
@@ -58,11 +59,6 @@ class SwapManager:
         # Flight recorder (repro.core.trace): swap-out/in instants plus a
         # "swap_stall" span over each resume-path fault-in.  None = off.
         self._trace = trace
-        # QoS service (repro.core.qos): when present, reclamation victims
-        # are ordered lowest-class / most-slack-first instead of by page
-        # yield, so batch tenants absorb memory pressure before
-        # interactive ones.  None = stock most-pages-first ordering.
-        self.qos = qos
         # Inferlets currently blocked on at least one external call (the
         # safe-to-swap candidates; the int counts overlapping calls, so a
         # fire-and-forget caller with several in flight stays registered
@@ -71,7 +67,7 @@ class SwapManager:
         self._blocked: Dict[str, List] = {}  # owner -> [instance, shard, depth]
         self._swapped: Dict[str, Tuple["InferletInstance", "DeviceShard"]] = {}
         # The controller's reclamation path: ensures device capacity for a
-        # swap-in, reclaiming (swap-first, then FCFS) if needed.
+        # swap-in, reclaiming (swap-first, terminate-last) if needed.
         self._ensure_capacity = ensure_capacity
 
     # -- state queries -----------------------------------------------------
@@ -258,30 +254,26 @@ class SwapManager:
                     inferlet=instance.instance_id,
                 )
 
-    # -- swap-first reclamation -------------------------------------------
+    # -- swap-first reclamation: eligibility --------------------------------
 
-    def reclaim_by_swap(
-        self, shard: "DeviceShard", exclude: Iterable[str] = ()
-    ) -> int:
-        """Free device pages by staging one blocked inferlet out to host.
+    def swap_candidates(
+        self, shard: "DeviceShard", exclude: str
+    ) -> List[Tuple["InferletInstance", int]]:
+        """Who reclamation may stage out to host, with the pages each frees.
 
         Candidates are inferlets blocked on external calls *on this shard*
-        whose pages can move safely and whose PCIe round trip beats the
-        re-prefill termination would cost (:meth:`KvMover.beats_recompute`;
-        for realistic page counts it virtually always does — the guard
-        matters when PCIe terms are adversarial).  Without QoS the one
-        freeing the most pages goes first; with the QoS service installed
-        victims are ordered lowest-class / most-slack-first (batch tenants
-        absorb pressure before interactive ones), with page yield only
-        breaking ties.  Returns the number of pages freed (0 when
-        reclamation must fall back to FCFS termination).
+        (``exclude`` aside) whose pages can move safely, fit in the host
+        pool, and whose PCIe round trip beats the re-prefill termination
+        would cost (:meth:`KvMover.beats_recompute`; for realistic page
+        counts it virtually always does — the guard matters when PCIe terms
+        are adversarial).  Which one goes is the controller's
+        :meth:`~repro.core.controller.Controller.victim_key`.
         """
         if not self.enabled:
-            return 0
-        excluded: Set[str] = set(exclude)
-        eligible: List[Tuple[int, "InferletInstance"]] = []
+            return []
+        eligible: List[Tuple["InferletInstance", int]] = []
         for owner, (instance, blocked_shard, _depth) in self._blocked.items():
-            if owner in excluded or blocked_shard is not shard:
+            if owner == exclude or blocked_shard is not shard:
                 continue
             if not self._safe_to_swap(instance, shard):
                 continue
@@ -290,21 +282,8 @@ class SwapManager:
                 continue
             if not self.mover.beats_recompute(2.0 * self.mover.pcie_seconds(n_pages), n_pages):
                 continue
-            eligible.append((n_pages, instance))
-        if not eligible:
-            return 0
-        if self.qos is not None:
-            _, victim = min(
-                eligible, key=lambda entry: self.qos.victim_key(entry[1], entry[0])
-            )
-        else:
-            _, victim = max(eligible, key=lambda entry: entry[0])
-        moved = self.swap_out(victim, shard)
-        if moved:
-            self.metrics.reclamation_swaps += 1
-            if self.qos is not None:
-                self.qos.note_preempted_swap(victim)
-        return moved
+            eligible.append((instance, n_pages))
+        return eligible
 
     def reclaim_by_cache(self, shard: "DeviceShard") -> int:
         """Free device pages by demoting/evicting cold prefix-cache entries.

@@ -33,7 +33,7 @@ class InferletError(ReproError):
 
 
 class InferletTerminated(InferletError):
-    """Raised inside an inferlet that was forcibly terminated (e.g. FCFS
+    """Raised inside an inferlet that was forcibly terminated (e.g.
     resource reclamation, shard failure or an explicit abort).
 
     ``cause`` is a short machine-readable tag (``"reclaimed"``,

@@ -23,7 +23,7 @@ class GpuConfig:
     ``host_kv_pages`` sizes the *host-memory* KV tier shared by every device
     of the node (:class:`repro.gpu.host_pool.HostMemoryPool`): KV pages of
     inferlets blocked on external calls can be staged there over PCIe and
-    restored on wake-up, instead of being destroyed by FCFS reclamation.
+    restored on wake-up, instead of being destroyed by reclamation.
     The default of 0 disables the tier entirely (exact pre-swap behaviour).
     """
 

@@ -6,7 +6,7 @@ Inference" (PAPERS.md), a :class:`HostMemoryPool` lets the control layer
 *swap* the KV pages of suspended inferlets — agents blocked on external
 tool calls hold pages for tens of milliseconds while computing nothing —
 out to host memory and restore them on wake-up, instead of destroying them
-through FCFS termination.
+through termination.
 
 The pool is deliberately dumb hardware: it stores page snapshots and
 models the PCIe transfer cost (:meth:`HostMemoryPool.transfer_seconds`, the

@@ -178,28 +178,21 @@ def test_qos_off_is_bit_identical_and_leaves_no_qos_trace():
     second = run_stack(qos=False)
     assert first["now"] == second["now"]
     assert first["metrics"] == second["metrics"]
-    for counter in (
-        "qos_admitted",
-        "qos_queued",
-        "qos_rejected",
-        "qos_preemption_swaps",
-        "qos_preemption_terminations",
-    ):
+    # (The qos_preemption_* twins of reclamation_* are gone: the victim
+    # order is the core's, QoS or not.)
+    for counter in ("qos_admitted", "qos_queued", "qos_rejected"):
         assert first["metrics"][counter] == 0, counter
     # The core keeps a record per tenant with every plane off; what QoS
     # writes into it stays zero.
     [record] = first["metrics"]["tenants"].values()
     assert (record["tenant"], record["offered"], record["finished"]) == ("default", 6, 6)
-    for field in (
-        "admitted",
-        "queued",
-        "preempted_swaps",
-        "preempted_terminations",
-        "handoffs",
-        "dispatched_commands",
-        "virtual_tokens",
-    ):
+    for field in ("admitted", "queued", "handoffs", "dispatched_commands", "virtual_tokens"):
         assert record[field] == 0, field
+    # The preemption counts are the core's now, counted at the reclamation
+    # rung; this run never reclaims, so they read zero because nothing was
+    # preempted, not because QoS is off.
+    assert first["metrics"]["reclamation_swaps"] == record["preempted_swaps"] == 0
+    assert first["metrics"]["reclamation_terminations"] == record["preempted_terminations"] == 0
 
 
 def test_qos_on_stack_is_bit_identical():

@@ -222,9 +222,10 @@ class TestAdmission:
 
 def stamp(qos, instance):
     """Stamp ``instance`` the way ``launch()`` does: its launch time and its
-    tenant's two SLOs, which its deadline is read off."""
+    tenant's two SLOs, which its deadline is read off.  ``qos`` is anything
+    holding ``sim`` and the tenant table: the service or the controller."""
     spec = qos.tenants[instance.tenant]
-    instance.created_at = instance.metrics.launched_at = qos.sim.now
+    instance.metrics.launched_at = qos.sim.now
     instance.metrics.ttft_slo_s, instance.metrics.tpot_slo_s = spec.ttft_slo_s, spec.tpot_slo_s
     return instance
 
@@ -353,6 +354,10 @@ class TestSlackDispatch:
 
 
 class TestVictimOrdering:
+    """The victim order is the core's (``Controller.victim_key``), read off
+    the controller's tenant table with every plane off; these are the
+    assertions QoS's own key was held to."""
+
     def specs(self):
         return (
             TenantSpec(name="chat", priority_class="interactive"),
@@ -360,21 +365,28 @@ class TestVictimOrdering:
             TenantSpec(name="jobs", priority_class="batch"),
         )
 
+    def controller(self, sim):
+        controller = PieServer(sim).controller
+        assert controller.qos is None
+        for spec in self.specs():
+            controller.tenants.register(spec)
+        return controller
+
     def test_lowest_class_preempted_first(self):
         sim = Simulator()
-        qos = make_service(sim, *self.specs())
+        controller = self.controller(sim)
         instances = [
-            _admit(qos, make_instance(name=n, tenant=t))
+            stamp(controller, make_instance(name=n, tenant=t))
             for n, t in (("c", "chat"), ("s", "std"), ("j", "jobs"))
         ]
-        ordered = sorted(instances, key=qos.victim_key)
+        ordered = sorted(instances, key=controller.victim_key)
         assert [i.tenant for i in ordered] == ["jobs", "std", "chat"]
 
     def test_most_slack_first_within_class(self):
         sim = Simulator()
-        qos = make_service(sim, *self.specs())
-        near = _admit(qos, make_instance(name="near", tenant="jobs"))
-        far = _admit(qos, make_instance(name="far", tenant="jobs"))
+        controller = self.controller(sim)
+        near = stamp(controller, make_instance(name="near", tenant="jobs"))
+        far = stamp(controller, make_instance(name="far", tenant="jobs"))
 
         async def advance():
             await sim.sleep(1.0)
@@ -384,17 +396,17 @@ class TestVictimOrdering:
         # than ``far``'s fresh one, so ``far`` has more slack and goes first.
         near.metrics.note_output(0.1)
         far.metrics.note_output(sim.now)
-        ordered = sorted([near, far], key=qos.victim_key)
+        ordered = sorted([near, far], key=controller.victim_key)
         assert ordered[0] is far
 
     def test_page_yield_breaks_ties(self):
         sim = Simulator()
-        qos = make_service(sim, *self.specs())
-        a = _admit(qos, make_instance(name="a", tenant="jobs"))
-        b = _admit(qos, make_instance(name="b", tenant="jobs"))
-        assert qos.victim_key(a, n_pages=8) < qos.victim_key(a, n_pages=2)
+        controller = self.controller(sim)
+        a = stamp(controller, make_instance(name="a", tenant="jobs"))
+        b = stamp(controller, make_instance(name="b", tenant="jobs"))
+        assert controller.victim_key(a, n_pages=8) < controller.victim_key(a, n_pages=2)
         # Same slack/pages: deterministic instance-id tie-break.
-        assert qos.victim_key(a, 4) != qos.victim_key(b, 4)
+        assert controller.victim_key(a, 4) != controller.victim_key(b, 4)
 
 
 class TestAbortWhileParked:
@@ -532,7 +544,8 @@ class TestQosOffInertness:
         server = PieServer(sim)
         assert server.controller.qos is None
         service = server.service()
-        assert service.swap.qos is None
+        # The swap manager never holds QoS: the victim order is the core's.
+        assert not hasattr(service.swap, "qos")
         assert service.router.placement_weight is None
         assert service.scheduler._qos is None
         # The core's tenant records are there; nothing QoS writes is.
