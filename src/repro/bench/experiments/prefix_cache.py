@@ -17,7 +17,10 @@ system prompt (each with a unique task suffix) and compares:
 * ``cache_on``      — one device with the prefix cache enabled;
 * ``cache_cluster`` — two devices under ``cache_affinity`` placement with
   per-program prompt-prefix hints, so the router sends every fleet member
-  to the shard whose index already holds the prompt.
+  to the shard whose index already holds the prompt.  The router places
+  by load first and by cached prefix second; the 0.2 s stagger lets each
+  agent finish before the next launches, so every placement is a tie on
+  occupancy and the cached prefix decides it.
 
 Because cached pages hold exactly the KV the importer would have computed,
 generation is bit-identical with the cache on; the run is simply cheaper.
@@ -137,6 +140,8 @@ def run(quick: bool = True) -> ExperimentResult:
         "generation is bit-identical because cached pages hold exactly the "
         "KV the importer would have computed.  The cluster row routes the "
         "whole fleet to the shard holding the prompt via cache_affinity + "
-        "prefix hints."
+        "prefix hints: cache_affinity places by load first, and the stagger "
+        "leaves every launch a tie on occupancy, which the cached prefix "
+        "breaks."
     )
     return result

@@ -18,17 +18,19 @@ Placement is a pluggable policy (:data:`PLACEMENT_POLICIES`):
   of a KV export it intends to import, see
   ``InferletProgram.placement_hint``) and a shard holds an export of
   exactly that name, place it there so the import is a local remap instead
-  of a device-to-device copy; otherwise fall back to ``least_loaded``.
+  of a device-to-device copy.  Otherwise place by the ``least_loaded`` key
+  with one more tie-break after occupancy: the longest page-aligned match
+  of the program's ``prefix_hint`` in the shard's prefix cache.  Load comes
+  first because a co-resident costs a waiting request a forward at every
+  collision, while a miss costs one prefill per prompt family per shard;
+  the cache's own index is the only placement memory.
 * ``disaggregated`` — prefill/decode disaggregation (this policy is the
   plane's one switch): the first ``prefill_shards``
   shards take every new inferlet (prompts are chewed there, optionally via
   chunked prefill), and once the first sampled token retires the KV
   transfer scheduler (:mod:`repro.core.transfer`) migrates the inferlet to
   a decode shard chosen ``least_loaded`` among the rest.  Placement among
-  prefill shards scores export hints and prefix-cache affinity exactly
-  like ``cache_affinity`` but restricted to the prefill role; repeated
-  ``prefix_hint`` prompts remember their shard so their cached prefixes
-  stay hot.
+  prefill shards is ``cache_affinity``'s, restricted to the prefill role.
 
 :class:`ClusterSchedulerStats` merges the per-shard
 :class:`~repro.core.scheduler.SchedulerStats` so experiments read one
@@ -180,14 +182,6 @@ class Router:
         self.prefill_shards = prefill_shards if policy == "disaggregated" else 0
         self._placements: Dict[str, int] = {}
         self._rr_next = 0
-        # Prompt-affinity memory for the disaggregated policy: repeated
-        # prefix_hint prompts return to the prefill shard that already holds
-        # their cached prefix.  Instance-keyed so release() can retire a
-        # hint when its last holder exits (stale entries would keep scoring
-        # re-launches against a shard whose cache may long have evicted the
-        # prefix).
-        self._hint_shard: Dict[tuple, int] = {}
-        self._instance_hints: Dict[str, tuple] = {}
         # Flight recorder (repro.core.trace); None when tracing is off.
         self._trace = trace
 
@@ -205,14 +199,15 @@ class Router:
             index = self._place_round_robin()
         elif self.policy == "least_loaded":
             index = self._place_least_loaded()
-        elif self.policy == "disaggregated":
-            index = self._place_disaggregated(
-                instance_id, program.placement_hint, self._prefix_tokens(program)
-            )
         else:
-            index = self._place_cache_affinity(
-                program.placement_hint, self._prefix_tokens(program)
-            )
+            # cache_affinity places over every shard, disaggregated over the
+            # prefill role: an export holder first, then the load key.
+            candidates = range(self.prefill_shards or len(self.shards))
+            index = self._export_holder(candidates, program.placement_hint)
+            if index is None:
+                index = self._place_least_loaded(
+                    restrict=candidates, prefix_tokens=self._prefix_tokens(program)
+                )
         self._record(instance, index)
         if self._trace is not None:
             self._trace.instant(
@@ -238,14 +233,6 @@ class Router:
         instance_id = instance.instance_id
         self._placements.pop(instance_id, None)
         instance.placements.pop(self.model, None)
-        # Retire the prompt-affinity memory with its last holder.  An
-        # instance that migrated to a decode shard still retires the *hint*
-        # entry (which points at its original prefill shard): without this,
-        # a re-launch with the same prefix_hint keeps scoring against a
-        # shard chosen in a long-gone load situation.
-        hint_key = self._instance_hints.pop(instance_id, None)
-        if hint_key is not None and hint_key not in set(self._instance_hints.values()):
-            self._hint_shard.pop(hint_key, None)
 
     def shard_for(self, instance_id: str) -> DeviceShard:
         """Query by id (tests, tools); API calls read the record instead."""
@@ -331,7 +318,11 @@ class Router:
         self,
         restrict: Optional[Sequence[int]] = None,
         extra_occupancy: Optional[Dict[int, float]] = None,
+        prefix_tokens: Optional[Sequence[int]] = None,
     ) -> int:
+        """The placeable shard with the least occupancy; among those, the
+        longest cached page-aligned match of ``prefix_tokens``, then the
+        least pending work, then the lowest index."""
         occupancy = {shard.index: 0.0 for shard in self.shards}
         for instance_id, placed_index in self._placements.items():
             if self.is_swapped is not None and self.is_swapped(instance_id):
@@ -354,8 +345,19 @@ class Router:
                 raise ShardUnavailableError("no healthy shard available for placement")
         return min(
             eligible,
-            key=lambda shard: (occupancy[shard.index], shard.pending_work, shard.index),
+            key=lambda shard: (
+                occupancy[shard.index],
+                -self._cached_len(shard, prefix_tokens),
+                shard.pending_work,
+                shard.index,
+            ),
         ).index
+
+    @staticmethod
+    def _cached_len(shard: DeviceShard, prefix_tokens: Optional[Sequence[int]]) -> int:
+        if not prefix_tokens or shard.prefix_cache is None:
+            return 0
+        return shard.prefix_cache.match_len(prefix_tokens)
 
     def _export_holder(self, indices: Sequence[int], hint: Optional[str]) -> Optional[int]:
         # Exact export-name match only: fuzzy (prefix) matching would let one
@@ -366,68 +368,6 @@ class Router:
                 if self.shards[index].resources.has_export(hint) and self._placeable(index):
                     return index
         return None
-
-    def _best_prefix_match(
-        self, indices: Sequence[int], prefix_tokens: Sequence[int]
-    ) -> Optional[int]:
-        """With the automatic prefix cache on, a declared prompt prefix
-        (``InferletProgram.prefix_hint``) is scored by longest page-aligned
-        match against each shard's index; the winner gets the inferlet so
-        its prefill reuses the cached pages locally.  Several shards tied
-        at the best score are split least_loaded-style (replicated prompts
-        must not pack one shard); None when nothing matches."""
-        scores = {}
-        for index in indices:
-            cache = self.shards[index].prefix_cache
-            if cache is None or not self._placeable(index):
-                continue
-            matched = cache.match_len(prefix_tokens)
-            if matched > 0:
-                scores[index] = matched
-        if not scores:
-            return None
-        best = max(scores.values())
-        tied = [index for index, score in scores.items() if score == best]
-        return tied[0] if len(tied) == 1 else self._place_least_loaded(restrict=tied)
-
-    def _place_cache_affinity(
-        self, hint: Optional[str], prefix_tokens: Optional[Sequence[int]]
-    ) -> int:
-        everywhere = range(len(self.shards))
-        index = self._export_holder(everywhere, hint)
-        if index is None and prefix_tokens:
-            index = self._best_prefix_match(everywhere, prefix_tokens)
-        return self._place_least_loaded() if index is None else index
-
-    def _place_disaggregated(
-        self,
-        instance_id: str,
-        hint: Optional[str],
-        prefix_tokens: Optional[Sequence[int]],
-    ) -> int:
-        """Admission under prefill/decode disaggregation.
-
-        Every new inferlet starts on a prefill-role shard; the choice within
-        that role mirrors ``cache_affinity`` (export hints, then prefix-cache
-        match scoring, then least_loaded) plus a prompt-affinity memory so
-        repeated prompts keep hitting the shard that warmed up first.
-        """
-        prefill = range(self.prefill_shards)
-        index = self._export_holder(prefill, hint)
-        if index is not None:
-            return index
-        if not prefix_tokens:
-            return self._place_least_loaded(restrict=prefill)
-        hint_key = tuple(prefix_tokens)
-        self._instance_hints[instance_id] = hint_key
-        remembered = self._hint_shard.get(hint_key)
-        if remembered is not None and self._placeable(remembered):
-            return remembered
-        index = self._best_prefix_match(prefill, prefix_tokens)
-        if index is None:
-            index = self._place_least_loaded(restrict=prefill)
-        self._hint_shard[hint_key] = index
-        return index
 
 
 def aggregate_scheduler_stats(stats: Sequence[SchedulerStats]) -> SchedulerStats:

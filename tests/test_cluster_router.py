@@ -2,15 +2,18 @@
 schedulers, cross-device KV import, and the num_devices=1 regression."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from repro.core import InferletProgram, PieServer, PLACEMENT_POLICIES
 from repro.core.inferlet import InferletInstance
 from repro.core.config import ControlLayerConfig, PieConfig
-from repro.core.router import Router, aggregate_scheduler_stats
+from repro.core.router import DeviceShard, Router, aggregate_scheduler_stats
 from repro.core.scheduler import SchedulerStats
-from repro.errors import ReproError
+from repro.errors import ReproError, ShardUnavailableError
 from repro.gpu.config import GpuConfig
 from repro.gpu.device import DeviceStats, sum_stats
 from repro.sim import Simulator
@@ -33,6 +36,25 @@ def inst(name, **hints):
     program's ``placement_hint`` / ``prefix_hint``."""
     program = InferletProgram(name=name, main=lambda ctx: None, **hints)
     return InferletInstance(program, instance_id=name)
+
+
+def seed_prefix_cache(shard, pages=2):
+    """Commit a ``pages``-page token chain into ``shard``'s prefix cache, as
+    a finished prompt forward would; returns the chain."""
+    cache = shard.prefix_cache
+    size = cache.page_size
+    chain = list(range(100, 100 + pages * size))
+    shard.resources.create_space("seeder")
+    handles = shard.resources.alloc_kv_pages("seeder", pages)
+    pids = shard.resources.resolve_kv_many("seeder", handles)
+    for index, pid in enumerate(pids):
+        cache._page_tokens[pid] = chain[index * size : (index + 1) * size]
+        page = cache.memory.kv_pages.page(pid)
+        for slot in range(size):
+            page.valid[slot] = True
+    cache._commit_chain(pids, chain)
+    assert cache.match_len(chain) == len(chain)
+    return chain
 
 
 def run_fleet(server, programs):
@@ -153,16 +175,16 @@ class TestPlacementPolicies:
 
 class TestDisaggregatedRouter:
     """Router mechanics specific to the prefill/decode role split: role
-    predicates, migration, and the hint bookkeeping of instances that no
-    longer live on the shard their prompt-affinity hint points at."""
+    predicates, migration, and placement within the prefill role."""
 
-    def _router(self, devices=3, prefill_shards=1):
+    def _router(self, devices=3, prefill_shards=1, prefix_cache=False):
         sim = Simulator(seed=0)
         server = PieServer(
             sim,
             num_devices=devices,
             placement_policy="disaggregated",
             prefill_shards=prefill_shards,
+            prefix_cache=prefix_cache,
         )
         return Router(
             server.service().shards,
@@ -201,40 +223,262 @@ class TestDisaggregatedRouter:
         with pytest.raises(ReproError):
             a.placements[router.model]
 
-    def test_release_retires_hint_of_migrated_instance(self):
-        """Regression: the prompt-affinity hint is keyed by the instance
-        that created it.  An instance that *migrated* to a decode shard
-        still owns its hint entry, so releasing it after migration must
-        retire the hint — otherwise every re-launch with the same prompt
-        keeps scoring against a prefill shard chosen in a load situation
-        long gone."""
-        router = self._router(devices=4, prefill_shards=2)
-        tokens = (1, 2, 3, 4)
-        a = inst("a", prefix_hint=tokens)
-        first = router.place(a).index
-        assert router.is_prefill_index(first)
-        assert router._hint_shard[tokens] == first
-        router.migrate(a, router.decode_indices()[0])
-        router.release(a)
-        assert "a" not in router._instance_hints
-        assert tokens not in router._hint_shard, "stale hint survived release"
-
-    def test_hint_survives_while_another_holder_lives(self):
+    def test_hinted_launches_spread_then_follow_the_cache(self):
+        """The prefill role is placed by the load key: a family's launches
+        spread by occupancy (no per-prompt memory packs one prefill shard),
+        and when occupancies tie the shard whose cache holds the prompt
+        wins — a re-launch after its holder migrated goes back to it."""
         router = self._router(devices=4, prefill_shards=2)
         tokens = (9, 8, 7)
         a, b, c = (inst(name, prefix_hint=tokens) for name in "abc")
-        first = router.place(a).index
-        # The second holder follows the remembered hint shard.
-        assert router.place(b).index == first
+        assert [router.place(i).index for i in (a, b, c)] == [0, 1, 0]
+
+        router = self._router(devices=4, prefill_shards=2, prefix_cache=True)
+        chain = tuple(seed_prefix_cache(router.shards[1]))
+        a, b, c = (inst(name, prefix_hint=chain) for name in "abc")
+        assert router.place(a).index == 1  # a tie on occupancy: the cached shard
+        assert router.place(b).index == 0  # a is live there: occupancy first
         router.migrate(a, router.decode_indices()[0])
         router.release(a)
-        # "b" still holds the hint: it must survive "a"'s release ...
-        assert router._hint_shard[tokens] == first
-        assert router.place(c).index == first
-        router.release(b)
-        router.release(c)
-        # ... and retire with its last holder.
-        assert tokens not in router._hint_shard
+        router.migrate(b, router.decode_indices()[1])
+        assert router.place(c).index == 1  # the tie again, the cache again
+
+
+#: One prompt family: a 6+-page system prompt under the byte tokenizer.
+FAMILY_PROMPT = (
+    "System: you are a careful assistant; follow the fleet style guide and "
+    "answer each task precisely and briefly. "
+)
+
+
+class TestLoadBeforePrefix:
+    """``cache_affinity`` and ``disaggregated`` place by one key: least
+    occupancy, then the longest cached match of ``prefix_hint``, then
+    pending work, then index — after an exact export-name match."""
+
+    def test_a_live_holder_sends_the_next_of_its_family_to_the_empty_shard(self):
+        """The first of a family still runs on the shard that cached its
+        prompt when the second launches: the second goes to the empty
+        shard and re-prefills there, instead of queueing behind the first."""
+        sim = Simulator(seed=10)
+        server = PieServer(
+            sim, num_devices=2, prefix_cache=True, placement_policy="cache_affinity"
+        )
+
+        def member(name, linger_s):
+            async def main(ctx):
+                context = Context(ctx, sampling=SamplingParams())
+                await context.fill(FAMILY_PROMPT + "task. ")
+                text = await context.generate_until(max_tokens=3)
+                await ctx.sleep(linger_s)
+                context.free()
+                return text
+
+            return InferletProgram(name=name, main=main, prefix_hint=FAMILY_PROMPT)
+
+        server.register_program(member("first", 0.5))
+        server.register_program(member("second", 0.0))
+        shards = server.service().shards
+        prompt = server.service().entry.tokenizer.encode(FAMILY_PROMPT)
+
+        async def scenario():
+            head = sim.create_task(server.run_inferlet("first"))
+            await sim.sleep(0.2)
+            # The first's prompt is cached on its shard, and it is still live.
+            assert shards[0].prefix_cache.match_len(prompt) > 0
+            assert shards[1].prefix_cache.match_len(prompt) == 0
+            assert server.service().router.instances_on(shards[0])
+            tail = await server.run_inferlet("second")
+            return await head, tail
+
+        first, second = sim.run_until_complete(scenario())
+        assert first.status == second.status == "finished"
+        assert server.metrics.placements_by_device == {
+            shards[0].name: 1,
+            shards[1].name: 1,
+        }
+        assert server.metrics.prefix_cache_hits == 0  # the second re-prefilled
+        assert first.result == second.result  # placement never changes tokens
+
+
+PAGE = 4
+FAMILY = tuple(range(50, 50 + 3 * PAGE))
+
+
+class PagedStubCache:
+    """A shard's prefix cache holding the first ``pages`` pages of
+    ``FAMILY``: ``match_len`` is the page-aligned common prefix."""
+
+    def __init__(self, pages):
+        self.chain = FAMILY[: pages * PAGE]
+
+    def match_len(self, tokens):
+        matched = 0
+        while (
+            matched + PAGE <= min(len(tokens), len(self.chain))
+            and tuple(tokens[matched : matched + PAGE]) == self.chain[matched : matched + PAGE]
+        ):
+            matched += PAGE
+        return matched
+
+
+def stub_shard(index, cached_pages, pending, export):
+    """A ``DeviceShard`` whose load readings and cache are drawn, not run."""
+    return DeviceShard(
+        index=index,
+        device=SimpleNamespace(name=f"stub:{index}", queue_depth=pending, busy=False),
+        memory=None,
+        handlers=None,
+        scheduler=SimpleNamespace(total_pending=0),
+        resources=SimpleNamespace(model_name="stub", has_export=lambda name: export),
+        prefix_cache=None if cached_pages is None else PagedStubCache(cached_pages),
+    )
+
+
+@st.composite
+def placement_worlds(draw):
+    n = draw(st.integers(1, 5))
+    shards = [
+        stub_shard(
+            index,
+            cached_pages=draw(st.none() | st.integers(0, 3)),
+            pending=draw(st.integers(0, 2)),
+            export=draw(st.booleans()),
+        )
+        for index in range(n)
+    ]
+    # Live inferlets: (shard, swapped, weight) — weights sum exactly.
+    live = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.booleans(),
+                st.sampled_from((0.5, 1.0, 2.0, 3.0)),
+            ),
+            max_size=8,
+        )
+    )
+    down = draw(st.none() | st.sets(st.integers(0, n - 1)))
+    restrict = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1).map(sorted))
+    hint = draw(st.integers(0, len(FAMILY)).map(lambda k: list(FAMILY[:k])))
+    return {
+        "shards": shards,
+        "live": live,
+        "swap_flags": draw(st.booleans()),
+        "weights": draw(st.booleans()),
+        "down": down,
+        "restrict": restrict,
+        "hint": hint,
+    }
+
+
+def build_router(world, policy="cache_affinity", prefill_shards=0):
+    live = {f"live{k}": entry for k, entry in enumerate(world["live"])}
+    down = world["down"]
+    router = Router(
+        world["shards"],
+        policy=policy,
+        prefill_shards=prefill_shards,
+        is_swapped=(lambda iid: live[iid][1]) if world["swap_flags"] else None,
+        placement_weight=(lambda iid: live[iid][2]) if world["weights"] else None,
+        health_probe=None if down is None else (lambda index: index not in down),
+    )
+    for iid, (index, _, _) in live.items():
+        router._placements[iid] = index
+    return router
+
+
+def expected_pick(world, allowed):
+    """The key, computed independently: ``None`` when nothing is placeable."""
+    down = world["down"] or set()
+    allowed = [i for i in allowed if i not in down]
+    if not allowed:
+        return None
+    occupancy = {i: 0.0 for i in allowed}
+    for index, swapped, weight in world["live"]:
+        if index in occupancy and not (world["swap_flags"] and swapped):
+            occupancy[index] += weight if world["weights"] else 1
+    least = [i for i in allowed if occupancy[i] == min(occupancy.values())]
+    caches = {i: world["shards"][i].prefix_cache for i in least}
+    matches = {i: cache.match_len(world["hint"]) if cache else 0 for i, cache in caches.items()}
+    longest = [i for i in least if matches[i] == max(matches.values())]
+    return min(longest, key=lambda i: (world["shards"][i].pending_work, i))
+
+
+def pick_is_load_then_match(world):
+    """The property, for a bare key call with the drawn ``restrict`` set and
+    for ``place`` under both prefix-aware policies."""
+    router = build_router(world)
+    n = len(world["shards"])
+    allowed = range(n) if world["restrict"] is None else world["restrict"]
+    expected = expected_pick(world, allowed)
+    try:
+        got = router._place_least_loaded(
+            restrict=world["restrict"], prefix_tokens=world["hint"]
+        )
+    except ShardUnavailableError:
+        got = None
+    if got != expected:
+        return False
+    policies = [("cache_affinity", 0)] + [("disaggregated", k) for k in range(1, n)]
+    for policy, prefill_shards in policies:
+        router = build_router(world, policy, prefill_shards)
+        candidates = range(prefill_shards or n)
+        holders = [
+            i
+            for i in candidates
+            if world["shards"][i].resources.has_export("x") and router._placeable(i)
+        ]
+        expected = holders[0] if holders else expected_pick(world, candidates)
+        try:
+            got = router.place(inst("new", placement_hint="x", prefix_hint=world["hint"])).index
+        except ShardUnavailableError:
+            got = None
+        if got != expected:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=placement_worlds())
+def test_pick_has_least_occupancy_then_longest_match(world):
+    assert pick_is_load_then_match(world)
+
+
+LEAST_LOADED = Router._place_least_loaded
+
+
+def match_before_occupancy(self, restrict=None, extra_occupancy=None, prefix_tokens=None):
+    """The parent's order: the longest match anywhere, load among the tied."""
+    candidates = range(len(self.shards)) if restrict is None else restrict
+    matches = {
+        i: self._cached_len(self.shards[i], prefix_tokens)
+        for i in candidates
+        if self._placeable(i)
+    }
+    longest = [i for i in matches if matches[i] == max(matches.values())]
+    return LEAST_LOADED(self, longest or candidates, extra_occupancy, prefix_tokens)
+
+
+def no_match_tie_break(shard, prefix_tokens):
+    return 0
+
+
+@pytest.mark.parametrize(
+    "name, attr, mutant",
+    [
+        ("match before occupancy", "_place_least_loaded", match_before_occupancy),
+        ("no match tie-break", "_cached_len", staticmethod(no_match_tie_break)),
+    ],
+)
+def test_mutants_are_killed(monkeypatch, name, attr, mutant):
+    monkeypatch.setattr(Router, attr, mutant)
+    # find() raises NoSuchExample, failing the test, if the mutant survives.
+    find(
+        placement_worlds(),
+        lambda world: not pick_is_load_then_match(world),
+        settings=settings(max_examples=2000, derandomize=True, database=None),
+    )
 
 
 class TestCrossDeviceImport:
