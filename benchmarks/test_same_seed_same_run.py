@@ -47,14 +47,14 @@ CASES = {
         (),
         ("handoffs",),
     ),
-    # The qos=off run makes no admission decisions.  Preemption is not
-    # listed: the victim order and its counts are the core's (the
-    # qos_preemption_* twins of reclamation_* are gone), kept with every
-    # plane off like the tenant records.
+    # The qos=off run's tenants are unlimited: its launch gate admits every
+    # launch and parks or refuses none.  Admissions and preemption are not
+    # listed: the gate, the victim order and their counts are the core's,
+    # kept with every plane off like the tenant records.
     "qos_off": (
         qos.run_fleet,
         qos.arms()["qos_off"],
-        ("qos_admitted", "qos_queued", "qos_rejected"),
+        ("queued", "rejected"),
         (),
     ),
     # prefix_cache=off reproduces the stock system run for run.

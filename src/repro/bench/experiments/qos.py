@@ -7,10 +7,12 @@ pattern from :mod:`repro.bench.experiments.tiered_memory`) and an
 as one undifferentiated FCFS pool, the chat turns rot behind the miners'
 batched prefills and lose the reclamation lottery under memory pressure.
 
-With the QoS subsystem on (:mod:`repro.core.qos`), the same traffic is
-shaped by the full control plane:
+With the tenants registered and the QoS subsystem on
+(:mod:`repro.core.qos`), the same traffic is shaped by the full control
+plane:
 
-* the batch tenant's launches pass admission control (concurrency cap),
+* the batch tenant's launches pass its launch gate (the core's, applying
+  the concurrency cap the arm's ``TenantSpec`` sets),
 * candidate batches are scored by class-weighted slack-to-deadline, so
   chat forwards dispatch ahead of miner backlog (and survive batch-row
   truncation via the per-class merge stride),
@@ -207,9 +209,12 @@ def run_fleet(
         ),
         "reclamation_terminations": metrics.reclamation_terminations,
         "reclamation_swaps": metrics.reclamation_swaps,
-        "qos_admitted": metrics.qos_admitted,
-        "qos_queued": metrics.qos_queued,
-        "qos_rejected": metrics.qos_rejected,
+        # The launch gate's decisions, summed over the tenant records (with
+        # QoS off every launch is admitted: the tenants are unlimited).
+        **{
+            count: sum(getattr(record, count) for record in metrics.tenants.values())
+            for count in ("admitted", "queued", "rejected")
+        },
         "tenant_metrics": {
             name: record for name, record in metrics.tenants.items()
         },
@@ -239,7 +244,7 @@ def run(quick: bool = True) -> ExperimentResult:
                 interactive_terminated=row["interactive_terminated"],
                 batch_terminated=row["batch_terminated"],
                 token_throughput_per_s=row["token_throughput"],
-                queued=row["qos_queued"],
+                queued=row["queued"],
                 # Every reclamation termination is a preemption the victim
                 # order picked, with QoS or without.
                 preempt_terms=row["reclamation_terminations"],

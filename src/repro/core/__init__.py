@@ -3,8 +3,8 @@
 Three layers, as in the paper (§5):
 
 * **Application layer** — the inferlet runtime (a simulated WebAssembly
-  sandbox), the Inferlet Lifecycle Manager, and the per-inferlet API
-  bindings (:mod:`repro.core.api`).
+  sandbox), the Inferlet Lifecycle Manager with its per-tenant launch
+  gate, and the per-inferlet API bindings (:mod:`repro.core.api`).
 * **Control layer** — the controller (:mod:`repro.core.controller`):
   resource virtualisation, non-GPU API handling, the cluster router
   (:mod:`repro.core.router`) that places inferlets onto devices, the
@@ -12,7 +12,7 @@ Three layers, as in the paper (§5):
   :mod:`repro.core.batching`), the tiered-KV swap manager
   (:mod:`repro.core.swap`) that suspends blocked inferlets to host
   memory, the multi-tenant QoS service (:mod:`repro.core.qos`:
-  admission control, SLO-aware dispatch, fair share), and
+  SLO-aware dispatch, fair share), and
   the event dispatcher.
 * **Inference layer** — the API handlers (:mod:`repro.core.handlers`)
   executing batched calls on the simulated device(s); with

@@ -107,16 +107,16 @@ class ControlLayerConfig:
     # Telemetry sampling period in virtual milliseconds; 0 disables the
     # periodic sampler (spans and instants are still recorded).
     trace_sample_ms: float = 5.0
-    # Multi-tenant QoS (repro.core.qos): when True, launches pass tenant
-    # admission control (token-bucket rate + concurrency caps), candidate
-    # batches are scored by class-weighted slack-to-deadline instead of
-    # longest-waiting, and placement and dispatch weigh fair share.  Off by
-    # default.  Reclamation victims are ordered by class and slack either
-    # way (the core's Controller.victim_key).
+    # Multi-tenant QoS (repro.core.qos): when True, candidate batches are
+    # scored by class-weighted slack-to-deadline instead of longest-waiting,
+    # and placement and dispatch weigh fair share.  Off by default.  Tenant
+    # admission limits (the launch gate) and the reclamation victim order
+    # (Controller.victim_key) are the core's and apply either way.
     qos: bool = False
-    # Registered tenants (TenantSpec records); launches naming an
-    # unregistered tenant get an implicit unlimited spec of
-    # ``qos.DEFAULT_CLASS``.
+    # Registered tenants (TenantSpec records): their rate, concurrency cap
+    # and backlog bound are applied at launch with or without ``qos``.
+    # Launches naming an unregistered tenant get an implicit unlimited spec
+    # of ``qos.DEFAULT_CLASS``.
     tenants: Tuple[TenantSpec, ...] = ()
     # Live SLO monitoring plane (repro.core.monitor): when True the
     # controller builds a MonitorService — a per-tenant error-budget /

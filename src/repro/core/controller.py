@@ -104,24 +104,17 @@ class Controller:
         # the serving path is bit-identical to a system without the plane.
         # When on, everything a plane does on the serving path is read-only,
         # so tokens and virtual timestamps are still bit-identical.
-        observers: List[LifecycleObserver] = []
         timers: List[PeriodicService] = []
         # The flight recorder (repro.core.trace).
         self.trace: Optional[TraceRecorder] = None
         if control.tracing:
             self.trace = TraceRecorder(sim)
             timers.append(telemetry_sampler(self.trace, self))
-        # The QoS control plane (repro.core.qos): admission, SLO-aware
-        # dispatch and fair share.
+        # The QoS control plane (repro.core.qos): SLO-aware dispatch and
+        # fair share (admission is the lifecycle manager's launch gate).
         self.qos: Optional[QosService] = None
         if control.qos:
-            self.qos = QosService(
-                sim,
-                self.metrics,
-                tenants=self.tenants,
-                trace=self.trace,
-            )
-            observers.append(self.qos)
+            self.qos = QosService(sim, self.metrics, self.tenants, live=self._instances)
         # The chaos plane (repro.sim.faults / repro.core.retry /
         # repro.core.health): the deterministic fault schedule, the retry
         # policy for tool calls and refused handoffs, and — below, once the
@@ -164,14 +157,12 @@ class Controller:
                 service.router.health_probe = self.health.placeable
             self.faults.bind(self.health)
             self.faults.arm()
-        if control.tracing:
-            # Told last, so an inferlet's spans close after the other
-            # planes' accounting of the same fact has been recorded.
-            observers.append(LifecycleTracer(self.trace))
         #: Who is told the lifecycle facts (launch requested / running,
-        #: reclaimed, finished), each published at one site.  Empty when
-        #: every knob is off.
-        self.observers: Tuple[LifecycleObserver, ...] = tuple(observers)
+        #: reclaimed, finished), each published at one site after the core
+        #: accounted for it: the tracer when tracing is on, else nobody.
+        self.observers: Tuple[LifecycleObserver, ...] = (
+            (LifecycleTracer(self.trace),) if control.tracing else ()
+        )
         #: The planes' periodic timers; every registration pokes them awake.
         self.timers: Tuple[PeriodicService, ...] = tuple(timers)
 

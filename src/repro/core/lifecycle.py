@@ -1,16 +1,19 @@
 """The Inferlet Lifecycle Manager (application layer, §5.1).
 
-The ILM owns inferlet creation, destruction and communication.  Launch
-requests are serviced by a single launch executor (the serialised part of
-Figure 9's launch latency); each launched inferlet gets a sandboxed
-runtime instance, a client channel, and a task on the simulator that runs
-the program to completion and releases its resources afterwards.
+The ILM owns inferlet creation, destruction and communication.  A launch
+request first passes its tenant's admission gate, which applies the
+tenant's ``TenantSpec`` limits — launch rate, concurrency cap, backlog
+bound — with every plane off.  Admitted launches are serviced by a single
+launch executor (the serialised part of Figure 9's launch latency); each
+launched inferlet gets a sandboxed runtime instance, a client channel, and
+a task on the simulator that runs the program to completion and releases
+its resources afterwards.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict, deque
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -29,6 +32,67 @@ from repro.sim.latency import milliseconds
 from repro.sim.simulator import Simulator
 
 
+class TokenBucket:
+    """A deterministic lazy-refill token bucket (a tenant's launch rate)."""
+
+    def __init__(self, rate_per_s: float, burst: int, now: float = 0.0) -> None:
+        self.rate = rate_per_s
+        self.burst = max(1, burst)
+        self.level = float(self.burst)
+        self.last_refill = now
+
+    @property
+    def unlimited(self) -> bool:
+        return self.rate <= 0
+
+    def _refill(self, now: float) -> None:
+        if self.unlimited:
+            return
+        elapsed = max(0.0, now - self.last_refill)
+        self.level = min(float(self.burst), self.level + elapsed * self.rate)
+        self.last_refill = now
+
+    def try_take(self, now: float, n: float = 1.0) -> bool:
+        if self.unlimited:
+            return True
+        self._refill(now)
+        if self.level + 1e-12 >= n:
+            self.level -= n
+            return True
+        return False
+
+    def seconds_until_available(self, now: float, n: float = 1.0) -> float:
+        """Virtual time until ``n`` tokens will be available (0 if now)."""
+        if self.unlimited:
+            return 0.0
+        self._refill(now)
+        missing = n - self.level
+        if missing <= 0:
+            return 0.0
+        return missing / self.rate
+
+
+class TenantGate:
+    """One tenant's admission state, made at its first launch: the launch
+    rate bucket, the admitted inferlets still in the system, and the
+    launches parked until a slot and a token are both free (FIFO by
+    instance id, each with its ready future and its trace span)."""
+
+    def __init__(self, spec, now: float) -> None:
+        self.spec = spec  # the controller's TenantSpec of this tenant
+        self.bucket = TokenBucket(spec.rate_per_s, spec.burst, now=now)
+        self.running: Set[str] = set()
+        self.parked: "OrderedDict[str, Tuple[InferletInstance, SimFuture, Optional[int]]]" = (
+            OrderedDict()
+        )
+        self.refill_timer_armed = False
+
+    @property
+    def has_slot(self) -> bool:
+        cap = self.spec.max_concurrent
+        return cap <= 0 or len(self.running) < cap
+
+
 class InferletLifecycleManager:
     """Creates, runs, monitors and destroys inferlet instances."""
 
@@ -44,6 +108,8 @@ class InferletLifecycleManager:
         self._programs: Dict[str, InferletProgram] = {}
         self._launch_queue: Deque[Tuple[InferletInstance, SimFuture]] = deque()
         self._launch_worker_busy = False
+        #: The launch gate: one :class:`TenantGate` per tenant that launched.
+        self.gates: Dict[str, TenantGate] = {}
         self._seed_counter = 0
         # wait_for_completion futures of instances that have no task yet.
         self._taskless_waiters: Dict[str, List[SimFuture]] = {}
@@ -100,11 +166,11 @@ class InferletLifecycleManager:
         """Request a launch; returns the instance and a future that resolves
         once the inferlet is running (acknowledging the launch).
 
-        ``tenant`` bills the launch to a QoS tenant and ``priority`` seeds
-        every queue the inferlet creates.  With the QoS service enabled the
-        launch passes admission control first: it may be queued (the ready
-        future resolves only once a concurrency slot and rate-bucket token
-        free up) or rejected with a typed
+        ``tenant`` bills the launch to a tenant and ``priority`` seeds every
+        queue the inferlet creates.  The launch passes the tenant's gate
+        first (:meth:`_admit_or_park`): it may be parked (the ready future
+        resolves only once a concurrency slot and a rate-bucket token free
+        up) or refused with a typed
         :class:`repro.errors.AdmissionRejectedError`.
         """
         program = self.get_program(name)
@@ -127,29 +193,104 @@ class InferletLifecycleManager:
         ready = self.sim.create_future(name=f"launch:{instance.instance_id}")
         for observer in self.controller.observers:
             observer.note_launch_requested(instance)
-        qos = self.controller.qos
-        if qos is not None:
-            # "queued" parks the launch inside the QoS service until
-            # admission, then re-enters here.
-            try:
-                decision = qos.request_admission(
-                    instance,
-                    proceed=lambda: self._enqueue_launch(instance, ready),
-                    on_cancelled=lambda: self._abort_launch(instance, ready),
-                )
-            except AdmissionRejectedError:
-                # Refused: the observers were told of the request, so they
-                # are told — once, like any other exit — how it ended.
-                self._retire(instance, "rejected")
-                raise
-            if decision == "queued":
-                return instance, ready
-        self._enqueue_launch(instance, ready)
+        try:
+            self._admit_or_park(spec, instance, ready)
+        except AdmissionRejectedError:
+            # Refused: the observers were told of the request, so they are
+            # told — once, like any other exit — how it ended.
+            self._retire(instance, "rejected")
+            raise
         return instance, ready
 
-    def _enqueue_launch(self, instance: InferletInstance, ready: SimFuture) -> None:
+    # -- the launch gate ---------------------------------------------------------------
+
+    def _admit_or_park(self, spec, instance: InferletInstance, ready: SimFuture) -> None:
+        """Apply the tenant's limits to one launch, with every plane off.
+
+        Admitted (on to the launch executor) when a concurrency slot and a
+        bucket token are both free and nobody of the tenant is parked ahead;
+        else parked while fewer than ``max_queued`` wait; else refused with
+        ``reason="queue_full"``.  A tenant with the default, unlimited spec
+        is always admitted here, synchronously, and arms no timer.
+        """
+        gate = self.gates.get(spec.name)
+        if gate is None:
+            gate = self.gates[spec.name] = TenantGate(spec, self.sim.now)
+        if gate.has_slot and not gate.parked and gate.bucket.try_take(self.sim.now):
+            self._admit(gate, instance, ready)
+            return
+        trace = self.controller.trace
+        if len(gate.parked) >= spec.max_queued:
+            if trace is not None:
+                trace.instant(
+                    "admission_rejected",
+                    "admission",
+                    inferlet=instance.instance_id,
+                    args={"tenant": spec.name},
+                )
+            raise AdmissionRejectedError(
+                f"tenant {spec.name!r} admission queue is full "
+                f"({spec.max_queued} waiting); shed load or raise max_queued",
+                tenant=spec.name,
+                reason="queue_full",
+            )
+        span = None
+        if trace is not None:
+            span = trace.begin(
+                "admission_queued",
+                "admission",
+                inferlet=instance.instance_id,
+                args={"tenant": spec.name},
+            )
+        gate.parked[instance.instance_id] = (instance, ready, span)
+        self.controller.metrics.tenants[spec.name].queued += 1
+        self._arm_refill_timer(gate)
+
+    def _admit(self, gate: TenantGate, instance: InferletInstance, ready: SimFuture) -> None:
+        gate.running.add(instance.instance_id)
+        self.controller.metrics.tenants[gate.spec.name].admitted += 1
         self._launch_queue.append((instance, ready))
         self._pump_launch_queue()
+
+    def _unpark(self, gate: TenantGate, instance_id: str, **span_args) -> Tuple:
+        """Take a launch off the tenant's backlog, closing its span."""
+        instance, ready, span = gate.parked.pop(instance_id)
+        if span is not None:
+            self.controller.trace.end(span, args=span_args or None)
+        return instance, ready
+
+    def _pump(self, gate: TenantGate) -> None:
+        """Admit parked launches, oldest first, while slots and tokens last."""
+        now = self.sim.now
+        while gate.parked and gate.has_slot and gate.bucket.try_take(now):
+            self._admit(gate, *self._unpark(gate, next(iter(gate.parked))))
+        self._arm_refill_timer(gate)
+
+    def _arm_refill_timer(self, gate: TenantGate) -> None:
+        """Wake the backlog when the bucket next holds a token."""
+        if gate.refill_timer_armed or not gate.parked or not gate.has_slot:
+            return
+        delay = gate.bucket.seconds_until_available(self.sim.now)
+        if delay <= 0:
+            return
+        gate.refill_timer_armed = True
+
+        def fire(*_):
+            gate.refill_timer_armed = False
+            self._pump(gate)
+
+        self.sim.schedule(delay, fire)
+
+    def _cancel_parked(self, instance: InferletInstance) -> None:
+        """A launch terminated while parked leaves the backlog at once and
+        fails its ready future, so it neither hangs an awaiter nor holds a
+        ``max_queued`` place."""
+        gate = self.gates.get(instance.tenant)
+        if gate is None or instance.instance_id not in gate.parked:
+            return
+        self._abort_launch(*self._unpark(gate, instance.instance_id, cancelled=True))
+
+    # -- the launch executor -----------------------------------------------------------
 
     def _retire(self, instance: InferletInstance, status: str) -> None:
         """The one way out of the system, whatever the cause.
@@ -158,8 +299,9 @@ class InferletLifecycleManager:
         only other writer, and a termination it recorded sticks unless the
         program then failed on its own — and unregisters the instance before
         control returns to the event loop, so the controller's registry holds
-        exactly the live inferlets.  The tenant's record counts the exit, then
-        the planes that account per inferlet are told, once.
+        exactly the live inferlets.  The tenant's record counts the exit, its
+        gate slot frees, then the planes that account per inferlet are told,
+        once.
         """
         controller = self.controller
         if status == "failed" or not instance.finished:
@@ -170,6 +312,11 @@ class InferletLifecycleManager:
                 controller.metrics.inferlets_failed += 1
         controller.metrics.tenants[instance.tenant].note_exit(instance.metrics)
         controller.unregister_inferlet(instance)
+        gate = self.gates[instance.tenant]
+        if instance.instance_id in gate.running:
+            # It held one of the tenant's slots: the next parked launch may go.
+            gate.running.remove(instance.instance_id)
+            self._pump(gate)
         for observer in controller.observers:
             observer.note_finished(instance)
         # Waiters still parked here belong to an instance that never ran.
@@ -178,7 +325,7 @@ class InferletLifecycleManager:
 
     def _abort_launch(self, instance: InferletInstance, ready: SimFuture) -> None:
         """Retire an instance terminated while parked (in the launch queue or
-        in QoS admission) and fail its ready future."""
+        at its tenant's gate) and fail its ready future."""
         self._retire(instance, "terminated")
         if not ready.done():
             ready.set_exception(
@@ -203,8 +350,7 @@ class InferletLifecycleManager:
         self._pump_launch_queue()
         if instance.finished:
             # Aborted while parked in the launch queue: the termination must
-            # stick — don't instantiate, and release any admission slot the
-            # instance was holding.
+            # stick — don't instantiate; retiring frees its gate slot.
             self._abort_launch(instance, ready)
             return
         try:
@@ -262,12 +408,10 @@ class InferletLifecycleManager:
     def _on_forced_termination(self, instance: InferletInstance, reason: str) -> None:
         if instance.task is not None and not instance.task.done():
             instance.task.cancel()
-        elif instance.task is None and self.controller.qos is not None:
-            # Never started: it may be parked in the QoS admission queue —
-            # remove it now so it neither hangs its awaiter nor occupies a
-            # max_queued slot (the launch-queue case cleans itself up in
-            # _launch_one).
-            self.controller.qos.cancel_parked(instance)
+        elif instance.task is None:
+            # Never started: it may be parked at its gate (the launch-queue
+            # case cleans itself up in _launch_one).
+            self._cancel_parked(instance)
 
     def abort(self, instance: InferletInstance, reason: str = "client abort") -> None:
         """Abort a running inferlet on behalf of its client."""

@@ -183,10 +183,11 @@ class TenantMetrics:
     ttft_missed: int = 0
     tpot_met: int = 0
     tpot_missed: int = 0
-    # Written by QoS (repro.core.qos): admission and handoffs of this
-    # tenant's inferlets, and its fair-share virtual token counter.  The two
-    # ``preempted_*`` counts are the core's, written at the reclamation rung
-    # that picked the victim (``Controller._ensure_capacity``).
+    # ``admitted`` / ``queued`` are written by the launch gate
+    # (``InferletLifecycleManager``) and the two ``preempted_*`` counts at the
+    # reclamation rung that picked the victim (``Controller._ensure_capacity``),
+    # with every plane off.  Written by QoS (repro.core.qos): handoffs of this
+    # tenant's inferlets and its fair-share counters.
     admitted: int = 0
     queued: int = 0
     preempted_swaps: int = 0
@@ -207,6 +208,16 @@ class TenantMetrics:
     def verdicts(self, signal: str) -> Tuple[int, int]:
         """The ``(met, missed)`` counts of one signal so far."""
         return getattr(self, f"{signal}_met"), getattr(self, f"{signal}_missed")
+
+    @property
+    def slo_attainment(self) -> float:
+        """Fraction of the tenant's judged first tokens and decode streams
+        that met their target (1.0 before any verdict).  Exact: each verdict
+        was counted off its inferlet's record, not re-derived from the
+        bucketed histograms."""
+        met = self.ttft_met + self.tpot_met
+        total = met + self.ttft_missed + self.tpot_missed
+        return met / total if total else 1.0
 
     def note_output(self, record: InferletMetrics, count: int, first: bool) -> None:
         """``count`` output tokens of one of the tenant's inferlets; the
@@ -280,11 +291,6 @@ class SystemMetrics:
     # Device pages freed for allocations by demoting/evicting cache
     # entries (the swap manager's reclamation ladder, terminate-last).
     prefix_cache_reclaims: int = 0
-    # QoS subsystem (repro.core.qos): admission decisions.  All zero with
-    # qos off.
-    qos_admitted: int = 0
-    qos_queued: int = 0
-    qos_rejected: int = 0
     # Prefill/decode disaggregation (repro.core.transfer): completed
     # prefill->decode handoffs, handoffs that could not run (no decode
     # capacity / non-quiescent owner), KV pages streamed ahead of the

@@ -213,8 +213,8 @@ class PieClient:
     ) -> InferletInstance:
         """Launch an inferlet and return once the server acknowledges it.
 
-        ``tenant`` names the QoS tenant the launch is billed to (admission
-        control may queue or reject it, see :mod:`repro.core.qos`);
+        ``tenant`` names the tenant the launch is billed to (its launch gate
+        may park or refuse it, see :mod:`repro.core.lifecycle`);
         ``priority`` seeds every queue the inferlet creates, so programs
         need not call ``set_queue_priority`` after creation."""
         await self.link.send((name, args))

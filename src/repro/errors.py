@@ -47,10 +47,10 @@ class InferletTerminated(InferletError):
 
 
 class AdmissionRejectedError(ReproError):
-    """Raised when QoS admission control rejects an inferlet launch
-    (tenant over its rate/concurrency budget with a full admission queue;
-    ``reason`` names any other cause).
-    Typed so clients can distinguish shed load from real failures."""
+    """Raised when a tenant's launch gate refuses an inferlet launch, with
+    or without QoS.  ``reason`` says why: ``"queue_full"`` — the tenant is
+    over its rate/concurrency budget and ``max_queued`` launches already
+    wait.  Typed so clients can distinguish shed load from real failures."""
 
     def __init__(self, message: str, tenant: str = "", reason: str = "") -> None:
         super().__init__(message)

@@ -21,7 +21,7 @@ latency went:
 ``queue``
     Submitted commands waiting to be picked into a batch.
 ``admission``
-    Launch handling plus time parked in the QoS admission queue.
+    Launch handling plus time parked at the tenant's launch gate.
 ``decode_gap``
     Time between forward executions covered by *no* recorded span: the
     inferlet existed, had started computing, but neither queued, computed,

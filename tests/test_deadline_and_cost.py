@@ -57,10 +57,10 @@ MODELS = ("llama-sim-1b", "llama-sim-3b", "llama-sim-8b")
 
 
 def _old_deadline(self, instance) -> float:
-    """``QosService.deadline`` at the parent."""
-    state = self._state_of(instance.instance_id)
-    # Never admitted here (unit-test instances): its tenant's contract.
-    spec = state.spec if state is not None else self.tenants[instance.tenant]
+    """``QosService.deadline`` at the parent, but for where it looks up the
+    spec: an admitted instance's state held the table's spec of its tenant,
+    which is what any other instance read too."""
+    spec = self.tenants[instance.tenant]
     metrics = instance.metrics
     if metrics.first_token_at is None:
         return metrics.launched_at + spec.ttft_slo_s
@@ -119,11 +119,11 @@ def timelines(draw):
 @given(timeline=timelines(), admitted=st.booleans())
 def test_deadline_equals_the_old_one(timeline, admitted):
     spec, launched_at, tokens = timeline
-    qos = QosService(Simulator(), SystemMetrics(), tenants=TenantTable([spec]))
+    qos = QosService(Simulator(), SystemMetrics(), TenantTable([spec]), live={})
     instance = stamp(qos, make_instance(tenant="acme"))
     instance.metrics.launched_at = launched_at
     if admitted:
-        qos.request_admission(instance, proceed=lambda: None)
+        qos.live[instance.instance_id] = instance
     assert instance.metrics.deadline == _old_deadline(qos, instance)
     for at, count in tokens:
         instance.metrics.note_output(at, count)
@@ -227,8 +227,9 @@ def chatter() -> InferletProgram:
 
 
 def test_qos_holds_no_finished_inferlet():
-    """Fails at the parent: ``_instances`` was written at admission and never
-    popped, so every admitted instance lived until the service did."""
+    """QoS keeps no per-inferlet state (it reads the controller's registry),
+    and the launch gate forgets who left: nothing holds a finished
+    instance."""
     sim = Simulator(seed=0)
     server = PieServer(
         sim, tenants=[TenantSpec(name="chat", priority_class="interactive", max_concurrent=2)]
@@ -237,7 +238,10 @@ def test_qos_holds_no_finished_inferlet():
     instances = [server.launch("chatter", tenant="chat")[0] for _ in range(4)]
     sim.run()
     assert [instance.status for instance in instances] == ["finished"] * 4
-    assert server.controller.qos._instances == {}
+    assert not hasattr(server.controller.qos, "_instances")
+    assert server.controller.instances() == []
+    assert server.lifecycle.gates["chat"].running == set()
+    assert not server.lifecycle.gates["chat"].parked
     refs = [weakref.ref(instance) for instance in instances]
     del instances
     gc.collect()

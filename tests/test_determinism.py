@@ -171,6 +171,11 @@ def test_identical_seeded_runs_are_bit_identical():
     assert first["metrics"]["swap_outs"] > 0
 
 
+def admitted(run) -> int:
+    """Launches the gate admitted, over every tenant's record."""
+    return sum(record["admitted"] for record in run["metrics"]["tenants"].values())
+
+
 def test_qos_off_is_bit_identical_and_leaves_no_qos_trace():
     """The qos=off default takes the exact pre-QoS serving path: two
     seeded runs agree bit-for-bit and no QoS machinery leaves a trace."""
@@ -179,14 +184,16 @@ def test_qos_off_is_bit_identical_and_leaves_no_qos_trace():
     assert first["now"] == second["now"]
     assert first["metrics"] == second["metrics"]
     # (The qos_preemption_* twins of reclamation_* are gone: the victim
-    # order is the core's, QoS or not.)
-    for counter in ("qos_admitted", "qos_queued", "qos_rejected"):
-        assert first["metrics"][counter] == 0, counter
-    # The core keeps a record per tenant with every plane off; what QoS
-    # writes into it stays zero.
+    # order is the core's, QoS or not; so are the qos_{admitted, queued,
+    # rejected} twins of the tenant records' counts.)
+    assert not any(name.startswith("qos_") for name in first["metrics"])
+    # The core keeps a record per tenant with every plane off, the launch
+    # gate's decisions included: the default tenant is unlimited, so every
+    # launch is admitted and none parks.  What QoS writes stays zero.
     [record] = first["metrics"]["tenants"].values()
     assert (record["tenant"], record["offered"], record["finished"]) == ("default", 6, 6)
-    for field in ("admitted", "queued", "handoffs", "dispatched_commands", "virtual_tokens"):
+    assert (record["admitted"], record["rejected"]) == (6, 0)
+    for field in ("queued", "handoffs", "dispatched_commands", "virtual_tokens"):
         assert record[field] == 0, field
     # The preemption counts are the core's now, counted at the reclamation
     # rung; this run never reclaims, so they read zero because nothing was
@@ -204,7 +211,7 @@ def test_qos_on_stack_is_bit_identical():
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
     # The scenario exercised the QoS machinery, not just its knobs.
-    assert first["metrics"]["qos_admitted"] > 0
+    assert admitted(first) > 0
     assert set(first["metrics"]["tenants"]) == {"fleet", "backfill"}
 
 
@@ -240,7 +247,7 @@ def test_chunked_and_qos_stack_is_bit_identical():
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
     assert first["metrics"]["prefill_chunks_dispatched"] > 0
-    assert first["metrics"]["qos_admitted"] > 0
+    assert admitted(first) > 0
 
 
 def test_different_seeds_still_complete():
@@ -487,7 +494,7 @@ def test_disagg_composed_with_qos_and_chunked_is_bit_identical():
     assert first["metrics"] == second["metrics"]
     assert first["metrics"]["disagg_handoffs"] > 0
     assert first["metrics"]["prefill_chunks_dispatched"] > 0
-    assert first["metrics"]["qos_admitted"] > 0
+    assert admitted(first) > 0
     off = run_stack(qos=True, chunked=True, disagg=False)
     assert first["results"] == off["results"]
 
@@ -502,10 +509,8 @@ def test_three_observers_together_do_not_perturb_the_run():
     assert PieServer(sim, num_devices=2).controller.observers == ()
     assert PieServer(sim, num_devices=2).controller.timers == ()
     together = PieServer(sim, num_devices=2, qos=True, monitoring=True, tracing=True)
-    assert [type(o).__name__ for o in together.controller.observers] == [
-        "QosService",
-        "LifecycleTracer",
-    ]
+    # QoS is no observer: admission is the core's launch gate.
+    assert [type(o).__name__ for o in together.controller.observers] == ["LifecycleTracer"]
     assert together.monitor.scraper in together.controller.timers
     on = run_stack(qos=True, tracing=True, monitoring=True)
     off = run_stack()
@@ -520,4 +525,4 @@ def test_three_observers_together_do_not_perturb_the_run():
     # All three planes saw the fleet.
     assert on["trace_categories"].get("lifecycle", 0) == len(on["results"])
     assert on["monitor_scrapes"] > 0
-    assert on["metrics"]["qos_admitted"] == len(on["results"])
+    assert admitted(on) == len(on["results"])

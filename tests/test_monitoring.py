@@ -259,6 +259,9 @@ class TestMonitorService:
 # ``pie_system_qos_preemption_{swaps, terminations}`` were counted at the
 # same reclamation as ``reclamation_{swaps, terminations}``, so they are
 # gone; the victim order is the core's, with QoS or without (-> 77).
+# ``pie_system_qos_{admitted, queued, rejected}`` were the sums of the
+# tenants' ``admitted`` / ``queued`` / ``rejected``, written at the same
+# launch-gate site, so they are gone too (-> 74).
 REQUEST_FAMILIES = {
     "pie_ttft_seconds": ("tenant",),
     "pie_tpot_seconds": ("tenant",),
@@ -283,7 +286,7 @@ SYSTEM_FIELDS = """
     prefill_chunks_dispatched prefix_cache_demotions prefix_cache_evictions
     prefix_cache_faultins prefix_cache_hits prefix_cache_inserted_pages
     prefix_cache_misses prefix_cache_reclaims prefix_cache_saved_tokens
-    qos_admitted qos_queued qos_rejected reclamation_swaps reclamation_terminations retries_exhausted
+    reclamation_swaps reclamation_terminations retries_exhausted
     retry_backoff_seconds shard_crashes shard_slowdowns swap_ins swap_outs
     swap_stall_seconds tool_faults tool_retries total_output_tokens
 """.split()
@@ -424,7 +427,7 @@ class TestPullExport:
         sim.run_until_complete(fleet)
         exported = {f.name: f.labelnames for f in server.monitor.collect().families()}
         assert exported == EXPORT_SCHEMA
-        assert len(exported) == 77  # the two qos_preemption_* twins went
+        assert len(exported) == 74  # the qos_* twins of tenant counts went
         # The monitor keeps no registry, and no fact is exported twice.
         assert not hasattr(server.monitor, "registry")
         document = server.export_metrics()

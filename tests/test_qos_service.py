@@ -1,7 +1,8 @@
-"""Unit tests for the QoS subsystem (repro.core.qos).
+"""Unit tests for the QoS subsystem (repro.core.qos) and the launch gate.
 
-Covers the token bucket, tenant-spec validation, admission decisions
-(admit / queue-with-backpressure / typed rejection), the admission pump,
+Covers the token bucket, tenant-spec validation, the launch gate's
+decisions (admit / park with backpressure / typed refusal) and its pump —
+the core's, in ``InferletLifecycleManager``, applied with or without QoS —
 SLO slack scoring and candidate-batch selection, preemption victim
 ordering, fair-share accounting, and the structural inertness of the
 ``qos=off`` configuration.
@@ -13,14 +14,14 @@ from repro.core import InferletProgram, InferletInstance, PieServer, TenantSpec
 from repro.core.batching import CandidateBatch
 from repro.core.command_queue import Command, CommandQueue
 from repro.core.config import ControlLayerConfig, PieConfig
-from repro.core.metrics import SystemMetrics, percentile
+from repro.core.lifecycle import TokenBucket
+from repro.core.metrics import SystemMetrics, TenantMetrics, percentile
 from repro.core.qos import (
     CLASS_RANK,
     CLASS_WEIGHT,
     QOS_CLASSES,
     QosService,
     TenantTable,
-    TokenBucket,
 )
 from repro.errors import AdmissionRejectedError, InferletTerminated, ReproError
 from repro.sim import Simulator
@@ -36,7 +37,49 @@ def make_instance(name="prog", tenant="acme", seed=0):
 
 
 def make_service(sim, *specs, metrics=None):
-    return QosService(sim, metrics or SystemMetrics(), tenants=TenantTable(specs))
+    return QosService(sim, metrics or SystemMetrics(), TenantTable(specs), live={})
+
+
+class GatedServer:
+    """A server whose launch gate applies ``specs`` (QoS off unless asked):
+    every launch runs ``held``, which returns once :meth:`finish` says so."""
+
+    def __init__(self, *specs, qos=False):
+        self.sim = Simulator(seed=0)
+        self.server = PieServer(
+            self.sim, config=PieConfig(control=ControlLayerConfig(qos=qos, tenants=specs))
+        )
+        self.lifecycle = self.server.lifecycle
+        self.done = {}
+
+        async def held(ctx):
+            await self.done[ctx.instance_id]
+
+        self.server.register_program(InferletProgram(name="held", main=held))
+
+    def launch(self, tenant="acme"):
+        instance, ready = self.server.launch("held", tenant=tenant)
+        self.done[instance.instance_id] = self.sim.create_future()
+        return instance
+
+    def finish(self, instance):
+        self.done[instance.instance_id].set_result(None)
+        self.run(0.0)
+
+    def run(self, seconds):
+        self.sim.run(until=self.sim.now + seconds)
+
+    def record(self, tenant="acme"):
+        return self.server.metrics.tenants[tenant]
+
+    def admitted(self, instance):
+        return instance.instance_id in self.lifecycle.gates[instance.tenant].running
+
+    def drain(self):
+        for done in self.done.values():
+            if not done.done():
+                done.set_result(None)
+        self.sim.run()
 
 
 class TestTokenBucket:
@@ -97,127 +140,102 @@ class TestTenantSpec:
 
 
 class TestAdmission:
+    """The launch gate (``InferletLifecycleManager``), driven through
+    ``launch()`` with QoS off: the tenant's limits are the core's."""
+
     def test_admit_within_budget(self):
-        sim = Simulator()
-        qos = make_service(sim, TenantSpec(name="acme", max_concurrent=2))
-        launched = []
-        decision = qos.request_admission(
-            make_instance(tenant="acme"), proceed=lambda: launched.append(1)
-        )
-        assert decision == "admit"
-        assert launched == []  # caller proceeds synchronously on admit
-        assert qos.metrics.qos_admitted == 1
+        gated = GatedServer(TenantSpec(name="acme", max_concurrent=2))
+        instance = gated.launch()
+        # Admitted synchronously, on to the launch executor.
+        assert gated.admitted(instance)
+        assert (gated.record().admitted, gated.record().queued) == (1, 0)
+        gated.drain()
 
     def test_queue_then_pump_on_finish(self):
-        sim = Simulator()
-        qos = make_service(sim, TenantSpec(name="acme", max_concurrent=1))
-        first = make_instance(tenant="acme")
-        second = make_instance(tenant="acme")
-        assert qos.request_admission(first, proceed=lambda: None) == "admit"
-        resumed = []
-        assert (
-            qos.request_admission(second, proceed=lambda: resumed.append(second))
-            == "queued"
-        )
-        assert qos.metrics.qos_queued == 1
-        assert not resumed
-        first.metrics.status = "finished"
-        qos.note_finished(first)
-        assert resumed == [second]
-        # QoS writes what only it knows; the exit is the core's to count.
-        record = qos.metrics.tenants["acme"]
+        gated = GatedServer(TenantSpec(name="acme", max_concurrent=1))
+        first = gated.launch()
+        second = gated.launch()
+        assert gated.record().queued == 1
+        assert not gated.admitted(second)
+        gated.run(0.05)
+        gated.finish(first)
+        assert gated.admitted(second)
+        # The gate writes admissions; the exit is counted where it retires.
+        record = gated.record()
         assert record.admitted == 2
-        assert record.finished == 0
+        assert record.finished == 1
+        gated.drain()
 
     def test_note_finished_is_idempotent(self):
-        """A second notice of one exit frees no second slot."""
-        sim = Simulator()
-        qos = make_service(sim, TenantSpec(name="acme", max_concurrent=1))
-        instance = make_instance(tenant="acme")
-        qos.request_admission(instance, proceed=lambda: None)
-        resumed = []
-        for _ in range(2):
-            parked = make_instance(tenant="acme")
-            qos.request_admission(parked, proceed=lambda parked=parked: resumed.append(parked))
-        instance.metrics.status = "finished"
-        qos.note_finished(instance)
-        qos.note_finished(instance)
-        assert len(resumed) == 1
+        """A second retirement of one exit frees no second slot."""
+        gated = GatedServer(TenantSpec(name="acme", max_concurrent=1))
+        instance = gated.launch()
+        parked = [gated.launch() for _ in range(2)]
+        gated.run(0.05)
+        gated.finish(instance)
+        gated.lifecycle._retire(instance, "finished")
+        assert [gated.admitted(p) for p in parked] == [True, False]
+        gated.drain()
 
     def test_reject_when_queue_full(self):
-        sim = Simulator()
-        qos = make_service(
-            sim, TenantSpec(name="acme", max_concurrent=1, max_queued=1)
-        )
-        qos.request_admission(make_instance(tenant="acme"), proceed=lambda: None)
-        qos.request_admission(make_instance(tenant="acme"), proceed=lambda: None)
+        gated = GatedServer(TenantSpec(name="acme", max_concurrent=1, max_queued=1))
+        gated.launch()
+        gated.launch()
         with pytest.raises(AdmissionRejectedError) as excinfo:
-            qos.request_admission(make_instance(tenant="acme"), proceed=lambda: None)
+            gated.launch()
         assert excinfo.value.tenant == "acme"
-        assert qos.metrics.qos_rejected == 1
+        assert excinfo.value.reason == "queue_full"
         # The refusal is counted per tenant where the launch retires it.
-        assert qos.metrics.tenants["acme"].rejected == 0
+        assert (gated.record().offered, gated.record().rejected) == (3, 1)
+        gated.drain()
 
     def test_rate_limit_queues_until_bucket_refills(self):
-        sim = Simulator()
-        qos = make_service(sim, TenantSpec(name="acme", rate_per_s=10.0, burst=1))
+        gated = GatedServer(TenantSpec(name="acme", rate_per_s=10.0, burst=1))
         admitted_at = []
-        assert (
-            qos.request_admission(
-                make_instance(tenant="acme"), proceed=lambda: None
-            )
-            == "admit"
-        )
-        assert (
-            qos.request_admission(
-                make_instance(tenant="acme"),
-                proceed=lambda: admitted_at.append(sim.now),
-            )
-            == "queued"
-        )
+        admit = gated.lifecycle._admit
 
-        async def wait():
-            await sim.sleep(0.5)
+        def stamped(gate, instance, ready):
+            admitted_at.append(gated.sim.now)
+            admit(gate, instance, ready)
 
-        sim.run_until_complete(wait())
+        gated.lifecycle._admit = stamped
+        gated.launch()
+        second = gated.launch()
+        assert not gated.admitted(second)
+        gated.run(0.5)
         # The refill timer admits the parked launch once a token is back.
-        assert admitted_at == [pytest.approx(0.1)]
+        assert admitted_at == [0.0, pytest.approx(0.1)]
+        gated.drain()
 
     def test_unregistered_tenant_gets_default_spec(self):
-        sim = Simulator()
-        qos = make_service(sim)
-        assert (
-            qos.request_admission(make_instance(tenant="guest"), proceed=lambda: None)
-            == "admit"
-        )
-        assert qos.tenant_spec("guest").priority_class == "standard"
+        gated = GatedServer()
+        assert gated.admitted(gated.launch(tenant="guest"))
+        assert gated.server.controller.tenants["guest"].priority_class == "standard"
+        assert gated.lifecycle.gates["guest"].spec is gated.server.controller.tenants["guest"]
+        gated.drain()
 
     def test_reporting_reads_never_register_tenants(self):
-        """tenant_spec/slo_attainment are read-only: unknown names raise
-        instead of silently inserting a TenantMetrics record."""
-        sim = Simulator()
-        qos = make_service(sim, TenantSpec(name="acme"))
-        with pytest.raises(ReproError):
-            qos.tenant_spec("typo")
-        with pytest.raises(ReproError):
-            qos.slo_attainment("typo")
-        assert qos.tenant_names() == ["acme"]
-        assert set(qos.metrics.tenants) == {"acme"}
+        """Reporting reads the core's table and records, which QoS no longer
+        mirrors: an unknown name is in neither, and reading the record of
+        one raises instead of silently inserting a TenantMetrics record."""
+        gated = GatedServer(TenantSpec(name="acme"), qos=True)
+        qos = gated.server.controller.qos
+        assert not hasattr(qos, "tenant_spec") and not hasattr(qos, "slo_attainment")
+        assert "typo" not in gated.server.controller.tenants
+        with pytest.raises(KeyError):
+            gated.server.metrics.tenants["typo"]
+        assert sorted(gated.server.controller.tenants) == ["acme"]
+        assert set(gated.server.metrics.tenants) == {"acme"}
 
     def test_fifo_order_within_tenant_queue(self):
-        sim = Simulator()
-        qos = make_service(sim, TenantSpec(name="acme", max_concurrent=1))
-        first = make_instance(tenant="acme")
-        qos.request_admission(first, proceed=lambda: None)
-        order = []
-        for tag in ("a", "b"):
-            qos.request_admission(
-                make_instance(tenant="acme"),
-                proceed=lambda tag=tag: order.append(tag),
-            )
-        first.metrics.status = "finished"
-        qos.note_finished(first)
-        assert order == ["a"]  # one slot freed, head of the queue only
+        gated = GatedServer(TenantSpec(name="acme", max_concurrent=1))
+        first = gated.launch()
+        a, b = gated.launch(), gated.launch()
+        gated.run(0.05)
+        gated.finish(first)
+        # One slot freed, head of the backlog only.
+        assert (gated.admitted(a), gated.admitted(b)) == (True, False)
+        gated.drain()
 
 
 def stamp(qos, instance):
@@ -231,7 +249,8 @@ def stamp(qos, instance):
 
 
 def _admit(qos, instance):
-    qos.request_admission(stamp(qos, instance), proceed=lambda: None)
+    """Make ``instance`` live where the service looks (the registry)."""
+    qos.live[instance.instance_id] = stamp(qos, instance)
     return instance
 
 
@@ -411,8 +430,8 @@ class TestVictimOrdering:
 
 class TestAbortWhileParked:
     def test_abort_in_admission_queue_sticks(self):
-        """Aborting an inferlet parked in the QoS admission queue must not
-        be undone when the queue later pumps: the inferlet never runs."""
+        """Aborting an inferlet parked at its tenant's gate must not be
+        undone when the gate later pumps: the inferlet never runs."""
         from repro.core.config import ControlLayerConfig, PieConfig
         from repro.sim import Simulator as Sim
 
@@ -452,7 +471,7 @@ class TestAbortWhileParked:
         assert server.metrics.tenants["jobs"].admitted == 1
 
     def test_aborted_parked_launch_frees_its_max_queued_slot(self):
-        """A corpse in the admission queue must not cause spurious
+        """A corpse in the gate's backlog must not cause spurious
         max_queued rejections for live launches."""
         from repro.core.config import ControlLayerConfig, PieConfig
         from repro.sim import Simulator as Sim
@@ -517,11 +536,7 @@ class TestAbortWhileParked:
 
 class TestSloAttainment:
     def test_attainment_fraction(self):
-        sim = Simulator()
-        qos = make_service(
-            sim, TenantSpec(name="acme", ttft_slo_ms=100.0, tpot_slo_ms=50.0)
-        )
-        record = qos.metrics.tenants["acme"]
+        record = TenantMetrics(tenant="acme")
         # The verdicts are the inferlets' own (InferletMetrics.ttft_met /
         # tpot_met); the tenant record only counts them.
         record.observe("ttft", 0.05, True)
@@ -530,12 +545,10 @@ class TestSloAttainment:
         record.observe("tpot", 0.04, True)
         record.observe("tpot", 0.04, None)  # unjudged: histogram only
         assert record.tpot.total == 3
-        assert qos.slo_attainment("acme") == 3 / 4
+        assert record.slo_attainment == 3 / 4
 
     def test_no_samples_counts_as_full_attainment(self):
-        sim = Simulator()
-        qos = make_service(sim, TenantSpec(name="acme"))
-        assert qos.slo_attainment("acme") == 1.0
+        assert TenantMetrics(tenant="acme").slo_attainment == 1.0
 
 
 class TestQosOffInertness:
@@ -548,19 +561,21 @@ class TestQosOffInertness:
         assert not hasattr(service.swap, "qos")
         assert service.router.placement_weight is None
         assert service.scheduler._qos is None
-        # The core's tenant records are there; nothing QoS writes is.
+        # The core's tenant records are there, the launch gate's admission
+        # included; nothing QoS writes is.
         server.register_program(InferletProgram(name="noop", main=_noop))
         sim.run_until_complete(server.run_inferlet("noop"))
         [record] = server.metrics.tenants.values()
         assert (record.tenant, record.offered, record.finished) == ("default", 1, 1)
-        assert (record.admitted, record.queued, record.dispatched_commands) == (0, 0, 0)
+        assert (record.admitted, record.queued, record.dispatched_commands) == (1, 0, 0)
 
     def test_tenants_shorthand_enables_service(self):
         sim = Simulator()
         server = PieServer(sim, tenants=[TenantSpec(name="acme")])
         assert server.controller.qos is not None
         assert server.config.control.qos is True
-        assert server.controller.qos.tenant_names() == ["acme"]
+        assert server.controller.qos.tenants is server.controller.tenants
+        assert sorted(server.controller.tenants) == ["acme"]
 
     def test_qos_classes_cover_rank_and_weight_tables(self):
         assert set(QOS_CLASSES) == set(CLASS_RANK) == set(CLASS_WEIGHT)

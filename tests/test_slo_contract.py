@@ -254,7 +254,7 @@ def test_every_reader_reads_the_controllers_table():
     controller = server.controller
     assert controller.qos.tenants is controller.tenants
     assert controller.monitor.slo.tenants is controller.tenants
-    assert controller.qos.tenant_spec("acme") is controller.tenants["acme"] is acme
+    assert controller.tenants["acme"] is acme
     late = TenantSpec(name="late", priority_class="batch", ttft_slo_ms=7.0)
     controller.tenants.register(late)
 
@@ -265,7 +265,7 @@ def test_every_reader_reads_the_controllers_table():
     instance, _ = server.launch("noop", tenant="late")
     # Stamped at launch, admitted under the same object, targeted from it.
     assert (instance.metrics.ttft_slo_s, instance.metrics.tpot_slo_s) == (0.007, 1.0)
-    assert controller.qos.tenant_spec("late") is late
+    assert server.lifecycle.gates["late"].spec is controller.tenants["late"] is late
     assert controller.monitor.slo.target_for("acme") == 0.99
     sim.run()
 
@@ -344,8 +344,8 @@ def test_a_refused_launch_is_that_entrys_result():
     )
     assert [result.status for result in run.results] == ["finished", "rejected", "finished"]
     refused = run.results[1]
-    assert (refused.instance_id, refused.result, refused.reason) == ("", None, "")
-    assert run.finished == 2 and server.metrics.qos_rejected == 1
+    assert (refused.instance_id, refused.result, refused.reason) == ("", None, "queue_full")
+    assert run.finished == 2 and server.metrics.tenants["jobs"].rejected == 1
 
 
 def test_shed_is_reported_and_stays_in_the_denominators():
@@ -396,7 +396,8 @@ def test_a_refused_launch_leaves_no_observer_half_told():
         s["labels"]["status"]: s["value"] for s in metrics["pie_requests_total"]["samples"]
     } == {"finished": 1.0, "rejected": 1.0}
     assert metrics["pie_offered_total"]["samples"][0]["value"] == 2.0
-    assert server.metrics.qos_rejected == 1 and server.metrics.inferlets_launched == 1
+    assert server.metrics.tenants["jobs"].rejected == 1
+    assert server.metrics.inferlets_launched == 1
     # The trace shows a refusal at an instant, not an inferlet aborted after
     # a whole run.
     rows = attribute_stalls(server.trace.events())

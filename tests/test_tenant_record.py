@@ -84,23 +84,23 @@ class _OldRecord:
 class _OldQosCounting(LifecycleObserver):
     """``QosService.note_output``, the counting half of ``note_finished``
     and the ``rejected += 1`` of ``request_admission`` at the parent.  Who
-    was admitted is recorded off the live service's ``_admit`` (the parent
-    kept every admitted instance for the whole run, the service forgets one
-    when it leaves); a refusal is counted when it retires, in the same
+    was admitted is recorded off the live launch gate's ``_admit`` (the
+    parent kept every admitted instance for the whole run, the gate forgets
+    one when it leaves); a refusal is counted when it retires, in the same
     instant the parent counted it."""
 
-    def __init__(self, qos) -> None:
+    def __init__(self, lifecycle) -> None:
         self.records: Dict[str, _OldRecord] = {}
         self._running_counted: set = set()
-        #: instance id -> tenant, for every instance the service admitted.
+        #: instance id -> tenant, for every instance the gate admitted.
         self.admitted: Dict[str, str] = {}
-        admit = qos._admit
+        admit = lifecycle._admit
 
-        def recorded(state, instance) -> None:
-            self.admitted[instance.instance_id] = state.spec.name
-            admit(state, instance)
+        def recorded(gate, instance, ready) -> None:
+            self.admitted[instance.instance_id] = gate.spec.name
+            admit(gate, instance, ready)
 
-        qos._admit = recorded
+        lifecycle._admit = recorded
 
     def _state_of(self, instance_id: str) -> Optional[_OldRecord]:
         tenant = self.admitted.get(instance_id)
@@ -367,7 +367,7 @@ class RecordAgainstOracle(RuleBasedStateMachine):
 
         self.server.register_program(InferletProgram(name="gated", main=gated))
         self.instances: List = []
-        self.qos_old = _OldQosCounting(controller.qos)
+        self.qos_old = _OldQosCounting(self.server.lifecycle)
         self.monitor_old = _OldMonitorCounting(controller.tenants, WINDOWS, slo.DEFAULT_SLO_TARGET)
         # Told what the parent's planes were told, through the same sites.
         controller.observers = controller.observers + (self.qos_old, self.monitor_old)

@@ -36,7 +36,6 @@ from repro.core import InferletProgram, PieServer, TenantSpec
 from repro.core import swap as swap_module
 from repro.core.controller import Controller
 from repro.core.inferlet import InferletInstance
-from repro.core.metrics import SystemMetrics
 from repro.core.qos import QOS_CLASSES, QosService
 from repro.sim import Simulator
 
@@ -44,9 +43,11 @@ from repro.sim import Simulator
 
 
 def parent_victim_key(self, instance, n_pages: int = 0) -> Tuple:
-    """``QosService.victim_key`` at the parent (``self`` is the service)."""
+    """``QosService.victim_key`` at the parent (``self`` is anything holding
+    ``sim`` and the tenant table), but for where it looks up the spec: an
+    admitted instance's state held the table's spec of its tenant."""
     return (
-        -self._spec_of(instance.instance_id).rank,
+        -self.tenants[instance.tenant].rank,
         -(instance.metrics.deadline - self.sim.now),
         -n_pages,
         -instance.created_at,
@@ -138,8 +139,8 @@ REQUESTER = Member("req", "chat", NOW, pages=0)
 
 class World:
     """One shard at ``NOW`` holding ``members`` (stamped the way ``launch()``
-    stamps them) and the requester; ``qos`` is the QoS service — the live
-    one, or with QoS off a shadow one the parent's key reads specs from."""
+    stamps them) and the requester; ``qos`` is what the parent's key reads
+    specs from — the live QoS service, or with QoS off the controller."""
 
     def __init__(
         self,
@@ -158,9 +159,7 @@ class World:
                 self.server.controller.tenants.register(spec)
         self.controller = self.server.controller
         assert (self.controller.qos is not None) == qos_on
-        self.qos = self.controller.qos or QosService(
-            self.sim, SystemMetrics(), tenants=self.controller.tenants
-        )
+        self.qos = self.controller.qos or self.controller
         self.sim.schedule(NOW, lambda: None)
         self.sim.run()
         self.service = self.server.service()
@@ -182,7 +181,6 @@ class World:
         record.ttft_slo_s, record.tpot_slo_s = spec.ttft_slo_s, spec.tpot_slo_s
         for at in member.tokens:
             record.note_output(max(at, member.launched_at))
-        self.qos.request_admission(instance, proceed=lambda: None)
         self.controller.register_inferlet(instance)
         record.status = "running"
         if member.pages:

@@ -58,7 +58,7 @@ def test_abort_in_qos_admission(wait_first):
     sim, server = make_server(tenants=[TenantSpec(name="acme", max_concurrent=1)])
     running, _ = server.launch("nap", tenant="acme")
     parked, ready = server.launch("nap", tenant="acme")
-    assert server.metrics.qos_queued == 1
+    assert server.metrics.tenants["acme"].queued == 1
     if wait_first:
         done = server.lifecycle.wait_for_completion(parked)
         server.lifecycle.abort(parked)
