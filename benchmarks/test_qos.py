@@ -1,14 +1,14 @@
-"""Benchmark for the multi-tenant QoS subsystem (beyond the paper).
+"""Benchmark for multi-tenant serving by tenant class (beyond the paper).
 
 A batch tenant's fork-join mining agents share one overcommitted device
 with an interactive tenant's chat turns.  Served as one undifferentiated
 FCFS pool the chat turns queue behind the miner backlog and lose the
-reclamation lottery; with the QoS subsystem on, class-weighted slack
-dispatch, per-class merge priority and the registered classes (which the
-core's victim order reads: lowest class first) must
-deliver >= 2x better interactive p99 TTFT at <= 10% total token-throughput
-cost, with zero interactive-class reclamation terminations.  That the
-``qos=off`` path stays bit-identical to the pre-QoS system is a case of
+reclamation lottery; with the two tenants registered (the ``qos_on`` arm),
+the core's class-then-age dispatch order, class-first batch merging and
+victim order (lowest class first) must deliver >= 2x better interactive
+p99 TTFT at <= 10% total token-throughput cost, with zero
+interactive-class reclamation terminations.  That the ``qos_off`` arm, with
+no tenant registered, runs the same every time is a case of
 ``test_same_seed_same_run.py``.
 """
 
@@ -60,7 +60,3 @@ def test_qos_tenant_accounting():
     # core counts them at the rung; qos_preemption_terminations, the twin
     # of reclamation_terminations, is gone).
     assert miner.preempted_terminations == row["reclamation_terminations"]
-    # Fair-share accounting ran: dispatched work was charged to both.
-    assert chat.dispatched_commands > 0
-    assert miner.dispatched_commands > chat.dispatched_commands
-    assert miner.virtual_tokens > 0

@@ -47,10 +47,11 @@ CASES = {
         (),
         ("handoffs",),
     ),
-    # The qos=off run's tenants are unlimited: its launch gate admits every
-    # launch and parks or refuses none.  Admissions and preemption are not
-    # listed: the gate, the victim order and their counts are the core's,
-    # kept with every plane off like the tenant records.
+    # The qos_off arm registers no tenant, so the default one is unlimited:
+    # its launch gate admits every launch and parks or refuses none.
+    # Admissions and preemption are not listed: the gate, the victim order
+    # and their counts are the core's, kept with every plane off like the
+    # tenant records.
     "qos_off": (
         qos.run_fleet,
         qos.arms()["qos_off"],

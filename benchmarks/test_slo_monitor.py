@@ -53,7 +53,7 @@ def test_slo_monitor(run_experiment, write_artifact):
     # Contract 3: the export is the live state, not a copy kept beside it —
     # every finished request is in both of its counts, and no time series
     # rides along (the document was 593 KB when one did).
-    # 74 families: every per-tenant fact is read off the core's one record
+    # 71 families: every per-tenant fact is read off the core's one record
     # per tenant and exported under one name — ``pie_tenant_{finished,
     # terminated, rejected}`` are ``pie_requests_total{status}`` and
     # ``pie_tenant_{ttft, tpot}_{met, missed}`` are ``pie_slo_events_total``
@@ -63,9 +63,11 @@ def test_slo_monitor(run_experiment, write_artifact):
     # ``reclamation_{swaps, terminations}``, went with QoS's victim order
     # (79 -> 77), and ``pie_system_qos_{admitted, queued, rejected}``, the
     # sums of the tenant records' counts, went with QoS's admission
-    # (77 -> 74).  Server-side goodput agrees with the harness's own row.
+    # (77 -> 74), and ``pie_tenant_{handoffs, dispatched_commands,
+    # virtual_tokens}``, which only the QoS plane wrote, went with it
+    # (74 -> 71).  Server-side goodput agrees with the harness's own row.
     metrics = raw["snapshot"]["metrics"]
-    assert len(metrics) == 74
+    assert len(metrics) == 71
     total = lambda name: sum(s["value"] for s in metrics[name]["samples"])  # noqa: E731
     assert total("pie_good_total") == rows["monitoring_on"]["goodput_count"]
     assert total("pie_offered_total") == rows["monitoring_on"]["n_requests"]

@@ -1,11 +1,13 @@
-"""Multi-tenant QoS: two tenants with different SLO classes share one device.
+"""Multi-tenant serving: two tenants with different SLO classes share one device.
 
 An *interactive* tenant's chat turns and a *batch* tenant's background
 summarisation jobs are served concurrently.  Each launch passes its
 tenant's launch gate (token-bucket rate + concurrency cap + backlog
-bound), the QoS subsystem (``repro.core.qos``) dispatches by
-class-weighted slack-to-deadline, and the core preempts
-lowest-class-first under memory pressure.
+bound), the scheduler serves the best class present first, oldest command
+first (with an aging bound so batch work cannot starve), and the core
+preempts lowest-class-first under memory pressure.  All of it is the
+core's: registering the tenants (``repro.core.qos.TenantSpec``) is the
+whole setup.
 
 Run with:  python examples/multi_tenant.py
 """
@@ -40,7 +42,6 @@ def make_summary_job(index: int) -> InferletProgram:
 
 def main() -> None:
     sim = Simulator(seed=0)
-    # Registering tenants enables the QoS service (qos=True is implied).
     server = PieServer(
         sim,
         tenants=[

@@ -18,9 +18,9 @@ Beyond the paper:
   for I/O-heavy agents under device-memory pressure.
 * ``prefix_cache``         — automatic token-addressed KV reuse for a
   fleet sharing one system prompt (off vs on vs cache-affinity cluster).
-* ``qos``                  — multi-tenant QoS: SLO-aware admission,
-  slack dispatch and class-aware preemption vs undifferentiated FCFS
-  for a batch + interactive mixed-tenant workload.
+* ``qos``                  — multi-tenant classes: per-tenant admission,
+  class-then-age dispatch and class-aware preemption vs undifferentiated
+  FCFS for a batch + interactive mixed-tenant workload.
 * ``chunked_prefill``      — token-budget batching: sliced prefills
   co-batched with decode rows vs monolithic prompts on one device.
 * ``disaggregation``       — prefill/decode shard roles with overlapped

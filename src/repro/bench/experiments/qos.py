@@ -1,4 +1,4 @@
-"""Multi-tenant QoS: SLO-aware serving vs undifferentiated FCFS (beyond the paper).
+"""Multi-tenant QoS: serving by tenant class vs undifferentiated FCFS (beyond the paper).
 
 Two tenants share one overcommitted device: a *batch* tenant running a
 fleet of I/O-heavy mining agents (long contexts, slow tool calls — the
@@ -7,24 +7,25 @@ pattern from :mod:`repro.bench.experiments.tiered_memory`) and an
 as one undifferentiated FCFS pool, the chat turns rot behind the miners'
 batched prefills and lose the reclamation lottery under memory pressure.
 
-With the tenants registered and the QoS subsystem on
-(:mod:`repro.core.qos`), the same traffic is shaped by the full control
-plane:
+With the two tenants registered (:class:`repro.core.qos.TenantSpec`; the
+``qos_on`` arm), the same traffic is shaped by the core, with every plane
+off:
 
-* the batch tenant's launches pass its launch gate (the core's, applying
-  the concurrency cap the arm's ``TenantSpec`` sets),
-* candidate batches are scored by class-weighted slack-to-deadline, so
-  chat forwards dispatch ahead of miner backlog (and survive batch-row
-  truncation via the per-class merge stride),
+* the batch tenant's launches pass its launch gate (applying the
+  concurrency cap the arm's ``TenantSpec`` sets),
+* the dispatch order serves the best class present first, oldest command
+  first (``repro.core.batching.select_batch``), so chat commands go ahead
+  of the miner backlog, and batch merging places the better class first,
+  so chat rows survive batch-row truncation,
 * the tenants' classes order the core's preemption victims
   (``Controller.victim_key``: lowest class, then most slack), so the miners
   absorb the memory pressure,
-* an aging bound keeps the miners from starving outright.
+* an aging bound (200 ms) keeps the miners from starving outright.
 
 Expected outcome: interactive p99 TTFT improves >= 2x at <= 10% cost in
 total finished-token throughput, with zero interactive-class reclamation
-terminations.  The ``qos=off`` row must be bit-identical run-to-run (it
-takes the exact pre-QoS code path).
+terminations.  The ``qos_off`` row, with no tenant registered, must be
+bit-identical run-to-run.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def tenant_specs(n_miners: int) -> List[TenantSpec]:
 
 
 def arms(n_miners: int = 16) -> Dict[str, Dict]:
-    """Server overrides of the two arms (``tenants`` switches ``qos`` on)."""
+    """Server overrides of the two arms: no tenant, or the two classes."""
     return {"qos_off": {}, "qos_on": dict(tenants=tenant_specs(n_miners))}
 
 
@@ -186,7 +187,7 @@ def run_fleet(
     chat_tpots = [m.tpot for m in chat_rows if m.tpot is not None]
     # SLO attainment against the interactive-class TTFT target, counting
     # requests that never produced a first token (terminated) as misses —
-    # computed identically for the qos=off and qos=on runs (the qos=off
+    # computed identically for the qos_off and qos_on runs (the qos_off
     # chats were launched under the default class, so not off their record).
     ttft_slo_s = CLASS_TTFT_SLO_MS["interactive"] / 1e3
     slo_attainment = (
@@ -209,8 +210,8 @@ def run_fleet(
         ),
         "reclamation_terminations": metrics.reclamation_terminations,
         "reclamation_swaps": metrics.reclamation_swaps,
-        # The launch gate's decisions, summed over the tenant records (with
-        # QoS off every launch is admitted: the tenants are unlimited).
+        # The launch gate's decisions, summed over the tenant records (in the
+        # qos_off arm every launch is admitted: the tenant is unlimited).
         **{
             count: sum(getattr(record, count) for record in metrics.tenants.values())
             for count in ("admitted", "queued", "rejected")
@@ -246,7 +247,7 @@ def run(quick: bool = True) -> ExperimentResult:
                 token_throughput_per_s=row["token_throughput"],
                 queued=row["queued"],
                 # Every reclamation termination is a preemption the victim
-                # order picked, with QoS or without.
+                # order picked, in either arm.
                 preempt_terms=row["reclamation_terminations"],
                 elapsed_s=row["elapsed"],
             )
@@ -254,10 +255,11 @@ def run(quick: bool = True) -> ExperimentResult:
         raw=compared.raw,
     )
     result.add_note(
-        "Beyond the paper: the QoS layer admits, schedules and preempts by "
+        "Beyond the paper: the core admits, dispatches and preempts by "
         "tenant class.  TTFT is measured from the launch request, so "
         "admission queueing counts against the batch tenant's own SLO; "
-        "interactive turns jump the miner backlog via slack scoring and "
-        "class merge priority, and memory pressure lands on the miners."
+        "interactive turns jump the miner backlog via the class-then-age "
+        "dispatch order and class-first batch merging, and memory pressure "
+        "lands on the miners."
     )
     return result

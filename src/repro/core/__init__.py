@@ -11,9 +11,8 @@ Three layers, as in the paper (§5):
   per-device batch scheduler (:mod:`repro.core.scheduler`,
   :mod:`repro.core.batching`), the tiered-KV swap manager
   (:mod:`repro.core.swap`) that suspends blocked inferlets to host
-  memory, the multi-tenant QoS service (:mod:`repro.core.qos`:
-  SLO-aware dispatch, fair share), and
-  the event dispatcher.
+  memory, the tenant classes (:mod:`repro.core.qos`) the core admits,
+  dispatches and preempts by, and the event dispatcher.
 * **Inference layer** — the API handlers (:mod:`repro.core.handlers`)
   executing batched calls on the simulated device(s); with
   ``GpuConfig.num_devices > 1`` each device shard runs its own handler set
@@ -37,7 +36,7 @@ from repro.core.router import (
 )
 from repro.core.swap import SwapManager
 from repro.core.prefix_cache import PrefixCacheService
-from repro.core.qos import QOS_CLASSES, QosService, TenantSpec, TenantTable
+from repro.core.qos import QOS_CLASSES, TenantSpec, TenantTable
 from repro.core.registry import LogHistogram, MetricRegistry
 from repro.core.slo import AlertEvent, BurnWindow, SloEngine
 from repro.core.monitor import MonitorService
@@ -65,7 +64,6 @@ __all__ = [
     "SwapManager",
     "PrefixCacheService",
     "QOS_CLASSES",
-    "QosService",
     "TenantSpec",
     "TenantTable",
     "LogHistogram",

@@ -26,17 +26,25 @@ The scheduler then picks among the candidate batches of different kinds
 (:meth:`repro.core.scheduler.BatchScheduler._select`): a ``forward``
 candidate with no whole prompt in it — decode steps only, or prefill slices
 only — first yields its turn to the cheaper kinds ready beside it, for a
-bounded time; among what is left, the candidate whose oldest pending command
-has waited the longest goes (:func:`select_longest_waiting`).
+bounded time; among what is left, one key decides (:func:`select_batch`),
+in every configuration: a candidate whose oldest command has waited
+:data:`AGING_MS` goes first, oldest first; otherwise the best class rank
+among its commands' owners, then its oldest command.  With one class
+registered that is the candidate whose oldest command has waited longest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.command_queue import Command, CommandQueue
 from repro.sim.futures import SimFuture
+
+#: Starvation bound of the dispatch order (virtual ms): a candidate batch
+#: whose oldest command has waited this long goes first, oldest first,
+#: whatever its class.
+AGING_MS = 200.0
 
 
 @dataclass
@@ -80,20 +88,17 @@ class CandidateBatch:
 def form_candidate_batches(
     queues: Sequence[CommandQueue],
     max_batch_rows: int,
-    priority_of: Optional[Callable[[CommandQueue], int]] = None,
     max_batch_tokens: int = 0,
     prefill_chunk_tokens: int = 0,
     future_factory: Optional[Callable[[], SimFuture]] = None,
 ) -> Dict[str, CandidateBatch]:
     """Compute the best candidate batch per command kind.
 
-    Merge priority is read *live* from each queue at formation time (via
-    ``priority_of``, defaulting to ``queue.priority``), so a
+    Merge priority is read *live* from each queue at formation time, so a
     ``set_queue_priority`` issued after commands were enqueued still
     reorders them — the priority snapshotted onto the command at push time
     is only a fallback for commands inspected outside batch formation.
-    The QoS service supplies a ``priority_of`` that adds a per-class
-    stride on top of the queue priority.
+    The class rank needs no refresh: a queue's never changes.
 
     ``max_batch_tokens`` > 0 enables token-budget batching of ``forward``
     candidates (``prefill_chunk_tokens`` bounds single slices,
@@ -103,7 +108,7 @@ def form_candidate_batches(
     runs_by_kind: Dict[str, List[List[Command]]] = {}
     for queue in queues:
         runs = queue.ready_runs(max_batch_rows)
-        priority = priority_of(queue) if priority_of is not None else queue.priority
+        priority = queue.priority
         for run in runs:
             for command in run:
                 command.priority = priority
@@ -155,17 +160,19 @@ def _merge_runs(
     future_factory: Optional[Callable[[], SimFuture]] = None,
 ) -> List[Command]:
     """Horizontal batching: merge per-queue runs into one ordered batch."""
-    # Higher-priority queues are placed earlier so that tail truncation
-    # drops low-priority work first; ties broken by the oldest command.
-    # Within a priority tier, residuals that already received a slice pack
-    # *after* fresh work: decode rows fill the token budget first and the
-    # slice takes the remainder, instead of two residuals claiming the
-    # whole budget and pushing every decode row to the next round.  (With
-    # chunking off no command has ``chunks_taken`` set and the key reduces
-    # to the stock ordering.)
+    # A better class's queues are placed earlier, then higher-priority
+    # queues, so that tail truncation drops batch-class and low-priority
+    # work first; ties broken by the oldest command.  Within a tier,
+    # residuals that already received a slice pack *after* fresh work:
+    # decode rows fill the token budget first and the slice takes the
+    # remainder, instead of two residuals claiming the whole budget and
+    # pushing every decode row to the next round.  (With chunking off no
+    # command has ``chunks_taken`` set and the key reduces to the stock
+    # ordering.)
     ordered_runs = sorted(
         runs,
         key=lambda run: (
+            run[0].rank,
             -run[0].priority,
             run[0].chunks_taken > 0,
             run[0].issue_time,
@@ -222,10 +229,20 @@ def _merge_runs(
     return merged
 
 
-def select_longest_waiting(
-    candidates: Dict[str, CandidateBatch]
-) -> Optional[CandidateBatch]:
-    """Pick the candidate whose oldest pending command has waited longest."""
+def dispatch_key(batch: CandidateBatch, now: float) -> Tuple:
+    """The one dispatch order; the candidate with the smallest key goes.
+
+    An aged candidate (oldest command waited :data:`AGING_MS`) goes first,
+    oldest first; otherwise the best class rank among its commands, then
+    its oldest command.  Equal keys keep candidate order (``min``)."""
+    oldest = batch.oldest_issue_time
+    if now - oldest >= AGING_MS / 1e3:
+        return (0, 0, oldest)
+    return (1, min(command.rank for command in batch.commands), oldest)
+
+
+def select_batch(candidates: Dict[str, CandidateBatch], now: float) -> Optional[CandidateBatch]:
+    """Pick the candidate that goes next (:func:`dispatch_key`)."""
     if not candidates:
         return None
-    return min(candidates.values(), key=lambda batch: batch.oldest_issue_time)
+    return min(candidates.values(), key=lambda batch: dispatch_key(batch, now))

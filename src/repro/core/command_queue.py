@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set
 
 from repro.errors import SchedulingError
+from repro.core.qos import CLASS_RANK, DEFAULT_CLASS
 from repro.sim.futures import SimFuture
 
 _command_ids = itertools.count(1)
@@ -40,6 +41,9 @@ COMMAND_KINDS = (
 #: goes only with the queue's head and nothing passes it.
 HAZARD_CHECKED_KINDS = frozenset({"embed_text", "forward", "sample"})
 
+#: Class rank of a queue built without an owner's class (the default one's).
+DEFAULT_RANK = CLASS_RANK[DEFAULT_CLASS]
+
 
 @dataclass
 class Command:
@@ -52,6 +56,9 @@ class Command:
     issue_time: float
     queue_key: Any = None
     priority: int = 0
+    # Class rank of the owner's tenant (``CommandQueue.rank``): batch merging
+    # and dispatch serve a lower rank first.
+    rank: int = DEFAULT_RANK
     rows: int = 1
     input_tokens: int = 0
     context_tokens: int = 0
@@ -108,8 +115,8 @@ class Command:
         Planning is *pure*: the residual (``self``) is untouched until the
         batch is actually dispatched (``take_chunk``), so candidate batches
         that lose the selection round leave no trace.  The slice inherits
-        the residual's issue time (aging and longest-waiting selection see
-        the original command's wait), priority, and write set (so
+        the residual's issue time (aging and oldest-first selection see
+        the original command's wait), priority, class rank and write set (so
         conflict rules treat the slice exactly like the whole command).
 
         The slice's attention is charged against the context *accumulated
@@ -133,6 +140,7 @@ class Command:
             issue_time=self.issue_time,
             queue_key=self.queue_key,
             priority=self.priority,
+            rank=self.rank,
             rows=1,
             input_tokens=n_tokens,
             context_tokens=max(0, self.context_tokens - self.input_tokens),
@@ -154,9 +162,9 @@ class Command:
         by the time the residual runs.
 
         The residual's wait clock restarts at ``now``: it just received a
-        slice of service, so for longest-waiting selection, t_only ripeness
-        and QoS aging it counts as freshly re-arrived.  Without this reset
-        the residual stays the oldest command in the system and the forward
+        slice of service, so for oldest-first selection, t_only ripeness
+        and the aging bound it counts as freshly re-arrived.  Without this
+        reset the residual stays the oldest command in the system and the forward
         kind wins every selection round, starving the embed/sample batches
         the co-running decodes need — the exact head-of-line blocking
         chunking is meant to remove, re-created one layer up.
@@ -182,13 +190,20 @@ class Command:
 
 
 class CommandQueue:
-    """Scheduler-side state for one inferlet ``Queue`` handle."""
+    """Scheduler-side state for one inferlet ``Queue`` handle.
 
-    def __init__(self, key: Any, model: str, owner: str, priority: int = 0) -> None:
+    ``rank`` is the owner's class rank, stamped once at creation from the
+    tenant's spec (which is never replaced); the queue object carries it
+    across a handoff."""
+
+    def __init__(
+        self, key: Any, model: str, owner: str, priority: int = 0, rank: int = DEFAULT_RANK
+    ) -> None:
         self.key = key
         self.model = model
         self.owner = owner
         self.priority = priority
+        self.rank = rank
         self._pending: Deque[Command] = deque()
         self._inflight: int = 0
         # Synchronize barriers as ``(watermark, future)``, watermarks
@@ -222,6 +237,7 @@ class CommandQueue:
         # (repro.core.batching.form_candidate_batches), so set_queue_priority
         # after enqueue still affects already-queued commands.
         command.priority = self.priority
+        command.rank = self.rank
         command.queue_seq = self._issued
         self._pending.append(command)
         self._issued += 1

@@ -64,7 +64,7 @@ class ControlLayerConfig:
     # prompt work and the rest run pure-decode batches.  Committed KV pages
     # stream to the chosen decode shard while the tail of the prefill is
     # still running; once the first sampled token retires, the inferlet —
-    # queue state, swap registration, QoS accounting — migrates in one
+    # queue state (class rank included), swap registration — migrates in one
     # step.  Under any other policy no transfer scheduler is built and no
     # hooks are installed (bit-identical to the pre-disaggregation system).
     placement_policy: str = "round_robin"
@@ -107,16 +107,13 @@ class ControlLayerConfig:
     # Telemetry sampling period in virtual milliseconds; 0 disables the
     # periodic sampler (spans and instants are still recorded).
     trace_sample_ms: float = 5.0
-    # Multi-tenant QoS (repro.core.qos): when True, candidate batches are
-    # scored by class-weighted slack-to-deadline instead of longest-waiting,
-    # and placement and dispatch weigh fair share.  Off by default.  Tenant
-    # admission limits (the launch gate) and the reclamation victim order
-    # (Controller.victim_key) are the core's and apply either way.
-    qos: bool = False
-    # Registered tenants (TenantSpec records): their rate, concurrency cap
-    # and backlog bound are applied at launch with or without ``qos``.
-    # Launches naming an unregistered tenant get an implicit unlimited spec
-    # of ``qos.DEFAULT_CLASS``.
+    # Registered tenants (TenantSpec records, repro.core.qos), read by the
+    # core with every plane off: the launch gate applies their rate,
+    # concurrency cap and backlog bound, their class orders dispatch and
+    # batch merging (best class present, oldest command first) and the
+    # reclamation victims (Controller.victim_key).  Launches naming an
+    # unregistered tenant get an implicit unlimited spec of the default
+    # class.
     tenants: Tuple[TenantSpec, ...] = ()
     # Live SLO monitoring plane (repro.core.monitor): when True the
     # controller builds a MonitorService — a per-tenant error-budget /
@@ -203,7 +200,6 @@ class PieConfig:
 #: switches on the knobs it is useless without — unless the caller set
 #: those knobs explicitly.
 SHORTHAND_IMPLICATIONS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
-    ("tenants", {"qos": True}),
     ("trace_path", {"tracing": True}),
     ("fault_seed", {"faults": True}),
     ("fault_plan", {"faults": True}),

@@ -44,7 +44,7 @@ from repro.core.inferlet import InferletInstance, LifecycleObserver
 from repro.core.messaging import ExternalServices, MessageBus
 from repro.core.metrics import SystemMetrics
 from repro.core.monitor import MonitorService
-from repro.core.qos import QosService, TenantTable
+from repro.core.qos import TenantTable
 from repro.core.retry import RetryPolicy, faulty_request
 from repro.core.router import DeviceShard
 from repro.core.service import ModelService
@@ -110,11 +110,6 @@ class Controller:
         if control.tracing:
             self.trace = TraceRecorder(sim)
             timers.append(telemetry_sampler(self.trace, self))
-        # The QoS control plane (repro.core.qos): SLO-aware dispatch and
-        # fair share (admission is the lifecycle manager's launch gate).
-        self.qos: Optional[QosService] = None
-        if control.qos:
-            self.qos = QosService(sim, self.metrics, self.tenants, live=self._instances)
         # The chaos plane (repro.sim.faults / repro.core.retry /
         # repro.core.health): the deterministic fault schedule, the retry
         # policy for tool calls and refused handoffs, and — below, once the
@@ -146,7 +141,6 @@ class Controller:
                 registry.get(name),
                 self.metrics,
                 self._ensure_capacity,
-                qos=self.qos,
                 trace=self.trace,
                 retry=self.retry,
             )
@@ -278,6 +272,7 @@ class Controller:
             model=model,
             owner=instance.instance_id,
             priority=priority,
+            rank=self.tenants[instance.tenant].rank,
         )
         return handle
 

@@ -71,7 +71,7 @@ class InferletInstance:
     ) -> None:
         self.program = program
         self.args: List[str] = list(args or [])
-        # Multi-tenant QoS: the tenant this launch is billed to, and the
+        # Multi-tenant serving: the tenant this launch is billed to, and the
         # initial priority every queue the inferlet creates starts with
         # (so programs need not call set_queue_priority per queue).
         self.tenant = tenant

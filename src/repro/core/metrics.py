@@ -28,7 +28,7 @@ class InferletMetrics:
     inference_layer_calls: int = 0
     output_tokens: int = 0
     # First/latest output-token timestamps (virtual time), recorded for
-    # every inferlet so TTFT/TPOT can be computed with or without QoS.
+    # every inferlet so TTFT/TPOT can be computed with every plane off.
     first_token_at: Optional[float] = None
     last_token_at: Optional[float] = None
     # The tenant's latency SLOs (seconds) this inferlet was launched under,
@@ -157,9 +157,8 @@ class TenantMetrics:
     The core counts each fact where it is known: ``offered`` at launch, the
     TTFT sample at the first output token (:meth:`note_output`), the exit —
     terminal status, ``good`` and a *finished* stream's TPOT sample — at
-    retirement (:meth:`note_exit`), a reclamation victim at its rung.  QoS
-    adds what only it knows; the SLO engine and the monitor read the record
-    and count nothing themselves.
+    retirement (:meth:`note_exit`), a reclamation victim at its rung.  The
+    SLO engine and the monitor read the record and count nothing themselves.
     """
 
     tenant: str
@@ -186,15 +185,11 @@ class TenantMetrics:
     # ``admitted`` / ``queued`` are written by the launch gate
     # (``InferletLifecycleManager``) and the two ``preempted_*`` counts at the
     # reclamation rung that picked the victim (``Controller._ensure_capacity``),
-    # with every plane off.  Written by QoS (repro.core.qos): handoffs of this
-    # tenant's inferlets and its fair-share counters.
+    # with every plane off.
     admitted: int = 0
     queued: int = 0
     preempted_swaps: int = 0
     preempted_terminations: int = 0
-    handoffs: int = 0
-    dispatched_commands: int = 0
-    virtual_tokens: float = 0.0
 
     def observe(self, signal: str, seconds: float, verdict: Optional[bool]) -> None:
         """Record one ``"ttft"`` / ``"tpot"`` sample and count its verdict
@@ -322,7 +317,7 @@ class SystemMetrics:
     retries_exhausted: int = 0
     retry_backoff_seconds: float = 0.0
     # One record per tenant, keyed by name: every configured tenant and
-    # every tenant that launched, with or without QoS.
+    # every tenant that launched.
     tenants: Dict[str, TenantMetrics] = field(default_factory=dict)
 
     def tenant_record(self, spec) -> TenantMetrics:

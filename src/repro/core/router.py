@@ -144,7 +144,6 @@ class Router:
         shards: Sequence[DeviceShard],
         policy: str = "round_robin",
         is_swapped: Optional[Callable[[str], bool]] = None,
-        placement_weight: Optional[Callable[[str], float]] = None,
         prefill_shards: int = 0,
         trace=None,
         health_probe: Optional[Callable[[int], bool]] = None,
@@ -166,11 +165,6 @@ class Router:
         # shard the probe rejects (down or draining) is skipped, and an
         # empty eligible set raises ShardUnavailableError.
         self.health_probe = health_probe
-        # QoS fair share (repro.core.qos): per-instance occupancy weight for
-        # least_loaded placement — better-class inferlets count heavier, so
-        # interactive tenants spread across shards instead of queueing
-        # behind one shard's batch backlog.  None = every instance counts 1.
-        self.placement_weight = placement_weight
         # Disaggregation: shards [0, prefill_shards) take new inferlets
         # (prefill role), the rest receive them via migrate().  0 = no
         # role split (every policy but "disaggregated").
@@ -327,11 +321,7 @@ class Router:
         for instance_id, placed_index in self._placements.items():
             if self.is_swapped is not None and self.is_swapped(instance_id):
                 continue  # suspended to host memory: no HBM, no compute
-            occupancy[placed_index] += (
-                self.placement_weight(instance_id)
-                if self.placement_weight is not None
-                else 1
-            )
+            occupancy[placed_index] += 1
         if extra_occupancy:
             for index, load in extra_occupancy.items():
                 occupancy[index] = occupancy.get(index, 0.0) + load

@@ -8,8 +8,10 @@ Four policies are provided, matching the paper's Table 5 comparison:
   device becomes idle).  §6.1 does not say *which* ready batch is best:
   here a ``forward`` candidate made only of decode steps first yields its
   turn, for at most one weight-bound floor, to the cheaper kinds ready
-  beside it (``_forward_yields``); among what is left, the batch whose
-  oldest command has waited longest goes.
+  beside it (``_forward_yields``); among what is left, one key decides in
+  every configuration (:func:`repro.core.batching.select_batch`): a batch
+  whose oldest command has waited the aging bound goes first, else the
+  best class present, oldest command first.
 * ``eager``    — no batching: every command is dispatched on its own.
 * ``k_only``   — fixed-size batching: dispatch once some kind has at least
   ``k_threshold`` pending commands (with a safety flush so the system
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SchedulingError
-from repro.core.batching import CandidateBatch, form_candidate_batches, select_longest_waiting
-from repro.core.command_queue import Command, CommandQueue
+from repro.core.batching import CandidateBatch, form_candidate_batches, select_batch
+from repro.core.command_queue import DEFAULT_RANK, Command, CommandQueue
 from repro.core.config import ControlLayerConfig, SchedulerConfig
 from repro.core.handlers import ApiHandlers
 from repro.core.metrics import SystemMetrics
@@ -102,7 +104,6 @@ class BatchScheduler:
         metrics: Optional[SystemMetrics] = None,
         trace=None,
         shard_index: int = 0,
-        qos=None,
     ) -> None:
         self.sim = sim
         self.device = device
@@ -122,7 +123,7 @@ class BatchScheduler:
         #
         # * ``_queue_order``  — key -> monotonic insertion sequence number,
         #   so index-backed iteration reproduces ``self._queues`` insertion
-        #   order bit-for-bit (candidate-kind order and longest-waiting
+        #   order bit-for-bit (candidate-kind order and dispatch-order
         #   tie-breaks depend on it).
         # * ``_owner_queues`` — owner -> {key -> queue}, insertion-ordered.
         # * ``_ready``        — key -> queue for queues with pending > 0,
@@ -143,11 +144,6 @@ class BatchScheduler:
         # out to the host tier must not have commands dispatched until their
         # pages are resident again.  None = admit everyone.
         self._dispatch_guard: Optional[Callable[[str], bool]] = None
-        # QoS service (repro.core.qos): when given, candidate-batch
-        # selection scores by class-weighted slack-to-deadline, merge
-        # priority gains a per-class stride, and dispatched work feeds the
-        # tenant fair-share counters.  None = stock longest-waiting policy.
-        self._qos = qos
         # Called with each successfully completed prefill head slice
         # (disaggregation streams the slice's committed KV pages while the
         # residual is still queued).  None = no observer, zero overhead.
@@ -188,7 +184,7 @@ class BatchScheduler:
         # is O(live work) no matter how many idle queues exist.  Sorting by
         # insertion sequence reproduces the old full-scan's ``self._queues``
         # iteration order exactly — candidate-kind ordering and the
-        # longest-waiting first-seen tie-break depend on it.
+        # dispatch order's first-seen tie-break depend on it.
         order = self._queue_order
         queues = sorted(self._ready.values(), key=lambda queue: order[queue.key])
         if self._dispatch_guard is None:
@@ -225,10 +221,12 @@ class BatchScheduler:
 
     # -- queue management ---------------------------------------------------
 
-    def create_queue(self, key: Any, model: str, owner: str, priority: int = 0) -> CommandQueue:
+    def create_queue(
+        self, key: Any, model: str, owner: str, priority: int = 0, rank: int = DEFAULT_RANK
+    ) -> CommandQueue:
         if key in self._queues:
             raise SchedulingError(f"command queue {key!r} already exists")
-        queue = CommandQueue(key=key, model=model, owner=owner, priority=priority)
+        queue = CommandQueue(key=key, model=model, owner=owner, priority=priority, rank=rank)
         self._queues[key] = queue
         self._index_queue(queue)
         return queue
@@ -372,7 +370,6 @@ class BatchScheduler:
         return form_candidate_batches(
             self._dispatchable_queues(),
             self.gpu_config.max_batch_rows,
-            priority_of=self._qos.queue_priority if self._qos is not None else None,
             max_batch_tokens=max_batch_tokens,
             prefill_chunk_tokens=prefill_chunk_tokens,
             future_factory=future_factory,
@@ -383,9 +380,7 @@ class BatchScheduler:
             candidates = {
                 kind: batch for kind, batch in candidates.items() if kind != "forward"
             }
-        if self._qos is not None:
-            return self._qos.select_batch(candidates)
-        return select_longest_waiting(candidates)
+        return select_batch(candidates, self.sim.now)
 
     def _forward_yields(self, candidates: Dict[str, CandidateBatch]) -> bool:
         """A forward candidate that waiting can improve yields its turn.
@@ -395,20 +390,20 @@ class BatchScheduler:
         candidate with no whole prompt in it gives way while another kind
         has a candidate:
 
-        * **decode steps only** (``prefill_rows == 0``; adaptive policy,
-          longest-waiting selection): the cheaper batches beside it — a
-          0.1 ms ``embed_text``, a 2 ms ``sample`` — sit on other requests'
-          critical paths, and once they ran their owners' forwards land and
-          one larger forward follows instead of two small ones.  A forward
-          that carries a prompt keeps its place on purpose (first-token
-          time; see ARCHITECTURE "Which batch goes first").
+        * **decode steps only** (``prefill_rows == 0``; adaptive policy):
+          the cheaper batches beside it — a 0.1 ms ``embed_text``, a 2 ms
+          ``sample`` — sit on other requests' critical paths, and once they
+          ran their owners' forwards land and one larger forward follows
+          instead of two small ones.  A forward that carries a prompt
+          keeps its place on purpose (first-token time; see ARCHITECTURE
+          "Which batch goes first").
         * **prefill slices only**: sliced prefills exist to *share* batches
           with decode rows; dispatched between decode rounds they would
           insert an extra floor per round.  They wait for the next mixed
           forward batch — or for an idle device, where they dispatch alone
           and keep a newly arriving inferlet's wait bounded by one chunk.
 
-        Liveness: longest-waiting ages every command, this rule does not, so
+        Liveness: the dispatch order ages every command, this rule does not, so
         a forward is held for at most that floor between two forward
         dispatches — the floor is the most a merge can save, past it waiting
         cannot pay — and then competes by age again like any other kind.
@@ -422,7 +417,7 @@ class BatchScheduler:
         if forward.prefill_rows:
             improvable = all(command.is_chunk for command in forward.commands)
         else:
-            improvable = self.config.policy == "adaptive" and self._qos is None
+            improvable = self.config.policy == "adaptive"
         if not improvable:
             return False
         now = self.sim.now
@@ -537,8 +532,6 @@ class BatchScheduler:
         self.stats.record(batch)
         if batch.kind == "forward":
             self._forward_held_since = None
-        if self._qos is not None:
-            self._qos.note_dispatched(batch.commands)
         cost = self.handlers.batch_cost_seconds(batch.kind, batch.commands)
         cost += milliseconds(BATCH_SCHEDULING_OVERHEAD_MS)
         cost += milliseconds(IPC_CROSSING_MS)

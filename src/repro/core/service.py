@@ -166,12 +166,11 @@ class ModelService:
         entry: ModelEntry,
         metrics: SystemMetrics,
         ensure_capacity,
-        qos=None,
         trace=None,
         retry=None,
     ) -> "ModelService":
-        """Assemble the cluster serving ``entry``.  ``qos`` / ``trace`` /
-        ``retry`` are the optional planes' services (None = knob off): each
+        """Assemble the cluster serving ``entry``.  ``trace`` / ``retry``
+        are the optional planes' services (None = knob off): each
         part that can use one is handed it here, once.
         ``ensure_capacity(shard, instance, kv_pages, embeds)`` is the
         controller's swap-first / terminate-last reclamation: swap-in and
@@ -202,7 +201,6 @@ class ModelService:
                 metrics=metrics,
                 trace=trace,
                 shard_index=index,
-                qos=qos,
             )
             resources = ResourceManager(
                 memory,
@@ -245,7 +243,6 @@ class ModelService:
             shards,
             policy=control.placement_policy,
             is_swapped=swap.is_swapped if swap.enabled else None,
-            placement_weight=qos.placement_weight if qos is not None else None,
             prefill_shards=control.prefill_shards,
             trace=trace,
         )
@@ -257,7 +254,6 @@ class ModelService:
                 mover,
                 metrics,
                 ensure_capacity,
-                qos=qos,
                 trace=trace,
                 retry=retry,
             )

@@ -1,9 +1,9 @@
 """Per-tenant SLO error budgets and multi-window burn-rate alerting.
 
-The QoS subsystem *enforces* SLOs inside the scheduler; this module
-*observes* them the way a production on-call would: the good/bad verdicts
-of each tenant's TTFT and TPOT samples — decided once, on the inferlet's
-record (:func:`repro.core.metrics.met`), and counted once, on the tenant's
+The core *enforces* tenant classes (launch gate, dispatch order, victim
+order); this module *observes* their SLOs the way a production on-call
+would: the good/bad verdicts of each tenant's TTFT and TPOT samples —
+decided once, on the inferlet's record (:func:`repro.core.metrics.met`), and counted once, on the tenant's
 :class:`~repro.core.metrics.TenantMetrics` — are read against an error
 budget for an availability objective (``slo_target``, e.g. 0.95 = 5% of
 requests may miss), and alerts fire on the *burn rate* — how many times
@@ -155,11 +155,10 @@ class _SignalTracker:
 class SloEngine:
     """Tracks per-tenant error budgets and drives burn-rate alerts.
 
-    Independent of the QoS *service*: the availability objective of a
-    tenant is read from the controller's :class:`~repro.core.qos.TenantTable`
-    (``tenants``) and its verdicts from the core's per-tenant records
-    (``records``, ``SystemMetrics.tenants``); both exist whether or not QoS
-    enforcement is on (the load harness runs with it off).
+    The availability objective of a tenant is read from the controller's
+    :class:`~repro.core.qos.TenantTable` (``tenants``) and its verdicts from
+    the core's per-tenant records (``records``, ``SystemMetrics.tenants``);
+    both exist with every plane off.
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """Flight recorder: bounded structured tracing for the control plane.
 
 ``SystemMetrics`` answers *how much* (flat end-of-run counters); the flight
-recorder answers *when* and *why*: every control-plane hot point — QoS
+recorder answers *when* and *why*: every control-plane hot point — launch
 admission, command queue wait, batch formation and forward dispatch, KV
 commit, chunked-prefill slicing, swap suspend/resume, KV streaming and live
 migration, link occupancy — emits structured spans and instant events
@@ -54,7 +54,7 @@ TRACE_MAX_EVENTS = 200_000
 #: stall-attribution sweep in ``repro.tools.trace_report`` keys off these.
 TRACE_CATEGORIES = (
     "lifecycle",  # one span per inferlet, launch -> finish/abort
-    "admission",  # QoS park/admit plus launch handling
+    "admission",  # launch-gate park/admit plus launch handling
     "queue",      # command submitted -> popped into a dispatched batch
     "exec",       # dispatched batch / command -> device completion
     "swap",       # swap-out/in instants and fault-in stalls

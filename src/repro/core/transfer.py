@@ -40,7 +40,6 @@ from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.inferlet import InferletInstance
-    from repro.core.qos import QosService
     from repro.core.router import DeviceShard, Router
 
 
@@ -86,7 +85,6 @@ class KvTransferScheduler:
         mover: KvMover,
         metrics: SystemMetrics,
         ensure_capacity,
-        qos: Optional["QosService"] = None,
         trace=None,
         retry=None,
     ) -> None:
@@ -95,7 +93,6 @@ class KvTransferScheduler:
         self.router = router
         self.mover = mover
         self.metrics = metrics
-        self.qos = qos
         # Flight recorder (repro.core.trace): "kv_stream" spans per flush, a
         # "handoff" span over stall+landing (the mover traces the wire).
         self._trace = trace
@@ -326,8 +323,6 @@ class KvTransferScheduler:
         src.service.move(instance, dst, new_kv, new_emb)
         if stream is not None:
             self._unstage(stream)
-        if self.qos is not None:
-            self.qos.note_handoff(instance)
 
         # Timing: the decode shard cannot touch the migrated KV before the
         # link has drained (streamed pages still in flight) and the tail

@@ -47,8 +47,8 @@ class InferletTerminated(InferletError):
 
 
 class AdmissionRejectedError(ReproError):
-    """Raised when a tenant's launch gate refuses an inferlet launch, with
-    or without QoS.  ``reason`` says why: ``"queue_full"`` — the tenant is
+    """Raised when a tenant's launch gate refuses an inferlet launch.
+    ``reason`` says why: ``"queue_full"`` — the tenant is
     over its rate/concurrency budget and ``max_queued`` launches already
     wait.  Typed so clients can distinguish shed load from real failures."""
 

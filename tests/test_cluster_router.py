@@ -347,17 +347,8 @@ def placement_worlds(draw):
         )
         for index in range(n)
     ]
-    # Live inferlets: (shard, swapped, weight) — weights sum exactly.
-    live = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n - 1),
-                st.booleans(),
-                st.sampled_from((0.5, 1.0, 2.0, 3.0)),
-            ),
-            max_size=8,
-        )
-    )
+    # Live inferlets: (shard, swapped).
+    live = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=8))
     down = draw(st.none() | st.sets(st.integers(0, n - 1)))
     restrict = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1).map(sorted))
     hint = draw(st.integers(0, len(FAMILY)).map(lambda k: list(FAMILY[:k])))
@@ -365,7 +356,6 @@ def placement_worlds(draw):
         "shards": shards,
         "live": live,
         "swap_flags": draw(st.booleans()),
-        "weights": draw(st.booleans()),
         "down": down,
         "restrict": restrict,
         "hint": hint,
@@ -380,10 +370,9 @@ def build_router(world, policy="cache_affinity", prefill_shards=0):
         policy=policy,
         prefill_shards=prefill_shards,
         is_swapped=(lambda iid: live[iid][1]) if world["swap_flags"] else None,
-        placement_weight=(lambda iid: live[iid][2]) if world["weights"] else None,
         health_probe=None if down is None else (lambda index: index not in down),
     )
-    for iid, (index, _, _) in live.items():
+    for iid, (index, _) in live.items():
         router._placements[iid] = index
     return router
 
@@ -395,9 +384,9 @@ def expected_pick(world, allowed):
     if not allowed:
         return None
     occupancy = {i: 0.0 for i in allowed}
-    for index, swapped, weight in world["live"]:
+    for index, swapped in world["live"]:
         if index in occupancy and not (world["swap_flags"] and swapped):
-            occupancy[index] += weight if world["weights"] else 1
+            occupancy[index] += 1
     least = [i for i in allowed if occupancy[i] == min(occupancy.values())]
     caches = {i: world["shards"][i].prefix_cache for i in least}
     matches = {i: cache.match_len(world["hint"]) if cache else 0 for i, cache in caches.items()}

@@ -24,7 +24,6 @@ TENANTS = [TenantSpec(name="acme", priority_class="interactive")]
 #: A value that triggers each row of the implication table (with whatever
 #: else the result needs to validate).
 TRIGGERS = {
-    "tenants": dict(tenants=TENANTS),
     "trace_path": dict(trace_path="t.json"),
     "fault_seed": dict(fault_seed=0),
     "fault_plan": dict(fault_plan=[["tool_error", 0.1, 0.2]]),
@@ -50,10 +49,11 @@ def test_false_and_none_imply_nothing():
     assert control_of(**{key: None for key in TRIGGERS}) == ControlLayerConfig()
     # False is a value, not a trigger: ``fault_seed=False`` is seed 0.
     assert control_of(fault_seed=False) == ControlLayerConfig()
+    # Tenants switch no plane on: the core reads them with every plane off.
+    assert control_of(tenants=TENANTS) == ControlLayerConfig(tenants=tuple(TENANTS))
 
 
 def test_an_explicit_value_beats_an_implication():
-    assert control_of(tenants=TENANTS, qos=False).qos is False
     assert control_of(fault_seed=3, faults=False).faults is False
     # The explicit value wins and the combination is then rejected, rather
     # than being silently replaced by the implied one.
@@ -91,7 +91,7 @@ def test_an_unknown_key_is_a_type_error_naming_it():
 
 
 def test_overrides_apply_on_top_of_a_given_config():
-    base = PieConfig(control=ControlLayerConfig(qos=True, swap_policy="on_demand"))
+    base = PieConfig(control=ControlLayerConfig(prefix_cache=True, swap_policy="on_demand"))
     server = PieServer(Simulator(seed=0), config=base, num_devices=2)
     assert server.config.control == base.control
     assert server.num_devices == 2

@@ -16,9 +16,8 @@ The tests, in the repo's oracle pattern:
   properties hold the new reads equal to them with ``==`` — random stamps
   and token times, a token at ``t = 0.0`` included; random rows on every
   model size;
-* on a real QoS run every slack QoS scores reads the old deadline;
-* QoS forgets an inferlet when it leaves (the parent kept every admitted
-  instance alive until the run ended);
+* the tenant machinery forgets an inferlet when it leaves (the parent's
+  QoS service kept every admitted instance alive until the run ended);
 * an AST scan keeps the decision behind one module: nothing under
   ``src/repro/core/`` reads a ``CostParams`` field or names ``ForwardRow``.
 
@@ -42,8 +41,8 @@ from hypothesis import strategies as st
 
 from repro.core import InferletProgram, PieServer, TenantSpec
 from repro.core.handlers import ApiHandlers
-from repro.core.metrics import InferletMetrics, SystemMetrics
-from repro.core.qos import QOS_CLASSES, QosService, TenantTable
+from repro.core.metrics import InferletMetrics
+from repro.core.qos import QOS_CLASSES, TenantTable
 from repro.gpu.kernels import ForwardRow, KernelCostModel
 from repro.model import CostParams, get_model_config
 from repro.sim import Simulator
@@ -116,14 +115,12 @@ def timelines(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(timeline=timelines(), admitted=st.booleans())
-def test_deadline_equals_the_old_one(timeline, admitted):
+@given(timeline=timelines())
+def test_deadline_equals_the_old_one(timeline):
     spec, launched_at, tokens = timeline
-    qos = QosService(Simulator(), SystemMetrics(), TenantTable([spec]), live={})
+    qos = SimpleNamespace(sim=Simulator(), tenants=TenantTable([spec]))
     instance = stamp(qos, make_instance(tenant="acme"))
     instance.metrics.launched_at = launched_at
-    if admitted:
-        qos.live[instance.instance_id] = instance
     assert instance.metrics.deadline == _old_deadline(qos, instance)
     for at, count in tokens:
         instance.metrics.note_output(at, count)
@@ -142,34 +139,6 @@ def test_a_first_token_at_zero_is_a_token():
 def test_an_unstamped_record_has_no_deadline():
     assert InferletMetrics("probe").deadline is None
     assert InferletMetrics("probe", first_token_at=0.5, last_token_at=0.5).deadline is None
-
-
-def test_every_slack_qos_scores_reads_the_old_deadline(monkeypatch):
-    """On a real QoS run (three classes, queued admission) the slack QoS
-    scores — dispatch and preemption — is the one the parent scored."""
-    seen = []
-    weighted_slack = QosService._weighted_slack
-
-    def checked(self, instance, now):
-        seen.append((instance.metrics.deadline, _old_deadline(self, instance)))
-        return weighted_slack(self, instance, now)
-
-    monkeypatch.setattr(QosService, "_weighted_slack", checked)
-    sim = Simulator(seed=3)
-    server = PieServer(
-        sim,
-        tenants=[
-            TenantSpec(name="chat", priority_class="interactive", max_concurrent=2),
-            TenantSpec(name="std", priority_class="standard", ttft_slo_ms=37.0),
-            TenantSpec(name="jobs", priority_class="batch", max_concurrent=1),
-        ],
-    )
-    server.register_program(chatter())
-    for index in range(9):
-        server.launch("chatter", tenant=("chat", "std", "jobs")[index % 3])
-    sim.run()
-    assert len(seen) > 50
-    assert all(new == old for new, old in seen)
 
 
 # -- property 2: the forward cost ------------------------------------------------
@@ -213,7 +182,7 @@ def test_the_three_core_reads_equal_the_parent_arithmetic(model_name, tokens):
     )
 
 
-# -- QoS forgets who left ----------------------------------------------------------
+# -- the tenant machinery forgets who left ----------------------------------------------------------
 
 
 def chatter() -> InferletProgram:
@@ -227,9 +196,8 @@ def chatter() -> InferletProgram:
 
 
 def test_qos_holds_no_finished_inferlet():
-    """QoS keeps no per-inferlet state (it reads the controller's registry),
-    and the launch gate forgets who left: nothing holds a finished
-    instance."""
+    """The launch gate forgets who left, and there is no QoS service to
+    keep per-inferlet state: nothing holds a finished instance."""
     sim = Simulator(seed=0)
     server = PieServer(
         sim, tenants=[TenantSpec(name="chat", priority_class="interactive", max_concurrent=2)]
@@ -238,7 +206,6 @@ def test_qos_holds_no_finished_inferlet():
     instances = [server.launch("chatter", tenant="chat")[0] for _ in range(4)]
     sim.run()
     assert [instance.status for instance in instances] == ["finished"] * 4
-    assert not hasattr(server.controller.qos, "_instances")
     assert server.controller.instances() == []
     assert server.lifecycle.gates["chat"].running == set()
     assert not server.lifecycle.gates["chat"].parked

@@ -39,7 +39,7 @@ def make_agent(index):
 def run_stack(
     seed=7,
     n_agents=6,
-    qos=False,
+    classes=False,
     chunked=False,
     disagg=False,
     tracing=False,
@@ -51,11 +51,10 @@ def run_stack(
 ):
     """Cluster of 2 devices + host KV tier + prefix cache, staggered fleet.
 
-    ``qos=True`` layers the multi-tenant QoS service on top (tenant
-    admission, slack dispatch, class-aware preemption): the determinism
-    guarantee must hold for the full stack, and ``qos=False`` must take
-    the exact pre-QoS code path (no QoS counters; the core's tenant record
-    holds nothing QoS writes).
+    ``classes=True`` registers two tenants of different classes (the
+    interactive fleet, a batch backfill capped at two): the launch gate
+    parks, and dispatch, batch merging and preemption tell the classes
+    apart.  The determinism guarantee must hold either way.
     ``chunked=True`` additionally slices prefills under a small token
     budget (chunked prefill), with the same off-knob guarantee.
     ``disagg=True`` splits the two devices into one prefill and one decode
@@ -77,7 +76,7 @@ def run_stack(
             TenantSpec(name="fleet", priority_class="interactive"),
             TenantSpec(name="backfill", priority_class="batch", max_concurrent=2),
         )
-        if qos
+        if classes
         else ()
     )
     config = PieConfig(
@@ -92,7 +91,6 @@ def run_stack(
             prefix_cache=True,
             placement_policy="disaggregated" if disagg else "cache_affinity",
             prefill_shards=1,
-            qos=qos,
             tenants=tenants,
             chunked_prefill=chunked,
             prefill_chunk_tokens=16,
@@ -119,7 +117,7 @@ def run_stack(
                 one(
                     p,
                     i * 0.15,
-                    ("fleet" if i % 2 == 0 else "backfill") if qos else None,
+                    ("fleet" if i % 2 == 0 else "backfill") if classes else None,
                 )
             )
             for i, p in enumerate(programs)
@@ -177,10 +175,10 @@ def admitted(run) -> int:
 
 
 def test_qos_off_is_bit_identical_and_leaves_no_qos_trace():
-    """The qos=off default takes the exact pre-QoS serving path: two
-    seeded runs agree bit-for-bit and no QoS machinery leaves a trace."""
-    first = run_stack(qos=False)
-    second = run_stack(qos=False)
+    """With no tenant registered two seeded runs agree bit-for-bit, and
+    nothing the removed QoS plane counted is left on the records."""
+    first = run_stack()
+    second = run_stack()
     assert first["now"] == second["now"]
     assert first["metrics"] == second["metrics"]
     # (The qos_preemption_* twins of reclamation_* are gone: the victim
@@ -189,28 +187,29 @@ def test_qos_off_is_bit_identical_and_leaves_no_qos_trace():
     assert not any(name.startswith("qos_") for name in first["metrics"])
     # The core keeps a record per tenant with every plane off, the launch
     # gate's decisions included: the default tenant is unlimited, so every
-    # launch is admitted and none parks.  What QoS writes stays zero.
+    # launch is admitted and none parks.
     [record] = first["metrics"]["tenants"].values()
     assert (record["tenant"], record["offered"], record["finished"]) == ("default", 6, 6)
-    assert (record["admitted"], record["rejected"]) == (6, 0)
-    for field in ("queued", "handoffs", "dispatched_commands", "virtual_tokens"):
-        assert record[field] == 0, field
+    assert (record["admitted"], record["rejected"], record["queued"]) == (6, 0, 0)
+    for field in ("handoffs", "dispatched_commands", "virtual_tokens"):
+        assert field not in record, field
     # The preemption counts are the core's now, counted at the reclamation
     # rung; this run never reclaims, so they read zero because nothing was
-    # preempted, not because QoS is off.
+    # preempted.
     assert first["metrics"]["reclamation_swaps"] == record["preempted_swaps"] == 0
     assert first["metrics"]["reclamation_terminations"] == record["preempted_terminations"] == 0
 
 
 def test_qos_on_stack_is_bit_identical():
-    """Determinism holds with the full QoS layer active (admission queue
-    timers, slack scoring, fair-share counters, tenant metrics)."""
-    first = run_stack(qos=True)
-    second = run_stack(qos=True)
+    """Determinism holds with two classes registered (the launch gate's
+    backlog, class-then-age dispatch, class-first merging, tenant
+    metrics)."""
+    first = run_stack(classes=True)
+    second = run_stack(classes=True)
     assert first["now"] == second["now"]
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
-    # The scenario exercised the QoS machinery, not just its knobs.
+    # The scenario exercised the tenant machinery, not just its table.
     assert admitted(first) > 0
     assert set(first["metrics"]["tenants"]) == {"fleet", "backfill"}
 
@@ -239,10 +238,10 @@ def test_chunked_on_stack_is_bit_identical():
 
 
 def test_chunked_and_qos_stack_is_bit_identical():
-    """The full stack with *every* subsystem on: QoS admission/dispatch
-    plus chunked prefill must still be deterministic run-to-run."""
-    first = run_stack(qos=True, chunked=True)
-    second = run_stack(qos=True, chunked=True)
+    """The full stack with *every* subsystem on: two classes plus chunked
+    prefill must still be deterministic run-to-run."""
+    first = run_stack(classes=True, chunked=True)
+    second = run_stack(classes=True, chunked=True)
     assert first["now"] == second["now"]
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
@@ -318,9 +317,9 @@ def test_tracing_off_default_is_inert():
 def test_tracing_on_does_not_perturb_the_run():
     """The flight recorder observes without perturbing: tokens, metrics
     and every virtual timestamp are bit-identical with tracing on vs off,
-    on the full qos+chunked+disagg stack (and the trace is non-trivial)."""
-    on = run_stack(qos=True, chunked=True, disagg=True, tracing=True)
-    off = run_stack(qos=True, chunked=True, disagg=True, tracing=False)
+    on the full classes+chunked+disagg stack (and the trace is non-trivial)."""
+    on = run_stack(classes=True, chunked=True, disagg=True, tracing=True)
+    off = run_stack(classes=True, chunked=True, disagg=True, tracing=False)
     assert on["now"] == off["now"]
     assert on["results"] == off["results"]
     assert on["metrics"] == off["metrics"]
@@ -330,8 +329,8 @@ def test_tracing_on_does_not_perturb_the_run():
 
 
 def test_tracing_on_is_bit_identical_run_to_run():
-    first = run_stack(qos=True, chunked=True, disagg=True, tracing=True)
-    second = run_stack(qos=True, chunked=True, disagg=True, tracing=True)
+    first = run_stack(classes=True, chunked=True, disagg=True, tracing=True)
+    second = run_stack(classes=True, chunked=True, disagg=True, tracing=True)
     assert first["now"] == second["now"]
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
@@ -350,9 +349,9 @@ def test_monitoring_off_default_is_inert():
 def test_monitoring_on_does_not_perturb_the_run():
     """The monitor observes without perturbing: tokens, metrics and every
     virtual timestamp are bit-identical with monitoring on vs off, on the
-    full qos+chunked+disagg stack (and the monitor actually scraped)."""
-    on = run_stack(qos=True, chunked=True, disagg=True, monitoring=True)
-    off = run_stack(qos=True, chunked=True, disagg=True, monitoring=False)
+    full classes+chunked+disagg stack (and the monitor actually scraped)."""
+    on = run_stack(classes=True, chunked=True, disagg=True, monitoring=True)
+    off = run_stack(classes=True, chunked=True, disagg=True, monitoring=False)
     assert on["now"] == off["now"]
     assert on["results"] == off["results"]
     assert on["metrics"] == off["metrics"]
@@ -362,8 +361,8 @@ def test_monitoring_on_does_not_perturb_the_run():
 
 
 def test_monitoring_on_is_bit_identical_run_to_run():
-    first = run_stack(qos=True, chunked=True, disagg=True, monitoring=True)
-    second = run_stack(qos=True, chunked=True, disagg=True, monitoring=True)
+    first = run_stack(classes=True, chunked=True, disagg=True, monitoring=True)
+    second = run_stack(classes=True, chunked=True, disagg=True, monitoring=True)
     assert first["now"] == second["now"]
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
@@ -375,7 +374,7 @@ def test_exporting_is_idempotent_and_invisible_to_the_run():
     """An export is a pure read of live state: twice in a row it says the
     same thing, and taken mid-run it changes neither tokens, metrics and
     virtual time nor what a later export says."""
-    stack = dict(qos=True, chunked=True, disagg=True, monitoring=True)
+    stack = dict(classes=True, chunked=True, disagg=True, monitoring=True)
     plain = run_stack(**stack)
     probed = run_stack(**stack, export_at=(0.4, 0.9))
     assert plain["monitor_exports"][0] == plain["monitor_exports"][1]
@@ -416,7 +415,7 @@ def test_faults_off_default_is_inert():
     assert controller.retry is None
     for service in controller._services.values():
         assert service.router.health_probe is None
-    run = run_stack(qos=True, chunked=True, disagg=True, monitoring=True)
+    run = run_stack(classes=True, chunked=True, disagg=True, monitoring=True)
     for counter in (
         "faults_injected",
         "shard_crashes",
@@ -436,8 +435,8 @@ def test_faults_on_with_empty_plan_does_not_perturb():
     """Arming the chaos plane with nothing scheduled observes without
     perturbing: the heartbeat probes and the retry-aware tool path leave
     tokens, metrics and virtual timestamps bit-identical to faults=off."""
-    on = run_stack(qos=True, chunked=True, disagg=True, monitoring=True, faults=True)
-    off = run_stack(qos=True, chunked=True, disagg=True, monitoring=True, faults=False)
+    on = run_stack(classes=True, chunked=True, disagg=True, monitoring=True, faults=True)
+    off = run_stack(classes=True, chunked=True, disagg=True, monitoring=True, faults=False)
     assert on["now"] == off["now"]
     assert on["results"] == off["results"]
     assert on["metrics"] == off["metrics"]
@@ -448,10 +447,10 @@ def test_chaos_replay_is_bit_identical():
     seeded chaos runs — crash, straggler window, tool-error window — agree
     on every metric, timestamp and surviving token."""
     first = run_stack(
-        qos=True, chunked=True, monitoring=True, faults=True, fault_plan=CHAOS_PLAN
+        classes=True, chunked=True, monitoring=True, faults=True, fault_plan=CHAOS_PLAN
     )
     second = run_stack(
-        qos=True, chunked=True, monitoring=True, faults=True, fault_plan=CHAOS_PLAN
+        classes=True, chunked=True, monitoring=True, faults=True, fault_plan=CHAOS_PLAN
     )
     assert first["now"] == second["now"]
     assert first["results"] == second["results"]
@@ -483,24 +482,24 @@ def test_chaos_link_faults_replay_bit_identically_under_disagg():
 
 
 def test_disagg_composed_with_qos_and_chunked_is_bit_identical():
-    """The full stack with *every* subsystem on — QoS admission/dispatch,
+    """The full stack with *every* subsystem on — two tenant classes,
     chunked prefill slicing, swap tier, prefix cache AND disaggregated
     shard roles — must stay deterministic, keep streaming chunk-wise, and
     still emit the same tokens as the disaggregation-off composition."""
-    first = run_stack(qos=True, chunked=True, disagg=True)
-    second = run_stack(qos=True, chunked=True, disagg=True)
+    first = run_stack(classes=True, chunked=True, disagg=True)
+    second = run_stack(classes=True, chunked=True, disagg=True)
     assert first["now"] == second["now"]
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
     assert first["metrics"]["disagg_handoffs"] > 0
     assert first["metrics"]["prefill_chunks_dispatched"] > 0
     assert admitted(first) > 0
-    off = run_stack(qos=True, chunked=True, disagg=False)
+    off = run_stack(classes=True, chunked=True, disagg=False)
     assert first["results"] == off["results"]
 
 
 def test_three_observers_together_do_not_perturb_the_run():
-    """Tracing + monitoring + QoS on together: every lifecycle fact is then
+    """Tracing + monitoring + two classes together: every lifecycle fact is then
     published to both observers at once (the monitor is none: it reads the
     tenant records the core counts).  Tokens and each inferlet's
     first-token / finish timestamps match the all-planes-off run, and with
@@ -508,11 +507,13 @@ def test_three_observers_together_do_not_perturb_the_run():
     sim = Simulator(seed=1)
     assert PieServer(sim, num_devices=2).controller.observers == ()
     assert PieServer(sim, num_devices=2).controller.timers == ()
-    together = PieServer(sim, num_devices=2, qos=True, monitoring=True, tracing=True)
-    # QoS is no observer: admission is the core's launch gate.
+    together = PieServer(
+        sim, num_devices=2, tenants=[TenantSpec("fleet")], monitoring=True, tracing=True
+    )
+    # Tenants bring no observer: admission is the core's launch gate.
     assert [type(o).__name__ for o in together.controller.observers] == ["LifecycleTracer"]
     assert together.monitor.scraper in together.controller.timers
-    on = run_stack(qos=True, tracing=True, monitoring=True)
+    on = run_stack(classes=True, tracing=True, monitoring=True)
     off = run_stack()
     assert on["now"] == off["now"]
     assert on["results"] == off["results"]

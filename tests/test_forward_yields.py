@@ -4,17 +4,19 @@
 longest", blind to cost: a 17 ms decode-only ``forward`` was dispatched
 while a neighbour's 0.1 ms ``embed_text`` sat ready beside it, and the
 neighbour's own forward then paid a second weight-bound floor.  Now a
-forward candidate made only of decode steps (adaptive policy, no QoS) or
-only of prefill slices (any policy) gives way while another kind has a
+forward candidate made only of decode steps (adaptive policy, in every
+configuration) or only of prefill slices (any policy) gives way while another kind has a
 candidate, for at most ``decode_ms_base`` between two forward dispatches.
 
 The tests, in the repo's oracle pattern:
 
-* the parent's ``_select`` is kept **verbatim** below, and a hypothesis
-  property spells out the whole rule against it: new == old whenever the
-  forward carries a prompt, is the only candidate, the policy is
-  ``eager`` / ``k_only`` / ``t_only``, QoS selects, or the hold has
-  expired; otherwise new == longest-waiting over the other kinds;
+* the parent's ``_select`` is kept **verbatim** below (less its QoS
+  branch: there is no QoS service; the yield under two classes is
+  ``tests/test_dispatch_order.py``'s), and a hypothesis property spells
+  out the whole rule against it, one class registered: new == old
+  whenever the forward carries a prompt, is the only candidate, the policy
+  is ``eager`` / ``k_only`` / ``t_only``, or the hold has expired;
+  otherwise new == longest-waiting over the other kinds;
 * a scripted two-inferlet **cost** test that fails at the parent: a decode
   forward ready beside a neighbour's ``embed_text`` becomes one 2-row
   forward, not two 1-row ones;
@@ -34,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import InferletProgram, PieServer
-from repro.core.batching import CandidateBatch, select_longest_waiting
+from repro.core.batching import CandidateBatch
 from repro.core.command_queue import Command
 from repro.core.config import ControlLayerConfig, PieConfig, SchedulerConfig
 from repro.core.scheduler import BatchScheduler
@@ -42,6 +44,7 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.device import SimDevice
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
+from tests.test_dispatch_order import select_longest_waiting
 from tests.test_scheduler_index import COST_MODEL, StubHandlers
 
 DECODE_MS_BASE = COST_MODEL.cost.decode_ms_base
@@ -52,8 +55,6 @@ DECODE_MS_BASE = COST_MODEL.cost.decode_ms_base
 
 def _old_select(scheduler, candidates: Dict[str, CandidateBatch]) -> Optional[CandidateBatch]:
     candidates = _old_yield_lone_chunks(candidates)
-    if scheduler._qos is not None:
-        return scheduler._qos.select_batch(candidates)
     return select_longest_waiting(candidates)
 
 
@@ -69,18 +70,7 @@ def _old_yield_lone_chunks(candidates: Dict[str, CandidateBatch]) -> Dict[str, C
 # -- a scheduler on stubs ---------------------------------------------------
 
 
-class NewestFirstQos:
-    """Stands in for ``QosService.select_batch`` with an order no other
-    selector here produces, so "QoS selected" is visible in the result."""
-
-    @staticmethod
-    def select_batch(candidates):
-        if not candidates:
-            return None
-        return max(candidates.values(), key=lambda batch: batch.oldest_issue_time)
-
-
-def _scheduler(sim, policy="adaptive", qos=None):
+def _scheduler(sim, policy="adaptive"):
     return BatchScheduler(
         sim,
         SimDevice(sim),
@@ -88,7 +78,6 @@ def _scheduler(sim, policy="adaptive", qos=None):
         SchedulerConfig(policy=policy),
         GpuConfig(max_batch_rows=16),
         ControlLayerConfig(),
-        qos=qos,
     )
 
 
@@ -126,17 +115,14 @@ ISSUE_TIMES = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
 @settings(max_examples=300, deadline=None)
 @given(
     policy=st.sampled_from(("adaptive", "eager", "k_only", "t_only")),
-    with_qos=st.booleans(),
     forward_rows=st.lists(st.tuples(st.sampled_from(ROLES), ISSUE_TIMES), max_size=4),
     others=st.dictionaries(st.sampled_from(OTHER_KINDS), ISSUE_TIMES, max_size=3),
     held_ms=st.none() | st.floats(min_value=0.0, max_value=2 * DECODE_MS_BASE),
 )
-def test_selection_matches_the_parent_outside_the_rule(
-    policy, with_qos, forward_rows, others, held_ms
-):
+def test_selection_matches_the_parent_outside_the_rule(policy, forward_rows, others, held_ms):
     sim = Simulator(seed=0)
     sim.run(until=1.0)
-    scheduler = _scheduler(sim, policy, NewestFirstQos() if with_qos else None)
+    scheduler = _scheduler(sim, policy)
     candidates = {}
     if forward_rows:
         candidates["forward"] = CandidateBatch(
@@ -162,10 +148,9 @@ def test_selection_matches_the_parent_outside_the_rule(
     elif slices_only:
         # The parent's rule, now bounded: past the bound the slices compete
         # by age again instead of waiting for a mixed batch for ever.
-        everything = scheduler._qos.select_batch if with_qos else select_longest_waiting
-        assert new is (everything(candidates) if expired else old)
+        assert new is (select_longest_waiting(candidates) if expired else old)
         assert (stats.forward_yields, stats.forward_holds_expired) == (not expired, expired)
-    elif not decode_only or policy != "adaptive" or with_qos:
+    elif not decode_only or policy != "adaptive":
         assert new is old
         assert (stats.forward_yields, stats.forward_holds_expired) == (0, 0)
     elif expired:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GrammarError, InferletError, ReproError, ResourceError
 from repro.core import PieServer, InferletProgram
-from repro.core.batching import form_candidate_batches, select_longest_waiting
+from repro.core.batching import form_candidate_batches, select_batch
 from repro.core.command_queue import Command, CommandQueue
 from repro.core.config import WasmRuntimeConfig
 from repro.core.resources import ResourceManager
@@ -205,13 +205,14 @@ class TestBatchFormation:
         assert len(batches["forward"]) == 3
 
     def test_select_longest_waiting(self):
+        """One class present: the dispatch order is longest-waiting."""
         sim = Simulator()
         q1 = CommandQueue(key="q1", model="m", owner="a")
         q2 = CommandQueue(key="q2", model="m", owner="a")
         q1.push(_command(sim, "sample", issue_time=5.0))
         q2.push(_command(sim, "forward", issue_time=1.0))
         batches = form_candidate_batches([q1, q2], max_batch_rows=8)
-        chosen = select_longest_waiting(batches)
+        chosen = select_batch(batches, now=6.0)
         assert chosen.kind == "forward"
 
     def test_queue_synchronize_barrier(self):

@@ -2,16 +2,17 @@
 
 A tenant's ``TenantSpec`` limits — launch rate and burst, concurrency cap,
 backlog bound — are applied by ``InferletLifecycleManager``'s launch gate
-whether or not the QoS plane is built, so they mean one thing either way.
-QoS keeps only dispatch and fair share.  Here:
+in every configuration, so they mean one thing whatever else is
+registered.  There is no QoS plane left (dispatch is the core's too, see
+``tests/test_dispatch_order.py``).  Here:
 
-* the cap and the backlog bound with QoS off (both launches ran before the
-  gate moved into the core);
-* an AST scan: ``lifecycle.py`` names no ``qos``, ``QosService`` decides no
-  admission, and QoS is no lifecycle observer;
-* three mutants the gate's tests kill: a cap ignored with QoS off, an
-  abort-while-parked that consumes a slot, and a pump that skips the bucket
-  refill.
+* the cap and the backlog bound with every plane off (both launches ran
+  before the gate moved into the core, while the QoS plane was off);
+* an AST scan: ``lifecycle.py`` names no ``qos``, ``qos.py`` decides no
+  admission, and nothing but the tracer is a lifecycle observer;
+* three mutants the gate's tests kill: a cap ignored unless classes are
+  told apart (what the old ``qos`` knob meant), an abort-while-parked that
+  consumes a slot, and a pump that skips the bucket refill.
 """
 
 import ast
@@ -28,9 +29,9 @@ from repro.sim import Simulator
 CORE = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro" / "core"
 
 
-def server_with(*specs, qos=False, tracing=False):
+def server_with(*specs, tracing=False):
     sim = Simulator(seed=0)
-    config = PieConfig(control=ControlLayerConfig(qos=qos, tracing=tracing, tenants=specs))
+    config = PieConfig(control=ControlLayerConfig(tracing=tracing, tenants=specs))
     server = PieServer(sim, config=config)
 
     async def nap(ctx):
@@ -46,7 +47,6 @@ def server_with(*specs, qos=False, tracing=False):
 
 def check_the_cap_refuses_with_qos_off():
     server = server_with(TenantSpec("jobs", max_concurrent=1, max_queued=0))
-    assert server.controller.qos is None
     first, _ = server.launch("nap", tenant="jobs")
     refused = None
     try:
@@ -68,10 +68,11 @@ def test_the_cap_refuses_the_second_launch_with_qos_off():
 
 
 def test_qos_on_and_off_gate_alike():
-    """The same limits, the same decisions, with or without the plane."""
+    """The same limits, the same decisions, whether or not a second class is
+    registered (the setup the old ``qos`` knob was switched on for)."""
     outcomes = []
-    for qos in (False, True):
-        server = server_with(TenantSpec("jobs", max_concurrent=1, max_queued=1), qos=qos)
+    for others in ((), (TenantSpec("chat", priority_class="interactive"),)):
+        server = server_with(TenantSpec("jobs", max_concurrent=1, max_queued=1), *others)
         launched = []
         for _ in range(3):
             try:
@@ -120,21 +121,19 @@ def test_lifecycle_names_no_qos_and_qos_decides_no_admission():
     lifecycle = ast.parse((CORE / "lifecycle.py").read_text(encoding="utf-8"))
     assert [name for name in names_in(lifecycle) if "qos" in name.lower()] == []
     qos = ast.parse((CORE / "qos.py").read_text(encoding="utf-8"))
-    [service] = [
-        node for node in qos.body if isinstance(node, ast.ClassDef) and node.name == "QosService"
-    ]
-    methods = {node.name for node in service.body if isinstance(node, ast.FunctionDef)}
-    assert not methods & {"request_admission", "cancel_parked", "note_finished"}
-    assert service.bases == []  # no LifecycleObserver
+    # The tenant records only: no service, no function of its own.
+    classes = [node.name for node in qos.body if isinstance(node, ast.ClassDef)]
+    assert classes == ["TenantSpec", "TenantTable"]
+    assert not [node for node in qos.body if isinstance(node, ast.FunctionDef)]
     for gone in ("TokenBucket", "_TenantState", "_DEFAULT_SPEC"):
         assert gone not in {getattr(node, "name", None) for node in qos.body}, gone
 
 
 def test_qos_is_no_observer():
-    server = server_with(TenantSpec("jobs"), qos=True)
-    assert server.controller.qos is not None
+    server = server_with(TenantSpec("jobs"), TenantSpec("chat", priority_class="interactive"))
+    assert not hasattr(server.controller, "qos")
     assert server.controller.observers == ()
-    traced = server_with(TenantSpec("jobs"), qos=True, tracing=True)
+    traced = server_with(TenantSpec("jobs"), tracing=True)
     assert [type(o).__name__ for o in traced.controller.observers] == ["LifecycleTracer"]
 
 
@@ -187,8 +186,9 @@ def test_the_rate_paces_the_backlog():
 
 
 def gate_only_with_qos(self, spec, instance, ready):
-    """Mutant: the limits apply only when the QoS plane is built."""
-    if self.controller.qos is None:
+    """Mutant: the limits apply only when classes are told apart (more than
+    one registered), which is when the old ``qos`` knob was on."""
+    if len({other.rank for other in self.controller.tenants.values()}) < 2:
         gate = self.gates.setdefault(spec.name, TenantGate(spec, self.sim.now))
         self._admit(gate, instance, ready)
         return

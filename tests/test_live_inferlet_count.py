@@ -91,7 +91,7 @@ def test_client_abort_while_parked_in_the_launch_queue():
 def test_client_abort_while_parked_in_qos_admission():
     config = PieConfig(
         control=ControlLayerConfig(
-            qos=True, monitoring=True, tenants=(TenantSpec(name="jobs", max_concurrent=1),)
+            monitoring=True, tenants=(TenantSpec(name="jobs", max_concurrent=1),)
         )
     )
     server = PieServer(Simulator(seed=3), config=config)

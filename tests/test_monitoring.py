@@ -168,8 +168,8 @@ class TestMonitorService:
             tenants=(TenantSpec(name="acme", slo_target=0.99),),
         )
         assert server.monitor.slo.target_for("acme") == 0.99
-        # Registering tenants also switched QoS on (existing shorthand).
-        assert server.config.control.qos is True
+        # Registering tenants switches no plane on: there is no QoS knob.
+        assert not hasattr(server.config.control, "qos")
 
     def test_burn_window_knob_validation(self, monkeypatch):
         # A bad value is refused when the monitor is built, by the engine
@@ -291,8 +291,7 @@ SYSTEM_FIELDS = """
     swap_stall_seconds tool_faults tool_retries total_output_tokens
 """.split()
 TENANT_FIELDS = """
-    admitted dispatched_commands handoffs output_tokens preempted_swaps
-    preempted_terminations queued virtual_tokens
+    admitted output_tokens preempted_swaps preempted_terminations queued
 """.split()
 SHARD_STATS_FIELDS = """
     batches_dispatched commands_dispatched decode_rows_dispatched
@@ -427,7 +426,9 @@ class TestPullExport:
         sim.run_until_complete(fleet)
         exported = {f.name: f.labelnames for f in server.monitor.collect().families()}
         assert exported == EXPORT_SCHEMA
-        assert len(exported) == 74  # the qos_* twins of tenant counts went
+        # The qos_* twins of tenant counts went (77 -> 74), then the three
+        # counters only the QoS plane wrote (74 -> 71).
+        assert len(exported) == 71
         # The monitor keeps no registry, and no fact is exported twice.
         assert not hasattr(server.monitor, "registry")
         document = server.export_metrics()

@@ -5,10 +5,11 @@ must affect already-queued commands, since batch formation reads the live
 queue priority), the launch-time ``priority`` plumbing
 (``PieClient.launch(priority=...)`` seeds every queue the inferlet
 creates), end-to-end dispatch ordering between contending queues on one
-device, and the aging bound on starvation under the QoS service.
+device, and the aging bound on starvation under the core's dispatch order
+(best class present first, ``repro.core.batching.AGING_MS``).
 """
 
-from repro.core import InferletProgram, PieClient, PieServer, TenantSpec, qos
+from repro.core import InferletProgram, PieClient, PieServer, TenantSpec, batching
 from repro.core.batching import form_candidate_batches
 from repro.core.command_queue import Command, CommandQueue
 from repro.core.config import ControlLayerConfig, PieConfig
@@ -135,14 +136,13 @@ class TestAgingBoundsStarvation:
         """One batch-class decoder under a continuous interactive stream.
 
         Returns the batch job's first-token time and the stream end time;
-        slack scoring alone would starve the batch job until the device
-        has idle gaps, the aging bound forces it through earlier."""
-        monkeypatch.setattr(qos, "AGING_MS", aging_ms)
+        class order alone would starve the batch job until the device has
+        idle gaps, the aging bound forces it through earlier."""
+        monkeypatch.setattr(batching, "AGING_MS", aging_ms)
         sim = Simulator(seed=0)
         config = PieConfig(
             gpu=GpuConfig(max_batch_rows=1),
             control=ControlLayerConfig(
-                qos=True,
                 tenants=(
                     TenantSpec(name="chat", priority_class="interactive"),
                     TenantSpec(name="jobs", priority_class="batch"),
@@ -194,7 +194,7 @@ class TestAgingBoundsStarvation:
         starved = self.run_stream(monkeypatch, aging_ms=60_000.0)
         # With a tight aging bound the batch job's commands are forced
         # through the interactive stream; with an effectively infinite
-        # bound pure slack scoring leaves it to the queue's mercy.
+        # bound class order alone leaves it to the queue's mercy.
         assert aged["batch_first_token_at"] < starved["batch_first_token_at"]
         # And the bound is meaningful: the first token lands while the
         # stream is still arriving (14 turns * 30 ms of arrivals).

@@ -1,27 +1,26 @@
-"""Unit tests for the QoS subsystem (repro.core.qos) and the launch gate.
+"""Unit tests for the tenant classes (repro.core.qos) and the launch gate.
 
 Covers the token bucket, tenant-spec validation, the launch gate's
 decisions (admit / park with backpressure / typed refusal) and its pump —
-the core's, in ``InferletLifecycleManager``, applied with or without QoS —
-SLO slack scoring and candidate-batch selection, preemption victim
-ordering, fair-share accounting, and the structural inertness of the
-``qos=off`` configuration.
+the core's, in ``InferletLifecycleManager`` — class-then-age candidate
+selection and class-first batch merging, preemption victim ordering, and
+that no QoS service, knob or hook is left.  (The dispatch order's oracle,
+property and mutants are in ``tests/test_dispatch_order.py``.)
 """
 
 import pytest
 
 from repro.core import InferletProgram, InferletInstance, PieServer, TenantSpec
-from repro.core.batching import CandidateBatch
+from repro.core.batching import CandidateBatch, form_candidate_batches, select_batch
 from repro.core.command_queue import Command, CommandQueue
 from repro.core.config import ControlLayerConfig, PieConfig
 from repro.core.lifecycle import TokenBucket
-from repro.core.metrics import SystemMetrics, TenantMetrics, percentile
+from repro.core.metrics import TenantMetrics, percentile
 from repro.core.qos import (
     CLASS_RANK,
-    CLASS_WEIGHT,
+    CLASS_TPOT_SLO_MS,
+    CLASS_TTFT_SLO_MS,
     QOS_CLASSES,
-    QosService,
-    TenantTable,
 )
 from repro.errors import AdmissionRejectedError, InferletTerminated, ReproError
 from repro.sim import Simulator
@@ -36,18 +35,14 @@ def make_instance(name="prog", tenant="acme", seed=0):
     return InferletInstance(program, tenant=tenant, seed=seed)
 
 
-def make_service(sim, *specs, metrics=None):
-    return QosService(sim, metrics or SystemMetrics(), TenantTable(specs), live={})
-
-
 class GatedServer:
-    """A server whose launch gate applies ``specs`` (QoS off unless asked):
-    every launch runs ``held``, which returns once :meth:`finish` says so."""
+    """A server whose launch gate applies ``specs``: every launch runs
+    ``held``, which returns once :meth:`finish` says so."""
 
-    def __init__(self, *specs, qos=False):
+    def __init__(self, *specs):
         self.sim = Simulator(seed=0)
         self.server = PieServer(
-            self.sim, config=PieConfig(control=ControlLayerConfig(qos=qos, tenants=specs))
+            self.sim, config=PieConfig(control=ControlLayerConfig(tenants=specs))
         )
         self.lifecycle = self.server.lifecycle
         self.done = {}
@@ -122,8 +117,6 @@ class TestTenantSpec:
             TenantSpec(name="x", max_concurrent=-1)
         with pytest.raises(ReproError):
             TenantSpec(name="", priority_class="standard")
-        with pytest.raises(ReproError):
-            TenantSpec(name="x", weight=0.0)
 
     def test_per_class_slo_defaults(self):
         interactive = TenantSpec(name="a", priority_class="interactive")
@@ -136,12 +129,12 @@ class TestTenantSpec:
     def test_duplicate_tenant_rejected_by_config(self):
         specs = (TenantSpec(name="a"), TenantSpec(name="a"))
         with pytest.raises(ReproError):
-            PieConfig(control=ControlLayerConfig(qos=True, tenants=specs))
+            PieConfig(control=ControlLayerConfig(tenants=specs))
 
 
 class TestAdmission:
     """The launch gate (``InferletLifecycleManager``), driven through
-    ``launch()`` with QoS off: the tenant's limits are the core's."""
+    ``launch()``: the tenant's limits are the core's."""
 
     def test_admit_within_budget(self):
         gated = GatedServer(TenantSpec(name="acme", max_concurrent=2))
@@ -215,12 +208,10 @@ class TestAdmission:
         gated.drain()
 
     def test_reporting_reads_never_register_tenants(self):
-        """Reporting reads the core's table and records, which QoS no longer
+        """Reporting reads the core's table and records, which nothing
         mirrors: an unknown name is in neither, and reading the record of
         one raises instead of silently inserting a TenantMetrics record."""
-        gated = GatedServer(TenantSpec(name="acme"), qos=True)
-        qos = gated.server.controller.qos
-        assert not hasattr(qos, "tenant_spec") and not hasattr(qos, "slo_attainment")
+        gated = GatedServer(TenantSpec(name="acme"))
         assert "typo" not in gated.server.controller.tenants
         with pytest.raises(KeyError):
             gated.server.metrics.tenants["typo"]
@@ -241,135 +232,81 @@ class TestAdmission:
 def stamp(qos, instance):
     """Stamp ``instance`` the way ``launch()`` does: its launch time and its
     tenant's two SLOs, which its deadline is read off.  ``qos`` is anything
-    holding ``sim`` and the tenant table: the service or the controller."""
+    holding ``sim`` and the tenant table (the controller)."""
     spec = qos.tenants[instance.tenant]
     instance.metrics.launched_at = qos.sim.now
     instance.metrics.ttft_slo_s, instance.metrics.tpot_slo_s = spec.ttft_slo_s, spec.tpot_slo_s
     return instance
 
 
-def _admit(qos, instance):
-    """Make ``instance`` live where the service looks (the registry)."""
-    qos.live[instance.instance_id] = stamp(qos, instance)
-    return instance
-
-
-def _forward(sim, instance, issue_time=0.0):
+def _command(sim, priority_class, issue_time=0.0, kind="forward"):
     return Command(
-        kind="forward",
-        inferlet_id=instance.instance_id,
+        kind=kind,
+        inferlet_id=priority_class,
         payload={},
         future=sim.create_future(),
         issue_time=issue_time,
+        rank=CLASS_RANK[priority_class],
     )
 
 
 class TestSlackDispatch:
-    def specs(self):
-        return (
-            TenantSpec(name="chat", priority_class="interactive"),
-            TenantSpec(name="jobs", priority_class="batch"),
-        )
+    """What replaced slack scoring: the core's one dispatch order (best
+    class present, oldest command first, aged work first) and class-first
+    batch merging, read off the class rank each queue carries."""
 
     def test_interactive_deadline_beats_batch(self):
         sim = Simulator()
-        qos = make_service(sim, *self.specs())
-        chat = _admit(qos, make_instance(name="c", tenant="chat"))
-        jobs = _admit(qos, make_instance(name="j", tenant="jobs"))
         # Batch issued earlier: pure longest-waiting would pick it.
         candidates = {
-            "forward": CandidateBatch("forward", [_forward(sim, jobs, 0.0)]),
-            "sample": CandidateBatch("sample", [_forward(sim, chat, 0.01)]),
+            "forward": CandidateBatch("forward", [_command(sim, "batch", 0.0)]),
+            "sample": CandidateBatch("sample", [_command(sim, "interactive", 0.01, "sample")]),
         }
-        chosen = qos.select_batch(candidates)
-        assert chosen.commands[0].inferlet_id == chat.instance_id
-
-    def test_edf_within_class(self):
-        sim = Simulator()
-        qos = make_service(sim, *self.specs())
-        early = _admit(qos, make_instance(name="e", tenant="chat"))
-        late = _admit(qos, make_instance(name="l", tenant="chat"))
-        early.metrics.launched_at = 0.0
-        late.metrics.launched_at = 0.05  # later deadline
-        candidates = {
-            "forward": CandidateBatch("forward", [_forward(sim, late, 0.01)]),
-            "sample": CandidateBatch("sample", [_forward(sim, early, 0.01)]),
-        }
-        chosen = qos.select_batch(candidates)
-        assert chosen.commands[0].inferlet_id == early.instance_id
+        chosen = select_batch(candidates, now=0.02)
+        assert chosen.commands[0].inferlet_id == "interactive"
 
     def test_aging_bounds_starvation(self, monkeypatch):
-        monkeypatch.setattr("repro.core.qos.AGING_MS", 100.0)
+        monkeypatch.setattr("repro.core.batching.AGING_MS", 100.0)
         sim = Simulator()
-        qos = make_service(sim, *self.specs())
-        chat = _admit(qos, make_instance(name="c", tenant="chat"))
-        jobs = _admit(qos, make_instance(name="j", tenant="jobs"))
-
-        async def advance():
-            await sim.sleep(0.2)
-
-        sim.run_until_complete(advance())
         # The batch command has waited past the aging bound: it is served
         # FCFS ahead of the fresher interactive command.
         candidates = {
-            "forward": CandidateBatch("forward", [_forward(sim, jobs, 0.0)]),
-            "sample": CandidateBatch("sample", [_forward(sim, chat, sim.now)]),
+            "forward": CandidateBatch("forward", [_command(sim, "batch", 0.0)]),
+            "sample": CandidateBatch("sample", [_command(sim, "interactive", 0.2, "sample")]),
         }
-        chosen = qos.select_batch(candidates)
-        assert chosen.commands[0].inferlet_id == jobs.instance_id
+        chosen = select_batch(candidates, now=0.2)
+        assert chosen.commands[0].inferlet_id == "batch"
 
     def test_queue_priority_stride_orders_classes(self):
+        """Class dominates the merge: even a large in-class priority cannot
+        outrank a better class; in-class, the queue priority still orders."""
         sim = Simulator()
-        qos = make_service(sim, *self.specs())
-        chat = _admit(qos, make_instance(name="c", tenant="chat"))
-        jobs = _admit(qos, make_instance(name="j", tenant="jobs"))
-        chat_queue = CommandQueue(key="cq", model="m", owner=chat.instance_id)
-        jobs_queue = CommandQueue(
-            key="jq", model="m", owner=jobs.instance_id, priority=500
-        )
-        # Class dominates: even a large in-class priority cannot outrank a
-        # better class; in-class, the queue priority still breaks ties.
-        assert qos.queue_priority(chat_queue) > qos.queue_priority(jobs_queue)
+        jobs = CommandQueue(key="jq", model="m", owner="j", priority=500, rank=CLASS_RANK["batch"])
+        chat = CommandQueue(key="cq", model="m", owner="c", rank=CLASS_RANK["interactive"])
         boosted = CommandQueue(
-            key="cq2", model="m", owner=chat.instance_id, priority=3
+            key="cq2", model="m", owner="c", priority=3, rank=CLASS_RANK["interactive"]
         )
-        assert qos.queue_priority(boosted) == qos.queue_priority(chat_queue) + 3
+        for queue in (jobs, chat, boosted):
+            queue.push(_command(sim, "standard"))
+        merged = form_candidate_batches([jobs, chat, boosted], max_batch_rows=8)["forward"]
+        assert [command.queue_key for command in merged.commands] == ["cq2", "cq", "jq"]
+        # The command keeps the raw queue priority: no stride is added.
+        assert [command.priority for command in merged.commands] == [3, 0, 500]
 
     def test_user_priority_cannot_cross_class_stride(self):
-        """No user-supplied queue priority — however extreme — may let a
-        worse class outrank a better one (the in-class bias is clamped)."""
+        """No user-supplied queue priority — however extreme — lets a worse
+        class go ahead of a better one, here when the row cap truncates."""
         sim = Simulator()
-        qos = make_service(sim, *self.specs())
-        chat = _admit(qos, make_instance(name="c", tenant="chat"))
-        jobs = _admit(qos, make_instance(name="j", tenant="jobs"))
-        chat_sandbagged = CommandQueue(
-            key="cq", model="m", owner=chat.instance_id, priority=-(10**9)
+        sandbagged = CommandQueue(
+            key="cq", model="m", owner="c", priority=-(10**9), rank=CLASS_RANK["interactive"]
         )
-        jobs_boosted = CommandQueue(
-            key="jq", model="m", owner=jobs.instance_id, priority=10**9
+        boosted = CommandQueue(
+            key="jq", model="m", owner="j", priority=10**9, rank=CLASS_RANK["batch"]
         )
-        assert qos.queue_priority(chat_sandbagged) > qos.queue_priority(jobs_boosted)
-
-    def test_fair_share_vtime_charges_by_weight(self):
-        sim = Simulator()
-        qos = make_service(sim, *self.specs())
-        chat = _admit(qos, make_instance(name="c", tenant="chat"))
-        jobs = _admit(qos, make_instance(name="j", tenant="jobs"))
-        qos.note_dispatched([_forward(sim, chat), _forward(sim, jobs)])
-        record = qos.metrics.tenants
-        # Same work, but the batch class's smaller weight accrues virtual
-        # time faster (it consumes its fair share sooner).
-        assert record["jobs"].virtual_tokens > record["chat"].virtual_tokens > 0
-        assert record["chat"].dispatched_commands == 1
-
-    def test_placement_weight_follows_class(self):
-        sim = Simulator()
-        qos = make_service(sim, *self.specs())
-        chat = _admit(qos, make_instance(name="c", tenant="chat"))
-        jobs = _admit(qos, make_instance(name="j", tenant="jobs"))
-        assert qos.placement_weight(chat.instance_id) == CLASS_WEIGHT["interactive"]
-        assert qos.placement_weight(jobs.instance_id) == CLASS_WEIGHT["batch"]
-        assert qos.placement_weight("never-admitted") == 1.0
+        boosted.push(_command(sim, "standard", 0.0))
+        sandbagged.push(_command(sim, "standard", 1.0))
+        merged = form_candidate_batches([boosted, sandbagged], max_batch_rows=1)["forward"]
+        assert [command.queue_key for command in merged.commands] == ["cq"]
 
 
 class TestVictimOrdering:
@@ -386,7 +323,6 @@ class TestVictimOrdering:
 
     def controller(self, sim):
         controller = PieServer(sim).controller
-        assert controller.qos is None
         for spec in self.specs():
             controller.tenants.register(spec)
         return controller
@@ -440,7 +376,6 @@ class TestAbortWhileParked:
             sim,
             config=PieConfig(
                 control=ControlLayerConfig(
-                    qos=True,
                     tenants=(TenantSpec(name="jobs", max_concurrent=1),),
                 )
             ),
@@ -481,7 +416,6 @@ class TestAbortWhileParked:
             sim,
             config=PieConfig(
                 control=ControlLayerConfig(
-                    qos=True,
                     tenants=(
                         TenantSpec(name="jobs", max_concurrent=1, max_queued=1),
                     ),
@@ -512,7 +446,7 @@ class TestAbortWhileParked:
         from repro.sim import Simulator as Sim
 
         sim = Sim(seed=0)
-        server = PieServer(sim)  # qos off: the pre-existing launch queue path
+        server = PieServer(sim)  # no tenants: the pre-existing launch queue path
         ran = []
 
         async def job(ctx):
@@ -553,32 +487,48 @@ class TestSloAttainment:
 
 class TestQosOffInertness:
     def test_no_service_and_no_hooks_when_off(self):
+        """There is no QoS plane to switch on: no knob, no service, no hook
+        in the router, scheduler or swap manager, no counter only it wrote."""
         sim = Simulator()
         server = PieServer(sim)
-        assert server.controller.qos is None
+        assert not hasattr(server.config.control, "qos")
+        assert not hasattr(server.controller, "qos")
         service = server.service()
-        # The swap manager never holds QoS: the victim order is the core's.
         assert not hasattr(service.swap, "qos")
-        assert service.router.placement_weight is None
-        assert service.scheduler._qos is None
+        assert not hasattr(service.router, "placement_weight")
+        assert not hasattr(service.scheduler, "_qos")
         # The core's tenant records are there, the launch gate's admission
-        # included; nothing QoS writes is.
+        # included.
         server.register_program(InferletProgram(name="noop", main=_noop))
         sim.run_until_complete(server.run_inferlet("noop"))
         [record] = server.metrics.tenants.values()
         assert (record.tenant, record.offered, record.finished) == ("default", 1, 1)
-        assert (record.admitted, record.queued, record.dispatched_commands) == (1, 0, 0)
+        assert (record.admitted, record.queued) == (1, 0)
+        for gone in ("dispatched_commands", "virtual_tokens", "handoffs"):
+            assert not hasattr(record, gone)
 
     def test_tenants_shorthand_enables_service(self):
+        """The ``tenants`` shorthand is all it takes: it implies no other
+        knob, and every queue an inferlet creates carries its class rank."""
         sim = Simulator()
-        server = PieServer(sim, tenants=[TenantSpec(name="acme")])
-        assert server.controller.qos is not None
-        assert server.config.control.qos is True
-        assert server.controller.qos.tenants is server.controller.tenants
+        server = PieServer(sim, tenants=[TenantSpec(name="acme", priority_class="interactive")])
+        assert server.config.control.tenants == (TenantSpec(name="acme", priority_class="interactive"),)
         assert sorted(server.controller.tenants) == ["acme"]
+        ranks = []
 
-    def test_qos_classes_cover_rank_and_weight_tables(self):
-        assert set(QOS_CLASSES) == set(CLASS_RANK) == set(CLASS_WEIGHT)
+        async def probe(ctx):
+            queue = ctx.create_queue()
+            scheduler = ctx._instance.placements[queue.model].scheduler
+            ranks.append(scheduler.get_queue((queue.owner, queue.qid)).rank)
+            ctx.destroy_queue(queue)
+
+        server.register_program(InferletProgram(name="probe", main=probe))
+        sim.run_until_complete(server.run_inferlet("probe", tenant="acme"))
+        sim.run_until_complete(server.run_inferlet("probe", tenant="guest"))
+        assert ranks == [CLASS_RANK["interactive"], CLASS_RANK["standard"]]
+
+    def test_qos_classes_cover_rank_and_slo_tables(self):
+        assert set(QOS_CLASSES) == set(CLASS_RANK) == set(CLASS_TTFT_SLO_MS) == set(CLASS_TPOT_SLO_MS)
 
 
 class TestPercentile:

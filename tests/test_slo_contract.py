@@ -6,9 +6,9 @@ The SLO a request is judged against used to live in three places
 ``loadgen.WorkloadClass``), and "did this sample meet it" was compared in
 three modules.  Now the controller owns one ``TenantTable``, the lifecycle
 manager stamps the tenant's two SLO seconds on the inferlet's record at
-launch, and ``repro.core.metrics.met`` is the only comparison; QoS, the
-monitor and the load harness read ``InferletMetrics.ttft_met`` / ``tpot_met``
-/ ``good`` and count.
+launch, and ``repro.core.metrics.met`` is the only comparison; the tenant
+record, the monitor and the load harness read ``InferletMetrics.ttft_met`` /
+``tpot_met`` / ``good`` and count.
 
 The tests, in the repo's oracle pattern:
 
@@ -136,7 +136,7 @@ def check_verdicts(spec: TenantSpec, ttft: Optional[float], tpot: Optional[float
     record = stamped(spec, ttft, tpot)
     ttft_met, tpot_met = record.ttft_met, record.tpot_met
 
-    # TenantMetrics: what QoS counted.
+    # TenantMetrics: what the parent's QoS counted.
     old = _OldTenantMetrics()
     if ttft is not None:
         old.observe_ttft(ttft, slo_s=spec.ttft_slo_s)
@@ -252,7 +252,7 @@ def test_every_reader_reads_the_controllers_table():
     acme = TenantSpec(name="acme", priority_class="interactive", slo_target=0.99)
     server = PieServer(sim, tenants=[acme], monitoring=True)
     controller = server.controller
-    assert controller.qos.tenants is controller.tenants
+    assert not hasattr(controller, "qos")
     assert controller.monitor.slo.tenants is controller.tenants
     assert controller.tenants["acme"] is acme
     late = TenantSpec(name="late", priority_class="batch", ttft_slo_ms=7.0)

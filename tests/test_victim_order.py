@@ -36,7 +36,8 @@ from repro.core import InferletProgram, PieServer, TenantSpec
 from repro.core import swap as swap_module
 from repro.core.controller import Controller
 from repro.core.inferlet import InferletInstance
-from repro.core.qos import QOS_CLASSES, QosService
+from repro.core import qos as qos_module
+from repro.core.qos import QOS_CLASSES
 from repro.sim import Simulator
 
 # -- the parent's three orders, verbatim ----------------------------------------------
@@ -140,7 +141,8 @@ REQUESTER = Member("req", "chat", NOW, pages=0)
 class World:
     """One shard at ``NOW`` holding ``members`` (stamped the way ``launch()``
     stamps them) and the requester; ``qos`` is what the parent's key reads
-    specs from — the live QoS service, or with QoS off the controller."""
+    specs from: the controller.  ``qos_on`` configures the tenants at
+    construction (the parent's QoS-on setup), else they register later."""
 
     def __init__(
         self,
@@ -158,8 +160,8 @@ class World:
             for spec in specs:
                 self.server.controller.tenants.register(spec)
         self.controller = self.server.controller
-        assert (self.controller.qos is not None) == qos_on
-        self.qos = self.controller.qos or self.controller
+        assert not hasattr(self.controller, "qos")
+        self.qos = self.controller
         self.sim.schedule(NOW, lambda: None)
         self.sim.run()
         self.service = self.server.service()
@@ -392,7 +394,6 @@ def test_mutants_are_killed(monkeypatch, name, attr, mutant, caught_by):
 
 
 def test_the_victim_order_is_the_controllers_alone():
-    assert not hasattr(QosService, "victim_key")
-    assert "note_reclaimed" not in vars(QosService)  # the tracer is its one listener
+    assert not hasattr(qos_module, "QosService")
     assert "qos" not in inspect.getsource(swap_module)
     assert "qos" not in inspect.signature(swap_module.SwapManager).parameters
