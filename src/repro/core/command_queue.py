@@ -76,10 +76,6 @@ class Command:
     # taken, so its ``input_tokens`` is always the true remaining work.
     parent: Optional["Command"] = None
     chunks_taken: int = 0
-    # Flight recorder (repro.core.trace): id of this command's open
-    # queue-wait span, None with tracing off.  Pure bookkeeping — nothing
-    # on the serving path reads it.
-    trace_span: Optional[int] = None
     command_id: int = field(default_factory=lambda: next(_command_ids))
 
     def conflicts_with(self, other: "Command") -> bool:
@@ -334,8 +330,9 @@ class CommandQueue:
         if popped != len(commands):
             raise SchedulingError("dispatched commands must be pending on their queue")
 
-    def drop(self, command: Command) -> None:
-        """Abandon a pending command (a forward whose slice failed).
+    def drop(self, command: Command) -> bool:
+        """Abandon a pending command (a forward whose slice failed); returns
+        whether it was still pending.
 
         Removes it without dispatching and retires it for the synchronize
         barriers, exactly as completion would — the caller has already
@@ -345,7 +342,8 @@ class CommandQueue:
                 del self._pending[index]
                 self._pending_changed(-1)
                 self._retire(command)
-                return
+                return True
+        return False
 
     def drain_pending(self) -> List[Command]:
         """Remove and return every still-pending command (queue teardown)."""

@@ -47,6 +47,7 @@ from repro.core.monitor import MonitorService
 from repro.core.qos import TenantTable
 from repro.core.retry import RetryPolicy, faulty_request
 from repro.core.router import DeviceShard
+from repro.core.scheduler import trace_queue_wait
 from repro.core.service import ModelService
 from repro.core.trace import LifecycleTracer, TraceRecorder, telemetry_sampler
 from repro.core.traits import api_layer
@@ -530,17 +531,6 @@ class Controller:
             reads=reads,
             writes=writes,
         )
-        if self.trace is not None:
-            # Queue-wait span: submission (issue_time) -> popped into a
-            # dispatched batch; closed by the shard scheduler, or at the
-            # drop sites (delivery window, queue teardown, failed slice).
-            command.trace_span = self.trace.begin(
-                f"queue:{kind}",
-                "queue",
-                shard=home.index,
-                inferlet=instance.instance_id,
-                args={"tokens": input_tokens} if input_tokens else None,
-            )
         if kind == "forward":
             # Counted at completion so commands dropped in the delivery
             # window or at queue teardown (they resolve to None without
@@ -582,8 +572,7 @@ class Controller:
             shard.scheduler.get_queue(queue_key)
         except SchedulingError:
             if self.trace is not None:
-                self.trace.end(command.trace_span, args={"dropped": True})
-                command.trace_span = None
+                trace_queue_wait(self.trace, command, shard.index, dropped=True)
             if not command.future.done():
                 command.future.set_result(None)
             return

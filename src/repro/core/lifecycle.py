@@ -76,15 +76,13 @@ class TenantGate:
     """One tenant's admission state, made at its first launch: the launch
     rate bucket, the admitted inferlets still in the system, and the
     launches parked until a slot and a token are both free (FIFO by
-    instance id, each with its ready future and its trace span)."""
+    instance id, each with its ready future)."""
 
     def __init__(self, spec, now: float) -> None:
         self.spec = spec  # the controller's TenantSpec of this tenant
         self.bucket = TokenBucket(spec.rate_per_s, spec.burst, now=now)
         self.running: Set[str] = set()
-        self.parked: "OrderedDict[str, Tuple[InferletInstance, SimFuture, Optional[int]]]" = (
-            OrderedDict()
-        )
+        self.parked: "OrderedDict[str, Tuple[InferletInstance, SimFuture]]" = OrderedDict()
         self.refill_timer_armed = False
 
     @property
@@ -219,8 +217,8 @@ class InferletLifecycleManager:
         if gate.has_slot and not gate.parked and gate.bucket.try_take(self.sim.now):
             self._admit(gate, instance, ready)
             return
-        trace = self.controller.trace
         if len(gate.parked) >= spec.max_queued:
+            trace = self.controller.trace
             if trace is not None:
                 trace.instant(
                     "admission_rejected",
@@ -234,15 +232,7 @@ class InferletLifecycleManager:
                 tenant=spec.name,
                 reason="queue_full",
             )
-        span = None
-        if trace is not None:
-            span = trace.begin(
-                "admission_queued",
-                "admission",
-                inferlet=instance.instance_id,
-                args={"tenant": spec.name},
-            )
-        gate.parked[instance.instance_id] = (instance, ready, span)
+        gate.parked[instance.instance_id] = (instance, ready)
         self.controller.metrics.tenants[spec.name].queued += 1
         self._arm_refill_timer(gate)
 
@@ -253,10 +243,18 @@ class InferletLifecycleManager:
         self._pump_launch_queue()
 
     def _unpark(self, gate: TenantGate, instance_id: str, **span_args) -> Tuple:
-        """Take a launch off the tenant's backlog, closing its span."""
-        instance, ready, span = gate.parked.pop(instance_id)
-        if span is not None:
-            self.controller.trace.end(span, args=span_args or None)
+        """Take a launch off the tenant's backlog.  Its ``admission_queued``
+        span starts at ``launched_at``: a launch parks inside ``launch``."""
+        instance, ready = gate.parked.pop(instance_id)
+        trace = self.controller.trace
+        if trace is not None:
+            trace.complete(
+                "admission_queued",
+                "admission",
+                instance.metrics.launched_at,
+                inferlet=instance_id,
+                args={"tenant": gate.spec.name, **span_args},
+            )
         return instance, ready
 
     def _pump(self, gate: TenantGate) -> None:

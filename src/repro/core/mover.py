@@ -51,7 +51,7 @@ class KvMover:
         self.cost_model = cost_model
         self.page_bytes = host_pool.page_bytes
         # Flight recorder (repro.core.trace): one "net" span per link
-        # reservation.  None = off, no tracer installed on any link.
+        # reservation, written by :meth:`_reserve`.  None = off.
         self._trace = trace
         self._links: Dict[Tuple[int, int], NetworkLink] = {}
 
@@ -101,8 +101,6 @@ class KvMover:
                 name=f"kvlink:{src_index}->{dst_index}",
                 bytes_per_second=LINK_GBYTES_PER_S * 1e9,
             )
-            if self._trace is not None:
-                link.set_tracer(self._trace_wire)
             self._links[key] = link
         return self._links[key]
 
@@ -133,10 +131,7 @@ class KvMover:
         for dst_pid in dst_pids:
             dst.resources.pin_kv(dst_pid)
         self.copy(src, dst, src_pids, dst_pids)
-        arrival = self.link(src.index, dst.index).reserve(
-            n_pages * self.page_bytes, now=self.sim.now
-        )
-        return dst_pids, arrival
+        return dst_pids, self._reserve(src.index, dst.index, n_pages, self.sim.now)
 
     @staticmethod
     def unstage(dst: "DeviceShard", dst_pids: Sequence[int]) -> None:
@@ -163,8 +158,7 @@ class KvMover:
         arrived.  Returns ``(stall, landing)`` seconds."""
         now = self.sim.now
         if n_pages:
-            arrival = self.link(src_index, dst.index).reserve(n_pages * self.page_bytes, now=now)
-            ready = max(ready, arrival)
+            ready = max(ready, self._reserve(src_index, dst.index, n_pages, now))
         stall = max(0.0, ready - now)
         landing = self.cost_model.copy_batch_cost(n_pages) if n_pages else 0.0
         if stall + landing > 0.0:
@@ -179,5 +173,11 @@ class KvMover:
         tokens = n_pages * self.cost_model.config.kv_page_size
         return move_seconds < self.cost_model.forward_seconds(prefill_tokens=tokens)
 
-    def _trace_wire(self, link: NetworkLink, start: float, end: float, size_bytes: int) -> None:
-        self._trace.complete(link.name, "net", start, end=end, args={"bytes": size_bytes})
+    def _reserve(self, src_index: int, dst_index: int, n_pages: int, now: float) -> float:
+        """Reserve the pair's wire for ``n_pages``; returns their arrival."""
+        link = self.link(src_index, dst_index)
+        start, size = max(now, link.busy_until), n_pages * self.page_bytes
+        arrival = link.reserve(size, now=now)
+        if self._trace is not None:
+            self._trace.complete(link.name, "net", start, end=link.busy_until, args={"bytes": size})
+        return arrival

@@ -251,8 +251,7 @@ class BatchScheduler:
         self.metrics.commands_dropped += len(dropped)
         for command in dropped:
             if self._trace is not None:
-                self._trace.end(command.trace_span, args={"dropped": True})
-                command.trace_span = None
+                trace_queue_wait(self._trace, command, self._shard_index, dropped=True)
             if not command.future.done():
                 command.future.set_result(None)
         for barrier in queue.drain_barriers():
@@ -528,7 +527,8 @@ class BatchScheduler:
         if chunks:
             self._record_chunks(batch, chunks)
         if self._trace is not None:
-            self._trace_dispatch(batch, whole, chunks)
+            for command in whole + chunks:
+                trace_queue_wait(self._trace, command, self._shard_index)
         self.stats.record(batch)
         if batch.kind == "forward":
             self._forward_held_since = None
@@ -541,38 +541,16 @@ class BatchScheduler:
             cost_seconds=cost,
             size=len(batch.commands),
         )
-        future.add_done_callback(lambda fut, batch=batch: self._on_batch_done(batch, fut))
-
-    def _trace_dispatch(self, batch: CandidateBatch, whole: List[Command], chunks: List[Command]) -> None:
-        """Close the queue-wait spans of everything this batch carries.
-
-        A head slice ends its *parent's* wait (the residual got served) and
-        immediately opens a fresh wait span for the residual, whose
-        ``issue_time`` was just reset by ``take_chunk``."""
-        trace = self._trace
-        for command in whole:
-            trace.end(command.trace_span)
-            command.trace_span = None
-        for chunk in chunks:
-            parent = chunk.parent
-            trace.end(parent.trace_span, args={"sliced": chunk.input_tokens})
-            parent.trace_span = trace.begin(
-                f"queue:{parent.kind}",
-                "queue",
-                shard=self._shard_index,
-                inferlet=parent.inferlet_id,
-                args={"residual_tokens": parent.input_tokens},
+        future.add_done_callback(
+            lambda fut, batch=batch, dispatched=self.sim.now: self._on_batch_done(
+                batch, fut, dispatched
             )
-        batch._trace_dispatch_ts = self.sim.now
+        )
 
-    def _trace_batch_done(self, batch: CandidateBatch, failed: bool) -> None:
+    def _trace_batch_done(self, batch: CandidateBatch, start: float, failed: bool) -> None:
         """Emit the exec spans of a completed batch (dispatch -> done)."""
         trace = self._trace
-        start = getattr(batch, "_trace_dispatch_ts", self.sim.now)
-        if batch.kind == "forward":
-            tokens = batch.total_input_tokens
-        else:
-            tokens = 0
+        tokens = batch.total_input_tokens if batch.kind == "forward" else 0
         trace.complete(
             f"batch:{batch.kind}",
             "sched",
@@ -620,11 +598,11 @@ class BatchScheduler:
             grouped.setdefault(command.queue_key, []).append(command)
         return grouped
 
-    def _on_batch_done(self, batch: CandidateBatch, future) -> None:
+    def _on_batch_done(self, batch: CandidateBatch, future, dispatched: float) -> None:
         error = future.exception()
         results = future.result() if error is None else None
         if self._trace is not None:
-            self._trace_batch_done(batch, failed=error is not None)
+            self._trace_batch_done(batch, dispatched, failed=error is not None)
         for index, command in enumerate(batch.commands):
             if command.is_chunk:
                 # A head slice completes *silently*: its residual is still
@@ -643,13 +621,11 @@ class BatchScheduler:
                     # further slice would waste device time building on
                     # corrupt context.
                     queue = self._queues.get(command.queue_key)
-                    if queue is not None:
-                        queue.drop(command.parent)
-                    if self._trace is not None:
-                        self._trace.end(
-                            command.parent.trace_span, args={"dropped": True}
+                    dropped = queue is not None and queue.drop(command.parent)
+                    if dropped and self._trace is not None:
+                        trace_queue_wait(
+                            self._trace, command.parent, self._shard_index, dropped=True
                         )
-                        command.parent.trace_span = None
                 if not command.future.done():
                     if failure is not None:
                         command.future.set_exception(failure)
@@ -669,3 +645,33 @@ class BatchScheduler:
                 command.future.set_exception(results[index])
             else:
                 command.future.set_result(results[index])
+
+
+def trace_queue_wait(trace, command: Command, shard: int, dropped: bool = False) -> None:
+    """Write the queue wait ``command`` just ended: dispatched, or
+    ``dropped`` (in the delivery window, at queue teardown, or as a
+    residual whose slice failed).
+
+    The wait starts at ``issue_time``: submission for a first wait, the
+    last slice for a chunked prefill's residual (``take_chunk`` restarts
+    its clock).  A head slice ends its residual's wait, from the issue
+    time it inherited; its tokens are the residual's before the cut."""
+    residual = command.parent or command
+    sliced = command.input_tokens if command.is_chunk else 0
+    args: Dict[str, Any] = {}
+    if residual.chunks_taken > (1 if sliced else 0):
+        args["residual_tokens"] = residual.input_tokens + sliced
+    elif residual.input_tokens:
+        args["tokens"] = residual.input_tokens + sliced
+    if sliced:
+        args["sliced"] = sliced
+    if dropped:
+        args["dropped"] = True
+    trace.complete(
+        f"queue:{command.kind}",
+        "queue",
+        command.issue_time,
+        shard=shard,
+        inferlet=command.inferlet_id,
+        args=args or None,
+    )

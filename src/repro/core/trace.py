@@ -24,11 +24,13 @@ Design constraints, in order:
    — inserting extra events never reorders existing ones — so sampled
    tokens and every virtual timestamp stay bit-identical to a run with
    tracing off (asserted in ``tests/test_determinism.py``).
-3. **Bounded.**  Completed events live in a ring buffer of
-   :data:`TRACE_MAX_EVENTS`; the oldest are evicted first.  *Open* spans are
-   held out of the ring (in a side table keyed by span id) until they are
-   ended, so eviction can never orphan a begin/close pair: a span is
-   either still open, fully present, or fully evicted.
+3. **Bounded.**  The recorder only appends: a span is written once, when
+   its end is known, with its start read off a stamp the core already
+   keeps (a command's ``issue_time``, an inferlet's ``launched_at``, a
+   batch's dispatch instant).  Nothing is held outside the ring buffer of
+   :data:`TRACE_MAX_EVENTS`, which is the whole memory bound; the oldest
+   events are evicted first, and a span is either fully present or fully
+   evicted.
 
 Exporters produce Chrome/Perfetto ``trace_event`` JSON (load it in
 ``ui.perfetto.dev`` or ``chrome://tracing``) and a line-delimited JSONL
@@ -42,16 +44,16 @@ from __future__ import annotations
 import json
 from collections import deque
 from itertools import count
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.inferlet import LifecycleObserver
 from repro.sim.periodic import PeriodicService
 
-#: Ring-buffer bound on completed trace events (oldest evicted first).
+#: Ring-buffer bound on trace events (oldest evicted first).
 TRACE_MAX_EVENTS = 200_000
 
-#: Span/event categories emitted by the instrumented subsystems.  The
-#: stall-attribution sweep in ``repro.tools.trace_report`` keys off these.
+#: Every ``cat`` an emitter may write.  The all-planes traced run in
+#: ``tests/test_determinism.py`` fails on a category not listed here.
 TRACE_CATEGORIES = (
     "lifecycle",  # one span per inferlet, launch -> finish/abort
     "admission",  # launch-gate park/admit plus launch handling
@@ -78,11 +80,8 @@ class TraceRecorder:
     def __init__(self, sim, max_events: int = TRACE_MAX_EVENTS):
         self.sim = sim
         self.max_events = int(max_events)
-        # Completed events only (ph X / i / C), in completion order.
+        # Every event (ph X / i / C), in the order it was written.
         self._events: Deque[dict] = deque(maxlen=self.max_events)
-        # Open spans by id: never evicted, so begin/close pairs stay
-        # consistent no matter how small the ring is.
-        self._open: Dict[int, dict] = {}
         self._span_ids = count(1)
         #: Total events ever emitted (evicted ones included).
         self.total_emitted = 0
@@ -90,44 +89,6 @@ class TraceRecorder:
         self.samples_taken = 0
 
     # -- span / event emission --------------------------------------------
-
-    def begin(
-        self,
-        name: str,
-        cat: str,
-        shard: Optional[int] = None,
-        inferlet: Optional[str] = None,
-        parent: Optional[int] = None,
-        args: Optional[dict] = None,
-    ) -> int:
-        """Open a span at ``sim.now``; returns its id for :meth:`end`."""
-        span_id = next(self._span_ids)
-        self._open[span_id] = {
-            "ph": "X",
-            "name": name,
-            "cat": cat,
-            "ts": self.sim.now,
-            "shard": shard,
-            "inferlet": inferlet,
-            "parent": parent,
-            "id": span_id,
-            "args": args,
-        }
-        return span_id
-
-    def end(self, span_id: Optional[int], args: Optional[dict] = None) -> None:
-        """Close an open span (idempotent: unknown/closed ids are no-ops)."""
-        if span_id is None:
-            return
-        span = self._open.pop(span_id, None)
-        if span is None:
-            return
-        if args:
-            merged = dict(span.get("args") or {})
-            merged.update(args)
-            span["args"] = merged
-        span["dur"] = self.sim.now - span["ts"]
-        self._append(span)
 
     def complete(
         self,
@@ -137,10 +98,10 @@ class TraceRecorder:
         end: Optional[float] = None,
         shard: Optional[int] = None,
         inferlet: Optional[str] = None,
-        parent: Optional[int] = None,
         args: Optional[dict] = None,
     ) -> None:
-        """Record a span whose endpoints are both already known."""
+        """Record a span once its end is known (``sim.now`` by default);
+        ``start`` is a stamp the caller already keeps."""
         stop = self.sim.now if end is None else end
         self._append(
             {
@@ -151,7 +112,6 @@ class TraceRecorder:
                 "dur": max(0.0, stop - start),
                 "shard": shard,
                 "inferlet": inferlet,
-                "parent": parent,
                 "id": next(self._span_ids),
                 "args": args,
             }
@@ -199,43 +159,22 @@ class TraceRecorder:
 
     @property
     def dropped(self) -> int:
-        """Completed events evicted by the ring buffer."""
+        """Events evicted by the ring buffer."""
         return self.total_emitted - len(self._events)
 
     def events(self, cat: Optional[str] = None) -> List[dict]:
-        """Completed events in completion order (optionally one category)."""
+        """Events in the order written (optionally one category)."""
         if cat is None:
             return list(self._events)
         return [event for event in self._events if event["cat"] == cat]
 
-    def open_spans(self) -> List[dict]:
-        """Spans begun but not yet ended (never subject to eviction)."""
-        return list(self._open.values())
-
     # -- exporters ---------------------------------------------------------
-
-    def _export_events(self) -> Iterable[dict]:
-        """Completed events followed by still-open spans.
-
-        Open spans get a provisional duration up to ``sim.now`` and an
-        ``open: true`` arg so consumers can tell them from closed ones
-        (aborted inferlets leave their lifecycle span open, for example).
-        """
-        for event in self._events:
-            yield event
-        for span in self._open.values():
-            provisional = dict(span)
-            provisional["dur"] = max(0.0, self.sim.now - span["ts"])
-            merged = dict(span.get("args") or {})
-            merged["open"] = True
-            provisional["args"] = merged
-            yield provisional
 
     def export_jsonl(self, path) -> int:
         """Write one JSON object per line; returns the number of lines."""
         lines = 0
         with open(path, "w", encoding="utf-8") as handle:
-            for event in self._export_events():
+            for event in self._events:
                 handle.write(json.dumps(_jsonable(event), sort_keys=True))
                 handle.write("\n")
                 lines += 1
@@ -262,7 +201,7 @@ class TraceRecorder:
                 return 0
             return tids.setdefault(inferlet, len(tids) + 1)
 
-        for event in self._export_events():
+        for event in self._events:
             record = {
                 "name": event["name"],
                 "cat": event["cat"],
@@ -282,8 +221,6 @@ class TraceRecorder:
                 extra = dict(args or {})
                 if event.get("id") is not None:
                     extra["span_id"] = event["id"]
-                if event.get("parent") is not None:
-                    extra["parent"] = event["parent"]
                 if extra:
                     record["args"] = _jsonable(extra)
             trace_events.append(record)
@@ -337,27 +274,15 @@ class LifecycleTracer(LifecycleObserver):
 
     The lifecycle span covers launch -> final release; the admission span
     covers launch -> running (or abort/failure), so ``trace_report`` can
-    attribute pre-run wait separately.
+    attribute pre-run wait separately.  Both start at the core's
+    ``launched_at`` stamp, so the tracer keeps no state of its own.
     """
 
     def __init__(self, recorder: TraceRecorder) -> None:
         self.recorder = recorder
-        # instance id -> (lifecycle span, admission span)
-        self._spans: Dict[str, Tuple[int, int]] = {}
-
-    def note_launch_requested(self, instance) -> None:
-        self._spans[instance.instance_id] = (
-            self.recorder.begin(
-                "inferlet",
-                "lifecycle",
-                inferlet=instance.instance_id,
-                args={"program": instance.program.name, "tenant": instance.tenant},
-            ),
-            self.recorder.begin("launch", "admission", inferlet=instance.instance_id),
-        )
 
     def note_running(self, instance) -> None:
-        self.recorder.end(self._spans[instance.instance_id][1])
+        self._since_launch("launch", "admission", instance, None)
 
     def note_reclaimed(self, victim, requester, shard) -> None:
         self.recorder.instant(
@@ -369,11 +294,18 @@ class LifecycleTracer(LifecycleObserver):
         )
 
     def note_finished(self, instance) -> None:
-        lifecycle, admission = self._spans.pop(instance.instance_id, (None, None))
-        # The admission span is still open only if the launch never ran.
-        outcome = {"terminated": "aborted", "rejected": "rejected"}.get(instance.status, "failed")
-        self.recorder.end(admission, args={outcome: True})
-        self.recorder.end(lifecycle, args={"status": instance.status})
+        status = instance.status
+        if instance.metrics.started_at is None:  # it never ran
+            outcome = {"terminated": "aborted", "rejected": "rejected"}.get(status, "failed")
+            self._since_launch("launch", "admission", instance, {outcome: True})
+        args = {"program": instance.program.name, "tenant": instance.tenant, "status": status}
+        self._since_launch("inferlet", "lifecycle", instance, args)
+
+    def _since_launch(self, name: str, cat: str, instance, args: Optional[dict]) -> None:
+        """Write a span from the instance's ``launched_at`` stamp to now."""
+        self.recorder.complete(
+            name, cat, instance.metrics.launched_at, inferlet=instance.instance_id, args=args
+        )
 
 
 def telemetry_sampler(recorder: TraceRecorder, controller) -> PeriodicService:

@@ -47,9 +47,6 @@ class NetworkLink:
         # Serialized-channel clock for reserve(): the virtual time until
         # which the wire is occupied by already reserved transfers.
         self._busy_until = 0.0
-        # Flight recorder hook: called with (link, start, end, size_bytes)
-        # for every reservation.  None (the default) costs one comparison.
-        self._tracer: Optional[Callable[["NetworkLink", float, float, int], None]] = None
         # Chaos plane (repro.sim.faults): extra one-way latency while a
         # link_spike fault window is open.  Pure arithmetic — no rng draws
         # beyond the latency model's own, so injecting a fault never
@@ -57,11 +54,10 @@ class NetworkLink:
         self.fault_extra_delay = 0.0
         self.faults_injected = 0
 
-    def set_tracer(
-        self, tracer: Optional[Callable[["NetworkLink", float, float, int], None]]
-    ) -> None:
-        """Install a read-only observer of wire reservations."""
-        self._tracer = tracer
+    @property
+    def busy_until(self) -> float:
+        """When the wire drains: the end of the last reserved slot."""
+        return self._busy_until
 
     def one_way_delay(self) -> float:
         return self.latency.sample(self.sim.rng) + self.fault_extra_delay
@@ -110,8 +106,6 @@ class NetworkLink:
         self.busy_seconds += self._busy_until - start
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        if self._tracer is not None:
-            self._tracer(self, start, self._busy_until, size_bytes)
         return self._busy_until + self.one_way_delay()
 
     async def request(

@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 from repro.core import InferletProgram, PieServer, TenantSpec
 from repro.core.config import ControlLayerConfig, PieConfig
+from repro.core.trace import TRACE_CATEGORIES
 from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
 from repro.sim.latency import ConstantLatency
@@ -150,6 +151,8 @@ def run_stack(
         categories = {}
         for event in server.trace.events():
             categories[event["cat"]] = categories.get(event["cat"], 0) + 1
+        # The catalogue is binding: every emitted category is listed there.
+        assert set(categories) <= set(TRACE_CATEGORIES), set(categories) - set(TRACE_CATEGORIES)
         out["trace_categories"] = categories
     if server.monitor is not None:
         out["monitor_scrapes"] = server.monitor.scrapes_taken

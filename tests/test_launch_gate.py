@@ -201,7 +201,7 @@ def cancel_keeps_the_corpse(self, instance):
     gate = self.gates.get(instance.tenant)
     if gate is None or instance.instance_id not in gate.parked:
         return
-    _, ready, _ = gate.parked[instance.instance_id]
+    _, ready = gate.parked[instance.instance_id]
     self._abort_launch(instance, ready)
 
 

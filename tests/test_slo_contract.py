@@ -380,16 +380,28 @@ def test_a_refused_launch_leaves_no_observer_half_told():
     sim = Simulator(seed=0)
     server = PieServer(sim, tenants=[ONE_AT_A_TIME], tracing=True, monitoring=True)
     server.register_program(napper())
-    server.launch("napper", tenant="jobs")
+    admitted, _ = server.launch("napper", tenant="jobs")
     with pytest.raises(AdmissionRejectedError):
         server.launch("napper", tenant="jobs")
     [tracer] = [o for o in server.controller.observers if isinstance(o, LifecycleTracer)]
-    # Only the admitted launch is still open; nothing of the refused one.
-    assert len(tracer._spans) == 1
-    assert {span["name"] for span in server.trace.open_spans()} == {"inferlet", "launch"}
-    assert len(server.trace.open_spans()) == 2
+    # The tracer holds no state; the refused launch was told once, as two
+    # zero-length spans marked rejected, and nothing of the admitted one yet.
+    assert vars(tracer) == {"recorder": server.trace}
+
+    def spans():
+        events = server.trace.events()
+        return [e for e in events if e["ph"] == "X" and e["cat"] in ("lifecycle", "admission")]
+
+    refused = spans()
+    assert [(e["name"], e["dur"], e["args"]) for e in refused] == [
+        ("launch", 0.0, {"rejected": True}),
+        ("inferlet", 0.0, {"program": "napper", "tenant": "jobs", "status": "rejected"}),
+    ]
+    [refused_id] = {e["inferlet"] for e in refused}
+    assert refused_id != admitted.instance_id
     sim.run()
-    assert tracer._spans == {} and server.trace.open_spans() == []
+    assert vars(tracer) == {"recorder": server.trace}
+    assert [e["name"] for e in spans()] == ["launch", "inferlet", "launch", "inferlet"]
     # Counted once, as a rejected request that was offered.
     metrics = server.export_metrics()["metrics"]
     assert {

@@ -2,9 +2,10 @@
 
 The serving-path integration (bit-identity, off-knob inertness) lives in
 tests/test_determinism.py; here the recorder's own guarantees are pinned:
-bounded ring eviction that never orphans a begin/close pair, idempotent
-span closing, and exporter round-trips.  The telemetry sampler's timer is a
-``PeriodicService`` (tests/test_periodic_service.py).
+it only appends (a span is written once, when it ends, from a start the
+caller kept), the ring is its whole memory bound, and exporter
+round-trips.  The telemetry sampler's timer is a ``PeriodicService``
+(tests/test_periodic_service.py).
 """
 
 import json
@@ -21,45 +22,44 @@ def make_recorder(max_events=10):
 # -- spans & ring buffer ------------------------------------------------------
 
 
-def test_begin_end_records_duration_on_virtual_clock():
+def test_complete_records_duration_on_virtual_clock():
     sim, trace = make_recorder()
-    span = trace.begin("queue:forward", "queue", shard=0, inferlet="i-1")
     sim.run_until_complete(sim.sleep(0.25))
-    trace.end(span, args={"tokens": 4})
+    trace.complete("queue:forward", "queue", 0.0, shard=0, inferlet="i-1", args={"tokens": 4})
     (event,) = trace.events()
     assert event["name"] == "queue:forward"
     assert event["ts"] == 0.0
     assert event["dur"] == 0.25
     assert event["args"] == {"tokens": 4}
-    assert trace.open_spans() == []
 
 
-def test_end_is_idempotent_and_tolerates_none():
+def test_complete_takes_an_explicit_end():
     _, trace = make_recorder()
-    span = trace.begin("s", "sched")
-    trace.end(span)
-    trace.end(span)  # second close: no-op
-    trace.end(None)  # cleared span handle: no-op
-    trace.end(10**9)  # unknown id: no-op
-    assert len(trace.events()) == 1
+    trace.complete("kvlink:0->1", "net", 1.0, end=1.5, args={"bytes": 8})
+    (event,) = trace.events()
+    assert (event["ts"], event["dur"]) == (1.0, 0.5)
 
 
-def test_ring_eviction_keeps_open_spans_out_of_the_ring():
-    """Open spans must survive arbitrarily many completed-event evictions:
-    a span is either still open, fully present, or fully evicted — never a
-    dangling close without its begin."""
-    _, trace = make_recorder(max_events=5)
-    held = trace.begin("lifecycle", "lifecycle", inferlet="survivor")
+def test_the_recorder_holds_nothing_outside_its_ring():
+    """The recorder only appends: no begin/end pair, no side table.  A
+    span is written at its end, so eviction drops whole spans, oldest
+    written first, and ``dropped`` counts them like any other event."""
+    sim, trace = make_recorder(max_events=5)
+    for name in ("begin", "end", "open_spans", "_open"):
+        assert not hasattr(trace, name), name
     for index in range(50):
         trace.instant(f"tick{index}", "sched")
     assert len(trace.events()) == 5  # ring is full...
     assert trace.dropped == 45
-    assert [span["inferlet"] for span in trace.open_spans()] == ["survivor"]
-    trace.end(held)  # ...and the old span still closes into the ring
+    sim.run_until_complete(sim.sleep(2.0))
+    # ...and a long span started before every tick still lands whole.
+    trace.complete("inferlet", "lifecycle", 0.0, inferlet="survivor")
+    assert len(trace.events()) == 5 and trace.dropped == 46
     closed = trace.events()[-1]
-    assert closed["inferlet"] == "survivor"
-    assert "dur" in closed
-    assert trace.open_spans() == []
+    assert (closed["inferlet"], closed["ts"], closed["dur"]) == ("survivor", 0.0, 2.0)
+    assert [event["name"] for event in trace.events()[:-1]] == [
+        f"tick{index}" for index in range(46, 50)
+    ]
 
 
 def test_total_emitted_counts_evicted_events():
@@ -83,25 +83,22 @@ def test_events_filter_by_category():
 # -- exporters ----------------------------------------------------------------
 
 
-def test_jsonl_export_includes_open_spans_flagged(tmp_path):
+def test_jsonl_export_writes_every_event_once(tmp_path):
     sim, trace = make_recorder()
-    trace.begin("lifecycle", "lifecycle", inferlet="aborted-1")
     trace.instant("swap_out", "swap", shard=0, inferlet="i-2", args={"pages": 3})
+    trace.complete("inferlet", "lifecycle", 0.0, inferlet="i-2", args={"status": "finished"})
     path = tmp_path / "t.jsonl"
     count = trace.export(str(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert count == len(lines) == 2
-    open_events = [e for e in lines if (e.get("args") or {}).get("open")]
-    assert [e["inferlet"] for e in open_events] == ["aborted-1"]
-    # Exporting is read-only: the span is still open afterwards.
-    assert len(trace.open_spans()) == 1
+    assert [event["name"] for event in lines] == ["swap_out", "inferlet"]
+    assert lines[1]["args"] == {"status": "finished"}
 
 
 def test_perfetto_export_structure(tmp_path):
     sim, trace = make_recorder()
-    span = trace.begin("queue:forward", "queue", shard=1, inferlet="i-1")
     sim.run_until_complete(sim.sleep(0.002))
-    trace.end(span)
+    trace.complete("queue:forward", "queue", 0.0, shard=1, inferlet="i-1")
     trace.counter("telemetry", {"queue_depth": 2.0}, shard=1)
     trace.instant("place", "sched", shard=0, inferlet="i-1")
     path = tmp_path / "t.json"
