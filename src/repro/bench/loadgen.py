@@ -22,8 +22,9 @@ This module provides that harness for the simulated Pie deployment:
 * **goodput** accounting, read off each request's own record
   (``InferletMetrics.good``): it counts only if it finished and its TTFT
   (and TPOT, when the stream carries a sample) met the SLO it was launched
-  under; a launch admission control refused is *shed* — reported, and
-  still in every denominator;
+  under; a launch admission control refused is *shed*, one refused a
+  sandbox or a healthy shard *failed* — both reported, and still in every
+  denominator;
 * per-class p50/p99 TTFT and TPOT via the shared
   :func:`repro.core.metrics.percentile` helper;
 * control-plane scaling counters — simulator events processed per request,
@@ -239,7 +240,9 @@ def run_open_loop(
     replaces the diurnal day shape in ``mode='trace'`` (e.g. a two-phase
     overload-then-trickle shape for burn-rate alert scenarios).  A launch
     refused by admission control is counted under ``shed`` (total and per
-    class) and stays in the goodput / attainment denominators.
+    class), one that failed — its program raised, or its launch found no
+    Wasm sandbox or no healthy shard — under ``failed``; both stay in the
+    goodput / attainment denominators.
     """
     arrivals = build_arrivals(
         n_requests, offered_rate, seed, mode=mode, mix=mix,
@@ -279,13 +282,16 @@ def run_open_loop(
     monitor = server.monitor
 
     per_class = {
-        cls.name: {"requests": 0, "good": 0, "shed": 0, "ttft": [], "tpot": []} for cls in mix
+        cls.name: {"requests": 0, "good": 0, "shed": 0, "failed": 0, "ttft": [], "tpot": []}
+        for cls in mix
     }
     for arrival, result in zip(arrivals, results):
         tally = per_class[arrival.workload.name]
         tally["requests"] += 1
         if result.status == "rejected":
             tally["shed"] += 1
+        elif result.status == "failed":
+            tally["failed"] += 1
         if result.status != "finished":
             continue
         record = metrics.per_inferlet[result.instance_id]
@@ -305,6 +311,7 @@ def run_open_loop(
         "duration_s": duration,
         "finished": run.finished,
         "shed": sum(tally["shed"] for tally in per_class.values()),
+        "failed": sum(tally["failed"] for tally in per_class.values()),
         "goodput_count": goodput_count,
         "goodput_rate": ratio(goodput_count, duration),
         "slo_attainment": ratio(goodput_count, n_requests),

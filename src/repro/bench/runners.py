@@ -9,7 +9,11 @@ from repro.core import InferletProgram, PieServer
 from repro.core.config import PieConfig
 from repro.core.metrics import InferletMetrics, SystemMetrics
 from repro.core.server import LaunchResult
-from repro.errors import AdmissionRejectedError
+from repro.errors import (
+    AdmissionRejectedError,
+    SandboxPoolExhaustedError,
+    ShardUnavailableError,
+)
 from repro.sim import Simulator
 from repro.workloads import ToolEnvironment
 
@@ -111,8 +115,11 @@ def launch_fleet(server: PieServer, fleet: Sequence[Launch]) -> FleetRun:
     A launch that admission control refuses is *shed*, not failed: the
     typed :class:`~repro.errors.AdmissionRejectedError` becomes that entry's
     result (``status="rejected"``, the error's ``reason`` kept) and the rest
-    of the fleet runs on.  Any other exception is a bug and still fails the
-    run.
+    of the fleet runs on.  A launch refused a sandbox
+    (:class:`~repro.errors.SandboxPoolExhaustedError`) or a healthy shard
+    (:class:`~repro.errors.ShardUnavailableError`) fails the same way:
+    ``status="failed"``, the error's message as ``reason``.  Any other
+    exception is a bug and still fails the run.
     """
     sim = server.sim
     registered = set(server.lifecycle.program_names())
@@ -129,6 +136,8 @@ def launch_fleet(server: PieServer, fleet: Sequence[Launch]) -> FleetRun:
             return await server.run_inferlet(launch.program.name, **launch.kwargs)
         except AdmissionRejectedError as exc:
             return LaunchResult(instance_id="", status="rejected", result=None, reason=exc.reason)
+        except (SandboxPoolExhaustedError, ShardUnavailableError) as exc:
+            return LaunchResult(instance_id="", status="failed", result=None, reason=str(exc))
 
     async def run_all():
         return await sim.gather([sim.create_task(one(launch)) for launch in fleet])

@@ -193,6 +193,7 @@ class Controller:
 
     def unregister_inferlet(self, instance: InferletInstance) -> None:
         self._instances.pop(instance.instance_id, None)
+        self.bus.forget(instance.instance_id)
         for shard in list(instance.placements.values()):
             service = shard.service
             for queue in shard.scheduler.queues_for_owner(instance.instance_id):

@@ -80,6 +80,9 @@ class InferletInstance:
         self.metrics = InferletMetrics(inferlet_id=self.instance_id)
         self.channel: Optional[ClientChannel] = None
         self.task = None  # set by the lifecycle manager
+        # Resolved with the instance when it leaves the system, by the
+        # lifecycle manager's ``_retire`` (which creates it at launch).
+        self.done = None
         self.rng = np.random.default_rng(seed)
         self.pending_overhead = 0.0
         self.result: Any = None

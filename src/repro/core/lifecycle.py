@@ -3,17 +3,18 @@
 The ILM owns inferlet creation, destruction and communication.  A launch
 request first passes its tenant's admission gate, which applies the
 tenant's ``TenantSpec`` limits — launch rate, concurrency cap, backlog
-bound — with every plane off.  Admitted launches are serviced by a single
-launch executor (the serialised part of Figure 9's launch latency); each
-launched inferlet gets a sandboxed runtime instance, a client channel, and
-a task on the simulator that runs the program to completion and releases
-its resources afterwards.
+bound — with every plane off.  Admitted launches pass a single launch
+executor, one timestamp of when it is next free (the serialised part of
+Figure 9's launch latency); each launched inferlet gets a sandboxed runtime
+instance, a client channel, and a task on the simulator that runs the
+program to completion.  Whatever way it ends, ``_retire`` gives back what
+the launch took: its gate slot, its sandbox and its completion future.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -104,13 +105,11 @@ class InferletLifecycleManager:
         self.controller = controller
         self.runtime = runtime
         self._programs: Dict[str, InferletProgram] = {}
-        self._launch_queue: Deque[Tuple[InferletInstance, SimFuture]] = deque()
-        self._launch_worker_busy = False
+        #: The launch executor: when its last admitted launch is handled.
+        self._launch_free_at = 0.0
         #: The launch gate: one :class:`TenantGate` per tenant that launched.
         self.gates: Dict[str, TenantGate] = {}
         self._seed_counter = 0
-        # wait_for_completion futures of instances that have no task yet.
-        self._taskless_waiters: Dict[str, List[SimFuture]] = {}
         controller.terminate_hook = self._on_forced_termination
 
     # -- program registry ------------------------------------------------------
@@ -188,6 +187,7 @@ class InferletLifecycleManager:
         instance.metrics.ttft_slo_s, instance.metrics.tpot_slo_s = spec.ttft_slo_s, spec.tpot_slo_s
         self.controller.metrics.tenant_record(spec).offered += 1
         instance.channel = ClientChannel(self.sim, instance.instance_id)
+        instance.done = self.sim.create_future(name=f"done:{instance.instance_id}")
         ready = self.sim.create_future(name=f"launch:{instance.instance_id}")
         for observer in self.controller.observers:
             observer.note_launch_requested(instance)
@@ -237,10 +237,16 @@ class InferletLifecycleManager:
         self._arm_refill_timer(gate)
 
     def _admit(self, gate: TenantGate, instance: InferletInstance, ready: SimFuture) -> None:
+        """Take a tenant slot and book the launch executor: its handling
+        ends ``LAUNCH_HANDLING_MS`` after the previous launch's, or after
+        now if the executor is idle."""
         gate.running.add(instance.instance_id)
         self.controller.metrics.tenants[gate.spec.name].admitted += 1
-        self._launch_queue.append((instance, ready))
-        self._pump_launch_queue()
+        handled_at = max(self.sim.now, self._launch_free_at) + milliseconds(LAUNCH_HANDLING_MS)
+        self._launch_free_at = handled_at
+        self.sim.create_task(
+            self._launch_one(instance, ready, handled_at), name=f"ilm:{instance.instance_id}"
+        )
 
     def _unpark(self, gate: TenantGate, instance_id: str, **span_args) -> Tuple:
         """Take a launch off the tenant's backlog.  Its ``admission_queued``
@@ -288,7 +294,7 @@ class InferletLifecycleManager:
             return
         self._abort_launch(*self._unpark(gate, instance.instance_id, cancelled=True))
 
-    # -- the launch executor -----------------------------------------------------------
+    # -- launching and retiring ------------------------------------------------------
 
     def _retire(self, instance: InferletInstance, status: str) -> None:
         """The one way out of the system, whatever the cause.
@@ -297,9 +303,10 @@ class InferletLifecycleManager:
         only other writer, and a termination it recorded sticks unless the
         program then failed on its own — and unregisters the instance before
         control returns to the event loop, so the controller's registry holds
-        exactly the live inferlets.  The tenant's record counts the exit, its
-        gate slot frees, then the planes that account per inferlet are told,
-        once.
+        exactly the live inferlets.  The tenant's record counts the exit;
+        then the launch gives back what it took — its gate slot (the next
+        parked launch may go), its sandbox, its completion future — and the
+        planes that account per inferlet are told, once.
         """
         controller = self.controller
         if status == "failed" or not instance.finished:
@@ -312,18 +319,18 @@ class InferletLifecycleManager:
         controller.unregister_inferlet(instance)
         gate = self.gates[instance.tenant]
         if instance.instance_id in gate.running:
-            # It held one of the tenant's slots: the next parked launch may go.
             gate.running.remove(instance.instance_id)
             self._pump(gate)
+        self.runtime.release(instance.instance_id)
         for observer in controller.observers:
             observer.note_finished(instance)
-        # Waiters still parked here belong to an instance that never ran.
-        for done in self._taskless_waiters.pop(instance.instance_id, ()):
-            done.set_result(instance)
+        if not instance.done.done():
+            instance.done.set_result(instance)
 
     def _abort_launch(self, instance: InferletInstance, ready: SimFuture) -> None:
-        """Retire an instance terminated while parked (in the launch queue or
-        at its tenant's gate) and fail its ready future."""
+        """Retire an instance terminated before its program ran (parked at
+        its tenant's gate, waiting for the executor, or while its sandbox
+        was built) and fail its ready future."""
         self._retire(instance, "terminated")
         if not ready.done():
             ready.set_exception(
@@ -334,25 +341,23 @@ class InferletLifecycleManager:
                 )
             )
 
-    def _pump_launch_queue(self) -> None:
-        if self._launch_worker_busy or not self._launch_queue:
-            return
-        self._launch_worker_busy = True
-        instance, ready = self._launch_queue.popleft()
-        self.sim.create_task(self._launch_one(instance, ready), name=f"ilm:{instance.instance_id}")
-
-    async def _launch_one(self, instance: InferletInstance, ready: SimFuture) -> None:
+    async def _launch_one(
+        self, instance: InferletInstance, ready: SimFuture, handled_at: float
+    ) -> None:
         # Serialised per-launch handling at the ILM (queueing under bursts).
-        await self.sim.sleep(milliseconds(LAUNCH_HANDLING_MS))
-        self._launch_worker_busy = False
-        self._pump_launch_queue()
+        handled = self.sim.create_future(name=f"handled:{instance.instance_id}")
+        self.sim.call_at(handled_at, handled.set_result, None)
+        await handled
         if instance.finished:
-            # Aborted while parked in the launch queue: the termination must
-            # stick — don't instantiate; retiring frees its gate slot.
+            # Terminated while it waited for the executor: it builds nothing.
             self._abort_launch(instance, ready)
             return
         try:
-            await self.runtime.instantiate(instance.program.name)
+            await self.runtime.instantiate(instance.program.name, instance.instance_id)
+            if instance.finished:
+                # Terminated while its sandbox was built: the termination sticks.
+                self._abort_launch(instance, ready)
+                return
             self.controller.register_inferlet(instance)
         except (InferletError, ShardUnavailableError) as exc:
             # No runtime instance, or (chaos plane) no healthy shard to place
@@ -374,8 +379,6 @@ class InferletLifecycleManager:
         instance.task = self.sim.create_task(
             self._run_program(instance, ctx), name=f"inferlet:{instance.instance_id}"
         )
-        for done in self._taskless_waiters.pop(instance.instance_id, ()):
-            self._resolve_with_task(instance, done)
         ready.set_result(instance)
 
     async def _run_program(self, instance: InferletInstance, ctx: InferletContext) -> Any:
@@ -392,7 +395,6 @@ class InferletLifecycleManager:
             raise
         finally:
             instance.metrics.finished_at = self.sim.now
-            self.runtime.release_instance()
             self._retire(instance, status)
 
     async def _invoke(self, main, ctx: InferletContext, args: List[str]) -> Any:
@@ -404,37 +406,18 @@ class InferletLifecycleManager:
     # -- termination -----------------------------------------------------------------------
 
     def _on_forced_termination(self, instance: InferletInstance, reason: str) -> None:
-        if instance.task is not None and not instance.task.done():
-            instance.task.cancel()
-        elif instance.task is None:
-            # Never started: it may be parked at its gate (the launch-queue
-            # case cleans itself up in _launch_one).
+        task = instance.task
+        if task is None:
+            # Never started: it may be parked at its gate (a launch past the
+            # gate cleans itself up in _launch_one).
             self._cancel_parked(instance)
+        elif not task.done():
+            task.cancel()
+            if not task.entered:
+                # Cancelled before its first step: the program never enters
+                # _run_program's try, so it leaves from here.
+                self._retire(instance, "terminated")
 
     def abort(self, instance: InferletInstance, reason: str = "client abort") -> None:
         """Abort a running inferlet on behalf of its client."""
         self.controller.terminate_inferlet(instance, reason)
-
-    # -- client communication -----------------------------------------------------------------
-
-    def wait_for_completion(self, instance: InferletInstance) -> SimFuture:
-        """Future resolving with the instance once it is over: when its task
-        finishes (result or error), or — for an instance that never got a
-        task (aborted while parked, failed to instantiate) — when it is
-        retired.  Nothing polls: a launch still in progress parks the future
-        until ``_launch_one`` creates the task or ``_retire`` gives up on it.
-        """
-        done = self.sim.create_future(name=f"wait:{instance.instance_id}")
-        if instance.task is not None:
-            self._resolve_with_task(instance, done)
-        elif instance.finished:
-            done.set_result(instance)
-        else:
-            self._taskless_waiters.setdefault(instance.instance_id, []).append(done)
-        return done
-
-    @staticmethod
-    def _resolve_with_task(instance: InferletInstance, done: SimFuture) -> None:
-        instance.task.add_done_callback(
-            lambda fut: done.set_result(instance) if not done.done() else None
-        )

@@ -101,6 +101,11 @@ class MessageBus:
     def unsubscribe(self, topic: str, subscriber_id: str) -> None:
         self._subscribers.get(topic, {}).pop(subscriber_id, None)
 
+    def forget(self, subscriber_id: str) -> None:
+        """Drop every mailbox of a subscriber that left the system."""
+        for mailboxes in self._subscribers.values():
+            mailboxes.pop(subscriber_id, None)
+
     def broadcast(self, topic: str, message: Any, sender_id: str) -> int:
         """Deliver to every subscriber except the sender; returns the count."""
         delivered = 0

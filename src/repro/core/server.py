@@ -37,8 +37,21 @@ class LaunchResult:
     messages: List[Any] = field(default_factory=list)
     latency: float = 0.0
     launch_latency: float = 0.0
-    #: Why a launch that never ran was refused (``status="rejected"``).
+    #: Why a launch that never ran was refused (``status="rejected"``)
+    #: or failed (``status="failed"``, no sandbox or no healthy shard).
     reason: str = ""
+
+    @classmethod
+    def of(cls, instance: InferletInstance, latency: float = 0.0, launch_latency: float = 0.0):
+        """What ``instance`` left behind once ``instance.done`` resolved."""
+        return cls(
+            instance_id=instance.instance_id,
+            status=instance.status,
+            result=instance.result,
+            messages=instance.channel.drain_client_messages(),
+            latency=latency,
+            launch_latency=launch_latency,
+        )
 
 
 class PieServer:
@@ -168,15 +181,8 @@ class PieServer:
         )
         await ready
         launch_latency = self.sim.now - started
-        await self.lifecycle.wait_for_completion(instance)
-        return LaunchResult(
-            instance_id=instance.instance_id,
-            status=instance.status,
-            result=instance.result,
-            messages=instance.channel.drain_client_messages(),
-            latency=self.sim.now - started,
-            launch_latency=launch_latency,
-        )
+        await instance.done
+        return LaunchResult.of(instance, self.sim.now - started, launch_latency)
 
 
 class PieClient:
@@ -240,20 +246,13 @@ class PieClient:
         )
         await ready
         launch_latency = self.sim.now - started
-        await self.server.lifecycle.wait_for_completion(instance)
+        await instance.done
         await self.link.send(None)
         if instance.status == "failed" and instance.task is not None:
             error = instance.task.exception()
             if error is not None:
                 raise ClientError(f"inferlet {name!r} failed: {error}") from error
-        return LaunchResult(
-            instance_id=instance.instance_id,
-            status=instance.status,
-            result=instance.result,
-            messages=instance.channel.drain_client_messages(),
-            latency=self.sim.now - started,
-            launch_latency=launch_latency,
-        )
+        return LaunchResult.of(instance, self.sim.now - started, launch_latency)
 
     # -- messaging -----------------------------------------------------------------------
 
@@ -267,11 +266,6 @@ class PieClient:
         return message
 
     async def wait(self, instance: InferletInstance) -> LaunchResult:
-        await self.server.lifecycle.wait_for_completion(instance)
+        await instance.done
         await self.link.send(None)
-        return LaunchResult(
-            instance_id=instance.instance_id,
-            status=instance.status,
-            result=instance.result,
-            messages=instance.channel.drain_client_messages(),
-        )
+        return LaunchResult.of(instance)

@@ -11,10 +11,10 @@ size).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Set
 
-from repro.errors import InferletError, ReproError
+from repro.errors import InferletError, SandboxPoolExhaustedError
 from repro.core.config import WasmRuntimeConfig
 from repro.sim.latency import milliseconds
 from repro.sim.simulator import Simulator
@@ -57,7 +57,8 @@ class WasmRuntime:
         self.sim = sim
         self.config = config
         self._binaries: Dict[str, WasmBinary] = {}
-        self._live_instances = 0
+        #: Who holds a built sandbox, until ``release``.
+        self._holders: Set[str] = set()
 
     # -- binary management ---------------------------------------------------
 
@@ -94,33 +95,34 @@ class WasmRuntime:
 
     # -- instance lifecycle ---------------------------------------------------------
 
-    async def instantiate(self, name: str) -> WasmBinary:
-        """Create a sandboxed instance of a cached binary.
+    async def instantiate(self, name: str, holder: str) -> WasmBinary:
+        """Create a sandboxed instance of a cached binary for ``holder``.
 
         Thanks to wasmtime's pooled allocation, instantiation cost does not
         grow with the number of live instances — until the pool is
-        exhausted.
+        exhausted.  The sandbox counts against the pool once it is built,
+        until :meth:`release`, so launches whose builds overlap all pass the
+        check (ROADMAP item 9).
         """
         binary = self.get_binary(name)
         if not binary.jit_compiled:
             raise InferletError(f"binary {name!r} has not been JIT compiled yet")
-        if self._live_instances >= self.config.pool_size:
-            raise InferletError(
+        if len(self._holders) >= self.config.pool_size:
+            raise SandboxPoolExhaustedError(
                 f"Wasm instance pool exhausted ({self.config.pool_size} live instances)"
             )
         await self.sim.sleep(milliseconds(WARM_INSTANTIATE_MS))
-        self._live_instances += 1
+        self._holders.add(holder)
         binary.launches += 1
         return binary
 
-    def release_instance(self) -> None:
-        if self._live_instances <= 0:
-            raise ReproError("released more Wasm instances than were created")
-        self._live_instances -= 1
+    def release(self, holder: str) -> None:
+        """Give back ``holder``'s sandbox; a no-op if it holds none."""
+        self._holders.discard(holder)
 
     @property
     def live_instances(self) -> int:
-        return self._live_instances
+        return len(self._holders)
 
     def per_call_overhead_seconds(self) -> float:
         """Wasm boundary-crossing overhead added to every API call (Table 3)."""

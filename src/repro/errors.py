@@ -46,6 +46,12 @@ class InferletTerminated(InferletError):
         self.cause = cause
 
 
+class SandboxPoolExhaustedError(InferletError):
+    """Raised when a launch finds every sandbox of the Wasm instance pool
+    held (``WasmRuntimeConfig.pool_size``).  Typed so a harness can count
+    such a launch as failed and run on."""
+
+
 class AdmissionRejectedError(ReproError):
     """Raised when a tenant's launch gate refuses an inferlet launch.
     ``reason`` says why: ``"queue_full"`` — the tenant is

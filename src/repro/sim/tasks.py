@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Coroutine, Optional
 
 from repro.errors import CancelledError, SimulationError
@@ -45,6 +46,12 @@ class Task(SimFuture):
         elif not self._started:
             self._sim.call_soon(self._step, None)
         return True
+
+    @property
+    def entered(self) -> bool:
+        """Whether the coroutine has begun to run.  A cancel delivered
+        before then runs none of its body, ``finally`` blocks included."""
+        return inspect.getcoroutinestate(self._coro) != inspect.CORO_CREATED
 
     # -- stepping ---------------------------------------------------------
 

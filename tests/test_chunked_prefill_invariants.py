@@ -211,7 +211,7 @@ def test_abort_mid_chunk_releases_partially_committed_kv_exactly_once():
     # 600 tokens in 32-token slices at ~17+ ms per lone batch: 50 ms in,
     # several slices have committed and the residual is still pending.
     sim.schedule(0.05, kill)
-    sim.run_until_complete(server.lifecycle.wait_for_completion(instance))
+    sim.run_until_complete(instance.done)
     sim.run()  # drain in-flight batches and deferred callbacks
 
     assert instance.status == "terminated"

@@ -158,7 +158,7 @@ def run_fleet(seed, n_agents=5, devices=3, kill_fraction=0.0):
         await ready
         if spec["kill_at"] is not None:
             sim.create_task(killer(instance, spec["kill_at"]))
-        await server.lifecycle.wait_for_completion(instance)
+        await instance.done
         return instance
 
     async def run_all():
@@ -214,7 +214,7 @@ def test_abort_mid_stream_frees_staged_pages():
         assert server.metrics.disagg_handoffs == 0
         assert server.service().transfer.staged_pages(instance.instance_id) > 0
         server.lifecycle.abort(instance, "mid-stream abort")
-        await server.lifecycle.wait_for_completion(instance)
+        await instance.done
         return instance
 
     instance = sim.run_until_complete(scenario())
@@ -247,7 +247,7 @@ def run_onto_full_decode_shard(kv_pages):
         second, ready = server.lifecycle.launch("second")
         await ready
         for instance in (first, second):
-            await server.lifecycle.wait_for_completion(instance)
+            await instance.done
         return first, second
 
     instances = sim.run_until_complete(scenario())

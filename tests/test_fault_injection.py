@@ -312,7 +312,7 @@ def test_terminated_inferlet_carries_structured_cause():
     server.register_external(TOOL_URL, lambda payload: "rows", ConstantLatency(0.5))
     server.register_program(make_agent(0))
     instance, _ = server.launch("chaos0")
-    sim.run_until_complete(server.lifecycle.wait_for_completion(instance))
+    sim.run_until_complete(instance.done)
     assert instance.status == "terminated"
     assert server.metrics.failover_terminations == 1
     # The structured cause is on the instance, and any API touch-point
@@ -421,7 +421,7 @@ def test_relaunch_forgets_the_destination_caches_embed_identities():
     their previous owner — ``alloc_embeds`` and the disaggregation handoff
     both forget those; the relaunch did not."""
     sim, server, mover = _run_short_mover_beside_a_warmer(crash=False)
-    sim.run_until_complete(server.lifecycle.wait_for_completion(mover))
+    sim.run_until_complete(mover.done)
     clean = mover.result
 
     sim, server, mover = _run_short_mover_beside_a_warmer(crash=True)
@@ -435,7 +435,7 @@ def test_relaunch_forgets_the_destination_caches_embed_identities():
     adopted = set(survivor.resources.emb_mapping(mover.instance_id).values())
     assert adopted & stale, "the relaunch must reuse slots the cache knew"
     assert not adopted & set(survivor.prefix_cache._emb_tokens)
-    sim.run_until_complete(server.lifecycle.wait_for_completion(mover))
+    sim.run_until_complete(mover.done)
     assert mover.status == "finished"
     assert mover.result == clean
     sim.run()
@@ -458,7 +458,7 @@ def test_relaunch_requires_a_healthy_destination():
     server.register_external(TOOL_URL, lambda payload: "rows", ConstantLatency(0.5))
     server.register_program(make_mover())
     instance, _ = server.launch("mover")
-    sim.run_until_complete(server.lifecycle.wait_for_completion(instance))
+    sim.run_until_complete(instance.done)
     assert instance.status == "terminated"
     assert instance.terminated_cause == "shard_down"
     assert server.metrics.failover_relaunches == 0
@@ -501,7 +501,7 @@ def test_tool_fault_exhausts_retries_with_typed_error(monkeypatch):
     server.register_external(TOOL_URL, lambda payload: "rows", ConstantLatency(0.15))
     server.register_program(make_agent(0))
     instance, _ = server.launch("chaos0")
-    sim.run_until_complete(server.lifecycle.wait_for_completion(instance))
+    sim.run_until_complete(instance.done)
     assert instance.status == "failed"
     error = instance.task.exception()
     assert isinstance(error, RetriesExhaustedError)
@@ -534,7 +534,7 @@ def test_slo_report_interleaves_fault_instants(monkeypatch):
     server.register_external(TOOL_URL, lambda payload: "rows", ConstantLatency(0.15))
     server.register_program(make_agent(0))
     instance, _ = server.launch("chaos0")
-    sim.run_until_complete(server.lifecycle.wait_for_completion(instance))
+    sim.run_until_complete(instance.done)
     assert instance.status == "finished"
 
     from repro.tools.slo_report import build_report, render_report

@@ -73,7 +73,7 @@ def dispatched_batches(idle: int):
 
     scheduler._dispatch = recorded
     sim.run_until_complete(
-        sim.gather([server.lifecycle.wait_for_completion(x) for x in (decoding, prompting)])
+        sim.gather([x.done for x in (decoding, prompting)])
     )
     for instance in idlers:
         instance.channel.send_to_inferlet("done")

@@ -308,12 +308,12 @@ class TestWasmRuntime:
         runtime.register_cached(binary)
 
         async def scenario():
-            await runtime.instantiate("prog")
-            await runtime.instantiate("prog")
+            await runtime.instantiate("prog", "a")
+            await runtime.instantiate("prog", "b")
             with pytest.raises(InferletError):
-                await runtime.instantiate("prog")
-            runtime.release_instance()
-            await runtime.instantiate("prog")
+                await runtime.instantiate("prog", "c")
+            runtime.release("a")
+            await runtime.instantiate("prog", "c")
             return runtime.live_instances
 
         assert sim.run_until_complete(scenario()) == 2

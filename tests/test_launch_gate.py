@@ -92,8 +92,8 @@ def test_an_unlimited_tenant_is_admitted_synchronously_and_arms_no_timer():
     gate = server.lifecycle.gates["default"]
     assert gate.running == {instance.instance_id for instance in instances}
     assert not gate.parked and not gate.refill_timer_armed
-    # The launch executor's one task, nothing of the gate's.
-    assert server.sim.heap_size == pending + 1
+    # One handling task per admitted launch, nothing of the gate's.
+    assert server.sim.heap_size == pending + 5
     server.sim.run()
     assert gate.running == set()
 

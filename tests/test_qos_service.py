@@ -397,7 +397,7 @@ class TestAbortWhileParked:
             # The abort resolves the parked launch's ready future at once:
             # an awaiting client sees the termination instead of hanging.
             assert isinstance(ready2.exception(), InferletTerminated)
-            await server.lifecycle.wait_for_completion(first)
+            await first.done
             await sim.sleep(0.2)  # give the pump every chance to resurrect it
 
         sim.run_until_complete(abort_then_drain())

@@ -1,9 +1,10 @@
-"""``wait_for_completion`` on an inferlet that never got a task.
+"""Waiting (``instance.done``) on an inferlet that never got a task.
 
-It used to poll every virtual millisecond for ``instance.task`` to appear,
-forever: an instance retired before it ever ran (aborted while parked in the
-launch queue or in QoS admission, or refused by the Wasm pool) kept the event
-queue non-empty for good — ``sim.run()`` never returned and the waiter never
+The waiter, once ``lifecycle.wait_for_completion``, used to poll every
+virtual millisecond for ``instance.task`` to appear, forever: an instance
+retired before it ever ran (aborted while parked in the launch queue or in
+QoS admission, or refused by the Wasm pool) kept the event queue non-empty
+for good — ``sim.run()`` never returned and the waiter never
 resolved.  ``PieClient.wait`` is the public way in.
 """
 
@@ -42,11 +43,11 @@ def test_abort_in_the_launch_queue(wait_first):
     sim, server = make_server()
     instance, ready = server.launch("nap")
     if wait_first:
-        done = server.lifecycle.wait_for_completion(instance)
+        done = instance.done
         server.lifecycle.abort(instance)
     else:
         server.lifecycle.abort(instance)
-        done = server.lifecycle.wait_for_completion(instance)
+        done = instance.done
     assert_drained(sim, server)
     assert done.result() is instance
     assert instance.status == "terminated" and instance.task is None
@@ -60,12 +61,12 @@ def test_abort_in_qos_admission(wait_first):
     parked, ready = server.launch("nap", tenant="acme")
     assert server.metrics.tenants["acme"].queued == 1
     if wait_first:
-        done = server.lifecycle.wait_for_completion(parked)
+        done = parked.done
         server.lifecycle.abort(parked)
     else:
         server.lifecycle.abort(parked)
-        done = server.lifecycle.wait_for_completion(parked)
-    ran = server.lifecycle.wait_for_completion(running)
+        done = parked.done
+    ran = running.done
     assert_drained(sim, server)
     assert done.result() is parked
     assert parked.status == "terminated" and parked.task is None
@@ -78,18 +79,18 @@ def test_failed_instantiate():
     config = PieConfig(wasm=WasmRuntimeConfig(pool_size=1))
     sim, server = make_server(config=config)
     first, _ = server.launch("nap")
-    ran = server.lifecycle.wait_for_completion(first)  # before it has a task
+    ran = first.done  # before it has a task
     sim.run(until=0.02)  # the first now holds the pool's only instance
     assert first.status == "running"
     refused, ready = server.launch("nap")
-    waiting = server.lifecycle.wait_for_completion(refused)  # before it fails
+    waiting = refused.done  # before it fails
     assert_drained(sim, server)
     assert isinstance(ready.exception(), InferletError)
     assert waiting.result() is refused
     assert refused.status == "failed" and refused.task is None
     assert ran.result() is first and first.status == "finished"
     # Asking again after the fact resolves at once.
-    again = server.lifecycle.wait_for_completion(refused)
+    again = refused.done
     assert again.done() and again.result() is refused
 
 
