@@ -2,10 +2,10 @@
 
 An *interactive* tenant's chat turns and a *batch* tenant's background
 summarisation jobs are served concurrently.  Each launch passes its
-tenant's launch gate (token-bucket rate + concurrency cap + backlog
-bound), the scheduler serves the best class present first, oldest command
-first (with an aging bound so batch work cannot starve), and the core
-preempts lowest-class-first under memory pressure.  All of it is the
+tenant's launch gate (concurrency cap + backlog bound), the scheduler
+serves the best class present first, oldest command first (with an aging
+bound so batch work cannot starve), and the core preempts
+lowest-class-first under memory pressure.  All of it is the
 core's: registering the tenants (``repro.core.qos.TenantSpec``) is the
 whole setup.
 
@@ -50,8 +50,6 @@ def main() -> None:
                 name="report-pipeline",
                 priority_class="batch",
                 max_concurrent=2,   # at most 2 jobs on the device at once
-                rate_per_s=20.0,    # token-bucket launch rate
-                burst=2,
                 max_queued=4,       # backpressure: with 4 already waiting,
                                     # further launches are rejected
             ),

@@ -263,17 +263,12 @@ class Controller:
         self.service(model)  # a model the caller names may not be served
         shard = instance.placements[model]
         qid = next(self._queue_ids)
-        # New queues inherit the launch-time priority, so inferlets need
-        # not call set_queue_priority per queue after creation.
-        priority = instance.default_priority
-        handle = Queue(
-            qid=qid, owner=instance.instance_id, model=model, priority=priority
-        )
+        # Every queue starts at priority 0; the program sets its own.
+        handle = Queue(qid=qid, owner=instance.instance_id, model=model)
         shard.scheduler.create_queue(
             key=(instance.instance_id, qid),
             model=model,
             owner=instance.instance_id,
-            priority=priority,
             rank=self.tenants[instance.tenant].rank,
         )
         return handle

@@ -31,9 +31,8 @@ from repro.sim.periodic import PeriodicService
 
 __all__ = ["SHARD_STATES", "ShardHealthService"]
 
-#: Health states a shard index can be in.  ``draining`` is reserved for
-#: operator-initiated removal (placeable() already refuses it).
-SHARD_STATES = ("healthy", "degraded", "draining", "down")
+#: Health states a shard index can be in.
+SHARD_STATES = ("healthy", "degraded", "down")
 
 #: Heartbeat period in virtual milliseconds: each beat probes every shard's
 #: device, advances the health state machine and runs the failover sweep
@@ -61,7 +60,7 @@ class ShardHealthService:
 
     def placeable(self, index: int) -> bool:
         """May the router place new inferlets on shard ``index``?"""
-        return self.states.get(index, "healthy") not in ("down", "draining")
+        return self.states.get(index, "healthy") != "down"
 
     def state(self, index: int) -> str:
         return self.states.get(index, "healthy")

@@ -67,15 +67,11 @@ class InferletInstance:
         instance_id: Optional[str] = None,
         seed: int = 0,
         tenant: str = "default",
-        priority: int = 0,
     ) -> None:
         self.program = program
         self.args: List[str] = list(args or [])
-        # Multi-tenant serving: the tenant this launch is billed to, and the
-        # initial priority every queue the inferlet creates starts with
-        # (so programs need not call set_queue_priority per queue).
+        # Multi-tenant serving: the tenant this launch is billed to.
         self.tenant = tenant
-        self.default_priority = priority
         self.instance_id = instance_id or f"{program.name}-{next(_instance_ids)}"
         self.metrics = InferletMetrics(inferlet_id=self.instance_id)
         self.channel: Optional[ClientChannel] = None

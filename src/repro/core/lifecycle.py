@@ -2,12 +2,12 @@
 
 The ILM owns inferlet creation, destruction and communication.  A launch
 request first passes its tenant's admission gate, which applies the
-tenant's ``TenantSpec`` limits — launch rate, concurrency cap, backlog
-bound — with every plane off.  Admitted launches pass a single launch
-executor, one timestamp of when it is next free (the serialised part of
-Figure 9's launch latency); each launched inferlet gets a sandboxed runtime
-instance, a client channel, and a task on the simulator that runs the
-program to completion.  Whatever way it ends, ``_retire`` gives back what
+tenant's ``TenantSpec`` limits — concurrency cap, backlog bound — with
+every plane off.  Admitted launches pass a single launch executor, one
+timestamp of when it is next free (the serialised part of Figure 9's
+launch latency); each launched inferlet gets a sandboxed runtime instance,
+a client channel, and a task on the simulator that runs the program to
+completion.  Whatever way it ends, ``_retire`` gives back what
 the launch took: its gate slot, its sandbox and its completion future.
 """
 
@@ -33,58 +33,15 @@ from repro.sim.latency import milliseconds
 from repro.sim.simulator import Simulator
 
 
-class TokenBucket:
-    """A deterministic lazy-refill token bucket (a tenant's launch rate)."""
-
-    def __init__(self, rate_per_s: float, burst: int, now: float = 0.0) -> None:
-        self.rate = rate_per_s
-        self.burst = max(1, burst)
-        self.level = float(self.burst)
-        self.last_refill = now
-
-    @property
-    def unlimited(self) -> bool:
-        return self.rate <= 0
-
-    def _refill(self, now: float) -> None:
-        if self.unlimited:
-            return
-        elapsed = max(0.0, now - self.last_refill)
-        self.level = min(float(self.burst), self.level + elapsed * self.rate)
-        self.last_refill = now
-
-    def try_take(self, now: float, n: float = 1.0) -> bool:
-        if self.unlimited:
-            return True
-        self._refill(now)
-        if self.level + 1e-12 >= n:
-            self.level -= n
-            return True
-        return False
-
-    def seconds_until_available(self, now: float, n: float = 1.0) -> float:
-        """Virtual time until ``n`` tokens will be available (0 if now)."""
-        if self.unlimited:
-            return 0.0
-        self._refill(now)
-        missing = n - self.level
-        if missing <= 0:
-            return 0.0
-        return missing / self.rate
-
-
 class TenantGate:
-    """One tenant's admission state, made at its first launch: the launch
-    rate bucket, the admitted inferlets still in the system, and the
-    launches parked until a slot and a token are both free (FIFO by
-    instance id, each with its ready future)."""
+    """One tenant's admission state, made at its first launch: the admitted
+    inferlets still in the system, and the launches parked until a slot is
+    free (FIFO by instance id, each with its ready future)."""
 
-    def __init__(self, spec, now: float) -> None:
+    def __init__(self, spec) -> None:
         self.spec = spec  # the controller's TenantSpec of this tenant
-        self.bucket = TokenBucket(spec.rate_per_s, spec.burst, now=now)
         self.running: Set[str] = set()
         self.parked: "OrderedDict[str, Tuple[InferletInstance, SimFuture]]" = OrderedDict()
-        self.refill_timer_armed = False
 
     @property
     def has_slot(self) -> bool:
@@ -158,29 +115,21 @@ class InferletLifecycleManager:
         args: Optional[Sequence[str]] = None,
         seed: Optional[int] = None,
         tenant: Optional[str] = None,
-        priority: Optional[int] = None,
     ) -> Tuple[InferletInstance, SimFuture]:
         """Request a launch; returns the instance and a future that resolves
         once the inferlet is running (acknowledging the launch).
 
-        ``tenant`` bills the launch to a tenant and ``priority`` seeds every
-        queue the inferlet creates.  The launch passes the tenant's gate
-        first (:meth:`_admit_or_park`): it may be parked (the ready future
-        resolves only once a concurrency slot and a rate-bucket token free
-        up) or refused with a typed
+        ``tenant`` bills the launch to a tenant.  The launch passes the
+        tenant's gate first (:meth:`_admit_or_park`): it may be parked (the
+        ready future resolves only once one of the tenant's running
+        inferlets exits) or refused with a typed
         :class:`repro.errors.AdmissionRejectedError`.
         """
         program = self.get_program(name)
         if seed is None:
             self._seed_counter += 1
             seed = self._seed_counter
-        instance = InferletInstance(
-            program,
-            args=args,
-            seed=seed,
-            tenant=tenant or "default",
-            priority=priority or 0,
-        )
+        instance = InferletInstance(program, args=args, seed=seed, tenant=tenant or "default")
         instance.metrics.launched_at = self.sim.now
         # The contract this inferlet is judged against, for its whole life.
         spec = self.controller.tenants[instance.tenant]
@@ -205,16 +154,17 @@ class InferletLifecycleManager:
     def _admit_or_park(self, spec, instance: InferletInstance, ready: SimFuture) -> None:
         """Apply the tenant's limits to one launch, with every plane off.
 
-        Admitted (on to the launch executor) when a concurrency slot and a
-        bucket token are both free and nobody of the tenant is parked ahead;
-        else parked while fewer than ``max_queued`` wait; else refused with
-        ``reason="queue_full"``.  A tenant with the default, unlimited spec
-        is always admitted here, synchronously, and arms no timer.
+        Admitted (on to the launch executor) when a concurrency slot is free
+        and nobody of the tenant is parked ahead; else parked while fewer
+        than ``max_queued`` wait; else refused with ``reason="queue_full"``.
+        A parked launch leaves the backlog only when a running inferlet of
+        its tenant exits (:meth:`_retire` pumps) or when it is terminated
+        (:meth:`_cancel_parked`): the gate arms no timer.
         """
         gate = self.gates.get(spec.name)
         if gate is None:
-            gate = self.gates[spec.name] = TenantGate(spec, self.sim.now)
-        if gate.has_slot and not gate.parked and gate.bucket.try_take(self.sim.now):
+            gate = self.gates[spec.name] = TenantGate(spec)
+        if gate.has_slot and not gate.parked:
             self._admit(gate, instance, ready)
             return
         if len(gate.parked) >= spec.max_queued:
@@ -234,7 +184,6 @@ class InferletLifecycleManager:
             )
         gate.parked[instance.instance_id] = (instance, ready)
         self.controller.metrics.tenants[spec.name].queued += 1
-        self._arm_refill_timer(gate)
 
     def _admit(self, gate: TenantGate, instance: InferletInstance, ready: SimFuture) -> None:
         """Take a tenant slot and book the launch executor: its handling
@@ -264,26 +213,9 @@ class InferletLifecycleManager:
         return instance, ready
 
     def _pump(self, gate: TenantGate) -> None:
-        """Admit parked launches, oldest first, while slots and tokens last."""
-        now = self.sim.now
-        while gate.parked and gate.has_slot and gate.bucket.try_take(now):
+        """Admit parked launches, oldest first, while slots last."""
+        while gate.parked and gate.has_slot:
             self._admit(gate, *self._unpark(gate, next(iter(gate.parked))))
-        self._arm_refill_timer(gate)
-
-    def _arm_refill_timer(self, gate: TenantGate) -> None:
-        """Wake the backlog when the bucket next holds a token."""
-        if gate.refill_timer_armed or not gate.parked or not gate.has_slot:
-            return
-        delay = gate.bucket.seconds_until_available(self.sim.now)
-        if delay <= 0:
-            return
-        gate.refill_timer_armed = True
-
-        def fire(*_):
-            gate.refill_timer_armed = False
-            self._pump(gate)
-
-        self.sim.schedule(delay, fire)
 
     def _cancel_parked(self, instance: InferletInstance) -> None:
         """A launch terminated while parked leaves the backlog at once and

@@ -215,7 +215,6 @@ class MonitorService:
                     {"long_s": w.long_s, "short_s": w.short_s, "threshold": w.threshold}
                     for w in self.slo.windows
                 ],
-                "targets": {name: self.slo.target_for(name) for name in self.controller.tenants},
                 "alerts": [asdict(event) for event in self.slo.alerts],
                 "active_alerts": self.slo.active_alerts(),
                 "budgets": self.slo.budgets(),

@@ -10,13 +10,18 @@ core production gap.  There is no QoS plane: a tenant's contract is one
 reads it with every plane off —
 
 * the launch gate (``InferletLifecycleManager._admit_or_park``) applies the
-  tenant's rate, concurrency cap and backlog bound;
+  tenant's concurrency cap and backlog bound, and nothing else;
 * ``launch()`` stamps the class's SLO targets on the inferlet's record;
 * each command queue carries its owner's class rank
   (``Controller.create_queue``), so batch merging places a better class
   first and dispatch serves the best class present, oldest command first,
   with an aging bound (``repro.core.batching.select_batch``);
 * the reclamation victim order is ``Controller.victim_key``.
+
+Every field is set by a workload (the ``qos`` experiment, the load
+harness's classes).  Every tenant's SLO budget burns against one
+objective, ``repro.core.slo.DEFAULT_SLO_TARGET``, and a launch seeds no
+queue priority: a program sets its own with ``set_queue_priority``.
 """
 
 from __future__ import annotations
@@ -44,25 +49,20 @@ CLASS_TPOT_SLO_MS = {"interactive": 50.0, "standard": 150.0, "batch": 1000.0}
 class TenantSpec:
     """Declared serving contract of one tenant.
 
-    ``rate_per_s``/``burst`` form a token-bucket launch rate (0 rate =
-    unlimited); ``max_concurrent`` caps simultaneously admitted inferlets
-    (0 = unlimited); ``max_queued`` bounds the admission backlog — launches
+    ``max_concurrent`` caps simultaneously admitted inferlets (0 =
+    unlimited); ``max_queued`` bounds the admission backlog — launches
     beyond it are refused with a typed error (backpressure).  The launch
-    gate applies all four.  SLO targets default per class
-    (:data:`CLASS_TTFT_SLO_MS` / :data:`CLASS_TPOT_SLO_MS`).
+    gate applies both.  SLO targets default per class
+    (:data:`CLASS_TTFT_SLO_MS` / :data:`CLASS_TPOT_SLO_MS`); a given one
+    must be positive.
     """
 
     name: str
     priority_class: str = "standard"
-    rate_per_s: float = 0.0
-    burst: int = 1
     max_concurrent: int = 0
     max_queued: int = 64
     ttft_slo_ms: Optional[float] = None
     tpot_slo_ms: Optional[float] = None
-    # Availability objective the live SLO engine (repro.core.slo) burns
-    # error budget against; None falls back to slo.DEFAULT_SLO_TARGET.
-    slo_target: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -71,14 +71,12 @@ class TenantSpec:
             raise ReproError(
                 f"unknown priority class {self.priority_class!r}; have {QOS_CLASSES}"
             )
-        if self.rate_per_s < 0:
-            raise ReproError("rate_per_s must be non-negative (0 = unlimited)")
-        if self.burst < 1:
-            raise ReproError("burst must be at least 1")
         if self.max_concurrent < 0 or self.max_queued < 0:
             raise ReproError("max_concurrent/max_queued must be non-negative")
-        if self.slo_target is not None and not 0.0 < self.slo_target < 1.0:
-            raise ReproError("slo_target must be in (0, 1)")
+        for field in ("ttft_slo_ms", "tpot_slo_ms"):
+            ms = getattr(self, field)
+            if ms is not None and not ms > 0:
+                raise ReproError(f"{field} must be positive (None = the class default)")
 
     @property
     def rank(self) -> int:
@@ -103,8 +101,8 @@ class TenantTable(dict):
     """The one ``tenant name -> TenantSpec`` table, owned by the controller:
     seeded from ``ControlLayerConfig.tenants``, extended by :meth:`register`,
     read as ``tenants[name]`` by the launch gate and its SLO stamp, queue
-    creation, the victim order, the SLO engine and the load harness, none
-    of which keeps its own.
+    creation, the victim order and the load harness, none of which keeps
+    its own.
     A name's spec is never replaced, so a reference read here stays the
     tenant's contract for the whole run."""
 

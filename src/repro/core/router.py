@@ -162,7 +162,7 @@ class Router:
         # Chaos plane (repro.core.health): shard-index predicate reporting
         # whether a shard may receive new placements.  None — the off-knob
         # path — keeps every policy's arithmetic untouched; installed, any
-        # shard the probe rejects (down or draining) is skipped, and an
+        # shard the probe rejects (down) is skipped, and an
         # empty eligible set raises ShardUnavailableError.
         self.health_probe = health_probe
         # Disaggregation: shards [0, prefill_shards) take new inferlets

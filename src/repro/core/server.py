@@ -163,22 +163,18 @@ class PieServer:
         name: str,
         args: Optional[Sequence[str]] = None,
         tenant: Optional[str] = None,
-        priority: Optional[int] = None,
     ):
-        return self.lifecycle.launch(name, args, tenant=tenant, priority=priority)
+        return self.lifecycle.launch(name, args, tenant=tenant)
 
     async def run_inferlet(
         self,
         name: str,
         args: Optional[Sequence[str]] = None,
         tenant: Optional[str] = None,
-        priority: Optional[int] = None,
     ) -> LaunchResult:
         """Launch an inferlet and wait for it to finish (no client network)."""
         started = self.sim.now
-        instance, ready = self.lifecycle.launch(
-            name, args, tenant=tenant, priority=priority
-        )
+        instance, ready = self.lifecycle.launch(name, args, tenant=tenant)
         await ready
         launch_latency = self.sim.now - started
         await instance.done
@@ -215,18 +211,13 @@ class PieClient:
         name: str,
         args: Optional[Sequence[str]] = None,
         tenant: Optional[str] = None,
-        priority: Optional[int] = None,
     ) -> InferletInstance:
         """Launch an inferlet and return once the server acknowledges it.
 
         ``tenant`` names the tenant the launch is billed to (its launch gate
-        may park or refuse it, see :mod:`repro.core.lifecycle`);
-        ``priority`` seeds every queue the inferlet creates, so programs
-        need not call ``set_queue_priority`` after creation."""
+        may park or refuse it, see :mod:`repro.core.lifecycle`)."""
         await self.link.send((name, args))
-        instance, ready = self.server.lifecycle.launch(
-            name, args, tenant=tenant, priority=priority
-        )
+        instance, ready = self.server.lifecycle.launch(name, args, tenant=tenant)
         await ready
         await self.link.send(None)
         return instance
@@ -236,14 +227,11 @@ class PieClient:
         name: str,
         args: Optional[Sequence[str]] = None,
         tenant: Optional[str] = None,
-        priority: Optional[int] = None,
     ) -> LaunchResult:
         """Launch an inferlet, wait for completion, and fetch its messages."""
         started = self.sim.now
         await self.link.send((name, args))
-        instance, ready = self.server.lifecycle.launch(
-            name, args, tenant=tenant, priority=priority
-        )
+        instance, ready = self.server.lifecycle.launch(name, args, tenant=tenant)
         await ready
         launch_latency = self.sim.now - started
         await instance.done

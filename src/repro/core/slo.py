@@ -5,11 +5,11 @@ order); this module *observes* their SLOs the way a production on-call
 would: the good/bad verdicts of each tenant's TTFT and TPOT samples —
 decided once, on the inferlet's record (:func:`repro.core.metrics.met`), and counted once, on the tenant's
 :class:`~repro.core.metrics.TenantMetrics` — are read against an error
-budget for an availability objective (``slo_target``, e.g. 0.95 = 5% of
-requests may miss), and alerts fire on the *burn rate* — how many times
+budget for one availability objective (:data:`DEFAULT_SLO_TARGET`, 0.95 =
+5% of requests may miss), and alerts fire on the *burn rate* — how many times
 faster than sustainable the budget is being consumed:
 
-    ``burn = (bad / total) / (1 - slo_target)``
+    ``burn = (bad / total) / (1 - target)``
 
 A burn of 1.0 spends exactly the budget over the objective window; a burn
 of 6 exhausts it six times too fast.  Following the multi-window pattern
@@ -66,9 +66,8 @@ class BurnWindow:
             raise ReproError("burn threshold must be positive")
 
 
-#: Availability objective a tenant without ``TenantSpec.slo_target`` is
-#: judged against: the fraction of SLO-judged samples that must meet their
-#: latency target.
+#: Availability objective every tenant is judged against: the fraction of
+#: SLO-judged samples that must meet their latency target.
 DEFAULT_SLO_TARGET = 0.95
 #: The burn-rate rules of an engine built without its own.  Seconds-scale,
 #: not the SRE handbook's hours: simulated runs compress hours of traffic
@@ -155,10 +154,10 @@ class _SignalTracker:
 class SloEngine:
     """Tracks per-tenant error budgets and drives burn-rate alerts.
 
-    The availability objective of a tenant is read from the controller's
-    :class:`~repro.core.qos.TenantTable` (``tenants``) and its verdicts from
-    the core's per-tenant records (``records``, ``SystemMetrics.tenants``);
-    both exist with every plane off.
+    ``tenants`` is the controller's :class:`~repro.core.qos.TenantTable`
+    and ``records`` the core's per-tenant records (``SystemMetrics.tenants``)
+    the verdicts are read from; both exist with every plane off.  Every
+    tenant is judged against one objective, ``default_target``.
     """
 
     def __init__(
@@ -176,7 +175,7 @@ class SloEngine:
         if not windows:
             raise ReproError("SloEngine needs at least one burn window")
         if not 0.0 < default_target < 1.0:
-            raise ReproError("slo_target must be in (0, 1)")
+            raise ReproError("default_target must be in (0, 1)")
         self.tenants = tenants
         self.records = records
         self.windows = tuple(windows)
@@ -185,10 +184,6 @@ class SloEngine:
         self._trackers: Dict[Tuple[str, str], _SignalTracker] = {}
         #: Every fire/clear transition, in virtual-time order.
         self.alerts: List[AlertEvent] = []
-
-    def target_for(self, tenant: str) -> float:
-        target = self.tenants[tenant].slo_target
-        return target if target is not None else self.default_target
 
     # -- scrape tick --------------------------------------------------------
 
@@ -203,7 +198,7 @@ class SloEngine:
                     self._trackers[(tenant, signal)] = _SignalTracker(self.windows)
         events: List[AlertEvent] = []
         for (tenant, signal), tracker in self._trackers.items():
-            budget = 1.0 - self.target_for(tenant)
+            budget = 1.0 - self.default_target
             verdicts = self.records[tenant].verdicts(signal)
             for index, kind, burn_long, burn_short in tracker.tick(now, verdicts, budget):
                 window = self.windows[index]
@@ -264,7 +259,7 @@ class SloEngine:
         record = self.records.get(tenant)
         good, bad = record.verdicts(signal) if record is not None else (0, 0)
         total = good + bad
-        target = self.target_for(tenant)
+        target = self.default_target
         budget_fraction = 1.0 - target
         bad_fraction = bad / total if total else 0.0
         consumed = bad_fraction / budget_fraction if budget_fraction else 0.0

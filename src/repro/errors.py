@@ -87,7 +87,7 @@ class FaultInjectedError(ReproError):
 class ShardUnavailableError(SchedulingError):
     """Raised by the cluster router when placement (or a disaggregation
     handoff) finds no healthy shard to land on: every candidate is marked
-    ``down``/``draining`` by the shard health service.  Subclasses
+    ``down`` by the shard health service.  Subclasses
     :class:`SchedulingError` so existing placement-failure handling still
     applies."""
 

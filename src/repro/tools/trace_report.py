@@ -155,7 +155,7 @@ def attribute_stalls(events: List[dict]) -> Dict[str, dict]:
 
     Each row holds ``launch`` / ``finish`` / ``latency`` (seconds),
     ``status`` (from the lifecycle span; None if the trace holds none),
-    ``aborted`` (lifecycle left open or ended terminated/failed), and
+    ``aborted`` (the lifecycle ended terminated or failed), and
     ``buckets`` — a dict over :data:`ATTRIBUTION_BUCKETS` whose values sum
     to ``latency`` within rounding.
     """
@@ -201,7 +201,7 @@ def _attribute_one(record: dict) -> dict:
     if lifecycle is not None:
         args = lifecycle.get("args") or {}
         status = args.get("status")
-        aborted = bool(args.get("open")) or status in ("terminated", "failed")
+        aborted = status in ("terminated", "failed")
 
     clipped = []
     for start, end, bucket in intervals:

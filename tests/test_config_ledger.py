@@ -25,6 +25,7 @@ from repro.core.config import (
     SchedulerConfig,
     WasmRuntimeConfig,
 )
+from repro.core.qos import TenantSpec
 from repro.gpu.config import GpuConfig
 
 CLASSES = (ControlLayerConfig, GpuConfig, SchedulerConfig, WasmRuntimeConfig)
@@ -62,6 +63,19 @@ LEDGER = {
     "SchedulerConfig.policy": "table5_batching arms (eager / k_only / t_only); fig10",
     "SchedulerConfig.k_threshold": "table5_batching k_only arm",
     "WasmRuntimeConfig.pool_size": "capacity; perf/test_perf.py sets 8",
+}
+
+#: ``TenantSpec.field`` -> who sets it outside ``tests/``: a tenant's
+#: contract is what a workload sets.  Rows follow the same rule as
+#: :data:`LEDGER`, but the class is not a config class, so its fields are
+#: outside :data:`CLASSES` and its scalar bound.
+TENANT_LEDGER = {
+    "TenantSpec.name": "qos experiment (its two tenants); bench/loadgen.py classes",
+    "TenantSpec.priority_class": "qos experiment (interactive vs batch tenant)",
+    "TenantSpec.max_concurrent": "qos experiment (the miners' cap)",
+    "TenantSpec.max_queued": "qos experiment (the miners' backlog bound)",
+    "TenantSpec.ttft_slo_ms": "bench/loadgen.py classes",
+    "TenantSpec.tpot_slo_ms": "bench/loadgen.py classes",
 }
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -109,10 +123,17 @@ def test_no_row_is_set_by_tests_alone():
     named = named_outside_tests()
     tests_only = [
         row
-        for row, reason in LEDGER.items()
+        for row, reason in {**LEDGER, **TENANT_LEDGER}.items()
         if not reason.startswith(EXEMPT) and row.split(".")[1] not in named
     ]
     assert tests_only == []
+
+
+def test_every_tenant_field_has_a_ledger_row_and_every_row_a_field():
+    fields = [f"TenantSpec.{field.name}" for field in dataclasses.fields(TenantSpec)]
+    assert sorted(TENANT_LEDGER) == sorted(fields)
+    assert all(reason.strip() for reason in TENANT_LEDGER.values())
+    assert len(fields) == 6
 
 
 def test_the_counters_the_north_star_tracks():
@@ -128,9 +149,9 @@ def test_the_counters_the_north_star_tracks():
 
 
 def test_the_documentation_names_only_fields_that_exist():
-    names = "|".join(cls.__name__ for cls in CLASSES)
+    names = "|".join(cls.__name__ for cls in (*CLASSES, TenantSpec))
     spelled = re.compile(rf"\b({names})\.([A-Za-z_][A-Za-z0-9_]*)")
-    fields = set(settable_scalars())
+    fields = set(settable_scalars()) | set(TENANT_LEDGER)
     for document in ("README.md", "docs/ARCHITECTURE.md"):
         text = (ROOT / document).read_text()
         stale = sorted(

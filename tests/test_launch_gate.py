@@ -1,18 +1,20 @@
 """Admission is the core's: one launch gate, with every plane off.
 
-A tenant's ``TenantSpec`` limits — launch rate and burst, concurrency cap,
-backlog bound — are applied by ``InferletLifecycleManager``'s launch gate
-in every configuration, so they mean one thing whatever else is
-registered.  There is no QoS plane left (dispatch is the core's too, see
+A tenant's ``TenantSpec`` limits — concurrency cap, backlog bound — are
+applied by ``InferletLifecycleManager``'s launch gate in every
+configuration, so they mean one thing whatever else is registered.  The
+gate is a running set and a FIFO backlog: a parked launch leaves it at an
+exit of its tenant or when it is cancelled, and no timer is armed.  There
+is no QoS plane left (dispatch is the core's too, see
 ``tests/test_dispatch_order.py``).  Here:
 
 * the cap and the backlog bound with every plane off (both launches ran
   before the gate moved into the core, while the QoS plane was off);
 * an AST scan: ``lifecycle.py`` names no ``qos``, ``qos.py`` decides no
   admission, and nothing but the tracer is a lifecycle observer;
-* three mutants the gate's tests kill: a cap ignored unless classes are
-  told apart (what the old ``qos`` knob meant), an abort-while-parked that
-  consumes a slot, and a pump that skips the bucket refill.
+* two mutants the gate's tests kill: a cap ignored unless classes are
+  told apart (what the old ``qos`` knob meant), and an abort-while-parked
+  that consumes a slot.
 """
 
 import ast
@@ -42,7 +44,7 @@ def server_with(*specs, tracing=False):
     return server
 
 
-# -- the cap, the backlog and the rate with every plane off ------------------------
+# -- the cap and the backlog with every plane off ------------------------------------
 
 
 def check_the_cap_refuses_with_qos_off():
@@ -91,7 +93,7 @@ def test_an_unlimited_tenant_is_admitted_synchronously_and_arms_no_timer():
     instances = [server.launch("nap")[0] for _ in range(5)]
     gate = server.lifecycle.gates["default"]
     assert gate.running == {instance.instance_id for instance in instances}
-    assert not gate.parked and not gate.refill_timer_armed
+    assert not gate.parked
     # One handling task per admitted launch, nothing of the gate's.
     assert server.sim.heap_size == pending + 5
     server.sim.run()
@@ -125,8 +127,10 @@ def test_lifecycle_names_no_qos_and_qos_decides_no_admission():
     classes = [node.name for node in qos.body if isinstance(node, ast.ClassDef)]
     assert classes == ["TenantSpec", "TenantTable"]
     assert not [node for node in qos.body if isinstance(node, ast.FunctionDef)]
+    lifecycle_names = set(names_in(lifecycle))
     for gone in ("TokenBucket", "_TenantState", "_DEFAULT_SPEC"):
         assert gone not in {getattr(node, "name", None) for node in qos.body}, gone
+        assert gone not in lifecycle_names, gone
 
 
 def test_qos_is_no_observer():
@@ -137,7 +141,7 @@ def test_qos_is_no_observer():
     assert [type(o).__name__ for o in traced.controller.observers] == ["LifecycleTracer"]
 
 
-# -- three mutants -------------------------------------------------------------------
+# -- two mutants ---------------------------------------------------------------------
 
 
 def check_an_abort_while_parked_frees_its_place():
@@ -159,37 +163,15 @@ def check_an_abort_while_parked_frees_its_place():
     assert (record.admitted, record.queued, record.terminated) == (2, 2, 1)
 
 
-def check_the_rate_paces_the_backlog():
-    """10 launches/s, burst 1: three launches at t=0 are admitted at 0, 0.1
-    and 0.2 — each refill wakes the backlog, one token each."""
-    server = server_with(TenantSpec("jobs", rate_per_s=10.0, burst=1))
-    admitted_at = []
-    admit = server.lifecycle._admit
-
-    def stamped(gate, instance, ready):
-        admitted_at.append(round(server.sim.now, 9))
-        admit(gate, instance, ready)
-
-    server.lifecycle._admit = stamped
-    instances = [server.launch("nap", tenant="jobs")[0] for _ in range(3)]
-    server.sim.run()
-    assert admitted_at == [0.0, 0.1, 0.2]
-    assert all(instance.status == "finished" for instance in instances)
-
-
 def test_an_abort_while_parked_frees_its_place():
     check_an_abort_while_parked_frees_its_place()
-
-
-def test_the_rate_paces_the_backlog():
-    check_the_rate_paces_the_backlog()
 
 
 def gate_only_with_qos(self, spec, instance, ready):
     """Mutant: the limits apply only when classes are told apart (more than
     one registered), which is when the old ``qos`` knob was on."""
     if len({other.rank for other in self.controller.tenants.values()}) < 2:
-        gate = self.gates.setdefault(spec.name, TenantGate(spec, self.sim.now))
+        gate = self.gates.setdefault(spec.name, TenantGate(spec))
         self._admit(gate, instance, ready)
         return
     ADMIT_OR_PARK(self, spec, instance, ready)
@@ -205,14 +187,6 @@ def cancel_keeps_the_corpse(self, instance):
     self._abort_launch(instance, ready)
 
 
-def pump_without_refill(self, gate):
-    """Mutant: the pump admits what it can but never re-arms the refill
-    timer, so a rate-limited backlog waits for the next exit."""
-    now = self.sim.now
-    while gate.parked and gate.has_slot and gate.bucket.try_take(now):
-        self._admit(gate, *self._unpark(gate, next(iter(gate.parked))))
-
-
 ADMIT_OR_PARK = InferletLifecycleManager._admit_or_park
 
 
@@ -221,9 +195,8 @@ ADMIT_OR_PARK = InferletLifecycleManager._admit_or_park
     [
         ("_admit_or_park", gate_only_with_qos, check_the_cap_refuses_with_qos_off),
         ("_cancel_parked", cancel_keeps_the_corpse, check_an_abort_while_parked_frees_its_place),
-        ("_pump", pump_without_refill, check_the_rate_paces_the_backlog),
     ],
-    ids=["cap-ignored-with-qos-off", "abort-consumes-a-slot", "pump-skips-refill"],
+    ids=["cap-ignored-with-qos-off", "abort-consumes-a-slot"],
 )
 def test_mutants_are_killed(monkeypatch, attr, mutant, check):
     monkeypatch.setattr(InferletLifecycleManager, attr, mutant)

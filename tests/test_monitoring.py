@@ -103,11 +103,6 @@ class TestBurnWindows:
         assert kinds[0] == ("fire", 0)
         assert ("fire", 1) in kinds
 
-    def test_per_tenant_targets(self):
-        eng = engine(target=0.95, tenants=[TenantSpec(name="strict", slo_target=0.999)])
-        assert eng.target_for("strict") == 0.999
-        assert eng.target_for("lax") == 0.95  # implicit default spec
-
     def test_observation_judges_against_spec(self):
         # The engine reads the tenant record's count of the inferlets' own
         # verdicts; it judges and counts nothing itself.
@@ -163,11 +158,11 @@ class TestMonitorService:
         assert server.monitor.slo.windows == (BurnWindow(1.0, 0.1, 2.0),)
 
     def test_config_tenants_seed_slo_specs(self):
-        _, server = self.make_server(
-            monitoring=True,
-            tenants=(TenantSpec(name="acme", slo_target=0.99),),
-        )
-        assert server.monitor.slo.target_for("acme") == 0.99
+        acme = TenantSpec(name="acme", ttft_slo_ms=100.0)
+        _, server = self.make_server(monitoring=True, tenants=(acme,))
+        assert server.monitor.slo.tenants["acme"] is acme
+        # Every tenant burns its budget against the one objective.
+        assert server.monitor.slo.budget("acme", "ttft")["target"] == slo.DEFAULT_SLO_TARGET
         # Registering tenants switches no plane on: there is no QoS knob.
         assert not hasattr(server.config.control, "qos")
 

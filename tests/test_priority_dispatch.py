@@ -1,11 +1,10 @@
-"""Priority dispatch ordering: live queue priority and launch priority.
+"""Priority dispatch ordering: live queue priority.
 
 Covers the stale-priority regression (``set_queue_priority`` after enqueue
 must affect already-queued commands, since batch formation reads the live
-queue priority), the launch-time ``priority`` plumbing
-(``PieClient.launch(priority=...)`` seeds every queue the inferlet
-creates), end-to-end dispatch ordering between contending queues on one
-device, and the aging bound on starvation under the core's dispatch order
+queue priority), end-to-end dispatch ordering between contending queues on
+one device (each program sets its own queue's priority, the paper's
+``set_queue_priority``), and the aging bound on starvation under the core's dispatch order
 (best class present first, ``repro.core.batching.AGING_MS``).
 """
 
@@ -68,9 +67,11 @@ class TestStalePriorityRegression:
         assert keys == ["q2", "q0"]  # promoted queue survives truncation
 
 
-def _decoder(name: str, n_tokens: int, results: dict):
+def _decoder(name: str, n_tokens: int, results: dict, priority: int = 0):
     async def main(ctx):
-        context = Context(ctx, sampling=SamplingParams())
+        queue = ctx.create_queue()
+        ctx.set_queue_priority(queue, priority)
+        context = Context(ctx, queue=queue, sampling=SamplingParams())
         await context.fill(f"prompt for {name} ")
         text = await context.generate_until(max_tokens=n_tokens)
         context.free()
@@ -91,15 +92,13 @@ class TestEndToEndPriorityDispatch:
         config = PieConfig(gpu=GpuConfig(max_batch_rows=1))
         server = PieServer(sim, config=config)
         results = {}
-        server.register_program(_decoder("low", 6, results))
-        server.register_program(_decoder("high", 6, results))
+        server.register_program(_decoder("low", 6, results, priority=0))
+        server.register_program(_decoder("high", 6, results, priority=high_priority))
         client = PieClient(sim, server, rtt_ms=0.0)
 
         async def run_all():
-            first = sim.create_task(client.launch_and_wait("low", priority=0))
-            second = sim.create_task(
-                client.launch_and_wait("high", priority=high_priority)
-            )
+            first = sim.create_task(client.launch_and_wait("low"))
+            second = sim.create_task(client.launch_and_wait("high"))
             await sim.gather([first, second])
 
         sim.run_until_complete(run_all())
@@ -114,21 +113,6 @@ class TestEndToEndPriorityDispatch:
     def test_equal_priority_preserves_arrival_order(self):
         results = self.run_pair(high_priority=0)
         assert results["low"] < results["high"]
-
-    def test_launch_priority_seeds_created_queues(self):
-        sim = Simulator(seed=0)
-        server = PieServer(sim)
-        seen = {}
-
-        async def main(ctx):
-            queue = ctx.create_queue()
-            seen["priority"] = queue.priority
-            ctx.destroy_queue(queue)
-            return None
-
-        server.register_program(InferletProgram(name="probe", main=main))
-        sim.run_until_complete(server.run_inferlet("probe", priority=7))
-        assert seen["priority"] == 7
 
 
 class TestAgingBoundsStarvation:

@@ -1,6 +1,6 @@
 """Unit tests for the tenant classes (repro.core.qos) and the launch gate.
 
-Covers the token bucket, tenant-spec validation, the launch gate's
+Covers tenant-spec validation, the launch gate's
 decisions (admit / park with backpressure / typed refusal) and its pump —
 the core's, in ``InferletLifecycleManager`` — class-then-age candidate
 selection and class-first batch merging, preemption victim ordering, and
@@ -14,7 +14,6 @@ from repro.core import InferletProgram, InferletInstance, PieServer, TenantSpec
 from repro.core.batching import CandidateBatch, form_candidate_batches, select_batch
 from repro.core.command_queue import Command, CommandQueue
 from repro.core.config import ControlLayerConfig, PieConfig
-from repro.core.lifecycle import TokenBucket
 from repro.core.metrics import TenantMetrics, percentile
 from repro.core.qos import (
     CLASS_RANK,
@@ -77,32 +76,6 @@ class GatedServer:
         self.sim.run()
 
 
-class TestTokenBucket:
-    def test_unlimited_when_rate_zero(self):
-        bucket = TokenBucket(0.0, burst=1)
-        assert all(bucket.try_take(now=0.0) for _ in range(100))
-        assert bucket.seconds_until_available(0.0) == 0.0
-
-    def test_burst_then_refill(self):
-        bucket = TokenBucket(10.0, burst=2, now=0.0)
-        assert bucket.try_take(0.0)
-        assert bucket.try_take(0.0)
-        assert not bucket.try_take(0.0)
-        # One token refills after 0.1 s at 10/s.
-        assert bucket.seconds_until_available(0.0) == pytest.approx(0.1)
-        assert not bucket.try_take(0.05)
-        assert bucket.try_take(0.1)
-
-    def test_level_capped_at_burst(self):
-        bucket = TokenBucket(100.0, burst=3, now=0.0)
-        for _ in range(3):
-            assert bucket.try_take(0.0)
-        # A long idle period refills to the cap, not beyond.
-        for _ in range(3):
-            assert bucket.try_take(10.0)
-        assert not bucket.try_take(10.0)
-
-
 class TestTenantSpec:
     def test_class_validation(self):
         with pytest.raises(ReproError):
@@ -110,13 +83,19 @@ class TestTenantSpec:
 
     def test_rate_and_bounds_validation(self):
         with pytest.raises(ReproError):
-            TenantSpec(name="x", rate_per_s=-1)
-        with pytest.raises(ReproError):
-            TenantSpec(name="x", burst=0)
-        with pytest.raises(ReproError):
             TenantSpec(name="x", max_concurrent=-1)
         with pytest.raises(ReproError):
             TenantSpec(name="", priority_class="standard")
+
+    def test_slo_targets_must_be_positive(self):
+        """A target of zero or below would count every sample a miss."""
+        with pytest.raises(ReproError, match="ttft_slo_ms"):
+            TenantSpec(name="x", ttft_slo_ms=-1.0)
+        with pytest.raises(ReproError, match="tpot_slo_ms"):
+            TenantSpec(name="y", tpot_slo_ms=0.0)
+        # None is the class default, not a target.
+        default = TenantSpec(name="z", ttft_slo_ms=None)
+        assert default.ttft_slo_s == CLASS_TTFT_SLO_MS["standard"] / 1e3
 
     def test_per_class_slo_defaults(self):
         interactive = TenantSpec(name="a", priority_class="interactive")
@@ -180,24 +159,6 @@ class TestAdmission:
         assert excinfo.value.reason == "queue_full"
         # The refusal is counted per tenant where the launch retires it.
         assert (gated.record().offered, gated.record().rejected) == (3, 1)
-        gated.drain()
-
-    def test_rate_limit_queues_until_bucket_refills(self):
-        gated = GatedServer(TenantSpec(name="acme", rate_per_s=10.0, burst=1))
-        admitted_at = []
-        admit = gated.lifecycle._admit
-
-        def stamped(gate, instance, ready):
-            admitted_at.append(gated.sim.now)
-            admit(gate, instance, ready)
-
-        gated.lifecycle._admit = stamped
-        gated.launch()
-        second = gated.launch()
-        assert not gated.admitted(second)
-        gated.run(0.5)
-        # The refill timer admits the parked launch once a token is back.
-        assert admitted_at == [0.0, pytest.approx(0.1)]
         gated.drain()
 
     def test_unregistered_tenant_gets_default_spec(self):

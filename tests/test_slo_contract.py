@@ -48,6 +48,7 @@ from repro.bench.loadgen import DEFAULT_MIX, WorkloadClass, run_open_loop
 from repro.bench.runners import Launch, launch_fleet, make_pie_setup
 from repro.core import InferletProgram, PieServer, TenantSpec, TenantTable
 from repro.core import metrics as metrics_module
+from repro.core import slo
 from repro.core.metrics import InferletMetrics
 from repro.core.qos import CLASS_TPOT_SLO_MS, CLASS_TTFT_SLO_MS, QOS_CLASSES
 from repro.core.registry import LogHistogram, latency_histogram
@@ -249,7 +250,7 @@ def test_table_is_write_once_and_defaults_in_one_place():
 
 def test_every_reader_reads_the_controllers_table():
     sim = Simulator(seed=0)
-    acme = TenantSpec(name="acme", priority_class="interactive", slo_target=0.99)
+    acme = TenantSpec(name="acme", priority_class="interactive")
     server = PieServer(sim, tenants=[acme], monitoring=True)
     controller = server.controller
     assert not hasattr(controller, "qos")
@@ -266,7 +267,7 @@ def test_every_reader_reads_the_controllers_table():
     # Stamped at launch, admitted under the same object, targeted from it.
     assert (instance.metrics.ttft_slo_s, instance.metrics.tpot_slo_s) == (0.007, 1.0)
     assert server.lifecycle.gates["late"].spec is controller.tenants["late"] is late
-    assert controller.monitor.slo.target_for("acme") == 0.99
+    assert controller.monitor.slo.budget("acme", "ttft")["target"] == slo.DEFAULT_SLO_TARGET
     sim.run()
 
 

@@ -210,8 +210,7 @@ class _OldSloEngine:
         self.alerts: List[AlertEvent] = []
 
     def target_for(self, tenant: str) -> float:
-        target = self.tenants[tenant].slo_target
-        return target if target is not None else self.default_target
+        return self.default_target
 
     def _tracker(self, tenant: str, signal: str) -> _OldSignalTracker:
         key = (tenant, signal)
@@ -342,7 +341,7 @@ def samples(registry: MetricRegistry, name: str) -> dict:
 
 TENANTS = (
     TenantSpec(name="chat", priority_class="interactive", ttft_slo_ms=11.0, tpot_slo_ms=4.0),
-    TenantSpec(name="agent", ttft_slo_ms=25.0, tpot_slo_ms=8.0, slo_target=0.8),
+    TenantSpec(name="agent", ttft_slo_ms=25.0, tpot_slo_ms=8.0),
     TenantSpec(
         name="jobs", priority_class="batch", max_concurrent=1, max_queued=1, ttft_slo_ms=30.0
     ),

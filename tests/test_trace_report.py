@@ -35,11 +35,8 @@ def span(name, cat, ts, dur, inferlet="i-1", shard=0, args=None):
     }
 
 
-def lifecycle(ts, dur, inferlet="i-1", status="finished", open_span=False):
-    args = {"status": status}
-    if open_span:
-        args["open"] = True
-    return span("inferlet", "lifecycle", ts, dur, inferlet=inferlet, args=args)
+def lifecycle(ts, dur, inferlet="i-1", status="finished"):
+    return span("inferlet", "lifecycle", ts, dur, inferlet=inferlet, args={"status": status})
 
 
 def assert_partitions(row):
@@ -103,7 +100,7 @@ def test_aborted_inferlet_open_lifecycle_span():
     """A terminated inferlet exports an open lifecycle span (args.open);
     attribution still covers launch -> abort and flags the row."""
     events = [
-        lifecycle(0.0, 0.5, status="terminated", open_span=True),
+        lifecycle(0.0, 0.5, status="terminated"),
         span("launch", "admission", 0.0, 0.1, args={"aborted": True}),
         span("queue:forward", "queue", 0.1, 0.4, args={"dropped": True}),
     ]
@@ -163,7 +160,7 @@ def test_report_summary_and_render():
     events = [
         lifecycle(0.0, 1.0, inferlet="a"),
         span("decode", "exec", 0.0, 1.0, inferlet="a"),
-        lifecycle(0.0, 3.0, inferlet="b", status="terminated", open_span=True),
+        lifecycle(0.0, 3.0, inferlet="b", status="terminated"),
         span("queue:forward", "queue", 0.0, 3.0, inferlet="b"),
     ]
     report = build_report(events)
