@@ -29,12 +29,13 @@ class BaselineClient:
         server,
         external: Optional[ExternalServices] = None,
         rtt_ms: float = 25.0,
-        name: str = "baseline-client",
     ) -> None:
         self.sim = sim
         self.server = server
         self.external = external
-        self.link = NetworkLink(sim, ConstantLatency(milliseconds(rtt_ms / 2.0)), name=name)
+        self.link = NetworkLink(
+            sim, ConstantLatency(milliseconds(rtt_ms / 2.0)), name="baseline-client"
+        )
         self.generation_requests = 0
         self.tool_calls = 0
 

@@ -35,6 +35,10 @@ from repro.sim.futures import SimFuture
 from repro.sim.latency import milliseconds
 from repro.sim.simulator import Simulator
 
+#: Tokens the n-gram prompt lookup proposes per step, read when a
+#: :class:`MonolithicEngine` is built.
+SPECULATION_LOOKAHEAD = 3
+
 
 @dataclass
 class _Sequence:
@@ -73,10 +77,8 @@ class MonolithicEngine:
         gpu_config: Optional[GpuConfig] = None,
         enable_prefix_caching: bool = False,
         use_radix: bool = False,
-        per_step_overhead_ms: float = 0.0,
         kernel_penalty: float = 1.0,
         enable_ngram_speculation: bool = False,
-        speculation_lookahead: int = 3,
         name: str = "engine",
     ) -> None:
         self.sim = sim
@@ -92,10 +94,11 @@ class MonolithicEngine:
         self.radix: Optional[RadixTree] = (
             RadixTree(self.entry.config.kv_page_size) if use_radix else None
         )
-        self.per_step_overhead_ms = per_step_overhead_ms
+        #: Host time added to every step; the servers set it per request.
+        self.per_step_overhead_ms = 0.0
         self.kernel_penalty = kernel_penalty
         self.enable_ngram_speculation = enable_ngram_speculation
-        self.speculation_lookahead = speculation_lookahead
+        self.speculation_lookahead = SPECULATION_LOOKAHEAD
         self.stats = EngineStats()
         self._waiting: List[_Sequence] = []
         self._running: List[_Sequence] = []

@@ -12,31 +12,20 @@ from typing import Optional
 
 from repro.baselines.request import RequestOutput, SamplingConfig
 from repro.baselines.vllm_like import BeamResult, VllmLikeServer
-from repro.gpu.config import GpuConfig
 from repro.sim.simulator import Simulator
+
+#: Host time the query's constraints take between two steps, read when an
+#: :class:`LmqlLikeServer` is built.
+PER_STEP_ORCHESTRATION_MS = 6.0
 
 
 class LmqlLikeServer:
     """An LMQL-flavoured baseline (engine + heavy per-step orchestration)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        model_name: str = "llama-sim-1b",
-        gpu_config: Optional[GpuConfig] = None,
-        per_step_orchestration_ms: float = 6.0,
-        name: str = "lmql",
-    ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.name = name
-        self._inner = VllmLikeServer(
-            sim,
-            model_name=model_name,
-            gpu_config=gpu_config,
-            enable_prefix_caching=False,
-            name=name,
-        )
-        self.per_step_orchestration_ms = per_step_orchestration_ms
+        self._inner = VllmLikeServer(sim, enable_prefix_caching=False, name="lmql")
+        self.per_step_orchestration_ms = PER_STEP_ORCHESTRATION_MS
 
     async def generate(self, prompt: str, sampling: Optional[SamplingConfig] = None) -> RequestOutput:
         self._inner.engine.per_step_overhead_ms = self.per_step_orchestration_ms

@@ -14,31 +14,20 @@ from typing import List, Optional
 
 from repro.baselines.engine import MonolithicEngine
 from repro.baselines.request import RequestOutput, SamplingConfig
-from repro.gpu.config import GpuConfig
 from repro.sim.simulator import Simulator
+
+#: Host time per step of a constrained request (a compiled grammar mask),
+#: read when a :class:`SglangLikeServer` is built.
+CONSTRAINED_STEP_OVERHEAD_MS = 0.3
 
 
 class SglangLikeServer:
     """An SGLang-flavoured baseline server."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        model_name: str = "llama-sim-1b",
-        gpu_config: Optional[GpuConfig] = None,
-        constrained_step_overhead_ms: float = 0.3,
-        name: str = "sglang",
-    ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.name = name
-        self.engine = MonolithicEngine(
-            sim,
-            model_name=model_name,
-            gpu_config=gpu_config,
-            use_radix=True,
-            name=name,
-        )
-        self.constrained_step_overhead_ms = constrained_step_overhead_ms
+        self.engine = MonolithicEngine(sim, use_radix=True, name="sglang")
+        self.constrained_step_overhead_ms = CONSTRAINED_STEP_OVERHEAD_MS
 
     async def generate(self, prompt: str, sampling: Optional[SamplingConfig] = None) -> RequestOutput:
         sampling = sampling or SamplingConfig()

@@ -19,30 +19,21 @@ from repro.gpu.config import GpuConfig
 from repro.sim.futures import SimFuture
 from repro.sim.simulator import Simulator
 
+#: The unoptimised kernels' cost relative to the shared cost model, read
+#: when a :class:`StreamingLlmServer` is built.
+KERNEL_PENALTY = 1.5
+
 
 class StreamingLlmServer:
     """Single-stream attention-sink serving (no batching across requests)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        model_name: str = "llama-sim-1b",
-        gpu_config: Optional[GpuConfig] = None,
-        sink_tokens: int = 4,
-        window_tokens: int = 64,
-        kernel_penalty: float = 1.5,
-        name: str = "streamingllm",
-    ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.name = name
-        self.sink_tokens = sink_tokens
-        self.window_tokens = window_tokens
         self.engine = MonolithicEngine(
             sim,
-            model_name=model_name,
-            gpu_config=gpu_config or GpuConfig(max_batch_rows=1),
-            kernel_penalty=kernel_penalty,
-            name=name,
+            gpu_config=GpuConfig(max_batch_rows=1),
+            kernel_penalty=KERNEL_PENALTY,
+            name="streamingllm",
         )
         self._queue: Deque[Tuple[GenerationRequest, SimFuture]] = deque()
         self._busy = False
@@ -50,7 +41,7 @@ class StreamingLlmServer:
     async def generate(self, prompt: str, sampling: Optional[SamplingConfig] = None) -> RequestOutput:
         """Serve one streaming-generation request (strictly one at a time)."""
         request = GenerationRequest(prompt=prompt, sampling=sampling or SamplingConfig())
-        future = self.sim.create_future(name=f"{self.name}:req{request.request_id}")
+        future = self.sim.create_future(name=f"streamingllm:req{request.request_id}")
         self._queue.append((request, future))
         self._pump()
         return await future
@@ -60,7 +51,7 @@ class StreamingLlmServer:
             return
         self._busy = True
         request, future = self._queue.popleft()
-        self.sim.create_task(self._serve(request, future), name=f"{self.name}-serve")
+        self.sim.create_task(self._serve(request, future), name="streamingllm-serve")
 
     async def _serve(self, request: GenerationRequest, future: SimFuture) -> None:
         try:

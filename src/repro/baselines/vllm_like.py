@@ -14,10 +14,13 @@ import numpy as np
 
 from repro.baselines.engine import MonolithicEngine
 from repro.baselines.request import RequestOutput, SamplingConfig
-from repro.gpu.config import GpuConfig
 from repro.gpu.kernels import ForwardRow
 from repro.model.sampling import top_k_dist
 from repro.sim.simulator import Simulator
+
+#: Host time per step of a constrained request (Outlines-style masks in
+#: Python), read when a :class:`VllmLikeServer` is built.
+CONSTRAINED_STEP_OVERHEAD_MS = 2.0
 
 
 @dataclass
@@ -38,10 +41,8 @@ class VllmLikeServer:
         self,
         sim: Simulator,
         model_name: str = "llama-sim-1b",
-        gpu_config: Optional[GpuConfig] = None,
         enable_prefix_caching: bool = True,
         enable_ngram_speculation: bool = False,
-        constrained_step_overhead_ms: float = 2.0,
         name: str = "vllm",
     ) -> None:
         self.sim = sim
@@ -49,12 +50,11 @@ class VllmLikeServer:
         self.engine = MonolithicEngine(
             sim,
             model_name=model_name,
-            gpu_config=gpu_config,
             enable_prefix_caching=enable_prefix_caching,
             enable_ngram_speculation=enable_ngram_speculation,
             name=name,
         )
-        self.constrained_step_overhead_ms = constrained_step_overhead_ms
+        self.constrained_step_overhead_ms = CONSTRAINED_STEP_OVERHEAD_MS
 
     # -- plain and constrained generation ------------------------------------------
 

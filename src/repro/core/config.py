@@ -132,9 +132,10 @@ class ControlLayerConfig:
     # constructed and the serving path is bit-identical to a faults=False
     # run.
     faults: bool = False
-    # Seed of the injector's own np.random.default_rng stream (jitter for
-    # generated plans and retry backoff); independent of the simulator
-    # seed so chaos runs are replayable against any workload seed.
+    # Seed of the retry policy's own np.random.default_rng stream (its
+    # backoff jitter); independent of the simulator seed so chaos runs are
+    # replayable against any workload seed.  A generated plan takes its own
+    # seed (FaultPlan.generate).
     fault_seed: int = 0
     # Declarative fault schedule: a tuple of typed entries replayed on the
     # virtual clock (see repro.sim.faults.FaultPlan.validate for the

@@ -112,23 +112,17 @@ class Controller:
             self.trace = TraceRecorder(sim)
             timers.append(telemetry_sampler(self.trace, self))
         # The chaos plane (repro.sim.faults / repro.core.retry /
-        # repro.core.health): the deterministic fault schedule, the retry
-        # policy for tool calls and refused handoffs, and — below, once the
-        # shards exist — the heartbeat-driven health / failover service.
-        # Each draws randomness only from its own seeded stream, so
-        # faults=on perturbs the workload solely through the faults.
+        # repro.core.health): the retry policy for tool calls and refused
+        # handoffs, and — below, once the shards exist — the heartbeat-driven
+        # health / failover service and the deterministic fault schedule it
+        # receives.  Only the retry jitter draws randomness, from its own
+        # seeded stream, so faults=on perturbs the workload solely through
+        # the faults.
         self.faults: Optional[FaultInjector] = None
         self.retry: Optional[RetryPolicy] = None
         self.health: Optional[ShardHealthService] = None
         if control.faults:
             self.retry = RetryPolicy(seed=control.fault_seed)
-            self.faults = FaultInjector(
-                sim,
-                control.fault_plan,
-                seed=control.fault_seed,
-                trace=self.trace,
-                metrics=self.metrics,
-            )
         # The live monitoring plane (repro.core.monitor): SLO burn-rate
         # alerting on a virtual-clock tick, exports collected on demand.
         self.monitor: Optional[MonitorService] = None
@@ -150,7 +144,9 @@ class Controller:
             timers.append(self.health.heartbeat)
             for service in self._services.values():
                 service.router.health_probe = self.health.placeable
-            self.faults.bind(self.health)
+            self.faults = FaultInjector(
+                sim, control.fault_plan, self.health, self.metrics, trace=self.trace
+            )
             self.faults.arm()
         #: Who is told the lifecycle facts (launch requested / running,
         #: reclaimed, finished), each published at one site after the core
@@ -409,6 +405,9 @@ class Controller:
     def terminate_inferlet(
         self, instance: InferletInstance, reason: str, cause: str = ""
     ) -> None:
+        """Force ``instance`` out; a no-op once it has left."""
+        if instance.finished:
+            return
         instance.mark_terminated(reason, cause=cause)
         self.metrics.inferlets_terminated += 1
         self.terminate_hook(instance, reason)

@@ -49,6 +49,9 @@ class ShardHealthService:
         self.sim = controller.sim
         num = controller.config.gpu.num_devices
         self.states: Dict[int, str] = {index: "healthy" for index in range(num)}
+        #: Multipliers of the slowdown windows open on each index: a device
+        #: runs at their maximum, at 1.0 once none is open.
+        self._slowdowns: Dict[int, List[float]] = {index: [] for index in range(num)}
         self.heartbeat = PeriodicService(
             self.sim,
             HEARTBEAT_INTERVAL_MS / 1e3,
@@ -90,16 +93,19 @@ class ShardHealthService:
         self.heartbeat.poke()
 
     def inject_shard_slowdown(self, index: int, multiplier: float, duration_s: float) -> None:
-        """Open a straggler window on shard ``index``; auto-restores."""
+        """Open a straggler window on shard ``index``; it closes itself."""
+        self._slowdowns[index].append(multiplier)
         for device in self._devices_at(index):
-            device.set_fault_multiplier(multiplier)
-        self.sim.schedule(duration_s, self._restore_speed, index)
+            device.set_fault_multiplier(max(self._slowdowns[index]))
+        self.sim.schedule(duration_s, self._close_slowdown, index, multiplier)
         self.heartbeat.poke()
 
-    def _restore_speed(self, index: int) -> None:
+    def _close_slowdown(self, index: int, multiplier: float) -> None:
+        open_windows = self._slowdowns[index]
+        open_windows.remove(multiplier)
         for device in self._devices_at(index):
             if not device.down:
-                device.set_fault_multiplier(1.0)
+                device.set_fault_multiplier(max(open_windows, default=1.0))
 
     # -- heartbeat ---------------------------------------------------------------
 

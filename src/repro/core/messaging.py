@@ -23,6 +23,10 @@ from repro.sim.futures import SimFuture
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.simulator import Simulator
 
+#: Latency of an endpoint registered without its own, read when
+#: :class:`ExternalServices` is built.
+DEFAULT_LATENCY_MS = 50.0
+
 
 class _Mailbox:
     """A FIFO of messages with future-based receives."""
@@ -139,10 +143,10 @@ class ExternalEndpoint:
 class ExternalServices:
     """Registry of simulated external tools / web APIs."""
 
-    def __init__(self, sim: Simulator, default_latency_ms: float = 50.0) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self._endpoints: Dict[str, ExternalEndpoint] = {}
-        self._default_latency = ConstantLatency(default_latency_ms / 1e3)
+        self._default_latency = ConstantLatency(DEFAULT_LATENCY_MS / 1e3)
 
     def register(
         self,

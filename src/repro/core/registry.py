@@ -234,7 +234,7 @@ class _Family:
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> None:
+    def __init__(self, name: str, help: str, labelnames: Sequence[str]) -> None:
         if not name or not name.replace("_", "a").replace(":", "a").isalnum():
             raise ReproError(f"invalid metric name {name!r}")
         self.name = name

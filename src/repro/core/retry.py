@@ -28,9 +28,9 @@ from repro.sim.faults import FaultInjector
 __all__ = ["RetryPolicy", "faulty_request"]
 
 
-#: What a :class:`RetryPolicy` built without an argument falls back to,
-#: looked up when the policy is built: the attempt cap, the backoff's base
-#: / growth / cap (seconds), the jitter band and the per-class budget.
+#: The policy's terms, read when a :class:`RetryPolicy` is built: the
+#: attempt cap, the backoff's base / growth / cap (seconds), the jitter band
+#: and the per-class budget.
 MAX_ATTEMPTS = 3
 BASE_S = 0.010
 MULTIPLIER = 2.0
@@ -42,22 +42,13 @@ BUDGET = 1_000
 class RetryPolicy:
     """Deterministic exponential backoff with seeded jitter and budgets."""
 
-    def __init__(
-        self,
-        max_attempts: Optional[int] = None,
-        base_s: Optional[float] = None,
-        multiplier: Optional[float] = None,
-        max_backoff_s: Optional[float] = None,
-        jitter: Optional[float] = None,
-        budget: Optional[int] = None,
-        seed: int = 0,
-    ) -> None:
-        self.max_attempts = MAX_ATTEMPTS if max_attempts is None else max_attempts
-        self.base_s = BASE_S if base_s is None else base_s
-        self.multiplier = MULTIPLIER if multiplier is None else multiplier
-        self.max_backoff_s = MAX_BACKOFF_S if max_backoff_s is None else max_backoff_s
-        self.jitter = JITTER if jitter is None else jitter
-        self.budget = BUDGET if budget is None else budget
+    def __init__(self, seed: int = 0) -> None:
+        self.max_attempts = MAX_ATTEMPTS
+        self.base_s = BASE_S
+        self.multiplier = MULTIPLIER
+        self.max_backoff_s = MAX_BACKOFF_S
+        self.jitter = JITTER
+        self.budget = BUDGET
         # Private stream: backoff jitter must not perturb the workload rng.
         self.rng = np.random.default_rng(seed)
         self._spent: Dict[str, int] = {}

@@ -146,7 +146,6 @@ class Router:
         is_swapped: Optional[Callable[[str], bool]] = None,
         prefill_shards: int = 0,
         trace=None,
-        health_probe: Optional[Callable[[int], bool]] = None,
     ) -> None:
         if not shards:
             raise ReproError("router needs at least one shard")
@@ -160,11 +159,12 @@ class Router:
         self.model = self.shards[0].resources.model_name
         self.is_swapped = is_swapped
         # Chaos plane (repro.core.health): shard-index predicate reporting
-        # whether a shard may receive new placements.  None — the off-knob
-        # path — keeps every policy's arithmetic untouched; installed, any
-        # shard the probe rejects (down) is skipped, and an
-        # empty eligible set raises ShardUnavailableError.
-        self.health_probe = health_probe
+        # whether a shard may receive new placements, installed by the
+        # controller with the health service.  None — the off-knob path —
+        # keeps every policy's arithmetic untouched; installed, any shard
+        # the probe rejects (down) is skipped, and an empty eligible set
+        # raises ShardUnavailableError.
+        self.health_probe: Optional[Callable[[int], bool]] = None
         # Disaggregation: shards [0, prefill_shards) take new inferlets
         # (prefill role), the rest receive them via migrate().  0 = no
         # role split (every policy but "disaggregated").

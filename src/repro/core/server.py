@@ -189,11 +189,10 @@ class PieClient:
         sim: Simulator,
         server: PieServer,
         rtt_ms: float = 25.0,
-        name: str = "client",
     ) -> None:
         self.sim = sim
         self.server = server
-        self.link = NetworkLink(sim, ConstantLatency(milliseconds(rtt_ms / 2.0)), name=name)
+        self.link = NetworkLink(sim, ConstantLatency(milliseconds(rtt_ms / 2.0)), name="client")
 
     # -- program management --------------------------------------------------------
 

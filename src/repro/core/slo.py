@@ -36,11 +36,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.core.metrics import TenantMetrics
-from repro.core.qos import TenantTable
 
 __all__ = ["BurnWindow", "AlertEvent", "SloEngine", "SIGNALS"]
 
@@ -69,9 +68,9 @@ class BurnWindow:
 #: Availability objective every tenant is judged against: the fraction of
 #: SLO-judged samples that must meet their latency target.
 DEFAULT_SLO_TARGET = 0.95
-#: The burn-rate rules of an engine built without its own.  Seconds-scale,
-#: not the SRE handbook's hours: simulated runs compress hours of traffic
-#: into seconds.  Both are read when an :class:`SloEngine` is built.
+#: The burn-rate rules.  Seconds-scale, not the SRE handbook's hours:
+#: simulated runs compress hours of traffic into seconds.  Both are read
+#: when an :class:`SloEngine` is built.
 BURN_WINDOWS = (BurnWindow(2.0, 0.5, 6.0), BurnWindow(10.0, 2.0, 3.0))
 
 
@@ -154,32 +153,20 @@ class _SignalTracker:
 class SloEngine:
     """Tracks per-tenant error budgets and drives burn-rate alerts.
 
-    ``tenants`` is the controller's :class:`~repro.core.qos.TenantTable`
-    and ``records`` the core's per-tenant records (``SystemMetrics.tenants``)
-    the verdicts are read from; both exist with every plane off.  Every
-    tenant is judged against one objective, ``default_target``.
+    ``records`` are the core's per-tenant records (``SystemMetrics.tenants``)
+    the verdicts are read from; they exist with every plane off.  Every
+    tenant is judged against one objective, :data:`DEFAULT_SLO_TARGET`,
+    under the rules :data:`BURN_WINDOWS`.
     """
 
-    def __init__(
-        self,
-        tenants: TenantTable,
-        records: Dict[str, TenantMetrics],
-        windows: Optional[Sequence[BurnWindow]] = None,
-        default_target: Optional[float] = None,
-        trace=None,
-    ) -> None:
-        if windows is None:
-            windows = BURN_WINDOWS
-        if default_target is None:
-            default_target = DEFAULT_SLO_TARGET
-        if not windows:
+    def __init__(self, records: Dict[str, TenantMetrics], trace=None) -> None:
+        if not BURN_WINDOWS:
             raise ReproError("SloEngine needs at least one burn window")
-        if not 0.0 < default_target < 1.0:
-            raise ReproError("default_target must be in (0, 1)")
-        self.tenants = tenants
+        if not 0.0 < DEFAULT_SLO_TARGET < 1.0:
+            raise ReproError("DEFAULT_SLO_TARGET must be in (0, 1)")
         self.records = records
-        self.windows = tuple(windows)
-        self.default_target = default_target
+        self.windows = tuple(BURN_WINDOWS)
+        self.default_target = DEFAULT_SLO_TARGET
         self._trace = trace
         self._trackers: Dict[Tuple[str, str], _SignalTracker] = {}
         #: Every fire/clear transition, in virtual-time order.

@@ -49,7 +49,8 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.core.inferlet import LifecycleObserver
 from repro.sim.periodic import PeriodicService
 
-#: Ring-buffer bound on trace events (oldest evicted first).
+#: Ring-buffer bound on trace events (oldest evicted first), read when a
+#: :class:`TraceRecorder` is built.
 TRACE_MAX_EVENTS = 200_000
 
 #: Every ``cat`` an emitter may write.  The all-planes traced run in
@@ -77,9 +78,9 @@ class TraceRecorder:
     expects.  Instances are cheap; everything is plain dicts and a deque.
     """
 
-    def __init__(self, sim, max_events: int = TRACE_MAX_EVENTS):
+    def __init__(self, sim):
         self.sim = sim
-        self.max_events = int(max_events)
+        self.max_events = TRACE_MAX_EVENTS
         # Every event (ph X / i / C), in the order it was written.
         self._events: Deque[dict] = deque(maxlen=self.max_events)
         self._span_ids = count(1)

@@ -24,14 +24,12 @@ _STRING_CHARS = {
     for byte in range(0x20, 0x7F)
     if byte not in (ord('"'), ord("\\"))
 }
-_WS = set(b" \t\n")
 
 
 class JsonMachine:
     """Byte-level incremental recogniser for a JSON subset."""
 
-    def __init__(self, allow_whitespace: bool = False) -> None:
-        self.allow_whitespace = allow_whitespace
+    def __init__(self) -> None:
         self._stack: List[str] = []  # "object" | "array"
         self._state = "value"
         self._literal_rest: bytes = b""
@@ -56,12 +54,6 @@ class JsonMachine:
     # -- the automaton ------------------------------------------------------
 
     def allowed_next_bytes(self) -> Set[int]:
-        allowed = self._allowed_for_state()
-        if self.allow_whitespace and self._state not in ("string", "literal"):
-            allowed |= _WS
-        return allowed
-
-    def _allowed_for_state(self) -> Set[int]:
         state = self._state
         if state == "value":
             allowed = {ord('"'), ord("{"), ord("["), ord("t"), ord("f"), ord("n")} | _DIGITS
@@ -112,9 +104,6 @@ class JsonMachine:
             if len(byte) != 1:
                 raise GrammarError("advance expects a single byte")
             byte = byte[0]
-        if self.allow_whitespace and byte in _WS and self._state not in ("string", "key", "literal"):
-            self._consumed.append(byte)
-            return
         if byte not in self.allowed_next_bytes():
             raise GrammarError(
                 f"byte {chr(byte)!r} not allowed in state {self._state!r} after {self.text!r}"

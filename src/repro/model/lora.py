@@ -15,23 +15,22 @@ import numpy as np
 from repro.errors import ReproError
 from repro.model.config import ModelConfig
 
+#: The factors' inner dimension and the delta's scale, read when a
+#: :class:`LoraAdapter` is built.
+LORA_RANK = 4
+LORA_ALPHA = 1.0
+
 
 class LoraAdapter:
     """A named low-rank adapter over the query projections."""
 
-    def __init__(
-        self,
-        name: str,
-        config: ModelConfig,
-        rank: int = 4,
-        alpha: float = 1.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, name: str, config: ModelConfig, seed: int = 0) -> None:
+        rank = LORA_RANK
         if rank <= 0:
             raise ReproError("LoRA rank must be positive")
         self.name = name
         self.rank = rank
-        self.alpha = alpha
+        self.alpha = LORA_ALPHA
         rng = np.random.default_rng(seed)
         d = config.d_model
         self._down: List[np.ndarray] = []

@@ -3,12 +3,11 @@
 Production serving means partial failure: devices crash, interconnects
 flap, tool backends time out.  This module gives the simulated cluster a
 *replayable* failure schedule — a :class:`FaultPlan` of typed entries on
-the virtual clock, executed by a :class:`FaultInjector` that draws any
-randomness from its **own** ``np.random.default_rng(seed)`` stream.  The
-simulator's generator is never touched, so a chaos run perturbs the
-workload only through the faults themselves, and the same
-``(fault_seed, fault_plan)`` replays bit-identically against any
-workload seed.
+the virtual clock, executed by a :class:`FaultInjector` that draws no
+randomness at all (:meth:`FaultPlan.generate` draws a plan from its own
+seeded generator).  The simulator's generator is never touched, so a chaos
+run perturbs the workload only through the faults themselves, and the
+same ``fault_plan`` replays bit-identically against any workload seed.
 
 Fault entry grammar (plain tuples so plans can live inside the frozen
 :class:`~repro.core.config.ControlLayerConfig`):
@@ -192,35 +191,26 @@ class _ToolWindow:
 class FaultInjector:
     """Replays a :class:`FaultPlan` against a live cluster.
 
-    Built by the controller only when ``ControlLayerConfig.faults`` is on;
-    the off-knob serving path never constructs one.  Shard and link
-    faults are delegated through the hooks installed by :meth:`bind`;
-    tool faults are answered synchronously via :meth:`tool_fault` from
-    the controller's ``http_request`` path.
+    Built by the controller only when ``ControlLayerConfig.faults`` is on,
+    after the shard health service; the off-knob serving path never
+    constructs one.  Shard and link faults go to ``health``, which also
+    knows the live KV links; tool faults are answered synchronously via
+    :meth:`tool_fault` from the controller's ``http_request`` path.
     """
 
     #: Simulated client-side wait burned by one ``tool_timeout`` attempt.
     TOOL_TIMEOUT_S = 0.05
 
-    def __init__(self, sim, plan: Sequence[tuple], seed: int = 0, trace=None, metrics=None) -> None:
+    def __init__(self, sim, plan: Sequence[tuple], health, metrics, trace=None) -> None:
         self.sim = sim
         self.plan = FaultPlan(plan)
-        #: The injector's private stream — never the simulator's rng, so a
-        #: faults-on run consumes exactly zero draws from the workload
-        #: stream and the same fault_seed replays identically.
-        self.rng = np.random.default_rng(seed)
-        self.trace = trace
+        self.health = health
         self.metrics = metrics
+        self.trace = trace
         #: Every fault fired so far, in firing order — exported with the
         #: monitor snapshot so SLO reports can line alerts up with causes.
         self.injected: List[dict] = []
         self._tool_windows: List[_ToolWindow] = []
-        # Shard faults route to the health service, which also knows the
-        # live KV links (the target of link faults).  Installed via bind().
-        self._health = None
-
-    def bind(self, health) -> None:
-        self._health = health
 
     def arm(self) -> None:
         """Schedule every plan entry on the virtual clock (call once)."""
@@ -235,24 +225,17 @@ class FaultInjector:
         self.injected.append(
             {"time": self.sim.now, "kind": kind, "entry": list(entry)}
         )
-        if self.metrics is not None:
-            self.metrics.faults_injected += 1
+        self.metrics.faults_injected += 1
         if self.trace is not None:
             self.trace.instant(
                 f"fault_{kind}", "fault", args={"entry": list(entry)}
             )
         if kind == "shard_crash":
-            if self.metrics is not None:
-                self.metrics.shard_crashes += 1
-            if self._health is not None:
-                self._health.inject_shard_crash(int(entry[2]))
+            self.metrics.shard_crashes += 1
+            self.health.inject_shard_crash(int(entry[2]))
         elif kind == "shard_slowdown":
-            if self.metrics is not None:
-                self.metrics.shard_slowdowns += 1
-            if self._health is not None:
-                self._health.inject_shard_slowdown(
-                    int(entry[2]), float(entry[3]), float(entry[4])
-                )
+            self.metrics.shard_slowdowns += 1
+            self.health.inject_shard_slowdown(int(entry[2]), float(entry[3]), float(entry[4]))
         elif kind == "link_flap":
             self._apply_link_fault(lambda link: link.inject_outage(self.sim.now, float(entry[2])))
         elif kind == "link_spike":
@@ -276,11 +259,10 @@ class FaultInjector:
         before any stream exists is a recorded no-op — the trace instant
         still lands, carrying ``links=0``.
         """
-        links = self._health.live_links() if self._health is not None else []
+        links = self.health.live_links()
         for link in links:
             apply(link)
-        if self.metrics is not None:
-            self.metrics.link_faults += 1
+        self.metrics.link_faults += 1
         return links
 
     # -- tool faults --------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import SimulationError
@@ -58,17 +56,16 @@ class UniformLatency(LatencyModel):
 
 
 class NormalLatency(LatencyModel):
-    """Normally distributed delay, truncated at a configurable floor."""
+    """Normally distributed delay, truncated at zero."""
 
-    def __init__(self, mean: float, std: float, floor: Optional[float] = None) -> None:
+    def __init__(self, mean: float, std: float) -> None:
         if mean < 0 or std < 0:
             raise SimulationError("mean/std must be non-negative")
         self._mean = float(mean)
         self._std = float(std)
-        self._floor = float(floor) if floor is not None else 0.0
 
     def sample(self, rng: np.random.Generator) -> float:
-        return max(self._floor, float(rng.normal(self._mean, self._std)))
+        return max(0.0, float(rng.normal(self._mean, self._std)))
 
     def mean(self) -> float:
         return self._mean

@@ -3,10 +3,11 @@
 ``perf/spans.py`` times every call of each layer's entry points, and that
 costs most where spans are densest (``harness.trace_overhead_ratio``
 1.18–1.41).  This is its untraced counterpart: the kernel's profiling timer
-interrupts the process every ``interval_s`` of CPU time, and the sample goes to
-the innermost frame of this package on the stack — numpy, being C or living
-outside the package, is charged to the repo function that called it.  The
-program runs unmodified; the handler runs between two bytecodes.
+interrupts the process every :data:`SAMPLE_INTERVAL_S` of CPU time, and the
+sample goes to the innermost frame of this package on the stack — numpy,
+being C or living outside the package, is charged to the repo function that
+called it.  The program runs unmodified; the handler runs between two
+bytecodes.
 
     with HostProfile() as profile:
         sim.run()
@@ -59,20 +60,22 @@ LAYER_OF = (
     ("gpu/device.py", "device"),
 )
 OUTSIDE = ("(outside src/repro)", "")
+#: Seconds of process CPU time between two samples, read when a
+#: :class:`HostProfile` is built.
+SAMPLE_INTERVAL_S = 0.0005
 
 
 class HostProfile:
-    """Samples the main thread every ``interval_s`` of process CPU time.
+    """Samples the main thread every :data:`SAMPLE_INTERVAL_S` of process
+    CPU time.
 
     ``split`` maps a function's qualified name to an expression over its
     locals: a sample charged to that function is labelled ``name [value]`` —
     ``name [?]`` if the expression raises there.
     """
 
-    def __init__(
-        self, interval_s: float = 0.0005, split: Optional[Mapping[str, str]] = None
-    ) -> None:
-        self.interval_s = interval_s
+    def __init__(self, split: Optional[Mapping[str, str]] = None) -> None:
+        self.interval_s = SAMPLE_INTERVAL_S
         self.split = {
             name: compile(expression, f"<split {name}>", "eval")
             for name, expression in (split or {}).items()

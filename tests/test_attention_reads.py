@@ -22,7 +22,7 @@ from repro.core import InferletProgram
 from repro.core.handlers import ApiHandlers
 from repro.errors import ReproError
 from repro.gpu import DeviceMemory, GpuConfig, KernelCostModel
-from repro.model import ForwardInput, LoraAdapter, get_model_config
+from repro.model import ForwardInput, get_model_config
 from repro.model import transformer as transformer_module
 from repro.model.registry import ModelEntry
 from repro.model.transformer import (
@@ -35,11 +35,12 @@ from repro.model.transformer import (
 from repro.support import Context, SamplingParams
 from tests import test_handlers_waves as waves
 from tests.test_batched_handlers import assert_same_results
+from tests.test_model_transformer import lora_adapter
 
 MODEL_NAME = "llama-sim-1b"
 CONFIG = get_model_config(MODEL_NAME)
 PAGE = CONFIG.kv_page_size
-ADAPTER = LoraAdapter("tuned", CONFIG, rank=2, seed=4)
+ADAPTER = lora_adapter("tuned", CONFIG, seed=4, LORA_RANK=2)
 
 
 # -- the replaced model code ------------------------------------------------------

@@ -370,8 +370,9 @@ def build_router(world, policy="cache_affinity", prefill_shards=0):
         policy=policy,
         prefill_shards=prefill_shards,
         is_swapped=(lambda iid: live[iid][1]) if world["swap_flags"] else None,
-        health_probe=None if down is None else (lambda index: index not in down),
     )
+    if down is not None:
+        router.health_probe = lambda index: index not in down
     for iid, (index, _) in live.items():
         router._placements[iid] = index
     return router

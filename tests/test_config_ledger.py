@@ -12,12 +12,19 @@ binding: a new knob cannot land without a row, a row that is not a seed, a
 capacity or a path fails unless something outside ``tests/`` names the
 field, the counts the north star tracks cannot grow unnoticed, and the
 documentation cannot name a field that does not exist.
+
+The same rule reaches every constructor: a defaulted ``__init__`` parameter
+under ``src/repro`` that no caller outside ``tests/`` passes needs a
+:data:`CONSTRUCTOR_LEDGER` row saying it is a seed, a capacity, a path or
+``API`` (a signature inferlet or client code calls); anything else is the
+module constant it defaulted to, read when the object is built.
 """
 
 import ast
 import dataclasses
 import pathlib
 import re
+from collections import defaultdict
 
 from repro.core.config import (
     SHORTHAND_IMPLICATIONS,
@@ -78,12 +85,25 @@ TENANT_LEDGER = {
     "TenantSpec.tpot_slo_ms": "bench/loadgen.py classes",
 }
 
+#: ``Class.parameter`` -> why a defaulted ``__init__`` parameter no caller
+#: outside ``tests/`` passes stays a parameter.  A reason starts with one of
+#: :data:`CONSTRUCTOR_EXEMPT`.
+CONSTRUCTOR_LEDGER = {
+    "Context.queue": "API: an inferlet shares one queue between contexts",
+    "LoraAdapter.seed": "seed",
+    "TinyTransformer.seed": "seed",
+}
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Where a second value comes from: experiment arms and the load harness,
 #: ``perf/`` workloads, the examples.
 CALLERS = ("src/repro/bench", "perf", "examples")
 #: A row whose reason starts with one of these needs no second value.
 EXEMPT = ("seed", "capacity", "path")
+#: Who may pass a constructor parameter: the program itself, ``perf/``, the
+#: examples — anything but ``tests/``.
+CONSTRUCTOR_CALLERS = ("src/repro", "perf", "examples")
+CONSTRUCTOR_EXEMPT = (*EXEMPT, "API")
 
 
 def settable_scalars():
@@ -158,3 +178,159 @@ def test_the_documentation_names_only_fields_that_exist():
             {match.group(0) for match in spelled.finditer(text)} - fields
         )
         assert not stale, f"{document} names config fields that do not exist: {stale}"
+
+
+# -- the constructor scan ---------------------------------------------------------
+
+
+def _parse(root, directory):
+    for path in sorted((root / directory).rglob("*.py")):
+        yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _name(node):
+    """The last part of a dotted name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _classes(root):
+    """Class name under ``src/repro`` -> (its base names, its own ``__init__``)."""
+    classes = {}
+    for tree in _parse(root, "src/repro"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                init = next(
+                    (
+                        item
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                    ),
+                    None,
+                )
+                classes[node.name] = ([_name(base) for base in node.bases], init)
+    return classes
+
+
+def _owner(classes, name):
+    """The class whose ``__init__`` a call of class ``name`` runs."""
+    while name in classes:
+        bases, init = classes[name]
+        if init is not None:
+            return name
+        name = next((base for base in bases if base in classes), None)
+    return None
+
+
+def _passed(root, classes):
+    """Owner class -> the keywords and positional indexes its callers
+    outside ``tests/`` pass (``"*"`` / ``"**"`` for an unpacking).  A call
+    is by class name, ``cls(...)`` in the class, ``super().__init__(...)``
+    in a subclass or ``Base.__init__(self, ...)``."""
+    passed = defaultdict(set)
+
+    def note(name, call, skip=0):
+        owner = _owner(classes, name)
+        if owner is not None:
+            args = passed[owner]
+            args.update(range(len(call.args) - skip))
+            args.update(keyword.arg or "**" for keyword in call.keywords)
+            if any(isinstance(arg, ast.Starred) for arg in call.args):
+                args.add("*")
+
+    for directory in CONSTRUCTOR_CALLERS:
+        for tree in _parse(root, directory):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    bases = [_name(base) for base in node.bases]
+                    for call in ast.walk(node):
+                        if not isinstance(call, ast.Call):
+                            continue
+                        func = call.func
+                        if isinstance(func, ast.Name) and func.id == "cls":
+                            note(node.name, call)
+                        elif (
+                            _name(func) == "__init__"
+                            and isinstance(func.value, ast.Call)
+                            and _name(func.value.func) == "super"
+                        ):
+                            note(next((base for base in bases if base in classes), None), call)
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    if _name(func) in classes:
+                        note(_name(func), node)
+                    elif _name(func) == "__init__" and _name(func.value) in classes:
+                        note(_name(func.value), node, skip=1)
+    return passed
+
+
+def unpassed_defaults(root=ROOT):
+    """``Class.parameter`` for every defaulted ``__init__`` parameter under
+    ``src/repro`` that no call outside ``tests/`` passes."""
+    classes = _classes(root)
+    passed = _passed(root, classes)
+    found = []
+    for name, (_, init) in sorted(classes.items()):
+        if init is None:
+            continue
+        args, positional = passed.get(name, set()), init.args.posonlyargs + init.args.args
+        first_default = len(positional) - len(init.args.defaults)
+        defaulted = [(arg.arg, index - 1) for index, arg in enumerate(positional)][first_default:]
+        defaulted += [
+            (arg.arg, None)
+            for arg, default in zip(init.args.kwonlyargs, init.args.kw_defaults)
+            if default is not None
+        ]
+        for parameter, index in defaulted:
+            if {parameter, "**"} & args or (index is not None and {index, "*"} & args):
+                continue
+            found.append(f"{name}.{parameter}")
+    return found
+
+
+def constructor_rule_breaks(root, ledger):
+    """A parameter only a test passes without an exempt row, and a row the
+    scan does not find."""
+    found = unpassed_defaults(root)
+    refused = [row for row in found if not ledger.get(row, "").startswith(CONSTRUCTOR_EXEMPT)]
+    return refused + sorted(set(ledger) - set(found))
+
+
+def test_no_constructor_parameter_is_passed_by_tests_alone():
+    assert constructor_rule_breaks(ROOT, CONSTRUCTOR_LEDGER) == []
+    # 40 before the rule: 38 knobs, and the two `_Family` defaults its one
+    # caller (a `cls(...)` the scan cannot name) always overrode.
+    assert len(CONSTRUCTOR_LEDGER) == 3
+
+
+def test_the_constructor_scan_is_not_vacuous(tmp_path):
+    (tmp_path / "src/repro").mkdir(parents=True)
+    (tmp_path / "src/repro/knobs.py").write_text(
+        "class Knob:\n"
+        "    def __init__(self, size, period=1.0):\n"
+        "        self.period = period\n"
+        "\n"
+        "class Seeded:\n"
+        "    def __init__(self, seed=0):\n"
+        "        self.seed = seed\n"
+        "\n"
+        "class Child(Seeded):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(seed=1)\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests/test_knobs.py").write_text(
+        "from repro.knobs import Knob\n\nKnob(4, period=2.0)\n"
+    )
+    # Only a test passes ``period``; ``super().__init__`` passes ``seed``.
+    assert constructor_rule_breaks(tmp_path, {}) == ["Knob.period"]
+    assert constructor_rule_breaks(tmp_path, {"Knob.period": "capacity"}) == []
+    assert constructor_rule_breaks(tmp_path, {"Knob.period": "a test varies it"}) == [
+        "Knob.period"
+    ]
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples/knobs.py").write_text("from repro.knobs import Knob\n\nKnob(4, 2.0)\n")
+    assert constructor_rule_breaks(tmp_path, {}) == []
+    # A row whose parameter an outside caller passes is stale.
+    assert constructor_rule_breaks(tmp_path, {"Knob.period": "capacity"}) == ["Knob.period"]

@@ -83,16 +83,21 @@ class TestFaultPlan:
 
 
 def retry_policy(seed, **overrides):
-    params = dict(
-        max_attempts=4,
-        base_s=0.010,
-        multiplier=2.0,
-        max_backoff_s=0.025,
-        jitter=0.1,
-        budget=1000,
+    """A policy built under these terms, ``overrides`` by constant name: the
+    policy reads :mod:`repro.core.retry`'s constants when it is built."""
+    terms = dict(
+        MAX_ATTEMPTS=4,
+        BASE_S=0.010,
+        MULTIPLIER=2.0,
+        MAX_BACKOFF_S=0.025,
+        JITTER=0.1,
+        BUDGET=1000,
     )
-    params.update(overrides)
-    return RetryPolicy(seed=seed, **params)
+    terms.update(overrides)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in terms.items():
+            patch.setattr(retry, name, value)
+        return RetryPolicy(seed=seed)
 
 
 class TestRetryPolicy:
@@ -104,7 +109,7 @@ class TestRetryPolicy:
         ]
 
     def test_exponential_growth_and_cap(self):
-        policy = retry_policy(seed=0, jitter=0.0)
+        policy = retry_policy(seed=0, JITTER=0.0)
         delays = [policy.backoff(i, "tool") for i in range(3)]
         assert delays[0] == pytest.approx(0.010)
         assert delays[1] == pytest.approx(0.020)
@@ -115,22 +120,23 @@ class TestRetryPolicy:
         assert policy.backoff(3, "tool") is None  # attempt 4 of max 4
 
     def test_per_class_budget_exhausts(self):
-        policy = retry_policy(seed=0, budget=2)
+        policy = retry_policy(seed=0, BUDGET=2)
         assert policy.backoff(0, "tool") is not None
         assert policy.backoff(0, "tool") is not None
         assert policy.backoff(0, "tool") is None  # tool budget spent
         assert policy.backoff(0, "handoff") is not None  # separate class
 
-    def test_an_argument_not_given_falls_back_to_the_module_constant(self, monkeypatch):
+    def test_the_policy_reads_the_module_constants_when_built(self, monkeypatch):
         # Looked up when the policy is built, so a patched constant takes.
         monkeypatch.setattr(retry, "MAX_ATTEMPTS", 8)
-        policy = RetryPolicy(jitter=0.0, seed=0)
+        monkeypatch.setattr(retry, "JITTER", 0.0)
+        policy = RetryPolicy(seed=0)
         assert (policy.max_attempts, policy.jitter) == (8, 0.0)
         assert (policy.base_s, policy.multiplier) == (retry.BASE_S, retry.MULTIPLIER)
         assert (policy.max_backoff_s, policy.budget) == (retry.MAX_BACKOFF_S, retry.BUDGET)
 
     def test_jitter_stays_within_band(self):
-        policy = retry_policy(seed=3, jitter=0.1, max_backoff_s=1.0)
+        policy = retry_policy(seed=3, JITTER=0.1, MAX_BACKOFF_S=1.0)
         for attempt in range(3):
             delay = policy.backoff(attempt, "tool")
             nominal = 0.010 * (2.0**attempt)
@@ -254,6 +260,28 @@ def test_chaos_off_is_structurally_inert():
     assert controller.retry is None
     for service in controller._services.values():
         assert service.router.health_probe is None
+
+
+def test_overlapping_slowdowns_run_at_the_slowest_open_window():
+    """Two slowdown windows on one shard: x3 over [0.1, 0.6) s and x2 over
+    [0.2, 1.2) s.  The device runs at the maximum of the open windows'
+    multipliers, and at 1.0 once none is open."""
+    sim = Simulator(seed=0)
+    server = PieServer(
+        sim,
+        faults=True,
+        fault_plan=(
+            ("shard_slowdown", 0.1, 0, 3.0, 0.5),
+            ("shard_slowdown", 0.2, 0, 2.0, 1.0),
+        ),
+    )
+    device = server.service().shards[0].device
+    readings = {}
+    for at in (0.05, 0.15, 0.25, 0.65, 1.3):
+        sim.schedule(at, lambda at=at: readings.__setitem__(at, device.fault_multiplier))
+    sim.run()
+    assert readings == {0.05: 1.0, 0.15: 3.0, 0.25: 3.0, 0.65: 2.0, 1.3: 1.0}
+    assert server.metrics.shard_slowdowns == 2
 
 
 # -- system: detection and failover -----------------------------------------

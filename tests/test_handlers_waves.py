@@ -13,13 +13,14 @@ import numpy as np
 from repro.core.handlers import ApiHandlers
 from repro.errors import ReproError, ResourceError
 from repro.gpu import DeviceMemory, GpuConfig, KernelCostModel
-from repro.model import LoraAdapter, get_model_config
+from repro.model import get_model_config
 from repro.model.registry import ModelEntry
+from tests.test_model_transformer import lora_adapter
 
 CONFIG = get_model_config("llama-sim-1b")
 PAGE = CONFIG.kv_page_size
 ENTRY = ModelEntry(CONFIG)
-ENTRY.register_adapter(LoraAdapter("tuned", CONFIG, rank=2, seed=4))
+ENTRY.register_adapter(lora_adapter("tuned", CONFIG, seed=4, LORA_RANK=2))
 
 
 class Device:

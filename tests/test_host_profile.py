@@ -5,7 +5,11 @@ import signal
 import time
 
 from repro.model.sampling import softmax
+from repro.tools import host_profile
 from repro.tools.host_profile import OUTSIDE, HostProfile
+
+#: The sampling interval these tests run the profiler at.
+INTERVAL_S = 0.001
 
 
 def spin_in_the_repo(seconds):
@@ -19,9 +23,10 @@ def spin_in_the_repo(seconds):
             softmax(logits)
 
 
-def test_a_busy_function_gets_the_samples():
+def test_a_busy_function_gets_the_samples(monkeypatch):
+    monkeypatch.setattr(host_profile, "SAMPLE_INTERVAL_S", INTERVAL_S)
     before = signal.getsignal(signal.SIGPROF)
-    with HostProfile(interval_s=0.001) as profile:
+    with HostProfile() as profile:
         spin_in_the_repo(0.3)
     assert signal.getsignal(signal.SIGPROF) is before
     assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
@@ -36,8 +41,9 @@ def test_a_busy_function_gets_the_samples():
     assert "softmax  model/sampling.py" in report and "layer" in report
 
 
-def test_split_tells_two_jobs_of_one_function_apart():
+def test_split_tells_two_jobs_of_one_function_apart(monkeypatch):
     """Two busy loops in ``softmax``, told apart by its ``temperature``."""
+    monkeypatch.setattr(host_profile, "SAMPLE_INTERVAL_S", INTERVAL_S)
     import numpy as np
 
     def spin(temperature, seconds=0.25):
@@ -47,7 +53,7 @@ def test_split_tells_two_jobs_of_one_function_apart():
             for _ in range(50):
                 softmax(logits, temperature)
 
-    with HostProfile(interval_s=0.001, split={"softmax": "temperature"}) as profile:
+    with HostProfile(split={"softmax": "temperature"}) as profile:
         spin(1.0)
         spin(2.0)
     labels = {name for (_, name) in profile.self_samples}
@@ -58,12 +64,13 @@ def test_split_tells_two_jobs_of_one_function_apart():
     assert abs(profile.share("softmax", cumulative=False) - sum(shares)) < 1e-9 and sum(shares) > 0.6
     assert "softmax [2.0]  model/sampling.py" in profile.report(top=5)
     # An expression that raises labels the sample; the run goes on.
-    with HostProfile(interval_s=0.001, split={"softmax": "no_such_local + 1"}) as profile:
+    with HostProfile(split={"softmax": "no_such_local + 1"}) as profile:
         spin(1.0, seconds=0.1)
     assert profile.share("softmax [?]", cumulative=False) > 0.5
 
 
-def test_shared_files_count_for_the_layer_that_called_them():
+def test_shared_files_count_for_the_layer_that_called_them(monkeypatch):
+    monkeypatch.setattr(host_profile, "SAMPLE_INTERVAL_S", INTERVAL_S)
     from types import SimpleNamespace
 
     from repro.core.handlers import ApiHandlers
@@ -77,7 +84,7 @@ def test_shared_files_count_for_the_layer_that_called_them():
     slots = memory.embeds.allocate(64)
     batch = [SimpleNamespace(payload={"emb_slots": [slot]}) for slot in slots]
     handlers.execute_batch("sample", batch)  # lazy weights are not what is profiled
-    with HostProfile(interval_s=0.001) as profile:
+    with HostProfile() as profile:
         deadline = time.process_time() + 0.3
         while time.process_time() < deadline:
             for _ in range(5):

@@ -18,7 +18,8 @@ only once it is built, so five launches at once under a 2-slot pool all get
 one (ROADMAP item 9 says why the fix waits).
 
 Plus the satellites of the same exit: a dead subscriber leaves the message
-bus, and a fleet whose launches are refused a sandbox runs to its end.
+bus, a fleet whose launches are refused a sandbox runs to its end, and
+terminating an inferlet that already left changes nothing.
 """
 
 import pytest
@@ -163,6 +164,24 @@ def test_a_termination_before_the_programs_first_step_exits_once():
     assert server.runtime.live_instances == 0
     assert server.lifecycle.gates["default"].running == set()
     assert server.metrics.tenants["default"].terminated == 1
+
+
+def test_terminating_an_inferlet_that_left_is_a_no_op():
+    """A client abort and two forced terminations after the program
+    finished change neither its status nor any exit count."""
+    server = make_server()
+    instance, _ = server.launch("sleeper")
+    step_dry(server)
+    assert instance.status == "finished"
+    server.lifecycle.abort(instance)
+    server.controller.terminate_inferlet(instance, "late", cause="shard_down")
+    server.controller.terminate_inferlet(instance, "later")
+    step_dry(server)
+    assert instance.status == "finished" and instance.terminated_reason is None
+    metrics = server.metrics
+    assert (metrics.inferlets_finished, metrics.inferlets_terminated) == (1, 0)
+    record = metrics.tenants["default"]
+    assert (record.finished, record.terminated) == (1, 0)
 
 
 # -- three mutants ------------------------------------------------------------------

@@ -11,12 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
-from repro.model import ForwardInput, LoraAdapter, get_model_config
+from repro.model import ForwardInput, get_model_config
 from repro.model.transformer import KvContext, TinyTransformer
+from tests.test_model_transformer import lora_adapter
 
 CONFIG = get_model_config("llama-sim-1b")
 MODEL = TinyTransformer(CONFIG)
-ADAPTERS = [None, LoraAdapter("a", CONFIG, rank=2, seed=1), LoraAdapter("b", CONFIG, rank=4, seed=2)]
+ADAPTERS = [
+    None,
+    lora_adapter("a", CONFIG, seed=1, LORA_RANK=2),
+    lora_adapter("b", CONFIG, seed=2, LORA_RANK=4),
+]
 
 
 # -- the replaced per-row forward -------------------------------------------------

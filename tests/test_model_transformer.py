@@ -10,7 +10,17 @@ from repro.model import (
     LoraAdapter,
     TinyTransformer,
     get_model_config,
+    lora,
 )
+
+
+def lora_adapter(name, config, seed=0, **constants):
+    """An adapter built under ``constants`` (``LORA_RANK`` / ``LORA_ALPHA``):
+    it reads them off :mod:`repro.model.lora` when built."""
+    with pytest.MonkeyPatch.context() as patch:
+        for constant, value in constants.items():
+            patch.setattr(lora, constant, value)
+        return LoraAdapter(name, config, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +234,7 @@ class TestKvCacheExactness:
 
 class TestLora:
     def test_adapter_changes_output(self, model, config):
-        adapter = LoraAdapter("test", config, rank=2, alpha=8.0, seed=3)
+        adapter = lora_adapter("test", config, seed=3, LORA_RANK=2, LORA_ALPHA=8.0)
         tokens = [50, 60, 70]
         embeds = model.embed_tokens(tokens, [0, 1, 2])
         base = model.forward_row(embeds, [0, 1, 2])
@@ -232,18 +242,19 @@ class TestLora:
         assert not np.allclose(base.hidden, adapted.hidden)
 
     def test_zero_alpha_is_identity(self, model, config):
-        adapter = LoraAdapter("zero", config, rank=2, alpha=0.0, seed=3)
+        adapter = lora_adapter("zero", config, seed=3, LORA_RANK=2, LORA_ALPHA=0.0)
         tokens = [50, 60, 70]
         embeds = model.embed_tokens(tokens, [0, 1, 2])
         base = model.forward_row(embeds, [0, 1, 2])
         adapted = model.forward_row(embeds, [0, 1, 2], adapter=adapter)
         np.testing.assert_allclose(base.hidden, adapted.hidden, atol=1e-6)
 
-    def test_invalid_rank_rejected(self, config):
+    def test_invalid_rank_rejected(self, config, monkeypatch):
+        monkeypatch.setattr(lora, "LORA_RANK", 0)
         with pytest.raises(ReproError):
-            LoraAdapter("bad", config, rank=0)
+            LoraAdapter("bad", config)
 
     def test_parameter_count(self, config):
-        adapter = LoraAdapter("count", config, rank=4)
+        adapter = lora_adapter("count", config, LORA_RANK=4)
         expected = config.n_layers * (config.d_model * 4 + 4 * config.d_model)
         assert adapter.parameter_count == expected

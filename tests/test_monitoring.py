@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core import PieServer, TenantSpec, TenantTable, monitor, slo
+from repro.core import PieServer, TenantSpec, monitor, slo
 from repro.core.metrics import EXIT_STATUSES, TenantMetrics
 from repro.core.slo import BurnWindow, SloEngine
 from repro.errors import ClientError, ReproError
@@ -13,10 +13,13 @@ from repro.sim import Simulator
 from tests.test_slo_contract import stamped
 
 
-def engine(windows=None, target=0.95, tenants=()):
-    return SloEngine(
-        TenantTable(tenants), {}, windows or (BurnWindow(2.0, 0.5, 6.0),), default_target=target
-    )
+def engine(windows=None, target=0.95):
+    """An engine under ``windows`` (one 6x rule unless given) and the
+    objective ``target``: it reads both off :mod:`repro.core.slo` when built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slo, "BURN_WINDOWS", windows or (BurnWindow(2.0, 0.5, 6.0),))
+        patch.setattr(slo, "DEFAULT_SLO_TARGET", target)
+        return SloEngine({})
 
 
 def record(eng, tenant):
@@ -39,15 +42,16 @@ def drive(eng, tenant, pattern, dt=0.1, start=0.0):
 
 
 class TestBurnWindows:
-    def test_window_validation(self):
+    def test_window_validation(self, monkeypatch):
         with pytest.raises(ReproError):
             BurnWindow(0.5, 2.0, 6.0)  # long must exceed short
         with pytest.raises(ReproError):
             BurnWindow(2.0, 0.5, 0.0)  # threshold must be positive
         with pytest.raises(ReproError):
-            SloEngine(TenantTable(), {}, ())
+            engine(target=1.5)  # the objective is a share in (0, 1)
+        monkeypatch.setattr(slo, "BURN_WINDOWS", ())
         with pytest.raises(ReproError):
-            SloEngine(TenantTable(), {}, default_target=1.5)  # the objective is a share in (0, 1)
+            SloEngine({})
 
     def test_golden_fire_and_clear_sequence(self):
         # Budget 5%; threshold 6x => fire needs >30% bad in BOTH windows.
@@ -107,7 +111,7 @@ class TestBurnWindows:
         # The engine reads the tenant record's count of the inferlets' own
         # verdicts; it judges and counts nothing itself.
         spec = TenantSpec(name="acme", ttft_slo_ms=100.0, tpot_slo_ms=10.0)
-        eng = engine(tenants=[spec])
+        eng = engine()
         hit, miss = stamped(spec, 0.05, 0.02), stamped(spec, 0.2, None)
         assert (hit.ttft_met, miss.ttft_met, hit.tpot_met, miss.tpot_met) == (
             True, False, False, None,
@@ -160,7 +164,8 @@ class TestMonitorService:
     def test_config_tenants_seed_slo_specs(self):
         acme = TenantSpec(name="acme", ttft_slo_ms=100.0)
         _, server = self.make_server(monitoring=True, tenants=(acme,))
-        assert server.monitor.slo.tenants["acme"] is acme
+        assert server.controller.tenants["acme"] is acme
+        assert not hasattr(server.monitor.slo, "tenants")
         # Every tenant burns its budget against the one objective.
         assert server.monitor.slo.budget("acme", "ttft")["target"] == slo.DEFAULT_SLO_TARGET
         # Registering tenants switches no plane on: there is no QoS knob.

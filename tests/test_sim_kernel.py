@@ -330,7 +330,7 @@ class TestLatencyModels:
         assert model.mean() == pytest.approx(0.02)
 
     def test_normal_floor(self, sim):
-        model = NormalLatency(0.001, 0.01, floor=0.0)
+        model = NormalLatency(0.001, 0.01)
         samples = [model.sample(sim.rng) for _ in range(200)]
         assert all(s >= 0.0 for s in samples)
 

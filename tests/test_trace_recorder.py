@@ -10,13 +10,20 @@ round-trips.  The telemetry sampler's timer is a ``PeriodicService``
 
 import json
 
+import pytest
+
+from repro.core import trace as trace_module
 from repro.core.trace import TraceRecorder
 from repro.sim import Simulator
 
 
 def make_recorder(max_events=10):
+    """A recorder whose ring holds ``max_events``: it reads
+    ``TRACE_MAX_EVENTS`` when built."""
     sim = Simulator(seed=1)
-    return sim, TraceRecorder(sim, max_events=max_events)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "TRACE_MAX_EVENTS", max_events)
+        return sim, TraceRecorder(sim)
 
 
 # -- spans & ring buffer ------------------------------------------------------
