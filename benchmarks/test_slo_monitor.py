@@ -53,7 +53,7 @@ def test_slo_monitor(run_experiment, write_artifact):
     # Contract 3: the export is the live state, not a copy kept beside it —
     # every finished request is in both of its counts, and no time series
     # rides along (the document was 593 KB when one did).
-    # 71 families: every per-tenant fact is read off the core's one record
+    # 64 families: every per-tenant fact is read off the core's one record
     # per tenant and exported under one name — ``pie_tenant_{finished,
     # terminated, rejected}`` are ``pie_requests_total{status}`` and
     # ``pie_tenant_{ttft, tpot}_{met, missed}`` are ``pie_slo_events_total``
@@ -65,9 +65,13 @@ def test_slo_monitor(run_experiment, write_artifact):
     # sums of the tenant records' counts, went with QoS's admission
     # (77 -> 74), and ``pie_tenant_{handoffs, dispatched_commands,
     # virtual_tokens}``, which only the QoS plane wrote, went with it
-    # (74 -> 71).  Server-side goodput agrees with the harness's own row.
+    # (74 -> 71), and ``pie_system_{shard_slowdowns, link_faults,
+    # tool_faults, tool_retries, handoff_retries, retries_exhausted,
+    # retry_backoff_seconds}``, which only the five test-only fault kinds
+    # and the retry policy behind them wrote, went with them (71 -> 64).
+    # Server-side goodput agrees with the harness's own row.
     metrics = raw["snapshot"]["metrics"]
-    assert len(metrics) == 71
+    assert len(metrics) == 64
     total = lambda name: sum(s["value"] for s in metrics[name]["samples"])  # noqa: E731
     assert total("pie_good_total") == rows["monitoring_on"]["goodput_count"]
     assert total("pie_offered_total") == rows["monitoring_on"]["n_requests"]

@@ -356,14 +356,8 @@ def run_open_loop(
         row["chaos"] = {
             "faults_injected": metrics.faults_injected,
             "shard_crashes": metrics.shard_crashes,
-            "shard_slowdowns": metrics.shard_slowdowns,
-            "link_faults": metrics.link_faults,
-            "tool_faults": metrics.tool_faults,
             "failover_relaunches": metrics.failover_relaunches,
             "failover_terminations": metrics.failover_terminations,
-            "tool_retries": metrics.tool_retries,
-            "handoff_retries": metrics.handoff_retries,
-            "retries_exhausted": metrics.retries_exhausted,
             "shard_states": dict(sorted(server.controller.health.states.items())),
         }
     if collect_outputs:

@@ -41,7 +41,6 @@ from repro.core.registry import LogHistogram, MetricRegistry
 from repro.core.slo import AlertEvent, BurnWindow, SloEngine
 from repro.core.monitor import MonitorService
 from repro.core.health import SHARD_STATES, ShardHealthService
-from repro.core.retry import RetryPolicy
 from repro.core.server import PieServer, PieClient, LaunchResult
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "MonitorService",
     "SHARD_STATES",
     "ShardHealthService",
-    "RetryPolicy",
     "PieServer",
     "PieClient",
     "LaunchResult",

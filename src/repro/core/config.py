@@ -42,7 +42,7 @@ class ControlLayerConfig:
     because it is a seed, a capacity or a path of the deployment
     (``tests/test_config_ledger.py`` holds the evidence per field).
     Everything else — the calibrated overheads of Figure 10 and Table 3,
-    and each plane's periods, thresholds and backoff terms — is a module
+    and each plane's periods and thresholds — is a module
     constant next to the code that reads it (see the "Model constants"
     table in the README).
 
@@ -123,24 +123,16 @@ class ControlLayerConfig:
     # When on, every hook is read-only: tokens, metrics and virtual
     # timestamps are bit-identical to a monitoring=False run.
     monitoring: bool = False
-    # Chaos plane (repro.sim.faults / repro.core.health / repro.core.retry):
-    # when True the controller builds a FaultInjector (replaying
-    # ``fault_plan`` on the virtual clock), a per-shard health service with
-    # a heartbeat prober, failover/relaunch on shard death, and a
-    # deterministic retry policy around tool calls and refused
-    # disaggregation handoffs.  Off by default — none of the machinery is
-    # constructed and the serving path is bit-identical to a faults=False
-    # run.
+    # Chaos plane (repro.sim.faults / repro.core.health): when True the
+    # controller builds a FaultInjector (replaying ``fault_plan`` on the
+    # virtual clock), a per-shard health service with a heartbeat prober,
+    # and failover/relaunch on shard death.  Off by default — none of the
+    # machinery is constructed and the serving path is bit-identical to a
+    # faults=False run.
     faults: bool = False
-    # Seed of the retry policy's own np.random.default_rng stream (its
-    # backoff jitter); independent of the simulator seed so chaos runs are
-    # replayable against any workload seed.  A generated plan takes its own
-    # seed (FaultPlan.generate).
-    fault_seed: int = 0
-    # Declarative fault schedule: a tuple of typed entries replayed on the
-    # virtual clock (see repro.sim.faults.FaultPlan.validate for the
-    # grammar), e.g. ("shard_crash", 0.5, 1) or
-    # ("tool_error", 1.0, 0.25, "http://tools/crm").
+    # Declarative crash schedule replayed on the virtual clock (see
+    # repro.sim.faults.FaultPlan.validate for the grammar), e.g.
+    # (("shard_crash", 0.5, 1),).
     fault_plan: Tuple[tuple, ...] = ()
 
 
@@ -202,7 +194,6 @@ class PieConfig:
 #: those knobs explicitly.
 SHORTHAND_IMPLICATIONS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("trace_path", {"tracing": True}),
-    ("fault_seed", {"faults": True}),
     ("fault_plan", {"faults": True}),
 )
 

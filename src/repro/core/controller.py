@@ -45,7 +45,6 @@ from repro.core.messaging import ExternalServices, MessageBus
 from repro.core.metrics import SystemMetrics
 from repro.core.monitor import MonitorService
 from repro.core.qos import TenantTable
-from repro.core.retry import RetryPolicy, faulty_request
 from repro.core.router import DeviceShard
 from repro.core.scheduler import trace_queue_wait
 from repro.core.service import ModelService
@@ -111,18 +110,13 @@ class Controller:
         if control.tracing:
             self.trace = TraceRecorder(sim)
             timers.append(telemetry_sampler(self.trace, self))
-        # The chaos plane (repro.sim.faults / repro.core.retry /
-        # repro.core.health): the retry policy for tool calls and refused
-        # handoffs, and — below, once the shards exist — the heartbeat-driven
-        # health / failover service and the deterministic fault schedule it
-        # receives.  Only the retry jitter draws randomness, from its own
-        # seeded stream, so faults=on perturbs the workload solely through
-        # the faults.
+        # The chaos plane (repro.sim.faults / repro.core.health): below, once
+        # the shards exist, the heartbeat-driven health / failover service
+        # and the deterministic crash schedule it receives.  Neither draws
+        # randomness, so faults=on perturbs the workload solely through the
+        # crashes.
         self.faults: Optional[FaultInjector] = None
-        self.retry: Optional[RetryPolicy] = None
         self.health: Optional[ShardHealthService] = None
-        if control.faults:
-            self.retry = RetryPolicy(seed=control.fault_seed)
         # The live monitoring plane (repro.core.monitor): SLO burn-rate
         # alerting on a virtual-clock tick, exports collected on demand.
         self.monitor: Optional[MonitorService] = None
@@ -137,7 +131,6 @@ class Controller:
                 self.metrics,
                 self._ensure_capacity,
                 trace=self.trace,
-                retry=self.retry,
             )
         if control.faults:
             self.health = ShardHealthService(self)
@@ -618,12 +611,9 @@ class Controller:
     # -- external calls ---------------------------------------------------------------------------------------
 
     def http_request(self, instance: InferletInstance, url: str, payload: Any = None) -> SimFuture:
-        request = (
-            self.external.request(url, payload)
-            if self.faults is None
-            else faulty_request(self, url, payload, instance)
+        future = self.sim.create_task(
+            self.external.request(url, payload), name=f"http:{url}"
         )
-        future = self.sim.create_task(request, name=f"http:{url}")
         return self._wrap_external_call(instance, future)
 
     def _wrap_external_call(

@@ -5,7 +5,6 @@ on and follows the optional-hook contract (off = not constructed, no call
 site reaches it, serving path bit-identical).  A virtual-clock heartbeat (a
 :class:`~repro.sim.periodic.PeriodicService`) probes every shard index each
 :data:`HEARTBEAT_INTERVAL_MS` and keeps a per-index state machine:
-``healthy`` → ``degraded`` (a slowdown fault window is open) → back, or
 ``healthy`` → ``down`` (fail-stop crash).  Shard indexes are node-scoped: a
 crash at index *i* takes down the device of every served model at that
 index (the colocated-node interpretation), and the router's
@@ -32,7 +31,7 @@ from repro.sim.periodic import PeriodicService
 __all__ = ["SHARD_STATES", "ShardHealthService"]
 
 #: Health states a shard index can be in.
-SHARD_STATES = ("healthy", "degraded", "down")
+SHARD_STATES = ("healthy", "down")
 
 #: Heartbeat period in virtual milliseconds: each beat probes every shard's
 #: device, advances the health state machine and runs the failover sweep
@@ -49,9 +48,6 @@ class ShardHealthService:
         self.sim = controller.sim
         num = controller.config.gpu.num_devices
         self.states: Dict[int, str] = {index: "healthy" for index in range(num)}
-        #: Multipliers of the slowdown windows open on each index: a device
-        #: runs at their maximum, at 1.0 once none is open.
-        self._slowdowns: Dict[int, List[float]] = {index: [] for index in range(num)}
         self.heartbeat = PeriodicService(
             self.sim,
             HEARTBEAT_INTERVAL_MS / 1e3,
@@ -78,11 +74,7 @@ class ShardHealthService:
                 devices.append(service.shards[index].device)
         return devices
 
-    def live_links(self) -> List:
-        """Every live shard-pair KV link (the injector's fault target)."""
-        return [link for service in self.controller.services() for link in service.links()]
-
-    # -- fault entry points (called by the FaultInjector) ---------------------
+    # -- fault entry point (called by the FaultInjector) ----------------------
 
     def inject_shard_crash(self, index: int) -> None:
         """Fail-stop shard ``index`` across every served model."""
@@ -92,57 +84,28 @@ class ShardHealthService:
         # instant, the diagnosis pays the probe interval.
         self.heartbeat.poke()
 
-    def inject_shard_slowdown(self, index: int, multiplier: float, duration_s: float) -> None:
-        """Open a straggler window on shard ``index``; it closes itself."""
-        self._slowdowns[index].append(multiplier)
-        for device in self._devices_at(index):
-            device.set_fault_multiplier(max(self._slowdowns[index]))
-        self.sim.schedule(duration_s, self._close_slowdown, index, multiplier)
-        self.heartbeat.poke()
-
-    def _close_slowdown(self, index: int, multiplier: float) -> None:
-        open_windows = self._slowdowns[index]
-        open_windows.remove(multiplier)
-        for device in self._devices_at(index):
-            if not device.down:
-                device.set_fault_multiplier(max(open_windows, default=1.0))
-
     # -- heartbeat ---------------------------------------------------------------
 
     def _probe_all(self) -> None:
         # One probe round records every transition *before* any failover
         # sweep runs, so a sweep never rescues onto a shard this same
-        # round has already found dead.
-        went_down = []
-        for index in sorted(self.states):
-            observed = self._probe(index)
-            previous = self.states[index]
-            if observed == previous:
-                continue
-            if previous == "down":
-                continue  # fail-stop is terminal in this model
-            self.states[index] = observed
-            trace = self.controller.trace
+        # round has already found dead.  Fail-stop is terminal.
+        went_down = [
+            index
+            for index, state in sorted(self.states.items())
+            if state == "healthy" and self._probe_down(index)
+        ]
+        trace = self.controller.trace
+        for index in went_down:
+            self.states[index] = "down"
             if trace is not None:
-                trace.instant(
-                    f"shard_{observed}",
-                    "fault",
-                    shard=index,
-                    args={"was": previous},
-                )
-            if observed == "down":
-                went_down.append(index)
+                trace.instant("shard_down", "fault", shard=index, args={"was": "healthy"})
         for index in went_down:
             self._failover_shard(index)
 
-    def _probe(self, index: int) -> str:
+    def _probe_down(self, index: int) -> bool:
         """One health probe: reads device state, mutates nothing."""
-        devices = self._devices_at(index)
-        if any(device.down for device in devices):
-            return "down"
-        if any(device.fault_multiplier > 1.0 for device in devices):
-            return "degraded"
-        return "healthy"
+        return any(device.down for device in self._devices_at(index))
 
     # -- failover -----------------------------------------------------------------
 

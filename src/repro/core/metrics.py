@@ -298,24 +298,16 @@ class SystemMetrics:
     disagg_pages_tail: int = 0
     disagg_bytes_streamed: int = 0
     disagg_handoff_stall_seconds: float = 0.0
-    # Chaos plane (repro.sim.faults / repro.core.health / repro.core.retry):
-    # injected faults by family, failover outcomes (inferlets terminated
-    # with cause vs re-materialized from the host tier onto a healthy
-    # shard), mid-stream KV transfers re-planned off a dead decode shard,
-    # and retry traffic with its total simulated backoff wait.  All zero
+    # Chaos plane (repro.sim.faults / repro.core.health): injected faults
+    # and shard crashes, failover outcomes (inferlets terminated with cause
+    # vs re-materialized from the host tier onto a healthy shard), and
+    # mid-stream KV transfers re-planned off a dead decode shard.  All zero
     # with ``faults`` off.
     faults_injected: int = 0
     shard_crashes: int = 0
-    shard_slowdowns: int = 0
-    link_faults: int = 0
-    tool_faults: int = 0
     failover_terminations: int = 0
     failover_relaunches: int = 0
     disagg_replans: int = 0
-    tool_retries: int = 0
-    handoff_retries: int = 0
-    retries_exhausted: int = 0
-    retry_backoff_seconds: float = 0.0
     # One record per tenant, keyed by name: every configured tenant and
     # every tenant that launched.
     tenants: Dict[str, TenantMetrics] = field(default_factory=dict)

@@ -167,11 +167,10 @@ class ModelService:
         metrics: SystemMetrics,
         ensure_capacity,
         trace=None,
-        retry=None,
     ) -> "ModelService":
-        """Assemble the cluster serving ``entry``.  ``trace`` / ``retry``
-        are the optional planes' services (None = knob off): each
-        part that can use one is handed it here, once.
+        """Assemble the cluster serving ``entry``.  ``trace`` is the flight
+        recorder (None = knob off): each part that can use it is handed it
+        here, once.
         ``ensure_capacity(shard, instance, kv_pages, embeds)`` is the
         controller's swap-first / terminate-last reclamation: swap-in and
         the handoff tail compete for room through the same path
@@ -255,7 +254,6 @@ class ModelService:
                 metrics,
                 ensure_capacity,
                 trace=trace,
-                retry=retry,
             )
             for shard in shards:
                 if shard.role == "prefill":

@@ -66,7 +66,7 @@ TRACE_CATEGORIES = (
     "net",        # link wire occupancy
     "counter",    # sampler time-series
     "alert",      # SLO burn-rate alert fire/clear instants
-    "fault",      # chaos-plane fault instants, relaunch + retry backoff spans
+    "fault",      # chaos-plane fault instants, relaunch spans
 )
 
 

@@ -86,7 +86,6 @@ class KvTransferScheduler:
         metrics: SystemMetrics,
         ensure_capacity,
         trace=None,
-        retry=None,
     ) -> None:
         self.sim = sim
         self.shards = router.shards
@@ -103,10 +102,6 @@ class KvTransferScheduler:
         # ``(dst_shard, instance, kv_pages, embeds)``: the handoff tail
         # competes for room under the same policy as any allocation.
         self._ensure_capacity = ensure_capacity
-        # Chaos plane (repro.core.retry): a refused handoff is retried on a
-        # backoff timer (a quiescent owner completes no further sample).
-        self._retry = retry
-        self._retry_attempts: Dict[str, int] = {}
 
     # -- controller-facing hooks (submit path) -----------------------------
 
@@ -299,13 +294,13 @@ class KvTransferScheduler:
                 # page/chunk granularity): pick a destination now, still
                 # counting the streams other owners have in flight.
                 dst = self._choose_decode_shard()
-        except SchedulingError:  # every decode shard is down (chaos plane)
-            return self._refuse(instance)
-        try:
             if tail or emb_map:
                 self._ensure_capacity(dst, instance, len(tail), len(emb_map))
-        except OutOfResourcesError:
-            return self._refuse(instance)
+        except (SchedulingError, OutOfResourcesError):
+            # Every decode shard is down (chaos plane) or has no room: the
+            # source stays intact and the next sample tries again.
+            self.metrics.disagg_handoff_failures += 1
+            return False
 
         # Tail KV pages and embed slots (full-state clones, so downstream
         # sampling is bit-identical); the move below takes the owning
@@ -361,40 +356,10 @@ class KvTransferScheduler:
                 )
 
         self._streams.pop(owner, None)
-        self._retry_attempts.pop(owner, None)
         self._drop_tracks(owner)
         return True
 
-    def _refuse(self, instance: "InferletInstance") -> bool:
-        """No destination or no room there: the source stays intact; back
-        off and retry — the owner is quiescent, so no further sample
-        completion will re-trigger the handoff."""
-        self.metrics.disagg_handoff_failures += 1
-        self._schedule_retry(instance)
-        return False
-
     # -- chaos plane ----------------------------------------------------------
-
-    def _schedule_retry(self, instance: "InferletInstance") -> None:
-        """Back off and re-attempt a refused handoff (retry policy installed)."""
-        if self._retry is None:
-            return
-        owner = instance.instance_id
-        attempt = self._retry_attempts.get(owner, 0)
-        delay = self._retry.charge(
-            attempt, "handoff", self.metrics, self._trace, self.sim.now, inferlet=owner
-        )
-        if delay is None:
-            self._retry_attempts.pop(owner, None)
-            return
-        self._retry_attempts[owner] = attempt + 1
-        self.sim.schedule(delay, self._retry_handoff, instance)
-
-    def _retry_handoff(self, instance: "InferletInstance") -> None:
-        if instance.finished:
-            self._retry_attempts.pop(instance.instance_id, None)
-            return
-        self.maybe_handoff(instance)
 
     def on_shard_down(self, index: int) -> None:
         """Re-plan streams targeting a dead decode shard.
@@ -429,7 +394,6 @@ class KvTransferScheduler:
         stream = self._streams.pop(owner, None)
         if stream is not None:
             self._unstage(stream)
-        self._retry_attempts.pop(owner, None)
         self._drop_tracks(owner)
 
     def _drop_tracks(self, owner: str) -> None:

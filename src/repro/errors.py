@@ -74,10 +74,8 @@ class SchedulingError(ReproError):
 
 class FaultInjectedError(ReproError):
     """Raised when the chaos plane (:mod:`repro.sim.faults`) injects a
-    failure into an operation: a tool call hitting an injected timeout or
-    error window, or a command landing on a crashed device shard.
-    ``kind`` names the injected fault type (``"tool_error"``,
-    ``"tool_timeout"``, ``"shard_crash"``, ...)."""
+    failure into an operation: a command landing on a crashed device shard.
+    ``kind`` names the injected fault type (``"shard_crash"``)."""
 
     def __init__(self, message: str, kind: str = "") -> None:
         super().__init__(message)
@@ -90,17 +88,6 @@ class ShardUnavailableError(SchedulingError):
     ``down`` by the shard health service.  Subclasses
     :class:`SchedulingError` so existing placement-failure handling still
     applies."""
-
-
-class RetriesExhaustedError(ReproError):
-    """Raised when a :class:`repro.core.retry.RetryPolicy` gives up on an
-    operation: the attempt cap was hit or the per-class retry budget ran
-    out while the underlying fault persisted.  ``attempts`` counts the
-    tries that were made (including the first)."""
-
-    def __init__(self, message: str, attempts: int = 0) -> None:
-        super().__init__(message)
-        self.attempts = attempts
 
 
 class GrammarError(ReproError):

@@ -86,12 +86,9 @@ class SimDevice:
         # Chaos plane (repro.sim.faults): a crashed device is fail-stop for
         # new work — submissions resolve with FaultInjectedError after zero
         # cost; batches already accepted drain normally (their results are
-        # discarded when the failover sweep terminates their owners).  The
-        # cost multiplier models a straggler: >1 while a shard_slowdown
-        # fault window is open.
+        # discarded when the failover sweep terminates their owners).
         self.down = False
         self.down_since: Optional[float] = None
-        self.fault_multiplier = 1.0
 
     # -- state ----------------------------------------------------------------
 
@@ -106,10 +103,6 @@ class SimDevice:
         if not self.down:
             self.down = True
             self.down_since = self.sim.now
-
-    def set_fault_multiplier(self, multiplier: float) -> None:
-        """Scale future batch costs (injected slowdown; 1.0 restores)."""
-        self.fault_multiplier = multiplier
 
     @property
     def queue_depth(self) -> int:
@@ -156,8 +149,6 @@ class SimDevice:
                 ),
             )
             return future
-        if self.fault_multiplier != 1.0:
-            cost_seconds *= self.fault_multiplier
         batch = DeviceBatch(
             kind=kind,
             run=run,

@@ -47,12 +47,6 @@ class NetworkLink:
         # Serialized-channel clock for reserve(): the virtual time until
         # which the wire is occupied by already reserved transfers.
         self._busy_until = 0.0
-        # Chaos plane (repro.sim.faults): extra one-way latency while a
-        # link_spike fault window is open.  Pure arithmetic — no rng draws
-        # beyond the latency model's own, so injecting a fault never
-        # shifts the simulator's random stream.
-        self.fault_extra_delay = 0.0
-        self.faults_injected = 0
 
     @property
     def busy_until(self) -> float:
@@ -60,20 +54,7 @@ class NetworkLink:
         return self._busy_until
 
     def one_way_delay(self) -> float:
-        return self.latency.sample(self.sim.rng) + self.fault_extra_delay
-
-    # -- fault injection ----------------------------------------------------
-
-    def inject_outage(self, now: float, duration_s: float) -> None:
-        """Busy the wire out for ``duration_s`` (an injected link flap)."""
-        self._busy_until = max(self._busy_until, now + duration_s)
-        self.faults_injected += 1
-
-    def inject_delay(self, extra_s: float) -> None:
-        """Add one-way latency (injected spike; negative restores it)."""
-        self.fault_extra_delay = max(0.0, self.fault_extra_delay + extra_s)
-        if extra_s > 0:
-            self.faults_injected += 1
+        return self.latency.sample(self.sim.rng)
 
     def transfer_seconds(self, size_bytes: int) -> float:
         """Wire occupancy of one payload (bandwidth term only)."""

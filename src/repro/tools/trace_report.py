@@ -12,9 +12,6 @@ latency went:
 ``relaunch``
     Dead time between a shard crash and the inferlet's re-materialization
     on a healthy shard (the failover sweep's rescue window).
-``retry_backoff``
-    Waiting out the retry policy's jittered backoff after an injected
-    tool fault or a refused disaggregation handoff.
 ``prefill`` / ``decode`` / ``compute``
     Forward execution on a device (prompt rows, single-token rows, and
     everything else — embeds, KV maintenance commands).
@@ -32,9 +29,8 @@ latency went:
     and the first queue span).
 
 Overlapping spans are resolved by a fixed priority sweep (swap > transfer
-> relaunch > retry_backoff > prefill > decode > compute > queue >
-admission): each instant of an
-inferlet's lifetime is attributed to exactly one bucket, so the buckets
+> relaunch > prefill > decode > compute > queue > admission): each instant
+of an inferlet's lifetime is attributed to exactly one bucket, so the buckets
 sum to the launch-to-finish latency (within float rounding).
 
 Usage::
@@ -66,7 +62,6 @@ CATEGORY_PRIORITY = (
     "swap",
     "transfer",
     "relaunch",
-    "retry_backoff",
     "prefill",
     "decode",
     "compute",
@@ -142,12 +137,11 @@ def _bucket_of(event: dict) -> Optional[str]:
         if name in ("prefill", "decode"):
             return name
         return "compute"
-    if cat == "fault":
-        name = event.get("name")
-        if name in ("relaunch", "retry_backoff"):
-            return name
-        return None  # fault instants (crashes, health transitions) have no span
-    return None  # lifecycle / sched / net / counter: not inferlet stall time
+    if cat == "fault" and event.get("name") == "relaunch":
+        return "relaunch"
+    # Fault instants (crashes, health transitions) have no span; lifecycle /
+    # sched / net / counter are not inferlet stall time.
+    return None
 
 
 def attribute_stalls(events: List[dict]) -> Dict[str, dict]:

@@ -25,8 +25,7 @@ TENANTS = [TenantSpec(name="acme", priority_class="interactive")]
 #: else the result needs to validate).
 TRIGGERS = {
     "trace_path": dict(trace_path="t.json"),
-    "fault_seed": dict(fault_seed=0),
-    "fault_plan": dict(fault_plan=[["tool_error", 0.1, 0.2]]),
+    "fault_plan": dict(fault_plan=[["shard_crash", 0.1, 0]]),
 }
 
 
@@ -47,14 +46,14 @@ def test_each_implication(key, implied):
 
 def test_false_and_none_imply_nothing():
     assert control_of(**{key: None for key in TRIGGERS}) == ControlLayerConfig()
-    # False is a value, not a trigger: ``fault_seed=False`` is seed 0.
-    assert control_of(fault_seed=False) == ControlLayerConfig()
+    # False is a value, not a trigger: it switches nothing on.
+    assert control_of(trace_path=False).tracing is False
     # Tenants switch no plane on: the core reads them with every plane off.
     assert control_of(tenants=TENANTS) == ControlLayerConfig(tenants=tuple(TENANTS))
 
 
 def test_an_explicit_value_beats_an_implication():
-    assert control_of(fault_seed=3, faults=False).faults is False
+    assert control_of(fault_plan=(), faults=False).faults is False
     # The explicit value wins and the combination is then rejected, rather
     # than being silently replaced by the implied one.
     with pytest.raises(ReproError, match="trace_path requires tracing=True"):
@@ -64,10 +63,10 @@ def test_an_explicit_value_beats_an_implication():
 def test_sequences_are_tupleised():
     control = control_of(
         tenants=TENANTS,
-        fault_plan=[["tool_error", 0.1, 0.2, "http://tools/x"]],
+        fault_plan=[["shard_crash", 0.1, 0]],
     )
     assert control.tenants == tuple(TENANTS)
-    assert control.fault_plan == (("tool_error", 0.1, 0.2, "http://tools/x"),)
+    assert control.fault_plan == (("shard_crash", 0.1, 0),)
     hash(control)  # the frozen config stays hashable
 
 

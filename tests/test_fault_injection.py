@@ -1,12 +1,12 @@
-"""Chaos-plane regression: injection, failover and retry.
+"""Chaos-plane regression: injection, detection and failover.
 
 Covers the robustness contract end to end:
 
-* :class:`FaultPlan` grammar validation and :class:`RetryPolicy`
-  determinism (unit level);
-* ≥100 seeded chaos interleavings (generated plans) against the live
+* :class:`FaultPlan` grammar validation (unit level): a plan is outside
+  input, so a malformed crash entry is refused, never coerced;
+* ≥100 seeded chaos interleavings (one seeded crash each) against the live
   cluster with **zero pool leaks** — every KV page, embed slot and host
-  slot comes home no matter which faults fired;
+  slot comes home wherever and whenever the shard died;
 * failover places only on healthy shards: after a crash is detected no
   batch executes on the dead shard and fresh launches land elsewhere;
 * a fully host-tier-resident inferlet is re-materialized on a healthy
@@ -16,17 +16,12 @@ Covers the robustness contract end to end:
   probe on the router).
 """
 
+import numpy as np
 import pytest
 
-from repro.core import InferletProgram, PieServer, retry
+from repro.core import InferletProgram, PieServer
 from repro.core.config import ControlLayerConfig, PieConfig
-from repro.core.retry import RetryPolicy
-from repro.errors import (
-    FaultInjectedError,
-    InferletTerminated,
-    ReproError,
-    RetriesExhaustedError,
-)
+from repro.errors import InferletTerminated, ReproError
 from repro.gpu.config import GpuConfig
 from repro.sim import FaultPlan, Simulator
 from repro.sim.latency import ConstantLatency
@@ -41,8 +36,8 @@ PROMPT = "System: chaos fleet agent; answer tersely and deterministically. "
 
 class TestFaultPlan:
     def test_entries_are_time_sorted(self):
-        plan = FaultPlan([("shard_crash", 0.9, 1), ("link_flap", 0.1, 0.2)])
-        assert [entry[0] for entry in plan] == ["link_flap", "shard_crash"]
+        plan = FaultPlan([("shard_crash", 0.9, 1), ("shard_crash", 0.1, 0)])
+        assert [entry[1] for entry in plan] == [0.1, 0.9]
 
     @pytest.mark.parametrize(
         "entry",
@@ -51,96 +46,23 @@ class TestFaultPlan:
             ("shard_crash", -1.0, 0),
             ("shard_crash", 0.1, 9),
             ("shard_crash", 0.1),
-            ("shard_slowdown", 0.1, 0, 0.5, 1.0),  # multiplier < 1
-            ("shard_slowdown", 0.1, 0, 2.0, 0.0),  # zero duration
+            # Kinds outside the grammar: only a crash is injected.
+            ("shard_slowdown", 0.1, 0, 0.5, 1.0),
+            ("shard_slowdown", 0.1, 0, 2.0, 0.0),
             ("link_flap", 0.1),
             ("link_spike", 0.1, -0.001, 1.0),
             ("tool_error", 0.1, 0.0),
+            # A plan is outside input: nothing is coerced into a crash.
+            ("shard_crash", 0.5, 1.7),  # int() would make it shard 1
+            ("shard_crash", 0.5, -0.5),  # int() would make it shard 0
+            ("shard_crash", 0.5, True),  # a bool is not a shard index
+            ("shard_crash", float("nan"), 0),  # passes a ``< 0`` check
+            ("shard_crash", 0.5, "a"),  # int() raises an untyped ValueError
         ],
     )
     def test_validation_rejects_malformed_entries(self, entry):
         with pytest.raises(ReproError):
             FaultPlan.validate([entry], num_shards=2)
-
-    def test_generate_is_a_pure_function_of_its_seed(self):
-        a = FaultPlan.generate(seed=5, horizon_s=2.0, num_shards=4, n_faults=6)
-        b = FaultPlan.generate(seed=5, horizon_s=2.0, num_shards=4, n_faults=6)
-        assert a == b
-        assert len(a) == 6
-        assert a != FaultPlan.generate(seed=6, horizon_s=2.0, num_shards=4, n_faults=6)
-
-    def test_generate_respects_protected_shards(self):
-        for seed in range(20):
-            plan = FaultPlan.generate(
-                seed=seed, horizon_s=1.0, num_shards=2, protect_shards=(0,)
-            )
-            for entry in plan:
-                if entry[0] in ("shard_crash", "shard_slowdown"):
-                    assert entry[2] == 1
-
-
-# -- unit: deterministic exponential backoff --------------------------------
-
-
-def retry_policy(seed, **overrides):
-    """A policy built under these terms, ``overrides`` by constant name: the
-    policy reads :mod:`repro.core.retry`'s constants when it is built."""
-    terms = dict(
-        MAX_ATTEMPTS=4,
-        BASE_S=0.010,
-        MULTIPLIER=2.0,
-        MAX_BACKOFF_S=0.025,
-        JITTER=0.1,
-        BUDGET=1000,
-    )
-    terms.update(overrides)
-    with pytest.MonkeyPatch.context() as patch:
-        for name, value in terms.items():
-            patch.setattr(retry, name, value)
-        return RetryPolicy(seed=seed)
-
-
-class TestRetryPolicy:
-    def test_same_seed_same_delays(self):
-        a = retry_policy(seed=11)
-        b = retry_policy(seed=11)
-        assert [a.backoff(i, "tool") for i in range(3)] == [
-            b.backoff(i, "tool") for i in range(3)
-        ]
-
-    def test_exponential_growth_and_cap(self):
-        policy = retry_policy(seed=0, JITTER=0.0)
-        delays = [policy.backoff(i, "tool") for i in range(3)]
-        assert delays[0] == pytest.approx(0.010)
-        assert delays[1] == pytest.approx(0.020)
-        assert delays[2] == pytest.approx(0.025)  # capped at max_backoff_s
-
-    def test_attempt_cap_returns_none(self):
-        policy = retry_policy(seed=0)
-        assert policy.backoff(3, "tool") is None  # attempt 4 of max 4
-
-    def test_per_class_budget_exhausts(self):
-        policy = retry_policy(seed=0, BUDGET=2)
-        assert policy.backoff(0, "tool") is not None
-        assert policy.backoff(0, "tool") is not None
-        assert policy.backoff(0, "tool") is None  # tool budget spent
-        assert policy.backoff(0, "handoff") is not None  # separate class
-
-    def test_the_policy_reads_the_module_constants_when_built(self, monkeypatch):
-        # Looked up when the policy is built, so a patched constant takes.
-        monkeypatch.setattr(retry, "MAX_ATTEMPTS", 8)
-        monkeypatch.setattr(retry, "JITTER", 0.0)
-        policy = RetryPolicy(seed=0)
-        assert (policy.max_attempts, policy.jitter) == (8, 0.0)
-        assert (policy.base_s, policy.multiplier) == (retry.BASE_S, retry.MULTIPLIER)
-        assert (policy.max_backoff_s, policy.budget) == (retry.MAX_BACKOFF_S, retry.BUDGET)
-
-    def test_jitter_stays_within_band(self):
-        policy = retry_policy(seed=3, JITTER=0.1, MAX_BACKOFF_S=1.0)
-        for attempt in range(3):
-            delay = policy.backoff(attempt, "tool")
-            nominal = 0.010 * (2.0**attempt)
-            assert nominal * 0.9 <= delay <= nominal * 1.1
 
 
 # -- system harness ----------------------------------------------------------
@@ -225,23 +147,22 @@ def assert_pools_conserved(server):
 
 @pytest.mark.parametrize("block", range(4))
 def test_seeded_chaos_interleavings_conserve_pools(block):
-    """100+ generated fault schedules, zero pool leaks in every one.
+    """100+ seeded crashes, zero pool leaks in every one.
 
-    Four parametrized blocks of 26 seeds each (104 interleavings total);
-    odd seeds run the disaggregated two-role topology so link faults and
-    stream re-plans are exercised, with shard 0 (the sole prefill shard)
-    protected from crashes.
+    Four parametrized blocks of 26 seeds each (104 interleavings total).
+    Each seed draws its crash time and shard from its own generator; odd
+    seeds run the disaggregated two-role topology so stream re-plans are
+    exercised, with shard 0 (the sole prefill shard) protected from the
+    crash.
     """
     for offset in range(26):
         seed = block * 26 + offset
         disagg = seed % 2 == 1
-        plan = FaultPlan.generate(
-            seed=seed,
-            horizon_s=0.9,
-            num_shards=2,
-            n_faults=3,
-            protect_shards=(0,) if disagg else (),
-        )
+        rng = np.random.default_rng(seed)
+        candidates = (1,) if disagg else (0, 1)
+        time_s = float(rng.uniform(0.0, 0.9))
+        shard = candidates[int(rng.integers(len(candidates)))]
+        plan = (("shard_crash", time_s, shard),)
         server, statuses = run_fleet(seed=seed, fault_plan=plan, disagg=disagg)
         assert_pools_conserved(server)
         # Every launch reached a terminal state (nothing wedged mid-air).
@@ -257,31 +178,8 @@ def test_chaos_off_is_structurally_inert():
     controller = server.controller
     assert controller.faults is None
     assert controller.health is None
-    assert controller.retry is None
     for service in controller._services.values():
         assert service.router.health_probe is None
-
-
-def test_overlapping_slowdowns_run_at_the_slowest_open_window():
-    """Two slowdown windows on one shard: x3 over [0.1, 0.6) s and x2 over
-    [0.2, 1.2) s.  The device runs at the maximum of the open windows'
-    multipliers, and at 1.0 once none is open."""
-    sim = Simulator(seed=0)
-    server = PieServer(
-        sim,
-        faults=True,
-        fault_plan=(
-            ("shard_slowdown", 0.1, 0, 3.0, 0.5),
-            ("shard_slowdown", 0.2, 0, 2.0, 1.0),
-        ),
-    )
-    device = server.service().shards[0].device
-    readings = {}
-    for at in (0.05, 0.15, 0.25, 0.65, 1.3):
-        sim.schedule(at, lambda at=at: readings.__setitem__(at, device.fault_multiplier))
-    sim.run()
-    assert readings == {0.05: 1.0, 0.15: 3.0, 0.25: 3.0, 0.65: 2.0, 1.3: 1.0}
-    assert server.metrics.shard_slowdowns == 2
 
 
 # -- system: detection and failover -----------------------------------------
@@ -493,69 +391,19 @@ def test_relaunch_requires_a_healthy_destination():
     assert server.metrics.failover_terminations == 1
 
 
-# -- system: tool faults, retry and backoff ----------------------------------
-
-
-def test_tool_fault_retries_then_succeeds_outside_the_window(monkeypatch):
-    """A short tool_error window: the retry policy backs off past the end
-    of the window and the call eventually succeeds."""
-    monkeypatch.setattr(retry, "MAX_ATTEMPTS", 8)
-    server, statuses = run_fleet(
-        seed=1,
-        n_agents=1,
-        fault_plan=(("tool_error", 0.0, 0.12, TOOL_URL),),
-    )
-    assert statuses == ["finished"]
-    assert server.metrics.tool_faults >= 1
-    assert server.metrics.tool_retries >= 1
-    assert server.metrics.retries_exhausted == 0
-    assert server.metrics.retry_backoff_seconds > 0
-
-
-def test_tool_fault_exhausts_retries_with_typed_error(monkeypatch):
-    """A window outlasting every backoff: the inferlet fails with
-    RetriesExhaustedError chained onto the injected fault."""
-    monkeypatch.setattr(retry, "MAX_ATTEMPTS", 3)
-    monkeypatch.setattr(retry, "JITTER", 0.0)
-    sim = Simulator(seed=1)
-    config = PieConfig(
-        gpu=GpuConfig(num_kv_pages=64, num_devices=1),
-        control=ControlLayerConfig(
-            faults=True,
-            fault_plan=(("tool_timeout", 0.0, 60.0, TOOL_URL),),
-        ),
-    )
-    server = PieServer(sim, config=config)
-    server.register_external(TOOL_URL, lambda payload: "rows", ConstantLatency(0.15))
-    server.register_program(make_agent(0))
-    instance, _ = server.launch("chaos0")
-    sim.run_until_complete(instance.done)
-    assert instance.status == "failed"
-    error = instance.task.exception()
-    assert isinstance(error, RetriesExhaustedError)
-    assert error.attempts == 3
-    assert isinstance(error.__cause__, FaultInjectedError)
-    assert error.__cause__.kind == "tool_timeout"
-    assert server.metrics.retries_exhausted == 1
-    # Each tool_timeout attempt burned the simulated client-side wait.
-    assert sim.now >= 3 * 0.05
-    assert_pools_conserved(server)
-
-
 # -- reports: fault instants and recovery stall buckets ----------------------
 
 
-def test_slo_report_interleaves_fault_instants(monkeypatch):
+def test_slo_report_interleaves_fault_instants():
     """``export_metrics`` carries the injected-fault record, and the SLO
     report renders FAULT lines on the alert timeline."""
-    monkeypatch.setattr(retry, "MAX_ATTEMPTS", 8)
     sim = Simulator(seed=2)
     config = PieConfig(
-        gpu=GpuConfig(num_kv_pages=64, num_devices=1),
+        gpu=GpuConfig(num_kv_pages=64, num_devices=2),
         control=ControlLayerConfig(
             monitoring=True,
             faults=True,
-            fault_plan=(("tool_error", 0.0, 0.1, TOOL_URL),),
+            fault_plan=(("shard_crash", 0.1, 1),),
         ),
     )
     server = PieServer(sim, config=config)
@@ -568,19 +416,18 @@ def test_slo_report_interleaves_fault_instants(monkeypatch):
     from repro.tools.slo_report import build_report, render_report
 
     document = server.export_metrics()
-    assert [record["kind"] for record in document["faults"]] == ["tool_error"]
+    assert [record["kind"] for record in document["faults"]] == ["shard_crash"]
     report = build_report(document)
     assert report["faults"] == document["faults"]
     rendered = render_report(report)
-    assert "FAULT tool_error" in rendered
+    assert "FAULT shard_crash" in rendered
 
 
-def test_trace_report_buckets_relaunch_and_retry_backoff(monkeypatch):
-    """The rescue window and the backoff waits land in their own stall
-    attribution buckets."""
+def test_trace_report_buckets_relaunch():
+    """The rescue window lands in its own stall attribution bucket."""
     from repro.tools.trace_report import attribute_stalls
 
-    # Relaunch: the mover rescue with the flight recorder on.
+    # The mover rescue with the flight recorder on.
     sim = Simulator(seed=3)
     config = PieConfig(
         gpu=GpuConfig(num_kv_pages=64, num_devices=2, host_kv_pages=64),
@@ -599,17 +446,3 @@ def test_trace_report_buckets_relaunch_and_retry_backoff(monkeypatch):
     assert server.metrics.failover_relaunches == 1
     rows = attribute_stalls(server.controller.trace.events())
     assert rows[result.instance_id]["buckets"]["relaunch"] > 0
-
-    # Retry backoff: a tool-fault window with the flight recorder on.
-    monkeypatch.setattr(retry, "MAX_ATTEMPTS", 8)
-    server, statuses = run_fleet(
-        seed=1,
-        n_agents=1,
-        fault_plan=(("tool_error", 0.0, 0.12, TOOL_URL),),
-        tracing=True,
-    )
-    assert statuses == ["finished"]
-    assert server.metrics.tool_retries >= 1
-    rows = attribute_stalls(server.controller.trace.events())
-    backoff = sum(row["buckets"]["retry_backoff"] for row in rows.values())
-    assert backoff > 0

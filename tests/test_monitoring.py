@@ -280,15 +280,15 @@ SYSTEM_FIELDS = """
     cross_device_imports decode_rows_co_batched disagg_bytes_streamed
     disagg_handoff_failures disagg_handoff_stall_seconds disagg_handoffs
     disagg_pages_streamed disagg_pages_tail disagg_replans failover_relaunches
-    failover_terminations faults_injected forward_input_tokens handoff_retries
+    failover_terminations faults_injected forward_input_tokens
     inferlets_failed inferlets_finished inferlets_launched inferlets_terminated
-    kv_pages_swapped_in kv_pages_swapped_out link_faults
+    kv_pages_swapped_in kv_pages_swapped_out
     prefill_chunks_dispatched prefix_cache_demotions prefix_cache_evictions
     prefix_cache_faultins prefix_cache_hits prefix_cache_inserted_pages
     prefix_cache_misses prefix_cache_reclaims prefix_cache_saved_tokens
-    reclamation_swaps reclamation_terminations retries_exhausted
-    retry_backoff_seconds shard_crashes shard_slowdowns swap_ins swap_outs
-    swap_stall_seconds tool_faults tool_retries total_output_tokens
+    reclamation_swaps reclamation_terminations
+    shard_crashes swap_ins swap_outs
+    swap_stall_seconds total_output_tokens
 """.split()
 TENANT_FIELDS = """
     admitted output_tokens preempted_swaps preempted_terminations queued
@@ -427,8 +427,9 @@ class TestPullExport:
         exported = {f.name: f.labelnames for f in server.monitor.collect().families()}
         assert exported == EXPORT_SCHEMA
         # The qos_* twins of tenant counts went (77 -> 74), then the three
-        # counters only the QoS plane wrote (74 -> 71).
-        assert len(exported) == 71
+        # counters only the QoS plane wrote (74 -> 71), then the seven only
+        # the test-only fault kinds and the retry policy wrote (71 -> 64).
+        assert len(exported) == 64
         # The monitor keeps no registry, and no fact is exported twice.
         assert not hasattr(server.monitor, "registry")
         document = server.export_metrics()

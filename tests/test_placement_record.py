@@ -40,7 +40,9 @@ STEP_SECONDS = 0.02  # > call overhead + a heartbeat: each step settles
 # -- transfer scheduler reaches the swap manager and the capacity path
 # -- through the service), and the link, page size and landing cost the KV
 # -- mover now owns: ``service.mover.link`` / ``page_bytes``, and
-# -- ``copy_batch_cost``, the same formula as the deleted ``kv_transfer_cost``) --
+# -- ``copy_batch_cost``, the same formula as the deleted ``kv_transfer_cost``;
+# -- and the refused handoff's backoff timer, gone with the retry policy — it
+# -- was a no-op here, where no policy was installed) --
 
 
 def oracle_handoff_quiescent(swap, instance, src) -> bool:
@@ -114,7 +116,6 @@ def oracle_maybe_handoff(self, service, instance) -> bool:
             for entry in staged.values():
                 entry.consumed = False
             self.metrics.disagg_handoff_failures += 1
-            self._schedule_retry(instance)
             return False
     try:
         if tail or emb_map:
@@ -123,7 +124,6 @@ def oracle_maybe_handoff(self, service, instance) -> bool:
         for entry in staged.values():
             entry.consumed = False
         self.metrics.disagg_handoff_failures += 1
-        self._schedule_retry(instance)
         return False
 
     tail_pids = dst.memory.kv_pages.allocate(len(tail))
@@ -172,7 +172,6 @@ def oracle_maybe_handoff(self, service, instance) -> bool:
     self.metrics.disagg_pages_tail += len(tail)
     self.metrics.disagg_handoff_stall_seconds += stall
     self._streams.pop(owner, None)
-    self._retry_attempts.pop(owner, None)
     self._drop_tracks(owner)
     return True
 
