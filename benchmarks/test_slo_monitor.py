@@ -3,13 +3,13 @@
 Runs an open-loop overload burst (2x the load-sweep knee rate, then a
 trickle) with monitoring off and on, asserting the monitor's contracts —
 it changes nothing the simulation can observe, its burn-rate alerts fire
-for the overloaded class and clear once the load drops, and both export
-formats round-trip through ``tools/slo_report``.  The deterministic headline
-(alert counts, bit-identity, scrapes) goes to the tracked
-``BENCH_slo_monitor.json``, which a re-run therefore rewrites unchanged; what
-the monitor costs the host is a ``perf/`` question, not this harness's.  The
-exports themselves are left at the repo root (``slo_snapshot.json`` /
-``slo_snapshot.prom``) so CI can archive them next to the perf artifacts.
+for the overloaded class and clear once the load drops, and its one export,
+the JSON snapshot document, reads back through ``tools/slo_report``.  The
+deterministic headline (alert counts, bit-identity, scrapes) goes to the
+tracked ``BENCH_slo_monitor.json``, which a re-run therefore rewrites
+unchanged; what the monitor costs the host is a ``perf/`` question, not this
+harness's.  The document itself is left at the repo root
+(``slo_snapshot.json``) so CI can archive it next to the perf artifacts.
 """
 
 from repro.bench.experiments import slo_monitor as experiment
@@ -68,10 +68,13 @@ def test_slo_monitor(run_experiment, write_artifact):
     # (74 -> 71), and ``pie_system_{shard_slowdowns, link_faults,
     # tool_faults, tool_retries, handoff_retries, retries_exhausted,
     # retry_backoff_seconds}``, which only the five test-only fault kinds
-    # and the retry policy behind them wrote, went with them (71 -> 64).
+    # and the retry policy behind them wrote, went with them (71 -> 64),
+    # and the four ``pie_slo_*`` families, which repeated the document's
+    # own ``slo`` block for a text exposition nothing read, went with the
+    # exposition (64 -> 60).
     # Server-side goodput agrees with the harness's own row.
     metrics = raw["snapshot"]["metrics"]
-    assert len(metrics) == 64
+    assert len(metrics) == 60
     total = lambda name: sum(s["value"] for s in metrics[name]["samples"])  # noqa: E731
     assert total("pie_good_total") == rows["monitoring_on"]["goodput_count"]
     assert total("pie_offered_total") == rows["monitoring_on"]["n_requests"]
@@ -82,11 +85,9 @@ def test_slo_monitor(run_experiment, write_artifact):
     )
     assert "series" not in raw["snapshot"]
 
-    # Contract 4: both export formats round-trip through the report tool.
+    # Contract 4: the document reads back through the report tool.
     snapshot_json = write_artifact("slo_snapshot.json", raw["snapshot"])
     assert snapshot_json.stat().st_size < 100_000
-    snapshot_prom = snapshot_json.with_suffix(".prom")
-    snapshot_prom.write_text(raw["prometheus"])
 
     from repro.tools.slo_report import build_report, load_snapshot
 
@@ -97,29 +98,6 @@ def test_slo_monitor(run_experiment, write_artifact):
         (row["tenant"], row["signal"]): row for row in json_report["budgets"]
     }
     assert budgets[("interactive", "tpot")]["bad"] > 0
-
-    prom_report = build_report(load_snapshot(str(snapshot_prom)))
-    prom_totals = {
-        (row["tenant"], row["signal"], row["kind"]): row["count"]
-        for row in prom_report["alert_timeline"]
-    }
-    fired_by_stream: dict = {}
-    for event in fires:
-        key = (event["tenant"], event["signal"], "fire")
-        fired_by_stream[key] = fired_by_stream.get(key, 0) + 1
-    assert prom_totals == {
-        **fired_by_stream,
-        **{
-            (t, s, "clear"): n
-            for (t, s, _), n in fired_by_stream.items()
-        },
-    }
-    prom_budgets = {
-        (row["tenant"], row["signal"]): row for row in prom_report["budgets"]
-    }
-    for key, row in budgets.items():
-        assert prom_budgets[key]["events"] == row["events"], key
-        assert prom_budgets[key]["bad"] == row["bad"], key
 
     head = {
         key: raw[key]

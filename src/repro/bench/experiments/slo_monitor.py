@@ -11,8 +11,8 @@ Reports:
   class's TPOT error budget burns far above threshold, so its alert rules
   fire; once the load drops to the trickle the short window recovers and
   the alerts clear.  The full fire/clear timeline rides along.
-* **Exports**: the Prometheus text exposition and JSON snapshot document,
-  both round-tripped through :mod:`repro.tools.slo_report`.
+* **Export**: the JSON snapshot document, read back through
+  :mod:`repro.tools.slo_report`.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def run(quick: bool = True) -> ExperimentResult:
                 output_tokens=row["total_output_tokens"],
             )
         ),
-        # The monitor's own report (alert counts, budgets, scrapes, both
-        # exports) plus what the comparison found.
+        # The monitor's own report (alert counts, budgets, scrapes, the
+        # snapshot document) plus what the comparison found.
         raw={
             **monitor,
             "identical_tokens": identical_tokens,

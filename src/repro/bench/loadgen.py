@@ -347,10 +347,7 @@ def run_open_loop(
             ),
             "active_alerts": monitor.slo.active_alerts(),
             "budgets": monitor.slo.budgets(),
-            # export_metrics (not snapshot_document) so the injected-fault
-            # record rides along when the chaos plane is on.
             "snapshot": server.export_metrics(),
-            "prometheus": monitor.to_prometheus(),
         }
     if server.controller.faults is not None:
         row["chaos"] = {

@@ -1,5 +1,5 @@
-"""Live monitoring plane: an SLO engine on a virtual-clock tick, and exports
-collected when someone asks.
+"""Live monitoring plane: an SLO engine on a virtual-clock tick, and one
+export collected when someone asks.
 
 :class:`MonitorService` keeps no copy of a fact, and counts none: every
 per-tenant fact — TTFT / TPOT samples and their verdicts, exits by status,
@@ -13,10 +13,11 @@ launches offered, goodput — is counted once by the core into the tenant's
   inferlets are live and a run never lasts longer because monitoring is
   on — advances the alert windows (each transition lands in
   ``SloEngine.alerts``), nothing else;
-* :meth:`MonitorService.collect`, behind both exporters, reads
+* :meth:`MonitorService.snapshot_document`, the one export, reads
   ``SystemMetrics``, ``TenantMetrics``, each shard's ``SchedulerStats`` and
-  ``readings()`` and the engine's budgets and alert history *at that
-  instant*, so an export cannot disagree with the live state it names.
+  ``readings()`` (through :meth:`MonitorService.collect`) and the engine's
+  budgets and alert history *at that instant*, so an export cannot disagree
+  with the live state it names, and says each fact once.
 
 Off by default (``ControlLayerConfig.monitoring``): no ``MonitorService``
 is built and ``Controller.timers`` holds no scraper.  When on, the tick and
@@ -48,9 +49,10 @@ SHARD_READINGS = {
     "embed_occupancy": "Fraction of embed slots in use",
     "busy_seconds": "Cumulative device busy time",
 }
-#: ``TenantMetrics`` counts exported under a family of their own — the
-#: request families of :meth:`MonitorService.collect` and
-#: ``pie_slo_events_total`` — and so not again as ``pie_tenant_<field>``.
+#: ``TenantMetrics`` counts the document says elsewhere — in the request
+#: families of :meth:`MonitorService.collect` or, as each signal's
+#: ``events`` / ``bad``, in its ``slo`` budgets — and so not again as
+#: ``pie_tenant_<field>``.
 _TENANT_FAMILIES = EXIT_STATUSES + (
     "offered", "good", "ttft_met", "ttft_missed", "tpot_met", "tpot_missed",
 )
@@ -94,12 +96,13 @@ class MonitorService:
     def _scrape(self) -> None:
         self.slo.tick(self.sim.now)
 
-    # -- exporters ----------------------------------------------------------
+    # -- export -------------------------------------------------------------
 
     def collect(self) -> MetricRegistry:
-        """Everything exportable, read from its owner at this instant: the
-        live counter records and the SLO engine's state (pure inspection;
-        the result is the caller's to discard)."""
+        """The counter records as metric families, read from their owners
+        at this instant (pure inspection; the result is the caller's to
+        discard).  The SLO engine's state is the document's ``slo`` block,
+        not a family."""
         export = MetricRegistry()
 
         def publish(prefix: str, helps: Dict[str, str], rows, labelnames=()) -> None:
@@ -159,44 +162,7 @@ class MonitorService:
             ],
             labelnames=("model", "shard"),
         )
-
-        events = export.counter(
-            "pie_slo_events_total",
-            "SLO-judged latency samples by tenant, signal, and outcome",
-            labelnames=("tenant", "signal", "outcome"),
-        )
-        remaining = export.gauge(
-            "pie_slo_budget_remaining",
-            "Fraction of the cumulative error budget left",
-            labelnames=("tenant", "signal"),
-        )
-        for tenant, signals in self.slo.budgets().items():
-            for signal, budget in signals.items():
-                stream = {"tenant": tenant, "signal": signal}
-                events.labels(**stream, outcome="met").inc(budget["events"] - budget["bad"])
-                events.labels(**stream, outcome="missed").inc(budget["bad"])
-                remaining.labels(**stream).set(budget["budget_remaining"])
-        transitions = export.counter(
-            "pie_slo_alerts_total",
-            "Burn-rate alert transitions by tenant, signal, and kind",
-            labelnames=("tenant", "signal", "kind"),
-        )
-        active = export.gauge(
-            "pie_slo_alert_active",
-            "1 while a burn-rate alert window is firing",
-            labelnames=("tenant", "signal", "window"),
-        )
-        for event in self.slo.alerts:
-            stream = {"tenant": event.tenant, "signal": event.signal}
-            transitions.labels(**stream, kind=event.kind).inc()
-            active.labels(**stream, window=str(event.window)).set(
-                1.0 if event.kind == "fire" else 0.0
-            )
         return export
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of :meth:`collect`."""
-        return self.collect().to_prometheus()
 
     def snapshot_document(self) -> dict:
         """JSON-ready document: :meth:`collect`, the SLO state with its full

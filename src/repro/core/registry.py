@@ -15,8 +15,8 @@ when an export is asked for.  This module supplies the pieces:
 * :class:`CounterFamily` / :class:`GaugeFamily` / :class:`HistogramFamily`
   — named metric families whose children are addressed by label values
   (``family.labels(tenant="acme").inc()``), Prometheus-style.
-* :class:`MetricRegistry` — the collection: get-or-create families,
-  Prometheus text exposition and a JSON document.
+* :class:`MetricRegistry` — the collection: get-or-create families and
+  their JSON document.
 
 Everything here is plain-Python bookkeeping on the caller's thread: no
 timers, no simulator access, no RNG — observing a value can never perturb
@@ -163,15 +163,6 @@ class LogHistogram:
             sum=self.sum,
         )
 
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """Non-empty ``(upper_edge, cumulative_count)`` pairs, ascending."""
-        pairs: List[Tuple[float, int]] = []
-        seen = 0
-        for index in sorted(self.counts):
-            seen += self.counts[index]
-            pairs.append((self.upper_bound(index), seen))
-        return pairs
-
     def to_dict(self) -> dict:
         buckets: Dict[str, int] = {}
         seen = 0
@@ -190,28 +181,6 @@ def latency_histogram() -> LogHistogram:
 def size_histogram(hi: float = 8192.0) -> LogHistogram:
     """A histogram for small integer sizes (batch rows, pages, tokens)."""
     return LogHistogram(lo=1.0, hi=hi)
-
-
-def _escape_label_value(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _format_labels(labelnames: Sequence[str], labelvalues: Sequence[str]) -> str:
-    if not labelnames:
-        return ""
-    inner = ",".join(
-        f'{name}="{_escape_label_value(str(value))}"'
-        for name, value in zip(labelnames, labelvalues)
-    )
-    return "{" + inner + "}"
-
-
-def _format_value(value: float) -> str:
-    if value == math.inf:
-        return "+Inf"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
 
 
 class _Child:
@@ -289,7 +258,7 @@ class HistogramFamily(_Family):
 
 
 class MetricRegistry:
-    """A collection of metric families, exportable in two formats.
+    """A collection of metric families, exported as one JSON document.
 
     ``counter``/``gauge``/``histogram`` are get-or-create: asking twice for
     the same name with the same schema returns the same family; asking with
@@ -332,50 +301,10 @@ class MetricRegistry:
     def families(self) -> List[_Family]:
         return [self._families[name] for name in sorted(self._families)]
 
-    # -- exporters ----------------------------------------------------------
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition (v0.0.4).
-
-        Histograms emit cumulative ``_bucket{le=...}`` rows for non-empty
-        buckets plus the mandatory ``+Inf`` row, then ``_sum`` and
-        ``_count``; empty buckets are elided to keep the page proportional
-        to observed spread, not to the bucket layout.
-        """
-        lines: List[str] = []
-        for family in self.families():
-            if family.help:
-                lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            if family.kind == "histogram":
-                for labelvalues, hist in family.samples():
-                    base = dict(zip(family.labelnames, labelvalues))
-                    cumulative = 0
-                    for upper, cum in hist.cumulative_buckets():
-                        cumulative = cum
-                        labels = _format_labels(
-                            tuple(family.labelnames) + ("le",),
-                            tuple(labelvalues) + (_format_value(upper),),
-                        )
-                        lines.append(f"{family.name}_bucket{labels} {cum}")
-                    inf_labels = _format_labels(
-                        tuple(family.labelnames) + ("le",),
-                        tuple(labelvalues) + ("+Inf",),
-                    )
-                    lines.append(f"{family.name}_bucket{inf_labels} {hist.total}")
-                    plain = _format_labels(family.labelnames, labelvalues)
-                    lines.append(f"{family.name}_sum{plain} {repr(hist.sum)}")
-                    lines.append(f"{family.name}_count{plain} {hist.total}")
-            else:
-                for labelvalues, child in family.samples():
-                    labels = _format_labels(family.labelnames, labelvalues)
-                    lines.append(
-                        f"{family.name}{labels} {_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
+    # -- export -------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-ready document mirroring the exposition content."""
+        """JSON-ready document: family -> type, help and labelled samples."""
         document: Dict[str, dict] = {}
         for family in self.families():
             samples = []

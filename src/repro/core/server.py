@@ -118,28 +118,14 @@ class PieServer:
         """The live monitoring plane, or None when ``monitoring`` is off."""
         return self.controller.monitor
 
-    def prometheus_metrics(self) -> str:
-        """Prometheus text exposition of the monitor's metric registry."""
-        return self._require(self.controller.monitor, "monitoring").to_prometheus()
-
     def export_metrics(self, path: Optional[str] = None):
-        """Snapshot the monitor's registry and SLO state.
-
-        A ``.prom``/``.txt`` suffix selects the Prometheus text exposition
-        format; anything else (or no path) produces the JSON snapshot
-        document, which is also returned.
-        """
-        monitor = self._require(self.controller.monitor, "monitoring")
-        document = monitor.snapshot_document()
+        """The monitor's snapshot document (registry and SLO state), written
+        as JSON to ``path`` when one is given, and returned."""
+        document = self._require(self.controller.monitor, "monitoring").snapshot_document()
         if path is not None:
-            target = str(path)
-            if target.endswith((".prom", ".txt")):
-                with open(target, "w", encoding="utf-8") as handle:
-                    handle.write(monitor.to_prometheus())
-            else:
-                with open(target, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(document, handle, indent=2, sort_keys=True)
+                handle.write("\n")
         return document
 
     @property

@@ -65,7 +65,7 @@ def run_stack(
     perturbing: tokens, metrics and virtual timestamps stay bit-identical
     to the tracing-off run.  ``monitoring=True`` turns on the live SLO
     monitoring plane (repro.core.monitor) under the same contract, and
-    ``export_at`` takes both of its exports at those virtual times, mid-run.
+    ``export_at`` takes its snapshot document at those virtual times, mid-run.
     ``faults=True`` arms the chaos plane (repro.sim.faults +
     repro.core.health): the seeded ``fault_plan`` replays bit-identically,
     and ``faults=False`` must construct none of the chaos machinery.
@@ -123,12 +123,9 @@ def run_stack(
         ]
         return await sim.gather(tasks)
 
-    def exports():
-        return server.export_metrics(), server.prometheus_metrics()
-
     mid_run = []
     for when in export_at:
-        sim.call_at(when, lambda: mid_run.append(exports()))
+        sim.call_at(when, lambda: mid_run.append(server.export_metrics()))
     results = sim.run_until_complete(run_all())
     metrics = asdict(server.metrics)
     # Instance ids embed a process-global launch counter (det0-1 vs det0-7
@@ -154,7 +151,7 @@ def run_stack(
         out["trace_categories"] = categories
     if server.monitor is not None:
         out["monitor_scrapes"] = server.monitor.scrapes_taken
-        out["monitor_exports"] = [exports(), exports()]
+        out["monitor_exports"] = [server.export_metrics(), server.export_metrics()]
         out["monitor_mid_run"] = mid_run
     return out
 
@@ -357,7 +354,7 @@ def test_monitoring_on_does_not_perturb_the_run():
     assert on["results"] == off["results"]
     assert on["metrics"] == off["metrics"]
     assert on["monitor_scrapes"] > 0
-    document, _ = on["monitor_exports"][0]
+    document = on["monitor_exports"][0]
     assert document["metrics"]["pie_requests_total"]["samples"]
 
 
@@ -385,12 +382,12 @@ def test_exporting_is_idempotent_and_invisible_to_the_run():
     assert probed["monitor_scrapes"] == plain["monitor_scrapes"]
     assert probed["monitor_exports"] == plain["monitor_exports"]
     early, late = probed["monitor_mid_run"]
-    assert early[0]["now"] == 0.4 and late[0]["now"] == 0.9
+    assert early["now"] == 0.4 and late["now"] == 0.9
     launched = "pie_system_inferlets_launched"
     assert (
         0
-        < early[0]["metrics"][launched]["samples"][0]["value"]
-        < late[0]["metrics"][launched]["samples"][0]["value"]
+        < early["metrics"][launched]["samples"][0]["value"]
+        < late["metrics"][launched]["samples"][0]["value"]
     )
 
 

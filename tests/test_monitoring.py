@@ -145,8 +145,6 @@ class TestMonitorService:
         assert server.monitor is None
         with pytest.raises(ClientError):
             server.export_metrics()
-        with pytest.raises(ClientError):
-            server.prometheus_metrics()
 
     def test_monitor_knobs_imply_monitoring(self, monkeypatch):
         # The plane's own values are constants read when it is built, and
@@ -182,7 +180,8 @@ class TestMonitorService:
         with pytest.raises(ReproError):
             self.make_server(monitoring=True)
 
-    def test_export_round_trip(self, tmp_path):
+    def probed(self):
+        """A monitored server after one inferlet of tenant ``acme``."""
         from repro.core import InferletProgram
         from repro.support import Context, SamplingParams
 
@@ -197,32 +196,51 @@ class TestMonitorService:
 
         server.register_program(InferletProgram(name="probe", main=main))
         sim.run_until_complete(server.run_inferlet("probe", tenant="acme"))
+        return server
 
+    def test_export_round_trip(self, tmp_path):
+        server = self.probed()
         json_path = tmp_path / "snap.json"
-        prom_path = tmp_path / "snap.prom"
         document = server.export_metrics(str(json_path))
-        server.export_metrics(str(prom_path))
         assert json.loads(json_path.read_text())["scrapes"] == document["scrapes"]
 
         from repro.tools.slo_report import build_report, load_snapshot
 
-        json_report = build_report(load_snapshot(str(json_path)))
-        prom_report = build_report(load_snapshot(str(prom_path)))
-        for report in (json_report, prom_report):
-            budgets = {
-                (row["tenant"], row["signal"]): row for row in report["budgets"]
-            }
-            assert budgets[("acme", "ttft")]["events"] == 1
-            assert budgets[("acme", "ttft")]["bad"] == 0
-            # Server-side goodput rides along in both formats.
-            assert budgets[("acme", "ttft")]["offered"] == 1
-            assert budgets[("acme", "ttft")]["good"] == 1
-        # Request counters survive the Prometheus round trip too.
-        parsed = load_snapshot(str(prom_path))["metrics"]
-        samples = parsed["pie_requests_total"]["samples"]
-        assert samples == [
-            {"labels": {"tenant": "acme", "status": "finished"}, "value": 1.0}
-        ]
+        report = build_report(load_snapshot(str(json_path)))
+        budgets = {(row["tenant"], row["signal"]): row for row in report["budgets"]}
+        assert budgets[("acme", "ttft")]["events"] == 1
+        assert budgets[("acme", "ttft")]["bad"] == 0
+        # Server-side goodput rides along.
+        assert budgets[("acme", "ttft")]["offered"] == 1
+        assert budgets[("acme", "ttft")]["good"] == 1
+
+    def test_the_document_is_the_only_export(self, tmp_path):
+        # Whatever the path's suffix, the file is the JSON document the
+        # call returns; there is no second format to ask for.
+        server = self.probed()
+        path = tmp_path / "snap.prom"
+        document = server.export_metrics(path)
+        assert json.loads(path.read_text()) == document
+        assert not hasattr(PieServer, "prometheus_metrics")
+
+    def test_slo_report_refuses_what_is_not_a_snapshot(self, tmp_path, capsys):
+        # A headline file is JSON without an ``slo`` block; an old text
+        # exposition is not JSON at all.  Both exit through the parser
+        # (status 2) naming the file, not as an empty report or a traceback.
+        from repro.tools.slo_report import main
+
+        headline = tmp_path / "BENCH_slo_monitor.json"
+        headline.write_text(json.dumps({"alerts_fired": 2, "scrapes": 59}))
+        exposition = tmp_path / "slo_snapshot.prom"
+        exposition.write_text(
+            "# TYPE pie_good_total counter\n"
+            'pie_good_total{tenant="acme"} 1\n'
+        )
+        for path in (headline, exposition):
+            with pytest.raises(SystemExit) as exit_:
+                main([str(path)])
+            assert exit_.value.code == 2
+            assert str(path) in capsys.readouterr().err
 
     def test_scraper_keeps_queue_drainable(self):
         """The scrape timer must not keep the simulation alive: the run
@@ -261,19 +279,17 @@ class TestMonitorService:
 # gone; the victim order is the core's, with QoS or without (-> 77).
 # ``pie_system_qos_{admitted, queued, rejected}`` were the sums of the
 # tenants' ``admitted`` / ``queued`` / ``rejected``, written at the same
-# launch-gate site, so they are gone too (-> 74).
+# launch-gate site, so they are gone too (-> 74).  The four ``pie_slo_*``
+# families (events, budget remaining, alert transitions, alert windows
+# active) repeated the document's own ``slo`` block, budgets and alerts,
+# for a text exposition nothing outside the tests read; the exposition went
+# and they went with it (64 -> 60).
 REQUEST_FAMILIES = {
     "pie_ttft_seconds": ("tenant",),
     "pie_tpot_seconds": ("tenant",),
     "pie_requests_total": ("tenant", "status"),
     "pie_offered_total": ("tenant",),
     "pie_good_total": ("tenant",),
-}
-SLO_FAMILIES = {
-    "pie_slo_events_total": ("tenant", "signal", "outcome"),
-    "pie_slo_alerts_total": ("tenant", "signal", "kind"),
-    "pie_slo_alert_active": ("tenant", "signal", "window"),
-    "pie_slo_budget_remaining": ("tenant", "signal"),
 }
 SYSTEM_FIELDS = """
     bytes_swapped_in bytes_swapped_out chunk_stall_saved_seconds commands_dropped
@@ -301,7 +317,6 @@ SHARD_STATS_FIELDS = """
 SHARD_READINGS = "queue_depth kv_occupancy embed_occupancy busy_seconds".split()
 EXPORT_SCHEMA = {
     **REQUEST_FAMILIES,
-    **SLO_FAMILIES,
     **{f"pie_system_{name}": () for name in SYSTEM_FIELDS},
     **{f"pie_tenant_{name}": ("tenant",) for name in TENANT_FIELDS},
     **{
@@ -344,82 +359,59 @@ class TestPullExport:
 
         return sim, server, sim.gather([sim.create_task(one(i)) for i in range(n)])
 
-    @staticmethod
-    def both_exports(server):
-        from repro.tools.slo_report import parse_prometheus
-
-        return (
-            server.export_metrics()["metrics"],
-            parse_prometheus(server.prometheus_metrics()),
-        )
-
     def test_every_sample_equals_the_live_field_it_names(self):
         sim, server, fleet = self.fleet()
         sim.run_until_complete(fleet)  # not drained: the last tick is still armed
         system = server.metrics
         assert system.inferlets_finished == 4 and set(system.tenants) == {"acme", "zeta"}
-        for metrics in self.both_exports(server):
-            for name in SYSTEM_FIELDS:
-                [sample] = metrics[f"pie_system_{name}"]["samples"]
-                assert sample["value"] == getattr(system, name), name
-            for name in TENANT_FIELDS:
-                samples = metrics[f"pie_tenant_{name}"]["samples"]
-                assert {s["labels"]["tenant"]: s["value"] for s in samples} == {
-                    tenant: getattr(record, name)
-                    for tenant, record in system.tenants.items()
-                }, name
-            # The request families are the records' counts, sample for sample.
-            for family, field in (("pie_offered_total", "offered"), ("pie_good_total", "good")):
-                samples = metrics[family]["samples"]
-                assert {s["labels"]["tenant"]: s["value"] for s in samples} == {
-                    tenant: getattr(record, field)
-                    for tenant, record in system.tenants.items()
-                    if getattr(record, field)
-                }, family
-            samples = metrics["pie_requests_total"]["samples"]
-            assert {
-                (s["labels"]["tenant"], s["labels"]["status"]): s["value"] for s in samples
-            } == {
-                (tenant, status): getattr(record, status)
+        document = server.export_metrics()
+        metrics = document["metrics"]
+        for name in SYSTEM_FIELDS:
+            [sample] = metrics[f"pie_system_{name}"]["samples"]
+            assert sample["value"] == getattr(system, name), name
+        for name in TENANT_FIELDS:
+            samples = metrics[f"pie_tenant_{name}"]["samples"]
+            assert {s["labels"]["tenant"]: s["value"] for s in samples} == {
+                tenant: getattr(record, name)
                 for tenant, record in system.tenants.items()
-                for status in EXIT_STATUSES
-                if getattr(record, status)
-            }
-            for family, field in (("pie_ttft_seconds", "ttft"), ("pie_tpot_seconds", "tpot")):
-                samples = metrics[family]["samples"]
-                assert {s["labels"]["tenant"]: (s["count"], s["sum"]) for s in samples} == {
-                    tenant: (getattr(record, field).total, getattr(record, field).sum)
-                    for tenant, record in system.tenants.items()
-                }, family
+            }, name
+        # The request families are the records' counts, sample for sample.
+        for family, field in (("pie_offered_total", "offered"), ("pie_good_total", "good")):
+            samples = metrics[family]["samples"]
+            assert {s["labels"]["tenant"]: s["value"] for s in samples} == {
+                tenant: getattr(record, field)
+                for tenant, record in system.tenants.items()
+                if getattr(record, field)
+            }, family
+        samples = metrics["pie_requests_total"]["samples"]
+        assert {
+            (s["labels"]["tenant"], s["labels"]["status"]): s["value"] for s in samples
+        } == {
+            (tenant, status): getattr(record, status)
+            for tenant, record in system.tenants.items()
+            for status in EXIT_STATUSES
+            if getattr(record, status)
+        }
         # Bucket for bucket: the export merges the record's own histogram.
-        document = server.export_metrics()["metrics"]
         for family, field in (("pie_ttft_seconds", "ttft"), ("pie_tpot_seconds", "tpot")):
-            assert document[family]["samples"] == [
+            assert metrics[family]["samples"] == [
                 {"labels": {"tenant": tenant}, **getattr(record, field).to_dict()}
                 for tenant, record in system.tenants.items()
             ], family
-            shards = server.service().shards
-            for name in SHARD_STATS_FIELDS:
-                samples = metrics[f"pie_shard_{name}"]["samples"]
-                assert [s["value"] for s in samples] == [
-                    getattr(shard.scheduler.stats, name) for shard in shards
-                ], name
-            # A per-tick mirror reads one short here, until the next tick.
-            finished = sum(
-                s["value"]
-                for s in metrics["pie_requests_total"]["samples"]
-                if s["labels"]["status"] == "finished"
-            )
-            assert finished == metrics["pie_system_inferlets_finished"]["samples"][0]["value"]
-            budgets = server.monitor.slo.budgets()
-            assert {
-                (s["labels"]["tenant"], s["labels"]["signal"]): s["value"]
-                for s in metrics["pie_slo_budget_remaining"]["samples"]
-            } == {
-                (tenant, signal): budget["budget_remaining"]
-                for tenant, signals in budgets.items()
-                for signal, budget in signals.items()
-            }
+        shards = server.service().shards
+        for name in SHARD_STATS_FIELDS:
+            samples = metrics[f"pie_shard_{name}"]["samples"]
+            assert [s["value"] for s in samples] == [
+                getattr(shard.scheduler.stats, name) for shard in shards
+            ], name
+        # A per-tick mirror reads one short here, until the next tick.
+        finished = sum(
+            s["value"]
+            for s in metrics["pie_requests_total"]["samples"]
+            if s["labels"]["status"] == "finished"
+        )
+        assert finished == metrics["pie_system_inferlets_finished"]["samples"][0]["value"]
+        assert document["slo"]["budgets"] == server.monitor.slo.budgets()
 
     def test_export_schema(self):
         sim, server, fleet = self.fleet()
@@ -428,8 +420,10 @@ class TestPullExport:
         assert exported == EXPORT_SCHEMA
         # The qos_* twins of tenant counts went (77 -> 74), then the three
         # counters only the QoS plane wrote (74 -> 71), then the seven only
-        # the test-only fault kinds and the retry policy wrote (71 -> 64).
-        assert len(exported) == 64
+        # the test-only fault kinds and the retry policy wrote (71 -> 64),
+        # then the four pie_slo_* twins of the document's slo block (64 -> 60).
+        assert len(exported) == 60
+        assert not any(name.startswith("pie_slo_") for name in exported)
         # The monitor keeps no registry, and no fact is exported twice.
         assert not hasattr(server.monitor, "registry")
         document = server.export_metrics()

@@ -150,42 +150,6 @@ class TestExports:
             hist.observe(value)
         return registry
 
-    def test_prometheus_exposition_shape(self):
-        text = self.build().to_prometheus()
-        assert "# TYPE reqs_total counter" in text
-        assert '# HELP lat_seconds latency' in text
-        assert 'reqs_total{tenant="acme"} 5' in text
-        assert "depth 2.5" in text
-        assert 'lat_seconds_bucket{tenant="acme",le="+Inf"} 5' in text
-        assert 'lat_seconds_count{tenant="acme"} 5' in text
-
-    def test_prometheus_round_trips_through_slo_report(self):
-        registry = self.build()
-        from repro.tools.slo_report import parse_prometheus
-
-        parsed = parse_prometheus(registry.to_prometheus())
-        document = registry.to_dict()
-        assert set(parsed) == set(document)
-        for name, family in document.items():
-            assert parsed[name]["type"] == family["type"]
-            assert parsed[name]["help"] == family["help"]
-            for sample, round_tripped in zip(
-                family["samples"], parsed[name]["samples"]
-            ):
-                assert round_tripped["labels"] == sample["labels"]
-                if family["type"] == "histogram":
-                    assert round_tripped["count"] == sample["count"]
-                    assert round_tripped["sum"] == sample["sum"]
-                    # Cumulative bucket counts survive (le keys are
-                    # formatted differently, and the exposition always
-                    # carries the mandatory +Inf row).
-                    expected = list(sample["buckets"].values())
-                    if "+Inf" not in sample["buckets"]:
-                        expected.append(sample["count"])
-                    assert list(round_tripped["buckets"].values()) == expected
-                else:
-                    assert round_tripped["value"] == sample["value"]
-
     def test_to_dict_histogram_buckets_are_cumulative(self):
         document = self.build().to_dict()
         buckets = document["lat_seconds"]["samples"][0]["buckets"]
