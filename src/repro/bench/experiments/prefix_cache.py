@@ -20,7 +20,9 @@ system prompt (each with a unique task suffix) and compares:
   to the shard whose index already holds the prompt.  The router places
   by load first and by cached prefix second; the 0.2 s stagger lets each
   agent finish before the next launches, so every placement is a tie on
-  occupancy and the cached prefix decides it.
+  occupancy and the cached prefix decides it.  (An agent placed beside a
+  busy holder would copy the prompt's pages from the holder's cache, not
+  re-prefill them; none is here, so the row equals ``cache_on``.)
 
 Because cached pages hold exactly the KV the importer would have computed,
 generation is bit-identical with the cache on; the run is simply cheaper.
@@ -142,6 +144,9 @@ def run(quick: bool = True) -> ExperimentResult:
         "whole fleet to the shard holding the prompt via cache_affinity + "
         "prefix hints: cache_affinity places by load first, and the stagger "
         "leaves every launch a tie on occupancy, which the cached prefix "
-        "breaks."
+        "breaks.  A launch that found the holder busy would go to the other "
+        "shard and copy the prompt's pages from the holder's cache over the "
+        "pair's link instead of re-prefilling them; with this stagger none "
+        "does, so the row equals cache_on."
     )
     return result

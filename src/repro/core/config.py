@@ -108,8 +108,8 @@ class ControlLayerConfig:
     # periodic sampler (spans and instants are still recorded).
     trace_sample_ms: float = 5.0
     # Registered tenants (TenantSpec records, repro.core.qos), read by the
-    # core with every plane off: the launch gate applies their rate,
-    # concurrency cap and backlog bound, their class orders dispatch and
+    # core with every plane off: the launch gate applies their concurrency
+    # cap and backlog bound (no rate), their class orders dispatch and
     # batch merging (best class present, oldest command first) and the
     # reclamation victims (Controller.victim_key).  Launches naming an
     # unregistered tenant get an implicit unlimited spec of the default

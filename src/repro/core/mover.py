@@ -2,10 +2,11 @@
 
 Pages cross to the node's host tier (swap, prefix-cache demotion and
 fault-in) or to another shard (the disaggregation stream and handoff tail,
-a cross-shard import).  :class:`KvMover` does every crossing — the
-content-exact copy, the wire and the charge — and each caller keeps only its
-decision.  It is built for every model, with every plane off, and has no
-knob.  See docs/ARCHITECTURE.md, "Memory hierarchy".
+a cross-shard import, a prefix-cache miss served from a peer's cache).
+:class:`KvMover` does every crossing — the content-exact copy, the wire and
+the charge — and each caller keeps only its decision.  It is built for
+every model, with every plane off, and has no knob.  See
+docs/ARCHITECTURE.md, "Memory hierarchy".
 """
 
 from __future__ import annotations
@@ -164,6 +165,19 @@ class KvMover:
         if stall + landing > 0.0:
             self.charge(dst.device, kind, stall + landing, n_pages)
         return stall, landing
+
+    def land_seconds(self, src_index: int, dst_index: int, n_pages: int) -> float:
+        """What :meth:`land` would charge for ``n_pages`` sent now with
+        nothing staged before: the wait for the pair's wire, the wire and
+        the landing.  Reserves nothing."""
+        now = self.sim.now
+        link = self.link(src_index, dst_index)
+        arrival = (
+            max(now, link.busy_until)
+            + link.transfer_seconds(n_pages * self.page_bytes)
+            + link.one_way_delay()
+        )
+        return arrival - now + self.cost_model.copy_batch_cost(n_pages)
 
     # -- the crossover ---------------------------------------------------------
 

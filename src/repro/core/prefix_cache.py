@@ -18,6 +18,9 @@ inside the control layer, per device shard:
   transparently rewritten: the caller's freshly allocated pages are
   *rebound* to the cached physical pages and the matching input embeddings
   are dropped from the command, skipping their prefill compute entirely;
+* on a cluster, a prefix the local index lacks but a peer shard's cache
+  holds device-resident is copied into the caller's fresh pages over the
+  pair's link and indexed here, instead of being prefilled again;
 * under memory pressure the :class:`~repro.core.swap.SwapManager` asks the
   cache to **demote** its coldest leaf to the host tier (or evict it),
   before any live inferlet is terminated; a demoted entry faults back in
@@ -44,6 +47,7 @@ Safety rules (mirroring the swap manager's):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ResourceError
@@ -54,6 +58,7 @@ from repro.gpu.memory import DeviceMemory
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.handles import Embed, KvPage
     from repro.core.resources import ResourceManager
+    from repro.core.router import DeviceShard
     from repro.gpu.device import SimDevice
     from repro.sim.futures import SimFuture
 
@@ -112,6 +117,11 @@ class PrefixCacheService:
         self.device = device
         self.metrics = metrics
         self.page_size = memory.model_config.kv_page_size
+        # This cache's shard and the cluster's shards (this one among them),
+        # handed over by set_peers: a miss looks up the caches of the
+        # others before the forward re-prefills.  None / () = no peers.
+        self.shard: Optional["DeviceShard"] = None
+        self.peers: Sequence["DeviceShard"] = ()
         self._root = PrefixNode()
         self._by_pid: Dict[int, PrefixNode] = {}
         # tokens currently held by a physical page, in slot order (tracked
@@ -138,6 +148,11 @@ class PrefixCacheService:
         self._cache_shared: set = set()
         self._clock = 0.0
         self._seq = 0
+
+    def set_peers(self, shard: "DeviceShard", peers: Sequence["DeviceShard"]) -> None:
+        """Join the cluster: ``shard`` is this cache's own, ``peers`` every
+        shard of the cluster (``shard`` among them)."""
+        self.shard, self.peers = shard, peers
 
     # -- basic state -------------------------------------------------------
 
@@ -314,6 +329,13 @@ class PrefixCacheService:
         path = self._match_path(chain)
         usable = path[full_existing : full_existing + max_new_pages]
         used = self._adopt(owner, ikv, ikv_pids, okv, full_existing, usable)
+        start = full_existing + used
+        if len(path) == start and used < max_new_pages:
+            # The local walk stopped short of what the fill could reuse.
+            copied = self._copy_from_peer(
+                ikv, ikv_pids, okv[used:], chain, path, start, max_new_pages - used
+            )
+            used += self._adopt(owner, ikv, ikv_pids, okv[used:], start, copied)
         if used == 0:
             self.metrics.prefix_cache_misses += 1
             return iemb, finish
@@ -450,6 +472,62 @@ class PrefixCacheService:
             )
         return used
 
+    def _copy_from_peer(
+        self,
+        ikv: List["KvPage"],
+        ikv_pids: List[int],
+        okv: List["KvPage"],
+        chain: List[int],
+        path: List[PrefixNode],
+        start: int,
+        limit: int,
+    ) -> List[PrefixNode]:
+        """Serve a miss from the live peer whose cache holds the most
+        device-resident pages of ``chain`` past ``start`` (the end of the
+        local ``path``): copy at most ``limit`` of them into the caller's
+        fresh pages from index ``start`` on, land them on this device, and
+        register those pages as pinned local nodes.  Returns the nodes."""
+        size = self.page_size
+        parent = path[-1] if path else self._root
+        if chain[start * size] in parent.children:
+            return []  # a sibling holds the radix slot the copy would need
+        window = chain[: (start + limit) * size]
+        source, held = None, []
+        for peer in self.peers:
+            cache = peer.prefix_cache
+            if peer is self.shard or cache is None or peer.device.down:
+                continue
+            # A demoted page stays on the host tier: the resident run counts.
+            theirs = cache._match_path(window)
+            resident = list(takewhile(lambda node: node.pid is not None, theirs))
+            if len(resident) > max(start, len(held)):
+                source, held = peer, resident
+        if source is None:
+            return []
+        # The copy lands only in the caller's fresh pages that _adopt takes.
+        n = 0
+        num_valid = self.memory.kv_pages.valid_counts(ikv_pids[start : len(held)])
+        while start + n < min(len(held), len(ikv)) and n < len(okv):
+            index = start + n
+            if okv[n].vid != ikv[index].vid or not self._fresh(ikv_pids[index], num_valid[n]):
+                break
+            n += 1
+        if not n or not self.mover.beats_recompute(
+            self.mover.land_seconds(source.index, self.shard.index, n), n
+        ):
+            return []
+        sources = held[start : start + n]
+        dst_pids = ikv_pids[start : start + n]
+        self.mover.copy(source, self.shard, [node.pid for node in sources], dst_pids)
+        self.mover.land(source.index, self.shard, "cache_fault_in", n)
+        self.metrics.prefix_cache_faultins += n
+        copied: List[PrefixNode] = []
+        for node, pid in zip(sources, dst_pids):
+            self._page_tokens[pid] = list(node.tokens)
+            parent = self._insert(parent, node.tokens, pid)
+            copied.append(parent)
+        return copied
+
     def _fresh(self, pid: int, num_valid: int) -> bool:
         """A page safe to rebind away from: untouched and unobserved."""
         return (
@@ -583,20 +661,21 @@ class PrefixCacheService:
                 pid = pids[index]
                 if pid in self._by_pid or self._page_tokens.get(pid) != list(chunk):
                     break
-                self._seq += 1
-                child = PrefixNode(
-                    tokens=chunk,
-                    pid=pid,
-                    parent=node,
-                    last_used=self._tick(),
-                    seq=self._seq,
-                )
-                node.children[chunk[0]] = child
-                self._by_pid[pid] = child
-                self.resources.pin_kv(pid)
-                self.metrics.prefix_cache_inserted_pages += 1
+                child = self._insert(node, chunk, pid)
             node, depth = child, index + 1
         return node, depth
+
+    def _insert(self, parent: PrefixNode, tokens: Tuple[int, ...], pid: int) -> PrefixNode:
+        """Index the full page ``pid`` below ``parent`` and pin it."""
+        self._seq += 1
+        child = PrefixNode(
+            tokens=tokens, pid=pid, parent=parent, last_used=self._tick(), seq=self._seq
+        )
+        parent.children[tokens[0]] = child
+        self._by_pid[pid] = child
+        self.resources.pin_kv(pid)
+        self.metrics.prefix_cache_inserted_pages += 1
+        return child
 
     # -- eviction / demotion (the memory-pressure ladder) -------------------
 

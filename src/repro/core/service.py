@@ -228,6 +228,9 @@ class ModelService:
                     metrics=metrics,
                 )
                 resources.set_kv_free_listener(shard.prefix_cache.on_physical_freed)
+                # A miss copies from the other shards' caches: the list this
+                # loop fills, complete before the first forward.
+                shard.prefix_cache.set_peers(shard, shards)
             shards.append(shard)
         control = config.control
         disaggregated = control.placement_policy == "disaggregated"

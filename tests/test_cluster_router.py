@@ -259,7 +259,9 @@ class TestLoadBeforePrefix:
     def test_a_live_holder_sends_the_next_of_its_family_to_the_empty_shard(self):
         """The first of a family still runs on the shard that cached its
         prompt when the second launches: the second goes to the empty
-        shard and re-prefills there, instead of queueing behind the first."""
+        shard, instead of queueing behind the first, and copies the
+        prompt's full pages from the first's cache instead of re-prefilling
+        them."""
         sim = Simulator(seed=10)
         server = PieServer(
             sim, num_devices=2, prefix_cache=True, placement_policy="cache_affinity"
@@ -277,7 +279,9 @@ class TestLoadBeforePrefix:
             return InferletProgram(name=name, main=main, prefix_hint=FAMILY_PROMPT)
 
         server.register_program(member("first", 0.5))
-        server.register_program(member("second", 0.0))
+        # The second lingers too, so that its last decode step is not
+        # dropped by its exit and both run the same forwards.
+        server.register_program(member("second", 0.5))
         shards = server.service().shards
         prompt = server.service().entry.tokenizer.encode(FAMILY_PROMPT)
 
@@ -297,7 +301,18 @@ class TestLoadBeforePrefix:
             shards[0].name: 1,
             shards[1].name: 1,
         }
-        assert server.metrics.prefix_cache_hits == 0  # the second re-prefilled
+        # The second hit once, through a peer copy of every full page of its
+        # prompt a fill may reuse (its last token stays for the forward).
+        size = shards[0].prefix_cache.page_size
+        fill = server.service().entry.tokenizer.encode(FAMILY_PROMPT + "task. ")
+        copied = (len(fill) - 1) // size
+        assert server.metrics.prefix_cache_hits == 1
+        assert server.metrics.prefix_cache_faultins == copied
+        # ... so its forwards carried that many pages fewer input tokens.
+        first_tokens, second_tokens = (
+            shard.scheduler.stats.forward_tokens_dispatched for shard in shards
+        )
+        assert second_tokens == first_tokens - copied * size
         assert first.result == second.result  # placement never changes tokens
 
 
