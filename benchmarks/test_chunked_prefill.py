@@ -1,13 +1,13 @@
 """Benchmark for chunked prefill / token-budget batching (beyond the paper).
 
 Long-document summarizers arrive throughout a fleet of interactive chat
-streams on one device.  With monolithic prefill every arrival head-of-line
-blocks the decode rows for the whole prompt; with ``chunked_prefill`` on,
-batch formation slices prompts under a token budget so decodes ride every
+streams on one device.  Under a batch budget no prompt reaches, every
+arrival head-of-line blocks the decode rows for the whole prompt; under a
+budget that binds, batch formation slices prompts so decodes ride every
 batch.  The headline gate: >= 2x better decode-side p99 inter-token gap at
 >= 0.95x token throughput, with identical generated tokens (chunking may
-change timing, never results); the bit-identical, counter-free
-``chunked_prefill=off`` path is a case of ``test_same_seed_same_run.py``.
+change timing, never results); the bit-identical, counter-free monolithic
+arm is a case of ``test_same_seed_same_run.py``.
 
 The headline numbers are also written to ``BENCH_chunked_prefill.json`` at
 the repo root so CI can archive the perf trajectory across commits.

@@ -16,18 +16,17 @@ import pytest
 from repro.bench.compare import compare_arms
 from repro.bench.experiments import chunked_prefill, disaggregation, prefix_cache, qos
 
+CHUNKED_FLEET = replace(
+    chunked_prefill.FLEET, n_summarizers=2, n_chats=6, chat_tokens=16, prompt_tokens=1024
+)
+
 # case -> (workload, its keyword arguments, counters that must read zero or
 # empty, counters that must have engaged)
 CASES = {
-    # The chunked_prefill=off default takes the exact pre-chunking path.
+    # A batch budget that never binds slices no prompt.
     "chunked_prefill_off": (
         chunked_prefill.run_fleet,
-        dict(
-            fleet=replace(
-                chunked_prefill.FLEET, n_summarizers=2, n_chats=6, chat_tokens=16, prompt_tokens=1024
-            ),
-            **chunked_prefill.ARMS["chunked_off"],
-        ),
+        dict(fleet=CHUNKED_FLEET, **chunked_prefill.fleet_arms(CHUNKED_FLEET)["chunked_off"]),
         (
             "prefill_chunks_dispatched",
             "decode_rows_co_batched",

@@ -51,7 +51,6 @@ def main() -> None:
     server = PieServer(
         sim,
         num_devices=2,
-        chunked_prefill=True,
         prefill_chunk_tokens=32,
         max_batch_tokens=48,
         tracing=True,

@@ -1,10 +1,10 @@
 """Arm-by-arm comparison: one workload, run once under each named arm.
 
 An *arm* is a label and the keyword overrides that distinguish it —
-usually server configuration shorthands (``{"chunked_on":
-{"chunked_prefill": True}}``).  Arms are data, so a new arm on an existing
-workload (or a loop over seeds around the whole comparison) is an entry in
-a dict, not another copy of the run/tabulate/compare skeleton.
+usually server configuration shorthands (``{"disaggregated":
+{"placement_policy": "disaggregated"}}``).  Arms are data, so a new arm on
+an existing workload (or a loop over seeds around the whole comparison) is
+an entry in a dict, not another copy of the run/tabulate/compare skeleton.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ Beyond the paper:
 * ``qos``                  — multi-tenant classes: per-tenant admission,
   class-then-age dispatch and class-aware preemption vs undifferentiated
   FCFS for a batch + interactive mixed-tenant workload.
-* ``chunked_prefill``      — token-budget batching: sliced prefills
-  co-batched with decode rows vs monolithic prompts on one device.
+* ``chunked_prefill``      — the token budget of batch formation: sliced
+  prefills co-batched with decode rows vs a budget no prompt reaches
+  (monolithic prompts) on one device.
 * ``disaggregation``       — prefill/decode shard roles with overlapped
   KV-page streaming and live handoff vs the strongest co-located
   (least_loaded + chunked prefill) cluster.

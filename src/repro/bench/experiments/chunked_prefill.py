@@ -3,22 +3,22 @@
 One device serves two populations at once: *summarizer* agents that arrive
 throughout the run and prefill multi-thousand-token documents, and
 *interactive chat* inferlets streaming tokens in a closed decode loop.
-With monolithic prefill (the stock batcher), every summarizer prompt
-occupies the serial device for ``prefill_ms_per_token x tokens`` — decode
-rows merged into that batch, and every batch behind it, wait out the whole
-prompt.  That head-of-line blocking is the classic prefill/decode
-interference iteration-level scheduling and chunked prefill ("stall-free
-batching") were invented to remove (see *Towards Efficient Generative LLM
-Serving* in PAPERS.md).
+With monolithic prefill, every summarizer prompt occupies the serial
+device for ``prefill_ms_per_token x tokens`` — decode rows merged into that
+batch, and every batch behind it, wait out the whole prompt.  That
+head-of-line blocking is the classic prefill/decode interference
+iteration-level scheduling and chunked prefill ("stall-free batching") were
+invented to remove (see *Towards Efficient Generative LLM Serving* in
+PAPERS.md).
 
-With ``chunked_prefill`` on (:mod:`repro.core.batching`), batch formation
-enforces a token budget: each dispatched forward batch carries the pending
-decode rows plus at most one partial prefill slice per queue, bounded by
-``prefill_chunk_tokens``.  The residual prefill stays at its queue head and
-drains one slice per mixed batch.  Chunking is a modeled *cost* in total
-device time (every slice re-pays the weight-bound floor unless decode rows
-share the batch, and re-reads the accumulated context), so the experiment
-must show the latency win survives honest accounting:
+Batch formation (:mod:`repro.core.batching`) holds every forward batch to
+a token budget: it carries the pending decode rows plus at most one partial
+prefill slice per queue, bounded by ``prefill_chunk_tokens``.  The residual
+prefill stays at its queue head and drains one slice per mixed batch.
+Chunking is a modeled *cost* in total device time (every slice re-pays the
+weight-bound floor unless decode rows share the batch, and re-reads the
+accumulated context), so the experiment must show the latency win survives
+honest accounting:
 
 * decode-side p99 inter-token gap (measured inside the chat inferlets with
   ``ctx.now()``) improves >= 2x,
@@ -28,9 +28,9 @@ must show the latency win survives honest accounting:
 * generated tokens are *identical* on vs off — chunking changes timing
   only (the transformer's KV-cache math guarantees slice-equals-monolith).
 
-The ``chunked_prefill=off`` run takes the exact pre-chunking code path:
-two identical seeded runs must agree bit-for-bit and leave every chunk
-counter at zero.
+The monolithic arm is the same formation under a budget the fleet cannot
+reach (:func:`fleet_arms`): two identical seeded runs must agree
+bit-for-bit and leave every chunk counter at zero.
 """
 
 from __future__ import annotations
@@ -65,22 +65,31 @@ FLEET = MixedFleet(
     id_stride=7,
     skip_first_gap=False,
 )
-#: What both arms share: the seed and the budget (inert while chunking is off).
+#: What both arms share: the seed and the budget the chunked arm slices under.
 SETUP = dict(seed=3, max_batch_tokens=MAX_BATCH_TOKENS)
-ARMS = {
-    "chunked_off": dict(chunked_prefill=False),
-    "chunked_on": dict(chunked_prefill=True),
-}
+
+
+def fleet_arms(fleet: MixedFleet) -> Dict[str, Dict]:
+    """The two arms on ``fleet``.  Monolithic prefill sets the batch budget
+    and the slice bound to the fleet's largest concurrent prompt tokens —
+    every inferlet at once with a summarizer's whole prompt — so neither
+    binds and every prompt runs whole; the chunked arm keeps ``SETUP``'s
+    budget and the default slices."""
+    whole = (fleet.n_summarizers + fleet.n_chats) * fleet.prompt_tokens
+    return {
+        "chunked_off": dict(max_batch_tokens=whole, prefill_chunk_tokens=whole),
+        "chunked_on": {},
+    }
 
 
 def run_fleet(fleet: MixedFleet = FLEET, **overrides) -> Dict:
     """Run the mixed prefill/decode workload; returns summary counters.
 
-    With chunking off each summarizer arrival stalls every decode stream
-    for the whole prompt; with it on the prompt drains one slice per mixed
-    batch.  ``overrides`` are server configuration shorthands on top of
-    ``SETUP`` (an arm of ``ARMS``; ``tracing=True`` records a flight-recorder
-    trace, which is non-perturbing).
+    Under the monolithic arm each summarizer arrival stalls every decode
+    stream for the whole prompt; under the chunked arm the prompt drains one
+    slice per mixed batch.  ``overrides`` are server configuration shorthands
+    on top of ``SETUP`` (an arm of :func:`fleet_arms`; ``tracing=True``
+    records a flight-recorder trace, which is non-perturbing).
     """
     row, server = run_mixed_fleet(fleet, **{**SETUP, **overrides})
     metrics = server.metrics
@@ -114,7 +123,7 @@ def run(quick: bool = True) -> ExperimentResult:
     fleet = FLEET if quick else replace(
         FLEET, n_summarizers=6, chat_tokens=96, summarizer_arrivals=(0.15, 0.55)
     )
-    arms = compare_arms(partial(run_fleet, fleet), ARMS)
+    arms = compare_arms(partial(run_fleet, fleet), fleet_arms(fleet))
     result = ExperimentResult(
         name="Chunked prefill",
         description=(

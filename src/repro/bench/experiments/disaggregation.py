@@ -48,7 +48,7 @@ PREFILL_SHARDS = 2
 CHAT_TURN_TOKENS = 48
 #: Long-document prompt length (tokens per summarizer).
 SUMMARIZER_PROMPT_TOKENS = 2048
-#: Chunked prefill is on in *both* arms (default slices) under this budget.
+#: Both arms slice prefills (default slices) under this batch budget.
 MAX_BATCH_TOKENS = 320
 
 #: The quick-mode fleet.  Each chat's first generated token is sampled
@@ -63,13 +63,8 @@ FLEET = MixedFleet(
     id_stride=11,
     skip_first_gap=True,
 )
-#: What both arms share: the seed, the cluster, chunked prefill and its budgets.
-SETUP = dict(
-    seed=3,
-    num_devices=NUM_DEVICES,
-    chunked_prefill=True,
-    max_batch_tokens=MAX_BATCH_TOKENS,
-)
+#: What both arms share: the seed, the cluster and the batch budget.
+SETUP = dict(seed=3, num_devices=NUM_DEVICES, max_batch_tokens=MAX_BATCH_TOKENS)
 #: The only difference: co-located ``least_loaded`` placement vs dedicated
 #: shard roles with KV-page streaming.
 ARMS = {

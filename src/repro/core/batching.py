@@ -12,15 +12,16 @@ command kind, the largest dispatchable batch:
   commands from higher-priority queues earlier, skipping commands that
   write-write conflict with already selected ones, and truncating from the
   tail when the backend's maximum batch size would be exceeded.
-* **Token-budget batching (chunked prefill)** — with
-  ``ControlLayerConfig.chunked_prefill`` on, ``forward`` batches are also
-  capped at ``max_batch_tokens`` input tokens (decode rows count one each).
-  A prefill whose prompt exceeds the remaining budget — or the per-slice
-  bound ``prefill_chunk_tokens`` — is *split*: a head slice
+* **Token-budget batching (chunked prefill)** — ``forward`` batches are
+  also capped at ``GpuConfig.max_batch_tokens`` input tokens (decode rows
+  count one each).  A prefill whose prompt exceeds the remaining budget —
+  or the per-slice bound ``ControlLayerConfig.prefill_chunk_tokens`` — is
+  *split*: a head slice
   (:meth:`Command.plan_chunk`) fills the batch while the residual command
   stays in its queue as a fence, so each dispatched batch mixes decode rows
   with at most one partial prefill chunk per queue and a long prompt can no
-  longer head-of-line-block the decodes behind it.
+  longer head-of-line-block the decodes behind it.  A budget no batch
+  reaches leaves every prompt whole.
 
 The scheduler then picks among the candidate batches of different kinds
 (:meth:`repro.core.scheduler.BatchScheduler._select`): a ``forward``
@@ -88,9 +89,9 @@ class CandidateBatch:
 def form_candidate_batches(
     queues: Sequence[CommandQueue],
     max_batch_rows: int,
-    max_batch_tokens: int = 0,
-    prefill_chunk_tokens: int = 0,
-    future_factory: Optional[Callable[[], SimFuture]] = None,
+    max_batch_tokens: int,
+    prefill_chunk_tokens: int,
+    future_factory: Callable[[], SimFuture],
 ) -> Dict[str, CandidateBatch]:
     """Compute the best candidate batch per command kind.
 
@@ -100,10 +101,9 @@ def form_candidate_batches(
     is only a fallback for commands inspected outside batch formation.
     The class rank needs no refresh: a queue's never changes.
 
-    ``max_batch_tokens`` > 0 enables token-budget batching of ``forward``
-    candidates (``prefill_chunk_tokens`` bounds single slices,
-    ``future_factory`` mints the futures of planned head slices); 0 keeps
-    the pre-chunking formation path byte-for-byte.
+    ``forward`` candidates are held to ``max_batch_tokens`` input tokens
+    (``prefill_chunk_tokens`` bounds single slices, ``future_factory``
+    mints the futures of planned head slices).
     """
     runs_by_kind: Dict[str, List[List[Command]]] = {}
     for queue in queues:
@@ -117,11 +117,7 @@ def form_candidate_batches(
     candidates: Dict[str, CandidateBatch] = {}
     for kind, runs in runs_by_kind.items():
         merged = _merge_runs(
-            runs,
-            max_batch_rows,
-            max_batch_tokens=max_batch_tokens if kind == "forward" else 0,
-            prefill_chunk_tokens=prefill_chunk_tokens,
-            future_factory=future_factory,
+            runs, max_batch_rows, max_batch_tokens, prefill_chunk_tokens, future_factory
         )
         if merged:
             candidates[kind] = CandidateBatch(kind=kind, commands=merged)
@@ -137,8 +133,7 @@ def _chunkable(command: Command) -> bool:
     adapters apply per token, so adapter forwards slice fine.)
     """
     return (
-        command.kind == "forward"
-        and command.parent is None
+        command.parent is None
         and command.input_tokens > 1
         and command.payload.get("mask") is None
         and command.payload.get("okv_offset") is None
@@ -155,20 +150,22 @@ def _chunk_reserve(command: Command) -> int:
 def _merge_runs(
     runs: List[List[Command]],
     max_batch_rows: int,
-    max_batch_tokens: int = 0,
-    prefill_chunk_tokens: int = 0,
-    future_factory: Optional[Callable[[], SimFuture]] = None,
+    max_batch_tokens: int,
+    prefill_chunk_tokens: int,
+    future_factory: Callable[[], SimFuture],
 ) -> List[Command]:
-    """Horizontal batching: merge per-queue runs into one ordered batch."""
+    """Horizontal batching: merge per-queue runs into one ordered batch.
+
+    Only ``forward`` runs spend the token budget: the ``input_tokens`` of
+    the other kinds count embedding slots, and the row limit alone bounds
+    their batches."""
     # A better class's queues are placed earlier, then higher-priority
     # queues, so that tail truncation drops batch-class and low-priority
     # work first; ties broken by the oldest command.  Within a tier,
     # residuals that already received a slice pack *after* fresh work:
     # decode rows fill the token budget first and the slice takes the
     # remainder, instead of two residuals claiming the whole budget and
-    # pushing every decode row to the next round.  (With chunking off no
-    # command has ``chunks_taken`` set and the key reduces to the stock
-    # ordering.)
+    # pushing every decode row to the next round.
     ordered_runs = sorted(
         runs,
         key=lambda run: (
@@ -194,18 +191,14 @@ def _merge_runs(
                 # A conflicting command blocks the rest of its queue's run
                 # (queue order must be preserved).
                 break
-            if max_batch_tokens:
+            if command.kind == "forward":
                 tokens = max(1, command.input_tokens)
                 allowed = max_batch_tokens - total_tokens
-                if prefill_chunk_tokens and command.input_tokens > 1:
+                if command.input_tokens > 1:
                     allowed = min(allowed, prefill_chunk_tokens)
                 if tokens > allowed:
                     head = min(allowed, command.input_tokens - _chunk_reserve(command))
-                    if (
-                        _chunkable(command)
-                        and head >= 1
-                        and future_factory is not None
-                    ):
+                    if _chunkable(command) and head >= 1:
                         # Slice off a head chunk that fills the budget; the
                         # residual stays in its queue and blocks the rest of
                         # this run (at most one partial prefill chunk per

@@ -75,18 +75,14 @@ class ControlLayerConfig:
     # default — the serving path is then bit-identical to the pre-cache
     # system.
     prefix_cache: bool = False
-    # Chunked prefill / stall-free batching (repro.core.batching): when
-    # True, batch formation enforces a token budget alongside the row
-    # limit and a forward command whose prompt exceeds the remaining
-    # budget is *split* — a head slice fills the batch while the residual
-    # stays at the queue head — so decode rows ride alongside sliced
-    # prefills instead of stalling behind whole prompts.  Off by default —
-    # the serving path is then bit-identical to the pre-chunking system.
-    chunked_prefill: bool = False
-    # Largest prefill slice a single batch may carry (tokens).  Smaller
+    # Largest prefill slice a single batch may carry (tokens).  Batch
+    # formation (repro.core.batching) holds every forward batch to
+    # GpuConfig.max_batch_tokens and splits a prompt longer than this or
+    # than the remaining budget — a head slice fills the batch while the
+    # residual stays at the queue head — so decode rows ride alongside
+    # sliced prefills instead of stalling behind whole prompts.  Smaller
     # chunks bound decode-latency interference more tightly but pay the
-    # per-batch floor and the re-read attention term more often.  The
-    # token budget per formed batch is GpuConfig.max_batch_tokens.
+    # per-batch floor and the re-read attention term more often.
     prefill_chunk_tokens: int = 256
     # Devices dedicated to prefill under placement_policy="disaggregated"
     # (the remaining num_devices - prefill_shards devices decode).  Needs at

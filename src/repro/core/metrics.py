@@ -265,7 +265,7 @@ class SystemMetrics:
     # Chunked prefill / token-budget batching (repro.core.batching):
     # prefill head slices dispatched, decode rows that shared a batch with
     # at least one slice, and the modeled head-of-line stall those decode
-    # rows did not pay.  All zero with ``chunked_prefill`` off.
+    # rows did not pay.  All zero while no prompt outgrows the budget.
     prefill_chunks_dispatched: int = 0
     decode_rows_co_batched: int = 0
     chunk_stall_saved_seconds: float = 0.0

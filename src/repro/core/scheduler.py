@@ -356,22 +356,12 @@ class BatchScheduler:
     # -- policy implementations -------------------------------------------------------
 
     def _form_candidates(self) -> Dict[str, CandidateBatch]:
-        # Token-budget batching only engages with the chunked_prefill knob
-        # on; the 0 default keeps formation byte-identical to the
-        # pre-chunking system.
-        max_batch_tokens = 0
-        prefill_chunk_tokens = 0
-        future_factory = None
-        if self.control_config.chunked_prefill:
-            max_batch_tokens = self.gpu_config.max_batch_tokens
-            prefill_chunk_tokens = self.control_config.prefill_chunk_tokens
-            future_factory = lambda: self.sim.create_future(name="prefill-chunk")
         return form_candidate_batches(
             self._dispatchable_queues(),
             self.gpu_config.max_batch_rows,
-            max_batch_tokens=max_batch_tokens,
-            prefill_chunk_tokens=prefill_chunk_tokens,
-            future_factory=future_factory,
+            self.gpu_config.max_batch_tokens,
+            self.control_config.prefill_chunk_tokens,
+            lambda: self.sim.create_future(name="prefill-chunk"),
         )
 
     def _select(self, candidates: Dict[str, CandidateBatch]) -> Optional[CandidateBatch]:

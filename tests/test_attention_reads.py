@@ -439,7 +439,7 @@ def fleet_tokens(transformer_class, **overrides):
     "overrides",
     [
         {},
-        dict(chunked_prefill=True, prefill_chunk_tokens=16, max_batch_tokens=24),
+        dict(prefill_chunk_tokens=16, max_batch_tokens=24),
         dict(prefix_cache=True),
     ],
     ids=["plain", "chunked_prefill", "prefix_cache"],

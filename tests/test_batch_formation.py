@@ -16,11 +16,26 @@ import random
 from repro.core import InferletProgram, PieServer
 from repro.core.batching import _merge_runs
 from repro.core.command_queue import Command, CommandQueue
-from repro.core.config import PieConfig, SchedulerConfig
+from repro.core.config import ControlLayerConfig, PieConfig, SchedulerConfig
+from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
 
 KINDS = ("forward", "sample", "copy_kv")
+
+
+def _never_sliced():
+    raise AssertionError("a formation unit test sliced a prompt")
+
+
+#: The default token budget and slice bound, which the few-token commands of
+#: the formation unit tests never reach, and a slice-future factory that
+#: fails if one ever slices.
+DEFAULT_BUDGET = (
+    GpuConfig.max_batch_tokens,
+    ControlLayerConfig.prefill_chunk_tokens,
+    _never_sliced,
+)
 
 
 def _reference_merge(runs, max_batch_rows):
@@ -74,7 +89,7 @@ def test_merge_runs_matches_reference_on_seeded_populations():
     for trial in range(200):
         runs = _random_population(rng)
         max_rows = rng.randint(1, 24)
-        fast = _merge_runs([list(r) for r in runs], max_rows)
+        fast = _merge_runs([list(r) for r in runs], max_rows, *DEFAULT_BUDGET)
         slow = _reference_merge([list(r) for r in runs], max_rows)
         assert fast == slow, f"trial {trial} diverged"
 

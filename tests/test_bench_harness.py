@@ -133,7 +133,9 @@ def test_failed_chat_stays_among_the_chats(monkeypatch):
         return await fill(self, prompt)
 
     monkeypatch.setattr(Context, "fill", failing_fill)
-    row = chunked_prefill.run_fleet(SMALL_FLEET, **chunked_prefill.ARMS["chunked_off"])
+    row = chunked_prefill.run_fleet(
+        SMALL_FLEET, **chunked_prefill.fleet_arms(SMALL_FLEET)["chunked_off"]
+    )
 
     assert row["finished"] == SMALL_FLEET.n_summarizers + SMALL_FLEET.n_chats - 1
     assert len(row["summarizer_outputs"]) == SMALL_FLEET.n_summarizers

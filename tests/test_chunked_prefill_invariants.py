@@ -10,7 +10,7 @@ Three properties keep token-budget slicing from being an accounting trick:
   pages exactly once (the pool's free-validation would raise on a double
   free) and leaves both pools fully conserved;
 * slicing changes *timing only*: a mixed fleet generates bit-identical
-  tokens with chunking on and off.
+  tokens under a budget that binds and under one that never does.
 """
 
 import pytest
@@ -62,7 +62,7 @@ def _scheduler(sim, handlers):
         handlers,
         SchedulerConfig(),
         GpuConfig(max_batch_rows=64, max_batch_tokens=BUDGET),
-        ControlLayerConfig(chunked_prefill=True, prefill_chunk_tokens=CHUNK),
+        ControlLayerConfig(prefill_chunk_tokens=CHUNK),
     )
 
 
@@ -189,7 +189,6 @@ def test_abort_mid_chunk_releases_partially_committed_kv_exactly_once():
     sim, server = make_pie_setup(
         seed=2,
         with_tools=False,
-        chunked_prefill=True,
         prefill_chunk_tokens=32,
         max_batch_tokens=48,
     )
@@ -270,10 +269,12 @@ def test_interleaved_fleet_generates_identical_tokens_on_and_off(policy):
         return [summarizer(i) for i in range(2)] + [chat(i) for i in range(4)]
 
     def run(chunked):
+        # The unchunked budget is past every prompt this fleet has at once.
+        budget, chunk = (24, 16) if chunked else (1024, 1024)
         config = PieConfig(
             scheduler=SchedulerConfig(policy=policy),
-            gpu=GpuConfig(max_batch_tokens=24),
-            control=ControlLayerConfig(chunked_prefill=chunked, prefill_chunk_tokens=16),
+            gpu=GpuConfig(max_batch_tokens=budget),
+            control=ControlLayerConfig(prefill_chunk_tokens=chunk),
         )
         sim, server = make_pie_setup(seed=11, with_tools=False, config=config)
         programs = build_programs()
@@ -301,3 +302,29 @@ def test_interleaved_fleet_generates_identical_tokens_on_and_off(policy):
     assert off_chunks == 0
     assert on_chunks > 0
     assert on_results == off_results
+
+
+def test_the_default_config_slices_a_prompt_past_the_chunk_bound():
+    """Slicing is how every batch forms, not a switch: a server built with
+    the default config splits a prompt longer than ``prefill_chunk_tokens``,
+    and its tokens equal those of a run whose budget never binds."""
+    prompt_tokens = ControlLayerConfig.prefill_chunk_tokens + 100
+
+    async def main(ctx):
+        context = Context(ctx, sampling=SamplingParams())
+        await context.fill([i % 250 for i in range(prompt_tokens)])
+        await context.generate_until(max_tokens=4)
+        context.free()
+        return list(context.generated_ids)
+
+    def run(**overrides):
+        sim, server = make_pie_setup(seed=5, with_tools=False, **overrides)
+        server.register_program(InferletProgram(name="long", main=main))
+        result = sim.run_until_complete(server.run_inferlet("long"))
+        return (result.status, result.result), server.metrics.prefill_chunks_dispatched
+
+    sliced, chunks = run()
+    whole, no_chunks = run(max_batch_tokens=prompt_tokens, prefill_chunk_tokens=prompt_tokens)
+    assert chunks > 0 and no_chunks == 0
+    assert sliced[0] == "finished" and len(sliced[1]) == 4
+    assert sliced == whole

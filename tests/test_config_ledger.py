@@ -46,10 +46,9 @@ LEDGER = {
         "cluster_scaling / prefix_cache / disaggregation arms; perf/ shared_prefix_fork"
     ),
     "ControlLayerConfig.prefix_cache": "prefix_cache arms; perf/ shared_prefix_fork",
-    "ControlLayerConfig.chunked_prefill": "chunked_prefill arms; disaggregation setup",
     "ControlLayerConfig.prefill_chunk_tokens": (
-        "examples/trace_flight_recorder.py sets 32; chunked_prefill / disaggregation run the "
-        "default 256"
+        "chunked_prefill's monolithic arm sets it past every prompt; "
+        "examples/trace_flight_recorder.py sets 32"
     ),
     "ControlLayerConfig.prefill_shards": "disaggregation arm (2 of its 8 devices)",
     "ControlLayerConfig.tracing": "tracing arms; perf/ traced run; the example",
@@ -159,9 +158,12 @@ def test_every_tenant_field_has_a_ledger_row_and_every_row_a_field():
 def test_the_counters_the_north_star_tracks():
     # 30 / 43 / 11 before the audit; 16 / 25 / 5 before brownout went;
     # 15 / 24 / 4 before the qos knob went; 14 / 23 / 3 before fault_seed
-    # went with the retry policy it seeded.
-    assert len(dataclasses.fields(ControlLayerConfig)) == 13
-    assert len(settable_scalars()) <= 22
+    # went with the retry policy it seeded; 13 / 22 fields and scalars, 5
+    # boolean planes, before chunked prefill became how every batch forms.
+    assert len(dataclasses.fields(ControlLayerConfig)) == 12
+    assert len(settable_scalars()) <= 21
+    planes = [f for f in dataclasses.fields(ControlLayerConfig) if isinstance(f.default, bool)]
+    assert len(planes) == 4
     assert len(SHORTHAND_IMPLICATIONS) <= 2
     fields = set(settable_scalars())
     for key, implied in SHORTHAND_IMPLICATIONS:

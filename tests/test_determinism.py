@@ -55,8 +55,8 @@ def run_stack(
     interactive fleet, a batch backfill capped at two): the launch gate
     parks, and dispatch, batch merging and preemption tell the classes
     apart.  The determinism guarantee must hold either way.
-    ``chunked=True`` additionally slices prefills under a small token
-    budget (chunked prefill), with the same off-knob guarantee.
+    ``chunked=True`` slices prefills under a small token budget (chunked
+    prefill); otherwise the default budget never binds on this fleet.
     ``disagg=True`` splits the two devices into one prefill and one decode
     shard with KV-page streaming between them (repro.core.transfer);
     token sampling is per-instance, so the emitted text must be
@@ -71,6 +71,12 @@ def run_stack(
     and ``faults=False`` must construct none of the chaos machinery.
     """
     sim = Simulator(seed=seed)
+    # Small enough that the ~40-token fleet prompts actually slice.
+    max_batch_tokens, chunk_tokens = (
+        (24, 16)
+        if chunked
+        else (GpuConfig.max_batch_tokens, ControlLayerConfig.prefill_chunk_tokens)
+    )
     tenants = (
         (
             TenantSpec(name="fleet", priority_class="interactive"),
@@ -84,16 +90,14 @@ def run_stack(
             num_kv_pages=96,
             num_devices=2,
             host_kv_pages=64,
-            # Small enough that the ~40-token fleet prompts actually slice.
-            max_batch_tokens=24,
+            max_batch_tokens=max_batch_tokens,
         ),
         control=ControlLayerConfig(
             prefix_cache=True,
             placement_policy="disaggregated" if disagg else "cache_affinity",
             prefill_shards=1,
             tenants=tenants,
-            chunked_prefill=chunked,
-            prefill_chunk_tokens=16,
+            prefill_chunk_tokens=chunk_tokens,
             tracing=tracing,
             monitoring=monitoring,
             faults=faults,
@@ -212,9 +216,9 @@ def test_qos_on_stack_is_bit_identical():
     assert set(first["metrics"]["tenants"]) == {"fleet", "backfill"}
 
 
-def test_chunked_off_default_leaves_no_chunk_trace():
-    """chunked_prefill=False (the default) must never touch the chunking
-    machinery: the counters stay zero on the full-stack run."""
+def test_a_budget_that_never_binds_leaves_no_chunk_trace():
+    """A batch budget that never binds slices nothing: every chunk counter
+    stays zero on the full-stack run."""
     run = run_stack(chunked=False)
     for counter in (
         "prefill_chunks_dispatched",

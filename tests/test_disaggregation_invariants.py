@@ -59,8 +59,7 @@ def build_server(
     batch_tokens=16,
 ):
     """A disaggregated cluster small enough that streams and handoffs
-    actually contend: chunked prefill on, tiny chunk/batch budgets so
-    prompts slice, a host tier so swap can interleave with migration."""
+    actually contend: tiny chunk/batch budgets so prompts slice, a host tier so swap can interleave with migration."""
     config = PieConfig(
         gpu=GpuConfig(
             num_kv_pages=kv_pages,
@@ -72,7 +71,6 @@ def build_server(
             prefix_cache=prefix_cache,
             placement_policy="disaggregated",
             prefill_shards=prefill_shards,
-            chunked_prefill=True,
             prefill_chunk_tokens=chunk_tokens,
         ),
     )
@@ -322,9 +320,7 @@ def _run_mid_chunk(disagg):
             gpu=GpuConfig(
                 num_kv_pages=72, num_devices=2, host_kv_pages=32, max_batch_tokens=16
             ),
-            control=ControlLayerConfig(
-                prefix_cache=True, chunked_prefill=True, prefill_chunk_tokens=8
-            ),
+            control=ControlLayerConfig(prefix_cache=True, prefill_chunk_tokens=8),
         )
         server = PieServer(sim, config=config)
     server.register_program(_two_queue_program(prompt_b_len=60))

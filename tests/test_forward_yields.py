@@ -309,9 +309,7 @@ class TestLiveness:
     def test_loopers_cannot_hold_a_sliced_prompt(self):
         """The parent's slices-only rule had no bound: this prompt's first
         slice waited 291 ms there, until the loopers had finished."""
-        stats, forwards, bound_ms = self.run(
-            prompt_tokens=200, chunked_prefill=True, prefill_chunk_tokens=128
-        )
+        stats, forwards, bound_ms = self.run(prompt_tokens=200, prefill_chunk_tokens=128)
         decode_rows, _, waited = forwards[0]
         assert decode_rows == 0 and waited <= bound_ms + self.SLACK_MS
         assert stats.forward_holds_expired >= 1

@@ -26,6 +26,7 @@ from repro.grammar import EarleyMatcher, EbnfGrammar, JsonMachine
 from repro.model import get_model_config
 from repro.sim import Simulator
 from repro.support import Context
+from tests.test_batch_formation import DEFAULT_BUDGET
 
 
 class TestJsonMachine:
@@ -189,7 +190,7 @@ class TestBatchFormation:
         high = CommandQueue(key="high", model="m", owner="b", priority=5)
         low.push(_command(sim, "forward", issue_time=0.0))
         high.push(_command(sim, "forward", issue_time=1.0))
-        batches = form_candidate_batches([low, high], max_batch_rows=8)
+        batches = form_candidate_batches([low, high], 8, *DEFAULT_BUDGET)
         commands = batches["forward"].commands
         assert len(commands) == 2
         assert commands[0].queue_key == "high"  # higher priority placed first
@@ -201,7 +202,7 @@ class TestBatchFormation:
             queue = CommandQueue(key=f"q{index}", model="m", owner="a")
             queue.push(_command(sim, "forward"))
             queues.append(queue)
-        batches = form_candidate_batches(queues, max_batch_rows=3)
+        batches = form_candidate_batches(queues, 3, *DEFAULT_BUDGET)
         assert len(batches["forward"]) == 3
 
     def test_select_longest_waiting(self):
@@ -211,7 +212,7 @@ class TestBatchFormation:
         q2 = CommandQueue(key="q2", model="m", owner="a")
         q1.push(_command(sim, "sample", issue_time=5.0))
         q2.push(_command(sim, "forward", issue_time=1.0))
-        batches = form_candidate_batches([q1, q2], max_batch_rows=8)
+        batches = form_candidate_batches([q1, q2], 8, *DEFAULT_BUDGET)
         chosen = select_batch(batches, now=6.0)
         assert chosen.kind == "forward"
 

@@ -43,6 +43,7 @@ from repro.core.command_queue import Command, CommandQueue
 from repro.errors import SchedulingError
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
+from tests.test_batch_formation import DEFAULT_BUDGET
 
 
 # -- the parent's queue, verbatim -----------------------------------------------
@@ -218,7 +219,7 @@ class Model:
         return future
 
     def candidates(self):
-        return form_candidate_batches(self.queues, self.max_rows)
+        return form_candidate_batches(self.queues, self.max_rows, *DEFAULT_BUDGET)
 
     def dispatch(self, kind: str) -> Optional[List[Command]]:
         candidate = self.candidates().get(kind)

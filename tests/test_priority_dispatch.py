@@ -15,6 +15,7 @@ from repro.core.config import ControlLayerConfig, PieConfig
 from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
+from tests.test_batch_formation import DEFAULT_BUDGET
 
 
 def _command(sim, kind="forward", issue_time=0.0):
@@ -38,7 +39,7 @@ class TestStalePriorityRegression:
         late.push(_command(sim, issue_time=1.0))
         # Raise the priority *after* the command was enqueued.
         late.priority = 5
-        batches = form_candidate_batches([low, late], max_batch_rows=8)
+        batches = form_candidate_batches([low, late], 8, *DEFAULT_BUDGET)
         commands = batches["forward"].commands
         assert commands[0].queue_key == "late"
         # The live value was also refreshed onto the command snapshot.
@@ -51,7 +52,7 @@ class TestStalePriorityRegression:
         first.push(_command(sim, issue_time=0.0))
         second.push(_command(sim, issue_time=1.0))
         first.priority = -1  # demoted after enqueue
-        batches = form_candidate_batches([first, second], max_batch_rows=8)
+        batches = form_candidate_batches([first, second], 8, *DEFAULT_BUDGET)
         assert batches["forward"].commands[0].queue_key == "second"
 
     def test_truncation_drops_live_lowest_priority(self):
@@ -62,7 +63,7 @@ class TestStalePriorityRegression:
             queue.push(_command(sim, issue_time=float(index)))
             queues.append(queue)
         queues[2].priority = 9  # promoted after enqueue
-        batches = form_candidate_batches(queues, max_batch_rows=2)
+        batches = form_candidate_batches(queues, 2, *DEFAULT_BUDGET)
         keys = [c.queue_key for c in batches["forward"].commands]
         assert keys == ["q2", "q0"]  # promoted queue survives truncation
 

@@ -23,6 +23,7 @@ from repro.core.qos import (
 )
 from repro.errors import AdmissionRejectedError, InferletTerminated, ReproError
 from repro.sim import Simulator
+from tests.test_batch_formation import DEFAULT_BUDGET
 
 
 async def _noop(ctx):
@@ -249,7 +250,7 @@ class TestSlackDispatch:
         )
         for queue in (jobs, chat, boosted):
             queue.push(_command(sim, "standard"))
-        merged = form_candidate_batches([jobs, chat, boosted], max_batch_rows=8)["forward"]
+        merged = form_candidate_batches([jobs, chat, boosted], 8, *DEFAULT_BUDGET)["forward"]
         assert [command.queue_key for command in merged.commands] == ["cq2", "cq", "jq"]
         # The command keeps the raw queue priority: no stride is added.
         assert [command.priority for command in merged.commands] == [3, 0, 500]
@@ -266,7 +267,7 @@ class TestSlackDispatch:
         )
         boosted.push(_command(sim, "standard", 0.0))
         sandbagged.push(_command(sim, "standard", 1.0))
-        merged = form_candidate_batches([boosted, sandbagged], max_batch_rows=1)["forward"]
+        merged = form_candidate_batches([boosted, sandbagged], 1, *DEFAULT_BUDGET)["forward"]
         assert [command.queue_key for command in merged.commands] == ["cq"]
 
 

@@ -65,7 +65,6 @@ def scripted_run():
         sim,
         num_devices=1,
         num_kv_pages=8,
-        chunked_prefill=True,
         prefill_chunk_tokens=16,
         tracing=True,
         tenants=[
