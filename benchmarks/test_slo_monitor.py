@@ -1,11 +1,12 @@
 """Benchmark for the live SLO monitor (observability, beyond the paper).
 
 Runs an open-loop overload burst (2x the load-sweep knee rate, then a
-trickle) with monitoring off and on, asserting the monitor's contracts —
-it changes nothing the simulation can observe, its burn-rate alerts fire
+trickle), asserting the monitor's contracts — its burn-rate alerts fire
 for the overloaded class and clear once the load drops, and its one export,
-the JSON snapshot document, reads back through ``tools/slo_report``.  The
-deterministic headline (alert counts, bit-identity, scrapes) goes to the
+the JSON snapshot document, reads back through ``tools/slo_report``.  That
+it changes nothing the simulation can observe is pinned in
+``tests/test_determinism.py``.  The
+deterministic headline (alert counts, scrapes) goes to the
 tracked ``BENCH_slo_monitor.json``, which a re-run therefore rewrites
 unchanged; what the monitor costs the host is a ``perf/`` question, not this
 harness's.  The document itself is left at the repo root
@@ -17,24 +18,10 @@ from repro.bench.experiments import slo_monitor as experiment
 
 def test_slo_monitor(run_experiment, write_artifact):
     result = run_experiment(experiment)
-    rows = {r["config"]: r for r in result.rows}
-    assert set(rows) == {"monitoring_off", "monitoring_on"}
+    (row,) = result.rows
     raw = result.raw
 
-    # Contract 1: the monitor observes without perturbing.  Virtual time
-    # and every emitted token are identical with monitoring on.
-    assert raw["identical_elapsed"]
-    assert raw["identical_tokens"]
-    assert (
-        rows["monitoring_on"]["output_tokens"]
-        == rows["monitoring_off"]["output_tokens"]
-    )
-    assert (
-        rows["monitoring_on"]["goodput_count"]
-        == rows["monitoring_off"]["goodput_count"]
-    )
-
-    # Contract 2: the golden alert sequence.  The overload burst drives the
+    # Contract 1: the golden alert sequence.  The overload burst drives the
     # interactive class's TPOT budget burn over threshold (alerts fire) and
     # the trickle phase lets it recover (every alert clears by end of run).
     timeline = raw["alert_timeline"]
@@ -50,7 +37,7 @@ def test_slo_monitor(run_experiment, write_artifact):
     assert raw["budgets"]["interactive"]["tpot"]["bad"] > 0
     assert raw["scrapes"] > 0
 
-    # Contract 3: the export is the live state, not a copy kept beside it —
+    # Contract 2: the export is the live state, not a copy kept beside it —
     # every finished request is in both of its counts, and no time series
     # rides along (the document was 593 KB when one did).
     # 64 families: every per-tenant fact is read off the core's one record
@@ -76,8 +63,8 @@ def test_slo_monitor(run_experiment, write_artifact):
     metrics = raw["snapshot"]["metrics"]
     assert len(metrics) == 60
     total = lambda name: sum(s["value"] for s in metrics[name]["samples"])  # noqa: E731
-    assert total("pie_good_total") == rows["monitoring_on"]["goodput_count"]
-    assert total("pie_offered_total") == rows["monitoring_on"]["n_requests"]
+    assert total("pie_good_total") == row["goodput_count"]
+    assert total("pie_offered_total") == row["n_requests"]
     assert metrics["pie_system_inferlets_finished"]["samples"][0]["value"] == sum(
         sample["value"]
         for sample in metrics["pie_requests_total"]["samples"]
@@ -85,7 +72,7 @@ def test_slo_monitor(run_experiment, write_artifact):
     )
     assert "series" not in raw["snapshot"]
 
-    # Contract 4: the document reads back through the report tool.
+    # Contract 3: the document reads back through the report tool.
     snapshot_json = write_artifact("slo_snapshot.json", raw["snapshot"])
     assert snapshot_json.stat().st_size < 100_000
 
@@ -101,6 +88,6 @@ def test_slo_monitor(run_experiment, write_artifact):
 
     head = {
         key: raw[key]
-        for key in ("identical_elapsed", "identical_tokens", "alerts_fired", "alerts_cleared", "scrapes")
+        for key in ("alerts_fired", "alerts_cleared", "scrapes")
     }
     write_artifact("BENCH_slo_monitor.json", head)

@@ -30,9 +30,9 @@ This module provides that harness for the simulated Pie deployment:
 * control-plane scaling counters — simulator events processed per request,
   event-heap occupancy/compactions, and dropped commands — which is what
   the CI perf gate regresses against;
-* live-monitor integration (``monitoring=True``): the monitor counts
-  offered launches and goodput per tenant by itself, and the result row
-  carries the alert timeline, error budgets and both export formats.
+* live-monitor integration: the result row carries the monitor's alert
+  counts, error budgets and its snapshot document, and the chaos plane's
+  failover counters.
 
 The harness is how the scheduler/simulator index work is *kept* honest:
 tens of thousands of mostly-idle command queues must not make dispatch,
@@ -336,27 +336,21 @@ def run_open_loop(
             for name, tally in per_class.items()
         },
     }
-    if monitor is not None:
-        row["monitor"] = {
-            "scrapes": monitor.scrapes_taken,
-            "alerts_fired": sum(
-                1 for event in monitor.slo.alerts if event.kind == "fire"
-            ),
-            "alerts_cleared": sum(
-                1 for event in monitor.slo.alerts if event.kind == "clear"
-            ),
-            "active_alerts": monitor.slo.active_alerts(),
-            "budgets": monitor.slo.budgets(),
-            "snapshot": server.export_metrics(),
-        }
-    if server.controller.faults is not None:
-        row["chaos"] = {
-            "faults_injected": metrics.faults_injected,
-            "shard_crashes": metrics.shard_crashes,
-            "failover_relaunches": metrics.failover_relaunches,
-            "failover_terminations": metrics.failover_terminations,
-            "shard_states": dict(sorted(server.controller.health.states.items())),
-        }
+    row["monitor"] = {
+        "scrapes": monitor.scrapes_taken,
+        "alerts_fired": sum(1 for event in monitor.slo.alerts if event.kind == "fire"),
+        "alerts_cleared": sum(1 for event in monitor.slo.alerts if event.kind == "clear"),
+        "active_alerts": monitor.slo.active_alerts(),
+        "budgets": monitor.slo.budgets(),
+        "snapshot": server.export_metrics(),
+    }
+    row["chaos"] = {
+        "faults_injected": metrics.faults_injected,
+        "shard_crashes": metrics.shard_crashes,
+        "failover_relaunches": metrics.failover_relaunches,
+        "failover_terminations": metrics.failover_terminations,
+        "shard_states": dict(sorted(server.controller.health.states.items())),
+    }
     if collect_outputs:
         row["arrival_times"] = [arrival.time for arrival in arrivals]
         row["arrival_classes"] = [arrival.workload.name for arrival in arrivals]

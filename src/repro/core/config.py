@@ -8,6 +8,7 @@ from typing import Any, Dict, Tuple
 from repro.errors import ReproError
 from repro.core.qos import TenantSpec
 from repro.gpu.config import GpuConfig
+from repro.sim.faults import FaultPlan
 
 #: Valid cluster placement policies (see :mod:`repro.core.router`, which
 #: re-exports this as its single source of truth).
@@ -111,24 +112,10 @@ class ControlLayerConfig:
     # unregistered tenant get an implicit unlimited spec of the default
     # class.
     tenants: Tuple[TenantSpec, ...] = ()
-    # Live SLO monitoring plane (repro.core.monitor): when True the
-    # controller builds a MonitorService — a per-tenant error-budget /
-    # burn-rate alerting engine ticked on the virtual clock, and exports
-    # collected from the live counters when asked.  Off by default — none
-    # is constructed and the serving path carries no monitoring code at all.
-    # When on, every hook is read-only: tokens, metrics and virtual
-    # timestamps are bit-identical to a monitoring=False run.
-    monitoring: bool = False
-    # Chaos plane (repro.sim.faults / repro.core.health): when True the
-    # controller builds a FaultInjector (replaying ``fault_plan`` on the
-    # virtual clock), a per-shard health service with a heartbeat prober,
-    # and failover/relaunch on shard death.  Off by default — none of the
-    # machinery is constructed and the serving path is bit-identical to a
-    # faults=False run.
-    faults: bool = False
-    # Declarative crash schedule replayed on the virtual clock (see
-    # repro.sim.faults.FaultPlan.validate for the grammar), e.g.
-    # (("shard_crash", 0.5, 1),).
+    # Declarative crash schedule the chaos plane (repro.sim.faults /
+    # repro.core.health, built with every controller) replays on the
+    # virtual clock (see repro.sim.faults.FaultPlan.validate for the
+    # grammar), e.g. (("shard_crash", 0.5, 1),).  Empty: nothing crashes.
     fault_plan: Tuple[tuple, ...] = ()
 
 
@@ -177,12 +164,7 @@ class PieConfig:
         names = [spec.name for spec in self.control.tenants]
         if len(names) != len(set(names)):
             raise ReproError("tenant names must be unique")
-        if self.control.fault_plan and not self.control.faults:
-            raise ReproError("fault_plan requires faults=True")
-        if self.control.faults:
-            from repro.sim.faults import FaultPlan
-
-            FaultPlan.validate(self.control.fault_plan, self.gpu.num_devices)
+        FaultPlan.validate(self.control.fault_plan, self.gpu.num_devices)
 
 
 #: Shorthand implications: a key given a value other than ``False``
@@ -190,7 +172,6 @@ class PieConfig:
 #: those knobs explicitly.
 SHORTHAND_IMPLICATIONS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("trace_path", {"tracing": True}),
-    ("fault_plan", {"faults": True}),
 )
 
 

@@ -99,30 +99,22 @@ class Controller:
         # for the configured ones and from their first launch for the rest.
         for spec in self.tenants.values():
             self.metrics.tenant_record(spec)
-        # The optional planes.  Each is None when its knob is off: nothing
-        # is constructed, ``observers`` and ``timers`` do not hold it, and
-        # the serving path is bit-identical to a system without the plane.
-        # When on, everything a plane does on the serving path is read-only,
-        # so tokens and virtual timestamps are still bit-identical.
+        # Of the planes built here only the flight recorder is optional:
+        # None when ``tracing`` is off, and then nothing is constructed for
+        # it.  The monitor and the health service only read serving state
+        # (the heartbeat's failover acts on a crash alone), so they are
+        # always built; tokens and virtual timestamps do not depend on their
+        # ticks.
         timers: List[PeriodicService] = []
         # The flight recorder (repro.core.trace).
         self.trace: Optional[TraceRecorder] = None
         if control.tracing:
             self.trace = TraceRecorder(sim)
             timers.append(telemetry_sampler(self.trace, self))
-        # The chaos plane (repro.sim.faults / repro.core.health): below, once
-        # the shards exist, the heartbeat-driven health / failover service
-        # and the deterministic crash schedule it receives.  Neither draws
-        # randomness, so faults=on perturbs the workload solely through the
-        # crashes.
-        self.faults: Optional[FaultInjector] = None
-        self.health: Optional[ShardHealthService] = None
         # The live monitoring plane (repro.core.monitor): SLO burn-rate
         # alerting on a virtual-clock tick, exports collected on demand.
-        self.monitor: Optional[MonitorService] = None
-        if control.monitoring:
-            self.monitor = MonitorService(self)
-            timers.append(self.monitor.scraper)
+        self.monitor = MonitorService(self)
+        timers.append(self.monitor.scraper)
         for name in registry.names():
             self._services[name] = ModelService.build(
                 sim,
@@ -132,15 +124,19 @@ class Controller:
                 self._ensure_capacity,
                 trace=self.trace,
             )
-        if control.faults:
-            self.health = ShardHealthService(self)
-            timers.append(self.health.heartbeat)
-            for service in self._services.values():
-                service.router.health_probe = self.health.placeable
-            self.faults = FaultInjector(
-                sim, control.fault_plan, self.health, self.metrics, trace=self.trace
-            )
-            self.faults.arm()
+        # The chaos plane (repro.sim.faults / repro.core.health): the
+        # heartbeat-driven health / failover service and the deterministic
+        # crash schedule it receives (empty unless ``fault_plan`` names
+        # one).  Neither draws randomness, so a workload is perturbed
+        # solely through the crashes.
+        self.health = ShardHealthService(self)
+        timers.append(self.health.heartbeat)
+        for service in self._services.values():
+            service.router.health_probe = self.health.placeable
+        self.faults = FaultInjector(
+            sim, control.fault_plan, self.health, self.metrics, trace=self.trace
+        )
+        self.faults.arm()
         #: Who is told the lifecycle facts (launch requested / running,
         #: reclaimed, finished), each published at one site after the core
         #: accounted for it: the tracer when tracing is on, else nobody.
@@ -191,10 +187,9 @@ class Controller:
                 # Also discards any host-tier slots the space still holds.
                 shard.resources.destroy_space(instance.instance_id)
             service.swap.forget(instance.instance_id)
-            if service.transfer is not None:
-                # Abort any half-streamed KV: staged destination pages are
-                # only pinned by the transfer, so this frees them all.
-                service.transfer.forget(instance.instance_id)
+            # Abort any half-streamed KV: staged destination pages are only
+            # pinned by the transfer, so this frees them all.
+            service.transfer.forget(instance.instance_id)
             service.router.release(instance)
 
     @property
@@ -528,14 +523,13 @@ class Controller:
                     self.metrics.forward_input_tokens += tokens
 
             future.add_done_callback(count_forward)
-        transfer = home.service.transfer
-        if transfer is not None and home.role == "prefill":
+        if home.role == "prefill":
             # Disaggregation: dirty-track writes against staged pages, track
             # prefill commit progress, and arm the handoff on the sample's
             # completion — registered *before* the caller can await the
             # future, so under FIFO call_soon the handoff runs with the
             # program still suspended.
-            transfer.on_command_submitted(instance, command)
+            home.service.transfer.on_command_submitted(instance, command)
         overhead = self.inference_call_overhead()
         queue_key = (handle.owner, handle.qid)
         instance.in_air_commands += 1

@@ -1,8 +1,8 @@
 """Shard health and failover (the chaos plane's cure).
 
-:class:`ShardHealthService` is built only with ``ControlLayerConfig.faults``
-on and follows the optional-hook contract (off = not constructed, no call
-site reaches it, serving path bit-identical).  A virtual-clock heartbeat (a
+:class:`ShardHealthService` is built with every controller.  Until a
+crash, its heartbeat only reads device state, so tokens and virtual
+timestamps do not depend on it.  A virtual-clock heartbeat (a
 :class:`~repro.sim.periodic.PeriodicService`) probes every shard index each
 :data:`HEARTBEAT_INTERVAL_MS` and keeps a per-index state machine:
 ``healthy`` → ``down`` (fail-stop crash).  Shard indexes are node-scoped: a
@@ -36,7 +36,7 @@ SHARD_STATES = ("healthy", "down")
 #: Heartbeat period in virtual milliseconds: each beat probes every shard's
 #: device, advances the health state machine and runs the failover sweep
 #: for newly-down shards (0 = no prober: faults still inject, detection
-#: never happens).  Read when a :class:`ShardHealthService` is built.
+#: never happens).  Read when a controller is built.
 HEARTBEAT_INTERVAL_MS = 5.0
 
 
@@ -53,6 +53,7 @@ class ShardHealthService:
             HEARTBEAT_INTERVAL_MS / 1e3,
             self._probe_all,
             controller.has_live_inferlets,
+            due=self._undetected,
         )
 
     # -- placement probe (installed on every router) -------------------------
@@ -103,6 +104,14 @@ class ShardHealthService:
         for index in went_down:
             self._failover_shard(index)
 
+    def _undetected(self) -> bool:
+        """A crashed shard the next beat will find: that beat is real work,
+        so a run stuck on the crashed shard's inferlets must reach it."""
+        return any(
+            state == "healthy" and self._probe_down(index)
+            for index, state in self.states.items()
+        )
+
     def _probe_down(self, index: int) -> bool:
         """One health probe: reads device state, mutates nothing."""
         return any(device.down for device in self._devices_at(index))
@@ -124,8 +133,7 @@ class ShardHealthService:
             if index >= len(service.shards):
                 continue
             dead = service.shards[index]
-            if service.transfer is not None:
-                service.transfer.on_shard_down(index)
+            service.transfer.on_shard_down(index)
             for instance_id in sorted(service.router.instances_on(dead)):
                 instance = live.get(instance_id)
                 if instance is None or instance.finished:
@@ -168,10 +176,9 @@ class ShardHealthService:
         emb_vids = sorted(dead.resources.emb_mapping(owner))
         if dst.memory.embeds.num_free < len(emb_vids):
             return False
-        if service.transfer is not None:
-            # Any half-streamed KV of the owner is rooted on the dead
-            # device; drop the staging (the host tier holds the truth).
-            service.transfer.forget(owner)
+        # Any half-streamed KV of the owner is rooted on the dead device;
+        # drop the staging (the host tier holds the truth).
+        service.transfer.forget(owner)
         emb_map = dict(zip(emb_vids, dst.memory.embeds.allocate(len(emb_vids))))
         service.move(instance, dst, {}, emb_map)
         trace = self.controller.trace

@@ -302,7 +302,7 @@ class SystemMetrics:
     # and shard crashes, failover outcomes (inferlets terminated with cause
     # vs re-materialized from the host tier onto a healthy shard), and
     # mid-stream KV transfers re-planned off a dead decode shard.  All zero
-    # with ``faults`` off.
+    # with an empty ``fault_plan``.
     faults_injected: int = 0
     shard_crashes: int = 0
     failover_terminations: int = 0

@@ -10,8 +10,8 @@ launches offered, goodput — is counted once by the core into the tenant's
   into per-tenant error budgets and fires multi-window burn-rate alerts;
 * the *scrape tick*, every :data:`SCRAPE_INTERVAL_MS` — a
   :class:`~repro.sim.periodic.PeriodicService`, so it only re-arms while
-  inferlets are live and a run never lasts longer because monitoring is
-  on — advances the alert windows (each transition lands in
+  inferlets are live and a run never lasts longer for it — advances the
+  alert windows (each transition lands in
   ``SloEngine.alerts``), nothing else;
 * :meth:`MonitorService.snapshot_document`, the one export, reads
   ``SystemMetrics``, ``TenantMetrics``, each shard's ``SchedulerStats`` and
@@ -19,11 +19,10 @@ launches offered, goodput — is counted once by the core into the tenant's
   budgets and alert history *at that instant*, so an export cannot disagree
   with the live state it names, and says each fact once.
 
-Off by default (``ControlLayerConfig.monitoring``): no ``MonitorService``
-is built and ``Controller.timers`` holds no scraper.  When on, the tick and
-every export only *read* serving state, so tokens, metrics and virtual
-timestamps stay bit-identical to a monitor-off run (asserted in
-``tests/test_determinism.py``).
+Built with every controller.  The tick and every export only *read*
+serving state, so tokens, metrics and virtual timestamps do not depend on
+the scrape period (asserted in ``tests/test_determinism.py`` against a
+monitor that never ticks).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.sim.periodic import PeriodicService
 __all__ = ["MonitorService"]
 
 #: Tick period in virtual milliseconds: each tick advances the alert windows
-#: (0 = no ticks; the records still count).  Read when a monitor is built.
+#: (0 = no ticks; the records still count).  Read when a controller is built.
 SCRAPE_INTERVAL_MS = 50.0
 #: ``DeviceShard.readings()`` keys, exported beside the shard's counters.
 SHARD_READINGS = {
@@ -166,9 +165,9 @@ class MonitorService:
 
     def snapshot_document(self) -> dict:
         """JSON-ready document: :meth:`collect`, the SLO state with its full
-        alert history and — with the chaos plane on — every fault injected
-        so far."""
-        document = {
+        alert history and every fault injected so far (so reports can line
+        alerts up with the faults that caused them)."""
+        return {
             "clock": "virtual_seconds",
             "now": self.sim.now,
             "scrape_interval_ms": self.scrape_interval_ms,
@@ -184,9 +183,5 @@ class MonitorService:
                 "budgets": self.slo.budgets(),
             },
             "metrics": self.collect().to_dict(),
+            "faults": [dict(record) for record in self.controller.faults.injected],
         }
-        faults = self.controller.faults
-        if faults is not None:
-            # So reports can line alerts up with the faults that caused them.
-            document["faults"] = [dict(record) for record in faults.injected]
-        return document

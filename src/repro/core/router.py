@@ -159,12 +159,11 @@ class Router:
         self.model = self.shards[0].resources.model_name
         self.is_swapped = is_swapped
         # Chaos plane (repro.core.health): shard-index predicate reporting
-        # whether a shard may receive new placements, installed by the
-        # controller with the health service.  None — the off-knob path —
-        # keeps every policy's arithmetic untouched; installed, any shard
-        # the probe rejects (down) is skipped, and an empty eligible set
-        # raises ShardUnavailableError.
-        self.health_probe: Optional[Callable[[int], bool]] = None
+        # whether a shard may receive new placements, replaced by the
+        # controller with the health service's.  Any shard the probe
+        # rejects (down) is skipped, and an empty eligible set raises
+        # ShardUnavailableError.
+        self.health_probe: Callable[[int], bool] = lambda index: True
         # Disaggregation: shards [0, prefill_shards) take new inferlets
         # (prefill role), the rest receive them via migrate().  0 = no
         # role split (every policy but "disaggregated").
@@ -290,9 +289,6 @@ class Router:
 
     # -- policy implementations -------------------------------------------------
 
-    def _placeable(self, index: int) -> bool:
-        return self.health_probe is None or self.health_probe(index)
-
     def _place_round_robin(self) -> int:
         # Advance the cursor past unplaceable shards (at most one full lap)
         # so a crashed shard drops out of the rotation without disturbing
@@ -300,7 +296,7 @@ class Router:
         for _ in range(len(self.shards)):
             index = self._rr_next % len(self.shards)
             self._rr_next += 1
-            if self._placeable(index):
+            if self.health_probe(index):
                 return index
         raise ShardUnavailableError("no healthy shard available for placement")
 
@@ -329,10 +325,9 @@ class Router:
         if restrict is not None:
             allowed = set(restrict)
             eligible = [shard for shard in self.shards if shard.index in allowed]
-        if self.health_probe is not None:
-            eligible = [shard for shard in eligible if self.health_probe(shard.index)]
-            if not eligible:
-                raise ShardUnavailableError("no healthy shard available for placement")
+        eligible = [shard for shard in eligible if self.health_probe(shard.index)]
+        if not eligible:
+            raise ShardUnavailableError("no healthy shard available for placement")
         return min(
             eligible,
             key=lambda shard: (
@@ -355,7 +350,7 @@ class Router:
         # hotspot the least_loaded fallback is meant to prevent.
         if hint:
             for index in indices:
-                if self.shards[index].resources.has_export(hint) and self._placeable(index):
+                if self.shards[index].resources.has_export(hint) and self.health_probe(index):
                     return index
         return None
 

@@ -94,12 +94,6 @@ class PieServer:
         """The flight recorder, or None when ``tracing`` is off."""
         return self.controller.trace
 
-    @staticmethod
-    def _require(plane, knob: str):
-        if plane is None:
-            raise ClientError(f"{knob} is off: construct the server with {knob}=True")
-        return plane
-
     def export_trace(self, path: Optional[str] = None) -> int:
         """Write the recorded trace; returns the number of events exported.
 
@@ -107,7 +101,9 @@ class PieServer:
         suffix selects the line-delimited event log, anything else the
         Chrome/Perfetto ``trace_event`` JSON document.
         """
-        trace = self._require(self.controller.trace, "tracing")
+        trace = self.controller.trace
+        if trace is None:
+            raise ClientError("tracing is off: construct the server with tracing=True")
         target = path or self.config.control.trace_path
         if not target:
             raise ClientError("no trace path: pass export_trace(path=...) or set trace_path")
@@ -115,13 +111,13 @@ class PieServer:
 
     @property
     def monitor(self):
-        """The live monitoring plane, or None when ``monitoring`` is off."""
+        """The live monitoring plane."""
         return self.controller.monitor
 
     def export_metrics(self, path: Optional[str] = None):
         """The monitor's snapshot document (registry and SLO state), written
         as JSON to ``path`` when one is given, and returned."""
-        document = self._require(self.controller.monitor, "monitoring").snapshot_document()
+        document = self.controller.monitor.snapshot_document()
         if path is not None:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(document, handle, indent=2, sort_keys=True)

@@ -3,7 +3,7 @@
 :class:`ModelService` is everything needed to serve one model — devices,
 memory, per-shard handlers / resource manager / batch scheduler, the
 router, the host KV tier and its swap manager, the KV page mover, and
-(with disaggregation on) the KV transfer scheduler.
+the KV transfer scheduler (fed only under disaggregation).
 :meth:`ModelService.build` puts the parts together; the controller
 (:mod:`repro.core.controller`) then only *uses* them.
 """
@@ -56,7 +56,7 @@ class ModelService:
         host_pool: HostMemoryPool,
         mover: KvMover,
         swap: SwapManager,
-        transfer: Optional[KvTransferScheduler] = None,
+        transfer: KvTransferScheduler,
     ) -> None:
         self.entry = entry
         self.cost_model = cost_model
@@ -70,8 +70,8 @@ class ModelService:
         self.mover = mover
         self.swap = swap
         # Prefill/decode disaggregation's KV transfer scheduler
-        # (repro.core.transfer); None whenever the knob is off, and every
-        # hook that would reach it is then skipped entirely.
+        # (repro.core.transfer): fed by prefill-role shards only, so with
+        # no role split it holds no state.
         self.transfer = transfer
 
     # -- shard-0 compatibility accessors ---------------------------------------
@@ -248,21 +248,19 @@ class ModelService:
             prefill_shards=control.prefill_shards,
             trace=trace,
         )
-        transfer: Optional[KvTransferScheduler] = None
-        if disaggregated:
-            transfer = KvTransferScheduler(
-                sim,
-                router,
-                mover,
-                metrics,
-                ensure_capacity,
-                trace=trace,
-            )
-            for shard in shards:
-                if shard.role == "prefill":
-                    # Stream each head slice's committed pages while the
-                    # residual prefill is still queued.
-                    shard.scheduler.set_chunk_listener(transfer.on_chunk_complete)
+        transfer = KvTransferScheduler(
+            sim,
+            router,
+            mover,
+            metrics,
+            ensure_capacity,
+            trace=trace,
+        )
+        for shard in shards:
+            if shard.role == "prefill":
+                # Stream each head slice's committed pages while the
+                # residual prefill is still queued.
+                shard.scheduler.set_chunk_listener(transfer.on_chunk_complete)
         return cls(
             entry=entry,
             cost_model=cost_model,

@@ -82,9 +82,9 @@ class FaultPlan:
 class FaultInjector:
     """Replays a :class:`FaultPlan` against a live cluster.
 
-    Built by the controller only when ``ControlLayerConfig.faults`` is on,
-    after the shard health service; the off-knob serving path never
-    constructs one.  Each crash goes to ``health``.
+    Built by every controller, after the shard health service, from
+    ``ControlLayerConfig.fault_plan`` (empty: it schedules nothing).  Each
+    crash goes to ``health``.
     """
 
     def __init__(self, sim, plan: Sequence[tuple], health, metrics, trace=None) -> None:

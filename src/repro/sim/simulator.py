@@ -72,6 +72,9 @@ class Simulator:
         # Live cancelled events still sitting in the heap (lazy cancel).
         self._cancelled_in_heap = 0
         self._heap_compactions = 0
+        #: Armed periodic timers (``repro.sim.periodic``), one pending tick
+        #: each: what :meth:`_only_ticks` tells apart from real work.
+        self.armed_timers: List[Any] = []
 
     # -- clock ------------------------------------------------------------
 
@@ -237,18 +240,30 @@ class Simulator:
                 continue
             self._now = when
             self._processed_events += 1
-            event.callback(*event.args)
-            # A late ``cancel()`` on an already-executed event must be a
-            # no-op (it is no longer in the heap), so mark it directly
-            # without touching the tombstone counter.
+            # A ``cancel()`` from the callback itself or later must be a
+            # no-op (the event is no longer in the heap), so mark it before
+            # it runs, without touching the tombstone counter.
             event.cancelled = True
+            event.callback(*event.args)
             return True
         return False
+
+    def _only_ticks(self) -> bool:
+        """Every live event is the tick of an armed timer that only watches
+        and will re-arm: the clock would run forever and nothing else would
+        ever happen."""
+        timers = self.armed_timers
+        return (
+            len(self._heap) - self._cancelled_in_heap == len(timers)
+            and all(timer.idle() for timer in timers)
+        )
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Drain the event queue.
 
-        ``until`` stops once virtual time would exceed the bound;
+        ``until`` stops once virtual time would exceed the bound, ticking
+        every armed timer up to it; without it the run also ends once
+        nothing but timer ticks is pending (:meth:`_only_ticks`).
         ``max_events`` bounds the number of processed events (a guard
         against accidental infinite loops in tests).
         """
@@ -259,7 +274,10 @@ class Simulator:
                 heapq.heappop(self._heap)
                 self._discard_cancelled()
                 continue
-            if until is not None and when > until:
+            if until is None:
+                if self.armed_timers and self._only_ticks():
+                    return
+            elif when > until:
                 self._now = until
                 return
             self.step()
@@ -275,9 +293,10 @@ class Simulator:
             raise SimulationError(f"cannot run {awaitable!r} to completion")
         processed = 0
         while not awaitable.done():
-            if not self.step():
+            if (self.armed_timers and self._only_ticks()) or not self.step():
                 raise SimulationError(
-                    "event queue drained before the awaitable completed (deadlock?)"
+                    "event queue drained (timer ticks aside) before the awaitable "
+                    "completed (deadlock?)"
                 )
             processed += 1
             if max_events is not None and processed >= max_events:

@@ -432,7 +432,7 @@ def pick_is_load_then_match(world):
         holders = [
             i
             for i in candidates
-            if world["shards"][i].resources.has_export("x") and router._placeable(i)
+            if world["shards"][i].resources.has_export("x") and router.health_probe(i)
         ]
         expected = holders[0] if holders else expected_pick(world, candidates)
         try:
@@ -459,7 +459,7 @@ def match_before_occupancy(self, restrict=None, extra_occupancy=None, prefix_tok
     matches = {
         i: self._cached_len(self.shards[i], prefix_tokens)
         for i in candidates
-        if self._placeable(i)
+        if self.health_probe(i)
     }
     longest = [i for i in matches if matches[i] == max(matches.values())]
     return LEAST_LOADED(self, longest or candidates, extra_occupancy, prefix_tokens)

@@ -57,8 +57,6 @@ LEDGER = {
         "perf/ traced run passes 0.0; examples/trace_flight_recorder.py passes 2.0"
     ),
     "ControlLayerConfig.tenants": "qos experiment; examples/multi_tenant.py",
-    "ControlLayerConfig.monitoring": "slo_monitor arms",
-    "ControlLayerConfig.faults": "chaos arms",
     "ControlLayerConfig.fault_plan": "chaos arms (the shard-kill schedule)",
     "GpuConfig.num_kv_pages": "capacity; tiered_memory / qos / chaos size it",
     "GpuConfig.num_embed_slots": "capacity",
@@ -159,12 +157,14 @@ def test_the_counters_the_north_star_tracks():
     # 30 / 43 / 11 before the audit; 16 / 25 / 5 before brownout went;
     # 15 / 24 / 4 before the qos knob went; 14 / 23 / 3 before fault_seed
     # went with the retry policy it seeded; 13 / 22 fields and scalars, 5
-    # boolean planes, before chunked prefill became how every batch forms.
-    assert len(dataclasses.fields(ControlLayerConfig)) == 12
-    assert len(settable_scalars()) <= 21
-    planes = [f for f in dataclasses.fields(ControlLayerConfig) if isinstance(f.default, bool)]
-    assert len(planes) == 4
-    assert len(SHORTHAND_IMPLICATIONS) <= 2
+    # boolean planes, before chunked prefill became how every batch forms;
+    # 12 / 21 / 4 and two shorthand rows before the monitor and the chaos
+    # plane were built with every controller.
+    assert len(dataclasses.fields(ControlLayerConfig)) == 10
+    assert len(settable_scalars()) <= 19
+    planes = [f.name for f in dataclasses.fields(ControlLayerConfig) if isinstance(f.default, bool)]
+    assert planes == ["prefix_cache", "tracing"]
+    assert len(SHORTHAND_IMPLICATIONS) <= 1
     fields = set(settable_scalars())
     for key, implied in SHORTHAND_IMPLICATIONS:
         assert f"ControlLayerConfig.{key}" in fields
@@ -196,6 +196,42 @@ def test_the_documentation_names_only_fields_that_exist():
             {match.group(0) for match in spelled.finditer(text)} - fields
         )
         assert not stale, f"{document} names config fields that do not exist: {stale}"
+
+
+# -- the plane scan ---------------------------------------------------------------
+
+#: Objects every controller builds: the core never asks whether they exist.
+ALWAYS_BUILT = ("monitor", "health", "faults", "transfer", "health_probe")
+
+
+def none_tests(names, root=ROOT):
+    """``file:line`` of every ``is None`` / ``is not None`` under
+    ``src/repro/core/`` whose operand's last name, leading underscores
+    dropped (``self._trace``), is one of ``names``."""
+    found = []
+    for path in sorted((root / "src/repro/core").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if not isinstance(op, (ast.Is, ast.IsNot)):
+                    continue
+                for operand, other in ((left, right), (right, left)):
+                    if (
+                        isinstance(other, ast.Constant)
+                        and other.value is None
+                        and (_name(operand) or "").lstrip("_") in names
+                    ):
+                        found.append(f"{path.relative_to(root).as_posix()}:{node.lineno}")
+    return found
+
+
+def test_the_core_never_asks_whether_an_always_built_plane_exists():
+    assert none_tests(ALWAYS_BUILT) == []
+    # Not vacuous: the scan finds the optional planes' tests of today.
+    assert len(none_tests(("trace",))) > 0
+    assert len(none_tests(("prefix_cache",))) > 0
 
 
 # -- the constructor scan ---------------------------------------------------------

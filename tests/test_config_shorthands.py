@@ -25,7 +25,6 @@ TENANTS = [TenantSpec(name="acme", priority_class="interactive")]
 #: else the result needs to validate).
 TRIGGERS = {
     "trace_path": dict(trace_path="t.json"),
-    "fault_plan": dict(fault_plan=[["shard_crash", 0.1, 0]]),
 }
 
 
@@ -53,7 +52,7 @@ def test_false_and_none_imply_nothing():
 
 
 def test_an_explicit_value_beats_an_implication():
-    assert control_of(fault_plan=(), faults=False).faults is False
+    assert control_of(trace_path="", tracing=False).tracing is False
     # The explicit value wins and the combination is then rejected, rather
     # than being silently replaced by the implied one.
     with pytest.raises(ReproError, match="trace_path requires tracing=True"):

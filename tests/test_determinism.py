@@ -8,7 +8,7 @@ the simulator — the property every experiment in this repo rests on.
 
 from dataclasses import asdict
 
-from repro.core import InferletProgram, PieServer, TenantSpec
+from repro.core import InferletProgram, PieServer, TenantSpec, health, monitor
 from repro.core.config import ControlLayerConfig, PieConfig
 from repro.core.trace import TRACE_CATEGORIES
 from repro.gpu.config import GpuConfig
@@ -44,8 +44,6 @@ def run_stack(
     chunked=False,
     disagg=False,
     tracing=False,
-    monitoring=False,
-    faults=False,
     fault_plan=(),
     export_at=(),
 ):
@@ -63,12 +61,11 @@ def run_stack(
     bit-identical to the disaggregation-off run.  ``tracing=True`` turns on
     the flight recorder (repro.core.trace), which must observe without
     perturbing: tokens, metrics and virtual timestamps stay bit-identical
-    to the tracing-off run.  ``monitoring=True`` turns on the live SLO
-    monitoring plane (repro.core.monitor) under the same contract, and
-    ``export_at`` takes its snapshot document at those virtual times, mid-run.
-    ``faults=True`` arms the chaos plane (repro.sim.faults +
-    repro.core.health): the seeded ``fault_plan`` replays bit-identically,
-    and ``faults=False`` must construct none of the chaos machinery.
+    to the tracing-off run.  The live SLO monitor (repro.core.monitor) is
+    on in every run under the same contract, and ``export_at`` takes its
+    snapshot document at those virtual times, mid-run.  The chaos plane
+    (repro.sim.faults + repro.core.health) is too: the seeded
+    ``fault_plan`` replays bit-identically.
     """
     sim = Simulator(seed=seed)
     # Small enough that the ~40-token fleet prompts actually slice.
@@ -99,8 +96,6 @@ def run_stack(
             tenants=tenants,
             prefill_chunk_tokens=chunk_tokens,
             tracing=tracing,
-            monitoring=monitoring,
-            faults=faults,
             fault_plan=tuple(tuple(entry) for entry in fault_plan),
         ),
     )
@@ -153,10 +148,10 @@ def run_stack(
         # The catalogue is binding: every emitted category is listed there.
         assert set(categories) <= set(TRACE_CATEGORIES), set(categories) - set(TRACE_CATEGORIES)
         out["trace_categories"] = categories
-    if server.monitor is not None:
-        out["monitor_scrapes"] = server.monitor.scrapes_taken
-        out["monitor_exports"] = [server.export_metrics(), server.export_metrics()]
-        out["monitor_mid_run"] = mid_run
+    out["monitor_scrapes"] = server.monitor.scrapes_taken
+    out["heartbeats"] = server.controller.health.heartbeat.ticks
+    out["monitor_exports"] = [server.export_metrics(), server.export_metrics()]
+    out["monitor_mid_run"] = mid_run
     return out
 
 
@@ -257,8 +252,8 @@ def test_different_seeds_still_complete():
 
 
 def test_disagg_off_default_leaves_no_trace():
-    """Any placement policy but "disaggregated" must never touch the transfer
-    machinery: no KvTransferScheduler, no chunk listeners, zero counters."""
+    """Any placement policy but "disaggregated" must never feed the transfer
+    machinery: no prefill role, no chunk listeners, zero counters."""
     run = run_stack(disagg=False)
     for counter in (
         "disagg_handoffs",
@@ -269,12 +264,14 @@ def test_disagg_off_default_leaves_no_trace():
         "disagg_handoff_stall_seconds",
     ):
         assert run["metrics"][counter] == 0, counter
-    # Structural inertness, not just quiet counters: the off-knob server
-    # builds no transfer scheduler and installs no streaming hooks.
+    # Structural inertness, not just quiet counters: the transfer
+    # scheduler every cluster carries holds no stream and no streaming hook
+    # is installed.
     sim = Simulator(seed=1)
     server = PieServer(sim, num_devices=2)
     service = server.service()
-    assert service.transfer is None
+    assert service.transfer.active_streams == 0
+    assert service.transfer._forwards == {}
     for shard in service.shards:
         assert shard.role == "mixed"
         assert shard.scheduler._chunk_listener is None
@@ -339,32 +336,30 @@ def test_tracing_on_is_bit_identical_run_to_run():
     assert first["trace_categories"] == second["trace_categories"]
 
 
-def test_monitoring_off_default_is_inert():
-    """monitoring=False (the default) constructs no monitor at all: no
-    registry, no SLO engine, no scrape timer — structural inertness."""
-    sim = Simulator(seed=1)
-    server = PieServer(sim, num_devices=2)
-    assert server.monitor is None
-    assert server.controller.monitor is None
+def quiet(monkeypatch):
+    """The watch planes' timers never arm: tick period 0."""
+    monkeypatch.setattr(monitor, "SCRAPE_INTERVAL_MS", 0.0)
+    monkeypatch.setattr(health, "HEARTBEAT_INTERVAL_MS", 0.0)
 
 
-def test_monitoring_on_does_not_perturb_the_run():
+def test_monitoring_on_does_not_perturb_the_run(monkeypatch):
     """The monitor observes without perturbing: tokens, metrics and every
-    virtual timestamp are bit-identical with monitoring on vs off, on the
+    virtual timestamp are bit-identical whether it ticks or not, on the
     full classes+chunked+disagg stack (and the monitor actually scraped)."""
-    on = run_stack(classes=True, chunked=True, disagg=True, monitoring=True)
-    off = run_stack(classes=True, chunked=True, disagg=True, monitoring=False)
-    assert on["now"] == off["now"]
-    assert on["results"] == off["results"]
-    assert on["metrics"] == off["metrics"]
-    assert on["monitor_scrapes"] > 0
-    document = on["monitor_exports"][0]
+    ticking = run_stack(classes=True, chunked=True, disagg=True)
+    monkeypatch.setattr(monitor, "SCRAPE_INTERVAL_MS", 0.0)
+    still = run_stack(classes=True, chunked=True, disagg=True)
+    assert ticking["now"] == still["now"]
+    assert ticking["results"] == still["results"]
+    assert ticking["metrics"] == still["metrics"]
+    assert ticking["monitor_scrapes"] > 0 and still["monitor_scrapes"] == 0
+    document = ticking["monitor_exports"][0]
     assert document["metrics"]["pie_requests_total"]["samples"]
 
 
 def test_monitoring_on_is_bit_identical_run_to_run():
-    first = run_stack(classes=True, chunked=True, disagg=True, monitoring=True)
-    second = run_stack(classes=True, chunked=True, disagg=True, monitoring=True)
+    first = run_stack(classes=True, chunked=True, disagg=True)
+    second = run_stack(classes=True, chunked=True, disagg=True)
     assert first["now"] == second["now"]
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
@@ -376,7 +371,7 @@ def test_exporting_is_idempotent_and_invisible_to_the_run():
     """An export is a pure read of live state: twice in a row it says the
     same thing, and taken mid-run it changes neither tokens, metrics and
     virtual time nor what a later export says."""
-    stack = dict(classes=True, chunked=True, disagg=True, monitoring=True)
+    stack = dict(classes=True, chunked=True, disagg=True)
     plain = run_stack(**stack)
     probed = run_stack(**stack, export_at=(0.4, 0.9))
     assert plain["monitor_exports"][0] == plain["monitor_exports"][1]
@@ -403,18 +398,18 @@ CHAOS_PLAN = (
 )
 
 
-def test_faults_off_default_is_inert():
-    """faults=False (the default) constructs none of the chaos machinery:
-    no injector, no health service, no router probe —
-    and the chaos counters stay zero on the full-stack run."""
-    sim = Simulator(seed=1)
-    server = PieServer(sim, num_devices=2)
-    controller = server.controller
-    assert controller.faults is None
-    assert controller.health is None
-    for service in controller._services.values():
-        assert service.router.health_probe is None
-    run = run_stack(classes=True, chunked=True, disagg=True, monitoring=True)
+def test_faults_on_with_empty_plan_does_not_perturb(monkeypatch):
+    """The chaos plane with nothing scheduled observes without perturbing:
+    the heartbeat probes leave tokens, metrics and virtual timestamps
+    bit-identical to a heartbeat that never ticks, and the chaos counters
+    stay zero."""
+    ticking = run_stack(classes=True, chunked=True, disagg=True)
+    monkeypatch.setattr(health, "HEARTBEAT_INTERVAL_MS", 0.0)
+    still = run_stack(classes=True, chunked=True, disagg=True)
+    assert ticking["now"] == still["now"]
+    assert ticking["results"] == still["results"]
+    assert ticking["metrics"] == still["metrics"]
+    assert ticking["heartbeats"] > 0 and still["heartbeats"] == 0
     for counter in (
         "faults_injected",
         "shard_crashes",
@@ -422,30 +417,15 @@ def test_faults_off_default_is_inert():
         "failover_relaunches",
         "disagg_replans",
     ):
-        assert run["metrics"][counter] == 0, counter
-
-
-def test_faults_on_with_empty_plan_does_not_perturb():
-    """Arming the chaos plane with nothing scheduled observes without
-    perturbing: the heartbeat probes leave
-    tokens, metrics and virtual timestamps bit-identical to faults=off."""
-    on = run_stack(classes=True, chunked=True, disagg=True, monitoring=True, faults=True)
-    off = run_stack(classes=True, chunked=True, disagg=True, monitoring=True, faults=False)
-    assert on["now"] == off["now"]
-    assert on["results"] == off["results"]
-    assert on["metrics"] == off["metrics"]
+        assert ticking["metrics"][counter] == 0, counter
 
 
 def test_chaos_replay_is_bit_identical():
     """The same fault_plan replays bit-identically: two seeded chaos runs
     with a mid-flight crash agree on every metric, timestamp and surviving
     token."""
-    first = run_stack(
-        classes=True, chunked=True, monitoring=True, faults=True, fault_plan=CHAOS_PLAN
-    )
-    second = run_stack(
-        classes=True, chunked=True, monitoring=True, faults=True, fault_plan=CHAOS_PLAN
-    )
+    first = run_stack(classes=True, chunked=True, fault_plan=CHAOS_PLAN)
+    second = run_stack(classes=True, chunked=True, fault_plan=CHAOS_PLAN)
     assert first["now"] == second["now"]
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
@@ -463,8 +443,8 @@ def test_chaos_decode_crash_replays_bit_identically_under_disagg():
     """A crash of the decode shard under the disaggregated KV stream
     replays bit-identically, and the failover sweep acts on it."""
     plan = (("shard_crash", 0.5, 1),)
-    first = run_stack(disagg=True, faults=True, fault_plan=plan)
-    second = run_stack(disagg=True, faults=True, fault_plan=plan)
+    first = run_stack(disagg=True, fault_plan=plan)
+    second = run_stack(disagg=True, fault_plan=plan)
     assert first["now"] == second["now"]
     assert first["results"] == second["results"]
     assert first["metrics"] == second["metrics"]
@@ -494,22 +474,20 @@ def test_disagg_composed_with_qos_and_chunked_is_bit_identical():
     assert first["results"] == off["results"]
 
 
-def test_three_observers_together_do_not_perturb_the_run():
+def test_three_observers_together_do_not_perturb_the_run(monkeypatch):
     """Tracing + monitoring + two classes together: every lifecycle fact is then
     published to both observers at once (the monitor is none: it reads the
     tenant records the core counts).  Tokens and each inferlet's
-    first-token / finish timestamps match the all-planes-off run, and with
-    every knob off there is nobody to tell."""
+    first-token / finish timestamps match a run with every plane off and
+    no timer ticking, and with every knob off there is nobody to tell."""
     sim = Simulator(seed=1)
     assert PieServer(sim, num_devices=2).controller.observers == ()
-    assert PieServer(sim, num_devices=2).controller.timers == ()
-    together = PieServer(
-        sim, num_devices=2, tenants=[TenantSpec("fleet")], monitoring=True, tracing=True
-    )
+    together = PieServer(sim, num_devices=2, tenants=[TenantSpec("fleet")], tracing=True)
     # Tenants bring no observer: admission is the core's launch gate.
     assert [type(o).__name__ for o in together.controller.observers] == ["LifecycleTracer"]
     assert together.monitor.scraper in together.controller.timers
-    on = run_stack(classes=True, tracing=True, monitoring=True)
+    on = run_stack(classes=True, tracing=True)
+    quiet(monkeypatch)
     off = run_stack()
     assert on["now"] == off["now"]
     assert on["results"] == off["results"]

@@ -11,9 +11,9 @@ Covers the robustness contract end to end:
   batch executes on the dead shard and fresh launches land elsewhere;
 * a fully host-tier-resident inferlet is re-materialized on a healthy
   shard and emits **exactly** the tokens of the crash-free run — no
-  duplicate and no lost tokens;
-* chaos off is structurally inert (no injector, no health service, no
-  probe on the router).
+  duplicate and no lost tokens.
+
+That an empty plan perturbs nothing is pinned in ``tests/test_determinism.py``.
 """
 
 import numpy as np
@@ -102,7 +102,6 @@ def run_fleet(
         control=ControlLayerConfig(
             placement_policy="disaggregated" if disagg else "round_robin",
             prefill_shards=1,
-            faults=True,
             fault_plan=tuple(tuple(entry) for entry in fault_plan),
             tracing=tracing,
         ),
@@ -171,17 +170,6 @@ def test_seeded_chaos_interleavings_conserve_pools(block):
         ), (seed, statuses)
 
 
-def test_chaos_off_is_structurally_inert():
-    """faults=False builds none of the chaos plane (the off path cannot
-    even reach it: no injector, no health service, no router probe)."""
-    server = PieServer(Simulator(seed=0), num_devices=2)
-    controller = server.controller
-    assert controller.faults is None
-    assert controller.health is None
-    for service in controller._services.values():
-        assert service.router.health_probe is None
-
-
 # -- system: detection and failover -----------------------------------------
 
 
@@ -230,7 +218,6 @@ def test_terminated_inferlet_carries_structured_cause():
         gpu=GpuConfig(num_kv_pages=64, num_devices=2, host_kv_pages=0),
         control=ControlLayerConfig(
             placement_policy="round_robin",
-            faults=True,
             fault_plan=(("shard_crash", 0.2, 0),),
         ),
     )
@@ -247,6 +234,32 @@ def test_terminated_inferlet_carries_structured_cause():
     with pytest.raises(InferletTerminated) as exc_info:
         instance.check_alive()
     assert exc_info.value.cause == "shard_down"
+
+
+def test_a_crash_under_an_idle_inferlet_is_still_detected():
+    """Nothing but timer ticks is pending after the crash — the victim
+    awaits a message nobody sends — yet the next heartbeat still runs:
+    detecting the crash is real work, so the run reaches it and the
+    victim terminates with cause="shard_down" instead of the run ending
+    as a deadlock."""
+    sim = Simulator(seed=5)
+    config = PieConfig(
+        gpu=GpuConfig(num_kv_pages=64, num_devices=2),
+        control=ControlLayerConfig(fault_plan=(("shard_crash", 0.1, 0),)),
+    )
+    server = PieServer(sim, config=config)
+
+    async def main(ctx):
+        await ctx.receive()
+
+    server.register_program(InferletProgram(name="waiter", main=main))
+    instance, _ = server.launch("waiter")
+    sim.run_until_complete(instance.done, max_events=1_000)
+    assert server.controller.health.state(0) == "down"
+    assert instance.status == "terminated"
+    assert instance.terminated_cause == "shard_down"
+    assert server.metrics.failover_terminations == 1
+    assert sim.now <= 0.1 + 5e-3 + 1e-9  # within one heartbeat of the crash
 
 
 # -- system: relaunch (failover rescue) --------------------------------------
@@ -272,7 +285,6 @@ def run_mover(crash):
         gpu=GpuConfig(num_kv_pages=64, num_devices=2, host_kv_pages=64),
         control=ControlLayerConfig(
             swap_policy="proactive",
-            faults=True,
             fault_plan=(("shard_crash", 0.45, 0),) if crash else (),
         ),
     )
@@ -329,7 +341,6 @@ def _run_short_mover_beside_a_warmer(crash):
         num_devices=2,
         host_kv_pages=64,
         prefix_cache=True,
-        faults=True,
         fault_plan=(("shard_crash", 0.45, 0),) if crash else (),
     )
     server.register_external(TOOL_URL, lambda payload: "rows", ConstantLatency(0.5))
@@ -376,7 +387,6 @@ def test_relaunch_requires_a_healthy_destination():
         gpu=GpuConfig(num_kv_pages=64, num_devices=2, host_kv_pages=64),
         control=ControlLayerConfig(
             swap_policy="proactive",
-            faults=True,
             fault_plan=(("shard_crash", 0.45, 0), ("shard_crash", 0.45, 1)),
         ),
     )
@@ -401,8 +411,6 @@ def test_slo_report_interleaves_fault_instants():
     config = PieConfig(
         gpu=GpuConfig(num_kv_pages=64, num_devices=2),
         control=ControlLayerConfig(
-            monitoring=True,
-            faults=True,
             fault_plan=(("shard_crash", 0.1, 1),),
         ),
     )
@@ -434,7 +442,6 @@ def test_trace_report_buckets_relaunch():
         control=ControlLayerConfig(
             swap_policy="proactive",
             tracing=True,
-            faults=True,
             fault_plan=(("shard_crash", 0.45, 0),),
         ),
     )

@@ -72,7 +72,7 @@ def check_a_failed_placement_gives_back_its_sandbox():
     config = PieConfig(
         gpu=GpuConfig(num_devices=2),
         control=ControlLayerConfig(
-            faults=True, fault_plan=(("shard_crash", 0.0, 0), ("shard_crash", 0.0, 1))
+            fault_plan=(("shard_crash", 0.0, 0), ("shard_crash", 0.0, 1))
         ),
     )
     server = make_server(config)

@@ -91,7 +91,7 @@ def test_client_abort_while_parked_in_the_launch_queue():
 def test_client_abort_while_parked_in_qos_admission():
     config = PieConfig(
         control=ControlLayerConfig(
-            monitoring=True, tenants=(TenantSpec(name="jobs", max_concurrent=1),)
+            tenants=(TenantSpec(name="jobs", max_concurrent=1),)
         )
     )
     server = PieServer(Simulator(seed=3), config=config)
@@ -124,7 +124,7 @@ def test_placement_failure_and_shard_down_termination():
     config = PieConfig(
         gpu=GpuConfig(num_kv_pages=64, num_devices=2),
         control=ControlLayerConfig(
-            faults=True, fault_plan=(("shard_crash", 0.1, 0), ("shard_crash", 0.1, 1))
+            fault_plan=(("shard_crash", 0.1, 0), ("shard_crash", 0.1, 1))
         ),
     )
     server = PieServer(Simulator(seed=5), config=config)
@@ -160,7 +160,7 @@ def test_chaos_relaunch():
     config = PieConfig(
         gpu=GpuConfig(num_kv_pages=64, num_devices=2, host_kv_pages=64),
         control=ControlLayerConfig(
-            swap_policy="proactive", faults=True, fault_plan=(("shard_crash", 0.45, 0),)
+            swap_policy="proactive", fault_plan=(("shard_crash", 0.45, 0),)
         ),
     )
     server = PieServer(Simulator(seed=3), config=config)

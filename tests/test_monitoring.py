@@ -8,7 +8,7 @@ import pytest
 from repro.core import PieServer, TenantSpec, monitor, slo
 from repro.core.metrics import EXIT_STATUSES, TenantMetrics
 from repro.core.slo import BurnWindow, SloEngine
-from repro.errors import ClientError, ReproError
+from repro.errors import ReproError
 from repro.sim import Simulator
 from tests.test_slo_contract import stamped
 
@@ -140,28 +140,20 @@ class TestMonitorService:
         server = PieServer(sim, **kwargs)
         return sim, server
 
-    def test_off_by_default(self):
-        _, server = self.make_server()
-        assert server.monitor is None
-        with pytest.raises(ClientError):
-            server.export_metrics()
-
     def test_monitor_knobs_imply_monitoring(self, monkeypatch):
         # The plane's own values are constants read when it is built, and
-        # ``monitoring`` is the one switch that builds it.
+        # every server builds it.
         monkeypatch.setattr(monitor, "SCRAPE_INTERVAL_MS", 25.0)
         monkeypatch.setattr(slo, "DEFAULT_SLO_TARGET", 0.9)
         monkeypatch.setattr(slo, "BURN_WINDOWS", (BurnWindow(1.0, 0.1, 2.0),))
-        _, server = self.make_server(monitoring=True)
-        assert server.monitor is not None
-        assert server.config.control.monitoring is True
+        _, server = self.make_server()
         assert server.monitor.scraper.period_s == pytest.approx(0.025)
         assert server.monitor.slo.default_target == 0.9
         assert server.monitor.slo.windows == (BurnWindow(1.0, 0.1, 2.0),)
 
     def test_config_tenants_seed_slo_specs(self):
         acme = TenantSpec(name="acme", ttft_slo_ms=100.0)
-        _, server = self.make_server(monitoring=True, tenants=(acme,))
+        _, server = self.make_server(tenants=(acme,))
         assert server.controller.tenants["acme"] is acme
         assert not hasattr(server.monitor.slo, "tenants")
         # Every tenant burns its budget against the one objective.
@@ -174,18 +166,18 @@ class TestMonitorService:
         # that reads it (BurnWindow checks its own fields, see above).
         monkeypatch.setattr(slo, "BURN_WINDOWS", ())
         with pytest.raises(ReproError):
-            self.make_server(monitoring=True)
+            self.make_server()
         monkeypatch.undo()
         monkeypatch.setattr(slo, "DEFAULT_SLO_TARGET", 1.5)
         with pytest.raises(ReproError):
-            self.make_server(monitoring=True)
+            self.make_server()
 
     def probed(self):
         """A monitored server after one inferlet of tenant ``acme``."""
         from repro.core import InferletProgram
         from repro.support import Context, SamplingParams
 
-        sim, server = self.make_server(monitoring=True)
+        sim, server = self.make_server()
 
         async def main(ctx):
             context = Context(ctx, sampling=SamplingParams())
@@ -248,7 +240,7 @@ class TestMonitorService:
         from repro.core import InferletProgram
         from repro.support import Context, SamplingParams
 
-        sim, server = self.make_server(monitoring=True)
+        sim, server = self.make_server()
 
         async def main(ctx):
             context = Context(ctx, sampling=SamplingParams())
@@ -337,7 +329,6 @@ class TestPullExport:
         sim = Simulator(seed=5)
         server = PieServer(
             sim,
-            monitoring=True,
             num_devices=2,
             tenants=(TenantSpec(name="acme"), TenantSpec(name="zeta")),
         )

@@ -109,7 +109,6 @@ def run_pair(host_pages=0, fault_plan=(), between=None, second=None):
         control=ControlLayerConfig(
             prefix_cache=True,
             placement_policy="cache_affinity",
-            faults=bool(fault_plan),
             fault_plan=fault_plan,
         ),
     )

@@ -4,12 +4,16 @@ The trace telemetry sampler, the monitor scraper and the health heartbeat
 are three instances of it, so its guarantees are pinned once here: a poke
 arms at most one timer, period 0 never arms, it stops re-arming when
 ``active()`` turns false — so ``sim.run()`` drains — and a later poke
-restarts it.  The last test checks the three instances on a live server.
+restarts it.  A run whose only pending events are ticks of timers that
+would re-arm ends: ``run()`` returns and ``run_until_complete`` raises the
+deadlock error, while ``run(until=...)`` still ticks up to its bound.  The
+last tests check the three instances on a live server.
 """
 
 import pytest
 
 from repro.core import InferletProgram, PieServer, health, monitor
+from repro.errors import SimulationError
 from repro.sim import PeriodicService, Simulator
 
 
@@ -73,9 +77,7 @@ def test_the_three_plane_timers_tick_while_inferlets_live_then_drain(monkeypatch
     monkeypatch.setattr(monitor, "SCRAPE_INTERVAL_MS", 1.0)
     monkeypatch.setattr(health, "HEARTBEAT_INTERVAL_MS", 1.0)
     sim = Simulator(seed=1)
-    server = PieServer(
-        sim, tracing=True, trace_sample_ms=1.0, monitoring=True, faults=True
-    )
+    server = PieServer(sim, tracing=True, trace_sample_ms=1.0)
     controller = server.controller
     assert len(controller.timers) == 3
 
@@ -96,3 +98,50 @@ def test_the_three_plane_timers_tick_while_inferlets_live_then_drain(monkeypatch
     sim.run_until_complete(server.run_inferlet("napper"))
     sim.run()
     assert all(timer.ticks > before for timer, before in zip(controller.timers, ticks))
+
+
+def test_a_run_of_nothing_but_live_ticks_ends():
+    sim, service, state = make_service()
+    service.poke()
+    sim.run(max_events=100)  # returns at once: the only event is a tick that re-arms
+    assert service.ticks == 0 and sim.now == 0.0
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_until_complete(sim.create_future(), max_events=100)
+    # A bound still ticks the timer up to it.
+    sim.run(until=0.25)
+    assert service.ticks == 2
+
+
+def test_a_due_tick_is_work_not_idling():
+    sim = Simulator(seed=1)
+    state = {"due": True, "ticks_at": []}
+
+    def tick():
+        state["ticks_at"].append(sim.now)
+        state["due"] = False
+
+    service = PeriodicService(sim, 0.1, tick, lambda: True, due=lambda: state["due"])
+    service.poke()
+    sim.run(max_events=100)  # reaches the due tick, then ends on the idle re-arm
+    assert state["ticks_at"] == pytest.approx([0.1])
+    assert sim.armed_timers == [service]
+
+
+@pytest.mark.parametrize("planes", [{}, {"tracing": True}], ids=["default", "tracing"])
+def test_an_unanswered_receive_ends_the_run_with_timers_armed(planes):
+    sim = Simulator(seed=1)
+    server = PieServer(sim, **planes)
+
+    async def main(ctx):
+        await ctx.receive()  # nobody ever sends
+
+    server.register_program(InferletProgram(name="waiter", main=main))
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_until_complete(server.run_inferlet("waiter"), max_events=1_000)
+    assert sim.armed_timers and sim.processed_events < 1_000
+    sim.run(max_events=1_000)  # returns: the timers alone do not run the clock
+    stuck_at = sim.now
+    assert sim.armed_timers
+    sim.run(until=stuck_at + 0.5)  # a bound still ticks every timer
+    assert sim.now == stuck_at + 0.5
+    assert all(timer.ticks > 0 for timer in server.controller.timers)

@@ -198,8 +198,7 @@ def oracle_try_relaunch(service, dead, instance) -> bool:
     emb_vids = sorted(dead.resources.emb_mapping(owner))
     if dst.resources.memory.embeds.num_free < len(emb_vids):
         return False
-    if service.transfer is not None:
-        service.transfer.forget(owner)
+    service.transfer.forget(owner)
     _, _, swapped_kv, next_kv_vid, next_emb_vid = dead.resources.detach_space_for_migration(
         owner
     )
@@ -229,7 +228,6 @@ class World:
             host_kv_pages=256,
             placement_policy="disaggregated",
             prefill_shards=1,
-            faults=True,
         )
         self.oracle = oracle
         self.controller = self.server.controller

@@ -454,3 +454,12 @@ class TestDeterminism:
 
         assert trace(123) == trace(123)
         assert trace(123) != trace(321)
+
+    def test_an_event_cancelling_itself_leaves_no_tombstone(self, sim):
+        """The live-event count (heap minus tombstones) must stay exact: it
+        is how a run tells timer ticks alone from real work."""
+        handles = []
+        handles.append(sim.schedule(1.0, lambda: handles[0].cancel()))
+        sim.run()
+        assert sim.cancelled_in_heap == 0
+        assert sim.heap_size == 0

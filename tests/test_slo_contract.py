@@ -251,7 +251,7 @@ def test_table_is_write_once_and_defaults_in_one_place():
 def test_every_reader_reads_the_controllers_table():
     sim = Simulator(seed=0)
     acme = TenantSpec(name="acme", priority_class="interactive")
-    server = PieServer(sim, tenants=[acme], monitoring=True)
+    server = PieServer(sim, tenants=[acme])
     controller = server.controller
     assert not hasattr(controller, "qos")
     assert not hasattr(controller.monitor.slo, "tenants")  # no table of its own
@@ -300,7 +300,7 @@ MIX_TENANTS = tuple(
 
 
 def test_an_overloaded_harness_run_alerts_and_accounts_every_launch():
-    row = run_open_loop(800, 1800.0, seed=11, tenants=MIX_TENANTS, monitoring=True)
+    row = run_open_loop(800, 1800.0, seed=11, tenants=MIX_TENANTS)
     assert row["per_class"]["interactive"]["good"] < row["per_class"]["interactive"]["requests"]
     assert row["monitor"]["alerts_fired"] >= 1
     assert row["n_requests"] == 800 == row["finished"] + row["shed"]
@@ -310,7 +310,7 @@ def test_the_mix_never_overwrites_a_configured_tenant():
     strict = TenantSpec(
         name="interactive", priority_class="interactive", ttft_slo_ms=1.0, tpot_slo_ms=1.0
     )
-    row = run_open_loop(30, 200.0, seed=3, num_devices=2, tenants=(strict,), monitoring=True)
+    row = run_open_loop(30, 200.0, seed=3, num_devices=2, tenants=(strict,))
     mine, theirs = row["per_class"]["interactive"], row["per_class"]["agent"]
     # Judged against the caller's contract (nothing meets 1 ms) ...
     assert (mine["ttft_slo_ms"], mine["tpot_slo_ms"]) == (1.0, 1.0)
@@ -351,7 +351,7 @@ def test_a_refused_launch_is_that_entrys_result():
 
 def test_shed_is_reported_and_stays_in_the_denominators():
     tenants = (TenantSpec(name="batch", priority_class="batch", max_concurrent=1, max_queued=0),)
-    row = run_open_loop(60, 400.0, seed=3, num_devices=2, tenants=tenants, monitoring=True)
+    row = run_open_loop(60, 400.0, seed=3, num_devices=2, tenants=tenants)
     batch = row["per_class"]["batch"]
     assert row["shed"] == batch["shed"] > 0
     assert all(row["per_class"][name]["shed"] == 0 for name in ("interactive", "agent"))
@@ -379,7 +379,7 @@ def test_shed_is_reported_and_stays_in_the_denominators():
 
 def test_a_refused_launch_leaves_no_observer_half_told():
     sim = Simulator(seed=0)
-    server = PieServer(sim, tenants=[ONE_AT_A_TIME], tracing=True, monitoring=True)
+    server = PieServer(sim, tenants=[ONE_AT_A_TIME], tracing=True)
     server.register_program(napper())
     admitted, _ = server.launch("napper", tenant="jobs")
     with pytest.raises(AdmissionRejectedError):

@@ -358,7 +358,7 @@ class RecordAgainstOracle(RuleBasedStateMachine):
             slo, "BURN_WINDOWS", WINDOWS
         ):
             self.sim = Simulator(seed=0)
-            self.server = PieServer(self.sim, tenants=TENANTS, monitoring=True)
+            self.server = PieServer(self.sim, tenants=TENANTS)
         controller = self.server.controller
         self.gates: Dict[str, object] = {}
 
@@ -550,8 +550,6 @@ def shard_kill():
             seed=11,
             num_devices=8,
             tenants=MIX_TENANTS,
-            monitoring=True,
-            faults=True,
             fault_plan=(("shard_crash", 0.3, 5),),
         )
     return row, servers[0]
