@@ -81,8 +81,7 @@ def run_fleet(fleet: MixedFleet = FLEET, **overrides) -> Dict:
     ``overrides`` are server configuration shorthands on top of ``SETUP``:
     an arm of ``ARMS``, plus ``tracing=True`` to turn the flight recorder
     on (guaranteed non-perturbing) or ``trace_path=...`` to also export
-    the trace there after the run (``.jsonl`` event log or Perfetto
-    ``.json``).
+    the trace there after the run (:func:`run_mixed_fleet`).
     """
     row, server = run_mixed_fleet(fleet, **{**SETUP, **overrides})
     metrics = server.metrics

@@ -51,7 +51,8 @@ def run(quick: bool = True, trace_path: Optional[str] = None) -> ExperimentResul
     )
     if trace_path is None:
         trace_path = os.path.join(tempfile.mkdtemp(prefix="repro-trace-"), "trace.json")
-    # ``trace_path`` switches the recorder on and is where the run exports to.
+    # ``run_mixed_fleet`` switches the recorder on for ``trace_path`` and
+    # exports there.
     arms = compare_arms(
         partial(run_fleet, fleet),
         {"tracing_off": {}, "tracing_on": dict(trace_path=trace_path)},

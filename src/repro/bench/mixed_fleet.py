@@ -14,7 +14,7 @@ readings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.runners import Launch, launch_fleet, make_pie_setup
 from repro.core import InferletProgram, PieServer
@@ -97,17 +97,22 @@ def make_chat(index: int, n_tokens: int, skip_first_gap: bool) -> InferletProgra
     )
 
 
-def run_mixed_fleet(fleet: MixedFleet, **setup: Any) -> Tuple[Dict[str, Any], PieServer]:
+def run_mixed_fleet(
+    fleet: MixedFleet, trace_path: Optional[str] = None, **setup: Any
+) -> Tuple[Dict[str, Any], PieServer]:
     """Run the fleet on a fresh server; returns the common readings and the
     server (for the caller's plane-specific counters).
 
     ``setup`` is what :func:`~repro.bench.runners.make_pie_setup` takes:
     the seed plus server configuration shorthands.  With a ``trace_path``
-    among them the flight-recorder trace is exported there after the run.
-    Summarizers are listed — so launched and seeded — before chats.  A
-    chat that failed or was reclaimed stays among the chats, with no gaps
-    and ``None`` for its tokens.
+    the server records a flight-recorder trace and exports it there after
+    the run (``.jsonl`` event log, else Perfetto JSON).  Summarizers are
+    listed — so launched and seeded — before chats.  A chat that failed or
+    was reclaimed stays among the chats, with no gaps and ``None`` for its
+    tokens.
     """
+    if trace_path:
+        setup["tracing"] = True
     _, server = make_pie_setup(with_tools=False, **setup)
     summarizers = [
         make_summarizer(i, fleet.prompt_tokens, fleet.id_stride)
@@ -124,8 +129,8 @@ def run_mixed_fleet(fleet: MixedFleet, **setup: Any) -> Tuple[Dict[str, Any], Pi
         server,
         arrivals(summarizers, *fleet.summarizer_arrivals) + arrivals(chats, *fleet.chat_arrivals),
     )
-    if server.config.control.trace_path:
-        server.export_trace()
+    if trace_path:
+        server.export_trace(trace_path)
 
     chat_outputs = [r.result for r in run.results_of(chats)]
     decode_gaps = [gap for output in chat_outputs if output for gap in output["gaps"]]

@@ -66,8 +66,9 @@ class ControlLayerConfig:
     # stream to the chosen decode shard while the tail of the prefill is
     # still running; once the first sampled token retires, the inferlet —
     # queue state (class rank included), swap registration — migrates in one
-    # step.  Under any other policy no transfer scheduler is built and no
-    # hooks are installed (bit-identical to the pre-disaggregation system).
+    # step.  Every cluster builds its KvTransferScheduler, but only a
+    # prefill-role shard feeds it (the submit hook and the chunk listener),
+    # so under any other policy it holds no stream and moves no page.
     placement_policy: str = "round_robin"
     # System-wide automatic prefix caching (repro.core.prefix_cache): when
     # True, each device shard keeps a token-addressed radix index over
@@ -90,17 +91,15 @@ class ControlLayerConfig:
     # least one device in each role.
     prefill_shards: int = 1
     # Flight recorder (repro.core.trace): when True the controller builds
-    # a TraceRecorder, every control-plane hot point emits structured
-    # spans/instants on the virtual clock, and a sim-timer sampler records
-    # per-shard telemetry time-series.  Off by default — no recorder is
-    # constructed and the serving path carries no tracing code at all.
+    # a TraceRecorder and its LifecycleTracer, the one observer every
+    # control-plane hot point tells, which writes structured spans/instants
+    # on the virtual clock; a sim-timer sampler records per-shard telemetry
+    # time-series.  Off by default — no recorder is constructed and every
+    # site's observer tuple is empty, so a note is a loop over nothing.
     # When on, emission is read-only: sampled tokens and every virtual
-    # timestamp are bit-identical to a tracing=False run.
+    # timestamp are bit-identical to a tracing=False run.  Export with
+    # PieServer.export_trace(path).
     tracing: bool = False
-    # Default export path for the trace (None = caller exports explicitly
-    # via PieServer.export_trace).  ".jsonl" selects the line-delimited
-    # event log; anything else gets Chrome/Perfetto trace_event JSON.
-    trace_path: str = ""
     # Telemetry sampling period in virtual milliseconds; 0 disables the
     # periodic sampler (spans and instants are still recorded).
     trace_sample_ms: float = 5.0
@@ -154,8 +153,6 @@ class PieConfig:
             raise ReproError("prefill_shards must be at least 1")
         if self.control.trace_sample_ms < 0:
             raise ReproError("trace_sample_ms must be non-negative (0 = no sampler)")
-        if self.control.trace_path and not self.control.tracing:
-            raise ReproError("trace_path requires tracing=True")
         for spec in self.control.tenants:
             if not isinstance(spec, TenantSpec):
                 raise ReproError(
@@ -165,14 +162,6 @@ class PieConfig:
         if len(names) != len(set(names)):
             raise ReproError("tenant names must be unique")
         FaultPlan.validate(self.control.fault_plan, self.gpu.num_devices)
-
-
-#: Shorthand implications: a key given a value other than ``False``
-#: switches on the knobs it is useless without — unless the caller set
-#: those knobs explicitly.
-SHORTHAND_IMPLICATIONS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
-    ("trace_path", {"tracing": True}),
-)
 
 
 def _frozen(value: Any) -> Any:
@@ -195,10 +184,6 @@ def with_overrides(config: PieConfig, overrides: Dict[str, Any]) -> PieConfig:
     if unknown:
         raise TypeError(f"unknown configuration shorthand(s): {', '.join(unknown)}")
     values = {key: _frozen(value) for key, value in overrides.items() if value is not None}
-    for key, implied in SHORTHAND_IMPLICATIONS:
-        if values.get(key, False) is not False:
-            for name, value in implied.items():
-                values.setdefault(name, value)
     control = {key: value for key, value in values.items() if key in control_names}
     gpu = {key: value for key, value in values.items() if key not in control_names}
     return replace(

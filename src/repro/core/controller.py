@@ -46,7 +46,6 @@ from repro.core.metrics import SystemMetrics
 from repro.core.monitor import MonitorService
 from repro.core.qos import TenantTable
 from repro.core.router import DeviceShard
-from repro.core.scheduler import trace_queue_wait
 from repro.core.service import ModelService
 from repro.core.trace import LifecycleTracer, TraceRecorder, telemetry_sampler
 from repro.core.traits import api_layer
@@ -108,8 +107,16 @@ class Controller:
         timers: List[PeriodicService] = []
         # The flight recorder (repro.core.trace).
         self.trace: Optional[TraceRecorder] = None
+        #: Who is told what the core did (an inferlet's life, a shard's
+        #: commands, KV pages on the move, failover), each fact published
+        #: at one site after the core accounted for it: the tracer when
+        #: tracing is on, else nobody.  Every subsystem built here holds
+        #: this tuple; the lifecycle and failover sites read it when they
+        #: publish.
+        self.observers: Tuple[LifecycleObserver, ...] = ()
         if control.tracing:
             self.trace = TraceRecorder(sim)
+            self.observers = (LifecycleTracer(self.trace),)
             timers.append(telemetry_sampler(self.trace, self))
         # The live monitoring plane (repro.core.monitor): SLO burn-rate
         # alerting on a virtual-clock tick, exports collected on demand.
@@ -122,7 +129,7 @@ class Controller:
                 registry.get(name),
                 self.metrics,
                 self._ensure_capacity,
-                trace=self.trace,
+                self.observers,
             )
         # The chaos plane (repro.sim.faults / repro.core.health): the
         # heartbeat-driven health / failover service and the deterministic
@@ -133,16 +140,8 @@ class Controller:
         timers.append(self.health.heartbeat)
         for service in self._services.values():
             service.router.health_probe = self.health.placeable
-        self.faults = FaultInjector(
-            sim, control.fault_plan, self.health, self.metrics, trace=self.trace
-        )
+        self.faults = FaultInjector(sim, control.fault_plan, self.health, self.metrics)
         self.faults.arm()
-        #: Who is told the lifecycle facts (launch requested / running,
-        #: reclaimed, finished), each published at one site after the core
-        #: accounted for it: the tracer when tracing is on, else nobody.
-        self.observers: Tuple[LifecycleObserver, ...] = (
-            (LifecycleTracer(self.trace),) if control.tracing else ()
-        )
         #: The planes' periodic timers; every registration pokes them awake.
         self.timers: Tuple[PeriodicService, ...] = tuple(timers)
 
@@ -553,8 +552,8 @@ class Controller:
         try:
             shard.scheduler.get_queue(queue_key)
         except SchedulingError:
-            if self.trace is not None:
-                trace_queue_wait(self.trace, command, shard.index, dropped=True)
+            for observer in self.observers:
+                observer.note_dropped(shard.index, command)
             if not command.future.done():
                 command.future.set_result(None)
             return

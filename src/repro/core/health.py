@@ -17,8 +17,8 @@ the host tier) or terminated with ``cause="shard_down"``.
 Detection is deliberately *not* instantaneous: a crashed shard keeps
 failing new submissions with :class:`~repro.errors.FaultInjectedError`
 until the next heartbeat notices — the same detection latency a real
-health checker pays — and every transition lands as an instant in the
-``"fault"`` trace category.
+health checker pays.  Each transition and each rescue is told to the
+controller's observers (``note_shard_down`` / ``note_relaunched``).
 """
 
 from __future__ import annotations
@@ -96,11 +96,10 @@ class ShardHealthService:
             for index, state in sorted(self.states.items())
             if state == "healthy" and self._probe_down(index)
         ]
-        trace = self.controller.trace
         for index in went_down:
             self.states[index] = "down"
-            if trace is not None:
-                trace.instant("shard_down", "fault", shard=index, args={"was": "healthy"})
+            for observer in self.controller.observers:
+                observer.note_shard_down(index)
         for index in went_down:
             self._failover_shard(index)
 
@@ -181,16 +180,6 @@ class ShardHealthService:
         service.transfer.forget(owner)
         emb_map = dict(zip(emb_vids, dst.memory.embeds.allocate(len(emb_vids))))
         service.move(instance, dst, {}, emb_map)
-        trace = self.controller.trace
-        if trace is not None:
-            start = dead.device.down_since
-            trace.complete(
-                "relaunch",
-                "fault",
-                start if start is not None else self.sim.now,
-                end=self.sim.now,
-                shard=dst.index,
-                inferlet=owner,
-                args={"src": dead.index, "dst": dst.index, "embeds": len(emb_vids)},
-            )
+        for observer in self.controller.observers:
+            observer.note_relaunched(instance, dead, dst, len(emb_vids))
         return True

@@ -138,15 +138,23 @@ class InferletInstance:
 
 
 class LifecycleObserver:
-    """What an optional plane may be told about an inferlet's life.
+    """What an optional plane may be told about serving.
 
-    Each fact is published once, at one site, to ``Controller.observers``;
-    a plane subclasses this and overrides the notifications it accounts
-    for.  Every notification is read-only with respect to serving state.
+    Each fact is published once, at one site, to the observers of
+    ``Controller.observers`` — a subsystem built with the controller holds
+    the same tuple as its ``observers`` — and a plane subclasses this and
+    overrides the notifications it accounts for.  A note carries the
+    site's own objects and nothing else; every notification is read-only
+    with respect to serving state.
     """
+
+    # -- an inferlet's life ---------------------------------------------------
 
     def note_launch_requested(self, instance: InferletInstance) -> None:
         """``launch`` accepted the request (before any admission control)."""
+
+    def note_unparked(self, instance: InferletInstance, cancelled: bool) -> None:
+        """Left its tenant's backlog: admitted, or ``cancelled`` by a termination."""
 
     def note_running(self, instance: InferletInstance) -> None:
         """Instantiated, placed and about to run its program."""
@@ -157,3 +165,46 @@ class LifecycleObserver:
     def note_finished(self, instance: InferletInstance) -> None:
         """Left the system for good — refused at admission included;
         ``instance.status`` is terminal."""
+
+    # -- a shard's commands -----------------------------------------------------
+
+    def note_dispatched(self, shard_index: int, commands) -> None:
+        """``commands`` were popped into a batch dispatched on the shard now."""
+
+    def note_batch_done(self, shard_index: int, batch, dispatched: float, failed: bool) -> None:
+        """The device finished ``batch``, dispatched at ``dispatched``."""
+
+    def note_dropped(self, shard_index: int, command) -> None:
+        """``command`` left without running: in its delivery window, at
+        queue teardown, or as a residual whose slice failed."""
+
+    # -- KV pages on the move ---------------------------------------------------
+
+    def note_link_reserved(self, link, start: float, size: int) -> None:
+        """``size`` bytes hold ``link`` from ``start`` to its ``busy_until``."""
+
+    def note_swapped(self, kind: str, shard, owner: str, pages: int) -> None:
+        """``pages`` of ``owner`` crossed PCIe (``swap_out`` / ``swap_in``)."""
+
+    def note_swap_stall(self, instance: InferletInstance, started: float) -> None:
+        """The resume path waited for a fault-in since ``started``."""
+
+    def note_kv_streamed(
+        self, owner: str, src_index: int, dst_index: int, pages: int, size: int, arrival: float
+    ) -> None:
+        """``pages`` of ``owner`` staged to the decode shard, landing at ``arrival``."""
+
+    def note_handoff(self, owner: str, src, dst, stall: float, landing: float, tail_pages: int) -> None:
+        """``owner`` moved from prefill shard ``src`` to decode shard ``dst``;
+        the decode side waits ``stall + landing`` for its KV."""
+
+    def note_replanned(self, owner: str, dead_index: int, requeued_pages: int) -> None:
+        """``owner``'s stream lost its decode shard; clean pages re-queued."""
+
+    # -- the chaos plane --------------------------------------------------------
+
+    def note_shard_down(self, index: int) -> None:
+        """The heartbeat found shard ``index`` down."""
+
+    def note_relaunched(self, instance: InferletInstance, dead, dst, embeds: int) -> None:
+        """``instance`` was re-materialized from the ``dead`` shard on ``dst``."""

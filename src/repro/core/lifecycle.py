@@ -168,14 +168,6 @@ class InferletLifecycleManager:
             self._admit(gate, instance, ready)
             return
         if len(gate.parked) >= spec.max_queued:
-            trace = self.controller.trace
-            if trace is not None:
-                trace.instant(
-                    "admission_rejected",
-                    "admission",
-                    inferlet=instance.instance_id,
-                    args={"tenant": spec.name},
-                )
             raise AdmissionRejectedError(
                 f"tenant {spec.name!r} admission queue is full "
                 f"({spec.max_queued} waiting); shed load or raise max_queued",
@@ -197,19 +189,12 @@ class InferletLifecycleManager:
             self._launch_one(instance, ready, handled_at), name=f"ilm:{instance.instance_id}"
         )
 
-    def _unpark(self, gate: TenantGate, instance_id: str, **span_args) -> Tuple:
-        """Take a launch off the tenant's backlog.  Its ``admission_queued``
-        span starts at ``launched_at``: a launch parks inside ``launch``."""
+    def _unpark(self, gate: TenantGate, instance_id: str, cancelled: bool = False) -> Tuple:
+        """Take a launch off the tenant's backlog (it parked inside
+        ``launch``, at ``launched_at``) and tell the observers."""
         instance, ready = gate.parked.pop(instance_id)
-        trace = self.controller.trace
-        if trace is not None:
-            trace.complete(
-                "admission_queued",
-                "admission",
-                instance.metrics.launched_at,
-                inferlet=instance_id,
-                args={"tenant": gate.spec.name, **span_args},
-            )
+        for observer in self.controller.observers:
+            observer.note_unparked(instance, cancelled)
         return instance, ready
 
     def _pump(self, gate: TenantGate) -> None:

@@ -77,7 +77,7 @@ class MonitorService:
     def __init__(self, controller) -> None:
         self.controller = controller
         self.sim = controller.sim
-        self.slo = SloEngine(controller.metrics.tenants, trace=controller.trace)
+        self.slo = SloEngine(controller.metrics.tenants)
         self.scrape_interval_ms = SCRAPE_INTERVAL_MS
         self.scraper = PeriodicService(
             self.sim,

@@ -21,6 +21,7 @@ from repro.sim.network import NetworkLink
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.inferlet import LifecycleObserver
     from repro.core.router import DeviceShard
     from repro.gpu.device import SimDevice
     from repro.sim.futures import SimFuture
@@ -45,15 +46,14 @@ class KvMover:
         sim: Simulator,
         host_pool: HostMemoryPool,
         cost_model: KernelCostModel,
-        trace=None,
+        observers: Tuple["LifecycleObserver", ...] = (),
     ) -> None:
         self.sim = sim
         self.host_pool = host_pool
         self.cost_model = cost_model
         self.page_bytes = host_pool.page_bytes
-        # Flight recorder (repro.core.trace): one "net" span per link
-        # reservation, written by :meth:`_reserve`.  None = off.
-        self._trace = trace
+        # Told of every link reservation (:meth:`_reserve`).
+        self.observers = observers
         self._links: Dict[Tuple[int, int], NetworkLink] = {}
 
     def charge(
@@ -192,6 +192,6 @@ class KvMover:
         link = self.link(src_index, dst_index)
         start, size = max(now, link.busy_until), n_pages * self.page_bytes
         arrival = link.reserve(size, now=now)
-        if self._trace is not None:
-            self._trace.complete(link.name, "net", start, end=link.busy_until, args={"bytes": size})
+        for observer in self.observers:
+            observer.note_link_reserved(link, start, size)
         return arrival

@@ -90,8 +90,6 @@ class ResourceManager:
         memory: DeviceMemory,
         model_name: str = "",
         host_pool: Optional[HostMemoryPool] = None,
-        trace=None,
-        shard_index: int = 0,
     ) -> None:
         self.memory = memory
         self.model_name = model_name
@@ -105,10 +103,6 @@ class ResourceManager:
         # is dropped and the page returns to the pool (prefix-cache
         # bookkeeping hook; None when no one listens).
         self._kv_free_listener: Optional[Callable[[int], None]] = None
-        # Flight recorder (repro.core.trace): marks KV-page commits and
-        # releases on this shard's timeline.  None when tracing is off.
-        self._trace = trace
-        self._trace_shard = shard_index
 
     # -- address space lifecycle -------------------------------------------
 
@@ -163,14 +157,6 @@ class ResourceManager:
             handles.append(
                 KvPage(vid=vid, owner=owner, page_size=self.page_size, model=self.model_name)
             )
-        if self._trace is not None and handles:
-            self._trace.instant(
-                "kv_alloc",
-                "sched",
-                shard=self._trace_shard,
-                inferlet=owner,
-                args={"pages": len(handles), "free": self.kv_pages_free},
-            )
         return handles
 
     def dealloc_kv_pages(self, owner: str, handles: Sequence[KvPage]) -> None:
@@ -187,14 +173,6 @@ class ResourceManager:
                 self.host_pool.discard([slot])
                 continue
             self._release_kv(physical_id)
-        if self._trace is not None and handles:
-            self._trace.instant(
-                "kv_dealloc",
-                "sched",
-                shard=self._trace_shard,
-                inferlet=owner,
-                args={"pages": len(handles), "free": self.kv_pages_free},
-            )
 
     def resolve_kv(self, owner: str, handle: KvPage) -> int:
         space = self._space(owner)

@@ -145,7 +145,6 @@ class Router:
         policy: str = "round_robin",
         is_swapped: Optional[Callable[[str], bool]] = None,
         prefill_shards: int = 0,
-        trace=None,
     ) -> None:
         if not shards:
             raise ReproError("router needs at least one shard")
@@ -175,8 +174,6 @@ class Router:
         self.prefill_shards = prefill_shards if policy == "disaggregated" else 0
         self._placements: Dict[str, int] = {}
         self._rr_next = 0
-        # Flight recorder (repro.core.trace); None when tracing is off.
-        self._trace = trace
 
     # -- placement -------------------------------------------------------------
 
@@ -202,14 +199,6 @@ class Router:
                     restrict=candidates, prefix_tokens=self._prefix_tokens(program)
                 )
         self._record(instance, index)
-        if self._trace is not None:
-            self._trace.instant(
-                "place",
-                "sched",
-                shard=index,
-                inferlet=instance_id,
-                args={"policy": self.policy, "role": self.shards[index].role},
-            )
         return self.shards[index]
 
     def _prefix_tokens(self, program) -> Optional[List[int]]:

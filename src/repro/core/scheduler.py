@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.batching import CandidateBatch, form_candidate_batches, select_batch
 from repro.core.command_queue import DEFAULT_RANK, Command, CommandQueue
 from repro.core.config import ControlLayerConfig, SchedulerConfig
 from repro.core.handlers import ApiHandlers
+from repro.core.inferlet import LifecycleObserver
 from repro.core.metrics import SystemMetrics
 from repro.core.registry import LogHistogram, size_histogram
 from repro.gpu.config import GpuConfig
@@ -102,7 +103,7 @@ class BatchScheduler:
         gpu_config: GpuConfig,
         control_config: ControlLayerConfig,
         metrics: Optional[SystemMetrics] = None,
-        trace=None,
+        observers: Tuple[LifecycleObserver, ...] = (),
         shard_index: int = 0,
     ) -> None:
         self.sim = sim
@@ -148,10 +149,9 @@ class BatchScheduler:
         # (disaggregation streams the slice's committed KV pages while the
         # residual is still queued).  None = no observer, zero overhead.
         self._chunk_listener: Optional[Callable[[Command], None]] = None
-        # Flight recorder (repro.core.trace): None when tracing is off —
-        # queue-wait spans end at dispatch/drop and per-command exec spans
-        # are emitted at batch completion, all read-only.
-        self._trace = trace
+        # Told of each dispatch, completed batch and dropped command (the
+        # controller's observers; empty with every plane off).
+        self.observers = observers
         self._shard_index = shard_index
         # When the forward candidate first yielded its turn since the last
         # forward dispatch (``_forward_yields`` bounds the hold); None while
@@ -250,8 +250,8 @@ class BatchScheduler:
         dropped = queue.drain_pending()
         self.metrics.commands_dropped += len(dropped)
         for command in dropped:
-            if self._trace is not None:
-                trace_queue_wait(self._trace, command, self._shard_index, dropped=True)
+            for observer in self.observers:
+                observer.note_dropped(self._shard_index, command)
             if not command.future.done():
                 command.future.set_result(None)
         for barrier in queue.drain_barriers():
@@ -516,9 +516,8 @@ class BatchScheduler:
             chunk.parent.take_chunk(chunk, self.sim.now)
         if chunks:
             self._record_chunks(batch, chunks)
-        if self._trace is not None:
-            for command in whole + chunks:
-                trace_queue_wait(self._trace, command, self._shard_index)
+        for observer in self.observers:
+            observer.note_dispatched(self._shard_index, whole + chunks)
         self.stats.record(batch)
         if batch.kind == "forward":
             self._forward_held_since = None
@@ -536,36 +535,6 @@ class BatchScheduler:
                 batch, fut, dispatched
             )
         )
-
-    def _trace_batch_done(self, batch: CandidateBatch, start: float, failed: bool) -> None:
-        """Emit the exec spans of a completed batch (dispatch -> done)."""
-        trace = self._trace
-        tokens = batch.total_input_tokens if batch.kind == "forward" else 0
-        trace.complete(
-            f"batch:{batch.kind}",
-            "sched",
-            start,
-            shard=self._shard_index,
-            args={
-                "commands": len(batch.commands),
-                "rows": batch.total_rows,
-                "tokens": tokens,
-                "failed": failed,
-            },
-        )
-        for command in batch.commands:
-            if batch.kind == "forward":
-                name = "decode" if command.is_decode_row else "prefill"
-            else:
-                name = command.kind
-            trace.complete(
-                name,
-                "exec",
-                start,
-                shard=self._shard_index,
-                inferlet=command.inferlet_id,
-                args={"tokens": max(1, command.input_tokens), "kind": command.kind},
-            )
 
     def _record_chunks(self, batch: CandidateBatch, chunks: List[Command]) -> None:
         """Account one batch that carries sliced-prefill head chunks.
@@ -591,8 +560,8 @@ class BatchScheduler:
     def _on_batch_done(self, batch: CandidateBatch, future, dispatched: float) -> None:
         error = future.exception()
         results = future.result() if error is None else None
-        if self._trace is not None:
-            self._trace_batch_done(batch, dispatched, failed=error is not None)
+        for observer in self.observers:
+            observer.note_batch_done(self._shard_index, batch, dispatched, error is not None)
         for index, command in enumerate(batch.commands):
             if command.is_chunk:
                 # A head slice completes *silently*: its residual is still
@@ -611,11 +580,9 @@ class BatchScheduler:
                     # further slice would waste device time building on
                     # corrupt context.
                     queue = self._queues.get(command.queue_key)
-                    dropped = queue is not None and queue.drop(command.parent)
-                    if dropped and self._trace is not None:
-                        trace_queue_wait(
-                            self._trace, command.parent, self._shard_index, dropped=True
-                        )
+                    if queue is not None and queue.drop(command.parent):
+                        for observer in self.observers:
+                            observer.note_dropped(self._shard_index, command.parent)
                 if not command.future.done():
                     if failure is not None:
                         command.future.set_exception(failure)
@@ -636,32 +603,3 @@ class BatchScheduler:
             else:
                 command.future.set_result(results[index])
 
-
-def trace_queue_wait(trace, command: Command, shard: int, dropped: bool = False) -> None:
-    """Write the queue wait ``command`` just ended: dispatched, or
-    ``dropped`` (in the delivery window, at queue teardown, or as a
-    residual whose slice failed).
-
-    The wait starts at ``issue_time``: submission for a first wait, the
-    last slice for a chunked prefill's residual (``take_chunk`` restarts
-    its clock).  A head slice ends its residual's wait, from the issue
-    time it inherited; its tokens are the residual's before the cut."""
-    residual = command.parent or command
-    sliced = command.input_tokens if command.is_chunk else 0
-    args: Dict[str, Any] = {}
-    if residual.chunks_taken > (1 if sliced else 0):
-        args["residual_tokens"] = residual.input_tokens + sliced
-    elif residual.input_tokens:
-        args["tokens"] = residual.input_tokens + sliced
-    if sliced:
-        args["sliced"] = sliced
-    if dropped:
-        args["dropped"] = True
-    trace.complete(
-        f"queue:{command.kind}",
-        "queue",
-        command.issue_time,
-        shard=shard,
-        inferlet=command.inferlet_id,
-        args=args or None,
-    )

@@ -68,9 +68,8 @@ class PieServer:
         """``overrides`` are configuration shorthands: each key names a
         ``ControlLayerConfig`` or ``GpuConfig`` field (``num_devices=4``,
         ``prefix_cache=True``, ``tenants=[...]``, ...) and replaces it in
-        ``config``, so callers need not rebuild the nested frozen config;
-        see :func:`repro.core.config.with_overrides` for what a shorthand
-        switches on by implication."""
+        ``config``, so callers need not rebuild the nested frozen config
+        (:func:`repro.core.config.with_overrides`)."""
         self.sim = sim
         self.config = with_overrides(config or PieConfig(), overrides)
         registry = ModelRegistry(models or ["llama-sim-1b"])
@@ -94,20 +93,14 @@ class PieServer:
         """The flight recorder, or None when ``tracing`` is off."""
         return self.controller.trace
 
-    def export_trace(self, path: Optional[str] = None) -> int:
-        """Write the recorded trace; returns the number of events exported.
-
-        ``path`` defaults to ``ControlLayerConfig.trace_path``.  A ``.jsonl``
-        suffix selects the line-delimited event log, anything else the
-        Chrome/Perfetto ``trace_event`` JSON document.
+    def export_trace(self, path: str) -> int:
+        """Write the recorded trace to ``path``; returns the number of events
+        exported.  A ``.jsonl`` suffix selects the line-delimited event log,
+        anything else the Chrome/Perfetto ``trace_event`` JSON document.
         """
-        trace = self.controller.trace
-        if trace is None:
+        if not self.config.control.tracing:
             raise ClientError("tracing is off: construct the server with tracing=True")
-        target = path or self.config.control.trace_path
-        if not target:
-            raise ClientError("no trace path: pass export_trace(path=...) or set trace_path")
-        return trace.export(target)
+        return self.controller.trace.export(path)
 
     @property
     def monitor(self):

@@ -10,7 +10,7 @@ the KV transfer scheduler (fed only under disaggregation).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import PieConfig
 from repro.core.handlers import ApiHandlers
@@ -29,7 +29,7 @@ from repro.model.registry import ModelEntry
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # imported only for annotations
-    from repro.core.inferlet import InferletInstance
+    from repro.core.inferlet import InferletInstance, LifecycleObserver
     from repro.gpu.device import SimDevice
     from repro.gpu.memory import DeviceMemory
     from repro.sim.network import NetworkLink
@@ -166,11 +166,11 @@ class ModelService:
         entry: ModelEntry,
         metrics: SystemMetrics,
         ensure_capacity,
-        trace=None,
+        observers: Tuple[LifecycleObserver, ...],
     ) -> "ModelService":
-        """Assemble the cluster serving ``entry``.  ``trace`` is the flight
-        recorder (None = knob off): each part that can use it is handed it
-        here, once.
+        """Assemble the cluster serving ``entry``.  ``observers`` are the
+        controller's (empty with every plane off): each part that tells
+        them something is handed them here, once.
         ``ensure_capacity(shard, instance, kv_pages, embeds)`` is the
         controller's swap-first / terminate-last reclamation: swap-in and
         the handoff tail compete for room through the same path
@@ -182,8 +182,8 @@ class ModelService:
         # The host KV tier is per-node: one pool shared by every device
         # shard of this model (capacity 0 disables swapping entirely).
         host_pool = HostMemoryPool(entry.config, config.gpu)
-        mover = KvMover(sim, host_pool, cost_model, trace=trace)
-        swap = SwapManager(sim, mover, config.control, metrics, ensure_capacity, trace=trace)
+        mover = KvMover(sim, host_pool, cost_model, observers)
+        swap = SwapManager(sim, mover, config.control, metrics, ensure_capacity, observers)
         shards: List[DeviceShard] = []
         for index, (device, memory) in enumerate(zip(pool.devices, pool.memories)):
             if config.gpu.num_devices == 1:
@@ -198,16 +198,10 @@ class ModelService:
                 config.gpu,
                 config.control,
                 metrics=metrics,
-                trace=trace,
+                observers=observers,
                 shard_index=index,
             )
-            resources = ResourceManager(
-                memory,
-                model_name=entry.name,
-                host_pool=host_pool,
-                trace=trace,
-                shard_index=index,
-            )
+            resources = ResourceManager(memory, model_name=entry.name, host_pool=host_pool)
             if swap.enabled:
                 # Admission: never dispatch commands of a suspended owner.
                 scheduler.set_dispatch_guard(swap.is_swapped)
@@ -246,16 +240,8 @@ class ModelService:
             policy=control.placement_policy,
             is_swapped=swap.is_swapped if swap.enabled else None,
             prefill_shards=control.prefill_shards,
-            trace=trace,
         )
-        transfer = KvTransferScheduler(
-            sim,
-            router,
-            mover,
-            metrics,
-            ensure_capacity,
-            trace=trace,
-        )
+        transfer = KvTransferScheduler(sim, router, mover, metrics, ensure_capacity, observers)
         for shard in shards:
             if shard.role == "prefill":
                 # Stream each head slice's committed pages while the

@@ -26,10 +26,8 @@ counted since the last one into a deque pruned to the longest window.
 All windows are virtual-time seconds — the simulated runs replay hours of
 traffic in seconds, so defaults are seconds-scale, not the SRE hours.
 
-Fire and clear events are recorded as trace instants (category
-``"alert"``) when a :class:`~repro.core.trace.TraceRecorder` is attached,
-so alerts land on the Perfetto timeline next to the spans that caused
-them.
+Every fire and clear transition is kept in :attr:`SloEngine.alerts`,
+which the monitor's snapshot document exports whole.
 """
 
 from __future__ import annotations
@@ -159,7 +157,7 @@ class SloEngine:
     under the rules :data:`BURN_WINDOWS`.
     """
 
-    def __init__(self, records: Dict[str, TenantMetrics], trace=None) -> None:
+    def __init__(self, records: Dict[str, TenantMetrics]) -> None:
         if not BURN_WINDOWS:
             raise ReproError("SloEngine needs at least one burn window")
         if not 0.0 < DEFAULT_SLO_TARGET < 1.0:
@@ -167,7 +165,6 @@ class SloEngine:
         self.records = records
         self.windows = tuple(BURN_WINDOWS)
         self.default_target = DEFAULT_SLO_TARGET
-        self._trace = trace
         self._trackers: Dict[Tuple[str, str], _SignalTracker] = {}
         #: Every fire/clear transition, in virtual-time order.
         self.alerts: List[AlertEvent] = []
@@ -203,21 +200,6 @@ class SloEngine:
                 )
                 events.append(event)
                 self.alerts.append(event)
-                if self._trace is not None:
-                    self._trace.instant(
-                        f"slo_alert_{kind}",
-                        "alert",
-                        args={
-                            "tenant": tenant,
-                            "signal": signal,
-                            "window": index,
-                            "long_s": window.long_s,
-                            "short_s": window.short_s,
-                            "threshold": window.threshold,
-                            "burn_long": burn_long,
-                            "burn_short": burn_short,
-                        },
-                    )
         return events
 
     # -- reporting ----------------------------------------------------------

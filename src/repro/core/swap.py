@@ -36,7 +36,7 @@ from repro.sim.futures import SimFuture
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.inferlet import InferletInstance
+    from repro.core.inferlet import InferletInstance, LifecycleObserver
     from repro.core.router import DeviceShard
 
 
@@ -50,15 +50,14 @@ class SwapManager:
         control_config: ControlLayerConfig,
         metrics: SystemMetrics,
         ensure_capacity: Callable[["DeviceShard", "InferletInstance", int], None],
-        trace=None,
+        observers: Tuple["LifecycleObserver", ...] = (),
     ) -> None:
         self.sim = sim
         self.mover = mover
         self.config = control_config
         self.metrics = metrics
-        # Flight recorder (repro.core.trace): swap-out/in instants plus a
-        # "swap_stall" span over each resume-path fault-in.  None = off.
-        self._trace = trace
+        # Told of each swap and of each resume-path fault-in's stall.
+        self.observers = observers
         # Inferlets currently blocked on at least one external call (the
         # safe-to-swap candidates; the int counts overlapping calls, so a
         # fire-and-forget caller with several in flight stays registered
@@ -200,10 +199,9 @@ class SwapManager:
         return moved
 
     def _charge(self, kind: str, shard: "DeviceShard", owner: str, pages: int) -> SimFuture:
-        """Mark one swap on the timeline and charge its PCIe transfer."""
-        if self._trace is not None:
-            args = {"pages": pages}
-            self._trace.instant(kind, "swap", shard=shard.index, inferlet=owner, args=args)
+        """Tell the observers of one swap and charge its PCIe transfer."""
+        for observer in self.observers:
+            observer.note_swapped(kind, shard, owner, pages)
         return self.mover.charge_pcie(shard.device, kind, pages)
 
     # -- swap-in -----------------------------------------------------------
@@ -246,13 +244,8 @@ class SwapManager:
         if future is not None:
             await future
             self.metrics.swap_stall_seconds += self.sim.now - started
-            if self._trace is not None:
-                self._trace.complete(
-                    "swap_stall",
-                    "swap",
-                    started,
-                    inferlet=instance.instance_id,
-                )
+            for observer in self.observers:
+                observer.note_swap_stall(instance, started)
 
     # -- swap-first reclamation: eligibility --------------------------------
 

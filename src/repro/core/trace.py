@@ -2,10 +2,11 @@
 
 ``SystemMetrics`` answers *how much* (flat end-of-run counters); the flight
 recorder answers *when* and *why*: every control-plane hot point — launch
-admission, command queue wait, batch formation and forward dispatch, KV
-commit, chunked-prefill slicing, swap suspend/resume, KV streaming and live
-migration, link occupancy — emits structured spans and instant events
-stamped with the virtual clock, and a sim-timer-driven sampler records
+admission, command queue wait, batch formation and forward dispatch,
+chunked-prefill slicing, swap suspend/resume, KV streaming and live
+migration, link occupancy, shard failover — tells :class:`LifecycleTracer`,
+which writes structured spans and instant events stamped with the virtual
+clock, and a sim-timer-driven sampler records
 per-shard telemetry time-series (queue depth, batch token utilization,
 KV-pool occupancy, link busy fraction).
 
@@ -14,8 +15,10 @@ Design constraints, in order:
 1. **Inert when off.**  ``ControlLayerConfig.tracing`` defaults to False
    and no :class:`TraceRecorder` is constructed: the controller's
    ``observers`` / ``timers`` hold no :class:`LifecycleTracer` and no
-   sampler, and every subsystem that emits per-site spans takes
-   ``trace=None`` and guards each emission with a single ``if``.
+   sampler.  The core only *tells* its observers (the notes of
+   :class:`~repro.core.inferlet.LifecycleObserver`, each carrying the
+   site's own objects); with tracing off that tuple is empty everywhere,
+   and the spans' names, categories and args live in this module alone.
 2. **Non-perturbing when on.**  Emission only *reads* simulator state
    (``sim.now``) and appends to Python-side buffers: no RNG draws, no
    future resolution, no state mutation the serving path can observe.  The
@@ -65,8 +68,7 @@ TRACE_CATEGORIES = (
     "sched",      # batch formation / dispatch bookkeeping
     "net",        # link wire occupancy
     "counter",    # sampler time-series
-    "alert",      # SLO burn-rate alert fire/clear instants
-    "fault",      # chaos-plane fault instants, relaunch spans
+    "fault",      # shard-down and stream-replan instants, relaunch spans
 )
 
 
@@ -271,16 +273,28 @@ class TraceRecorder:
 
 
 class LifecycleTracer(LifecycleObserver):
-    """The trace's view of an inferlet's life: two spans per inferlet.
+    """The trace's view of serving: every note becomes today's span or
+    instant, and no module outside this one knows an event name, a
+    category or an args layout.
 
-    The lifecycle span covers launch -> final release; the admission span
-    covers launch -> running (or abort/failure), so ``trace_report`` can
-    attribute pre-run wait separately.  Both start at the core's
-    ``launched_at`` stamp, so the tracer keeps no state of its own.
+    Per inferlet, the lifecycle span covers launch -> final release and the
+    admission span launch -> running (or abort/failure), so
+    ``trace_report`` can attribute pre-run wait separately.  Every span
+    starts at a stamp the core already keeps (``launched_at``, a command's
+    ``issue_time``, a batch's dispatch instant) or one the note carries, so
+    the tracer keeps no state of its own.
     """
 
     def __init__(self, recorder: TraceRecorder) -> None:
         self.recorder = recorder
+
+    # -- an inferlet's life ---------------------------------------------------
+
+    def note_unparked(self, instance, cancelled) -> None:
+        args = {"tenant": instance.tenant}
+        if cancelled:
+            args["cancelled"] = True
+        self._since_launch("admission_queued", "admission", instance, args)
 
     def note_running(self, instance) -> None:
         self._since_launch("launch", "admission", instance, None)
@@ -306,6 +320,140 @@ class LifecycleTracer(LifecycleObserver):
         """Write a span from the instance's ``launched_at`` stamp to now."""
         self.recorder.complete(
             name, cat, instance.metrics.launched_at, inferlet=instance.instance_id, args=args
+        )
+
+    # -- a shard's commands -----------------------------------------------------
+
+    def note_dispatched(self, shard_index, commands) -> None:
+        for command in commands:
+            self._queue_wait(command, shard_index)
+
+    def note_dropped(self, shard_index, command) -> None:
+        self._queue_wait(command, shard_index, dropped=True)
+
+    def _queue_wait(self, command, shard: int, dropped: bool = False) -> None:
+        """Write the queue wait ``command`` just ended: dispatched, or
+        ``dropped``.
+
+        The wait starts at ``issue_time``: submission for a first wait, the
+        last slice for a chunked prefill's residual (``take_chunk`` restarts
+        its clock).  A head slice ends its residual's wait, from the issue
+        time it inherited; its tokens are the residual's before the cut."""
+        residual = command.parent or command
+        sliced = command.input_tokens if command.is_chunk else 0
+        args: Dict[str, Any] = {}
+        if residual.chunks_taken > (1 if sliced else 0):
+            args["residual_tokens"] = residual.input_tokens + sliced
+        elif residual.input_tokens:
+            args["tokens"] = residual.input_tokens + sliced
+        if sliced:
+            args["sliced"] = sliced
+        if dropped:
+            args["dropped"] = True
+        self.recorder.complete(
+            f"queue:{command.kind}",
+            "queue",
+            command.issue_time,
+            shard=shard,
+            inferlet=command.inferlet_id,
+            args=args or None,
+        )
+
+    def note_batch_done(self, shard_index, batch, dispatched, failed) -> None:
+        """The batch span and one exec span per command, dispatch -> done."""
+        tokens = batch.total_input_tokens if batch.kind == "forward" else 0
+        self.recorder.complete(
+            f"batch:{batch.kind}",
+            "sched",
+            dispatched,
+            shard=shard_index,
+            args={
+                "commands": len(batch.commands),
+                "rows": batch.total_rows,
+                "tokens": tokens,
+                "failed": failed,
+            },
+        )
+        for command in batch.commands:
+            if batch.kind == "forward":
+                name = "decode" if command.is_decode_row else "prefill"
+            else:
+                name = command.kind
+            self.recorder.complete(
+                name,
+                "exec",
+                dispatched,
+                shard=shard_index,
+                inferlet=command.inferlet_id,
+                args={"tokens": max(1, command.input_tokens), "kind": command.kind},
+            )
+
+    # -- KV pages on the move ---------------------------------------------------
+
+    def note_link_reserved(self, link, start, size) -> None:
+        self.recorder.complete(link.name, "net", start, end=link.busy_until, args={"bytes": size})
+
+    def note_swapped(self, kind, shard, owner, pages) -> None:
+        self.recorder.instant(kind, "swap", shard=shard.index, inferlet=owner, args={"pages": pages})
+
+    def note_swap_stall(self, instance, started) -> None:
+        self.recorder.complete("swap_stall", "swap", started, inferlet=instance.instance_id)
+
+    def note_kv_streamed(self, owner, src_index, dst_index, pages, size, arrival) -> None:
+        self.recorder.complete(
+            "kv_stream",
+            "transfer",
+            self.recorder.sim.now,
+            end=arrival,
+            shard=src_index,
+            inferlet=owner,
+            args={"pages": pages, "bytes": size, "dst": dst_index},
+        )
+
+    def note_handoff(self, owner, src, dst, stall, landing, tail_pages) -> None:
+        self.recorder.instant(
+            "migrate",
+            "transfer",
+            shard=dst.index,
+            inferlet=owner,
+            args={"src": src.index, "dst": dst.index},
+        )
+        if stall + landing > 0.0:
+            # The decode side cannot serve this owner before the link
+            # drains and the tail lands — the TTFT-domain handoff cost.
+            now = self.recorder.sim.now
+            self.recorder.complete(
+                "handoff",
+                "transfer",
+                now,
+                end=now + stall + landing,
+                shard=dst.index,
+                inferlet=owner,
+                args={"stall": stall, "landing": landing, "tail_pages": tail_pages},
+            )
+
+    def note_replanned(self, owner, dead_index, requeued_pages) -> None:
+        self.recorder.instant(
+            "kv_stream_replan",
+            "fault",
+            inferlet=owner,
+            args={"dead_shard": dead_index, "requeued_pages": requeued_pages},
+        )
+
+    # -- the chaos plane --------------------------------------------------------
+
+    def note_shard_down(self, index) -> None:
+        self.recorder.instant("shard_down", "fault", shard=index, args={"was": "healthy"})
+
+    def note_relaunched(self, instance, dead, dst, embeds) -> None:
+        """The rescue window: from the crash to the re-materialization."""
+        self.recorder.complete(
+            "relaunch",
+            "fault",
+            dead.device.down_since,
+            shard=dst.index,
+            inferlet=instance.instance_id,
+            args={"src": dead.index, "dst": dst.index, "embeds": embeds},
         )
 
 

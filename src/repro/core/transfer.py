@@ -39,7 +39,7 @@ from repro.core.mover import KvMover
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from repro.core.inferlet import InferletInstance
+    from repro.core.inferlet import InferletInstance, LifecycleObserver
     from repro.core.router import DeviceShard, Router
 
 
@@ -85,16 +85,15 @@ class KvTransferScheduler:
         mover: KvMover,
         metrics: SystemMetrics,
         ensure_capacity,
-        trace=None,
+        observers: Tuple["LifecycleObserver", ...] = (),
     ) -> None:
         self.sim = sim
         self.shards = router.shards
         self.router = router
         self.mover = mover
         self.metrics = metrics
-        # Flight recorder (repro.core.trace): "kv_stream" spans per flush, a
-        # "handoff" span over stall+landing (the mover traces the wire).
-        self._trace = trace
+        # Told of each flush, handoff and re-plan (the mover tells of the wire).
+        self.observers = observers
         self.page_size = mover.cost_model.config.kv_page_size
         self._streams: Dict[str, _Stream] = {}
         self._forwards: Dict[int, _ForwardTrack] = {}  # parent command_id ->
@@ -200,26 +199,15 @@ class KvTransferScheduler:
         if not dst_pids:
             return  # the decode shard is full: the handoff tail carries them
         n_pages = len(dst_pids)
+        size = n_pages * self.mover.page_bytes
         for src_pid, dst_pid in zip(stream.queued, dst_pids):
             stream.staged[src_pid] = _StagedPage(dst_pid=dst_pid)
         del stream.queued[:n_pages]
         stream.link_ready = max(stream.link_ready, arrival)
         self.metrics.disagg_pages_streamed += n_pages
-        self.metrics.disagg_bytes_streamed += n_pages * self.mover.page_bytes
-        if self._trace is not None:
-            self._trace.complete(
-                "kv_stream",
-                "transfer",
-                self.sim.now,
-                end=arrival,
-                shard=stream.src_index,
-                inferlet=owner,
-                args={
-                    "pages": n_pages,
-                    "bytes": n_pages * self.mover.page_bytes,
-                    "dst": dst.index,
-                },
-            )
+        self.metrics.disagg_bytes_streamed += size
+        for observer in self.observers:
+            observer.note_kv_streamed(owner, stream.src_index, dst.index, n_pages, size, arrival)
 
     def _destination(self, stream: _Stream) -> "DeviceShard":
         """The decode shard this stream targets, chosen once, lazily, with
@@ -322,7 +310,6 @@ class KvTransferScheduler:
         # Timing: the decode shard cannot touch the migrated KV before the
         # link has drained (streamed pages still in flight) and the tail
         # has both crossed the wire and landed in the paged cache.
-        now = self.sim.now
         stall, landing = self.mover.land(
             src.index,
             dst,
@@ -334,26 +321,8 @@ class KvTransferScheduler:
         self.metrics.disagg_handoffs += 1
         self.metrics.disagg_pages_tail += len(tail)
         self.metrics.disagg_handoff_stall_seconds += stall
-        if self._trace is not None:
-            self._trace.instant(
-                "migrate",
-                "transfer",
-                shard=dst.index,
-                inferlet=owner,
-                args={"src": src.index, "dst": dst.index},
-            )
-            if stall + landing > 0.0:
-                # The decode side cannot serve this owner before the link
-                # drains and the tail lands — the TTFT-domain handoff cost.
-                self._trace.complete(
-                    "handoff",
-                    "transfer",
-                    now,
-                    end=now + stall + landing,
-                    shard=dst.index,
-                    inferlet=owner,
-                    args={"stall": stall, "landing": landing, "tail_pages": len(tail)},
-                )
+        for observer in self.observers:
+            observer.note_handoff(owner, src, dst, stall, landing, len(tail))
 
         self._streams.pop(owner, None)
         self._drop_tracks(owner)
@@ -379,13 +348,8 @@ class KvTransferScheduler:
             queued = [pid for pid in requeue if pid not in stream.queued] + stream.queued
             self._streams[owner] = _Stream(src_index=stream.src_index, queued=queued)
             self.metrics.disagg_replans += 1
-            if self._trace is not None:
-                self._trace.instant(
-                    "kv_stream_replan",
-                    "fault",
-                    inferlet=owner,
-                    args={"dead_shard": index, "requeued_pages": len(requeue)},
-                )
+            for observer in self.observers:
+                observer.note_replanned(owner, index, len(requeue))
 
     # -- teardown -------------------------------------------------------------
 

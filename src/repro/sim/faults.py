@@ -16,8 +16,8 @@ Fault entry grammar (plain tuples so plans can live inside the frozen
     :class:`~repro.errors.FaultInjectedError`; the health service's next
     heartbeat marks the shard ``down`` and runs the failover sweep.
 
-Every injected fault lands as an instant in the ``"fault"`` trace
-category, so chaos runs read directly off the Perfetto timeline.
+Every injected fault is kept in :attr:`FaultInjector.injected`, which the
+monitor's snapshot document exports under ``"faults"``.
 """
 
 from __future__ import annotations
@@ -87,12 +87,11 @@ class FaultInjector:
     crash goes to ``health``.
     """
 
-    def __init__(self, sim, plan: Sequence[tuple], health, metrics, trace=None) -> None:
+    def __init__(self, sim, plan: Sequence[tuple], health, metrics) -> None:
         self.sim = sim
         self.plan = FaultPlan(plan)
         self.health = health
         self.metrics = metrics
-        self.trace = trace
         #: Every fault fired so far, in firing order — exported with the
         #: monitor snapshot so SLO reports can line alerts up with causes.
         self.injected: List[dict] = []
@@ -109,9 +108,5 @@ class FaultInjector:
             {"time": self.sim.now, "kind": kind, "entry": list(entry)}
         )
         self.metrics.faults_injected += 1
-        if self.trace is not None:
-            self.trace.instant(
-                f"fault_{kind}", "fault", args={"entry": list(entry)}
-            )
         self.metrics.shard_crashes += 1
         self.health.inject_shard_crash(int(entry[2]))

@@ -26,12 +26,7 @@ import pathlib
 import re
 from collections import defaultdict
 
-from repro.core.config import (
-    SHORTHAND_IMPLICATIONS,
-    ControlLayerConfig,
-    SchedulerConfig,
-    WasmRuntimeConfig,
-)
+from repro.core.config import ControlLayerConfig, SchedulerConfig, WasmRuntimeConfig
 from repro.core.qos import TenantSpec
 from repro.gpu.config import GpuConfig
 from repro.sim.faults import FAULT_KINDS
@@ -52,7 +47,6 @@ LEDGER = {
     ),
     "ControlLayerConfig.prefill_shards": "disaggregation arm (2 of its 8 devices)",
     "ControlLayerConfig.tracing": "tracing arms; perf/ traced run; the example",
-    "ControlLayerConfig.trace_path": "path; the tracing experiment exports through it",
     "ControlLayerConfig.trace_sample_ms": (
         "perf/ traced run passes 0.0; examples/trace_flight_recorder.py passes 2.0"
     ),
@@ -116,8 +110,7 @@ def test_every_field_has_a_ledger_row_and_every_row_a_field():
 
 def named_outside_tests() -> set:
     """Every name :data:`CALLERS` give a value — a keyword argument or a
-    string dict key (an arm's overrides) — plus what a shorthand among them
-    switches on."""
+    string dict key (an arm's overrides)."""
     names = set()
     for directory in CALLERS:
         for path in sorted((ROOT / directory).rglob("*.py")):
@@ -130,9 +123,6 @@ def named_outside_tests() -> set:
                         for key in node.keys
                         if isinstance(key, ast.Constant) and isinstance(key.value, str)
                     )
-    for key, implied in SHORTHAND_IMPLICATIONS:
-        if key in names:
-            names.update(implied)
     return names
 
 
@@ -159,16 +149,13 @@ def test_the_counters_the_north_star_tracks():
     # went with the retry policy it seeded; 13 / 22 fields and scalars, 5
     # boolean planes, before chunked prefill became how every batch forms;
     # 12 / 21 / 4 and two shorthand rows before the monitor and the chaos
-    # plane were built with every controller.
-    assert len(dataclasses.fields(ControlLayerConfig)) == 10
-    assert len(settable_scalars()) <= 19
+    # plane were built with every controller; 10 / 19 and one shorthand row
+    # (``trace_path`` implied ``tracing``) before the trace export path
+    # became the caller's argument, and the implication table went with it.
+    assert len(dataclasses.fields(ControlLayerConfig)) == 9
+    assert len(settable_scalars()) <= 18
     planes = [f.name for f in dataclasses.fields(ControlLayerConfig) if isinstance(f.default, bool)]
     assert planes == ["prefix_cache", "tracing"]
-    assert len(SHORTHAND_IMPLICATIONS) <= 1
-    fields = set(settable_scalars())
-    for key, implied in SHORTHAND_IMPLICATIONS:
-        assert f"ControlLayerConfig.{key}" in fields
-        assert all(f"ControlLayerConfig.{name}" in fields for name in implied)
 
 
 def test_every_fault_kind_is_injected_outside_tests():
@@ -229,8 +216,9 @@ def none_tests(names, root=ROOT):
 
 def test_the_core_never_asks_whether_an_always_built_plane_exists():
     assert none_tests(ALWAYS_BUILT) == []
-    # Not vacuous: the scan finds the optional planes' tests of today.
-    assert len(none_tests(("trace",))) > 0
+    # The flight recorder is told through the observers, never tested for.
+    assert none_tests(("trace",)) == []
+    # Not vacuous: the scan finds the prefix cache's tests of today.
     assert len(none_tests(("prefix_cache",))) > 0
 
 

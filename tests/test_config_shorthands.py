@@ -1,7 +1,6 @@
 """PieServer / make_pie_setup configuration shorthands are *derived*: each
-keyword names a ControlLayerConfig or GpuConfig field, and one small
-implication table says which knobs a shorthand switches on.  The edge cases
-are pinned here."""
+keyword names a ControlLayerConfig or GpuConfig field and sets that field
+alone.  The edge cases are pinned here."""
 
 import dataclasses
 
@@ -9,54 +8,24 @@ import pytest
 
 from repro.bench.runners import make_pie_setup
 from repro.core import PieServer, TenantSpec
-from repro.core.config import (
-    SHORTHAND_IMPLICATIONS,
-    ControlLayerConfig,
-    PieConfig,
-    with_overrides,
-)
-from repro.errors import ReproError
+from repro.core.config import ControlLayerConfig, PieConfig, with_overrides
 from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
 
 TENANTS = [TenantSpec(name="acme", priority_class="interactive")]
-
-#: A value that triggers each row of the implication table (with whatever
-#: else the result needs to validate).
-TRIGGERS = {
-    "trace_path": dict(trace_path="t.json"),
-}
 
 
 def control_of(**overrides) -> ControlLayerConfig:
     return with_overrides(PieConfig(), overrides).control
 
 
-def test_every_implication_has_a_trigger_case():
-    assert [key for key, _ in SHORTHAND_IMPLICATIONS] == list(TRIGGERS)
-
-
-@pytest.mark.parametrize("key, implied", SHORTHAND_IMPLICATIONS)
-def test_each_implication(key, implied):
-    control = control_of(**TRIGGERS[key])
-    for name, value in implied.items():
-        assert getattr(control, name) == value, (key, name)
-
-
 def test_false_and_none_imply_nothing():
-    assert control_of(**{key: None for key in TRIGGERS}) == ControlLayerConfig()
-    # False is a value, not a trigger: it switches nothing on.
-    assert control_of(trace_path=False).tracing is False
+    # None means "not given".
+    assert control_of(tracing=None, prefix_cache=None) == ControlLayerConfig()
+    # False is a value: it sets its own field and switches nothing else.
+    assert control_of(tracing=False) == ControlLayerConfig()
     # Tenants switch no plane on: the core reads them with every plane off.
     assert control_of(tenants=TENANTS) == ControlLayerConfig(tenants=tuple(TENANTS))
-
-
-def test_an_explicit_value_beats_an_implication():
-    assert control_of(trace_path="", tracing=False).tracing is False
-    # The explicit value wins and the combination is then rejected, rather
-    # than being silently replaced by the implied one.
-    with pytest.raises(ReproError, match="trace_path requires tracing=True"):
-        control_of(trace_path="t.json", tracing=False)
 
 
 def test_sequences_are_tupleised():

@@ -303,14 +303,19 @@ def test_disagg_tokens_match_disagg_off():
 
 
 def test_tracing_off_default_is_inert():
-    """tracing=False (the default) constructs no recorder at all: the
-    off-knob path is structurally inert, not merely quiet."""
+    """tracing=False (the default) constructs no recorder at all and every
+    subsystem that tells observers holds none: the off-knob path is
+    structurally inert, not merely quiet."""
     sim = Simulator(seed=1)
     server = PieServer(sim, num_devices=2)
     assert server.trace is None
     assert server.controller.trace is None
-    for shard in server.service().shards:
-        assert shard.scheduler._trace is None
+    assert server.controller.observers == ()
+    service = server.service()
+    for subsystem in (service.mover, service.swap, service.transfer):
+        assert subsystem.observers == ()
+    for shard in service.shards:
+        assert shard.scheduler.observers == ()
 
 
 def test_tracing_on_does_not_perturb_the_run():

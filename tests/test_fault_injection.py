@@ -184,9 +184,9 @@ def test_crash_marks_shard_down_and_stops_placement():
     assert server.metrics.shard_crashes == 1
     # Detection paid the heartbeat: the shard_down transition landed on
     # the trace strictly after the injection instant.
-    events = server.trace.events("fault")
-    crash_ts = next(e["ts"] for e in events if e["name"] == "fault_shard_crash")
-    down_ts = next(e["ts"] for e in events if e["name"] == "shard_down")
+    (crash,) = server.controller.faults.injected
+    crash_ts = crash["time"]
+    down_ts = next(e["ts"] for e in server.trace.events("fault") if e["name"] == "shard_down")
     assert down_ts > crash_ts
     # No batch executed on the dead shard after detection.
     for event in server.trace.events("exec"):

@@ -12,8 +12,10 @@ import json
 
 import pytest
 
+from repro.core import PieServer
 from repro.core import trace as trace_module
 from repro.core.trace import TraceRecorder
+from repro.errors import ClientError
 from repro.sim import Simulator
 
 
@@ -122,3 +124,12 @@ def test_perfetto_export_structure(tmp_path):
     assert span_event["dur"] == 0.002 * 1e6  # microseconds
     counters = [e for e in events if e["ph"] == "C"]
     assert counters[0]["args"] == {"queue_depth": 2.0}
+
+
+def test_a_server_exports_its_trace_only_with_tracing_on(tmp_path):
+    """``export_trace(path)`` asks the configuration, not the recorder."""
+    with pytest.raises(ClientError, match="tracing is off"):
+        PieServer(Simulator(seed=0)).export_trace(str(tmp_path / "off.jsonl"))
+    traced = PieServer(Simulator(seed=0), tracing=True)
+    assert traced.export_trace(str(tmp_path / "on.jsonl")) == 0
+    assert (tmp_path / "on.jsonl").read_text() == ""

@@ -19,8 +19,6 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.core.controller
-import repro.core.scheduler
 from repro.core import InferletProgram, PieServer, TenantSpec
 from repro.core.trace import LifecycleTracer
 from repro.sim import Simulator
@@ -237,14 +235,14 @@ def test_no_span_handle_under_src():
 # -- mutants -------------------------------------------------------------------------------
 
 
-WAIT = repro.core.scheduler.trace_queue_wait
+WAIT = LifecycleTracer._queue_wait
 
 
-def wait_from_dispatch(trace, command, shard, dropped=False):
+def wait_from_dispatch(self, command, shard, dropped=False):
     """Mutant: a queue wait starts when it ends, not at ``issue_time``."""
-    issued, command.issue_time = command.issue_time, trace.sim.now
+    issued, command.issue_time = command.issue_time, self.recorder.sim.now
     try:
-        WAIT(trace, command, shard, dropped=dropped)
+        WAIT(self, command, shard, dropped=dropped)
     finally:
         command.issue_time = issued
 
@@ -259,8 +257,7 @@ def skip_terminated(self, instance):
 
 
 def test_mutant_wait_from_dispatch_is_killed(monkeypatch):
-    monkeypatch.setattr(repro.core.scheduler, "trace_queue_wait", wait_from_dispatch)
-    monkeypatch.setattr(repro.core.controller, "trace_queue_wait", wait_from_dispatch)
+    monkeypatch.setattr(LifecycleTracer, "_queue_wait", wait_from_dispatch)
     with pytest.raises(AssertionError):
         check_scripted_run()
 
