@@ -58,13 +58,10 @@ def make_beam_search(
             new_beams = []
             for candidate in survivors:
                 parent = candidate["parent"]
-                if id(parent) not in used_parents:
-                    used_parents.add(id(parent))
-                    context = parent["context"]
-                else:
-                    context = parent["context"].fork()
-                    await context.refresh_hidden()
-                await context.append_token(candidate["token"])
+                context = parent["context"]
+                if id(parent) in used_parents:
+                    context = context.fork()
+                used_parents.add(id(parent))
                 new_beams.append(
                     {
                         "context": context,
@@ -72,6 +69,10 @@ def make_beam_search(
                         "logprob": candidate["logprob"],
                     }
                 )
+            # Every extra child forked before any survivor appends, so no
+            # beam's cache holds a sibling's token.
+            for beam in new_beams:
+                await beam["context"].append_token(beam["tokens"][-1])
             beams = new_beams
 
         best = max(beams, key=lambda beam: beam["logprob"])

@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.errors import ReproError
 from repro.core.api import InferletContext
 from repro.core.handles import Embed, KvPage, Queue
 from repro.model.sampling import TokenDistribution
+from repro.sim.futures import SimFuture
 from repro.support.sampling import SamplingParams, choose_token
 from repro.support.stopping import StopCondition, build_stop_conditions
 
@@ -55,6 +58,11 @@ class Context:
         self._gen_emb: Embed = api.alloc_emb(self.queue, 1)[0]
         self._owned_embeds: List[Embed] = [self._gen_emb]
         self._has_hidden = False
+        # A fork's copies into this context (the parent's hidden state, the
+        # parent's partial last page), in flight on the queue that issued
+        # them.  Every device call waits for them first.
+        self._landing: List[SimFuture] = []
+        self._landing_queue = self.queue
         self._freed = False
 
     # -- inspection ---------------------------------------------------------
@@ -116,6 +124,7 @@ class Context:
     async def fill(self, prompt: Union[str, Sequence[int]]) -> None:
         """Embed and prefill the prompt, leaving the last hidden state ready."""
         self._check_usable()
+        await self._landed()
         tokens = (
             self.api.tokenize(self.queue, prompt) if isinstance(prompt, str) else list(prompt)
         )
@@ -148,6 +157,7 @@ class Context:
         self._check_usable()
         if not self._has_hidden:
             raise ReproError("call fill() before sampling from the context")
+        await self._landed()
         return await self.api.get_next_dist(
             self.queue, self._gen_emb, top_k=top_k, temperature=temperature
         )
@@ -155,6 +165,7 @@ class Context:
     async def append_token(self, token: int) -> None:
         """Append a chosen token and advance the KV cache by one step."""
         self._check_usable()
+        await self._landed()
         position = self.num_tokens
         self._ensure_capacity(1)
         self.api.embed_txt(self.queue, [token], [position], [self._gen_emb])
@@ -214,6 +225,7 @@ class Context:
         self._check_usable()
         if not 0 <= start <= end <= self.num_cached_tokens:
             raise ReproError(f"invalid mask range [{start}, {end})")
+        await self._landed()
         for index in range(start, end):
             self._visible[index] = visible
         first_page = start // self.page_size
@@ -230,12 +242,21 @@ class Context:
     def fork(self, queue: Optional[Queue] = None) -> "Context":
         """Create a child context sharing this context's cached prefix.
 
-        The child reads the parent's KV pages but never writes to them;
-        divergent tokens go to freshly allocated pages.  Giving each child
-        its own command queue lets the batch scheduler run sibling branches
-        in the same device batch (horizontal batching).
+        The child reads the parent's full KV pages but never writes to them;
+        divergent tokens go to pages of its own.  A partial last page is
+        copied into one of them (``copy_kvpage``), so neither context sees
+        the tokens the other appends, and the parent's last hidden state is
+        copied into the child's slot (``copy_emb``): a fork runs no forward.
+        The copies ride the parent's queue, ahead of anything it issues
+        next, and the child's first device call waits for them.  Giving
+        each child its own command queue lets the batch scheduler run
+        sibling branches in the same device batch (horizontal batching).
         """
         self._check_usable()
+        # Copies into a context still in flight: its children's copies ride
+        # behind them, and its own next call waits for theirs too.
+        source = self._landing_queue if self._landing else self.queue
+        cursor = self._write_cursor
         child = Context.__new__(Context)
         child.api = self.api
         child.queue = queue if queue is not None else self.api.create_queue(self.model)
@@ -244,29 +265,62 @@ class Context:
         child.sampling = self.sampling
         child.token_ids = list(self.token_ids)
         child.generated_ids = []
-        child._pages = list(self._pages)
-        child._page_fill = list(self._page_fill)
-        child._write_cursor = len(self._pages)
+        child._pages = self._pages[:cursor]
+        child._page_fill = self._page_fill[:cursor]
+        child._write_cursor = cursor
         child._owned_pages = []
         child._visible = list(self._visible)
         child._gen_emb = self.api.alloc_emb(child.queue, 1)[0]
         child._owned_embeds = [child._gen_emb]
-        child._has_hidden = False
+        child._landing = []
+        child._landing_queue = source
         child._freed = False
+        fill = self._page_fill[cursor] if cursor < len(self._pages) else 0
+        if fill:
+            own = self.api.alloc_kvpage(child.queue, 1)[0]
+            child._pages.append(own)
+            child._page_fill.append(fill)
+            child._owned_pages.append(own)
+            slots = list(range(fill))
+            child._landing.append(
+                self.api.copy_kvpage(source, self._pages[cursor], own, slots, slots)
+            )
+        child._has_hidden = self._has_hidden
+        if self._has_hidden:
+            child._landing.append(self.api.copy_emb(source, [self._gen_emb], [child._gen_emb]))
+        if self._landing:
+            self._landing += child._landing
         return child
 
-    async def refresh_hidden(self) -> None:
-        """Recompute the last token's hidden state (needed after fork).
+    async def _landed(self) -> None:
+        """Wait for the copies a fork issued into this context."""
+        landing, self._landing = self._landing, []
+        for future in landing:
+            await future
 
-        Re-embeds the final cached token and runs a single forward over the
-        cached prefix (minus that token) — one decode-step of work, no
+    async def refresh_hidden(self) -> None:
+        """Make the last token's hidden state current.
+
+        After :meth:`fork` this waits for the parent's hidden state to land
+        in the child's slot.  Otherwise (a changed mask, a second call) it
+        re-embeds the final cached token and runs a single forward over the
+        cached prefix minus that token — one decode-step of work, no
         re-prefill of the whole context.
         """
         self._check_usable()
         if not self.token_ids:
             raise ReproError("cannot refresh an empty context")
+        copied = self._has_hidden and bool(self._landing)
+        await self._landed()
+        if copied:
+            return
         last_token = self.token_ids[-1]
         position = self.num_tokens - 1
+        cached = self.num_cached_tokens
+        # The token's K/V is cached already: the query hides that copy, so
+        # it attends to itself once, as it did when it was written.
+        mask = np.ones((1, cached + 1), dtype=bool)
+        mask[0, cached - 1] = False
         self.api.embed_txt(self.queue, [last_token], [position], [self._gen_emb])
         self.api.forward(
             self.queue,
@@ -274,6 +328,7 @@ class Context:
             iemb=[self._gen_emb],
             okv=[],
             oemb=[self._gen_emb],
+            mask=mask,
         )
         await self.api.synchronize(self.queue)
         self._has_hidden = True
@@ -300,23 +355,27 @@ class Context:
 
         ``prefix_tokens`` is the token sequence the export corresponds to;
         the importer needs it to continue the position numbering and to
-        detokenize.  The imported pages are sealed (read-only).
+        detokenize.  The imported pages before the prefix's last page are
+        sealed (read-only); the tokens of its last page — at most one page,
+        and one the exporter may still be writing — are prefilled into a
+        page of the importer's own, which leaves the last hidden state ready.
         """
+        prefix_tokens = list(prefix_tokens)
         context = cls(api, model=model, sampling=sampling)
         imported = api.import_kvpage(name, model=context.model)
-        prefix_tokens = list(prefix_tokens)
-        context._pages = list(imported)
-        context._write_cursor = len(imported)
-        fills = []
-        remaining = len(prefix_tokens)
-        for _ in imported:
-            take = min(context.page_size, remaining)
-            fills.append(take)
-            remaining -= take
-        context._page_fill = fills
-        context.token_ids = prefix_tokens
-        context._visible = [True] * len(prefix_tokens)
-        await context.refresh_hidden()
+        sealed = (len(prefix_tokens) - 1) // context.page_size
+        if not prefix_tokens or sealed >= len(imported):
+            raise ReproError(
+                f"export {name!r} holds {len(imported)} pages, "
+                f"not the {len(prefix_tokens)} prefix tokens given"
+            )
+        context._pages = imported[:sealed]
+        context._page_fill = [context.page_size] * sealed
+        context._write_cursor = sealed
+        cut = sealed * context.page_size
+        context.token_ids = prefix_tokens[:cut]
+        context._visible = [True] * cut
+        await context.fill(prefix_tokens[cut:])
         return context
 
     # -- cleanup -----------------------------------------------------------------------------------------
@@ -325,10 +384,12 @@ class Context:
         """Deallocate every resource this context owns (idempotent)."""
         if self._freed:
             return
+        # Behind the fork's copies into them, when those are still in flight.
+        queue = self._landing_queue if self._landing else self.queue
         if self._owned_pages:
-            self.api.dealloc_kvpage(self.queue, self._owned_pages)
+            self.api.dealloc_kvpage(queue, self._owned_pages)
         if self._owned_embeds:
-            self.api.dealloc_emb(self.queue, self._owned_embeds)
+            self.api.dealloc_emb(queue, self._owned_embeds)
         self._freed = True
 
     def _check_usable(self) -> None:

@@ -21,7 +21,6 @@ async def fork_join(
     parent: Context,
     branch_fn: Callable[[Context, int], Awaitable[T]],
     n_branches: int,
-    refresh: bool = True,
 ) -> List[T]:
     """Fork ``parent`` into ``n_branches`` children and run them concurrently.
 
@@ -29,9 +28,9 @@ async def fork_join(
     are returned in branch order.  Children are freed afterwards.
     """
     children = [parent.fork() for _ in range(n_branches)]
-    if refresh:
-        # One decode-step each to rebuild the branch's last hidden state.
-        await api._sim.gather([api._sim.create_task(child.refresh_hidden()) for child in children])
+    # Wait for the parent's last hidden state to land in each branch (a
+    # copy per fork, no forward).
+    await api._sim.gather([api._sim.create_task(child.refresh_hidden()) for child in children])
     tasks = [
         api._sim.create_task(branch_fn(child, index), name=f"branch-{index}")
         for index, child in enumerate(children)

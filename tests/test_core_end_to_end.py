@@ -280,6 +280,10 @@ class TestContextFeatures:
         async def exporter(ctx):
             context = Context(ctx)
             await context.fill(prompt)
+            # The sample waits for the prefill; ``fill``'s barrier does not
+            # (docs/ARCHITECTURE.md, "What `synchronize` waits for today"),
+            # and an exporter that exits first exports unwritten pages.
+            await context.next_dist()
             context.export_prefix("shared-prefix")
             return context.token_ids
 

@@ -364,11 +364,14 @@ def test_three_branches_on_one_queue_share_each_decode_forward():
     server = PieServer(sim)
     scheduler = server.service().scheduler
     forwards = []
+    copies = []
     dispatch = scheduler._dispatch
 
     def spy(batch):
         if batch.kind == "forward":
             forwards.append(len(batch.commands))
+        if batch.kind.startswith("copy_"):
+            copies.append((batch.kind, len(batch.commands)))
         dispatch(batch)
 
     scheduler._dispatch = spy
@@ -394,10 +397,13 @@ def test_three_branches_on_one_queue_share_each_decode_forward():
     result = sim.run_until_complete(server.run_inferlet("tree"))
     sim.run()
     assert result.status == "finished"
-    # The prompt's forward, then the refresh and each decode round as one
-    # forward of all three branches (the last round's forward is still
-    # queued when the program exits).
-    assert forwards == [1, 3, 3, 3, 3]
+    # The prompt's forward, then each decode round as one forward of all
+    # three branches (the last round's forward is still queued when the
+    # program exits).  A fork runs no forward: it copies the prompt's
+    # partial last page and the last hidden state, two fences of two kinds
+    # per fork, so the three forks' copies go one by one.
+    assert forwards == [1, 3, 3, 3]
+    assert copies == [("copy_kv", 1), ("copy_emb", 1)] * 3
 
 
 # -- mutants ----------------------------------------------------------------------
