@@ -50,4 +50,8 @@ def test_load_sweep(run_experiment, write_artifact):
     # tombstone per resolved timeout across the whole run.
     assert head["heap_size_end_10k"] < 100, head
 
+    # No stream exits with a command queued: a chosen token is written only
+    # when something reads it, so the last one never reaches the device.
+    assert head["commands_dropped_10k"] == 0, head
+
     write_artifact("BENCH_load_sweep.json", head)

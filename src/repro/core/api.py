@@ -289,6 +289,7 @@ class InferletContext:
             queue,
             "copy_kv",
             payload,
+            reads=frozenset({("kv", src_pid)}),
             writes=frozenset({("kv", dst_pid)}),
         )
         self._pin_busy(home.prefix_cache, [src_pid, dst_pid], future)
@@ -308,6 +309,7 @@ class InferletContext:
             queue,
             "copy_emb",
             {"src": src_ids, "dst": dst_ids},
+            reads=frozenset(("emb", eid) for eid in src_ids),
             writes=frozenset(("emb", eid) for eid in dst_ids),
         )
 

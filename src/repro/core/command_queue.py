@@ -39,7 +39,9 @@ COMMAND_KINDS = (
 #: The kinds whose read and write sets are complete, so a queue may batch one
 #: past an earlier command it does not touch.  Every other kind is a fence: it
 #: goes only with the queue's head and nothing passes it.
-HAZARD_CHECKED_KINDS = frozenset({"embed_text", "forward", "sample"})
+HAZARD_CHECKED_KINDS = frozenset(
+    {"embed_text", "forward", "sample", "copy_kv", "copy_emb"}
+)
 
 #: Class rank of a queue built without an owner's class (the default one's).
 DEFAULT_RANK = CLASS_RANK[DEFAULT_CLASS]

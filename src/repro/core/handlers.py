@@ -59,7 +59,8 @@ class ApiHandlers:
             "sample": self._run_sample_batch,
             "embed_text": self._run_embed_text_batch,
         }
-        #: The rare kinds run once per command.
+        #: The rare kinds run once per command, in batch order: a copy that
+        #: reads what an earlier copy of its batch wrote sees that write.
         self._dispatch = {
             "embed_image": self._run_embed_image,
             "copy_kv": self._run_copy_kv,

@@ -27,7 +27,7 @@ def make_attention_sink(
         masked_upto = sink_tokens
         for _ in range(max_tokens):
             await context.generate_once()
-            window_start = max(sink_tokens, context.num_cached_tokens - window_tokens)
+            window_start = max(sink_tokens, context.num_tokens - window_tokens)
             if window_start > masked_upto:
                 await context.mask_token_range(masked_upto, window_start)
                 masked_upto = window_start
@@ -60,7 +60,7 @@ def make_windowed_attention(
         masked_upto = 0
         for _ in range(max_tokens):
             await context.generate_once()
-            window_start = max(0, context.num_cached_tokens - window_tokens)
+            window_start = max(0, context.num_tokens - window_tokens)
             if window_start > masked_upto:
                 await context.mask_token_range(masked_upto, window_start)
                 masked_upto = window_start

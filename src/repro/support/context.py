@@ -58,6 +58,9 @@ class Context:
         self._gen_emb: Embed = api.alloc_emb(self.queue, 1)[0]
         self._owned_embeds: List[Embed] = [self._gen_emb]
         self._has_hidden = False
+        # The last chosen token, counted in ``token_ids`` but not yet in the
+        # KV cache: the next call that reads the context writes it first.
+        self._pending: Optional[int] = None
         # A fork's copies into this context (the parent's hidden state, the
         # parent's partial last page), in flight on the queue that issued
         # them.  Every device call waits for them first.
@@ -73,10 +76,14 @@ class Context:
 
     @property
     def num_cached_tokens(self) -> int:
+        """Tokens written to the KV cache (a pending token is not yet)."""
         return sum(self._page_fill)
 
     @property
     def pages(self) -> List[KvPage]:
+        """The context's KV pages, for a device call the caller issues:
+        a pending token is written into them first."""
+        self._write_pending()
         return list(self._pages)
 
     @property
@@ -122,7 +129,10 @@ class Context:
     # -- prefill -----------------------------------------------------------------
 
     async def fill(self, prompt: Union[str, Sequence[int]]) -> None:
-        """Embed and prefill the prompt, leaving the last hidden state ready."""
+        """Embed and prefill the prompt, leaving the last hidden state ready.
+
+        A pending token rides in front of the prompt: one embed and one
+        forward write both."""
         self._check_usable()
         await self._landed()
         tokens = (
@@ -130,10 +140,13 @@ class Context:
         )
         if not tokens:
             return
-        positions = list(range(self.num_tokens, self.num_tokens + len(tokens)))
-        self._ensure_capacity(len(tokens))
-        prompt_embeds = self.api.alloc_emb(self.queue, len(tokens))
-        self.api.embed_txt(self.queue, tokens, positions, prompt_embeds)
+        pending = [] if self._pending is None else [self._pending]
+        self._pending = None
+        written = pending + tokens
+        positions = list(range(self.num_tokens - len(pending), self.num_tokens + len(tokens)))
+        self._ensure_capacity(len(written))
+        prompt_embeds = self.api.alloc_emb(self.queue, len(written))
+        self.api.embed_txt(self.queue, written, positions, prompt_embeds)
         self.api.forward(
             self.queue,
             ikv=self._pages,
@@ -145,7 +158,7 @@ class Context:
         await self.api.synchronize(self.queue)
         self.token_ids.extend(tokens)
         self._visible.extend([True] * len(tokens))
-        self._record_written(len(tokens))
+        self._record_written(len(written))
         self._has_hidden = True
 
     # -- decoding ------------------------------------------------------------------
@@ -153,22 +166,39 @@ class Context:
     async def next_dist(
         self, top_k: Optional[int] = None, temperature: float = 1.0
     ) -> TokenDistribution:
-        """Next-token distribution at the current position."""
+        """Next-token distribution at the current position.
+
+        A pending token's write is issued first; the queue keeps the sample
+        behind the forward whose hidden state it reads."""
         self._check_usable()
-        if not self._has_hidden:
+        if not self._has_hidden and self._pending is None:
             raise ReproError("call fill() before sampling from the context")
         await self._landed()
+        self._write_pending()
         return await self.api.get_next_dist(
             self.queue, self._gen_emb, top_k=top_k, temperature=temperature
         )
 
     async def append_token(self, token: int) -> None:
-        """Append a chosen token and advance the KV cache by one step."""
+        """Append a chosen token; its KV is written by the next call that
+        reads the context (:meth:`next_dist`, :meth:`fill`, :meth:`fork`,
+        ...), never if none does.  An earlier pending token is written now."""
         self._check_usable()
         await self._landed()
-        position = self.num_tokens
+        self._write_pending()
+        self.token_ids.append(token)
+        self._visible.append(True)
+        self._pending = token
+
+    def _write_pending(self) -> None:
+        """Issue the pending token's write: one embed and a one-token
+        forward into the cache, leaving its hidden state in the slot."""
+        token = self._pending
+        if token is None:
+            return
+        self._pending = None
         self._ensure_capacity(1)
-        self.api.embed_txt(self.queue, [token], [position], [self._gen_emb])
+        self.api.embed_txt(self.queue, [token], [self.num_tokens - 1], [self._gen_emb])
         self.api.forward(
             self.queue,
             ikv=self._pages,
@@ -176,9 +206,6 @@ class Context:
             okv=self._writable_pages(),
             oemb=[self._gen_emb],
         )
-        await self.api.synchronize(self.queue)
-        self.token_ids.append(token)
-        self._visible.append(True)
         self._record_written(1)
         self._has_hidden = True
 
@@ -187,7 +214,10 @@ class Context:
         params: Optional[SamplingParams] = None,
         allowed: Optional[Sequence[int]] = None,
     ) -> int:
-        """Sample one token, append it, and return it."""
+        """Sample one token, append it, and return it.
+
+        The token counts as output once chosen; its KV write waits for the
+        next call that reads the context (:meth:`append_token`)."""
         params = params or self.sampling
         dist = await self.next_dist()
         token = choose_token(dist, params, self.api.rng, allowed=allowed)
@@ -223,9 +253,10 @@ class Context:
         longer needed) without re-prefilling anything.
         """
         self._check_usable()
-        if not 0 <= start <= end <= self.num_cached_tokens:
+        if not 0 <= start <= end <= self.num_tokens:
             raise ReproError(f"invalid mask range [{start}, {end})")
         await self._landed()
+        self._write_pending()
         for index in range(start, end):
             self._visible[index] = visible
         first_page = start // self.page_size
@@ -253,6 +284,7 @@ class Context:
         sibling branches in the same device batch (horizontal batching).
         """
         self._check_usable()
+        self._write_pending()
         # Copies into a context still in flight: its children's copies ride
         # behind them, and its own next call waits for theirs too.
         source = self._landing_queue if self._landing else self.queue
@@ -286,6 +318,7 @@ class Context:
                 self.api.copy_kvpage(source, self._pages[cursor], own, slots, slots)
             )
         child._has_hidden = self._has_hidden
+        child._pending = None
         if self._has_hidden:
             child._landing.append(self.api.copy_emb(source, [self._gen_emb], [child._gen_emb]))
         if self._landing:
@@ -312,6 +345,7 @@ class Context:
             raise ReproError("cannot refresh an empty context")
         copied = self._has_hidden and bool(self._landing)
         await self._landed()
+        self._write_pending()
         if copied:
             return
         last_token = self.token_ids[-1]
@@ -338,6 +372,7 @@ class Context:
     def export_prefix(self, name: str) -> None:
         """Publish this context's KV pages for reuse by other inferlets."""
         self._check_usable()
+        self._write_pending()
         if not self._pages:
             raise ReproError("nothing to export: the context has no cached pages")
         self.api.export_kvpage(self._pages, name)
@@ -381,7 +416,9 @@ class Context:
     # -- cleanup -----------------------------------------------------------------------------------------
 
     def free(self) -> None:
-        """Deallocate every resource this context owns (idempotent)."""
+        """Deallocate every resource this context owns (idempotent).
+
+        A pending token is never written: nothing will read it."""
         if self._freed:
             return
         # Behind the fork's copies into them, when those are still in flight.

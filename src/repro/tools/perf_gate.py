@@ -15,7 +15,9 @@ default: ``events_per_request_10k``, the control-plane scaling headline —
 simulator events processed per simulated request at the 10k-request probe)
 and *higher-is-better* ones (``--higher-is-better``, repeatable; e.g.
 ``max_goodput_rate``, the load sweep's knee), which fail when they *fall*
-by more than the allowed fraction.  A watched metric present in the
+by more than the allowed fraction.  A lower-is-better metric whose
+baseline is 0 (a counter meant to stay there, e.g. ``commands_dropped_10k``)
+fails on any growth.  A watched metric present in the
 baseline but missing from the fresh artifact also fails: silently dropping
 the number a gate regresses on is itself a regression.
 
@@ -64,9 +66,13 @@ def compare(
             continue
         base = float(baseline[metric])
         new = float(fresh[metric])
-        if base <= 0:
-            continue
         falls = metric in higher_is_better
+        if base <= 0:
+            # No fraction of a zero baseline: a lower-is-better counter at 0
+            # (e.g. commands dropped) must stay there.
+            if not falls and new > base:
+                failures.append(f"{metric}: {base:.3f} -> {new:.3f} (must not grow from {base:g})")
+            continue
         sign = "-" if falls else "+"
         worse_by = (base - new if falls else new - base) / base
         if worse_by > tolerance:

@@ -21,7 +21,7 @@ from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
 
-KINDS = ("forward", "sample", "copy_kv")
+KINDS = ("forward", "sample", "mask_kv")
 
 
 def _never_sliced():

@@ -184,6 +184,43 @@ def test_forks_before_anything_landed():
     assert_close(grandchild_dist, grandchild_solo)
 
 
+def test_a_fork_of_a_fork_in_flight_lands_the_first_parents_state():
+    """Forked again before its copies landed, B's copies into C ride A's
+    queue right behind A's into B, and each copy kind goes as one batch of
+    two (one by one while copies were fences).  The handlers run a batch's
+    copies in order, so C holds A's partial page and hidden state, not what
+    B's fresh page and slot held before A's landed."""
+    token = 9
+    sim = Simulator(seed=0)
+    server = PieServer(sim)
+    scheduler = server.service().scheduler
+    copies = []
+    dispatch = scheduler._dispatch
+
+    def spy(batch):
+        if batch.kind.startswith("copy_"):
+            copies.append((batch.kind, len(batch.commands)))
+        dispatch(batch)
+
+    scheduler._dispatch = spy
+
+    async def main(ctx):
+        a = Context(ctx, sampling=SamplingParams())
+        await a.fill(PROMPT)
+        expected = await a.next_dist()
+        b = a.fork()
+        c = b.fork()
+        first = await c.next_dist()
+        await c.append_token(token)
+        return expected, first, await c.next_dist(), await solo(ctx, PROMPT + [token])
+
+    expected, first, after, reference = run_on(sim, server, main)
+    assert copies == [("copy_kv", 2), ("copy_emb", 2)]
+    assert first.token_ids == expected.token_ids
+    assert first.probs == expected.probs
+    assert_close(after, reference)
+
+
 # -- the recompute path ----------------------------------------------------------------
 
 
@@ -236,7 +273,9 @@ def test_a_second_refresh_recomputes_the_same_state():
 
 def test_every_beam_holds_the_prompt_and_its_own_tokens(monkeypatch):
     """Fails at the parent: an extra child forked after its sibling had
-    appended, so two of the three final beams held 24 tokens, not 23."""
+    appended, so two of the three final beams held 24 tokens, not 23.  A
+    beam's last appended token is never written (nothing reads it), so a
+    freed beam caches exactly one token fewer than it counts."""
     prompt, steps = "The quick brown fox", 4
     freed = []
     free = Context.free
@@ -258,6 +297,7 @@ def test_every_beam_holds_the_prompt_and_its_own_tokens(monkeypatch):
     assert len(freed) == 3
     for token_ids, cached, _ in freed:
         assert token_ids[: len(prompt_ids)] == prompt_ids
-        assert len(token_ids) == cached == len(prompt_ids) + steps
+        assert len(token_ids) == len(prompt_ids) + steps
+        assert cached == len(token_ids) - 1
     texts = [model.tokenizer.decode(ids[len(prompt_ids) :]) for ids, _, _ in freed]
     assert result.result["text"] in texts

@@ -398,12 +398,13 @@ def test_three_branches_on_one_queue_share_each_decode_forward():
     sim.run()
     assert result.status == "finished"
     # The prompt's forward, then each decode round as one forward of all
-    # three branches (the last round's forward is still queued when the
-    # program exits).  A fork runs no forward: it copies the prompt's
-    # partial last page and the last hidden state, two fences of two kinds
-    # per fork, so the three forks' copies go one by one.
+    # three branches (the last round's token is never written: nothing
+    # reads it).  A fork runs no forward: it copies the prompt's partial
+    # last page and the last hidden state.  The three forks' copies read
+    # the same parent page and slot and write their own, so each kind goes
+    # as one batch of three (one by one while copies were fences).
     assert forwards == [1, 3, 3, 3]
-    assert copies == [("copy_kv", 1), ("copy_emb", 1)] * 3
+    assert copies == [("copy_kv", 3), ("copy_emb", 3)]
 
 
 # -- mutants ----------------------------------------------------------------------

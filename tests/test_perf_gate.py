@@ -50,6 +50,17 @@ class TestCompare:
         # The same fall is an improvement for a lower-is-better metric.
         assert compare(baseline, {"max_goodput_rate": 500.0}, metrics=knee) == []
 
+    def test_a_lower_is_better_counter_at_zero_fails_on_any_growth(self):
+        """Fails at the parent, which skipped every metric whose baseline was 0."""
+        baseline = {"commands_dropped_10k": 0}
+        dropped = ("commands_dropped_10k",)
+        assert compare(baseline, {"commands_dropped_10k": 0}, metrics=dropped) == []
+        [failure] = compare(baseline, {"commands_dropped_10k": 3}, metrics=dropped)
+        assert failure == "commands_dropped_10k: 0.000 -> 3.000 (must not grow from 0)"
+        # A higher-is-better metric cannot fall from 0 by a fraction of it.
+        fresh = {"commands_dropped_10k": 3}
+        assert compare(baseline, fresh, metrics=(), higher_is_better=dropped) == []
+
     def test_higher_is_better_dropped_from_fresh_fails(self):
         [failure] = compare(
             {"max_goodput_rate": 600.0}, {}, metrics=(), higher_is_better=("max_goodput_rate",)

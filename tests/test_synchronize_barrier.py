@@ -10,11 +10,13 @@ returns before its prefill has written a single KV slot.
 
 Single-queue programs never notice (the next ``sample`` queues behind the
 forward), but a second queue does: it is the "forked queues x prefix cache"
-defect of ``perf/README.md`` and the ``commands_dropped`` of about one per
-request (docs/ARCHITECTURE.md, "What ``synchronize`` waits for today").  The
-fix moves every virtual number, so it needs its own change with a
-re-baseline; until then this test must keep failing, and ``strict`` makes
-sure whoever fixes the barrier finds it.
+defect of ``perf/README.md`` (docs/ARCHITECTURE.md, "What ``synchronize``
+waits for today").  It also left about one ``commands_dropped`` per request,
+a last token's forward queued at exit; that reads 0 since ``Context`` writes
+a chosen token only when something reads it, and a decode step awaits no
+barrier.  ``fill`` still does: the fix moves every virtual number, so it
+needs its own change with a re-baseline; until then this test must keep
+failing, and ``strict`` makes sure whoever fixes the barrier finds it.
 
 What a barrier waits for once a command *is* pushed is exact: every command
 pushed before it has retired (a push-sequence watermark).  Independent

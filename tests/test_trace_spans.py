@@ -31,9 +31,18 @@ TOKENS = list(range(1, 41))
 
 async def chunky(ctx):
     context = Context(ctx, sampling=SamplingParams())
+    # Allocated up front: the call's overhead is paid in fill's wait, so the
+    # last wait below is as short as the write it follows.
+    [slot] = ctx.alloc_emb(context.queue, 1)
     await context.fill(TOKENS)
-    # Appending the sampled token is left pending in the queue at exit.
+    # The sampled token is never written: nothing reads it.
     await context.generate_until(max_tokens=1)
+    [token] = context.generated_ids
+    # A raw write of it: delivered during the (empty) barrier's wait, still
+    # queued at exit, drained at queue teardown.
+    ctx.embed_txt(context.queue, [token], [len(TOKENS)], [slot])
+    ctx.forward(context.queue, [], [slot], [], [slot])
+    await ctx.synchronize(context.queue)
     # Fire and forget: the deallocs are still in their delivery window.
     context.free()
     return "ok"
