@@ -6,8 +6,7 @@ overload, plus a diurnal-trace replay.  The headline gates: the goodput
 curve has a real knee (goodput rises, peaks, then sheds under overload),
 and the control plane scales — events processed per simulated request stays
 flat (±20%) as the fleet grows from 1k to 10k requests, which is what the
-scheduler's owner/readiness/pending indexes and the simulator's lazy-cancel
-heap hygiene buy.
+scheduler's owner/readiness/pending indexes buy.
 
 The headline numbers are written to ``BENCH_load_sweep.json`` at the repo
 root; CI's perf gate fails any commit that regresses events-per-request by

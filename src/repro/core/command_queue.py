@@ -88,8 +88,8 @@ class Command:
     def is_decode_row(self) -> bool:
         """A single-token forward that is no piece of a chunked prefill
         (head slices carry ``parent``; the worn-down final residual carries
-        ``chunks_taken``) — the classifier batch accounting and the trace
-        exec spans share."""
+        ``chunks_taken``) — the classifier batch accounting and the phase
+        timeline share."""
         return (
             self.input_tokens <= 1 and self.parent is None and self.chunks_taken == 0
         )

@@ -91,13 +91,13 @@ class ControlLayerConfig:
     # least one device in each role.
     prefill_shards: int = 1
     # Flight recorder (repro.core.trace): when True the controller builds
-    # a TraceRecorder and its LifecycleTracer, the one observer every
+    # a TraceRecorder and its LifecycleTracer, an observer every
     # control-plane hot point tells, which writes structured spans/instants
     # on the virtual clock; a sim-timer sampler records per-shard telemetry
-    # time-series.  Off by default — no recorder is constructed and every
-    # site's observer tuple is empty, so a note is a loop over nothing.
-    # When on, emission is read-only: sampled tokens and every virtual
-    # timestamp are bit-identical to a tracing=False run.  Export with
+    # time-series.  Off by default — no recorder is constructed and the
+    # sites tell only the always-built phase-timeline keeper.  When on,
+    # emission is read-only: sampled tokens and every virtual timestamp are
+    # bit-identical to a tracing=False run.  Export with
     # PieServer.export_trace(path).
     tracing: bool = False
     # Telemetry sampling period in virtual milliseconds; 0 disables the

@@ -47,6 +47,7 @@ from repro.core.monitor import MonitorService
 from repro.core.qos import TenantTable
 from repro.core.router import DeviceShard
 from repro.core.service import ModelService
+from repro.core.timeline import TimelineKeeper
 from repro.core.trace import LifecycleTracer, TraceRecorder, telemetry_sampler
 from repro.core.traits import api_layer
 from repro.model.registry import ModelRegistry
@@ -109,14 +110,14 @@ class Controller:
         self.trace: Optional[TraceRecorder] = None
         #: Who is told what the core did (an inferlet's life, a shard's
         #: commands, KV pages on the move, failover), each fact published
-        #: at one site after the core accounted for it: the tracer when
-        #: tracing is on, else nobody.  Every subsystem built here holds
-        #: this tuple; the lifecycle and failover sites read it when they
-        #: publish.
-        self.observers: Tuple[LifecycleObserver, ...] = ()
+        #: at one site after the core accounted for it: first the keeper of
+        #: every inferlet's phase timeline (always built), then the tracer
+        #: when tracing is on.  Every subsystem built here holds this tuple;
+        #: the lifecycle and failover sites read it when they publish.
+        self.observers: Tuple[LifecycleObserver, ...] = (TimelineKeeper(sim),)
         if control.tracing:
             self.trace = TraceRecorder(sim)
-            self.observers = (LifecycleTracer(self.trace),)
+            self.observers += (LifecycleTracer(self.trace),)
             timers.append(telemetry_sampler(self.trace, self))
         # The live monitoring plane (repro.core.monitor): SLO burn-rate
         # alerting on a virtual-clock tick, exports collected on demand.

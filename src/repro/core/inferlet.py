@@ -95,6 +95,8 @@ class InferletInstance:
         # Structured termination cause ("" for ordinary terminations;
         # e.g. "shard_down" when the chaos plane's failover killed us).
         self._terminated_cause: str = ""
+        # Its phase timeline, kept from launch to exit (repro.core.timeline).
+        self.timeline = None
 
     # -- status ---------------------------------------------------------------
 
@@ -138,23 +140,22 @@ class InferletInstance:
 
 
 class LifecycleObserver:
-    """What an optional plane may be told about serving.
+    """What a plane that watches serving may be told.
 
     Each fact is published once, at one site, to the observers of
     ``Controller.observers`` — a subsystem built with the controller holds
-    the same tuple as its ``observers`` — and a plane subclasses this and
-    overrides the notifications it accounts for.  A note carries the
-    site's own objects and nothing else; every notification is read-only
-    with respect to serving state.
+    the same tuple as its ``observers``: the always-built phase-timeline
+    keeper (``repro.core.timeline``) first, then the flight recorder's
+    tracer when tracing is on.  An observer subclasses this and overrides
+    the notifications it accounts for.  A note carries the site's own
+    objects and nothing else; every notification is read-only with respect
+    to serving state.
     """
 
     # -- an inferlet's life ---------------------------------------------------
 
     def note_launch_requested(self, instance: InferletInstance) -> None:
         """``launch`` accepted the request (before any admission control)."""
-
-    def note_unparked(self, instance: InferletInstance, cancelled: bool) -> None:
-        """Left its tenant's backlog: admitted, or ``cancelled`` by a termination."""
 
     def note_running(self, instance: InferletInstance) -> None:
         """Instantiated, placed and about to run its program."""

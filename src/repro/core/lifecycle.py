@@ -189,18 +189,10 @@ class InferletLifecycleManager:
             self._launch_one(instance, ready, handled_at), name=f"ilm:{instance.instance_id}"
         )
 
-    def _unpark(self, gate: TenantGate, instance_id: str, cancelled: bool = False) -> Tuple:
-        """Take a launch off the tenant's backlog (it parked inside
-        ``launch``, at ``launched_at``) and tell the observers."""
-        instance, ready = gate.parked.pop(instance_id)
-        for observer in self.controller.observers:
-            observer.note_unparked(instance, cancelled)
-        return instance, ready
-
     def _pump(self, gate: TenantGate) -> None:
         """Admit parked launches, oldest first, while slots last."""
         while gate.parked and gate.has_slot:
-            self._admit(gate, *self._unpark(gate, next(iter(gate.parked))))
+            self._admit(gate, *gate.parked.popitem(last=False)[1])
 
     def _cancel_parked(self, instance: InferletInstance) -> None:
         """A launch terminated while parked leaves the backlog at once and
@@ -209,7 +201,7 @@ class InferletLifecycleManager:
         gate = self.gates.get(instance.tenant)
         if gate is None or instance.instance_id not in gate.parked:
             return
-        self._abort_launch(*self._unpark(gate, instance.instance_id, cancelled=True))
+        self._abort_launch(*gate.parked.pop(instance.instance_id))
 
     # -- launching and retiring ------------------------------------------------------
 

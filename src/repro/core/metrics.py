@@ -36,6 +36,9 @@ class InferletMetrics:
     ttft_slo_s: Optional[float] = None
     tpot_slo_s: Optional[float] = None
     calls_by_api: Dict[str, int] = field(default_factory=dict)
+    # Where the launch-to-exit time went, per bucket of
+    # ``repro.core.timeline.BUCKETS``: written at the exit, empty before.
+    stall_buckets: Dict[str, float] = field(default_factory=dict)
 
     def note_output(self, now: float, count: int = 1) -> bool:
         """Count emitted output tokens; returns True on the first token.

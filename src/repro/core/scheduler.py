@@ -150,7 +150,7 @@ class BatchScheduler:
         # residual is still queued).  None = no observer, zero overhead.
         self._chunk_listener: Optional[Callable[[Command], None]] = None
         # Told of each dispatch, completed batch and dropped command (the
-        # controller's observers; empty with every plane off).
+        # controller's observers).
         self.observers = observers
         self._shard_index = shard_index
         # When the forward candidate first yielded its turn since the last

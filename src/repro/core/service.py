@@ -169,7 +169,8 @@ class ModelService:
         observers: Tuple[LifecycleObserver, ...],
     ) -> "ModelService":
         """Assemble the cluster serving ``entry``.  ``observers`` are the
-        controller's (empty with every plane off): each part that tells
+        controller's (the timeline keeper, and the tracer when tracing is
+        on): each part that tells
         them something is handed them here, once.
         ``ensure_capacity(shard, instance, kv_pages, embeds)`` is the
         controller's swap-first / terminate-last reclamation: swap-in and

@@ -1,24 +1,19 @@
 """Flight recorder: bounded structured tracing for the control plane.
 
-``SystemMetrics`` answers *how much* (flat end-of-run counters); the flight
-recorder answers *when* and *why*: every control-plane hot point — launch
-admission, command queue wait, batch formation and forward dispatch,
-chunked-prefill slicing, swap suspend/resume, KV streaming and live
-migration, link occupancy, shard failover — tells :class:`LifecycleTracer`,
-which writes structured spans and instant events stamped with the virtual
-clock, and a sim-timer-driven sampler records
-per-shard telemetry time-series (queue depth, batch token utilization,
-KV-pool occupancy, link busy fraction).
+``SystemMetrics`` answers *how much*; the flight recorder answers *when*
+and *why*: control-plane hot points tell :class:`LifecycleTracer`, which
+writes spans and instants on the virtual clock — each inferlet's phase
+timeline (``repro.core.timeline``) as one span per segment when it leaves —
+and a sim-timer sampler records per-shard telemetry time-series (queue
+depth, batch token utilization, KV-pool occupancy, link busy fraction).
 
 Design constraints, in order:
 
 1. **Inert when off.**  ``ControlLayerConfig.tracing`` defaults to False
    and no :class:`TraceRecorder` is constructed: the controller's
-   ``observers`` / ``timers`` hold no :class:`LifecycleTracer` and no
-   sampler.  The core only *tells* its observers (the notes of
-   :class:`~repro.core.inferlet.LifecycleObserver`, each carrying the
-   site's own objects); with tracing off that tuple is empty everywhere,
-   and the spans' names, categories and args live in this module alone.
+   ``observers`` hold only the always-built timeline keeper, its ``timers``
+   no sampler.  The core only *tells* its observers (the notes of
+   :class:`~repro.core.inferlet.LifecycleObserver`).
 2. **Non-perturbing when on.**  Emission only *reads* simulator state
    (``sim.now``) and appends to Python-side buffers: no RNG draws, no
    future resolution, no state mutation the serving path can observe.  The
@@ -29,17 +24,16 @@ Design constraints, in order:
    tracing off (asserted in ``tests/test_determinism.py``).
 3. **Bounded.**  The recorder only appends: a span is written once, when
    its end is known, with its start read off a stamp the core already
-   keeps (a command's ``issue_time``, an inferlet's ``launched_at``, a
-   batch's dispatch instant).  Nothing is held outside the ring buffer of
+   keeps (an inferlet's ``launched_at``, a batch's dispatch instant, a
+   closed timeline's segment).  Nothing is held outside the ring buffer of
    :data:`TRACE_MAX_EVENTS`, which is the whole memory bound; the oldest
    events are evicted first, and a span is either fully present or fully
    evicted.
 
 Exporters produce Chrome/Perfetto ``trace_event`` JSON (load it in
 ``ui.perfetto.dev`` or ``chrome://tracing``) and a line-delimited JSONL
-event log consumed by :mod:`repro.tools.trace_report`, which reconstructs
-per-inferlet lifecycle timelines and attributes each inferlet's latency to
-admission / queue / prefill / decode-gap / swap / transfer / compute.
+event log, which :mod:`repro.tools.trace_report` reads back: it sums each
+inferlet's phase spans into its stall attribution.
 """
 
 from __future__ import annotations
@@ -59,17 +53,20 @@ TRACE_MAX_EVENTS = 200_000
 #: Every ``cat`` an emitter may write.  The all-planes traced run in
 #: ``tests/test_determinism.py`` fails on a category not listed here.
 TRACE_CATEGORIES = (
-    "lifecycle",  # one span per inferlet, launch -> finish/abort
-    "admission",  # launch-gate park/admit plus launch handling
-    "queue",      # command submitted -> popped into a dispatched batch
-    "exec",       # dispatched batch / command -> device completion
-    "swap",       # swap-out/in instants and fault-in stalls
-    "transfer",   # KV streaming, handoff stalls, live migration
-    "sched",      # batch formation / dispatch bookkeeping
+    "lifecycle",  # one span per inferlet, launch -> exit
+    # an inferlet's phase spans (PHASE_CATEGORY); swap-out/in, migrate instants
+    "admission", "queue", "exec", "swap", "transfer", "idle",
+    "sched",      # batch spans, reclamation instants
     "net",        # link wire occupancy
     "counter",    # sampler time-series
-    "fault",      # shard-down and stream-replan instants, relaunch spans
-)
+    "fault",      # relaunch phase spans; shard-down and stream-replan instants
+)  # fmt: skip
+
+#: The category of each phase span, by bucket (``repro.core.timeline.BUCKETS``).
+PHASE_CATEGORY = dict(
+    swap="swap", transfer="transfer", relaunch="fault", prefill="exec", decode="exec",
+    compute="exec", queue="queue", admission="admission", decode_gap="idle", other="idle",
+)  # fmt: skip
 
 
 class TraceRecorder:
@@ -273,31 +270,17 @@ class TraceRecorder:
 
 
 class LifecycleTracer(LifecycleObserver):
-    """The trace's view of serving: every note becomes today's span or
-    instant, and no module outside this one knows an event name, a
-    category or an args layout.
-
-    Per inferlet, the lifecycle span covers launch -> final release and the
-    admission span launch -> running (or abort/failure), so
-    ``trace_report`` can attribute pre-run wait separately.  Every span
-    starts at a stamp the core already keeps (``launched_at``, a command's
-    ``issue_time``, a batch's dispatch instant) or one the note carries, so
-    the tracer keeps no state of its own.
-    """
+    """The trace's view of serving: no module outside this one knows an
+    event name, a category or an args layout, and the tracer keeps no state.
+    When an inferlet leaves it writes the lifecycle span and one span per
+    segment of its closed phase timeline (``repro.core.timeline``), named by
+    the bucket; batches, link reservations, swaps, handoffs, reclamations
+    and faults are written as they happen."""
 
     def __init__(self, recorder: TraceRecorder) -> None:
         self.recorder = recorder
 
     # -- an inferlet's life ---------------------------------------------------
-
-    def note_unparked(self, instance, cancelled) -> None:
-        args = {"tenant": instance.tenant}
-        if cancelled:
-            args["cancelled"] = True
-        self._since_launch("admission_queued", "admission", instance, args)
-
-    def note_running(self, instance) -> None:
-        self._since_launch("launch", "admission", instance, None)
 
     def note_reclaimed(self, victim, requester, shard) -> None:
         self.recorder.instant(
@@ -309,58 +292,19 @@ class LifecycleTracer(LifecycleObserver):
         )
 
     def note_finished(self, instance) -> None:
-        status = instance.status
-        if instance.metrics.started_at is None:  # it never ran
-            outcome = {"terminated": "aborted", "rejected": "rejected"}.get(status, "failed")
-            self._since_launch("launch", "admission", instance, {outcome: True})
+        """The lifecycle span, then the closed timeline's segments."""
+        inferlet, status = instance.instance_id, instance.status
         args = {"program": instance.program.name, "tenant": instance.tenant, "status": status}
-        self._since_launch("inferlet", "lifecycle", instance, args)
-
-    def _since_launch(self, name: str, cat: str, instance, args: Optional[dict]) -> None:
-        """Write a span from the instance's ``launched_at`` stamp to now."""
         self.recorder.complete(
-            name, cat, instance.metrics.launched_at, inferlet=instance.instance_id, args=args
+            "inferlet", "lifecycle", instance.metrics.launched_at, inferlet=inferlet, args=args
         )
+        for start, end, bucket in instance.timeline.closed:
+            category = PHASE_CATEGORY[bucket]
+            self.recorder.complete(bucket, category, start, end=end, inferlet=inferlet)
 
-    # -- a shard's commands -----------------------------------------------------
-
-    def note_dispatched(self, shard_index, commands) -> None:
-        for command in commands:
-            self._queue_wait(command, shard_index)
-
-    def note_dropped(self, shard_index, command) -> None:
-        self._queue_wait(command, shard_index, dropped=True)
-
-    def _queue_wait(self, command, shard: int, dropped: bool = False) -> None:
-        """Write the queue wait ``command`` just ended: dispatched, or
-        ``dropped``.
-
-        The wait starts at ``issue_time``: submission for a first wait, the
-        last slice for a chunked prefill's residual (``take_chunk`` restarts
-        its clock).  A head slice ends its residual's wait, from the issue
-        time it inherited; its tokens are the residual's before the cut."""
-        residual = command.parent or command
-        sliced = command.input_tokens if command.is_chunk else 0
-        args: Dict[str, Any] = {}
-        if residual.chunks_taken > (1 if sliced else 0):
-            args["residual_tokens"] = residual.input_tokens + sliced
-        elif residual.input_tokens:
-            args["tokens"] = residual.input_tokens + sliced
-        if sliced:
-            args["sliced"] = sliced
-        if dropped:
-            args["dropped"] = True
-        self.recorder.complete(
-            f"queue:{command.kind}",
-            "queue",
-            command.issue_time,
-            shard=shard,
-            inferlet=command.inferlet_id,
-            args=args or None,
-        )
+    # -- a shard's batches ------------------------------------------------------
 
     def note_batch_done(self, shard_index, batch, dispatched, failed) -> None:
-        """The batch span and one exec span per command, dispatch -> done."""
         tokens = batch.total_input_tokens if batch.kind == "forward" else 0
         self.recorder.complete(
             f"batch:{batch.kind}",
@@ -374,19 +318,6 @@ class LifecycleTracer(LifecycleObserver):
                 "failed": failed,
             },
         )
-        for command in batch.commands:
-            if batch.kind == "forward":
-                name = "decode" if command.is_decode_row else "prefill"
-            else:
-                name = command.kind
-            self.recorder.complete(
-                name,
-                "exec",
-                dispatched,
-                shard=shard_index,
-                inferlet=command.inferlet_id,
-                args={"tokens": max(1, command.input_tokens), "kind": command.kind},
-            )
 
     # -- KV pages on the move ---------------------------------------------------
 
@@ -396,20 +327,6 @@ class LifecycleTracer(LifecycleObserver):
     def note_swapped(self, kind, shard, owner, pages) -> None:
         self.recorder.instant(kind, "swap", shard=shard.index, inferlet=owner, args={"pages": pages})
 
-    def note_swap_stall(self, instance, started) -> None:
-        self.recorder.complete("swap_stall", "swap", started, inferlet=instance.instance_id)
-
-    def note_kv_streamed(self, owner, src_index, dst_index, pages, size, arrival) -> None:
-        self.recorder.complete(
-            "kv_stream",
-            "transfer",
-            self.recorder.sim.now,
-            end=arrival,
-            shard=src_index,
-            inferlet=owner,
-            args={"pages": pages, "bytes": size, "dst": dst_index},
-        )
-
     def note_handoff(self, owner, src, dst, stall, landing, tail_pages) -> None:
         self.recorder.instant(
             "migrate",
@@ -418,19 +335,6 @@ class LifecycleTracer(LifecycleObserver):
             inferlet=owner,
             args={"src": src.index, "dst": dst.index},
         )
-        if stall + landing > 0.0:
-            # The decode side cannot serve this owner before the link
-            # drains and the tail lands — the TTFT-domain handoff cost.
-            now = self.recorder.sim.now
-            self.recorder.complete(
-                "handoff",
-                "transfer",
-                now,
-                end=now + stall + landing,
-                shard=dst.index,
-                inferlet=owner,
-                args={"stall": stall, "landing": landing, "tail_pages": tail_pages},
-            )
 
     def note_replanned(self, owner, dead_index, requeued_pages) -> None:
         self.recorder.instant(
@@ -444,17 +348,6 @@ class LifecycleTracer(LifecycleObserver):
 
     def note_shard_down(self, index) -> None:
         self.recorder.instant("shard_down", "fault", shard=index, args={"was": "healthy"})
-
-    def note_relaunched(self, instance, dead, dst, embeds) -> None:
-        """The rescue window: from the crash to the re-materialization."""
-        self.recorder.complete(
-            "relaunch",
-            "fault",
-            dead.device.down_since,
-            shard=dst.index,
-            inferlet=instance.instance_id,
-            args={"src": dead.index, "dst": dst.index, "embeds": embeds},
-        )
 
 
 def telemetry_sampler(recorder: TraceRecorder, controller) -> PeriodicService:

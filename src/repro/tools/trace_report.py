@@ -1,37 +1,20 @@
 """Stall attribution over flight-recorder traces.
 
-Reads a trace exported by :class:`repro.core.trace.TraceRecorder` — either
-the line-delimited JSONL event log or the Chrome/Perfetto ``trace_event``
-JSON document — and reconstructs, per inferlet, where its launch-to-finish
-latency went:
-
-``swap``
-    Faulted in from host memory (``swap_stall`` spans).
-``transfer``
-    KV-page streaming and disaggregation handoff stalls.
-``relaunch``
-    Dead time between a shard crash and the inferlet's re-materialization
-    on a healthy shard (the failover sweep's rescue window).
-``prefill`` / ``decode`` / ``compute``
-    Forward execution on a device (prompt rows, single-token rows, and
-    everything else — embeds, KV maintenance commands).
-``queue``
-    Submitted commands waiting to be picked into a batch.
-``admission``
-    Launch handling plus time parked at the tenant's launch gate.
-``decode_gap``
-    Time between forward executions covered by *no* recorded span: the
-    inferlet existed, had started computing, but neither queued, computed,
-    swapped nor streamed — inter-token think time, client round trips,
-    and scheduler latency invisible to any single span.
-``other``
-    Uncovered time outside the execution window (e.g. between admission
-    and the first queue span).
-
-Overlapping spans are resolved by a fixed priority sweep (swap > transfer
-> relaunch > prefill > decode > compute > queue > admission): each instant
-of an inferlet's lifetime is attributed to exactly one bucket, so the buckets
-sum to the launch-to-finish latency (within float rounding).
+Reads a trace exported by :class:`repro.core.trace.TraceRecorder` — the
+JSONL event log or the Chrome/Perfetto ``trace_event`` document — and
+reports, per inferlet, where its launch-to-exit latency went.  The core
+keeps that answer as it serves (``repro.core.timeline``, which states the
+ranking rule): when an inferlet leaves, the recorder writes its lifecycle
+span and one span per segment of its closed phase timeline, named by the
+bucket, and this tool sums them.  The buckets: ``swap`` (faulting in from
+host memory), ``transfer`` (KV streams, handoff stalls), ``relaunch`` (a
+shard crash to the re-materialization), ``prefill`` / ``decode`` /
+``compute`` (on a device), ``queue`` (commands waiting for dispatch),
+``admission`` (launch handling, the launch gate), and idle time:
+``decode_gap`` between the first execution's end and the last one's start
+(think time, tool calls, round trips), ``other`` outside it.  They sum to
+the latency; an untraced run carries the same totals on
+``InferletMetrics.stall_buckets``.
 
 Usage::
 
@@ -46,31 +29,14 @@ import json
 from typing import Dict, List, Optional
 
 from repro.core.metrics import percentile
+from repro.core.timeline import BUCKETS
 
 __all__ = [
-    "ATTRIBUTION_BUCKETS",
-    "load_events",
-    "attribute_stalls",
-    "build_report",
-    "render_report",
-    "main",
-]
-
-#: Overlap-resolution priority, strongest claim first.  ``decode_gap`` and
-#: ``other`` are derived from *uncovered* time and never compete.
-CATEGORY_PRIORITY = (
-    "swap",
-    "transfer",
-    "relaunch",
-    "prefill",
-    "decode",
-    "compute",
-    "queue",
-    "admission",
-)
+    "ATTRIBUTION_BUCKETS", "load_events", "attribute_stalls", "build_report", "render_report", "main"
+]  # fmt: skip
 
 #: Every bucket a report row contains, in presentation order.
-ATTRIBUTION_BUCKETS = CATEGORY_PRIORITY + ("decode_gap", "other")
+ATTRIBUTION_BUCKETS = BUCKETS
 
 
 # -- loading ----------------------------------------------------------------
@@ -83,20 +49,12 @@ def load_events(path: str) -> List[dict]:
     ``shard`` / ``inferlet`` fields); Perfetto documents are converted
     back using their process/thread metadata.
     """
-    if str(path).endswith(".jsonl"):
-        events = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
-        return events
     with open(path, "r", encoding="utf-8") as handle:
+        if str(path).endswith(".jsonl"):
+            return [json.loads(line) for line in handle if line.strip()]
         document = json.load(handle)
-    if isinstance(document, list):  # bare trace_event array flavour
-        trace_events = document
-    else:
-        trace_events = document.get("traceEvents", [])
+    # A bare trace_event array is the document's other flavour.
+    trace_events = document if isinstance(document, list) else document.get("traceEvents", [])
     thread_names: Dict[int, str] = {}
     for event in trace_events:
         if event.get("ph") == "M" and event.get("name") == "thread_name":
@@ -128,121 +86,38 @@ def load_events(path: str) -> List[dict]:
 # -- attribution ------------------------------------------------------------
 
 
-def _bucket_of(event: dict) -> Optional[str]:
-    cat = event.get("cat")
-    if cat in ("swap", "transfer", "queue", "admission"):
-        return cat
-    if cat == "exec":
-        name = event.get("name")
-        if name in ("prefill", "decode"):
-            return name
-        return "compute"
-    if cat == "fault" and event.get("name") == "relaunch":
-        return "relaunch"
-    # Fault instants (crashes, health transitions) have no span; lifecycle /
-    # sched / net / counter are not inferlet stall time.
-    return None
-
-
 def attribute_stalls(events: List[dict]) -> Dict[str, dict]:
     """Per-inferlet latency attribution; keys are inferlet ids.
 
-    Each row holds ``launch`` / ``finish`` / ``latency`` (seconds),
-    ``status`` (from the lifecycle span; None if the trace holds none),
-    ``aborted`` (the lifecycle ended terminated or failed), and
-    ``buckets`` — a dict over :data:`ATTRIBUTION_BUCKETS` whose values sum
-    to ``latency`` within rounding.
+    One row per lifecycle span: ``launch`` / ``finish`` / ``latency``
+    (seconds), ``status``, ``aborted`` (the inferlet ended terminated or
+    failed), and ``buckets`` — a dict over :data:`ATTRIBUTION_BUCKETS`, the
+    summed durations of the inferlet's phase spans.
     """
-    per: Dict[str, dict] = {}
+    rows: Dict[str, dict] = {}
+    phases: List[dict] = []
     for event in events:
-        inferlet = event.get("inferlet")
-        if inferlet is None or event.get("ph") != "X":
+        if event.get("inferlet") is None or event.get("ph") != "X":
             continue
-        record = per.setdefault(inferlet, {"lifecycle": None, "spans": []})
-        if event.get("cat") == "lifecycle":
-            if record["lifecycle"] is None:
-                record["lifecycle"] = event
-        else:
-            record["spans"].append(event)
-    return {
-        inferlet: _attribute_one(record) for inferlet, record in sorted(per.items())
-    }
-
-
-def _attribute_one(record: dict) -> dict:
-    intervals = []  # (start, end, bucket)
-    for event in record["spans"]:
-        bucket = _bucket_of(event)
-        if bucket is None:
-            continue
-        start = event["ts"]
-        end = start + event.get("dur", 0.0)
-        if end > start:
-            intervals.append((start, end, bucket))
-
-    lifecycle = record["lifecycle"]
-    if lifecycle is not None:
-        launch = lifecycle["ts"]
-        finish = launch + lifecycle.get("dur", 0.0)
-    elif intervals:  # synthetic/partial traces without lifecycle spans
-        launch = min(start for start, _, _ in intervals)
-        finish = max(end for _, end, _ in intervals)
-    else:
-        launch = finish = 0.0
-
-    status = None
-    aborted = False
-    if lifecycle is not None:
-        args = lifecycle.get("args") or {}
-        status = args.get("status")
-        aborted = status in ("terminated", "failed")
-
-    clipped = []
-    for start, end, bucket in intervals:
-        lo, hi = max(start, launch), min(end, finish)
-        if hi > lo:
-            clipped.append((lo, hi, bucket))
-
-    # Elementary-interval sweep: between consecutive boundary points the
-    # covering set is constant, so one midpoint probe decides the bucket.
-    points = sorted(
-        {launch, finish}
-        | {start for start, _, _ in clipped}
-        | {end for _, end, _ in clipped}
-    )
-    exec_spans = [
-        (start, end)
-        for start, end, bucket in clipped
-        if bucket in ("prefill", "decode", "compute")
-    ]
-    first_exec_end = min((end for _, end in exec_spans), default=None)
-    last_exec_start = max((start for start, _ in exec_spans), default=None)
-    priority = {name: rank for rank, name in enumerate(CATEGORY_PRIORITY)}
-    buckets = {name: 0.0 for name in ATTRIBUTION_BUCKETS}
-    for left, right in zip(points, points[1:]):
-        if right <= left:
-            continue
-        mid = (left + right) / 2.0
-        covering = [b for start, end, b in clipped if start <= mid < end]
-        if covering:
-            buckets[min(covering, key=priority.__getitem__)] += right - left
-        elif (
-            first_exec_end is not None
-            and left >= first_exec_end
-            and right <= last_exec_start
-        ):
-            buckets["decode_gap"] += right - left
-        else:
-            buckets["other"] += right - left
-
-    return {
-        "launch": launch,
-        "finish": finish,
-        "latency": finish - launch,
-        "status": status,
-        "aborted": aborted,
-        "buckets": buckets,
-    }
+        if event.get("cat") != "lifecycle":
+            phases.append(event)
+        elif event["inferlet"] not in rows:
+            launch = event["ts"]
+            finish = launch + event.get("dur", 0.0)
+            status = (event.get("args") or {}).get("status")
+            rows[event["inferlet"]] = {
+                "launch": launch,
+                "finish": finish,
+                "latency": finish - launch,
+                "status": status,
+                "aborted": status in ("terminated", "failed"),
+                "buckets": dict.fromkeys(ATTRIBUTION_BUCKETS, 0.0),
+            }
+    for event in phases:
+        row = rows.get(event["inferlet"])
+        if row is not None and event["name"] in row["buckets"]:
+            row["buckets"][event["name"]] += event.get("dur", 0.0)
+    return dict(sorted(rows.items()))
 
 
 # -- reporting --------------------------------------------------------------

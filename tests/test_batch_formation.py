@@ -21,7 +21,8 @@ from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
 
-KINDS = ("forward", "sample", "mask_kv")
+#: Three hazard-checked kinds and a fence.
+KINDS = ("forward", "sample", "copy_kv", "mask_kv")
 
 
 def _never_sliced():
@@ -106,20 +107,21 @@ def _reference_runs(commands, limit):
     """Vertical batching spelled out pairwise: a command joins its kind's run
     unless the run is full, it write-write conflicts with the run, or it has
     a hazard with an earlier command outside the run; a fence joins only when
-    everything before it is in its run, and nothing passes it."""
+    everything before it is in its run, and nothing passes it.  Runs come in
+    the order of the first command that joins each."""
     runs = {}
     for index, command in enumerate(commands):
-        run = runs.setdefault(command.kind, [])
+        run = runs.get(command.kind, [])
         fits = len(run) < limit and not any(command.conflicts_with(c) for c in run)
         if command.is_fence or any(c.is_fence for c in commands[:index]):
             if fits and len(run) == index:
-                run.append(command)
+                runs[command.kind] = run + [command]
                 continue
             break
         outside = [c for c in commands[:index] if not any(c is r for r in run)]
         if fits and not any(_hazard(command, c) for c in outside):
-            run.append(command)
-    return [run for run in runs.values() if run]
+            runs[command.kind] = run + [command]
+    return list(runs.values())
 
 
 def test_ready_runs_set_based_hazards_match_pairwise():

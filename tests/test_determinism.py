@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 from repro.core import InferletProgram, PieServer, TenantSpec, health, monitor
 from repro.core.config import ControlLayerConfig, PieConfig
+from repro.core.timeline import TimelineKeeper
 from repro.core.trace import TRACE_CATEGORIES
 from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
@@ -304,18 +305,20 @@ def test_disagg_tokens_match_disagg_off():
 
 def test_tracing_off_default_is_inert():
     """tracing=False (the default) constructs no recorder at all and every
-    subsystem that tells observers holds none: the off-knob path is
-    structurally inert, not merely quiet."""
+    subsystem that tells observers holds the one always-built observer, the
+    phase-timeline keeper: the off-knob path is structurally inert, not
+    merely quiet."""
     sim = Simulator(seed=1)
     server = PieServer(sim, num_devices=2)
     assert server.trace is None
     assert server.controller.trace is None
-    assert server.controller.observers == ()
+    observers = server.controller.observers
+    assert [type(observer) for observer in observers] == [TimelineKeeper]
     service = server.service()
     for subsystem in (service.mover, service.swap, service.transfer):
-        assert subsystem.observers == ()
+        assert subsystem.observers is observers
     for shard in service.shards:
-        assert shard.scheduler.observers == ()
+        assert shard.scheduler.observers is observers
 
 
 def test_tracing_on_does_not_perturb_the_run():
@@ -484,12 +487,17 @@ def test_three_observers_together_do_not_perturb_the_run(monkeypatch):
     published to both observers at once (the monitor is none: it reads the
     tenant records the core counts).  Tokens and each inferlet's
     first-token / finish timestamps match a run with every plane off and
-    no timer ticking, and with every knob off there is nobody to tell."""
+    no timer ticking, and with every knob off only the always-built
+    timeline keeper is told."""
     sim = Simulator(seed=1)
-    assert PieServer(sim, num_devices=2).controller.observers == ()
+    plain = PieServer(sim, num_devices=2).controller.observers
+    assert [type(o).__name__ for o in plain] == ["TimelineKeeper"]
     together = PieServer(sim, num_devices=2, tenants=[TenantSpec("fleet")], tracing=True)
     # Tenants bring no observer: admission is the core's launch gate.
-    assert [type(o).__name__ for o in together.controller.observers] == ["LifecycleTracer"]
+    assert [type(o).__name__ for o in together.controller.observers] == [
+        "TimelineKeeper",
+        "LifecycleTracer",
+    ]
     assert together.monitor.scraper in together.controller.timers
     on = run_stack(classes=True, tracing=True)
     quiet(monkeypatch)

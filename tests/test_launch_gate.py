@@ -136,9 +136,12 @@ def test_lifecycle_names_no_qos_and_qos_decides_no_admission():
 def test_qos_is_no_observer():
     server = server_with(TenantSpec("jobs"), TenantSpec("chat", priority_class="interactive"))
     assert not hasattr(server.controller, "qos")
-    assert server.controller.observers == ()
+    assert [type(o).__name__ for o in server.controller.observers] == ["TimelineKeeper"]
     traced = server_with(TenantSpec("jobs"), tracing=True)
-    assert [type(o).__name__ for o in traced.controller.observers] == ["LifecycleTracer"]
+    assert [type(o).__name__ for o in traced.controller.observers] == [
+        "TimelineKeeper",
+        "LifecycleTracer",
+    ]
 
 
 # -- two mutants ---------------------------------------------------------------------

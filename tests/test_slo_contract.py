@@ -274,7 +274,8 @@ def test_every_reader_reads_the_controllers_table():
 def test_the_stamp_is_there_with_every_plane_off():
     sim = Simulator(seed=0)
     server = PieServer(sim)
-    assert server.controller.observers == ()
+    # Nobody but the always-built timeline keeper, which stamps nothing.
+    assert [type(o).__name__ for o in server.controller.observers] == ["TimelineKeeper"]
 
     async def main(ctx):
         return None
@@ -385,8 +386,9 @@ def test_a_refused_launch_leaves_no_observer_half_told():
     with pytest.raises(AdmissionRejectedError):
         server.launch("napper", tenant="jobs")
     [tracer] = [o for o in server.controller.observers if isinstance(o, LifecycleTracer)]
-    # The tracer holds no state; the refused launch was told once, as two
-    # zero-length spans marked rejected, and nothing of the admitted one yet.
+    # The tracer holds no state; the refused launch was told once, as one
+    # zero-length lifecycle span marked rejected with no phase in it, and
+    # nothing of the admitted one yet.
     assert vars(tracer) == {"recorder": server.trace}
 
     def spans():
@@ -395,14 +397,13 @@ def test_a_refused_launch_leaves_no_observer_half_told():
 
     refused = spans()
     assert [(e["name"], e["dur"], e["args"]) for e in refused] == [
-        ("launch", 0.0, {"rejected": True}),
         ("inferlet", 0.0, {"program": "napper", "tenant": "jobs", "status": "rejected"}),
     ]
     [refused_id] = {e["inferlet"] for e in refused}
     assert refused_id != admitted.instance_id
     sim.run()
     assert vars(tracer) == {"recorder": server.trace}
-    assert [e["name"] for e in spans()] == ["launch", "inferlet", "launch", "inferlet"]
+    assert [e["name"] for e in spans()] == ["inferlet", "inferlet", "admission"]
     # Counted once, as a rejected request that was offered.
     metrics = server.export_metrics()["metrics"]
     assert {

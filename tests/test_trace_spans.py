@@ -1,12 +1,15 @@
-"""The flight recorder only appends: each span is written once, when it
-ends, from a stamp the core already keeps (repro.core.trace).
+"""The flight recorder only appends: each span is written once, when its
+end is known, from a stamp the core already keeps (repro.core.trace).
 
-* a scripted traced run pins every queue, admission and lifecycle span it
-  writes — name, outcome, and start and end against the core's own stamps:
-  a three-slice chunked prefill whose waits tile from submission to the
-  final dispatch, commands drained at queue teardown and dropped in the
-  delivery window, a parked-then-admitted and a parked-then-cancelled
-  launch, and a victim of reclamation;
+* a scripted traced run pins every inferlet's phase spans — name, and
+  start and end against the core's own stamps: they tile the lifecycle span
+  from ``launched_at`` to the exit, admission ends at ``started_at``, each
+  execution is its batch's span, a three-slice chunked prefill's waits end
+  at its slices' dispatches, a wait drained at queue teardown ends at the
+  exit and a command still in its delivery window adds nothing, and a
+  parked-then-admitted, a parked-then-cancelled launch and a victim of
+  reclamation end where their stamps say; each inferlet's spans are one
+  block, written when it left;
 * an AST scan: no ``begin`` / ``end`` call and no ``trace_span`` anywhere
   under ``src/repro``, so no core object carries a span handle;
 * two mutants: a queue wait that starts at dispatch, and a tracer that
@@ -20,6 +23,7 @@ import pytest
 
 import repro
 from repro.core import InferletProgram, PieServer, TenantSpec
+from repro.core.timeline import TimelineKeeper
 from repro.core.trace import LifecycleTracer
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
@@ -111,92 +115,80 @@ def check_scripted_run():
     assert trace.dropped == 0
     ids = {key: instance.instance_id for key, instance in launched.items()}
     stamps = {key: instance.metrics for key, instance in launched.items()}
+    spans = [event for event in trace.events() if event["ph"] == "X"]
 
-    def spans(key, *cats):
-        return [
-            event
-            for event in trace.events()
-            if event["ph"] == "X" and event["inferlet"] == ids[key] and event["cat"] in cats
-        ]
+    def of(key):
+        return [s for s in spans if s["inferlet"] == ids[key]]
 
-    def told(key):
-        return [(s["name"], s["args"]) for s in spans(key, "queue", "admission", "lifecycle")]
+    def names(key):
+        return [s["name"] for s in of(key)]
+
+    # -- one block per inferlet, the lifecycle span first, tiled by phases ------
+    for key in ids:
+        block = of(key)
+        assert block and block[0]["cat"] == "lifecycle", key
+        first = spans.index(block[0])
+        assert spans[first : first + len(block)] == block, key
+        lifecycle, *phases = block
+        assert lifecycle["ts"] == stamps[key].launched_at
+        assert phases[0]["ts"] == lifecycle["ts"], key
+        assert [end(s) for s in phases[:-1]] == [s["ts"] for s in phases[1:]], key
+        assert end(phases[-1]) == pytest.approx(end(lifecycle), rel=0, abs=1e-12), key
+        assert all(a["name"] != b["name"] for a, b in zip(phases, phases[1:])), key
+        assert phases[0]["name"] == "admission" and phases[0]["cat"] == "admission"
+        started = stamps[key].started_at
+        assert end(phases[0]) == (end(lifecycle) if started is None else started), key
 
     def life(program, tenant, status):
-        return ("inferlet", {"program": program, "tenant": tenant, "status": status})
+        return {"program": program, "tenant": tenant, "status": status}
 
     # -- the chunked prefill, the teardown drain, the delivery window ----------
-    assert told("chunky") == [
-        ("launch", None),
-        ("queue:embed_text", {"tokens": 40}),
-        ("queue:forward", {"tokens": 40, "sliced": 16}),
-        ("queue:forward", {"residual_tokens": 24, "sliced": 16}),
-        ("queue:forward", {"residual_tokens": 8}),
-        ("queue:dealloc_emb", None),
-        ("queue:sample", None),
-        ("queue:embed_text", {"tokens": 1, "dropped": True}),
-        ("queue:forward", {"tokens": 1, "dropped": True}),
-        life("chunky", "default", "finished"),
-        ("queue:dealloc_kv", {"dropped": True}),
-        ("queue:dealloc_emb", {"dropped": True}),
-    ]
-    queue = spans("chunky", "queue")
-    waits = [s for s in queue if s["name"] == "queue:forward"][:3]
-    prefills = [s for s in spans("chunky", "exec") if s["name"] == "prefill"]
-    assert [s["args"]["tokens"] for s in prefills] == [16, 16, 8]
-    # The waits tile from submission (the instant the embed it reads was
-    # issued) to the final dispatch; each ends where its slice's prefill starts.
-    assert waits[0]["ts"] == queue[0]["ts"] and waits[0]["dur"] > 0
-    assert [end(w) for w in waits] == [p["ts"] for p in prefills]
-    assert [w["ts"] for w in waits[1:]] == [p["ts"] for p in prefills[:-1]]
+    assert of("chunky")[0]["args"] == life("chunky", "default", "finished")
+    assert names("chunky")[1:] == [
+        "admission",
+        "queue", "compute",  # embed_text
+        "queue", "prefill", "queue", "prefill", "queue", "prefill",  # three slices
+        "queue", "compute",  # dealloc_emb
+        "queue", "compute",  # sample
+        "queue",  # the raw write, drained at queue teardown
+    ]  # fmt: skip
     finished = stamps["chunky"].finished_at
-    drained, in_air = queue[-4:-2], queue[-2:]
-    assert all(end(s) == finished and s["dur"] > 0 for s in drained)
-    assert all(s["ts"] == finished and end(s) > finished for s in in_air)
+    batches = [s for s in spans if s["cat"] == "sched" and s["ts"] < finished]
+    execs = [s for s in of("chunky") if s["cat"] == "exec"]
+    assert [(s["ts"], end(s)) for s in execs] == [(b["ts"], end(b)) for b in batches]
+    assert [b["args"]["tokens"] for b in batches if b["name"] == "batch:forward"] == [16, 16, 8]
+    # The first wait starts when the program issued its first command, at
+    # its start; the last is the drained write's, ending at the exit.
+    assert of("chunky")[2]["ts"] == stamps["chunky"].started_at
+    assert end(of("chunky")[-1]) == finished
 
-    assert told("victim") == [
-        ("launch", None),
-        ("queue:embed_text", {"tokens": 40}),
-        ("queue:forward", {"tokens": 40, "sliced": 16}),
-        ("queue:forward", {"residual_tokens": 24, "sliced": 16}),
-        ("queue:forward", {"residual_tokens": 8}),
-        ("queue:dealloc_emb", None),
-        life("victim", "backfill", "terminated"),
+    assert names("victim") == ["inferlet", "admission"] + names("chunky")[2:10] + [
+        "queue",
+        "compute",
+        "other",
     ]
-    assert told("requester") == [("launch", None), life("requester", "front", "finished")]
-    assert told("admitted") == [("launch", None), life("job", "jobs", "finished")]
-    assert told("parked") == [
-        ("admission_queued", {"tenant": "jobs"}),
-        ("launch", None),
-        life("job", "jobs", "finished"),
-    ]
-    assert told("cancelled") == [
-        ("admission_queued", {"tenant": "jobs", "cancelled": True}),
-        ("launch", {"aborted": True}),
-        life("job", "jobs", "terminated"),
-    ]
+    assert names("requester") == ["inferlet", "admission"]
+    assert names("admitted") == names("parked") == ["inferlet", "admission", "other"]
+    assert names("cancelled") == ["inferlet", "admission"]
+    assert {key: of(key)[0]["args"] for key in ids if key != "chunky"} == {
+        "victim": life("victim", "backfill", "terminated"),
+        "requester": life("requester", "front", "finished"),
+        "admitted": life("job", "jobs", "finished"),
+        "parked": life("job", "jobs", "finished"),
+        "cancelled": life("job", "jobs", "terminated"),
+    }
 
-    # -- admission and lifecycle spans start at launched_at --------------------
-    for key in ids:
-        (launch,) = [s for s in spans(key, "admission") if s["name"] == "launch"]
-        (lifecycle,) = spans(key, "lifecycle")
-        assert launch["ts"] == lifecycle["ts"] == stamps[key].launched_at, key
-        if stamps[key].started_at is not None:
-            assert end(launch) == stamps[key].started_at, key
-        else:
-            assert end(launch) == end(lifecycle), key
-
+    # -- exits against the core's stamps --------------------------------------------
     (reclaim,) = [e for e in trace.events("sched") if e["name"] == "reclaim_terminate"]
-    assert (reclaim["inferlet"], reclaim["args"]) == (ids["victim"], {"requester": ids["requester"]})
-    (victim_life,) = spans("victim", "lifecycle")
-    assert end(victim_life) == reclaim["ts"] == stamps["requester"].started_at
-    queued, _ = spans("parked", "admission")
-    assert queued["ts"] == stamps["parked"].launched_at
-    assert end(queued) == stamps["admitted"].finished_at
-    for span in spans("cancelled", "admission", "lifecycle"):
+    assert reclaim["inferlet"] == ids["victim"]
+    assert reclaim["args"] == {"requester": ids["requester"]}
+    assert end(of("victim")[0]) == reclaim["ts"] == stamps["requester"].started_at
+    # Parked until the admitted job left, then handled.
+    assert stamps["admitted"].finished_at < stamps["parked"].started_at
+    for span in of("cancelled"):
         assert span["ts"] == stamps["cancelled"].launched_at
         assert end(span) == pytest.approx(aborted_at, rel=0, abs=1e-12)
-    ids_written = [e["id"] for e in trace.events() if e["ph"] == "X"]
+    ids_written = [e["id"] for e in spans]
     assert len(set(ids_written)) == len(ids_written)
 
 
@@ -244,16 +236,19 @@ def test_no_span_handle_under_src():
 # -- mutants -------------------------------------------------------------------------------
 
 
-WAIT = LifecycleTracer._queue_wait
+DISPATCHED = TimelineKeeper.note_dispatched
 
 
-def wait_from_dispatch(self, command, shard, dropped=False):
+def wait_from_dispatch(self, shard_index, commands):
     """Mutant: a queue wait starts when it ends, not at ``issue_time``."""
-    issued, command.issue_time = command.issue_time, self.recorder.sim.now
+    issued = [command.issue_time for command in commands]
+    for command in commands:
+        command.issue_time = self.sim.now
     try:
-        WAIT(self, command, shard, dropped=dropped)
+        DISPATCHED(self, shard_index, commands)
     finally:
-        command.issue_time = issued
+        for command, issue_time in zip(commands, issued):
+            command.issue_time = issue_time
 
 
 FINISHED = LifecycleTracer.note_finished
@@ -266,7 +261,7 @@ def skip_terminated(self, instance):
 
 
 def test_mutant_wait_from_dispatch_is_killed(monkeypatch):
-    monkeypatch.setattr(LifecycleTracer, "_queue_wait", wait_from_dispatch)
+    monkeypatch.setattr(TimelineKeeper, "note_dispatched", wait_from_dispatch)
     with pytest.raises(AssertionError):
         check_scripted_run()
 
