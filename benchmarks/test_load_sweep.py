@@ -3,8 +3,9 @@
 Seeded Poisson arrivals over a 3-class workload mix drive the 4-device
 deployment across offered rates spanning keeping-up, the knee and deep
 overload, plus a diurnal-trace replay.  The headline gates: the goodput
-curve has a real knee (goodput rises, peaks, then sheds under overload),
-and the control plane scales — events processed per simulated request stays
+curve has a real knee (goodput rises to a peak), no congestion collapse past
+it (at 1.33x the knee goodput stays within 10 % of the peak, at 2x above
+440 req/s), and the control plane scales — events processed per simulated request stays
 flat (±20%) as the fleet grows from 1k to 10k requests, which is what the
 scheduler's owner/readiness/pending indexes buy.
 
@@ -22,15 +23,20 @@ def test_load_sweep(run_experiment, write_artifact):
     rows = result.raw["sweep"]
 
     # The sweep spans the whole regime: the lowest rate keeps up at full
-    # SLO attainment, the highest is deep overload shedding goodput.
+    # SLO attainment.
     assert rows[0]["slo_attainment"] >= 0.99, rows[0]
-    assert rows[-1]["slo_attainment"] <= 0.6, rows[-1]
 
-    # The goodput curve has a real knee: an interior maximum strictly
-    # above the lowest offered rate and strictly above the overload tail.
+    # The goodput curve has a real knee: a maximum strictly above the
+    # lowest offered rate.
     assert head["knee_offered_rate"] > rows[0]["offered_rate"]
     assert head["max_goodput_rate"] > rows[0]["goodput_rate"]
-    assert head["max_goodput_rate"] > rows[-1]["goodput_rate"] * 1.5, head
+
+    # No congestion collapse past it: a decode step rides the forward that
+    # forms after its sample however many inferlets are live, so 1.33x the
+    # knee keeps 90 % of the peak and 2x stays above 440 req/s (442.5 and
+    # 314.0 when decode steps missed their forwards).
+    assert head["goodput_rate_1_33x"] >= 0.9 * head["max_goodput_rate"], head
+    assert head["goodput_rate_2x"] >= 440.0, head
 
     # Goodput never exceeds what was offered (sanity of the accounting).
     for row in rows:

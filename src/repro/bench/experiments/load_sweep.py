@@ -145,12 +145,17 @@ def headline(
     """The numbers the benchmark asserts on (and exports as an artifact)."""
     epr_small = small["events_per_request"]
     epr_large = large["events_per_request"]
+    goodput = {row["offered_rate"]: row["goodput_rate"] for row in rows}
     return {
         "offered_rates": [row["offered_rate"] for row in rows],
         "goodput_rates": [row["goodput_rate"] for row in rows],
         "slo_attainments": [row["slo_attainment"] for row in rows],
         "knee_offered_rate": knee["offered_rate"],
         "max_goodput_rate": knee["goodput_rate"],
+        # Past the knee (1.33x and 2x its 900 req/s): the rows a congestion
+        # collapse would pull down.
+        "goodput_rate_1_33x": goodput[1200.0],
+        "goodput_rate_2x": goodput[1800.0],
         "slo_attainment_at_knee": knee["slo_attainment"],
         "trace_goodput_rate": trace_row["goodput_rate"],
         "trace_slo_attainment": trace_row["slo_attainment"],

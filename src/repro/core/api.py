@@ -252,7 +252,8 @@ class InferletContext:
         return self._controller.alloc_kv_pages(self._instance, home, count)
 
     def dealloc_kvpage(self, queue: Queue, pages: Sequence[KvPage]) -> SimFuture:
-        """Deallocate KV pages (ordered after earlier commands on the queue)."""
+        """Deallocate KV pages once every earlier command on the queue has
+        retired (no device work; :meth:`Controller.dealloc`)."""
         home = self._enter("dealloc_kvpage", queue)
         return self._controller.dealloc(self._instance, home, queue, "dealloc_kv", list(pages))
 

@@ -25,9 +25,10 @@ command kind, the largest dispatchable batch:
 
 The scheduler then picks among the candidate batches of different kinds
 (:meth:`repro.core.scheduler.BatchScheduler._select`): a ``forward``
-candidate with no whole prompt in it — decode steps only, or prefill slices
-only — first yields its turn to the cheaper kinds ready beside it, for a
-bounded time; among what is left, one key decides (:func:`select_batch`),
+candidate first yields its turn to the batches that feed it — decode steps
+only or prefill slices only to any kind ready beside it, one carrying a
+prompt to an ``embed_text`` — for a bounded time; among what is left, one
+key decides (:func:`select_batch`),
 in every configuration: a candidate whose oldest command has waited
 :data:`AGING_MS` goes first, oldest first; otherwise the best class rank
 among its commands' owners, then its oldest command.  With one class

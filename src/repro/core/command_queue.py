@@ -6,7 +6,9 @@ commands issued by an inferlet on one ``Queue`` handle: commands on a queue
 take effect in issue order: two that touch the same page or slot run in that
 order, and independent ones may share a batch.  Each command names what it
 reads and writes, which is what makes dependencies unambiguous for the batch
-scheduler.
+scheduler.  ``synchronize`` barriers and deallocations are no commands: both
+wait at the queue's issue watermark, and a freed page or slot goes back to its
+pool the moment its last earlier reader on the queue retires.
 """
 
 from __future__ import annotations
@@ -32,15 +34,6 @@ COMMAND_KINDS = (
     "copy_emb",
     "mask_kv",
     "clear_kv",
-    "dealloc_kv",
-    "dealloc_emb",
-)
-
-#: The kinds whose read and write sets are complete, so a queue may batch one
-#: past an earlier command it does not touch.  Every other kind is a fence: it
-#: goes only with the queue's head and nothing passes it.
-HAZARD_CHECKED_KINDS = frozenset(
-    {"embed_text", "forward", "sample", "copy_kv", "copy_emb"}
 )
 
 #: Class rank of a queue built without an owner's class (the default one's).
@@ -102,10 +95,10 @@ class Command:
 
     @property
     def is_fence(self) -> bool:
-        """A kind without complete read and write sets, or a chunked
-        prefill's residual: it batches only from its queue's head, and
-        nothing issued after it passes it."""
-        return self.kind not in HAZARD_CHECKED_KINDS or self.chunks_taken > 0
+        """A chunked prefill's residual: it batches only from its queue's
+        head, and nothing issued after it passes it.  Every other command
+        names all it reads and writes, so the queue orders it by those."""
+        return self.chunks_taken > 0
 
     def plan_chunk(self, n_tokens: int, future: SimFuture) -> "Command":
         """Create a head-slice command for the first ``n_tokens`` inputs.
@@ -204,9 +197,9 @@ class CommandQueue:
         self.rank = rank
         self._pending: Deque[Command] = deque()
         self._inflight: int = 0
-        # Synchronize barriers as ``(watermark, future)``, watermarks
-        # non-decreasing: a barrier resolves once every command pushed before
-        # it (``queue_seq < watermark``) has retired.
+        # Barriers and held deallocations as ``(watermark, future,
+        # is_release)``, watermarks non-decreasing: each resolves once every
+        # command pushed before it (``queue_seq < watermark``) has retired.
         self._barriers: Deque[tuple] = deque()
         self._issued = 0
         # Every command with a lower ``queue_seq`` has retired; the ones above
@@ -354,11 +347,15 @@ class CommandQueue:
         self._pending_changed(-len(drained))
         return drained
 
-    def drain_barriers(self) -> List[SimFuture]:
-        """Remove and return every synchronize barrier (queue teardown)."""
-        drained = [future for _, future in self._barriers]
-        self._barriers.clear()
-        return drained
+    def drop_barriers(self) -> None:
+        """Queue teardown: every synchronize barrier resolves, and every held
+        deallocation is cancelled — it frees nothing."""
+        barriers, self._barriers = self._barriers, deque()
+        for _, future, is_release in barriers:
+            if is_release:
+                future.cancel()
+            elif not future.done():
+                future.set_result(None)
 
     def mark_completed(self, command: Command) -> None:
         """A dispatched command retired."""
@@ -369,12 +366,14 @@ class CommandQueue:
 
     # -- synchronization ---------------------------------------------------------
 
-    def synchronize(self, future: SimFuture) -> None:
-        """Resolve ``future`` once every command pushed so far has retired."""
+    def synchronize(self, future: SimFuture, is_release: bool = False) -> None:
+        """Resolve ``future`` once every command pushed so far has retired.
+        A deallocation's gate (``is_release``) is cancelled instead if the
+        queue is torn down first; its callback frees."""
         if self._retired_below == self._issued:
             future.set_result(None)
             return
-        self._barriers.append((self._issued, future))
+        self._barriers.append((self._issued, future, is_release))
 
     def _retire(self, command: Command) -> None:
         seq = command.queue_seq

@@ -406,15 +406,29 @@ class Controller:
     def dealloc(
         self, instance: InferletInstance, home: DeviceShard, handle: Queue, kind: str, handles: List
     ) -> SimFuture:
-        """``kind`` is ``"dealloc_kv"`` (KvPage handles) or ``"dealloc_emb"``."""
-        resources = home.resources
-        free = resources.dealloc_kv_pages if kind == "dealloc_kv" else resources.dealloc_embeds
+        """Free ``handles`` (KvPages for ``"dealloc_kv"``, else Embeds) in the
+        instant the last command issued before on the queue retires: no
+        device work, the queue holds it like a ``synchronize`` barrier.  The
+        future resolves then, or fails with the free's error (a double free)."""
+        owner = instance.instance_id
+        future = self.sim.create_future(name=f"{kind}:{owner}")
 
-        def release() -> None:
-            if resources.has_space(instance.instance_id):
-                free(instance.instance_id, handles)
+        def release(gate: SimFuture) -> None:
+            # Where the owner lives now: a handoff may have moved its space.
+            resources = instance.placements.get(handle.model, home).resources
+            free = resources.dealloc_kv_pages if kind == "dealloc_kv" else resources.dealloc_embeds
+            try:
+                if not gate.cancelled() and resources.has_space(owner):
+                    free(owner, handles)
+            except Exception as exc:  # noqa: BLE001 - delivered via the call's future
+                future.set_exception(exc)
+            else:
+                future.set_result(None)
 
-        return self.submit_command(instance, home, handle, kind, {"release": release})
+        gate = self.sim.create_future(name=f"release:{owner}")
+        gate.add_done_callback(release)
+        self._send(instance, home, handle, gate)
+        return future
 
     # -- export / import -----------------------------------------------------------------------------
 
@@ -530,35 +544,40 @@ class Controller:
             # future, so under FIFO call_soon the handoff runs with the
             # program still suspended.
             home.service.transfer.on_command_submitted(instance, command)
-        overhead = self.inference_call_overhead()
-        queue_key = (handle.owner, handle.qid)
-        instance.in_air_commands += 1
-        self.sim.schedule(
-            overhead, self._deliver_command, instance, home, queue_key, command
-        )
+        self._send(instance, home, handle, command)
         return future
 
-    def _deliver_command(
-        self,
-        instance: InferletInstance,
-        shard: DeviceShard,
-        queue_key: Any,
-        command: Command,
+    def _send(self, instance: InferletInstance, home: DeviceShard, handle: Queue, call: Any) -> None:
+        """Deliver a command, or a deallocation's gate, to its queue after
+        the inference-layer call overhead has elapsed."""
+        instance.in_air_commands += 1
+        key = (handle.owner, handle.qid)
+        self.sim.schedule(self.inference_call_overhead(), self._deliver, instance, home, key, call)
+
+    def _deliver(
+        self, instance: InferletInstance, shard: DeviceShard, queue_key: Any, call: Any
     ) -> None:
         instance.in_air_commands -= 1
         # The owning inferlet may have finished (or been terminated) between
         # issuing the call and its delivery; its queues are gone and the
-        # command is dropped.  Resolving the future keeps any stray awaiters
-        # from deadlocking.
+        # call is dropped: a gate is cancelled, and a command's future
+        # resolves, which keeps any stray awaiters from deadlocking.
         try:
-            shard.scheduler.get_queue(queue_key)
+            queue = shard.scheduler.get_queue(queue_key)
         except SchedulingError:
+            queue = None
+        if not isinstance(call, Command):
+            if queue is None:
+                call.cancel()
+            else:
+                queue.synchronize(call, is_release=True)
+        elif queue is not None:
+            shard.scheduler.submit(queue_key, call)
+        else:
             for observer in self.observers:
-                observer.note_dropped(shard.index, command)
-            if not command.future.done():
-                command.future.set_result(None)
-            return
-        shard.scheduler.submit(queue_key, command)
+                observer.note_dropped(shard.index, call)
+            if not call.future.done():
+                call.future.set_result(None)
 
     # -- virtual -> physical resolution, used by the API bindings ------------------------------------------
 

@@ -67,8 +67,6 @@ class ApiHandlers:
             "copy_emb": self._run_copy_emb,
             "mask_kv": self._run_mask_kv,
             "clear_kv": self._run_clear_kv,
-            "dealloc_kv": self._run_release,
-            "dealloc_emb": self._run_release,
         }
 
     # -- public interface -----------------------------------------------------
@@ -116,8 +114,6 @@ class ApiHandlers:
             return self.cost_model.copy_batch_cost(len(commands))
         if kind in ("mask_kv", "clear_kv"):
             return self.cost_model.mask_batch_cost(len(commands))
-        if kind in ("dealloc_kv", "dealloc_emb"):
-            return self.cost_model.alloc_batch_cost(len(commands))
         raise SchedulingError(f"no cost model for command kind {kind!r}")
 
     # -- embed handlers -----------------------------------------------------------
@@ -368,12 +364,4 @@ class ApiHandlers:
     def _run_clear_kv(self, payload: Dict[str, Any]) -> int:
         page = self.memory.kv_pages.page(payload["page"])
         page.clear()
-        return 1
-
-    # -- deferred deallocation -------------------------------------------------------------
-
-    @staticmethod
-    def _run_release(payload: Dict[str, Any]) -> int:
-        release = payload["release"]
-        release()
         return 1

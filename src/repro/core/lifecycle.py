@@ -215,8 +215,11 @@ class InferletLifecycleManager:
         exactly the live inferlets.  The tenant's record counts the exit;
         then the launch gives back what it took — its gate slot (the next
         parked launch may go), its sandbox, its completion future — and the
-        planes that account per inferlet are told, once.
+        planes that account per inferlet are told, once: a second retirement
+        of one exit changes nothing.
         """
+        if instance.done.done():
+            return
         controller = self.controller
         if status == "failed" or not instance.finished:
             instance.metrics.status = status
@@ -233,8 +236,7 @@ class InferletLifecycleManager:
         self.runtime.release(instance.instance_id)
         for observer in controller.observers:
             observer.note_finished(instance)
-        if not instance.done.done():
-            instance.done.set_result(instance)
+        instance.done.set_result(instance)
 
     def _abort_launch(self, instance: InferletInstance, ready: SimFuture) -> None:
         """Retire an instance terminated before its program ran (parked at

@@ -6,9 +6,10 @@ Four policies are provided, matching the paper's Table 5 comparison:
   idle and any command is pending, immediately form and dispatch the best
   batch (the inference layer notifies the control layer the moment the
   device becomes idle).  §6.1 does not say *which* ready batch is best:
-  here a ``forward`` candidate made only of decode steps first yields its
-  turn, for at most one weight-bound floor, to the cheaper kinds ready
-  beside it (``_forward_yields``); among what is left, one key decides in
+  here a ``forward`` candidate first yields its turn, for at most one
+  weight-bound floor, to the batches that feed it — a decode-only one to
+  any kind ready beside it, one carrying a prompt to an ``embed_text``
+  (``_forward_yields``); among what is left, one key decides in
   every configuration (:func:`repro.core.batching.select_batch`): a batch
   whose oldest command has waited the aging bound goes first, else the
   best class present, oldest command first.
@@ -254,9 +255,7 @@ class BatchScheduler:
                 observer.note_dropped(self._shard_index, command)
             if not command.future.done():
                 command.future.set_result(None)
-        for barrier in queue.drain_barriers():
-            if not barrier.done():
-                barrier.set_result(None)
+        queue.drop_barriers()
 
     def detach_queue(self, key: Any) -> CommandQueue:
         """Remove a queue *without* dropping its state (handoff migration).
@@ -336,9 +335,10 @@ class BatchScheduler:
 
         The window is 56 µs and a call arrives
         ``Controller.inference_call_overhead()`` = 10 + 0.3·n µs after it is
-        issued, so the promise holds only below 154 live inferlets; past
-        that a decode step misses the batch that forms after its sample
-        (``tests/test_formation_window.py``, a strict xfail).
+        issued, so from 154 live inferlets on a decode step's embed misses
+        the batch that forms after its sample.  Its forward still rides the
+        next forward: a forward carrying a prompt yields to the late embeds
+        (``_forward_yields``, ``tests/test_formation_window.py``).
         """
         return milliseconds(IPC_CROSSING_MS + BATCH_SCHEDULING_OVERHEAD_MS)
 
@@ -375,27 +375,23 @@ class BatchScheduler:
         """A forward candidate that waiting can improve yields its turn.
 
         Every forward batch pays the weight-bound floor (the cost model's
-        ``forward_seconds(decode_rows=1)``) whatever it carries, so a
-        candidate with no whole prompt in it gives way while another kind
-        has a candidate:
+        ``forward_seconds(decode_rows=1)``) whatever it carries, so it gives
+        way while a batch that feeds it is ready beside it:
 
-        * **decode steps only** (``prefill_rows == 0``; adaptive policy):
-          the cheaper batches beside it — a 0.1 ms ``embed_text``, a 2 ms
-          ``sample`` — sit on other requests' critical paths, and once they
-          ran their owners' forwards land and one larger forward follows
-          instead of two small ones.  A forward that carries a prompt
-          keeps its place on purpose (first-token time; see ARCHITECTURE
-          "Which batch goes first").
-        * **prefill slices only**: sliced prefills exist to *share* batches
-          with decode rows; dispatched between decode rounds they would
-          insert an extra floor per round.  They wait for the next mixed
-          forward batch — or for an idle device, where they dispatch alone
-          and keep a newly arriving inferlet's wait bounded by one chunk.
+        * **decode steps only** (adaptive policy), to any kind: the cheaper
+          batches beside it sit on other requests' critical paths; once they
+          ran their owners' forwards land and one larger forward follows.
+        * **a whole prompt** (adaptive policy), to an ``embed_text``: those
+          embeds are decode steps that missed the formation window
+          (``_formation_delay``); once they ran their forwards ride the
+          prompt's instead of waiting a whole prefill.
+        * **prefill slices only**, to any kind: slices exist to *share*
+          batches with decode rows, so they wait for the next mixed forward
+          batch — or for an idle device, where they go alone.
 
         Liveness: the dispatch order ages every command, this rule does not, so
         a forward is held for at most that floor between two forward
-        dispatches — the floor is the most a merge can save, past it waiting
-        cannot pay — and then competes by age again like any other kind.
+        dispatches — the most a merge can save — and then competes by age.
         """
         forward = candidates.get("forward")
         if forward is None:
@@ -403,10 +399,15 @@ class BatchScheduler:
             return False
         if len(candidates) == 1:
             return False
-        if forward.prefill_rows:
-            improvable = all(command.is_chunk for command in forward.commands)
+        adaptive = self.config.policy == "adaptive"
+        commands = forward.commands
+        if not forward.prefill_rows:
+            improvable = adaptive
+        elif all(command.is_chunk for command in commands):
+            improvable = True
         else:
-            improvable = self.config.policy == "adaptive"
+            prompt = any(not (command.is_chunk or command.is_decode_row) for command in commands)
+            improvable = adaptive and prompt and "embed_text" in candidates
         if not improvable:
             return False
         now = self.sim.now
@@ -563,43 +564,31 @@ class BatchScheduler:
         for observer in self.observers:
             observer.note_batch_done(self._shard_index, batch, dispatched, error is not None)
         for index, command in enumerate(batch.commands):
-            if command.is_chunk:
-                # A head slice completes *silently*: its residual is still
-                # pending, so queue accounting (inflight counts, barriers)
-                # and the caller's future wait for the final slice.  A
-                # failing slice, though, fails the whole forward now — the
-                # residual would only compound the damage.
-                failure = error
-                if failure is None and isinstance(results[index], BaseException):
-                    failure = results[index]
-                if failure is not None:
-                    if not command.parent.future.done():
-                        command.parent.future.set_exception(failure)
-                    # Drop the residual too: its KV now has a hole where
-                    # the failed slice's tokens never committed, so every
-                    # further slice would waste device time building on
-                    # corrupt context.
-                    queue = self._queues.get(command.queue_key)
-                    if queue is not None and queue.drop(command.parent):
-                        for observer in self.observers:
-                            observer.note_dropped(self._shard_index, command.parent)
-                if not command.future.done():
-                    if failure is not None:
-                        command.future.set_exception(failure)
-                    else:
-                        command.future.set_result(results[index])
-                if failure is None and self._chunk_listener is not None:
-                    self._chunk_listener(command)
-                continue
-            queue = self._queues.get(command.queue_key)
-            if queue is not None:
-                queue.mark_completed(command)
-            if command.future.done():
-                continue
-            if error is not None:
-                command.future.set_exception(error)
-            elif isinstance(results[index], BaseException):
-                command.future.set_exception(results[index])
-            else:
-                command.future.set_result(results[index])
-
+            outcome = error if error is not None else results[index]
+            failed = isinstance(outcome, BaseException)
+            if command.is_chunk and failed:
+                # A failing head slice fails the whole forward now, and its
+                # residual is dropped: its KV has a hole where the slice's
+                # tokens never committed, so every further slice would waste
+                # device time building on corrupt context.
+                if not command.parent.future.done():
+                    command.parent.future.set_exception(outcome)
+                queue = self._queues.get(command.queue_key)
+                if queue is not None and queue.drop(command.parent):
+                    for observer in self.observers:
+                        observer.note_dropped(self._shard_index, command.parent)
+            # The future first: a barrier or a held deallocation waiting for
+            # the retirement runs after the command's own callbacks.
+            if not command.future.done():
+                if failed:
+                    command.future.set_exception(outcome)
+                else:
+                    command.future.set_result(outcome)
+            if not command.is_chunk:
+                queue = self._queues.get(command.queue_key)
+                if queue is not None:
+                    queue.mark_completed(command)
+            # A head slice retires *silently*: its residual is still pending,
+            # so queue accounting and the caller's future wait for the last.
+            elif not failed and self._chunk_listener is not None:
+                self._chunk_listener(command)

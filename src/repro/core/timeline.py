@@ -190,9 +190,7 @@ class TimelineKeeper(LifecycleObserver):
         self._live[instance.instance_id].admitted(self.sim.now)
 
     def note_finished(self, instance) -> None:
-        timeline = self._live.pop(instance.instance_id, None)
-        if timeline is not None:  # told once per exit, or again by a second retire
-            instance.metrics.stall_buckets = timeline.close(self.sim.now)
+        instance.metrics.stall_buckets = self._live.pop(instance.instance_id).close(self.sim.now)
 
     def note_dispatched(self, shard_index, commands) -> None:
         now = self.sim.now

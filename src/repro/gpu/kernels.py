@@ -15,7 +15,9 @@ are interpretable:
   per-token / per-row term.  In monolithic systems these are pipelined with
   the forward pass (the paper's Table 3 "opportunity cost"); the baselines
   therefore do not pay them separately, while Pie does.
-* **Copy/mask/alloc** operations have small per-page costs.
+* **Copy/mask** batches cost a kernel launch plus a small per-page term.
+  Allocation and deallocation are no device work: a deallocation waits at
+  its queue's issue watermark (:meth:`repro.core.controller.Controller.dealloc`).
 
 The parameters live in :class:`repro.model.config.CostParams` and are
 calibrated per model size against the paper's Table 3/4 measurements.
@@ -107,10 +109,6 @@ class KernelCostModel:
 
     def mask_batch_cost(self, n_pages: int) -> float:
         ms = self.cost.kernel_launch_ms + self.cost.mask_ms_per_page * n_pages
-        return milliseconds(ms)
-
-    def alloc_batch_cost(self, n_items: int) -> float:
-        ms = self.cost.alloc_ms_per_call + 0.0005 * n_items
         return milliseconds(ms)
 
     # -- convenience for experiments -------------------------------------------

@@ -59,7 +59,6 @@ class CostParams:
     dist_return_ms: float
     copy_ms_per_page: float
     mask_ms_per_page: float
-    alloc_ms_per_call: float
 
 
 @dataclass(frozen=True)
@@ -106,10 +105,10 @@ def _cost_for(size_label: str) -> CostParams:
     """Calibrated cost parameters per model size (see module docstring)."""
     calibration = {
         # decode_base, extra_row, prefill/tok, attn/ktok, launch, embed_call,
-        # embed_tok, sample_call, sample_row, dist_ret, copy, mask, alloc
-        "1b": (16.83, 0.55, 0.045, 0.35, 0.18, 0.07, 0.002, 1.70, 0.012, 0.05, 0.020, 0.012, 0.004),
-        "3b": (30.30, 0.95, 0.090, 0.60, 0.20, 0.07, 0.003, 1.50, 0.014, 0.06, 0.025, 0.014, 0.004),
-        "8b": (64.06, 1.90, 0.200, 1.10, 0.22, 0.07, 0.004, 1.32, 0.016, 0.07, 0.030, 0.016, 0.004),
+        # embed_tok, sample_call, sample_row, dist_ret, copy, mask
+        "1b": (16.83, 0.55, 0.045, 0.35, 0.18, 0.07, 0.002, 1.70, 0.012, 0.05, 0.020, 0.012),
+        "3b": (30.30, 0.95, 0.090, 0.60, 0.20, 0.07, 0.003, 1.50, 0.014, 0.06, 0.025, 0.014),
+        "8b": (64.06, 1.90, 0.200, 1.10, 0.22, 0.07, 0.004, 1.32, 0.016, 0.07, 0.030, 0.016),
     }
     if size_label not in calibration:
         raise ReproError(f"unknown model size {size_label!r}")
@@ -127,7 +126,6 @@ def _cost_for(size_label: str) -> CostParams:
         dist_return_ms=values[9],
         copy_ms_per_page=values[10],
         mask_ms_per_page=values[11],
-        alloc_ms_per_call=values[12],
     )
 
 

@@ -21,7 +21,8 @@ from repro.gpu.config import GpuConfig
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
 
-#: Three hazard-checked kinds and a fence.
+#: Four kinds, every one hazard-checked; the fence is a residual's mark
+#: (``chunks_taken``), drawn for one command in ten.
 KINDS = ("forward", "sample", "copy_kv", "mask_kv")
 
 

@@ -185,7 +185,8 @@ def test_a_decode_forward_yields_with_two_classes():
     """Fails at the parent, which switched the yield off under QoS (and the
     ``tenants`` shorthand switched QoS on): the forward never yielded.  The
     interactive ``detour``'s embed runs first, its forward lands, and one
-    2-row decode forward carries both."""
+    2-row decode forward carries both (as one forward carries both
+    prompts)."""
     # Imported here: that module imports this one's oracle at load time.
     from tests.test_forward_yields import _spy_on_forwards, _stepper
 
@@ -203,8 +204,9 @@ def test_a_decode_forward_yields_with_two_classes():
         )
 
     plain, detour = sim.run_until_complete(fleet())
-    assert [rows for decode_rows, rows, _ in forwards if decode_rows] == [2]
-    assert scheduler.stats.forward_yields == 1
+    assert [(decode_rows, rows) for decode_rows, rows, _ in forwards] == [(0, 2), (2, 2)]
+    # The prompts' forward waits for the second prompt's embed too.
+    assert scheduler.stats.forward_yields == 2
     assert detour.result == plain.result
 
 

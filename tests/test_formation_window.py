@@ -1,4 +1,5 @@
-"""What the formation window promises today — a known limit, pinned.
+"""What the formation window promises: a decode step joins the forward that
+forms after its sample, at any fleet size.
 
 ``BatchScheduler._formation_delay`` says that while the next batch forms,
 "the calls triggered by the just-completed batch arrive and join" it.  They
@@ -11,12 +12,14 @@ a new prompt whose ``embed_text`` is queued behind it, and ``idle`` live
 inferlets parked on ``receive()``.  When the sample retires the decoder
 issues its ``embed_text`` and ``forward``.  Inside the window its embed joins
 the prompt's, both forwards reach the queue heads together, and the decode
-row rides the prompt's forward.  Past it the prompt's embed goes alone, the
-prompt's forward is then the oldest candidate, and a forward carrying a
-prompt never yields (``_forward_yields``): it leaves without the decode row,
-which waits a whole prefill.  This is why ``chat_overload``'s decoders miss
-their forwards (ARCHITECTURE, "Which batch goes first").  Admission decides
-that trade (ROADMAP item 1); whoever fixes it flips the strict ``xfail``.
+row rides the prompt's forward.  Past it the prompt's embed goes alone; the
+prompt's forward then yields to the decoder's late embed
+(``_forward_yields``), whose forward lands beside it, and the decode row
+still rides the prompt's forward — up to the Wasm pool's cap (950 idle
+inferlets, a 296 µs call overhead).  Before that rule the prompt's forward
+left alone and the decode row waited a whole prefill, which is why
+``chat_overload``'s decoders missed their forwards (ARCHITECTURE, "Which
+batch goes first").
 """
 
 import pytest
@@ -83,19 +86,7 @@ def dispatched_batches(idle: int):
     return batches, ids, overhead[0], scheduler._formation_delay()
 
 
-@pytest.mark.parametrize(
-    "idle",
-    [
-        100,
-        pytest.param(
-            200,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="past 153 live inferlets a decode step's calls miss the formation window",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("idle", [100, 200, 950])
 def test_a_decode_step_joins_the_batch_that_forms_after_its_sample(idle):
     batches, (decoding, prompting), overhead, window = dispatched_batches(idle)
     # The prompt's embed was queued behind the decoder's sample.

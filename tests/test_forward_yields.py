@@ -1,38 +1,42 @@
-"""Which ready batch goes first: a forward with no whole prompt yields.
+"""Which ready batch goes first: a forward yields to the batches that feed it.
 
 ``BatchScheduler._select`` used to answer "the candidate that has waited
 longest", blind to cost: a 17 ms decode-only ``forward`` was dispatched
 while a neighbour's 0.1 ms ``embed_text`` sat ready beside it, and the
 neighbour's own forward then paid a second weight-bound floor.  Now a
 forward candidate made only of decode steps (adaptive policy, in every
-configuration) or only of prefill slices (any policy) gives way while another kind has a
-candidate, for at most ``decode_ms_base`` between two forward dispatches.
+configuration) or only of prefill slices (any policy) gives way while another
+kind has a candidate, and one that carries a whole prompt (adaptive policy)
+gives way while an ``embed_text`` candidate is ready — for at most
+``decode_ms_base`` between two forward dispatches.
 
 The tests, in the repo's oracle pattern:
 
-* the parent's ``_select`` is kept **verbatim** below (less its QoS
-  branch: there is no QoS service; the yield under two classes is
-  ``tests/test_dispatch_order.py``'s), and a hypothesis property spells
-  out the whole rule against it, one class registered: new == old
-  whenever the forward carries a prompt, is the only candidate, the policy
-  is ``eager`` / ``k_only`` / ``t_only``, or the hold has expired;
-  otherwise new == longest-waiting over the other kinds;
-* a scripted two-inferlet **cost** test that fails at the parent: a decode
-  forward ready beside a neighbour's ``embed_text`` becomes one 2-row
-  forward, not two 1-row ones;
+* the selection of the parent of the decode-only rule is kept **verbatim**
+  below (less its QoS branch: there is no QoS service; the yield under two
+  classes is ``tests/test_dispatch_order.py``'s), and a hypothesis property
+  spells out the whole rule against it, one class registered: new == old
+  whenever the forward is the only candidate, the policy is ``eager`` /
+  ``k_only`` / ``t_only``, the hold has expired, or the forward carries a
+  prompt with no ``embed_text`` candidate beside it; otherwise new ==
+  longest-waiting over the other kinds;
+* a scripted two-inferlet **cost** test: a decode forward ready beside a
+  neighbour's ``embed_text`` becomes one 2-row forward, not two 1-row ones,
+  and the first prompt's forward waits for the second prompt's embed, so
+  both prompts share one forward too;
 * a **liveness** test: a fleet of ``await embed_txt`` loopers cannot hold a
-  decoder's forward — or a sliced prompt's, which the parent starved for
-  as long as the loopers ran — longer than ``decode_ms_base``.
+  decoder's forward — or a prompt's, or a sliced prompt's, which the parent
+  starved for as long as the loopers ran — longer than ``decode_ms_base``.
 
-Two hand-made mutants and the test that kills each: *bound removed* →
-``TestLiveness``; *rule applied to prompt-carrying forwards* →
-``test_selection_matches_the_parent_outside_the_rule``.
+Hand-made mutants and the test that kills each: *bound removed* →
+``TestLiveness``; *a prompt yielding to any kind* and *decode rows beside a
+slice yielding as a prompt* → ``test_selection_matches_the_parent_outside_the_rule``.
 """
 
 from typing import Dict, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import InferletProgram, PieServer
@@ -108,11 +112,15 @@ def _forward_row(sim, role, issue_time):
 
 
 ROLES = ("decode", "prompt", "slice", "residual")
-OTHER_KINDS = ("embed_text", "sample", "dealloc_kv")
+OTHER_KINDS = ("embed_text", "sample", "mask_kv")
 ISSUE_TIMES = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
 
 
 @settings(max_examples=300, deadline=None)
+# The two cases beside the prompt rule: decode rows beside a slice carry no
+# whole prompt, and a prompt waits for no kind but ``embed_text``.
+@example("adaptive", [("decode", 0.0), ("slice", 0.0)], {"embed_text": 0.1}, None)
+@example("adaptive", [("prompt", 0.0)], {"sample": 0.1}, None)
 @given(
     policy=st.sampled_from(("adaptive", "eager", "k_only", "t_only")),
     forward_rows=st.lists(st.tuples(st.sampled_from(ROLES), ISSUE_TIMES), max_size=4),
@@ -141,6 +149,9 @@ def test_selection_matches_the_parent_outside_the_rule(policy, forward_rows, oth
     roles = {role for role, _ in forward_rows}
     decode_only = roles == {"decode"}
     slices_only = roles == {"slice"}
+    # A whole prompt, or what is left of a sliced one, waits for the embeds
+    # of the decode steps that can still ride its forward.
+    prompt_fed = bool(roles & {"prompt", "residual"}) and "embed_text" in others
     stats = scheduler.stats
     if forward is None or not others:
         assert new is old
@@ -150,7 +161,7 @@ def test_selection_matches_the_parent_outside_the_rule(policy, forward_rows, oth
         # by age again instead of waiting for a mixed batch for ever.
         assert new is (select_longest_waiting(candidates) if expired else old)
         assert (stats.forward_yields, stats.forward_holds_expired) == (not expired, expired)
-    elif not decode_only or policy != "adaptive":
+    elif not (decode_only or prompt_fed) or policy != "adaptive":
         assert new is old
         assert (stats.forward_yields, stats.forward_holds_expired) == (0, 0)
     elif expired:
@@ -228,11 +239,13 @@ def _stepper(name, detours):
 
 
 def test_decode_forward_waits_for_the_neighbours_embed():
-    """The cost test (fails at the parent: two 1-row decode forwards, the
-    second request finishing a whole floor later).  ``plain``'s decode
-    forward is ready — and older — when ``detour``'s ``embed_text`` is; the
-    0.07 ms embed runs first, ``detour``'s forward lands, and one 2-row
-    forward carries both."""
+    """The cost test (fails at the parent of the decode-only rule: two 1-row
+    decode forwards, the second request finishing a whole floor later).
+    ``plain``'s decode forward is ready — and older — when ``detour``'s
+    ``embed_text`` is; the 0.07 ms embed runs first, ``detour``'s forward
+    lands, and one 2-row forward carries both.  The prompts go the same way:
+    the first prompt's forward waits for the second's embed, and one forward
+    carries both prompts (two 1-row prefills before the prompt rule)."""
     sim = Simulator(seed=0)
     server = PieServer(sim, num_devices=1)
     server.register_program(_stepper("plain", detours=0))
@@ -242,14 +255,15 @@ def test_decode_forward_waits_for_the_neighbours_embed():
 
     plain, detour = _run_fleet(sim, server, ["plain", "detour"])
 
-    decode_forwards = [rows for decode_rows, rows, _ in forwards if decode_rows]
-    assert decode_forwards == [2]
-    assert scheduler.stats.forward_yields == 1
+    assert [(decode_rows, rows) for decode_rows, rows, _ in forwards] == [(0, 2), (2, 2)]
+    # Once for the prompts' forward, once for the decode steps'.
+    assert scheduler.stats.forward_yields == 2
     assert scheduler.stats.forward_holds_expired == 0
-    # Both leave with the shared forward; at the parent ``detour`` paid a
-    # second floor (85.4 ms against 66.4 ms for ``plain``).
+    # Both leave with the shared forwards; before the decode-only rule
+    # ``detour`` paid a second floor (85.4 ms against 66.4 ms for
+    # ``plain``), before the prompt rule both paid a second prefill (67.2 ms).
     assert detour.result == plain.result
-    assert detour.result * 1e3 < 70.0
+    assert detour.result * 1e3 < 51.0
 
 
 def _looper(name, rounds):
@@ -298,13 +312,14 @@ class TestLiveness:
 
     def test_loopers_cannot_hold_a_decoders_forward(self):
         stats, forwards, bound_ms = self.run(prompt_tokens=8)
-        decode_waits = [waited for decode_rows, _, waited in forwards if decode_rows]
-        assert len(decode_waits) == 3
-        # Held (the rule is on) …
-        assert stats.forward_yields > 0 and min(decode_waits) > 1.0
+        waits = [waited for _, _, waited in forwards]
+        # The prompt's forward, then three decode steps.
+        assert [decode_rows for decode_rows, _, _ in forwards] == [0, 1, 1, 1]
+        # Held (the rule is on: the loopers' embeds are always ready) …
+        assert stats.forward_yields > 0 and min(waits) > 1.0
         # … and let go at the bound, every time.
-        assert stats.forward_holds_expired == 3
-        assert max(decode_waits) <= bound_ms + self.SLACK_MS
+        assert stats.forward_holds_expired == 4
+        assert max(waits) <= bound_ms + self.SLACK_MS
 
     def test_loopers_cannot_hold_a_sliced_prompt(self):
         """The parent's slices-only rule had no bound: this prompt's first

@@ -274,7 +274,6 @@ class TestKernelCostModel:
         model = KernelCostModel(config)
         assert model.copy_batch_cost(4) > model.copy_batch_cost(1)
         assert model.mask_batch_cost(4) > 0
-        assert model.alloc_batch_cost(10) > 0
         # A prompt pays the decode step's floor and then its tokens.
         assert model.forward_seconds(prefill_tokens=100) > model.forward_seconds(decode_rows=1)
 

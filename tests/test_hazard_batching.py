@@ -2,8 +2,9 @@
 
 ``CommandQueue.ready_runs`` offers, per command kind, every pending command
 with no read-after-write, write-after-read or write-after-write hazard with
-an earlier command left out of that run; a fence (a kind without complete
-read and write sets, or a chunked prefill's residual) is passed by nothing.
+an earlier command left out of that run; a fence (a chunked prefill's
+residual, the one command that does not name all it touches) is passed by
+nothing.
 Dispatched commands leave the queue wherever they sit, so commands no longer
 retire in push order, and ``synchronize`` waits on a push-sequence watermark
 instead of a count.
@@ -130,7 +131,7 @@ class ParentQueue:
 
 QUEUES = 2
 SLOTS = 4  # pages and embedding slots per queue
-KINDS = ("embed_text", "forward", "sample", "dealloc_kv", "copy_kv")
+KINDS = ("embed_text", "forward", "sample", "mask_kv", "copy_kv")
 
 
 def hazard(later: Command, earlier: Command) -> bool:
@@ -346,7 +347,7 @@ def test_a_drained_machine_ends_in_fifo_memory():
     model.push(0, "embed_text", writes=[("emb", 2)])
     model.push(0, "forward", reads=[("emb", 2), ("kv", 0)], writes=[("kv", 2), ("emb", 3)])
     model.push(0, "sample", reads=[("emb", 1)])
-    model.push(0, "dealloc_kv")
+    model.push(0, "forward", residual=True)
     model.push(0, "embed_text", writes=[("emb", 1)])
     while model.queues[0].pending_count:
         model.dispatch(next(iter(model.candidates())))
@@ -454,11 +455,11 @@ def read_after_write(model):
 
 
 def past_a_fence(model):
-    """An embed after a dealloc must not join the embed before it."""
+    """An embed after a residual must not join the embed before it."""
     model.push(0, "embed_text", writes=[("emb", 0)])
-    model.push(0, "dealloc_kv")
+    model.push(0, "forward", residual=True)
     model.push(0, "embed_text", writes=[("emb", 1)])
-    for kind in ("embed_text", "dealloc_kv", "embed_text"):
+    for kind in ("embed_text", "forward", "embed_text"):
         model.dispatch(kind)
 
 

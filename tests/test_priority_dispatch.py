@@ -120,9 +120,17 @@ class TestAgingBoundsStarvation:
     def run_stream(self, monkeypatch, aging_ms: float) -> dict:
         """One batch-class decoder under a continuous interactive stream.
 
+        Each interactive turn fills a short prompt and then snapshots a
+        hidden state again and again, so an interactive ``copy_emb`` — a
+        kind the job never issues — is ready at every selection round.
         Returns the batch job's first-token time and the stream end time;
-        class order alone would starve the batch job until the device has
-        idle gaps, the aging bound forces it through earlier."""
+        class order alone would starve the batch job's forwards and samples
+        until the device has idle gaps, the aging bound forces them through
+        earlier.  (Aging orders kinds, not the commands of one kind, and a
+        forward carrying a prompt yields to a ready ``embed_text`` ahead of
+        it: a stream of decoders would hold the job's commands out of their
+        own kinds' batches, or its forward in the yield, whatever the
+        bound.)"""
         monkeypatch.setattr(batching, "AGING_MS", aging_ms)
         sim = Simulator(seed=0)
         config = PieConfig(
@@ -148,7 +156,9 @@ class TestAgingBoundsStarvation:
         async def chat_main(ctx):
             context = Context(ctx, sampling=SamplingParams())
             await context.fill("hi ")
-            await context.generate_until(max_tokens=2)
+            src, dst = ctx.alloc_emb(context.queue, 2)
+            for _ in range(100):
+                await ctx.copy_emb(context.queue, [src], [dst])
             context.free()
             return "ok"
 

@@ -39,10 +39,11 @@ class GatedServer:
     """A server whose launch gate applies ``specs``: every launch runs
     ``held``, which returns once :meth:`finish` says so."""
 
-    def __init__(self, *specs):
+    def __init__(self, *specs, tracing=False):
         self.sim = Simulator(seed=0)
         self.server = PieServer(
-            self.sim, config=PieConfig(control=ControlLayerConfig(tenants=specs))
+            self.sim,
+            config=PieConfig(control=ControlLayerConfig(tenants=specs, tracing=tracing)),
         )
         self.lifecycle = self.server.lifecycle
         self.done = {}
@@ -140,14 +141,25 @@ class TestAdmission:
         gated.drain()
 
     def test_note_finished_is_idempotent(self):
-        """A second retirement of one exit frees no second slot."""
-        gated = GatedServer(TenantSpec(name="acme", max_concurrent=1))
+        """A second retirement of one exit frees no second slot, counts no
+        second exit on the tenant's record and tells no observer twice: the
+        traced inferlet has one lifecycle span and one span per segment of
+        its closed timeline."""
+        gated = GatedServer(TenantSpec(name="acme", max_concurrent=1), tracing=True)
         instance = gated.launch()
         parked = [gated.launch() for _ in range(2)]
         gated.run(0.05)
         gated.finish(instance)
         gated.lifecycle._retire(instance, "finished")
         assert [gated.admitted(p) for p in parked] == [True, False]
+        assert gated.record().finished == 1
+        spans = [
+            event
+            for event in gated.server.trace.events()
+            if event["ph"] == "X" and event["inferlet"] == instance.instance_id
+        ]
+        assert [span["cat"] for span in spans].count("lifecycle") == 1
+        assert len(spans) == 1 + len(instance.timeline.closed)
         gated.drain()
 
     def test_reject_when_queue_full(self):

@@ -471,6 +471,31 @@ class TestSwapExportInteraction:
         assert 0 < m.kv_pages_swapped_out < registered
         assert cache.cached_pages() == registered
 
+    def test_a_barrier_waiter_runs_after_the_finish_hook_it_waited_for(self):
+        """Fails at the parent, which retired a command before resolving its
+        future: the ``synchronize`` waiter resumed, blocked on the tool call
+        and had all six pages swapped out before the prefix cache's finish
+        hook registered any.  Now the five full prompt pages are registered
+        (cache-pinned) first and only the partial tail goes to the host."""
+        sim = Simulator(seed=1)
+        server = self._cache_server(sim)
+
+        async def producer(ctx):
+            queue = ctx.create_queue()
+            tokens = ctx.tokenize(queue, self.SHARED + "producer task. ")
+            pages = ctx.alloc_kvpage(queue, -(-len(tokens) // ctx.kv_page_size()))
+            embeds = ctx.alloc_emb(queue, len(tokens))
+            ctx.embed_txt(queue, tokens, list(range(len(tokens))), embeds)
+            ctx.forward(queue, pages, embeds, pages, embeds[-1:])
+            await ctx.synchronize(queue)
+            await ctx.http_get(SLOW_URL)  # blocks; proactive swap kicks in
+            return len(pages)
+
+        [result] = run_fleet(server, [InferletProgram(name="raw", main=producer)])
+        assert (result.status, result.result) == ("finished", 6)
+        m = server.metrics
+        assert (m.prefix_cache_inserted_pages, m.kv_pages_swapped_out) == (5, 1)
+
     def test_exported_pages_excluded_from_swappable_count(self):
         sim = Simulator(seed=0)
         server = make_server(sim, kv_pages=32, host_pages=32)

@@ -3,7 +3,7 @@
 ``Controller.synchronize`` asks ``CommandQueue.synchronize``, which counts
 ``len(pending) + inflight``.  A command is neither while it is *in the air*:
 ``Controller.submit`` hands it to ``sim.schedule(inference_call_overhead(),
-_deliver_command)`` and only the delivery makes it pending.  A barrier
+_deliver)`` and only the delivery makes it pending.  A barrier
 issued in the same instant as the commands it should wait for therefore
 finds an empty queue and resolves at once — ``await context.fill(...)``
 returns before its prefill has written a single KV slot.
