@@ -51,8 +51,8 @@ def test_load_sweep(run_experiment, write_artifact):
     # reintroduced O(all-queues) scan or timer leak bends this upward.
     assert 0.8 <= head["events_per_request_ratio"] <= 1.2, head
 
-    # Lazy-cancel hygiene: the heap ends near-empty instead of carrying a
-    # tombstone per resolved timeout across the whole run.
+    # The event heap holds only live events: it ends near-empty, with no
+    # timer left behind by the run's work.
     assert head["heap_size_end_10k"] < 100, head
 
     # No stream exits with a command queued: a chosen token is written only

@@ -12,10 +12,10 @@ This experiment drives :mod:`repro.bench.loadgen` over a rate sweep plus a
 diurnal-trace replay, locates the knee, and then runs the scaling probe the
 CI perf gate regresses against: the same keeping-up offered rate at 1k and
 10k requests must process a *flat* number of simulator events per request
-(±20%).  Before the scheduler's owner/readiness/pending indexes and the
-simulator's lazy-cancel hygiene, every submit scanned all queues and every
-resolved timeout left a dead event in the heap — both show up here as
-events-per-request growing with fleet size.
+(±20%).  Before the scheduler's owner/readiness/pending indexes, every
+submit scanned all queues, and an event heap that kept dead events would
+hold them too — both show up here as events-per-request growing with fleet
+size.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def run(quick: bool = True, flatness_n: Optional[Tuple[int, int]] = None) -> Exp
         f"Events per request {head['events_per_request_1k']:.1f} at "
         f"{probe_small} requests vs {head['events_per_request_10k']:.1f} at "
         f"{probe_large} ({head['events_per_request_ratio']:.3f}x): the "
-        "indexed scheduler and lazy-cancel heap keep per-request work flat "
+        "indexed scheduler and a heap of live events keep per-request work flat "
         "as the fleet grows 10x."
     )
     return result
@@ -163,7 +163,6 @@ def headline(
         "events_per_request_10k": epr_large,
         "events_per_request_ratio": ratio(epr_large, epr_small),
         "heap_size_end_10k": large["heap_size_end"],
-        "heap_compactions_10k": large["heap_compactions"],
         "commands_dropped_10k": large["commands_dropped"],
         "interactive_ttft_p99_ms_at_knee": knee["per_class"]["interactive"]["ttft"]["p99_ms"],
         "interactive_tpot_p99_ms_at_knee": knee["per_class"]["interactive"]["tpot"]["p99_ms"],

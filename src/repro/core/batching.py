@@ -235,6 +235,16 @@ def dispatch_key(batch: CandidateBatch, now: float) -> Tuple:
     return (1, min(command.rank for command in batch.commands), oldest)
 
 
+def holds_aged_worse(batch: CandidateBatch, other: CandidateBatch, now: float) -> bool:
+    """``batch`` holds a command of a worse class than ``other``'s best that
+    has waited :data:`AGING_MS`: what :func:`dispatch_key` puts first."""
+    best = min(command.rank for command in other.commands)
+    return any(
+        command.rank > best and now - command.issue_time >= AGING_MS / 1e3
+        for command in batch.commands
+    )
+
+
 def select_batch(candidates: Dict[str, CandidateBatch], now: float) -> Optional[CandidateBatch]:
     """Pick the candidate that goes next (:func:`dispatch_key`)."""
     if not candidates:

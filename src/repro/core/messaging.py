@@ -57,9 +57,6 @@ class _Mailbox:
             return True, self._messages.popleft()
         return False, None
 
-    def __len__(self) -> int:
-        return len(self._messages)
-
 
 class ClientChannel:
     """Mailboxes between one inferlet and its launching client."""

@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.core.batching import CandidateBatch, form_candidate_batches, select_batch
+from repro.core.batching import (
+    CandidateBatch,
+    form_candidate_batches,
+    holds_aged_worse,
+    select_batch,
+)
 from repro.core.command_queue import DEFAULT_RANK, Command, CommandQueue
 from repro.core.config import ControlLayerConfig, SchedulerConfig
 from repro.core.handlers import ApiHandlers
@@ -384,7 +389,10 @@ class BatchScheduler:
         * **a whole prompt** (adaptive policy), to an ``embed_text``: those
           embeds are decode steps that missed the formation window
           (``_formation_delay``); once they ran their forwards ride the
-          prompt's instead of waiting a whole prefill.
+          prompt's instead of waiting a whole prefill.  Not while the forward
+          holds a command of a worse class than the embeds' that has aged
+          (``batching.holds_aged_worse``): a better class's embeds would
+          come back every round and hold it past aging for good.
         * **prefill slices only**, to any kind: slices exist to *share*
           batches with decode rows, so they wait for the next mixed forward
           batch — or for an idle device, where they go alone.
@@ -407,7 +415,13 @@ class BatchScheduler:
             improvable = True
         else:
             prompt = any(not (command.is_chunk or command.is_decode_row) for command in commands)
-            improvable = adaptive and prompt and "embed_text" in candidates
+            embeds = candidates.get("embed_text")
+            improvable = (
+                adaptive
+                and prompt
+                and embeds is not None
+                and not holds_aged_worse(forward, embeds, self.sim.now)
+            )
         if not improvable:
             return False
         now = self.sim.now

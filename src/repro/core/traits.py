@@ -18,7 +18,7 @@ runtime management, inter-inferlet communication and I/O.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ReproError
 
@@ -127,27 +127,3 @@ def api_layer(api_name: str) -> str:
     if api_name in INFERENCE_LAYER_APIS:
         return "inference"
     raise ReproError(f"unknown API function {api_name!r}")
-
-
-def supertraits(trait: str) -> List[str]:
-    """Transitive supertraits of ``trait`` (excluding itself)."""
-    if trait not in TRAITS:
-        raise ReproError(f"unknown trait {trait!r}")
-    seen: List[str] = []
-    stack = list(TRAITS[trait][0])
-    while stack:
-        parent = stack.pop()
-        if parent not in seen:
-            seen.append(parent)
-            stack.extend(TRAITS[parent][0])
-    return seen
-
-
-def validate_model_traits(traits: List[str]) -> None:
-    """Check that a model's advertised traits include their supertraits."""
-    for trait in traits:
-        for parent in supertraits(trait):
-            if parent not in traits:
-                raise ReproError(
-                    f"trait {trait!r} requires supertrait {parent!r} which the model lacks"
-                )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
-from repro.model.config import MODEL_CONFIGS, ModelConfig, get_model_config
+from repro.model.config import ModelConfig, get_model_config
 from repro.model.lora import LoraAdapter, LoraRegistry
 from repro.model.tokenizer import ByteTokenizer
 from repro.model.transformer import TinyTransformer
@@ -53,10 +53,6 @@ class ModelRegistry:
         self._entries: Dict[str, ModelEntry] = {}
         for name in model_names or []:
             self.add(name)
-
-    @classmethod
-    def with_default_models(cls) -> "ModelRegistry":
-        return cls(MODEL_CONFIGS.keys())
 
     def add(self, name: str, config: Optional[ModelConfig] = None) -> ModelEntry:
         if name in self._entries:

@@ -56,12 +56,6 @@ class TokenDistribution:
             raise ReproError("empty distribution")
         return self.token_ids[self.probs.index(max(self.probs))]
 
-    def prob_of(self, token_id: int) -> float:
-        for tid, p in zip(self.token_ids, self.probs):
-            if tid == token_id:
-                return p
-        return 0.0
-
     def as_dict(self) -> Dict[int, float]:
         return dict(zip(self.token_ids, self.probs))
 
@@ -155,18 +149,3 @@ def sample_from_dist(
     probs = probs / probs.sum()
     choice = rng.choice(len(token_ids), p=probs)
     return int(token_ids[choice])
-
-
-def apply_repetition_penalty(
-    logits: np.ndarray, generated: Sequence[int], penalty: float
-) -> np.ndarray:
-    """Classic repetition penalty: divide positive logits / multiply negative."""
-    if penalty <= 0:
-        raise ReproError("repetition penalty must be positive")
-    adjusted = np.array(logits, dtype=np.float64, copy=True)
-    for token in set(generated):
-        if adjusted[token] > 0:
-            adjusted[token] /= penalty
-        else:
-            adjusted[token] *= penalty
-    return adjusted

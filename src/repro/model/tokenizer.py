@@ -43,16 +43,6 @@ class ByteTokenizer:
         data = bytes(t for t in self._validate(token_ids) if t < 256)
         return data.decode("utf-8", errors="replace")
 
-    def decode_token(self, token_id: int) -> str:
-        """Decode a single token (specials render as tags)."""
-        if token_id == self.BOS_TOKEN:
-            return "<bos>"
-        if token_id == self.EOS_TOKEN:
-            return "<eos>"
-        if token_id == self.PAD_TOKEN:
-            return "<pad>"
-        return self.decode([token_id])
-
     def _validate(self, token_ids: Iterable[int]) -> List[int]:
         tokens = list(token_ids)
         for token in tokens:

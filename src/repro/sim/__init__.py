@@ -17,7 +17,7 @@ from milliseconds/microseconds where that reads more naturally.
 from repro.sim.futures import SimFuture
 from repro.sim.tasks import Task
 from repro.sim.simulator import Simulator
-from repro.sim.latency import LatencyModel, ConstantLatency, UniformLatency, NormalLatency
+from repro.sim.latency import LatencyModel, ConstantLatency
 from repro.sim.network import NetworkLink
 from repro.sim.periodic import PeriodicService
 from repro.sim.faults import FAULT_KINDS, FaultInjector, FaultPlan
@@ -28,8 +28,6 @@ __all__ = [
     "Simulator",
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
-    "NormalLatency",
     "NetworkLink",
     "PeriodicService",
     "FAULT_KINDS",

@@ -42,9 +42,6 @@ class FaultPlan:
             sorted((tuple(entry) for entry in entries), key=lambda e: (e[1], e[0]))
         )
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 

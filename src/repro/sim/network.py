@@ -4,13 +4,12 @@ The paper measures end-to-end latency from a remote client on a campus
 network; for agentic workloads, the critical difference between Pie and the
 baselines is whether each external interaction pays a client<->server round
 trip.  :class:`NetworkLink` models a bidirectional link with a one-way
-latency model, and keeps simple counters so that experiments can report how
-many round trips each architecture paid.
+latency model, and keeps simple traffic counters.
 """
 
 from __future__ import annotations
 
-from typing import Any, Awaitable, Callable, Optional
+from typing import Any, Optional
 
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.simulator import Simulator
@@ -19,9 +18,8 @@ from repro.sim.simulator import Simulator
 class NetworkLink:
     """A point-to-point link with symmetric one-way latency.
 
-    ``request`` models a full round trip: the payload travels to the remote
-    handler, the handler (an async callable) runs, and the response travels
-    back.  Counters record traffic for experiment reporting.
+    ``send`` delivers a payload after one one-way delay; ``reserve`` books
+    serialized wire time.  Counters record traffic for experiment reporting.
     """
 
     def __init__(
@@ -39,7 +37,6 @@ class NetworkLink:
         # (the pre-existing behaviour; message size then costs nothing).
         self.bytes_per_second = bytes_per_second
         self.messages_sent = 0
-        self.round_trips = 0
         self.bytes_sent = 0
         # Total wire-occupancy time accumulated by reserve(); the telemetry
         # sampler turns deltas of this into a link busy fraction.
@@ -88,22 +85,3 @@ class NetworkLink:
         self.messages_sent += 1
         self.bytes_sent += size_bytes
         return self._busy_until + self.one_way_delay()
-
-    async def request(
-        self,
-        handler: Callable[[Any], Awaitable[Any]],
-        payload: Any = None,
-        size_bytes: int = 0,
-    ) -> Any:
-        """Round trip: send payload, run the remote handler, return its reply."""
-        self.round_trips += 1
-        await self.send(payload, size_bytes=size_bytes)
-        result = await handler(payload)
-        await self.send(result)
-        return result
-
-    def reset_counters(self) -> None:
-        self.messages_sent = 0
-        self.round_trips = 0
-        self.bytes_sent = 0
-        self.busy_seconds = 0.0

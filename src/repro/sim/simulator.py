@@ -13,44 +13,6 @@ from repro.sim.futures import SimFuture
 from repro.sim.tasks import Task
 
 
-class _Event:
-    """A scheduled callback.  The heap holds ``(time, seq, event)`` tuples, so
-    ordering by (time, sequence number) is compared in C; ``seq`` is unique,
-    so the event itself is never compared."""
-
-    __slots__ = ("time", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, callback: Callable, args: tuple) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    __slots__ = ("_sim", "_event")
-
-    def __init__(self, sim: "Simulator", event: _Event) -> None:
-        self._sim = sim
-        self._event = event
-
-    def cancel(self) -> None:
-        # Lazy cancellation: the event stays in the heap (removal from the
-        # middle of a binary heap is O(n)) and is skipped when popped.  The
-        # simulator counts live tombstones so it can compact the heap once
-        # they dominate — without that, per-command timers cancelled on the
-        # fast path accumulate without bound under open-loop load.
-        if not self._event.cancelled:
-            self._event.cancelled = True
-            self._sim._note_cancelled()
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-
 class Simulator:
     """Deterministic virtual-time event loop.
 
@@ -59,19 +21,14 @@ class Simulator:
     entire experiments are reproducible from a single seed.
     """
 
-    #: Heaps smaller than this are never compacted (the rebuild would cost
-    #: more than the tombstones it removes).
-    _COMPACT_MIN_EVENTS = 256
-
     def __init__(self, *, seed: int = 0) -> None:
         self._now = 0.0
-        self._heap: List[Tuple[float, int, _Event]] = []
+        #: ``(time, seq, callback, args)``: ordered by (time, sequence number)
+        #: in C; ``seq`` is unique, so the callback is never compared.
+        self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self._rng = np.random.default_rng(seed)
         self._processed_events = 0
-        # Live cancelled events still sitting in the heap (lazy cancel).
-        self._cancelled_in_heap = 0
-        self._heap_compactions = 0
         #: Armed periodic timers (``repro.sim.periodic``), one pending tick
         #: each: what :meth:`_only_ticks` tells apart from real work.
         self.armed_timers: List[Any] = []
@@ -94,60 +51,33 @@ class Simulator:
 
     @property
     def heap_size(self) -> int:
-        """Events currently in the heap, cancelled tombstones included."""
+        """Events currently in the heap: every one of them will run."""
         return len(self._heap)
 
     @property
     def cancelled_in_heap(self) -> int:
-        """Cancelled events awaiting lazy removal (bounded by compaction)."""
-        return self._cancelled_in_heap
-
-    @property
-    def heap_compactions(self) -> int:
-        return self._heap_compactions
-
-    def _note_cancelled(self) -> None:
-        self._cancelled_in_heap += 1
-        # Compact once tombstones dominate the heap (~50%): one O(n)
-        # rebuild halves the heap, so the cost amortises to O(1) per
-        # cancellation while peak occupancy stays within 2x of live events.
-        if (
-            len(self._heap) > self._COMPACT_MIN_EVENTS
-            and self._cancelled_in_heap * 2 > len(self._heap)
-        ):
-            self._compact_heap()
-
-    def _compact_heap(self) -> None:
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_in_heap = 0
-        self._heap_compactions += 1
-
-    def _discard_cancelled(self) -> None:
-        """Bookkeeping for a cancelled event that was popped normally."""
-        if self._cancelled_in_heap > 0:
-            self._cancelled_in_heap -= 1
+        """Always 0: a scheduled event is never cancelled (``perf/worker.py``'s
+        drained-queue check reads it)."""
+        return 0
 
     # -- scheduling primitives ---------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.call_at(self._now + delay, callback, *args)
+        self.call_at(self._now + delay, callback, *args)
 
-    def call_at(self, when: float, callback: Callable, *args: Any) -> EventHandle:
+    def call_at(self, when: float, callback: Callable, *args: Any) -> None:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        event = _Event(when, callback, args)
-        heapq.heappush(self._heap, (when, next(self._seq), event))
-        return EventHandle(self, event)
+        heapq.heappush(self._heap, (when, next(self._seq), callback, args))
 
-    def call_soon(self, callback: Callable, *args: Any) -> EventHandle:
+    def call_soon(self, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at the current virtual time (FIFO order)."""
-        return self.call_at(self._now, callback, *args)
+        self.call_at(self._now, callback, *args)
 
     # -- futures / tasks ---------------------------------------------------
 
@@ -165,33 +95,6 @@ class Simulator:
         future = self.create_future(name=f"sleep({delay})")
         self.schedule(delay, self._resolve_if_pending, future, None)
         return future
-
-    def timeout(self, awaitable: SimFuture, delay: float) -> SimFuture:
-        """Return a future resolving with ``(done, value)``.
-
-        ``done`` is True and ``value`` is the awaitable's result if it
-        completed before the timeout, otherwise ``(False, None)``.
-        """
-        result = self.create_future(name="timeout")
-
-        def on_done(fut: SimFuture) -> None:
-            # Cancel the pending timer so short-lived awaitables don't
-            # leave one tombstone per call sitting in the heap.
-            timer.cancel()
-            if result.done():
-                return
-            if fut.exception() is not None:
-                result.set_exception(fut.exception())
-            else:
-                result.set_result((True, fut.result()))
-
-        def on_timeout() -> None:
-            if not result.done():
-                result.set_result((False, None))
-
-        timer = self.schedule(delay, on_timeout)
-        awaitable.add_done_callback(on_done)
-        return result
 
     def gather(self, awaitables: Iterable[SimFuture]) -> SimFuture:
         """Return a future resolving with the list of all results.
@@ -233,20 +136,13 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event; return False if the queue is empty."""
-        while self._heap:
-            when, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._discard_cancelled()
-                continue
-            self._now = when
-            self._processed_events += 1
-            # A ``cancel()`` from the callback itself or later must be a
-            # no-op (the event is no longer in the heap), so mark it before
-            # it runs, without touching the tombstone counter.
-            event.cancelled = True
-            event.callback(*event.args)
-            return True
-        return False
+        if not self._heap:
+            return False
+        when, _, callback, args = heapq.heappop(self._heap)
+        self._now = when
+        self._processed_events += 1
+        callback(*args)
+        return True
 
     def _only_ticks(self) -> bool:
         """Every live event is the tick of an armed timer that only watches
@@ -254,7 +150,7 @@ class Simulator:
         ever happen."""
         timers = self.armed_timers
         return (
-            len(self._heap) - self._cancelled_in_heap == len(timers)
+            len(self._heap) == len(timers)
             and all(timer.idle() for timer in timers)
         )
 
@@ -269,11 +165,7 @@ class Simulator:
         """
         processed = 0
         while self._heap:
-            when, _, next_event = self._heap[0]
-            if next_event.cancelled:
-                heapq.heappop(self._heap)
-                self._discard_cancelled()
-                continue
+            when = self._heap[0][0]
             if until is None:
                 if self.armed_timers and self._only_ticks():
                     return

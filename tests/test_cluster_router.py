@@ -19,6 +19,28 @@ from repro.gpu.device import DeviceStats, sum_stats
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
 
+#: Why an exporter that exits right after ``fill`` exports unwritten pages.
+EMPTY_EXPORT = (
+    "fill's barrier resolves before its prefill is pushed, and the prefill "
+    "still queued at the exporter's exit is dropped (ROADMAP item 3)"
+)
+
+
+def export_after_fill(sim, server, name, text):
+    """Run an exporter that publishes ``text``'s pages right after ``fill``
+    and exits; returns how many tokens each exported page holds."""
+
+    async def exporter(ctx):
+        context = Context(ctx, sampling=SamplingParams())
+        await context.fill(text)
+        context.export_prefix(name)
+        return "exported"
+
+    server.register_program(InferletProgram(name=f"export-{name}", main=exporter))
+    assert sim.run_until_complete(server.run_inferlet(f"export-{name}")).status == "finished"
+    shard = next(s for s in server.service().shards if s.resources.has_export(name))
+    return shard.memory.kv_pages.valid_counts(shard.resources.export_info(name).physical_ids)
+
 
 def make_completion_program(name, prompt, max_tokens=8):
     async def main(ctx):
@@ -153,6 +175,13 @@ class TestPlacementPolicies:
         assert result.status == "finished"
         # The hint co-located the importer with the pages: no migration.
         assert server.metrics.cross_device_imports == 0
+
+    @pytest.mark.xfail(strict=True, reason=EMPTY_EXPORT)
+    def test_the_affinity_export_holds_its_prefix(self):
+        sim = Simulator(seed=0)
+        server = PieServer(sim, num_devices=2, placement_policy="cache_affinity")
+        counts = export_after_fill(sim, server, "affinity-prefix", "shared prefix text ")
+        assert counts and 0 not in counts
 
     def test_cache_affinity_without_matching_export_falls_back(self):
         sim = Simulator(seed=0)
@@ -511,6 +540,13 @@ class TestCrossDeviceImport:
         sim.run_until_complete(server.run_inferlet("exporter"))
         result = sim.run_until_complete(server.run_inferlet("importer"))
         return server, result
+
+    @pytest.mark.xfail(strict=True, reason=EMPTY_EXPORT)
+    def test_the_migrated_export_holds_its_prefix(self):
+        sim = Simulator(seed=3)
+        server = PieServer(sim, num_devices=2, placement_policy="round_robin")
+        counts = export_after_fill(sim, server, "xfer-prefix", "the quick brown fox ")
+        assert counts and 0 not in counts
 
     def test_import_migrates_pages_between_devices(self):
         server, result = self._run(num_devices=2)

@@ -18,6 +18,10 @@ under ``src/repro`` that no caller outside ``tests/`` passes needs a
 :data:`CONSTRUCTOR_LEDGER` row saying it is a seed, a capacity, a path or
 ``API`` (a signature inferlet or client code calls); anything else is the
 module constant it defaulted to, read when the object is built.
+
+Code keeps it too: a function under ``core/`` or ``sim/`` that nothing a
+user runs enters (``python -m tests.reach``, CI's ``reachability`` job)
+needs a :data:`REACH_LEDGER` row saying why it stays, or it goes.
 """
 
 import ast
@@ -84,6 +88,138 @@ CONSTRUCTOR_LEDGER = {
     "LoraAdapter.seed": "seed",
     "TinyTransformer.seed": "seed",
 }
+
+#: ``package/module.py::Qual.name`` -> why a function under ``core/`` or
+#: ``sim/`` that no user run enters (``python -m tests.reach``) stays.  A
+#: reason starts with one of :data:`REACH_REASONS`: a path taken on an error
+#: or a fault, a reference tests compare against, the ROADMAP item whose
+#: workload brings its caller, a call client or inferlet code makes that no
+#: user run makes, or a read-only view of state that tests read.
+REACH_LEDGER = {
+    # -- error and safety paths
+    "core/command_queue.py::CommandQueue.drop": "error path: a forward whose slice failed",
+    "core/health.py::ShardHealthService._undetected": (
+        "error path: a run stuck on a crashed shard's inferlets reaches the beat that finds it"
+    ),
+    "core/inferlet.py::_Placements.__missing__": (
+        "error path: an inferlet not placed on a model's cluster asks for it"
+    ),
+    "core/inferlet.py::InferletInstance.terminated_reason": (
+        "error path: the message of a launch aborted before its program ran"
+    ),
+    "core/inferlet.py::InferletInstance.terminated_cause": (
+        "error path: the cause of a launch aborted before its program ran"
+    ),
+    "core/registry.py::_Family.schema_matches": (
+        "error path: a metric registered again with another kind or labels"
+    ),
+    "core/resources.py::ResourceManager.resolve_kv": "error path: a page handle not mapped",
+    "core/resources.py::ResourceManager.resolve_emb": "error path: a slot handle not mapped",
+    # -- references tests compare against
+    "core/command_queue.py::Command.conflicts_with": (
+        "reference: the write-write rule the hazard tests hold batching to"
+    ),
+    "core/prefix_cache.py::PrefixCacheService.drop_all": (
+        "reference: releases every cache entry, so pool conservation is checked exactly"
+    ),
+    # -- the ROADMAP item whose workload brings the caller
+    "core/controller.py::Controller._cross_device_import": (
+        "ROADMAP item 3: an import of a written prefix on another device "
+        "(its tests import the empty exports pinned for item 3; item 4)"
+    ),
+    "core/resources.py::ResourceManager.export_info": (
+        "ROADMAP item 3: read by the cross-device import"
+    ),
+    "core/lifecycle.py::InferletLifecycleManager._cancel_parked": (
+        "ROADMAP item 2: a launch terminated while parked at its tenant's gate"
+    ),
+    "core/lifecycle.py::InferletLifecycleManager._abort_launch": (
+        "ROADMAP item 2: a launch terminated before its program ran"
+    ),
+    "core/lifecycle.py::InferletLifecycleManager.abort": (
+        "ROADMAP item 2: a client aborts a running inferlet"
+    ),
+    "core/mover.py::KvMover.to_host": (
+        "ROADMAP item 9(b): agent_overcommit demotes cached pages to the host tier"
+    ),
+    "core/mover.py::KvMover.from_host": (
+        "ROADMAP item 9(b): agent_overcommit restores demoted cached pages"
+    ),
+    "core/prefix_cache.py::PrefixCacheService.reclaim_one": (
+        "ROADMAP item 9(b): agent_overcommit reclaims cached pages under KV pressure"
+    ),
+    "core/prefix_cache.py::PrefixCacheService._reclaim_candidates": (
+        "ROADMAP item 9(b): agent_overcommit's reclamation picks the coldest fringe"
+    ),
+    "core/prefix_cache.py::PrefixCacheService._drop_subtree": (
+        "ROADMAP item 9(b): agent_overcommit's reclamation drops a node with no host room"
+    ),
+    "core/prefix_cache.py::PrefixCacheService._detach": (
+        "ROADMAP item 9(b): agent_overcommit's reclamation unlinks a node"
+    ),
+    "core/prefix_cache.py::PrefixCacheService.invalidate_pid": (
+        "ROADMAP item 9(b): a cached page unshared by copy-on-write"
+    ),
+    "core/prefix_cache.py::PrefixCacheService.is_cache_shared": (
+        "ROADMAP item 9(b): copy-on-write asks whether the cache shares a page"
+    ),
+    "core/resources.py::ResourceManager.materialize_private_kv": (
+        "ROADMAP item 9(b): copy-on-write unsharing under agent_overcommit's prefix cache"
+    ),
+    "core/trace.py::LifecycleTracer.note_reclaimed": (
+        "ROADMAP item 9(b): a reclamation termination in a traced agent_overcommit run"
+    ),
+    "core/trace.py::LifecycleTracer.note_swapped": (
+        "ROADMAP item 9(b): a swap in a traced agent_overcommit run"
+    ),
+    "core/trace.py::LifecycleTracer.note_shard_down": (
+        "ROADMAP item 9(b): the one-shard-kill workload, traced"
+    ),
+    "core/trace.py::LifecycleTracer.note_replanned": (
+        "ROADMAP item 9(b): a KV stream re-planned in the traced one-shard-kill workload"
+    ),
+    # -- calls client or inferlet code makes
+    "core/api.py::Subscription.next_message": (
+        "API: an inferlet reads a topic it subscribed to (the swarm inferlets)"
+    ),
+    "core/messaging.py::MessageBus.next_message": "API: behind a subscription's next_message",
+    "core/messaging.py::_Mailbox.get": "API: behind receive and a subscription's next_message",
+    "core/messaging.py::ClientChannel.receive_from_client": "API: behind receive",
+    "core/messaging.py::ClientChannel.send_to_inferlet": "API: behind PieClient.send",
+    "core/messaging.py::ClientChannel.receive_from_inferlet": "API: behind PieClient.receive",
+    "core/controller.py::Controller.release_export": "API: behind release_kvpage_export",
+    "core/resources.py::ResourceManager.release_export": "API: behind release_kvpage_export",
+    "core/handlers.py::ApiHandlers._run_embed_image": "API: the handler behind embed_img",
+    "core/scheduler.py::BatchScheduler.set_priority": "API: behind set_queue_priority",
+    "core/handles.py::Queue.__hash__": "API: inferlet code keys a dict or a set by a queue",
+    "core/server.py::PieServer.launch": "API: a launch that does not wait for the exit",
+    "core/server.py::PieClient.launch": "API: a remote client's launch",
+    "core/server.py::PieClient.wait": "API: a remote client waits for an exit",
+    "core/wasm.py::WasmRuntime.is_cached": (
+        "API: WasmRuntime.upload without force skips a compiled binary; "
+        "upload_program, its one caller, always forces"
+    ),
+    "sim/latency.py::LatencyModel.sample": "API: what a latency model implements",
+    # -- read-only views of state that tests read
+    "core/health.py::ShardHealthService.state": "inspection: one shard's health",
+    "core/messaging.py::ExternalServices.total_calls": "inspection: tool calls served",
+    "core/metrics.py::InferletMetrics.total_calls": "inspection: API calls an inferlet made",
+    "core/metrics.py::InferletMetrics.latency": "inspection: an inferlet's run time",
+    "core/prefix_cache.py::PrefixCacheService.cached_pages": "inspection: pages the index owns",
+    "core/registry.py::LogHistogram.copy": "inspection: a histogram merged without changing it",
+    "core/server.py::PieServer.num_devices": "inspection: devices the server was built with",
+    "core/service.py::ModelService.memory": "inspection: shard 0's memory",
+    "core/service.py::ModelService.device": "inspection: shard 0's device",
+    "core/service.py::ModelService.resources": "inspection: shard 0's resource manager",
+    "core/service.py::ModelService.num_devices": "inspection: the cluster's shard count",
+    "core/swap.py::SwapManager.is_blocked": "inspection: an inferlet parked on a swap-in",
+    "core/swap.py::SwapManager.num_swapped": "inspection: inferlets swapped out",
+    "core/transfer.py::KvTransferScheduler.active_streams": "inspection: open KV streams",
+    "core/transfer.py::KvTransferScheduler.staged_pages": "inspection: an owner's staged pages",
+    "core/wasm.py::WasmRuntime.live_instances": "inspection: sandboxes alive",
+}
+#: What a :data:`REACH_LEDGER` reason starts with.
+REACH_REASONS = ("error path", "reference", "ROADMAP item", "API", "inspection")
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Where a second value comes from: experiment arms and the load harness,
@@ -376,3 +512,42 @@ def test_the_constructor_scan_is_not_vacuous(tmp_path):
     assert constructor_rule_breaks(tmp_path, {}) == []
     # A row whose parameter an outside caller passes is stale.
     assert constructor_rule_breaks(tmp_path, {"Knob.period": "capacity"}) == ["Knob.period"]
+
+
+# -- the reach ledger ---------------------------------------------------------------
+
+
+def defined_functions(root=ROOT):
+    """``package/module.py::Qual.name`` -> (path under ``src/repro``, first
+    line of its code object, lines) of every function and method under
+    ``src/repro``; a function nested in another is part of it."""
+    found = {}
+    src = root / "src/repro"
+    for path in sorted(src.rglob("*.py")):
+        relative = path.relative_to(src).as_posix()
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    lines = child.end_lineno - first + 1
+                    found[f"{relative}::{prefix}{child.name}"] = (relative, first, lines)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_every_reach_row_names_a_core_or_sim_function():
+    """The rows ``python -m tests.reach`` checks against its runs name
+    functions that exist, each with a reason; the runs themselves take
+    minutes and are CI's ``reachability`` job."""
+    functions = defined_functions()
+    assert [row for row in REACH_LEDGER if row not in functions] == []
+    assert [row for row in REACH_LEDGER if row.split("/", 1)[0] not in ("core", "sim")] == []
+    assert all(reason.startswith(REACH_REASONS) for reason in REACH_LEDGER.values())
+    # 60 when the audit became a gate: 93 unreached, 33 of them exempt.
+    assert len(REACH_LEDGER) == 60

@@ -10,6 +10,7 @@ from repro.model import get_model_config
 from repro.model.transformer import TinyTransformer
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
+from tests.test_cluster_router import EMPTY_EXPORT, export_after_fill
 
 
 @pytest.fixture()
@@ -307,6 +308,11 @@ class TestContextFeatures:
         imported_token = sim.run_until_complete(server.run_inferlet("importer")).result
         baseline_token = sim.run_until_complete(server.run_inferlet("baseline")).result
         assert imported_token == baseline_token
+
+    @pytest.mark.xfail(strict=True, reason=EMPTY_EXPORT)
+    def test_an_export_right_after_fill_holds_the_prefix(self, sim, server):
+        counts = export_after_fill(sim, server, "shared-prefix", "Shared system prompt.")
+        assert counts and 0 not in counts
 
     def test_temperature_sampling_is_reproducible(self, sim, server):
         async def main(ctx):

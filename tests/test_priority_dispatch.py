@@ -117,7 +117,7 @@ class TestEndToEndPriorityDispatch:
 
 
 class TestAgingBoundsStarvation:
-    def run_stream(self, monkeypatch, aging_ms: float) -> dict:
+    def run_stream(self, monkeypatch, aging_ms: float, decoders: bool = False) -> dict:
         """One batch-class decoder under a continuous interactive stream.
 
         Each interactive turn fills a short prompt and then snapshots a
@@ -126,11 +126,10 @@ class TestAgingBoundsStarvation:
         Returns the batch job's first-token time and the stream end time;
         class order alone would starve the batch job's forwards and samples
         until the device has idle gaps, the aging bound forces them through
-        earlier.  (Aging orders kinds, not the commands of one kind, and a
-        forward carrying a prompt yields to a ready ``embed_text`` ahead of
-        it: a stream of decoders would hold the job's commands out of their
-        own kinds' batches, or its forward in the yield, whatever the
-        bound.)"""
+        earlier.  (Aging orders kinds, not the commands of one kind.)  With
+        ``decoders`` each turn decodes two tokens instead: the job's prompt
+        forward then meets a ready interactive ``embed_text`` at every
+        round."""
         monkeypatch.setattr(batching, "AGING_MS", aging_ms)
         sim = Simulator(seed=0)
         config = PieConfig(
@@ -156,9 +155,12 @@ class TestAgingBoundsStarvation:
         async def chat_main(ctx):
             context = Context(ctx, sampling=SamplingParams())
             await context.fill("hi ")
-            src, dst = ctx.alloc_emb(context.queue, 2)
-            for _ in range(100):
-                await ctx.copy_emb(context.queue, [src], [dst])
+            if decoders:
+                await context.generate_until(max_tokens=2)
+            else:
+                src, dst = ctx.alloc_emb(context.queue, 2)
+                for _ in range(100):
+                    await ctx.copy_emb(context.queue, [src], [dst])
             context.free()
             return "ok"
 
@@ -195,3 +197,13 @@ class TestAgingBoundsStarvation:
         # stream is still arriving (14 turns * 30 ms of arrivals).
         assert aged["batch_first_token_at"] < 0.3
         assert aged["stream_finished_at"] > 0.42
+
+    def test_aging_frees_a_prompt_held_behind_a_better_class_s_embeds(self, monkeypatch):
+        """The job's prompt forward yields to the interactive decoders'
+        ``embed_text`` (``BatchScheduler._forward_yields``), one row at a
+        time; once it has aged it yields no more and the aging bound forces
+        it through (the same 0.564 s at both bounds when it kept yielding)."""
+        aged = self.run_stream(monkeypatch, aging_ms=60.0, decoders=True)
+        starved = self.run_stream(monkeypatch, aging_ms=60_000.0, decoders=True)
+        assert aged["batch_first_token_at"] < starved["batch_first_token_at"]
+        assert aged["batch_first_token_at"] < 0.3
