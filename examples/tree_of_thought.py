@@ -29,7 +29,7 @@ def main() -> None:
         print(f"  branch {branch['index']}: score={branch['score']:>2}  thought={branch['thought']!r:.50}")
     print(f"answer : {result.result['answer']!r}")
     print(f"latency: {result.latency:.3f} s (virtual)")
-    stats = server.service().scheduler.stats
+    stats = server.service().shards[0].scheduler.stats
     print(f"scheduler: {stats.batches_dispatched} batches, mean size {stats.mean_batch_size:.2f}")
 
 

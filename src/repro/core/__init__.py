@@ -37,7 +37,7 @@ from repro.core.router import (
 from repro.core.swap import SwapManager
 from repro.core.prefix_cache import PrefixCacheService
 from repro.core.qos import QOS_CLASSES, TenantSpec, TenantTable
-from repro.core.registry import LogHistogram, MetricRegistry
+from repro.core.registry import LogHistogram
 from repro.core.slo import AlertEvent, BurnWindow, SloEngine
 from repro.core.monitor import MonitorService
 from repro.core.health import SHARD_STATES, ShardHealthService
@@ -66,7 +66,6 @@ __all__ = [
     "TenantSpec",
     "TenantTable",
     "LogHistogram",
-    "MetricRegistry",
     "AlertEvent",
     "BurnWindow",
     "SloEngine",

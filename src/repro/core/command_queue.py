@@ -197,9 +197,10 @@ class CommandQueue:
         self.rank = rank
         self._pending: Deque[Command] = deque()
         self._inflight: int = 0
-        # Barriers and held deallocations as ``(watermark, future,
-        # is_release)``, watermarks non-decreasing: each resolves once every
-        # command pushed before it (``queue_seq < watermark``) has retired.
+        # Barriers and held deallocations as ``(watermark, settle)``,
+        # watermarks non-decreasing: ``settle(True)`` runs once every command
+        # pushed before it (``queue_seq < watermark``) has retired,
+        # ``settle(False)`` if the queue is torn down first.
         self._barriers: Deque[tuple] = deque()
         self._issued = 0
         # Every command with a lower ``queue_seq`` has retired; the ones above
@@ -348,14 +349,11 @@ class CommandQueue:
         return drained
 
     def drop_barriers(self) -> None:
-        """Queue teardown: every synchronize barrier resolves, and every held
-        deallocation is cancelled — it frees nothing."""
+        """Queue teardown: every synchronize barrier and every held
+        deallocation settles unreached — the deallocation frees nothing."""
         barriers, self._barriers = self._barriers, deque()
-        for _, future, is_release in barriers:
-            if is_release:
-                future.cancel()
-            elif not future.done():
-                future.set_result(None)
+        for _, settle in barriers:
+            settle(False)
 
     def mark_completed(self, command: Command) -> None:
         """A dispatched command retired."""
@@ -366,14 +364,24 @@ class CommandQueue:
 
     # -- synchronization ---------------------------------------------------------
 
-    def synchronize(self, future: SimFuture, is_release: bool = False) -> None:
-        """Resolve ``future`` once every command pushed so far has retired.
-        A deallocation's gate (``is_release``) is cancelled instead if the
-        queue is torn down first; its callback frees."""
+    def synchronize(self, future: SimFuture) -> None:
+        """Resolve ``future`` once every command pushed so far has retired,
+        or when the queue is torn down first."""
+
+        def settle(reached: bool) -> None:
+            if not future.done():
+                future.set_result(None)
+
+        self.hold(settle)
+
+    def hold(self, settle: Callable[[bool], None]) -> None:
+        """Call ``settle(True)`` once every command pushed so far has
+        retired, or ``settle(False)`` if the queue is torn down first (a
+        deallocation frees only in the first case)."""
         if self._retired_below == self._issued:
-            future.set_result(None)
+            settle(True)
             return
-        self._barriers.append((self._issued, future, is_release))
+        self._barriers.append((self._issued, settle))
 
     def _retire(self, command: Command) -> None:
         seq = command.queue_seq
@@ -388,9 +396,7 @@ class CommandQueue:
         self._retired_below = seq
         barriers = self._barriers
         while barriers and barriers[0][0] <= seq:
-            future = barriers.popleft()[1]
-            if not future.done():
-                future.set_result(None)
+            barriers.popleft()[1](True)
 
     # -- inspection ---------------------------------------------------------------
 

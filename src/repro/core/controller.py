@@ -337,7 +337,7 @@ class Controller:
             self._tenant_record(victim).preempted_terminations += 1
             for observer in self.observers:
                 observer.note_reclaimed(victim, requester, shard)
-            self.terminate_inferlet(victim, reason="resource reclamation")
+            self.terminate_inferlet(victim, reason="resource reclamation", cause="reclaimed")
             if victim.instance_id == requester.instance_id:
                 requester.check_alive()  # raises InferletTerminated
 
@@ -413,21 +413,25 @@ class Controller:
         owner = instance.instance_id
         future = self.sim.create_future(name=f"{kind}:{owner}")
 
-        def release(gate: SimFuture) -> None:
+        def release(reached: bool) -> None:
             # Where the owner lives now: a handoff may have moved its space.
             resources = instance.placements.get(handle.model, home).resources
             free = resources.dealloc_kv_pages if kind == "dealloc_kv" else resources.dealloc_embeds
             try:
-                if not gate.cancelled() and resources.has_space(owner):
+                if reached and resources.has_space(owner):
                     free(owner, handles)
             except Exception as exc:  # noqa: BLE001 - delivered via the call's future
                 future.set_exception(exc)
             else:
                 future.set_result(None)
 
-        gate = self.sim.create_future(name=f"release:{owner}")
-        gate.add_done_callback(release)
-        self._send(instance, home, handle, gate)
+        def settle(reached: bool) -> None:
+            # A loop step later, so the free follows the completion callbacks
+            # of what it waited for (the prefix cache's finish hook, the busy
+            # pins).
+            self.sim.call_soon(release, reached)
+
+        self._send(instance, home, handle, settle)
         return future
 
     # -- export / import -----------------------------------------------------------------------------
@@ -548,8 +552,8 @@ class Controller:
         return future
 
     def _send(self, instance: InferletInstance, home: DeviceShard, handle: Queue, call: Any) -> None:
-        """Deliver a command, or a deallocation's gate, to its queue after
-        the inference-layer call overhead has elapsed."""
+        """Deliver a command, or a deallocation's ``settle``, to its queue
+        after the inference-layer call overhead has elapsed."""
         instance.in_air_commands += 1
         key = (handle.owner, handle.qid)
         self.sim.schedule(self.inference_call_overhead(), self._deliver, instance, home, key, call)
@@ -560,17 +564,18 @@ class Controller:
         instance.in_air_commands -= 1
         # The owning inferlet may have finished (or been terminated) between
         # issuing the call and its delivery; its queues are gone and the
-        # call is dropped: a gate is cancelled, and a command's future
-        # resolves, which keeps any stray awaiters from deadlocking.
+        # call is dropped: a deallocation settles unreached (it frees
+        # nothing), and a command's future resolves, which keeps any stray
+        # awaiters from deadlocking.
         try:
             queue = shard.scheduler.get_queue(queue_key)
         except SchedulingError:
             queue = None
         if not isinstance(call, Command):
             if queue is None:
-                call.cancel()
+                call(False)
             else:
-                queue.synchronize(call, is_release=True)
+                queue.hold(call)
         elif queue is not None:
             shard.scheduler.submit(queue_key, call)
         else:

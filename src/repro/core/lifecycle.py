@@ -96,7 +96,7 @@ class InferletLifecycleManager:
             size_bytes=program.binary_size,
             source_loc=program.source_loc,
         )
-        return await self.runtime.upload(binary, force=True)
+        return await self.runtime.upload(binary)
 
     def get_program(self, name: str) -> InferletProgram:
         try:
@@ -331,4 +331,4 @@ class InferletLifecycleManager:
 
     def abort(self, instance: InferletInstance, reason: str = "client abort") -> None:
         """Abort a running inferlet on behalf of its client."""
-        self.controller.terminate_inferlet(instance, reason)
+        self.controller.terminate_inferlet(instance, reason, cause="client_abort")

@@ -31,7 +31,6 @@ from dataclasses import asdict
 from typing import Dict
 
 from repro.core.metrics import EXIT_STATUSES, TenantMetrics
-from repro.core.registry import MetricRegistry
 from repro.core.scheduler import SchedulerStats
 from repro.core.slo import SloEngine
 from repro.sim.periodic import PeriodicService
@@ -97,57 +96,77 @@ class MonitorService:
 
     # -- export -------------------------------------------------------------
 
-    def collect(self) -> MetricRegistry:
-        """The counter records as metric families, read from their owners
-        at this instant (pure inspection; the result is the caller's to
-        discard).  The SLO engine's state is the document's ``slo`` block,
-        not a family."""
-        export = MetricRegistry()
+    def collect(self) -> Dict[str, dict]:
+        """The counter records as the document's ``metrics`` block, read
+        from their owners at this instant (pure inspection): family name ->
+        type, help and labelled samples, families by name, samples in row
+        order.  The SLO engine's state is the document's ``slo`` block, not
+        a family."""
+        families: Dict[str, dict] = {}
 
-        def publish(prefix: str, helps: Dict[str, str], rows, labelnames=()) -> None:
+        def family(name: str, kind: str, help_: str) -> list:
+            families[name] = {"type": kind, "help": help_, "samples": []}
+            return families[name]["samples"]
+
+        def publish(prefix: str, helps: Dict[str, str], rows) -> None:
             # One gauge per name — so a family exists before its first
             # row — and one sample per (labels, values) row.
             for name, help_ in helps.items():
-                gauge = export.gauge(f"pie_{prefix}_{name}", help_, labelnames)
-                for labels, values in rows:
-                    gauge.labels(**labels).set(values[name])
+                family(f"pie_{prefix}_{name}", "gauge", help_).extend(
+                    {"labels": dict(labels), "value": float(values[name])}
+                    for labels, values in rows
+                )
 
         system = self.controller.metrics
+        tenants = system.tenants.items()
         publish("system", _field_help(system), [({}, _scalars(system))])
         tenant_help = _field_help(TenantMetrics(tenant=""))
         publish(
             "tenant",
             {name: help_ for name, help_ in tenant_help.items() if name not in _TENANT_FAMILIES},
-            [({"tenant": name}, _scalars(record)) for name, record in system.tenants.items()],
-            labelnames=("tenant",),
+            [({"tenant": name}, _scalars(record)) for name, record in tenants],
         )
         # The request families, one sample per tenant (and status) that
         # has something counted.
-        ttft = export.histogram("pie_ttft_seconds", "Time to first token per tenant", ("tenant",))
-        tpot = export.histogram("pie_tpot_seconds", "Time per output token per tenant", ("tenant",))
-        offered = export.counter(
-            "pie_offered_total", "Launches asked for per tenant (refused ones included)", ("tenant",)
-        )
-        good = export.counter(
-            "pie_good_total",
-            "Inferlets that finished inside their TTFT and TPOT SLO (goodput)",
-            ("tenant",),
-        )
-        requests = export.counter(
+        for name, field, help_ in (
+            ("pie_ttft_seconds", "ttft", "Time to first token per tenant"),
+            ("pie_tpot_seconds", "tpot", "Time per output token per tenant"),
+        ):
+            family(name, "histogram", help_).extend(
+                {"labels": {"tenant": tenant}, **getattr(record, field).to_dict()}
+                for tenant, record in tenants
+                if getattr(record, field).total
+            )
+        for name, field, help_ in (
+            (
+                "pie_offered_total",
+                "offered",
+                "Launches asked for per tenant (refused ones included)",
+            ),
+            (
+                "pie_good_total",
+                "good",
+                "Inferlets that finished inside their TTFT and TPOT SLO (goodput)",
+            ),
+        ):
+            family(name, "counter", help_).extend(
+                {"labels": {"tenant": tenant}, "value": float(getattr(record, field))}
+                for tenant, record in tenants
+                if getattr(record, field)
+            )
+        family(
             "pie_requests_total",
+            "counter",
             "Inferlets that left, by tenant and terminal status (rejected = refused at admission)",
-            ("tenant", "status"),
+        ).extend(
+            {
+                "labels": {"tenant": tenant, "status": status},
+                "value": float(getattr(record, status)),
+            }
+            for tenant, record in tenants
+            for status in EXIT_STATUSES
+            if getattr(record, status)
         )
-        for name, record in system.tenants.items():
-            for family, histogram in ((ttft, record.ttft), (tpot, record.tpot)):
-                if histogram.total:
-                    family.labels(tenant=name).merge(histogram)
-            for family, count in ((offered, record.offered), (good, record.good)):
-                if count:
-                    family.labels(tenant=name).inc(count)
-            for status in EXIT_STATUSES:
-                if getattr(record, status):
-                    requests.labels(tenant=name, status=status).inc(getattr(record, status))
         publish(
             "shard",
             {**_field_help(SchedulerStats()), **SHARD_READINGS},
@@ -159,9 +178,8 @@ class MonitorService:
                 for service in self.controller.services()
                 for shard in service.shards
             ],
-            labelnames=("model", "shard"),
         )
-        return export
+        return {name: families[name] for name in sorted(families)}
 
     def snapshot_document(self) -> dict:
         """JSON-ready document: :meth:`collect`, the SLO state with its full
@@ -182,6 +200,6 @@ class MonitorService:
                 "active_alerts": self.slo.active_alerts(),
                 "budgets": self.slo.budgets(),
             },
-            "metrics": self.collect().to_dict(),
+            "metrics": self.collect(),
             "faults": [dict(record) for record in self.controller.faults.injected],
         }

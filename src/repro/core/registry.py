@@ -1,22 +1,15 @@
-"""Typed metric registry: counters, gauges and log-bucketed histograms.
+"""Log-bucketed histograms.
 
 ``SystemMetrics`` and friends are plain dataclass counters, and they stay
-the store: the live monitoring plane (:mod:`repro.core.monitor`) keeps no
-registry, and publishes the dataclass counters through a throw-away one
-when an export is asked for.  This module supplies the pieces:
-
-* :class:`LogHistogram` — a deterministic log-bucketed histogram: bucket
-  boundaries are a pure function of ``(lo, hi, growth)``, so the same
-  samples produce identical bucket counts on every run and merging two
-  histograms is plain addition of sparse count dicts.  The default growth
-  of ``2 ** (1/8)`` (~9% bucket width) keeps reported percentiles within
-  one bucket of the exact nearest-rank :func:`repro.core.metrics.percentile`.
-  ``sum``/``total`` are exact, so means lose nothing to bucketing.
-* :class:`CounterFamily` / :class:`GaugeFamily` / :class:`HistogramFamily`
-  — named metric families whose children are addressed by label values
-  (``family.labels(tenant="acme").inc()``), Prometheus-style.
-* :class:`MetricRegistry` — the collection: get-or-create families and
-  their JSON document.
+the store: the live monitoring plane (:mod:`repro.core.monitor`) writes its
+export straight from them.  This module supplies the one distribution type
+they hold, :class:`LogHistogram` — a deterministic log-bucketed histogram:
+bucket boundaries are a pure function of ``(lo, hi, growth)``, so the same
+samples produce identical bucket counts on every run and merging two
+histograms is plain addition of sparse count dicts.  The default growth of
+``2 ** (1/8)`` (~9% bucket width) keeps reported percentiles within one
+bucket of the exact nearest-rank :func:`repro.core.metrics.percentile`.
+``sum``/``total`` are exact, so means lose nothing to bucketing.
 
 Everything here is plain-Python bookkeeping on the caller's thread: no
 timers, no simulator access, no RNG — observing a value can never perturb
@@ -27,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict
 
 from repro.errors import ReproError
 
@@ -35,10 +28,6 @@ __all__ = [
     "LogHistogram",
     "latency_histogram",
     "size_histogram",
-    "CounterFamily",
-    "GaugeFamily",
-    "HistogramFamily",
-    "MetricRegistry",
 ]
 
 #: Default latency histogram range: 100 microseconds to 1000 seconds of
@@ -181,142 +170,3 @@ def latency_histogram() -> LogHistogram:
 def size_histogram(hi: float = 8192.0) -> LogHistogram:
     """A histogram for small integer sizes (batch rows, pages, tokens)."""
     return LogHistogram(lo=1.0, hi=hi)
-
-
-class _Child:
-    """One labelled instance of a family."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-class _Family:
-    """Base: a named metric with a fixed label schema and typed children."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str, labelnames: Sequence[str]) -> None:
-        if not name or not name.replace("_", "a").replace(":", "a").isalnum():
-            raise ReproError(f"invalid metric name {name!r}")
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self._children: Dict[Tuple[str, ...], object] = {}
-
-    def _make_child(self):
-        return _Child()
-
-    def labels(self, **labelvalues):
-        if set(labelvalues) != set(self.labelnames):
-            raise ReproError(
-                f"metric {self.name!r} takes labels {self.labelnames}, "
-                f"got {tuple(sorted(labelvalues))}"
-            )
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child()
-            self._children[key] = child
-        return child
-
-    def samples(self) -> Iterator[Tuple[Tuple[str, ...], object]]:
-        """``(labelvalues, child)`` pairs in insertion order."""
-        return iter(self._children.items())
-
-    def schema_matches(self, kind: str, labelnames: Sequence[str]) -> bool:
-        return self.kind == kind and self.labelnames == tuple(labelnames)
-
-
-class CounterFamily(_Family):
-    """Monotone counters (``inc`` only, by convention: the child type is
-    shared with gauges)."""
-
-    kind = "counter"
-
-
-class GaugeFamily(_Family):
-    """Point-in-time values (occupancy, queue depth, alert state)."""
-
-    kind = "gauge"
-
-
-class HistogramFamily(_Family):
-    """Labelled latency distributions (:func:`latency_histogram` children)."""
-
-    kind = "histogram"
-
-    def _make_child(self) -> LogHistogram:
-        return latency_histogram()
-
-
-class MetricRegistry:
-    """A collection of metric families, exported as one JSON document.
-
-    ``counter``/``gauge``/``histogram`` are get-or-create: asking twice for
-    the same name with the same schema returns the same family; asking with
-    a different schema raises (one name, one meaning).
-    """
-
-    def __init__(self) -> None:
-        self._families: Dict[str, _Family] = {}
-
-    # -- family construction ------------------------------------------------
-
-    def _get_or_create(self, cls, name: str, help: str, labelnames):
-        family = self._families.get(name)
-        if family is not None:
-            if not family.schema_matches(cls.kind, labelnames):
-                raise ReproError(
-                    f"metric {name!r} already registered as {family.kind} "
-                    f"with labels {family.labelnames}"
-                )
-            return family
-        family = cls(name, help=help, labelnames=labelnames)
-        self._families[name] = family
-        return family
-
-    def counter(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> CounterFamily:
-        return self._get_or_create(CounterFamily, name, help, labelnames)
-
-    def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> GaugeFamily:
-        return self._get_or_create(GaugeFamily, name, help, labelnames)
-
-    def histogram(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> HistogramFamily:
-        return self._get_or_create(HistogramFamily, name, help, labelnames)
-
-    def families(self) -> List[_Family]:
-        return [self._families[name] for name in sorted(self._families)]
-
-    # -- export -------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready document: family -> type, help and labelled samples."""
-        document: Dict[str, dict] = {}
-        for family in self.families():
-            samples = []
-            for labelvalues, child in family.samples():
-                labels = dict(zip(family.labelnames, labelvalues))
-                if family.kind == "histogram":
-                    samples.append({"labels": labels, **child.to_dict()})
-                else:
-                    samples.append({"labels": labels, "value": child.value})
-            document[family.name] = {
-                "type": family.kind,
-                "help": family.help,
-                "samples": samples,
-            }
-        return document

@@ -30,8 +30,6 @@ from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # imported only for annotations
     from repro.core.inferlet import InferletInstance, LifecycleObserver
-    from repro.gpu.device import SimDevice
-    from repro.gpu.memory import DeviceMemory
     from repro.sim.network import NetworkLink
 
 
@@ -74,29 +72,7 @@ class ModelService:
         # no role split it holds no state.
         self.transfer = transfer
 
-    # -- shard-0 compatibility accessors ---------------------------------------
-
-    @property
-    def memory(self) -> "DeviceMemory":
-        return self.shards[0].memory
-
-    @property
-    def device(self) -> "SimDevice":
-        return self.shards[0].device
-
-    @property
-    def scheduler(self) -> BatchScheduler:
-        return self.shards[0].scheduler
-
-    @property
-    def resources(self) -> ResourceManager:
-        return self.shards[0].resources
-
     # -- cluster views ----------------------------------------------------------
-
-    @property
-    def num_devices(self) -> int:
-        return len(self.shards)
 
     def shard_for(self, owner: str) -> DeviceShard:
         """The shard the inferlet ``owner`` was placed on."""

@@ -62,23 +62,18 @@ class WasmRuntime:
 
     # -- binary management ---------------------------------------------------
 
-    def is_cached(self, name: str) -> bool:
-        return name in self._binaries and self._binaries[name].jit_compiled
-
     def get_binary(self, name: str) -> WasmBinary:
         try:
             return self._binaries[name]
         except KeyError:
             raise InferletError(f"no uploaded inferlet binary named {name!r}") from None
 
-    async def upload(self, binary: WasmBinary, force: bool = False) -> float:
+    async def upload(self, binary: WasmBinary) -> float:
         """Upload (and JIT compile) a binary; returns the time spent.
 
-        Re-uploading an already cached binary is a no-op unless ``force``;
-        this is the difference between the paper's cold and warm starts.
+        This is the paper's cold start; a warm start installs the binary
+        compiled already (:meth:`register_cached`).
         """
-        if not force and self.is_cached(binary.name):
-            return 0.0
         start = self.sim.now
         await self.sim.sleep(milliseconds(UPLOAD_MS))
         jit_ms = JIT_COMPILE_MS + JIT_COMPILE_MS_PER_MB * binary.size_mb

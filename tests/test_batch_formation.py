@@ -174,7 +174,7 @@ def test_t_only_arms_one_timer_not_one_per_submit():
     the number of flushes, not with the number of submitted commands."""
     sim = Simulator(seed=5)
     server = _t_only_server(sim)
-    scheduler = server.service().scheduler
+    scheduler = server.service().shards[0].scheduler
 
     # Count the actual sim events scheduled for the flush callback.
     scheduled = {"flush_events": 0}

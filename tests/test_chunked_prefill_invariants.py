@@ -215,7 +215,7 @@ def test_abort_mid_chunk_releases_partially_committed_kv_exactly_once():
 
     assert instance.status == "terminated"
     assert server.metrics.prefill_chunks_dispatched > 0  # the abort really hit mid-stream
-    resources = server.service().resources
+    resources = server.service().shards[0].resources
     assert resources.kv_pages_free == server.config.gpu.num_kv_pages
     assert resources.embeds_free == server.config.gpu.num_embed_slots
 

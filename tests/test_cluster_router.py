@@ -780,22 +780,17 @@ class TestSingleDeviceRegression:
 
         assert [r.result for r in results_a] == [r.result for r in results_b]
         assert [r.latency for r in results_a] == [r.latency for r in results_b]
-        stats_a = server_a.service().scheduler.stats
-        stats_b = server_b.service().scheduler.stats
+        stats_a = server_a.service().shards[0].scheduler.stats
+        stats_b = server_b.service().shards[0].scheduler.stats
         assert stats_a.batches_dispatched == stats_b.batches_dispatched
         assert stats_a.batch_sizes == stats_b.batch_sizes
         assert sim_a.now == sim_b.now
 
-    def test_single_device_keeps_legacy_accessors_and_name(self):
+    def test_single_device_keeps_its_name(self):
         sim = Simulator(seed=0)
         server = PieServer(sim)
-        service = server.service()
-        # Shard-0 accessors alias the only shard.
-        assert service.memory is service.shards[0].memory
-        assert service.scheduler is service.shards[0].scheduler
-        assert service.resources is service.shards[0].resources
-        assert service.device.name == "gpu:llama-sim-1b"
-        assert service.num_devices == 1
+        [shard] = server.service().shards
+        assert shard.device.name == "gpu:llama-sim-1b"
 
     def test_cluster_devices_are_numbered(self):
         sim = Simulator(seed=0)

@@ -121,8 +121,8 @@ class TestTextCompletionEndToEnd:
         sim.run_until_complete(server.run_inferlet(program.name))
         sim.run()
         service = server.service()
-        assert service.memory.kv_pages.num_allocated == 0
-        assert service.memory.embeds.num_allocated == 0
+        assert service.shards[0].memory.kv_pages.num_allocated == 0
+        assert service.shards[0].memory.embeds.num_allocated == 0
 
     def test_bad_top_k_is_rejected_at_the_call(self, sim, server):
         """``top_k`` is the inferlet's: ``None`` or a positive integer.  Anything
@@ -189,7 +189,7 @@ class TestConcurrentInferlets:
         assert len(results) == 8
         assert all(r.status == "finished" for r in results)
         # Horizontal batching should have produced multi-command batches.
-        assert server.service().scheduler.stats.mean_batch_size > 1.0
+        assert server.service().shards[0].scheduler.stats.mean_batch_size > 1.0
 
     def test_outputs_identical_across_concurrency(self, sim, server):
         """Batching must not change results: same prompt -> same greedy text."""

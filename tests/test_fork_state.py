@@ -94,7 +94,7 @@ def test_a_fork_runs_no_forward():
     ``copy_emb`` on the parent's queue, and nothing else."""
     sim = Simulator(seed=0)
     server = PieServer(sim)
-    scheduler = server.service().scheduler
+    scheduler = server.service().shards[0].scheduler
     batches = []
     dispatch = scheduler._dispatch
 
@@ -193,7 +193,7 @@ def test_a_fork_of_a_fork_in_flight_lands_the_first_parents_state():
     token = 9
     sim = Simulator(seed=0)
     server = PieServer(sim)
-    scheduler = server.service().scheduler
+    scheduler = server.service().shards[0].scheduler
     copies = []
     dispatch = scheduler._dispatch
 

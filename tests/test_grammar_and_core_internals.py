@@ -281,15 +281,7 @@ class TestWasmRuntime:
         runtime = WasmRuntime(sim, WasmRuntimeConfig())
         binary = WasmBinary(name="prog", program=lambda ctx: None, size_bytes=256 * 1024)
 
-        async def scenario():
-            first = await runtime.upload(binary)
-            second = await runtime.upload(binary)
-            return first, second
-
-        first, second = sim.run_until_complete(scenario())
-        assert first > 0
-        assert second == 0.0  # cached
-        assert runtime.is_cached("prog")
+        assert sim.run_until_complete(runtime.upload(binary)) > 0
 
     def test_instance_pool_limit(self):
         sim = Simulator()
@@ -337,14 +329,16 @@ class TestFcfsContention:
         async def scenario():
             first_task = sim.create_task(server.run_inferlet("hog"))
             await sim.sleep(0.5)
-            second_task = sim.create_task(server.run_inferlet("hog"))
+            second, _ = server.launch("hog")
             first = await first_task
-            second = await second_task
+            await second.done
             return first, second
 
         first, second = sim.run_until_complete(scenario())
         assert first.status == "finished"
         assert second.status == "terminated"
+        # The typed cause a client reads off ``InferletTerminated``.
+        assert second.terminated_cause == "reclaimed"
         statuses = [m.status for m in server.metrics.per_inferlet.values()]
         assert "terminated" in statuses
         assert server.metrics.inferlets_terminated == 1

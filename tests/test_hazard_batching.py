@@ -363,7 +363,7 @@ def test_three_branches_on_one_queue_share_each_decode_forward():
     """Fails at the parent: there each decode round was three 1-row forwards."""
     sim = Simulator(seed=0)
     server = PieServer(sim)
-    scheduler = server.service().scheduler
+    scheduler = server.service().shards[0].scheduler
     forwards = []
     copies = []
     dispatch = scheduler._dispatch

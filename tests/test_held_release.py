@@ -2,10 +2,10 @@
 
 ``dealloc_kvpage`` / ``dealloc_emb`` are charged and delivered like any
 inference call, then wait in their ``CommandQueue`` as a ``synchronize``
-barrier does (``CommandQueue.synchronize(gate, is_release=True)``): the free
-runs once every command pushed before it has retired, after those commands'
-completion callbacks, and resolves the call's future.  No batch, no
-candidate, no ``device.submit``.
+barrier does (``CommandQueue.hold(settle)``, one future per call): the
+free runs a loop step after every command pushed before it has retired,
+after those commands' completion callbacks, and resolves the call's
+future.  No batch, no candidate, no ``device.submit``.
 
 * a release never runs before an earlier command on its queue that reads
   what it frees has retired: a chunked prefill's residual still reading its
@@ -19,13 +19,17 @@ candidate, no ``device.submit``.
   reader retires (at the parent the free was a batch of its own, a
   formation window and a dispatch later);
 * a double free fails the second call's future, and a queue torn down while
-  a release waits drops it — nothing is freed.
+  a release waits drops it — nothing is freed;
+* a prefill freed right behind its forward is still registered in the
+  prefix cache (the finish hook runs before the free).
 
 Hand-made mutants: *a release that does not wait* (``_hold`` resolves at
 once) is killed by the residual and swap tests.  *A command retired before
 its future resolves* (the parent's order) is killed in
 ``tests/test_swap_subsystem.py``: the finish-hook test and
-``test_prefix_cached_pages_are_never_suspended``.
+``test_prefix_cached_pages_are_never_suspended``.  *A free run inside the
+retirement* (``Controller.dealloc``'s ``settle`` calling ``release``
+directly) is killed by the prefix-cache test.
 """
 
 import pytest
@@ -287,3 +291,24 @@ def test_a_queue_torn_down_drops_its_held_releases():
         return resources.embeds_free - free_before
 
     assert _run(server, main).result == 0
+
+
+def test_a_prefill_freed_behind_its_forward_is_still_cached():
+    """The free runs a loop step after its watermark, so it follows the
+    completion callbacks of the forward it waited for: the prefix cache's
+    finish hook registers the prefill's pages before the owner's free drops
+    its reference.  A free run inside the retirement (before those
+    callbacks) leaves the cache empty."""
+    sim = Simulator(seed=0)
+    server = PieServer(sim, prefix_cache=True)
+    shard = server.service().shards[0]
+
+    async def main(ctx):
+        context = Context(ctx, sampling=SamplingParams())
+        await context.fill("x" * 200)
+        context.free()
+        await ctx.sleep(0.5)  # alive, so the queued prefill is not dropped
+        return "ok"
+
+    assert _run(server, main).result == "ok"
+    assert shard.prefix_cache.cached_pages() == shard.memory.kv_pages.num_allocated == 12

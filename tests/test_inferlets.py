@@ -98,7 +98,7 @@ class TestDeliberateStrategies:
         program = make_skeleton_of_thought("Plan", n_points=2, skeleton_tokens=3, expansion_tokens=3)
         run(sim, server, program)
         sim.run()
-        assert server.service().memory.kv_pages.num_allocated == 0
+        assert server.service().shards[0].memory.kv_pages.num_allocated == 0
 
 
 class TestCachingInferlets:

@@ -166,6 +166,21 @@ def test_a_termination_before_the_programs_first_step_exits_once():
     assert server.metrics.tenants["default"].terminated == 1
 
 
+def test_a_client_abort_is_typed():
+    """An abort says why: ``client_abort`` on the instance, whether it is
+    aborted before its turn (and on the launch's ``InferletTerminated``) or
+    while its program runs."""
+    server = make_server()
+    waiting, waiting_ready = server.launch("sleeper")
+    server.lifecycle.abort(waiting)
+    running, _ = server.launch("sleeper")
+    server.sim.schedule(0.2, lambda: server.lifecycle.abort(running))
+    step_dry(server)
+    assert running.task is not None and running.status == "terminated"
+    assert waiting_ready.exception().cause == "client_abort"
+    assert (waiting.terminated_cause, running.terminated_cause) == ("client_abort",) * 2
+
+
 def test_terminating_an_inferlet_that_left_is_a_no_op():
     """A client abort and two forced terminations after the program
     finished change neither its status nor any exit count."""

@@ -36,7 +36,7 @@ def serve():
     the kind and instant of every command issued (run or not)."""
     sim = Simulator(seed=0)
     server = PieServer(sim)
-    scheduler = server.service().scheduler
+    scheduler = server.service().shards[0].scheduler
     forwards, issued = [], []
     dispatch = scheduler._dispatch
     submit = server.controller.submit_command

@@ -407,8 +407,9 @@ class TestPullExport:
     def test_export_schema(self):
         sim, server, fleet = self.fleet()
         sim.run_until_complete(fleet)
-        exported = {f.name: f.labelnames for f in server.monitor.collect().families()}
-        assert exported == EXPORT_SCHEMA
+        document = server.export_metrics()
+        exported = document["metrics"]
+        assert list(exported) == sorted(EXPORT_SCHEMA)
         # The qos_* twins of tenant counts went (77 -> 74), then the three
         # counters only the QoS plane wrote (74 -> 71), then the seven only
         # the test-only fault kinds and the retry policy wrote (71 -> 64),
@@ -417,18 +418,15 @@ class TestPullExport:
         assert not any(name.startswith("pie_slo_") for name in exported)
         # The monitor keeps no registry, and no fact is exported twice.
         assert not hasattr(server.monitor, "registry")
-        document = server.export_metrics()
         assert "series" not in document
-        for name, family in document["metrics"].items():
+        for name, family in exported.items():
             for sample in family["samples"]:
                 assert tuple(sample["labels"]) == EXPORT_SCHEMA[name], name
 
     def test_a_tick_writes_no_metric(self, monkeypatch):
         """Between two exports the plane does SloEngine.tick only: its
-        transitions are appended to ``slo.alerts`` and no registry child is
-        touched while no request starts its output or leaves."""
-        from repro.core import registry
-
+        transitions are appended to ``slo.alerts`` and nothing is collected
+        while no request starts its output or leaves."""
         sim, server, fleet = self.fleet(n=1, max_tokens=64)
         sim.run(until=0.1)
         [instance] = server.controller.instances()
@@ -437,11 +435,11 @@ class TestPullExport:
         ticks = server.monitor.scrapes_taken
 
         touched = []
-        labels = registry._Family.labels
+        collect = monitor.MonitorService.collect
         monkeypatch.setattr(
-            registry._Family,
-            "labels",
-            lambda family, **kw: touched.append(family.name) or labels(family, **kw),
+            monitor.MonitorService,
+            "collect",
+            lambda service: touched.append(service.sim.now) or collect(service),
         )
         sim.run(until=0.4)
         monkeypatch.undo()

@@ -144,7 +144,7 @@ class TestTransparentReuse:
         # The producer freed everything it owned, yet the registered pages
         # are still allocated — pinned solely by the cache's references.
         assert cache.cached_pages() > 0
-        assert service.memory.kv_pages.num_allocated == cache.cached_pages()
+        assert service.shards[0].memory.kv_pages.num_allocated == cache.cached_pages()
         # ... and a later consumer still hits.
         run_sequential(server, [make_agent("late", "task. ")])
         assert server.metrics.prefix_cache_hits == 1
@@ -155,7 +155,7 @@ class TestTransparentReuse:
         service = server.service()
         run_sequential(server, [make_agent("d1", "one. "), make_agent("d2", "two. ")])
         cache = service.shards[0].prefix_cache
-        store = service.memory.kv_pages
+        store = service.shards[0].memory.kv_pages
         assert store.num_allocated == cache.cached_pages() > 0
         cache.drop_all()
         # No leak, no double free: pool conservation holds and is empty.
@@ -258,7 +258,7 @@ class TestTransparentReuse:
         cache.invalidate_pid(root_pid)
         assert cache.cached_pages() == 0
         assert server.metrics.prefix_cache_evictions > 0
-        assert service.memory.kv_pages.num_allocated == 0
+        assert service.shards[0].memory.kv_pages.num_allocated == 0
 
 
 class TestDemotionLadder:
@@ -283,7 +283,7 @@ class TestDemotionLadder:
         assert m.prefix_cache_reclaims == resident
         assert service.host_pool.num_used == resident
         assert cache.cached_pages() == 0
-        assert service.memory.kv_pages.num_allocated == 0
+        assert service.shards[0].memory.kv_pages.num_allocated == 0
         # A new consumer faults the demoted prefix back in over PCIe.
         run_sequential(server, [make_agent("hitter", "task. ")])
         assert m.prefix_cache_hits == 1
@@ -316,7 +316,7 @@ class TestDisabledKnob:
         assert m.prefix_cache_hits == m.prefix_cache_misses == 0
         assert m.prefix_cache_saved_tokens == m.prefix_cache_inserted_pages == 0
         # Every page went home when its owner exited.
-        assert server.service().memory.kv_pages.num_allocated == 0
+        assert server.service().shards[0].memory.kv_pages.num_allocated == 0
 
     def test_server_shorthand(self):
         sim = Simulator(seed=0)

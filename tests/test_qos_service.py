@@ -470,7 +470,7 @@ class TestQosOffInertness:
         service = server.service()
         assert not hasattr(service.swap, "qos")
         assert not hasattr(service.router, "placement_weight")
-        assert not hasattr(service.scheduler, "_qos")
+        assert not hasattr(service.shards[0].scheduler, "_qos")
         # The core's tenant records are there, the launch gate's admission
         # included.
         server.register_program(InferletProgram(name="noop", main=_noop))

@@ -1,18 +1,21 @@
-"""The labeled metric registry and its log-bucketed histograms."""
+"""The log-bucketed histograms and the metric document the monitor writes
+from them."""
 
 import math
 
 import pytest
 
+from repro.core import InferletProgram, PieServer, TenantSpec
 from repro.core.metrics import percentile
 from repro.core.registry import (
     DEFAULT_GROWTH,
     LogHistogram,
-    MetricRegistry,
     latency_histogram,
     size_histogram,
 )
 from repro.errors import ReproError
+from repro.sim import Simulator
+from repro.support import Context, SamplingParams
 
 
 def seeded_samples(n=500, seed=3):
@@ -100,59 +103,75 @@ class TestLogHistogram:
             latency_histogram().merge(size_histogram())
 
 
-class TestFamilies:
-    def test_counter_and_gauge(self):
-        registry = MetricRegistry()
-        requests = registry.counter("reqs_total", "requests", labelnames=("tenant",))
-        requests.labels(tenant="a").inc()
-        requests.labels(tenant="a").inc(2)
-        requests.labels(tenant="b").inc()
-        depth = registry.gauge("queue_depth", "depth")
-        depth.labels().set(7)
-        assert requests.labels(tenant="a").value == 3
-        assert requests.labels(tenant="b").value == 1
-        assert depth.labels().value == 7
-
-    def test_get_or_create_returns_same_family(self):
-        registry = MetricRegistry()
-        first = registry.counter("c_total", "help", labelnames=("x",))
-        second = registry.counter("c_total", "help", labelnames=("x",))
-        assert first is second
-
-    def test_schema_mismatch_raises(self):
-        registry = MetricRegistry()
-        registry.counter("c_total", "help", labelnames=("x",))
-        with pytest.raises(ReproError):
-            registry.gauge("c_total", "help", labelnames=("x",))
-        with pytest.raises(ReproError):
-            registry.counter("c_total", "help", labelnames=("y",))
-
-    def test_wrong_label_names_raise(self):
-        registry = MetricRegistry()
-        family = registry.counter("c_total", "help", labelnames=("tenant",))
-        with pytest.raises(ReproError):
-            family.labels(nope="x")
-        with pytest.raises(ReproError):
-            family.labels()
-
-
 class TestExports:
-    def build(self):
-        registry = MetricRegistry()
-        registry.counter("reqs_total", "requests", labelnames=("tenant",)).labels(
-            tenant="acme"
-        ).inc(5)
-        registry.gauge("depth", "queue depth").labels().set(2.5)
-        hist = registry.histogram(
-            "lat_seconds", "latency", labelnames=("tenant",)
-        ).labels(tenant="acme")
-        for value in (0.001, 0.01, 0.01, 0.1, 2.0):
-            hist.observe(value)
-        return registry
+    """The monitor's ``metrics`` block, written straight from the records."""
 
-    def test_to_dict_histogram_buckets_are_cumulative(self):
-        document = self.build().to_dict()
-        buckets = document["lat_seconds"]["samples"][0]["buckets"]
-        counts = list(buckets.values())
-        assert counts == sorted(counts)
-        assert counts[-1] == 5
+    @pytest.fixture(scope="class")
+    def served(self):
+        sim = Simulator(seed=5)
+        server = PieServer(
+            sim, num_devices=2, tenants=(TenantSpec(name="zeta"), TenantSpec(name="acme"))
+        )
+
+        async def main(ctx):
+            context = Context(ctx, sampling=SamplingParams())
+            await context.fill("an exported prompt ")
+            await context.generate_until(max_tokens=4)
+            context.free()
+
+        server.register_program(InferletProgram(name="probe", main=main))
+
+        async def fleet():
+            for index in range(5):
+                await server.run_inferlet("probe", tenant=("zeta", "acme")[index % 2])
+
+        sim.run_until_complete(fleet())
+        sim.run()
+        return server, server.export_metrics()["metrics"]
+
+    def test_to_dict_histogram_buckets_are_cumulative(self, served):
+        server, metrics = served
+        for name, field in (("pie_ttft_seconds", "ttft"), ("pie_tpot_seconds", "tpot")):
+            for sample in metrics[name]["samples"]:
+                counts = list(sample["buckets"].values())
+                assert counts == sorted(counts)
+                record = server.metrics.tenants[sample["labels"]["tenant"]]
+                assert counts[-1] == sample["count"] == getattr(record, field).total > 0
+                assert sample == {"labels": sample["labels"], **getattr(record, field).to_dict()}
+
+    def test_type_and_help(self, served):
+        _, metrics = served
+        assert list(metrics) == sorted(metrics)
+        histograms = {"pie_ttft_seconds", "pie_tpot_seconds"}
+        counters = {"pie_offered_total", "pie_good_total", "pie_requests_total"}
+        for name, family in metrics.items():
+            assert set(family) == {"type", "help", "samples"}, name
+            kind = "histogram" if name in histograms else "counter" if name in counters else "gauge"
+            assert family["type"] == kind, name
+        assert metrics["pie_system_commands_dropped"]["help"] == "SystemMetrics.commands_dropped"
+        assert metrics["pie_tenant_output_tokens"]["help"] == "TenantMetrics.output_tokens"
+        assert metrics["pie_shard_forward_yields"]["help"] == "SchedulerStats.forward_yields"
+        assert metrics["pie_shard_kv_occupancy"]["help"] == "Fraction of GPU KV pages in use"
+        assert metrics["pie_ttft_seconds"]["help"] == "Time to first token per tenant"
+
+    def test_label_dicts_and_sample_order(self, served):
+        server, metrics = served
+        labels = lambda name: [s["labels"] for s in metrics[name]["samples"]]  # noqa: E731
+        assert labels("pie_system_inferlets_finished") == [{}]
+        # Tenants in record order (configured first), not by name.
+        assert list(server.metrics.tenants)[:2] == ["zeta", "acme"]
+        tenants = [{"tenant": name} for name in server.metrics.tenants]
+        assert labels("pie_tenant_output_tokens") == tenants
+        assert labels("pie_offered_total") == labels("pie_ttft_seconds") == tenants[:2]
+        assert labels("pie_requests_total") == [
+            {"tenant": "zeta", "status": "finished"},
+            {"tenant": "acme", "status": "finished"},
+        ]
+        assert labels("pie_shard_queue_depth") == [
+            {"model": server.service().entry.name, "shard": "0"},
+            {"model": server.service().entry.name, "shard": "1"},
+        ]
+        assert [s["value"] for s in metrics["pie_offered_total"]["samples"]] == [3.0, 2.0]
+        for name, family in metrics.items():
+            if family["type"] != "histogram":
+                assert all(type(s["value"]) is float for s in family["samples"]), name

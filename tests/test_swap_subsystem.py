@@ -273,7 +273,7 @@ class TestSwapSafety:
         sim = Simulator(seed=0)
         server = make_server(sim, kv_pages=16, host_pages=16)
         service = server.service()
-        resources = service.resources
+        resources = service.shards[0].resources
         resources.create_space("probe")
         handles = resources.alloc_kv_pages("probe", 2)
         moved = resources.swap_out_kv("probe")
@@ -289,7 +289,7 @@ class TestSwapSafety:
     def test_dealloc_of_swapped_page_discards_host_slot(self):
         sim = Simulator(seed=0)
         server = make_server(sim, kv_pages=16, host_pages=16)
-        resources = server.service().resources
+        resources = server.service().shards[0].resources
         host_pool = server.service().host_pool
         resources.create_space("probe")
         handles = resources.alloc_kv_pages("probe", 2)
@@ -303,7 +303,7 @@ class TestSwapSafety:
     def test_destroy_space_discards_host_slots(self):
         sim = Simulator(seed=0)
         server = make_server(sim, kv_pages=16, host_pages=16)
-        resources = server.service().resources
+        resources = server.service().shards[0].resources
         host_pool = server.service().host_pool
         resources.create_space("probe")
         resources.alloc_kv_pages("probe", 3)
@@ -499,7 +499,7 @@ class TestSwapExportInteraction:
     def test_exported_pages_excluded_from_swappable_count(self):
         sim = Simulator(seed=0)
         server = make_server(sim, kv_pages=32, host_pages=32)
-        resources = server.service().resources
+        resources = server.service().shards[0].resources
         resources.create_space("probe")
         handles = resources.alloc_kv_pages("probe", 4)
         assert resources.swappable_kv_count("probe") == 4

@@ -50,7 +50,7 @@ from repro.bench.loadgen import run_open_loop
 from repro.core import InferletProgram, PieServer, TenantSpec, monitor, slo
 from repro.core.inferlet import LifecycleObserver
 from repro.core.metrics import TenantMetrics
-from repro.core.registry import LogHistogram, MetricRegistry, latency_histogram
+from repro.core.registry import LogHistogram, latency_histogram
 from repro.core.slo import AlertEvent, BurnWindow
 from repro.errors import AdmissionRejectedError
 from repro.sim import Simulator
@@ -272,55 +272,57 @@ class _OldSloEngine:
 
 
 class _OldMonitorCounting(LifecycleObserver):
-    """``MonitorService``'s registry families and notifications at the
-    parent."""
+    """``MonitorService``'s request families and notifications at the
+    parent, each family a dict of label values to a ``LogHistogram`` or a
+    count."""
 
     def __init__(self, tenants, windows, default_target) -> None:
-        self.registry = MetricRegistry()
         self.slo = _OldSloEngine(tenants, windows, default_target)
-        self._ttft = self.registry.histogram(
-            "pie_ttft_seconds", "Time to first token per tenant", labelnames=("tenant",)
-        )
-        self._tpot = self.registry.histogram(
-            "pie_tpot_seconds", "Time per output token per tenant", labelnames=("tenant",)
-        )
-        self._requests = self.registry.counter(
-            "pie_requests_total",
-            "Inferlets that left, by tenant and terminal status (rejected = refused at admission)",
-            labelnames=("tenant", "status"),
-        )
-        self._offered = self.registry.counter(
-            "pie_offered_total",
-            "Launches asked for per tenant (refused ones included)",
-            labelnames=("tenant",),
-        )
-        self._good = self.registry.counter(
-            "pie_good_total",
-            "Inferlets that finished inside their TTFT and TPOT SLO (goodput)",
-            labelnames=("tenant",),
-        )
+        self.families: Dict[str, dict] = {
+            name: {} for name in (
+                "pie_ttft_seconds",
+                "pie_tpot_seconds",
+                "pie_requests_total",
+                "pie_offered_total",
+                "pie_good_total",
+            )
+        }
+
+    def _histogram(self, name: str, *labels: str) -> LogHistogram:
+        return self.families[name].setdefault(labels, latency_histogram())
+
+    def _inc(self, name: str, *labels: str) -> None:
+        family = self.families[name]
+        family[labels] = family.get(labels, 0) + 1
 
     def note_launch_requested(self, instance) -> None:
-        self._offered.labels(tenant=instance.tenant).inc()
+        self._inc("pie_offered_total", instance.tenant)
 
     def note_output(self, instance, now: float, count: int, first: bool) -> None:
         if not first:
             return
         metrics = instance.metrics
-        self._ttft.labels(tenant=instance.tenant).observe(metrics.ttft)
+        self._histogram("pie_ttft_seconds", instance.tenant).observe(metrics.ttft)
         self.slo.observe(instance.tenant, "ttft", metrics.ttft_met)
 
     def note_finished(self, instance) -> None:
         tenant = instance.tenant
         metrics = instance.metrics
-        self._requests.labels(tenant=tenant, status=metrics.status).inc()
+        self._inc("pie_requests_total", tenant, metrics.status)
         if metrics.good:
-            self._good.labels(tenant=tenant).inc()
+            self._inc("pie_good_total", tenant)
         # Only finished streams are judged here (QoS also counts a
         # terminated stream's TPOT against its tenant).
         if metrics.status == "finished" and metrics.tpot is not None:
-            self._tpot.labels(tenant=tenant).observe(metrics.tpot)
+            self._histogram("pie_tpot_seconds", tenant).observe(metrics.tpot)
             self.slo.observe(tenant, "tpot", metrics.tpot_met)
+
+    def samples(self, name: str) -> dict:
+        """A family's samples by label values, as the document writes them."""
+        return {
+            labels: count.to_dict() if isinstance(count, LogHistogram) else count
+            for labels, count in self.families[name].items()
+        }
 
 
 def in_tick_order(alerts: List[AlertEvent]) -> List[AlertEvent]:
@@ -328,13 +330,15 @@ def in_tick_order(alerts: List[AlertEvent]) -> List[AlertEvent]:
     return sorted(alerts, key=lambda e: (e.time, e.tenant, e.signal, e.window))
 
 
-def samples(registry: MetricRegistry, name: str) -> dict:
-    """A family's samples by label values (order of first sample aside)."""
-    [family] = [f for f in registry.families() if f.name == name]
-    return {
-        labels: child.to_dict() if family.kind == "histogram" else child.value
-        for labels, child in family.samples()
-    }
+def samples(metrics: dict, name: str) -> dict:
+    """A family's samples in the document by label values (order of first
+    sample aside)."""
+    found = {}
+    for sample in metrics[name]["samples"]:
+        rest = dict(sample)
+        labels = tuple(rest.pop("labels").values())
+        found[labels] = rest.get("value", rest)
+    return found
 
 
 # -- the machine ------------------------------------------------------------------
@@ -472,15 +476,9 @@ class RecordAgainstOracle(RuleBasedStateMachine):
 
     @invariant()
     def the_exports_are_what_the_monitor_counted(self):
-        export = self.server.monitor.collect()
-        for name in (
-            "pie_ttft_seconds",
-            "pie_tpot_seconds",
-            "pie_requests_total",
-            "pie_offered_total",
-            "pie_good_total",
-        ):
-            assert samples(export, name) == samples(self.monitor_old.registry, name), name
+        metrics = self.server.export_metrics()["metrics"]
+        for name in self.monitor_old.families:
+            assert samples(metrics, name) == self.monitor_old.samples(name), name
 
     @invariant()
     def the_budgets_and_alerts_are_the_old_engines(self):
