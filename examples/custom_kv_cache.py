@@ -21,7 +21,7 @@ def main() -> None:
     async def publisher(ctx):
         context = Context(ctx)
         await context.fill(SYSTEM_PROMPT)
-        context.export_prefix("system-prompt")
+        await context.export_prefix("system-prompt")
         return context.num_cached_tokens
 
     async def consumer(ctx):

@@ -17,14 +17,17 @@ from repro.bench.runners import (
     ratio,
     run_concurrent_coros,
     run_pie_concurrent,
+    run_pie_single,
 )
 from repro.core.messaging import ExternalServices
+from repro.errors import ReproError
 from repro.inferlets import make_function_call_agent
 from repro.sim import Simulator
 from repro.workloads import PromptGenerator, ToolEnvironment
 
 N_CALLS = 4
 TOKENS_PER_CALL = 8
+WARM_UP = 10_000  # an untimed agent before each fleet caches the (frequently used) docs
 
 
 def _api_docs() -> List[str]:
@@ -33,10 +36,11 @@ def _api_docs() -> List[str]:
 
 
 def _pie_variant(n_agents: int, use_cache: bool, concurrent: bool, mask: bool) -> float:
-    sim, server = make_pie_setup(seed=4)
+    _, server = make_pie_setup(seed=4)
     docs = _api_docs()
-    programs = [
-        make_function_call_agent(
+
+    def agent(index: int):
+        return make_function_call_agent(
             docs,
             n_calls=N_CALLS,
             tokens_per_call=TOKENS_PER_CALL,
@@ -45,9 +49,12 @@ def _pie_variant(n_agents: int, use_cache: bool, concurrent: bool, mask: bool) -
             mask_used_specs=mask,
             name=f"funccall_{use_cache}_{concurrent}_{mask}_{index}",
         )
-        for index in range(n_agents)
-    ]
-    _, elapsed = run_pie_concurrent(server, programs)
+
+    run_pie_single(server, agent(WARM_UP))
+    results, elapsed = run_pie_concurrent(server, [agent(i) for i in range(n_agents)])
+    failed = [result.reason for result in results if result.status != "finished"]
+    if failed:
+        raise ReproError(f"{len(failed)} of {n_agents} agents failed, first: {failed[0]}")
     return ratio(n_agents, elapsed)
 
 
@@ -68,6 +75,7 @@ def _vllm_baseline(n_agents: int) -> float:
             sampling=SamplingConfig(max_tokens=TOKENS_PER_CALL),
         )
 
+    sim.run_until_complete(agent(WARM_UP))
     _, elapsed = run_concurrent_coros(sim, [agent(i) for i in range(n_agents)])
     return ratio(n_agents, elapsed)
 

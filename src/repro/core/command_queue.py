@@ -62,9 +62,9 @@ class Command:
     # the other touches; across queues only write-write conflicts count.
     reads: FrozenSet = frozenset()
     writes: FrozenSet = frozenset()
-    # Position in its queue's push order (``CommandQueue.push``); the
-    # synchronize barrier waits on it.
-    queue_seq: int = 0
+    # Position in its queue's issue order (``CommandQueue.issue``); the
+    # synchronize barrier waits on it.  None until issued.
+    queue_seq: Optional[int] = None
     # Chunked prefill (repro.core.batching): a head-slice command carries a
     # reference to the queue-resident original it was sliced from.  The
     # original (the *residual*) keeps shrinking in place as chunks are
@@ -199,7 +199,7 @@ class CommandQueue:
         self._inflight: int = 0
         # Barriers and held deallocations as ``(watermark, settle)``,
         # watermarks non-decreasing: ``settle(True)`` runs once every command
-        # pushed before it (``queue_seq < watermark``) has retired,
+        # issued before it (``queue_seq < watermark``) has retired,
         # ``settle(False)`` if the queue is torn down first.
         self._barriers: Deque[tuple] = deque()
         self._issued = 0
@@ -223,16 +223,24 @@ class CommandQueue:
 
     # -- issue / dispatch ----------------------------------------------------
 
+    def issue(self, command: Command) -> None:
+        """Number ``command`` in issue order: from now on every barrier and
+        deallocation issued after it waits for it, although it becomes
+        pending (:meth:`push`) only when its call overhead has elapsed."""
+        command.queue_seq = self._issued
+        self._issued += 1
+
     def push(self, command: Command) -> None:
+        """An issued command arrives and is pending."""
+        if command.queue_seq is None:  # no barrier would count it
+            raise SchedulingError(f"{command!r} was pushed without being issued")
         command.queue_key = self.key
         # Snapshot only: batch formation re-reads the live queue priority
         # (repro.core.batching.form_candidate_batches), so set_queue_priority
         # after enqueue still affects already-queued commands.
         command.priority = self.priority
         command.rank = self.rank
-        command.queue_seq = self._issued
         self._pending.append(command)
-        self._issued += 1
         self._pending_changed(1)
 
     def ready_runs(self, max_commands: int) -> List[List[Command]]:
@@ -365,7 +373,7 @@ class CommandQueue:
     # -- synchronization ---------------------------------------------------------
 
     def synchronize(self, future: SimFuture) -> None:
-        """Resolve ``future`` once every command pushed so far has retired,
+        """Resolve ``future`` once every command issued so far has retired,
         or when the queue is torn down first."""
 
         def settle(reached: bool) -> None:
@@ -375,10 +383,10 @@ class CommandQueue:
         self.hold(settle)
 
     def hold(self, settle: Callable[[bool], None]) -> None:
-        """Call ``settle(True)`` once every command pushed so far has
+        """Call ``settle(True)`` once every command issued so far has
         retired, or ``settle(False)`` if the queue is torn down first (a
         deallocation frees only in the first case)."""
-        if self._retired_below == self._issued:
+        if self.idle:
             settle(True)
             return
         self._barriers.append((self._issued, settle))
@@ -401,12 +409,14 @@ class CommandQueue:
     # -- inspection ---------------------------------------------------------------
 
     @property
-    def pending_count(self) -> int:
-        return len(self._pending)
+    def idle(self) -> bool:
+        """Every command this queue issued has retired: none is in its
+        delivery window, pending or in flight."""
+        return self._retired_below == self._issued
 
     @property
-    def inflight_count(self) -> int:
-        return self._inflight
+    def pending_count(self) -> int:
+        return len(self._pending)
 
     @property
     def oldest_pending_time(self) -> Optional[float]:

@@ -408,8 +408,9 @@ class Controller:
     ) -> SimFuture:
         """Free ``handles`` (KvPages for ``"dealloc_kv"``, else Embeds) in the
         instant the last command issued before on the queue retires: no
-        device work, the queue holds it like a ``synchronize`` barrier.  The
-        future resolves then, or fails with the free's error (a double free)."""
+        device work, the queue holds it at its issue watermark.  The future
+        resolves then, or fails with the free's error (a double free)."""
+        queue = home.scheduler.get_queue((handle.owner, handle.qid))
         owner = instance.instance_id
         future = self.sim.create_future(name=f"{kind}:{owner}")
 
@@ -431,7 +432,7 @@ class Controller:
             # pins).
             self.sim.call_soon(release, reached)
 
-        self._send(instance, home, handle, settle)
+        queue.hold(settle)
         return future
 
     # -- export / import -----------------------------------------------------------------------------
@@ -515,10 +516,12 @@ class Controller:
         reads: FrozenSet = frozenset(),
         writes: FrozenSet = frozenset(),
     ) -> SimFuture:
-        """Create a command and deliver it to the scheduler of the
-        inferlet's shard after the inference-layer call overhead has
-        elapsed."""
+        """Create a command, number it on its queue at once, and deliver it
+        to the scheduler of the inferlet's shard after the inference-layer
+        call overhead has elapsed."""
         instance.check_alive()
+        key = (handle.owner, handle.qid)
+        queue = home.scheduler.get_queue(key)
         future = self.sim.create_future(name=f"{kind}:{instance.instance_id}")
         command = Command(
             kind=kind,
@@ -548,41 +551,22 @@ class Controller:
             # future, so under FIFO call_soon the handoff runs with the
             # program still suspended.
             home.service.transfer.on_command_submitted(instance, command)
-        self._send(instance, home, handle, command)
+        queue.issue(command)
+        self.sim.schedule(self.inference_call_overhead(), self._deliver, home, key, command)
         return future
 
-    def _send(self, instance: InferletInstance, home: DeviceShard, handle: Queue, call: Any) -> None:
-        """Deliver a command, or a deallocation's ``settle``, to its queue
-        after the inference-layer call overhead has elapsed."""
-        instance.in_air_commands += 1
-        key = (handle.owner, handle.qid)
-        self.sim.schedule(self.inference_call_overhead(), self._deliver, instance, home, key, call)
-
-    def _deliver(
-        self, instance: InferletInstance, shard: DeviceShard, queue_key: Any, call: Any
-    ) -> None:
-        instance.in_air_commands -= 1
+    def _deliver(self, shard: DeviceShard, queue_key: Any, command: Command) -> None:
         # The owning inferlet may have finished (or been terminated) between
-        # issuing the call and its delivery; its queues are gone and the
-        # call is dropped: a deallocation settles unreached (it frees
-        # nothing), and a command's future resolves, which keeps any stray
+        # issuing the command and its delivery; its queues are gone and the
+        # command is dropped: its future resolves, which keeps any stray
         # awaiters from deadlocking.
         try:
-            queue = shard.scheduler.get_queue(queue_key)
+            shard.scheduler.submit(queue_key, command)
         except SchedulingError:
-            queue = None
-        if not isinstance(call, Command):
-            if queue is None:
-                call(False)
-            else:
-                queue.hold(call)
-        elif queue is not None:
-            shard.scheduler.submit(queue_key, call)
-        else:
             for observer in self.observers:
-                observer.note_dropped(shard.index, call)
-            if not call.future.done():
-                call.future.set_result(None)
+                observer.note_dropped(shard.index, command)
+            if not command.future.done():
+                command.future.set_result(None)
 
     # -- virtual -> physical resolution, used by the API bindings ------------------------------------------
 

@@ -82,11 +82,6 @@ class InferletInstance:
         self.rng = np.random.default_rng(seed)
         self.pending_overhead = 0.0
         self.result: Any = None
-        # Commands issued but not yet delivered to a shard scheduler (the
-        # per-call overhead window).  The swap manager refuses to stage an
-        # inferlet's pages while this is non-zero: such commands carry
-        # already-resolved physical page ids.
-        self.in_air_commands: int = 0
         # Where the inferlet lives, per served model: the shard (which
         # names its service) every API call reads in one step.  Written
         # only by Router.place / migrate / release.

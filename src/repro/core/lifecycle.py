@@ -78,25 +78,22 @@ class InferletLifecycleManager:
         binary is already cached and JIT compiled on the server.
         """
         self._programs[program.name] = program
-        binary = WasmBinary(
-            name=program.name,
-            program=program.main,
-            size_bytes=program.binary_size,
-            source_loc=program.source_loc,
-        )
         if precompiled:
-            self.runtime.register_cached(binary)
+            self.runtime.register_cached(self._binary(program))
 
     async def upload_program(self, program: InferletProgram) -> float:
         """Cold-start path: upload + JIT compile the binary; returns time spent."""
         self._programs[program.name] = program
-        binary = WasmBinary(
+        return await self.runtime.upload(self._binary(program))
+
+    @staticmethod
+    def _binary(program: InferletProgram) -> WasmBinary:
+        return WasmBinary(
             name=program.name,
             program=program.main,
             size_bytes=program.binary_size,
             source_loc=program.source_loc,
         )
-        return await self.runtime.upload(binary)
 
     def get_program(self, name: str) -> InferletProgram:
         try:
@@ -323,7 +320,13 @@ class InferletLifecycleManager:
             # gate cleans itself up in _launch_one).
             self._cancel_parked(instance)
         elif not task.done():
-            task.cancel()
+            # The program sees why it was forced out (errors.InferletTerminated).
+            task.cancel(
+                InferletTerminated(
+                    f"inferlet {instance.instance_id} was terminated: {reason}",
+                    cause=instance.terminated_cause,
+                )
+            )
             if not task.entered:
                 # Cancelled before its first step: the program never enters
                 # _run_program's try, so it leaves from here.

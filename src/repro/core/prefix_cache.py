@@ -201,12 +201,11 @@ class PrefixCacheService:
     def invalidate_pid(self, pid: int) -> None:
         """A page is about to be mutated: drop its subtree and taint it.
 
-        The taint matters because a mutation can be *issued* before the
-        page's producing forward has completed (queue barriers resolve
-        early while commands are in their delivery window — see
-        docs/ARCHITECTURE.md, "What ``synchronize`` waits for today", and
-        ``tests/test_synchronize_barrier.py``); the completion hook must
-        then refuse to register the page.
+        The taint matters because a mutation is usually *issued* before the
+        page's producing forward has completed: ``Context.fill`` awaits no
+        barrier, and queue order alone keeps a later ``mask_kvpage`` behind
+        the forward.  The completion hook must then refuse to register the
+        page.
         """
         self._page_tokens.pop(pid, None)
         self._forget_cursors(pid)

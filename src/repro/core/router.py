@@ -120,13 +120,8 @@ class DeviceShard:
         and every page an in-flight command can observe is kept alive by
         the prefix cache's own pin or by the reader's space reference."""
         owner = instance.instance_id
-        return (
-            instance.in_air_commands == 0
-            and self.resources.has_space(owner)
-            and not any(
-                queue.pending_count or queue.inflight_count
-                for queue in self.scheduler.queues_for_owner(owner)
-            )
+        return self.resources.has_space(owner) and all(
+            queue.idle for queue in self.scheduler.queues_for_owner(owner)
         )
 
 

@@ -38,10 +38,11 @@ class ModelService:
 
     Each shard pairs one simulated device with its own memory, API handlers,
     resource manager and adaptive batch scheduler; the :class:`Router`
-    assigns every inferlet to exactly one shard.  The ``memory`` / ``device``
-    / ``scheduler`` / ``resources`` attributes address shard
-    0 so existing single-device code (and ``num_devices=1`` deployments,
-    where shard 0 is the whole cluster) keeps working unchanged.
+    assigns every inferlet to exactly one shard, and every call reads the
+    shard it lives on (``instance.placements[model]``); the service itself
+    holds what the shards share: the model entry, the cost model, the
+    device and host pools, the KV mover, the swap manager and the transfer
+    scheduler.
     """
 
     def __init__(

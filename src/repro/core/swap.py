@@ -87,8 +87,6 @@ class SwapManager:
 
     # -- blocked-inferlet tracking (driven by the controller's I/O wrapper) --
 
-    #: Retry delay while issued commands are still in their delivery window.
-    _IN_AIR_RETRY_SECONDS = 50e-6
     #: Bound on proactive retries per blocked period (fire-and-forget
     #: inferlets keep issuing work and are never safe to stage).
     _MAX_PROACTIVE_ATTEMPTS = 16
@@ -113,10 +111,10 @@ class SwapManager:
         At the moment an inferlet blocks, its last few commands are usually
         still pending or in their delivery window, so an immediate swap-out
         would free pages those commands reference.  Instead of giving up,
-        the attempt re-arms on the retirement of the outstanding work (a
-        queue barrier) and on delivery of in-the-air commands (a short
-        timer), and fires once the pipeline drains — typically a few
-        milliseconds into a tool call that lasts tens."""
+        the attempt re-arms on the retirement of every command its queue
+        issued (a queue barrier, which counts commands still in their
+        delivery window), and fires once the pipeline drains — typically a
+        few milliseconds into a tool call that lasts tens."""
         owner = instance.instance_id
         if owner not in self._blocked or attempts_left <= 0:
             return
@@ -125,11 +123,8 @@ class SwapManager:
         if instance.finished or not shard.resources.has_space(owner):
             return
         retry = lambda *_: self._try_proactive(instance, shard, attempts_left - 1)
-        if instance.in_air_commands > 0:
-            self.sim.schedule(self._IN_AIR_RETRY_SECONDS, retry)
-            return
         for queue in shard.scheduler.queues_for_owner(owner):
-            if queue.pending_count or queue.inflight_count:
+            if not queue.idle:
                 barrier = self.sim.create_future(name=f"swap-drain:{owner}")
                 queue.synchronize(barrier)
                 barrier.add_done_callback(retry)

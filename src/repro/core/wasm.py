@@ -4,9 +4,8 @@ The paper runs inferlets inside wasmtime with pooled instance allocation so
 launching hundreds of inferlets stays cheap (Figure 9).  Here inferlet
 programs are Python coroutines; the runtime reproduces the *lifecycle
 costs* (binary upload, JIT compilation, cached-binary reuse, pooled
-instantiation) and the *accounting* the sandbox provides (per-call overhead,
-fuel metering via an API call budget, instance counting against the pool
-size).
+instantiation) and the *accounting* the sandbox provides (per-call overhead
+and instance counting against the pool size).
 """
 
 from __future__ import annotations

@@ -179,7 +179,7 @@ def make_function_call_agent(
             context = Context(ctx)
             await context.fill(doc_tokens)
             if use_doc_cache:
-                context.export_prefix(doc_cache_name)
+                await context.export_prefix(doc_cache_name)
         doc_len = len(doc_tokens)
         spec_span = max(1, doc_len // max(1, len(api_docs)))
 

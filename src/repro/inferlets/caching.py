@@ -33,7 +33,7 @@ def make_prefix_caching(
         else:
             context = Context(ctx)
             await context.fill(shared_prefix)
-            context.export_prefix(export_name)
+            await context.export_prefix(export_name)
             reused = False
         await context.fill(user_suffix)
         text = await context.generate_until(max_tokens=max_tokens)
@@ -79,7 +79,7 @@ def make_modular_caching(
             else:
                 await context.fill(module_tokens)
                 if export_name not in exports and position_offset == 0:
-                    context.export_prefix(export_name)
+                    await context.export_prefix(export_name)
             position_offset += len(module_tokens)
         await context.fill(question)
         answer = await context.generate_until(max_tokens=max_tokens)

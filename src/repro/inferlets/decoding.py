@@ -174,7 +174,6 @@ def make_speculative_decoding(
             pending = dists[accepted].max_index()
             ctx.dealloc_emb(queue, block_embeds)
             ctx.dealloc_emb(queue, block_out)
-            await ctx.synchronize(queue)
 
         text = ctx.detokenize(queue, generated[:max_tokens])
         ctx.send(text)

@@ -17,7 +17,7 @@ class Task(SimFuture):
     value (or re-raises its exception).
     """
 
-    __slots__ = ("_coro", "_waiting_on", "_started", "_cancel_requested")
+    __slots__ = ("_coro", "_waiting_on", "_started", "_cancel_with")
 
     def __init__(self, sim: Any, coro: Coroutine, name: str = "") -> None:
         super().__init__(sim, name=name or getattr(coro, "__name__", "task"))
@@ -26,19 +26,22 @@ class Task(SimFuture):
         self._coro = coro
         self._waiting_on: Optional[SimFuture] = None
         self._started = False
-        self._cancel_requested = False
+        # The exception a requested cancellation throws into the coroutine.
+        self._cancel_with: Optional[BaseException] = None
 
     # -- lifecycle --------------------------------------------------------
 
-    def cancel(self) -> bool:
+    def cancel(self, exc: Optional[BaseException] = None) -> bool:
         """Request cancellation.
 
-        If the task has not completed, a :class:`CancelledError` is thrown
-        into the coroutine at its next resumption point.
+        If the task has not completed, ``exc`` (a :class:`CancelledError`
+        when none is given) is thrown into the coroutine at its next
+        resumption point; a coroutine that lets any other ``exc`` escape
+        fails the task with it.
         """
         if self.done():
             return False
-        self._cancel_requested = True
+        self._cancel_with = exc or CancelledError(f"task {self.name!r} cancelled")
         waiting = self._waiting_on
         if waiting is not None and not waiting.done():
             # Wake the task up so the cancellation is delivered promptly.
@@ -65,9 +68,9 @@ class Task(SimFuture):
             return
         self._waiting_on = None
         try:
-            if self._cancel_requested:
-                self._cancel_requested = False
-                yielded = self._coro.throw(CancelledError(f"task {self.name!r} cancelled"))
+            if self._cancel_with is not None:
+                exc, self._cancel_with = self._cancel_with, None
+                yielded = self._coro.throw(exc)
             elif completed is None:
                 yielded = self._coro.send(None)
             elif completed.exception() is not None:

@@ -132,7 +132,8 @@ class Context:
         """Embed and prefill the prompt, leaving the last hidden state ready.
 
         A pending token rides in front of the prompt: one embed and one
-        forward write both."""
+        forward write both.  Nothing waits for the prefill: later readers
+        queue behind it, and :meth:`export_prefix` waits for it first."""
         self._check_usable()
         await self._landed()
         tokens = (
@@ -155,7 +156,6 @@ class Context:
             oemb=[self._gen_emb],
         )
         self.api.dealloc_emb(self.queue, prompt_embeds)
-        await self.api.synchronize(self.queue)
         self.token_ids.extend(tokens)
         self._visible.extend([True] * len(tokens))
         self._record_written(len(written))
@@ -266,7 +266,6 @@ class Context:
             mask = self._visible[page_start : page_start + self.page_size]
             mask += [True] * (self.page_size - len(mask))
             self.api.mask_kvpage(self.queue, self._pages[page_index], mask)
-        await self.api.synchronize(self.queue)
 
     # -- forking (tree-structured generation) ------------------------------------------------
 
@@ -364,18 +363,26 @@ class Context:
             oemb=[self._gen_emb],
             mask=mask,
         )
-        await self.api.synchronize(self.queue)
         self._has_hidden = True
 
     # -- prefix export / import --------------------------------------------------------------------
 
-    def export_prefix(self, name: str) -> None:
-        """Publish this context's KV pages for reuse by other inferlets."""
+    async def export_prefix(self, name: str) -> bool:
+        """Publish this context's KV pages for reuse by other inferlets,
+        once every write into them issued so far has retired: an importer
+        reads them from its own queue, which orders nothing behind ours.
+        Returns whether it published: of programs that filled the prefix
+        together, the first publishes it and the rest keep their pages."""
         self._check_usable()
+        await self._landed()
         self._write_pending()
         if not self._pages:
             raise ReproError("nothing to export: the context has no cached pages")
+        await self.api.synchronize(self.queue)
+        if name in self.api.list_exports(self.model):
+            return False
         self.api.export_kvpage(self._pages, name)
+        return True
 
     @classmethod
     async def from_export(

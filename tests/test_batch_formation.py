@@ -148,6 +148,7 @@ def test_ready_runs_set_based_hazards_match_pairwise():
                 chunks_taken=int(rng.random() < 0.1),
             )
             commands.append(command)
+            queue.issue(command)
             queue.push(command)
         limit = rng.randint(1, 12)
         assert queue.ready_runs(limit) == _reference_runs(commands, limit), f"trial {trial}"

@@ -66,6 +66,13 @@ def _scheduler(sim, handlers):
     )
 
 
+def _submit(scheduler, key, command):
+    """Number ``command`` on its queue, then deliver it: what the controller
+    does at issue and after the call overhead."""
+    scheduler.get_queue(key).issue(command)
+    scheduler.submit(key, command)
+
+
 def _forward(sim, owner, tokens, oemb=(), writes=frozenset()):
     return Command(
         kind="forward",
@@ -119,8 +126,8 @@ def test_residual_keeps_queue_head_order_across_interleaved_submits():
     long_cmd = _forward(sim, "a", list(range(30)), oemb=["h"])
     follow_up = _forward(sim, "a", [990])
     barrier = sim.create_future(name="barrier")
-    scheduler.submit("A", long_cmd)
-    scheduler.submit("A", follow_up)
+    _submit(scheduler, "A", long_cmd)
+    _submit(scheduler, "A", follow_up)
 
     head_checks = []
 
@@ -135,7 +142,7 @@ def test_residual_keeps_queue_head_order_across_interleaved_submits():
         sim.schedule(0.002 + step * 0.004, check_head)
         sim.schedule(
             0.003 + step * 0.004,
-            lambda: scheduler.submit("B", _forward(sim, "b", [500 + step])),
+            lambda: _submit(scheduler, "B", _forward(sim, "b", [500 + step])),
         )
     sim.schedule(0.001, lambda: queue_a.synchronize(barrier))
     resolution_order = []
@@ -169,7 +176,7 @@ def test_failing_slice_fails_the_whole_forward_and_stops_slicing():
     queue = scheduler.create_queue("A", model="m", owner="a")
     long_cmd = _forward(sim, "a", list(range(30)), oemb=["h"])
     barrier = sim.create_future(name="barrier")
-    scheduler.submit("A", long_cmd)
+    _submit(scheduler, "A", long_cmd)
     sim.schedule(0.0005, lambda: queue.synchronize(barrier))
     sim.run()
     assert long_cmd.future.done()

@@ -19,21 +19,15 @@ from repro.gpu.device import DeviceStats, sum_stats
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
 
-#: Why an exporter that exits right after ``fill`` exports unwritten pages.
-EMPTY_EXPORT = (
-    "fill's barrier resolves before its prefill is pushed, and the prefill "
-    "still queued at the exporter's exit is dropped (ROADMAP item 3)"
-)
-
-
 def export_after_fill(sim, server, name, text):
     """Run an exporter that publishes ``text``'s pages right after ``fill``
-    and exits; returns how many tokens each exported page holds."""
+    and exits; returns how many tokens each exported page holds (the export
+    waits for the prefill, so none is empty)."""
 
     async def exporter(ctx):
         context = Context(ctx, sampling=SamplingParams())
         await context.fill(text)
-        context.export_prefix(name)
+        await context.export_prefix(name)
         return "exported"
 
     server.register_program(InferletProgram(name=f"export-{name}", main=exporter))
@@ -152,7 +146,7 @@ class TestPlacementPolicies:
         async def exporter(ctx):
             context = Context(ctx, sampling=SamplingParams())
             await context.fill("shared prefix text ")
-            context.export_prefix("affinity-prefix")
+            await context.export_prefix("affinity-prefix")
             return "ok"
 
         async def importer(ctx):
@@ -176,7 +170,6 @@ class TestPlacementPolicies:
         # The hint co-located the importer with the pages: no migration.
         assert server.metrics.cross_device_imports == 0
 
-    @pytest.mark.xfail(strict=True, reason=EMPTY_EXPORT)
     def test_the_affinity_export_holds_its_prefix(self):
         sim = Simulator(seed=0)
         server = PieServer(sim, num_devices=2, placement_policy="cache_affinity")
@@ -523,7 +516,7 @@ class TestCrossDeviceImport:
         async def exporter(ctx):
             context = Context(ctx, sampling=SamplingParams())
             await context.fill("the quick brown fox ")
-            context.export_prefix("xfer-prefix")
+            await context.export_prefix("xfer-prefix")
             return "exported"
 
         async def importer(ctx):
@@ -541,7 +534,6 @@ class TestCrossDeviceImport:
         result = sim.run_until_complete(server.run_inferlet("importer"))
         return server, result
 
-    @pytest.mark.xfail(strict=True, reason=EMPTY_EXPORT)
     def test_the_migrated_export_holds_its_prefix(self):
         sim = Simulator(seed=3)
         server = PieServer(sim, num_devices=2, placement_policy="round_robin")
@@ -587,7 +579,7 @@ class TestCacheAffinityCrossDeviceImport:
         async def exporter(ctx):
             context = Context(ctx, sampling=SamplingParams())
             await context.fill("the quick brown fox ")
-            context.export_prefix("real-prefix")
+            await context.export_prefix("real-prefix")
             # Stay alive so least_loaded sends the importer elsewhere.
             await ctx.sleep(0.5)
             return "exported"

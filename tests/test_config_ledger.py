@@ -107,9 +107,6 @@ REACH_LEDGER = {
     "core/inferlet.py::InferletInstance.terminated_reason": (
         "error path: the message of a launch aborted before its program ran"
     ),
-    "core/inferlet.py::InferletInstance.terminated_cause": (
-        "error path: the cause of a launch aborted before its program ran"
-    ),
     "core/resources.py::ResourceManager.resolve_kv": "error path: a page handle not mapped",
     "core/resources.py::ResourceManager.resolve_emb": "error path: a slot handle not mapped",
     # -- references tests compare against
@@ -122,7 +119,7 @@ REACH_LEDGER = {
     # -- the ROADMAP item whose workload brings the caller
     "core/controller.py::Controller._cross_device_import": (
         "ROADMAP item 3: an import of a written prefix on another device "
-        "(its tests import the empty exports pinned for item 3; item 4)"
+        "(only tests import across devices)"
     ),
     "core/resources.py::ResourceManager.export_info": (
         "ROADMAP item 3: read by the cross-device import"
@@ -544,5 +541,7 @@ def test_every_reach_row_names_a_core_or_sim_function():
     # 60 when the audit became a gate: 93 unreached, 33 of them exempt;
     # 55 once the metric families, the upload skip and ModelService's
     # shard-0 accessors went with their rows and the deallocation gate
-    # left SimFuture.cancelled to its API callers.
-    assert len(REACH_LEDGER) == 55
+    # left SimFuture.cancelled to its API callers; 54 once a forced
+    # termination threw its typed cause into the program, which reaches
+    # InferletInstance.terminated_cause.
+    assert len(REACH_LEDGER) == 54

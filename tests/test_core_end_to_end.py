@@ -10,7 +10,7 @@ from repro.model import get_model_config
 from repro.model.transformer import TinyTransformer
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
-from tests.test_cluster_router import EMPTY_EXPORT, export_after_fill
+from tests.test_cluster_router import export_after_fill
 
 
 @pytest.fixture()
@@ -285,7 +285,7 @@ class TestContextFeatures:
             # (docs/ARCHITECTURE.md, "What `synchronize` waits for today"),
             # and an exporter that exits first exports unwritten pages.
             await context.next_dist()
-            context.export_prefix("shared-prefix")
+            await context.export_prefix("shared-prefix")
             return context.token_ids
 
         async def importer(ctx):
@@ -309,7 +309,6 @@ class TestContextFeatures:
         baseline_token = sim.run_until_complete(server.run_inferlet("baseline")).result
         assert imported_token == baseline_token
 
-    @pytest.mark.xfail(strict=True, reason=EMPTY_EXPORT)
     def test_an_export_right_after_fill_holds_the_prefix(self, sim, server):
         counts = export_after_fill(sim, server, "shared-prefix", "Shared system prompt.")
         assert counts and 0 not in counts

@@ -238,7 +238,7 @@ def test_an_import_starts_from_the_exporters_state(prefix_cache):
         context = Context(ctx, sampling=SamplingParams())
         await context.fill(PROMPT)
         dist = await context.next_dist()
-        context.export_prefix("prefix")
+        await context.export_prefix("prefix")
         await context.fill([1, 2, 3])
         await context.next_dist()
         return dist

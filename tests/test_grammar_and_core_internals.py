@@ -153,14 +153,21 @@ def _command(
     return command
 
 
+def _push(queue, command):
+    """Number ``command`` on ``queue``, then make it pending: what the
+    controller does at issue and at delivery."""
+    queue.issue(command)
+    queue.push(command)
+
+
 class TestBatchFormation:
     def test_vertical_run_stops_at_kind_change(self):
         sim = Simulator()
         queue = CommandQueue(key="q1", model="m", owner="a")
-        queue.push(_command(sim, "forward"))
-        queue.push(_command(sim, "forward"))
-        queue.push(_command(sim, "sample", reads=frozenset({("emb", 1)})))
-        queue.push(_command(sim, "forward", writes=frozenset({("emb", 1)})))
+        _push(queue, _command(sim, "forward"))
+        _push(queue, _command(sim, "forward"))
+        _push(queue, _command(sim, "sample", reads=frozenset({("emb", 1)})))
+        _push(queue, _command(sim, "forward", writes=frozenset({("emb", 1)})))
         runs = queue.ready_runs(max_commands=10)
         # The last forward overwrites what the sample reads, so it may not
         # pass the sample: the forward run stops there.
@@ -169,16 +176,16 @@ class TestBatchFormation:
     def test_vertical_run_stops_at_write_conflict(self):
         sim = Simulator()
         queue = CommandQueue(key="q1", model="m", owner="a")
-        queue.push(_command(sim, "forward", writes=frozenset({("kv", 1)})))
-        queue.push(_command(sim, "forward", writes=frozenset({("kv", 1)})))
+        _push(queue, _command(sim, "forward", writes=frozenset({("kv", 1)})))
+        _push(queue, _command(sim, "forward", writes=frozenset({("kv", 1)})))
         assert [len(run) for run in queue.ready_runs(10)] == [1]
 
     def test_horizontal_merge_and_priority_order(self):
         sim = Simulator()
         low = CommandQueue(key="low", model="m", owner="a", priority=0)
         high = CommandQueue(key="high", model="m", owner="b", priority=5)
-        low.push(_command(sim, "forward", issue_time=0.0))
-        high.push(_command(sim, "forward", issue_time=1.0))
+        _push(low, _command(sim, "forward", issue_time=0.0))
+        _push(high, _command(sim, "forward", issue_time=1.0))
         batches = form_candidate_batches([low, high], 8, *DEFAULT_BUDGET)
         commands = batches["forward"].commands
         assert len(commands) == 2
@@ -189,7 +196,7 @@ class TestBatchFormation:
         queues = []
         for index in range(5):
             queue = CommandQueue(key=f"q{index}", model="m", owner="a")
-            queue.push(_command(sim, "forward"))
+            _push(queue, _command(sim, "forward"))
             queues.append(queue)
         batches = form_candidate_batches(queues, 3, *DEFAULT_BUDGET)
         assert len(batches["forward"]) == 3
@@ -199,8 +206,8 @@ class TestBatchFormation:
         sim = Simulator()
         q1 = CommandQueue(key="q1", model="m", owner="a")
         q2 = CommandQueue(key="q2", model="m", owner="a")
-        q1.push(_command(sim, "sample", issue_time=5.0))
-        q2.push(_command(sim, "forward", issue_time=1.0))
+        _push(q1, _command(sim, "sample", issue_time=5.0))
+        _push(q2, _command(sim, "forward", issue_time=1.0))
         batches = form_candidate_batches([q1, q2], 8, *DEFAULT_BUDGET)
         chosen = select_batch(batches, now=6.0)
         assert chosen.kind == "forward"
@@ -209,6 +216,7 @@ class TestBatchFormation:
         sim = Simulator()
         queue = CommandQueue(key="q", model="m", owner="a")
         command = _command(sim, "forward")
+        queue.issue(command)
         queue.push(command)
         barrier = sim.create_future()
         queue.synchronize(barrier)

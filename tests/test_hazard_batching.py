@@ -205,6 +205,7 @@ class Model:
             writes=self.keys(q, writes),
         )
         command.chunks_taken = int(residual)
+        self.queues[q].issue(command)
         self.queues[q].push(command)
         self.shadows[q]._pending.append(command)
         self.pushed[q].append(command)

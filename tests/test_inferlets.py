@@ -119,6 +119,35 @@ class TestCachingInferlets:
         assert first.result["reused_modules"] == 0
         assert second.result["reused_modules"] == 1
 
+    @pytest.mark.parametrize(
+        "make_program",
+        [
+            lambda: make_prefix_caching("Shared system prompt. " * 6, "Q?", max_tokens=3),
+            lambda: make_modular_caching(["Module A: preamble. " * 3, "Module B. "], "Q:", 3),
+            lambda: make_function_call_agent(
+                [f"API {i}: does thing {i}. " * 2 for i in range(2)],
+                n_calls=1,
+                tokens_per_call=3,
+                use_doc_cache=True,
+            ),
+        ],
+        ids=["prefix", "modular", "function_call"],
+    )
+    def test_programs_that_miss_an_export_together_all_finish(
+        self, sim, server, make_program
+    ):
+        # Both launch before either has written the shared prefix, so both
+        # fill it; the first to publish wins and the other keeps its pages.
+        program = make_program()
+        server.register_program(program)
+        launches = [sim.create_task(server.run_inferlet(program.name)) for _ in range(2)]
+        together = sim.run_until_complete(sim.gather(launches))
+        assert [result.status for result in together] == ["finished", "finished"]
+        exports = server.controller.list_exports()
+        later = sim.run_until_complete(server.run_inferlet(program.name))
+        assert later.status == "finished"
+        assert server.controller.list_exports() == exports
+
 
 class TestStructuredInferlets:
     def test_json_constrained_output_is_valid_json_prefix(self, sim, server):

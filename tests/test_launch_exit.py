@@ -159,7 +159,8 @@ def test_a_termination_before_the_programs_first_step_exits_once():
     assert not instance.task.entered
     server.lifecycle.abort(instance)
     step_dry(server)
-    assert instance.status == "terminated" and instance.task.cancelled()
+    assert instance.status == "terminated"
+    assert instance.task.exception().cause == "client_abort"
     assert instance.done.result() is instance and ready.result() is instance
     assert server.runtime.live_instances == 0
     assert server.lifecycle.gates["default"].running == set()
@@ -179,6 +180,27 @@ def test_a_client_abort_is_typed():
     assert running.task is not None and running.status == "terminated"
     assert waiting_ready.exception().cause == "client_abort"
     assert (waiting.terminated_cause, running.terminated_cause) == ("client_abort",) * 2
+
+
+def test_a_running_program_forced_out_sees_the_typed_termination():
+    """The abort is thrown into the program as ``InferletTerminated`` with
+    its cause, not as a bare cancellation."""
+    seen = []
+
+    async def main(ctx):
+        try:
+            await ctx.sleep(0.5)
+        except BaseException as exc:
+            seen.append((type(exc).__name__, getattr(exc, "cause", None)))
+            raise
+        return "done"
+
+    server = make_server(program=InferletProgram(name="sleeper", main=main))
+    instance, _ = server.launch("sleeper")
+    server.sim.schedule(0.2, lambda: server.lifecycle.abort(instance))
+    step_dry(server)
+    assert seen == [("InferletTerminated", "client_abort")]
+    assert instance.status == "terminated"
 
 
 def test_terminating_an_inferlet_that_left_is_a_no_op():

@@ -201,7 +201,7 @@ def test_an_export_right_after_a_chosen_token_holds_it():
         context = Context(ctx, sampling=SamplingParams())
         await context.fill(ALIGNED)
         token = await context.generate_once()
-        context.export_prefix("lazy")
+        await context.export_prefix("lazy")
         written = context.num_cached_tokens
         await context.next_dist()  # let the write land before exit
         return token, written

@@ -42,16 +42,34 @@ STEP_SECONDS = 0.02  # > call overhead + a heartbeat: each step settles
 # -- mover now owns: ``service.mover.link`` / ``page_bytes``, and
 # -- ``copy_batch_cost``, the same formula as the deleted ``kv_transfer_cost``;
 # -- and the refused handoff's backoff timer, gone with the retry policy — it
-# -- was a no-op here, where no policy was installed) --
+# -- was a no-op here, where no policy was installed; and, since a command is
+# -- numbered on its queue when issued, ``instance.in_air_commands`` restated
+# -- against the queues below and the queue's in-flight count read from
+# -- ``_inflight``) --
+
+
+def in_air_commands(instance) -> int:
+    """The parent's ``InferletInstance.in_air_commands``, restated against
+    the queues: commands numbered at issue that have not reached their
+    queue yet (issued, less retired, pending and in flight)."""
+    return sum(
+        queue._issued
+        - queue._retired_below
+        - len(queue._retired_early)
+        - queue.pending_count
+        - queue._inflight
+        for shard in instance.placements.values()
+        for queue in shard.scheduler.queues_for_owner(instance.instance_id)
+    )
 
 
 def oracle_handoff_quiescent(swap, instance, src) -> bool:
     """``KvTransferScheduler._quiescent`` at the parent."""
     owner = instance.instance_id
-    if instance.in_air_commands > 0:
+    if in_air_commands(instance) > 0:
         return False
     for queue in src.scheduler.queues_for_owner(owner):
-        if queue.pending_count or queue.inflight_count:
+        if queue.pending_count or queue._inflight:
             return False
     if swap.is_swapped(owner):
         return False
@@ -66,10 +84,10 @@ def oracle_safe_to_swap(swap, instance, shard) -> bool:
         return False
     if not shard.resources.has_space(instance.instance_id):
         return False
-    if instance.in_air_commands > 0:
+    if in_air_commands(instance) > 0:
         return False
     return not any(
-        queue.pending_count or queue.inflight_count
+        queue.pending_count or queue._inflight
         for queue in shard.scheduler.queues_for_owner(instance.instance_id)
     )
 
@@ -182,14 +200,14 @@ def oracle_try_relaunch(service, dead, instance) -> bool:
     swap = service.swap
     if not swap.enabled or not swap.is_swapped(owner):
         return False
-    if instance.in_air_commands > 0:
+    if in_air_commands(instance) > 0:
         return False
     if not dead.resources.has_space(owner):
         return False
     if dead.resources.kv_mapping(owner):
         return False
     for queue in dead.scheduler.queues_for_owner(owner):
-        if queue.pending_count or queue.inflight_count:
+        if queue.pending_count or queue._inflight:
             return False
     try:
         dst = service.router.least_loaded_shard()
@@ -285,10 +303,16 @@ class World:
         self.controller.terminate_inferlet(instance, reason="client abort")
 
     def issue(self, name: str) -> None:
-        """One harmless command: in the air, then queued, then retired."""
+        """One harmless command (an empty embed): in the air, then queued,
+        then retired.  A deallocation would not do: it holds at the queue's
+        watermark at once and never travels."""
         instance = self.instances[name]
-        self.controller.dealloc(
-            instance, self.home(instance), self.queues[name][0], "dealloc_emb", []
+        self.controller.submit_command(
+            instance,
+            self.home(instance),
+            self.queues[name][0],
+            "embed_text",
+            {"token_ids": [], "positions": [], "emb_slots": []},
         )
 
     def handoff(self, name: str) -> bool:

@@ -28,6 +28,13 @@ def _command(sim, kind="forward", issue_time=0.0):
     )
 
 
+def _push(queue, command):
+    """Number ``command`` on ``queue``, then make it pending: what the
+    controller does at issue and at delivery."""
+    queue.issue(command)
+    queue.push(command)
+
+
 class TestStalePriorityRegression:
     def test_priority_raised_after_enqueue_reorders_commands(self):
         """The regression: push snapshots priority, so a later
@@ -35,8 +42,8 @@ class TestStalePriorityRegression:
         sim = Simulator()
         low = CommandQueue(key="low", model="m", owner="a", priority=0)
         late = CommandQueue(key="late", model="m", owner="b", priority=0)
-        low.push(_command(sim, issue_time=0.0))
-        late.push(_command(sim, issue_time=1.0))
+        _push(low, _command(sim, issue_time=0.0))
+        _push(late, _command(sim, issue_time=1.0))
         # Raise the priority *after* the command was enqueued.
         late.priority = 5
         batches = form_candidate_batches([low, late], 8, *DEFAULT_BUDGET)
@@ -49,8 +56,8 @@ class TestStalePriorityRegression:
         sim = Simulator()
         first = CommandQueue(key="first", model="m", owner="a", priority=5)
         second = CommandQueue(key="second", model="m", owner="b", priority=0)
-        first.push(_command(sim, issue_time=0.0))
-        second.push(_command(sim, issue_time=1.0))
+        _push(first, _command(sim, issue_time=0.0))
+        _push(second, _command(sim, issue_time=1.0))
         first.priority = -1  # demoted after enqueue
         batches = form_candidate_batches([first, second], 8, *DEFAULT_BUDGET)
         assert batches["forward"].commands[0].queue_key == "second"
@@ -60,7 +67,7 @@ class TestStalePriorityRegression:
         queues = []
         for index in range(3):
             queue = CommandQueue(key=f"q{index}", model="m", owner="o", priority=0)
-            queue.push(_command(sim, issue_time=float(index)))
+            _push(queue, _command(sim, issue_time=float(index)))
             queues.append(queue)
         queues[2].priority = 9  # promoted after enqueue
         batches = form_candidate_batches(queues, 2, *DEFAULT_BUDGET)

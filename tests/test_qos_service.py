@@ -224,6 +224,13 @@ def _command(sim, priority_class, issue_time=0.0, kind="forward"):
     )
 
 
+def _push(queue, command):
+    """Number ``command`` on ``queue``, then make it pending: what the
+    controller does at issue and at delivery."""
+    queue.issue(command)
+    queue.push(command)
+
+
 class TestSlackDispatch:
     """What replaced slack scoring: the core's one dispatch order (best
     class present, oldest command first, aged work first) and class-first
@@ -261,7 +268,7 @@ class TestSlackDispatch:
             key="cq2", model="m", owner="c", priority=3, rank=CLASS_RANK["interactive"]
         )
         for queue in (jobs, chat, boosted):
-            queue.push(_command(sim, "standard"))
+            _push(queue, _command(sim, "standard"))
         merged = form_candidate_batches([jobs, chat, boosted], 8, *DEFAULT_BUDGET)["forward"]
         assert [command.queue_key for command in merged.commands] == ["cq2", "cq", "jq"]
         # The command keeps the raw queue priority: no stride is added.
@@ -277,8 +284,8 @@ class TestSlackDispatch:
         boosted = CommandQueue(
             key="jq", model="m", owner="j", priority=10**9, rank=CLASS_RANK["batch"]
         )
-        boosted.push(_command(sim, "standard", 0.0))
-        sandbagged.push(_command(sim, "standard", 1.0))
+        _push(boosted, _command(sim, "standard", 0.0))
+        _push(sandbagged, _command(sim, "standard", 1.0))
         merged = form_candidate_batches([boosted, sandbagged], 1, *DEFAULT_BUDGET)["forward"]
         assert [command.queue_key for command in merged.commands] == ["cq"]
 

@@ -69,6 +69,13 @@ def _command(sim, owner):
     )
 
 
+def _submit(scheduler, key, command):
+    """Number ``command`` on its queue, then deliver it: what the controller
+    does at issue and after the call overhead."""
+    scheduler.get_queue(key).issue(command)
+    scheduler.submit(key, command)
+
+
 def _assert_indexes_match_scan(scheduler):
     """Every index answer must equal the brute-force scan it replaced."""
     queues = scheduler._queues
@@ -132,7 +139,7 @@ class TestIndexConsistency:
             if scheduler._queues:
                 key = list(scheduler._queues)[rng.integers(len(scheduler._queues))]
                 queue = scheduler.get_queue(key)
-                scheduler.submit(key, _command(sim, queue.owner))
+                _submit(scheduler, key, _command(sim, queue.owner))
 
         def op_suspend(scheduler, other):
             owner = str(rng.choice(owners))
@@ -166,8 +173,8 @@ class TestIndexConsistency:
         scheduler.create_queue("b", model="m", owner="x")
         scheduler.remove_queue("a")
         scheduler.create_queue("a", model="m", owner="x")
-        scheduler.submit("a", _command(sim, "x"))
-        scheduler.submit("b", _command(sim, "x"))
+        _submit(scheduler, "a", _command(sim, "x"))
+        _submit(scheduler, "b", _command(sim, "x"))
         assert [q.key for q in scheduler._dispatchable_queues()] == ["b", "a"]
 
     def test_detached_queue_stops_feeding_old_scheduler(self):
@@ -178,7 +185,9 @@ class TestIndexConsistency:
         left.create_queue("q", model="m", owner="x")
         queue = left.detach_queue("q")
         assert left.total_pending == 0
-        queue.push(_command(sim, "x"))
+        command = _command(sim, "x")
+        queue.issue(command)
+        queue.push(command)
         assert left.total_pending == 0
         right.adopt_queue(queue)
         assert right.total_pending == 1
@@ -214,7 +223,7 @@ class TestNoFullIteration:
         scheduler._queues = _NoIterDict(scheduler._queues)
 
         for _ in range(5):
-            scheduler.submit("hot", _command(sim, "hot-owner"))
+            _submit(scheduler, "hot", _command(sim, "hot-owner"))
         assert scheduler.total_pending == 5  # telemetry path
         scheduler.notify_resumed()  # swap-resume poke
         assert scheduler.queues_for_owner("hot-owner")[0].key == "hot"
@@ -229,7 +238,7 @@ class TestNoFullIteration:
             scheduler.create_queue(f"idle{i}", model="m", owner="idle")
         scheduler.create_queue("hot", model="m", owner="hot-owner")
         scheduler._queues = _NoIterDict(scheduler._queues)
-        scheduler.submit("hot", _command(sim, "hot-owner"))
+        _submit(scheduler, "hot", _command(sim, "hot-owner"))
         sim.run()
         assert scheduler.stats.commands_dispatched == 1
 
@@ -240,13 +249,13 @@ class TestCommandsDropped:
         scheduler = _scheduler(sim)
         scheduler.create_queue("q", model="m", owner="x")
         for _ in range(3):
-            scheduler.submit("q", _command(sim, "x"))
+            _submit(scheduler, "q", _command(sim, "x"))
         # Remove before the scheduled adaptive dispatch ever runs.
         scheduler.remove_queue("q")
         assert scheduler.metrics.commands_dropped == 3
         # Dispatched work is not "dropped": an empty-queue removal adds 0.
         scheduler.create_queue("p", model="m", owner="x")
-        scheduler.submit("p", _command(sim, "x"))
+        _submit(scheduler, "p", _command(sim, "x"))
         sim.run()
         scheduler.remove_queue("p")
         assert scheduler.metrics.commands_dropped == 3
@@ -259,6 +268,6 @@ class TestCommandsDropped:
             scheduler = _scheduler(sim, metrics=metrics)
             scheduler.create_queue("q", model="m", owner="x")
             for _ in range(drops):
-                scheduler.submit("q", _command(sim, "x"))
+                _submit(scheduler, "q", _command(sim, "x"))
             scheduler.remove_queue("q")
         assert metrics.commands_dropped == 7

@@ -219,7 +219,7 @@ class TestProactiveSwap:
         async def exporter(ctx):
             context = Context(ctx, sampling=SamplingParams())
             await context.fill("shared prefix ")
-            context.export_prefix("pinned-prefix")
+            await context.export_prefix("pinned-prefix")
             await ctx.http_get(SLOW_URL)  # blocks; prefix must stay resident
             return "ok"
 
@@ -392,7 +392,6 @@ class TestOverlappingExternalCalls:
         class FakeInstance:
             instance_id = "overlap"
             finished = False
-            in_air_commands = 0
 
         inst = FakeInstance()
         swap.note_blocked(inst, shard)

@@ -1,33 +1,25 @@
-"""What ``synchronize`` waits for today — a known defect, pinned.
+"""What ``synchronize`` waits for: every command issued before it.
 
-``Controller.synchronize`` asks ``CommandQueue.synchronize``, which counts
-``len(pending) + inflight``.  A command is neither while it is *in the air*:
-``Controller.submit`` hands it to ``sim.schedule(inference_call_overhead(),
-_deliver)`` and only the delivery makes it pending.  A barrier
-issued in the same instant as the commands it should wait for therefore
-finds an empty queue and resolves at once — ``await context.fill(...)``
-returns before its prefill has written a single KV slot.
+``Controller.submit_command`` numbers a command on its ``CommandQueue`` the
+moment it is issued (``CommandQueue.issue``); the delivery that follows after
+the inference-layer call overhead only makes the numbered command pending.
+A barrier, like a deallocation, holds at the queue's issue watermark at
+once, so it counts the commands still in their delivery window: a
+``synchronize`` issued in the same instant as a prefill resolves only once
+that prefill has written its KV slots.  The same count makes an owner
+non-quiescent (``DeviceShard.quiescent`` reads ``CommandQueue.idle``) until
+every command it issued has retired.
 
-Single-queue programs never notice (the next ``sample`` queues behind the
-forward), but a second queue does: it is the "forked queues x prefix cache"
-defect of ``perf/README.md`` (docs/ARCHITECTURE.md, "What ``synchronize``
-waits for today").  It also left about one ``commands_dropped`` per request,
-a last token's forward queued at exit; that reads 0 since ``Context`` writes
-a chosen token only when something reads it, and a decode step awaits no
-barrier.  ``fill`` still does: the fix moves every virtual number, so it
-needs its own change with a re-baseline; until then this test must keep
-failing, and ``strict`` makes sure whoever fixes the barrier finds it.
-
-What a barrier waits for once a command *is* pushed is exact: every command
-pushed before it has retired (a push-sequence watermark).  Independent
-commands of one queue share batches, so they retire out of push order, and a
-count of retirements would resolve a barrier early.
+The watermark is exact: independent commands of one queue share batches, so
+they retire out of issue order, and a count of retirements would resolve a
+barrier early.
 """
 
 import pytest
 
 from repro.core import InferletProgram, PieServer
 from repro.core.command_queue import Command, CommandQueue
+from repro.errors import SchedulingError
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
 
@@ -46,6 +38,7 @@ def test_a_later_independent_command_retiring_first_does_not_resolve_a_barrier()
             reads=frozenset(reads),
             writes=frozenset(writes),
         )
+        queue.issue(command)
         queue.push(command)
         return command
 
@@ -66,20 +59,28 @@ def test_a_later_independent_command_retiring_first_does_not_resolve_a_barrier()
     assert barrier.done()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="synchronize() does not count commands still in their delivery window",
-)
-def test_fill_returns_after_its_prefill_has_written_the_kv_pages():
+def test_a_command_pushed_without_being_issued_is_refused():
+    # Unnumbered, it would retire at a place no barrier counts: the queue
+    # would never read idle again.
+    sim = Simulator()
+    queue = CommandQueue(key="q", model="m", owner="a")
+    command = Command(
+        kind="embed_text", inferlet_id="a", payload={}, future=sim.create_future(), issue_time=0.0
+    )
+    with pytest.raises(SchedulingError, match="without being issued"):
+        queue.push(command)
+    assert queue.idle and queue.pending_count == 0
+
+
+def test_a_synchronize_after_fill_resolves_once_the_prefill_wrote_the_kv_pages():
     sim = Simulator(seed=0)
     server = PieServer(sim)
     seen = {}
 
     async def main(ctx):
         context = Context(ctx, sampling=SamplingParams())
-        started = sim.now
         await context.fill(list(range(32)))  # two pages of 16 tokens
-        seen["elapsed"] = sim.now - started
+        await ctx.synchronize(context.queue)
         shard = ctx._instance.placements[context.queue.model]
         pids = shard.resources.resolve_kv_many(ctx._instance.instance_id, context._pages)
         seen["valid"] = shard.memory.kv_pages.valid_counts(pids)
@@ -88,5 +89,35 @@ def test_fill_returns_after_its_prefill_has_written_the_kv_pages():
     server.register_program(InferletProgram(name="probe", main=main))
     result = sim.run_until_complete(server.run_inferlet("probe"))
     assert result.status == "finished"
-    # Today: [0, 0], 86 microseconds after fill() started.
     assert seen["valid"] == [16, 16], seen
+
+
+def test_a_command_in_its_delivery_window_holds_quiescence_and_a_barrier():
+    sim = Simulator(seed=0)
+    server = PieServer(sim)
+    seen = {}
+
+    async def main(ctx):
+        queue = ctx.create_queue()
+        instance = ctx._instance
+        shard = instance.placements[queue.model]
+        slot = ctx.alloc_emb(queue, 1)
+        embed = ctx.embed_txt(queue, [1], [0], slot)
+        barrier = ctx.synchronize(queue)
+        # Issued, not yet delivered: nothing is pending on the shard.
+        seen["pending"] = shard.scheduler.total_pending
+        seen["quiescent"] = shard.quiescent(instance)
+        await barrier
+        seen["embedded"] = embed.done()
+        seen["quiescent after"] = shard.quiescent(instance)
+        ctx.dealloc_emb(queue, slot)
+
+    server.register_program(InferletProgram(name="probe", main=main))
+    result = sim.run_until_complete(server.run_inferlet("probe"))
+    assert result.status == "finished"
+    assert seen == {
+        "pending": 0,
+        "quiescent": False,
+        "embedded": True,
+        "quiescent after": True,
+    }, seen

@@ -5,10 +5,11 @@ end is known, from a stamp the core already keeps (repro.core.trace).
   start and end against the core's own stamps: they tile the lifecycle span
   from ``launched_at`` to the exit, admission ends at ``started_at``, each
   execution is its batch's span, a three-slice chunked prefill's waits end
-  at its slices' dispatches, a wait drained at queue teardown ends at the
-  exit and a command still in its delivery window adds nothing, and a
-  parked-then-admitted, a parked-then-cancelled launch and a victim of
-  reclamation end where their stamps say; each inferlet's spans are one
+  at its slices' dispatches, a raw write issued in the same instant as a
+  ``synchronize`` runs before the barrier resolves, a repeat of it still
+  queued at the exit is drained at queue teardown and its wait ends at the
+  exit, and a parked-then-admitted, a parked-then-cancelled launch and a
+  victim of reclamation end where their stamps say; each inferlet's spans are one
   block, written when it left;
 * an AST scan: no ``begin`` / ``end`` call and no ``trace_span`` anywhere
   under ``src/repro``, so no core object carries a span handle;
@@ -42,12 +43,18 @@ async def chunky(ctx):
     # The sampled token is never written: nothing reads it.
     await context.generate_until(max_tokens=1)
     [token] = context.generated_ids
-    # A raw write of it: delivered during the (empty) barrier's wait, still
-    # queued at exit, drained at queue teardown.
+    # A raw write of it: numbered at issue, so the barrier waits for both
+    # commands and the forward retires before the exit.
     ctx.embed_txt(context.queue, [token], [len(TOKENS)], [slot])
     ctx.forward(context.queue, [], [slot], [], [slot])
     await ctx.synchronize(context.queue)
-    # Fire and forget: the deallocs are still in their delivery window.
+    # The same write again, fire and forget.  The sleep outlasts the calls'
+    # delivery but not a batch's scheduling overhead: the write is still
+    # queued at the exit, and queue teardown drains it.
+    ctx.embed_txt(context.queue, [token], [len(TOKENS)], [slot])
+    ctx.forward(context.queue, [], [slot], [], [slot])
+    await ctx.sleep(20e-6)
+    # Fire and forget: the deallocations hold behind that write.
     context.free()
     return "ok"
 
@@ -142,7 +149,7 @@ def check_scripted_run():
     def life(program, tenant, status):
         return {"program": program, "tenant": tenant, "status": status}
 
-    # -- the chunked prefill, the teardown drain, the delivery window ----------
+    # -- the chunked prefill, the raw write, the teardown drain ----------------
     assert of("chunky")[0]["args"] == life("chunky", "default", "finished")
     assert names("chunky")[1:] == [
         "admission",
@@ -150,16 +157,20 @@ def check_scripted_run():
         "queue", "prefill", "queue", "prefill", "queue", "prefill",  # three slices
         # (fill's dealloc_emb is no device work: it adds no span)
         "queue", "compute",  # sample
-        "queue",  # the raw write, drained at queue teardown
+        "queue", "compute", "queue", "decode",  # the raw write, before the exit
+        "queue",  # its repeat, drained at queue teardown
     ]  # fmt: skip
     finished = stamps["chunky"].finished_at
     batches = [s for s in spans if s["cat"] == "sched" and s["ts"] < finished]
     execs = [s for s in of("chunky") if s["cat"] == "exec"]
     assert [(s["ts"], end(s)) for s in execs] == [(b["ts"], end(b)) for b in batches]
-    assert [b["args"]["tokens"] for b in batches if b["name"] == "batch:forward"] == [16, 16, 8]
+    # Three slices, then the raw write's one token.
+    assert [b["args"]["tokens"] for b in batches if b["name"] == "batch:forward"] == [16, 16, 8, 1]
     # The first wait starts when the program issued its first command, at
-    # its start; the last is the drained write's, ending at the exit.
+    # its start; the last is the drained repeat's, from its issue, after
+    # the raw write's forward retired, to the exit.
     assert of("chunky")[2]["ts"] == stamps["chunky"].started_at
+    assert of("chunky")[-1]["ts"] == end(of("chunky")[-2])
     assert end(of("chunky")[-1]) == finished
 
     assert names("victim") == ["inferlet", "admission"] + names("chunky")[2:10] + ["other"]
