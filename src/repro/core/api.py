@@ -100,14 +100,6 @@ class InferletContext:
             )
         return home
 
-    @staticmethod
-    def _pin_busy(cache, kv_pids: List[int], future: SimFuture) -> None:
-        """Until ``future``'s command retires, the prefix cache must not
-        rebind or free a physical page the command can still observe."""
-        if cache is not None and kv_pids:
-            ticket = cache.note_busy(kv_pids)
-            future.add_done_callback(lambda _f: cache.release_busy(ticket))
-
     async def _awaited(self, future: SimFuture) -> Any:
         await self._drain_overhead()
         return await future
@@ -284,34 +276,15 @@ class InferletContext:
             "src_slots": list(src_slots) if src_slots is not None else None,
             "dst_slots": list(dst_slots) if dst_slots is not None else None,
         }
-        future = self._controller.submit_command(
-            self._instance,
-            home,
-            queue,
-            "copy_kv",
-            payload,
-            reads=frozenset({("kv", src_pid)}),
-            writes=frozenset({("kv", dst_pid)}),
-        )
-        self._pin_busy(home.prefix_cache, [src_pid, dst_pid], future)
-        return future
+        return self._controller.submit_command(self._instance, home, queue, "copy_kv", payload)
 
     def copy_emb(self, queue: Queue, src: Sequence[Embed], dst: Sequence[Embed]) -> SimFuture:
         """Copy embedding slots (e.g. to snapshot hidden states)."""
         home = self._enter("copy_emb", queue)
         src_ids = home.resources.resolve_emb_many(self.instance_id, list(src))
         dst_ids = home.resources.resolve_emb_many(self.instance_id, list(dst))
-        cache = home.prefix_cache
-        if cache is not None:
-            cache.forget_embeds(dst_ids)  # copied hidden states, not a token
         return self._controller.submit_command(
-            self._instance,
-            home,
-            queue,
-            "copy_emb",
-            {"src": src_ids, "dst": dst_ids},
-            reads=frozenset(("emb", eid) for eid in src_ids),
-            writes=frozenset(("emb", eid) for eid in dst_ids),
+            self._instance, home, queue, "copy_emb", {"src": src_ids, "dst": dst_ids}
         )
 
     def clear_kvpage(self, queue: Queue, page: KvPage) -> SimFuture:
@@ -394,9 +367,6 @@ class InferletContext:
         iemb_ids = home.resources.resolve_emb_many(instance.instance_id, list(iemb))
         okv_ids = controller.resolve_kv(instance, home, list(okv))
         oemb_ids = home.resources.resolve_emb_many(instance.instance_id, list(oemb))
-        if cache is not None and oemb_ids:
-            # Output slots now hold hidden states, not embedded tokens.
-            cache.forget_embeds(oemb_ids)
         payload = {
             "ikv": ikv_ids,
             "iemb": iemb_ids,
@@ -416,16 +386,9 @@ class InferletContext:
             rows=1,
             input_tokens=len(iemb_ids),
             context_tokens=len(ikv_ids) * page_size,
-            reads=frozenset(
-                [("kv", pid) for pid in ikv_ids] + [("emb", eid) for eid in iemb_ids]
-            ),
-            writes=frozenset(
-                [("kv", pid) for pid in okv_ids] + [("emb", eid) for eid in oemb_ids]
-            ),
         )
-        # The pin is released before the finish hook registers the pages
-        # this forward filled (callbacks run in registration order).
-        self._pin_busy(cache, ikv_ids + okv_ids, future)
+        # Registered after the busy pin is (in submit_command), so the pin is
+        # released before the hook registers the pages this forward filled.
         if finish is not None:
             future.add_done_callback(finish)
         return future
@@ -439,16 +402,9 @@ class InferletContext:
         self, home: DeviceShard, queue: Queue, page: KvPage, kind: str, **payload: Any
     ) -> SimFuture:
         pid = self._controller.prepare_kv_mutation(self._instance, home, page)
-        future = self._controller.submit_command(
-            self._instance,
-            home,
-            queue,
-            kind,
-            {"page": pid, **payload},
-            writes=frozenset({("kv", pid)}),
+        return self._controller.submit_command(
+            self._instance, home, queue, kind, {"page": pid, **payload}
         )
-        self._pin_busy(home.prefix_cache, [pid], future)
-        return future
 
     # -- InputText / InputImage traits ------------------------------------------
 
@@ -464,9 +420,6 @@ class InferletContext:
         slot_ids = home.resources.resolve_emb_many(self.instance_id, list(embeds))
         if not (len(token_ids) == len(positions) == len(slot_ids)):
             raise ReproError("embed_txt: token/position/embed counts must match")
-        cache = home.prefix_cache
-        if cache is not None:
-            cache.record_embeds(slot_ids, list(token_ids), list(positions))
         return self._controller.submit_command(
             self._instance,
             home,
@@ -474,7 +427,6 @@ class InferletContext:
             "embed_text",
             {"token_ids": list(token_ids), "positions": list(positions), "emb_slots": slot_ids},
             input_tokens=len(slot_ids),
-            writes=frozenset(("emb", eid) for eid in slot_ids),
         )
 
     def num_embs_needed(self, model: str, image_size: int) -> int:
@@ -496,9 +448,6 @@ class InferletContext:
         slot_ids = home.resources.resolve_emb_many(self.instance_id, list(embeds))
         if positions is None:
             positions = list(range(len(slot_ids)))
-        cache = home.prefix_cache
-        if cache is not None:
-            cache.forget_embeds(slot_ids)  # image content has no token identity
         return self._controller.submit_command(
             self._instance,
             home,
@@ -506,7 +455,6 @@ class InferletContext:
             "embed_image",
             {"blob": blob, "positions": list(positions), "emb_slots": slot_ids},
             input_tokens=len(slot_ids),
-            writes=frozenset(("emb", eid) for eid in slot_ids),
         )
 
     # -- Tokenize trait -------------------------------------------------------------
@@ -568,7 +516,6 @@ class InferletContext:
             "sample",
             {"emb_slots": slot_ids, "top_k": top_k, "temperature": temperature},
             rows=len(slot_ids),
-            reads=frozenset([("emb", eid) for eid in slot_ids]),
         )
 
     def _first_of(self, future: SimFuture) -> SimFuture:

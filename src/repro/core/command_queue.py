@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.qos import CLASS_RANK, DEFAULT_CLASS
@@ -24,17 +24,39 @@ from repro.sim.futures import SimFuture
 
 _command_ids = itertools.count(1)
 
+#: What each command kind the inference layer executes reads and writes:
+#: ``(read fields, write fields)``, each field a ``(payload field, space)``
+#: pair whose payload value is one physical id or a list of them, in the
+#: ``"kv"`` page space or the ``"emb"`` slot space.
+ACCESS: Dict[str, tuple] = {
+    "embed_text": ((), (("emb_slots", "emb"),)),
+    "embed_image": ((), (("emb_slots", "emb"),)),
+    "forward": ((("ikv", "kv"), ("iemb", "emb")), (("okv", "kv"), ("oemb", "emb"))),
+    "sample": ((("emb_slots", "emb"),), ()),
+    "copy_kv": ((("src", "kv"),), (("dst", "kv"),)),
+    "copy_emb": ((("src", "emb"),), (("dst", "emb"),)),
+    "mask_kv": ((), (("page", "kv"),)),
+    "clear_kv": ((), (("page", "kv"),)),
+}
+
 #: Command kinds that the inference layer knows how to execute.
-COMMAND_KINDS = (
-    "embed_text",
-    "embed_image",
-    "forward",
-    "sample",
-    "copy_kv",
-    "copy_emb",
-    "mask_kv",
-    "clear_kv",
-)
+COMMAND_KINDS = tuple(ACCESS)
+
+
+def ids_of(value: Any) -> List[int]:
+    """A payload field's physical ids: its list, or its one id."""
+    return value if isinstance(value, list) else [value]
+
+
+def access(kind: str, payload: Dict[str, Any]) -> Tuple[FrozenSet, FrozenSet]:
+    """The ``("kv", pid)`` / ``("emb", eid)`` pairs a ``kind`` command with
+    this payload reads, and the ones it writes."""
+    read_fields, write_fields = ACCESS[kind]
+    return (
+        frozenset([(space, i) for name, space in read_fields for i in ids_of(payload[name])]),
+        frozenset([(space, i) for name, space in write_fields for i in ids_of(payload[name])]),
+    )
+
 
 #: Class rank of a queue built without an owner's class (the default one's).
 DEFAULT_RANK = CLASS_RANK[DEFAULT_CLASS]
@@ -58,8 +80,9 @@ class Command:
     input_tokens: int = 0
     context_tokens: int = 0
     # What the command reads and writes, as ``("kv", pid)`` / ``("emb", eid)``
-    # pairs.  A queue orders two of its commands only when one writes what
-    # the other touches; across queues only write-write conflicts count.
+    # pairs (:func:`access`).  A queue orders two of its commands only when
+    # one writes what the other touches; across queues only write-write
+    # conflicts count.
     reads: FrozenSet = frozenset()
     writes: FrozenSet = frozenset()
     # Position in its queue's issue order (``CommandQueue.issue``); the

@@ -22,7 +22,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -36,7 +35,7 @@ from repro.errors import (
     ResourceError,
     SchedulingError,
 )
-from repro.core.command_queue import Command
+from repro.core.command_queue import Command, access
 from repro.core.config import PieConfig
 from repro.core.handles import Embed, KvPage, Queue
 from repro.core.health import ShardHealthService
@@ -513,16 +512,16 @@ class Controller:
         rows: int = 1,
         input_tokens: int = 0,
         context_tokens: int = 0,
-        reads: FrozenSet = frozenset(),
-        writes: FrozenSet = frozenset(),
     ) -> SimFuture:
         """Create a command, number it on its queue at once, and deliver it
         to the scheduler of the inferlet's shard after the inference-layer
-        call overhead has elapsed."""
+        call overhead has elapsed.  What it reads and writes comes from its
+        kind's row of :data:`ACCESS`; the prefix cache hears of it last."""
         instance.check_alive()
         key = (handle.owner, handle.qid)
         queue = home.scheduler.get_queue(key)
         future = self.sim.create_future(name=f"{kind}:{instance.instance_id}")
+        reads, writes = access(kind, payload)
         command = Command(
             kind=kind,
             inferlet_id=instance.instance_id,
@@ -551,6 +550,10 @@ class Controller:
             # future, so under FIFO call_soon the handoff runs with the
             # program still suspended.
             home.service.transfer.on_command_submitted(instance, command)
+        if home.prefix_cache is not None:
+            # After the transfer hook, so the busy pin is released after it
+            # and before the caller's finish hook.
+            home.prefix_cache.note_issued(command)
         queue.issue(command)
         self.sim.schedule(self.inference_call_overhead(), self._deliver, home, key, command)
         return future

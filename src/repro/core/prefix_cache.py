@@ -51,6 +51,7 @@ from itertools import takewhile
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ResourceError
+from repro.core.command_queue import ACCESS, Command, ids_of
 from repro.core.metrics import SystemMetrics
 from repro.core.mover import KvMover
 from repro.gpu.memory import DeviceMemory
@@ -129,10 +130,9 @@ class PrefixCacheService:
         self._page_tokens: Dict[int, List[int]] = {}
         # token identity of written embedding slots: slot -> (token, position)
         self._emb_tokens: Dict[int, Tuple[int, int]] = {}
-        # physical KV pages referenced by issued-but-unretired commands: one
-        # page set per command, keyed by the ticket note_busy hands out.
-        self._busy: Dict[int, FrozenSet[int]] = {}
-        self._busy_tickets = 0
+        # what each issued-but-unretired command that names a KV page reads
+        # and writes, by command id (note_issued).
+        self._busy: Dict[int, FrozenSet] = {}
         # chain cursors by the last page of their run, and by every page.
         self._cursors: Dict[int, _ChainCursor] = {}
         self._cursors_by_pid: Dict[int, Set[_ChainCursor]] = {}
@@ -167,7 +167,7 @@ class PrefixCacheService:
     def _touch(self, node: PrefixNode) -> None:
         node.last_used = self._tick()
 
-    # -- embedding-token tracking (driven by the API bindings) -------------
+    # -- embedding-token tracking (note_issued, and slot allocation) -------
 
     def record_embeds(
         self, slot_ids: Sequence[int], tokens: Sequence[int], positions: Sequence[int]
@@ -181,20 +181,31 @@ class PrefixCacheService:
         for slot in slot_ids:
             self._emb_tokens.pop(slot, None)
 
-    # -- busy-page tracking (driven by the controller's command path) ------
+    # -- what an issued command touches (told once, by submit_command) -----
 
-    def note_busy(self, pids: Sequence[int]) -> int:
-        """A command referencing these pages was issued; returns the ticket
-        :meth:`release_busy` takes when the command retires."""
-        self._busy_tickets += 1
-        self._busy[self._busy_tickets] = frozenset(pids)
-        return self._busy_tickets
-
-    def release_busy(self, ticket: int) -> None:
-        del self._busy[ticket]
+    def note_issued(self, command: Command) -> None:
+        """``command`` was issued.  An ``embed_text`` gives its slots their
+        tokens, any other slot write takes a slot's token identity away, and
+        a command that names a KV page keeps every page it reads or writes
+        busy until it retires."""
+        kind, payload = command.kind, command.payload
+        read_fields, write_fields = ACCESS[kind]
+        if kind == "embed_text":
+            self.record_embeds(payload["emb_slots"], payload["token_ids"], payload["positions"])
+        else:
+            for name, space in write_fields:
+                if space == "emb":
+                    self.forget_embeds(ids_of(payload[name]))
+        for name, space in read_fields + write_fields:
+            if space == "kv" and ids_of(payload[name]):
+                command_id = command.command_id
+                self._busy[command_id] = command.reads | command.writes
+                command.future.add_done_callback(lambda _f: self._busy.pop(command_id))
+                return
 
     def _is_busy(self, pid: int) -> bool:
-        return any(pid in pages for pages in self._busy.values())
+        key = ("kv", pid)
+        return any(key in touched for touched in self._busy.values())
 
     # -- invalidation ------------------------------------------------------
 

@@ -39,6 +39,9 @@ from pathlib import Path
 from typing import List, Mapping, Optional
 
 PACKAGE = str(Path(__file__).resolve().parents[1]) + os.sep
+#: This file: its frames (the handler, ``__exit__``, the CLI) are skipped, so
+#: a signal that lands in the profiler is charged to the frame it interrupted.
+PROFILER = str(Path(__file__).resolve())
 
 #: File (or directory) under ``src/repro`` -> the layer of ``perf/spec.py``
 #: that owns it; the first matching prefix wins.
@@ -100,7 +103,7 @@ class HostProfile:
         innermost, layer, seen = None, None, set()
         while frame is not None:
             code = frame.f_code
-            if code.co_filename.startswith(PACKAGE):
+            if code.co_filename.startswith(PACKAGE) and code.co_filename != PROFILER:
                 key = (code.co_filename[len(PACKAGE) :], code.co_qualname)
                 if innermost is None:
                     innermost = key = self._labelled(key, frame)

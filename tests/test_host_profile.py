@@ -2,6 +2,7 @@
 function that burnt it, and restores the process's timer and handler."""
 
 import signal
+import sys
 import time
 
 from repro.model.sampling import softmax
@@ -39,6 +40,19 @@ def test_a_busy_function_gets_the_samples(monkeypatch):
     assert profile.layers["other"] == profile.samples  # sampling.py belongs to no one layer
     report = profile.report(top=5)
     assert "softmax  model/sampling.py" in report and "layer" in report
+
+
+def test_a_signal_in_the_profiler_is_not_charged_to_it(monkeypatch):
+    """A sample whose innermost package frame is the profiler's own (here
+    ``__exit__``, caught by a stubbed timer) goes to the frame below it."""
+    frames = []
+    monkeypatch.setattr(signal, "setitimer", lambda *args: frames.append(sys._getframe(1)))
+    with HostProfile() as profile:
+        pass
+    profile._sample(signal.SIGPROF, frames[-1])
+    assert frames[-1].f_code.co_name == "__exit__"
+    assert profile.self_samples == {OUTSIDE: 1}
+    assert not profile.cumulative and profile.layers == {"other": 1}
 
 
 def test_split_tells_two_jobs_of_one_function_apart(monkeypatch):

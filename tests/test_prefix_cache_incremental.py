@@ -29,6 +29,7 @@ import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.core.command_queue import Command, access
 from repro.core.metrics import SystemMetrics
 from repro.core.mover import KvMover
 from repro.core.prefix_cache import PrefixCacheService, PrefixNode, _ChainCursor
@@ -179,9 +180,17 @@ class FakeDevice:
 class FakeFuture:
     def __init__(self, error=None):
         self._error = error
+        self._callbacks = []
 
     def exception(self):
         return self._error
+
+    def add_done_callback(self, callback):
+        self._callbacks.append(callback)
+
+    def retire(self):
+        for callback in self._callbacks:
+            callback(self)
 
 
 @dataclasses.dataclass
@@ -220,6 +229,13 @@ class World:
         self.contexts = []
         self.pending = []
         self.swapped = set()
+
+    def _issue(self, kind, payload):
+        """What ``Controller.submit_command`` tells the cache of a command."""
+        reads, writes = access(kind, payload)
+        command = Command(kind, "driver", payload, FakeFuture(), 0.0, reads=reads, writes=writes)
+        self.cache.note_issued(command)
+        return command
 
     # -- operations (each returns something the two worlds must agree on) --------
 
@@ -285,19 +301,28 @@ class World:
             iemb = self.resources.alloc_embeds(ctx.owner, len(tokens))
             self.cache.forget_embeds(self.resources.resolve_emb_many(ctx.owner, iemb))
         slots = self.resources.resolve_emb_many(ctx.owner, iemb)
-        self.cache.record_embeds(slots, tokens, positions)
+        self._issue(
+            "embed_text", {"token_ids": tokens, "positions": positions, "emb_slots": slots}
+        )
         kept, finish = self.cache.begin_forward(
             ctx.owner, list(ctx.pages), list(iemb), list(okv), [ctx.gen], None, None, None
         )
-        ikv_pids = self.resources.resolve_kv_many(ctx.owner, ctx.pages)
         okv_pids = self.resources.resolve_kv_many(ctx.owner, okv)
-        self.cache.forget_embeds(self.resources.resolve_emb_many(ctx.owner, [ctx.gen]))
+        forward = self._issue(
+            "forward",
+            {
+                "ikv": self.resources.resolve_kv_many(ctx.owner, ctx.pages),
+                "iemb": self.resources.resolve_emb_many(ctx.owner, kept),
+                "okv": okv_pids,
+                "oemb": self.resources.resolve_emb_many(ctx.owner, [ctx.gen]),
+            },
+        )
         self.pending.append(
             {
                 "okv": okv_pids,
                 "positions": positions[len(positions) - len(kept) :] if okv else [],
                 "finish": finish,
-                "ticket": self.cache.note_busy(ikv_pids + okv_pids),
+                "issued": forward.future,
                 "embeds": (ctx.owner, iemb if len(tokens) > 1 else []),
             }
         )
@@ -325,7 +350,7 @@ class World:
         if entry["positions"] and error is None:
             return "slice"
         del self.pending[index]
-        self.cache.release_busy(entry["ticket"])
+        entry["issued"].retire()
         owner, embeds = entry["embeds"]
         if embeds and self.resources.has_space(owner):
             self.resources.dealloc_embeds(owner, embeds)
