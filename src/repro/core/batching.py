@@ -96,24 +96,19 @@ def form_candidate_batches(
 ) -> Dict[str, CandidateBatch]:
     """Compute the best candidate batch per command kind.
 
-    Merge priority is read *live* from each queue at formation time, so a
-    ``set_queue_priority`` issued after commands were enqueued still
-    reorders them — the priority snapshotted onto the command at push time
-    is only a fallback for commands inspected outside batch formation.
-    The class rank needs no refresh: a queue's never changes.
+    Each run goes to the merge with its queue's priority, read *live* at
+    formation time, so a ``set_queue_priority`` issued after commands were
+    enqueued still reorders them; a command carries no copy of it.  The
+    class rank needs no refresh: a queue's never changes.
 
     ``forward`` candidates are held to ``max_batch_tokens`` input tokens
     (``prefill_chunk_tokens`` bounds single slices, ``future_factory``
     mints the futures of planned head slices).
     """
-    runs_by_kind: Dict[str, List[List[Command]]] = {}
+    runs_by_kind: Dict[str, List[Tuple[int, List[Command]]]] = {}
     for queue in queues:
-        runs = queue.ready_runs(max_batch_rows)
-        priority = queue.priority
-        for run in runs:
-            for command in run:
-                command.priority = priority
-            runs_by_kind.setdefault(run[0].kind, []).append(run)
+        for run in queue.ready_runs(max_batch_rows):
+            runs_by_kind.setdefault(run[0].kind, []).append((queue.priority, run))
 
     candidates: Dict[str, CandidateBatch] = {}
     for kind, runs in runs_by_kind.items():
@@ -149,13 +144,14 @@ def _chunk_reserve(command: Command) -> int:
 
 
 def _merge_runs(
-    runs: List[List[Command]],
+    runs: List[Tuple[int, List[Command]]],
     max_batch_rows: int,
     max_batch_tokens: int,
     prefill_chunk_tokens: int,
     future_factory: Callable[[], SimFuture],
 ) -> List[Command]:
-    """Horizontal batching: merge per-queue runs into one ordered batch.
+    """Horizontal batching: merge per-queue runs, each with its queue's
+    priority, into one ordered batch.
 
     Only ``forward`` runs spend the token budget: the ``input_tokens`` of
     the other kinds count embedding slots, and the row limit alone bounds
@@ -167,16 +163,11 @@ def _merge_runs(
     # decode rows fill the token budget first and the slice takes the
     # remainder, instead of two residuals claiming the whole budget and
     # pushing every decode row to the next round.
-    ordered_runs = sorted(
-        runs,
-        key=lambda run: (
-            run[0].rank,
-            -run[0].priority,
-            run[0].chunks_taken > 0,
-            run[0].issue_time,
-            run[0].command_id,
-        ),
-    )
+    def order(entry: Tuple[int, List[Command]]) -> Tuple:
+        priority, run = entry
+        head = run[0]
+        return (head.rank, -priority, head.chunks_taken > 0, head.issue_time, head.command_id)
+
     merged: List[Command] = []
     total_rows = 0
     total_tokens = 0
@@ -184,7 +175,7 @@ def _merge_runs(
     # set intersection is equivalent to the pairwise ``conflicts_with``
     # scan (write-write only) without the O(n^2) cost.
     merged_writes: set = set()
-    for run in ordered_runs:
+    for _, run in sorted(runs, key=order):
         for command in run:
             if total_rows + command.rows > max_batch_rows:
                 return merged

@@ -72,7 +72,6 @@ class Command:
     future: SimFuture
     issue_time: float
     queue_key: Any = None
-    priority: int = 0
     # Class rank of the owner's tenant (``CommandQueue.rank``): batch merging
     # and dispatch serve a lower rank first.
     rank: int = DEFAULT_RANK
@@ -130,7 +129,7 @@ class Command:
         batch is actually dispatched (``take_chunk``), so candidate batches
         that lose the selection round leave no trace.  The slice inherits
         the residual's issue time (aging and oldest-first selection see
-        the original command's wait), priority, class rank and write set (so
+        the original command's wait), class rank and write set (so
         conflict rules treat the slice exactly like the whole command).
 
         The slice's attention is charged against the context *accumulated
@@ -153,7 +152,6 @@ class Command:
             future=future,
             issue_time=self.issue_time,
             queue_key=self.queue_key,
-            priority=self.priority,
             rank=self.rank,
             rows=1,
             input_tokens=n_tokens,
@@ -258,10 +256,6 @@ class CommandQueue:
         if command.queue_seq is None:  # no barrier would count it
             raise SchedulingError(f"{command!r} was pushed without being issued")
         command.queue_key = self.key
-        # Snapshot only: batch formation re-reads the live queue priority
-        # (repro.core.batching.form_candidate_batches), so set_queue_priority
-        # after enqueue still affects already-queued commands.
-        command.priority = self.priority
         command.rank = self.rank
         self._pending.append(command)
         self._pending_changed(1)

@@ -534,15 +534,6 @@ class Controller:
             reads=reads,
             writes=writes,
         )
-        if kind == "forward":
-            # Counted at completion so commands dropped in the delivery
-            # window or at queue teardown (they resolve to None without
-            # executing) never inflate the processed-token account.
-            def count_forward(fut, tokens=input_tokens):
-                if fut.exception() is None and fut.result() is not None:
-                    self.metrics.forward_input_tokens += tokens
-
-            future.add_done_callback(count_forward)
         if home.role == "prefill":
             # Disaggregation: dirty-track writes against staged pages, track
             # prefill commit progress, and arm the handoff on the sample's

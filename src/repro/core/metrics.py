@@ -263,7 +263,10 @@ class SystemMetrics:
     # Virtual time inferlets spent waiting on swap-in after wake-up.
     swap_stall_seconds: float = 0.0
     # Input tokens actually processed by forward commands (prefill +
-    # decode); with the prefix cache on, saved tokens never reach here.
+    # decode), counted as each forward or slice retires without failing
+    # (``BatchScheduler._on_batch_done``): commands dropped before they
+    # dispatch never count; with the prefix cache on, saved tokens never
+    # reach here.
     forward_input_tokens: int = 0
     # Chunked prefill / token-budget batching (repro.core.batching):
     # prefill head slices dispatched, decode rows that shared a batch with

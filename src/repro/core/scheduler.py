@@ -1,11 +1,15 @@
 """The batch scheduler: dispatch policies over the command queues (§5.2, §6.1).
 
-Four policies are provided, matching the paper's Table 5 comparison:
+One dispatch flow, :meth:`BatchScheduler._pump`, serves the four policies of
+the paper's Table 5.  It runs on a submit, one formation delay after every
+device-idle notification (:meth:`BatchScheduler._schedule_pump`), and when
+the one ripeness timer fires:
 
 * ``adaptive`` — the paper's work-conserving policy: whenever the GPU is
   idle and any command is pending, immediately form and dispatch the best
   batch (the inference layer notifies the control layer the moment the
-  device becomes idle).  §6.1 does not say *which* ready batch is best:
+  device becomes idle; a submit pumps only while it is idle).  §6.1 does
+  not say *which* ready batch is best:
   here a ``forward`` candidate first yields its turn, for at most one
   weight-bound floor, to the batches that feed it — a decode-only one to
   any kind ready beside it, one carrying a prompt to an ``embed_text``
@@ -13,19 +17,23 @@ Four policies are provided, matching the paper's Table 5 comparison:
   every configuration (:func:`repro.core.batching.select_batch`): a batch
   whose oldest command has waited the aging bound goes first, else the
   best class present, oldest command first.
-* ``eager``    — no batching: every command is dispatched on its own.
-* ``k_only``   — fixed-size batching: dispatch once some kind has at least
-  ``k_threshold`` pending commands (with a safety flush so the system
-  cannot stall below the threshold).
-* ``t_only``   — timeout batching: dispatch once the oldest pending command
-  has waited :data:`T_TIMEOUT_MS`.
+* ``eager``    — no batching: every queue head is dispatched on its own.
+* ``k_only``   — fixed-size batching: a candidate is ripe once it holds
+  ``k_threshold`` commands, or once its oldest command has waited
+  :data:`MAX_WAIT_MS` since its issue (so a run cannot stall below the
+  threshold).
+* ``t_only``   — timeout batching: a candidate is ripe once its oldest
+  command has waited :data:`T_TIMEOUT_MS` since its issue.
+
+The last two dispatch every ripe candidate, then arm the one timer for the
+instant the oldest pending command ripens.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.batching import (
@@ -49,10 +57,10 @@ from repro.sim.simulator import Simulator
 # forming one batch, and of one control<->inference layer IPC crossing.
 BATCH_SCHEDULING_OVERHEAD_MS = 0.050
 IPC_CROSSING_MS = 0.006
-# Safety flush so the strawman policies (k_only, t_only) cannot deadlock a
-# run: whatever is still pending this long after a submit is dispatched.
+# How long a command waits, from its issue, before its batch is ripe: under
+# ``k_only`` below the size threshold (so a run cannot stall), under
+# ``t_only`` always.
 MAX_WAIT_MS = 50.0
-# ``t_only``'s timeout: a batch dispatches once its oldest command waited this long.
 T_TIMEOUT_MS = 5.0
 
 
@@ -141,12 +149,10 @@ class BatchScheduler:
         self._owner_queues: Dict[str, Dict[Any, CommandQueue]] = {}
         self._ready: Dict[Any, CommandQueue] = {}
         self._pending_total = 0
-        self._flush_scheduled = False
-        self._timeout_flush_armed = False
-        # Timer-storm regression guard: number of t_only flush events ever
-        # scheduled (tests assert it stays O(flushes), not O(submits)).
-        self.timeout_timers_armed = 0
-        self._adaptive_dispatch_pending = False
+        # The pump's wake-ups, each outstanding at most once: ``"formed"``
+        # one formation delay after a trigger, ``"ripe"`` the strawmen's
+        # timer.
+        self._armed: Set[str] = set()
         # Admission guard (tiered KV memory): owners whose pages are swapped
         # out to the host tier must not have commands dispatched until their
         # pages are resident again.  None = admit everyone.
@@ -163,7 +169,7 @@ class BatchScheduler:
         # forward dispatch (``_forward_yields`` bounds the hold); None while
         # no forward is being held.
         self._forward_held_since: Optional[float] = None
-        self.device.on_idle(self._on_device_idle)
+        self.device.on_idle(self._schedule_pump)
 
     def set_dispatch_guard(self, is_suspended: Optional[Callable[[str], bool]]) -> None:
         """Install a predicate barring suspended owners from dispatch."""
@@ -174,13 +180,11 @@ class BatchScheduler:
         self._chunk_listener = listener
 
     def notify_resumed(self) -> None:
-        """Re-run the dispatch trigger after a suspended owner returns.
+        """Pump as a submit would after a suspended owner returns.
 
-        The guard may have held back the owner's pending commands; policies
-        that only dispatch on submit (``eager``) or on a one-shot timer
-        (``t_only``) need an explicit poke, since no further submit may ever
-        arrive (``adaptive`` recovers on its own via the swap-in batch's
-        idle notification)."""
+        The guard may have held back the owner's pending commands, and no
+        further submit may ever arrive (``adaptive`` recovers on its own via
+        the swap-in batch's idle notification)."""
         if self.total_pending:
             self._policy_on_submit()
 
@@ -304,30 +308,13 @@ class BatchScheduler:
         # router placement and ``notify_resumed`` all read this per event.
         return self._pending_total
 
-    # -- policy hooks --------------------------------------------------------------
+    # -- the dispatch flow ---------------------------------------------------------
 
     def _policy_on_submit(self) -> None:
-        policy = self.config.policy
-        if policy == "eager":
-            self._dispatch_all_individually()
-        elif policy == "adaptive":
-            if not self.device.busy:
-                self._schedule_adaptive_dispatch()
-        elif policy == "k_only":
-            self._dispatch_if_threshold_met()
-            self._arm_safety_flush()
-        elif policy == "t_only":
-            self._arm_timeout_flush()
-        else:  # pragma: no cover - guarded by PieConfig validation
-            raise SchedulingError(f"unknown policy {policy!r}")
-
-    def _on_device_idle(self) -> None:
-        delay = self._formation_delay()
-        if self.config.policy == "adaptive":
-            self._schedule_adaptive_dispatch()
-        elif self.config.policy == "k_only":
-            self.sim.schedule(delay, self._dispatch_if_threshold_met)
-        # eager and t_only dispatch purely on their own triggers.
+        if self.config.policy != "adaptive":
+            self._pump()
+        elif not self.device.busy:
+            self._schedule_pump()
 
     def _formation_delay(self) -> float:
         """Time between a dispatch trigger and the batch actually forming.
@@ -347,18 +334,57 @@ class BatchScheduler:
         """
         return milliseconds(IPC_CROSSING_MS + BATCH_SCHEDULING_OVERHEAD_MS)
 
-    def _schedule_adaptive_dispatch(self) -> None:
-        if self._adaptive_dispatch_pending:
+    def _schedule_pump(self) -> None:
+        self._wake("formed", self._formation_delay())
+
+    def _wake(self, reason: str, delay: float) -> None:
+        if reason not in self._armed:
+            self._armed.add(reason)
+            self.sim.schedule(delay, self._woken, reason)
+
+    def _woken(self, reason: str) -> None:
+        self._armed.discard(reason)
+        self._pump()
+
+    def _pump(self) -> None:
+        """The one dispatch flow: what the policy dispatches now (module
+        docstring) and, for ``k_only`` / ``t_only``, when to look again."""
+        policy = self.config.policy
+        if policy == "adaptive":
+            if not self.device.busy:
+                batch = self._select(self._form_candidates())
+                if batch is not None:
+                    self._dispatch(batch)
             return
-        self._adaptive_dispatch_pending = True
-        self.sim.schedule(self._formation_delay(), self._adaptive_dispatch)
+        if policy == "eager":
+            for queue in self._dispatchable_queues():
+                while queue.pending_count:
+                    run = queue.ready_runs(1)[0]  # the queue's head
+                    self._dispatch(CandidateBatch(kind=run[0].kind, commands=run))
+            return
+        k_only = policy == "k_only"
+        bound = milliseconds(MAX_WAIT_MS if k_only else T_TIMEOUT_MS)
+        now = self.sim.now
+        while True:
+            ripe = {
+                kind: batch
+                for kind, batch in self._form_candidates().items()
+                if (k_only and len(batch) >= self.config.k_threshold)
+                or now - batch.oldest_issue_time >= bound - 1e-12
+            }
+            batch = self._select(ripe)
+            if batch is None:
+                break
+            self._dispatch(batch)
+        if self.total_pending and "ripe" not in self._armed:
+            # When the oldest command that could dispatch ripens; a full bound
+            # out when what is ripe cannot form (a conflict) or every pending
+            # owner is suspended, instead of spinning at delay zero.
+            times = [queue.oldest_pending_time for queue in self._dispatchable_queues()]
+            delay = min(times, default=now) + bound - now
+            self._wake("ripe", delay if delay > 1e-12 else bound)
 
-    def _adaptive_dispatch(self) -> None:
-        self._adaptive_dispatch_pending = False
-        if not self.device.busy:
-            self._dispatch_best()
-
-    # -- policy implementations -------------------------------------------------------
+    # -- batch selection -------------------------------------------------------------
 
     def _form_candidates(self) -> Dict[str, CandidateBatch]:
         return form_candidate_batches(
@@ -434,88 +460,6 @@ class BatchScheduler:
         self.stats.forward_yields += 1
         return True
 
-    def _dispatch_best(self) -> None:
-        batch = self._select(self._form_candidates())
-        if batch is not None:
-            self._dispatch(batch)
-
-    def _dispatch_all_individually(self) -> None:
-        for queue in self._dispatchable_queues():
-            while queue.pending_count:
-                run = queue.ready_runs(1)[0]  # the queue's head
-                self._dispatch(CandidateBatch(kind=run[0].kind, commands=run))
-
-    def _dispatch_if_threshold_met(self) -> None:
-        while True:
-            candidates = self._form_candidates()
-            eligible = {
-                kind: batch
-                for kind, batch in candidates.items()
-                if len(batch) >= self.config.k_threshold
-            }
-            batch = self._select(eligible)
-            if batch is None:
-                return
-            self._dispatch(batch)
-
-    def _arm_safety_flush(self) -> None:
-        if self._flush_scheduled:
-            return
-        self._flush_scheduled = True
-        self.sim.schedule(milliseconds(MAX_WAIT_MS), self._safety_flush)
-
-    def _safety_flush(self) -> None:
-        self._flush_scheduled = False
-        if self.total_pending:
-            self._dispatch_best()
-            self._arm_safety_flush()
-
-    def _arm_timeout_flush(self, delay_seconds: Optional[float] = None) -> None:
-        # One armed timer at a time, keyed to the oldest pending command:
-        # arming on every submit (the old behaviour) scheduled a sim event
-        # per command and turned a busy t_only deployment into a timer
-        # storm.  A single timer fires no later than the unconditional
-        # per-submit one would have, and re-arms itself for the next oldest
-        # command after each flush.
-        if self._timeout_flush_armed:
-            return
-        self._timeout_flush_armed = True
-        self.timeout_timers_armed += 1
-        if delay_seconds is None:
-            delay_seconds = milliseconds(T_TIMEOUT_MS)
-        self.sim.schedule(delay_seconds, self._timeout_flush)
-
-    def _timeout_flush(self) -> None:
-        self._timeout_flush_armed = False
-        now = self.sim.now
-        deadline = milliseconds(T_TIMEOUT_MS)
-        candidates = self._form_candidates()
-        ripe = {
-            kind: batch
-            for kind, batch in candidates.items()
-            if now - batch.oldest_issue_time >= deadline - 1e-12
-        }
-        batch = self._select(ripe)
-        if batch is not None:
-            self._dispatch(batch)
-        if self.total_pending:
-            # Re-arm for the oldest command that could actually dispatch;
-            # with every pending owner suspended (dispatch guard), poll a
-            # full deadline out instead of spinning at delay zero.
-            pending_times = [
-                queue.oldest_pending_time
-                for queue in self._dispatchable_queues()
-                if queue.pending_count
-            ]
-            if pending_times and batch is None and now - min(pending_times) >= deadline - 1e-12:
-                # Everything ripe was unformable this round (e.g. blocked
-                # by conflicts); retry a full deadline later, not now.
-                self._arm_timeout_flush()
-            elif pending_times:
-                self._arm_timeout_flush(max(0.0, min(pending_times) + deadline - now))
-            else:
-                self._arm_timeout_flush()
-
     # -- dispatch --------------------------------------------------------------------------
 
     def _dispatch(self, batch: CandidateBatch) -> None:
@@ -580,6 +524,10 @@ class BatchScheduler:
         for index, command in enumerate(batch.commands):
             outcome = error if error is not None else results[index]
             failed = isinstance(outcome, BaseException)
+            if batch.kind == "forward" and not failed:
+                # Tokens that reached a forward: a slice's now, its
+                # residual's (what is left) when the residual retires.
+                self.metrics.forward_input_tokens += command.input_tokens
             if command.is_chunk and failed:
                 # A failing head slice fails the whole forward now, and its
                 # residual is dropped: its KV has a hole where the slice's

@@ -54,7 +54,6 @@ class DeviceBatch:
     cost_seconds: float
     future: SimFuture
     size: int = 1
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -133,7 +132,6 @@ class SimDevice:
         run: Callable[[], Any],
         cost_seconds: float,
         size: int = 1,
-        metadata: Optional[dict] = None,
     ) -> SimFuture:
         """Queue a batch for execution; returns a future for its results."""
         if cost_seconds < 0:
@@ -155,7 +153,6 @@ class SimDevice:
             cost_seconds=cost_seconds,
             future=future,
             size=size,
-            metadata=metadata or {},
         )
         self._queue.append(batch)
         if not self._busy:

@@ -1,25 +1,35 @@
-"""Batch-formation unit tests: merge equivalence and the t_only timer fix.
+"""Batch-formation unit tests: merge equivalence and the strawmen's one timer.
 
-Two regressions guarded here:
+Three regressions guarded here:
 
 * ``_merge_runs`` (and ``CommandQueue.ready_runs``) check hazards against
   accumulated read and write sets instead of pairwise scans — the output
   must be *identical* to the reference (pairwise) implementation on seeded
   random queue populations;
-* ``_arm_timeout_flush`` used to schedule a fresh sim event on **every**
-  submit (a timer storm under load); it now keeps at most one armed timer,
-  re-armed after each flush for the oldest still-pending command.
+* ``t_only`` used to schedule a fresh sim event on **every** submit (a
+  timer storm under load); ``k_only`` and ``t_only`` now keep at most one
+  ripeness timer armed, re-armed by ``BatchScheduler._pump`` for the oldest
+  still-pending command;
+* ripeness counts from a command's issue, not from its delivery: a lone
+  command dispatches exactly ``T_TIMEOUT_MS`` (``t_only``) or
+  ``MAX_WAIT_MS`` (``k_only``) after its ``issue_time``, and a ``k_only``
+  kind at once on its ``k_threshold``-th pending command.
 """
 
 import random
+
+import pytest
 
 from repro.core import InferletProgram, PieServer
 from repro.core.batching import _merge_runs
 from repro.core.command_queue import Command, CommandQueue
 from repro.core.config import ControlLayerConfig, PieConfig, SchedulerConfig
+from repro.core.scheduler import MAX_WAIT_MS, T_TIMEOUT_MS, BatchScheduler
 from repro.gpu.config import GpuConfig
+from repro.gpu.device import SimDevice
 from repro.sim import Simulator
 from repro.support import Context, SamplingParams
+from tests.test_scheduler_index import StubHandlers
 
 #: Four kinds, every one hazard-checked; the fence is a residual's mark
 #: (``chunks_taken``), drawn for one command in ten.
@@ -41,13 +51,14 @@ DEFAULT_BUDGET = (
 
 
 def _reference_merge(runs, max_batch_rows):
-    """The pre-optimisation _merge_runs, kept verbatim as the oracle."""
+    """The pre-optimisation _merge_runs, kept verbatim as the oracle; each
+    run comes with its queue's priority."""
     ordered_runs = sorted(
-        runs, key=lambda run: (-run[0].priority, run[0].issue_time, run[0].command_id)
+        runs, key=lambda entry: (-entry[0], entry[1][0].issue_time, entry[1][0].command_id)
     )
     merged = []
     total_rows = 0
-    for run in ordered_runs:
+    for _, run in ordered_runs:
         for command in run:
             if total_rows + command.rows > max_batch_rows:
                 return merged
@@ -59,7 +70,8 @@ def _reference_merge(runs, max_batch_rows):
 
 
 def _random_population(rng, n_queues=12, max_run=8):
-    """Random same-kind runs with overlapping write sets and priorities."""
+    """Random same-kind runs with overlapping write sets, each with its
+    queue's priority."""
     runs = []
     for q in range(n_queues):
         kind = rng.choice(KINDS)
@@ -77,12 +89,11 @@ def _random_population(rng, n_queues=12, max_run=8):
                     future=None,
                     issue_time=rng.random(),
                     queue_key=q,
-                    priority=priority,
                     rows=rng.randint(1, 3),
                     writes=writes,
                 )
             )
-        runs.append(run)
+        runs.append((priority, run))
     return runs
 
 
@@ -91,8 +102,8 @@ def test_merge_runs_matches_reference_on_seeded_populations():
     for trial in range(200):
         runs = _random_population(rng)
         max_rows = rng.randint(1, 24)
-        fast = _merge_runs([list(r) for r in runs], max_rows, *DEFAULT_BUDGET)
-        slow = _reference_merge([list(r) for r in runs], max_rows)
+        fast = _merge_runs([(p, list(r)) for p, r in runs], max_rows, *DEFAULT_BUDGET)
+        slow = _reference_merge([(p, list(r)) for p, r in runs], max_rows)
         assert fast == slow, f"trial {trial} diverged"
 
 
@@ -154,11 +165,6 @@ def test_ready_runs_set_based_hazards_match_pairwise():
         assert queue.ready_runs(limit) == _reference_runs(commands, limit), f"trial {trial}"
 
 
-def _t_only_server(sim):
-    config = PieConfig(scheduler=SchedulerConfig(policy="t_only"))
-    return PieServer(sim, config=config)
-
-
 def _make_agent(index):
     async def main(ctx):
         context = Context(ctx, sampling=SamplingParams())
@@ -170,20 +176,29 @@ def _make_agent(index):
     return InferletProgram(name=f"tonly{index}", main=main)
 
 
-def test_t_only_arms_one_timer_not_one_per_submit():
-    """The timer-storm regression: flush events scheduled must scale with
-    the number of flushes, not with the number of submitted commands."""
+@pytest.mark.parametrize("policy", ["k_only", "t_only"])
+def test_strawmen_arm_one_timer_not_one_per_submit(policy):
+    """The timer-storm regression: one ripeness timer is armed at a time,
+    so its events scale with the flushes, not with the submitted commands."""
     sim = Simulator(seed=5)
-    server = _t_only_server(sim)
+    server = PieServer(sim, config=PieConfig(scheduler=SchedulerConfig(policy=policy)))
     scheduler = server.service().shards[0].scheduler
 
-    # Count the actual sim events scheduled for the flush callback.
-    scheduled = {"flush_events": 0}
+    # Count the sim events scheduled for the timer, and how many are
+    # outstanding at once.
+    timer = {"armed": 0, "outstanding": 0, "most": 0}
     original_schedule = sim.schedule
 
+    def fired(*args):
+        timer["outstanding"] -= 1
+        scheduler._woken(*args)
+
     def counting_schedule(delay, callback, *args):
-        if getattr(callback, "__name__", "") == "_timeout_flush":
-            scheduled["flush_events"] += 1
+        if getattr(callback, "__name__", "") == "_woken" and args == ("ripe",):
+            timer["armed"] += 1
+            timer["outstanding"] += 1
+            timer["most"] = max(timer["most"], timer["outstanding"])
+            callback = fired
         return original_schedule(delay, callback, *args)
 
     sim.schedule = counting_schedule
@@ -200,11 +215,77 @@ def test_t_only_arms_one_timer_not_one_per_submit():
     assert all(r.status == "finished" for r in results)
 
     commands = scheduler.stats.commands_dispatched
-    flushes = scheduled["flush_events"]
-    assert flushes == scheduler.timeout_timers_armed
     assert commands > 50  # the workload is big enough to have stormed before
-    # Old behaviour scheduled >= one event per submitted command; the
-    # coalesced timer schedules at most one per flush cycle.
-    assert flushes < commands / 2, (flushes, commands)
-    # And the policy still drains everything within its timeout cadence.
+    assert timer["most"] == 1
+    # A timer per submitted command would be >= commands events.
+    assert timer["armed"] < commands / 2, (timer["armed"], commands)
+    # And the policy still drains everything.
     assert scheduler.total_pending == 0
+
+
+def _stub_scheduler(sim, policy, k_threshold=64):
+    return BatchScheduler(
+        sim,
+        SimDevice(sim),
+        StubHandlers(),
+        SchedulerConfig(policy=policy, k_threshold=k_threshold),
+        GpuConfig(max_batch_rows=16),
+        ControlLayerConfig(),
+    )
+
+
+def _dispatch_times(sim, scheduler):
+    """The virtual times at which ``scheduler`` hands a batch to its device."""
+    times = []
+    submit = scheduler.device.submit
+
+    def record(**kwargs):
+        times.append(sim.now)
+        return submit(**kwargs)
+
+    scheduler.device.submit = record
+    return times
+
+
+#: A command reaches its scheduler this long after its issue (the call
+#: overhead, ``Controller.inference_call_overhead``).
+DELIVERY_S = 0.0003
+
+
+def _issue(sim, scheduler, key="q"):
+    """Issue one sample on queue ``key`` now; it arrives after ``DELIVERY_S``."""
+    queue = scheduler.get_queue(key)
+    command = Command(
+        kind="sample", inferlet_id="o", payload={}, future=sim.create_future(), issue_time=sim.now
+    )
+    queue.issue(command)
+    sim.schedule(DELIVERY_S, scheduler.submit, key, command)
+
+
+@pytest.mark.parametrize(("policy", "bound_ms"), [("t_only", T_TIMEOUT_MS), ("k_only", MAX_WAIT_MS)])
+def test_a_lone_command_ripens_its_bound_after_its_issue(policy, bound_ms):
+    sim = Simulator()
+    scheduler = _stub_scheduler(sim, policy)
+    scheduler.create_queue("q", model="m", owner="o")
+    times = _dispatch_times(sim, scheduler)
+    _issue(sim, scheduler)
+    sim.run(until=bound_ms / 1e3 - 1e-6)
+    assert times == []  # not before
+    sim.run()
+    assert times == [pytest.approx(bound_ms / 1e3, abs=1e-9)]
+    assert scheduler.total_pending == 0
+
+
+def test_k_only_dispatches_a_kind_at_its_k_th_pending_command():
+    sim = Simulator()
+    scheduler = _stub_scheduler(sim, "k_only", k_threshold=3)
+    for key in ("a", "b", "c"):
+        scheduler.create_queue(key, model="m", owner=key)
+    times = _dispatch_times(sim, scheduler)
+    for at, key in enumerate(("a", "b", "c")):
+        sim.schedule(0.001 * at, _issue, sim, scheduler, key)
+    sim.run()
+    # Issued at 0, 1 and 2 ms: one batch of three when the third arrives.
+    assert times == [pytest.approx(0.002 + DELIVERY_S, abs=1e-9)]
+    assert scheduler.stats.batches_dispatched == 1
+    assert scheduler.stats.commands_dispatched == 3

@@ -137,10 +137,8 @@ class TestTraits:
             trait_of_api("not_an_api")
 
 
-def _command(
-    sim, kind, queue_key=None, writes=frozenset(), issue_time=0.0, priority=0, reads=frozenset()
-):
-    command = Command(
+def _command(sim, kind, writes=frozenset(), issue_time=0.0, reads=frozenset()):
+    return Command(
         kind=kind,
         inferlet_id="test",
         payload={},
@@ -148,9 +146,7 @@ def _command(
         issue_time=issue_time,
         reads=reads,
         writes=writes,
-        priority=priority,
     )
-    return command
 
 
 def _push(queue, command):

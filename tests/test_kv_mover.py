@@ -148,9 +148,9 @@ def f(self, device, pool, a, b):
 def _recording(device, charged):
     submit = device.submit
 
-    def record(kind, run, cost_seconds, size=1, metadata=None):
+    def record(kind, run, cost_seconds, size=1):
         charged.append((kind, cost_seconds, size))
-        return submit(kind=kind, run=run, cost_seconds=cost_seconds, size=size, metadata=metadata)
+        return submit(kind=kind, run=run, cost_seconds=cost_seconds, size=size)
 
     device.submit = record
 

@@ -90,8 +90,8 @@ def record_batches(sim, device, batches):
     """Log each batch ``device`` runs: its kind, cost and end time."""
     submit = device.submit
 
-    def record(kind, run, cost_seconds, size=1, metadata=None):
-        future = submit(kind=kind, run=run, cost_seconds=cost_seconds, size=size, metadata=metadata)
+    def record(kind, run, cost_seconds, size=1):
+        future = submit(kind=kind, run=run, cost_seconds=cost_seconds, size=size)
         entry = {"kind": kind, "cost": cost_seconds}
         future.add_done_callback(lambda _: entry.update(end=sim.now))
         batches.append(entry)

@@ -37,8 +37,8 @@ def _push(queue, command):
 
 class TestStalePriorityRegression:
     def test_priority_raised_after_enqueue_reorders_commands(self):
-        """The regression: push snapshots priority, so a later
-        set_queue_priority used to leave queued commands at their old rank."""
+        """The regression: push used to snapshot the priority, so a later
+        set_queue_priority left queued commands at their old rank."""
         sim = Simulator()
         low = CommandQueue(key="low", model="m", owner="a", priority=0)
         late = CommandQueue(key="late", model="m", owner="b", priority=0)
@@ -49,8 +49,11 @@ class TestStalePriorityRegression:
         batches = form_candidate_batches([low, late], 8, *DEFAULT_BUDGET)
         commands = batches["forward"].commands
         assert commands[0].queue_key == "late"
-        # The live value was also refreshed onto the command snapshot.
-        assert commands[0].priority == 5
+        # Nothing was copied onto the commands: lowered again, the queue
+        # goes back behind the older command.
+        late.priority = -1
+        batches = form_candidate_batches([low, late], 8, *DEFAULT_BUDGET)
+        assert [c.queue_key for c in batches["forward"].commands] == ["low", "late"]
 
     def test_priority_lowered_after_enqueue(self):
         sim = Simulator()

@@ -271,8 +271,10 @@ class TestSlackDispatch:
             _push(queue, _command(sim, "standard"))
         merged = form_candidate_batches([jobs, chat, boosted], 8, *DEFAULT_BUDGET)["forward"]
         assert [command.queue_key for command in merged.commands] == ["cq2", "cq", "jq"]
-        # The command keeps the raw queue priority: no stride is added.
-        assert [command.priority for command in merged.commands] == [3, 0, 500]
+        # In-class, the raw queue priorities compare: no stride is added.
+        chat.priority = 4
+        merged = form_candidate_batches([jobs, chat, boosted], 8, *DEFAULT_BUDGET)["forward"]
+        assert [command.queue_key for command in merged.commands] == ["cq", "cq2", "jq"]
 
     def test_user_priority_cannot_cross_class_stride(self):
         """No user-supplied queue priority — however extreme — lets a worse
