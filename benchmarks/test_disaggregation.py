@@ -2,7 +2,7 @@
 
 An 8-device cluster serves long-document summarizers arriving over a fleet
 of interactive chat streams.  The baseline co-locates everything under
-``least_loaded`` placement with chunked prefill — the strongest mixed
+least-loaded placement with chunked prefill — the strongest mixed
 configuration in this repo — so decode rows already never stall behind
 whole prompts, only behind the chunk sharing their batch.  The
 disaggregated arm splits the cluster into prefill and decode shard roles

@@ -26,7 +26,7 @@ Beyond the paper:
   (monolithic prompts) on one device.
 * ``disaggregation``       — prefill/decode shard roles with overlapped
   KV-page streaming and live handoff vs the strongest co-located
-  (least_loaded + chunked prefill) cluster.
+  (least-loaded placement + chunked prefill) cluster.
 * ``tracing``              — flight-recorder overhead (wall-clock on vs
   off), non-perturbation, and per-inferlet stall attribution from the
   exported trace.

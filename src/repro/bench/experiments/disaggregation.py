@@ -3,8 +3,9 @@
 An 8-device cluster serves two populations at once: *summarizer* agents
 that keep arriving with multi-thousand-token documents, and *interactive
 chat* inferlets streaming tokens in a closed decode loop.  The baseline is
-the strongest co-located configuration this repo has — ``least_loaded``
-placement with chunked prefill on every shard — so decode rows already
+the strongest co-located configuration this repo has — load-first
+``cache_affinity`` placement (no program here has a hint, so it places
+least-loaded) with chunked prefill on every shard — so decode rows already
 never stall behind whole prompts.  They still share every mixed batch with
 a prefill slice: each co-batched chunk adds its token time to the batch,
 and at the paper's chunk sizes that interference is the dominant term in
@@ -65,10 +66,10 @@ FLEET = MixedFleet(
 )
 #: What both arms share: the seed, the cluster and the batch budget.
 SETUP = dict(seed=3, num_devices=NUM_DEVICES, max_batch_tokens=MAX_BATCH_TOKENS)
-#: The only difference: co-located ``least_loaded`` placement vs dedicated
+#: The only difference: co-located least-loaded placement vs dedicated
 #: shard roles with KV-page streaming.
 ARMS = {
-    "colocated": dict(placement_policy="least_loaded"),
+    "colocated": dict(placement_policy="cache_affinity"),
     "disaggregated": dict(
         placement_policy="disaggregated", prefill_shards=PREFILL_SHARDS
     ),
@@ -131,7 +132,7 @@ def run(quick: bool = True) -> ExperimentResult:
         description=(
             f"{NUM_DEVICES} devices, {fleet.n_summarizers} summarizers "
             f"({fleet.prompt_tokens}-token prompts) over {fleet.n_chats} "
-            f"interactive chats: least_loaded + chunked prefill everywhere vs "
+            f"interactive chats: least-loaded + chunked prefill everywhere vs "
             f"{PREFILL_SHARDS} prefill / {NUM_DEVICES - PREFILL_SHARDS} decode "
             f"shard roles with overlapped KV-page streaming"
         ),

@@ -352,7 +352,7 @@ class InferletContext:
             # input embeddings are dropped — their prefill compute is
             # skipped entirely.  The finish hook registers pages this
             # forward fills completely.
-            home.service.swap.fault_in(instance)
+            home.service.swap.fault_in(instance, home)
             iemb, finish = cache.begin_forward(
                 instance.instance_id,
                 list(ikv),

@@ -12,7 +12,7 @@ from repro.sim.faults import FaultPlan
 
 #: Valid cluster placement policies (see :mod:`repro.core.router`, which
 #: re-exports this as its single source of truth).
-PLACEMENT_POLICIES = ("round_robin", "least_loaded", "cache_affinity", "disaggregated")
+PLACEMENT_POLICIES = ("round_robin", "cache_affinity", "disaggregated")
 
 #: Valid tiered-KV swap policies (see :mod:`repro.core.swap`): "proactive"
 #: stages the KV of inferlets blocked on external calls eagerly; "on_demand"
@@ -58,15 +58,15 @@ class ControlLayerConfig:
     # Tiered-KV swap policy ("proactive" | "on_demand", see SWAP_POLICIES).
     swap_policy: str = "proactive"
     # Cluster placement policy used by the router when num_devices > 1:
-    # "round_robin" | "least_loaded" | "cache_affinity" (see
+    # "round_robin" | "cache_affinity" (see
     # repro.core.router; irrelevant on a single device) — or
     # "disaggregated", which *is* the prefill/decode disaggregation plane
     # (repro.core.transfer): the first ``prefill_shards`` devices serve only
     # prompt work and the rest run pure-decode batches.  Committed KV pages
     # stream to the chosen decode shard while the tail of the prefill is
     # still running; once the first sampled token retires, the inferlet —
-    # queue state (class rank included), swap registration — migrates in one
-    # step.  Every cluster builds its KvTransferScheduler, but only a
+    # its address space and its queues (class rank included) — migrates in
+    # one step.  Every cluster builds its KvTransferScheduler, but only a
     # prefill-role shard feeds it (the submit hook and the chunk listener),
     # so under any other policy it holds no stream and moves no page.
     placement_policy: str = "round_robin"

@@ -372,18 +372,11 @@ class Controller:
 
     def _termination_victim(self, shard: DeviceShard) -> Optional[InferletInstance]:
         """The last rung's pick among the inferlets placed on ``shard``."""
-        service = shard.service
-        candidates = [
-            self._instances[instance_id]
-            for instance_id in service.router.instances_on(shard)
-        ]
+        resources = shard.resources
+        candidates = [self._instances[owner] for owner in resources.owners()]
         # Suspended inferlets occupy no device KV: terminating one frees
         # nearly nothing, so resident inferlets are killed first.
-        resident = [
-            inst
-            for inst in candidates
-            if not service.swap.is_swapped(inst.instance_id)
-        ]
+        resident = [inst for inst in candidates if not resources.is_swapped(inst.instance_id)]
         return min(resident or candidates, key=self.victim_key, default=None)
 
     def _tenant_record(self, instance: InferletInstance):
@@ -444,7 +437,7 @@ class Controller:
         shard = instance.placements[pages[0].model]
         if shard.service.find_export_shard(name) is not None:
             raise ResourceError(f"export name {name!r} already in use")
-        shard.service.swap.fault_in(instance)
+        shard.service.swap.fault_in(instance, shard)
         shard.resources.export_kv_pages(instance.instance_id, pages, name)
 
     def import_kv_pages(
@@ -573,7 +566,7 @@ class Controller:
         moment it touches one.  The restore is immediate in state; the PCIe
         cost lands on the device, so the commands issued next queue behind
         the transfer."""
-        home.service.swap.fault_in(instance)
+        home.service.swap.fault_in(instance, home)
         return home.resources.resolve_kv_many(instance.instance_id, pages)
 
     def prepare_kv_mutation(
@@ -636,7 +629,11 @@ class Controller:
             finally:
                 for shard in shards:
                     shard.service.swap.note_unblocked(instance)
-                    await shard.service.swap.ensure_resident(instance)
+                    # Where the owner lives now: a move may have re-homed it
+                    # during the call, and an exit releases the record.
+                    home = instance.placements.get(shard.service.entry.name)
+                    if home is not None:
+                        await home.service.swap.ensure_resident(instance, home)
 
         return self.sim.create_task(
             suspend_resume(), name=f"extcall:{instance.instance_id}"

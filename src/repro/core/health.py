@@ -133,7 +133,7 @@ class ShardHealthService:
                 continue
             dead = service.shards[index]
             service.transfer.on_shard_down(index)
-            for instance_id in sorted(service.router.instances_on(dead)):
+            for instance_id in sorted(dead.resources.owners()):
                 instance = live.get(instance_id)
                 if instance is None or instance.finished:
                     continue
@@ -163,7 +163,7 @@ class ShardHealthService:
         """
         owner, service = instance.instance_id, dead.service
         if (
-            not service.swap.is_swapped(owner)
+            not dead.resources.is_swapped(owner)
             or not dead.quiescent(instance)
             or dead.resources.kv_mapping(owner)
         ):

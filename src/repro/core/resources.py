@@ -58,16 +58,15 @@ class _Space:
 
     ``swapped_kv`` maps virtual page ids whose contents currently live in
     the host-memory tier (no device page backs them) to their host slot id;
-    a vid is in exactly one of ``kv_map`` / ``swapped_kv`` at a time.
+    a vid is in exactly one of ``kv_map`` / ``swapped_kv`` at a time.  The
+    space moves whole between devices (``ResourceManager.move_space``), so
+    its vid counters, and with them live handles, survive a handoff.
     """
 
     owner: str
     kv_map: Dict[int, int] = field(default_factory=dict)
     emb_map: Dict[int, int] = field(default_factory=dict)
     swapped_kv: Dict[int, int] = field(default_factory=dict)
-    # Plain ints (not itertools.count) so a space can be detached on one
-    # device and re-created on another without restarting vid numbering —
-    # live handles keep resolving after a disaggregation handoff.
     next_kv_vid: int = 1
     next_emb_vid: int = 1
 
@@ -124,6 +123,20 @@ class ResourceManager:
 
     def has_space(self, owner: str) -> bool:
         return owner in self._spaces
+
+    def owners(self) -> List[str]:
+        """The inferlets living on this device: one space each."""
+        return list(self._spaces)
+
+    def is_swapped(self, owner: str) -> bool:
+        """Suspended: ``owner``'s space holds pages in the host tier."""
+        space = self._spaces.get(owner)
+        return space is not None and bool(space.swapped_kv)
+
+    @property
+    def num_resident(self) -> int:
+        """Spaces not suspended to the host tier (placement occupancy)."""
+        return sum(1 for space in self._spaces.values() if not space.swapped_kv)
 
     def _space(self, owner: str) -> _Space:
         try:
@@ -376,7 +389,7 @@ class ResourceManager:
             self._kv_refs.incref(physical_id)
         return len(vids)
 
-    # -- migration (disaggregation handoff, see repro.core.transfer) ---------------
+    # -- migration (handoff and relaunch, see repro.core.service) ------------------
 
     def kv_mapping(self, owner: str) -> Dict[int, int]:
         """Snapshot of ``owner``'s device-resident vid -> physical id map."""
@@ -386,63 +399,36 @@ class ResourceManager:
         """Snapshot of ``owner``'s embed vid -> physical slot map."""
         return dict(self._space(owner).emb_map)
 
-    def detach_space_for_migration(self, owner: str):
-        """Remove ``owner``'s space from this device, releasing device refs.
-
-        Returns ``(kv_map, emb_map, swapped_kv, next_kv_vid, next_emb_vid)``
-        — the vid -> *source* physical id maps as they stood at detach time
-        plus the vid counters, so the destination can re-create the space
-        with identical virtual ids (live :class:`KvPage` / :class:`Embed`
-        handles keep resolving).  Device pages and embed slots lose this
-        owner's reference (shared pages survive through their other
-        holders); host-tier slots in ``swapped_kv`` are *not* discarded —
-        the host pool is per-node, so they move with the inferlet.  The
-        caller must have copied page/slot contents to the destination
-        first.
-        """
-        space = self._space(owner)
-        kv_map = dict(space.kv_map)
-        emb_map = dict(space.emb_map)
-        swapped_kv = dict(space.swapped_kv)
-        for physical_id in kv_map.values():
-            self._release_kv(physical_id)
-        for physical_id in emb_map.values():
-            self._release_emb(physical_id)
-        del self._spaces[owner]
-        return kv_map, emb_map, swapped_kv, space.next_kv_vid, space.next_emb_vid
-
-    def adopt_migrated_space(
+    def move_space(
         self,
         owner: str,
+        dst: "ResourceManager",
         kv_map: Dict[int, int],
         emb_map: Dict[int, int],
-        swapped_kv: Dict[int, int],
-        next_kv_vid: int,
-        next_emb_vid: int,
     ) -> None:
-        """Re-create a detached space on this device.
+        """Hand ``owner``'s space to ``dst``, another device of this model.
 
-        ``kv_map`` / ``emb_map`` must already point at *this* device's
-        physical ids (the transfer scheduler remaps them via its staged
-        copies); every physical id gains one reference here.  Pages the
-        caller pre-pinned during staging should be unpinned afterwards so
-        the space holds exactly one reference per mapping.
+        ``kv_map`` / ``emb_map`` are the vid -> *destination* physical id
+        maps; the caller has put the contents there.  The space keeps its
+        vid counters (live handles keep resolving) and its host-tier slots
+        (the host pool is per-node).  Its device pages and embed slots here
+        lose this owner's reference (shared pages survive through their
+        other holders); each destination id gains one there.
         """
-        if owner in self._spaces:
+        space = self._space(owner)
+        if dst.has_space(owner):
             raise ResourceError(f"address space for {owner!r} already exists")
-        space = _Space(
-            owner=owner,
-            kv_map=dict(kv_map),
-            emb_map=dict(emb_map),
-            swapped_kv=dict(swapped_kv),
-            next_kv_vid=next_kv_vid,
-            next_emb_vid=next_emb_vid,
-        )
         for physical_id in space.kv_map.values():
-            self._kv_refs.incref(physical_id)
+            self._release_kv(physical_id)
         for physical_id in space.emb_map.values():
-            self._emb_refs.incref(physical_id)
-        self._spaces[owner] = space
+            self._release_emb(physical_id)
+        del self._spaces[owner]
+        space.kv_map, space.emb_map = dict(kv_map), dict(emb_map)
+        for physical_id in space.kv_map.values():
+            dst._kv_refs.incref(physical_id)
+        for physical_id in space.emb_map.values():
+            dst._emb_refs.incref(physical_id)
+        dst._spaces[owner] = space
 
     # -- export / import ----------------------------------------------------------
 

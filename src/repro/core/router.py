@@ -11,17 +11,16 @@ Placement is a pluggable policy (:data:`PLACEMENT_POLICIES`):
 
 * ``round_robin``   — cycle through the shards in order; the baseline
   data-parallel strategy and the default.
-* ``least_loaded``  — pick the shard with the fewest live inferlets,
-  breaking ties by pending work (queued commands + device backlog), then
-  by index.  Deterministic given the simulator's event order.
 * ``cache_affinity`` — if the inferlet declares a placement hint (the name
   of a KV export it intends to import, see
   ``InferletProgram.placement_hint``) and a shard holds an export of
   exactly that name, place it there so the import is a local remap instead
-  of a device-to-device copy.  Otherwise place by the ``least_loaded`` key
-  with one more tie-break after occupancy: the longest page-aligned match
-  of the program's ``prefix_hint`` in the shard's prefix cache.  Load comes
-  first because a co-resident costs a waiting request a forward at every
+  of a device-to-device copy.  Otherwise place by load: the fewest live
+  inferlets (suspended ones aside), then the longest page-aligned match of
+  the program's ``prefix_hint`` in the shard's prefix cache, then the least
+  pending work (queued commands + device backlog), then the lowest index.
+  A program with neither hint is placed least-loaded.  Load comes first
+  because a co-resident costs a waiting request a forward at every
   collision, while a miss costs one prefill per prompt family per shard;
   the cache's own index is the only placement memory.
 * ``disaggregated`` — prefill/decode disaggregation (this policy is the
@@ -29,8 +28,13 @@ Placement is a pluggable policy (:data:`PLACEMENT_POLICIES`):
   shards take every new inferlet (prompts are chewed there, optionally via
   chunked prefill), and once the first sampled token retires the KV
   transfer scheduler (:mod:`repro.core.transfer`) migrates the inferlet to
-  a decode shard chosen ``least_loaded`` among the rest.  Placement among
-  prefill shards is ``cache_affinity``'s, restricted to the prefill role.
+  the least-loaded decode shard.  Placement among prefill shards is
+  ``cache_affinity``'s, restricted to the prefill role.
+
+Where an inferlet lives is its placement record,
+``instance.placements[model]``, and its address space on that shard (a
+shard's occupancy is its count of spaces); the router keeps no map of its
+own.
 
 :class:`ClusterSchedulerStats` merges the per-shard
 :class:`~repro.core.scheduler.SchedulerStats` so experiments read one
@@ -128,17 +132,16 @@ class DeviceShard:
 class Router:
     """Places inferlet instances onto the shards of one model service.
 
-    ``is_swapped`` (installed when the tiered KV memory subsystem is
-    active, see :mod:`repro.core.swap`) reports inferlets whose pages are
-    currently staged in host memory; they occupy no device HBM and compute
-    nothing, so ``least_loaded`` placement ignores them.
+    It writes the placement record and reads load off the shards: an
+    inferlet whose pages are staged in host memory (see
+    :mod:`repro.core.swap`) occupies no device HBM and computes nothing,
+    so it does not count toward its shard's occupancy.
     """
 
     def __init__(
         self,
         shards: Sequence[DeviceShard],
         policy: str = "round_robin",
-        is_swapped: Optional[Callable[[str], bool]] = None,
         prefill_shards: int = 0,
     ) -> None:
         if not shards:
@@ -151,7 +154,6 @@ class Router:
         self.policy = policy
         # The key of this cluster's placement record on every instance.
         self.model = self.shards[0].resources.model_name
-        self.is_swapped = is_swapped
         # Chaos plane (repro.core.health): shard-index predicate reporting
         # whether a shard may receive new placements, replaced by the
         # controller with the health service's.  Any shard the probe
@@ -167,7 +169,6 @@ class Router:
                     "disaggregated placement needs 1 <= prefill_shards < num shards"
                 )
         self.prefill_shards = prefill_shards if policy == "disaggregated" else 0
-        self._placements: Dict[str, int] = {}
         self._rr_next = 0
 
     # -- placement -------------------------------------------------------------
@@ -176,14 +177,12 @@ class Router:
         """Assign an inferlet to a shard; idempotent per instance.  Only
         ``cache_affinity`` and ``disaggregated`` read the program's
         ``placement_hint`` / ``prefix_hint``."""
-        instance_id = instance.instance_id
-        if instance_id in self._placements:
-            return self.shards[self._placements[instance_id]]
+        placed = instance.placements.get(self.model)
+        if placed is not None:
+            return placed
         program = instance.program
         if self.policy == "round_robin":
             index = self._place_round_robin()
-        elif self.policy == "least_loaded":
-            index = self._place_least_loaded()
         else:
             # cache_affinity places over every shard, disaggregated over the
             # prefill role: an export holder first, then the load key.
@@ -193,7 +192,7 @@ class Router:
                 index = self._place_least_loaded(
                     restrict=candidates, prefix_tokens=self._prefix_tokens(program)
                 )
-        self._record(instance, index)
+        instance.placements[self.model] = self.shards[index]
         return self.shards[index]
 
     def _prefix_tokens(self, program) -> Optional[List[int]]:
@@ -202,46 +201,21 @@ class Router:
             return self.shards[0].service.entry.tokenizer.encode(hint)
         return None if hint is None else list(hint)
 
-    def _record(self, instance: "InferletInstance", index: int) -> None:
-        self._placements[instance.instance_id] = index
-        instance.placements[self.model] = self.shards[index]
-
     def release(self, instance: "InferletInstance") -> None:
-        instance_id = instance.instance_id
-        self._placements.pop(instance_id, None)
         instance.placements.pop(self.model, None)
-
-    def shard_for(self, instance_id: str) -> DeviceShard:
-        """Query by id (tests, tools); API calls read the record instead."""
-        try:
-            return self.shards[self._placements[instance_id]]
-        except KeyError:
-            raise SchedulingError(
-                f"inferlet {instance_id!r} was never placed on this model's cluster"
-            ) from None
-
-    def instances_on(self, shard: DeviceShard) -> List[str]:
-        return [iid for iid, index in self._placements.items() if index == shard.index]
 
     # -- disaggregation roles ----------------------------------------------------
 
-    def is_prefill_index(self, index: int) -> bool:
-        return 0 < self.prefill_shards and index < self.prefill_shards
-
     def decode_indices(self) -> List[int]:
         return [s.index for s in self.shards if s.index >= self.prefill_shards]
-
-    def on_prefill_shard(self, instance_id: str) -> bool:
-        index = self._placements.get(instance_id)
-        return index is not None and self.is_prefill_index(index)
 
     def choose_decode_shard(
         self, extra_occupancy: Optional[Dict[int, float]] = None
     ) -> DeviceShard:
         """The least-loaded decode-role shard (handoff destination).
 
-        ``extra_occupancy`` adds per-index load the placement map cannot
-        see yet — the transfer scheduler passes its in-flight streams, so
+        ``extra_occupancy`` adds per-index load the shards' spaces do not
+        show yet — the transfer scheduler passes its in-flight streams, so
         several prefills streaming concurrently spread across the decode
         role instead of all resolving the same idle-cluster tie.
         """
@@ -256,20 +230,19 @@ class Router:
     def migrate(self, instance: "InferletInstance", dst_index: int) -> None:
         """Re-point an already placed inferlet at another shard.
 
-        State migration (pages, queues, swap registration) is
+        State migration (the address space, the queues) is
         :meth:`repro.core.service.ModelService.move`'s job; the router only
         rewrites the placement record, so every later API call — command
         submission, capacity reclamation, swap fault-in — resolves against
         the destination.
         """
-        instance_id = instance.instance_id
-        if instance_id not in self._placements:
+        if self.model not in instance.placements:
             raise SchedulingError(
-                f"cannot migrate {instance_id!r}: it was never placed"
+                f"cannot migrate {instance.instance_id!r}: it was never placed"
             )
         if not 0 <= dst_index < len(self.shards):
             raise SchedulingError(f"no shard with index {dst_index}")
-        self._record(instance, dst_index)
+        instance.placements[self.model] = self.shards[dst_index]
 
     # -- policy implementations -------------------------------------------------
 
@@ -294,14 +267,11 @@ class Router:
         extra_occupancy: Optional[Dict[int, float]] = None,
         prefix_tokens: Optional[Sequence[int]] = None,
     ) -> int:
-        """The placeable shard with the least occupancy; among those, the
-        longest cached page-aligned match of ``prefix_tokens``, then the
-        least pending work, then the lowest index."""
-        occupancy = {shard.index: 0.0 for shard in self.shards}
-        for instance_id, placed_index in self._placements.items():
-            if self.is_swapped is not None and self.is_swapped(instance_id):
-                continue  # suspended to host memory: no HBM, no compute
-            occupancy[placed_index] += 1
+        """The placeable shard with the least occupancy (its resident spaces);
+        among those, the longest cached page-aligned match of
+        ``prefix_tokens``, then the least pending work, then the lowest
+        index."""
+        occupancy = {shard.index: shard.resources.num_resident for shard in self.shards}
         if extra_occupancy:
             for index, load in extra_occupancy.items():
                 occupancy[index] = occupancy.get(index, 0.0) + load
@@ -331,7 +301,7 @@ class Router:
     def _export_holder(self, indices: Sequence[int], hint: Optional[str]) -> Optional[int]:
         # Exact export-name match only: fuzzy (prefix) matching would let one
         # generic export name capture every hinted inferlet and create a
-        # hotspot the least_loaded fallback is meant to prevent.
+        # hotspot the load fallback is meant to prevent.
         if hint:
             for index in indices:
                 if self.shards[index].resources.has_export(hint) and self.health_probe(index):

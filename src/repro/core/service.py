@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.errors import SchedulingError
 from repro.core.config import PieConfig
 from repro.core.handlers import ApiHandlers
 from repro.core.metrics import SystemMetrics
@@ -76,8 +77,12 @@ class ModelService:
     # -- cluster views ----------------------------------------------------------
 
     def shard_for(self, owner: str) -> DeviceShard:
-        """The shard the inferlet ``owner`` was placed on."""
-        return self.router.shard_for(owner)
+        """The shard holding the address space of the inferlet ``owner``
+        (query by id for tests and tools; API calls read the record)."""
+        for shard in self.shards:
+            if shard.resources.has_space(owner):
+                return shard
+        raise SchedulingError(f"inferlet {owner!r} was never placed on this model's cluster")
 
     def move(
         self,
@@ -92,10 +97,11 @@ class ModelService:
 
         ``kv_map`` / ``emb_map`` are the owner's vid -> *destination*
         physical id maps; the caller has allocated those pages and slots
-        and put the contents there.  Host-tier slots ride along (the host
-        pool is per-node), live handles keep resolving, the queues keep
-        their counters and priority, and the placement record is rewritten
-        last but one, so the next API call lands on ``dst``.
+        and put the contents there.  The address space moves whole, host-tier
+        slots included (the host pool is per-node), so live handles keep
+        resolving; the queues keep their counters and priority, and the
+        placement record is rewritten last, so the next API call lands on
+        ``dst``.
         """
         owner = instance.instance_id
         src = instance.placements[self.entry.name]
@@ -103,17 +109,11 @@ class ModelService:
             # The destination cache must not inherit, for the adopted
             # slots, token identities it recorded for a previous owner.
             dst.prefix_cache.forget_embeds(list(emb_map.values()))
-        _, _, swapped_kv, next_kv_vid, next_emb_vid = (
-            src.resources.detach_space_for_migration(owner)
-        )
-        dst.resources.adopt_migrated_space(
-            owner, kv_map, emb_map, swapped_kv, next_kv_vid, next_emb_vid
-        )
+        src.resources.move_space(owner, dst.resources, kv_map, emb_map)
         for queue in src.scheduler.queues_for_owner(owner):
             src.scheduler.detach_queue(queue.key)
             dst.scheduler.adopt_queue(queue)
         self.router.migrate(instance, dst.index)
-        self.swap.note_migrated(owner, dst)
 
     def links(self) -> List["NetworkLink"]:
         """Every shard-pair KV link built so far (the mover's)."""
@@ -182,7 +182,7 @@ class ModelService:
             resources = ResourceManager(memory, model_name=entry.name, host_pool=host_pool)
             if swap.enabled:
                 # Admission: never dispatch commands of a suspended owner.
-                scheduler.set_dispatch_guard(swap.is_swapped)
+                scheduler.set_dispatch_guard(resources.is_swapped)
             shard = DeviceShard(
                 index=index,
                 device=device,
@@ -214,10 +214,7 @@ class ModelService:
                     "prefill" if shard.index < control.prefill_shards else "decode"
                 )
         router = Router(
-            shards,
-            policy=control.placement_policy,
-            is_swapped=swap.is_swapped if swap.enabled else None,
-            prefill_shards=control.prefill_shards,
+            shards, policy=control.placement_policy, prefill_shards=control.prefill_shards
         )
         transfer = KvTransferScheduler(sim, router, mover, metrics, ensure_capacity, observers)
         for shard in shards:

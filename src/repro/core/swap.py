@@ -23,6 +23,11 @@ Safety rule: pages leave the device only while their owner has no pending,
 in-flight or in-the-air command (those carry resolved physical ids).  An
 owner staged out by reclamation that keeps issuing work faults its whole
 set back in on first touch (:meth:`SwapManager.fault_in`).
+
+Whether an inferlet is suspended is a fact about its address space
+(:meth:`repro.core.resources.ResourceManager.is_swapped`: the space holds
+host-tier pages), and where it lives is its placement record; this module
+keeps neither, only who is blocked on an external call.
 """
 
 from __future__ import annotations
@@ -61,10 +66,8 @@ class SwapManager:
         # Inferlets currently blocked on at least one external call (the
         # safe-to-swap candidates; the int counts overlapping calls, so a
         # fire-and-forget caller with several in flight stays registered
-        # until the last one resolves) and inferlets whose pages are
-        # currently on host.
-        self._blocked: Dict[str, List] = {}  # owner -> [instance, shard, depth]
-        self._swapped: Dict[str, Tuple["InferletInstance", "DeviceShard"]] = {}
+        # until the last one resolves).
+        self._blocked: Dict[str, List] = {}  # owner -> [instance, depth]
         # The controller's reclamation path: ensures device capacity for a
         # swap-in, reclaiming (swap-first, terminate-last) if needed.
         self._ensure_capacity = ensure_capacity
@@ -75,15 +78,8 @@ class SwapManager:
     def enabled(self) -> bool:
         return self.mover.host_pool.enabled
 
-    def is_swapped(self, instance_id: str) -> bool:
-        return instance_id in self._swapped
-
     def is_blocked(self, instance_id: str) -> bool:
         return instance_id in self._blocked
-
-    @property
-    def num_swapped(self) -> int:
-        return len(self._swapped)
 
     # -- blocked-inferlet tracking (driven by the controller's I/O wrapper) --
 
@@ -97,9 +93,9 @@ class SwapManager:
             return
         entry = self._blocked.get(instance.instance_id)
         if entry is not None:
-            entry[2] += 1
+            entry[1] += 1
         else:
-            self._blocked[instance.instance_id] = [instance, shard, 1]
+            self._blocked[instance.instance_id] = [instance, 1]
         if self.config.swap_policy == "proactive":
             self._try_proactive(instance, shard, attempts_left=self._MAX_PROACTIVE_ATTEMPTS)
 
@@ -137,36 +133,14 @@ class SwapManager:
         entry = self._blocked.get(instance.instance_id)
         if entry is None:
             return
-        entry[2] -= 1
-        if entry[2] <= 0:
+        entry[1] -= 1
+        if entry[1] <= 0:
             del self._blocked[instance.instance_id]
 
     def forget(self, instance_id: str) -> None:
-        """Drop all bookkeeping for an unregistered inferlet.
-
-        Host slots it still held are discarded by
-        ``ResourceManager.destroy_space``; only the registries live here.
-        """
+        """Drop the blocked entry of an unregistered inferlet (host slots it
+        still held are discarded by ``ResourceManager.destroy_space``)."""
         self._blocked.pop(instance_id, None)
-        self._swapped.pop(instance_id, None)
-
-    def note_migrated(self, instance_id: str, dst_shard: "DeviceShard") -> None:
-        """Re-point registries at the destination shard after a move
-        (:meth:`repro.core.service.ModelService.move`).
-
-        A disaggregation handoff only moves device-resident inferlets, a
-        failover relaunch only fully swapped ones — so both registries
-        follow.  A ``_blocked`` entry can legitimately exist either way
-        (the owner may be awaiting an external call); its shard reference
-        must follow the inferlet so a later wake-retry swaps pages on the
-        device that actually holds them.
-        """
-        entry = self._blocked.get(instance_id)
-        if entry is not None:
-            entry[1] = dst_shard
-        swapped = self._swapped.get(instance_id)
-        if swapped is not None:
-            self._swapped[instance_id] = (swapped[0], dst_shard)
 
     # -- swap-out ----------------------------------------------------------
 
@@ -174,7 +148,7 @@ class SwapManager:
         """No command anywhere in flight may reference the owner's pages."""
         return (
             not instance.finished
-            and not self.is_swapped(instance.instance_id)
+            and not shard.resources.is_swapped(instance.instance_id)
             and shard.quiescent(instance)
         )
 
@@ -188,7 +162,6 @@ class SwapManager:
         moved = shard.resources.swap_out_kv(owner)
         if not moved:
             return 0
-        self._swapped[owner] = (instance, shard)
         self.metrics.record_swap_out(moved, self.mover.host_pool.transfer_bytes(moved))
         self._charge("swap_out", shard, owner, moved)
         return moved
@@ -201,28 +174,23 @@ class SwapManager:
 
     # -- swap-in -----------------------------------------------------------
 
-    def fault_in(self, instance: "InferletInstance") -> Optional[SimFuture]:
-        """Restore a swapped inferlet's pages onto its device *now* (commands
-        issued afterwards resolve); work queued behind the transfer waits for
-        it.  Returns the transfer's future (the resume path awaits it as
-        stall time), or None if the inferlet is not swapped."""
-        entry = self._swapped.get(instance.instance_id)
-        if entry is None:
-            return None
-        _, shard = entry
+    def fault_in(
+        self, instance: "InferletInstance", shard: "DeviceShard"
+    ) -> Optional[SimFuture]:
+        """Restore a swapped inferlet's pages onto ``shard``, where it lives,
+        *now* (commands issued afterwards resolve); work queued behind the
+        transfer waits for it.  Returns the transfer's future (the resume
+        path awaits it as stall time), or None if the inferlet is not
+        swapped."""
         owner = instance.instance_id
-        n_pages = (
-            shard.resources.kv_pages_swapped_by(owner) if shard.resources.has_space(owner) else 0
-        )
-        if n_pages == 0:
-            self._swapped.pop(owner, None)
+        if not shard.resources.is_swapped(owner):
             return None
+        n_pages = shard.resources.kv_pages_swapped_by(owner)
         if shard.resources.kv_pages_free < n_pages:
-            # May reclaim (swap-first, terminate-last) or raise; the
-            # instance stays marked swapped until the restore succeeds.
+            # May reclaim (swap-first, terminate-last) or raise; the pages
+            # stay on host until the restore succeeds.
             self._ensure_capacity(shard, instance, n_pages)
         restored = shard.resources.swap_in_kv(owner)
-        self._swapped.pop(owner, None)
         self.metrics.record_swap_in(restored, self.mover.host_pool.transfer_bytes(restored))
         future = self._charge("swap_in", shard, owner, restored)
         # Commands the owner issued while suspended were held back by the
@@ -230,12 +198,12 @@ class SwapManager:
         shard.scheduler.notify_resumed()
         return future
 
-    async def ensure_resident(self, instance: "InferletInstance") -> None:
+    async def ensure_resident(self, instance: "InferletInstance", shard: "DeviceShard") -> None:
         """Resume path: restore pages and wait out the transfer (stall time)."""
-        if not self.is_swapped(instance.instance_id):
+        if not shard.resources.is_swapped(instance.instance_id):
             return
         started = self.sim.now
-        future = self.fault_in(instance)
+        future = self.fault_in(instance, shard)
         if future is not None:
             await future
             self.metrics.swap_stall_seconds += self.sim.now - started
@@ -249,8 +217,9 @@ class SwapManager:
     ) -> List[Tuple["InferletInstance", int]]:
         """Who reclamation may stage out to host, with the pages each frees.
 
-        Candidates are inferlets blocked on external calls *on this shard*
-        (``exclude`` aside) whose pages can move safely, fit in the host
+        Candidates are inferlets blocked on external calls (``exclude``
+        aside) whose pages can move safely off this shard (which refuses an
+        owner living elsewhere: it holds no space here), fit in the host
         pool, and whose PCIe round trip beats the re-prefill termination
         would cost (:meth:`KvMover.beats_recompute`; for realistic page
         counts it virtually always does — the guard matters when PCIe terms
@@ -260,10 +229,8 @@ class SwapManager:
         if not self.enabled:
             return []
         eligible: List[Tuple["InferletInstance", int]] = []
-        for owner, (instance, blocked_shard, _depth) in self._blocked.items():
-            if owner == exclude or blocked_shard is not shard:
-                continue
-            if not self._safe_to_swap(instance, shard):
+        for owner, (instance, _depth) in self._blocked.items():
+            if owner == exclude or not self._safe_to_swap(instance, shard):
                 continue
             n_pages = shard.resources.swappable_kv_count(owner)
             if n_pages == 0 or n_pages > self.mover.host_pool.num_free:

@@ -55,7 +55,7 @@ class _StagedPage:
 class _ForwardTrack:
     """Commit progress of one in-flight prefill forward."""
 
-    owner: str
+    instance: "InferletInstance"
     total_tokens: int
     ikv: List[int]
     okv: List[int]
@@ -126,7 +126,7 @@ class KvTransferScheduler:
                     stream.queued.remove(pid)
         if command.kind == "forward" and command.input_tokens > 1:
             self._forwards[command.command_id] = _ForwardTrack(
-                owner=owner,
+                instance=instance,
                 total_tokens=command.input_tokens,
                 ikv=list(command.payload.get("ikv", [])),
                 okv=list(command.payload.get("okv", [])),
@@ -157,17 +157,18 @@ class KvTransferScheduler:
 
     # -- staging ------------------------------------------------------------
 
-    def _stream_for(self, owner: str) -> Optional[_Stream]:
-        if not self.router.on_prefill_shard(owner):
+    def _stream_for(self, instance: "InferletInstance") -> Optional[_Stream]:
+        src = instance.placements.get(self.router.model)
+        if src is None or src.role != "prefill":
             return None
-        stream = self._streams.get(owner)
+        stream = self._streams.get(instance.instance_id)
         if stream is None:
-            stream = _Stream(src_index=self.router.shard_for(owner).index)
-            self._streams[owner] = stream
+            stream = _Stream(src_index=src.index)
+            self._streams[instance.instance_id] = stream
         return stream
 
     def _stage_from_track(self, track: _ForwardTrack) -> None:
-        stream = self._stream_for(track.owner)
+        stream = self._stream_for(track.instance)
         if stream is None:
             return
         want: List[int] = []
@@ -184,7 +185,7 @@ class KvTransferScheduler:
             if pid not in stream.staged and pid not in stream.queued:
                 stream.queued.append(pid)
         if stream.queued:
-            self._flush_queued(track.owner, stream)
+            self._flush_queued(track.instance.instance_id, stream)
 
     def _flush_queued(self, owner: str, stream: _Stream) -> None:
         try:
@@ -251,7 +252,7 @@ class KvTransferScheduler:
         src = instance.placements.get(self.router.model)
         if src is None or src.role != "prefill":
             return False
-        if src.service.swap.is_swapped(owner) or not src.quiescent(instance):
+        if src.resources.is_swapped(owner) or not src.quiescent(instance):
             self.metrics.disagg_handoff_failures += 1
             return False
         stream = self._streams.get(owner)
@@ -361,7 +362,9 @@ class KvTransferScheduler:
         self._drop_tracks(owner)
 
     def _drop_tracks(self, owner: str) -> None:
-        stale = [cid for cid, track in self._forwards.items() if track.owner == owner]
+        stale = [
+            cid for cid, track in self._forwards.items() if track.instance.instance_id == owner
+        ]
         for cid in stale:
             del self._forwards[cid]
 

@@ -2,7 +2,7 @@
 
 from repro.workloads.prompts import PromptGenerator
 from repro.workloads.tools import ToolEnvironment, AgentWorkload, AGENT_WORKLOADS
-from repro.workloads.reasoning import ReasoningTask, make_arithmetic_tasks, make_summarization_docs
+from repro.workloads.reasoning import ReasoningTask, make_arithmetic_tasks
 
 __all__ = [
     "PromptGenerator",
@@ -11,5 +11,4 @@ __all__ = [
     "AGENT_WORKLOADS",
     "ReasoningTask",
     "make_arithmetic_tasks",
-    "make_summarization_docs",
 ]

@@ -1,9 +1,9 @@
 """Reasoning-task generators for the deliberate prompting strategies (§7.2).
 
-The paper uses simplified versions of the original papers' tasks:
-arithmetic problems for Tree-of-Thought / Recursion-of-Thought and document
-summarisation for Graph-of-Thought / Skeleton-of-Thought.  The generators
-are seeded so every serving system sees the same task instances.
+The paper uses simplified versions of the original papers' tasks; this
+module generates the arithmetic problems of Tree-of-Thought /
+Recursion-of-Thought, seeded so every serving system sees the same task
+instances.
 """
 
 from __future__ import annotations
@@ -43,23 +43,3 @@ def make_arithmetic_tasks(count: int, seed: int = 0, depth: int = 3) -> List[Rea
         )
     return tasks
 
-
-def make_summarization_docs(
-    count: int, sections: int = 4, section_tokens: int = 48, seed: int = 0
-) -> List[ReasoningTask]:
-    """Multi-section documents for GoT / SkoT map-reduce summarisation."""
-    from repro.workloads.prompts import PromptGenerator
-
-    generator = PromptGenerator(seed=seed)
-    tasks = []
-    for index in range(count):
-        body = "\n".join(
-            f"Section {s}: {generator.prompt(section_tokens)}" for s in range(sections)
-        )
-        tasks.append(
-            ReasoningTask(
-                kind="summarization",
-                prompt=f"Document {index}:\n{body}\nSummary:",
-            )
-        )
-    return tasks

@@ -54,9 +54,31 @@ def inst(name, **hints):
     return InferletInstance(program, instance_id=name)
 
 
+def place(router, instance):
+    """Place ``instance`` and open its space there, as registration does: a
+    shard's occupancy is its count of spaces."""
+    shard = router.place(instance)
+    shard.resources.create_space(instance.instance_id)
+    return shard
+
+
+def migrate(router, instance, index):
+    """Move ``instance``'s (empty-mapped) space, then re-point its record."""
+    src = instance.placements[router.model]
+    src.resources.move_space(instance.instance_id, router.shards[index].resources, {}, {})
+    router.migrate(instance, index)
+
+
+def release(router, instance):
+    """Close ``instance``'s space and drop its record, as an exit does."""
+    instance.placements[router.model].resources.destroy_space(instance.instance_id)
+    router.release(instance)
+
+
 def seed_prefix_cache(shard, pages=2):
     """Commit a ``pages``-page token chain into ``shard``'s prefix cache, as
-    a finished prompt forward would; returns the chain."""
+    a finished prompt forward of an inferlet since gone would; returns the
+    chain."""
     cache = shard.prefix_cache
     size = cache.page_size
     chain = list(range(100, 100 + pages * size))
@@ -69,6 +91,9 @@ def seed_prefix_cache(shard, pages=2):
         for slot in range(size):
             page.valid[slot] = True
     cache._commit_chain(pids, chain)
+    # The seeder exits, as the prompt's owner would: the cache's own pins
+    # keep the pages, and no space is left to count as a live inferlet.
+    shard.resources.destroy_space("seeder")
     assert cache.match_len(chain) == len(chain)
     return chain
 
@@ -113,9 +138,9 @@ class TestConfig:
 
     def test_server_shorthand_overrides(self):
         sim = Simulator(seed=0)
-        server = PieServer(sim, num_devices=3, placement_policy="least_loaded")
+        server = PieServer(sim, num_devices=3, placement_policy="cache_affinity")
         assert server.num_devices == 3
-        assert server.config.control.placement_policy == "least_loaded"
+        assert server.config.control.placement_policy == "cache_affinity"
         assert len(server.service().shards) == 3
 
 
@@ -132,12 +157,12 @@ class TestPlacementPolicies:
     def test_least_loaded_fills_gaps(self):
         sim = Simulator(seed=0)
         server = PieServer(sim, num_devices=3)
-        router = Router(server.service().shards, policy="least_loaded")
+        router = Router(server.service().shards, policy="cache_affinity")
         a, b, c = inst("a"), inst("b"), inst("c")
-        assert [router.place(i).index for i in (a, b, c)] == [0, 1, 2]
-        router.release(b)
-        assert router.place(inst("d")).index == 1  # the freed shard is emptiest
-        assert router.place(inst("e")).index == 0  # ties broken by index
+        assert [place(router, i).index for i in (a, b, c)] == [0, 1, 2]
+        release(router, b)
+        assert place(router, inst("d")).index == 1  # the freed shard is emptiest
+        assert place(router, inst("e")).index == 0  # ties broken by index
 
     def test_cache_affinity_follows_export(self):
         sim = Simulator(seed=0)
@@ -180,10 +205,10 @@ class TestPlacementPolicies:
         sim = Simulator(seed=0)
         server = PieServer(sim, num_devices=3)
         router = Router(server.service().shards, policy="cache_affinity")
-        # No export anywhere: hinted placement degrades to least_loaded,
+        # No export anywhere: hinted placement degrades to the load key,
         # spreading across shards instead of pinning to shard 0.
         indices = [
-            router.place(inst(f"i{n}", placement_hint="ghost-prefix")).index
+            place(router, inst(f"i{n}", placement_hint="ghost-prefix")).index
             for n in range(3)
         ]
         assert indices == [0, 1, 2]
@@ -196,8 +221,8 @@ class TestPlacementPolicies:
 
 
 class TestDisaggregatedRouter:
-    """Router mechanics specific to the prefill/decode role split: role
-    predicates, migration, and placement within the prefill role."""
+    """Router mechanics specific to the prefill/decode role split: roles,
+    migration, and placement within the prefill role."""
 
     def _router(self, devices=3, prefill_shards=1, prefix_cache=False):
         sim = Simulator(seed=0)
@@ -216,14 +241,14 @@ class TestDisaggregatedRouter:
 
     def test_roles_and_decode_destination(self):
         router = self._router(devices=3, prefill_shards=1)
-        assert router.is_prefill_index(0)
-        assert not router.is_prefill_index(1)
+        assert [shard.role for shard in router.shards] == ["prefill", "decode", "decode"]
         assert router.decode_indices() == [1, 2]
-        assert router.place(inst("a")).index == 0  # new arrivals land on prefill
-        assert router.on_prefill_shard("a")
+        a = inst("a")
+        assert place(router, a).index == 0  # new arrivals land on prefill
+        assert a.placements[router.model].role == "prefill"
         dst = router.choose_decode_shard()
         assert dst.index in (1, 2)
-        # In-flight streams the placement map can't see shift the choice.
+        # In-flight streams the shards' spaces don't show shift the choice.
         loaded = router.choose_decode_shard(extra_occupancy={dst.index: 5.0})
         assert loaded.index != dst.index
 
@@ -233,9 +258,8 @@ class TestDisaggregatedRouter:
         router.place(a)
         assert a.placements[router.model] is router.shards[0]
         router.migrate(a, 2)
-        assert router.shard_for("a").index == 2
         assert a.placements[router.model] is router.shards[2]
-        assert not router.on_prefill_shard("a")
+        assert a.placements[router.model].role == "decode"
         with pytest.raises(ReproError):
             router.migrate(inst("ghost"), 1)
         with pytest.raises(ReproError):
@@ -253,17 +277,17 @@ class TestDisaggregatedRouter:
         router = self._router(devices=4, prefill_shards=2)
         tokens = (9, 8, 7)
         a, b, c = (inst(name, prefix_hint=tokens) for name in "abc")
-        assert [router.place(i).index for i in (a, b, c)] == [0, 1, 0]
+        assert [place(router, i).index for i in (a, b, c)] == [0, 1, 0]
 
         router = self._router(devices=4, prefill_shards=2, prefix_cache=True)
         chain = tuple(seed_prefix_cache(router.shards[1]))
         a, b, c = (inst(name, prefix_hint=chain) for name in "abc")
-        assert router.place(a).index == 1  # a tie on occupancy: the cached shard
-        assert router.place(b).index == 0  # a is live there: occupancy first
-        router.migrate(a, router.decode_indices()[0])
-        router.release(a)
-        router.migrate(b, router.decode_indices()[1])
-        assert router.place(c).index == 1  # the tie again, the cache again
+        assert place(router, a).index == 1  # a tie on occupancy: the cached shard
+        assert place(router, b).index == 0  # a is live there: occupancy first
+        migrate(router, a, router.decode_indices()[0])
+        release(router, a)
+        migrate(router, b, router.decode_indices()[1])
+        assert place(router, c).index == 1  # the tie again, the cache again
 
 
 #: One prompt family: a 6+-page system prompt under the byte tokenizer.
@@ -313,7 +337,7 @@ class TestLoadBeforePrefix:
             # The first's prompt is cached on its shard, and it is still live.
             assert shards[0].prefix_cache.match_len(prompt) > 0
             assert shards[1].prefix_cache.match_len(prompt) == 0
-            assert server.service().router.instances_on(shards[0])
+            assert shards[0].resources.owners()
             tail = await server.run_inferlet("second")
             return await head, tail
 
@@ -384,7 +408,7 @@ def placement_worlds(draw):
         )
         for index in range(n)
     ]
-    # Live inferlets: (shard, swapped).
+    # Live inferlets: (shard, swapped); ``swap_flags``: the host tier is on.
     live = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=8))
     down = draw(st.none() | st.sets(st.integers(0, n - 1)))
     restrict = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1).map(sorted))
@@ -400,18 +424,19 @@ def placement_worlds(draw):
 
 
 def build_router(world, policy="cache_affinity", prefill_shards=0):
-    live = {f"live{k}": entry for k, entry in enumerate(world["live"])}
+    """A router over the drawn shards, each stub's resident count set from
+    the live inferlets drawn onto it (with no host tier, a swapped flag
+    suspends nobody)."""
     down = world["down"]
-    router = Router(
-        world["shards"],
-        policy=policy,
-        prefill_shards=prefill_shards,
-        is_swapped=(lambda iid: live[iid][1]) if world["swap_flags"] else None,
-    )
+    router = Router(world["shards"], policy=policy, prefill_shards=prefill_shards)
     if down is not None:
         router.health_probe = lambda index: index not in down
-    for iid, (index, _) in live.items():
-        router._placements[iid] = index
+    for shard in world["shards"]:
+        shard.resources.num_resident = sum(
+            1
+            for index, swapped in world["live"]
+            if index == shard.index and not (world["swap_flags"] and swapped)
+        )
     return router
 
 
@@ -580,7 +605,7 @@ class TestCacheAffinityCrossDeviceImport:
             context = Context(ctx, sampling=SamplingParams())
             await context.fill("the quick brown fox ")
             await context.export_prefix("real-prefix")
-            # Stay alive so least_loaded sends the importer elsewhere.
+            # Stay alive so the load key sends the importer elsewhere.
             await ctx.sleep(0.5)
             return "exported"
 
@@ -611,7 +636,7 @@ class TestCacheAffinityCrossDeviceImport:
 
     def test_stale_hint_migrates_and_charges_the_transfer(self):
         server, result = self._run(importer_hint="ghost-prefix")
-        # The hint matched nothing, least_loaded placed the importer on the
+        # The hint matched nothing, the load key placed the importer on the
         # free device, and the import paid a cross-device page migration.
         assert server.metrics.cross_device_imports == 1
         kinds = server.service().pool.aggregate_stats().batches_by_kind
@@ -767,7 +792,7 @@ class TestSingleDeviceRegression:
         results_a = self._run_workload(server_a)
 
         sim_b = Simulator(seed=7)
-        server_b = PieServer(sim_b, num_devices=1, placement_policy="least_loaded")
+        server_b = PieServer(sim_b, num_devices=1, placement_policy="cache_affinity")
         results_b = self._run_workload(server_b)
 
         assert [r.result for r in results_a] == [r.result for r in results_b]

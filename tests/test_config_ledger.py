@@ -202,7 +202,6 @@ REACH_LEDGER = {
     "core/registry.py::LogHistogram.copy": "inspection: a histogram merged without changing it",
     "core/server.py::PieServer.num_devices": "inspection: devices the server was built with",
     "core/swap.py::SwapManager.is_blocked": "inspection: an inferlet parked on a swap-in",
-    "core/swap.py::SwapManager.num_swapped": "inspection: inferlets swapped out",
     "core/transfer.py::KvTransferScheduler.active_streams": "inspection: open KV streams",
     "core/transfer.py::KvTransferScheduler.staged_pages": "inspection: an owner's staged pages",
     "core/wasm.py::WasmRuntime.live_instances": "inspection: sandboxes alive",
@@ -543,5 +542,6 @@ def test_every_reach_row_names_a_core_or_sim_function():
     # shard-0 accessors went with their rows and the deallocation gate
     # left SimFuture.cancelled to its API callers; 54 once a forced
     # termination threw its typed cause into the program, which reaches
-    # InferletInstance.terminated_cause.
-    assert len(REACH_LEDGER) == 54
+    # InferletInstance.terminated_cause; 53 once suspension was read from
+    # the address space and SwapManager.num_swapped went with its row.
+    assert len(REACH_LEDGER) == 53

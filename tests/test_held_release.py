@@ -114,7 +114,7 @@ def test_a_release_waits_for_a_swapped_owners_held_back_sample(monkeypatch):
     sim = Simulator(seed=0)
     server = make_server(sim, kv_pages=48, host_pages=48)
     log = _log_frees_and_retirements(monkeypatch, server)
-    swap = server.service().swap
+    home = server.service().shards[0]
 
     async def main(ctx):
         queue = ctx.create_queue()
@@ -124,7 +124,7 @@ def test_a_release_waits_for_a_swapped_owners_held_back_sample(monkeypatch):
         await ctx.forward(queue, pages, embeds, pages, embeds[-1:])
         call = ctx.http_get(SLOW_URL)  # fire and forget: staged out now
         await ctx.sleep(0.01)
-        staged = swap.is_swapped(ctx.instance_id)
+        staged = home.resources.is_swapped(ctx.instance_id)
         dist = ctx.get_next_dist(queue, embeds[-1])
         freed = [ctx.dealloc_emb(queue, embeds), ctx.dealloc_kvpage(queue, pages)]
         await call

@@ -1,19 +1,24 @@
 """Where an inferlet lives: one record, one quiescence test, one move.
 
 ``instance.placements[model]`` is the shard an inferlet lives on, written
-only by ``Router.place`` / ``migrate`` / ``release``; ``DeviceShard.quiescent``
-is the one "nothing of this owner is in flight" predicate and
-``ModelService.move`` the one re-homing, shared by the disaggregation
-handoff, the failover relaunch and the swap-out safety check.
+only by ``Router.place`` / ``migrate`` / ``release``, and its address space
+on that shard moves with it; whether it is suspended is read from that
+space.  ``DeviceShard.quiescent`` is the one "nothing of this owner is in
+flight" predicate and ``ModelService.move`` the one re-homing, shared by the
+disaggregation handoff, the failover relaunch and the swap-out safety
+check.  After every step, each live inferlet's record names the one shard
+holding its space, ``ModelService.shard_for`` agrees, and each shard's
+space count is its residents.
 
 The oracle is the code they replaced, kept here as it stood at the parent
 commit: the handoff and the relaunch each with their own copy of the
-predicate and of the detach → adopt → re-home queues → ``router.migrate`` →
-``swap.note_migrated`` tail, the swap manager with its own queue scan, and
-every "where does it live" answered by ``router.shard_for``.  A hypothesis
+predicate and of the move space → re-home queues → ``router.migrate`` →
+``note_migrated`` tail, the swap manager with its own queue scan and its own
+registry of who is suspended, and every "where does it live" answered by a
+query by id (``ModelService.shard_for``).  A hypothesis
 state machine drives two clusters through the same operations — one on the
 product code, one with the oracle copies patched in — and compares them
-after every step; two hand-made mutants show the comparison has teeth.
+after every step; three hand-made mutants show the checks have teeth.
 """
 
 from typing import Dict, List, Tuple
@@ -45,7 +50,11 @@ STEP_SECONDS = 0.02  # > call overhead + a heartbeat: each step settles
 # -- was a no-op here, where no policy was installed; and, since a command is
 # -- numbered on its queue when issued, ``instance.in_air_commands`` restated
 # -- against the queues below and the queue's in-flight count read from
-# -- ``_inflight``) --
+# -- ``_inflight``; and, since where an inferlet lives is read from its
+# -- record and its address space, ``router.shard_for`` / ``on_prefill_shard``
+# -- restated against the record, and detach → adopt as one ``move_space``.
+# -- Whether an inferlet is suspended keeps the parent's registry, kept here
+# -- beside the product: ``OracleSwapRegistry``) --
 
 
 def in_air_commands(instance) -> int:
@@ -63,7 +72,67 @@ def in_air_commands(instance) -> int:
     )
 
 
-def oracle_handoff_quiescent(swap, instance, src) -> bool:
+class OracleSwapRegistry:
+    """``SwapManager._swapped`` at the parent: suspension as a registry of
+    its own, beside the space it describes.  A swap-out that moved pages
+    sets the entry, a move re-points it (``note_migrated``), a fault-in and
+    an exit (``forget``) drop it.  The oracle world's predicates, dispatch
+    guard and fault-in read it, never ``ResourceManager.is_swapped``."""
+
+    def __init__(self, service) -> None:
+        self.swapped: Dict[str, tuple] = {}  # owner -> (instance, shard)
+        swap = service.swap
+        product_swap_out, product_forget = swap.swap_out, swap.forget
+
+        def swap_out(instance, shard) -> int:
+            moved = product_swap_out(instance, shard)
+            if moved:
+                self.swapped[instance.instance_id] = (instance, shard)
+            return moved
+
+        def forget(owner: str) -> None:
+            product_forget(owner)
+            self.swapped.pop(owner, None)
+
+        swap.swap_out, swap.forget = swap_out, forget
+        swap.fault_in = lambda instance, _shard: oracle_fault_in(swap, self, instance)
+        swap._safe_to_swap = lambda instance, shard: oracle_safe_to_swap(self, instance, shard)
+        for shard in service.shards:
+            shard.scheduler.set_dispatch_guard(self.is_swapped)
+
+    def is_swapped(self, owner: str) -> bool:
+        return owner in self.swapped
+
+    def note_migrated(self, owner: str, dst) -> None:
+        entry = self.swapped.get(owner)
+        if entry is not None:
+            self.swapped[owner] = (entry[0], dst)
+
+
+def oracle_fault_in(swap, registry, instance):
+    """``SwapManager.fault_in`` at the parent: the shard is the registry's."""
+    entry = registry.swapped.get(instance.instance_id)
+    if entry is None:
+        return None
+    _, shard = entry
+    owner = instance.instance_id
+    n_pages = (
+        shard.resources.kv_pages_swapped_by(owner) if shard.resources.has_space(owner) else 0
+    )
+    if n_pages == 0:
+        registry.swapped.pop(owner, None)
+        return None
+    if shard.resources.kv_pages_free < n_pages:
+        swap._ensure_capacity(shard, instance, n_pages)
+    restored = shard.resources.swap_in_kv(owner)
+    registry.swapped.pop(owner, None)
+    swap.metrics.record_swap_in(restored, swap.mover.host_pool.transfer_bytes(restored))
+    future = swap._charge("swap_in", shard, owner, restored)
+    shard.scheduler.notify_resumed()
+    return future
+
+
+def oracle_handoff_quiescent(registry, instance, src) -> bool:
     """``KvTransferScheduler._quiescent`` at the parent."""
     owner = instance.instance_id
     if in_air_commands(instance) > 0:
@@ -71,16 +140,16 @@ def oracle_handoff_quiescent(swap, instance, src) -> bool:
     for queue in src.scheduler.queues_for_owner(owner):
         if queue.pending_count or queue._inflight:
             return False
-    if swap.is_swapped(owner):
+    if registry.is_swapped(owner):
         return False
     if not src.resources.has_space(owner):
         return False
     return True
 
 
-def oracle_safe_to_swap(swap, instance, shard) -> bool:
+def oracle_safe_to_swap(registry, instance, shard) -> bool:
     """``SwapManager._safe_to_swap`` at the parent."""
-    if instance.finished or swap.is_swapped(instance.instance_id):
+    if instance.finished or registry.is_swapped(instance.instance_id):
         return False
     if not shard.resources.has_space(instance.instance_id):
         return False
@@ -92,17 +161,18 @@ def oracle_safe_to_swap(swap, instance, shard) -> bool:
     )
 
 
-def oracle_maybe_handoff(self, service, instance) -> bool:
+def oracle_maybe_handoff(self, service, registry, instance) -> bool:
     """``KvTransferScheduler.maybe_handoff`` at the parent (trace and QoS
     hooks dropped: both planes are off here)."""
     owner = instance.instance_id
-    if not self.router.on_prefill_shard(owner):
+    placed = instance.placements.get(MODEL)
+    if placed is None or placed.role != "prefill":
         return False
     if instance.finished:
         self.forget(owner)
         return False
-    src = self.router.shard_for(owner)
-    if not oracle_handoff_quiescent(service.swap, instance, src):
+    src = service.shard_for(owner)
+    if not oracle_handoff_quiescent(registry, instance, src):
         self.metrics.disagg_handoff_failures += 1
         return False
     stream = self._streams.get(owner)
@@ -157,10 +227,7 @@ def oracle_maybe_handoff(self, service, instance) -> bool:
     if dst.prefix_cache is not None:
         dst.prefix_cache.forget_embeds(dst_slots)
 
-    _, _, swapped_kv, next_kv_vid, next_emb_vid = src.resources.detach_space_for_migration(owner)
-    dst.resources.adopt_migrated_space(
-        owner, new_kv, new_emb, swapped_kv, next_kv_vid, next_emb_vid
-    )
+    src.resources.move_space(owner, dst.resources, new_kv, new_emb)
     for entry in staged.values():
         dst.resources.unpin_kv(entry.dst_pid)
 
@@ -168,7 +235,7 @@ def oracle_maybe_handoff(self, service, instance) -> bool:
         src.scheduler.detach_queue(queue.key)
         dst.scheduler.adopt_queue(queue)
     self.router.migrate(instance, dst.index)
-    service.swap.note_migrated(owner, dst)
+    registry.note_migrated(owner, dst)
 
     now = self.sim.now
     ready = stream.link_ready if stream is not None else 0.0
@@ -194,11 +261,10 @@ def oracle_maybe_handoff(self, service, instance) -> bool:
     return True
 
 
-def oracle_try_relaunch(service, dead, instance) -> bool:
+def oracle_try_relaunch(service, registry, dead, instance) -> bool:
     """``ShardHealthService._try_relaunch`` at the parent (trace dropped)."""
     owner = instance.instance_id
-    swap = service.swap
-    if not swap.enabled or not swap.is_swapped(owner):
+    if not service.swap.enabled or not registry.is_swapped(owner):
         return False
     if in_air_commands(instance) > 0:
         return False
@@ -217,16 +283,13 @@ def oracle_try_relaunch(service, dead, instance) -> bool:
     if dst.resources.memory.embeds.num_free < len(emb_vids):
         return False
     service.transfer.forget(owner)
-    _, _, swapped_kv, next_kv_vid, next_emb_vid = dead.resources.detach_space_for_migration(
-        owner
-    )
     emb_map = dict(zip(emb_vids, dst.resources.memory.embeds.allocate(len(emb_vids))))
-    dst.resources.adopt_migrated_space(owner, {}, emb_map, swapped_kv, next_kv_vid, next_emb_vid)
+    dead.resources.move_space(owner, dst.resources, {}, emb_map)
     for queue in list(dead.scheduler.queues_for_owner(owner)):
         dead.scheduler.detach_queue(queue.key)
         dst.scheduler.adopt_queue(queue)
     service.router.migrate(instance, dst.index)
-    swap.note_migrated(owner, dst)
+    registry.note_migrated(owner, dst)
     return True
 
 
@@ -253,21 +316,20 @@ class World:
         self.router = self.service.router
         self.instances: Dict[str, InferletInstance] = {}
         self.queues: Dict[str, list] = {}
+        self.registry = None
         if oracle:
             service, transfer = self.service, self.service.transfer
+            registry = self.registry = OracleSwapRegistry(service)
             transfer.maybe_handoff = lambda instance: oracle_maybe_handoff(
-                transfer, service, instance
-            )
-            service.swap._safe_to_swap = lambda instance, shard: oracle_safe_to_swap(
-                service.swap, instance, shard
+                transfer, service, registry, instance
             )
             self.controller.health._try_relaunch = lambda dead, instance: oracle_try_relaunch(
-                dead.service, dead, instance
+                dead.service, registry, dead, instance
             )
 
     def home(self, instance: InferletInstance):
         if self.oracle:
-            return self.router.shard_for(instance.instance_id)
+            return self.service.shard_for(instance.instance_id)
         return instance.placements[MODEL]
 
     def settle(self) -> None:
@@ -326,17 +388,28 @@ class World:
     def resume(self, name: str) -> None:
         instance = self.instances[name]
         self.service.swap.note_unblocked(instance)
-        self.service.swap.fault_in(instance)
+        self.service.swap.fault_in(instance, self.home(instance))
 
     def crash(self, index: int) -> None:
         self.controller.health.inject_shard_crash(index)
 
     # -- what is compared -------------------------------------------------------
 
+    def suspended(self) -> Dict[str, int]:
+        """Who is suspended, on which shard: the oracle's registry, or the
+        product's reading of the spaces."""
+        if self.registry is not None:
+            return {o: shard.index for o, (_, shard) in self.registry.swapped.items()}
+        return spaces_holding_host_pages(self)
+
     def snapshot(self) -> dict:
         swap, shards = self.service.swap, self.service.shards
         return {
-            "router": dict(self.router._placements),
+            "placed": {
+                name: i.placements[MODEL].index
+                for name, i in self.instances.items()
+                if i.placements
+            },
             "status": {name: i.status for name, i in self.instances.items()},
             "spaces": [
                 {
@@ -349,8 +422,8 @@ class World:
                 {key: (q.priority, q.pending_count) for key, q in shard.scheduler._queues.items()}
                 for shard in shards
             ],
-            "blocked": {o: (e[1].index, e[2]) for o, e in swap._blocked.items()},
-            "swapped": {o: e[1].index for o, e in swap._swapped.items()},
+            "blocked": {o: depth for o, (_, depth) in swap._blocked.items()},
+            "swapped": self.suspended(),
             "pools": [
                 (shard.memory.kv_pages.num_free, shard.memory.embeds.num_free)
                 for shard in shards
@@ -388,15 +461,42 @@ class Pair:
         return f"i{self.count}"
 
     def check(self) -> None:
-        real, router = self.real, self.real.router
-        for name, instance in real.instances.items():
-            if instance.finished:
-                assert not instance.placements, f"{name} left the system holding a record"
-                assert name not in router._placements
-            else:
-                assert instance.placements[MODEL] is router.shard_for(name)
-                assert instance.placements[MODEL].service is real.service
-        assert real.snapshot() == self.model.snapshot()
+        for world in (self.real, self.model):
+            check_one_record(world)
+        # No step frees a host page, so the parent's registry and the
+        # spaces it describes agree in the oracle world too.
+        assert self.model.suspended() == spaces_holding_host_pages(self.model)
+        assert self.real.snapshot() == self.model.snapshot()
+
+
+def spaces_holding_host_pages(world: World) -> Dict[str, int]:
+    return {
+        owner: shard.index
+        for shard in world.service.shards
+        for owner in shard.resources.owners()
+        if shard.resources.is_swapped(owner)
+    }
+
+
+def check_one_record(world: World) -> None:
+    """Each live inferlet's record names the one shard holding its space,
+    ``ModelService.shard_for`` agrees, and each shard's space count is its
+    residents; a finished one holds no record and no space."""
+    shards = world.service.shards
+    residents = {shard.index: 0 for shard in shards}
+    for name, instance in world.instances.items():
+        holders = [shard for shard in shards if shard.resources.has_space(name)]
+        if instance.finished:
+            assert not instance.placements, f"{name} left the system holding a record"
+            assert not holders, f"{name} left the system holding a space"
+            continue
+        home = instance.placements[MODEL]
+        assert holders == [home], f"{name}: record {home.index}, spaces {holders}"
+        assert world.service.shard_for(name) is home
+        assert home.service is world.service
+        residents[home.index] += 1
+    for shard in shards:
+        assert len(shard.resources.owners()) == residents[shard.index]
 
 
 # -- the state machine ------------------------------------------------------------
@@ -421,7 +521,8 @@ class PlacementAgainstOracle(RuleBasedStateMachine):
         return [n for n in self.live() if real.instances[n].placements[MODEL].role == "prefill"]
 
     def swapped(self) -> List[str]:
-        return [n for n in self.live() if self.pair.real.service.swap.is_swapped(n)]
+        real = self.pair.real
+        return [n for n in self.live() if is_swapped(real, n)]
 
     def blocked(self) -> List[str]:
         return [n for n in self.live() if self.pair.real.service.swap.is_blocked(n)]
@@ -512,8 +613,9 @@ class PlacementAgainstOracle(RuleBasedStateMachine):
             return
         real = self.pair.real
         for shard in real.service.shards:
-            owners = set(shard.resources._spaces)
-            assert owners == set(real.router.instances_on(shard))
+            owners = set(shard.resources.owners())
+            placed = {i.instance_id for i in real.live() if i.placements[MODEL] is shard}
+            assert owners == placed
             assert {q.owner for q in shard.scheduler._queues.values()} <= owners
 
 
@@ -526,6 +628,11 @@ TestPlacementAgainstOracle = PlacementAgainstOracle.TestCase
 # -- scripted: the paths the machine must reach, and the mutants --------------------
 
 
+def is_swapped(world: World, name: str) -> bool:
+    """Suspended: the space on the shard its record names holds host pages."""
+    return world.instances[name].placements[MODEL].resources.is_swapped(name)
+
+
 def relaunch_script(pair: Pair) -> None:
     """launch → handoff → swap out → crash → relaunch → resume → finish."""
     pair.both("launch", "a", 2, 3, 2)
@@ -534,12 +641,12 @@ def relaunch_script(pair: Pair) -> None:
     home = pair.real.instances["a"].placements[MODEL]
     assert home.role == "decode"
     pair.both("block", "a")
-    assert pair.real.service.swap.is_swapped("a")
+    assert is_swapped(pair.real, "a")
     pair.both("crash", home.index)
     assert pair.real.server.metrics.failover_relaunches == 1
     assert pair.real.instances["a"].placements[MODEL] is not home
     pair.both("resume", "a")
-    assert not pair.real.service.swap.is_swapped("a")
+    assert not is_swapped(pair.real, "a")
     pair.both("issue", "a")
     pair.both("finish", "a")
     pair.both("terminate", "b")
@@ -561,7 +668,7 @@ def test_a_resident_inferlet_on_a_crashed_shard_is_terminated_in_both_worlds():
 
 def test_mutant_migrate_that_forgets_the_record_is_killed(monkeypatch):
     def migrate(self, instance, dst_index):
-        self._placements[instance.instance_id] = dst_index  # record not rewritten
+        pass  # the space moved, the record not rewritten
 
     monkeypatch.setattr(Router, "migrate", migrate)
     with pytest.raises(AssertionError):
@@ -572,15 +679,22 @@ def test_mutant_move_that_skips_queue_rehoming_is_killed(monkeypatch):
     def move(self, instance, dst, kv_map, emb_map):
         owner = instance.instance_id
         src = instance.placements[self.entry.name]
-        _, _, swapped_kv, next_kv_vid, next_emb_vid = src.resources.detach_space_for_migration(
-            owner
-        )
-        dst.resources.adopt_migrated_space(
-            owner, kv_map, emb_map, swapped_kv, next_kv_vid, next_emb_vid
-        )
+        src.resources.move_space(owner, dst.resources, kv_map, emb_map)
         self.router.migrate(instance, dst.index)
-        self.swap.note_migrated(owner, dst)
 
     monkeypatch.setattr(ModelService, "move", move)
     with pytest.raises(AssertionError):
+        relaunch_script(Pair(3))
+
+
+def test_mutant_move_that_leaves_the_space_behind_is_killed(monkeypatch):
+    def move(self, instance, dst, kv_map, emb_map):
+        src = instance.placements[self.entry.name]
+        for queue in src.scheduler.queues_for_owner(instance.instance_id):
+            src.scheduler.detach_queue(queue.key)
+            dst.scheduler.adopt_queue(queue)
+        self.router.migrate(instance, dst.index)
+
+    monkeypatch.setattr(ModelService, "move", move)
+    with pytest.raises(AssertionError, match="record"):
         relaunch_script(Pair(3))

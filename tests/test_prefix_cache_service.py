@@ -373,8 +373,14 @@ class TestCacheAffinityPlacement:
             for slot in range(size):
                 page.valid[slot] = True
             cache._commit_chain([pid], chain)
+            shard.resources.destroy_space("seeder")  # the cache's pin keeps it
         router = Router(shards, policy="cache_affinity")
         program = InferletProgram(name="tie", main=lambda ctx: None, prefix_hint=chain)
-        first = router.place(InferletInstance(program, instance_id="tie-a")).index
-        second = router.place(InferletInstance(program, instance_id="tie-b")).index
+        placed = []
+        for name in ("tie-a", "tie-b"):
+            # Registration opens the space the next placement counts.
+            shard = router.place(InferletInstance(program, instance_id=name))
+            shard.resources.create_space(name)
+            placed.append(shard.index)
+        first, second = placed
         assert {first, second} == {0, 1}

@@ -203,9 +203,9 @@ class Harness:
         assert rm.kv_refcount(pid) == before
 
     def op_crash_relaunch(self):
-        """The failover sweep's rescue: a fully swapped space detaches
-        from its (dead) device and is adopted on the other one, swapped
-        host slots moving as-is and embed slots re-provisioned fresh."""
+        """The failover sweep's rescue: a fully swapped space moves from its
+        (dead) device to the other one, swapped host slots moving as-is and
+        embed slots re-provisioned fresh."""
         owner = self._pick_owner()
         if owner is None:
             return
@@ -217,13 +217,8 @@ class Harness:
         emb_vids = sorted(src.emb_mapping(owner))
         if dst.memory.embeds.num_free < len(emb_vids):
             return
-        _, _, swapped_kv, next_kv_vid, next_emb_vid = (
-            src.detach_space_for_migration(owner)
-        )
         emb_map = dict(zip(emb_vids, dst.memory.embeds.allocate(len(emb_vids))))
-        dst.adopt_migrated_space(
-            owner, {}, emb_map, swapped_kv, next_kv_vid, next_emb_vid
-        )
+        src.move_space(owner, dst, {}, emb_map)
         self.home[owner] = dst
 
     def op_illegal(self):
@@ -275,6 +270,11 @@ class Harness:
                 assert not (set(space.kv_map) & set(space.swapped_kv)), owner
                 for pid in space.kv_map.values():
                     assert rm.kv_refcount(pid) >= 1
+                # Suspended is a fact about the space: it holds host pages.
+                assert rm.is_swapped(owner) == bool(space.swapped_kv)
+            # Each owner lives on exactly the device holding its space.
+            assert sorted(rm.owners()) == sorted(o for o, home in self.home.items() if home is rm)
+            assert rm.num_resident == sum(not rm.is_swapped(o) for o in rm.owners())
         # Conservation on the shared host tier.
         host = self.rm0.host_pool
         assert host.num_free + host.num_used == HOST_CAPACITY

@@ -7,7 +7,7 @@ from repro.core import InferletProgram, PieServer
 from repro.core.config import ControlLayerConfig, PieConfig, SWAP_POLICIES
 from repro.core.inferlet import InferletInstance
 from repro.core.router import Router
-from repro.errors import ReproError, ResourceError
+from repro.errors import ReproError, ResourceError, SimulationError
 from repro.gpu import host_pool
 from repro.gpu.config import GpuConfig
 from repro.gpu.host_pool import HostMemoryPool, kv_page_bytes
@@ -49,6 +49,16 @@ def make_io_agent(name, n_interactions=3, max_tokens=4):
         return answer
 
     return InferletProgram(name=name, main=main)
+
+
+def suspended(server):
+    """Inferlets whose address space holds host-tier pages, on any shard."""
+    return [
+        owner
+        for shard in server.service().shards
+        for owner in shard.resources.owners()
+        if shard.resources.is_swapped(owner)
+    ]
 
 
 def run_fleet(server, programs, stagger=0.0):
@@ -169,7 +179,7 @@ class TestProactiveSwap:
         assert m.swap_stall_seconds > 0.0
         # Everything came home: the host pool is empty again.
         assert server.service().host_pool.num_used == 0
-        assert server.service().swap.num_swapped == 0
+        assert suspended(server) == []
 
     def test_swapped_pages_restore_identical_contents(self):
         # The strongest correctness check available: generation continues
@@ -335,7 +345,7 @@ class TestSwapSafety:
         assert result.status == "finished"
         # Whether or not a swap happened (timing-dependent), the agent must
         # never observe missing pages and all staged pages must be back.
-        assert server.service().swap.num_swapped == 0
+        assert suspended(server) == []
         assert server.service().host_pool.num_used == 0
         assert (
             server.metrics.kv_pages_swapped_in == server.metrics.kv_pages_swapped_out
@@ -381,6 +391,64 @@ class TestGuardedDispatchResume:
         assert server.metrics.swap_outs > 0  # the scenario actually staged
 
 
+def free_while_suspended(server, early_embed):
+    """A fire-and-forget caller, staged out to the host tier, frees every
+    page it holds there and then embeds text.  ``early_embed`` issues that
+    embed on a second queue while still suspended, before the free; else it
+    is issued after the free, on a queue of its own."""
+
+    async def main(ctx):
+        context = Context(ctx, sampling=SamplingParams())
+        await context.fill("You are a careful research agent. Be brief. ")
+        call = ctx.http_get(SLOW_URL)  # fire and forget: staged out now
+        queue = ctx.create_queue()
+        embeds = ctx.alloc_emb(queue, 2)
+        await ctx.sleep(0.05)
+        host = server.service().host_pool
+        staged = host.num_used
+        if early_embed:
+            embedded = ctx.embed_txt(queue, [1, 2], [0, 1], embeds)
+            await ctx.sleep(0.01)  # held by the dispatch guard meanwhile
+        context.free()  # every host-tier page of the owner is discarded
+        await ctx.sleep(0)  # the free runs a loop step after the watermark
+        left = host.num_used
+        if not early_embed:
+            embedded = ctx.embed_txt(queue, [1, 2], [0, 1], embeds)
+        started = ctx.now()
+        await embedded
+        embed_s = ctx.now() - started
+        await call
+        return staged, left, embed_s
+
+    return InferletProgram(name="free-while-suspended", main=main)
+
+
+class TestSuspensionIsReadFromTheSpace:
+    """Suspended means the owner's space holds host-tier pages: once the
+    last one is freed, the dispatch guard holds nothing of it."""
+
+    def test_an_embed_after_freeing_every_host_page_runs_at_once(self):
+        sim = Simulator(seed=0)
+        server = make_server(sim, kv_pages=64, host_pages=64)
+        [result] = run_fleet(server, [free_while_suspended(server, early_embed=False)])
+        assert result.status == "finished"
+        staged, left, embed_s = result.result
+        assert (staged, left) == (3, 0)
+        assert embed_s < 0.01  # not held until the tool call returns
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SimulationError,
+        reason="a command the guard held while suspended is not pumped when "
+        "the free ends the suspension: nothing re-triggers the scheduler",
+    )
+    def test_an_embed_held_before_the_free_runs_once_it_ends(self):
+        sim = Simulator(seed=0)
+        server = make_server(sim, kv_pages=64, host_pages=64)
+        [result] = run_fleet(server, [free_while_suspended(server, early_embed=True)])
+        assert result.status == "finished"
+
+
 class TestOverlappingExternalCalls:
     def test_blocked_registration_is_counted_not_clobbered(self):
         sim = Simulator(seed=0)
@@ -422,7 +490,7 @@ class TestOverlappingExternalCalls:
         [result] = run_fleet(server, [InferletProgram(name="overlap", main=overlapper)])
         assert result.status == "finished"
         # All staged pages came home and no bookkeeping leaked.
-        assert server.service().swap.num_swapped == 0
+        assert suspended(server) == []
         assert not server.service().swap.is_blocked(result.instance_id)
         assert server.service().host_pool.num_used == 0
         assert (
@@ -539,17 +607,18 @@ class TestSwapExportInteraction:
 class TestRouterSwapAwareness:
     def test_least_loaded_ignores_swapped_instances(self):
         sim = Simulator(seed=0)
-        server = PieServer(sim, num_devices=2)
-        swapped = {"a"}
-        router = Router(
-            server.service().shards,
-            policy="least_loaded",
-            is_swapped=lambda iid: iid in swapped,
-        )
+        server = PieServer(sim, num_devices=2, host_kv_pages=8)
+        router = Router(server.service().shards, policy="cache_affinity")
         program = InferletProgram(name="bare", main=lambda ctx: None)
         a, b, c = (InferletInstance(program, instance_id=name) for name in "abc")
-        assert router.place(a).index == 0
+        home = router.place(a)
+        assert home.index == 0
+        home.resources.create_space("a")
+        home.resources.alloc_kv_pages("a", 1)
+        assert home.resources.swap_out_kv("a") == 1
         # "a" is suspended: shard 0 counts as empty again, so "b" and "c"
         # land on 0 and 1 rather than both avoiding 0.
-        assert router.place(b).index == 0
-        assert router.place(c).index == 1
+        for instance, index in ((b, 0), (c, 1)):
+            shard = router.place(instance)
+            assert shard.index == index
+            shard.resources.create_space(instance.instance_id)

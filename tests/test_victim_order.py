@@ -59,13 +59,15 @@ def parent_victim_key(self, instance, n_pages: int = 0) -> Tuple:
 def parent_reclaim_pick(self, qos, shard, exclude=()):
     """``SwapManager.reclaim_by_swap`` at the parent, up to its pick (the
     swap-out and its counters followed); ``self`` is the swap manager and
-    ``qos`` what ``self.qos`` was.  None where the parent returned 0."""
+    ``qos`` what ``self.qos`` was.  None where the parent returned 0.
+    Restated against the address spaces: the swap manager keeps no shard
+    of its own, so "blocked on this shard" is "has a space on it"."""
     if not self.enabled:
         return None
     excluded: Set[str] = set(exclude)
     eligible = []
-    for owner, (instance, blocked_shard, _depth) in self._blocked.items():
-        if owner in excluded or blocked_shard is not shard:
+    for owner, (instance, _depth) in self._blocked.items():
+        if owner in excluded or not shard.resources.has_space(owner):
             continue
         if not self._safe_to_swap(instance, shard):
             continue
@@ -86,23 +88,17 @@ def parent_reclaim_pick(self, qos, shard, exclude=()):
 
 def parent_youngest_victim(self, qos, shard):
     """``Controller._youngest_victim`` at the parent (``self`` is the
-    controller, ``qos`` what ``self.qos`` was)."""
-    # Placement order is registration order, so ties resolve as they
+    controller, ``qos`` what ``self.qos`` was), restated against the
+    shard's address spaces: who lives there, and who is suspended."""
+    # Space order is registration order, so ties resolve as they
     # would walking the registry.
-    service = shard.service
-    candidates = [
-        self._instances[instance_id]
-        for instance_id in service.router.instances_on(shard)
-    ]
+    resources = shard.resources
+    candidates = [self._instances[instance_id] for instance_id in resources.owners()]
     if not candidates:
         return None
     # Suspended inferlets occupy no device KV: terminating one frees
     # nearly nothing, so resident inferlets are killed first.
-    resident = [
-        inst
-        for inst in candidates
-        if not service.swap.is_swapped(inst.instance_id)
-    ]
+    resident = [inst for inst in candidates if not resources.is_swapped(inst.instance_id)]
     pool = resident or candidates
     if qos is not None:
         return min(pool, key=lambda inst: parent_victim_key(qos, inst))
@@ -194,7 +190,7 @@ class World:
         self.instances[member.name] = instance
 
     def swapped(self) -> Set[str]:
-        return {name for name in self.instances if self.swap.is_swapped(name)}
+        return {name for name in self.instances if self.shard.resources.is_swapped(name)}
 
     def swap_pick(self) -> Optional[str]:
         """Run the swap rung once; the name it staged out (None: nobody)."""
@@ -337,7 +333,7 @@ def key_without_class(self, instance, n_pages=0):
 
 
 def termination_without_resident_pool(self, shard):
-    candidates = [self._instances[i] for i in shard.service.router.instances_on(shard)]
+    candidates = [self._instances[i] for i in shard.resources.owners()]
     return min(candidates, key=self.victim_key, default=None)
 
 
